@@ -13,11 +13,10 @@
 //! `oversubscribed` (the parallel path is still exercised).
 //!
 //! Every kernel is measured once per *requested* SIMD backend: `scalar`
-//! (the reference loops), `portable` (chunked wide loops written for
-//! autovectorization), and `auto` (runtime feature detection — AVX2+FMA
+//! (the reference loops) and `auto` (runtime feature detection — AVX2+FMA
 //! where the host has it). Rows are tagged with the requested name, not
-//! the resolved one, so the row keys stay host-independent; the scalar and
-//! portable passes only emit the stable threads==1 rows that gate CI.
+//! the resolved one, so the row keys stay host-independent; the scalar
+//! pass only emits the stable threads==1 rows that gate CI.
 //!
 //! Two extra row families feed the roofline story:
 //! - `axpy_norm_fused` / `axpy_norm_unfused` time the PCG residual-update
@@ -37,6 +36,7 @@ use claire_grid::{Grid, Layout, Real, ScalarField, VectorField};
 use claire_interp::{Interpolator, IpOrder};
 use claire_mpi::{run_cluster, AlltoallMethod, Comm, CommCat, Topology};
 use claire_par::{set_threads, timing};
+use claire_simd::Elem;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -269,7 +269,7 @@ fn bench_f32_at(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
                                 let plus = std::array::from_fn(|m| neigh(m, true));
                                 let minus = std::array::from_fn(|m| neigh(m, false));
                                 let b = row(i, j);
-                                claire_simd::f32k::fd8_combine_scale(
+                                f32::kfd8_combine_scale(
                                     &mut g[b..b + n],
                                     &plus,
                                     &minus,
@@ -294,7 +294,7 @@ fn bench_f32_at(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
                             }
                             let plus = [&sr[5..], &sr[6..], &sr[7..], &sr[8..]];
                             let minus = [&sr[3..], &sr[2..], &sr[1..], &sr[0..]];
-                            claire_simd::f32k::fd8_combine_scale(
+                            f32::kfd8_combine_scale(
                                 &mut o[4..n - 4],
                                 &plus,
                                 &minus,
@@ -324,9 +324,9 @@ fn bench_f32_at(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
         let (t1, t2, t3) = (0.37f32, 0.79f32, 0.11f32);
         let mut vals = vec![0.0f32; n * n * n];
         push(measure("interp_cubic_f32", n, 1, false, reps, || {
-            let w1 = claire_simd::f32k::lagrange_weights(t1);
-            let w2 = claire_simd::f32k::lagrange_weights(t2);
-            let w3 = claire_simd::f32k::lagrange_weights(t3);
+            let w1 = f32::klagrange_weights(t1);
+            let w2 = f32::klagrange_weights(t2);
+            let w3 = f32::klagrange_weights(t3);
             for i in 0..n {
                 for j in 0..n {
                     // x2 base is j−1 (offset −0.21h); x3 base is k
@@ -334,7 +334,7 @@ fn bench_f32_at(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
                     for k in 0..n {
                         let v = if b2 >= 1 && b2 + 2 < n && k >= 1 && k + 2 < n {
                             let base = ((i + gw - 1) * n + (b2 - 1)) * n + (k - 1);
-                            claire_simd::f32k::cubic_accumulate(&ext, base, n * n, n, &w1, &w2, &w3)
+                            f32::kcubic_accumulate(&ext, base, n * n, n, &w1, &w2, &w3)
                         } else {
                             let mut acc = 0.0f32;
                             for (a, &wa) in w1.iter().enumerate() {
@@ -363,7 +363,7 @@ fn bench_f32_at(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
         let x: Vec<f32> = test_field(n).data().iter().map(|&v| v as f32).collect();
         let mut y = src.clone();
         push(measure("axpy_dot_f32", n, 1, false, reps * 4, || {
-            std::hint::black_box(claire_simd::f32k::axpy_dot(1.0000001, &x, &mut y));
+            std::hint::black_box(f32::kaxpy_dot(1.0000001, &x, &mut y));
         }));
     }
 }
@@ -419,17 +419,14 @@ fn main() {
 
     timing::reset();
     let mut results = Vec::new();
-    for (choice, backend) in [
-        (claire_simd::Choice::Scalar, "scalar"),
-        (claire_simd::Choice::Portable, "portable"),
-        (claire_simd::Choice::Auto, "auto"),
-    ] {
+    for (choice, backend) in
+        [(claire_simd::Choice::Scalar, "scalar"), (claire_simd::Choice::Auto, "auto")]
+    {
         claire_simd::force_backend(Some(choice));
         for n in [64usize, 128] {
             for &(threads, over) in &configs {
-                // the scalar and portable passes exist to gate the vectorized
-                // speedup; only their stable threads==1 rows are comparable,
-                // so skip the rest
+                // the scalar pass exists to gate the vectorized speedup; only
+                // its stable threads==1 rows are comparable, so skip the rest
                 if backend != "auto" && threads != 1 {
                     continue;
                 }

@@ -9,9 +9,9 @@
 //!
 //! Configuration is pinned for cross-host comparability: 1 thread
 //! (claire-par serial fallback), 32³ and 48³ grids, nt = 2, InvA, no
-//! continuation, once per requested SIMD backend (`scalar`, `portable`,
-//! and `auto`). A warm-up solve fills the pools and plan caches before
-//! the measured solve, so the reported rows describe the steady state.
+//! continuation, once per requested SIMD backend (`scalar` and `auto`).
+//! A warm-up solve fills the pools and plan caches before the measured
+//! solve, so the reported rows describe the steady state.
 //! The GN iteration includes the fused PCG field-op chains, so its
 //! `ns_per_point` row gates the fusion work end to end, and its
 //! `allocs_per_iter` field asserts the fused loop stayed allocation-free.
@@ -227,11 +227,9 @@ fn main() {
     set_threads(1); // pinned: serial fallback, deterministic row set
 
     let mut results = Vec::new();
-    for (choice, backend) in [
-        (claire_simd::Choice::Scalar, "scalar"),
-        (claire_simd::Choice::Portable, "portable"),
-        (claire_simd::Choice::Auto, "auto"),
-    ] {
+    for (choice, backend) in
+        [(claire_simd::Choice::Scalar, "scalar"), (claire_simd::Choice::Auto, "auto")]
+    {
         claire_simd::force_backend(Some(choice));
         for n in [32usize, 48] {
             for precision in [Precision::F64, Precision::Mixed] {

@@ -17,7 +17,7 @@
 //! reallocating the ghost halo and output fields on every application.
 //!
 //! Within a worker, every sweep is expressed as contiguous-x3-row combines
-//! on the runtime-dispatched SIMD layer (`claire_simd::fd8_combine`): the
+//! on the runtime-dispatched SIMD layer (`Elem::kfd8_combine_scale`): the
 //! x1 sweep reads 8 neighbouring ghost-storage rows, the x2 sweep 8
 //! periodic neighbour rows, and the x3 sweep vectorizes its interior with
 //! shifted views of the row, keeping only the 4-point wrap at each end on
@@ -30,6 +30,7 @@ use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::Comm;
 use claire_par::par_chunks_mut;
 use claire_par::timing::{self, Kernel};
+use claire_simd::Elem;
 
 /// Stencil coefficients `c_m` of the 8th-order central first derivative:
 /// `f'(x) ≈ (1/h) Σ_{m=1..4} c_m (f(x+mh) − f(x−mh))`.
@@ -139,7 +140,7 @@ pub fn deriv_scaled_into(
                         let row = |p: usize| &gd[(p * n2 + j) * n3..(p * n2 + j) * n3 + n3];
                         let plus = [row(sp + 1), row(sp + 2), row(sp + 3), row(sp + 4)];
                         let minus = [row(sp - 1), row(sp - 2), row(sp - 3), row(sp - 4)];
-                        claire_simd::fd8_combine_scale(
+                        Real::kfd8_combine_scale(
                             &mut o[j * n3..(j + 1) * n3],
                             &plus,
                             &minus,
@@ -166,7 +167,7 @@ pub fn deriv_scaled_into(
                         }
                         let plus = std::array::from_fn(|m| &src[rows_p[m]..rows_p[m] + n3]);
                         let minus = std::array::from_fn(|m| &src[rows_m[m]..rows_m[m] + n3]);
-                        claire_simd::fd8_combine_scale(
+                        Real::kfd8_combine_scale(
                             &mut o[j * n3..(j + 1) * n3],
                             &plus,
                             &minus,
@@ -203,7 +204,7 @@ pub fn deriv_scaled_into(
                         wrap(o, n3 - FD8_WIDTH..n3);
                         let plus = [&sr[5..], &sr[6..], &sr[7..], &sr[8..]];
                         let minus = [&sr[3..], &sr[2..], &sr[1..], &sr[0..]];
-                        claire_simd::fd8_combine_scale(
+                        Real::kfd8_combine_scale(
                             &mut o[FD8_WIDTH..n3 - FD8_WIDTH],
                             &plus,
                             &minus,

@@ -52,15 +52,9 @@ pub use serial3d::{Fft3, Fft3T};
 /// the µFFT budget.
 pub static CPX_POOL: claire_grid::Pool<Cpx> = claire_grid::Pool::new();
 
-/// Off-width complex pool: f32 spectral scratch for the mixed-precision
-/// inner solve (half the bytes of [`CPX_POOL`] buffers).
-#[cfg(not(feature = "single"))]
+/// f32 complex pool: spectral scratch for the mixed-precision inner solve
+/// (half the bytes of [`CPX_POOL`] buffers).
 pub static CPX32_POOL: claire_grid::Pool<CpxT<f32>> = claire_grid::Pool::new();
-
-/// Off-width complex pool under the `single` feature (Real = f32): f64
-/// complex scratch for code that explicitly asks for double.
-#[cfg(feature = "single")]
-pub static CPX64_POOL: claire_grid::Pool<CpxT<f64>> = claire_grid::Pool::new();
 
 /// Element widths the FFT stack can transform.
 ///
@@ -77,14 +71,7 @@ pub trait FftElem: claire_grid::FieldElem + claire_mpi::Pod {
 
 impl FftElem for f64 {
     fn cpx_pool() -> &'static claire_grid::Pool<CpxT<f64>> {
-        #[cfg(not(feature = "single"))]
-        {
-            &CPX_POOL
-        }
-        #[cfg(feature = "single")]
-        {
-            &CPX64_POOL
-        }
+        &CPX_POOL
     }
     fn caches() -> &'static cache::Caches<f64> {
         &cache::CACHES_F64
@@ -93,14 +80,7 @@ impl FftElem for f64 {
 
 impl FftElem for f32 {
     fn cpx_pool() -> &'static claire_grid::Pool<CpxT<f32>> {
-        #[cfg(not(feature = "single"))]
-        {
-            &CPX32_POOL
-        }
-        #[cfg(feature = "single")]
-        {
-            &CPX_POOL
-        }
+        &CPX32_POOL
     }
     fn caches() -> &'static cache::Caches<f32> {
         &cache::CACHES_F32

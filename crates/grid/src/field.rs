@@ -13,10 +13,6 @@
 //! footprint. Every reduction accumulates and returns `f64` regardless of
 //! the element width, so convergence logic is width-independent.
 
-// Reductions accumulate in f64 even when `Real = f32` (the `single`
-// feature); the casts are load-bearing there, so the lint is off.
-#![allow(clippy::unnecessary_cast)]
-
 use claire_mpi::Comm;
 use claire_par::timing::{self, Kernel};
 use claire_par::{par_chunks_mut, par_chunks_mut_sum, par_max_blocks, par_sum_blocks, SUM_BLOCK};
@@ -269,7 +265,7 @@ impl<T: FieldElem> ScalarFieldT<T> {
 
     /// Global L2(Ω) inner product: `∫ f·g ≈ h³ Σ f·g`.
     pub fn inner(&self, other: &Self, comm: &mut Comm) -> f64 {
-        self.dot(other, comm) * self.layout.grid.cell_volume() as f64
+        self.dot(other, comm) * self.layout.grid.cell_volume()
     }
 
     /// Global L2(Ω) norm.
@@ -398,7 +394,7 @@ impl<T: FieldElem> VectorFieldT<T> {
         for (s, xc) in self.c.iter_mut().zip(&x.c) {
             local += s.axpy_dot_local(a, xc);
         }
-        let vol = self.layout().grid.cell_volume() as f64;
+        let vol = self.layout().grid.cell_volume();
         (comm.allreduce_sum_scalar(local) * vol).max(0.0).sqrt()
     }
 
@@ -409,7 +405,7 @@ impl<T: FieldElem> VectorFieldT<T> {
         for (s, xc) in self.c.iter_mut().zip(&x.c) {
             local += s.aypx_norm2_local(a, xc);
         }
-        let vol = self.layout().grid.cell_volume() as f64;
+        let vol = self.layout().grid.cell_volume();
         (comm.allreduce_sum_scalar(local) * vol).max(0.0).sqrt()
     }
 
@@ -428,7 +424,7 @@ impl<T: FieldElem> VectorFieldT<T> {
 
     /// Global L2(Ω)³ inner product.
     pub fn inner(&self, other: &Self, comm: &mut Comm) -> f64 {
-        self.dot(other, comm) * self.layout().grid.cell_volume() as f64
+        self.dot(other, comm) * self.layout().grid.cell_volume()
     }
 
     /// Global L2(Ω)³ norm.
@@ -498,7 +494,7 @@ mod tests {
         let f = ScalarField::from_fn(serial(n), |x, _, _| x.sin());
         let mut comm = Comm::solo();
         let norm = f.norm_l2(&mut comm);
-        let expect = (0.5 * (TWO_PI as f64).powi(3)).sqrt();
+        let expect = (0.5 * TWO_PI.powi(3)).sqrt();
         assert!((norm - expect).abs() < 1e-5 * expect, "{norm} vs {expect}");
     }
 

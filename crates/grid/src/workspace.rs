@@ -334,16 +334,11 @@ impl<T: PartialEq + Send + 'static> PartialEq for PoolVec<T> {
 
 /// Scalar samples: field storage, interpolation values, FD ghost layers.
 pub static REAL_POOL: Pool<Real> = Pool::new();
-/// Off-width scalar samples for the mixed-precision inner solve: f32 PCG
-/// vectors and spectral scratch in a default (f64) build. Kept separate
-/// from [`REAL_POOL`] so pool shelves stay keyed by element size and the
-/// memory accounting reflects the halved footprint.
-#[cfg(not(feature = "single"))]
+/// f32 scalar samples for the mixed-precision inner solve: PCG vectors and
+/// spectral scratch. Kept separate from [`REAL_POOL`] so pool shelves stay
+/// keyed by element size and the memory accounting reflects the halved
+/// footprint.
 pub static REAL32_POOL: Pool<f32> = Pool::new();
-/// Off-width (f64) pool under the `single` feature — cold path, exists so
-/// the precision seam compiles in both field widths.
-#[cfg(feature = "single")]
-pub static REAL64_POOL: Pool<f64> = Pool::new();
 /// Points/displacements `[x1, x2, x3]`: characteristic feet, RK2 stages.
 pub static R3_POOL: Pool<[Real; 3]> = Pool::new();
 /// Time-series containers of scalar fields (state/adjoint trajectories).
@@ -365,17 +360,9 @@ impl FieldElem for Real {
     }
 }
 
-#[cfg(not(feature = "single"))]
 impl FieldElem for f32 {
     fn pool() -> &'static Pool<f32> {
         &REAL32_POOL
-    }
-}
-
-#[cfg(feature = "single")]
-impl FieldElem for f64 {
-    fn pool() -> &'static Pool<f64> {
-        &REAL64_POOL
     }
 }
 
@@ -390,10 +377,7 @@ pub fn real_zeroed(len: usize, cat: WsCat) -> PoolVec<Real> {
 /// never need it.
 pub fn drain_all() {
     REAL_POOL.drain();
-    #[cfg(not(feature = "single"))]
     REAL32_POOL.drain();
-    #[cfg(feature = "single")]
-    REAL64_POOL.drain();
     R3_POOL.drain();
     SCALAR_FIELDS.drain();
     VECTOR_FIELDS.drain();

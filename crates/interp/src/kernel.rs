@@ -1,6 +1,7 @@
 //! Local interpolation stencils (trilinear and cubic Lagrange).
 
 use claire_grid::{ghost::GhostField, Real, ScalarField, TWO_PI};
+use claire_simd::Elem;
 
 /// Interpolation order, named after the paper's GPU kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,7 +74,7 @@ pub fn bspline_weights(t: Real) -> [Real; 4] {
 /// four polynomial evaluations on AVX2).
 #[inline]
 pub fn lagrange_weights(t: Real) -> [Real; 4] {
-    claire_simd::lagrange_weights(t)
+    Real::klagrange_weights(t)
 }
 
 /// Wrap a physical coordinate into `[0, 2π)` and convert to continuous grid
@@ -151,7 +152,7 @@ pub fn interp_ghost(gf: &GhostField, order: IpOrder, x: [Real; 3]) -> Real {
             if b2 >= 1 && b2 + 2 < n2 && b3 >= 1 && b3 + 2 < n3 {
                 let width = gf.width() as isize;
                 let base = (((b1 - 1 + width) * n2 + (b2 - 1)) * n3 + (b3 - 1)) as usize;
-                return claire_simd::cubic_accumulate(
+                return Real::kcubic_accumulate(
                     gf.data(),
                     base,
                     (n2 * n3) as usize,

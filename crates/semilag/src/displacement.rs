@@ -74,10 +74,9 @@ pub fn jacobian_det(u: &VectorField, comm: &mut Comm) -> ScalarField {
 }
 
 /// Global (min, max) of the Jacobian determinant. Collective.
-#[allow(clippy::unnecessary_cast)] // load-bearing under `--features single`
 pub fn det_bounds(det: &ScalarField, comm: &mut Comm) -> (f64, f64) {
-    let local_min = det.data().iter().fold(f64::MAX, |m, &x| m.min(x as f64));
-    let local_max = det.data().iter().fold(f64::MIN, |m, &x| m.max(x as f64));
+    let local_min = det.data().iter().fold(f64::MAX, |m, &x| m.min(x));
+    let local_max = det.data().iter().fold(f64::MIN, |m, &x| m.max(x));
     let max = comm.allreduce_max_scalar(local_max);
     let min = -comm.allreduce_max_scalar(-local_min);
     (min, max)

@@ -119,8 +119,7 @@ impl Trajectory {
         // CFL estimate for buffer sizing (max displacement / h)
         let vmax = v.max_abs(comm);
         let hmin = layout.grid.spacing().iter().cloned().fold(Real::MAX, Real::min);
-        #[allow(clippy::unnecessary_cast)] // load-bearing under `--features single`
-        let cfl = vmax * dt as f64 / hmin as f64;
+        let cfl = vmax * dt / hmin;
 
         Trajectory { dt, foot_back, foot_fwd, div_v, div_v_at_fwd, cfl }
     }

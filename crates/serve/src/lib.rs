@@ -49,12 +49,6 @@ pub mod router;
 pub mod server;
 pub mod wire;
 
-/// Pre-split location of the service types (moved to [`server::service`]).
-#[deprecated(note = "use `claire_serve::server::service` (or the root re-exports)")]
-pub mod service {
-    pub use crate::server::service::*;
-}
-
 pub use cache::ResultCacheStats;
 pub use client::{Client, RemoteAdmission};
 pub use job::{JobId, JobInput, JobResult, JobSpec, JobStatus, ParseJobIdError, Priority};

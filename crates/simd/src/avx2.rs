@@ -1,498 +1,536 @@
-//! AVX2+FMA kernel implementations (f64 only).
+//! AVX2+FMA arms of the [`crate::Elem`] kernels.
 //!
 //! Every function is compiled with `#[target_feature(enable = "avx2,fma")]`
 //! and must only be called after runtime detection (the dispatcher in
-//! `lib.rs` guarantees this). Layout conventions:
+//! `elem.rs` guarantees this). One module per element width, same function
+//! names in both, so the `impl_elem!` macro can target either:
 //!
-//! * real slices are processed 4 lanes (one `__m256d`) at a time with a
-//!   masked tail (`_mm256_maskload_pd`/`_mm256_maskstore_pd`) or a scalar
-//!   remainder for reductions;
-//! * complex slices are interleaved `[re, im, re, im, …]`, two complexes
-//!   per vector; the complex product uses the `movedup`/`permute`/
-//!   `fmaddsub` shuffle idiom (no gathers anywhere);
-//! * reductions accumulate in 4 f64 lanes and fold with a fixed-shape
+//! * [`f32k`] — the generic `xk` bodies instantiated at f32 under the
+//!   feature gate (they are `#[inline(always)]`, so the autovectorizer emits
+//!   8-lane f32 code); `cpx_radix2_combine` and `lagrange_weights` have no
+//!   wide form and use the `scalar_*` body;
+//! * [`f64k`] — hand-written intrinsics. Real slices are processed 4 lanes
+//!   (one `__m256d`) at a time with a masked tail or a scalar remainder;
+//!   complex slices are interleaved `[re, im, …]`, two complexes per vector,
+//!   multiplied with the `movedup`/`permute`/`fmaddsub` shuffle idiom (no
+//!   gathers anywhere); reductions fold 4 f64 lanes with a fixed-shape
 //!   horizontal sum, so results are deterministic for a given input.
 
-use core::arch::x86_64::*;
-
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tail_mask(rem: usize) -> __m256i {
-    let on = -1i64;
-    match rem {
-        1 => _mm256_setr_epi64x(on, 0, 0, 0),
-        2 => _mm256_setr_epi64x(on, on, 0, 0),
-        _ => _mm256_setr_epi64x(on, on, on, 0),
-    }
+/// Instantiate an `xk` body at `$t` under the AVX2+FMA feature gate.
+macro_rules! wrap {
+    ($t:ty, $name:ident, $body:ident, ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
+        /// # Safety
+        /// The host must support AVX2 and FMA.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn $name($($arg: $ty),*) $(-> $ret)? {
+            crate::xk::$body::<$t>($($arg),*)
+        }
+    };
 }
 
-/// Fixed-shape horizontal sum: `(l0 + l2) + (l1 + l3)`.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn hsum(v: __m256d) -> f64 {
-    let lo = _mm256_castpd256_pd128(v);
-    let hi = _mm256_extractf128_pd(v, 1);
-    let s = _mm_add_pd(lo, hi);
-    _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
+pub mod f32k {
+    wrap!(f32, scale, wide_scale, (a: f32, y: &mut [f32]));
+    wrap!(f32, axpy, wide_axpy, (a: f32, x: &[f32], y: &mut [f32]));
+    wrap!(f32, aypx, wide_aypx, (a: f32, x: &[f32], y: &mut [f32]));
+    wrap!(f32, add_scaled_product, wide_add_scaled_product,
+        (a: f32, x: &[f32], y: &[f32], s: &mut [f32]));
+    wrap!(f32, axpy_dot, wide_axpy_dot, (a: f32, x: &[f32], y: &mut [f32]) -> f64);
+    wrap!(f32, aypx_norm2, wide_aypx_norm2, (a: f32, x: &[f32], y: &mut [f32]) -> f64);
+    wrap!(f32, scale_add_norm, wide_scale_add_norm,
+        (a: f32, x: &[f32], y: &[f32], out: &mut [f32]) -> f64);
+    wrap!(f32, dot, wide_dot, (x: &[f32], y: &[f32]) -> f64);
+    wrap!(f32, sum, wide_sum, (x: &[f32]) -> f64);
+    wrap!(f32, max_abs, wide_max_abs, (x: &[f32]) -> f64);
+    wrap!(f32, fd8_combine_scale, wide_fd8_combine_scale,
+        (out: &mut [f32], plus: &[&[f32]; 4], minus: &[&[f32]; 4], c: &[f32; 4], inv_h: f32, s: f32));
+    wrap!(f32, lagrange_weights, scalar_lagrange_weights, (t: f32) -> [f32; 4]);
+    wrap!(f32, cubic_accumulate, wide_cubic_accumulate,
+        (data: &[f32], base: usize, plane_stride: usize, row_stride: usize,
+         w1: &[f32; 4], w2: &[f32; 4], w3: &[f32; 4]) -> f32);
+    wrap!(f32, cpx_mul, wide_cpx_mul, (dst: &mut [f32], src: &[f32]));
+    wrap!(f32, cpx_mul_into, wide_cpx_mul_into, (out: &mut [f32], a: &[f32], b: &[f32]));
+    wrap!(f32, cpx_conj, wide_cpx_conj, (data: &mut [f32]));
+    wrap!(f32, cpx_conj_scale, wide_cpx_conj_scale, (data: &mut [f32], s: f32));
+    wrap!(f32, cpx_radix2_combine, scalar_cpx_radix2_combine,
+        (lo: &mut [f32], hi: &mut [f32], tw: &[f32], ws: usize));
 }
 
-#[target_feature(enable = "avx2,fma")]
-unsafe fn hmax(v: __m256d) -> f64 {
-    let lo = _mm256_castpd256_pd128(v);
-    let hi = _mm256_extractf128_pd(v, 1);
-    let s = _mm_max_pd(lo, hi);
-    _mm_cvtsd_f64(_mm_max_sd(s, _mm_unpackhi_pd(s, s)))
-}
+pub mod f64k {
+    use core::arch::x86_64::*;
 
-// ----- element-wise -------------------------------------------------------
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tail_mask(rem: usize) -> __m256i {
+        let on = -1i64;
+        match rem {
+            1 => _mm256_setr_epi64x(on, 0, 0, 0),
+            2 => _mm256_setr_epi64x(on, on, 0, 0),
+            _ => _mm256_setr_epi64x(on, on, on, 0),
+        }
+    }
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn scale(a: f64, y: &mut [f64]) {
-    let av = _mm256_set1_pd(a);
-    let n = y.len();
-    let p = y.as_mut_ptr();
-    let mut i = 0;
-    while i + 4 <= n {
-        _mm256_storeu_pd(p.add(i), _mm256_mul_pd(_mm256_loadu_pd(p.add(i)), av));
-        i += 4;
+    /// Fixed-shape horizontal sum: `(l0 + l2) + (l1 + l3)`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn hsum(v: __m256d) -> f64 {
+        let lo = _mm256_castpd256_pd128(v);
+        let hi = _mm256_extractf128_pd(v, 1);
+        let s = _mm_add_pd(lo, hi);
+        _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
     }
-    if i < n {
-        let m = tail_mask(n - i);
-        let v = _mm256_maskload_pd(p.add(i), m);
-        _mm256_maskstore_pd(p.add(i), m, _mm256_mul_pd(v, av));
-    }
-}
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-    let av = _mm256_set1_pd(a);
-    let n = y.len();
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
-    let mut i = 0;
-    while i + 4 <= n {
-        let xv = _mm256_loadu_pd(px.add(i));
-        let yv = _mm256_loadu_pd(py.add(i));
-        _mm256_storeu_pd(py.add(i), _mm256_fmadd_pd(av, xv, yv));
-        i += 4;
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn hmax(v: __m256d) -> f64 {
+        let lo = _mm256_castpd256_pd128(v);
+        let hi = _mm256_extractf128_pd(v, 1);
+        let s = _mm_max_pd(lo, hi);
+        _mm_cvtsd_f64(_mm_max_sd(s, _mm_unpackhi_pd(s, s)))
     }
-    if i < n {
-        let m = tail_mask(n - i);
-        let xv = _mm256_maskload_pd(px.add(i), m);
-        let yv = _mm256_maskload_pd(py.add(i), m);
-        _mm256_maskstore_pd(py.add(i), m, _mm256_fmadd_pd(av, xv, yv));
-    }
-}
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn aypx(a: f64, x: &[f64], y: &mut [f64]) {
-    let av = _mm256_set1_pd(a);
-    let n = y.len();
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
-    let mut i = 0;
-    while i + 4 <= n {
-        let xv = _mm256_loadu_pd(px.add(i));
-        let yv = _mm256_loadu_pd(py.add(i));
-        _mm256_storeu_pd(py.add(i), _mm256_fmadd_pd(av, yv, xv));
-        i += 4;
-    }
-    if i < n {
-        let m = tail_mask(n - i);
-        let xv = _mm256_maskload_pd(px.add(i), m);
-        let yv = _mm256_maskload_pd(py.add(i), m);
-        _mm256_maskstore_pd(py.add(i), m, _mm256_fmadd_pd(av, yv, xv));
-    }
-}
+    // ----- element-wise -------------------------------------------------------
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn add_scaled_product(a: f64, x: &[f64], y: &[f64], s: &mut [f64]) {
-    let av = _mm256_set1_pd(a);
-    let n = s.len();
-    let px = x.as_ptr();
-    let py = y.as_ptr();
-    let ps = s.as_mut_ptr();
-    let mut i = 0;
-    while i + 4 <= n {
-        let ax = _mm256_mul_pd(av, _mm256_loadu_pd(px.add(i)));
-        let yv = _mm256_loadu_pd(py.add(i));
-        let sv = _mm256_loadu_pd(ps.add(i));
-        _mm256_storeu_pd(ps.add(i), _mm256_fmadd_pd(ax, yv, sv));
-        i += 4;
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn scale(a: f64, y: &mut [f64]) {
+        let av = _mm256_set1_pd(a);
+        let n = y.len();
+        let p = y.as_mut_ptr();
+        let mut i = 0;
+        while i + 4 <= n {
+            _mm256_storeu_pd(p.add(i), _mm256_mul_pd(_mm256_loadu_pd(p.add(i)), av));
+            i += 4;
+        }
+        if i < n {
+            let m = tail_mask(n - i);
+            let v = _mm256_maskload_pd(p.add(i), m);
+            _mm256_maskstore_pd(p.add(i), m, _mm256_mul_pd(v, av));
+        }
     }
-    if i < n {
-        let m = tail_mask(n - i);
-        let ax = _mm256_mul_pd(av, _mm256_maskload_pd(px.add(i), m));
-        let yv = _mm256_maskload_pd(py.add(i), m);
-        let sv = _mm256_maskload_pd(ps.add(i), m);
-        _mm256_maskstore_pd(ps.add(i), m, _mm256_fmadd_pd(ax, yv, sv));
-    }
-}
 
-// ----- fused element-wise + reduction -------------------------------------
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
+        let av = _mm256_set1_pd(a);
+        let n = y.len();
+        let px = x.as_ptr();
+        let py = y.as_mut_ptr();
+        let mut i = 0;
+        while i + 4 <= n {
+            let xv = _mm256_loadu_pd(px.add(i));
+            let yv = _mm256_loadu_pd(py.add(i));
+            _mm256_storeu_pd(py.add(i), _mm256_fmadd_pd(av, xv, yv));
+            i += 4;
+        }
+        if i < n {
+            let m = tail_mask(n - i);
+            let xv = _mm256_maskload_pd(px.add(i), m);
+            let yv = _mm256_maskload_pd(py.add(i), m);
+            _mm256_maskstore_pd(py.add(i), m, _mm256_fmadd_pd(av, xv, yv));
+        }
+    }
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn axpy_dot(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
-    let av = _mm256_set1_pd(a);
-    let n = y.len();
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        let xv = _mm256_loadu_pd(px.add(i));
-        let yv = _mm256_loadu_pd(py.add(i));
-        let upd = _mm256_fmadd_pd(av, xv, yv);
-        _mm256_storeu_pd(py.add(i), upd);
-        acc = _mm256_fmadd_pd(upd, upd, acc);
-        i += 4;
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn aypx(a: f64, x: &[f64], y: &mut [f64]) {
+        let av = _mm256_set1_pd(a);
+        let n = y.len();
+        let px = x.as_ptr();
+        let py = y.as_mut_ptr();
+        let mut i = 0;
+        while i + 4 <= n {
+            let xv = _mm256_loadu_pd(px.add(i));
+            let yv = _mm256_loadu_pd(py.add(i));
+            _mm256_storeu_pd(py.add(i), _mm256_fmadd_pd(av, yv, xv));
+            i += 4;
+        }
+        if i < n {
+            let m = tail_mask(n - i);
+            let xv = _mm256_maskload_pd(px.add(i), m);
+            let yv = _mm256_maskload_pd(py.add(i), m);
+            _mm256_maskstore_pd(py.add(i), m, _mm256_fmadd_pd(av, yv, xv));
+        }
     }
-    let mut r = hsum(acc);
-    while i < n {
-        y[i] += a * x[i];
-        r += y[i] * y[i];
-        i += 1;
-    }
-    r
-}
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn aypx_norm2(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
-    let av = _mm256_set1_pd(a);
-    let n = y.len();
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        let xv = _mm256_loadu_pd(px.add(i));
-        let yv = _mm256_loadu_pd(py.add(i));
-        let upd = _mm256_fmadd_pd(av, yv, xv);
-        _mm256_storeu_pd(py.add(i), upd);
-        acc = _mm256_fmadd_pd(upd, upd, acc);
-        i += 4;
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn add_scaled_product(a: f64, x: &[f64], y: &[f64], s: &mut [f64]) {
+        let av = _mm256_set1_pd(a);
+        let n = s.len();
+        let px = x.as_ptr();
+        let py = y.as_ptr();
+        let ps = s.as_mut_ptr();
+        let mut i = 0;
+        while i + 4 <= n {
+            let ax = _mm256_mul_pd(av, _mm256_loadu_pd(px.add(i)));
+            let yv = _mm256_loadu_pd(py.add(i));
+            let sv = _mm256_loadu_pd(ps.add(i));
+            _mm256_storeu_pd(ps.add(i), _mm256_fmadd_pd(ax, yv, sv));
+            i += 4;
+        }
+        if i < n {
+            let m = tail_mask(n - i);
+            let ax = _mm256_mul_pd(av, _mm256_maskload_pd(px.add(i), m));
+            let yv = _mm256_maskload_pd(py.add(i), m);
+            let sv = _mm256_maskload_pd(ps.add(i), m);
+            _mm256_maskstore_pd(ps.add(i), m, _mm256_fmadd_pd(ax, yv, sv));
+        }
     }
-    let mut r = hsum(acc);
-    while i < n {
-        y[i] = a * y[i] + x[i];
-        r += y[i] * y[i];
-        i += 1;
-    }
-    r
-}
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn scale_add_norm(a: f64, x: &[f64], y: &[f64], out: &mut [f64]) -> f64 {
-    let av = _mm256_set1_pd(a);
-    let n = out.len();
-    let px = x.as_ptr();
-    let py = y.as_ptr();
-    let po = out.as_mut_ptr();
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        let xv = _mm256_loadu_pd(px.add(i));
-        let yv = _mm256_loadu_pd(py.add(i));
-        let upd = _mm256_fmadd_pd(av, xv, yv);
-        _mm256_storeu_pd(po.add(i), upd);
-        acc = _mm256_fmadd_pd(upd, upd, acc);
-        i += 4;
-    }
-    let mut r = hsum(acc);
-    while i < n {
-        out[i] = a * x[i] + y[i];
-        r += out[i] * out[i];
-        i += 1;
-    }
-    r
-}
+    // ----- fused element-wise + reduction -------------------------------------
 
-// ----- reductions ---------------------------------------------------------
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn axpy_dot(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
+        let av = _mm256_set1_pd(a);
+        let n = y.len();
+        let px = x.as_ptr();
+        let py = y.as_mut_ptr();
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0;
+        while i + 4 <= n {
+            let xv = _mm256_loadu_pd(px.add(i));
+            let yv = _mm256_loadu_pd(py.add(i));
+            let upd = _mm256_fmadd_pd(av, xv, yv);
+            _mm256_storeu_pd(py.add(i), upd);
+            acc = _mm256_fmadd_pd(upd, upd, acc);
+            i += 4;
+        }
+        let mut r = hsum(acc);
+        while i < n {
+            y[i] += a * x[i];
+            r += y[i] * y[i];
+            i += 1;
+        }
+        r
+    }
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
-    let n = x.len();
-    let px = x.as_ptr();
-    let py = y.as_ptr();
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        acc = _mm256_fmadd_pd(_mm256_loadu_pd(px.add(i)), _mm256_loadu_pd(py.add(i)), acc);
-        i += 4;
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn aypx_norm2(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
+        let av = _mm256_set1_pd(a);
+        let n = y.len();
+        let px = x.as_ptr();
+        let py = y.as_mut_ptr();
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0;
+        while i + 4 <= n {
+            let xv = _mm256_loadu_pd(px.add(i));
+            let yv = _mm256_loadu_pd(py.add(i));
+            let upd = _mm256_fmadd_pd(av, yv, xv);
+            _mm256_storeu_pd(py.add(i), upd);
+            acc = _mm256_fmadd_pd(upd, upd, acc);
+            i += 4;
+        }
+        let mut r = hsum(acc);
+        while i < n {
+            y[i] = a * y[i] + x[i];
+            r += y[i] * y[i];
+            i += 1;
+        }
+        r
     }
-    let mut r = hsum(acc);
-    while i < n {
-        r += x[i] * y[i];
-        i += 1;
-    }
-    r
-}
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn sum(x: &[f64]) -> f64 {
-    let n = x.len();
-    let px = x.as_ptr();
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        acc = _mm256_add_pd(acc, _mm256_loadu_pd(px.add(i)));
-        i += 4;
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn scale_add_norm(a: f64, x: &[f64], y: &[f64], out: &mut [f64]) -> f64 {
+        let av = _mm256_set1_pd(a);
+        let n = out.len();
+        let px = x.as_ptr();
+        let py = y.as_ptr();
+        let po = out.as_mut_ptr();
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0;
+        while i + 4 <= n {
+            let xv = _mm256_loadu_pd(px.add(i));
+            let yv = _mm256_loadu_pd(py.add(i));
+            let upd = _mm256_fmadd_pd(av, xv, yv);
+            _mm256_storeu_pd(po.add(i), upd);
+            acc = _mm256_fmadd_pd(upd, upd, acc);
+            i += 4;
+        }
+        let mut r = hsum(acc);
+        while i < n {
+            out[i] = a * x[i] + y[i];
+            r += out[i] * out[i];
+            i += 1;
+        }
+        r
     }
-    let mut r = hsum(acc);
-    while i < n {
-        r += x[i];
-        i += 1;
-    }
-    r
-}
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn max_abs(x: &[f64]) -> f64 {
-    let n = x.len();
-    let px = x.as_ptr();
-    // clear the sign bit: |v| = v & 0x7ff…f
-    let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        acc = _mm256_max_pd(acc, _mm256_and_pd(_mm256_loadu_pd(px.add(i)), abs_mask));
-        i += 4;
-    }
-    let mut r = hmax(acc).max(0.0);
-    while i < n {
-        r = r.max(x[i].abs());
-        i += 1;
-    }
-    r
-}
+    // ----- reductions ---------------------------------------------------------
 
-// ----- 8th-order FD stencil ----------------------------------------------
-
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn fd8_combine(
-    out: &mut [f64],
-    plus: &[&[f64]; 4],
-    minus: &[&[f64]; 4],
-    c: &[f64; 4],
-    inv_h: f64,
-) {
-    fd8_combine_scale(out, plus, minus, c, inv_h, 1.0)
-}
-
-/// [`fd8_combine`] with a folded output scale: `inv_h·s` is broadcast once,
-/// so the fused kernel costs the same as the unscaled one (and is identical
-/// to it when `s == 1`).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn fd8_combine_scale(
-    out: &mut [f64],
-    plus: &[&[f64]; 4],
-    minus: &[&[f64]; 4],
-    c: &[f64; 4],
-    inv_h: f64,
-    s: f64,
-) {
-    let n = out.len();
-    let po = out.as_mut_ptr();
-    let pp: [*const f64; 4] =
-        [plus[0].as_ptr(), plus[1].as_ptr(), plus[2].as_ptr(), plus[3].as_ptr()];
-    let pm: [*const f64; 4] =
-        [minus[0].as_ptr(), minus[1].as_ptr(), minus[2].as_ptr(), minus[3].as_ptr()];
-    let cv: [__m256d; 4] =
-        [_mm256_set1_pd(c[0]), _mm256_set1_pd(c[1]), _mm256_set1_pd(c[2]), _mm256_set1_pd(c[3])];
-    let ih = _mm256_set1_pd(inv_h * s);
-    let mut i = 0;
-    while i + 4 <= n {
-        let mut acc = _mm256_mul_pd(
-            cv[0],
-            _mm256_sub_pd(_mm256_loadu_pd(pp[0].add(i)), _mm256_loadu_pd(pm[0].add(i))),
-        );
-        acc = _mm256_fmadd_pd(
-            cv[1],
-            _mm256_sub_pd(_mm256_loadu_pd(pp[1].add(i)), _mm256_loadu_pd(pm[1].add(i))),
-            acc,
-        );
-        acc = _mm256_fmadd_pd(
-            cv[2],
-            _mm256_sub_pd(_mm256_loadu_pd(pp[2].add(i)), _mm256_loadu_pd(pm[2].add(i))),
-            acc,
-        );
-        acc = _mm256_fmadd_pd(
-            cv[3],
-            _mm256_sub_pd(_mm256_loadu_pd(pp[3].add(i)), _mm256_loadu_pd(pm[3].add(i))),
-            acc,
-        );
-        _mm256_storeu_pd(po.add(i), _mm256_mul_pd(acc, ih));
-        i += 4;
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
+        let n = x.len();
+        let px = x.as_ptr();
+        let py = y.as_ptr();
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0;
+        while i + 4 <= n {
+            acc = _mm256_fmadd_pd(_mm256_loadu_pd(px.add(i)), _mm256_loadu_pd(py.add(i)), acc);
+            i += 4;
+        }
+        let mut r = hsum(acc);
+        while i < n {
+            r += x[i] * y[i];
+            i += 1;
+        }
+        r
     }
-    if i < n {
-        let m = tail_mask(n - i);
-        let mut acc = _mm256_mul_pd(
-            cv[0],
-            _mm256_sub_pd(_mm256_maskload_pd(pp[0].add(i), m), _mm256_maskload_pd(pm[0].add(i), m)),
-        );
-        for j in 1..4 {
+
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn sum(x: &[f64]) -> f64 {
+        let n = x.len();
+        let px = x.as_ptr();
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0;
+        while i + 4 <= n {
+            acc = _mm256_add_pd(acc, _mm256_loadu_pd(px.add(i)));
+            i += 4;
+        }
+        let mut r = hsum(acc);
+        while i < n {
+            r += x[i];
+            i += 1;
+        }
+        r
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn max_abs(x: &[f64]) -> f64 {
+        let n = x.len();
+        let px = x.as_ptr();
+        // clear the sign bit: |v| = v & 0x7ff…f
+        let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0;
+        while i + 4 <= n {
+            acc = _mm256_max_pd(acc, _mm256_and_pd(_mm256_loadu_pd(px.add(i)), abs_mask));
+            i += 4;
+        }
+        let mut r = hmax(acc).max(0.0);
+        while i < n {
+            r = r.max(x[i].abs());
+            i += 1;
+        }
+        r
+    }
+
+    // ----- 8th-order FD stencil ----------------------------------------------
+
+    /// `inv_h·s` is broadcast once, so the folded scale is free.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn fd8_combine_scale(
+        out: &mut [f64],
+        plus: &[&[f64]; 4],
+        minus: &[&[f64]; 4],
+        c: &[f64; 4],
+        inv_h: f64,
+        s: f64,
+    ) {
+        let n = out.len();
+        let po = out.as_mut_ptr();
+        let pp: [*const f64; 4] =
+            [plus[0].as_ptr(), plus[1].as_ptr(), plus[2].as_ptr(), plus[3].as_ptr()];
+        let pm: [*const f64; 4] =
+            [minus[0].as_ptr(), minus[1].as_ptr(), minus[2].as_ptr(), minus[3].as_ptr()];
+        let cv: [__m256d; 4] = [
+            _mm256_set1_pd(c[0]),
+            _mm256_set1_pd(c[1]),
+            _mm256_set1_pd(c[2]),
+            _mm256_set1_pd(c[3]),
+        ];
+        let ih = _mm256_set1_pd(inv_h * s);
+        let mut i = 0;
+        while i + 4 <= n {
+            let mut acc = _mm256_mul_pd(
+                cv[0],
+                _mm256_sub_pd(_mm256_loadu_pd(pp[0].add(i)), _mm256_loadu_pd(pm[0].add(i))),
+            );
             acc = _mm256_fmadd_pd(
-                cv[j],
-                _mm256_sub_pd(
-                    _mm256_maskload_pd(pp[j].add(i), m),
-                    _mm256_maskload_pd(pm[j].add(i), m),
-                ),
+                cv[1],
+                _mm256_sub_pd(_mm256_loadu_pd(pp[1].add(i)), _mm256_loadu_pd(pm[1].add(i))),
                 acc,
             );
+            acc = _mm256_fmadd_pd(
+                cv[2],
+                _mm256_sub_pd(_mm256_loadu_pd(pp[2].add(i)), _mm256_loadu_pd(pm[2].add(i))),
+                acc,
+            );
+            acc = _mm256_fmadd_pd(
+                cv[3],
+                _mm256_sub_pd(_mm256_loadu_pd(pp[3].add(i)), _mm256_loadu_pd(pm[3].add(i))),
+                acc,
+            );
+            _mm256_storeu_pd(po.add(i), _mm256_mul_pd(acc, ih));
+            i += 4;
         }
-        _mm256_maskstore_pd(po.add(i), m, _mm256_mul_pd(acc, ih));
-    }
-}
-
-// ----- cubic interpolation -----------------------------------------------
-
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn lagrange_weights(t: f64) -> [f64; 4] {
-    let t1 = t - 1.0;
-    let t2 = t - 2.0;
-    let tp = t + 1.0;
-    let v1 = _mm256_setr_pd(-t, tp, -tp, tp);
-    let v2 = _mm256_setr_pd(t1, t1, t, t);
-    let v3 = _mm256_setr_pd(t2, t2, t2, t1);
-    let d = _mm256_setr_pd(1.0 / 6.0, 0.5, 0.5, 1.0 / 6.0);
-    let w = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(v1, v2), v3), d);
-    let mut out = [0.0f64; 4];
-    _mm256_storeu_pd(out.as_mut_ptr(), w);
-    out
-}
-
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn cubic_accumulate(
-    data: &[f64],
-    base: usize,
-    plane_stride: usize,
-    row_stride: usize,
-    w1: &[f64; 4],
-    w2: &[f64; 4],
-    w3: &[f64; 4],
-) -> f64 {
-    let p = data.as_ptr();
-    let w3v = _mm256_loadu_pd(w3.as_ptr());
-    let mut acc = _mm256_setzero_pd();
-    for (a, &wa) in w1.iter().enumerate() {
-        let pa = base + a * plane_stride;
-        for (b, &wb) in w2.iter().enumerate() {
-            let row = _mm256_loadu_pd(p.add(pa + b * row_stride));
-            let w = _mm256_mul_pd(_mm256_set1_pd(wa * wb), w3v);
-            acc = _mm256_fmadd_pd(row, w, acc);
+        if i < n {
+            let m = tail_mask(n - i);
+            let mut acc = _mm256_mul_pd(
+                cv[0],
+                _mm256_sub_pd(
+                    _mm256_maskload_pd(pp[0].add(i), m),
+                    _mm256_maskload_pd(pm[0].add(i), m),
+                ),
+            );
+            for j in 1..4 {
+                acc = _mm256_fmadd_pd(
+                    cv[j],
+                    _mm256_sub_pd(
+                        _mm256_maskload_pd(pp[j].add(i), m),
+                        _mm256_maskload_pd(pm[j].add(i), m),
+                    ),
+                    acc,
+                );
+            }
+            _mm256_maskstore_pd(po.add(i), m, _mm256_mul_pd(acc, ih));
         }
     }
-    hsum(acc)
-}
 
-// ----- interleaved complex kernels ---------------------------------------
+    // ----- cubic interpolation -----------------------------------------------
 
-/// Complex product of packed pairs: even lanes get `re`, odd lanes `im`.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn cpx_mul_v(a: __m256d, b: __m256d) -> __m256d {
-    let br = _mm256_movedup_pd(b); // [b0.re, b0.re, b1.re, b1.re]
-    let bi = _mm256_permute_pd(b, 0xF); // [b0.im, b0.im, b1.im, b1.im]
-    let asw = _mm256_permute_pd(a, 0x5); // [a0.im, a0.re, a1.im, a1.re]
-                                         // even: a.re·b.re − a.im·b.im; odd: a.im·b.re + a.re·b.im
-    _mm256_fmaddsub_pd(a, br, _mm256_mul_pd(asw, bi))
-}
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn lagrange_weights(t: f64) -> [f64; 4] {
+        let t1 = t - 1.0;
+        let t2 = t - 2.0;
+        let tp = t + 1.0;
+        let v1 = _mm256_setr_pd(-t, tp, -tp, tp);
+        let v2 = _mm256_setr_pd(t1, t1, t, t);
+        let v3 = _mm256_setr_pd(t2, t2, t2, t1);
+        let d = _mm256_setr_pd(1.0 / 6.0, 0.5, 0.5, 1.0 / 6.0);
+        let w = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(v1, v2), v3), d);
+        let mut out = [0.0f64; 4];
+        _mm256_storeu_pd(out.as_mut_ptr(), w);
+        out
+    }
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn cpx_mul(dst: &mut [f64], src: &[f64]) {
-    let n = dst.len();
-    let pd = dst.as_mut_ptr();
-    let ps = src.as_ptr();
-    let mut i = 0;
-    while i + 4 <= n {
-        let r = cpx_mul_v(_mm256_loadu_pd(pd.add(i)), _mm256_loadu_pd(ps.add(i)));
-        _mm256_storeu_pd(pd.add(i), r);
-        i += 4;
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn cubic_accumulate(
+        data: &[f64],
+        base: usize,
+        plane_stride: usize,
+        row_stride: usize,
+        w1: &[f64; 4],
+        w2: &[f64; 4],
+        w3: &[f64; 4],
+    ) -> f64 {
+        let p = data.as_ptr();
+        let w3v = _mm256_loadu_pd(w3.as_ptr());
+        let mut acc = _mm256_setzero_pd();
+        for (a, &wa) in w1.iter().enumerate() {
+            let pa = base + a * plane_stride;
+            for (b, &wb) in w2.iter().enumerate() {
+                let row = _mm256_loadu_pd(p.add(pa + b * row_stride));
+                let w = _mm256_mul_pd(_mm256_set1_pd(wa * wb), w3v);
+                acc = _mm256_fmadd_pd(row, w, acc);
+            }
+        }
+        hsum(acc)
     }
-    if i < n {
-        let (ar, ai) = (dst[i], dst[i + 1]);
-        let (br, bi) = (src[i], src[i + 1]);
-        dst[i] = ar * br - ai * bi;
-        dst[i + 1] = ar * bi + ai * br;
-    }
-}
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn cpx_mul_into(out: &mut [f64], a: &[f64], b: &[f64]) {
-    let n = out.len();
-    let po = out.as_mut_ptr();
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut i = 0;
-    while i + 4 <= n {
-        let r = cpx_mul_v(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)));
-        _mm256_storeu_pd(po.add(i), r);
-        i += 4;
-    }
-    if i < n {
-        let (ar, ai) = (a[i], a[i + 1]);
-        let (br, bi) = (b[i], b[i + 1]);
-        out[i] = ar * br - ai * bi;
-        out[i + 1] = ar * bi + ai * br;
-    }
-}
+    // ----- interleaved complex kernels ---------------------------------------
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn cpx_conj(data: &mut [f64]) {
-    let n = data.len();
-    let p = data.as_mut_ptr();
-    let flip = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
-    let mut i = 0;
-    while i + 4 <= n {
-        _mm256_storeu_pd(p.add(i), _mm256_xor_pd(_mm256_loadu_pd(p.add(i)), flip));
-        i += 4;
+    /// Complex product of packed pairs: even lanes get `re`, odd lanes `im`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn cpx_mul_v(a: __m256d, b: __m256d) -> __m256d {
+        let br = _mm256_movedup_pd(b); // [b0.re, b0.re, b1.re, b1.re]
+        let bi = _mm256_permute_pd(b, 0xF); // [b0.im, b0.im, b1.im, b1.im]
+        let asw = _mm256_permute_pd(a, 0x5); // [a0.im, a0.re, a1.im, a1.re]
+                                             // even: a.re·b.re − a.im·b.im; odd: a.im·b.re + a.re·b.im
+        _mm256_fmaddsub_pd(a, br, _mm256_mul_pd(asw, bi))
     }
-    if i < n {
-        data[i + 1] = -data[i + 1];
-    }
-}
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn cpx_conj_scale(data: &mut [f64], s: f64) {
-    let n = data.len();
-    let p = data.as_mut_ptr();
-    let sv = _mm256_setr_pd(s, -s, s, -s);
-    let mut i = 0;
-    while i + 4 <= n {
-        _mm256_storeu_pd(p.add(i), _mm256_mul_pd(_mm256_loadu_pd(p.add(i)), sv));
-        i += 4;
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn cpx_mul(dst: &mut [f64], src: &[f64]) {
+        let n = dst.len();
+        let pd = dst.as_mut_ptr();
+        let ps = src.as_ptr();
+        let mut i = 0;
+        while i + 4 <= n {
+            let r = cpx_mul_v(_mm256_loadu_pd(pd.add(i)), _mm256_loadu_pd(ps.add(i)));
+            _mm256_storeu_pd(pd.add(i), r);
+            i += 4;
+        }
+        if i < n {
+            let (ar, ai) = (dst[i], dst[i + 1]);
+            let (br, bi) = (src[i], src[i + 1]);
+            dst[i] = ar * br - ai * bi;
+            dst[i + 1] = ar * bi + ai * br;
+        }
     }
-    if i < n {
-        data[i] *= s;
-        data[i + 1] = -data[i + 1] * s;
-    }
-}
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn cpx_radix2_combine(lo: &mut [f64], hi: &mut [f64], tw: &[f64], ws: usize) {
-    let m = lo.len() / 2;
-    let pl = lo.as_mut_ptr();
-    let ph = hi.as_mut_ptr();
-    let pt = tw.as_ptr();
-    let mut k = 0;
-    while k + 2 <= m {
-        // two twiddles, strided in the global table: w_k and w_{k+1}
-        let w0 = _mm_loadu_pd(pt.add(2 * k * ws));
-        let w1 = _mm_loadu_pd(pt.add(2 * (k + 1) * ws));
-        let w = _mm256_set_m128d(w1, w0);
-        let t0 = _mm256_loadu_pd(pl.add(2 * k));
-        let t1 = _mm256_loadu_pd(ph.add(2 * k));
-        let x = cpx_mul_v(w, t1);
-        _mm256_storeu_pd(pl.add(2 * k), _mm256_add_pd(t0, x));
-        _mm256_storeu_pd(ph.add(2 * k), _mm256_sub_pd(t0, x));
-        k += 2;
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn cpx_mul_into(out: &mut [f64], a: &[f64], b: &[f64]) {
+        let n = out.len();
+        let po = out.as_mut_ptr();
+        let pa = a.as_ptr();
+        let pb = b.as_ptr();
+        let mut i = 0;
+        while i + 4 <= n {
+            let r = cpx_mul_v(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)));
+            _mm256_storeu_pd(po.add(i), r);
+            i += 4;
+        }
+        if i < n {
+            let (ar, ai) = (a[i], a[i + 1]);
+            let (br, bi) = (b[i], b[i + 1]);
+            out[i] = ar * br - ai * bi;
+            out[i + 1] = ar * bi + ai * br;
+        }
     }
-    if k < m {
-        let (wr, wi) = (tw[2 * k * ws], tw[2 * k * ws + 1]);
-        let (t0r, t0i) = (lo[2 * k], lo[2 * k + 1]);
-        let (t1r, t1i) = (hi[2 * k], hi[2 * k + 1]);
-        let xr = wr * t1r - wi * t1i;
-        let xi = wr * t1i + wi * t1r;
-        lo[2 * k] = t0r + xr;
-        lo[2 * k + 1] = t0i + xi;
-        hi[2 * k] = t0r - xr;
-        hi[2 * k + 1] = t0i - xi;
+
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn cpx_conj(data: &mut [f64]) {
+        let n = data.len();
+        let p = data.as_mut_ptr();
+        let flip = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+        let mut i = 0;
+        while i + 4 <= n {
+            _mm256_storeu_pd(p.add(i), _mm256_xor_pd(_mm256_loadu_pd(p.add(i)), flip));
+            i += 4;
+        }
+        if i < n {
+            data[i + 1] = -data[i + 1];
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn cpx_conj_scale(data: &mut [f64], s: f64) {
+        let n = data.len();
+        let p = data.as_mut_ptr();
+        let sv = _mm256_setr_pd(s, -s, s, -s);
+        let mut i = 0;
+        while i + 4 <= n {
+            _mm256_storeu_pd(p.add(i), _mm256_mul_pd(_mm256_loadu_pd(p.add(i)), sv));
+            i += 4;
+        }
+        if i < n {
+            data[i] *= s;
+            data[i + 1] = -data[i + 1] * s;
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn cpx_radix2_combine(lo: &mut [f64], hi: &mut [f64], tw: &[f64], ws: usize) {
+        let m = lo.len() / 2;
+        let pl = lo.as_mut_ptr();
+        let ph = hi.as_mut_ptr();
+        let pt = tw.as_ptr();
+        let mut k = 0;
+        while k + 2 <= m {
+            // two twiddles, strided in the global table: w_k and w_{k+1}
+            let w0 = _mm_loadu_pd(pt.add(2 * k * ws));
+            let w1 = _mm_loadu_pd(pt.add(2 * (k + 1) * ws));
+            let w = _mm256_set_m128d(w1, w0);
+            let t0 = _mm256_loadu_pd(pl.add(2 * k));
+            let t1 = _mm256_loadu_pd(ph.add(2 * k));
+            let x = cpx_mul_v(w, t1);
+            _mm256_storeu_pd(pl.add(2 * k), _mm256_add_pd(t0, x));
+            _mm256_storeu_pd(ph.add(2 * k), _mm256_sub_pd(t0, x));
+            k += 2;
+        }
+        if k < m {
+            let (wr, wi) = (tw[2 * k * ws], tw[2 * k * ws + 1]);
+            let (t0r, t0i) = (lo[2 * k], lo[2 * k + 1]);
+            let (t1r, t1i) = (hi[2 * k], hi[2 * k + 1]);
+            let xr = wr * t1r - wi * t1i;
+            let xi = wr * t1i + wi * t1r;
+            lo[2 * k] = t0r + xr;
+            lo[2 * k + 1] = t0i + xi;
+            hi[2 * k] = t0r - xr;
+            hi[2 * k + 1] = t0i - xi;
+        }
     }
 }

@@ -1,13 +1,12 @@
-//! The precision seam: a field element type the solver's generic hot path
-//! can be instantiated over.
+//! The kernel surface and the precision seam: a field element type the
+//! solver's generic hot path can be instantiated over.
 //!
-//! [`Elem`] is implemented for exactly `f64` and `f32`. Whichever width
-//! equals [`crate::Real`] routes through the crate's primary dispatched
-//! kernels (bit-identical to the monomorphic path — the f64 mode of the
-//! mixed-precision solver must reproduce historical results exactly); the
-//! other width routes through its own dispatched arms (`f32k` in a default
-//! build) or, for the cold f64-under-`single` combination, the scalar
-//! reference loops.
+//! [`Elem`] is implemented for exactly `f64` and `f32`, both by the one
+//! `impl_elem!` macro below, which owns every kernel's length/bounds
+//! asserts and the `Scalar | Avx2` dispatch. The element width a job runs
+//! at is a runtime choice of the layer above (`Precision` in `claire-core`);
+//! this crate only guarantees that both widths have every kernel on every
+//! backend.
 //!
 //! Reductions return `f64` for every element width — PCG's convergence
 //! logic, Armijo decisions, and reported norms stay in double even when the
@@ -17,11 +16,16 @@
 use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
+use crate::{active_backend, xk, Backend};
+
 /// A scalar field element the solver core can be generic over (f64 | f32).
 ///
-/// The `k*` associated functions mirror the crate's free kernel functions
-/// one-for-one (same contracts, same asserts via the delegated target) and
-/// dispatch over the same process-wide backend choice.
+/// The `k*` associated functions are the crate's kernels. Each asserts its
+/// slice-length contract and then runs on the process-wide backend choice.
+/// On the scalar backend a fused kernel is bit-identical to its unfused
+/// pair run back to back (same per-element expression, same left-to-right
+/// reduction order); the AVX2 arm sits under the crate's equivalence
+/// contract.
 pub trait Elem:
     Copy
     + Send
@@ -57,40 +61,134 @@ pub trait Elem:
     /// Promote to f64 (exact for both widths).
     fn to_f64(self) -> f64;
 
+    // ----- element-wise field kernels -------------------------------------
+
     /// `y[i] *= a`.
     fn kscale(a: Self, y: &mut [Self]);
-    /// `y[i] += a · x[i]`.
+    /// `y[i] += a · x[i]` (slices must have equal length).
     fn kaxpy(a: Self, x: &[Self], y: &mut [Self]);
-    /// `y[i] = a · y[i] + x[i]`.
+    /// `y[i] = a · y[i] + x[i]` (slices must have equal length).
     fn kaypx(a: Self, x: &[Self], y: &mut [Self]);
-    /// `s[i] += a · x[i] · y[i]`.
+    /// `s[i] += a · x[i] · y[i]` (slices must have equal length).
     fn kadd_scaled_product(a: Self, x: &[Self], y: &[Self], s: &mut [Self]);
-    /// Fused `axpy` + self-dot of the updated values (f64 accumulation).
+
+    // ----- fused element-wise + reduction kernels -------------------------
+    //
+    // Each fuses a BLAS-1 update with the reduction the solver computes
+    // right after it, turning two passes over DRAM into one.
+
+    /// Fused `axpy` + self-dot: `y[i] += a · x[i]`, returning `Σ y'[i]²` of
+    /// the *updated* values in f64 — the residual-norm half of a PCG
+    /// iteration in the same pass as the residual update.
     fn kaxpy_dot(a: Self, x: &[Self], y: &mut [Self]) -> f64;
-    /// Fused `aypx` + self-dot of the updated values (f64 accumulation).
+    /// Fused `aypx` + self-dot: `y[i] = a · y[i] + x[i]`, returning
+    /// `Σ y'[i]²` of the updated values in f64 (search-direction update
+    /// with its norm).
     fn kaypx_norm2(a: Self, x: &[Self], y: &mut [Self]) -> f64;
-    /// `out[i] = a · x[i] + y[i]` + self-dot (f64 accumulation).
+    /// Fused scaled-add into a fresh buffer + self-dot:
+    /// `out[i] = a · x[i] + y[i]`, returning `Σ out[i]²` in f64. Replaces
+    /// the clone-then-axpy(-then-norm) multi-pass chain (line-search trials,
+    /// warm-start residuals) with a single read-read-write pass.
     fn kscale_add_norm(a: Self, x: &[Self], y: &[Self], out: &mut [Self]) -> f64;
-    /// `Σ x[i]·y[i]` in f64.
+
+    // ----- reductions (f64 accumulation at both widths) -------------------
+
+    /// `Σ x[i]·y[i]` accumulated in f64. Callers keep determinism across
+    /// thread counts by invoking this on fixed-size blocks
+    /// (`par_sum_blocks`).
     fn kdot(x: &[Self], y: &[Self]) -> f64;
-    /// `Σ x[i]` in f64.
+    /// `Σ x[i]` accumulated in f64.
     fn ksum(x: &[Self]) -> f64;
-    /// `max |x[i]|` in f64.
+    /// `max_i |x[i]|` as f64 (0 for an empty slice).
     fn kmax_abs(x: &[Self]) -> f64;
-    /// Interleaved complex `dst[j] *= src[j]`.
+
+    // ----- 8th-order FD stencil -------------------------------------------
+
+    /// One contiguous row of the central-difference combine with a folded
+    /// output scale:
+    /// `out[k] = s · inv_h · Σ_m c[m] · (plus[m][k] − minus[m][k])`.
+    ///
+    /// `plus[m]`/`minus[m]` are the rows at offsets `±(m+1)` along the
+    /// differentiated dimension; all slices must be at least `out.len()`
+    /// long. Serves all three dimensions of the FD8 sweep: x1/x2 rows are
+    /// naturally contiguous in x3, and the x3 (periodic) sweep vectorizes
+    /// its interior with shifted sub-slices of the same row. The scale
+    /// costs nothing extra — `inv_h·s` is folded into the single per-point
+    /// multiply — so a derivative-then-scale chain is one memory pass, and
+    /// `s == 1` is the plain derivative bit for bit.
+    fn kfd8_combine_scale(
+        out: &mut [Self],
+        plus: &[&[Self]; 4],
+        minus: &[&[Self]; 4],
+        c: &[Self; 4],
+        inv_h: Self,
+        s: Self,
+    );
+
+    // ----- cubic interpolation --------------------------------------------
+
+    /// Cubic Lagrange basis weights at fraction `t ∈ [0,1)` for node
+    /// offsets `{−1, 0, 1, 2}` — the weight-evaluation half of the 64-point
+    /// kernel.
+    fn klagrange_weights(t: Self) -> [Self; 4];
+    /// The 64-point (4×4×4) weighted accumulation of the cubic kernel on a
+    /// wrap-free support:
+    /// `Σ_{a,b,c} w1[a]·w2[b]·w3[c] · data[base + a·plane_stride + b·row_stride + c]`.
+    ///
+    /// The caller guarantees the support does not cross a periodic seam in
+    /// x2/x3 (the seam case stays on the gather path in `claire-interp`).
+    fn kcubic_accumulate(
+        data: &[Self],
+        base: usize,
+        plane_stride: usize,
+        row_stride: usize,
+        w1: &[Self; 4],
+        w2: &[Self; 4],
+        w3: &[Self; 4],
+    ) -> Self;
+
+    // ----- interleaved complex kernels (re,im pairs) ----------------------
+
+    /// Element-wise complex multiply `dst[j] *= src[j]` on interleaved
+    /// `[re, im, re, im, …]` slices of equal even length.
     fn kcpx_mul(dst: &mut [Self], src: &[Self]);
-    /// Interleaved complex `out[j] = a[j] · b[j]`.
+    /// Element-wise complex multiply `out[j] = a[j] · b[j]` (interleaved).
     fn kcpx_mul_into(out: &mut [Self], a: &[Self], b: &[Self]);
-    /// Interleaved complex conjugate in place.
+    /// In-place complex conjugate of an interleaved slice.
     fn kcpx_conj(data: &mut [Self]);
-    /// Interleaved fused conjugate-and-scale.
+    /// In-place fused conjugate-and-scale: `z[j] = conj(z[j]) · s`
+    /// (interleaved) — the tail of the inverse FFT (`1/n` normalization).
     fn kcpx_conj_scale(data: &mut [Self], s: Self);
-    /// Radix-2 DIT butterfly combine over interleaved half-spectra.
+    /// Radix-2 DIT butterfly combine over interleaved half-spectra:
+    /// for each `k`, with `w = tw[k·ws]` (complex index into the global
+    /// twiddle table), `lo[k], hi[k] = lo[k] + w·hi[k], lo[k] − w·hi[k]`.
+    ///
+    /// Uses the half-period symmetry `w_{k+m} = −w_k` of the twiddle table,
+    /// so only the first half of the table is read (indices
+    /// `k·ws < tw.len()/2`).
     fn kcpx_radix2_combine(lo: &mut [Self], hi: &mut [Self], tw: &[Self], ws: usize);
 }
 
-macro_rules! delegate_elem {
-    ($t:ty, $bytes:expr, $label:expr, $path:path) => {
+/// Route one kernel call to the dispatched backend. The AVX2 arm only
+/// exists on x86-64; `Backend::Avx2` can never be cached elsewhere, so the
+/// fallthrough to scalar is unreachable there but keeps the match
+/// exhaustive.
+macro_rules! dispatch {
+    ($avx2:expr, $scalar:expr) => {{
+        match active_backend() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Backend::Avx2 is only ever cached after
+            // `is_x86_feature_detected!("avx2")` + `("fma")` succeeded.
+            Backend::Avx2 => unsafe { $avx2 },
+            _ => $scalar,
+        }
+    }};
+}
+
+/// Implement [`Elem`] for one width. `$avx2` names the module in
+/// `crate::avx2` holding this width's AVX2 arms.
+macro_rules! impl_elem {
+    ($t:ty, $bytes:expr, $label:expr, $avx2:ident) => {
         impl Elem for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -106,194 +204,145 @@ macro_rules! delegate_elem {
                 self as f64
             }
 
-            #[inline]
             fn kscale(a: Self, y: &mut [Self]) {
-                use $path as k;
-                k::scale(a, y)
+                dispatch!(crate::avx2::$avx2::scale(a, y), xk::scalar_scale(a, y))
             }
-            #[inline]
             fn kaxpy(a: Self, x: &[Self], y: &mut [Self]) {
-                use $path as k;
-                k::axpy(a, x, y)
+                assert_eq!(x.len(), y.len(), "axpy length mismatch");
+                dispatch!(crate::avx2::$avx2::axpy(a, x, y), xk::scalar_axpy(a, x, y))
             }
-            #[inline]
             fn kaypx(a: Self, x: &[Self], y: &mut [Self]) {
-                use $path as k;
-                k::aypx(a, x, y)
+                assert_eq!(x.len(), y.len(), "aypx length mismatch");
+                dispatch!(crate::avx2::$avx2::aypx(a, x, y), xk::scalar_aypx(a, x, y))
             }
-            #[inline]
             fn kadd_scaled_product(a: Self, x: &[Self], y: &[Self], s: &mut [Self]) {
-                use $path as k;
-                k::add_scaled_product(a, x, y, s)
+                assert_eq!(x.len(), s.len(), "add_scaled_product length mismatch");
+                assert_eq!(y.len(), s.len(), "add_scaled_product length mismatch");
+                dispatch!(
+                    crate::avx2::$avx2::add_scaled_product(a, x, y, s),
+                    xk::scalar_add_scaled_product(a, x, y, s)
+                )
             }
-            #[inline]
             fn kaxpy_dot(a: Self, x: &[Self], y: &mut [Self]) -> f64 {
-                use $path as k;
-                k::axpy_dot(a, x, y)
+                assert_eq!(x.len(), y.len(), "axpy_dot length mismatch");
+                dispatch!(crate::avx2::$avx2::axpy_dot(a, x, y), xk::scalar_axpy_dot(a, x, y))
             }
-            #[inline]
             fn kaypx_norm2(a: Self, x: &[Self], y: &mut [Self]) -> f64 {
-                use $path as k;
-                k::aypx_norm2(a, x, y)
+                assert_eq!(x.len(), y.len(), "aypx_norm2 length mismatch");
+                dispatch!(crate::avx2::$avx2::aypx_norm2(a, x, y), xk::scalar_aypx_norm2(a, x, y))
             }
-            #[inline]
             fn kscale_add_norm(a: Self, x: &[Self], y: &[Self], out: &mut [Self]) -> f64 {
-                use $path as k;
-                k::scale_add_norm(a, x, y, out)
+                assert_eq!(x.len(), out.len(), "scale_add_norm length mismatch");
+                assert_eq!(y.len(), out.len(), "scale_add_norm length mismatch");
+                dispatch!(
+                    crate::avx2::$avx2::scale_add_norm(a, x, y, out),
+                    xk::scalar_scale_add_norm(a, x, y, out)
+                )
             }
-            #[inline]
             fn kdot(x: &[Self], y: &[Self]) -> f64 {
-                use $path as k;
-                k::dot(x, y)
+                assert_eq!(x.len(), y.len(), "dot length mismatch");
+                dispatch!(crate::avx2::$avx2::dot(x, y), xk::scalar_dot(x, y))
             }
-            #[inline]
             fn ksum(x: &[Self]) -> f64 {
-                use $path as k;
-                k::sum(x)
+                dispatch!(crate::avx2::$avx2::sum(x), xk::scalar_sum(x))
             }
-            #[inline]
             fn kmax_abs(x: &[Self]) -> f64 {
-                use $path as k;
-                k::max_abs(x)
+                dispatch!(crate::avx2::$avx2::max_abs(x), xk::scalar_max_abs(x))
             }
-            #[inline]
+            fn kfd8_combine_scale(
+                out: &mut [Self],
+                plus: &[&[Self]; 4],
+                minus: &[&[Self]; 4],
+                c: &[Self; 4],
+                inv_h: Self,
+                s: Self,
+            ) {
+                for m in 0..4 {
+                    assert!(plus[m].len() >= out.len(), "fd8_combine_scale plus[{m}] too short");
+                    assert!(minus[m].len() >= out.len(), "fd8_combine_scale minus[{m}] too short");
+                }
+                dispatch!(
+                    crate::avx2::$avx2::fd8_combine_scale(out, plus, minus, c, inv_h, s),
+                    xk::scalar_fd8_combine_scale(out, plus, minus, c, inv_h, s)
+                )
+            }
+            fn klagrange_weights(t: Self) -> [Self; 4] {
+                dispatch!(crate::avx2::$avx2::lagrange_weights(t), xk::scalar_lagrange_weights(t))
+            }
+            fn kcubic_accumulate(
+                data: &[Self],
+                base: usize,
+                plane_stride: usize,
+                row_stride: usize,
+                w1: &[Self; 4],
+                w2: &[Self; 4],
+                w3: &[Self; 4],
+            ) -> Self {
+                let last = base + 3 * plane_stride + 3 * row_stride;
+                assert!(last + 4 <= data.len(), "cubic_accumulate support out of bounds");
+                dispatch!(
+                    crate::avx2::$avx2::cubic_accumulate(
+                        data,
+                        base,
+                        plane_stride,
+                        row_stride,
+                        w1,
+                        w2,
+                        w3
+                    ),
+                    xk::scalar_cubic_accumulate(data, base, plane_stride, row_stride, w1, w2, w3)
+                )
+            }
             fn kcpx_mul(dst: &mut [Self], src: &[Self]) {
-                use $path as k;
-                k::cpx_mul(dst, src)
+                assert_eq!(dst.len(), src.len(), "cpx_mul length mismatch");
+                assert_eq!(dst.len() % 2, 0, "cpx_mul needs interleaved re/im pairs");
+                dispatch!(crate::avx2::$avx2::cpx_mul(dst, src), xk::scalar_cpx_mul(dst, src))
             }
-            #[inline]
             fn kcpx_mul_into(out: &mut [Self], a: &[Self], b: &[Self]) {
-                use $path as k;
-                k::cpx_mul_into(out, a, b)
+                assert_eq!(out.len(), a.len(), "cpx_mul_into length mismatch");
+                assert_eq!(out.len(), b.len(), "cpx_mul_into length mismatch");
+                assert_eq!(out.len() % 2, 0, "cpx_mul_into needs interleaved re/im pairs");
+                dispatch!(
+                    crate::avx2::$avx2::cpx_mul_into(out, a, b),
+                    xk::scalar_cpx_mul_into(out, a, b)
+                )
             }
-            #[inline]
             fn kcpx_conj(data: &mut [Self]) {
-                use $path as k;
-                k::cpx_conj(data)
+                assert_eq!(data.len() % 2, 0, "cpx_conj needs interleaved re/im pairs");
+                dispatch!(crate::avx2::$avx2::cpx_conj(data), xk::scalar_cpx_conj(data))
             }
-            #[inline]
             fn kcpx_conj_scale(data: &mut [Self], s: Self) {
-                use $path as k;
-                k::cpx_conj_scale(data, s)
+                assert_eq!(data.len() % 2, 0, "cpx_conj_scale needs interleaved re/im pairs");
+                dispatch!(
+                    crate::avx2::$avx2::cpx_conj_scale(data, s),
+                    xk::scalar_cpx_conj_scale(data, s)
+                )
             }
-            #[inline]
             fn kcpx_radix2_combine(lo: &mut [Self], hi: &mut [Self], tw: &[Self], ws: usize) {
-                use $path as k;
-                k::cpx_radix2_combine(lo, hi, tw, ws)
+                assert_eq!(lo.len(), hi.len(), "cpx_radix2_combine half length mismatch");
+                assert_eq!(lo.len() % 2, 0, "cpx_radix2_combine needs interleaved re/im pairs");
+                let m = lo.len() / 2;
+                if m > 0 {
+                    assert!(
+                        2 * ((m - 1) * ws) + 1 < tw.len(),
+                        "cpx_radix2_combine twiddle table too short"
+                    );
+                }
+                dispatch!(
+                    crate::avx2::$avx2::cpx_radix2_combine(lo, hi, tw, ws),
+                    xk::scalar_cpx_radix2_combine(lo, hi, tw, ws)
+                )
             }
         }
     };
 }
 
-/// Re-export shim so `delegate_elem!` can target the crate-level `Real`
-/// kernels through a plain module path.
-mod real_k {
-    pub use crate::{
-        add_scaled_product, axpy, axpy_dot, aypx, aypx_norm2, cpx_conj, cpx_conj_scale, cpx_mul,
-        cpx_mul_into, cpx_radix2_combine, dot, max_abs, scale, scale_add_norm, sum,
-    };
-}
-
-// Default build: f64 is `Real` (primary dispatched kernels), f32 gets its
-// own dispatched arms.
-#[cfg(not(feature = "single"))]
-delegate_elem!(f64, 8, "f64", self::real_k);
-#[cfg(not(feature = "single"))]
-delegate_elem!(f32, 4, "f32", crate::f32k);
-
-// `single` build: f32 is `Real`; f64 is the cold off-width (scalar
-// reference loops — nothing in the single-precision hot path uses it).
-#[cfg(feature = "single")]
-delegate_elem!(f32, 4, "f32", self::real_k);
-
-#[cfg(feature = "single")]
-mod f64_cold {
-    //! Scalar-only arms for the f64 off-width under the `single` feature,
-    //! shaped like a kernel module so `delegate_elem!` can target it.
-    use crate::xk;
-
-    pub fn scale(a: f64, y: &mut [f64]) {
-        xk::scalar_scale(a, y)
-    }
-    pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), y.len(), "axpy length mismatch");
-        xk::scalar_axpy(a, x, y)
-    }
-    pub fn aypx(a: f64, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), y.len(), "aypx length mismatch");
-        xk::scalar_aypx(a, x, y)
-    }
-    pub fn add_scaled_product(a: f64, x: &[f64], y: &[f64], s: &mut [f64]) {
-        assert_eq!(x.len(), s.len(), "add_scaled_product length mismatch");
-        assert_eq!(y.len(), s.len(), "add_scaled_product length mismatch");
-        xk::scalar_add_scaled_product(a, x, y, s)
-    }
-    pub fn axpy_dot(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        assert_eq!(x.len(), y.len(), "axpy_dot length mismatch");
-        xk::scalar_axpy_dot(a, x, y)
-    }
-    pub fn aypx_norm2(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        assert_eq!(x.len(), y.len(), "aypx_norm2 length mismatch");
-        xk::scalar_aypx_norm2(a, x, y)
-    }
-    pub fn scale_add_norm(a: f64, x: &[f64], y: &[f64], out: &mut [f64]) -> f64 {
-        assert_eq!(x.len(), out.len(), "scale_add_norm length mismatch");
-        assert_eq!(y.len(), out.len(), "scale_add_norm length mismatch");
-        xk::scalar_scale_add_norm(a, x, y, out)
-    }
-    pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-        assert_eq!(x.len(), y.len(), "dot length mismatch");
-        xk::scalar_dot(x, y)
-    }
-    pub fn sum(x: &[f64]) -> f64 {
-        xk::scalar_sum(x)
-    }
-    pub fn max_abs(x: &[f64]) -> f64 {
-        xk::scalar_max_abs(x)
-    }
-    pub fn cpx_mul(dst: &mut [f64], src: &[f64]) {
-        assert_eq!(dst.len(), src.len(), "cpx_mul length mismatch");
-        assert_eq!(dst.len() % 2, 0, "cpx_mul needs interleaved re/im pairs");
-        xk::scalar_cpx_mul(dst, src)
-    }
-    pub fn cpx_mul_into(out: &mut [f64], a: &[f64], b: &[f64]) {
-        assert_eq!(out.len(), a.len(), "cpx_mul_into length mismatch");
-        assert_eq!(out.len(), b.len(), "cpx_mul_into length mismatch");
-        assert_eq!(out.len() % 2, 0, "cpx_mul_into needs interleaved re/im pairs");
-        xk::scalar_cpx_mul_into(out, a, b)
-    }
-    pub fn cpx_conj(data: &mut [f64]) {
-        assert_eq!(data.len() % 2, 0, "cpx_conj needs interleaved re/im pairs");
-        xk::scalar_cpx_conj(data)
-    }
-    pub fn cpx_conj_scale(data: &mut [f64], s: f64) {
-        assert_eq!(data.len() % 2, 0, "cpx_conj_scale needs interleaved re/im pairs");
-        xk::scalar_cpx_conj_scale(data, s)
-    }
-    pub fn cpx_radix2_combine(lo: &mut [f64], hi: &mut [f64], tw: &[f64], ws: usize) {
-        assert_eq!(lo.len(), hi.len(), "cpx_radix2_combine half length mismatch");
-        assert_eq!(lo.len() % 2, 0, "cpx_radix2_combine needs interleaved re/im pairs");
-        let m = lo.len() / 2;
-        if m > 0 {
-            assert!(
-                2 * ((m - 1) * ws) + 1 < tw.len(),
-                "cpx_radix2_combine twiddle table too short"
-            );
-        }
-        xk::scalar_cpx_radix2_combine(lo, hi, tw, ws)
-    }
-}
-
-#[cfg(feature = "single")]
-delegate_elem!(f64, 8, "f64", self::f64_cold);
+impl_elem!(f64, 8, "f64", f64k);
+impl_elem!(f32, 4, "f32", f32k);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn l2_generic<T: Elem>(v: &[T]) -> f64 {
-        T::kdot(v, v).sqrt()
-    }
 
     #[test]
     fn elem_consts_and_conversions() {
@@ -303,32 +352,5 @@ mod tests {
         assert_eq!(<f32 as Elem>::LABEL, "f32");
         assert_eq!(<f32 as Elem>::from_f64(1.5).to_f64(), 1.5);
         assert_eq!(<f64 as Elem>::from_f64(-2.25), -2.25);
-    }
-
-    #[test]
-    fn generic_kernels_agree_across_widths() {
-        let xs64: Vec<f64> = (0..57).map(|i| (i as f64 * 0.21).sin()).collect();
-        let xs32: Vec<f32> = xs64.iter().map(|&v| v as f32).collect();
-        let n64 = l2_generic(&xs64);
-        let n32 = l2_generic(&xs32);
-        assert!((n64 - n32).abs() <= 1e-5 * n64.max(1.0), "{n64} vs {n32}");
-
-        let mut y64 = vec![0.5f64; 57];
-        let mut y32 = vec![0.5f32; 57];
-        let d64 = <f64 as Elem>::kaxpy_dot(2.0, &xs64, &mut y64);
-        let d32 = <f32 as Elem>::kaxpy_dot(2.0, &xs32, &mut y32);
-        assert!((d64 - d32).abs() <= 1e-4 * d64.abs().max(1.0), "{d64} vs {d32}");
-    }
-
-    #[test]
-    fn real_width_elem_is_bit_identical_to_primary_kernels() {
-        use crate::Real;
-        let x: Vec<Real> = (0..41).map(|i| (i as Real * 0.13).cos()).collect();
-        let mut ya: Vec<Real> = (0..41).map(|i| i as Real * 0.01 - 0.2).collect();
-        let mut yb = ya.clone();
-        let da = <Real as Elem>::kaxpy_dot(1.75, &x, &mut ya);
-        let db = crate::axpy_dot(1.75, &x, &mut yb);
-        assert_eq!(ya, yb);
-        assert_eq!(da, db);
     }
 }

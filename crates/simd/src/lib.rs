@@ -6,72 +6,51 @@
 //! parallelism for free from the GPU's vector units; on CPU the equivalent
 //! is AVX2+FMA, which this crate provides behind runtime dispatch:
 //!
-//! * every public kernel is a **safe slice-level function** (`axpy`,
-//!   [`fd8_combine`], [`cubic_accumulate`], [`cpx_mul`], …) that picks an
-//!   implementation per call from a cached process-wide backend choice;
-//! * the AVX2+FMA implementation is compiled with `#[target_feature]` and
-//!   only ever selected after `is_x86_feature_detected!` confirms support;
-//! * the portable scalar fallback reproduces the pre-SIMD loops **exactly**
-//!   (same operation order), so `CLAIRE_SIMD=scalar` is bit-identical to
-//!   the historical solver;
-//! * the `portable` wide backend (`CLAIRE_SIMD=portable`) runs chunked
-//!   scalar loops written for autovectorization — ISA-independent lanes
-//!   that serve as the AVX-512-ready seam (see the `portable` module);
-//! * **fused single-pass kernels** ([`axpy_dot`], [`aypx_norm2`],
-//!   [`scale_add_norm`], [`fd8_combine_scale`]) combine a BLAS-1 update
-//!   with the reduction (or scale) the solver takes immediately after,
-//!   halving DRAM traffic for the memory-bound PCG chains (paper §3's
-//!   cost model counts passes over memory, not flops);
-//! * [`F64x4`] is the portable 4-lane building block (add/mul/fma, lane
-//!   shuffles, horizontal sum, masked head/tail loads) mirroring the lane
-//!   semantics the AVX2 kernels use via intrinsics.
+//! * [`Elem`] is the one public kernel surface: every kernel is a **safe
+//!   slice-level associated function** (`T::kaxpy`, `T::kfd8_combine_scale`,
+//!   `T::kcubic_accumulate`, `T::kcpx_mul`, …) implemented for `f64` and
+//!   `f32`, which checks its length contract once and picks a backend per
+//!   call from a cached process-wide choice;
+//! * each kernel body is written once, generic over the element width (the
+//!   `xk` module): a `scalar_*` reference loop — the specification, with the
+//!   pre-SIMD solver's exact operation order, so `CLAIRE_SIMD=scalar` is
+//!   bit-identical to the historical solver — and, for reductions, a
+//!   `wide_*` 8-lane body with a fixed fold shape;
+//! * the AVX2 arm of a kernel is that generic body compiled under
+//!   `#[target_feature(enable = "avx2,fma")]`, except for the few f64
+//!   kernels where a hand-written intrinsic measured ≥ 1.2× faster (the
+//!   `avx2` module lists them); it is only ever selected after
+//!   `is_x86_feature_detected!` confirms support;
+//! * **fused single-pass kernels** (`kaxpy_dot`, `kaypx_norm2`,
+//!   `kscale_add_norm`, `kfd8_combine_scale`) combine a BLAS-1 update with
+//!   the reduction (or scale) the solver takes immediately after, halving
+//!   DRAM traffic for the memory-bound PCG chains (paper §3's cost model
+//!   counts passes over memory, not flops).
 //!
 //! Dispatch granularity is a kernel call (a row sweep, a reduction block,
 //! a 64-point stencil), never a single vector op — a per-op branch would
 //! cost more than the op itself. The backend is resolved once from the
-//! `CLAIRE_SIMD` environment variable (`auto` | `avx2` | `portable` |
-//! `scalar`, default `auto`) and cached; tests and benches can override it
-//! in-process with [`force_backend`].
+//! `CLAIRE_SIMD` environment variable (`auto` | `avx2` | `scalar`, default
+//! `auto`) and cached; tests and benches can override it in-process with
+//! [`force_backend`].
 //!
 //! # Equivalence contract
 //!
-//! FMA contracts `a·b + c` into one rounding, so the AVX2 backend is not
+//! The vector arms fold reductions in 8 lanes and the f64 intrinsics
+//! contract `a·b + c` into one FMA rounding, so the AVX2 backend is not
 //! bit-identical to the scalar one. The contract (enforced by the proptest
-//! suite in `tests/`) is ≤ 1e-12 *relative* error against the scalar path
-//! per kernel call, and strict bitwise determinism *within* a backend:
-//! results never depend on thread count, timing, or allocation state —
-//! only on the input values and the selected backend.
-//!
-//! With the `single` feature (f32 fields) the vector backend is compiled
-//! out and every kernel takes the scalar path.
+//! suite in `tests/simd_equivalence.rs`) is ≤ 1e-12 (f64) / ≤ 1e-5 (f32)
+//! *relative* error against the scalar path per kernel call, and strict
+//! bitwise determinism *within* a backend: results never depend on thread
+//! count, timing, or allocation state — only on the input values and the
+//! selected backend. Reductions accumulate in f64 at both widths.
 
-/// Field scalar type — mirrors `claire_grid::Real` (kept in sync by the
-/// `single` feature, which `claire-grid/single` forwards here).
-#[cfg(not(feature = "single"))]
-pub type Real = f64;
-/// Field scalar type — mirrors `claire_grid::Real`.
-#[cfg(feature = "single")]
-pub type Real = f32;
-
-/// True when the f64 AVX2+FMA backend is compiled in for this build.
-#[cfg(all(target_arch = "x86_64", not(feature = "single")))]
-const AVX2_COMPILED: bool = true;
-#[cfg(not(all(target_arch = "x86_64", not(feature = "single"))))]
-const AVX2_COMPILED: bool = false;
-
-#[cfg(all(target_arch = "x86_64", not(feature = "single")))]
+#[cfg(target_arch = "x86_64")]
 mod avx2;
 mod elem;
-#[cfg(not(feature = "single"))]
-pub mod f32k;
-mod portable;
-mod scalar;
-mod vector;
-#[allow(dead_code)] // wide bodies are unused by the cold f64 arm under `single`
 mod xk;
 
 pub use elem::Elem;
-pub use vector::F64x4;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Once;
@@ -79,12 +58,10 @@ use std::sync::Once;
 /// The implementation actually executing kernel calls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Portable scalar loops, bit-identical to the pre-SIMD solver.
+    /// Scalar reference loops, bit-identical to the pre-SIMD solver.
     Scalar,
-    /// AVX2+FMA vector kernels (f64 builds on x86-64 with detected support).
+    /// AVX2+FMA vector kernels (x86-64 with detected support).
     Avx2,
-    /// Chunked autovectorizable loops — ISA-independent wide backend.
-    Portable,
 }
 
 impl Backend {
@@ -93,7 +70,6 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
-            Backend::Portable => "portable",
         }
     }
 }
@@ -106,9 +82,7 @@ pub enum Choice {
     Auto,
     /// Require AVX2; falls back to scalar with a warning if unavailable.
     Avx2,
-    /// The chunked autovectorizable wide backend (always available).
-    Portable,
-    /// Force the portable scalar path.
+    /// Force the scalar reference path.
     Scalar,
 }
 
@@ -118,7 +92,6 @@ impl Choice {
         match s.trim().to_ascii_lowercase().as_str() {
             "" | "auto" => Some(Choice::Auto),
             "avx2" => Some(Choice::Avx2),
-            "portable" => Some(Choice::Portable),
             "scalar" => Some(Choice::Scalar),
             _ => None,
         }
@@ -128,44 +101,38 @@ impl Choice {
 /// Whether the AVX2+FMA backend can run on this host (compiled in *and*
 /// detected at runtime).
 pub fn avx2_available() -> bool {
-    #[cfg(all(target_arch = "x86_64", not(feature = "single")))]
+    #[cfg(target_arch = "x86_64")]
     {
         is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
     }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "single"))))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
 }
 
-// 0 = unresolved, 1 = scalar, 2 = avx2, 3 = portable.
+// 0 = unresolved, 1 = scalar, 2 = avx2.
 static BACKEND: AtomicU8 = AtomicU8::new(0);
 static WARN_ONCE: Once = Once::new();
 
 fn resolve(choice: Choice) -> Backend {
     match choice {
         Choice::Scalar => Backend::Scalar,
-        Choice::Portable => Backend::Portable,
-        Choice::Auto => {
-            if avx2_available() {
-                Backend::Avx2
-            } else {
-                Backend::Scalar
-            }
-        }
+        Choice::Auto | Choice::Avx2 if avx2_available() => Backend::Avx2,
+        Choice::Auto => Backend::Scalar,
         Choice::Avx2 => {
-            if avx2_available() {
-                Backend::Avx2
-            } else {
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "claire-simd: CLAIRE_SIMD=avx2 requested but AVX2+FMA is {} — \
-                         falling back to the scalar backend",
-                        if AVX2_COMPILED { "not detected on this host" } else { "not compiled in" }
-                    );
-                });
-                Backend::Scalar
-            }
+            WARN_ONCE.call_once(|| {
+                eprintln!(
+                    "claire-simd: CLAIRE_SIMD=avx2 requested but AVX2+FMA is {} — \
+                     falling back to the scalar backend",
+                    if cfg!(target_arch = "x86_64") {
+                        "not detected on this host"
+                    } else {
+                        "not compiled in"
+                    }
+                );
+            });
+            Backend::Scalar
         }
     }
 }
@@ -192,7 +159,6 @@ pub fn active_backend() -> Backend {
     match BACKEND.load(Ordering::Relaxed) {
         1 => Backend::Scalar,
         2 => Backend::Avx2,
-        3 => Backend::Portable,
         _ => resolve_from_env(),
     }
 }
@@ -207,254 +173,6 @@ pub fn force_backend(choice: Option<Choice>) {
     }
 }
 
-/// Shorthand used by every kernel wrapper: route one call to the dispatched
-/// backend. The AVX2 arm only exists when compiled in; `Backend::Avx2` can
-/// never be cached otherwise, so the fallthrough to scalar is unreachable
-/// on those targets but keeps the match exhaustive.
-macro_rules! dispatch {
-    ($avx2:expr, $portable:expr, $scalar:expr) => {{
-        match active_backend() {
-            #[cfg(all(target_arch = "x86_64", not(feature = "single")))]
-            // SAFETY: Backend::Avx2 is only ever cached after
-            // `is_x86_feature_detected!("avx2")` + `("fma")` succeeded.
-            Backend::Avx2 => unsafe { $avx2 },
-            Backend::Portable => $portable,
-            _ => $scalar,
-        }
-    }};
-}
-
-// ----- element-wise field kernels ---------------------------------------
-
-/// `y[i] *= a`.
-pub fn scale(a: Real, y: &mut [Real]) {
-    dispatch!(avx2::scale(a, y), portable::scale(a, y), scalar::scale(a, y))
-}
-
-/// `y[i] += a · x[i]` (slices must have equal length).
-pub fn axpy(a: Real, x: &[Real], y: &mut [Real]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    dispatch!(avx2::axpy(a, x, y), portable::axpy(a, x, y), scalar::axpy(a, x, y))
-}
-
-/// `y[i] = a · y[i] + x[i]` (slices must have equal length).
-pub fn aypx(a: Real, x: &[Real], y: &mut [Real]) {
-    assert_eq!(x.len(), y.len(), "aypx length mismatch");
-    dispatch!(avx2::aypx(a, x, y), portable::aypx(a, x, y), scalar::aypx(a, x, y))
-}
-
-/// `s[i] += a · x[i] · y[i]` (slices must have equal length).
-pub fn add_scaled_product(a: Real, x: &[Real], y: &[Real], s: &mut [Real]) {
-    assert_eq!(x.len(), s.len(), "add_scaled_product length mismatch");
-    assert_eq!(y.len(), s.len(), "add_scaled_product length mismatch");
-    dispatch!(
-        avx2::add_scaled_product(a, x, y, s),
-        portable::add_scaled_product(a, x, y, s),
-        scalar::add_scaled_product(a, x, y, s)
-    )
-}
-
-// ----- fused element-wise + reduction kernels -----------------------------
-//
-// Each fuses a BLAS-1 update with the reduction the solver computes right
-// after it, turning two passes over DRAM into one. On the scalar backend
-// the fused kernel is bit-identical to its unfused pair run back to back
-// (same per-element expression, same left-to-right reduction order); the
-// vector backends sit under the crate's ≤1e-12 equivalence contract.
-
-/// Fused `axpy` + self-dot: `y[i] += a · x[i]`, returning `Σ y'[i]²` of the
-/// *updated* values in f64 — the residual-norm half of a PCG iteration in
-/// the same pass as the residual update.
-pub fn axpy_dot(a: Real, x: &[Real], y: &mut [Real]) -> f64 {
-    assert_eq!(x.len(), y.len(), "axpy_dot length mismatch");
-    dispatch!(avx2::axpy_dot(a, x, y), portable::axpy_dot(a, x, y), scalar::axpy_dot(a, x, y))
-}
-
-/// Fused `aypx` + self-dot: `y[i] = a · y[i] + x[i]`, returning `Σ y'[i]²`
-/// of the updated values in f64 (search-direction update with its norm).
-pub fn aypx_norm2(a: Real, x: &[Real], y: &mut [Real]) -> f64 {
-    assert_eq!(x.len(), y.len(), "aypx_norm2 length mismatch");
-    dispatch!(avx2::aypx_norm2(a, x, y), portable::aypx_norm2(a, x, y), scalar::aypx_norm2(a, x, y))
-}
-
-/// Fused scaled-add into a fresh buffer + self-dot:
-/// `out[i] = a · x[i] + y[i]`, returning `Σ out[i]²` in f64. Replaces the
-/// clone-then-axpy(-then-norm) multi-pass chain (line-search trials,
-/// warm-start residuals) with a single read-read-write pass.
-pub fn scale_add_norm(a: Real, x: &[Real], y: &[Real], out: &mut [Real]) -> f64 {
-    assert_eq!(x.len(), out.len(), "scale_add_norm length mismatch");
-    assert_eq!(y.len(), out.len(), "scale_add_norm length mismatch");
-    dispatch!(
-        avx2::scale_add_norm(a, x, y, out),
-        portable::scale_add_norm(a, x, y, out),
-        scalar::scale_add_norm(a, x, y, out)
-    )
-}
-
-// ----- reductions (f64 accumulation regardless of `Real`) ----------------
-
-/// `Σ x[i]·y[i]` accumulated in f64. Callers keep determinism across
-/// thread counts by invoking this on fixed-size blocks (`par_sum_blocks`).
-pub fn dot(x: &[Real], y: &[Real]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    dispatch!(avx2::dot(x, y), portable::dot(x, y), scalar::dot(x, y))
-}
-
-/// `Σ x[i]` accumulated in f64.
-pub fn sum(x: &[Real]) -> f64 {
-    dispatch!(avx2::sum(x), portable::sum(x), scalar::sum(x))
-}
-
-/// `max_i |x[i]|` as f64 (0 for an empty slice).
-pub fn max_abs(x: &[Real]) -> f64 {
-    dispatch!(avx2::max_abs(x), portable::max_abs(x), scalar::max_abs(x))
-}
-
-// ----- 8th-order FD stencil ----------------------------------------------
-
-/// One contiguous row of the central-difference combine:
-/// `out[k] = inv_h · Σ_m c[m] · (plus[m][k] − minus[m][k])`.
-///
-/// `plus[m]`/`minus[m]` are the rows at offsets `±(m+1)` along the
-/// differentiated dimension; all slices must be at least `out.len()` long.
-/// Serves all three dimensions of the FD8 sweep: x1/x2 rows are naturally
-/// contiguous in x3, and the x3 (periodic) sweep vectorizes its interior
-/// with shifted sub-slices of the same row.
-pub fn fd8_combine(
-    out: &mut [Real],
-    plus: &[&[Real]; 4],
-    minus: &[&[Real]; 4],
-    c: &[Real; 4],
-    inv_h: Real,
-) {
-    for m in 0..4 {
-        assert!(plus[m].len() >= out.len(), "fd8_combine plus[{m}] too short");
-        assert!(minus[m].len() >= out.len(), "fd8_combine minus[{m}] too short");
-    }
-    dispatch!(
-        avx2::fd8_combine(out, plus, minus, c, inv_h),
-        portable::fd8_combine(out, plus, minus, c, inv_h),
-        scalar::fd8_combine(out, plus, minus, c, inv_h)
-    )
-}
-
-/// [`fd8_combine`] with a folded output scale:
-/// `out[k] = s · inv_h · Σ_m c[m] · (plus[m][k] − minus[m][k])`.
-///
-/// The scale costs nothing extra — `inv_h·s` is folded into the single
-/// per-point multiply the unscaled kernel already performs — so a
-/// derivative-then-scale chain collapses from two memory passes into one.
-/// With `s == 1` every backend produces bits identical to [`fd8_combine`].
-pub fn fd8_combine_scale(
-    out: &mut [Real],
-    plus: &[&[Real]; 4],
-    minus: &[&[Real]; 4],
-    c: &[Real; 4],
-    inv_h: Real,
-    s: Real,
-) {
-    for m in 0..4 {
-        assert!(plus[m].len() >= out.len(), "fd8_combine_scale plus[{m}] too short");
-        assert!(minus[m].len() >= out.len(), "fd8_combine_scale minus[{m}] too short");
-    }
-    dispatch!(
-        avx2::fd8_combine_scale(out, plus, minus, c, inv_h, s),
-        portable::fd8_combine_scale(out, plus, minus, c, inv_h, s),
-        scalar::fd8_combine_scale(out, plus, minus, c, inv_h, s)
-    )
-}
-
-// ----- cubic interpolation -----------------------------------------------
-
-/// Cubic Lagrange basis weights at fraction `t ∈ [0,1)` for node offsets
-/// `{−1, 0, 1, 2}` — the weight-evaluation half of the 64-point kernel.
-pub fn lagrange_weights(t: Real) -> [Real; 4] {
-    dispatch!(avx2::lagrange_weights(t), portable::lagrange_weights(t), scalar::lagrange_weights(t))
-}
-
-/// The 64-point (4×4×4) weighted accumulation of the cubic kernel on a
-/// wrap-free support:
-/// `Σ_{a,b,c} w1[a]·w2[b]·w3[c] · data[base + a·plane_stride + b·row_stride + c]`.
-///
-/// The caller guarantees the support does not cross a periodic seam in
-/// x2/x3 (the seam case stays on the scalar gather path in `claire-interp`).
-pub fn cubic_accumulate(
-    data: &[Real],
-    base: usize,
-    plane_stride: usize,
-    row_stride: usize,
-    w1: &[Real; 4],
-    w2: &[Real; 4],
-    w3: &[Real; 4],
-) -> Real {
-    let last = base + 3 * plane_stride + 3 * row_stride;
-    assert!(last + 4 <= data.len(), "cubic_accumulate support out of bounds");
-    dispatch!(
-        avx2::cubic_accumulate(data, base, plane_stride, row_stride, w1, w2, w3),
-        portable::cubic_accumulate(data, base, plane_stride, row_stride, w1, w2, w3),
-        scalar::cubic_accumulate(data, base, plane_stride, row_stride, w1, w2, w3)
-    )
-}
-
-// ----- interleaved complex kernels (re,im pairs; two complexes/vector) ----
-
-/// Element-wise complex multiply `dst[j] *= src[j]` on interleaved
-/// `[re, im, re, im, …]` slices of equal even length.
-pub fn cpx_mul(dst: &mut [Real], src: &[Real]) {
-    assert_eq!(dst.len(), src.len(), "cpx_mul length mismatch");
-    assert_eq!(dst.len() % 2, 0, "cpx_mul needs interleaved re/im pairs");
-    dispatch!(avx2::cpx_mul(dst, src), portable::cpx_mul(dst, src), scalar::cpx_mul(dst, src))
-}
-
-/// Element-wise complex multiply `out[j] = a[j] · b[j]` (interleaved).
-pub fn cpx_mul_into(out: &mut [Real], a: &[Real], b: &[Real]) {
-    assert_eq!(out.len(), a.len(), "cpx_mul_into length mismatch");
-    assert_eq!(out.len(), b.len(), "cpx_mul_into length mismatch");
-    assert_eq!(out.len() % 2, 0, "cpx_mul_into needs interleaved re/im pairs");
-    dispatch!(
-        avx2::cpx_mul_into(out, a, b),
-        portable::cpx_mul_into(out, a, b),
-        scalar::cpx_mul_into(out, a, b)
-    )
-}
-
-/// In-place complex conjugate of an interleaved slice.
-pub fn cpx_conj(data: &mut [Real]) {
-    assert_eq!(data.len() % 2, 0, "cpx_conj needs interleaved re/im pairs");
-    dispatch!(avx2::cpx_conj(data), portable::cpx_conj(data), scalar::cpx_conj(data))
-}
-
-/// In-place fused conjugate-and-scale: `z[j] = conj(z[j]) · s` (interleaved)
-/// — the tail of the inverse FFT (`1/n` normalization).
-pub fn cpx_conj_scale(data: &mut [Real], s: Real) {
-    assert_eq!(data.len() % 2, 0, "cpx_conj_scale needs interleaved re/im pairs");
-    dispatch!(
-        avx2::cpx_conj_scale(data, s),
-        portable::cpx_conj_scale(data, s),
-        scalar::cpx_conj_scale(data, s)
-    )
-}
-
-/// Radix-2 DIT butterfly combine over interleaved half-spectra:
-/// for each `k`, with `w = tw[k·ws]` (complex index into the global
-/// twiddle table), `lo[k], hi[k] = lo[k] + w·hi[k], lo[k] − w·hi[k]`.
-///
-/// Uses the half-period symmetry `w_{k+m} = −w_k` of the twiddle table, so
-/// only the first half of the table is read (indices `k·ws < tw.len()/2`).
-pub fn cpx_radix2_combine(lo: &mut [Real], hi: &mut [Real], tw: &[Real], ws: usize) {
-    assert_eq!(lo.len(), hi.len(), "cpx_radix2_combine half length mismatch");
-    assert_eq!(lo.len() % 2, 0, "cpx_radix2_combine needs interleaved re/im pairs");
-    let m = lo.len() / 2;
-    if m > 0 {
-        assert!(2 * ((m - 1) * ws) + 1 < tw.len(), "cpx_radix2_combine twiddle table too short");
-    }
-    dispatch!(
-        avx2::cpx_radix2_combine(lo, hi, tw, ws),
-        portable::cpx_radix2_combine(lo, hi, tw, ws),
-        scalar::cpx_radix2_combine(lo, hi, tw, ws)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,121 +183,25 @@ mod tests {
         assert_eq!(Choice::parse(""), Some(Choice::Auto));
         assert_eq!(Choice::parse("AVX2"), Some(Choice::Avx2));
         assert_eq!(Choice::parse(" scalar "), Some(Choice::Scalar));
-        assert_eq!(Choice::parse("portable"), Some(Choice::Portable));
+        assert_eq!(Choice::parse("portable"), None);
         assert_eq!(Choice::parse("neon"), None);
     }
 
+    // One test owns the process-wide override: separate `#[test]`s would
+    // race each other's `force_backend` under the parallel harness.
     #[test]
-    fn forced_portable_backend_sticks() {
-        force_backend(Some(Choice::Portable));
-        assert_eq!(active_backend(), Backend::Portable);
-        assert_eq!(active_backend().label(), "portable");
-        force_backend(None);
-    }
-
-    #[test]
-    fn forced_scalar_backend_sticks() {
+    fn forced_choices_resolve_and_stick() {
         force_backend(Some(Choice::Scalar));
         assert_eq!(active_backend(), Backend::Scalar);
         assert_eq!(active_backend().label(), "scalar");
-        force_backend(None);
-    }
 
-    #[test]
-    fn auto_matches_detection() {
         force_backend(Some(Choice::Auto));
         let expect = if avx2_available() { Backend::Avx2 } else { Backend::Scalar };
         assert_eq!(active_backend(), expect);
-        force_backend(None);
-    }
 
-    #[test]
-    fn avx2_request_never_panics() {
+        // an AVX2 request never panics: it degrades to scalar with a warning
         force_backend(Some(Choice::Avx2));
-        let b = active_backend();
-        assert!(b == Backend::Avx2 || !avx2_available());
-        force_backend(None);
-    }
-
-    #[test]
-    fn scalar_kernels_match_reference_loops() {
-        force_backend(Some(Choice::Scalar));
-        let x: Vec<Real> = (0..13).map(|i| i as Real * 0.5 - 3.0).collect();
-        let mut y: Vec<Real> = (0..13).map(|i| 1.0 - i as Real * 0.25).collect();
-        let mut expect = y.clone();
-        for (e, &xv) in expect.iter_mut().zip(&x) {
-            *e += 2.5 * xv;
-        }
-        axpy(2.5, &x, &mut y);
-        assert_eq!(y, expect);
-        let d = dot(&x, &y);
-        #[allow(clippy::unnecessary_cast)] // Real = f32 under `single`
-        let dref: f64 = x.iter().zip(&y).map(|(&a, &b)| a as f64 * b as f64).sum();
-        assert_eq!(d, dref);
-        force_backend(None);
-    }
-
-    #[test]
-    fn fused_scalar_kernels_bitwise_match_unfused_pairs() {
-        force_backend(Some(Choice::Scalar));
-        let x: Vec<Real> = (0..37).map(|i| (i as Real).sin() * 2.0 - 0.7).collect();
-        let y0: Vec<Real> = (0..37).map(|i| (i as Real).cos() + 0.3).collect();
-
-        let mut yf = y0.clone();
-        let df = axpy_dot(1.5, &x, &mut yf);
-        let mut yu = y0.clone();
-        axpy(1.5, &x, &mut yu);
-        assert_eq!(yf, yu);
-        assert_eq!(df, dot(&yu, &yu));
-
-        let mut yf = y0.clone();
-        let nf = aypx_norm2(-0.25, &x, &mut yf);
-        let mut yu = y0.clone();
-        aypx(-0.25, &x, &mut yu);
-        assert_eq!(yf, yu);
-        assert_eq!(nf, dot(&yu, &yu));
-
-        let mut of = vec![0.0 as Real; x.len()];
-        let nf = scale_add_norm(0.8, &x, &y0, &mut of);
-        let ou: Vec<Real> = x.iter().zip(&y0).map(|(&a, &b)| 0.8 * a + b).collect();
-        assert_eq!(of, ou);
-        assert_eq!(nf, dot(&ou, &ou));
-        force_backend(None);
-    }
-
-    #[test]
-    fn portable_fused_kernels_match_scalar_within_tolerance() {
-        let x: Vec<Real> = (0..131).map(|i| (i as Real * 0.37).sin() - 0.4).collect();
-        let y0: Vec<Real> = (0..131).map(|i| (i as Real * 0.11).cos() * 1.5).collect();
-
-        force_backend(Some(Choice::Scalar));
-        let mut ys = y0.clone();
-        let ds = axpy_dot(1.25, &x, &mut ys);
-        force_backend(Some(Choice::Portable));
-        let mut yp = y0.clone();
-        let dp = axpy_dot(1.25, &x, &mut yp);
-        force_backend(None);
-
-        for (a, b) in ys.iter().zip(&yp) {
-            assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "{a} vs {b}");
-        }
-        assert!((ds - dp).abs() <= 1e-12 * ds.abs().max(1.0), "{ds} vs {dp}");
-    }
-
-    #[test]
-    fn fd8_combine_scale_with_unit_scale_matches_unscaled() {
-        force_backend(Some(Choice::Scalar));
-        let n = 24;
-        let rows: Vec<Vec<Real>> =
-            (0..8).map(|m| (0..n).map(|k| ((m * n + k) as Real * 0.13).sin()).collect()).collect();
-        let plus = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
-        let minus = [&rows[4][..], &rows[5][..], &rows[6][..], &rows[7][..]];
-        let c = [0.8 as Real, -0.2, 0.038, -0.0035];
-        let mut a = vec![0.0 as Real; n];
-        let mut b = vec![0.0 as Real; n];
-        fd8_combine(&mut a, &plus, &minus, &c, 3.5);
-        fd8_combine_scale(&mut b, &plus, &minus, &c, 3.5, 1.0);
-        assert_eq!(a, b);
+        assert_eq!(active_backend(), expect);
         force_backend(None);
     }
 }

@@ -1,154 +1,101 @@
-//! Cross-precision kernel bodies shared by the non-`Real` element type.
+//! Kernel bodies, written once and generic over the element width.
 //!
-//! The crate's primary kernel surface (`scale`, `axpy_dot`, `cpx_mul`, …)
-//! is monomorphic over [`crate::Real`]. The mixed-precision solver core
-//! additionally needs the *other* width — f32 in a default build, f64 under
-//! the `single` feature — so the loop bodies live here once, generic over
-//! [`Xs`], and are instantiated per width by the dispatch wrappers in
-//! `lib.rs` (`f32k`) and by the [`crate::Elem`] impls.
+//! Every [`Elem`] kernel dispatches to one of the bodies here:
 //!
-//! Loop shapes deliberately mirror the monomorphic backends:
+//! * `scalar_*` is the specification: the pre-SIMD solver's loops (separate
+//!   multiply and add, left-to-right reduction order, f64 accumulation), so
+//!   the scalar backend is bit-identical to the historical code and serves
+//!   as the reference side of the equivalence contract;
+//! * `wide_*` processes `LANES = 8` elements per step with a scalar
+//!   remainder; reductions keep one f64 partial per lane and fold them in
+//!   the fixed shape `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, so every width
+//!   keeps the determinism contract: results depend only on input values
+//!   and the selected backend, never on thread count or allocation state.
 //!
-//! * `scalar_*` reproduces `scalar.rs` exactly (same per-element
-//!   expressions, same left-to-right reduction order, f64 accumulation);
-//! * `wide_*` reproduces `portable.rs` — `LANES = 8` chunks with the fixed
-//!   fold shape `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` and a scalar
-//!   remainder — so every width keeps the determinism contract: results
-//!   depend only on input values and the selected backend, never on thread
-//!   count or allocation state.
-//!
-//! The AVX2 arm for f32 is *these same wide bodies* compiled under
-//! `#[target_feature(enable = "avx2,fma")]` (see `f32k` in `lib.rs`): the
-//! bodies are `#[inline(always)]`, so they inline into the feature-gated
-//! wrapper and autovectorize at the full 8-lane f32 width.
+//! The bodies are `#[inline(always)]`: the AVX2 arm is a body inlined into
+//! a `#[target_feature(enable = "avx2,fma")]` wrapper (see `avx2`), where
+//! the autovectorizer emits full-width code for either element width
+//! without a second hand-written intrinsics file. Rust never contracts
+//! `a·b + c` on its own, so a body computes the same bits under either
+//! instruction set; only the `wide_*` fold order differs from `scalar_*`.
 
-/// Scalar widths the cross-precision kernels are generic over.
-pub(crate) trait Xs:
-    Copy
-    + PartialOrd
-    + core::ops::Add<Output = Self>
-    + core::ops::Sub<Output = Self>
-    + core::ops::Mul<Output = Self>
-    + core::ops::Div<Output = Self>
-    + core::ops::Neg<Output = Self>
-    + core::ops::AddAssign
-    + core::ops::MulAssign
-{
-    const ZERO: Self;
-    const ONE: Self;
-    fn f64(self) -> f64;
-    fn of(x: f64) -> Self;
-}
+use crate::Elem;
 
-impl Xs for f32 {
-    const ZERO: f32 = 0.0;
-    const ONE: f32 = 1.0;
-    #[inline(always)]
-    fn f64(self) -> f64 {
-        self as f64
-    }
-    #[inline(always)]
-    fn of(x: f64) -> f32 {
-        x as f32
-    }
-}
-
-impl Xs for f64 {
-    const ZERO: f64 = 0.0;
-    const ONE: f64 = 1.0;
-    #[inline(always)]
-    fn f64(self) -> f64 {
-        self
-    }
-    #[inline(always)]
-    fn of(x: f64) -> f64 {
-        x
-    }
-}
-
-// ----- scalar reference loops (mirror scalar.rs) --------------------------
+// ----- scalar reference loops ---------------------------------------------
 
 #[inline(always)]
-pub(crate) fn scalar_scale<T: Xs>(a: T, y: &mut [T]) {
+pub(crate) fn scalar_scale<T: Elem>(a: T, y: &mut [T]) {
     for v in y {
         *v *= a;
     }
 }
 
 #[inline(always)]
-pub(crate) fn scalar_axpy<T: Xs>(a: T, x: &[T], y: &mut [T]) {
+pub(crate) fn scalar_axpy<T: Elem>(a: T, x: &[T], y: &mut [T]) {
     for (v, &xv) in y.iter_mut().zip(x) {
         *v += a * xv;
     }
 }
 
 #[inline(always)]
-pub(crate) fn scalar_aypx<T: Xs>(a: T, x: &[T], y: &mut [T]) {
+pub(crate) fn scalar_aypx<T: Elem>(a: T, x: &[T], y: &mut [T]) {
     for (v, &xv) in y.iter_mut().zip(x) {
         *v = a * *v + xv;
     }
 }
 
 #[inline(always)]
-pub(crate) fn scalar_add_scaled_product<T: Xs>(a: T, x: &[T], y: &[T], s: &mut [T]) {
+pub(crate) fn scalar_add_scaled_product<T: Elem>(a: T, x: &[T], y: &[T], s: &mut [T]) {
     for ((sv, &xv), &yv) in s.iter_mut().zip(x).zip(y) {
         *sv += a * xv * yv;
     }
 }
 
 #[inline(always)]
-pub(crate) fn scalar_axpy_dot<T: Xs>(a: T, x: &[T], y: &mut [T]) -> f64 {
+pub(crate) fn scalar_axpy_dot<T: Elem>(a: T, x: &[T], y: &mut [T]) -> f64 {
     let mut acc = 0.0f64;
     for (v, &xv) in y.iter_mut().zip(x) {
         *v += a * xv;
-        acc += v.f64() * v.f64();
+        acc += v.to_f64() * v.to_f64();
     }
     acc
 }
 
 #[inline(always)]
-pub(crate) fn scalar_aypx_norm2<T: Xs>(a: T, x: &[T], y: &mut [T]) -> f64 {
+pub(crate) fn scalar_aypx_norm2<T: Elem>(a: T, x: &[T], y: &mut [T]) -> f64 {
     let mut acc = 0.0f64;
     for (v, &xv) in y.iter_mut().zip(x) {
         *v = a * *v + xv;
-        acc += v.f64() * v.f64();
+        acc += v.to_f64() * v.to_f64();
     }
     acc
 }
 
 #[inline(always)]
-pub(crate) fn scalar_scale_add_norm<T: Xs>(a: T, x: &[T], y: &[T], out: &mut [T]) -> f64 {
+pub(crate) fn scalar_scale_add_norm<T: Elem>(a: T, x: &[T], y: &[T], out: &mut [T]) -> f64 {
     let mut acc = 0.0f64;
     for ((o, &xv), &yv) in out.iter_mut().zip(x).zip(y) {
         *o = a * xv + yv;
-        acc += o.f64() * o.f64();
+        acc += o.to_f64() * o.to_f64();
     }
     acc
 }
 
 #[inline(always)]
-pub(crate) fn scalar_dot<T: Xs>(x: &[T], y: &[T]) -> f64 {
-    let mut acc = 0.0f64;
-    for (&a, &b) in x.iter().zip(y) {
-        acc += a.f64() * b.f64();
-    }
-    acc
+pub(crate) fn scalar_dot<T: Elem>(x: &[T], y: &[T]) -> f64 {
+    x.iter().zip(y).map(|(&a, &b)| a.to_f64() * b.to_f64()).sum()
 }
 
 #[inline(always)]
-pub(crate) fn scalar_sum<T: Xs>(x: &[T]) -> f64 {
-    let mut acc = 0.0f64;
-    for &v in x {
-        acc += v.f64();
-    }
-    acc
+pub(crate) fn scalar_sum<T: Elem>(x: &[T]) -> f64 {
+    x.iter().map(|&v| v.to_f64()).sum()
 }
 
 #[inline(always)]
-pub(crate) fn scalar_max_abs<T: Xs>(x: &[T]) -> f64 {
+pub(crate) fn scalar_max_abs<T: Elem>(x: &[T]) -> f64 {
     let mut m = 0.0f64;
     for &v in x {
-        let a = v.f64().abs();
+        let a = v.to_f64().abs();
         if a > m {
             m = a;
         }
@@ -157,7 +104,7 @@ pub(crate) fn scalar_max_abs<T: Xs>(x: &[T]) -> f64 {
 }
 
 #[inline(always)]
-pub(crate) fn scalar_fd8_combine_scale<T: Xs>(
+pub(crate) fn scalar_fd8_combine_scale<T: Elem>(
     out: &mut [T],
     plus: &[&[T]; 4],
     minus: &[&[T]; 4],
@@ -165,31 +112,33 @@ pub(crate) fn scalar_fd8_combine_scale<T: Xs>(
     inv_h: T,
     s: T,
 ) {
+    // `inv_h·s` folds once up front; with `s == 1` the product is exactly
+    // `inv_h`, so the unscaled derivative is the `s = 1` case bit for bit.
     let ihs = inv_h * s;
     for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = c[0] * (plus[0][k] - minus[0][k]);
-        acc += c[1] * (plus[1][k] - minus[1][k]);
-        acc += c[2] * (plus[2][k] - minus[2][k]);
-        acc += c[3] * (plus[3][k] - minus[3][k]);
+        let mut acc = T::ZERO;
+        for (m, &cm) in c.iter().enumerate() {
+            acc += cm * (plus[m][k] - minus[m][k]);
+        }
         *o = acc * ihs;
     }
 }
 
 #[inline(always)]
-pub(crate) fn scalar_lagrange_weights<T: Xs>(t: T) -> [T; 4] {
+pub(crate) fn scalar_lagrange_weights<T: Elem>(t: T) -> [T; 4] {
     let t1 = t - T::ONE;
-    let t2 = t - T::of(2.0);
+    let t2 = t - T::from_f64(2.0);
     let tp = t + T::ONE;
     [
-        -t * t1 * t2 / T::of(6.0),
-        tp * t1 * t2 / T::of(2.0),
-        -tp * t * t2 / T::of(2.0),
-        tp * t * t1 / T::of(6.0),
+        -t * t1 * t2 / T::from_f64(6.0),
+        tp * t1 * t2 / T::from_f64(2.0),
+        -tp * t * t2 / T::from_f64(2.0),
+        tp * t * t1 / T::from_f64(6.0),
     ]
 }
 
 #[inline(always)]
-pub(crate) fn scalar_cubic_accumulate<T: Xs>(
+pub(crate) fn scalar_cubic_accumulate<T: Elem>(
     data: &[T],
     base: usize,
     plane_stride: usize,
@@ -202,16 +151,18 @@ pub(crate) fn scalar_cubic_accumulate<T: Xs>(
     for (a, &wa) in w1.iter().enumerate() {
         let pa = base + a * plane_stride;
         for (b, &wb) in w2.iter().enumerate() {
-            let row = &data[pa + b * row_stride..pa + b * row_stride + 4];
             let wab = wa * wb;
-            acc += wab * (w3[0] * row[0] + w3[1] * row[1] + w3[2] * row[2] + w3[3] * row[3]);
+            let row = &data[pa + b * row_stride..pa + b * row_stride + 4];
+            for (c, &wc) in w3.iter().enumerate() {
+                acc += wab * wc * row[c];
+            }
         }
     }
     acc
 }
 
 #[inline(always)]
-pub(crate) fn scalar_cpx_mul<T: Xs>(dst: &mut [T], src: &[T]) {
+pub(crate) fn scalar_cpx_mul<T: Elem>(dst: &mut [T], src: &[T]) {
     for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
         let (ar, ai) = (d[0], d[1]);
         let (br, bi) = (s[0], s[1]);
@@ -221,7 +172,7 @@ pub(crate) fn scalar_cpx_mul<T: Xs>(dst: &mut [T], src: &[T]) {
 }
 
 #[inline(always)]
-pub(crate) fn scalar_cpx_mul_into<T: Xs>(out: &mut [T], a: &[T], b: &[T]) {
+pub(crate) fn scalar_cpx_mul_into<T: Elem>(out: &mut [T], a: &[T], b: &[T]) {
     for ((o, x), y) in out.chunks_exact_mut(2).zip(a.chunks_exact(2)).zip(b.chunks_exact(2)) {
         let (ar, ai) = (x[0], x[1]);
         let (br, bi) = (y[0], y[1]);
@@ -231,14 +182,14 @@ pub(crate) fn scalar_cpx_mul_into<T: Xs>(out: &mut [T], a: &[T], b: &[T]) {
 }
 
 #[inline(always)]
-pub(crate) fn scalar_cpx_conj<T: Xs>(data: &mut [T]) {
+pub(crate) fn scalar_cpx_conj<T: Elem>(data: &mut [T]) {
     for z in data.chunks_exact_mut(2) {
         z[1] = -z[1];
     }
 }
 
 #[inline(always)]
-pub(crate) fn scalar_cpx_conj_scale<T: Xs>(data: &mut [T], s: T) {
+pub(crate) fn scalar_cpx_conj_scale<T: Elem>(data: &mut [T], s: T) {
     for z in data.chunks_exact_mut(2) {
         z[0] *= s;
         z[1] = -z[1] * s;
@@ -246,7 +197,7 @@ pub(crate) fn scalar_cpx_conj_scale<T: Xs>(data: &mut [T], s: T) {
 }
 
 #[inline(always)]
-pub(crate) fn scalar_cpx_radix2_combine<T: Xs>(lo: &mut [T], hi: &mut [T], tw: &[T], ws: usize) {
+pub(crate) fn scalar_cpx_radix2_combine<T: Elem>(lo: &mut [T], hi: &mut [T], tw: &[T], ws: usize) {
     let m = lo.len() / 2;
     for k in 0..m {
         let (wr, wi) = (tw[2 * k * ws], tw[2 * k * ws + 1]);
@@ -261,11 +212,11 @@ pub(crate) fn scalar_cpx_radix2_combine<T: Xs>(lo: &mut [T], hi: &mut [T], tw: &
     }
 }
 
-// ----- wide chunked loops (mirror portable.rs) ----------------------------
+// ----- wide chunked loops -------------------------------------------------
 
 pub(crate) const LANES: usize = 8;
 
-/// Fixed-shape fold of 8 f64 partials; matches `portable::fold_sum`.
+/// Fixed-shape fold of the 8 f64 lane partials.
 #[inline(always)]
 fn fold_sum(acc: [f64; LANES]) -> f64 {
     ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
@@ -290,7 +241,7 @@ fn split_mut<T>(x: &mut [T]) -> (&mut [T], &mut [T]) {
 }
 
 #[inline(always)]
-pub(crate) fn wide_scale<T: Xs>(a: T, y: &mut [T]) {
+pub(crate) fn wide_scale<T: Elem>(a: T, y: &mut [T]) {
     let (body, tail) = split_mut(y);
     for c in body.chunks_exact_mut(LANES) {
         for v in c {
@@ -301,7 +252,7 @@ pub(crate) fn wide_scale<T: Xs>(a: T, y: &mut [T]) {
 }
 
 #[inline(always)]
-pub(crate) fn wide_axpy<T: Xs>(a: T, x: &[T], y: &mut [T]) {
+pub(crate) fn wide_axpy<T: Elem>(a: T, x: &[T], y: &mut [T]) {
     let (xb, xt) = split(x);
     let (yb, yt) = split_mut(y);
     for (yc, xc) in yb.chunks_exact_mut(LANES).zip(xb.chunks_exact(LANES)) {
@@ -313,7 +264,7 @@ pub(crate) fn wide_axpy<T: Xs>(a: T, x: &[T], y: &mut [T]) {
 }
 
 #[inline(always)]
-pub(crate) fn wide_aypx<T: Xs>(a: T, x: &[T], y: &mut [T]) {
+pub(crate) fn wide_aypx<T: Elem>(a: T, x: &[T], y: &mut [T]) {
     let (xb, xt) = split(x);
     let (yb, yt) = split_mut(y);
     for (yc, xc) in yb.chunks_exact_mut(LANES).zip(xb.chunks_exact(LANES)) {
@@ -325,7 +276,7 @@ pub(crate) fn wide_aypx<T: Xs>(a: T, x: &[T], y: &mut [T]) {
 }
 
 #[inline(always)]
-pub(crate) fn wide_add_scaled_product<T: Xs>(a: T, x: &[T], y: &[T], s: &mut [T]) {
+pub(crate) fn wide_add_scaled_product<T: Elem>(a: T, x: &[T], y: &[T], s: &mut [T]) {
     let (xb, xt) = split(x);
     let (yb, yt) = split(y);
     let (sb, st) = split_mut(s);
@@ -340,28 +291,28 @@ pub(crate) fn wide_add_scaled_product<T: Xs>(a: T, x: &[T], y: &[T], s: &mut [T]
 }
 
 #[inline(always)]
-pub(crate) fn wide_axpy_dot<T: Xs>(a: T, x: &[T], y: &mut [T]) -> f64 {
+pub(crate) fn wide_axpy_dot<T: Elem>(a: T, x: &[T], y: &mut [T]) -> f64 {
     let (xb, xt) = split(x);
     let (yb, yt) = split_mut(y);
     let mut acc = [0.0f64; LANES];
     for (yc, xc) in yb.chunks_exact_mut(LANES).zip(xb.chunks_exact(LANES)) {
         for ((v, &xv), l) in yc.iter_mut().zip(xc).zip(acc.iter_mut()) {
             *v += a * xv;
-            *l += v.f64() * v.f64();
+            *l += v.to_f64() * v.to_f64();
         }
     }
     fold_sum(acc) + scalar_axpy_dot(a, xt, yt)
 }
 
 #[inline(always)]
-pub(crate) fn wide_aypx_norm2<T: Xs>(a: T, x: &[T], y: &mut [T]) -> f64 {
+pub(crate) fn wide_aypx_norm2<T: Elem>(a: T, x: &[T], y: &mut [T]) -> f64 {
     let (xb, xt) = split(x);
     let (yb, yt) = split_mut(y);
     let mut acc = [0.0f64; LANES];
     for (yc, xc) in yb.chunks_exact_mut(LANES).zip(xb.chunks_exact(LANES)) {
         for ((v, &xv), l) in yc.iter_mut().zip(xc).zip(acc.iter_mut()) {
             *v = a * *v + xv;
-            *l += v.f64() * v.f64();
+            *l += v.to_f64() * v.to_f64();
         }
     }
     let mut r = fold_sum(acc);
@@ -370,7 +321,7 @@ pub(crate) fn wide_aypx_norm2<T: Xs>(a: T, x: &[T], y: &mut [T]) -> f64 {
 }
 
 #[inline(always)]
-pub(crate) fn wide_scale_add_norm<T: Xs>(a: T, x: &[T], y: &[T], out: &mut [T]) -> f64 {
+pub(crate) fn wide_scale_add_norm<T: Elem>(a: T, x: &[T], y: &[T], out: &mut [T]) -> f64 {
     let (xb, xt) = split(x);
     let (yb, yt) = split(y);
     let (ob, ot) = split_mut(out);
@@ -380,44 +331,44 @@ pub(crate) fn wide_scale_add_norm<T: Xs>(a: T, x: &[T], y: &[T], out: &mut [T]) 
     {
         for (((o, &xv), &yv), l) in oc.iter_mut().zip(xc).zip(yc).zip(acc.iter_mut()) {
             *o = a * xv + yv;
-            *l += o.f64() * o.f64();
+            *l += o.to_f64() * o.to_f64();
         }
     }
     fold_sum(acc) + scalar_scale_add_norm(a, xt, yt, ot)
 }
 
 #[inline(always)]
-pub(crate) fn wide_dot<T: Xs>(x: &[T], y: &[T]) -> f64 {
+pub(crate) fn wide_dot<T: Elem>(x: &[T], y: &[T]) -> f64 {
     let (xb, xt) = split(x);
     let (yb, yt) = split(y);
     let mut acc = [0.0f64; LANES];
     for (xc, yc) in xb.chunks_exact(LANES).zip(yb.chunks_exact(LANES)) {
         for ((&a, &b), l) in xc.iter().zip(yc).zip(acc.iter_mut()) {
-            *l += a.f64() * b.f64();
+            *l += a.to_f64() * b.to_f64();
         }
     }
     fold_sum(acc) + scalar_dot(xt, yt)
 }
 
 #[inline(always)]
-pub(crate) fn wide_sum<T: Xs>(x: &[T]) -> f64 {
+pub(crate) fn wide_sum<T: Elem>(x: &[T]) -> f64 {
     let (xb, xt) = split(x);
     let mut acc = [0.0f64; LANES];
     for xc in xb.chunks_exact(LANES) {
         for (&v, l) in xc.iter().zip(acc.iter_mut()) {
-            *l += v.f64();
+            *l += v.to_f64();
         }
     }
     fold_sum(acc) + scalar_sum(xt)
 }
 
 #[inline(always)]
-pub(crate) fn wide_max_abs<T: Xs>(x: &[T]) -> f64 {
+pub(crate) fn wide_max_abs<T: Elem>(x: &[T]) -> f64 {
     let (xb, xt) = split(x);
     let mut acc = [0.0f64; LANES];
     for xc in xb.chunks_exact(LANES) {
         for (&v, l) in xc.iter().zip(acc.iter_mut()) {
-            let a = v.f64().abs();
+            let a = v.to_f64().abs();
             if a > *l {
                 *l = a;
             }
@@ -427,7 +378,7 @@ pub(crate) fn wide_max_abs<T: Xs>(x: &[T]) -> f64 {
 }
 
 #[inline(always)]
-pub(crate) fn wide_fd8_combine_scale<T: Xs>(
+pub(crate) fn wide_fd8_combine_scale<T: Elem>(
     out: &mut [T],
     plus: &[&[T]; 4],
     minus: &[&[T]; 4],
@@ -460,8 +411,33 @@ pub(crate) fn wide_fd8_combine_scale<T: Xs>(
     }
 }
 
+/// Row-dot form of the 64-point accumulation: each 4-tap row reduces on its
+/// own before the `w1·w2` weight applies, which breaks the 64-long add
+/// chain of the reference loop into vectorizable pieces.
 #[inline(always)]
-pub(crate) fn wide_cpx_mul<T: Xs>(dst: &mut [T], src: &[T]) {
+pub(crate) fn wide_cubic_accumulate<T: Elem>(
+    data: &[T],
+    base: usize,
+    plane_stride: usize,
+    row_stride: usize,
+    w1: &[T; 4],
+    w2: &[T; 4],
+    w3: &[T; 4],
+) -> T {
+    let mut acc = T::ZERO;
+    for (a, &wa) in w1.iter().enumerate() {
+        let pa = base + a * plane_stride;
+        for (b, &wb) in w2.iter().enumerate() {
+            let row = &data[pa + b * row_stride..pa + b * row_stride + 4];
+            let wab = wa * wb;
+            acc += wab * (w3[0] * row[0] + w3[1] * row[1] + w3[2] * row[2] + w3[3] * row[3]);
+        }
+    }
+    acc
+}
+
+#[inline(always)]
+pub(crate) fn wide_cpx_mul<T: Elem>(dst: &mut [T], src: &[T]) {
     let (db, dt) = split_mut(dst);
     let (sb, st) = split(src);
     for (dc, sc) in db.chunks_exact_mut(LANES).zip(sb.chunks_exact(LANES)) {
@@ -471,7 +447,7 @@ pub(crate) fn wide_cpx_mul<T: Xs>(dst: &mut [T], src: &[T]) {
 }
 
 #[inline(always)]
-pub(crate) fn wide_cpx_mul_into<T: Xs>(out: &mut [T], a: &[T], b: &[T]) {
+pub(crate) fn wide_cpx_mul_into<T: Elem>(out: &mut [T], a: &[T], b: &[T]) {
     let (ob, ot) = split_mut(out);
     let (ab, at) = split(a);
     let (bb, bt) = split(b);
@@ -484,7 +460,7 @@ pub(crate) fn wide_cpx_mul_into<T: Xs>(out: &mut [T], a: &[T], b: &[T]) {
 }
 
 #[inline(always)]
-pub(crate) fn wide_cpx_conj<T: Xs>(data: &mut [T]) {
+pub(crate) fn wide_cpx_conj<T: Elem>(data: &mut [T]) {
     let (b, t) = split_mut(data);
     for c in b.chunks_exact_mut(LANES) {
         scalar_cpx_conj(c);
@@ -493,37 +469,10 @@ pub(crate) fn wide_cpx_conj<T: Xs>(data: &mut [T]) {
 }
 
 #[inline(always)]
-pub(crate) fn wide_cpx_conj_scale<T: Xs>(data: &mut [T], s: T) {
+pub(crate) fn wide_cpx_conj_scale<T: Elem>(data: &mut [T], s: T) {
     let (b, t) = split_mut(data);
     for c in b.chunks_exact_mut(LANES) {
         scalar_cpx_conj_scale(c, s);
     }
     scalar_cpx_conj_scale(t, s);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wide_matches_scalar_f32() {
-        let x: Vec<f32> = (0..131).map(|i| (i as f32 * 0.37).sin() - 0.4).collect();
-        let y0: Vec<f32> = (0..131).map(|i| (i as f32 * 0.11).cos() * 1.5).collect();
-        let mut ys = y0.clone();
-        let ds = scalar_axpy_dot(1.25f32, &x, &mut ys);
-        let mut yw = y0.clone();
-        let dw = wide_axpy_dot(1.25f32, &x, &mut yw);
-        for (a, b) in ys.iter().zip(&yw) {
-            assert!((a - b).abs() <= 1e-5 * a.abs().max(1.0), "{a} vs {b}");
-        }
-        assert!((ds - dw).abs() <= 1e-5 * ds.abs().max(1.0));
-        assert!((scalar_dot(&x, &y0) - wide_dot(&x, &y0)).abs() <= 1e-5);
-    }
-
-    #[test]
-    fn lagrange_weights_partition_unity() {
-        let w = scalar_lagrange_weights(0.3f32);
-        let s: f32 = w.iter().sum();
-        assert!((s - 1.0).abs() < 1e-5, "weights must sum to 1: {s}");
-    }
 }

@@ -11,8 +11,8 @@
 #   scripts/ci.sh --no-smoke  full gate minus the net/proc smoke stages
 #
 # When CLAIRE_SIMD is set in the environment (the CI backend matrix exports
-# scalar | auto | portable), the tier-1 stage runs once under that backend;
-# otherwise it sweeps all three. The full gate additionally runs the tier-1
+# scalar | auto), the tier-1 stage runs once under that backend; otherwise
+# it sweeps both. The full gate additionally runs the tier-1
 # suite once under CLAIRE_PRECISION=mixed × CLAIRE_SIMD=auto — the f32
 # inner-solve lane — and checks that the RunReport `"precision"` key
 # follows the environment selector.
@@ -104,14 +104,13 @@ stage_build() {
 stage_tier1_tests() {
     # the SIMD dispatch makes backend choice part of the tested surface.
     # Under the CI matrix one backend is pinned via the environment; a bare
-    # run sweeps the scalar reference, the portable wide backend, and
-    # runtime feature detection (AVX2 where the host supports it).
+    # run sweeps the scalar reference and runtime feature detection (AVX2
+    # where the host supports it).
     if [ -n "${CLAIRE_SIMD:-}" ]; then
         echo "tier-1 backend pinned by environment: CLAIRE_SIMD=$CLAIRE_SIMD"
         cargo test -q --release
     else
         CLAIRE_SIMD=scalar cargo test -q --release
-        CLAIRE_SIMD=portable cargo test -q --release
         CLAIRE_SIMD=auto cargo test -q --release
     fi
 }

@@ -7,9 +7,18 @@
 //! each pair steps through the exact same `GnState` loop body as the
 //! sequential driver — so not just "close", but every bit equal, on both
 //! SIMD backends. Any drift here means the interleave changed arithmetic.
+//!
+//! One test flips the process-wide SIMD backend, so every comparison holds
+//! a file-level mutex: a flip between a sequential solve and its batched
+//! twin would break bit equality for reasons unrelated to batching.
+
+use std::sync::Mutex;
 
 use claire::prelude::*;
 use proptest::prelude::*;
+
+/// Serializes the solves in this binary against backend flips.
+static LOCK: Mutex<()> = Mutex::new(());
 
 fn blob_pair(layout: Layout, shift: Real, off: Real) -> (ScalarField, ScalarField) {
     let blob = move |cx: Real, cy: Real| {
@@ -53,6 +62,12 @@ fn assert_bitwise_eq(a: &VectorField, b: &VectorField, label: &str) {
 
 /// Solve the given shifts sequentially and batched; demand bit equality.
 fn check_equivalence(shifts: &[(Real, Real)], cfg: RegistrationConfig) {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    check_equivalence_locked(shifts, cfg);
+}
+
+/// [`check_equivalence`] for a caller that already holds [`LOCK`].
+fn check_equivalence_locked(shifts: &[(Real, Real)], cfg: RegistrationConfig) {
     claire::par::set_threads(1);
     let layout = Layout::serial(Grid::cube(16));
     let mut comm = Comm::solo();
@@ -95,10 +110,11 @@ fn batch_matches_sequential_bitwise_on_both_backends() {
     // mixed shifts: the larger ones need all iterations, the tiny one
     // converges (retires) early — the interleave must handle both
     let shifts = [(0.5, 0.0), (0.02, 0.1), (0.35, -0.2)];
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     for choice in [claire_simd::Choice::Scalar, claire_simd::Choice::Auto] {
         claire_simd::force_backend(Some(choice));
-        check_equivalence(&shifts, config(PrecondKind::InvA, 5e-2));
-        check_equivalence(&shifts[..2], config(PrecondKind::TwoLevelInvH0, 5e-2));
+        check_equivalence_locked(&shifts, config(PrecondKind::InvA, 5e-2));
+        check_equivalence_locked(&shifts[..2], config(PrecondKind::TwoLevelInvH0, 5e-2));
     }
     claire_simd::force_backend(None);
 }
@@ -112,6 +128,7 @@ fn batch_with_grid_continuation_matches_sequential() {
 
 #[test]
 fn cancelled_member_retires_without_disturbing_the_rest() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     claire::par::set_threads(1);
     let layout = Layout::serial(Grid::cube(16));
     let mut comm = Comm::solo();

@@ -1,59 +1,78 @@
 //! Tier-1 SIMD equivalence gate: the vectorized backend must agree with
-//! the portable scalar reference on every kernel, and the end-to-end
-//! solver must be insensitive to the backend choice.
+//! the scalar reference on every kernel at both element widths, and the
+//! end-to-end solver must be insensitive to the backend choice.
 //!
 //! Two layers:
-//! - proptest cases drive every `claire-simd` kernel with random sizes —
-//!   including ragged tails (`n % 4 != 0`) — under the vector backends and
-//!   require ≤1e-12 relative agreement (the FMA contract: one rounding
-//!   instead of two, never a different algorithm); the fused
-//!   update+reduction kernels are additionally compared against their
-//!   unfused pairs on all three backends (scalar, portable, avx2);
-//! - a smoke registration solve under `CLAIRE_SIMD=scalar`, `=portable`,
-//!   and `=auto` must reach the same Gauss–Newton iteration count and the
-//!   same final mismatch to 6 significant digits.
+//! - one harness generic over `T: Elem`, driven by proptest at `f64` and
+//!   `f32` with random sizes — including ragged tails (`n % 8 != 0`) and
+//!   sub-vector lengths: every `claire-simd` kernel must agree across
+//!   backends to ≤ 1e-12 (f64) / ≤ 1e-5 (f32) relative — the contract is one
+//!   FMA rounding or a different fold order, never a different algorithm —
+//!   and must return identical results when rerun on the same backend. On
+//!   the scalar backend the fused update+reduction kernels must additionally
+//!   equal their unfused pairs bit for bit;
+//! - a smoke registration solve under `CLAIRE_SIMD=scalar` and `=auto` must
+//!   reach the same Gauss–Newton iteration count and the same final
+//!   mismatch to 6 significant digits.
 //!
 //! The backend override is process-global, so every test serializes on one
-//! mutex before flipping it. On hosts without AVX2+FMA the `auto` side
+//! mutex before flipping it. On hosts without AVX2+FMA the `avx2` side
 //! resolves to scalar and the comparisons pass trivially.
 
+use std::fmt::Debug;
 use std::sync::Mutex;
 
 use claire::prelude::*;
-use claire_simd::Choice;
+use claire_simd::{Choice, Elem};
 use proptest::prelude::*;
 
 /// Serializes backend flips across this binary's tests.
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Run `f` under both backends and return (scalar result, auto result).
-/// Takes the lock so concurrent tests cannot observe a half-flipped state.
-fn both<R>(mut f: impl FnMut() -> R) -> (R, R) {
+/// Every dispatch arm.
+const ALL_BACKENDS: [Choice; 2] = [Choice::Scalar, Choice::Avx2];
+
+/// Run `f` twice under each backend, holding the flip lock so concurrent
+/// tests cannot observe a half-flipped state. The two runs on one backend
+/// must be identical (rerun determinism); returns (scalar, avx2) results.
+fn both<R: PartialEq + Debug>(mut f: impl FnMut() -> R) -> (R, R) {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    claire_simd::force_backend(Some(Choice::Scalar));
-    let s = f();
-    claire_simd::force_backend(Some(Choice::Avx2));
-    let v = f();
+    let [s, v] = ALL_BACKENDS.map(|choice| {
+        claire_simd::force_backend(Some(choice));
+        let (first, again) = (f(), f());
+        assert_eq!(first, again, "{choice:?} must be deterministic run to run");
+        first
+    });
     claire_simd::force_backend(None);
     (s, v)
 }
 
-fn assert_close(a: f64, b: f64, what: &str) {
-    let tol = 1e-12 * b.abs().max(1.0);
-    assert!((a - b).abs() <= tol, "{what}: scalar {b} vs simd {a} (diff {})", (a - b).abs());
+/// Cross-backend relative tolerance of the element width.
+fn tol<T: Elem>() -> f64 {
+    if T::BYTES == 8 {
+        1e-12
+    } else {
+        1e-5
+    }
 }
 
-fn assert_slices_close(a: &[Real], b: &[Real], what: &str) {
-    assert_eq!(a.len(), b.len());
-    for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
-        assert_close(x, y, &format!("{what}[{i}]"));
+fn assert_close<T: Elem>(simd: f64, scalar: f64, what: &str) {
+    let bound = tol::<T>() * scalar.abs().max(1.0);
+    let diff = (simd - scalar).abs();
+    assert!(diff <= bound, "{what} [{}]: scalar {scalar} vs simd {simd} (diff {diff})", T::LABEL);
+}
+
+fn assert_slices_close<T: Elem>(simd: &[T], scalar: &[T], what: &str) {
+    assert_eq!(simd.len(), scalar.len());
+    for (i, (&x, &y)) in simd.iter().zip(scalar).enumerate() {
+        assert_close::<T>(x.to_f64(), y.to_f64(), &format!("{what}[{i}]"));
     }
 }
 
 /// Deterministic value stream (SplitMix64) so each proptest case derives
 /// its vectors from a sampled `seed` — the vendored proptest shim only
 /// samples scalars from ranges.
-fn fill(seed: u64, n: usize, lo: f64, hi: f64) -> Vec<f64> {
+fn fill<T: Elem>(seed: u64, n: usize, lo: f64, hi: f64) -> Vec<T> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(0x517C_C1B7_2722_0A95);
     (0..n)
         .map(|_| {
@@ -62,156 +81,204 @@ fn fill(seed: u64, n: usize, lo: f64, hi: f64) -> Vec<f64> {
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
             let u = ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-            lo + u * (hi - lo)
+            T::from_f64(lo + u * (hi - lo))
         })
         .collect()
 }
 
-/// Run `f` under one forced backend, holding the flip lock.
-fn on_backend<R>(choice: Choice, mut f: impl FnMut() -> R) -> R {
-    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    claire_simd::force_backend(Some(choice));
-    let r = f();
-    claire_simd::force_backend(None);
-    r
+/// Fused update+reduction kernels vs. their unfused pairs: bit-identical on
+/// the scalar backend (same per-element expression, same left-to-right
+/// reduction order), within tolerance on the vector arm.
+fn check_fused<T: Elem>(n: usize, seed: u64, a: f64) {
+    let a = T::from_f64(a);
+    let x = fill::<T>(seed, n, -100.0, 100.0);
+    let y = fill::<T>(seed + 1, n, -100.0, 100.0);
+    let (unfused, _) = both(|| {
+        let mut ya = y.clone();
+        T::kaxpy(a, &x, &mut ya);
+        let da = T::kdot(&ya, &ya);
+        let mut yp = y.clone();
+        T::kaypx(a, &x, &mut yp);
+        let dp = T::kdot(&yp, &yp);
+        let mut o = y.clone();
+        T::kscale(a, &mut o);
+        T::kaxpy(T::ONE, &x, &mut o); // o = a·y + x
+        let ds = T::kdot(&o, &o);
+        (ya, da, yp, dp, o, ds)
+    });
+    let (fused, fused_simd) = both(|| {
+        let mut ya = y.clone();
+        let da = T::kaxpy_dot(a, &x, &mut ya);
+        let mut yp = y.clone();
+        let dp = T::kaypx_norm2(a, &x, &mut yp);
+        let mut o = vec![T::ZERO; n];
+        let ds = T::kscale_add_norm(a, &y, &x, &mut o);
+        (ya, da, yp, dp, o, ds)
+    });
+    assert_eq!(fused, unfused, "scalar fused kernels must equal their unfused pairs bitwise");
+    assert_slices_close(&fused_simd.0, &fused.0, "axpy_dot data");
+    assert_close::<T>(fused_simd.1, fused.1, "axpy_dot reduction");
+    assert_slices_close(&fused_simd.2, &fused.2, "aypx_norm2 data");
+    assert_close::<T>(fused_simd.3, fused.3, "aypx_norm2 reduction");
+    assert_slices_close(&fused_simd.4, &fused.4, "scale_add_norm data");
+    assert_close::<T>(fused_simd.5, fused.5, "scale_add_norm reduction");
 }
 
-/// Every dispatch arm the fused kernels must agree across.
-const ALL_BACKENDS: [Choice; 3] = [Choice::Scalar, Choice::Portable, Choice::Avx2];
+fn check_elementwise<T: Elem>(n: usize, seed: u64, a: f64) {
+    let a = T::from_f64(a);
+    let x = fill::<T>(seed, n, -100.0, 100.0);
+    let y = fill::<T>(seed + 1, n, -100.0, 100.0);
+    let s = fill::<T>(seed + 2, n, -100.0, 100.0);
+    let (r_scalar, r_simd) = both(|| {
+        let mut ys = y.clone();
+        T::kscale(a, &mut ys);
+        let mut ya = y.clone();
+        T::kaxpy(a, &x, &mut ya);
+        let mut yp = y.clone();
+        T::kaypx(a, &x, &mut yp);
+        let mut sp = s.clone();
+        T::kadd_scaled_product(a, &x, &y, &mut sp);
+        (ys, ya, yp, sp)
+    });
+    // the scalar arm is the pre-SIMD loop: separate multiply and add
+    let axpy_ref: Vec<T> = x.iter().zip(&y).map(|(&xv, &yv)| yv + a * xv).collect();
+    assert_eq!(r_scalar.1, axpy_ref, "scalar axpy must match the reference loop bitwise");
+    assert_slices_close(&r_simd.0, &r_scalar.0, "scale");
+    assert_slices_close(&r_simd.1, &r_scalar.1, "axpy");
+    assert_slices_close(&r_simd.2, &r_scalar.2, "aypx");
+    assert_slices_close(&r_simd.3, &r_scalar.3, "add_scaled_product");
+}
+
+fn check_reductions<T: Elem>(n: usize, seed: u64) {
+    let x = fill::<T>(seed, n, -100.0, 100.0);
+    let y = fill::<T>(seed + 1, n, -100.0, 100.0);
+    let (r_scalar, r_simd) = both(|| (T::kdot(&x, &y), T::ksum(&x), T::kmax_abs(&x)));
+    let dot_ref: f64 = x.iter().zip(&y).map(|(&a, &b)| a.to_f64() * b.to_f64()).sum();
+    assert_eq!(r_scalar.0, dot_ref, "scalar dot must be the left-to-right f64 sum");
+    assert_close::<T>(r_simd.0, r_scalar.0, "dot");
+    assert_close::<T>(r_simd.1, r_scalar.1, "sum");
+    assert_close::<T>(r_simd.2, r_scalar.2, "max_abs");
+}
+
+/// The scaled fd8 combine (`inv_h·s` folded into one sweep) must match
+/// combine-then-scale on every backend.
+fn check_fd8<T: Elem>(n: usize, seed: u64, inv_h: f64, s: f64) {
+    let (inv_h, s) = (T::from_f64(inv_h), T::from_f64(s));
+    let rows: Vec<Vec<T>> = (0..8).map(|r| fill(seed + r, n, -100.0, 100.0)).collect();
+    let cv = fill::<T>(seed + 8, 4, -1.0, 1.0);
+    let c = [cv[0], cv[1], cv[2], cv[3]];
+    let plus: [&[T]; 4] = [&rows[0], &rows[1], &rows[2], &rows[3]];
+    let minus: [&[T]; 4] = [&rows[4], &rows[5], &rows[6], &rows[7]];
+    let (reference, _) = both(|| {
+        let mut out = vec![T::ZERO; n];
+        T::kfd8_combine_scale(&mut out, &plus, &minus, &c, inv_h, T::ONE);
+        T::kscale(s, &mut out);
+        out
+    });
+    let (f_scalar, f_simd) = both(|| {
+        let mut out = vec![T::ZERO; n];
+        T::kfd8_combine_scale(&mut out, &plus, &minus, &c, inv_h, s);
+        out
+    });
+    assert_slices_close(&f_scalar, &reference, "fd8_combine_scale [scalar]");
+    assert_slices_close(&f_simd, &reference, "fd8_combine_scale [avx2]");
+}
+
+fn check_interp<T: Elem>(t: f64, base: usize, rs: usize, seed: u64) {
+    let t = T::from_f64(t);
+    let (w_scalar, w_simd) = both(|| T::klagrange_weights(t));
+    assert_slices_close(&w_simd, &w_scalar, "lagrange_weights");
+    let unity = w_scalar.iter().map(|w| w.to_f64()).sum::<f64>();
+    assert_close::<T>(unity, 1.0, "lagrange weights must sum to 1");
+
+    let ps = 4 * rs; // 4 rows per plane, rows `rs` apart
+    let body = fill::<T>(seed, base + 3 * ps + 3 * rs + 4, -100.0, 100.0);
+    let (w1, w2, w3) = (w_scalar, T::klagrange_weights(T::ONE - t), T::klagrange_weights(t * t));
+    let (r_scalar, r_simd) = both(|| T::kcubic_accumulate(&body, base, ps, rs, &w1, &w2, &w3));
+    assert_close::<T>(r_simd.to_f64(), r_scalar.to_f64(), "cubic_accumulate");
+}
+
+fn check_complex<T: Elem>(m: usize, seed: u64, s: f64) {
+    let s = T::from_f64(s);
+    let a = fill::<T>(seed, 2 * m, -100.0, 100.0);
+    let b = fill::<T>(seed + 1, 2 * m, -100.0, 100.0);
+    let (r_scalar, r_simd) = both(|| {
+        let mut d = a.clone();
+        T::kcpx_mul(&mut d, &b);
+        let mut o = vec![T::ZERO; a.len()];
+        T::kcpx_mul_into(&mut o, &a, &b);
+        let mut cj = a.clone();
+        T::kcpx_conj(&mut cj);
+        let mut cs = a.clone();
+        T::kcpx_conj_scale(&mut cs, s);
+        (d, o, cj, cs)
+    });
+    let mul_ref: Vec<T> = a
+        .chunks_exact(2)
+        .zip(b.chunks_exact(2))
+        .flat_map(|(x, y)| [x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
+        .collect();
+    assert_eq!(r_scalar.0, mul_ref, "scalar cpx_mul must match the textbook product bitwise");
+    assert_slices_close(&r_simd.0, &r_scalar.0, "cpx_mul");
+    assert_slices_close(&r_simd.1, &r_scalar.1, "cpx_mul_into");
+    assert_slices_close(&r_simd.2, &r_scalar.2, "cpx_conj");
+    assert_slices_close(&r_simd.3, &r_scalar.3, "cpx_conj_scale");
+}
+
+fn check_radix2<T: Elem>(m: usize, ws: usize, seed: u64) {
+    // full twiddle table for a length-2m·ws transform, like fft_rec uses
+    let nn = 2 * m * ws;
+    let tw: Vec<T> = (0..nn)
+        .flat_map(|j| {
+            let theta = -2.0 * std::f64::consts::PI * j as f64 / nn as f64;
+            [T::from_f64(theta.cos()), T::from_f64(theta.sin())]
+        })
+        .collect();
+    let lo0 = fill::<T>(seed, 2 * m, -1.0, 1.0);
+    let hi0 = fill::<T>(seed + 7, 2 * m, -1.0, 1.0);
+    let (r_scalar, r_simd) = both(|| {
+        let mut lo = lo0.clone();
+        let mut hi = hi0.clone();
+        T::kcpx_radix2_combine(&mut lo, &mut hi, &tw, ws);
+        (lo, hi)
+    });
+    assert_slices_close(&r_simd.0, &r_scalar.0, "radix2 lo");
+    assert_slices_close(&r_simd.1, &r_scalar.1, "radix2 hi");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // n in 0..131 sweeps full 4-lane vectors, ragged tails (n % 4 != 0),
-    // and sub-vector lengths (0..=3) for every kernel below.
+    // n in 0..131 sweeps full 8-lane chunks, ragged tails, and sub-vector
+    // lengths for every kernel below, at both element widths.
 
-    // Fused update+reduction kernels vs. their unfused pairs, on all three
-    // backends (scalar, portable, avx2): the fused single-pass variants
-    // must agree with update-then-reduce to ≤1e-12 relative — same
-    // arithmetic, at most an FMA/chunked-fold rounding difference. The
-    // unfused reference is computed on the scalar backend so every arm is
-    // also pinned against one common answer.
     #[test]
-    fn fused_kernels_match_unfused_on_all_backends(
-        n in 0usize..131,
-        seed in 0u64..1_000_000,
-        a in -3.0f64..3.0,
-    ) {
-        let x = fill(seed, n, -100.0, 100.0);
-        let y = fill(seed + 1, n, -100.0, 100.0);
-
-        // scalar unfused reference: update pass, then reduction pass
-        let (r_axpy, d_axpy, r_aypx, d_aypx, r_sa, d_sa) = on_backend(Choice::Scalar, || {
-            let mut ya = y.clone();
-            claire_simd::axpy(a, &x, &mut ya);
-            let da = claire_simd::dot(&ya, &ya);
-            let mut yp = y.clone();
-            claire_simd::aypx(a, &x, &mut yp);
-            let dp = claire_simd::dot(&yp, &yp);
-            let mut o = y.clone();
-            claire_simd::scale(a, &mut o);
-            claire_simd::axpy(1.0, &x, &mut o); // o = a·y + x
-            let ds = claire_simd::dot(&o, &o);
-            (ya, da, yp, dp, o, ds)
-        });
-
-        for choice in ALL_BACKENDS {
-            let (fa, fda, fp, fdp, fo, fds) = on_backend(choice, || {
-                let mut ya = y.clone();
-                let da = claire_simd::axpy_dot(a, &x, &mut ya);
-                let mut yp = y.clone();
-                let dp = claire_simd::aypx_norm2(a, &x, &mut yp);
-                let mut o = vec![0.0; n];
-                let ds = claire_simd::scale_add_norm(a, &y, &x, &mut o);
-                (ya, da, yp, dp, o, ds)
-            });
-            let tag = format!("{choice:?}");
-            assert_slices_close(&fa, &r_axpy, &format!("axpy_dot data [{tag}]"));
-            assert_close(fda, d_axpy, &format!("axpy_dot reduction [{tag}]"));
-            assert_slices_close(&fp, &r_aypx, &format!("aypx_norm2 data [{tag}]"));
-            assert_close(fdp, d_aypx, &format!("aypx_norm2 reduction [{tag}]"));
-            assert_slices_close(&fo, &r_sa, &format!("scale_add_norm data [{tag}]"));
-            assert_close(fds, d_sa, &format!("scale_add_norm reduction [{tag}]"));
-        }
+    fn fused_kernels_match_unfused(n in 0usize..131, seed in 0u64..1_000_000, a in -3.0f64..3.0) {
+        check_fused::<f64>(n, seed, a);
+        check_fused::<f32>(n, seed, a);
     }
 
-    // The scaled fd8 combine (inv_h·s folded into one sweep) must match
-    // combine-then-scale on every backend.
     #[test]
-    fn fd8_combine_scale_matches_on_all_backends(
+    fn elementwise_ops_match(n in 0usize..131, seed in 0u64..1_000_000, a in -3.0f64..3.0) {
+        check_elementwise::<f64>(n, seed, a);
+        check_elementwise::<f32>(n, seed, a);
+    }
+
+    #[test]
+    fn reductions_match(n in 0usize..131, seed in 0u64..1_000_000) {
+        check_reductions::<f64>(n, seed);
+        check_reductions::<f32>(n, seed);
+    }
+
+    #[test]
+    fn fd8_combine_scale_matches(
         n in 0usize..131,
         seed in 0u64..1_000_000,
         inv_h in 0.1f64..10.0,
         s in -4.0f64..4.0,
     ) {
-        let rows: Vec<Vec<Real>> = (0..8).map(|r| fill(seed + r, n, -100.0, 100.0)).collect();
-        let cv = fill(seed + 8, 4, -1.0, 1.0);
-        let c = [cv[0], cv[1], cv[2], cv[3]];
-        let plus: [&[Real]; 4] = [&rows[0], &rows[1], &rows[2], &rows[3]];
-        let minus: [&[Real]; 4] = [&rows[4], &rows[5], &rows[6], &rows[7]];
-        let reference = on_backend(Choice::Scalar, || {
-            let mut out = vec![0.0 as Real; n];
-            claire_simd::fd8_combine(&mut out, &plus, &minus, &c, inv_h);
-            claire_simd::scale(s, &mut out);
-            out
-        });
-        for choice in ALL_BACKENDS {
-            let fused = on_backend(choice, || {
-                let mut out = vec![0.0 as Real; n];
-                claire_simd::fd8_combine_scale(&mut out, &plus, &minus, &c, inv_h, s);
-                out
-            });
-            assert_slices_close(&fused, &reference, &format!("fd8_combine_scale [{choice:?}]"));
-        }
-    }
-
-    #[test]
-    fn elementwise_ops_match(n in 0usize..131, seed in 0u64..1_000_000, a in -3.0f64..3.0) {
-        let x = fill(seed, n, -100.0, 100.0);
-        let y = fill(seed + 1, n, -100.0, 100.0);
-        let s = fill(seed + 2, n, -100.0, 100.0);
-        let (r_scalar, r_simd) = both(|| {
-            let mut ys = y.clone();
-            claire_simd::scale(a, &mut ys);
-            let mut ya = y.clone();
-            claire_simd::axpy(a, &x, &mut ya);
-            let mut yp = y.clone();
-            claire_simd::aypx(a, &x, &mut yp);
-            let mut sp = s.clone();
-            claire_simd::add_scaled_product(a, &x, &y, &mut sp);
-            (ys, ya, yp, sp)
-        });
-        assert_slices_close(&r_simd.0, &r_scalar.0, "scale");
-        assert_slices_close(&r_simd.1, &r_scalar.1, "axpy");
-        assert_slices_close(&r_simd.2, &r_scalar.2, "aypx");
-        assert_slices_close(&r_simd.3, &r_scalar.3, "add_scaled_product");
-    }
-
-    #[test]
-    fn reductions_match(n in 0usize..131, seed in 0u64..1_000_000) {
-        let x = fill(seed, n, -100.0, 100.0);
-        let y = fill(seed + 1, n, -100.0, 100.0);
-        let (r_scalar, r_simd) = both(|| {
-            (claire_simd::dot(&x, &y), claire_simd::sum(&x), claire_simd::max_abs(&x))
-        });
-        assert_close(r_simd.0, r_scalar.0, "dot");
-        assert_close(r_simd.1, r_scalar.1, "sum");
-        assert_close(r_simd.2, r_scalar.2, "max_abs");
-    }
-
-    #[test]
-    fn fd8_combine_matches(n in 0usize..131, seed in 0u64..1_000_000, inv_h in 0.1f64..10.0) {
-        let rows: Vec<Vec<Real>> = (0..8).map(|r| fill(seed + r, n, -100.0, 100.0)).collect();
-        let cv = fill(seed + 8, 4, -1.0, 1.0);
-        let c = [cv[0], cv[1], cv[2], cv[3]];
-        let plus: [&[Real]; 4] = [&rows[0], &rows[1], &rows[2], &rows[3]];
-        let minus: [&[Real]; 4] = [&rows[4], &rows[5], &rows[6], &rows[7]];
-        let (r_scalar, r_simd) = both(|| {
-            let mut out = vec![0.0 as Real; n];
-            claire_simd::fd8_combine(&mut out, &plus, &minus, &c, inv_h);
-            out
-        });
-        assert_slices_close(&r_simd, &r_scalar, "fd8_combine");
+        check_fd8::<f64>(n, seed, inv_h, s);
+        check_fd8::<f32>(n, seed, inv_h, s);
     }
 
     #[test]
@@ -221,86 +288,46 @@ proptest! {
         rs in 4usize..8,
         seed in 0u64..1_000_000,
     ) {
-        let (w_scalar, w_simd) = both(|| claire_simd::lagrange_weights(t));
-        assert_slices_close(&w_simd, &w_scalar, "lagrange_weights");
-
-        let ps = 4 * rs; // 4 rows per plane, rows `rs` apart
-        let body = fill(seed, base + 3 * ps + 3 * rs + 4, -100.0, 100.0);
-        let (w1, w2, w3) = (
-            claire_simd::lagrange_weights(t),
-            claire_simd::lagrange_weights(1.0 - t),
-            claire_simd::lagrange_weights(t * t),
-        );
-        let (r_scalar, r_simd) =
-            both(|| claire_simd::cubic_accumulate(&body, base, ps, rs, &w1, &w2, &w3));
-        assert_close(r_simd, r_scalar, "cubic_accumulate");
+        check_interp::<f64>(t, base, rs, seed);
+        check_interp::<f32>(t, base, rs, seed);
     }
 
     #[test]
     fn complex_kernels_match(m in 0usize..131, seed in 0u64..1_000_000, s in -2.0f64..2.0) {
-        let a = fill(seed, 2 * m, -100.0, 100.0);
-        let b = fill(seed + 1, 2 * m, -100.0, 100.0);
-        let (r_scalar, r_simd) = both(|| {
-            let mut d = a.clone();
-            claire_simd::cpx_mul(&mut d, &b);
-            let mut o = vec![0.0 as Real; a.len()];
-            claire_simd::cpx_mul_into(&mut o, &a, &b);
-            let mut cj = a.clone();
-            claire_simd::cpx_conj(&mut cj);
-            let mut cs = a.clone();
-            claire_simd::cpx_conj_scale(&mut cs, s);
-            (d, o, cj, cs)
-        });
-        assert_slices_close(&r_simd.0, &r_scalar.0, "cpx_mul");
-        assert_slices_close(&r_simd.1, &r_scalar.1, "cpx_mul_into");
-        assert_slices_close(&r_simd.2, &r_scalar.2, "cpx_conj");
-        assert_slices_close(&r_simd.3, &r_scalar.3, "cpx_conj_scale");
+        check_complex::<f64>(m, seed, s);
+        check_complex::<f32>(m, seed, s);
     }
 
     #[test]
     fn radix2_butterfly_matches(m in 1usize..18, ws in 1usize..4, seed in 0u64..1_000_000) {
-        // full twiddle table for a length-2m·ws transform, like fft_rec uses
-        let nn = 2 * m * ws;
-        let tw: Vec<Real> = (0..nn)
-            .flat_map(|j| {
-                let theta = -2.0 * std::f64::consts::PI * j as f64 / nn as f64;
-                [theta.cos() as Real, theta.sin() as Real]
-            })
-            .collect();
-        let lo0 = fill(seed, 2 * m, -1.0, 1.0);
-        let hi0 = fill(seed + 7, 2 * m, -1.0, 1.0);
-        let (r_scalar, r_simd) = both(|| {
-            let mut lo = lo0.clone();
-            let mut hi = hi0.clone();
-            claire_simd::cpx_radix2_combine(&mut lo, &mut hi, &tw, ws);
-            (lo, hi)
-        });
-        assert_slices_close(&r_simd.0, &r_scalar.0, "radix2 lo");
-        assert_slices_close(&r_simd.1, &r_scalar.1, "radix2 hi");
+        check_radix2::<f64>(m, ws, seed);
+        check_radix2::<f32>(m, ws, seed);
     }
 }
 
-/// Within one backend the kernels must be bitwise deterministic: same
-/// inputs, same bits, run to run.
+/// Reductions over f32 storage must accumulate in f64: past 2²⁴ an f32
+/// accumulator stops absorbing `+1`, the mandated f64 one must not.
 #[test]
-fn backend_is_bitwise_deterministic() {
-    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    for choice in [Choice::Scalar, Choice::Portable, Choice::Avx2] {
-        claire_simd::force_backend(Some(choice));
-        let x: Vec<Real> = (0..1003).map(|i| ((i * 37 % 101) as Real) / 17.0 - 2.5).collect();
-        let y: Vec<Real> = (0..1003).map(|i| ((i * 23 % 97) as Real) / 13.0 - 3.1).collect();
-        let d1 = claire_simd::dot(&x, &y);
-        let d2 = claire_simd::dot(&x, &y);
-        assert_eq!(d1.to_bits(), d2.to_bits(), "{choice:?} dot must be bitwise stable");
-        let mut y1 = y.clone();
-        let mut y2 = y.clone();
-        claire_simd::axpy(1.2345, &x, &mut y1);
-        claire_simd::axpy(1.2345, &x, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{choice:?} axpy must be bitwise stable");
-        }
-    }
-    claire_simd::force_backend(None);
+fn f32_reductions_accumulate_in_f64() {
+    let mut v = vec![1.0f32; 1 << 12];
+    v[0] = 16_777_216.0;
+    let expect = 16_777_216.0 + 4095.0;
+    let (s, a) = both(|| (f32::ksum(&v), f32::kdot(&v, &vec![1.0f32; 1 << 12])));
+    assert_eq!((s, a), ((expect, expect), (expect, expect)));
+}
+
+/// The two widths run the same kernels: f32 results track f64 ones to f32
+/// storage rounding.
+#[test]
+fn kernels_agree_across_widths() {
+    let x64: Vec<f64> = (0..57).map(|i| (i as f64 * 0.21).sin()).collect();
+    let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
+    let ((n64, d64), _) =
+        both(|| (f64::kdot(&x64, &x64), f64::kaxpy_dot(2.0, &x64, &mut [0.5; 57])));
+    let ((n32, d32), _) =
+        both(|| (f32::kdot(&x32, &x32), f32::kaxpy_dot(2.0, &x32, &mut [0.5; 57])));
+    assert!((n64 - n32).abs() <= 1e-5 * n64.max(1.0), "{n64} vs {n32}");
+    assert!((d64 - d32).abs() <= 1e-4 * d64.abs().max(1.0), "{d64} vs {d32}");
 }
 
 fn blob_pair(layout: Layout, shift: Real) -> (ScalarField, ScalarField) {
@@ -342,15 +369,13 @@ fn smoke_solve_is_backend_insensitive() {
         (report.gn_iters, report.rel_mismatch)
     };
     let (gn_scalar, mm_scalar) = run(Choice::Scalar);
-    for (name, choice) in [("portable", Choice::Portable), ("auto", Choice::Auto)] {
-        let (gn, mm) = run(choice);
-        assert_eq!(gn_scalar, gn, "backend {name} must not change the GN iteration count");
-        let rel = ((mm_scalar - mm) / mm_scalar.abs().max(1e-300)).abs();
-        assert!(
-            rel < 1e-6,
-            "final mismatch must agree to 6 digits: scalar {mm_scalar} vs {name} {mm} (rel {rel:.2e})"
-        );
-    }
+    let (gn, mm) = run(Choice::Auto);
+    assert_eq!(gn_scalar, gn, "backend auto must not change the GN iteration count");
+    let rel = ((mm_scalar - mm) / mm_scalar.abs().max(1e-300)).abs();
+    assert!(
+        rel < 1e-6,
+        "final mismatch must agree to 6 digits: scalar {mm_scalar} vs auto {mm} (rel {rel:.2e})"
+    );
     claire_simd::force_backend(None);
     claire::par::set_threads(0);
 }

@@ -13,9 +13,13 @@
 //! the calling thread (no spawns), which both makes the run deterministic
 //! and keeps scoped-thread bookkeeping out of the counter.
 //!
-//! The whole measurement runs once per SIMD backend (scalar, portable,
-//! and auto) — the vectorized kernels, including the fused PCG field-op
-//! chains, must be as allocation-free as the loops they replaced.
+//! The whole measurement runs once per SIMD backend (scalar and auto) —
+//! the vectorized kernels, including the fused PCG field-op chains, must be
+//! as allocation-free as the loops they replaced.
+//!
+//! The allocation counter and the backend override are both process-wide,
+//! so the tests serialize on one mutex: a concurrent test's warm-up would
+//! otherwise be charged to this one's steady state.
 
 use std::sync::{Arc, Mutex};
 
@@ -25,6 +29,11 @@ use claire_par::alloc_counter::{allocation_count, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Serializes this binary's tests (shared counter, shared backend override).
+static LOCK: Mutex<()> = Mutex::new(());
+
+const BACKENDS: [claire_simd::Choice; 2] = [claire_simd::Choice::Scalar, claire_simd::Choice::Auto];
 
 fn blob_pair(layout: Layout, shift: Real) -> (ScalarField, ScalarField) {
     let blob = move |cx: Real| {
@@ -53,6 +62,7 @@ fn config() -> RegistrationConfig {
 
 #[test]
 fn steady_state_gn_iteration_is_allocation_free() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     claire::par::set_threads(1);
     claire::obs::set_enabled(false);
     let mut comm = Comm::solo();
@@ -60,9 +70,7 @@ fn steady_state_gn_iteration_is_allocation_free() {
     let (m0, m1) = blob_pair(layout, 0.5);
     let cfg = config();
 
-    for choice in
-        [claire_simd::Choice::Scalar, claire_simd::Choice::Portable, claire_simd::Choice::Auto]
-    {
+    for choice in BACKENDS {
         claire_simd::force_backend(Some(choice));
 
         // Warm-up solve: fills the workspace pools and the FFT plan cache.
@@ -108,6 +116,7 @@ fn steady_state_gn_iteration_is_allocation_free() {
 /// mixed GN iteration is checkout/checkin traffic like the f64 one.
 #[test]
 fn steady_state_mixed_gn_iteration_is_allocation_free() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     claire::par::set_threads(1);
     claire::obs::set_enabled(false);
     let mut comm = Comm::solo();
@@ -115,9 +124,7 @@ fn steady_state_mixed_gn_iteration_is_allocation_free() {
     let (m0, m1) = blob_pair(layout, 0.5);
     let cfg = RegistrationConfig { precision: claire::core::Precision::Mixed, ..config() };
 
-    for choice in
-        [claire_simd::Choice::Scalar, claire_simd::Choice::Portable, claire_simd::Choice::Auto]
-    {
+    for choice in BACKENDS {
         claire_simd::force_backend(Some(choice));
 
         let _ = Claire::new(cfg).register(&m0, &m1, &mut comm);
@@ -161,6 +168,7 @@ fn steady_state_mixed_gn_iteration_is_allocation_free() {
 /// complete rounds (K steps each).
 #[test]
 fn steady_state_batch_round_is_allocation_free() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     claire::par::set_threads(1);
     claire::obs::set_enabled(false);
     let layout = Layout::serial(Grid::cube(16));
@@ -180,9 +188,7 @@ fn steady_state_batch_round_is_allocation_free() {
             .collect()
     };
 
-    for choice in
-        [claire_simd::Choice::Scalar, claire_simd::Choice::Portable, claire_simd::Choice::Auto]
-    {
+    for choice in BACKENDS {
         claire_simd::force_backend(Some(choice));
 
         // Warm-up batch: fills the pools and the plan cache.
