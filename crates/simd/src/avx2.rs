@@ -2,59 +2,70 @@
 //!
 //! Every function is compiled with `#[target_feature(enable = "avx2,fma")]`
 //! and must only be called after runtime detection (the dispatcher in
-//! `elem.rs` guarantees this). One module per element width, same function
-//! names in both, so the `impl_elem!` macro can target either:
+//! `elem.rs` guarantees this).
 //!
-//! * [`f32k`] — the generic `xk` bodies instantiated at f32 under the
-//!   feature gate (they are `#[inline(always)]`, so the autovectorizer emits
-//!   8-lane f32 code); `cpx_radix2_combine` and `lagrange_weights` have no
-//!   wide form and use the `scalar_*` body;
-//! * [`f64k`] — hand-written intrinsics. Real slices are processed 4 lanes
-//!   (one `__m256d`) at a time with a masked tail or a scalar remainder;
-//!   complex slices are interleaved `[re, im, …]`, two complexes per vector,
-//!   multiplied with the `movedup`/`permute`/`fmaddsub` shuffle idiom (no
-//!   gathers anywhere); reductions fold 4 f64 lanes with a fixed-shape
-//!   horizontal sum, so results are deterministic for a given input.
+//! The default arm of a kernel is its generic `xk` body instantiated under
+//! the feature gate — the bodies are `#[inline(always)]`, so the
+//! autovectorizer emits full-width code for either element width. The
+//! field ops that do this at both widths are the generic functions at the
+//! top of this file: element-wise kernels reuse the `scalar_*` body (same
+//! bits, measured at parity with a chunked form), reductions the 8-lane
+//! `wide_*` one. The FFT/FD/interpolation kernels differ per width and live
+//! in [`f32k`] (generic bodies again) and [`f64k`] (intrinsics).
 
-/// Instantiate an `xk` body at `$t` under the AVX2+FMA feature gate.
-macro_rules! wrap {
-    ($t:ty, $name:ident, $body:ident, ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
+use crate::{xk, Elem};
+
+/// Instantiate an `xk` body under the AVX2+FMA feature gate.
+macro_rules! gate {
+    ($name:ident$(<$g:ident>)?, $body:ident, ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
         /// # Safety
         /// The host must support AVX2 and FMA.
         #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn $name($($arg: $ty),*) $(-> $ret)? {
-            crate::xk::$body::<$t>($($arg),*)
+        pub unsafe fn $name$(<$g: Elem>)?($($arg: $ty),*) $(-> $ret)? {
+            xk::$body($($arg),*)
         }
     };
 }
 
+gate!(scale<T>, scalar_scale, (a: T, y: &mut [T]));
+gate!(axpy<T>, scalar_axpy, (a: T, x: &[T], y: &mut [T]));
+gate!(aypx<T>, scalar_aypx, (a: T, x: &[T], y: &mut [T]));
+gate!(add_scaled_product<T>, scalar_add_scaled_product, (a: T, x: &[T], y: &[T], s: &mut [T]));
+gate!(axpy_dot<T>, wide_axpy_dot, (a: T, x: &[T], y: &mut [T]) -> f64);
+gate!(aypx_norm2<T>, wide_aypx_norm2, (a: T, x: &[T], y: &mut [T]) -> f64);
+gate!(scale_add_norm<T>, wide_scale_add_norm, (a: T, x: &[T], y: &[T], out: &mut [T]) -> f64);
+gate!(dot<T>, wide_dot, (x: &[T], y: &[T]) -> f64);
+gate!(sum<T>, wide_sum, (x: &[T]) -> f64);
+gate!(max_abs<T>, wide_max_abs, (x: &[T]) -> f64);
+gate!(cpx_conj<T>, scalar_cpx_conj, (data: &mut [T]));
+gate!(cpx_conj_scale<T>, scalar_cpx_conj_scale, (data: &mut [T], s: T));
+
 pub mod f32k {
-    wrap!(f32, scale, wide_scale, (a: f32, y: &mut [f32]));
-    wrap!(f32, axpy, wide_axpy, (a: f32, x: &[f32], y: &mut [f32]));
-    wrap!(f32, aypx, wide_aypx, (a: f32, x: &[f32], y: &mut [f32]));
-    wrap!(f32, add_scaled_product, wide_add_scaled_product,
-        (a: f32, x: &[f32], y: &[f32], s: &mut [f32]));
-    wrap!(f32, axpy_dot, wide_axpy_dot, (a: f32, x: &[f32], y: &mut [f32]) -> f64);
-    wrap!(f32, aypx_norm2, wide_aypx_norm2, (a: f32, x: &[f32], y: &mut [f32]) -> f64);
-    wrap!(f32, scale_add_norm, wide_scale_add_norm,
-        (a: f32, x: &[f32], y: &[f32], out: &mut [f32]) -> f64);
-    wrap!(f32, dot, wide_dot, (x: &[f32], y: &[f32]) -> f64);
-    wrap!(f32, sum, wide_sum, (x: &[f32]) -> f64);
-    wrap!(f32, max_abs, wide_max_abs, (x: &[f32]) -> f64);
-    wrap!(f32, fd8_combine_scale, wide_fd8_combine_scale,
+    use crate::xk;
+
+    gate!(fd8_combine_scale, scalar_fd8_combine_scale,
         (out: &mut [f32], plus: &[&[f32]; 4], minus: &[&[f32]; 4], c: &[f32; 4], inv_h: f32, s: f32));
-    wrap!(f32, lagrange_weights, scalar_lagrange_weights, (t: f32) -> [f32; 4]);
-    wrap!(f32, cubic_accumulate, wide_cubic_accumulate,
+    gate!(lagrange_weights, scalar_lagrange_weights, (t: f32) -> [f32; 4]);
+    gate!(cubic_accumulate, wide_cubic_accumulate,
         (data: &[f32], base: usize, plane_stride: usize, row_stride: usize,
          w1: &[f32; 4], w2: &[f32; 4], w3: &[f32; 4]) -> f32);
-    wrap!(f32, cpx_mul, wide_cpx_mul, (dst: &mut [f32], src: &[f32]));
-    wrap!(f32, cpx_mul_into, wide_cpx_mul_into, (out: &mut [f32], a: &[f32], b: &[f32]));
-    wrap!(f32, cpx_conj, wide_cpx_conj, (data: &mut [f32]));
-    wrap!(f32, cpx_conj_scale, wide_cpx_conj_scale, (data: &mut [f32], s: f32));
-    wrap!(f32, cpx_radix2_combine, scalar_cpx_radix2_combine,
+    gate!(cpx_mul, scalar_cpx_mul, (dst: &mut [f32], src: &[f32]));
+    gate!(cpx_mul_into, scalar_cpx_mul_into, (out: &mut [f32], a: &[f32], b: &[f32]));
+    gate!(cpx_radix2_combine, scalar_cpx_radix2_combine,
         (lo: &mut [f32], hi: &mut [f32], tw: &[f32], ws: usize));
 }
 
+/// The f64 kernels where a hand-written intrinsic measured ≥ 1.2× faster
+/// than the generic body under the same feature gate (DESIGN.md §13 has
+/// the table), plus `cpx_mul_into`/`lagrange_weights`, which share their
+/// shuffle idiom / feed `cubic_accumulate`. These carry the FFT, FD and
+/// interpolation time of an f64 solve.
+///
+/// # Safety
+/// Every function here requires AVX2 and FMA on the host. The raw-pointer
+/// loads and stores stay inside the argument slices: the dispatching
+/// `Elem` method has already asserted the length/bounds contract each
+/// kernel documents, and every loop bounds its index by a slice length.
 pub mod f64k {
     use core::arch::x86_64::*;
 
@@ -75,236 +86,6 @@ pub mod f64k {
         let hi = _mm256_extractf128_pd(v, 1);
         let s = _mm_add_pd(lo, hi);
         _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn hmax(v: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd(v, 1);
-        let s = _mm_max_pd(lo, hi);
-        _mm_cvtsd_f64(_mm_max_sd(s, _mm_unpackhi_pd(s, s)))
-    }
-
-    // ----- element-wise -------------------------------------------------------
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn scale(a: f64, y: &mut [f64]) {
-        let av = _mm256_set1_pd(a);
-        let n = y.len();
-        let p = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            _mm256_storeu_pd(p.add(i), _mm256_mul_pd(_mm256_loadu_pd(p.add(i)), av));
-            i += 4;
-        }
-        if i < n {
-            let m = tail_mask(n - i);
-            let v = _mm256_maskload_pd(p.add(i), m);
-            _mm256_maskstore_pd(p.add(i), m, _mm256_mul_pd(v, av));
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-        let av = _mm256_set1_pd(a);
-        let n = y.len();
-        let px = x.as_ptr();
-        let py = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let xv = _mm256_loadu_pd(px.add(i));
-            let yv = _mm256_loadu_pd(py.add(i));
-            _mm256_storeu_pd(py.add(i), _mm256_fmadd_pd(av, xv, yv));
-            i += 4;
-        }
-        if i < n {
-            let m = tail_mask(n - i);
-            let xv = _mm256_maskload_pd(px.add(i), m);
-            let yv = _mm256_maskload_pd(py.add(i), m);
-            _mm256_maskstore_pd(py.add(i), m, _mm256_fmadd_pd(av, xv, yv));
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn aypx(a: f64, x: &[f64], y: &mut [f64]) {
-        let av = _mm256_set1_pd(a);
-        let n = y.len();
-        let px = x.as_ptr();
-        let py = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let xv = _mm256_loadu_pd(px.add(i));
-            let yv = _mm256_loadu_pd(py.add(i));
-            _mm256_storeu_pd(py.add(i), _mm256_fmadd_pd(av, yv, xv));
-            i += 4;
-        }
-        if i < n {
-            let m = tail_mask(n - i);
-            let xv = _mm256_maskload_pd(px.add(i), m);
-            let yv = _mm256_maskload_pd(py.add(i), m);
-            _mm256_maskstore_pd(py.add(i), m, _mm256_fmadd_pd(av, yv, xv));
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn add_scaled_product(a: f64, x: &[f64], y: &[f64], s: &mut [f64]) {
-        let av = _mm256_set1_pd(a);
-        let n = s.len();
-        let px = x.as_ptr();
-        let py = y.as_ptr();
-        let ps = s.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let ax = _mm256_mul_pd(av, _mm256_loadu_pd(px.add(i)));
-            let yv = _mm256_loadu_pd(py.add(i));
-            let sv = _mm256_loadu_pd(ps.add(i));
-            _mm256_storeu_pd(ps.add(i), _mm256_fmadd_pd(ax, yv, sv));
-            i += 4;
-        }
-        if i < n {
-            let m = tail_mask(n - i);
-            let ax = _mm256_mul_pd(av, _mm256_maskload_pd(px.add(i), m));
-            let yv = _mm256_maskload_pd(py.add(i), m);
-            let sv = _mm256_maskload_pd(ps.add(i), m);
-            _mm256_maskstore_pd(ps.add(i), m, _mm256_fmadd_pd(ax, yv, sv));
-        }
-    }
-
-    // ----- fused element-wise + reduction -------------------------------------
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy_dot(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        let av = _mm256_set1_pd(a);
-        let n = y.len();
-        let px = x.as_ptr();
-        let py = y.as_mut_ptr();
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 4 <= n {
-            let xv = _mm256_loadu_pd(px.add(i));
-            let yv = _mm256_loadu_pd(py.add(i));
-            let upd = _mm256_fmadd_pd(av, xv, yv);
-            _mm256_storeu_pd(py.add(i), upd);
-            acc = _mm256_fmadd_pd(upd, upd, acc);
-            i += 4;
-        }
-        let mut r = hsum(acc);
-        while i < n {
-            y[i] += a * x[i];
-            r += y[i] * y[i];
-            i += 1;
-        }
-        r
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn aypx_norm2(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        let av = _mm256_set1_pd(a);
-        let n = y.len();
-        let px = x.as_ptr();
-        let py = y.as_mut_ptr();
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 4 <= n {
-            let xv = _mm256_loadu_pd(px.add(i));
-            let yv = _mm256_loadu_pd(py.add(i));
-            let upd = _mm256_fmadd_pd(av, yv, xv);
-            _mm256_storeu_pd(py.add(i), upd);
-            acc = _mm256_fmadd_pd(upd, upd, acc);
-            i += 4;
-        }
-        let mut r = hsum(acc);
-        while i < n {
-            y[i] = a * y[i] + x[i];
-            r += y[i] * y[i];
-            i += 1;
-        }
-        r
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn scale_add_norm(a: f64, x: &[f64], y: &[f64], out: &mut [f64]) -> f64 {
-        let av = _mm256_set1_pd(a);
-        let n = out.len();
-        let px = x.as_ptr();
-        let py = y.as_ptr();
-        let po = out.as_mut_ptr();
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 4 <= n {
-            let xv = _mm256_loadu_pd(px.add(i));
-            let yv = _mm256_loadu_pd(py.add(i));
-            let upd = _mm256_fmadd_pd(av, xv, yv);
-            _mm256_storeu_pd(po.add(i), upd);
-            acc = _mm256_fmadd_pd(upd, upd, acc);
-            i += 4;
-        }
-        let mut r = hsum(acc);
-        while i < n {
-            out[i] = a * x[i] + y[i];
-            r += out[i] * out[i];
-            i += 1;
-        }
-        r
-    }
-
-    // ----- reductions ---------------------------------------------------------
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        let px = x.as_ptr();
-        let py = y.as_ptr();
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 4 <= n {
-            acc = _mm256_fmadd_pd(_mm256_loadu_pd(px.add(i)), _mm256_loadu_pd(py.add(i)), acc);
-            i += 4;
-        }
-        let mut r = hsum(acc);
-        while i < n {
-            r += x[i] * y[i];
-            i += 1;
-        }
-        r
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sum(x: &[f64]) -> f64 {
-        let n = x.len();
-        let px = x.as_ptr();
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 4 <= n {
-            acc = _mm256_add_pd(acc, _mm256_loadu_pd(px.add(i)));
-            i += 4;
-        }
-        let mut r = hsum(acc);
-        while i < n {
-            r += x[i];
-            i += 1;
-        }
-        r
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn max_abs(x: &[f64]) -> f64 {
-        let n = x.len();
-        let px = x.as_ptr();
-        // clear the sign bit: |v| = v & 0x7ff…f
-        let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 4 <= n {
-            acc = _mm256_max_pd(acc, _mm256_and_pd(_mm256_loadu_pd(px.add(i)), abs_mask));
-            i += 4;
-        }
-        let mut r = hmax(acc).max(0.0);
-        while i < n {
-            r = r.max(x[i].abs());
-            i += 1;
-        }
-        r
     }
 
     // ----- 8th-order FD stencil ----------------------------------------------
@@ -468,37 +249,6 @@ pub mod f64k {
             let (br, bi) = (b[i], b[i + 1]);
             out[i] = ar * br - ai * bi;
             out[i + 1] = ar * bi + ai * br;
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cpx_conj(data: &mut [f64]) {
-        let n = data.len();
-        let p = data.as_mut_ptr();
-        let flip = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            _mm256_storeu_pd(p.add(i), _mm256_xor_pd(_mm256_loadu_pd(p.add(i)), flip));
-            i += 4;
-        }
-        if i < n {
-            data[i + 1] = -data[i + 1];
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cpx_conj_scale(data: &mut [f64], s: f64) {
-        let n = data.len();
-        let p = data.as_mut_ptr();
-        let sv = _mm256_setr_pd(s, -s, s, -s);
-        let mut i = 0;
-        while i + 4 <= n {
-            _mm256_storeu_pd(p.add(i), _mm256_mul_pd(_mm256_loadu_pd(p.add(i)), sv));
-            i += 4;
-        }
-        if i < n {
-            data[i] *= s;
-            data[i + 1] = -data[i + 1] * s;
         }
     }
 

@@ -186,7 +186,8 @@ macro_rules! dispatch {
 }
 
 /// Implement [`Elem`] for one width. `$avx2` names the module in
-/// `crate::avx2` holding this width's AVX2 arms.
+/// `crate::avx2` holding this width's FFT/FD/interpolation AVX2 arms; the
+/// field ops share one generic arm.
 macro_rules! impl_elem {
     ($t:ty, $bytes:expr, $label:expr, $avx2:ident) => {
         impl Elem for $t {
@@ -205,49 +206,49 @@ macro_rules! impl_elem {
             }
 
             fn kscale(a: Self, y: &mut [Self]) {
-                dispatch!(crate::avx2::$avx2::scale(a, y), xk::scalar_scale(a, y))
+                dispatch!(crate::avx2::scale(a, y), xk::scalar_scale(a, y))
             }
             fn kaxpy(a: Self, x: &[Self], y: &mut [Self]) {
                 assert_eq!(x.len(), y.len(), "axpy length mismatch");
-                dispatch!(crate::avx2::$avx2::axpy(a, x, y), xk::scalar_axpy(a, x, y))
+                dispatch!(crate::avx2::axpy(a, x, y), xk::scalar_axpy(a, x, y))
             }
             fn kaypx(a: Self, x: &[Self], y: &mut [Self]) {
                 assert_eq!(x.len(), y.len(), "aypx length mismatch");
-                dispatch!(crate::avx2::$avx2::aypx(a, x, y), xk::scalar_aypx(a, x, y))
+                dispatch!(crate::avx2::aypx(a, x, y), xk::scalar_aypx(a, x, y))
             }
             fn kadd_scaled_product(a: Self, x: &[Self], y: &[Self], s: &mut [Self]) {
                 assert_eq!(x.len(), s.len(), "add_scaled_product length mismatch");
                 assert_eq!(y.len(), s.len(), "add_scaled_product length mismatch");
                 dispatch!(
-                    crate::avx2::$avx2::add_scaled_product(a, x, y, s),
+                    crate::avx2::add_scaled_product(a, x, y, s),
                     xk::scalar_add_scaled_product(a, x, y, s)
                 )
             }
             fn kaxpy_dot(a: Self, x: &[Self], y: &mut [Self]) -> f64 {
                 assert_eq!(x.len(), y.len(), "axpy_dot length mismatch");
-                dispatch!(crate::avx2::$avx2::axpy_dot(a, x, y), xk::scalar_axpy_dot(a, x, y))
+                dispatch!(crate::avx2::axpy_dot(a, x, y), xk::scalar_axpy_dot(a, x, y))
             }
             fn kaypx_norm2(a: Self, x: &[Self], y: &mut [Self]) -> f64 {
                 assert_eq!(x.len(), y.len(), "aypx_norm2 length mismatch");
-                dispatch!(crate::avx2::$avx2::aypx_norm2(a, x, y), xk::scalar_aypx_norm2(a, x, y))
+                dispatch!(crate::avx2::aypx_norm2(a, x, y), xk::scalar_aypx_norm2(a, x, y))
             }
             fn kscale_add_norm(a: Self, x: &[Self], y: &[Self], out: &mut [Self]) -> f64 {
                 assert_eq!(x.len(), out.len(), "scale_add_norm length mismatch");
                 assert_eq!(y.len(), out.len(), "scale_add_norm length mismatch");
                 dispatch!(
-                    crate::avx2::$avx2::scale_add_norm(a, x, y, out),
+                    crate::avx2::scale_add_norm(a, x, y, out),
                     xk::scalar_scale_add_norm(a, x, y, out)
                 )
             }
             fn kdot(x: &[Self], y: &[Self]) -> f64 {
                 assert_eq!(x.len(), y.len(), "dot length mismatch");
-                dispatch!(crate::avx2::$avx2::dot(x, y), xk::scalar_dot(x, y))
+                dispatch!(crate::avx2::dot(x, y), xk::scalar_dot(x, y))
             }
             fn ksum(x: &[Self]) -> f64 {
-                dispatch!(crate::avx2::$avx2::sum(x), xk::scalar_sum(x))
+                dispatch!(crate::avx2::sum(x), xk::scalar_sum(x))
             }
             fn kmax_abs(x: &[Self]) -> f64 {
-                dispatch!(crate::avx2::$avx2::max_abs(x), xk::scalar_max_abs(x))
+                dispatch!(crate::avx2::max_abs(x), xk::scalar_max_abs(x))
             }
             fn kfd8_combine_scale(
                 out: &mut [Self],
@@ -309,14 +310,11 @@ macro_rules! impl_elem {
             }
             fn kcpx_conj(data: &mut [Self]) {
                 assert_eq!(data.len() % 2, 0, "cpx_conj needs interleaved re/im pairs");
-                dispatch!(crate::avx2::$avx2::cpx_conj(data), xk::scalar_cpx_conj(data))
+                dispatch!(crate::avx2::cpx_conj(data), xk::scalar_cpx_conj(data))
             }
             fn kcpx_conj_scale(data: &mut [Self], s: Self) {
                 assert_eq!(data.len() % 2, 0, "cpx_conj_scale needs interleaved re/im pairs");
-                dispatch!(
-                    crate::avx2::$avx2::cpx_conj_scale(data, s),
-                    xk::scalar_cpx_conj_scale(data, s)
-                )
+                dispatch!(crate::avx2::cpx_conj_scale(data, s), xk::scalar_cpx_conj_scale(data, s))
             }
             fn kcpx_radix2_combine(lo: &mut [Self], hi: &mut [Self], tw: &[Self], ws: usize) {
                 assert_eq!(lo.len(), hi.len(), "cpx_radix2_combine half length mismatch");

@@ -6,18 +6,21 @@
 //!   multiply and add, left-to-right reduction order, f64 accumulation), so
 //!   the scalar backend is bit-identical to the historical code and serves
 //!   as the reference side of the equivalence contract;
-//! * `wide_*` processes `LANES = 8` elements per step with a scalar
-//!   remainder; reductions keep one f64 partial per lane and fold them in
-//!   the fixed shape `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, so every width
-//!   keeps the determinism contract: results depend only on input values
-//!   and the selected backend, never on thread count or allocation state.
+//! * `wide_*` exists only where vectorizing needs a different summation
+//!   order than the specification: the reductions keep one f64 partial per
+//!   lane over `LANES = 8` elements per step and fold them in the fixed
+//!   shape `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` (scalar remainder), and
+//!   the 64-tap accumulation reduces row by row. Every width keeps the
+//!   determinism contract: results depend only on input values and the
+//!   selected backend, never on thread count or allocation state.
 //!
 //! The bodies are `#[inline(always)]`: the AVX2 arm is a body inlined into
 //! a `#[target_feature(enable = "avx2,fma")]` wrapper (see `avx2`), where
 //! the autovectorizer emits full-width code for either element width
 //! without a second hand-written intrinsics file. Rust never contracts
 //! `a·b + c` on its own, so a body computes the same bits under either
-//! instruction set; only the `wide_*` fold order differs from `scalar_*`.
+//! instruction set; element-wise kernels therefore need no second body
+//! (a chunked copy measured no faster, and up to 3× slower at f32).
 
 use crate::Elem;
 
@@ -190,9 +193,11 @@ pub(crate) fn scalar_cpx_conj<T: Elem>(data: &mut [T]) {
 
 #[inline(always)]
 pub(crate) fn scalar_cpx_conj_scale<T: Elem>(data: &mut [T], s: T) {
-    for z in data.chunks_exact_mut(2) {
-        z[0] *= s;
-        z[1] = -z[1] * s;
+    // `im · (−s)` is `−im · s` bit for bit; one multiply per element by an
+    // alternating constant is the shape the vectorizer handles best
+    let ns = -s;
+    for (i, v) in data.iter_mut().enumerate() {
+        *v *= if i & 1 == 0 { s } else { ns };
     }
 }
 
@@ -212,9 +217,9 @@ pub(crate) fn scalar_cpx_radix2_combine<T: Elem>(lo: &mut [T], hi: &mut [T], tw:
     }
 }
 
-// ----- wide chunked loops -------------------------------------------------
+// ----- wide bodies (reordered summation) ----------------------------------
 
-pub(crate) const LANES: usize = 8;
+const LANES: usize = 8;
 
 /// Fixed-shape fold of the 8 f64 lane partials.
 #[inline(always)]
@@ -238,56 +243,6 @@ fn split<T>(x: &[T]) -> (&[T], &[T]) {
 fn split_mut<T>(x: &mut [T]) -> (&mut [T], &mut [T]) {
     let n = x.len();
     x.split_at_mut(n - n % LANES)
-}
-
-#[inline(always)]
-pub(crate) fn wide_scale<T: Elem>(a: T, y: &mut [T]) {
-    let (body, tail) = split_mut(y);
-    for c in body.chunks_exact_mut(LANES) {
-        for v in c {
-            *v *= a;
-        }
-    }
-    scalar_scale(a, tail);
-}
-
-#[inline(always)]
-pub(crate) fn wide_axpy<T: Elem>(a: T, x: &[T], y: &mut [T]) {
-    let (xb, xt) = split(x);
-    let (yb, yt) = split_mut(y);
-    for (yc, xc) in yb.chunks_exact_mut(LANES).zip(xb.chunks_exact(LANES)) {
-        for (v, &xv) in yc.iter_mut().zip(xc) {
-            *v += a * xv;
-        }
-    }
-    scalar_axpy(a, xt, yt);
-}
-
-#[inline(always)]
-pub(crate) fn wide_aypx<T: Elem>(a: T, x: &[T], y: &mut [T]) {
-    let (xb, xt) = split(x);
-    let (yb, yt) = split_mut(y);
-    for (yc, xc) in yb.chunks_exact_mut(LANES).zip(xb.chunks_exact(LANES)) {
-        for (v, &xv) in yc.iter_mut().zip(xc) {
-            *v = a * *v + xv;
-        }
-    }
-    scalar_aypx(a, xt, yt);
-}
-
-#[inline(always)]
-pub(crate) fn wide_add_scaled_product<T: Elem>(a: T, x: &[T], y: &[T], s: &mut [T]) {
-    let (xb, xt) = split(x);
-    let (yb, yt) = split(y);
-    let (sb, st) = split_mut(s);
-    for ((sc, xc), yc) in
-        sb.chunks_exact_mut(LANES).zip(xb.chunks_exact(LANES)).zip(yb.chunks_exact(LANES))
-    {
-        for ((sv, &xv), &yv) in sc.iter_mut().zip(xc).zip(yc) {
-            *sv += a * xv * yv;
-        }
-    }
-    scalar_add_scaled_product(a, xt, yt, st);
 }
 
 #[inline(always)]
@@ -377,40 +332,6 @@ pub(crate) fn wide_max_abs<T: Elem>(x: &[T]) -> f64 {
     fold_max(acc).max(scalar_max_abs(xt))
 }
 
-#[inline(always)]
-pub(crate) fn wide_fd8_combine_scale<T: Elem>(
-    out: &mut [T],
-    plus: &[&[T]; 4],
-    minus: &[&[T]; 4],
-    c: &[T; 4],
-    inv_h: T,
-    s: T,
-) {
-    let ihs = inv_h * s;
-    let n = out.len();
-    let body = n - n % LANES;
-    let mut k = 0;
-    while k < body {
-        for j in 0..LANES {
-            let i = k + j;
-            let mut acc = c[0] * (plus[0][i] - minus[0][i]);
-            acc += c[1] * (plus[1][i] - minus[1][i]);
-            acc += c[2] * (plus[2][i] - minus[2][i]);
-            acc += c[3] * (plus[3][i] - minus[3][i]);
-            out[i] = acc * ihs;
-        }
-        k += LANES;
-    }
-    while k < n {
-        let mut acc = c[0] * (plus[0][k] - minus[0][k]);
-        acc += c[1] * (plus[1][k] - minus[1][k]);
-        acc += c[2] * (plus[2][k] - minus[2][k]);
-        acc += c[3] * (plus[3][k] - minus[3][k]);
-        out[k] = acc * ihs;
-        k += 1;
-    }
-}
-
 /// Row-dot form of the 64-point accumulation: each 4-tap row reduces on its
 /// own before the `w1·w2` weight applies, which breaks the 64-long add
 /// chain of the reference loop into vectorizable pieces.
@@ -434,45 +355,4 @@ pub(crate) fn wide_cubic_accumulate<T: Elem>(
         }
     }
     acc
-}
-
-#[inline(always)]
-pub(crate) fn wide_cpx_mul<T: Elem>(dst: &mut [T], src: &[T]) {
-    let (db, dt) = split_mut(dst);
-    let (sb, st) = split(src);
-    for (dc, sc) in db.chunks_exact_mut(LANES).zip(sb.chunks_exact(LANES)) {
-        scalar_cpx_mul(dc, sc);
-    }
-    scalar_cpx_mul(dt, st);
-}
-
-#[inline(always)]
-pub(crate) fn wide_cpx_mul_into<T: Elem>(out: &mut [T], a: &[T], b: &[T]) {
-    let (ob, ot) = split_mut(out);
-    let (ab, at) = split(a);
-    let (bb, bt) = split(b);
-    for ((oc, ac), bc) in
-        ob.chunks_exact_mut(LANES).zip(ab.chunks_exact(LANES)).zip(bb.chunks_exact(LANES))
-    {
-        scalar_cpx_mul_into(oc, ac, bc);
-    }
-    scalar_cpx_mul_into(ot, at, bt);
-}
-
-#[inline(always)]
-pub(crate) fn wide_cpx_conj<T: Elem>(data: &mut [T]) {
-    let (b, t) = split_mut(data);
-    for c in b.chunks_exact_mut(LANES) {
-        scalar_cpx_conj(c);
-    }
-    scalar_cpx_conj(t);
-}
-
-#[inline(always)]
-pub(crate) fn wide_cpx_conj_scale<T: Elem>(data: &mut [T], s: T) {
-    let (b, t) = split_mut(data);
-    for c in b.chunks_exact_mut(LANES) {
-        scalar_cpx_conj_scale(c, s);
-    }
-    scalar_cpx_conj_scale(t, s);
 }

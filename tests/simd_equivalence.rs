@@ -186,14 +186,17 @@ fn check_fd8<T: Elem>(n: usize, seed: u64, inv_h: f64, s: f64) {
 
 fn check_interp<T: Elem>(t: f64, base: usize, rs: usize, seed: u64) {
     let t = T::from_f64(t);
-    let (w_scalar, w_simd) = both(|| T::klagrange_weights(t));
-    assert_slices_close(&w_simd, &w_scalar, "lagrange_weights");
-    let unity = w_scalar.iter().map(|w| w.to_f64()).sum::<f64>();
+    // every kernel call sits inside `both`: an unforced call would lazily
+    // re-resolve the backend from the environment under another test's lock
+    let weights =
+        || [T::klagrange_weights(t), T::klagrange_weights(T::ONE - t), T::klagrange_weights(t * t)];
+    let ([w1, w2, w3], w_simd) = both(weights);
+    assert_slices_close(w_simd.as_flattened(), [w1, w2, w3].as_flattened(), "lagrange_weights");
+    let unity = w1.iter().map(|w| w.to_f64()).sum::<f64>();
     assert_close::<T>(unity, 1.0, "lagrange weights must sum to 1");
 
     let ps = 4 * rs; // 4 rows per plane, rows `rs` apart
     let body = fill::<T>(seed, base + 3 * ps + 3 * rs + 4, -100.0, 100.0);
-    let (w1, w2, w3) = (w_scalar, T::klagrange_weights(T::ONE - t), T::klagrange_weights(t * t));
     let (r_scalar, r_simd) = both(|| T::kcubic_accumulate(&body, base, ps, rs, &w1, &w2, &w3));
     assert_close::<T>(r_simd.to_f64(), r_scalar.to_f64(), "cubic_accumulate");
 }
