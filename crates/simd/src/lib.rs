@@ -148,7 +148,8 @@ fn resolve_from_env() -> Backend {
         Err(_) => Choice::Auto,
     };
     let b = resolve(choice);
-    BACKEND.store(b as u8 + 1, Ordering::Relaxed);
+    // cache only if still unresolved: a concurrent `force_backend` wins
+    let _ = BACKEND.compare_exchange(0, b as u8 + 1, Ordering::Relaxed, Ordering::Relaxed);
     b
 }
 

@@ -8,8 +8,8 @@
 //! sequential driver — so not just "close", but every bit equal, on both
 //! SIMD backends. Any drift here means the interleave changed arithmetic.
 //!
-//! One test flips the process-wide SIMD backend, so every comparison holds
-//! a file-level mutex: a flip between a sequential solve and its batched
+//! One test flips the process-wide SIMD backend, so every test holds a
+//! file-level mutex: a flip between a sequential solve and its batched
 //! twin would break bit equality for reasons unrelated to batching.
 
 use std::sync::Mutex;
@@ -62,12 +62,6 @@ fn assert_bitwise_eq(a: &VectorField, b: &VectorField, label: &str) {
 
 /// Solve the given shifts sequentially and batched; demand bit equality.
 fn check_equivalence(shifts: &[(Real, Real)], cfg: RegistrationConfig) {
-    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    check_equivalence_locked(shifts, cfg);
-}
-
-/// [`check_equivalence`] for a caller that already holds [`LOCK`].
-fn check_equivalence_locked(shifts: &[(Real, Real)], cfg: RegistrationConfig) {
     claire::par::set_threads(1);
     let layout = Layout::serial(Grid::cube(16));
     let mut comm = Comm::solo();
@@ -113,14 +107,15 @@ fn batch_matches_sequential_bitwise_on_both_backends() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     for choice in [claire_simd::Choice::Scalar, claire_simd::Choice::Auto] {
         claire_simd::force_backend(Some(choice));
-        check_equivalence_locked(&shifts, config(PrecondKind::InvA, 5e-2));
-        check_equivalence_locked(&shifts[..2], config(PrecondKind::TwoLevelInvH0, 5e-2));
+        check_equivalence(&shifts, config(PrecondKind::InvA, 5e-2));
+        check_equivalence(&shifts[..2], config(PrecondKind::TwoLevelInvH0, 5e-2));
     }
     claire_simd::force_backend(None);
 }
 
 #[test]
 fn batch_with_grid_continuation_matches_sequential() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let mut cfg = config(PrecondKind::InvA, 5e-2);
     cfg.grid_continuation = true;
     check_equivalence(&[(0.5, 0.0), (0.3, 0.15)], cfg);
@@ -167,6 +162,7 @@ proptest! {
         k_idx in 0usize..3,
         seed in 0u64..1000,
     ) {
+        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let k = [1usize, 2, 5][k_idx];
         let mut shifts = Vec::new();
         let mut s = seed;

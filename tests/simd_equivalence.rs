@@ -186,8 +186,8 @@ fn check_fd8<T: Elem>(n: usize, seed: u64, inv_h: f64, s: f64) {
 
 fn check_interp<T: Elem>(t: f64, base: usize, rs: usize, seed: u64) {
     let t = T::from_f64(t);
-    // every kernel call sits inside `both`: an unforced call would lazily
-    // re-resolve the backend from the environment under another test's lock
+    // every kernel call sits inside `both`: outside it the backend is
+    // whatever a concurrent test has forced
     let weights =
         || [T::klagrange_weights(t), T::klagrange_weights(T::ONE - t), T::klagrange_weights(t * t)];
     let ([w1, w2, w3], w_simd) = both(weights);
