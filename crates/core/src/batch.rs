@@ -1,33 +1,38 @@
-//! Batched multi-pair registration: K solves on one grid, interleaved at
-//! Gauss–Newton-iteration granularity.
+//! The continuation driver: K registrations on one grid, each stepped
+//! through grid continuation, β-continuation and Gauss–Newton one iteration
+//! at a time.
+//!
+//! This is the only place the solver's outer loops live. [`Claire`] runs it
+//! with K = 1 on the caller's communicator (a stepping driver run alone *is*
+//! the sequential solve); [`BatchSolver`] runs it with K pairs on private
+//! solo communicators and interleaves their Gauss–Newton iterations
+//! round-robin (pair 1 iter i, pair 2 iter i, …).
 //!
 //! Per-solve setup — FFT plans, workspace-pool warm-up, preconditioner
 //! scaffolding (`TwoLevel` transfer operators, coarse spectral symbols) —
-//! is identical for every image pair on the same grid. [`BatchSolver`]
-//! amortizes it: one [`SolverScaffold`](crate::problem::SolverScaffold) and
-//! one warm pool/plan family back all K pairs, and the pairs' Gauss–Newton
-//! iterations run round-robin (pair 1 iter i, pair 2 iter i, …) so the hot
-//! working set of each kernel stays cache- and pool-resident across pairs.
-//! Pairs retire as soon as their own continuation schedule converges; the
-//! rest keep iterating.
+//! is identical for every image pair on the same grid, so one
+//! [`SolverScaffold`](crate::problem::SolverScaffold) and one warm pool/plan
+//! family back all K pairs, and the hot working set of each kernel stays
+//! cache- and pool-resident across pairs. Pairs retire as soon as their own
+//! continuation schedule converges; the rest keep iterating.
 //!
-//! The arithmetic is *identical* to K independent [`Claire`](crate::Claire)
-//! solves: each pair has its own [`RegProblem`], its own β-continuation
-//! state, and steps through the same [`GnState`] loop body — interleaving
-//! only changes the order in which independent solves touch the shared
-//! (immutable) scaffolding. `tests/batch_equivalence.rs` pins this down
-//! bitwise on both SIMD backends.
+//! Each pair has its own [`RegProblem`], its own β-continuation state, and
+//! its own [`GnState`] — interleaving only changes the order in which
+//! independent solves touch the shared (immutable) scaffolding, so K pairs
+//! solved together are bitwise equal to K solves of one.
+//! `tests/batch_equivalence.rs` pins this down on both SIMD backends.
 //!
 //! Per-pair [`SolverHooks`] (cancellation, deadlines, iteration observers)
-//! fire at that pair's own iteration boundaries, exactly as in the
-//! sequential driver; a cancelled pair retires early with
-//! [`ClaireError::Cancelled`] while the rest of the batch continues.
+//! fire at that pair's own iteration boundaries; a cancelled pair retires
+//! early with [`ClaireError::Cancelled`] while the rest continue.
+//!
+//! [`Claire`]: crate::Claire
 
 use std::time::Instant;
 
 use claire_fft::cache as fft_cache;
 use claire_grid::{workspace, ClaireError, ClaireResult, ScalarField, VectorField};
-use claire_mpi::Comm;
+use claire_mpi::{Comm, CommStats};
 use claire_obs::{records, span::span};
 use claire_opt::{GnConfig, GnState, GnStats};
 
@@ -138,6 +143,8 @@ pub struct BatchItem {
     pub gn: GnStats,
     /// Pool/plan-cache activity attributed to this member.
     pub memory: MemberMemStats,
+    /// Traffic on this member's communicator (the solve and its report).
+    pub comm: CommStats,
 }
 
 /// The full outcome of a batch solve: one item per pair, same order as
@@ -225,15 +232,8 @@ impl BatchSolver {
 
     fn solve_inner(&self, pairs: Vec<BatchPair>) -> ClaireResult<BatchOutcome> {
         let _batch_span = span("batch.solve");
-        let k = pairs.len();
-        let t0 = Instant::now();
-        let mut comms: Vec<Comm> = (0..k).map(|_| Comm::solo()).collect();
-        let mut mem: Vec<MemberMemStats> = vec![MemberMemStats::default(); k];
-        let mut rounds = 0usize;
-        let mut setup_secs = 0.0f64;
-
-        let labels: Vec<String> = pairs.iter().map(|p| p.label.clone()).collect();
-        let inputs: Vec<PairInput> = pairs
+        let mut comms: Vec<Comm> = pairs.iter().map(|_| Comm::solo()).collect();
+        let inputs = pairs
             .into_iter()
             .map(|p| PairInput {
                 label: p.label,
@@ -243,42 +243,59 @@ impl BatchSolver {
                 v_init: None,
             })
             .collect();
-
-        let results =
-            solve_level(&self.cfg, inputs, &mut comms, &mut mem, &mut rounds, &mut setup_secs);
-
-        let mut items = Vec::with_capacity(k);
-        for (((res, label), comm), mem) in
-            results.into_iter().zip(labels).zip(comms.iter_mut()).zip(mem)
-        {
-            let item = match res {
-                Ok((mut problem, v, stats)) => {
-                    let report = build_report(&self.cfg, &mut problem, &v, &label, comm, &stats);
-                    BatchItem { label, outcome: Ok((v, report)), gn: stats, memory: mem }
-                }
-                Err(e) => BatchItem { label, outcome: Err(e), gn: GnStats::default(), memory: mem },
-            };
-            items.push(item);
-        }
-        let solve_secs = (t0.elapsed().as_secs_f64() - setup_secs).max(0.0);
-        Ok(BatchOutcome { items, stats: BatchStats { pairs: k, rounds, setup_secs, solve_secs } })
+        Ok(solve_pairs(&self.cfg, inputs, &mut comms))
     }
 }
 
 /// One pair's inputs for a grid level.
-struct PairInput {
-    label: String,
-    hooks: SolverHooks,
-    m0: ScalarField,
-    m1: ScalarField,
-    v_init: Option<VectorField>,
+pub(crate) struct PairInput {
+    pub(crate) label: String,
+    pub(crate) hooks: SolverHooks,
+    pub(crate) m0: ScalarField,
+    pub(crate) m1: ScalarField,
+    pub(crate) v_init: Option<VectorField>,
+}
+
+/// Run every pair to completion — grid continuation, β-continuation,
+/// Gauss–Newton, final report — with member `i` communicating over
+/// `comms[i]`. All inputs share one layout. Collective over each member's
+/// communicator.
+pub(crate) fn solve_pairs(
+    cfg: &RegistrationConfig,
+    inputs: Vec<PairInput>,
+    comms: &mut [Comm],
+) -> BatchOutcome {
+    let k = inputs.len();
+    let t0 = Instant::now();
+    let mut mem: Vec<MemberMemStats> = vec![MemberMemStats::default(); k];
+    let mut rounds = 0usize;
+    let mut setup_secs = 0.0f64;
+    let labels: Vec<String> = inputs.iter().map(|p| p.label.clone()).collect();
+
+    let results = solve_level(cfg, inputs, comms, &mut mem, &mut rounds, &mut setup_secs);
+
+    let mut items = Vec::with_capacity(k);
+    for (((res, label), comm), mem) in
+        results.into_iter().zip(labels).zip(comms.iter_mut()).zip(mem)
+    {
+        let (outcome, gn) = match res {
+            Ok((mut problem, v, stats)) => {
+                let report = build_report(cfg, &mut problem, &v, &label, comm, &stats);
+                (Ok((v, report)), stats)
+            }
+            Err(e) => (Err(e), GnStats::default()),
+        };
+        items.push(BatchItem { label, outcome, gn, memory: mem, comm: comm.stats().clone() });
+    }
+    let solve_secs = (t0.elapsed().as_secs_f64() - setup_secs).max(0.0);
+    BatchOutcome { items, stats: BatchStats { pairs: k, rounds, setup_secs, solve_secs } }
 }
 
 type PairResult = Result<(RegProblem, VectorField, GnStats), ClaireError>;
 
-/// Solve every pair on the inputs' grid (recursing to the half-resolution
-/// grid first when grid continuation applies, exactly like
-/// `Claire::try_register_from`). Returns per-pair results in order.
+/// Solve every pair on the inputs' grid, recursing to the half-resolution
+/// grid first when grid continuation applies. Returns per-pair results in
+/// order.
 fn solve_level(
     cfg: &RegistrationConfig,
     mut inputs: Vec<PairInput>,
@@ -291,10 +308,13 @@ fn solve_level(
     let k = inputs.len();
     let mut failed: Vec<Option<ClaireError>> = (0..k).map(|_| None).collect();
 
-    // coarse-to-fine grid continuation: solve the whole batch at half
-    // resolution first, prolonging each velocity as that pair's warm start
+    // coarse-to-fine grid continuation: solve every pair at half resolution
+    // first, prolonging each velocity as that pair's warm start
     if cfg.grid_continuation && coarse_solvable(&layout) {
         let tl = claire_diff::TwoLevel::new(layout.grid, &comms[0]);
+        if cfg.verbose && comms[0].rank() == 0 {
+            eprintln!("== grid continuation: solving at {:?} ==", tl.coarse_grid().n);
+        }
         let mut coarse_cfg = *cfg;
         coarse_cfg.grid_continuation = layout.grid.n.iter().all(|&n| n >= 16);
         let coarse_inputs: Vec<PairInput> = inputs
@@ -319,9 +339,11 @@ fn solve_level(
 
     // shared per-grid scaffolding (FFT symbols, 2LInvH0 transfer operators)
     let t_setup = Instant::now();
-    let scaffold = SolverScaffold::new(cfg, layout.grid, &mut comms[0]);
-    let betas = cfg.beta_schedule();
-    let gn_cfg = level_gn_config(cfg);
+    let scaffold = match SolverScaffold::new(cfg, layout.grid, &mut comms[0]) {
+        Ok(scaffold) => scaffold,
+        Err(e) => return (0..k).map(|_| Err(e.clone())).collect(),
+    };
+    let level = LevelPlan { betas: cfg.beta_schedule(), gn_cfg: level_gn_config(cfg) };
 
     let mut out: Vec<Option<PairResult>> = (0..k).map(|_| None).collect();
     let mut drivers: Vec<Option<PairDriver>> = Vec::with_capacity(k);
@@ -334,30 +356,9 @@ fn solve_level(
         let ws0 = workspace::stats();
         let fft0 = fft_cache::stats();
         match RegProblem::with_scaffold(p.m0, p.m1, *cfg, &scaffold, &mut comms[i]) {
-            Ok(mut problem) => {
-                problem.set_beta(betas[0]);
-                let state =
-                    GnState::new(p.v_init.unwrap_or_else(|| VectorField::zeros(layout)), &gn_cfg);
-                let hooked = p.hooks.cancel.is_some() || p.hooks.on_gn_iter.is_some();
-                // reserve the whole-run histories up front so retiring a
-                // pair (accumulate on level close) never allocates inside
-                // a measured interleave round
-                let mut total = GnStats::default();
-                let cap = betas.len() * (gn_cfg.max_iter + 1);
-                total.grad_rel_history.reserve(cap);
-                total.objective_history.reserve(cap);
-                drivers.push(Some(PairDriver {
-                    hooks: p.hooks,
-                    hooked,
-                    problem,
-                    state: Some(state),
-                    v: None,
-                    level: 0,
-                    base: 0,
-                    total,
-                    outcome_err: None,
-                    done: false,
-                }));
+            Ok(problem) => {
+                let v0 = p.v_init.unwrap_or_else(|| VectorField::zeros(layout));
+                drivers.push(Some(PairDriver::new(p.hooks, problem, v0, &level, &comms[i])));
             }
             Err(e) => {
                 out[i] = Some(Err(e));
@@ -373,13 +374,13 @@ fn solve_level(
         let mut any = false;
         for (i, slot) in drivers.iter_mut().enumerate() {
             let Some(drv) = slot else { continue };
-            if drv.done {
+            if drv.done() {
                 continue;
             }
             any = true;
             let ws0 = workspace::stats();
             let fft0 = fft_cache::stats();
-            drv.advance(cfg, &gn_cfg, &betas, &mut comms[i]);
+            drv.advance(&level, &mut comms[i]);
             mem[i].add_delta(&ws0, &workspace::stats(), fft0, fft_cache::stats());
         }
         if !any {
@@ -390,94 +391,109 @@ fn solve_level(
 
     for (i, slot) in drivers.into_iter().enumerate() {
         if let Some(drv) = slot {
-            out[i] = Some(match drv.outcome_err {
-                Some(e) => Err(e),
-                None => Ok((
-                    drv.problem,
-                    drv.v.expect("finished driver holds final velocity"),
-                    drv.total,
-                )),
+            out[i] = Some(match drv.end.expect("the interleave runs every driver to its end") {
+                Ok(v) => Ok((drv.problem, v, drv.total)),
+                Err(e) => Err(e),
             });
         }
     }
     out.into_iter().map(|r| r.expect("every pair resolved")).collect()
 }
 
-/// One pair's in-flight solver state during the interleave.
+/// What every pair on one grid level iterates against.
+struct LevelPlan {
+    betas: Vec<f64>,
+    gn_cfg: GnConfig,
+}
+
+/// One pair's in-flight solver state on one grid level.
 struct PairDriver {
     hooks: SolverHooks,
-    hooked: bool,
     problem: RegProblem,
-    /// Current β-level's Gauss–Newton state (`None` transiently while a
-    /// level is being closed).
+    /// Current β-level's Gauss–Newton state (`None` once `end` is set).
     state: Option<GnState>,
-    /// Final velocity, set once all levels are done.
-    v: Option<VectorField>,
     level: usize,
-    /// Cumulative GN iterations before the current level (hook indices are
-    /// cumulative across levels, matching `Claire`).
-    base: usize,
+    /// Statistics accumulated over the closed β-levels; `total.gn_iters` is
+    /// the base of the cumulative iteration index the hooks see.
     total: GnStats,
-    outcome_err: Option<ClaireError>,
-    done: bool,
+    /// Final velocity or the error that retired the pair.
+    end: Option<ClaireResult<VectorField>>,
 }
 
 impl PairDriver {
-    /// Run one Gauss–Newton iteration boundary + iteration for this pair:
-    /// fire observers, poll cancellation, step, and roll to the next
-    /// β-level (or retire) when the current level finishes. The sequence of
-    /// boundaries and iterations this pair sees is identical to a
-    /// sequential `Claire` solve.
-    fn advance(
-        &mut self,
-        cfg: &RegistrationConfig,
-        gn_cfg: &GnConfig,
-        betas: &[f64],
-        comm: &mut Comm,
-    ) {
-        if self.hooked {
-            let k = self.base + self.state.as_ref().map_or(0, |s| s.stats().gn_iters);
-            if let Some(cb) = &self.hooks.on_gn_iter {
-                cb(k);
-            }
-            if let Some(reason) = self.hooks.cancel.as_ref().and_then(CancelToken::stop_reason) {
-                let mut state = self.state.take().expect("active driver has a level state");
-                state.cancel();
-                let (v, stats) = state.finish();
-                accumulate(&mut self.total, &stats);
-                self.v = Some(v);
-                self.outcome_err = Some(ClaireError::Cancelled {
-                    context: "BatchSolver::solve",
-                    message: format!(
-                        "{} after {} Gauss-Newton iteration(s) at beta level {}",
-                        reason.label(),
-                        self.total.gn_iters,
-                        self.level
-                    ),
-                });
-                self.done = true;
-                return;
-            }
+    fn new(
+        hooks: SolverHooks,
+        problem: RegProblem,
+        v0: VectorField,
+        plan: &LevelPlan,
+        comm: &Comm,
+    ) -> PairDriver {
+        // reserve the whole-run histories up front so closing a β-level
+        // (accumulate) never allocates inside a measured iteration
+        let mut total = GnStats::default();
+        let cap = plan.betas.len() * (plan.gn_cfg.max_iter + 1);
+        total.grad_rel_history.reserve(cap);
+        total.objective_history.reserve(cap);
+        let mut drv = PairDriver { hooks, problem, state: None, level: 0, total, end: None };
+        drv.open_level(v0, plan, comm);
+        drv
+    }
+
+    fn done(&self) -> bool {
+        self.end.is_some()
+    }
+
+    /// Start β-level `self.level` from `v`.
+    fn open_level(&mut self, v: VectorField, plan: &LevelPlan, comm: &Comm) {
+        let beta = plan.betas[self.level];
+        if plan.gn_cfg.verbose && comm.rank() == 0 {
+            eprintln!("== continuation level {}: beta = {beta:.3e} ==", self.level);
         }
-        records::set_context(self.level, betas[self.level]);
+        self.problem.set_beta(beta);
+        self.state = Some(GnState::new(v, &plan.gn_cfg));
+    }
+
+    /// Close the current β-level into the running totals; returns its
+    /// final iterate.
+    fn close_level(&mut self) -> VectorField {
+        let (v, stats) = self.state.take().expect("active driver has a level state").finish();
+        accumulate(&mut self.total, &stats);
+        v
+    }
+
+    /// One Gauss–Newton iteration boundary + iteration for this pair: fire
+    /// the observer with the cumulative iteration index, *then* poll
+    /// cancellation (so an observer can trip the token and stop the solve
+    /// before that iteration runs), step, and roll to the next β-level (or
+    /// retire) when the current level finishes.
+    fn advance(&mut self, plan: &LevelPlan, comm: &mut Comm) {
+        let _lvl = span("beta_level");
         let state = self.state.as_mut().expect("active driver has a level state");
-        if state.step(&mut self.problem, gn_cfg, comm) {
-            let (v, stats) = self.state.take().unwrap().finish();
-            accumulate(&mut self.total, &stats);
+        if let Some(cb) = &self.hooks.on_gn_iter {
+            cb(self.total.gn_iters + state.stats().gn_iters);
+        }
+        if let Some(reason) = self.hooks.cancel.as_ref().and_then(CancelToken::stop_reason) {
+            state.cancel();
+            self.close_level();
+            self.end = Some(Err(ClaireError::Cancelled {
+                context: "Claire::register",
+                message: format!(
+                    "{} after {} Gauss-Newton iteration(s) at beta level {}",
+                    reason.label(),
+                    self.total.gn_iters,
+                    self.level
+                ),
+            }));
+            return;
+        }
+        records::set_context(self.level, plan.betas[self.level]);
+        if state.step(&mut self.problem, &plan.gn_cfg, comm) {
+            let v = self.close_level();
             self.level += 1;
-            if self.level < betas.len() {
-                if cfg.verbose && comm.rank() == 0 {
-                    eprintln!(
-                        "== continuation level {}: beta = {:.3e} ==",
-                        self.level, betas[self.level]
-                    );
-                }
-                self.problem.set_beta(betas[self.level]);
-                self.base = self.total.gn_iters;
-                self.state = Some(GnState::new(v, gn_cfg));
+            if self.level < plan.betas.len() {
+                self.open_level(v, plan, comm);
             } else {
-                self.v = Some(v);
-                self.done = true;
+                self.end = Some(Ok(v));
             }
         }
     }

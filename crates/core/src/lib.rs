@@ -38,6 +38,7 @@ pub mod solver;
 pub use batch::{BatchItem, BatchOutcome, BatchPair, BatchSolver, BatchStats, MemberMemStats};
 pub use claire_grid::workspace;
 pub use claire_grid::{ClaireError, ClaireResult, Pool, PoolVec, WsCat};
+pub use claire_opt::GnStats;
 pub use config::{IpOrder, Precision, PrecondKind, RegistrationConfig, RegistrationConfigBuilder};
 pub use observe::{begin as begin_observing, collect_run_report};
 pub use problem::{RegProblem, SolverScaffold};

@@ -17,8 +17,9 @@ use crate::precond::PrecondState;
 ///
 /// Everything here depends only on the grid and the preconditioner kind —
 /// never on the images — so one scaffold can back any number of
-/// [`RegProblem`]s on the same grid. `BatchSolver` builds one per batch and
-/// shares it across all K members; [`RegProblem::new`] builds a private one.
+/// [`RegProblem`]s on the same grid. The continuation driver builds one per
+/// grid level and shares it across all K pairs (K = 1 for a lone
+/// registration); [`RegProblem::new`] builds a private one.
 /// All shared pieces are immutable (`&self` methods only), so sharing does
 /// not change any arithmetic.
 pub struct SolverScaffold {
@@ -30,12 +31,16 @@ pub struct SolverScaffold {
 
 impl SolverScaffold {
     /// Plan the shared machinery for `grid` under `cfg`. Collective (plans
-    /// FFTs on the fine and, for `2LInvH0`, the coarse grid).
+    /// FFTs on the fine and, for `2LInvH0`, the coarse grid). Returns a
+    /// typed error when the grid dimensions are unusable for the
+    /// spectral/stencil machinery — so a scaffold only exists for a grid
+    /// every problem built on it can use.
     pub fn new(
         cfg: &RegistrationConfig,
         grid: claire_grid::Grid,
         comm: &mut Comm,
-    ) -> SolverScaffold {
+    ) -> ClaireResult<SolverScaffold> {
+        validate_grid(grid)?;
         let spectral = Arc::new(Spectral::new(grid, comm));
         let (two_level, spectral_c) = if cfg.precond == PrecondKind::TwoLevelInvH0 {
             let tl = TwoLevel::new(grid, comm);
@@ -44,7 +49,7 @@ impl SolverScaffold {
         } else {
             (None, None)
         };
-        SolverScaffold { grid, spectral, two_level, spectral_c }
+        Ok(SolverScaffold { grid, spectral, two_level, spectral_c })
     }
 }
 
@@ -56,7 +61,7 @@ struct Current {
 
 /// The registration problem for one (template, reference) pair at one β.
 ///
-/// Implements [`GnProblem`]; the β-continuation driver ([`crate::Claire`])
+/// Implements [`GnProblem`]; the β-continuation driver ([`crate::batch`])
 /// re-uses one `RegProblem` across levels via [`RegProblem::set_beta`].
 pub struct RegProblem {
     layout: Layout,
@@ -85,14 +90,13 @@ impl RegProblem {
     ) -> ClaireResult<RegProblem> {
         let layout = *m0.layout();
         check_layouts(&m0, &m1, "RegProblem::new")?;
-        validate_grid(layout.grid)?;
-        let scaffold = SolverScaffold::new(&cfg, layout.grid, comm);
+        let scaffold = SolverScaffold::new(&cfg, layout.grid, comm)?;
         Self::with_scaffold(m0, m1, cfg, &scaffold, comm)
     }
 
-    /// [`RegProblem::new`] backed by a pre-built [`SolverScaffold`] — the
-    /// batch path: K problems on one grid share one scaffold instead of
-    /// planning K copies. The scaffold's grid must match the images' grid.
+    /// [`RegProblem::new`] backed by a pre-built [`SolverScaffold`]: K
+    /// problems on one grid share one scaffold instead of planning K
+    /// copies. The scaffold's grid must match the images' grid.
     pub fn with_scaffold(
         m0: ScalarField,
         m1: ScalarField,
@@ -102,7 +106,6 @@ impl RegProblem {
     ) -> ClaireResult<RegProblem> {
         let layout = *m0.layout();
         check_layouts(&m0, &m1, "RegProblem::with_scaffold")?;
-        validate_grid(layout.grid)?;
         if scaffold.grid != layout.grid {
             return Err(ClaireError::LayoutMismatch {
                 context: "RegProblem::with_scaffold",
@@ -478,6 +481,12 @@ mod tests {
             Ok(_) => panic!("thin n1 must be rejected up front"),
             Err(e) => e,
         };
+        assert!(matches!(err, ClaireError::Config { param: "grid", .. }), "got {err:?}");
+        // the continuation driver reports the same typed error instead of
+        // panicking in the scaffold's FFT planning
+        let err = crate::Claire::new(RegistrationConfig::default())
+            .try_register(&ScalarField::zeros(layout), &ScalarField::zeros(layout), &mut comm)
+            .unwrap_err();
         assert!(matches!(err, ClaireError::Config { param: "grid", .. }), "got {err:?}");
     }
 

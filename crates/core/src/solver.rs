@@ -1,22 +1,24 @@
-//! The end-to-end registration driver with β-continuation.
+//! The single-registration front door, its cancellation hooks, and the
+//! end-of-solve report.
 //!
 //! "The suggested setting for CLAIRE is to use a β-continuation scheme":
 //! the problem is solved for a decreasing sequence of β, each level warm-
 //! starting from the previous velocity; InvA preconditions the strongly
 //! regularized levels (β > 5e−1), the configured InvH0 variant the rest.
+//! That loop lives in [`crate::batch`]; [`Claire`] is its K = 1 caller.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use claire_diff::TwoLevel;
-use claire_grid::{ClaireError, ClaireResult, ScalarField, VectorField};
+use claire_grid::{ClaireResult, ScalarField, VectorField};
 use claire_interp::Interpolator;
 use claire_mpi::Comm;
-use claire_obs::{records, span::span};
-use claire_opt::{gauss_newton_hooked, GnConfig, GnStats};
+use claire_obs::span::span;
+use claire_opt::{GnConfig, GnStats};
 use claire_semilag::{displacement, Trajectory};
 
+use crate::batch::{solve_pairs, PairInput};
 use crate::config::RegistrationConfig;
 use crate::memory;
 use crate::problem::RegProblem;
@@ -207,77 +209,19 @@ impl Claire {
         comm: &mut Comm,
     ) -> ClaireResult<(VectorField, RegistrationReport)> {
         let _solve = span("solve");
-        let layout = *m0.layout();
-        let mut v_init = v_init;
-
-        // coarse-to-fine grid continuation: solve the whole problem at half
-        // resolution first and prolong the velocity as the initial guess
-        if self.cfg.grid_continuation && coarse_solvable(&layout) {
-            let tl = TwoLevel::new(layout.grid, comm);
-            let m0c = tl.restrict(m0, comm);
-            let m1c = tl.restrict(m1, comm);
-            let mut coarse_cfg = self.cfg;
-            coarse_cfg.grid_continuation = layout.grid.n.iter().all(|&n| n >= 16);
-            let mut coarse = Claire::with_hooks(coarse_cfg, self.hooks.clone());
-            if self.cfg.verbose && comm.rank() == 0 {
-                eprintln!("== grid continuation: solving at {:?} ==", tl.coarse_grid().n);
-            }
-            let (vc, _) = coarse.try_register_from(&m0c, &m1c, v_init.take(), label, comm)?;
-            v_init = Some(tl.prolong_vector(&vc, comm));
-        }
-
-        let mut problem = RegProblem::new(m0.clone(), m1.clone(), self.cfg, comm)?;
-        let mut v = v_init.unwrap_or_else(|| VectorField::zeros(layout));
-
-        let mut total = GnStats::default();
-        for (level, beta) in self.cfg.beta_schedule().into_iter().enumerate() {
-            let _lvl = span("beta_level");
-            records::set_context(level, beta);
-            problem.set_beta(beta);
-            let gn_cfg = level_gn_config(&self.cfg);
-            if self.cfg.verbose && comm.rank() == 0 {
-                eprintln!("== continuation level {level}: beta = {beta:.3e} ==");
-            }
-            // cooperative cancellation: observers fire first, then the token
-            // is polled, at every GN iteration boundary of this level
-            let base = total.gn_iters;
-            let stopped = std::cell::Cell::new(None::<StopReason>);
-            let check = |k: usize| {
-                if let Some(cb) = &self.hooks.on_gn_iter {
-                    cb(base + k);
-                }
-                match self.hooks.cancel.as_ref().and_then(CancelToken::stop_reason) {
-                    Some(reason) => {
-                        stopped.set(Some(reason));
-                        true
-                    }
-                    None => false,
-                }
-            };
-            let hooked = self.hooks.cancel.is_some() || self.hooks.on_gn_iter.is_some();
-            let stop: Option<claire_opt::StopCheck<'_>> = if hooked { Some(&check) } else { None };
-            let (v_new, stats) = gauss_newton_hooked(&mut problem, v, &gn_cfg, stop, comm);
-            v = v_new;
-            accumulate(&mut total, &stats);
-            if let Some(reason) = stopped.get() {
-                return Err(ClaireError::Cancelled {
-                    context: "Claire::register",
-                    message: format!(
-                        "{} after {} Gauss-Newton iteration(s) at beta level {level}",
-                        reason.label(),
-                        total.gn_iters
-                    ),
-                });
-            }
-        }
-
-        let report = build_report(&self.cfg, &mut problem, &v, label, comm, &total);
-        Ok((v, report))
+        let pair = PairInput {
+            label: label.to_string(),
+            hooks: self.hooks.clone(),
+            m0: m0.clone(),
+            m1: m1.clone(),
+            v_init,
+        };
+        let outcome = solve_pairs(&self.cfg, vec![pair], std::slice::from_mut(comm));
+        outcome.items.into_iter().next().expect("one item per pair").outcome
     }
 }
 
-/// Gauss–Newton options for one β-continuation level of `cfg`. Shared by
-/// [`Claire`] and `BatchSolver` so the two paths run identical iterations.
+/// Gauss–Newton options for one β-continuation level of `cfg`.
 pub(crate) fn level_gn_config(cfg: &RegistrationConfig) -> GnConfig {
     GnConfig {
         max_iter: cfg.max_gn_iter,
@@ -379,7 +323,7 @@ pub(crate) fn accumulate(total: &mut GnStats, level: &GnStats) {
 mod tests {
     use super::*;
     use crate::config::PrecondKind;
-    use claire_grid::{Grid, Layout, Real};
+    use claire_grid::{ClaireError, Grid, Layout, Real};
 
     /// A pair of Gaussian-blob images offset by a small translation.
     fn blob_pair(layout: Layout, shift: Real) -> (ScalarField, ScalarField) {

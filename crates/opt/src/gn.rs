@@ -122,15 +122,6 @@ impl Breakdown {
     }
 }
 
-/// Stop-check consulted at the top of every Gauss–Newton iteration (the
-/// cooperative-cancellation seam used by `claire-serve`). It receives the
-/// 0-based iteration index about to run; returning `true` stops the solve
-/// before that iteration does any work, leaving the current iterate as the
-/// result and setting [`GnStats::cancelled`]. Iterations are never
-/// interrupted mid-flight — a cancelled solve finishes the PCG/line-search
-/// it is inside and stops at the next boundary.
-pub type StopCheck<'a> = &'a (dyn Fn(usize) -> bool + 'a);
-
 /// Statistics of one Gauss–Newton solve.
 #[derive(Clone, Debug, Default)]
 pub struct GnStats {
@@ -154,7 +145,7 @@ pub struct GnStats {
     pub modeled: Breakdown,
     /// Whether the gradient tolerance was reached.
     pub converged: bool,
-    /// Whether a [`StopCheck`] ended the solve early.
+    /// Whether [`GnState::cancel`] ended the solve early.
     pub cancelled: bool,
     /// Final relative gradient norm.
     pub grad_rel: f64,
@@ -247,16 +238,21 @@ pub fn gauss_newton<P: GnProblem>(
     cfg: &GnConfig,
     comm: &mut Comm,
 ) -> (VectorField, GnStats) {
-    gauss_newton_hooked(problem, v0, cfg, None, comm)
+    let mut state = GnState::new(v0, cfg);
+    while !state.finished() {
+        state.step(problem, cfg, comm);
+    }
+    state.finish()
 }
 
 /// Resumable Gauss–Newton state: the solver loop broken into single
 /// iterations.
 ///
-/// [`gauss_newton_hooked`] is a thin loop over this type. `claire-core`'s
-/// `BatchSolver` drives several `GnState`s round-robin so K registration
-/// pairs interleave at GN-iteration granularity — the arithmetic of a solve
-/// is identical either way, because [`GnState::step`] *is* the loop body.
+/// [`gauss_newton`] is a plain loop over this type. `claire-core`'s
+/// continuation driver steps one `GnState` per registration pair, polling
+/// its hooks between steps and interleaving K pairs round-robin at
+/// GN-iteration granularity — the arithmetic of a solve is identical either
+/// way, because [`GnState::step`] *is* the loop body.
 pub struct GnState {
     v: VectorField,
     stats: GnStats,
@@ -300,8 +296,11 @@ impl GnState {
         &self.stats
     }
 
-    /// Mark the solve cancelled (a [`StopCheck`] fired at this boundary).
-    /// The current iterate stays the result.
+    /// Mark the solve cancelled at this iteration boundary (the
+    /// cooperative-cancellation seam used by `claire-core`'s driver). The
+    /// current iterate stays the result. Iterations are never interrupted
+    /// mid-flight — a cancelled solve finishes the PCG/line-search it is
+    /// inside and stops at the next boundary.
     pub fn cancel(&mut self) {
         self.stats.cancelled = true;
         self.finished = true;
@@ -443,30 +442,6 @@ impl GnState {
         GN_CONVERGED.set(if self.stats.converged { 1.0 } else { 0.0 });
         (self.v, self.stats)
     }
-}
-
-/// [`gauss_newton`] with a cooperative [`StopCheck`] evaluated at every
-/// iteration boundary (before the iteration's gradient is computed).
-/// Collective; every rank must pass an equivalent check so the ranks agree
-/// on when to stop.
-pub fn gauss_newton_hooked<P: GnProblem>(
-    problem: &mut P,
-    v0: VectorField,
-    cfg: &GnConfig,
-    stop: Option<StopCheck<'_>>,
-    comm: &mut Comm,
-) -> (VectorField, GnStats) {
-    let mut state = GnState::new(v0, cfg);
-    while !state.finished() {
-        if let Some(check) = stop {
-            if check(state.stats().gn_iters) {
-                state.cancel();
-                break;
-            }
-        }
-        state.step(problem, cfg, comm);
-    }
-    state.finish()
 }
 
 #[cfg(test)]
@@ -611,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn stop_check_halts_at_iteration_boundary() {
+    fn cancel_halts_at_iteration_boundary() {
         let layout = Layout::serial(Grid::cube(4));
         let mut comm = Comm::solo();
         let mut prob = Quadratic {
@@ -619,32 +594,22 @@ mod tests {
             d: ScalarField::from_fn(layout, |_, _, _| 2.0),
         };
         let cfg = GnConfig { grad_rtol: 1e-30, max_iter: 50, ..Default::default() };
-        let seen = std::cell::Cell::new(0usize);
-        let check = |k: usize| {
-            seen.set(seen.get().max(k + 1));
-            k >= 1 // run iteration 0, stop at the boundary of iteration 1
-        };
-        let (_, stats) = gauss_newton_hooked(
-            &mut prob,
-            VectorField::zeros(layout),
-            &cfg,
-            Some(&check),
-            &mut comm,
-        );
+
+        // run iteration 0, cancel at the boundary of iteration 1
+        let mut state = GnState::new(VectorField::zeros(layout), &cfg);
+        assert!(!state.step(&mut prob, &cfg, &mut comm));
+        state.cancel();
+        assert!(state.finished());
+        assert!(state.step(&mut prob, &cfg, &mut comm), "a cancelled state never steps again");
+        let (_, stats) = state.finish();
         assert!(stats.cancelled);
         assert!(!stats.converged);
         assert_eq!(stats.gn_iters, 1, "exactly one iteration ran");
-        assert_eq!(seen.get(), 2, "check saw boundaries 0 and 1");
 
-        // a check that immediately stops performs zero work
-        let always = |_k: usize| true;
-        let (_, stats) = gauss_newton_hooked(
-            &mut prob,
-            VectorField::zeros(layout),
-            &cfg,
-            Some(&always),
-            &mut comm,
-        );
+        // cancelling before the first step performs zero work
+        let mut state = GnState::new(VectorField::zeros(layout), &cfg);
+        state.cancel();
+        let (_, stats) = state.finish();
         assert!(stats.cancelled);
         assert_eq!(stats.gn_iters, 0);
         assert_eq!(stats.obj_evals, 0);

@@ -24,5 +24,5 @@
 pub mod gn;
 pub mod pcg;
 
-pub use gn::{gauss_newton, gauss_newton_hooked, GnConfig, GnProblem, GnState, GnStats, StopCheck};
+pub use gn::{gauss_newton, GnConfig, GnProblem, GnState, GnStats};
 pub use pcg::{pcg, FnOps, PcgConfig, PcgOperator, PcgResult};

@@ -2,10 +2,10 @@
 //! produce **bitwise-identical** velocity fields and mismatch values to K
 //! independent `Claire` solves.
 //!
-//! The batch path interleaves the pairs' Gauss–Newton iterations and shares
-//! the per-grid scaffolding (FFT symbols, 2LInvH0 transfer operators), but
-//! each pair steps through the exact same `GnState` loop body as the
-//! sequential driver — so not just "close", but every bit equal, on both
+//! A batch interleaves the pairs' Gauss–Newton iterations and shares the
+//! per-grid scaffolding (FFT symbols, 2LInvH0 transfer operators), but both
+//! entry points run the one continuation driver and each pair steps through
+//! its own `GnState` — so not just "close", but every bit equal, on both
 //! SIMD backends. Any drift here means the interleave changed arithmetic.
 //!
 //! One test flips the process-wide SIMD backend, so every test holds a
@@ -116,9 +116,11 @@ fn batch_matches_sequential_bitwise_on_both_backends() {
 #[test]
 fn batch_with_grid_continuation_matches_sequential() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    // K = 3 on 16³: every member recurses through the 8³ coarse solve and
+    // warm-starts from its own prolonged velocity
     let mut cfg = config(PrecondKind::InvA, 5e-2);
     cfg.grid_continuation = true;
-    check_equivalence(&[(0.5, 0.0), (0.3, 0.15)], cfg);
+    check_equivalence(&[(0.5, 0.0), (0.3, 0.15), (0.02, -0.1)], cfg);
 }
 
 #[test]

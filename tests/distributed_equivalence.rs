@@ -2,7 +2,9 @@
 //! every kernel (FFT, FD, interpolation, transport) and the full
 //! registration are compared across rank counts.
 
-use claire::core::{Claire, PrecondKind, RegistrationConfig};
+use std::sync::{Arc, Mutex};
+
+use claire::core::{Claire, PrecondKind, RegistrationConfig, SolverHooks};
 use claire::data::syn::syn_problem;
 use claire::grid::redist;
 use claire::interp::IpOrder;
@@ -94,4 +96,45 @@ fn preconditioned_solves_match_distributed() {
     assert!((m1 - m2).abs() < 1e-9, "mismatch {m1} vs {m2}");
     assert_eq!(pcg1, pcg2, "PCG iteration counts must agree");
     assert_eq!(gn1, gn2, "GN iteration counts must agree");
+}
+
+#[test]
+fn hook_boundaries_match_across_rank_counts() {
+    // the continuation driver steps over the caller's communicator: every
+    // rank of a 2-rank solve must see the same cumulative on_gn_iter
+    // boundaries, across β-levels, as the 1-rank run
+    let cfg = RegistrationConfig {
+        continuation: true,
+        beta_target: 1e-1,
+        grad_rtol: 5e-2,
+        ..fixed_cfg()
+    };
+    let run = move |p: usize| {
+        let res = run_cluster(Topology::new(p, 4), move |comm| {
+            let prob = syn_problem([16, 16, 16], comm);
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let sink = seen.clone();
+            let hooks = SolverHooks {
+                cancel: None,
+                on_gn_iter: Some(Arc::new(move |k| sink.lock().unwrap().push(k))),
+            };
+            let (_, report) = Claire::with_hooks(cfg, hooks).register_from(
+                &prob.template,
+                &prob.reference,
+                None,
+                "SYN",
+                comm,
+            );
+            let boundaries = seen.lock().unwrap().clone();
+            (boundaries, report.gn_iters, report.pcg_iters)
+        });
+        res.outputs
+    };
+    let serial = run(1);
+    let (boundaries, gn, _) = &serial[0];
+    assert!(cfg.beta_schedule().len() > 1, "the run must cross β-levels");
+    assert!(*gn >= 2 && boundaries.len() > *gn, "{boundaries:?} vs {gn} iterations");
+    for (rank, out) in run(2).iter().enumerate() {
+        assert_eq!(out, &serial[0], "rank {rank} of 2 diverged from the 1-rank run");
+    }
 }
