@@ -226,8 +226,8 @@ fn run_overload(w: &Workload) -> OverloadRow {
     }
 }
 
-/// Identical-spec burst through one worker, coalescing off vs on: the
-/// service-level view of `BatchSolver` setup amortization. The first job
+/// Identical-spec burst through one worker, `max_batch(1)` vs
+/// `max_batch(8)`: the service-level view of setup amortization. The first job
 /// usually starts solo before companions queue up; the rest coalesce into
 /// batches of up to `max_batch`.
 fn run_batching(w: &Workload) -> BatchingRow {
@@ -235,14 +235,13 @@ fn run_batching(w: &Workload) -> BatchingRow {
     let max_batch = 8usize;
     let mut rates = [0.0f64; 2];
     let mut largest = 0usize;
-    for (i, batching) in [false, true].into_iter().enumerate() {
+    for (i, cap) in [1, max_batch].into_iter().enumerate() {
         let mut svc = RegistrationService::start(
             ServiceConfig::default()
                 .workers(1)
                 .queue_capacity(jobs)
                 .collect_reports(true)
-                .batching(batching)
-                .max_batch(max_batch),
+                .max_batch(cap),
         );
         let t0 = Instant::now();
         let ids: Vec<_> = (0..jobs)
@@ -251,10 +250,8 @@ fn run_batching(w: &Workload) -> BatchingRow {
         for id in &ids {
             let res = svc.wait(*id).expect("submitted job known");
             assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
-            if batching {
-                if let Some(run) = &res.run {
-                    largest = largest.max(run.scheduling.batch_size);
-                }
+            if let Some(run) = &res.run {
+                largest = largest.max(run.scheduling.batch_size);
             }
         }
         let elapsed = t0.elapsed().as_secs_f64();

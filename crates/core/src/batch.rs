@@ -84,7 +84,8 @@ pub struct MemberMemStats {
     pub cat_checkouts: [u64; 6],
     /// Pool misses (fresh allocations) by this member, per category index.
     pub cat_misses: [u64; 6],
-    /// FFT plan-cache hits during this member's construction and steps.
+    /// FFT plan-cache hits during this member's construction and steps
+    /// (the first member's also count the shared per-grid scaffolding).
     pub fft_plan_hits: u64,
     /// FFT plan-cache misses (plans computed) for this member.
     pub fft_plan_misses: u64,
@@ -101,19 +102,20 @@ impl MemberMemStats {
         self.cat_misses.iter().sum()
     }
 
-    fn add_delta(
-        &mut self,
-        ws0: &[workspace::CatStats; 6],
-        ws1: &[workspace::CatStats; 6],
-        fft0: fft_cache::CacheStats,
-        fft1: fft_cache::CacheStats,
-    ) {
+    /// Run `f` and add the pool and plan-cache events it caused.
+    fn metered<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let ws0 = workspace::stats();
+        let fft0 = fft_cache::stats();
+        let out = f();
+        let ws1 = workspace::stats();
+        let fft1 = fft_cache::stats();
         for i in 0..6 {
             self.cat_checkouts[i] += ws1[i].checkouts.saturating_sub(ws0[i].checkouts);
             self.cat_misses[i] += ws1[i].misses.saturating_sub(ws0[i].misses);
         }
         self.fft_plan_hits += fft1.hits.saturating_sub(fft0.hits);
         self.fft_plan_misses += fft1.misses.saturating_sub(fft0.misses);
+        out
     }
 }
 
@@ -275,12 +277,13 @@ pub(crate) fn solve_pairs(
     let results = solve_level(cfg, inputs, comms, &mut mem, &mut rounds, &mut setup_secs);
 
     let mut items = Vec::with_capacity(k);
-    for (((res, label), comm), mem) in
+    for (((res, label), comm), mut mem) in
         results.into_iter().zip(labels).zip(comms.iter_mut()).zip(mem)
     {
         let (outcome, gn) = match res {
             Ok((mut problem, v, stats)) => {
-                let report = build_report(cfg, &mut problem, &v, &label, comm, &stats);
+                let report =
+                    mem.metered(|| build_report(cfg, &mut problem, &v, &label, comm, &stats));
                 (Ok((v, report)), stats)
             }
             Err(e) => (Err(e), GnStats::default()),
@@ -311,7 +314,7 @@ fn solve_level(
     // coarse-to-fine grid continuation: solve every pair at half resolution
     // first, prolonging each velocity as that pair's warm start
     if cfg.grid_continuation && coarse_solvable(&layout) {
-        let tl = claire_diff::TwoLevel::new(layout.grid, &comms[0]);
+        let tl = mem[0].metered(|| claire_diff::TwoLevel::new(layout.grid, &comms[0]));
         if cfg.verbose && comms[0].rank() == 0 {
             eprintln!("== grid continuation: solving at {:?} ==", tl.coarse_grid().n);
         }
@@ -320,68 +323,61 @@ fn solve_level(
         let coarse_inputs: Vec<PairInput> = inputs
             .iter_mut()
             .zip(comms.iter_mut())
-            .map(|(p, comm)| PairInput {
+            .zip(mem.iter_mut())
+            .map(|((p, comm), mem)| PairInput {
                 label: p.label.clone(),
                 hooks: p.hooks.clone(),
-                m0: tl.restrict(&p.m0, comm),
-                m1: tl.restrict(&p.m1, comm),
+                m0: mem.metered(|| tl.restrict(&p.m0, comm)),
+                m1: mem.metered(|| tl.restrict(&p.m1, comm)),
                 v_init: p.v_init.take(),
             })
             .collect();
         let coarse = solve_level(&coarse_cfg, coarse_inputs, comms, mem, rounds, setup_secs);
         for (i, res) in coarse.into_iter().enumerate() {
             match res {
-                Ok((_, vc, _)) => inputs[i].v_init = Some(tl.prolong_vector(&vc, &mut comms[i])),
+                Ok((_, vc, _)) => {
+                    let v = mem[i].metered(|| tl.prolong_vector(&vc, &mut comms[i]));
+                    inputs[i].v_init = Some(v);
+                }
                 Err(e) => failed[i] = Some(e),
             }
         }
     }
 
-    // shared per-grid scaffolding (FFT symbols, 2LInvH0 transfer operators)
+    // shared per-grid scaffolding (FFT symbols, 2LInvH0 transfer operators);
+    // the first member is charged for it, so member counts sum to the run's
     let t_setup = Instant::now();
-    let scaffold = match SolverScaffold::new(cfg, layout.grid, &mut comms[0]) {
+    let scaffold = match mem[0].metered(|| SolverScaffold::new(cfg, layout.grid, &mut comms[0])) {
         Ok(scaffold) => scaffold,
         Err(e) => return (0..k).map(|_| Err(e.clone())).collect(),
     };
     let level = LevelPlan { betas: cfg.beta_schedule(), gn_cfg: level_gn_config(cfg) };
 
-    let mut out: Vec<Option<PairResult>> = (0..k).map(|_| None).collect();
-    let mut drivers: Vec<Option<PairDriver>> = Vec::with_capacity(k);
+    let mut drivers: Vec<ClaireResult<PairDriver>> = Vec::with_capacity(k);
     for (i, p) in inputs.into_iter().enumerate() {
         if let Some(e) = failed[i].take() {
-            out[i] = Some(Err(e));
-            drivers.push(None);
+            drivers.push(Err(e));
             continue;
         }
-        let ws0 = workspace::stats();
-        let fft0 = fft_cache::stats();
-        match RegProblem::with_scaffold(p.m0, p.m1, *cfg, &scaffold, &mut comms[i]) {
-            Ok(problem) => {
-                let v0 = p.v_init.unwrap_or_else(|| VectorField::zeros(layout));
-                drivers.push(Some(PairDriver::new(p.hooks, problem, v0, &level, &comms[i])));
-            }
-            Err(e) => {
-                out[i] = Some(Err(e));
-                drivers.push(None);
-            }
-        }
-        mem[i].add_delta(&ws0, &workspace::stats(), fft0, fft_cache::stats());
+        let comm = &mut comms[i];
+        drivers.push(mem[i].metered(|| {
+            let problem = RegProblem::with_scaffold(p.m0, p.m1, *cfg, &scaffold, comm)?;
+            let v0 = p.v_init.unwrap_or_else(|| VectorField::zeros(layout));
+            Ok(PairDriver::new(p.hooks, problem, v0, &level, comm))
+        }));
     }
     *setup_secs += t_setup.elapsed().as_secs_f64();
 
     // the interleave: step every active pair once per round
     loop {
         let mut any = false;
-        for (i, slot) in drivers.iter_mut().enumerate() {
-            let Some(drv) = slot else { continue };
+        for (i, drv) in drivers.iter_mut().enumerate() {
+            let Ok(drv) = drv else { continue };
             if drv.done() {
                 continue;
             }
             any = true;
-            let ws0 = workspace::stats();
-            let fft0 = fft_cache::stats();
-            drv.advance(&level, &mut comms[i]);
-            mem[i].add_delta(&ws0, &workspace::stats(), fft0, fft_cache::stats());
+            mem[i].metered(|| drv.advance(&level, &mut comms[i]));
         }
         if !any {
             break;
@@ -389,15 +385,14 @@ fn solve_level(
         *rounds += 1;
     }
 
-    for (i, slot) in drivers.into_iter().enumerate() {
-        if let Some(drv) = slot {
-            out[i] = Some(match drv.end.expect("the interleave runs every driver to its end") {
-                Ok(v) => Ok((drv.problem, v, drv.total)),
-                Err(e) => Err(e),
-            });
-        }
-    }
-    out.into_iter().map(|r| r.expect("every pair resolved")).collect()
+    drivers
+        .into_iter()
+        .map(|drv| {
+            let drv = drv?;
+            let v = drv.end.expect("the interleave runs every driver to its end")?;
+            Ok((drv.problem, v, drv.total))
+        })
+        .collect()
 }
 
 /// What every pair on one grid level iterates against.

@@ -14,10 +14,8 @@
 //! takes effect within one iteration. A panicking solve is caught and
 //! reported as [`JobStatus::Failed`] without poisoning the pool.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -25,12 +23,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use claire_core::{
-    BatchPair, BatchSolver, CancelToken, Claire, ClaireError, MemberMemStats, RegistrationConfig,
+    BatchItem, BatchPair, BatchSolver, CancelToken, ClaireError, GnStats, MemberMemStats,
     RegistrationReport, SolverHooks,
 };
 use claire_fft::cache as fft_cache;
 use claire_grid::workspace;
-use claire_mpi::{CollOp, Comm, CommCat};
+use claire_mpi::{CollOp, Comm, CommCat, CommStats};
 use claire_obs::metrics::{Counter, Gauge, Histogram};
 use claire_obs::report::{
     CollectiveEntry, CommPhaseEntry, MemoryCatEntry, MemoryInfo, PhaseShares, RooflineInfo,
@@ -42,6 +40,7 @@ use crate::cache::{content_key, ResultCache, ResultCacheStats};
 use crate::job::{JobId, JobInput, JobResult, JobSpec, JobStatus, Priority};
 use crate::queue::{BoundedQueue, PushError};
 use crate::quota::{QuotaConfig, TenantQuotas};
+use crate::wire::{hash_config, Fnv};
 
 static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue.depth");
 static QUEUE_WAIT: Histogram = Histogram::new("serve.queue.wait_secs");
@@ -107,17 +106,15 @@ pub struct ServiceConfig {
     /// Whether workers assemble a per-job [`RunReport`] (spans, comm
     /// volume, scheduling metadata) for succeeded jobs.
     pub collect_reports: bool,
-    /// Batch-aware scheduling: when a worker pops a job it also drains
-    /// queued jobs with the same grid/config fingerprint from the *same*
-    /// priority lane and solves them as one
+    /// Largest batch one worker coalesces (the head job counts; ≤ 1 never
+    /// coalesces). When a worker pops a job it also drains up to
+    /// `max_batch − 1` queued jobs with the same grid/config fingerprint
+    /// from the *same* priority lane and solves them as one
     /// [`BatchSolver`](claire_core::BatchSolver) run — amortizing FFT
     /// planning, pool warm-up, and preconditioner scaffolding, and
     /// interleaving the Gauss–Newton iterations. Per-job deadlines,
     /// cancellation, priorities, and [`RunReport`]s are preserved; results
-    /// are bitwise identical to solo runs.
-    pub batching: bool,
-    /// Largest batch one worker coalesces (≥ 2 to ever coalesce; the head
-    /// job counts). Only read when `batching` is on.
+    /// are bitwise identical to runs of one.
     pub max_batch: usize,
     /// Content-hash result-cache capacity in entries (0 disables the
     /// cache). When on, a submission whose images and config hash to a
@@ -139,8 +136,7 @@ impl Default for ServiceConfig {
             queue_capacity: 16,
             total_threads: 0,
             collect_reports: true,
-            batching: false,
-            max_batch: 8,
+            max_batch: 1,
             result_cache: 0,
             quota: None,
         }
@@ -172,13 +168,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Enable or disable batch-aware scheduling (job coalescing).
-    pub fn batching(mut self, on: bool) -> Self {
-        self.batching = on;
-        self
-    }
-
-    /// Set the largest batch one worker coalesces.
+    /// Set the largest batch one worker coalesces (≤ 1 never coalesces).
     pub fn max_batch(mut self, n: usize) -> Self {
         self.max_batch = n;
         self
@@ -296,14 +286,13 @@ impl RegistrationService {
             quotas: cfg.quota.map(TenantQuotas::new),
             solver_runs: AtomicU64::new(0),
         });
-        let max_batch = if cfg.batching { cfg.max_batch.max(1) } else { 1 };
         let handles = (0..workers)
             .map(|w| {
                 let shared = shared.clone();
                 let collect = cfg.collect_reports;
                 std::thread::Builder::new()
                     .name(format!("claire-serve-{w}"))
-                    .spawn(move || worker_loop(w, per_worker, collect, max_batch, &shared))
+                    .spawn(move || worker_loop(w, per_worker, collect, cfg.max_batch, &shared))
                     .expect("spawning a service worker thread")
             })
             .collect();
@@ -521,217 +510,189 @@ fn worker_loop(
     while let Some(job) = shared.queue.pop() {
         // Batch-aware scheduling: drain compatible companions from the
         // popped job's own lane (never across lanes, so priorities hold).
-        let mut companions = Vec::new();
+        let mut jobs = vec![job];
         if max_batch > 1 {
-            let fp = fingerprint(&job.spec);
-            let lane = job.spec.priority.index();
-            companions =
-                shared.queue.take_matching(lane, max_batch - 1, |j| fingerprint(&j.spec) == fp);
+            let key = coalescing_key(&jobs[0].spec);
+            let lane = jobs[0].spec.priority.index();
+            jobs.append(
+                &mut shared
+                    .queue
+                    .take_matching(lane, max_batch - 1, |j| coalescing_key(&j.spec) == key),
+            );
         }
         QUEUE_DEPTH.set(shared.queue.len() as f64);
-        if companions.is_empty() {
-            let queue_wait = job.submitted.elapsed();
-            QUEUE_WAIT.record(queue_wait.as_secs_f64());
-            execute(worker, collect_reports, shared, job, queue_wait);
-        } else {
-            let mut batch = Vec::with_capacity(1 + companions.len());
-            batch.push(job);
-            batch.append(&mut companions);
-            execute_batch(worker, budget, collect_reports, shared, batch);
-        }
+        execute(worker, budget, collect_reports, shared, jobs);
     }
 }
 
 /// Coalescing compatibility key: jobs may share one `BatchSolver` run only
 /// when their grid extents and every solver-relevant configuration field
 /// agree — the batch then provably runs each member through the same
-/// arithmetic as a solo solve. Labels, priorities, deadlines, and hooks are
-/// deliberately *not* part of the key; they stay per-job inside the batch.
-fn fingerprint(spec: &JobSpec) -> u64 {
-    let mut h = DefaultHasher::new();
-    spec.input.grid().hash(&mut h);
-    let c: &RegistrationConfig = &spec.config;
-    c.nt.hash(&mut h);
-    std::mem::discriminant(&c.ip_order).hash(&mut h);
-    c.store_grad.hash(&mut h);
-    std::mem::discriminant(&c.precond).hash(&mut h);
-    c.beta_target.to_bits().hash(&mut h);
-    c.beta_init.to_bits().hash(&mut h);
-    c.beta_reduction.to_bits().hash(&mut h);
-    c.continuation.hash(&mut h);
-    c.grid_continuation.hash(&mut h);
-    c.eps_h0.to_bits().hash(&mut h);
-    c.beta_floor.to_bits().hash(&mut h);
-    c.grad_rtol.to_bits().hash(&mut h);
-    c.max_gn_iter.hash(&mut h);
-    c.max_pcg_iter.hash(&mut h);
-    c.max_inner_iter.hash(&mut h);
-    c.fixed_pcg.hash(&mut h);
-    c.verbose.hash(&mut h);
-    std::mem::discriminant(&c.precision).hash(&mut h);
-    h.finish()
+/// arithmetic as a run of one. [`hash_config`] is the one list of those
+/// fields, shared with the result cache and the router. Labels, priorities,
+/// deadlines, and hooks are deliberately *not* part of the key; they stay
+/// per-job inside the batch.
+fn coalescing_key(spec: &JobSpec) -> u64 {
+    let mut h = Fnv::new();
+    hash_config(&mut h, spec.input.grid(), &spec.config);
+    h.0
 }
 
-/// Run a coalesced batch on the calling worker thread: pre-screen doomed
-/// members, solve the rest through one [`BatchSolver`] (interleaved
-/// Gauss–Newton, shared scaffolding), then finish every member with its own
-/// per-job result and report.
-fn execute_batch(
+/// What [`execute`] keeps of a job once its images have moved to the solver.
+struct Member {
+    id: u64,
+    label: String,
+    tenant: String,
+    priority: Priority,
+    deadline: Option<Duration>,
+    token: CancelToken,
+    submitted: Instant,
+    cache_key: Option<u128>,
+}
+
+impl Member {
+    /// This member's result without solve artifacts. The queue wait runs
+    /// from submission to `started` on every exit.
+    fn result(
+        &self,
+        started: Instant,
+        run_time: Duration,
+        status: JobStatus,
+        error: Option<String>,
+    ) -> JobResult {
+        JobResult {
+            id: JobId(self.id),
+            label: self.label.clone(),
+            status,
+            report: None,
+            run: None,
+            error,
+            from_cache: false,
+            queue_wait: started.duration_since(self.submitted),
+            run_time,
+            total: self.submitted.elapsed(),
+        }
+    }
+}
+
+/// Run the popped jobs — one, or a coalesced batch — on the calling worker
+/// thread: pre-screen doomed members, solve the rest through one
+/// [`BatchSolver`] (shared scaffolding, interleaved Gauss–Newton when there
+/// are several), then finish every member with its own result and report.
+fn execute(
     worker: usize,
     budget: usize,
     collect_reports: bool,
     shared: &Shared,
-    batch: Vec<QueuedJob>,
+    jobs: Vec<QueuedJob>,
 ) {
-    // A deadline may have expired (or a cancel landed) while a member sat
-    // in the queue — retire those without letting them hold up the batch.
-    let mut live: Vec<QueuedJob> = Vec::with_capacity(batch.len());
-    for job in batch {
-        let queue_wait = job.submitted.elapsed();
-        QUEUE_WAIT.record(queue_wait.as_secs_f64());
-        if let Some(reason) = job.token.stop_reason() {
+    let started = Instant::now();
+    let config = jobs[0].spec.config;
+    let mut members = Vec::with_capacity(jobs.len());
+    let mut pairs = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        let QueuedJob { id, spec, token, submitted, deadline, cache_key } = job;
+        let JobSpec { label, tenant, input, priority, hooks, .. } = spec;
+        let member = Member { id, label, tenant, priority, deadline, token, submitted, cache_key };
+        QUEUE_WAIT.record(started.duration_since(submitted).as_secs_f64());
+        // A deadline may have expired (or a cancel landed) while the job sat
+        // in the queue — don't start a doomed solve, and don't let it hold
+        // up the rest of its batch.
+        if let Some(reason) = member.token.stop_reason() {
             let status = match reason {
                 claire_core::StopReason::Cancelled => JobStatus::Cancelled,
                 claire_core::StopReason::DeadlineExpired => JobStatus::DeadlineExpired,
             };
-            shared.finish(
-                job.id,
-                JobResult {
-                    id: JobId(job.id),
-                    label: job.spec.label.clone(),
-                    status,
-                    report: None,
-                    run: None,
-                    error: Some(format!("{} before execution started", reason.label())),
-                    from_cache: false,
-                    queue_wait,
-                    run_time: Duration::ZERO,
-                    total: job.submitted.elapsed(),
-                },
-            );
-        } else {
-            live.push(job);
+            let error = format!("{} before execution started", reason.label());
+            shared.finish(id, member.result(started, Duration::ZERO, status, Some(error)));
+            continue;
         }
-    }
-    match live.len() {
-        0 => return,
-        1 => {
-            // everyone else was doomed in the queue; no batch to amortize
-            let job = live.pop().expect("len checked");
-            let queue_wait = job.submitted.elapsed();
-            execute(worker, collect_reports, shared, job, queue_wait);
-            return;
-        }
-        _ => {}
-    }
-
-    let batch_id = shared.next_batch_id.fetch_add(1, Ordering::Relaxed);
-    let batch_size = live.len();
-    BATCHES.inc();
-    BATCHED_JOBS.add(batch_size as u64);
-
-    let mut comm = Comm::solo();
-    let mut pairs = Vec::with_capacity(batch_size);
-    let mut meta = Vec::with_capacity(batch_size);
-    let config = live[0].spec.config;
-    for job in live {
-        let QueuedJob { id, spec, token, submitted, deadline, cache_key } = job;
         shared.set_status(id, JobStatus::Running);
-        let (template, reference) = match spec.input {
+        let (template, reference) = match input {
             JobInput::Pair { template, reference } => (template, reference),
             JobInput::Synthetic { n } => {
-                let p = claire_data::syn_problem(n, &mut comm);
+                let p = claire_data::syn_problem(n, &mut Comm::solo());
                 (p.template, p.reference)
             }
         };
         let hooks =
-            SolverHooks { cancel: Some(token.clone()), on_gn_iter: spec.hooks.on_gn_iter.clone() };
-        pairs.push(BatchPair::new(spec.label.clone(), template, reference).with_hooks(hooks));
-        meta.push((
-            id,
-            spec.label,
-            spec.priority,
-            deadline,
-            token,
-            submitted,
-            spec.tenant,
-            cache_key,
-        ));
+            SolverHooks { cancel: Some(member.token.clone()), on_gn_iter: hooks.on_gn_iter };
+        pairs.push(BatchPair::new(member.label.clone(), template, reference).with_hooks(hooks));
+        members.push(member);
     }
+    if members.is_empty() {
+        return;
+    }
+    // the report and wire contract: batch_id/batch_size 0 = not batched
+    let (batch_id, batch_size) = if members.len() > 1 {
+        BATCHES.inc();
+        BATCHED_JOBS.add(members.len() as u64);
+        (shared.next_batch_id.fetch_add(1, Ordering::Relaxed), members.len())
+    } else {
+        (0, 0)
+    };
 
-    let started = Instant::now();
     shared.solver_runs.fetch_add(1, Ordering::Relaxed);
     SOLVER_RUNS.inc();
-    // The batch is ONE unit of schedulable work: hand it this worker's
-    // exact thread slice so K coalesced jobs never oversubscribe claire-par
+    // The run is ONE unit of schedulable work: hand it this worker's exact
+    // thread slice so K coalesced jobs never oversubscribe claire-par
     // (K × per-worker threads would, under the one-job-per-worker split).
     let solver = BatchSolver::new(config).with_thread_budget(budget);
-    let solve = catch_unwind(AssertUnwindSafe(|| solver.solve(pairs)));
+    let solved = catch_unwind(AssertUnwindSafe(|| solver.solve(pairs)));
     let run_time = started.elapsed();
-    // Spans cover the whole interleaved batch; every member gets the tree.
+    // Spans are thread-local; drain them after every run so one tenant's
+    // trace never leaks into the next job on this worker. They cover the
+    // whole interleaved run, so every member gets the tree.
     let spans = span::take_spans();
 
-    let items = match solve {
-        Ok(Ok(outcome)) => outcome.items,
-        Ok(Err(e)) => {
-            fail_batch(shared, &meta, run_time, &e.to_string());
-            return;
-        }
+    // one entry per member: its own item, or the error that failed the run
+    let whole_run_error = |error: String| members.iter().map(|_| Err(error.clone())).collect();
+    let items: Vec<Result<BatchItem, String>> = match solved {
+        Ok(Ok(outcome)) => outcome.items.into_iter().map(Ok).collect(),
+        Ok(Err(e)) => whole_run_error(e.to_string()),
         Err(payload) => {
             let text = payload
                 .downcast_ref::<String>()
                 .map(String::as_str)
                 .or_else(|| payload.downcast_ref::<&str>().copied())
                 .unwrap_or("solver panicked");
-            fail_batch(shared, &meta, run_time, &format!("solver panicked: {text}"));
-            return;
+            whole_run_error(format!("solver panicked: {text}"))
         }
     };
 
-    for (item, (id, label, priority, deadline, token, submitted, tenant, cache_key)) in
-        items.into_iter().zip(meta)
-    {
-        let queue_wait = started.duration_since(submitted);
-        let mut result = JobResult {
-            id: JobId(id),
-            label: label.clone(),
-            status: JobStatus::Failed,
-            report: None,
-            run: None,
-            error: None,
-            from_cache: false,
-            queue_wait,
-            run_time,
-            total: submitted.elapsed(),
-        };
-        match item.outcome {
-            Ok((_, report)) => {
+    for (member, item) in members.into_iter().zip(items) {
+        let mut result = member.result(started, run_time, JobStatus::Failed, None);
+        match item {
+            Ok(BatchItem { outcome: Ok((_, report)), gn, memory, comm, .. }) => {
                 result.status = JobStatus::Succeeded;
                 if collect_reports {
                     let scheduling = SchedulingInfo {
-                        job_id: id,
-                        priority: priority.label().to_string(),
+                        job_id: member.id,
+                        priority: member.priority.label().to_string(),
                         worker,
-                        queue_wait_secs: queue_wait.as_secs_f64(),
+                        queue_wait_secs: result.queue_wait.as_secs_f64(),
                         run_secs: run_time.as_secs_f64(),
                         total_secs: result.total.as_secs_f64(),
-                        deadline_secs: deadline.map(|d| d.as_secs_f64()).unwrap_or(0.0),
+                        deadline_secs: member.deadline.map(|d| d.as_secs_f64()).unwrap_or(0.0),
                         batch_id,
                         batch_size,
-                        tenant,
+                        tenant: member.tenant,
                         from_cache: false,
                     };
                     let mut run =
-                        job_run_report(&label, &report, &config, &comm, scheduling, &item.memory);
+                        job_run_report(&member.label, &report, &gn, &comm, scheduling, &memory);
                     run.spans = spans.clone();
-                    if cache_key.is_some() {
+                    if member.cache_key.is_some() {
                         run.memory.result_cache_misses = 1;
                     }
                     result.run = Some(run);
                 }
                 result.report = Some(report);
             }
-            Err(e) => {
+            Ok(BatchItem { outcome: Err(e), .. }) => {
+                // Cancellation precedence mirrors the token: an explicit
+                // cancel wins even when the deadline also expired.
+                let token = &member.token;
                 result.status = match &e {
                     ClaireError::Cancelled { .. } if token.is_cancelled() => JobStatus::Cancelled,
                     ClaireError::Cancelled { .. } if token.deadline_expired() => {
@@ -742,150 +703,13 @@ fn execute_batch(
                 };
                 result.error = Some(e.to_string());
             }
+            Err(error) => result.error = Some(error),
         }
-        if let (Some(cache), Some(key)) = (&shared.cache, cache_key) {
+        if let (Some(cache), Some(key)) = (&shared.cache, member.cache_key) {
             cache.insert(key, &result);
         }
-        shared.finish(id, result);
+        shared.finish(member.id, result);
     }
-}
-
-type BatchMeta =
-    (u64, String, Priority, Option<Duration>, CancelToken, Instant, String, Option<u128>);
-
-/// Finish every batch member as `Failed` with the same batch-level error
-/// (whole-batch misuse or a panicking solve).
-fn fail_batch(shared: &Shared, meta: &[BatchMeta], run_time: Duration, error: &str) {
-    for (id, label, _, _, _, submitted, _, _) in meta {
-        shared.finish(
-            *id,
-            JobResult {
-                id: JobId(*id),
-                label: label.clone(),
-                status: JobStatus::Failed,
-                report: None,
-                run: None,
-                error: Some(error.to_string()),
-                from_cache: false,
-                queue_wait: Duration::ZERO,
-                run_time,
-                total: submitted.elapsed(),
-            },
-        );
-    }
-}
-
-fn execute(
-    worker: usize,
-    collect_reports: bool,
-    shared: &Shared,
-    job: QueuedJob,
-    queue_wait: Duration,
-) {
-    let QueuedJob { id, spec, token, submitted, deadline, cache_key } = job;
-    let label = spec.label.clone();
-    let tenant = spec.tenant.clone();
-    let mut result = JobResult {
-        id: JobId(id),
-        label: label.clone(),
-        status: JobStatus::Failed,
-        report: None,
-        run: None,
-        error: None,
-        from_cache: false,
-        queue_wait,
-        run_time: Duration::ZERO,
-        total: Duration::ZERO,
-    };
-
-    // The deadline may already have expired (or the job been cancelled)
-    // while it sat in the queue — don't start a doomed solve.
-    if let Some(reason) = token.stop_reason() {
-        result.status = match reason {
-            claire_core::StopReason::Cancelled => JobStatus::Cancelled,
-            claire_core::StopReason::DeadlineExpired => JobStatus::DeadlineExpired,
-        };
-        result.error = Some(format!("{} before execution started", reason.label()));
-        result.total = submitted.elapsed();
-        shared.finish(id, result);
-        return;
-    }
-
-    shared.set_status(id, JobStatus::Running);
-    let started = Instant::now();
-    let config = spec.config;
-    let prio = spec.priority;
-    // Sample the shared pool/plan-cache counters around the solve: the
-    // delta is this job's own activity (exact when no other worker runs
-    // concurrently; an upper bound otherwise).
-    let ws0 = workspace::stats();
-    let fft0 = fft_cache::stats();
-    shared.solver_runs.fetch_add(1, Ordering::Relaxed);
-    SOLVER_RUNS.inc();
-    let solve = catch_unwind(AssertUnwindSafe(|| run_solve(spec, &token)));
-    let mut mem = MemberMemStats::default();
-    mem_delta(&mut mem, &ws0, fft0);
-    result.run_time = started.elapsed();
-    result.total = submitted.elapsed();
-
-    match solve {
-        Ok(Ok((report, comm))) => {
-            result.status = JobStatus::Succeeded;
-            if collect_reports {
-                let scheduling = SchedulingInfo {
-                    job_id: id,
-                    priority: prio.label().to_string(),
-                    worker,
-                    queue_wait_secs: queue_wait.as_secs_f64(),
-                    run_secs: result.run_time.as_secs_f64(),
-                    total_secs: result.total.as_secs_f64(),
-                    deadline_secs: deadline.map(|d| d.as_secs_f64()).unwrap_or(0.0),
-                    batch_id: 0,
-                    batch_size: 0,
-                    tenant,
-                    from_cache: false,
-                };
-                let mut run = job_run_report(&label, &report, &config, &comm, scheduling, &mem);
-                if cache_key.is_some() {
-                    run.memory.result_cache_misses = 1;
-                }
-                result.run = Some(run);
-            }
-            result.report = Some(report);
-        }
-        Ok(Err(e)) => {
-            // Cancellation precedence mirrors the token: an explicit cancel
-            // wins even when the deadline also expired.
-            result.status = match &e {
-                ClaireError::Cancelled { .. } if token.is_cancelled() => JobStatus::Cancelled,
-                ClaireError::Cancelled { .. } if token.deadline_expired() => {
-                    JobStatus::DeadlineExpired
-                }
-                ClaireError::Cancelled { .. } => JobStatus::Cancelled,
-                _ => JobStatus::Failed,
-            };
-            result.error = Some(e.to_string());
-        }
-        Err(payload) => {
-            let text = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("solver panicked");
-            result.status = JobStatus::Failed;
-            result.error = Some(format!("solver panicked: {text}"));
-        }
-    }
-    // Spans are thread-local; drain them after every job so one tenant's
-    // trace never leaks into the next job on this worker.
-    let spans = span::take_spans();
-    if let Some(run) = &mut result.run {
-        run.spans = spans;
-    }
-    if let (Some(cache), Some(key)) = (&shared.cache, cache_key) {
-        cache.insert(key, &result);
-    }
-    shared.finish(id, result);
 }
 
 /// Rewrite a cached result as this submission's own terminal outcome: new
@@ -918,43 +742,6 @@ fn cached_result(id: u64, spec: &JobSpec, mut hit: JobResult) -> JobResult {
         run.memory.result_cache_misses = 0;
     }
     hit
-}
-
-/// Run one registration on the calling worker thread.
-fn run_solve(
-    spec: JobSpec,
-    token: &CancelToken,
-) -> Result<(RegistrationReport, Comm), ClaireError> {
-    let mut comm = Comm::solo();
-    let (template, reference) = match spec.input {
-        JobInput::Pair { template, reference } => (template, reference),
-        JobInput::Synthetic { n } => {
-            let p = claire_data::syn_problem(n, &mut comm);
-            (p.template, p.reference)
-        }
-    };
-    let hooks = SolverHooks { cancel: Some(token.clone()), on_gn_iter: spec.hooks.on_gn_iter };
-    let mut claire = Claire::with_hooks(spec.config, hooks);
-    let (_, report) =
-        claire.try_register_from(&template, &reference, None, &spec.label, &mut comm)?;
-    Ok((report, comm))
-}
-
-/// Accumulate the shared-counter movement since the `(ws0, fft0)` snapshot
-/// into `mem` — the same delta arithmetic `BatchSolver` uses per member.
-fn mem_delta(
-    mem: &mut MemberMemStats,
-    ws0: &[workspace::CatStats; 6],
-    fft0: fft_cache::CacheStats,
-) {
-    let ws1 = workspace::stats();
-    let fft1 = fft_cache::stats();
-    for i in 0..6 {
-        mem.cat_checkouts[i] += ws1[i].checkouts.saturating_sub(ws0[i].checkouts);
-        mem.cat_misses[i] += ws1[i].misses.saturating_sub(ws0[i].misses);
-    }
-    mem.fft_plan_hits += fft1.hits.saturating_sub(fft0.hits);
-    mem.fft_plan_misses += fft1.misses.saturating_sub(fft0.misses);
 }
 
 /// Build the report's memory block from this job's own counter deltas
@@ -991,15 +778,17 @@ fn job_memory(mem: &MemberMemStats, modeled_bytes: u64) -> MemoryInfo {
 
 /// Assemble the per-job [`RunReport`]. Unlike
 /// `claire_core::observe::collect_run_report`, this only uses *per-job*
-/// telemetry sources — the job's own `Comm`, the worker-thread span tree,
-/// and the job's own pool/plan-cache counter deltas — because the global
-/// metrics registry and kernel timers are shared by every concurrently
-/// running job.
+/// telemetry sources — the job's own Gauss–Newton and communicator
+/// statistics, the worker-thread span tree, and the job's own
+/// pool/plan-cache counter deltas — because the global metrics registry and
+/// kernel timers are shared by every concurrently running job. Those
+/// per-job counts cover the solve and its report, not the generation of a
+/// synthetic input.
 fn job_run_report(
     label: &str,
     report: &RegistrationReport,
-    config: &claire_core::RegistrationConfig,
-    comm: &Comm,
+    gn: &GnStats,
+    stats: &CommStats,
     scheduling: SchedulingInfo,
     mem: &MemberMemStats,
 ) -> RunReport {
@@ -1009,20 +798,20 @@ fn job_run_report(
     run.nt = report.nt;
     run.precond = report.pc.clone();
     run.backend = claire_simd::active_backend().label().to_string();
-    run.transport = comm.transport_kind().to_string();
+    run.transport = Comm::solo().transport_kind().to_string();
     run.precision = report.precision.clone();
     run.summary = RunSummary {
         gn_iters: report.gn_iters,
         pcg_iters: report.pcg_iters,
-        obj_evals: 0,
-        hess_applies: 0,
+        obj_evals: gn.obj_evals,
+        hess_applies: gn.hess_applies,
         rel_mismatch: report.rel_mismatch,
         grad_rel: report.grad_rel,
         jac_det_min: report.jac_det_min,
         jac_det_max: report.jac_det_max,
         time_total: report.time_total,
         modeled_total: report.modeled_total,
-        converged: report.grad_rel <= config.grad_rtol,
+        converged: gn.converged,
     };
     run.scheduling = scheduling;
     run.phases = PhaseShares::from_kernels(&[], report.time_total);
@@ -1034,7 +823,6 @@ fn job_run_report(
     run.roofline =
         RooflineInfo { dram_peak_bps: host.dram_bw, probed: host.probed, kernels: Vec::new() };
 
-    let stats = comm.stats();
     run.comm = CommCat::ALL
         .iter()
         .map(|&c| {
@@ -1093,6 +881,7 @@ mod tests {
         assert_eq!(run.scheduling.priority, "normal");
         assert!(run.scheduling.total_secs >= run.scheduling.run_secs);
         assert!(run.to_json().contains("\"scheduling\""));
+        assert!(run.summary.obj_evals > 0 && run.summary.hess_applies > 0, "{:?}", run.summary);
         let drained = svc.shutdown();
         assert_eq!(drained.len(), 1);
     }
@@ -1109,7 +898,7 @@ mod tests {
         // must never coalesce into one BatchSolver
         let a = JobSpec::new("m", mixed_cfg, JobInput::Synthetic { n: [8, 8, 8] });
         let b = JobSpec::new("d", f64_cfg, JobInput::Synthetic { n: [8, 8, 8] });
-        assert_ne!(fingerprint(&a), fingerprint(&b));
+        assert_ne!(coalescing_key(&a), coalescing_key(&b));
 
         let mut svc = RegistrationService::start(ServiceConfig::default().workers(1));
         let id = svc.try_submit(a).unwrap();
@@ -1191,8 +980,7 @@ mod tests {
 
     #[test]
     fn compatible_queued_jobs_coalesce_into_one_batch() {
-        let mut svc =
-            RegistrationService::start(ServiceConfig::default().workers(1).batching(true));
+        let mut svc = RegistrationService::start(ServiceConfig::default().workers(1).max_batch(8));
         let (blocker, gate) = blocking_spec("blocker");
         let b = svc.try_submit(blocker).unwrap();
         let ids: Vec<_> =
@@ -1230,8 +1018,7 @@ mod tests {
 
     #[test]
     fn coalescing_never_crosses_priority_lanes() {
-        let mut svc =
-            RegistrationService::start(ServiceConfig::default().workers(1).batching(true));
+        let mut svc = RegistrationService::start(ServiceConfig::default().workers(1).max_batch(8));
         let (blocker, gate) = blocking_spec("blocker");
         let b = svc.try_submit(blocker).unwrap();
         let hi = svc.try_submit(tiny_spec("hi").priority(Priority::High)).unwrap();
@@ -1252,8 +1039,7 @@ mod tests {
 
     #[test]
     fn expired_member_retires_without_holding_up_its_batch() {
-        let mut svc =
-            RegistrationService::start(ServiceConfig::default().workers(1).batching(true));
+        let mut svc = RegistrationService::start(ServiceConfig::default().workers(1).max_batch(8));
         let (blocker, gate) = blocking_spec("blocker");
         let b = svc.try_submit(blocker).unwrap();
         let doomed = svc.try_submit(tiny_spec("doomed").deadline(Duration::ZERO)).unwrap();
@@ -1281,8 +1067,7 @@ mod tests {
         let solo = solo_svc.wait(id).unwrap().report.unwrap();
         solo_svc.shutdown();
 
-        let mut svc =
-            RegistrationService::start(ServiceConfig::default().workers(1).batching(true));
+        let mut svc = RegistrationService::start(ServiceConfig::default().workers(1).max_batch(8));
         let (blocker, gate) = blocking_spec("blocker");
         svc.try_submit(blocker).unwrap();
         let a = svc.try_submit(tiny_spec("a")).unwrap();
@@ -1343,6 +1128,22 @@ mod tests {
         let b = svc.try_submit_traced(spec).unwrap();
         assert!(!b.cached);
         svc.wait(b.id).unwrap();
+        assert_eq!(svc.solver_invocations(), 2);
+        svc.shutdown();
+
+        // precision changes the arithmetic: same images, same remaining
+        // config, f64 then mixed must solve twice and report its own width
+        use claire_core::Precision;
+        let mut svc =
+            RegistrationService::start(ServiceConfig::default().workers(1).result_cache(4));
+        for (precision, want) in [(Precision::F64, "f64"), (Precision::Mixed, "mixed")] {
+            let mut spec = tiny_spec(want);
+            spec.config.precision = precision;
+            let adm = svc.try_submit_traced(spec).unwrap();
+            assert!(!adm.cached, "{want} must not be answered from the other width's result");
+            let res = svc.wait(adm.id).unwrap();
+            assert_eq!(res.run.expect("run report").precision, want);
+        }
         assert_eq!(svc.solver_invocations(), 2);
         svc.shutdown();
     }

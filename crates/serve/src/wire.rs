@@ -1001,6 +1001,10 @@ impl Fnv {
     }
 }
 
+/// Feed grid extents plus every solver-relevant configuration field into
+/// `h`. This is the one list behind the result cache's content key, the
+/// router's [`solver_fingerprint`] and the service's coalescing key — a new
+/// `RegistrationConfig` field that changes the arithmetic goes here.
 pub(crate) fn hash_config(h: &mut Fnv, n: [usize; 3], c: &RegistrationConfig) {
     for d in n {
         h.write_u64(d as u64);
@@ -1028,6 +1032,7 @@ pub(crate) fn hash_config(h: &mut Fnv, n: [usize; 3], c: &RegistrationConfig) {
         None => h.write_u64(0),
     }
     h.write_u64(c.verbose as u64);
+    h.write(c.precision.label().as_bytes());
 }
 
 /// Deterministic solver fingerprint of a wire spec: grid extents plus every
@@ -1183,5 +1188,10 @@ mod tests {
         let mut d = spec();
         d.input = WireInput::Synthetic { n: [16, 8, 8] };
         assert_ne!(solver_fingerprint(&a), solver_fingerprint(&d));
+        let mut e = spec();
+        e.config.precision = claire_core::Precision::Mixed;
+        let mut f = spec();
+        f.config.precision = claire_core::Precision::F64;
+        assert_ne!(solver_fingerprint(&e), solver_fingerprint(&f));
     }
 }

@@ -6,8 +6,9 @@
 #                             against results/baselines/, report-schema
 #                             validation, serve load smoke-run, multi-process
 #                             launch smoke-run
-#   scripts/ci.sh --quick     inner-loop gate: build + tier-1 tests + clippy
-#                             (skips benches AND the net/proc smoke stages)
+#   scripts/ci.sh --quick     inner-loop gate: build + tier-1 tests + full
+#                             workspace tests + clippy (skips benches AND
+#                             the net/proc smoke stages)
 #   scripts/ci.sh --no-smoke  full gate minus the net/proc smoke stages
 #
 # When CLAIRE_SIMD is set in the environment (the CI backend matrix exports
@@ -339,10 +340,12 @@ trap write_stage_timings EXIT
 
 stage build stage_build
 stage "tier-1 tests (root package)" stage_tier1_tests
+# every crate's own tests, in --quick too: a red crate-level test must not
+# survive behind a green tier-1 suite
+stage "full workspace tests" stage_workspace_tests
 stage "clippy (deny warnings)" stage_clippy
 if [ "$QUICK" -eq 0 ]; then
     stage "tier-1 tests (mixed-precision lane)" stage_tier1_mixed
-    stage "full workspace tests" stage_workspace_tests
     stage "rustfmt check" stage_fmt
     stage "kernel bench + perf gate" stage_bench_kernels
     stage "solver bench + perf gate" stage_bench_solver
@@ -366,7 +369,7 @@ done
 write_stage_timings
 echo "stage timings written to ci_stages.json"
 if [ "$QUICK" -eq 1 ]; then
-    echo "CI gate passed (--quick: build + tier-1 tests + clippy)."
+    echo "CI gate passed (--quick: build + tier-1 + workspace tests + clippy)."
 else
     echo "CI gate passed."
 fi

@@ -562,18 +562,15 @@ fn batch_main(args: Vec<String>) {
     }
     // Fast path: queued jobs with identical grid/config fingerprints are
     // coalesced into one BatchSolver run (shared FFT plans and scaffolding,
-    // interleaved iterations); results stay bitwise identical to solo runs.
-    svc_cfg = svc_cfg.batching(batching);
-    if let Some(m) = max_batch {
-        svc_cfg = svc_cfg.max_batch(m);
-    }
+    // interleaved iterations); results stay bitwise identical to runs of one.
+    svc_cfg = svc_cfg.max_batch(if batching { max_batch.unwrap_or(8) } else { 1 });
     if !quiet {
         eprintln!(
             "batch: {} job(s), {} worker(s), queue capacity {}, coalescing {}",
             jobs.len(),
             svc_cfg.workers,
             svc_cfg.queue_capacity,
-            if svc_cfg.batching { "on" } else { "off" }
+            if svc_cfg.max_batch > 1 { "on" } else { "off" }
         );
     }
 
@@ -717,13 +714,10 @@ fn serve_main(args: Vec<String>) {
     let mut svc_cfg = ServiceConfig::default()
         .workers(workers.unwrap_or(1))
         .queue_capacity(queue_cap.unwrap_or(64))
-        .batching(batching)
+        .max_batch(if batching { max_batch.unwrap_or(8) } else { 1 })
         .result_cache(cache);
     if let Some(t) = threads {
         svc_cfg = svc_cfg.total_threads(t);
-    }
-    if let Some(m) = max_batch {
-        svc_cfg = svc_cfg.max_batch(m);
     }
     if let Some(q) = quota {
         svc_cfg = svc_cfg.quota(q);
@@ -742,7 +736,7 @@ fn serve_main(args: Vec<String>) {
             "workers {}, queue capacity {}, coalescing {}, cache {} entries, quota {}",
             workers.unwrap_or(1),
             queue_cap.unwrap_or(64),
-            if batching { "on" } else { "off" },
+            if svc_cfg.max_batch > 1 { "on" } else { "off" },
             cache,
             match quota {
                 Some(q) => format!("{}:{} per tenant", q.burst, q.per_sec),

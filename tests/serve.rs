@@ -177,7 +177,7 @@ fn batching_preserves_per_job_cancellation_and_reports() {
     // of them cancels itself at its own iteration boundary ≥ 1 — the batch
     // must retire exactly that member while the rest complete with full
     // per-job reports carrying the shared batch id.
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1).batching(true));
+    let svc = RegistrationService::start(ServiceConfig::default().workers(1).max_batch(8));
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let release_rx = Mutex::new(Some(release_rx));
     let blocker_hooks = SolverHooks {
@@ -225,6 +225,45 @@ fn batching_preserves_per_job_cancellation_and_reports() {
     }
     assert!(batch_ids[0] > 0);
     assert_eq!(batch_ids[0], batch_ids[1], "both survivors ran in the same batch");
+}
+
+#[test]
+fn panicking_run_fails_every_member_and_keeps_their_queue_wait() {
+    // One worker, coalescing on. While the blocker parks, two compatible
+    // jobs queue up; one's observer panics inside their shared run. The
+    // panic is caught, fails both members — each still reporting the time
+    // it spent queued — and the pool survives.
+    let svc = RegistrationService::start(ServiceConfig::default().workers(1).max_batch(8));
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(Some(release_rx));
+    let blocker_hooks = SolverHooks {
+        cancel: None,
+        on_gn_iter: Some(Arc::new(move |_| {
+            if let Some(rx) = release_rx.lock().unwrap().take() {
+                let _ = rx.recv_timeout(Duration::from_secs(30));
+            }
+        })),
+    };
+    let blocker = JobSpec::new("blocker", tiny_config(), JobInput::Synthetic { n: [4, 4, 4] })
+        .hooks(blocker_hooks);
+    let b = svc.submit(blocker).unwrap();
+    let bomb_hooks =
+        SolverHooks { cancel: None, on_gn_iter: Some(Arc::new(|_| panic!("observer exploded"))) };
+    let bomb = svc.submit(tiny_spec("bomb").hooks(bomb_hooks)).unwrap();
+    let bystander = svc.submit(tiny_spec("bystander")).unwrap();
+    release_tx.send(()).unwrap();
+
+    assert_eq!(svc.wait(b).unwrap().status, JobStatus::Succeeded);
+    for id in [bomb, bystander] {
+        let res = svc.wait(id).unwrap();
+        assert_eq!(res.status, JobStatus::Failed);
+        let error = res.error.unwrap();
+        assert!(error.contains("solver panicked: observer exploded"), "{error}");
+        assert!(res.queue_wait > Duration::ZERO, "a failed member keeps its queue wait");
+        assert!(res.total >= res.queue_wait + res.run_time);
+    }
+    let after = svc.submit(tiny_spec("after")).unwrap();
+    assert_eq!(svc.wait(after).unwrap().status, JobStatus::Succeeded);
 }
 
 proptest! {
