@@ -373,7 +373,7 @@ fn solve_level(
         let mut any = false;
         for (i, drv) in drivers.iter_mut().enumerate() {
             let Ok(drv) = drv else { continue };
-            if drv.done() {
+            if drv.end.is_some() {
                 continue;
             }
             any = true;
@@ -432,10 +432,6 @@ impl PairDriver {
         let mut drv = PairDriver { hooks, problem, state: None, level: 0, total, end: None };
         drv.open_level(v0, plan, comm);
         drv
-    }
-
-    fn done(&self) -> bool {
-        self.end.is_some()
     }
 
     /// Start β-level `self.level` from `v`.
