@@ -233,7 +233,8 @@ impl BatchSolver {
     }
 
     fn solve_inner(&self, pairs: Vec<BatchPair>) -> ClaireResult<BatchOutcome> {
-        let _batch_span = span("batch.solve");
+        // a run of one is a solo solve, so it keeps the solo span root
+        let _run_span = span(if pairs.len() == 1 { "solve" } else { "batch.solve" });
         let mut comms: Vec<Comm> = pairs.iter().map(|_| Comm::solo()).collect();
         let inputs = pairs
             .into_iter()
@@ -245,7 +246,7 @@ impl BatchSolver {
                 v_init: None,
             })
             .collect();
-        Ok(solve_pairs(&self.cfg, inputs, &mut comms))
+        Ok(solve_pairs(&self.cfg, "BatchSolver::solve", inputs, &mut comms))
     }
 }
 
@@ -261,9 +262,11 @@ pub(crate) struct PairInput {
 /// Run every pair to completion — grid continuation, β-continuation,
 /// Gauss–Newton, final report — with member `i` communicating over
 /// `comms[i]`. All inputs share one layout. Collective over each member's
-/// communicator.
+/// communicator. `context` names the public entry point in a member's
+/// [`ClaireError::Cancelled`].
 pub(crate) fn solve_pairs(
     cfg: &RegistrationConfig,
+    context: &'static str,
     inputs: Vec<PairInput>,
     comms: &mut [Comm],
 ) -> BatchOutcome {
@@ -274,7 +277,7 @@ pub(crate) fn solve_pairs(
     let mut setup_secs = 0.0f64;
     let labels: Vec<String> = inputs.iter().map(|p| p.label.clone()).collect();
 
-    let results = solve_level(cfg, inputs, comms, &mut mem, &mut rounds, &mut setup_secs);
+    let results = solve_level(cfg, context, inputs, comms, &mut mem, &mut rounds, &mut setup_secs);
 
     let mut items = Vec::with_capacity(k);
     for (((res, label), comm), mut mem) in
@@ -301,6 +304,7 @@ type PairResult = Result<(RegProblem, VectorField, GnStats), ClaireError>;
 /// order.
 fn solve_level(
     cfg: &RegistrationConfig,
+    context: &'static str,
     mut inputs: Vec<PairInput>,
     comms: &mut [Comm],
     mem: &mut [MemberMemStats],
@@ -332,7 +336,8 @@ fn solve_level(
                 v_init: p.v_init.take(),
             })
             .collect();
-        let coarse = solve_level(&coarse_cfg, coarse_inputs, comms, mem, rounds, setup_secs);
+        let coarse =
+            solve_level(&coarse_cfg, context, coarse_inputs, comms, mem, rounds, setup_secs);
         for (i, res) in coarse.into_iter().enumerate() {
             match res {
                 Ok((_, vc, _)) => {
@@ -341,6 +346,11 @@ fn solve_level(
                 }
                 Err(e) => failed[i] = Some(e),
             }
+        }
+        // nothing left to solve (e.g. cancelled during the coarse solve):
+        // surface the errors without planning this grid
+        if failed.iter().all(Option::is_some) {
+            return failed.into_iter().map(|e| Err(e.expect("all failed"))).collect();
         }
     }
 
@@ -351,7 +361,7 @@ fn solve_level(
         Ok(scaffold) => scaffold,
         Err(e) => return (0..k).map(|_| Err(e.clone())).collect(),
     };
-    let level = LevelPlan { betas: cfg.beta_schedule(), gn_cfg: level_gn_config(cfg) };
+    let level = LevelPlan { context, betas: cfg.beta_schedule(), gn_cfg: level_gn_config(cfg) };
 
     let mut drivers: Vec<ClaireResult<PairDriver>> = Vec::with_capacity(k);
     for (i, p) in inputs.into_iter().enumerate() {
@@ -397,6 +407,8 @@ fn solve_level(
 
 /// What every pair on one grid level iterates against.
 struct LevelPlan {
+    /// Entry point named in a member's `Cancelled` error.
+    context: &'static str,
     betas: Vec<f64>,
     gn_cfg: GnConfig,
 }
@@ -467,7 +479,7 @@ impl PairDriver {
             state.cancel();
             self.close_level();
             self.end = Some(Err(ClaireError::Cancelled {
-                context: "Claire::register",
+                context: plan.context,
                 message: format!(
                     "{} after {} Gauss-Newton iteration(s) at beta level {}",
                     reason.label(),

@@ -216,7 +216,8 @@ impl Claire {
             m1: m1.clone(),
             v_init,
         };
-        let outcome = solve_pairs(&self.cfg, vec![pair], std::slice::from_mut(comm));
+        let outcome =
+            solve_pairs(&self.cfg, "Claire::register", vec![pair], std::slice::from_mut(comm));
         outcome.items.into_iter().next().expect("one item per pair").outcome
     }
 }
@@ -398,8 +399,36 @@ mod tests {
         let mut claire = Claire::with_hooks(cfg, hooks);
         let err = claire.try_register(&m0, &m1, &mut comm).unwrap_err();
         assert!(matches!(err, ClaireError::Cancelled { .. }), "{err}");
-        assert!(err.to_string().contains("cancelled"), "{err}");
+        assert!(err.to_string().starts_with("Claire::register stopped early: cancelled"), "{err}");
         assert_eq!(iters.load(Ordering::Relaxed), 1, "only the first boundary is visited");
+    }
+
+    #[test]
+    fn cancel_in_the_coarse_grid_solve_skips_the_fine_grid() {
+        let layout = Layout::serial(Grid::cube(16));
+        let mut comm = Comm::solo();
+        let (m0, m1) = blob_pair(layout, 0.5);
+        let cfg = RegistrationConfig {
+            nt: 2,
+            max_gn_iter: 10,
+            grid_continuation: true,
+            ..Default::default()
+        };
+        let token = CancelToken::new();
+        let trip = token.clone();
+        let boundaries = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let seen = boundaries.clone();
+        let hooks = SolverHooks {
+            cancel: Some(token),
+            on_gn_iter: Some(Arc::new(move |_| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                trip.cancel(); // the first boundary is the 8³ solve's
+            })),
+        };
+        let err = Claire::with_hooks(cfg, hooks).try_register(&m0, &m1, &mut comm).unwrap_err();
+        assert!(matches!(err, ClaireError::Cancelled { .. }), "{err}");
+        assert!(err.to_string().contains("after 0 Gauss-Newton"), "{err}");
+        assert_eq!(boundaries.load(Ordering::Relaxed), 1, "the 16³ level never starts");
     }
 
     #[test]

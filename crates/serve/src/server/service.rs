@@ -589,7 +589,7 @@ fn execute(
     let started = Instant::now();
     let config = jobs[0].spec.config;
     let mut members = Vec::with_capacity(jobs.len());
-    let mut pairs = Vec::with_capacity(jobs.len());
+    let mut inputs = Vec::with_capacity(jobs.len());
     for job in jobs {
         let QueuedJob { id, spec, token, submitted, deadline, cache_key } = job;
         let JobSpec { label, tenant, input, priority, hooks, .. } = spec;
@@ -608,16 +608,9 @@ fn execute(
             continue;
         }
         shared.set_status(id, JobStatus::Running);
-        let (template, reference) = match input {
-            JobInput::Pair { template, reference } => (template, reference),
-            JobInput::Synthetic { n } => {
-                let p = claire_data::syn_problem(n, &mut Comm::solo());
-                (p.template, p.reference)
-            }
-        };
         let hooks =
             SolverHooks { cancel: Some(member.token.clone()), on_gn_iter: hooks.on_gn_iter };
-        pairs.push(BatchPair::new(member.label.clone(), template, reference).with_hooks(hooks));
+        inputs.push((member.label.clone(), input, hooks));
         members.push(member);
     }
     if members.is_empty() {
@@ -638,7 +631,24 @@ fn execute(
     // thread slice so K coalesced jobs never oversubscribe claire-par
     // (K × per-worker threads would, under the one-job-per-worker split).
     let solver = BatchSolver::new(config).with_thread_budget(budget);
-    let solved = catch_unwind(AssertUnwindSafe(|| solver.solve(pairs)));
+    // Generating a synthetic input runs solver code too (it can panic on a
+    // grid too small for its stencils), so it belongs under the same guard.
+    let solved = catch_unwind(AssertUnwindSafe(|| {
+        let pairs = inputs
+            .into_iter()
+            .map(|(label, input, hooks)| {
+                let (template, reference) = match input {
+                    JobInput::Pair { template, reference } => (template, reference),
+                    JobInput::Synthetic { n } => {
+                        let p = claire_data::syn_problem(n, &mut Comm::solo());
+                        (p.template, p.reference)
+                    }
+                };
+                BatchPair::new(label, template, reference).with_hooks(hooks)
+            })
+            .collect();
+        solver.solve(pairs)
+    }));
     let run_time = started.elapsed();
     // Spans are thread-local; drain them after every run so one tenant's
     // trace never leaks into the next job on this worker. They cover the

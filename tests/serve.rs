@@ -211,7 +211,8 @@ fn batching_preserves_per_job_cancellation_and_reports() {
     assert_eq!(svc.wait(b).unwrap().status, JobStatus::Succeeded);
     let quit = svc.wait(quitter).unwrap();
     assert_eq!(quit.status, JobStatus::Cancelled, "{:?}", quit.error);
-    assert!(quit.error.unwrap().contains("cancelled"));
+    let error = quit.error.unwrap();
+    assert!(error.starts_with("BatchSolver::solve stopped early: cancelled"), "{error}");
 
     let mut batch_ids = Vec::new();
     for id in [ok1, ok2] {
@@ -261,6 +262,24 @@ fn panicking_run_fails_every_member_and_keeps_their_queue_wait() {
         assert!(error.contains("solver panicked: observer exploded"), "{error}");
         assert!(res.queue_wait > Duration::ZERO, "a failed member keeps its queue wait");
         assert!(res.total >= res.queue_wait + res.run_time);
+    }
+    let after = svc.submit(tiny_spec("after")).unwrap();
+    assert_eq!(svc.wait(after).unwrap().status, JobStatus::Succeeded);
+}
+
+#[test]
+fn panicking_input_generation_fails_the_job_not_the_worker() {
+    // Admission accepts any extent >= 2, but generating a synthetic pair
+    // on a grid narrower than the FD8 halo panics. That must end as a
+    // `Failed` job — not a dead worker and a job stuck `Running`.
+    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
+    for n in [[2, 2, 2], [3, 3, 3]] {
+        let id =
+            svc.submit(JobSpec::new("tiny", tiny_config(), JobInput::Synthetic { n })).unwrap();
+        let res = svc.wait(id).unwrap();
+        assert_eq!(res.status, JobStatus::Failed);
+        let error = res.error.unwrap();
+        assert!(error.contains("solver panicked: "), "{error}");
     }
     let after = svc.submit(tiny_spec("after")).unwrap();
     assert_eq!(svc.wait(after).unwrap().status, JobStatus::Succeeded);
