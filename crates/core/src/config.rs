@@ -25,6 +25,13 @@ impl PrecondKind {
             PrecondKind::TwoLevelInvH0 => "2LInvH0",
         }
     }
+
+    /// Inverse of [`PrecondKind::label`].
+    pub fn parse(s: &str) -> Option<PrecondKind> {
+        [PrecondKind::InvA, PrecondKind::InvH0, PrecondKind::TwoLevelInvH0]
+            .into_iter()
+            .find(|k| k.label() == s)
+    }
 }
 
 /// Interpolation order re-export for configuration ergonomics.
@@ -53,6 +60,11 @@ impl Precision {
             Precision::F64 => "f64",
             Precision::Mixed => "mixed",
         }
+    }
+
+    /// Inverse of [`Precision::label`].
+    pub fn parse(s: &str) -> Option<Precision> {
+        [Precision::F64, Precision::Mixed].into_iter().find(|p| p.label() == s)
     }
 
     /// Read `CLAIRE_PRECISION` (`mixed`/`f32`/`single` → [`Precision::Mixed`],
@@ -389,6 +401,9 @@ mod tests {
         assert_eq!(PrecondKind::TwoLevelInvH0.label(), "2LInvH0");
         assert_eq!(Precision::F64.label(), "f64");
         assert_eq!(Precision::Mixed.label(), "mixed");
+        assert_eq!(PrecondKind::parse("2LInvH0"), Some(PrecondKind::TwoLevelInvH0));
+        assert_eq!(Precision::parse("mixed"), Some(Precision::Mixed));
+        assert_eq!((PrecondKind::parse("invA"), Precision::parse("f32")), (None, None));
     }
 
     #[test]

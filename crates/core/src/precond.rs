@@ -17,22 +17,24 @@
 //! iteration), and β inside H0 is floored at 5e−2 ("if β < 5e−2, we set β
 //! in (9) to 5e−2"), which keeps the preconditioner effective for
 //! vanishing β.
+//!
+//! Element width is a type parameter: `Lane<T>` holds one width's operators
+//! and `∇m̄` and has the one application body. The f64 lane always exists,
+//! the f32 lane only under `Precision::Mixed`.
 
 use std::sync::Arc;
 
-use claire_diff::{Spectral, SpectralT, TwoLevel, TwoLevelT};
+use claire_diff::{SpectralT, TwoLevelT};
 use claire_fft::FftElem;
-use claire_grid::{Real, ScalarField, ScalarFieldT, VectorField, VectorFieldT, WsCat};
+use claire_grid::{Grid, Real, ScalarField, ScalarFieldT, VectorField, VectorFieldT, WsCat};
 use claire_mpi::Comm;
 use claire_opt::{pcg, PcgConfig, PcgOperator};
 
-use crate::config::{Precision, PrecondKind, RegistrationConfig};
+use crate::config::{PrecondKind, RegistrationConfig};
 use crate::problem::SolverScaffold;
 
-/// The zero-velocity Hessian `H0 = βA + ∇m̄ ⊗ ∇m̄` on one grid, generic over
-/// element width (f64 for the standard path, f32 for the mixed-precision
-/// inner solve).
-struct H0Ops<'a, T: FftElem = Real> {
+/// The zero-velocity Hessian `H0 = βA + ∇m̄ ⊗ ∇m̄` on one grid.
+struct H0Ops<'a, T: FftElem> {
     spectral: &'a SpectralT<T>,
     grad_mbar: &'a VectorFieldT<T>,
     beta: f64,
@@ -60,46 +62,91 @@ impl<T: FftElem> PcgOperator<T> for H0Ops<'_, T> {
     }
 }
 
-/// f32 mirrors for the mixed-precision inner solve: the spectral operators
-/// are planned at f32 width (plans cached per width, shared process-wide),
-/// and `∇m̄` is demoted on every [`PrecondState::refresh`]. Built only when
-/// [`RegistrationConfig::precision`] is [`Precision::Mixed`].
-struct MixedMirror {
-    /// Fine-grid spectral operators at f32.
-    spectral: SpectralT<f32>,
-    /// Grid transfers at f32 (2LInvH0 only).
-    two_level: Option<TwoLevelT<f32>>,
-    /// Coarse-grid spectral operators at f32 (2LInvH0 only).
-    spectral_c: Option<SpectralT<f32>>,
-    /// `∇m̄` demoted to f32 (refreshed with the f64 original).
-    grad_mbar: VectorFieldT<f32>,
-    /// Coarse `∇m̄` demoted to f32 (2LInvH0 only).
-    grad_mbar_c: Option<VectorFieldT<f32>>,
+/// The pair-independent operators of one element width on one grid. A
+/// [`SolverScaffold`] plans them once (FFT plans are cached per width) and
+/// every problem on the grid shares them; all methods take `&self`.
+pub(crate) struct WidthOps<T: FftElem> {
+    /// Fine-grid spectral operators.
+    pub(crate) spectral: SpectralT<T>,
+    /// Grid transfers and coarse-grid spectral operators (2LInvH0 only).
+    coarse: Option<(TwoLevelT<T>, SpectralT<T>)>,
 }
 
-impl MixedMirror {
-    /// Plan the f32 mirrors; demotes the freshly computed fine/coarse `∇m̄`.
-    fn new(
+impl<T: FftElem> WidthOps<T> {
+    /// Plan the operators `kind` needs on `grid`. Collective.
+    pub(crate) fn plan(kind: PrecondKind, grid: Grid, comm: &mut Comm) -> Arc<WidthOps<T>> {
+        let spectral = SpectralT::new(grid, comm);
+        let coarse = (kind == PrecondKind::TwoLevelInvH0).then(|| {
+            let tl = TwoLevelT::new(grid, comm);
+            let sc = SpectralT::new(tl.coarse_grid(), comm);
+            (tl, sc)
+        });
+        Arc::new(WidthOps { spectral, coarse })
+    }
+}
+
+/// Options of the H0 solve (9), fixed per problem.
+struct H0Solve {
+    eps_h0: f64,
+    beta_floor: f64,
+    max_inner: usize,
+}
+
+/// One element width of the preconditioner: the shared operators plus this
+/// pair's `∇m̄` at that width.
+struct Lane<T: FftElem> {
+    ops: Arc<WidthOps<T>>,
+    /// `∇m̄` on the fine grid (m̄ = deformed template at current iterate).
+    grad_mbar: VectorFieldT<T>,
+    /// `∇m̄` restricted to the coarse grid (2LInvH0 only).
+    grad_mbar_c: Option<VectorFieldT<T>>,
+}
+
+impl<T: FftElem> Lane<T> {
+    /// Apply preconditioner `kind` to Krylov residual `r` at `beta` with
+    /// outer tolerance `eps_k`. Returns the result and the inner PCG
+    /// iterations spent. Collective.
+    fn apply(
+        &self,
         kind: PrecondKind,
-        grid: claire_grid::Grid,
-        grad_mbar: &VectorField,
-        grad_mbar_c: Option<&VectorField>,
+        r: &VectorFieldT<T>,
+        eps_k: f64,
+        beta: f64,
+        h0: &H0Solve,
         comm: &mut Comm,
-    ) -> MixedMirror {
-        let spectral = SpectralT::<f32>::new(grid, comm);
-        let (two_level, spectral_c) = if kind == PrecondKind::TwoLevelInvH0 {
-            let tl = TwoLevelT::<f32>::new(grid, comm);
-            let sc = SpectralT::<f32>::new(tl.coarse_grid(), comm);
-            (Some(tl), Some(sc))
-        } else {
-            (None, None)
+    ) -> (VectorFieldT<T>, usize) {
+        let spectral = &self.ops.spectral;
+        let beta_h0 = beta.max(h0.beta_floor);
+        let inner = PcgConfig {
+            tol_rel: (h0.eps_h0 * eps_k).min(0.5),
+            max_iter: h0.max_inner,
+            trace: false,
         };
-        MixedMirror {
-            spectral,
-            two_level,
-            spectral_c,
-            grad_mbar: grad_mbar.converted(WsCat::GnCg),
-            grad_mbar_c: grad_mbar_c.map(|g| g.converted(WsCat::GnCg)),
+        match kind {
+            PrecondKind::InvA => (spectral.reg_inv(r, beta, comm), 0),
+            PrecondKind::InvH0 => {
+                let x0 = spectral.reg_inv(r, beta_h0, comm);
+                let mut ops = H0Ops { spectral, grad_mbar: &self.grad_mbar, beta: beta_h0 };
+                let (s, res) = pcg(r, Some(&x0), &inner, &mut ops, comm);
+                (s, res.iters)
+            }
+            PrecondKind::TwoLevelInvH0 => {
+                let (tl, sc_ops) = self.ops.coarse.as_ref().expect("2LInvH0 operators missing");
+                let gc = self.grad_mbar_c.as_ref().expect("coarse ∇m̄ missing");
+
+                // sf ← (βA)⁻¹ r
+                let sf = spectral.reg_inv(r, beta_h0, comm);
+                // coarse solve of (9) with restricted residual
+                let rc = tl.restrict_vector(r, comm);
+                let x0c = tl.restrict_vector(&sf, comm);
+                let mut ops = H0Ops { spectral: sc_ops, grad_mbar: gc, beta: beta_h0 };
+                let (sc, res) = pcg(&rc, Some(&x0c), &inner, &mut ops, comm);
+                // sf ← PROLONG(sc) + HIGHPASS(sf)
+                let mut out = tl.prolong_vector(&sc, comm);
+                let high = tl.highpass_vector(&sf, comm);
+                out.axpy(T::ONE, &high);
+                (out, res.iters)
+            }
         }
     }
 }
@@ -108,24 +155,14 @@ impl MixedMirror {
 pub struct PrecondState {
     /// Configured kind for β ≤ 5e−1.
     pub kind: PrecondKind,
-    eps_h0: f64,
-    beta_floor: f64,
-    max_inner: usize,
-    /// `∇m̄` on the fine grid (m̄ = deformed template at current iterate).
-    grad_mbar: VectorField,
-    /// Grid-transfer operators (2LInvH0 only); `Arc` so a batch of
-    /// problems on one grid shares one set.
-    two_level: Option<Arc<TwoLevel>>,
-    /// Spectral operators on the coarse grid (2LInvH0 only); shared like
-    /// `two_level`.
-    spectral_c: Option<Arc<Spectral>>,
-    /// `∇m̄` restricted to the coarse grid (2LInvH0 only).
-    grad_mbar_c: Option<VectorField>,
+    h0: H0Solve,
+    lane: Lane<Real>,
+    /// The f32 lane of the mixed-precision inner solve; its `∇m̄` is the
+    /// f64 one demoted on every [`PrecondState::refresh`].
+    lane32: Option<Lane<f32>>,
     /// Persistent FD scratch so per-iteration refreshes reuse ghost/tmp
     /// buffers instead of allocating.
     fd_scratch: claire_diff::fd::FdScratch,
-    /// f32 operator/field mirrors (mixed precision only).
-    mixed: Option<MixedMirror>,
     /// Applications of InvA (`[A]` column; includes continuation levels
     /// with β > 5e−1).
     pub n_inva: usize,
@@ -136,42 +173,10 @@ pub struct PrecondState {
 }
 
 impl PrecondState {
-    /// Build preconditioner state; `m0` seeds `m̄` before the first
-    /// Gauss–Newton iteration. Collective.
-    pub fn new(cfg: &RegistrationConfig, m0: &ScalarField, comm: &mut Comm) -> PrecondState {
-        let grid = m0.layout().grid;
-        let grad_mbar = claire_diff::fd::gradient(m0, comm);
-        let (two_level, spectral_c, grad_mbar_c) = if cfg.precond == PrecondKind::TwoLevelInvH0 {
-            let tl = Arc::new(TwoLevel::new(grid, comm));
-            let sc = Arc::new(Spectral::new(tl.coarse_grid(), comm));
-            let gc = tl.restrict_vector(&grad_mbar, comm);
-            (Some(tl), Some(sc), Some(gc))
-        } else {
-            (None, None, None)
-        };
-        let mixed = (cfg.precision == Precision::Mixed)
-            .then(|| MixedMirror::new(cfg.precond, grid, &grad_mbar, grad_mbar_c.as_ref(), comm));
-        PrecondState {
-            kind: cfg.precond,
-            eps_h0: cfg.eps_h0,
-            beta_floor: cfg.beta_floor,
-            max_inner: cfg.max_inner_iter,
-            grad_mbar,
-            two_level,
-            spectral_c,
-            grad_mbar_c,
-            fd_scratch: claire_diff::fd::FdScratch::new(),
-            mixed,
-            n_inva: 0,
-            n_invh0: 0,
-            inner_iters: 0,
-        }
-    }
-
-    /// [`PrecondState::new`] drawing the grid-dependent scaffolding
-    /// (`TwoLevel`, coarse `Spectral`) from a shared [`SolverScaffold`]
-    /// instead of building private copies. Only the per-pair `∇m̄` fields
-    /// are computed here. Collective.
+    /// Build preconditioner state on the operators of `scaffold` (planned
+    /// for the same `cfg`); only the per-pair `∇m̄` fields are computed
+    /// here, and `m0` seeds `m̄` before the first Gauss–Newton iteration.
+    /// Collective.
     pub(crate) fn with_scaffold(
         cfg: &RegistrationConfig,
         m0: &ScalarField,
@@ -179,38 +184,23 @@ impl PrecondState {
         comm: &mut Comm,
     ) -> PrecondState {
         let grad_mbar = claire_diff::fd::gradient(m0, comm);
-        let (two_level, spectral_c, grad_mbar_c) = if cfg.precond == PrecondKind::TwoLevelInvH0 {
-            match (&scaffold.two_level, &scaffold.spectral_c) {
-                (Some(tl), Some(sc)) => {
-                    let gc = tl.restrict_vector(&grad_mbar, comm);
-                    (Some(Arc::clone(tl)), Some(Arc::clone(sc)), Some(gc))
-                }
-                // scaffold built for a different preconditioner kind:
-                // fall back to private copies
-                _ => {
-                    let tl = Arc::new(TwoLevel::new(m0.layout().grid, comm));
-                    let sc = Arc::new(Spectral::new(tl.coarse_grid(), comm));
-                    let gc = tl.restrict_vector(&grad_mbar, comm);
-                    (Some(tl), Some(sc), Some(gc))
-                }
-            }
-        } else {
-            (None, None, None)
-        };
-        let mixed = (cfg.precision == Precision::Mixed).then(|| {
-            MixedMirror::new(cfg.precond, m0.layout().grid, &grad_mbar, grad_mbar_c.as_ref(), comm)
+        let grad_mbar_c =
+            scaffold.ops.coarse.as_ref().map(|(tl, _)| tl.restrict_vector(&grad_mbar, comm));
+        let lane32 = scaffold.ops32.as_ref().map(|ops| Lane {
+            ops: Arc::clone(ops),
+            grad_mbar: grad_mbar.converted(WsCat::GnCg),
+            grad_mbar_c: grad_mbar_c.as_ref().map(|g| g.converted(WsCat::GnCg)),
         });
         PrecondState {
             kind: cfg.precond,
-            eps_h0: cfg.eps_h0,
-            beta_floor: cfg.beta_floor,
-            max_inner: cfg.max_inner_iter,
-            grad_mbar,
-            two_level,
-            spectral_c,
-            grad_mbar_c,
+            h0: H0Solve {
+                eps_h0: cfg.eps_h0,
+                beta_floor: cfg.beta_floor,
+                max_inner: cfg.max_inner_iter,
+            },
+            lane: Lane { ops: Arc::clone(&scaffold.ops), grad_mbar, grad_mbar_c },
+            lane32,
             fd_scratch: claire_diff::fd::FdScratch::new(),
-            mixed,
             n_inva: 0,
             n_invh0: 0,
             inner_iters: 0,
@@ -224,23 +214,19 @@ impl PrecondState {
         if self.kind == PrecondKind::InvA {
             return; // InvA never uses m̄
         }
-        claire_diff::fd::gradient_into(mbar, comm, &mut self.grad_mbar, &mut self.fd_scratch);
-        if let Some(tl) = &self.two_level {
-            self.grad_mbar_c = Some(tl.restrict_vector(&self.grad_mbar, comm));
+        let lane = &mut self.lane;
+        claire_diff::fd::gradient_into(mbar, comm, &mut lane.grad_mbar, &mut self.fd_scratch);
+        if let Some((tl, _)) = &lane.ops.coarse {
+            lane.grad_mbar_c = Some(tl.restrict_vector(&lane.grad_mbar, comm));
         }
-        // keep the f32 mirrors in lockstep: demote in place (pooled, no
+        // keep the f32 lane in lockstep: demote in place (pooled, no
         // steady-state allocation)
-        if let Some(mx) = &mut self.mixed {
-            mx.grad_mbar.convert_from(&self.grad_mbar);
-            if let (Some(gc32), Some(gc)) = (&mut mx.grad_mbar_c, &self.grad_mbar_c) {
+        if let Some(l32) = &mut self.lane32 {
+            l32.grad_mbar.convert_from(&lane.grad_mbar);
+            if let (Some(gc32), Some(gc)) = (&mut l32.grad_mbar_c, &lane.grad_mbar_c) {
                 gc32.convert_from(gc);
             }
         }
-    }
-
-    /// Whether the f32 mirrors are available (mixed-precision configured).
-    pub fn has_mixed(&self) -> bool {
-        self.mixed.is_some()
     }
 
     /// Effective kind at the current β: the continuation always uses InvA
@@ -262,6 +248,16 @@ impl PrecondState {
         }
     }
 
+    /// Book one application of `kind` that spent `iters` inner iterations.
+    fn tally(&mut self, kind: PrecondKind, iters: usize) {
+        if kind == PrecondKind::InvA {
+            self.n_inva += 1;
+        } else {
+            self.n_invh0 += 1;
+        }
+        self.inner_iters += iters;
+    }
+
     /// Apply the preconditioner to Krylov residual `r` at the current β
     /// with outer tolerance `eps_k`. Collective.
     pub fn apply(
@@ -269,135 +265,51 @@ impl PrecondState {
         r: &VectorField,
         eps_k: f64,
         beta: f64,
-        spectral: &Spectral,
         comm: &mut Comm,
     ) -> VectorField {
-        match self.effective_kind(beta) {
-            PrecondKind::InvA => {
-                self.n_inva += 1;
-                spectral.reg_inv(r, beta, comm)
-            }
-            PrecondKind::InvH0 => {
-                self.n_invh0 += 1;
-                let beta_h0 = beta.max(self.beta_floor);
-                let x0 = spectral.reg_inv(r, beta_h0, comm);
-                let cfg = PcgConfig {
-                    tol_rel: (self.eps_h0 * eps_k).min(0.5),
-                    max_iter: self.max_inner,
-                    trace: false,
-                };
-                let mut ops = H0Ops { spectral, grad_mbar: &self.grad_mbar, beta: beta_h0 };
-                let (s, res) = pcg(r, Some(&x0), &cfg, &mut ops, comm);
-                self.inner_iters += res.iters;
-                s
-            }
-            PrecondKind::TwoLevelInvH0 => {
-                self.n_invh0 += 1;
-                let beta_h0 = beta.max(self.beta_floor);
-                let tl = self.two_level.as_ref().expect("2LInvH0 state missing");
-                let sc_ops = self.spectral_c.as_ref().expect("coarse spectral missing");
-                let gc = self.grad_mbar_c.as_ref().expect("coarse ∇m̄ missing");
-
-                // sf ← (βA)⁻¹ r
-                let sf = spectral.reg_inv(r, beta_h0, comm);
-                // coarse solve of (9) with restricted residual
-                let rc = tl.restrict_vector(r, comm);
-                let x0c = tl.restrict_vector(&sf, comm);
-                let cfg = PcgConfig {
-                    tol_rel: (self.eps_h0 * eps_k).min(0.5),
-                    max_iter: self.max_inner,
-                    trace: false,
-                };
-                let mut ops = H0Ops { spectral: sc_ops.as_ref(), grad_mbar: gc, beta: beta_h0 };
-                let (sc, res) = pcg(&rc, Some(&x0c), &cfg, &mut ops, comm);
-                self.inner_iters += res.iters;
-                // sf ← PROLONG(sc) + HIGHPASS(sf)
-                let mut out = tl.prolong_vector(&sc, comm);
-                let high = tl.highpass_vector(&sf, comm);
-                out.axpy(1.0, &high);
-                out
-            }
-        }
+        let kind = self.effective_kind(beta);
+        let (s, iters) = self.lane.apply(kind, r, eps_k, beta, &self.h0, comm);
+        self.tally(kind, iters);
+        s
     }
 
-    /// [`PrecondState::apply`] at f32 width — the mixed-precision inner
-    /// solve path. Spectral work, the inner H0 PCG, and (for 2LInvH0) the
+    /// [`PrecondState::apply`] for the mixed-precision inner solve: on the
+    /// f32 lane the spectral work, the inner H0 PCG, and (for 2LInvH0) the
     /// grid-transfer collectives all run on f32 fields, halving their
-    /// memory and wire traffic. Returns `None` when the f32 mirrors were
-    /// not built (precision is `F64`); callers fall back to
-    /// promote-apply-demote. Collective.
+    /// memory and wire traffic. A problem not configured `Mixed` has no f32
+    /// lane and promotes, applies at f64, and demotes. Collective.
     pub fn apply32(
         &mut self,
         r: &VectorFieldT<f32>,
         eps_k: f64,
         beta: f64,
         comm: &mut Comm,
-    ) -> Option<VectorFieldT<f32>> {
-        let mx = self.mixed.as_ref()?;
-        Some(match self.effective_kind(beta) {
-            PrecondKind::InvA => {
-                self.n_inva += 1;
-                mx.spectral.reg_inv(r, beta, comm)
-            }
-            PrecondKind::InvH0 => {
-                self.n_invh0 += 1;
-                let beta_h0 = beta.max(self.beta_floor);
-                let x0 = mx.spectral.reg_inv(r, beta_h0, comm);
-                let cfg = PcgConfig {
-                    tol_rel: (self.eps_h0 * eps_k).min(0.5),
-                    max_iter: self.max_inner,
-                    trace: false,
-                };
-                let mut ops =
-                    H0Ops { spectral: &mx.spectral, grad_mbar: &mx.grad_mbar, beta: beta_h0 };
-                let (s, res) = pcg(r, Some(&x0), &cfg, &mut ops, comm);
-                self.inner_iters += res.iters;
-                s
-            }
-            PrecondKind::TwoLevelInvH0 => {
-                self.n_invh0 += 1;
-                let beta_h0 = beta.max(self.beta_floor);
-                let tl = mx.two_level.as_ref().expect("2LInvH0 f32 state missing");
-                let sc_ops = mx.spectral_c.as_ref().expect("coarse f32 spectral missing");
-                let gc = mx.grad_mbar_c.as_ref().expect("coarse f32 ∇m̄ missing");
-
-                // sf ← (βA)⁻¹ r
-                let sf = mx.spectral.reg_inv(r, beta_h0, comm);
-                // coarse solve of (9) with restricted residual
-                let rc = tl.restrict_vector(r, comm);
-                let x0c = tl.restrict_vector(&sf, comm);
-                let cfg = PcgConfig {
-                    tol_rel: (self.eps_h0 * eps_k).min(0.5),
-                    max_iter: self.max_inner,
-                    trace: false,
-                };
-                let mut ops = H0Ops { spectral: sc_ops, grad_mbar: gc, beta: beta_h0 };
-                let (sc, res) = pcg(&rc, Some(&x0c), &cfg, &mut ops, comm);
-                self.inner_iters += res.iters;
-                // sf ← PROLONG(sc) + HIGHPASS(sf)
-                let mut out = tl.prolong_vector(&sc, comm);
-                let high = tl.highpass_vector(&sf, comm);
-                out.axpy(1.0, &high);
-                out
-            }
-        })
+    ) -> VectorFieldT<f32> {
+        let Some(lane) = &self.lane32 else {
+            let r64: VectorField = r.converted(WsCat::GnCg);
+            return self.apply(&r64, eps_k, beta, comm).converted(WsCat::GnCg);
+        };
+        let kind = self.effective_kind(beta);
+        let (s, iters) = lane.apply(kind, r, eps_k, beta, &self.h0, comm);
+        self.tally(kind, iters);
+        s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use claire_grid::{Grid, Layout};
+    use crate::config::Precision;
+    use claire_grid::Layout;
 
-    fn setup(kind: PrecondKind, comm: &mut Comm) -> (PrecondState, Spectral, Layout) {
+    fn setup(kind: PrecondKind, precision: Precision, comm: &mut Comm) -> (PrecondState, Layout) {
         let layout = Layout::serial(Grid::cube(16));
         let m0 = ScalarField::from_fn(layout, |x, y, z| {
             (-((x - 3.0).powi(2) + (y - 3.0).powi(2) + (z - 3.0).powi(2))).exp()
         });
-        let cfg = RegistrationConfig { precond: kind, ..Default::default() };
-        let pc = PrecondState::new(&cfg, &m0, comm);
-        let sp = Spectral::new(layout.grid, comm);
-        (pc, sp, layout)
+        let cfg = RegistrationConfig { precond: kind, precision, ..Default::default() };
+        let scaffold = SolverScaffold::new(&cfg, layout.grid, comm).expect("usable grid");
+        (PrecondState::with_scaffold(&cfg, &m0, &scaffold, comm), layout)
     }
 
     fn probe(layout: Layout) -> VectorField {
@@ -412,11 +324,11 @@ mod tests {
     #[test]
     fn inva_is_exact_inverse_of_reg() {
         let mut comm = Comm::solo();
-        let (mut pc, sp, layout) = setup(PrecondKind::InvA, &mut comm);
+        let (mut pc, layout) = setup(PrecondKind::InvA, Precision::F64, &mut comm);
         let beta = 0.1;
         let v = probe(layout);
-        let av = sp.reg_apply(&v, beta, &mut comm);
-        let back = pc.apply(&av, 0.5, beta, &sp, &mut comm);
+        let av = pc.lane.ops.spectral.reg_apply(&v, beta, &mut comm);
+        let back = pc.apply(&av, 0.5, beta, &mut comm);
         let mut d = back.clone();
         d.axpy(-1.0, &v);
         assert!(d.norm_l2(&mut comm) < 1e-8);
@@ -426,14 +338,14 @@ mod tests {
     #[test]
     fn invh0_approximately_inverts_h0() {
         let mut comm = Comm::solo();
-        let (mut pc, sp, layout) = setup(PrecondKind::InvH0, &mut comm);
+        let (mut pc, layout) = setup(PrecondKind::InvH0, Precision::F64, &mut comm);
         let beta = 0.1;
         let v = probe(layout);
         // r = H0 v
-        let gm = pc.grad_mbar.clone();
-        let mut ops = H0Ops { spectral: &sp, grad_mbar: &gm, beta };
+        let mut ops =
+            H0Ops { spectral: &pc.lane.ops.spectral, grad_mbar: &pc.lane.grad_mbar, beta };
         let r = ops.apply(&v, &mut comm);
-        let s = pc.apply(&r, 1e-3, beta, &sp, &mut comm);
+        let s = pc.apply(&r, 1e-3, beta, &mut comm);
         let mut d = s.clone();
         d.axpy(-1.0, &v);
         let rel = d.norm_l2(&mut comm) / v.norm_l2(&mut comm);
@@ -447,10 +359,10 @@ mod tests {
         // With β far below the floor, InvH0 must still act like a bounded
         // operator (the floored system), not blow up.
         let mut comm = Comm::solo();
-        let (mut pc, sp, layout) = setup(PrecondKind::InvH0, &mut comm);
+        let (mut pc, layout) = setup(PrecondKind::InvH0, Precision::F64, &mut comm);
         let beta = 1e-5; // << 5e-2 floor
         let r = probe(layout);
-        let s = pc.apply(&r, 0.1, beta, &sp, &mut comm);
+        let s = pc.apply(&r, 0.1, beta, &mut comm);
         let amp = s.norm_l2(&mut comm) / r.norm_l2(&mut comm);
         // (β_floor·A)⁻¹ caps amplification at 1/(β_floor·(1+0)) = 20
         assert!(amp < 25.0, "amplification {amp} suggests the floor was ignored");
@@ -459,8 +371,8 @@ mod tests {
     #[test]
     fn two_level_matches_fine_on_smooth_residuals() {
         let mut comm = Comm::solo();
-        let (mut pc2, sp, layout) = setup(PrecondKind::TwoLevelInvH0, &mut comm);
-        let (mut pc1, _, _) = setup(PrecondKind::InvH0, &mut comm);
+        let (mut pc2, layout) = setup(PrecondKind::TwoLevelInvH0, Precision::F64, &mut comm);
+        let (mut pc1, _) = setup(PrecondKind::InvH0, Precision::F64, &mut comm);
         let beta = 0.1;
         // a residual with only low-frequency content
         let r = VectorField::from_fns(
@@ -469,8 +381,8 @@ mod tests {
             |_, y, _| y.cos(),
             |_, _, z| (2.0 * z).sin(),
         );
-        let s1 = pc1.apply(&r, 1e-4, beta, &sp, &mut comm);
-        let s2 = pc2.apply(&r, 1e-4, beta, &sp, &mut comm);
+        let s1 = pc1.apply(&r, 1e-4, beta, &mut comm);
+        let s2 = pc2.apply(&r, 1e-4, beta, &mut comm);
         let mut d = s1.clone();
         d.axpy(-1.0, &s2);
         let rel = d.norm_l2(&mut comm) / s1.norm_l2(&mut comm);
@@ -480,13 +392,43 @@ mod tests {
     #[test]
     fn continuation_switch_to_inva_for_large_beta() {
         let mut comm = Comm::solo();
-        let (mut pc, sp, layout) = setup(PrecondKind::TwoLevelInvH0, &mut comm);
+        let (mut pc, layout) = setup(PrecondKind::TwoLevelInvH0, Precision::F64, &mut comm);
         assert_eq!(pc.effective_kind(1.0), PrecondKind::InvA);
         assert_eq!(pc.effective_kind(0.1), PrecondKind::TwoLevelInvH0);
         let r = probe(layout);
-        let _ = pc.apply(&r, 0.5, 1.0, &sp, &mut comm);
+        let _ = pc.apply(&r, 0.5, 1.0, &mut comm);
         assert_eq!((pc.n_inva, pc.n_invh0), (1, 0));
-        let _ = pc.apply(&r, 0.5, 0.1, &sp, &mut comm);
+        let _ = pc.apply(&r, 0.5, 0.1, &mut comm);
         assert_eq!((pc.n_inva, pc.n_invh0), (1, 1));
+    }
+
+    #[test]
+    fn f32_lane_tracks_f64_lane() {
+        // both widths run the one `Lane::apply` body; the f32 result may
+        // differ by single-precision round-off and the inner solve's
+        // truncation (εH0·εK = 1e-4 here), well inside 1e-3 relative
+        let mut comm = Comm::solo();
+        for kind in [PrecondKind::InvA, PrecondKind::InvH0, PrecondKind::TwoLevelInvH0] {
+            let (mut pc, layout) = setup(kind, Precision::Mixed, &mut comm);
+            let r = probe(layout);
+            let s64 = pc.apply(&r, 0.1, 0.1, &mut comm);
+            let r32: VectorFieldT<f32> = r.converted(WsCat::GnCg);
+            let s32 = pc.apply32(&r32, 0.1, 0.1, &mut comm);
+            let mut d: VectorField = s32.converted(WsCat::GnCg);
+            d.axpy(-1.0, &s64);
+            let rel = d.norm_l2(&mut comm) / s64.norm_l2(&mut comm);
+            assert!(rel < 1e-3, "{kind:?}: f32 lane drifted from f64: rel {rel}");
+            assert_eq!(pc.n_inva + pc.n_invh0, 2, "{kind:?}: both widths count");
+
+            // without an f32 lane, `apply32` is the f64 application demoted
+            let (mut pc64, _) = setup(kind, Precision::F64, &mut comm);
+            let r64: VectorField = r32.converted(WsCat::GnCg);
+            let want: VectorFieldT<f32> =
+                pc64.apply(&r64, 0.1, 0.1, &mut comm).converted(WsCat::GnCg);
+            let got = pc64.apply32(&r32, 0.1, 0.1, &mut comm);
+            let same = (0..3).all(|d| got.c[d].data() == want.c[d].data());
+            assert!(same, "{kind:?}: F64 fallback is not promote-apply-demote");
+            assert_eq!(pc64.n_inva + pc64.n_invh0, 2, "{kind:?}: the fallback counts once");
+        }
     }
 }

@@ -2,31 +2,33 @@
 
 use std::sync::Arc;
 
-use claire_diff::{Spectral, TwoLevel};
+use claire_diff::Spectral;
 use claire_grid::{ClaireError, ClaireResult, Layout, Real, ScalarField, VectorField};
 use claire_interp::Interpolator;
 use claire_mpi::Comm;
 use claire_opt::GnProblem;
 use claire_semilag::{StateSolution, Trajectory, Transport};
 
-use crate::config::{PrecondKind, RegistrationConfig};
-use crate::precond::PrecondState;
+use crate::config::{Precision, PrecondKind, RegistrationConfig};
+use crate::precond::{PrecondState, WidthOps};
 
 /// Pair-independent solver machinery for one grid: the spectral operators
-/// and (for `2LInvH0`) the grid-transfer/coarse-spectral scaffolding.
+/// and (for `2LInvH0`) the grid-transfer/coarse-spectral scaffolding, at f64
+/// and — under [`Precision::Mixed`] — at f32 as well.
 ///
-/// Everything here depends only on the grid and the preconditioner kind —
-/// never on the images — so one scaffold can back any number of
-/// [`RegProblem`]s on the same grid. The continuation driver builds one per
-/// grid level and shares it across all K pairs (K = 1 for a lone
-/// registration); [`RegProblem::new`] builds a private one.
+/// Everything here depends only on the grid, the preconditioner kind and
+/// the precision — never on the images — so one scaffold can back any
+/// number of [`RegProblem`]s on the same grid. The continuation driver
+/// builds one per grid level and shares it across all K pairs (K = 1 for a
+/// lone registration); [`RegProblem::new`] builds a private one.
 /// All shared pieces are immutable (`&self` methods only), so sharing does
 /// not change any arithmetic.
 pub struct SolverScaffold {
-    pub(crate) grid: claire_grid::Grid,
-    pub(crate) spectral: Arc<Spectral>,
-    pub(crate) two_level: Option<Arc<TwoLevel>>,
-    pub(crate) spectral_c: Option<Arc<Spectral>>,
+    grid: claire_grid::Grid,
+    /// What the operators below were planned for.
+    planned_for: (PrecondKind, Precision),
+    pub(crate) ops: Arc<WidthOps<Real>>,
+    pub(crate) ops32: Option<Arc<WidthOps<f32>>>,
 }
 
 impl SolverScaffold {
@@ -41,15 +43,10 @@ impl SolverScaffold {
         comm: &mut Comm,
     ) -> ClaireResult<SolverScaffold> {
         validate_grid(grid)?;
-        let spectral = Arc::new(Spectral::new(grid, comm));
-        let (two_level, spectral_c) = if cfg.precond == PrecondKind::TwoLevelInvH0 {
-            let tl = TwoLevel::new(grid, comm);
-            let sc = Arc::new(Spectral::new(tl.coarse_grid(), comm));
-            (Some(Arc::new(tl)), Some(sc))
-        } else {
-            (None, None)
-        };
-        Ok(SolverScaffold { grid, spectral, two_level, spectral_c })
+        let ops = WidthOps::plan(cfg.precond, grid, comm);
+        let ops32 =
+            (cfg.precision == Precision::Mixed).then(|| WidthOps::plan(cfg.precond, grid, comm));
+        Ok(SolverScaffold { grid, planned_for: (cfg.precond, cfg.precision), ops, ops32 })
     }
 }
 
@@ -72,7 +69,7 @@ pub struct RegProblem {
     transport: Transport,
     /// Shared interpolator (accumulates Table 2 phase stats).
     pub interp: Interpolator,
-    spectral: Arc<Spectral>,
+    ops: Arc<WidthOps<Real>>,
     /// Preconditioner state and counters.
     pub pc: PrecondState,
     cur: Option<Current>,
@@ -96,7 +93,8 @@ impl RegProblem {
 
     /// [`RegProblem::new`] backed by a pre-built [`SolverScaffold`]: K
     /// problems on one grid share one scaffold instead of planning K
-    /// copies. The scaffold's grid must match the images' grid.
+    /// copies. The scaffold must have been planned for the images' grid
+    /// and for `cfg`'s preconditioner kind and precision.
     pub fn with_scaffold(
         m0: ScalarField,
         m1: ScalarField,
@@ -115,13 +113,20 @@ impl RegProblem {
                 ),
             });
         }
+        let (planned, asked) = (scaffold.planned_for, (cfg.precond, cfg.precision));
+        if planned != asked {
+            return Err(ClaireError::Config {
+                param: "scaffold",
+                message: format!("planned for {planned:?}, cannot back a {asked:?} problem"),
+            });
+        }
         let pc = PrecondState::with_scaffold(&cfg, &m0, scaffold, comm);
         Ok(RegProblem {
             layout,
             beta: cfg.beta_init,
             transport: Transport::new(cfg.nt, cfg.ip_order),
             interp: Interpolator::new(cfg.ip_order),
-            spectral: Arc::clone(&scaffold.spectral),
+            ops: Arc::clone(&scaffold.ops),
             pc,
             cur: None,
             cfg,
@@ -147,7 +152,7 @@ impl RegProblem {
 
     /// Access the spectral operators.
     pub fn spectral(&self) -> &Spectral {
-        self.spectral.as_ref()
+        &self.ops.spectral
     }
 
     /// Template image.
@@ -261,7 +266,7 @@ impl GnProblem for RegProblem {
         let mut resid = m_final;
         resid.axpy(-1.0, &self.m1);
         let data_term = 0.5 * resid.inner(&resid, comm);
-        let av = self.spectral.reg_apply(v, self.beta, comm);
+        let av = self.ops.spectral.reg_apply(v, self.beta, comm);
         let reg_term = 0.5 * v.inner(&av, comm);
         data_term + reg_term
     }
@@ -288,7 +293,7 @@ impl GnProblem for RegProblem {
         let mbar = state.final_state().clone();
         self.pc.refresh(&mbar, comm);
 
-        let mut g = self.spectral.reg_apply(v, self.beta, comm);
+        let mut g = self.ops.spectral.reg_apply(v, self.beta, comm);
         let integral = lambda_grad_integral(self.layout, self.cfg.nt, &state, &lambda, comm);
         g.axpy(1.0, &integral);
         self.cur = Some(Current { traj, state });
@@ -307,7 +312,7 @@ impl GnProblem for RegProblem {
         let mut lt1 = mt_final;
         lt1.scale(-1.0);
         let lambda_t = self.transport.solve_adjoint(&cur.traj, &lt1, &mut self.interp, comm);
-        let mut hv = self.spectral.reg_apply(vt, self.beta, comm);
+        let mut hv = self.ops.spectral.reg_apply(vt, self.beta, comm);
         let integral = lambda_grad_integral(self.layout, self.cfg.nt, &cur.state, &lambda_t, comm);
         self.cur = Some(cur);
         hv.axpy(1.0, &integral);
@@ -315,35 +320,24 @@ impl GnProblem for RegProblem {
     }
 
     fn precond(&mut self, r: &VectorField, eps_k: f64, comm: &mut Comm) -> VectorField {
-        self.pc.apply(r, eps_k, self.beta, &self.spectral, comm)
+        self.pc.apply(r, eps_k, self.beta, comm)
     }
 
-    /// Native f32 preconditioner for the mixed-precision inner solve: runs
-    /// on the f32 spectral mirrors when the config built them, so the
-    /// preconditioner's FFTs, Hadamard products, and (2LInvH0) transfer
-    /// collectives stream half the bytes. Falls back to
-    /// promote-apply-demote when precision is `F64` but the driver asked
-    /// for f32 anyway.
+    /// Native f32 preconditioner for the mixed-precision inner solve (the
+    /// preconditioner's f32 lane; see [`PrecondState::apply32`]).
     fn precond32(
         &mut self,
         r: &claire_grid::VectorFieldT<f32>,
         eps_k: f64,
         comm: &mut Comm,
     ) -> claire_grid::VectorFieldT<f32> {
-        if let Some(s) = self.pc.apply32(r, eps_k, self.beta, comm) {
-            return s;
-        }
-        let r64: VectorField = r.converted(claire_grid::WsCat::GnCg);
-        self.pc
-            .apply(&r64, eps_k, self.beta, &self.spectral, comm)
-            .converted(claire_grid::WsCat::GnCg)
+        self.pc.apply32(r, eps_k, self.beta, comm)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PrecondKind;
     use claire_grid::Grid;
 
     fn small_problem(n: usize, comm: &mut Comm) -> RegProblem {
@@ -488,6 +482,35 @@ mod tests {
             .try_register(&ScalarField::zeros(layout), &ScalarField::zeros(layout), &mut comm)
             .unwrap_err();
         assert!(matches!(err, ClaireError::Config { param: "grid", .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn scaffold_for_another_config_is_a_typed_error() {
+        let mut comm = Comm::solo();
+        let layout = Layout::serial(Grid::cube(8));
+        let base = RegistrationConfig {
+            precond: PrecondKind::InvA,
+            precision: Precision::F64,
+            ..Default::default()
+        };
+        let scaffold = SolverScaffold::new(&base, layout.grid, &mut comm).unwrap();
+        let build = |cfg: RegistrationConfig, comm: &mut Comm| {
+            let (m0, m1) = (ScalarField::zeros(layout), ScalarField::zeros(layout));
+            RegProblem::with_scaffold(m0, m1, cfg, &scaffold, comm)
+        };
+        assert!(build(base, &mut comm).is_ok());
+        for cfg in [
+            RegistrationConfig { precond: PrecondKind::TwoLevelInvH0, ..base },
+            RegistrationConfig { precision: Precision::Mixed, ..base },
+        ] {
+            match build(cfg, &mut comm) {
+                Err(ClaireError::Config { param: "scaffold", message }) => {
+                    assert!(message.contains("(InvA, F64)"), "message: {message}")
+                }
+                Err(other) => panic!("expected Config error, got {other:?}"),
+                Ok(_) => panic!("a scaffold planned for another config must be rejected"),
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,20 @@ impl IpOrder {
     /// linear needs (0, +1), cubic needs (−1, +2)).
     pub const GHOST_WIDTH: usize = 2;
 
+    /// Stable name in CLI flags, job manifests and the serve wire protocol.
+    pub fn label(self) -> &'static str {
+        match self {
+            IpOrder::Linear => "linear",
+            IpOrder::Cubic => "cubic",
+            IpOrder::CubicSpline => "cubic_spline",
+        }
+    }
+
+    /// Inverse of [`IpOrder::label`].
+    pub fn parse(s: &str) -> Option<IpOrder> {
+        [IpOrder::Linear, IpOrder::Cubic, IpOrder::CubicSpline].into_iter().find(|o| o.label() == s)
+    }
+
     /// Approximate flop count per scalar query (paper §3.1: 30 vs 482;
     /// TXTSPL evaluates via 8 hardware-trilinear fetches on the GPU,
     /// substantially cheaper than TXTLAG).

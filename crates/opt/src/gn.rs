@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use claire_grid::{Real, VectorField, VectorFieldT, WsCat};
+use claire_grid::{FieldElem, Real, VectorField, VectorFieldT, WsCat};
 use claire_mpi::Comm;
 use claire_obs::{
     metrics::{Counter, Gauge},
@@ -151,83 +151,58 @@ pub struct GnStats {
     pub grad_rel: f64,
 }
 
-/// Timing/count tally shared by the f64 and mixed Newton-step operator
-/// wrappers (Table 6 breakdown columns).
+/// Wall seconds, modeled seconds and calls of one Newton-step operator
+/// (Table 6 breakdown columns).
 #[derive(Default)]
-struct OpsTally {
-    t_hess: f64,
-    t_pc: f64,
-    m_hess: f64,
-    m_pc: f64,
-    n_hess: usize,
-    n_pc: usize,
+struct Tally {
+    secs: f64,
+    modeled: f64,
+    calls: usize,
 }
 
-/// Newton-step operator wrapper: times Hessian matvecs and preconditioner
-/// applications for the Table 6 breakdown.
-struct TimedNewtonOps<'a, P: GnProblem> {
+impl Tally {
+    /// Run `f` under span `name` and book its time and the call.
+    fn timed<R>(
+        &mut self,
+        name: &'static str,
+        comm: &mut Comm,
+        f: impl FnOnce(&mut Comm) -> R,
+    ) -> R {
+        let _s = span(name);
+        let t = Instant::now();
+        let m = comm.clock().now();
+        let out = f(comm);
+        self.secs += t.elapsed().as_secs_f64();
+        self.modeled += comm.clock().now() - m;
+        self.calls += 1;
+        out
+    }
+}
+
+/// Newton-step operator at element width `T`: spans, times and counts the
+/// Hessian matvecs and preconditioner applications of one PCG solve. The
+/// two calls into the problem are all that differs between widths, so they
+/// are the closures `hess_vec` and `precond`; both get the problem passed
+/// in because both need it mutably.
+struct NewtonOps<'a, P, H, M> {
     problem: &'a mut P,
-    eps_k: f64,
-    tally: OpsTally,
+    hess_vec: H,
+    precond: M,
+    hess: Tally,
+    pc: Tally,
 }
 
-impl<P: GnProblem> PcgOperator for TimedNewtonOps<'_, P> {
-    fn apply(&mut self, p: &VectorField, comm: &mut Comm) -> VectorField {
-        let _s = span("hess_matvec");
-        let t = Instant::now();
-        let m = comm.clock().now();
-        let out = self.problem.hess_vec(p, comm);
-        self.tally.t_hess += t.elapsed().as_secs_f64();
-        self.tally.m_hess += comm.clock().now() - m;
-        self.tally.n_hess += 1;
-        out
+impl<T, P, H, M> PcgOperator<T> for NewtonOps<'_, P, H, M>
+where
+    T: FieldElem,
+    H: FnMut(&mut P, &VectorFieldT<T>, &mut Comm) -> VectorFieldT<T>,
+    M: FnMut(&mut P, &VectorFieldT<T>, &mut Comm) -> VectorFieldT<T>,
+{
+    fn apply(&mut self, p: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
+        self.hess.timed("hess_matvec", comm, |comm| (self.hess_vec)(self.problem, p, comm))
     }
-    fn prec(&mut self, r: &VectorField, comm: &mut Comm) -> VectorField {
-        let _s = span("precond");
-        let t = Instant::now();
-        let m = comm.clock().now();
-        let out = self.problem.precond(r, self.eps_k, comm);
-        self.tally.t_pc += t.elapsed().as_secs_f64();
-        self.tally.m_pc += comm.clock().now() - m;
-        self.tally.n_pc += 1;
-        out
-    }
-}
-
-/// Mixed-precision Newton-step operator: the PCG vectors are f32, the
-/// Hessian physics stays f64. `apply` promotes the Krylov direction into a
-/// reused f64 scratch field, runs the f64 matvec, and demotes the result;
-/// `prec` goes straight to the problem's f32 preconditioner hook. The
-/// promote/demote passes are streamed conversions charged to µGN/CG.
-struct MixedNewtonOps<'a, P: GnProblem> {
-    problem: &'a mut P,
-    eps_k: f64,
-    /// f64 promote target, reused across every matvec of the solve.
-    p64: VectorField,
-    tally: OpsTally,
-}
-
-impl<P: GnProblem> PcgOperator<f32> for MixedNewtonOps<'_, P> {
-    fn apply(&mut self, p: &VectorFieldT<f32>, comm: &mut Comm) -> VectorFieldT<f32> {
-        let _s = span("hess_matvec");
-        let t = Instant::now();
-        let m = comm.clock().now();
-        self.p64.convert_from(p);
-        let out = self.problem.hess_vec(&self.p64, comm).converted(WsCat::GnCg);
-        self.tally.t_hess += t.elapsed().as_secs_f64();
-        self.tally.m_hess += comm.clock().now() - m;
-        self.tally.n_hess += 1;
-        out
-    }
-    fn prec(&mut self, r: &VectorFieldT<f32>, comm: &mut Comm) -> VectorFieldT<f32> {
-        let _s = span("precond");
-        let t = Instant::now();
-        let m = comm.clock().now();
-        let out = self.problem.precond32(r, self.eps_k, comm);
-        self.tally.t_pc += t.elapsed().as_secs_f64();
-        self.tally.m_pc += comm.clock().now() - m;
-        self.tally.n_pc += 1;
-        out
+    fn prec(&mut self, r: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
+        self.pc.timed("precond", comm, |comm| (self.precond)(self.problem, r, comm))
     }
 }
 
@@ -324,15 +299,10 @@ impl GnState {
     fn step_body<P: GnProblem>(&mut self, problem: &mut P, cfg: &GnConfig, comm: &mut Comm) {
         let stats = &mut self.stats;
         let _iter_span = span("gn.iter");
-        // gradient
-        let t0 = Instant::now();
-        let m0 = comm.clock().now();
-        let g = {
-            let _s = span("gradient");
-            problem.gradient(&self.v, comm)
-        };
-        stats.time.grad += t0.elapsed().as_secs_f64();
-        stats.modeled.grad += comm.clock().now() - m0;
+        let mut grad = Tally::default();
+        let g = grad.timed("gradient", comm, |comm| problem.gradient(&self.v, comm));
+        stats.time.grad += grad.secs;
+        stats.modeled.grad += grad.modeled;
 
         let gnorm = g.norm_l2(comm);
         let g0 = *self.g0norm.get_or_insert(gnorm.max(f64::MIN_POSITIVE));
@@ -361,30 +331,45 @@ impl GnState {
         let mut rhs = g.clone();
         rhs.scale(-1.0 as Real);
 
-        let (step, pcg_res, tally) = if cfg.mixed {
+        let (step, pcg_res, hess, pc) = if cfg.mixed {
             // Mixed precision: demote the right-hand side at the solve
             // boundary, run the Krylov iteration entirely in f32, promote
-            // the step back. The f64 branch below is untouched.
+            // the step back. The Hessian physics stays f64: each matvec
+            // promotes the Krylov direction into one reused f64 field and
+            // demotes the result (streamed conversions charged to µGN/CG).
             let rhs32: VectorFieldT<f32> = rhs.converted(WsCat::GnCg);
-            let mut ops = MixedNewtonOps {
+            let mut p64 = VectorField::zeros_in(*self.v.layout(), WsCat::GnCg);
+            let mut ops = NewtonOps {
                 problem,
-                eps_k,
-                p64: VectorField::zeros_in(*self.v.layout(), WsCat::GnCg),
-                tally: OpsTally::default(),
+                hess_vec: |pb: &mut P, p: &VectorFieldT<f32>, comm: &mut Comm| {
+                    p64.convert_from(p);
+                    pb.hess_vec(&p64, comm).converted(WsCat::GnCg)
+                },
+                precond: |pb: &mut P, r: &VectorFieldT<f32>, comm: &mut Comm| {
+                    pb.precond32(r, eps_k, comm)
+                },
+                hess: Tally::default(),
+                pc: Tally::default(),
             };
             let (step32, res) = pcg(&rhs32, None, &pcg_cfg, &mut ops, comm);
-            (step32.converted(WsCat::GnCg), res, ops.tally)
+            (step32.converted(WsCat::GnCg), res, ops.hess, ops.pc)
         } else {
-            let mut ops = TimedNewtonOps { problem, eps_k, tally: OpsTally::default() };
+            let mut ops = NewtonOps {
+                problem,
+                hess_vec: |pb: &mut P, p: &VectorField, comm: &mut Comm| pb.hess_vec(p, comm),
+                precond: |pb: &mut P, r: &VectorField, comm: &mut Comm| pb.precond(r, eps_k, comm),
+                hess: Tally::default(),
+                pc: Tally::default(),
+            };
             let (step, res) = pcg(&rhs, None, &pcg_cfg, &mut ops, comm);
-            (step, res, ops.tally)
+            (step, res, ops.hess, ops.pc)
         };
-        stats.time.hess += tally.t_hess;
-        stats.time.pc += tally.t_pc;
-        stats.modeled.hess += tally.m_hess;
-        stats.modeled.pc += tally.m_pc;
-        stats.hess_applies += tally.n_hess;
-        stats.pc_applies += tally.n_pc;
+        stats.time.hess += hess.secs;
+        stats.time.pc += pc.secs;
+        stats.modeled.hess += hess.modeled;
+        stats.modeled.pc += pc.modeled;
+        stats.hess_applies += hess.calls;
+        stats.pc_applies += pc.calls;
         stats.pcg_iters_total += pcg_res.iters;
 
         // Armijo line search on J

@@ -576,44 +576,10 @@ impl Serialize for Response {
     }
 }
 
-fn ip_order_label(order: IpOrder) -> &'static str {
-    match order {
-        IpOrder::Linear => "linear",
-        IpOrder::Cubic => "cubic",
-        IpOrder::CubicSpline => "cubic_spline",
-    }
-}
-
-fn ip_order_parse(s: &str) -> Option<IpOrder> {
-    match s {
-        "linear" => Some(IpOrder::Linear),
-        "cubic" => Some(IpOrder::Cubic),
-        "cubic_spline" => Some(IpOrder::CubicSpline),
-        _ => None,
-    }
-}
-
-fn precond_parse(s: &str) -> Option<PrecondKind> {
-    match s {
-        "InvA" => Some(PrecondKind::InvA),
-        "InvH0" => Some(PrecondKind::InvH0),
-        "2LInvH0" => Some(PrecondKind::TwoLevelInvH0),
-        _ => None,
-    }
-}
-
-fn precision_parse(s: &str) -> Option<Precision> {
-    match s {
-        "f64" => Some(Precision::F64),
-        "mixed" => Some(Precision::Mixed),
-        _ => None,
-    }
-}
-
 fn config_to_value(c: &RegistrationConfig) -> Value {
     obj(vec![
         ("nt", Value::UInt(c.nt as u64)),
-        ("ip_order", Value::Str(ip_order_label(c.ip_order).into())),
+        ("ip_order", Value::Str(c.ip_order.label().into())),
         ("store_grad", Value::Bool(c.store_grad)),
         ("precond", Value::Str(c.precond.label().into())),
         ("beta_target", Value::Num(c.beta_target)),
@@ -847,9 +813,9 @@ fn decode_config(v: &Value) -> Result<RegistrationConfig, WireError> {
     let pc = as_str(field(o, "precond")?, "precond")?;
     Ok(RegistrationConfig {
         nt: as_usize(field(o, "nt")?, "nt")?,
-        ip_order: ip_order_parse(&ip).ok_or_else(|| bad(format!("unknown ip_order `{ip}`")))?,
+        ip_order: IpOrder::parse(&ip).ok_or_else(|| bad(format!("unknown ip_order `{ip}`")))?,
         store_grad: as_bool(field(o, "store_grad")?, "store_grad")?,
-        precond: precond_parse(&pc).ok_or_else(|| bad(format!("unknown precond `{pc}`")))?,
+        precond: PrecondKind::parse(&pc).ok_or_else(|| bad(format!("unknown precond `{pc}`")))?,
         beta_target: as_f64(field(o, "beta_target")?, "beta_target")?,
         beta_init: as_f64(field(o, "beta_init")?, "beta_init")?,
         beta_reduction: as_f64(field(o, "beta_reduction")?, "beta_reduction")?,
@@ -869,7 +835,7 @@ fn decode_config(v: &Value) -> Result<RegistrationConfig, WireError> {
         precision: opt_field(o, "precision")
             .map(|v| as_str(v, "precision"))
             .transpose()?
-            .map(|s| precision_parse(&s).ok_or_else(|| bad(format!("unknown precision `{s}`"))))
+            .map(|s| Precision::parse(&s).ok_or_else(|| bad(format!("unknown precision `{s}`"))))
             .transpose()?
             .unwrap_or(Precision::F64),
         verbose: as_bool(field(o, "verbose")?, "verbose")?,
@@ -1010,7 +976,7 @@ pub(crate) fn hash_config(h: &mut Fnv, n: [usize; 3], c: &RegistrationConfig) {
         h.write_u64(d as u64);
     }
     h.write_u64(c.nt as u64);
-    h.write(ip_order_label(c.ip_order).as_bytes());
+    h.write(c.ip_order.label().as_bytes());
     h.write_u64(c.store_grad as u64);
     h.write(c.precond.label().as_bytes());
     h.write_u64(c.beta_target.to_bits());

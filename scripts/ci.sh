@@ -7,8 +7,9 @@
 #                             validation, serve load smoke-run, multi-process
 #                             launch smoke-run
 #   scripts/ci.sh --quick     inner-loop gate: build + tier-1 tests + full
-#                             workspace tests + clippy (skips benches AND
-#                             the net/proc smoke stages)
+#                             workspace tests + benchmark-package tests +
+#                             clippy (skips benches AND the net/proc smoke
+#                             stages)
 #   scripts/ci.sh --no-smoke  full gate minus the net/proc smoke stages
 #
 # When CLAIRE_SIMD is set in the environment (the CI backend matrix exports
@@ -125,6 +126,15 @@ stage_tier1_mixed() {
 
 stage_workspace_tests() {
     cargo test -q --release --workspace
+}
+
+stage_benchmark_package() {
+    # benchmark/ is a workspace of its own (BENCHMARK.json's ruler), so the
+    # stages above never compile it: build and test it against the current
+    # crates here, so a refactor that breaks the API surface it uses
+    # (GnProblem::precond32, SpectralT::new, Trajectory::compute, …) fails
+    # in CI instead of in the benchmark pipeline
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
 stage_clippy() {
@@ -343,6 +353,7 @@ stage "tier-1 tests (root package)" stage_tier1_tests
 # every crate's own tests, in --quick too: a red crate-level test must not
 # survive behind a green tier-1 suite
 stage "full workspace tests" stage_workspace_tests
+stage "benchmark package tests" stage_benchmark_package
 stage "clippy (deny warnings)" stage_clippy
 if [ "$QUICK" -eq 0 ]; then
     stage "tier-1 tests (mixed-precision lane)" stage_tier1_mixed
@@ -369,7 +380,7 @@ done
 write_stage_timings
 echo "stage timings written to ci_stages.json"
 if [ "$QUICK" -eq 1 ]; then
-    echo "CI gate passed (--quick: build + tier-1 + workspace tests + clippy)."
+    echo "CI gate passed (--quick: build + tier-1 + workspace + benchmark-package tests + clippy)."
 else
     echo "CI gate passed."
 fi

@@ -12,7 +12,7 @@
 //!   --precond NAME   InvA | InvH0 | 2LInvH0          (default: 2LInvH0)
 //!   --beta VALUE     target regularization parameter (default: 5e-4)
 //!   --nt N           semi-Lagrangian time steps      (default: 4)
-//!   --order KIND     linear | cubic                  (default: cubic)
+//!   --order KIND     linear | cubic | cubic_spline   (default: cubic)
 //!   --grid-cont      enable coarse-to-fine grid continuation
 //!   --store-grad     cache the state gradient (faster, more memory)
 //!   --eps-h0 VALUE   inner H0 tolerance scale        (default: 1e-3)
@@ -62,7 +62,7 @@
 //!   --gpus-per-node G  modeled topology (default: 4)
 //!   --nt N           semi-Lagrangian time steps          (default: 4)
 //!   --beta V         regularization parameter            (default: 1e-2)
-//!   --order KIND     linear | cubic                      (default: linear)
+//!   --order KIND     linear | cubic | cubic_spline       (default: linear)
 //!   --precond NAME   InvA | InvH0 | 2LInvH0              (default: InvA)
 //!   --max-gn N       Gauss–Newton iteration cap          (default: 3)
 //!   --fixed-pcg N    fixed PCG iterations per GN step    (default: 5)
@@ -99,7 +99,9 @@
 //! virtual-cluster rank panicked). Batch mode exits 1 when any job ends
 //! non-succeeded.
 
-use claire::core::{observe, Claire, ClaireError, PrecondKind, RegistrationConfig, SolverHooks};
+use claire::core::{
+    observe, Claire, ClaireError, Precision, PrecondKind, RegistrationConfig, SolverHooks,
+};
 use claire::data::nifti;
 use claire::interp::{Interpolator, IpOrder};
 use claire::ipc::{LaunchSpec, SocketOpts, SocketTransport};
@@ -172,6 +174,22 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// `--precond` value by its Table 6 label, or the usage exit.
+fn precond_arg(v: &str) -> PrecondKind {
+    PrecondKind::parse(v).unwrap_or_else(|| {
+        eprintln!("unknown preconditioner {v}");
+        usage()
+    })
+}
+
+/// `--order` value by its label, or the usage exit.
+fn order_arg(v: &str) -> IpOrder {
+    IpOrder::parse(v).unwrap_or_else(|| {
+        eprintln!("unknown interpolation order {v}");
+        usage()
+    })
+}
+
 fn parse_args(args: Vec<String>) -> Options {
     let mut args = args.into_iter();
     let mut positional: Vec<String> = Vec::new();
@@ -188,33 +206,14 @@ fn parse_args(args: Vec<String>) -> Options {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-o" => out = PathBuf::from(next_value(&mut args, "-o")),
-            "--precond" => {
-                cfg = cfg.precond(match next_value(&mut args, "--precond").as_str() {
-                    "InvA" => PrecondKind::InvA,
-                    "InvH0" => PrecondKind::InvH0,
-                    "2LInvH0" => PrecondKind::TwoLevelInvH0,
-                    other => {
-                        eprintln!("unknown preconditioner {other}");
-                        usage()
-                    }
-                })
-            }
+            "--precond" => cfg = cfg.precond(precond_arg(&next_value(&mut args, "--precond"))),
             "--beta" => {
                 cfg = cfg.beta(next_value(&mut args, "--beta").parse().unwrap_or_else(|_| usage()))
             }
             "--nt" => {
                 cfg = cfg.nt(next_value(&mut args, "--nt").parse().unwrap_or_else(|_| usage()))
             }
-            "--order" => {
-                cfg = cfg.ip_order(match next_value(&mut args, "--order").as_str() {
-                    "linear" => IpOrder::Linear,
-                    "cubic" => IpOrder::Cubic,
-                    other => {
-                        eprintln!("unknown interpolation order {other}");
-                        usage()
-                    }
-                })
-            }
+            "--order" => cfg = cfg.ip_order(order_arg(&next_value(&mut args, "--order"))),
             "--grid-cont" => cfg = cfg.grid_continuation(true),
             "--store-grad" => cfg = cfg.store_grad(true),
             "--eps-h0" => {
@@ -442,15 +441,15 @@ fn parse_job(entry: &Value, index: usize, quiet: bool) -> Result<JobSpec, Claire
     if let Some(Value::Bool(b)) = field(entry, "continuation") {
         cfg = cfg.continuation(*b);
     }
+    let unknown = |key: &str, v: &str| manifest_error(format!("{label}: unknown {key} {v}"));
     if let Some(pc) = field_str(entry, "precond") {
-        cfg = cfg.precond(match pc {
-            "InvA" => PrecondKind::InvA,
-            "InvH0" => PrecondKind::InvH0,
-            "2LInvH0" => PrecondKind::TwoLevelInvH0,
-            other => {
-                return Err(manifest_error(format!("{label}: unknown preconditioner {other}")))
-            }
-        });
+        cfg = cfg.precond(PrecondKind::parse(pc).ok_or_else(|| unknown("preconditioner", pc))?);
+    }
+    if let Some(p) = field_str(entry, "precision") {
+        cfg = cfg.precision(Precision::parse(p).ok_or_else(|| unknown("precision", p))?);
+    }
+    if let Some(o) = field_str(entry, "ip_order") {
+        cfg = cfg.ip_order(IpOrder::parse(o).ok_or_else(|| unknown("ip_order", o))?);
     }
     let config = cfg.build()?;
 
@@ -989,27 +988,8 @@ fn parse_launch_args(args: Vec<String>, worker: bool) -> LaunchOpts {
             "--syn" => o.syn = num(next_value(&mut args, "--syn"), "--syn"),
             "--nt" => o.nt = num(next_value(&mut args, "--nt"), "--nt"),
             "--beta" => o.beta = num(next_value(&mut args, "--beta"), "--beta"),
-            "--order" => {
-                o.order = match next_value(&mut args, "--order").as_str() {
-                    "linear" => IpOrder::Linear,
-                    "cubic" => IpOrder::Cubic,
-                    other => {
-                        eprintln!("unknown interpolation order {other}");
-                        usage()
-                    }
-                }
-            }
-            "--precond" => {
-                o.precond = match next_value(&mut args, "--precond").as_str() {
-                    "InvA" => PrecondKind::InvA,
-                    "InvH0" => PrecondKind::InvH0,
-                    "2LInvH0" => PrecondKind::TwoLevelInvH0,
-                    other => {
-                        eprintln!("unknown preconditioner {other}");
-                        usage()
-                    }
-                }
-            }
+            "--order" => o.order = order_arg(&next_value(&mut args, "--order")),
+            "--precond" => o.precond = precond_arg(&next_value(&mut args, "--precond")),
             "--max-gn" => o.max_gn = num(next_value(&mut args, "--max-gn"), "--max-gn"),
             "--fixed-pcg" => o.fixed_pcg = num(next_value(&mut args, "--fixed-pcg"), "--fixed-pcg"),
             "--timeout" if !worker => {
@@ -1061,14 +1041,6 @@ fn launch_cfg(o: &LaunchOpts) -> RegistrationConfig {
         .unwrap_or_else(|e| fail(&e))
 }
 
-fn precond_name(pc: PrecondKind) -> &'static str {
-    match pc {
-        PrecondKind::InvA => "InvA",
-        PrecondKind::InvH0 => "InvH0",
-        PrecondKind::TwoLevelInvH0 => "2LInvH0",
-    }
-}
-
 fn launch_main(args: Vec<String>) {
     let o = parse_launch_args(args, false);
     if o.in_process {
@@ -1085,9 +1057,9 @@ fn launch_main(args: Vec<String>) {
         "--beta",
         &format!("{:e}", o.beta),
         "--order",
-        if o.order == IpOrder::Cubic { "cubic" } else { "linear" },
+        o.order.label(),
         "--precond",
-        precond_name(o.precond),
+        o.precond.label(),
         "--max-gn",
         &o.max_gn.to_string(),
         "--fixed-pcg",
@@ -1255,5 +1227,43 @@ fn describe_worker_panic(payload: &(dyn std::any::Any + Send)) -> String {
         format!("panicked: {s}")
     } else {
         "panicked".into()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn job(json: &str) -> Result<JobSpec, ClaireError> {
+        parse_job(&serde_json::from_str(json).expect("test manifest is valid JSON"), 0, true)
+    }
+
+    #[test]
+    fn manifest_job_selects_precision_and_ip_order_by_label() {
+        let spec = job(r#"{"syn": 8, "precision": "mixed", "ip_order": "cubic"}"#).unwrap();
+        assert_eq!(spec.config.precision, Precision::Mixed);
+        assert_eq!(spec.config.ip_order, IpOrder::Cubic);
+        let spec = job(r#"{"syn": 8, "precision": "f64", "precond": "InvH0"}"#).unwrap();
+        assert_eq!(
+            (spec.config.precision, spec.config.precond),
+            (Precision::F64, PrecondKind::InvH0)
+        );
+    }
+
+    #[test]
+    fn manifest_job_rejects_unknown_labels() {
+        for entry in [
+            r#"{"label": "j", "syn": 8, "precision": "f16"}"#,
+            r#"{"label": "j", "syn": 8, "ip_order": "quintic"}"#,
+            r#"{"label": "j", "syn": 8, "precond": "invA"}"#,
+        ] {
+            match job(entry) {
+                Err(ClaireError::Config { param: "manifest", message }) => {
+                    assert!(message.starts_with("j: unknown "), "message: {message}")
+                }
+                Err(other) => panic!("{entry}: expected a manifest error, got {other:?}"),
+                Ok(_) => panic!("{entry}: unknown label accepted"),
+            }
+        }
     }
 }
