@@ -46,7 +46,8 @@ pub use claire_interp::IpOrder;
 /// phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Precision {
-    /// Full double precision (bit-identical to the pre-seam solver).
+    /// Full double precision: every lane at f64, the same generic code the
+    /// f32 lanes run (deterministic run to run; no historical bit pin).
     F64,
     /// f32 inner Krylov/FFT path under the f64 outer Gauss–Newton loop.
     Mixed,

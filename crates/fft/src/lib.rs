@@ -24,10 +24,11 @@
 //!   across every plan built afterwards, including the β- and
 //!   grid-continuation levels of the solver.
 //!
-//! Every plan is generic over [`FftElem`] (`f32` or `f64`): the
-//! mixed-precision solver runs its inner Krylov/FFT path in f32, halving
-//! spectral memory and transpose wire traffic, while the f64 instantiation
-//! is bit-identical to the historically monomorphic code.
+//! Every plan is generic over [`FftElem`] (`f32` or `f64`) and both widths
+//! run the same code: the mixed-precision solver runs its inner Krylov/FFT
+//! path in f32, halving spectral memory and transpose wire traffic. The
+//! tested contract at either width is accuracy against the O(n²) DFT plus
+//! run-to-run determinism (`plan.rs` tests), not a pinned bit pattern.
 //!
 //! Spectral data uses the half-spectrum convention: for real input of dims
 //! `[n1, n2, n3]`, the transform is complex of dims `[n1, n2, n3/2 + 1]`.

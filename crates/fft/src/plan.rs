@@ -13,8 +13,10 @@ use crate::factor::{is_smooth, next_pow2, smallest_prime_factor};
 /// power-of-two plan. The forward transform uses the `e^{-i k x}` sign
 /// convention; [`Fft1dT::inverse`] includes the `1/n` normalization, so
 /// `inverse(forward(x)) == x`. Twiddle/chirp tables are evaluated in f64 and
-/// rounded once to `T`, so the f64 instantiation is bit-identical to a
-/// direct f64 plan.
+/// rounded once to `T`; both widths run the same recursion. The tested
+/// contract is accuracy against [`dft_naive`] (≤ 1e-12 at f64, ≤ 1e-5 at
+/// f32, relative to the largest output) and run-to-run determinism: one
+/// length and one input give the same bits on every plan and every call.
 pub struct Fft1dT<T> {
     n: usize,
     kind: Kind<T>,
@@ -155,17 +157,10 @@ fn fft_rec<T: Elem>(
     ws: usize,
     tw: &[CpxT<T>],
 ) {
-    if n == 1 {
-        out[0] = inp[0];
-        return;
-    }
-    // Off-width arm only: stop the recursion at unrolled small DFTs. The
-    // primary (`Real`) width keeps the historical single-element leaves —
-    // its spectra are pinned bit-for-bit against pre-seam results — while
-    // the f32 inner-solve arm trades that pedigree for eliminating the
-    // per-leaf call and modular-index overhead that dominates small
-    // transforms. The width check monomorphizes to a constant.
-    if n <= 5 && T::BYTES != core::mem::size_of::<Real>() {
+    // stop the recursion at unrolled small DFTs: the per-leaf call and
+    // modular-index overhead dominates small transforms (a smooth n > 5
+    // splits into factors ≥ 2, so every leaf lands here)
+    if n <= 5 {
         dft_small(inp, s, out, n, ws, tw);
         return;
     }
@@ -183,9 +178,9 @@ fn fft_rec<T: Elem>(
         // of the twiddle table is read and the whole pass runs as one SIMD
         // kernel over interleaved re/im pairs.
         let (lo, hi) = out.split_at_mut(m);
-        // off-width arm: short combines inline — the dispatched kernel's
-        // call and assert overhead outweighs SIMD on a handful of pairs
-        if m <= 16 && T::BYTES != core::mem::size_of::<Real>() {
+        // short combines inline — the dispatched kernel's call and assert
+        // overhead outweighs SIMD on a handful of pairs
+        if m <= 16 {
             for k in 0..m {
                 let t = tw[k * ws] * hi[k];
                 hi[k] = lo[k] - t;
@@ -213,10 +208,9 @@ fn fft_rec<T: Elem>(
     }
 }
 
-/// Unrolled strided DFTs of length 2–5, the recursion base cases of the
-/// off-width arm. Radix 2 and 4 use exact ±1/±i rotations; 3 and 5 read
-/// the global twiddle table (`w_n^k = tw[k·ws]`) so their constants match
-/// the planned values.
+/// Unrolled strided DFTs of length 2–5, the recursion base cases. Radix 2
+/// and 4 use exact ±1/±i rotations; 3 and 5 read the global twiddle table
+/// (`w_n^k = tw[k·ws]`) so their constants match the planned values.
 fn dft_small<T: Elem>(
     inp: &[CpxT<T>],
     s: usize,
@@ -275,47 +269,99 @@ pub fn dft_naive(input: &[Cpx], sign: f64) -> Vec<Cpx> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serial3d::Fft3T;
+    use claire_grid::Grid;
     use proptest::prelude::*;
 
-    fn assert_close(a: &[Cpx], b: &[Cpx], tol: f64) {
-        assert_eq!(a.len(), b.len());
-        let scale = b.iter().map(|z| z.abs()).fold(1.0, f64::max);
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            let d = (*x - *y).abs();
-            assert!(d <= tol * scale, "mismatch at {i}: {x:?} vs {y:?} (d={d})");
-        }
-    }
+    /// Every tested length: {2,3,5}-smooth, NIREP's 300-point axis
+    /// (2²·3·5²), and Bluestein (a prime factor above 5).
+    const LENGTHS: [usize; 30] = [
+        1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 20, 27, 30, 32, 45, 60, 64, 128, 300, 7, 11, 13,
+        14, 17, 21, 49, 97, 101,
+    ];
 
-    fn run_against_naive(n: usize) {
-        let input: Vec<Cpx> = (0..n)
+    fn test_input(n: usize) -> Vec<Cpx> {
+        (0..n)
             .map(|j| Cpx::new(((j * 7 + 1) % 5) as Real - 2.0, ((j * 3) % 7) as Real / 7.0))
-            .collect();
-        let plan = Fft1d::new(n);
-        let mut data = input.clone();
-        let mut scratch = vec![Cpx::ZERO; plan.scratch_len()];
+            .collect()
+    }
+
+    fn assert_close<T: Elem>(got: &[CpxT<T>], want: &[Cpx], tol: f64, what: &str) {
+        assert_eq!(got.len(), want.len());
+        let scale = want.iter().map(|z| z.abs()).fold(1.0, f64::max);
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            let d = (x.cast::<f64>() - *y).abs();
+            assert!(d <= tol * scale, "{what} at {i}: {x:?} vs {y:?} (d={d}, scale={scale})");
+        }
+    }
+
+    /// The accuracy contract at width `T`: forward within `tol` of the
+    /// O(n²) reference (relative to the largest output), and back again.
+    fn run_against_naive<T: Elem>(n: usize, tol: f64) {
+        let input = test_input(n);
+        let plan = Fft1dT::<T>::new(n);
+        let mut data: Vec<CpxT<T>> = input.iter().map(|z| z.cast()).collect();
+        let mut scratch = vec![CpxT::<T>::ZERO; plan.scratch_len()];
         plan.forward(&mut data, &mut scratch);
-        let expect = dft_naive(&input, -1.0);
-        assert_close(&data, &expect, 1e-9);
+        assert_close(&data, &dft_naive(&input, -1.0), tol, &format!("{} forward n={n}", T::LABEL));
         plan.inverse(&mut data, &mut scratch);
-        assert_close(&data, &input, 1e-9);
+        assert_close(&data, &input, tol, &format!("{} inverse n={n}", T::LABEL));
     }
 
     #[test]
-    fn matches_naive_smooth_sizes() {
-        for n in [1usize, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 20, 27, 30, 32, 45, 60, 64, 128] {
-            run_against_naive(n);
+    fn matches_naive_at_both_widths() {
+        for n in LENGTHS {
+            run_against_naive::<f64>(n, 1e-12);
+            run_against_naive::<f32>(n, 1e-5);
+        }
+    }
+
+    /// The determinism contract at width `T`: same plan, same input, same
+    /// bits — and a second plan of the same length agrees too.
+    fn rerun_is_bitwise<T: Elem>(n: usize) {
+        let input: Vec<CpxT<T>> = test_input(n).iter().map(|z| z.cast()).collect();
+        let run = |plan: &Fft1dT<T>| {
+            let mut data = input.clone();
+            let mut scratch = vec![CpxT::<T>::ZERO; plan.scratch_len()];
+            plan.forward(&mut data, &mut scratch);
+            data
+        };
+        let plan = Fft1dT::<T>::new(n);
+        let first = run(&plan);
+        assert!(first == run(&plan), "{} n={n}: rerun moved bits", T::LABEL);
+        assert!(first == run(&Fft1dT::<T>::new(n)), "{} n={n}: replan moved bits", T::LABEL);
+    }
+
+    #[test]
+    fn rerun_is_bitwise_at_both_widths() {
+        for n in LENGTHS {
+            rerun_is_bitwise::<f64>(n);
+            rerun_is_bitwise::<f32>(n);
+        }
+    }
+
+    /// 3-D real round trip on `grid` at width `T`.
+    fn roundtrip_3d<T: crate::FftElem>(grid: Grid, tol: f64) {
+        let fft = Fft3T::<T>::new(grid);
+        let n = grid.n[0] * grid.n[1] * grid.n[2];
+        let input: Vec<T> =
+            (0..n).map(|i| T::from_f64(((i * 37 + 11) % 101) as f64 / 50.0 - 1.0)).collect();
+        let mut spec = vec![CpxT::<T>::ZERO; fft.spectral_len()];
+        let mut back = vec![T::ZERO; n];
+        fft.forward(&input, &mut spec);
+        fft.inverse(&mut spec, &mut back);
+        for (i, (a, b)) in back.iter().zip(&input).enumerate() {
+            let d = (a.to_f64() - b.to_f64()).abs();
+            assert!(d <= tol, "{} {:?} at {i}: {a} vs {b}", T::LABEL, grid.n);
         }
     }
 
     #[test]
-    fn matches_naive_nirep_axis() {
-        run_against_naive(300); // 2²·3·5² — NIREP's 256×300×256
-    }
-
-    #[test]
-    fn matches_naive_bluestein_sizes() {
-        for n in [7usize, 11, 13, 14, 17, 21, 49, 97, 101] {
-            run_against_naive(n);
+    fn benchmark_grids_round_trip_at_both_widths() {
+        // BENCHMARK.json's 40×32×24 and the 2LInvH0 coarse level under it
+        for n in [[40, 32, 24], [20, 16, 12]] {
+            roundtrip_3d::<f64>(Grid::new(n), 1e-12);
+            roundtrip_3d::<f32>(Grid::new(n), 1e-5);
         }
     }
 
@@ -344,37 +390,6 @@ mod tests {
         let e_time: f64 = input.iter().map(|z| z.norm_sqr()).sum();
         let e_freq: f64 = data.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         assert!((e_time - e_freq).abs() < 1e-8 * e_time);
-    }
-
-    #[test]
-    fn f32_plan_tracks_f64_plan() {
-        // The f32 instantiation runs the same algorithm on demoted twiddles;
-        // both smooth and Bluestein lengths must agree with the f64 plan to
-        // single-precision accuracy.
-        for n in [16usize, 30, 97] {
-            let input: Vec<Cpx> = (0..n)
-                .map(|j| Cpx::new(((j * 5 + 2) % 9) as Real - 4.0, ((j * 11) % 13) as Real / 6.5))
-                .collect();
-            let p64 = Fft1d::new(n);
-            let mut d64 = input.clone();
-            let mut s64 = vec![Cpx::ZERO; p64.scratch_len()];
-            p64.forward(&mut d64, &mut s64);
-
-            let p32 = Fft1dT::<f32>::new(n);
-            let mut d32: Vec<CpxT<f32>> = input.iter().map(|z| z.cast()).collect();
-            let mut s32 = vec![CpxT::<f32>::ZERO; p32.scratch_len()];
-            p32.forward(&mut d32, &mut s32);
-
-            let scale = d64.iter().map(|z| z.abs()).fold(1.0f64, f64::max);
-            for (a, b) in d32.iter().zip(&d64) {
-                let d = (a.cast::<f64>() - *b).abs();
-                assert!(d < 1e-4 * scale, "n={n}: {a:?} vs {b:?}");
-            }
-            p32.inverse(&mut d32, &mut s32);
-            for (a, b) in d32.iter().zip(&input) {
-                assert!((a.cast::<f64>() - *b).abs() < 1e-5, "{a:?} vs {b:?}");
-            }
-        }
     }
 
     proptest! {

@@ -151,7 +151,7 @@ pub struct GnStats {
     pub grad_rel: f64,
 }
 
-/// Wall seconds, modeled seconds and calls of one Newton-step operator
+/// Wall seconds, modeled seconds and calls of one solver component
 /// (Table 6 breakdown columns).
 #[derive(Default)]
 struct Tally {

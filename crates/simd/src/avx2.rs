@@ -7,11 +7,12 @@
 //! The default arm of a kernel is its generic `xk` body instantiated under
 //! the feature gate — the bodies are `#[inline(always)]`, so the
 //! autovectorizer emits full-width code for either element width. The
-//! field ops that do this at both widths are the generic functions at the
-//! top of this file: element-wise kernels reuse the `scalar_*` body (same
-//! bits, measured at parity with a chunked form), reductions the 8-lane
-//! `wide_*` one. The FFT/FD/interpolation kernels differ per width and live
-//! in [`f32k`] (generic bodies again) and [`f64k`] (intrinsics).
+//! kernels that do this at both widths are the generic functions at the
+//! top of this file: element-wise and complex-product kernels reuse the
+//! `scalar_*` body (same bits, measured at parity with a chunked form),
+//! reductions the 8-lane `wide_*` one. The butterfly/FD/interpolation
+//! kernels differ per width and live in [`f32k`] (generic bodies again)
+//! and [`f64k`] (intrinsics).
 
 use crate::{xk, Elem};
 
@@ -37,6 +38,8 @@ gate!(scale_add_norm<T>, wide_scale_add_norm, (a: T, x: &[T], y: &[T], out: &mut
 gate!(dot<T>, wide_dot, (x: &[T], y: &[T]) -> f64);
 gate!(sum<T>, wide_sum, (x: &[T]) -> f64);
 gate!(max_abs<T>, wide_max_abs, (x: &[T]) -> f64);
+gate!(cpx_mul<T>, scalar_cpx_mul, (dst: &mut [T], src: &[T]));
+gate!(cpx_mul_into<T>, scalar_cpx_mul_into, (out: &mut [T], a: &[T], b: &[T]));
 gate!(cpx_conj<T>, scalar_cpx_conj, (data: &mut [T]));
 gate!(cpx_conj_scale<T>, scalar_cpx_conj_scale, (data: &mut [T], s: T));
 
@@ -49,17 +52,14 @@ pub mod f32k {
     gate!(cubic_accumulate, wide_cubic_accumulate,
         (data: &[f32], base: usize, plane_stride: usize, row_stride: usize,
          w1: &[f32; 4], w2: &[f32; 4], w3: &[f32; 4]) -> f32);
-    gate!(cpx_mul, scalar_cpx_mul, (dst: &mut [f32], src: &[f32]));
-    gate!(cpx_mul_into, scalar_cpx_mul_into, (out: &mut [f32], a: &[f32], b: &[f32]));
     gate!(cpx_radix2_combine, scalar_cpx_radix2_combine,
         (lo: &mut [f32], hi: &mut [f32], tw: &[f32], ws: usize));
 }
 
 /// The f64 kernels where a hand-written intrinsic measured ≥ 1.2× faster
 /// than the generic body under the same feature gate (DESIGN.md §13 has
-/// the table), plus `cpx_mul_into`/`lagrange_weights`, which share their
-/// shuffle idiom / feed `cubic_accumulate`. These carry the FFT, FD and
-/// interpolation time of an f64 solve.
+/// the table), plus `lagrange_weights`, which feeds `cubic_accumulate`.
+/// These carry the FFT, FD and interpolation time of an f64 solve.
 ///
 /// # Safety
 /// Every function here requires AVX2 and FMA on the host. The raw-pointer
@@ -203,55 +203,6 @@ pub mod f64k {
 
     // ----- interleaved complex kernels ---------------------------------------
 
-    /// Complex product of packed pairs: even lanes get `re`, odd lanes `im`.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn cpx_mul_v(a: __m256d, b: __m256d) -> __m256d {
-        let br = _mm256_movedup_pd(b); // [b0.re, b0.re, b1.re, b1.re]
-        let bi = _mm256_permute_pd(b, 0xF); // [b0.im, b0.im, b1.im, b1.im]
-        let asw = _mm256_permute_pd(a, 0x5); // [a0.im, a0.re, a1.im, a1.re]
-                                             // even: a.re·b.re − a.im·b.im; odd: a.im·b.re + a.re·b.im
-        _mm256_fmaddsub_pd(a, br, _mm256_mul_pd(asw, bi))
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cpx_mul(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len();
-        let pd = dst.as_mut_ptr();
-        let ps = src.as_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let r = cpx_mul_v(_mm256_loadu_pd(pd.add(i)), _mm256_loadu_pd(ps.add(i)));
-            _mm256_storeu_pd(pd.add(i), r);
-            i += 4;
-        }
-        if i < n {
-            let (ar, ai) = (dst[i], dst[i + 1]);
-            let (br, bi) = (src[i], src[i + 1]);
-            dst[i] = ar * br - ai * bi;
-            dst[i + 1] = ar * bi + ai * br;
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cpx_mul_into(out: &mut [f64], a: &[f64], b: &[f64]) {
-        let n = out.len();
-        let po = out.as_mut_ptr();
-        let pa = a.as_ptr();
-        let pb = b.as_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let r = cpx_mul_v(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)));
-            _mm256_storeu_pd(po.add(i), r);
-            i += 4;
-        }
-        if i < n {
-            let (ar, ai) = (a[i], a[i + 1]);
-            let (br, bi) = (b[i], b[i + 1]);
-            out[i] = ar * br - ai * bi;
-            out[i + 1] = ar * bi + ai * br;
-        }
-    }
-
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn cpx_radix2_combine(lo: &mut [f64], hi: &mut [f64], tw: &[f64], ws: usize) {
         let m = lo.len() / 2;
@@ -266,7 +217,11 @@ pub mod f64k {
             let w = _mm256_set_m128d(w1, w0);
             let t0 = _mm256_loadu_pd(pl.add(2 * k));
             let t1 = _mm256_loadu_pd(ph.add(2 * k));
-            let x = cpx_mul_v(w, t1);
+            // x = w·t1 on packed pairs: even lanes get `re`, odd lanes `im`
+            let tr = _mm256_movedup_pd(t1); // [t0.re, t0.re, t1.re, t1.re]
+            let ti = _mm256_permute_pd(t1, 0xF); // [t0.im, t0.im, t1.im, t1.im]
+            let wsw = _mm256_permute_pd(w, 0x5); // [w0.im, w0.re, w1.im, w1.re]
+            let x = _mm256_fmaddsub_pd(w, tr, _mm256_mul_pd(wsw, ti));
             _mm256_storeu_pd(pl.add(2 * k), _mm256_add_pd(t0, x));
             _mm256_storeu_pd(ph.add(2 * k), _mm256_sub_pd(t0, x));
             k += 2;

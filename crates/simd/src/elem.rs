@@ -50,9 +50,6 @@ pub trait Elem:
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
-    /// Storage size in bytes (8 | 4) — feeds pool accounting, comm payload
-    /// sizing, and the roofline bytes model.
-    const BYTES: usize;
     /// Stable label for reports and bench rows (`"f64"` | `"f32"`).
     const LABEL: &'static str;
 
@@ -186,14 +183,13 @@ macro_rules! dispatch {
 }
 
 /// Implement [`Elem`] for one width. `$avx2` names the module in
-/// `crate::avx2` holding this width's FFT/FD/interpolation AVX2 arms; the
-/// field ops share one generic arm.
+/// `crate::avx2` holding this width's butterfly/FD/interpolation AVX2
+/// arms; the field ops and complex products share one generic arm.
 macro_rules! impl_elem {
-    ($t:ty, $bytes:expr, $label:expr, $avx2:ident) => {
+    ($t:ty, $label:expr, $avx2:ident) => {
         impl Elem for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
-            const BYTES: usize = $bytes;
             const LABEL: &'static str = $label;
 
             #[inline(always)]
@@ -297,16 +293,13 @@ macro_rules! impl_elem {
             fn kcpx_mul(dst: &mut [Self], src: &[Self]) {
                 assert_eq!(dst.len(), src.len(), "cpx_mul length mismatch");
                 assert_eq!(dst.len() % 2, 0, "cpx_mul needs interleaved re/im pairs");
-                dispatch!(crate::avx2::$avx2::cpx_mul(dst, src), xk::scalar_cpx_mul(dst, src))
+                dispatch!(crate::avx2::cpx_mul(dst, src), xk::scalar_cpx_mul(dst, src))
             }
             fn kcpx_mul_into(out: &mut [Self], a: &[Self], b: &[Self]) {
                 assert_eq!(out.len(), a.len(), "cpx_mul_into length mismatch");
                 assert_eq!(out.len(), b.len(), "cpx_mul_into length mismatch");
                 assert_eq!(out.len() % 2, 0, "cpx_mul_into needs interleaved re/im pairs");
-                dispatch!(
-                    crate::avx2::$avx2::cpx_mul_into(out, a, b),
-                    xk::scalar_cpx_mul_into(out, a, b)
-                )
+                dispatch!(crate::avx2::cpx_mul_into(out, a, b), xk::scalar_cpx_mul_into(out, a, b))
             }
             fn kcpx_conj(data: &mut [Self]) {
                 assert_eq!(data.len() % 2, 0, "cpx_conj needs interleaved re/im pairs");
@@ -335,8 +328,8 @@ macro_rules! impl_elem {
     };
 }
 
-impl_elem!(f64, 8, "f64", f64k);
-impl_elem!(f32, 4, "f32", f32k);
+impl_elem!(f64, "f64", f64k);
+impl_elem!(f32, "f32", f32k);
 
 #[cfg(test)]
 mod tests {
@@ -344,8 +337,6 @@ mod tests {
 
     #[test]
     fn elem_consts_and_conversions() {
-        assert_eq!(<f64 as Elem>::BYTES, 8);
-        assert_eq!(<f32 as Elem>::BYTES, 4);
         assert_eq!(<f64 as Elem>::LABEL, "f64");
         assert_eq!(<f32 as Elem>::LABEL, "f32");
         assert_eq!(<f32 as Elem>::from_f64(1.5).to_f64(), 1.5);

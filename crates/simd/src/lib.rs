@@ -13,8 +13,7 @@
 //!   call from a cached process-wide choice;
 //! * each kernel body is written once, generic over the element width (the
 //!   `xk` module): a `scalar_*` reference loop — the specification, with the
-//!   pre-SIMD solver's exact operation order, so `CLAIRE_SIMD=scalar` is
-//!   bit-identical to the historical solver — and, for reductions, a
+//!   pre-SIMD solver's exact operation order — and, for reductions, a
 //!   `wide_*` 8-lane body with a fixed fold shape;
 //! * the AVX2 arm of a kernel is that generic body compiled under
 //!   `#[target_feature(enable = "avx2,fma")]`, except for the few f64

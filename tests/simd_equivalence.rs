@@ -49,7 +49,7 @@ fn both<R: PartialEq + Debug>(mut f: impl FnMut() -> R) -> (R, R) {
 
 /// Cross-backend relative tolerance of the element width.
 fn tol<T: Elem>() -> f64 {
-    if T::BYTES == 8 {
+    if std::mem::size_of::<T>() == 8 {
         1e-12
     } else {
         1e-5
