@@ -4,7 +4,8 @@
 //! Emits `BENCH_kernels.json` in the repo root (or the path given as the
 //! first CLI argument). Measures the three computational kernels of the
 //! paper (§3) — 8th-order FD gradient, 3D FFT round-trip, cubic Lagrange
-//! interpolation — plus an axpy stream op, at 64³ and 128³, once with the
+//! interpolation (one-shot, and split into plan build and planned scalar /
+//! 3-vector evaluation) — plus an axpy stream op, at 64³ and 128³, once with the
 //! parallel layer pinned to 1 thread and once at a fixed 8 threads. Both
 //! thread counts and both grid sizes are pinned so the emitted row set is
 //! identical on every host — `check_bench` diffs these rows against the
@@ -36,7 +37,7 @@ use claire_grid::{Grid, Layout, Real, ScalarField, VectorField};
 use claire_interp::{Interpolator, IpOrder};
 use claire_mpi::{run_cluster, AlltoallMethod, Comm, CommCat, Topology};
 use claire_par::{set_threads, timing};
-use claire_simd::Elem;
+use claire_simd::{Elem, HaloDims, Stencil};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -164,7 +165,11 @@ fn bench_at(
         }));
     }
 
-    // cubic Lagrange interpolation, one off-grid query per grid point
+    // cubic Lagrange interpolation, one off-grid query per grid point:
+    // the one-shot call (plan build + evaluation + output allocation), then
+    // the two halves the solver actually pays — one plan build per
+    // characteristic family, one planned evaluation per time step — for a
+    // scalar and for a 3-vector (three fields against shared taps)
     {
         let h = grid.spacing();
         let queries: Vec<[Real; 3]> = claire_semilag::traj::grid_points(f.layout())
@@ -175,6 +180,19 @@ fn bench_at(
         let mut ip = Interpolator::new(IpOrder::Cubic);
         push(measure("interp_cubic", n, threads, oversubscribed, reps, || {
             std::hint::black_box(ip.interp(&f, &queries, &mut comm));
+        }));
+        push(measure("interp_plan_build", n, threads, oversubscribed, reps, || {
+            std::hint::black_box(ip.plan(*f.layout(), &queries, &mut comm));
+        }));
+        let plan = ip.plan(*f.layout(), &queries, &mut comm);
+        let mut vals = vec![0.0 as Real; queries.len()];
+        push(measure("interp_planned", n, threads, oversubscribed, reps, || {
+            ip.evaluate(&plan, &[&f], &mut comm, &mut [&mut vals]);
+        }));
+        let v = VectorField { c: [f.clone(), test_field(n), f.clone()] };
+        let mut vals3 = vec![[0.0 as Real; 3]; queries.len()];
+        push(measure("interp_planned_vec3", n, threads, oversubscribed, reps, || {
+            ip.evaluate_vector(&plan, &v, &mut comm, &mut vals3);
         }));
     }
 
@@ -310,9 +328,11 @@ fn bench_f32_at(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
         }));
     }
 
-    // Cubic Lagrange interpolation: one off-grid query per grid point at
-    // the same fractional offsets as the f64 row, on a ghost-extended f32
-    // copy (2 planes per side along x1, the cubic support width).
+    // Cubic Lagrange interpolation: the batched site kernel, one off-grid
+    // site per grid point at the same fractional offsets as the f64 rows,
+    // on ghost-extended f32 copies (2 planes per side along x1, the cubic
+    // support width) — one field, then three against shared taps. There is
+    // no f32 plan (transport stays f64), so the sites are built here.
     {
         let gw = 2usize;
         let mut ext = vec![0.0f32; (n + 2 * gw) * n * n];
@@ -320,41 +340,29 @@ fn bench_f32_at(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
             let sp = (p + n - gw) % n;
             ext[p * n * n..(p + 1) * n * n].copy_from_slice(&src[sp * n * n..(sp + 1) * n * n]);
         }
-        // fractions of the query offsets (+0.37h, −0.21h, +0.11h)
-        let (t1, t2, t3) = (0.37f32, 0.79f32, 0.11f32);
-        let mut vals = vec![0.0f32; n * n * n];
-        push(measure("interp_cubic_f32", n, 1, false, reps, || {
-            let w1 = f32::klagrange_weights(t1);
-            let w2 = f32::klagrange_weights(t2);
-            let w3 = f32::klagrange_weights(t3);
-            for i in 0..n {
-                for j in 0..n {
-                    // x2 base is j−1 (offset −0.21h); x3 base is k
-                    let b2 = (j + n - 1) % n;
-                    for k in 0..n {
-                        let v = if b2 >= 1 && b2 + 2 < n && k >= 1 && k + 2 < n {
-                            let base = ((i + gw - 1) * n + (b2 - 1)) * n + (k - 1);
-                            f32::kcubic_accumulate(&ext, base, n * n, n, &w1, &w2, &w3)
-                        } else {
-                            let mut acc = 0.0f32;
-                            for (a, &wa) in w1.iter().enumerate() {
-                                let ii = i + gw + a - 1;
-                                for (b, &wb) in w2.iter().enumerate() {
-                                    let jj = (b2 + n + b - 1) % n;
-                                    let wab = wa * wb;
-                                    for (cix, &wc) in w3.iter().enumerate() {
-                                        let kk = (k + n + cix - 1) % n;
-                                        acc += wab * wc * ext[(ii * n + jj) * n + kk];
-                                    }
-                                }
-                            }
-                            acc
-                        };
-                        vals[(i * n + j) * n + k] = v;
-                    }
-                }
-            }
-            std::hint::black_box(&vals);
+        let dims = HaloDims { planes: n + 2 * gw, n2: n, n3: n, plane0: gw as isize };
+        // query offsets (+0.37h, −0.21h, +0.11h), wrapped into [0, n)
+        let sites: Vec<[f32; 3]> = (0..n * n * n)
+            .map(|idx| {
+                let (i, j, k) = (idx / (n * n), (idx / n) % n, idx % n);
+                [i as f32 + 0.37, ((j + n - 1) % n) as f32 + 0.79, k as f32 + 0.11]
+            })
+            .collect();
+        let mut vals = vec![0.0f32; sites.len()];
+        push(measure("interp_planned_f32", n, 1, false, reps, || {
+            f32::kinterp_sites(Stencil::CubicLagrange, &dims, &[&ext], &sites, |i, [v]| {
+                vals[i] = v
+            });
+        }));
+        let mut vals3 = vec![[0.0f32; 3]; sites.len()];
+        push(measure("interp_planned_vec3_f32", n, 1, false, reps, || {
+            f32::kinterp_sites(
+                Stencil::CubicLagrange,
+                &dims,
+                &[&ext, &ext, &ext],
+                &sites,
+                |i, v| vals3[i] = v,
+            );
         }));
     }
 
@@ -456,12 +464,12 @@ fn main() {
     let host = claire_perf::machine::host_roofline();
     let passes_of = |kernel: &str| -> Option<f64> {
         match kernel {
-            "axpy" => Some(3.0),              // read x, read + write y
-            "axpy_norm_fused" => Some(3.0),   // same pass also reduces
-            "axpy_norm_unfused" => Some(4.0), // + one re-read for the dot
-            "axpy_dot_f32" => Some(3.0),      // fused chain, f32 elements
-            "fd_gradient_f32" => Some(6.0),   // 3 dims × (read + write)
-            "interp_cubic_f32" => Some(2.0),  // gather (cached) + write
+            "axpy" => Some(3.0),               // read x, read + write y
+            "axpy_norm_fused" => Some(3.0),    // same pass also reduces
+            "axpy_norm_unfused" => Some(4.0),  // + one re-read for the dot
+            "axpy_dot_f32" => Some(3.0),       // fused chain, f32 elements
+            "fd_gradient_f32" => Some(6.0),    // 3 dims × (read + write)
+            "interp_planned_f32" => Some(2.0), // gather (cached) + write
             _ => None,
         }
     };

@@ -172,7 +172,7 @@ impl RegProblem {
 
     /// Solve the state equation at `v` and return `m(·, 1)`. Collective.
     pub fn deformed_template(&mut self, v: &VectorField, comm: &mut Comm) -> ScalarField {
-        let traj = Trajectory::compute(v, self.cfg.nt, &mut self.interp, comm);
+        let traj = Trajectory::backward(v, self.cfg.nt, &mut self.interp, comm);
         let mut sol = self.transport.solve_state(&traj, &self.m0, false, &mut self.interp, comm);
         sol.m.pop().unwrap()
     }
@@ -241,19 +241,9 @@ fn lambda_grad_integral(
     let mut acc = VectorField::zeros(layout);
     for (j, lam) in lambda.iter().enumerate() {
         let w = if j == 0 || j == nt { 0.5 * dt } else { dt };
-        // borrow the stored gradient when available instead of cloning it
-        match &state.grad_m {
-            Some(gs) => {
-                for d in 0..3 {
-                    acc.c[d].add_scaled_product(w, lam, &gs[j].c[d]);
-                }
-            }
-            None => {
-                let grad = claire_diff::fd::gradient(&state.m[j], comm);
-                for d in 0..3 {
-                    acc.c[d].add_scaled_product(w, lam, &grad.c[d]);
-                }
-            }
+        let grad = state.grad_at(j, comm);
+        for d in 0..3 {
+            acc.c[d].add_scaled_product(w, lam, &grad.c[d]);
         }
     }
     acc
@@ -275,6 +265,10 @@ impl GnProblem for RegProblem {
     /// deformed template, as the paper prescribes, "at the beginning of
     /// each Gauss-Newton iteration".
     fn gradient(&mut self, v: &VectorField, comm: &mut Comm) -> VectorField {
+        // the previous linearization point is dead from here on: return its
+        // characteristics and state series to the pools before computing
+        // their successors, not after
+        self.cur = None;
         let traj = Trajectory::compute(v, self.cfg.nt, &mut self.interp, comm);
         let state = self.transport.solve_state(
             &traj,

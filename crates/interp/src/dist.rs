@@ -1,14 +1,18 @@
-//! Distributed scattered interpolation with the paper's five phases.
+//! Distributed scattered interpolation with the paper's five phases:
+//! evaluating an [`InterpPlan`] is ghost exchange → batched stencil kernel →
+//! value return; the two scatter phases belong to the plan build.
 
 use std::time::Instant;
 
-use claire_grid::workspace::{WsCat, REAL_POOL};
-use claire_grid::{ghost, Real, ScalarField, VectorField};
+use claire_grid::ghost::{self, GhostField};
+use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::{AlltoallMethod, Comm, CommCat};
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_map_collect, par_map_collect_work, par_parts, SharedSlice};
+use claire_par::{par_parts, SharedSlice};
+use claire_simd::{Elem, HaloDims};
 
-use crate::kernel::{interp_ghost, to_index, IpOrder};
+use crate::kernel::IpOrder;
+use crate::plan::{InterpPlan, Sites};
 
 /// Wall/modeled seconds of the five phases of Table 2.
 #[derive(Clone, Copy, Debug, Default)]
@@ -58,15 +62,61 @@ pub struct PhaseStats {
 
 /// Distributed scattered interpolator.
 ///
-/// Routes each query point to the rank owning its x1 plane, evaluates the
-/// stencil there using ghost layers for slab-boundary support, and returns
-/// values to the requester — the workflow of paper §3.1. Accumulates
+/// Evaluates fields at the sites of an [`InterpPlan`] — built once per
+/// query set by [`Interpolator::plan`], which routes each query to the rank
+/// owning its x1 plane — using ghost layers for slab-boundary support, and
+/// returns values to the requester: the workflow of paper §3.1. Accumulates
 /// [`PhaseStats`] across calls for Table 2 reporting.
 pub struct Interpolator {
     /// Stencil order (GPU-TXTLIN / GPU-TXTLAG).
     pub order: IpOrder,
     /// Accumulated phase timings.
     pub stats: PhaseStats,
+}
+
+/// Where one evaluation's values land, indexed by query: a slice per field
+/// or one packed `[Real; NF]` per query. Workers write disjoint indices
+/// through the shared views.
+#[derive(Clone, Copy)]
+enum Dest<'a, const NF: usize> {
+    PerField([SharedSlice<'a, Real>; NF]),
+    Packed(SharedSlice<'a, [Real; NF]>),
+}
+
+impl<'a, const NF: usize> Dest<'a, NF> {
+    fn per_field<'b: 'a>(outs: &'a mut [&'b mut [Real]]) -> Dest<'a, NF> {
+        assert_eq!(outs.len(), NF, "one output buffer per field");
+        let mut it = outs.iter_mut();
+        Dest::PerField(std::array::from_fn(|_| {
+            SharedSlice::new(it.next().expect("length checked above"))
+        }))
+    }
+
+    /// Queries the destination has room for.
+    fn len(&self) -> usize {
+        match self {
+            Dest::PerField(s) => s.iter().map(SharedSlice::len).min().unwrap_or(0),
+            Dest::Packed(s) => s.len(),
+        }
+    }
+
+    /// Store query `i`'s values.
+    ///
+    /// # Safety
+    /// `i < self.len()`, and no other thread reads or writes query `i`.
+    #[inline(always)]
+    unsafe fn put(&self, i: usize, v: [Real; NF]) {
+        match self {
+            Dest::PerField(s) => {
+                for (s, v) in s.iter().zip(v) {
+                    // SAFETY: forwarded from the caller.
+                    unsafe { s.write(i, v) };
+                }
+            }
+            // SAFETY: forwarded from the caller.
+            Dest::Packed(s) => unsafe { s.write(i, v) },
+        }
+    }
 }
 
 impl Interpolator {
@@ -78,6 +128,152 @@ impl Interpolator {
     /// Zero the accumulated statistics.
     pub fn reset_stats(&mut self) {
         self.stats = PhaseStats::default();
+    }
+
+    /// Evaluate several fields (sharing the plan's layout) at the plan's
+    /// query points, one output buffer of `plan.len()` values per field.
+    /// Fields evaluated together share each site's index split and basis
+    /// weights; a field's values do not depend on what it is grouped with.
+    ///
+    /// Collective: every rank passes its own plan.
+    pub fn evaluate(
+        &mut self,
+        plan: &InterpPlan,
+        fields: &[&ScalarField],
+        comm: &mut Comm,
+        outs: &mut [&mut [Real]],
+    ) {
+        assert!(!fields.is_empty());
+        assert_eq!(outs.len(), fields.len(), "one output buffer per field");
+        // the kernel shares taps across up to three fields (a vector)
+        for (fs, os) in fields.chunks(3).zip(outs.chunks_mut(3)) {
+            match *fs {
+                [a] => self.run(plan, [a], comm, Dest::per_field(os)),
+                [a, b] => self.run(plan, [a, b], comm, Dest::per_field(os)),
+                [a, b, c] => self.run(plan, [a, b, c], comm, Dest::per_field(os)),
+                _ => unreachable!("chunks(3) yields 1..=3 fields"),
+            }
+        }
+    }
+
+    /// Evaluate a vector field at the plan's query points, writing the
+    /// per-query 3-vectors straight from the three-field kernel.
+    ///
+    /// Collective: every rank passes its own plan.
+    pub fn evaluate_vector(
+        &mut self,
+        plan: &InterpPlan,
+        v: &VectorField,
+        comm: &mut Comm,
+        out: &mut [[Real; 3]],
+    ) {
+        self.run(plan, [&v.c[0], &v.c[1], &v.c[2]], comm, Dest::Packed(SharedSlice::new(out)));
+    }
+
+    /// One evaluation of `NF` fields: ghost exchange → kernel → value return.
+    fn run<const NF: usize>(
+        &mut self,
+        plan: &InterpPlan,
+        fields: [&ScalarField; NF],
+        comm: &mut Comm,
+        dest: Dest<'_, NF>,
+    ) {
+        let layout = *plan.layout();
+        for f in fields {
+            assert_eq!(*f.layout(), layout, "field layout differs from the plan's");
+        }
+        assert_eq!(dest.len(), plan.len(), "output buffer/query size mismatch");
+
+        // ---- phase: ghost_comm (halo exchange of the fields) ----
+        let t0 = Instant::now();
+        let m0 = comm.stats().cat(CommCat::Ghost).modeled_secs;
+        let ghosts: [GhostField; NF] =
+            std::array::from_fn(|f| ghost::exchange(fields[f], IpOrder::GHOST_WIDTH, comm));
+        self.stats.wall.ghost_comm += t0.elapsed().as_secs_f64();
+        self.stats.modeled.ghost_comm += comm.stats().cat(CommCat::Ghost).modeled_secs - m0;
+
+        let halo = HaloDims {
+            planes: layout.slab.ni + 2 * IpOrder::GHOST_WIDTH,
+            n2: layout.grid.n[1],
+            n3: layout.grid.n[2],
+            plane0: IpOrder::GHOST_WIDTH as isize - layout.slab.i0 as isize,
+        };
+        let data: [&[Real]; NF] = std::array::from_fn(|f| ghosts[f].data());
+
+        // ---- phase: interp_kernel (local stencil evaluation) ----
+        let t0 = Instant::now();
+        // on one rank the values go straight to `dest`; on p > 1 ranks the
+        // values for peer r go to `value_bufs[r]`, field-major, to be
+        // shipped back
+        let value_bufs: Vec<Vec<Real>> = timing::time(Kernel::Interp, || match plan.sites() {
+            Sites::Local(sites) => {
+                self.kernel(&halo, &data, sites, dest);
+                Vec::new()
+            }
+            Sites::Routed { serve, .. } => serve
+                .iter()
+                .map(|sites| {
+                    let mut buf = vec![0.0 as Real; NF * sites.len()];
+                    let mut per_field = buf.chunks_mut(sites.len().max(1));
+                    let to_wire = Dest::PerField(std::array::from_fn(|_| {
+                        SharedSlice::new(per_field.next().unwrap_or_default())
+                    }));
+                    self.kernel(&halo, &data, sites, to_wire);
+                    buf
+                })
+                .collect(),
+        });
+        let nsites = plan.sites().count();
+        let flops = nsites * NF * self.order.flops_per_query();
+        let bytes = nsites * NF * 2 * std::mem::size_of::<Real>();
+        comm.advance_kernel(bytes, flops);
+        self.stats.wall.interp_kernel += t0.elapsed().as_secs_f64();
+        self.stats.modeled.interp_kernel += comm.device().kernel_time(bytes, flops);
+        let Sites::Routed { origins, .. } = plan.sites() else { return };
+
+        // ---- phase: interp_comm (return values) ----
+        let t0 = Instant::now();
+        let m0 = comm.stats().cat(CommCat::InterpValues).modeled_secs;
+        let returned = comm.alltoallv(&value_bufs, CommCat::InterpValues, AlltoallMethod::Auto);
+        self.stats.wall.interp_comm += t0.elapsed().as_secs_f64();
+        self.stats.modeled.interp_comm += comm.stats().cat(CommCat::InterpValues).modeled_secs - m0;
+
+        // reassemble into query order
+        for (vals, origin) in returned.iter().zip(origins) {
+            let nq = origin.len();
+            assert_eq!(vals.len(), nq * NF, "returned value count mismatch");
+            for (q, &oi) in origin.iter().enumerate() {
+                // SAFETY: the plan's origins are a permutation of
+                // `0..plan.len()` (each query was sent to exactly one
+                // owner) and `dest.len() == plan.len()` was asserted above;
+                // this loop is the only writer.
+                unsafe { dest.put(oi as usize, std::array::from_fn(|f| vals[f * nq + q])) };
+            }
+        }
+    }
+
+    /// Run the batched stencil kernel over `sites`, split across workers,
+    /// storing site `i`'s values at `dest` index `i`.
+    fn kernel<const NF: usize>(
+        &self,
+        halo: &HaloDims,
+        data: &[&[Real]; NF],
+        sites: &[[Real; 3]],
+        dest: Dest<'_, NF>,
+    ) {
+        assert!(dest.len() >= sites.len(), "destination shorter than the site batch");
+        let stencil = self.order.stencil();
+        // weight ≈ stencil flops relative to a ~8-op element-wise point
+        let weight = (self.order.flops_per_query() / 8).max(1);
+        par_parts(sites.len(), sites.len() * NF * weight, |range| {
+            let lo = range.start;
+            Real::kinterp_sites(stencil, halo, data, &sites[range], |i, v| {
+                // SAFETY: `lo + i` indexes this worker's range of `sites`,
+                // which is in bounds of `dest` (asserted above), and worker
+                // ranges are disjoint.
+                unsafe { dest.put(lo + i, v) }
+            });
+        });
     }
 
     /// Interpolate several fields (sharing one layout) at the same query
@@ -97,48 +293,10 @@ impl Interpolator {
         out
     }
 
-    /// Single-rank fast path: no routing, no packing, no value return — one
-    /// pooled ghost exchange per field and direct stencil evaluation into
-    /// the caller's buffer. Allocation-free at steady state.
-    fn interp_many_solo(
-        &mut self,
-        fields: &[&ScalarField],
-        queries: &[[Real; 3]],
-        comm: &mut Comm,
-        outs: &mut [&mut [Real]],
-    ) {
-        let order = self.order;
-        let weight = (order.flops_per_query() / 8).max(1);
-        let nq = queries.len();
-        for (fi, f) in fields.iter().enumerate() {
-            let t0 = Instant::now();
-            let m0 = comm.stats().cat(CommCat::Ghost).modeled_secs;
-            let g = ghost::exchange(f, IpOrder::GHOST_WIDTH, comm);
-            self.stats.wall.ghost_comm += t0.elapsed().as_secs_f64();
-            self.stats.modeled.ghost_comm += comm.stats().cat(CommCat::Ghost).modeled_secs - m0;
-
-            let t0 = Instant::now();
-            timing::time(Kernel::Interp, || {
-                let shared = SharedSlice::new(outs[fi]);
-                par_parts(nq, nq * weight, |range| {
-                    // SAFETY: worker ranges are disjoint.
-                    let dst = unsafe { shared.slice_mut(range.clone()) };
-                    for (o, qi) in dst.iter_mut().zip(range) {
-                        *o = interp_ghost(&g, order, queries[qi]);
-                    }
-                });
-            });
-            let flops = nq * order.flops_per_query();
-            let bytes = nq * 2 * std::mem::size_of::<Real>();
-            comm.advance_kernel(bytes, flops);
-            self.stats.wall.interp_kernel += t0.elapsed().as_secs_f64();
-            self.stats.modeled.interp_kernel += comm.device().kernel_time(bytes, flops);
-        }
-    }
-
     /// [`Interpolator::interp_many`] writing into caller-provided buffers
-    /// (one per field, each of `queries.len()` values). On a single rank
-    /// this takes an allocation-free fast path.
+    /// (one per field, each of `queries.len()` values): a one-shot
+    /// [`Interpolator::plan`] + [`Interpolator::evaluate`]. Callers that
+    /// evaluate at the same points again should keep the plan.
     ///
     /// Collective: every rank passes its own queries.
     pub fn interp_many_into(
@@ -149,103 +307,8 @@ impl Interpolator {
         outs: &mut [&mut [Real]],
     ) {
         assert!(!fields.is_empty());
-        assert_eq!(outs.len(), fields.len(), "one output buffer per field");
-        for o in outs.iter() {
-            assert_eq!(o.len(), queries.len(), "output buffer/query size mismatch");
-        }
-        let layout = *fields[0].layout();
-        for f in fields {
-            assert_eq!(*f.layout(), layout, "all fields must share a layout");
-        }
-        if comm.size() == 1 {
-            return self.interp_many_solo(fields, queries, comm, outs);
-        }
-        let p = comm.size();
-        let nf = fields.len();
-        let n1 = layout.grid.n[0];
-
-        // ---- phase: scatter_mpi_buffer (partition queries by owner) ----
-        let t0 = Instant::now();
-        // owner lookup per query in parallel (the copy_if predicate);
-        // bucketing stays serial to keep per-owner query order stable
-        let owners: Vec<u32> = par_map_collect(queries.len(), |qi| {
-            let u1 = to_index(queries[qi][0], n1);
-            let plane = (u1 as usize).min(n1 - 1);
-            layout.owner_of_plane(plane) as u32
-        });
-        let mut dest_queries: Vec<Vec<[Real; 3]>> = (0..p).map(|_| Vec::new()).collect();
-        let mut dest_origin: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-        for (qi, (q, &owner)) in queries.iter().zip(&owners).enumerate() {
-            dest_queries[owner as usize].push(*q);
-            dest_origin[owner as usize].push(qi as u32);
-        }
-        // modeled: one streaming pass over the query list (copy_if analogue)
-        comm.advance_kernel(std::mem::size_of_val(queries) * 2, 4 * queries.len());
-        let buf_kernel_secs = queries.len() as f64 * 2.0 * std::mem::size_of::<[Real; 3]>() as f64
-            / comm.device().dram_bw
-            + comm.device().launch_overhead;
-        self.stats.wall.scatter_mpi_buffer += t0.elapsed().as_secs_f64();
-        self.stats.modeled.scatter_mpi_buffer += buf_kernel_secs;
-
-        // ---- phase: scatter_comm (ship query points) ----
-        let t0 = Instant::now();
-        let m0 = comm.stats().cat(CommCat::Scatter).modeled_secs;
-        let incoming = comm.alltoallv(&dest_queries, CommCat::Scatter, AlltoallMethod::Auto);
-        self.stats.wall.scatter_comm += t0.elapsed().as_secs_f64();
-        self.stats.modeled.scatter_comm += comm.stats().cat(CommCat::Scatter).modeled_secs - m0;
-
-        // ---- phase: ghost_comm (halo exchange of the fields) ----
-        let t0 = Instant::now();
-        let m0 = comm.stats().cat(CommCat::Ghost).modeled_secs;
-        let ghosts: Vec<ghost::GhostField> =
-            fields.iter().map(|f| ghost::exchange(f, IpOrder::GHOST_WIDTH, comm)).collect();
-        self.stats.wall.ghost_comm += t0.elapsed().as_secs_f64();
-        self.stats.modeled.ghost_comm += comm.stats().cat(CommCat::Ghost).modeled_secs - m0;
-
-        // ---- phase: interp_kernel (local stencil evaluation) ----
-        let t0 = Instant::now();
-        // every (field, query) evaluation is independent — the GPU version
-        // runs one thread per query; here the flattened field-major batch is
-        // split across workers, preserving the serial value order
-        let order = self.order;
-        let mut value_bufs: Vec<Vec<Real>> = Vec::with_capacity(p);
-        let mut nq_local = 0usize;
-        timing::time(Kernel::Interp, || {
-            // weight ≈ stencil flops relative to a ~8-op element-wise point
-            let weight = (order.flops_per_query() / 8).max(1);
-            for part in &incoming {
-                let nq = part.len();
-                let vals = par_map_collect_work(nf * nq, weight, |t| {
-                    interp_ghost(&ghosts[t / nq], order, part[t % nq])
-                });
-                nq_local += nq;
-                value_bufs.push(vals);
-            }
-        });
-        let flops = nq_local * nf * self.order.flops_per_query();
-        let bytes = nq_local * nf * 2 * std::mem::size_of::<Real>();
-        comm.advance_kernel(bytes, flops);
-        self.stats.wall.interp_kernel += t0.elapsed().as_secs_f64();
-        self.stats.modeled.interp_kernel += comm.device().kernel_time(bytes, flops);
-
-        // ---- phase: interp_comm (return values) ----
-        let t0 = Instant::now();
-        let m0 = comm.stats().cat(CommCat::InterpValues).modeled_secs;
-        let returned = comm.alltoallv(&value_bufs, CommCat::InterpValues, AlltoallMethod::Auto);
-        self.stats.wall.interp_comm += t0.elapsed().as_secs_f64();
-        self.stats.modeled.interp_comm += comm.stats().cat(CommCat::InterpValues).modeled_secs - m0;
-
-        // reassemble into query order
-        for (src, vals) in returned.iter().enumerate() {
-            let origin = &dest_origin[src];
-            assert_eq!(vals.len(), origin.len() * nf, "returned value count mismatch");
-            for (fi, out_f) in outs.iter_mut().enumerate() {
-                let chunk = &vals[fi * origin.len()..(fi + 1) * origin.len()];
-                for (&oi, &v) in origin.iter().zip(chunk) {
-                    out_f[oi as usize] = v;
-                }
-            }
-        }
+        let plan = self.plan(*fields[0].layout(), queries, comm);
+        self.evaluate(&plan, fields, comm, outs);
     }
 
     /// Interpolate one scalar field.
@@ -282,7 +345,8 @@ impl Interpolator {
     }
 
     /// Interpolate a vector field into a caller-provided buffer of per-query
-    /// 3-vectors (pooled component staging, µSL budget).
+    /// 3-vectors: a one-shot [`Interpolator::plan`] +
+    /// [`Interpolator::evaluate_vector`].
     pub fn interp_vector_into(
         &mut self,
         v: &VectorField,
@@ -290,20 +354,8 @@ impl Interpolator {
         comm: &mut Comm,
         out: &mut [[Real; 3]],
     ) {
-        assert_eq!(out.len(), queries.len(), "output buffer/query size mismatch");
-        let nq = queries.len();
-        let mut c0 = REAL_POOL.checkout_filled(nq, 0.0 as Real, WsCat::Sl);
-        let mut c1 = REAL_POOL.checkout_filled(nq, 0.0 as Real, WsCat::Sl);
-        let mut c2 = REAL_POOL.checkout_filled(nq, 0.0 as Real, WsCat::Sl);
-        self.interp_many_into(
-            &[&v.c[0], &v.c[1], &v.c[2]],
-            queries,
-            comm,
-            &mut [&mut c0, &mut c1, &mut c2],
-        );
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = [c0[i], c1[i], c2[i]];
-        }
+        let plan = self.plan(*v.layout(), queries, comm);
+        self.evaluate_vector(&plan, v, comm, out);
     }
 }
 
@@ -413,6 +465,146 @@ mod tests {
         for (q, val) in queries.iter().zip(&vals) {
             assert!((val[0] - q[0].sin()).abs() < 2e-3);
             assert!((val[1] - q[1].cos()).abs() < 2e-3);
+        }
+    }
+
+    /// Physical query points that stress the site conversion: uniformly
+    /// over several periods (negative and ≥ 2π), exactly on grid nodes, and
+    /// on every periodic seam of the x2/x3 stencil support.
+    fn stress_queries(grid: Grid, n: usize, seed: u64) -> Vec<[Real; 3]> {
+        let h = grid.spacing();
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as Real / (1u64 << 53) as Real
+        };
+        let mut q: Vec<[Real; 3]> =
+            (0..n).map(|_| std::array::from_fn(|_| (3.0 * next() - 1.0) * 2.0 * TWO_PI)).collect();
+        for i in 0..n / 2 {
+            let node: [Real; 3] = std::array::from_fn(|_| (next() * 50.0).floor() - 20.0);
+            // on a node in every dimension, then on a node in one only
+            q.push(std::array::from_fn(|d| node[d] * h[d]));
+            q.push(std::array::from_fn(|d| if d == i % 3 { node[d] * h[d] } else { q[i][d] }));
+        }
+        for off in [-1.5, -1.0, -0.25, 0.0, 0.5, 1.0, 1.75] {
+            q.push([next() * TWO_PI, TWO_PI + off * h[1], next() * TWO_PI]);
+            q.push([next() * TWO_PI, next() * TWO_PI, off * h[2]]);
+            q.push([TWO_PI + off * h[0], off * h[1], TWO_PI + off * h[2]]);
+        }
+        q
+    }
+
+    fn bits(v: &[Real]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// A kept plan evaluates to the bits of a fresh one-shot call: for
+        /// every order, however the fields are grouped (1–3 per evaluation,
+        /// or as a packed vector), on 1–4 ranks, and again on re-evaluation.
+        #[test]
+        fn planned_evaluation_equals_one_shot(seed in 0u64..1_000_000, nq in 8usize..40) {
+            let grid = Grid::new([12, 6, 8]);
+            let queries = stress_queries(grid, nq, seed);
+            let field = |c: usize| move |x: Real, y: Real, z: Real| {
+                (x + c as Real).sin() * (y * (1 + c) as Real).cos() + (0.5 * z).sin() + 0.2
+            };
+            for order in [IpOrder::Linear, IpOrder::Cubic, IpOrder::CubicSpline] {
+                let mut solo: Option<Vec<Vec<u64>>> = None;
+                for p in [1usize, 2, 3, 4] {
+                    let queries = queries.clone();
+                    let res = run_cluster(Topology::new(p, 4), move |comm| {
+                        let layout = Layout::distributed(grid, comm);
+                        let f: [ScalarField; 3] =
+                            std::array::from_fn(|c| ScalarField::from_fn(layout, field(c)));
+                        let mut ip = Interpolator::new(order);
+                        // every rank asks for a different slice of the points
+                        let chunk = queries.len() / comm.size();
+                        let lo = comm.rank() * chunk;
+                        let hi = if comm.rank() + 1 == comm.size() { queries.len() } else { lo + chunk };
+                        let mine = &queries[lo..hi];
+                        let one_shot: Vec<Vec<Real>> =
+                            f.iter().map(|fc| ip.interp(fc, mine, comm)).collect();
+
+                        let plan = ip.plan(layout, mine, comm);
+                        let mut out = vec![vec![0.0 as Real; mine.len()]; 3];
+                        for nf in 1..=3 {
+                            for o in &mut out {
+                                o.fill(Real::NAN);
+                            }
+                            let fields: Vec<&ScalarField> = f[..nf].iter().collect();
+                            let mut outs: Vec<&mut [Real]> =
+                                out[..nf].iter_mut().map(|o| o.as_mut_slice()).collect();
+                            ip.evaluate(&plan, &fields, comm, &mut outs);
+                            for c in 0..nf {
+                                assert_eq!(bits(&out[c]), bits(&one_shot[c]), "{order:?} p={p} {nf} fields, field {c}");
+                            }
+                        }
+                        let v = VectorField { c: f.clone() };
+                        for round in 0..2 {
+                            let mut packed = vec![[Real::NAN; 3]; mine.len()];
+                            ip.evaluate_vector(&plan, &v, comm, &mut packed);
+                            for c in 0..3 {
+                                let comp: Vec<Real> = packed.iter().map(|v| v[c]).collect();
+                                assert_eq!(bits(&comp), bits(&one_shot[c]), "{order:?} p={p} vector round {round}, component {c}");
+                            }
+                        }
+                        one_shot.iter().map(|v| bits(v)).collect::<Vec<_>>()
+                    });
+                    // rank order is query order: the ranks' slices concatenate
+                    // to the full list, and no bit depends on the rank count
+                    let all: Vec<Vec<u64>> = (0..3)
+                        .map(|c| res.outputs.iter().flat_map(|r| r[c].clone()).collect())
+                        .collect();
+                    match &solo {
+                        None => solo = Some(all),
+                        Some(s) => proptest::prop_assert_eq!(&all, s, "{:?} p={}", order, p),
+                    }
+                }
+            }
+        }
+    }
+
+    /// The compare-based wrap of the site conversion is `%` bit for bit —
+    /// inside (−n, 2n), where it takes no remainder, and beyond, where it
+    /// falls back to one.
+    #[test]
+    fn compare_wrap_equals_remainder() {
+        use crate::kernel::wrap_index;
+        let by_remainder = |u: Real, nr: Real| {
+            let mut w = u % nr;
+            if w < 0.0 {
+                w += nr;
+            }
+            if w >= nr {
+                w = 0.0;
+            }
+            w
+        };
+        for n in [1usize, 2, 7, 24, 40, 300] {
+            let nr = n as Real;
+            let mut probes = vec![0.0, -0.0, Real::EPSILON, -1e-17, -1e-300];
+            for k in -5i32..=5 {
+                let edge = k as Real * nr;
+                probes.extend([edge, edge + 0.5, edge - 0.5]);
+                // the neighbours of every multiple of n, a few ulps each way
+                let (mut up, mut down) = (edge, edge);
+                for _ in 0..3 {
+                    (up, down) = (up.next_up(), down.next_down());
+                    probes.extend([up, down]);
+                }
+            }
+            // a dense sweep across (−3n, 3n) and a few far-away magnitudes
+            probes.extend((0..6000).map(|i| (i as Real / 1000.0 - 3.0) * nr + 1e-3));
+            probes.extend([1e9, -1e9, 1e300, -1e300, 123456.789 * nr, -98765.4321 * nr]);
+            for u in probes {
+                let (got, want) = (wrap_index(u, nr), by_remainder(u, nr));
+                assert_eq!(got.to_bits(), want.to_bits(), "n={n} u={u:e}: {got:e} vs {want:e}");
+                assert!((0.0..nr).contains(&got), "n={n} u={u:e} wrapped to {got:e}");
+            }
+            assert!(wrap_index(Real::NAN, nr).is_nan());
         }
     }
 

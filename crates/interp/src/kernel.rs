@@ -1,7 +1,9 @@
-//! Local interpolation stencils (trilinear and cubic Lagrange).
+//! Interpolation orders, the physical-point → grid-site conversion, and a
+//! scalar per-query evaluator kept as the reference the batched kernel
+//! ([`claire_simd::Elem::kinterp_sites`]) is tested against.
 
 use claire_grid::{ghost::GhostField, Real, ScalarField, TWO_PI};
-use claire_simd::Elem;
+use claire_simd::Stencil;
 
 /// Interpolation order, named after the paper's GPU kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -16,9 +18,8 @@ pub enum IpOrder {
     /// *prefiltered* coefficients. The fastest kernel on a single GPU
     /// (hardware-trilinear trick of [14]), but the paper rejects it for
     /// the distributed solver because the prefilter needs an extra global
-    /// data exchange — see
-    /// [`bspline_prefilter`](crate::kernel::lagrange_weights) docs and
-    /// `claire-diff`'s spectral prefilter.
+    /// data exchange — the prefilter itself is `claire-diff`'s
+    /// `spectral::bspline_prefilter`.
     CubicSpline,
 }
 
@@ -66,6 +67,15 @@ impl IpOrder {
     pub fn needs_prefilter(self) -> bool {
         self == IpOrder::CubicSpline
     }
+
+    /// The basis the batched site kernel evaluates for this order.
+    pub fn stencil(self) -> Stencil {
+        match self {
+            IpOrder::Linear => Stencil::Linear,
+            IpOrder::Cubic => Stencil::CubicLagrange,
+            IpOrder::CubicSpline => Stencil::CubicBspline,
+        }
+    }
 }
 
 /// Cubic B-spline basis weights at fraction `t ∈ [0,1)` for node offsets
@@ -84,11 +94,40 @@ pub fn bspline_weights(t: Real) -> [Real; 4] {
 }
 
 /// Cubic Lagrange basis weights at fraction `t ∈ [0,1)` for node offsets
-/// `{−1, 0, 1, 2}`. Dispatches to the active SIMD backend (one vector of
-/// four polynomial evaluations on AVX2).
+/// `{−1, 0, 1, 2}` (the scalar specification's expression).
 #[inline]
 pub fn lagrange_weights(t: Real) -> [Real; 4] {
-    Real::klagrange_weights(t)
+    let t1 = t - 1.0;
+    let t2 = t - 2.0;
+    let tp = t + 1.0;
+    [-t * t1 * t2 / 6.0, tp * t1 * t2 / 2.0, -tp * t * t2 / 2.0, tp * t * t1 / 6.0]
+}
+
+/// Wrap a continuous grid index into `[0, n)`: `u mod n`, bit for bit what
+/// `%` gives, but by comparison when `u ∈ (−n, 2n)` — every query a CFL-
+/// bounded characteristic produces — so the common case costs no `fmod`.
+#[inline]
+pub fn wrap_index(u: Real, nr: Real) -> Real {
+    if u >= 0.0 {
+        if u < nr {
+            return u;
+        }
+        if u < 2.0 * nr {
+            return u - nr; // exact, like the remainder
+        }
+    } else if u > -nr {
+        let w = u + nr;
+        return if w >= nr { 0.0 } else { w }; // tiny |u| rounds up to n
+    }
+    // |u| ≥ 2n, u = −n, NaN: the general remainder
+    let mut w = u % nr;
+    if w < 0.0 {
+        w += nr;
+    }
+    if w >= nr {
+        w = 0.0;
+    }
+    w
 }
 
 /// Wrap a physical coordinate into `[0, 2π)` and convert to continuous grid
@@ -96,15 +135,17 @@ pub fn lagrange_weights(t: Real) -> [Real; 4] {
 #[inline]
 pub fn to_index(x: Real, n: usize) -> Real {
     let nr = n as Real;
-    let mut u = x * nr / TWO_PI;
-    u %= nr;
-    if u < 0.0 {
-        u += nr;
-    }
-    if u >= nr {
-        u = 0.0; // guard against x == 2π after rounding
-    }
-    u
+    wrap_index(x * nr / TWO_PI, nr)
+}
+
+/// The interpolation *site* of a physical query point on grid `n`: its
+/// wrapped continuous grid index per dimension. Everything a stencil needs
+/// (integer base, fraction, weights) follows from the site by cheap
+/// arithmetic, so an [`crate::InterpPlan`] stores sites — 24 bytes per
+/// query, the size of the point itself — rather than weight tables.
+#[inline]
+pub fn to_site(x: [Real; 3], n: [usize; 3]) -> [Real; 3] {
+    [to_index(x[0], n[0]), to_index(x[1], n[1]), to_index(x[2], n[2])]
 }
 
 /// Split a continuous index into (integer base, fraction).
@@ -114,17 +155,16 @@ fn split(u: Real) -> (isize, Real) {
     (f as isize, u - f)
 }
 
-/// Interpolate a ghost-extended field at a physical point `x`.
+/// Interpolate a ghost-extended field at a physical point `x`, one query at
+/// a time in plain scalar arithmetic — the reference evaluator. The solver
+/// never calls it; tests compare the planned, batched path against it.
 ///
-/// The x1 coordinate must fall inside the owned slab (the distributed
-/// driver routes queries so this holds); x2/x3 wrap locally since those
-/// dimensions are not decomposed.
+/// The x1 coordinate must fall inside the owned slab; x2/x3 wrap locally
+/// since those dimensions are not decomposed.
 pub fn interp_ghost(gf: &GhostField, order: IpOrder, x: [Real; 3]) -> Real {
     let layout = gf.layout();
     let g = layout.grid;
-    let u1 = to_index(x[0], g.n[0]);
-    let u2 = to_index(x[1], g.n[1]);
-    let u3 = to_index(x[2], g.n[2]);
+    let [u1, u2, u3] = to_site(x, g.n);
     let (b1g, t1) = split(u1);
     let (b2, t2) = split(u2);
     let (b3, t3) = split(u3);
@@ -133,64 +173,26 @@ pub fn interp_ghost(gf: &GhostField, order: IpOrder, x: [Real; 3]) -> Real {
     let n2 = g.n[1] as isize;
     let n3 = g.n[2] as isize;
 
-    match order {
-        IpOrder::Linear => {
-            let w1 = [1.0 - t1, t1];
-            let w2 = [1.0 - t2, t2];
-            let w3 = [1.0 - t3, t3];
-            let mut acc = 0.0 as Real;
-            for (a, &wa) in w1.iter().enumerate() {
-                let ii = b1 + a as isize;
-                for (b, &wb) in w2.iter().enumerate() {
-                    let jj = ((b2 + b as isize) % n2 + n2) % n2;
-                    for (c, &wc) in w3.iter().enumerate() {
-                        let kk = ((b3 + c as isize) % n3 + n3) % n3;
-                        acc += wa * wb * wc * gf.at(ii, jj as usize, kk as usize);
-                    }
-                }
+    // support: `taps` nodes per dimension starting at node offset `lo`
+    let (lo, taps) = if order == IpOrder::Linear { (0, 2) } else { (-1, 4) };
+    let basis = |t: Real| match order {
+        IpOrder::Linear => [1.0 - t, t, 0.0, 0.0],
+        IpOrder::Cubic => lagrange_weights(t),
+        IpOrder::CubicSpline => bspline_weights(t),
+    };
+    let (w1, w2, w3) = (basis(t1), basis(t2), basis(t3));
+    let mut acc = 0.0 as Real;
+    for (a, &wa) in w1[..taps].iter().enumerate() {
+        let ii = b1 + a as isize + lo;
+        for (b, &wb) in w2[..taps].iter().enumerate() {
+            let jj = (b2 + b as isize + lo).rem_euclid(n2);
+            for (c, &wc) in w3[..taps].iter().enumerate() {
+                let kk = (b3 + c as isize + lo).rem_euclid(n3);
+                acc += wa * wb * wc * gf.at(ii, jj as usize, kk as usize);
             }
-            acc
-        }
-        IpOrder::Cubic | IpOrder::CubicSpline => {
-            let (w1, w2, w3) = if order == IpOrder::Cubic {
-                (lagrange_weights(t1), lagrange_weights(t2), lagrange_weights(t3))
-            } else {
-                (bspline_weights(t1), bspline_weights(t2), bspline_weights(t3))
-            };
-            // Fast path: when the 4×4×4 support does not cross the periodic
-            // seam in x2/x3 (the overwhelmingly common case away from the
-            // domain boundary), the 16 stencil rows are contiguous in the
-            // ghost storage and the whole 64-point accumulation runs as one
-            // SIMD kernel. x1 never wraps here — the slab's ghost layer
-            // (width 2) covers the cubic support by construction.
-            if b2 >= 1 && b2 + 2 < n2 && b3 >= 1 && b3 + 2 < n3 {
-                let width = gf.width() as isize;
-                let base = (((b1 - 1 + width) * n2 + (b2 - 1)) * n3 + (b3 - 1)) as usize;
-                return Real::kcubic_accumulate(
-                    gf.data(),
-                    base,
-                    (n2 * n3) as usize,
-                    n3 as usize,
-                    &w1,
-                    &w2,
-                    &w3,
-                );
-            }
-            let mut acc = 0.0 as Real;
-            for (a, &wa) in w1.iter().enumerate() {
-                let ii = b1 + a as isize - 1;
-                for (b, &wb) in w2.iter().enumerate() {
-                    let jj = ((b2 + b as isize - 1) % n2 + n2) % n2;
-                    let wab = wa * wb;
-                    for (c, &wc) in w3.iter().enumerate() {
-                        let kk = ((b3 + c as isize - 1) % n3 + n3) % n3;
-                        acc += wab * wc * gf.at(ii, jj as usize, kk as usize);
-                    }
-                }
-            }
-            acc
         }
     }
+    acc
 }
 
 /// Serial convenience: interpolate a full (serial-layout) field at `x`.

@@ -19,8 +19,16 @@
 //! prefiltered spline kernel in the distributed setting because the latter
 //! would need an extra ghost exchange for the prefilter.
 
+//!
+//! The solver runs the workflow as *scatter once per velocity, interpolate
+//! many times*: phases 1–2 build an [`InterpPlan`] for a query set, phases
+//! 3–5 evaluate fields at it, and the one-shot `interp_*` entry points are
+//! literally a plan build followed by one evaluation.
+
 pub mod dist;
 pub mod kernel;
+pub mod plan;
 
 pub use dist::{Interpolator, PhaseStats};
 pub use kernel::IpOrder;
+pub use plan::InterpPlan;

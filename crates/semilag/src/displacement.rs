@@ -24,7 +24,7 @@ pub fn displacement(
     interp: &mut Interpolator,
     comm: &mut Comm,
 ) -> VectorField {
-    let layout = *traj.div_v.layout();
+    let layout = *traj.layout();
     let pts = grid_points(&layout);
     let n = pts.len();
     // step displacement d(x) = φ(x) − x (small, CFL-bounded, no wrap issues)
@@ -36,9 +36,10 @@ pub fn displacement(
         .collect();
 
     let mut u = VectorField::zeros(layout);
+    let mut u_at_foot = vec![[0.0 as Real; 3]; n];
     for _ in 0..nt {
         // u_{j+1}(x) = (φ(x) − x) + u_j(φ(x))
-        let u_at_foot = interp.interp_vector(&u, &traj.foot_back, comm);
+        interp.evaluate_vector(traj.back(), &u, comm, &mut u_at_foot);
         for d in 0..3 {
             let data = u.c[d].data_mut();
             for i in 0..n {

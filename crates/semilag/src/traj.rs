@@ -10,18 +10,14 @@
 //!
 //! The adjoint (continuity) equation runs in reverse time, which flips the
 //! transport direction: its characteristics use `−v`. Since `v` is
-//! stationary both foot-point sets are computed once per velocity and
-//! reused for all `Nt` steps, together with `∇·v` and its values at the
-//! adjoint foot points (needed by the source term of the continuity
-//! update).
-
-// rk2_feet threads the three velocity component slices explicitly to
-// avoid re-borrowing the vector field inside the hot loop.
-#![allow(clippy::too_many_arguments)]
+//! stationary both foot-point sets are computed — and planned for
+//! interpolation — once per velocity and reused for all `Nt` steps,
+//! together with `∇·v` and its values at the adjoint foot points (needed by
+//! the source term of the continuity update).
 
 use claire_grid::workspace::{PoolVec, WsCat, R3_POOL, REAL_POOL};
-use claire_grid::{Real, ScalarField, VectorField};
-use claire_interp::Interpolator;
+use claire_grid::{Layout, Real, ScalarField, VectorField};
+use claire_interp::{InterpPlan, Interpolator};
 use claire_mpi::Comm;
 use claire_obs::span::span;
 use claire_par::timing::{self, Kernel};
@@ -29,29 +25,42 @@ use claire_par::{par_parts, SharedSlice};
 
 /// Pre-computed characteristic data for one stationary velocity field.
 ///
-/// All point/value buffers come from the µSL workspace pool, so recomputing
-/// a `Trajectory` every Gauss–Newton iteration is allocation-free at steady
-/// state.
+/// Each characteristic family is held as an [`InterpPlan`] — its foot points
+/// already converted to interpolation sites and, on p > 1 ranks, routed to
+/// their owners — so the `Nt` steps of every transport solve on this
+/// velocity only evaluate. All point/value buffers come from the µSL
+/// workspace pool, so recomputing a `Trajectory` every Gauss–Newton
+/// iteration is allocation-free at steady state.
 pub struct Trajectory {
     /// Time-step size `δt = 1/Nt`.
     pub dt: Real,
     /// Foot points of the backward characteristics of `+v` (one per owned
-    /// grid point) — used by the state and incremental state equations.
+    /// grid point, physical coordinates) — the departure points of the
+    /// state and incremental state equations.
     pub foot_back: PoolVec<[Real; 3]>,
-    /// Foot points for the characteristics of `−v` — used by the adjoint
-    /// and incremental adjoint (continuity) equations in reverse time.
-    pub foot_fwd: PoolVec<[Real; 3]>,
+    /// [`Trajectory::foot_back`], planned.
+    back: InterpPlan,
+    /// The `−v` family; absent from a [`Trajectory::backward`].
+    adjoint: Option<AdjointFamily>,
+    /// Estimated maximum displacement in grid cells (the CFL number used to
+    /// size scatter buffers, paper §3.1).
+    pub cfl: f64,
+}
+
+/// What the continuity (adjoint) equations need: the characteristics of
+/// `−v`, which run in reverse time, and the divergence source term.
+pub(crate) struct AdjointFamily {
+    /// The foot points of the characteristics of `−v`, planned. Their
+    /// physical coordinates are not kept: nothing reads them.
+    pub(crate) plan: InterpPlan,
     /// `½·δt·(∇·v)` on the grid (8th-order FD). The trapezoidal source
     /// factor of the continuity update is `exp(½·δt·(∇·v|_foot + ∇·v|_x))`;
     /// folding the constant `½·δt` into the stencil sweep here
     /// ([`claire_diff::fd::divergence_scaled`]) costs nothing and saves the
     /// consumer a multiply per point per time step.
-    pub div_v: ScalarField,
-    /// `½·δt·(∇·v)` interpolated at [`Trajectory::foot_fwd`].
-    pub div_v_at_fwd: PoolVec<Real>,
-    /// Estimated maximum displacement in grid cells (the CFL number used to
-    /// size scatter buffers, paper §3.1).
-    pub cfl: f64,
+    pub(crate) div_v: ScalarField,
+    /// `½·δt·(∇·v)` interpolated at the `−v` feet.
+    pub(crate) div_v_at_foot: PoolVec<Real>,
 }
 
 /// Physical coordinates of all locally owned grid points.
@@ -83,11 +92,26 @@ pub fn grid_points_into(layout: &claire_grid::Layout, out: &mut [[Real; 3]]) {
     });
 }
 
+/// `δt = 1/Nt`.
+fn time_step(nt: usize) -> Real {
+    assert!(nt >= 1, "need at least one time step");
+    1.0 as Real / nt as Real
+}
+
+/// [`grid_points`] in a pooled (µSL) buffer.
+fn grid_points_pooled(layout: &Layout) -> PoolVec<[Real; 3]> {
+    let mut pts = R3_POOL.checkout_filled(layout.local_len(), [0.0 as Real; 3], WsCat::Sl);
+    grid_points_into(layout, &mut pts);
+    pts
+}
+
 impl Trajectory {
-    /// Compute both characteristic families for `v` with `nt` time steps.
+    /// Compute both characteristic families for `v` with `nt` time steps —
+    /// what a gradient or Hessian matvec at `v` needs.
     ///
     /// Collective. `interp` is used (and its phase stats accumulate) for
-    /// the RK2 midpoint evaluations and the `∇·v` foot values.
+    /// the RK2 midpoint evaluations, the plan builds and the `∇·v` foot
+    /// values.
     pub fn compute(
         v: &VectorField,
         nt: usize,
@@ -95,52 +119,96 @@ impl Trajectory {
         comm: &mut Comm,
     ) -> Trajectory {
         let _s = span("semilag.trajectory");
-        assert!(nt >= 1, "need at least one time step");
         let layout = *v.layout();
-        let dt = 1.0 as Real / nt as Real;
-        let n = layout.local_len();
-        let mut pts = R3_POOL.checkout_filled(n, [0.0 as Real; 3], WsCat::Sl);
-        grid_points_into(&layout, &mut pts);
-
-        // v at grid points (no interpolation needed)
-        let v1 = v.c[0].data();
-        let v2 = v.c[1].data();
-        let v3 = v.c[2].data();
-
-        let mut foot_back = R3_POOL.checkout_filled(n, [0.0 as Real; 3], WsCat::Sl);
-        rk2_feet_into(&pts, v, v1, v2, v3, -dt, interp, comm, &mut foot_back);
-        let mut foot_fwd = R3_POOL.checkout_filled(n, [0.0 as Real; 3], WsCat::Sl);
-        rk2_feet_into(&pts, v, v1, v2, v3, dt, interp, comm, &mut foot_fwd);
-
+        let dt = time_step(nt);
+        let pts = grid_points_pooled(&layout);
+        // the −v family first: it is kept only as its plan, so its sweep is
+        // over (and back to two point-sized buffers) before the +v sweep
+        // starts — four at the peak instead of five
+        let foot_fwd = rk2_feet(&pts, v, dt, interp, comm);
+        let plan = interp.plan_owned(layout, foot_fwd, comm);
         let div_v = claire_diff::fd::divergence_scaled(v, comm, 0.5 * dt);
-        let mut div_v_at_fwd = REAL_POOL.checkout_filled(n, 0.0 as Real, WsCat::Sl);
-        interp.interp_into(&div_v, &foot_fwd, comm, &mut div_v_at_fwd);
+        let mut div_v_at_foot = REAL_POOL.checkout_filled(plan.len(), 0.0 as Real, WsCat::Sl);
+        interp.evaluate(&plan, &[&div_v], comm, &mut [&mut div_v_at_foot]);
+        let mut traj = Trajectory::backward_from(pts, v, dt, interp, comm);
+        traj.adjoint = Some(AdjointFamily { plan, div_v, div_v_at_foot });
+        traj
+    }
+
+    /// Only the backward characteristics of `+v`: enough for the state and
+    /// incremental state equations and the deformation map, at under half
+    /// the cost of [`Trajectory::compute`] (no second RK2 sweep, no
+    /// divergence, no foot values). [`crate::Transport::solve_adjoint`]
+    /// rejects it.
+    ///
+    /// Collective.
+    pub fn backward(
+        v: &VectorField,
+        nt: usize,
+        interp: &mut Interpolator,
+        comm: &mut Comm,
+    ) -> Trajectory {
+        let _s = span("semilag.trajectory");
+        let pts = grid_points_pooled(v.layout());
+        Trajectory::backward_from(pts, v, time_step(nt), interp, comm)
+    }
+
+    /// The `+v` family from the grid points `pts`, which are released
+    /// before the feet are planned.
+    fn backward_from(
+        pts: PoolVec<[Real; 3]>,
+        v: &VectorField,
+        dt: Real,
+        interp: &mut Interpolator,
+        comm: &mut Comm,
+    ) -> Trajectory {
+        let layout = *v.layout();
+        let foot_back = rk2_feet(&pts, v, -dt, interp, comm);
+        drop(pts);
+        let back = interp.plan(layout, &foot_back, comm);
 
         // CFL estimate for buffer sizing (max displacement / h)
         let vmax = v.max_abs(comm);
         let hmin = layout.grid.spacing().iter().cloned().fold(Real::MAX, Real::min);
         let cfl = vmax * dt / hmin;
+        Trajectory { dt, foot_back, back, adjoint: None, cfl }
+    }
 
-        Trajectory { dt, foot_back, foot_fwd, div_v, div_v_at_fwd, cfl }
+    /// The layout the characteristics were computed on.
+    pub(crate) fn layout(&self) -> &Layout {
+        self.back.layout()
+    }
+
+    /// The planned departure points of the state / incremental state
+    /// equations ([`Trajectory::foot_back`]).
+    pub(crate) fn back(&self) -> &InterpPlan {
+        &self.back
+    }
+
+    /// The `−v` family of the continuity equations.
+    ///
+    /// # Panics
+    /// On a [`Trajectory::backward`], which does not carry it.
+    pub(crate) fn adjoint(&self) -> &AdjointFamily {
+        self.adjoint.as_ref().expect("adjoint solve on a backward-only trajectory")
     }
 }
 
 /// One RK2 (Heun) sweep: `foot = x + s·(v(x) + v(x + s·v(x)))/2` where
-/// `s = ±δt` selects the transport direction. Writes into `out`
-/// (`out.len() == pts.len()`); all staging buffers are pooled (µSL).
-fn rk2_feet_into(
+/// `s = ±δt` selects the transport direction. Returns the feet in a pooled
+/// (µSL) buffer; the sweep holds two point-sized buffers at its peak — the
+/// predictor points become the midpoint plan's sites in place, and the
+/// midpoint velocities are overwritten by the feet.
+fn rk2_feet(
     pts: &[[Real; 3]],
     v: &VectorField,
-    v1: &[Real],
-    v2: &[Real],
-    v3: &[Real],
     s: Real,
     interp: &mut Interpolator,
     comm: &mut Comm,
-    out: &mut [[Real; 3]],
-) {
+) -> PoolVec<[Real; 3]> {
     let n = pts.len();
-    assert_eq!(out.len(), n);
+    // v at grid points (no interpolation needed)
+    let [v1, v2, v3] = [v.c[0].data(), v.c[1].data(), v.c[2].data()];
     // Euler predictor — one independent update per grid point
     let mut mid = R3_POOL.checkout_filled(n, [0.0 as Real; 3], WsCat::Sl);
     timing::time(Kernel::SemiLag, || {
@@ -155,24 +223,27 @@ fn rk2_feet_into(
         });
     });
     // v at predictor points (off-grid)
-    let mut vm = R3_POOL.checkout_filled(n, [0.0 as Real; 3], WsCat::Sl);
-    interp.interp_vector_into(v, &mid, comm, &mut vm);
-    // Heun corrector
+    let mid = interp.plan_owned(*v.layout(), mid, comm);
+    let mut foot = R3_POOL.checkout_filled(n, [0.0 as Real; 3], WsCat::Sl);
+    interp.evaluate_vector(&mid, v, comm, &mut foot);
+    drop(mid);
+    // Heun corrector, over the midpoint velocities
     timing::time(Kernel::SemiLag, || {
-        let shared = SharedSlice::new(out);
+        let shared = SharedSlice::new(&mut foot);
         par_parts(n, n, |range| {
             // SAFETY: worker ranges are disjoint.
             let dst = unsafe { shared.slice_mut(range.clone()) };
             for (o, i) in dst.iter_mut().zip(range) {
-                let p = &pts[i];
+                let (p, vm) = (&pts[i], *o);
                 *o = [
-                    p[0] + 0.5 * s * (v1[i] + vm[i][0]),
-                    p[1] + 0.5 * s * (v2[i] + vm[i][1]),
-                    p[2] + 0.5 * s * (v3[i] + vm[i][2]),
+                    p[0] + 0.5 * s * (v1[i] + vm[0]),
+                    p[1] + 0.5 * s * (v2[i] + vm[1]),
+                    p[2] + 0.5 * s * (v3[i] + vm[2]),
                 ];
             }
         });
     });
+    foot
 }
 
 #[cfg(test)]
@@ -183,7 +254,7 @@ mod tests {
 
     #[test]
     fn constant_velocity_feet_are_shifts() {
-        let grid = Grid::cube(8);
+        let grid = Grid::cube(16);
         let layout = Layout::serial(grid);
         let mut comm = Comm::solo();
         let c = 0.3 as Real;
@@ -195,11 +266,36 @@ mod tests {
             assert!((f[0] - (p[0] - c * traj.dt)).abs() < 1e-9);
             assert!((f[1] - p[1]).abs() < 1e-12);
         }
-        for (p, f) in pts.iter().zip(&traj.foot_fwd) {
-            assert!((f[0] - (p[0] + c * traj.dt)).abs() < 1e-9);
+        // the −v family is held only as a plan: probe it with a field whose
+        // value names the x1 coordinate it was sampled at
+        let probe = ScalarField::from_fn(layout, |x, _, _| x.sin());
+        let family = traj.adjoint();
+        let mut at_foot = vec![0.0 as Real; pts.len()];
+        ip.evaluate(&family.plan, &[&probe], &mut comm, &mut [&mut at_foot]);
+        for (p, val) in pts.iter().zip(&at_foot) {
+            assert!((val - (p[0] + c * traj.dt).sin()).abs() < 1e-3, "−v feet sit at x + c·δt");
         }
-        assert!(traj.div_v.max_abs(&mut comm) < 1e-10);
+        assert!(family.div_v.max_abs(&mut comm) < 1e-10);
+        assert!(family.div_v_at_foot.iter().all(|d| d.abs() < 1e-10));
         assert!(traj.cfl > 0.0);
+    }
+
+    #[test]
+    fn backward_only_matches_the_full_trajectory() {
+        let layout = Layout::serial(Grid::new([12, 8, 10]));
+        let mut comm = Comm::solo();
+        let v = VectorField::from_fns(
+            layout,
+            |_, y, _| 0.3 * y.sin(),
+            |x, _, _| 0.2 * x.cos(),
+            |_, _, z| 0.1 * (2.0 * z).sin(),
+        );
+        let mut ip = Interpolator::new(IpOrder::Cubic);
+        let full = Trajectory::compute(&v, 4, &mut ip, &mut comm);
+        let back = Trajectory::backward(&v, 4, &mut ip, &mut comm);
+        assert_eq!(full.foot_back, back.foot_back, "same departure points, bit for bit");
+        assert_eq!((full.dt, full.cfl), (back.dt, back.cfl));
+        assert!(back.adjoint.is_none());
     }
 
     #[test]

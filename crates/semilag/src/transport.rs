@@ -1,5 +1,7 @@
 //! The four transport solves of the optimality system.
 
+use std::borrow::Cow;
+
 use claire_diff::fd::FdScratch;
 use claire_grid::workspace::{PoolVec, WsCat, REAL_POOL, SCALAR_FIELDS, VECTOR_FIELDS};
 use claire_grid::{ScalarField, VectorField};
@@ -32,11 +34,12 @@ impl StateSolution {
         self.m.last().expect("state solution is never empty")
     }
 
-    /// `∇m(·, t_j)`, from the cache or recomputed with 8th-order FD.
-    pub fn grad_at(&self, j: usize, comm: &mut Comm) -> VectorField {
+    /// `∇m(·, t_j)`: borrowed from the cache, or recomputed with 8th-order
+    /// FD when the series was solved without `store_grad`.
+    pub fn grad_at(&self, j: usize, comm: &mut Comm) -> Cow<'_, VectorField> {
         match &self.grad_m {
-            Some(g) => g[j].clone(),
-            None => claire_diff::fd::gradient(&self.m[j], comm),
+            Some(g) => Cow::Borrowed(&g[j]),
+            None => Cow::Owned(claire_diff::fd::gradient(&self.m[j], comm)),
         }
     }
 }
@@ -71,7 +74,7 @@ impl Transport {
         m.push(m0.clone());
         for j in 0..self.nt {
             let mut next = ScalarField::zeros(*m0.layout());
-            interp.interp_into(&m[j], &traj.foot_back, comm, next.data_mut());
+            interp.evaluate(traj.back(), &[&m[j]], comm, &mut [next.data_mut()]);
             m.push(next);
         }
         let grad_m = store_grad.then(|| {
@@ -107,10 +110,12 @@ impl Transport {
         let n = layout.local_len();
         let mut lambda = SCALAR_FIELDS.checkout(self.nt + 1, WsCat::Pde);
         lambda.push(final_cond.clone());
-        let divv = traj.div_v.data();
+        let family = traj.adjoint();
+        let (divv, divv_at_foot) = (family.div_v.data(), &family.div_v_at_foot);
         for _ in 0..self.nt {
             let mut next = ScalarField::zeros(layout);
-            interp.interp_into(lambda.last().unwrap(), &traj.foot_fwd, comm, next.data_mut());
+            let last = lambda.last().expect("seeded with the final condition");
+            interp.evaluate(&family.plan, &[last], comm, &mut [next.data_mut()]);
             timing::time(Kernel::SemiLag, || {
                 let shared = SharedSlice::new(next.data_mut());
                 par_parts(n, n, |range| {
@@ -119,7 +124,7 @@ impl Transport {
                     for (o, i) in dst.iter_mut().zip(range) {
                         // div_v carries the ½·δt factor already (prescaled
                         // into the divergence stencil sweep in Trajectory)
-                        let src = traj.div_v_at_fwd[i] + divv[i];
+                        let src = divv_at_foot[i] + divv[i];
                         *o *= src.exp();
                     }
                 });
@@ -163,12 +168,7 @@ impl Transport {
             let b_j = b_next;
             b_next = bdot(&state.grad_at(j + 1, comm));
             // trapezoid: m̃_{j+1}(x) = m̃_j(X) − δt/2·(b_j(X) + b_{j+1}(x))
-            interp.interp_many_into(
-                &[&mt, &b_j],
-                &traj.foot_back,
-                comm,
-                &mut [&mut mt_foot, &mut b_foot],
-            );
+            interp.evaluate(traj.back(), &[&mt, &b_j], comm, &mut [&mut mt_foot, &mut b_foot]);
             let bn = b_next.data();
             let mut next = ScalarField::zeros(layout);
             timing::time(Kernel::SemiLag, || {
@@ -269,6 +269,64 @@ mod tests {
         let chan = run_cluster(Topology::new(2, 4), f);
         let sock = claire_ipc::run_socket_cluster(Topology::new(2, 4), f);
         assert_eq!(chan.outputs, sock.outputs, "transports must agree bitwise");
+    }
+
+    #[test]
+    fn scatter_traffic_is_per_plan_not_per_step() {
+        // The departure points are stationary: on 2 ranks their queries are
+        // routed once, when the trajectory plans them, and the Nt steps of
+        // a state solve ship only ghosts and values. A one-shot call still
+        // pays one plan build each time.
+        use claire_mpi::CommCat;
+        let grid = Grid::new([12, 8, 8]);
+        let res = run_cluster(Topology::new(2, 4), move |comm| {
+            let layout = Layout::distributed(grid, comm);
+            let tr = Transport::new(4, IpOrder::Cubic);
+            let mut ip = Interpolator::new(IpOrder::Cubic);
+            let v = VectorField::from_fns(
+                layout,
+                |_, y, _| 0.9 * y.sin(),
+                |x, _, _| 0.2 * x.cos(),
+                |_, _, z| 0.1 * (2.0 * z).sin(),
+            );
+            let m0 = ScalarField::from_fn(layout, |x, y, z| x.sin() + (y - z).cos());
+            let traj = Trajectory::backward(&v, tr.nt, &mut ip, comm);
+            let sent = |comm: &Comm, cat| comm.stats().cat(cat).bytes_sent;
+
+            let (s0, v0) = (sent(comm, CommCat::Scatter), sent(comm, CommCat::InterpValues));
+            std::hint::black_box(ip.plan(layout, &traj.foot_back, comm));
+            let plan_bytes = sent(comm, CommCat::Scatter) - s0;
+
+            let s1 = sent(comm, CommCat::Scatter);
+            let _ = tr.solve_state(&traj, &m0, false, &mut ip, comm);
+            let solve_bytes = sent(comm, CommCat::Scatter) - s1;
+            let value_bytes = sent(comm, CommCat::InterpValues) - v0;
+
+            let s2 = sent(comm, CommCat::Scatter);
+            for _ in 0..tr.nt {
+                let _ = ip.interp(&m0, &traj.foot_back, comm);
+            }
+            let one_shot_bytes = sent(comm, CommCat::Scatter) - s2;
+            (plan_bytes, solve_bytes, value_bytes, one_shot_bytes)
+        });
+        for (rank, &(plan, solve, _, one_shot)) in res.outputs.iter().enumerate() {
+            assert!(plan > 0, "rank {rank}: the test velocity must carry points across the slab");
+            assert_eq!(solve, 0, "rank {rank}: a state solve re-routed its departure points");
+            assert_eq!(one_shot, 4 * plan, "rank {rank}: one plan build per one-shot call");
+        }
+        // every routed query (24 B to its owner) comes back as one value
+        // (8 B from its owner) per step
+        let (plans, values): (u64, u64) =
+            res.outputs.iter().fold((0, 0), |(p, v), o| (p + o.0, v + o.2));
+        assert_eq!(values * 3, 4 * plans, "value return per step");
+    }
+
+    #[test]
+    #[should_panic(expected = "backward-only trajectory")]
+    fn adjoint_solve_needs_the_full_trajectory() {
+        let (layout, tr, mut ip, mut comm) = solo_setup(8, 2);
+        let traj = Trajectory::backward(&VectorField::zeros(layout), tr.nt, &mut ip, &mut comm);
+        tr.solve_adjoint(&traj, &ScalarField::zeros(layout), &mut ip, &mut comm);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! `scalar_*` body (same bits, measured at parity with a chunked form),
 //! reductions the 8-lane `wide_*` one. The butterfly/FD/interpolation
 //! kernels differ per width and live in [`f32k`] (generic bodies again)
-//! and [`f64k`] (intrinsics).
+//! and [`f64k`] (intrinsics; the batched interpolation loop is the generic
+//! body there too, with an intrinsic [`xk::CubicArm`] plugged in).
 
 use crate::{xk, Elem};
 
@@ -44,21 +45,31 @@ gate!(cpx_conj<T>, scalar_cpx_conj, (data: &mut [T]));
 gate!(cpx_conj_scale<T>, scalar_cpx_conj_scale, (data: &mut [T], s: T));
 
 pub mod f32k {
-    use crate::xk;
+    use crate::xk::{self, HaloDims, RowDotArm, Stencil};
+
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn interp_sites<const NF: usize, S: FnMut(usize, [f32; NF])>(
+        stencil: Stencil,
+        dims: &HaloDims,
+        fields: &[&[f32]; NF],
+        sites: &[[f32; 3]],
+        sink: S,
+    ) {
+        xk::interp_sites(RowDotArm, stencil, dims, fields, sites, sink)
+    }
 
     gate!(fd8_combine_scale, scalar_fd8_combine_scale,
         (out: &mut [f32], plus: &[&[f32]; 4], minus: &[&[f32]; 4], c: &[f32; 4], inv_h: f32, s: f32));
-    gate!(lagrange_weights, scalar_lagrange_weights, (t: f32) -> [f32; 4]);
-    gate!(cubic_accumulate, wide_cubic_accumulate,
-        (data: &[f32], base: usize, plane_stride: usize, row_stride: usize,
-         w1: &[f32; 4], w2: &[f32; 4], w3: &[f32; 4]) -> f32);
     gate!(cpx_radix2_combine, scalar_cpx_radix2_combine,
         (lo: &mut [f32], hi: &mut [f32], tw: &[f32], ws: usize));
 }
 
 /// The f64 kernels where a hand-written intrinsic measured ≥ 1.2× faster
 /// than the generic body under the same feature gate (DESIGN.md §13 has
-/// the table), plus `lagrange_weights`, which feeds `cubic_accumulate`.
+/// the table); for interpolation that is the cubic stencil's [`f64k::FmaArm`]
+/// (weights + 64-tap accumulation) inside the shared batched site loop.
 /// These carry the FFT, FD and interpolation time of an f64 solve.
 ///
 /// # Safety
@@ -68,6 +79,8 @@ pub mod f32k {
 /// kernel documents, and every loop bounds its index by a slice length.
 pub mod f64k {
     use core::arch::x86_64::*;
+
+    use crate::xk::{self, CubicArm, HaloDims, Stencil};
 
     #[target_feature(enable = "avx2,fma")]
     unsafe fn tail_mask(rem: usize) -> __m256i {
@@ -160,45 +173,89 @@ pub mod f64k {
         }
     }
 
-    // ----- cubic interpolation -----------------------------------------------
+    // ----- scattered interpolation -------------------------------------------
 
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn lagrange_weights(t: f64) -> [f64; 4] {
-        let t1 = t - 1.0;
-        let t2 = t - 2.0;
-        let tp = t + 1.0;
-        let v1 = _mm256_setr_pd(-t, tp, -tp, tp);
-        let v2 = _mm256_setr_pd(t1, t1, t, t);
-        let v3 = _mm256_setr_pd(t2, t2, t2, t1);
-        let d = _mm256_setr_pd(1.0 / 6.0, 0.5, 0.5, 1.0 / 6.0);
-        let w = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(v1, v2), v3), d);
-        let mut out = [0.0f64; 4];
-        _mm256_storeu_pd(out.as_mut_ptr(), w);
-        out
+    /// The f64 arm of the cubic stencil: four Lagrange weights in one
+    /// vector, and the 64 taps as sixteen 4-lane FMAs per field against the
+    /// shared `w1[a]·w2[b]·w3` vector, folded by [`hsum`].
+    #[derive(Clone, Copy)]
+    pub(crate) struct FmaArm(());
+
+    impl FmaArm {
+        /// # Safety
+        /// The host must support AVX2 and FMA.
+        unsafe fn new() -> FmaArm {
+            FmaArm(())
+        }
+    }
+
+    impl CubicArm<f64> for FmaArm {
+        #[inline(always)]
+        fn lagrange(self, t: f64) -> [f64; 4] {
+            let t1 = t - 1.0;
+            let t2 = t - 2.0;
+            let tp = t + 1.0;
+            let mut out = [0.0f64; 4];
+            // SAFETY: an `FmaArm` only exists on a host with AVX2 (`new`);
+            // the store writes the four lanes into the four-element array.
+            unsafe {
+                let v1 = _mm256_setr_pd(-t, tp, -tp, tp);
+                let v2 = _mm256_setr_pd(t1, t1, t, t);
+                let v3 = _mm256_setr_pd(t2, t2, t2, t1);
+                let d = _mm256_setr_pd(1.0 / 6.0, 0.5, 0.5, 1.0 / 6.0);
+                let w = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(v1, v2), v3), d);
+                _mm256_storeu_pd(out.as_mut_ptr(), w);
+            }
+            out
+        }
+
+        #[inline(always)]
+        fn accumulate<const NF: usize>(
+            self,
+            fields: &[&[f64]; NF],
+            base: usize,
+            ps: usize,
+            rs: usize,
+            w: &[[f64; 4]; 3],
+        ) -> [f64; NF] {
+            let last = base + 3 * ps + 3 * rs;
+            for f in fields {
+                assert!(last + 4 <= f.len(), "cubic support out of bounds");
+            }
+            // SAFETY: an `FmaArm` only exists on a host with AVX2 and FMA
+            // (`new`). Every load reads 4 values at `base + a·ps + b·rs`
+            // with `a, b ≤ 3`, which ends at or before `last + 4`, checked
+            // against each field's length just above.
+            unsafe {
+                let w3v = _mm256_loadu_pd(w[2].as_ptr());
+                let mut acc = [_mm256_setzero_pd(); NF];
+                for (a, &wa) in w[0].iter().enumerate() {
+                    for (b, &wb) in w[1].iter().enumerate() {
+                        let at = base + a * ps + b * rs;
+                        let wv = _mm256_mul_pd(_mm256_set1_pd(wa * wb), w3v);
+                        for (s, f) in acc.iter_mut().zip(fields) {
+                            *s = _mm256_fmadd_pd(_mm256_loadu_pd(f.as_ptr().add(at)), wv, *s);
+                        }
+                    }
+                }
+                let mut out = [0.0f64; NF];
+                for (o, &s) in out.iter_mut().zip(&acc) {
+                    *o = hsum(s);
+                }
+                out
+            }
+        }
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cubic_accumulate(
-        data: &[f64],
-        base: usize,
-        plane_stride: usize,
-        row_stride: usize,
-        w1: &[f64; 4],
-        w2: &[f64; 4],
-        w3: &[f64; 4],
-    ) -> f64 {
-        let p = data.as_ptr();
-        let w3v = _mm256_loadu_pd(w3.as_ptr());
-        let mut acc = _mm256_setzero_pd();
-        for (a, &wa) in w1.iter().enumerate() {
-            let pa = base + a * plane_stride;
-            for (b, &wb) in w2.iter().enumerate() {
-                let row = _mm256_loadu_pd(p.add(pa + b * row_stride));
-                let w = _mm256_mul_pd(_mm256_set1_pd(wa * wb), w3v);
-                acc = _mm256_fmadd_pd(row, w, acc);
-            }
-        }
-        hsum(acc)
+    pub unsafe fn interp_sites<const NF: usize, S: FnMut(usize, [f64; NF])>(
+        stencil: Stencil,
+        dims: &HaloDims,
+        fields: &[&[f64]; NF],
+        sites: &[[f64; 3]],
+        sink: S,
+    ) {
+        xk::interp_sites(FmaArm::new(), stencil, dims, fields, sites, sink)
     }
 
     // ----- interleaved complex kernels ---------------------------------------

@@ -16,7 +16,7 @@
 use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::{active_backend, xk, Backend};
+use crate::{active_backend, xk, Backend, HaloDims, Stencil};
 
 /// A scalar field element the solver core can be generic over (f64 | f32).
 ///
@@ -122,27 +122,31 @@ pub trait Elem:
         s: Self,
     );
 
-    // ----- cubic interpolation --------------------------------------------
+    // ----- scattered interpolation ----------------------------------------
 
-    /// Cubic Lagrange basis weights at fraction `t ∈ [0,1)` for node
-    /// offsets `{−1, 0, 1, 2}` — the weight-evaluation half of the 64-point
-    /// kernel.
-    fn klagrange_weights(t: Self) -> [Self; 4];
-    /// The 64-point (4×4×4) weighted accumulation of the cubic kernel on a
-    /// wrap-free support:
-    /// `Σ_{a,b,c} w1[a]·w2[b]·w3[c] · data[base + a·plane_stride + b·row_stride + c]`.
+    /// Split a continuous grid index into its integer base `⌊u⌋` and the
+    /// fraction `u − ⌊u⌋ ∈ [0, 1)`.
+    fn split_index(self) -> (isize, Self);
+
+    /// Batched scattered interpolation: evaluate `NF` halo-extended fields
+    /// (all of shape `dims`) at every site of `sites` and pass each site's
+    /// `NF` values to `sink(i, values)`, `i` being the site's position in
+    /// the batch.
     ///
-    /// The caller guarantees the support does not cross a periodic seam in
-    /// x2/x3 (the seam case stays on the gather path in `claire-interp`).
-    fn kcubic_accumulate(
-        data: &[Self],
-        base: usize,
-        plane_stride: usize,
-        row_stride: usize,
-        w1: &[Self; 4],
-        w2: &[Self; 4],
-        w3: &[Self; 4],
-    ) -> Self;
+    /// A site is a continuous grid index `[u1, u2, u3]` with `u2 ∈ [0, n2)`
+    /// and `u3 ∈ [0, n3)` (x2/x3 wrap periodically inside the kernel) and
+    /// `u1` a *global* x1 index whose stencil support lies inside the
+    /// stored planes; a site outside them panics. The backend is resolved
+    /// once per batch; per site the index split and the basis weights are
+    /// computed once and every field accumulates against them. A field's
+    /// value does not depend on `NF` or on its position in `fields`.
+    fn kinterp_sites<const NF: usize, S: FnMut(usize, [Self; NF])>(
+        stencil: Stencil,
+        dims: &HaloDims,
+        fields: &[&[Self]; NF],
+        sites: &[[Self; 3]],
+        sink: S,
+    );
 
     // ----- interleaved complex kernels (re,im pairs) ----------------------
 
@@ -263,31 +267,24 @@ macro_rules! impl_elem {
                     xk::scalar_fd8_combine_scale(out, plus, minus, c, inv_h, s)
                 )
             }
-            fn klagrange_weights(t: Self) -> [Self; 4] {
-                dispatch!(crate::avx2::$avx2::lagrange_weights(t), xk::scalar_lagrange_weights(t))
+            #[inline(always)]
+            fn split_index(self) -> (isize, Self) {
+                let f = self.floor();
+                (f as isize, self - f)
             }
-            fn kcubic_accumulate(
-                data: &[Self],
-                base: usize,
-                plane_stride: usize,
-                row_stride: usize,
-                w1: &[Self; 4],
-                w2: &[Self; 4],
-                w3: &[Self; 4],
-            ) -> Self {
-                let last = base + 3 * plane_stride + 3 * row_stride;
-                assert!(last + 4 <= data.len(), "cubic_accumulate support out of bounds");
+            fn kinterp_sites<const NF: usize, S: FnMut(usize, [Self; NF])>(
+                stencil: Stencil,
+                dims: &HaloDims,
+                fields: &[&[Self]; NF],
+                sites: &[[Self; 3]],
+                sink: S,
+            ) {
+                for f in fields {
+                    assert_eq!(f.len(), dims.points(), "interp_sites field/halo shape mismatch");
+                }
                 dispatch!(
-                    crate::avx2::$avx2::cubic_accumulate(
-                        data,
-                        base,
-                        plane_stride,
-                        row_stride,
-                        w1,
-                        w2,
-                        w3
-                    ),
-                    xk::scalar_cubic_accumulate(data, base, plane_stride, row_stride, w1, w2, w3)
+                    crate::avx2::$avx2::interp_sites(stencil, dims, fields, sites, sink),
+                    xk::interp_sites(xk::SpecArm, stencil, dims, fields, sites, sink)
                 )
             }
             fn kcpx_mul(dst: &mut [Self], src: &[Self]) {
@@ -334,6 +331,35 @@ impl_elem!(f32, "f32", f32k);
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Evaluate a constant field at one site of a slab that owns planes 0
+    /// and 1 (plus its width-2 halos).
+    fn evaluate_at<T: Elem>(stencil: Stencil, u1: f64) {
+        let dims = HaloDims { planes: 6, n2: 4, n3: 4, plane0: 2 }; // owns planes 0, 1
+        let field = vec![T::ONE; dims.points()];
+        let site = [T::from_f64(u1), T::ONE, T::ONE];
+        T::kinterp_sites(stencil, &dims, &[&field], &[site], |_, [v]| {
+            assert!((v.to_f64() - 1.0).abs() < 1e-6, "weights are a partition of unity: {v}")
+        });
+    }
+
+    #[test]
+    fn sites_inside_the_halo_evaluate() {
+        for stencil in [Stencil::Linear, Stencil::CubicLagrange, Stencil::CubicBspline] {
+            // the cubic support of the owned planes reaches exactly the halo edge
+            evaluate_at::<f64>(stencil, -1.0);
+            evaluate_at::<f32>(stencil, 1.5);
+        }
+    }
+
+    /// A site whose x1 support leaves the stored planes is a routing bug
+    /// upstream: reported, never read out of bounds (both backends and
+    /// every stencil: `tests/simd_equivalence.rs`).
+    #[test]
+    #[should_panic(expected = "outside the slab")]
+    fn site_below_the_slab_panics() {
+        evaluate_at::<f32>(Stencil::CubicBspline, -1.5);
+    }
 
     #[test]
     fn elem_consts_and_conversions() {

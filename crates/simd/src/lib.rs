@@ -8,7 +8,7 @@
 //!
 //! * [`Elem`] is the one public kernel surface: every kernel is a **safe
 //!   slice-level associated function** (`T::kaxpy`, `T::kfd8_combine_scale`,
-//!   `T::kcubic_accumulate`, `T::kcpx_mul`, …) implemented for `f64` and
+//!   `T::kinterp_sites`, `T::kcpx_mul`, …) implemented for `f64` and
 //!   `f32`, which checks its length contract once and picks a backend per
 //!   call from a cached process-wide choice;
 //! * each kernel body is written once, generic over the element width (the
@@ -27,7 +27,7 @@
 //!   counts passes over memory, not flops).
 //!
 //! Dispatch granularity is a kernel call (a row sweep, a reduction block,
-//! a 64-point stencil), never a single vector op — a per-op branch would
+//! a batch of interpolation sites), never a single vector op — a per-op branch would
 //! cost more than the op itself. The backend is resolved once from the
 //! `CLAIRE_SIMD` environment variable (`auto` | `avx2` | `scalar`, default
 //! `auto`) and cached; tests and benches can override it in-process with
@@ -50,6 +50,7 @@ mod elem;
 mod xk;
 
 pub use elem::Elem;
+pub use xk::{HaloDims, Stencil};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Once;

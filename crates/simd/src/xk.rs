@@ -9,10 +9,15 @@
 //! * `wide_*` exists only where vectorizing needs a different summation
 //!   order than the specification: the reductions keep one f64 partial per
 //!   lane over `LANES = 8` elements per step and fold them in the fixed
-//!   shape `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` (scalar remainder), and
-//!   the 64-tap accumulation reduces row by row. Every width keeps the
-//!   determinism contract: results depend only on input values and the
-//!   selected backend, never on thread count or allocation state.
+//!   shape `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` (scalar remainder).
+//!   Every width keeps the determinism contract: results depend only on
+//!   input values and the selected backend, never on thread count or
+//!   allocation state;
+//! * the batched interpolation kernel ([`interp_sites`]) is one body for
+//!   every backend with the two pieces that differ per backend — cubic
+//!   Lagrange weights and the wrap-free 64-tap accumulation — behind
+//!   [`CubicArm`]: [`SpecArm`] is the specification, [`RowDotArm`] the f32
+//!   AVX2 arm (row by row), and `avx2::f64k::FmaArm` the f64 intrinsics.
 //!
 //! The bodies are `#[inline(always)]`: the AVX2 arm is a body inlined into
 //! a `#[target_feature(enable = "avx2,fma")]` wrapper (see `avx2`), where
@@ -125,43 +130,6 @@ pub(crate) fn scalar_fd8_combine_scale<T: Elem>(
         }
         *o = acc * ihs;
     }
-}
-
-#[inline(always)]
-pub(crate) fn scalar_lagrange_weights<T: Elem>(t: T) -> [T; 4] {
-    let t1 = t - T::ONE;
-    let t2 = t - T::from_f64(2.0);
-    let tp = t + T::ONE;
-    [
-        -t * t1 * t2 / T::from_f64(6.0),
-        tp * t1 * t2 / T::from_f64(2.0),
-        -tp * t * t2 / T::from_f64(2.0),
-        tp * t * t1 / T::from_f64(6.0),
-    ]
-}
-
-#[inline(always)]
-pub(crate) fn scalar_cubic_accumulate<T: Elem>(
-    data: &[T],
-    base: usize,
-    plane_stride: usize,
-    row_stride: usize,
-    w1: &[T; 4],
-    w2: &[T; 4],
-    w3: &[T; 4],
-) -> T {
-    let mut acc = T::ZERO;
-    for (a, &wa) in w1.iter().enumerate() {
-        let pa = base + a * plane_stride;
-        for (b, &wb) in w2.iter().enumerate() {
-            let wab = wa * wb;
-            let row = &data[pa + b * row_stride..pa + b * row_stride + 4];
-            for (c, &wc) in w3.iter().enumerate() {
-                acc += wab * wc * row[c];
-            }
-        }
-    }
-    acc
 }
 
 #[inline(always)]
@@ -332,27 +300,289 @@ pub(crate) fn wide_max_abs<T: Elem>(x: &[T]) -> f64 {
     fold_max(acc).max(scalar_max_abs(xt))
 }
 
-/// Row-dot form of the 64-point accumulation: each 4-tap row reduces on its
-/// own before the `w1·w2` weight applies, which breaks the 64-long add
-/// chain of the reference loop into vectorizable pieces.
+// ----- batched scattered interpolation --------------------------------------
+
+/// Basis of the batched site kernel ([`Elem::kinterp_sites`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stencil {
+    /// Trilinear, 2×2×2 support at node offsets `{0, 1}`.
+    Linear,
+    /// Cubic Lagrange, 4×4×4 support at node offsets `{−1, 0, 1, 2}`.
+    CubicLagrange,
+    /// Cubic B-spline on prefiltered coefficients, same support.
+    CubicBspline,
+}
+
+/// Storage shape of the halo-extended slabs the site kernel reads: each
+/// field holds `planes × n2 × n3` values, and global x1 plane `i` sits at
+/// storage plane `i + plane0` (`plane0 = halo width − first owned plane`).
+#[derive(Clone, Copy, Debug)]
+pub struct HaloDims {
+    /// Stored x1 planes (owned + both halos).
+    pub planes: usize,
+    /// Full (undecomposed, periodic) x2 extent.
+    pub n2: usize,
+    /// Full (undecomposed, periodic) x3 extent.
+    pub n3: usize,
+    /// Storage plane of global x1 plane 0.
+    pub plane0: isize,
+}
+
+impl HaloDims {
+    /// Stored values per field.
+    pub fn points(&self) -> usize {
+        self.planes * self.n2 * self.n3
+    }
+}
+
+/// The two backend-specific pieces of the cubic stencil: the Lagrange
+/// weight evaluation and the wrap-free 64-tap accumulation. Everything else
+/// (index split, B-spline and linear weights, the periodic-seam gather) is
+/// one generic body shared by every arm.
+///
+/// An arm is passed by value; constructing one whose methods need a CPU
+/// feature is `unsafe`, so holding it proves the feature is present.
+pub(crate) trait CubicArm<T: Elem>: Copy {
+    /// Cubic Lagrange weights at fraction `t ∈ [0,1)` for node offsets
+    /// `{−1, 0, 1, 2}`.
+    fn lagrange(self, t: T) -> [T; 4];
+
+    /// `Σ_{a,b,c} w1[a]·w2[b]·w3[c] · f[base + a·ps + b·rs + c]` for each of
+    /// the `NF` fields. The caller guarantees the support is wrap-free; the
+    /// arm bounds-checks it against the field length.
+    fn accumulate<const NF: usize>(
+        self,
+        fields: &[&[T]; NF],
+        base: usize,
+        ps: usize,
+        rs: usize,
+        w: &[[T; 4]; 3],
+    ) -> [T; NF];
+}
+
+/// The specification arm: separate multiply and add, one 64-term
+/// left-to-right sum per field.
+#[derive(Clone, Copy)]
+pub(crate) struct SpecArm;
+
+impl<T: Elem> CubicArm<T> for SpecArm {
+    #[inline(always)]
+    fn lagrange(self, t: T) -> [T; 4] {
+        let t1 = t - T::ONE;
+        let t2 = t - T::from_f64(2.0);
+        let tp = t + T::ONE;
+        [
+            -t * t1 * t2 / T::from_f64(6.0),
+            tp * t1 * t2 / T::from_f64(2.0),
+            -tp * t * t2 / T::from_f64(2.0),
+            tp * t * t1 / T::from_f64(6.0),
+        ]
+    }
+
+    #[inline(always)]
+    fn accumulate<const NF: usize>(
+        self,
+        fields: &[&[T]; NF],
+        base: usize,
+        ps: usize,
+        rs: usize,
+        w: &[[T; 4]; 3],
+    ) -> [T; NF] {
+        let mut acc = [T::ZERO; NF];
+        for (a, &wa) in w[0].iter().enumerate() {
+            for (b, &wb) in w[1].iter().enumerate() {
+                let wab = wa * wb;
+                let at = base + a * ps + b * rs;
+                let rows: [&[T]; NF] = core::array::from_fn(|f| &fields[f][at..at + 4]);
+                for (c, &wc) in w[2].iter().enumerate() {
+                    let wabc = wab * wc;
+                    for (s, row) in acc.iter_mut().zip(&rows) {
+                        *s += wabc * row[c];
+                    }
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// Row-dot arm (f32 under AVX2): each 4-tap row reduces on its own before
+/// the `w1·w2` weight applies, which breaks the 64-long add chain of the
+/// specification into vectorizable pieces.
+#[derive(Clone, Copy)]
+pub(crate) struct RowDotArm;
+
+impl<T: Elem> CubicArm<T> for RowDotArm {
+    #[inline(always)]
+    fn lagrange(self, t: T) -> [T; 4] {
+        SpecArm.lagrange(t)
+    }
+
+    #[inline(always)]
+    fn accumulate<const NF: usize>(
+        self,
+        fields: &[&[T]; NF],
+        base: usize,
+        ps: usize,
+        rs: usize,
+        w: &[[T; 4]; 3],
+    ) -> [T; NF] {
+        let w3 = &w[2];
+        let mut acc = [T::ZERO; NF];
+        for (a, &wa) in w[0].iter().enumerate() {
+            for (b, &wb) in w[1].iter().enumerate() {
+                let wab = wa * wb;
+                let at = base + a * ps + b * rs;
+                for (s, f) in acc.iter_mut().zip(fields) {
+                    let row = &f[at..at + 4];
+                    *s += wab * (w3[0] * row[0] + w3[1] * row[1] + w3[2] * row[2] + w3[3] * row[3]);
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// Cubic B-spline basis weights at fraction `t ∈ [0,1)` for node offsets
+/// `{−1, 0, 1, 2}` (partition of unity; C² smooth).
 #[inline(always)]
-pub(crate) fn wide_cubic_accumulate<T: Elem>(
-    data: &[T],
-    base: usize,
-    plane_stride: usize,
-    row_stride: usize,
-    w1: &[T; 4],
-    w2: &[T; 4],
-    w3: &[T; 4],
-) -> T {
-    let mut acc = T::ZERO;
+fn bspline_weights<T: Elem>(t: T) -> [T; 4] {
+    let six = T::from_f64(6.0);
+    let three = T::from_f64(3.0);
+    let t2 = t * t;
+    let t3 = t2 * t;
+    let one_m = T::ONE - t;
+    [
+        one_m * one_m * one_m / six,
+        (three * t3 - six * t2 + T::from_f64(4.0)) / six,
+        (-three * t3 + three * t2 + three * t + T::ONE) / six,
+        t3 / six,
+    ]
+}
+
+/// Periodic wrap of `j ∈ [−n, 2n)` into `[0, n)`. A site's integer base is
+/// in `[0, n)`, so its taps at offsets `−1..=2` never leave that window.
+#[inline(always)]
+fn wrap(j: isize, n: isize) -> usize {
+    (if j < 0 {
+        j + n
+    } else if j >= n {
+        j - n
+    } else {
+        j
+    }) as usize
+}
+
+/// Storage plane of a site's first x1 tap. The x1 support must lie inside
+/// the slab's halo — the planner routes each site to the rank that owns
+/// its base plane, and the halo covers the stencil from there — so a site
+/// outside it is a routing bug, reported here instead of read out of bounds.
+#[inline(always)]
+fn first_plane(b1: isize, lo: isize, taps: isize, d: &HaloDims) -> usize {
+    let p = b1 + d.plane0 + lo;
+    assert!(
+        p >= 0 && p + taps <= d.planes as isize,
+        "interpolation site x1 support [{p}, {}) outside the slab's {} stored planes",
+        p + taps,
+        d.planes
+    );
+    p as usize
+}
+
+#[inline(always)]
+fn linear_site<T: Elem, const NF: usize>(d: &HaloDims, fields: &[&[T]; NF], s: &[T; 3]) -> [T; NF] {
+    let (b1, t1) = s[0].split_index();
+    let (b2, t2) = s[1].split_index();
+    let (b3, t3) = s[2].split_index();
+    let (n2, n3) = (d.n2 as isize, d.n3 as isize);
+    let p = first_plane(b1, 0, 2, d);
+    let jj = [wrap(b2, n2) * d.n3, wrap(b2 + 1, n2) * d.n3];
+    let kk = [wrap(b3, n3), wrap(b3 + 1, n3)];
+    let (w1, w2, w3) = ([T::ONE - t1, t1], [T::ONE - t2, t2], [T::ONE - t3, t3]);
+    let mut acc = [T::ZERO; NF];
     for (a, &wa) in w1.iter().enumerate() {
-        let pa = base + a * plane_stride;
-        for (b, &wb) in w2.iter().enumerate() {
-            let row = &data[pa + b * row_stride..pa + b * row_stride + 4];
-            let wab = wa * wb;
-            acc += wab * (w3[0] * row[0] + w3[1] * row[1] + w3[2] * row[2] + w3[3] * row[3]);
+        let pa = (p + a) * d.n2 * d.n3;
+        for (&wb, &j) in w2.iter().zip(&jj) {
+            for (&wc, &k) in w3.iter().zip(&kk) {
+                let w = wa * wb * wc;
+                for (o, f) in acc.iter_mut().zip(fields) {
+                    *o += w * f[pa + j + k];
+                }
+            }
         }
     }
     acc
+}
+
+#[inline(always)]
+fn cubic_site<T: Elem, A: CubicArm<T>, const NF: usize>(
+    arm: A,
+    d: &HaloDims,
+    fields: &[&[T]; NF],
+    s: &[T; 3],
+    weights: impl Fn(T) -> [T; 4],
+) -> [T; NF] {
+    let (b1, t1) = s[0].split_index();
+    let (b2, t2) = s[1].split_index();
+    let (b3, t3) = s[2].split_index();
+    let w = [weights(t1), weights(t2), weights(t3)];
+    let (n2, n3) = (d.n2 as isize, d.n3 as isize);
+    let p = first_plane(b1, -1, 4, d);
+    let ps = d.n2 * d.n3;
+    // Fast path: the 4×4 rows of the support are contiguous 4-runs when
+    // the support does not cross the periodic seam in x2/x3 — the common
+    // case away from the domain boundary.
+    if b2 >= 1 && b2 + 2 < n2 && b3 >= 1 && b3 + 2 < n3 {
+        let base = (p * d.n2 + (b2 - 1) as usize) * d.n3 + (b3 - 1) as usize;
+        return arm.accumulate(fields, base, ps, d.n3, &w);
+    }
+    // Seam path: the wrapped row and column offsets are resolved once per
+    // site; the sum keeps the specification's order on every backend.
+    let jj: [usize; 4] = core::array::from_fn(|b| wrap(b2 + b as isize - 1, n2) * d.n3);
+    let kk: [usize; 4] = core::array::from_fn(|c| wrap(b3 + c as isize - 1, n3));
+    let mut acc = [T::ZERO; NF];
+    for (a, &wa) in w[0].iter().enumerate() {
+        let pa = (p + a) * ps;
+        for (&wb, &j) in w[1].iter().zip(&jj) {
+            let wab = wa * wb;
+            for (&wc, &k) in w[2].iter().zip(&kk) {
+                let wabc = wab * wc;
+                for (o, f) in acc.iter_mut().zip(fields) {
+                    *o += wabc * f[pa + j + k];
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// Evaluate `NF` fields at every site of a batch and hand each site's
+/// values to `sink(i, values)`. Per site the index split and the basis
+/// weights are computed once and shared by all fields.
+#[inline(always)]
+pub(crate) fn interp_sites<T: Elem, A: CubicArm<T>, const NF: usize>(
+    arm: A,
+    stencil: Stencil,
+    d: &HaloDims,
+    fields: &[&[T]; NF],
+    sites: &[[T; 3]],
+    mut sink: impl FnMut(usize, [T; NF]),
+) {
+    match stencil {
+        Stencil::Linear => {
+            for (i, s) in sites.iter().enumerate() {
+                sink(i, linear_site(d, fields, s));
+            }
+        }
+        Stencil::CubicLagrange => {
+            for (i, s) in sites.iter().enumerate() {
+                sink(i, cubic_site(arm, d, fields, s, |t| arm.lagrange(t)));
+            }
+        }
+        Stencil::CubicBspline => {
+            for (i, s) in sites.iter().enumerate() {
+                sink(i, cubic_site(arm, d, fields, s, bspline_weights));
+            }
+        }
+    }
 }

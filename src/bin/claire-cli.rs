@@ -370,7 +370,7 @@ fn single_main(opts: Options) {
     }
     // Jacobian determinant map
     let mut ip = Interpolator::new(cfg.ip_order);
-    let traj = Trajectory::compute(&v, cfg.nt, &mut ip, &mut comm);
+    let traj = Trajectory::backward(&v, cfg.nt, &mut ip, &mut comm);
     let u = displacement::displacement(&traj, cfg.nt, &mut ip, &mut comm);
     let det = displacement::jacobian_det(&u, &mut comm);
     write_nifti(&opts.out.join("jacobian_det.nii"), &det);

@@ -70,16 +70,22 @@ fn scatter_volume_bounded_by_cfl() {
         );
         let mut ip = claire::interp::Interpolator::new(claire::interp::IpOrder::Linear);
         let tr = claire::semilag::Transport::new(4, claire::interp::IpOrder::Linear);
-        let traj = claire::semilag::Trajectory::compute(&v, 4, &mut ip, comm);
+        // the query scatter happens when the trajectory plans its departure
+        // points — once per velocity, not once per time step
         let s0 = comm.stats().cat(CommCat::Scatter).bytes_sent;
+        let traj = claire::semilag::Trajectory::backward(&v, 4, &mut ip, comm);
+        let planned = comm.stats().cat(CommCat::Scatter).bytes_sent - s0;
         let _ = tr.solve_state(&traj, &m0, false, &mut ip, comm);
-        (comm.stats().cat(CommCat::Scatter).bytes_sent - s0, traj.cfl)
+        let total = comm.stats().cat(CommCat::Scatter).bytes_sent - s0;
+        (planned, total, traj.cfl)
     });
-    for (rank, &(bytes, cfl)) in res.outputs.iter().enumerate() {
+    for (rank, &(planned, total, cfl)) in res.outputs.iter().enumerate() {
         assert!(cfl < 1.0, "test velocity should be sub-CFL");
-        // bound: nt steps × ceil(cfl+1) boundary planes × plane points × 24 B
-        let bound = 4 * 2 * 8 * 8 * std::mem::size_of::<[Real; 3]>() as u64;
-        assert!(bytes <= bound, "rank {rank}: scatter {bytes} exceeds CFL bound {bound}");
+        assert_eq!(total, planned, "rank {rank}: the time steps must not re-scatter");
+        // bound: 2 plans (RK2 midpoints, feet) × ceil(cfl+1) boundary planes
+        // × plane points × 24 B
+        let bound = 2 * 2 * 8 * 8 * std::mem::size_of::<[Real; 3]>() as u64;
+        assert!(planned <= bound, "rank {rank}: scatter {planned} exceeds CFL bound {bound}");
     }
 }
 

@@ -23,7 +23,7 @@ use std::fmt::Debug;
 use std::sync::Mutex;
 
 use claire::prelude::*;
-use claire_simd::{Choice, Elem};
+use claire_simd::{Choice, Elem, HaloDims, Stencil};
 use proptest::prelude::*;
 
 /// Serializes backend flips across this binary's tests.
@@ -184,21 +184,41 @@ fn check_fd8<T: Elem>(n: usize, seed: u64, inv_h: f64, s: f64) {
     assert_slices_close(&f_simd, &reference, "fd8_combine_scale [avx2]");
 }
 
-fn check_interp<T: Elem>(t: f64, base: usize, rs: usize, seed: u64) {
-    let t = T::from_f64(t);
-    // every kernel call sits inside `both`: outside it the backend is
-    // whatever a concurrent test has forced
-    let weights =
-        || [T::klagrange_weights(t), T::klagrange_weights(T::ONE - t), T::klagrange_weights(t * t)];
-    let ([w1, w2, w3], w_simd) = both(weights);
-    assert_slices_close(w_simd.as_flattened(), [w1, w2, w3].as_flattened(), "lagrange_weights");
-    let unity = w1.iter().map(|w| w.to_f64()).sum::<f64>();
-    assert_close::<T>(unity, 1.0, "lagrange weights must sum to 1");
-
-    let ps = 4 * rs; // 4 rows per plane, rows `rs` apart
-    let body = fill::<T>(seed, base + 3 * ps + 3 * rs + 4, -100.0, 100.0);
-    let (r_scalar, r_simd) = both(|| T::kcubic_accumulate(&body, base, ps, rs, &w1, &w2, &w3));
-    assert_close::<T>(r_simd.to_f64(), r_scalar.to_f64(), "cubic_accumulate");
+/// The batched site kernel on a 3-plane slab with width-2 halos: the vector
+/// arm agrees with the scalar one for every stencil, and within a backend a
+/// field's values do not depend on which fields it is evaluated with.
+fn check_interp<T: Elem>(n2: usize, n3: usize, seed: u64) {
+    let dims = HaloDims { planes: 7, n2, n3, plane0: 2 };
+    let fields: [Vec<T>; 3] =
+        std::array::from_fn(|f| fill(seed + f as u64, dims.points(), -1.0, 1.0));
+    let data = [&fields[0][..], &fields[1][..], &fields[2][..]];
+    // random interior points, points on nodes, and every periodic seam
+    let ext = [3.0, n2 as f64, n3 as f64];
+    let frac = fill::<f64>(seed + 3, 3 * 16, 0.0, 0.999);
+    let mut sites: Vec<[T; 3]> =
+        frac.chunks_exact(3).map(|c| std::array::from_fn(|d| T::from_f64(c[d] * ext[d]))).collect();
+    for &u2 in &[0.0, 0.4, 1.0, n2 as f64 - 2.0, n2 as f64 - 1.5, n2 as f64 - 0.25] {
+        for &u3 in &[0.0, 0.7, n3 as f64 - 1.75, n3 as f64 - 1.0, n3 as f64 - 0.5] {
+            sites.push([1.25, u2, u3].map(T::from_f64));
+        }
+    }
+    for stencil in [Stencil::Linear, Stencil::CubicLagrange, Stencil::CubicBspline] {
+        let what = format!("interp_sites {stencil:?}");
+        let (s3, v3) = both(|| {
+            let mut out = vec![[T::ZERO; 3]; sites.len()];
+            T::kinterp_sites(stencil, &dims, &data, &sites, |i, v| out[i] = v);
+            out
+        });
+        assert_slices_close(v3.as_flattened(), s3.as_flattened(), &what);
+        let (s1, v1) = both(|| {
+            let mut out = vec![T::ZERO; sites.len()];
+            T::kinterp_sites(stencil, &dims, &[data[1]], &sites, |i, [v]| out[i] = v);
+            out
+        });
+        let middle = |vals: &[[T; 3]]| vals.iter().map(|v| v[1]).collect::<Vec<T>>();
+        assert_eq!(s1, middle(&s3), "{what} [scalar]: grouping changed a field's bits");
+        assert_eq!(v1, middle(&v3), "{what} [avx2]: grouping changed a field's bits");
+    }
 }
 
 fn check_complex<T: Elem>(m: usize, seed: u64, s: f64) {
@@ -285,14 +305,9 @@ proptest! {
     }
 
     #[test]
-    fn interp_kernels_match(
-        t in 0.0f64..1.0,
-        base in 0usize..3,
-        rs in 4usize..8,
-        seed in 0u64..1_000_000,
-    ) {
-        check_interp::<f64>(t, base, rs, seed);
-        check_interp::<f32>(t, base, rs, seed);
+    fn interp_kernels_match(n2 in 4usize..9, n3 in 4usize..9, seed in 0u64..1_000_000) {
+        check_interp::<f64>(n2, n3, seed);
+        check_interp::<f32>(n2, n3, seed);
     }
 
     #[test]
@@ -306,6 +321,53 @@ proptest! {
         check_radix2::<f64>(m, ws, seed);
         check_radix2::<f32>(m, ws, seed);
     }
+}
+
+/// On the scalar backend the batched kernel *is* the per-query reference
+/// evaluator (`interp_ghost`), bit for bit, for every order — the reference
+/// the planned path's property tests lean on; the vector arm tracks it.
+#[test]
+fn scalar_site_kernel_equals_the_reference_evaluator() {
+    use claire::interp::kernel::{interp_ghost, to_site};
+    let grid = Grid::new([6, 5, 7]);
+    let f =
+        ScalarField::from_fn(Layout::serial(grid), |x, y, z| (x + 0.3).sin() * (2.0 * y).cos() + z);
+    let gf = claire::grid::ghost::exchange(&f, IpOrder::GHOST_WIDTH, &mut Comm::solo());
+    let dims = HaloDims { planes: 6 + 2 * IpOrder::GHOST_WIDTH, n2: 5, n3: 7, plane0: 2 };
+    let points: Vec<[Real; 3]> =
+        fill::<f64>(17, 3 * 200, -7.0, 14.0).chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
+    let sites: Vec<[Real; 3]> = points.iter().map(|&x| to_site(x, grid.n)).collect();
+    for order in [IpOrder::Linear, IpOrder::Cubic, IpOrder::CubicSpline] {
+        let (scalar, simd) = both(|| {
+            let mut out = vec![0.0; sites.len()];
+            Real::kinterp_sites(order.stencil(), &dims, &[gf.data()], &sites, |i, [v]| out[i] = v);
+            out
+        });
+        let reference: Vec<Real> = points.iter().map(|&x| interp_ghost(&gf, order, x)).collect();
+        assert_eq!(scalar, reference, "{order:?}: scalar arm must equal the reference bitwise");
+        assert_slices_close(&simd, &reference, "interp_sites vs reference");
+    }
+}
+
+/// A site whose x1 support leaves the stored planes is a bounds panic on
+/// every arm, never an out-of-bounds load.
+#[test]
+fn out_of_slab_site_panics_on_every_backend() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let dims = HaloDims { planes: 6, n2: 4, n3: 4, plane0: 2 }; // owns planes 0, 1
+    let field = vec![1.0f64; dims.points()];
+    for choice in ALL_BACKENDS {
+        claire_simd::force_backend(Some(choice));
+        for stencil in [Stencil::Linear, Stencil::CubicLagrange, Stencil::CubicBspline] {
+            for u1 in [-2.5, 3.25, 1e6] {
+                let outside = std::panic::catch_unwind(|| {
+                    f64::kinterp_sites(stencil, &dims, &[&field], &[[u1, 1.0, 1.0]], |_, _| {})
+                });
+                assert!(outside.is_err(), "{choice:?} {stencil:?} u1={u1} must panic");
+            }
+        }
+    }
+    claire_simd::force_backend(None);
 }
 
 /// Reductions over f32 storage must accumulate in f64: past 2²⁴ an f32
