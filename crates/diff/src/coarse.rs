@@ -55,6 +55,15 @@ fn survives(k: isize, m: usize) -> bool {
     k.unsigned_abs() < m / 2
 }
 
+/// Storage index of wavenumber `k` on an axis of `n` points.
+fn index_of(k: isize, n: usize) -> usize {
+    if k >= 0 {
+        k as usize
+    } else {
+        (n as isize + k) as usize
+    }
+}
+
 impl<T: FftElem> TwoLevelT<T> {
     /// Build transfer operators for `fine` (must have even dims ≥ 4) on the
     /// calling rank of `comm`.
@@ -80,152 +89,159 @@ impl<T: FftElem> TwoLevelT<T> {
         self.coarse
     }
 
-    /// Restrict a fine field to the coarse grid (spectral truncation).
-    pub fn restrict(&self, f: &ScalarFieldT<T>, comm: &mut Comm) -> ScalarFieldT<T> {
-        let spec_f = self.fft_f.forward(f, comm);
+    /// Move the modes both grids represent (everything strictly below the
+    /// coarse Nyquist band) from 1–3 spectra on `from` into zeroed spectra
+    /// on `to`, rescaled for the unnormalized forward transform. One
+    /// `(index, value)` all-to-all carries every field.
+    fn move_low_modes<const NF: usize>(
+        &self,
+        src: &[DistSpectralT<T>; NF],
+        (from, to): (Grid, Grid),
+        comm: &mut Comm,
+    ) -> [DistSpectralT<T>; NF] {
         let [m1, m2, m3] = self.coarse.n;
-        let n3c_c = m3 / 2 + 1;
-        let scale = T::from_f64(self.coarse.len() as f64 / self.fine.len() as f64);
-
+        let [_, t2, t3] = to.n;
+        let (n3c_from, n3c_to) = (from.n[2] / 2 + 1, t3 / 2 + 1);
+        let scale = T::from_f64(to.len() as f64 / from.len() as f64);
         let p = self.nranks;
         let mut bufs: Vec<Vec<PackedCoefT<T>>> = (0..p).map(|_| Vec::new()).collect();
-        let n3c_f = spec_f.n3c();
-        let nj = spec_f.x2_slab.ni;
-        for i in 0..self.fine.n[0] {
-            let k1 = self.fine.wavenumber(0, i);
-            if !survives(k1, m1) {
-                continue;
-            }
-            let ic = if k1 >= 0 { k1 as usize } else { (m1 as isize + k1) as usize };
-            for jl in 0..nj {
-                let k2 = self.fine.wavenumber(1, spec_f.j_global(jl));
-                if !survives(k2, m2) {
+        for spec in src {
+            let nj = spec.x2_slab.ni;
+            for i in 0..from.n[0] {
+                let k1 = from.wavenumber(0, i);
+                if !survives(k1, m1) {
                     continue;
                 }
-                let jc = if k2 >= 0 { k2 as usize } else { (m2 as isize + k2) as usize };
-                let dst = Slab::owner_of(m2, p, jc);
-                let base = (i * nj + jl) * n3c_f;
-                for k in 0..m3 / 2 {
-                    let v = spec_f.data[base + k].scale(scale);
-                    let idx = ((ic * m2 + jc) * n3c_c + k) as u64;
-                    bufs[dst].push(PackedCoefT { idx, re: v.re, im: v.im });
+                for jl in 0..nj {
+                    let k2 = from.wavenumber(1, spec.j_global(jl));
+                    if !survives(k2, m2) {
+                        continue;
+                    }
+                    let jt = index_of(k2, t2);
+                    let row = (index_of(k1, to.n[0]) * t2 + jt) * n3c_to;
+                    let base = (i * nj + jl) * n3c_from;
+                    let buf = &mut bufs[Slab::owner_of(t2, p, jt)];
+                    buf.extend(spec.data[base..base + m3 / 2].iter().enumerate().map(|(k, z)| {
+                        let v = z.scale(scale);
+                        PackedCoefT { idx: (row + k) as u64, re: v.re, im: v.im }
+                    }));
                 }
             }
         }
         let parts = comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto);
 
-        let my_slab = Slab::of_rank(m2, p, self.rank);
-        let mut spec_c = DistSpectralT::zeros(self.coarse, my_slab);
-        place_coefs(&mut spec_c, &parts, m2, n3c_c);
-        self.fft_c.inverse(spec_c, comm)
+        let slab = Slab::of_rank(t2, p, self.rank);
+        let mut out = [(); NF].map(|_| DistSpectralT::zeros(to, slab));
+        for part in &parts {
+            // every field sends the same modes, so a message is NF equal runs
+            for (spec, coefs) in out.iter_mut().zip(part.chunks_exact((part.len() / NF).max(1))) {
+                for pc in coefs {
+                    let idx = pc.idx as usize;
+                    let (k, j, i) = (idx % n3c_to, (idx / n3c_to) % t2, idx / (n3c_to * t2));
+                    debug_assert!(slab.owns(j), "coefficient routed to wrong rank");
+                    spec.data[(i * slab.ni + j - slab.i0) * n3c_to + k] = CpxT::new(pc.re, pc.im);
+                }
+            }
+        }
+        out
     }
 
-    /// Prolong a coarse field to the fine grid (spectral zero-padding).
+    /// Restrict 1–3 fine fields to the coarse grid (spectral truncation).
+    /// On p > 1 the fields share every collective; on one rank, where there
+    /// is none to share, they go one at a time (one fine spectrum live).
+    pub fn restrict_many<const NF: usize>(
+        &self,
+        f: [&ScalarFieldT<T>; NF],
+        comm: &mut Comm,
+    ) -> [ScalarFieldT<T>; NF] {
+        if NF > 1 && self.nranks == 1 {
+            return f.map(|f| self.restrict(f, comm));
+        }
+        let fine = self.fft_f.forward_many(f, comm);
+        let coarse = self.move_low_modes(&fine, (self.fine, self.coarse), comm);
+        drop(fine);
+        self.fft_c.inverse_many(coarse, comm)
+    }
+
+    /// Prolong 1–3 coarse fields to the fine grid (spectral zero-padding).
     ///
     /// Coarse Nyquist modes (not representable symmetrically on the fine
     /// grid without aliasing partners) are dropped, the standard choice for
     /// spectral prolongation.
-    pub fn prolong(&self, fc: &ScalarFieldT<T>, comm: &mut Comm) -> ScalarFieldT<T> {
-        assert_eq!(fc.layout().grid, self.coarse, "prolong expects a coarse field");
-        let spec_c = self.fft_c.forward(fc, comm);
-        let [n1, n2, n3] = self.fine.n;
-        let [m1, m2, m3] = self.coarse.n;
-        let n3c_f = n3 / 2 + 1;
-        let scale = T::from_f64(self.fine.len() as f64 / self.coarse.len() as f64);
-
-        let p = self.nranks;
-        let mut bufs: Vec<Vec<PackedCoefT<T>>> = (0..p).map(|_| Vec::new()).collect();
-        let n3c_c = spec_c.n3c();
-        let nj = spec_c.x2_slab.ni;
-        for ic in 0..m1 {
-            let k1 = self.coarse.wavenumber(0, ic);
-            if !survives(k1, m1) {
-                continue; // drop coarse Nyquist
-            }
-            let i = if k1 >= 0 { k1 as usize } else { (n1 as isize + k1) as usize };
-            for jl in 0..nj {
-                let k2 = self.coarse.wavenumber(1, spec_c.j_global(jl));
-                if !survives(k2, m2) {
-                    continue;
-                }
-                let j = if k2 >= 0 { k2 as usize } else { (n2 as isize + k2) as usize };
-                let dst = Slab::owner_of(n2, p, j);
-                let base = (ic * nj + jl) * n3c_c;
-                for k in 0..m3 / 2 {
-                    let v = spec_c.data[base + k].scale(scale);
-                    let idx = ((i * n2 + j) * n3c_f + k) as u64;
-                    bufs[dst].push(PackedCoefT { idx, re: v.re, im: v.im });
-                }
-            }
+    pub fn prolong_many<const NF: usize>(
+        &self,
+        fc: [&ScalarFieldT<T>; NF],
+        comm: &mut Comm,
+    ) -> [ScalarFieldT<T>; NF] {
+        if NF > 1 && self.nranks == 1 {
+            return fc.map(|f| self.prolong(f, comm));
         }
-        let parts = comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto);
-
-        let my_slab = Slab::of_rank(n2, p, self.rank);
-        let mut spec_f = DistSpectralT::zeros(self.fine, my_slab);
-        place_coefs(&mut spec_f, &parts, n2, n3c_f);
-        self.fft_f.inverse(spec_f, comm)
+        for f in fc {
+            assert_eq!(f.layout().grid, self.coarse, "prolong expects a coarse field");
+        }
+        let coarse = self.fft_c.forward_many(fc, comm);
+        let fine = self.move_low_modes(&coarse, (self.coarse, self.fine), comm);
+        drop(coarse);
+        self.fft_f.inverse_many(fine, comm)
     }
 
-    /// High-pass filter: zero every mode representable on the coarse grid,
-    /// keep the rest. Satisfies `PROLONG(RESTRICT(s)) + HIGHPASS(s) = s`.
-    pub fn highpass(&self, f: &ScalarFieldT<T>, comm: &mut Comm) -> ScalarFieldT<T> {
-        let mut spec = self.fft_f.forward(f, comm);
+    /// High-pass filter 1–3 fields: zero every mode representable on the
+    /// coarse grid, keep the rest. Satisfies
+    /// `PROLONG(RESTRICT(s)) + HIGHPASS(s) = s`.
+    pub fn highpass_many<const NF: usize>(
+        &self,
+        f: [&ScalarFieldT<T>; NF],
+        comm: &mut Comm,
+    ) -> [ScalarFieldT<T>; NF] {
+        if NF > 1 && self.nranks == 1 {
+            return f.map(|f| self.highpass(f, comm));
+        }
+        let mut specs = self.fft_f.forward_many(f, comm);
         let [m1, m2, m3] = self.coarse.n;
-        let n3c = spec.n3c();
-        let nj = spec.x2_slab.ni;
-        for i in 0..self.fine.n[0] {
-            let k1 = self.fine.wavenumber(0, i);
-            let low1 = survives(k1, m1);
-            for jl in 0..nj {
-                let k2 = self.fine.wavenumber(1, spec.j_global(jl));
-                let low2 = survives(k2, m2);
-                if !(low1 && low2) {
-                    continue;
-                }
-                let base = (i * nj + jl) * n3c;
-                for z in spec.data[base..base + m3 / 2].iter_mut() {
-                    *z = CpxT::ZERO;
+        for spec in &mut specs {
+            let (nj, n3c) = (spec.x2_slab.ni, spec.n3c());
+            for (row, zs) in spec.data.chunks_exact_mut(n3c).enumerate() {
+                let k1 = self.fine.wavenumber(0, row / nj);
+                let k2 = self.fine.wavenumber(1, spec.x2_slab.i0 + row % nj);
+                if survives(k1, m1) && survives(k2, m2) {
+                    zs[..m3 / 2].fill(CpxT::ZERO);
                 }
             }
         }
-        self.fft_f.inverse(spec, comm)
+        self.fft_f.inverse_many(specs, comm)
+    }
+
+    /// The one-field call of [`TwoLevelT::restrict_many`].
+    pub fn restrict(&self, f: &ScalarFieldT<T>, comm: &mut Comm) -> ScalarFieldT<T> {
+        let [out] = self.restrict_many([f], comm);
+        out
+    }
+
+    /// The one-field call of [`TwoLevelT::prolong_many`].
+    pub fn prolong(&self, fc: &ScalarFieldT<T>, comm: &mut Comm) -> ScalarFieldT<T> {
+        let [out] = self.prolong_many([fc], comm);
+        out
+    }
+
+    /// The one-field call of [`TwoLevelT::highpass_many`].
+    pub fn highpass(&self, f: &ScalarFieldT<T>, comm: &mut Comm) -> ScalarFieldT<T> {
+        let [out] = self.highpass_many([f], comm);
+        out
     }
 
     /// Restrict every component of a vector field.
     pub fn restrict_vector(&self, v: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
-        VectorFieldT { c: std::array::from_fn(|d| self.restrict(&v.c[d], comm)) }
+        VectorFieldT { c: self.restrict_many(v.c.each_ref(), comm) }
     }
 
     /// Prolong every component of a vector field.
     pub fn prolong_vector(&self, v: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
-        VectorFieldT { c: std::array::from_fn(|d| self.prolong(&v.c[d], comm)) }
+        VectorFieldT { c: self.prolong_many(v.c.each_ref(), comm) }
     }
 
     /// High-pass every component of a vector field.
     pub fn highpass_vector(&self, v: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
-        VectorFieldT { c: std::array::from_fn(|d| self.highpass(&v.c[d], comm)) }
-    }
-}
-
-/// Scatter received `(idx, value)` pairs into a spectral slab.
-fn place_coefs<T: FftElem>(
-    spec: &mut DistSpectralT<T>,
-    parts: &[Vec<PackedCoefT<T>>],
-    n2: usize,
-    n3c: usize,
-) {
-    let slab = spec.x2_slab;
-    let nj = slab.ni;
-    for part in parts {
-        for pc in part {
-            let idx = pc.idx as usize;
-            let k = idx % n3c;
-            let j = (idx / n3c) % n2;
-            let i = idx / (n3c * n2);
-            debug_assert!(slab.owns(j), "coefficient routed to wrong rank");
-            let jl = j - slab.i0;
-            spec.data[(i * nj + jl) * n3c + k] = CpxT::new(pc.re, pc.im);
-        }
+        VectorFieldT { c: self.highpass_many(v.c.each_ref(), comm) }
     }
 }
 

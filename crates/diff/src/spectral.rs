@@ -5,12 +5,13 @@
 //! With `Ω = [0, 2π)³` the wavenumbers are integers, and the H1-Sobolev
 //! regularization operator has the symbol `β(|k|² + 1)`.
 //!
-//! The Hadamard product is **fused into the inverse transform**: instead of
-//! a standalone pass multiplying every spectral coefficient by the symbol
-//! and a second pass gathering them for the x1 inverse FFT, the symbol is
-//! applied as each coefficient is first gathered
-//! ([`DistFftT::inverse_scaled`]) — one sweep over the spectral array
-//! instead of two, with bit-identical results.
+//! The Hadamard product is one loop over the rank's spectral slab against
+//! a per-plan table of `|k|²` ([`SpectralT`] builds it once), so applying
+//! a symbol costs no wavenumber arithmetic per coefficient. The vector
+//! operators transform their components through the plan's multi-field
+//! entry: on p > 1 all three ride one `alltoallv` per direction; on one
+//! rank, where there is no message to merge, they stream through one
+//! spectrum at a time.
 //!
 //! Note on the zero mode: the paper uses an H1 *seminorm* (`A` = vector
 //! Laplacian) whose kernel (constant fields) is handled by the additional
@@ -21,21 +22,35 @@
 use claire_fft::{CpxT, DistFftT, DistSpectralT, FftElem};
 use claire_grid::{Grid, Real, ScalarFieldT, VectorFieldT};
 use claire_mpi::Comm;
+use claire_par::par_chunks_mut;
 
 /// Planned spectral operators on one grid for one rank, generic over the
 /// element width (f64 solver path or f32 mixed-precision inner solve).
 pub struct SpectralT<T: FftElem> {
     fft: DistFftT<T>,
     grid: Grid,
+    /// `|k|²` of every coefficient of this rank's `[n1][nj][n3c]` spectral
+    /// slab, in storage order (integers: exact at either width).
+    ksq: Vec<T>,
 }
 
 /// Field-precision ([`Real`]) spectral operators.
 pub type Spectral = SpectralT<Real>;
 
+/// Coefficients per parallel chunk of a Hadamard sweep.
+const SWEEP_CHUNK: usize = 4096;
+
 impl<T: FftElem> SpectralT<T> {
     /// Plan for `grid` on the calling rank of `comm`.
     pub fn new(grid: Grid, comm: &Comm) -> SpectralT<T> {
-        SpectralT { fft: DistFftT::new(grid, comm), grid }
+        let fft = DistFftT::new(grid, comm);
+        let sq = |dim: usize, i: usize| (grid.wavenumber(dim, i) as f64).powi(2);
+        let js = fft.x2_slab();
+        let ksq = (0..grid.n[0])
+            .flat_map(|i| (js.i0..js.i0 + js.ni).map(move |j| sq(0, i) + sq(1, j)))
+            .flat_map(|k12| (0..grid.n[2] / 2 + 1).map(move |k| T::from_f64(k12 + (k * k) as f64)))
+            .collect();
+        SpectralT { fft, grid, ksq }
     }
 
     /// The grid.
@@ -48,26 +63,55 @@ impl<T: FftElem> SpectralT<T> {
         &self.fft
     }
 
-    /// Apply a real symbol `σ(|k|²)`: `f ↦ F⁻¹[ σ(k²) · F f ]`.
-    ///
-    /// Two FFTs and a Hadamard product, as in the paper — with the Hadamard
-    /// fused into the inverse's first gather pass. Collective.
+    /// `f ↦ F⁻¹[op(F f)]` for 1–3 fields whose spectra do not couple:
+    /// batched through the plan's multi-field entry on p > 1, one field at a
+    /// time — one live spectrum — on a single rank. Collective.
+    fn map_spectra<const NF: usize>(
+        &self,
+        fields: [&ScalarFieldT<T>; NF],
+        comm: &mut Comm,
+        op: impl Fn(&mut DistSpectralT<T>),
+    ) -> [ScalarFieldT<T>; NF] {
+        self.charge_hadamard(comm, NF);
+        if comm.size() == 1 {
+            return fields.map(|f| {
+                let mut spec = self.fft.forward(f, comm);
+                op(&mut spec);
+                self.fft.inverse(spec, comm)
+            });
+        }
+        let mut specs = self.fft.forward_many(fields, comm);
+        specs.iter_mut().for_each(op);
+        self.fft.inverse_many(specs, comm)
+    }
+
+    /// Apply a real symbol `σ(|k|²)` to 1–3 fields: `f ↦ F⁻¹[ σ(k²) · F f ]`
+    /// — two FFTs and a Hadamard product against the `|k|²` table, as in
+    /// the paper. Collective.
+    pub fn apply_ksq_symbol_many<const NF: usize>(
+        &self,
+        fields: [&ScalarFieldT<T>; NF],
+        comm: &mut Comm,
+        sym: impl Fn(f64) -> f64 + Sync,
+    ) -> [ScalarFieldT<T>; NF] {
+        self.map_spectra(fields, comm, |spec| {
+            par_chunks_mut(&mut spec.data, SWEEP_CHUNK, |ci, chunk| {
+                for (z, k) in chunk.iter_mut().zip(&self.ksq[ci * SWEEP_CHUNK..]) {
+                    *z = z.scale(T::from_f64(sym(k.to_f64())));
+                }
+            })
+        })
+    }
+
+    /// The one-field call of [`SpectralT::apply_ksq_symbol_many`].
     pub fn apply_ksq_symbol(
         &self,
         f: &ScalarFieldT<T>,
         comm: &mut Comm,
         sym: impl Fn(f64) -> f64 + Sync,
     ) -> ScalarFieldT<T> {
-        let spec = self.fft.forward(f, comm);
-        self.charge_hadamard(comm, 1);
-        let g = self.grid;
-        let scale = move |i: usize, j: usize, k: usize| {
-            let k1 = g.wavenumber(0, i) as f64;
-            let k2 = g.wavenumber(1, j) as f64;
-            let k3 = k as f64;
-            T::from_f64(sym(k1 * k1 + k2 * k2 + k3 * k3))
-        };
-        self.fft.inverse_scaled(spec, comm, &scale)
+        let [out] = self.apply_ksq_symbol_many([f], comm, sym);
+        out
     }
 
     /// Modeled cost of `n` spectral Hadamard sweeps (DRAM-bound, at the
@@ -85,9 +129,7 @@ impl<T: FftElem> SpectralT<T> {
     /// Apply the regularization operator `βA = β(I − Δ)` to each component.
     pub fn reg_apply(&self, v: &VectorFieldT<T>, beta: f64, comm: &mut Comm) -> VectorFieldT<T> {
         VectorFieldT {
-            c: std::array::from_fn(|d| {
-                self.apply_ksq_symbol(&v.c[d], comm, |ksq| beta * (1.0 + ksq))
-            }),
+            c: self.apply_ksq_symbol_many(v.c.each_ref(), comm, |ksq| beta * (1.0 + ksq)),
         }
     }
 
@@ -95,9 +137,7 @@ impl<T: FftElem> SpectralT<T> {
     /// and the left-preconditioner inside `InvH0`.
     pub fn reg_inv(&self, v: &VectorFieldT<T>, beta: f64, comm: &mut Comm) -> VectorFieldT<T> {
         VectorFieldT {
-            c: std::array::from_fn(|d| {
-                self.apply_ksq_symbol(&v.c[d], comm, |ksq| 1.0 / (beta * (1.0 + ksq)))
-            }),
+            c: self.apply_ksq_symbol_many(v.c.each_ref(), comm, |ksq| 1.0 / (beta * (1.0 + ksq))),
         }
     }
 
@@ -122,21 +162,25 @@ impl<T: FftElem> SpectralT<T> {
     }
 
     /// Apply a general per-mode real symbol `σ(k1, k2, k3)` (signed integer
-    /// wavenumbers). Two FFTs with the Hadamard fused into the inverse.
-    /// Collective.
+    /// wavenumbers). Collective.
     pub fn apply_mode_symbol(
         &self,
         f: &ScalarFieldT<T>,
         comm: &mut Comm,
         sym: impl Fn([isize; 3]) -> f64 + Sync,
     ) -> ScalarFieldT<T> {
-        let spec = self.fft.forward(f, comm);
-        self.charge_hadamard(comm, 1);
         let g = self.grid;
-        let scale = move |i: usize, j: usize, k: usize| {
-            T::from_f64(sym([g.wavenumber(0, i), g.wavenumber(1, j), k as isize]))
-        };
-        self.fft.inverse_scaled(spec, comm, &scale)
+        let [out] = self.map_spectra([f], comm, |spec| {
+            let (nj, n3c) = (spec.x2_slab.ni, spec.n3c());
+            for (row, zs) in spec.data.chunks_exact_mut(n3c).enumerate() {
+                let k1 = g.wavenumber(0, row / nj);
+                let k2 = g.wavenumber(1, spec.x2_slab.i0 + row % nj);
+                for (k, z) in zs.iter_mut().enumerate() {
+                    *z = z.scale(T::from_f64(sym([k1, k2, k as isize])));
+                }
+            }
+        });
+        out
     }
 
     /// Cubic B-spline prefilter: convert image samples to B-spline
@@ -174,27 +218,24 @@ impl<T: FftElem> SpectralT<T> {
     /// `v ↦ v − ∇Δ⁻¹(∇·v)`, i.e. `v̂ ↦ v̂ − k (k·v̂)/|k|²`.
     ///
     /// This is the projection CLAIRE uses for the incompressibility penalty
-    /// (§1.1, [48]). The three spectra couple per mode, so this one keeps
-    /// an explicit spectral pass instead of the fused symbol. Collective.
+    /// (§1.1, [48]). The three spectra couple per mode, so all three are
+    /// live at once on every rank count. Collective.
     pub fn leray(&self, v: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
-        let mut specs: [DistSpectralT<T>; 3] = [0, 1, 2].map(|d| self.fft.forward(&v.c[d], comm));
+        let mut specs = self.fft.forward_many(v.c.each_ref(), comm);
         let g = self.grid;
         let n3c = specs[0].n3c();
         let nj = specs[0].x2_slab.ni;
         for i in 0..g.n[0] {
-            let k1f = g.wavenumber(0, i) as f64;
-            let k1 = T::from_f64(k1f);
+            let k1 = T::from_f64(g.wavenumber(0, i) as f64);
             for jl in 0..nj {
-                let k2f = g.wavenumber(1, specs[0].j_global(jl)) as f64;
-                let k2 = T::from_f64(k2f);
+                let k2 = T::from_f64(g.wavenumber(1, specs[0].j_global(jl)) as f64);
                 let base = (i * nj + jl) * n3c;
                 for k in 0..n3c {
-                    let k3f = k as f64;
-                    let k3 = T::from_f64(k3f);
-                    let ksq = k1f * k1f + k2f * k2f + k3f * k3f;
+                    let ksq = self.ksq[base + k].to_f64();
                     if ksq == 0.0 {
                         continue;
                     }
+                    let k3 = T::from_f64(k as f64);
                     let dot = specs[0].data[base + k].scale(k1)
                         + specs[1].data[base + k].scale(k2)
                         + specs[2].data[base + k].scale(k3);
@@ -206,10 +247,7 @@ impl<T: FftElem> SpectralT<T> {
             }
         }
         self.charge_hadamard(comm, 3);
-        let [s0, s1, s2] = specs;
-        VectorFieldT {
-            c: [self.fft.inverse(s0, comm), self.fft.inverse(s1, comm), self.fft.inverse(s2, comm)],
-        }
+        VectorFieldT { c: self.fft.inverse_many(specs, comm) }
     }
 }
 

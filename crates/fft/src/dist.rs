@@ -21,10 +21,6 @@
 //! all-to-all transpose payload on the wire (the dominant collective of the
 //! inner Krylov iteration).
 
-// The strided gather/scatter loops index several arrays with coupled
-// offsets; iterator adapters would obscure the stride math.
-#![allow(clippy::needless_range_loop)]
-
 use std::sync::Arc;
 
 use claire_grid::{
@@ -33,14 +29,10 @@ use claire_grid::{
 use claire_mpi::{AlltoallMethod, Comm, CommCat};
 use claire_obs::span::span;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_map_collect_work, par_parts, SharedSlice};
 
-use crate::cache;
 use crate::complex::CpxT;
-use crate::plan::Fft1dT;
-use crate::real::RealFft1dT;
 use crate::serial3d::Fft3T;
-use crate::FftElem;
+use crate::{cache, pass, FftElem};
 
 /// Spectral coefficients distributed in x2 slabs, generic over width.
 ///
@@ -88,22 +80,14 @@ impl<T: FftElem> DistSpectralT<T> {
     }
 }
 
-/// Marker closure type for the unscaled inverse path (never called).
-type NoScale<T> = fn(usize, usize, usize) -> T;
-
 /// Planned distributed 3D real↔complex FFT for one rank of a cluster.
-// The strided gather/scatter loops below index several arrays with
-// coupled offsets; iterator adapters would obscure the stride math.
-#[allow(clippy::needless_range_loop)]
 pub struct DistFftT<T: FftElem> {
     grid: Grid,
     nranks: usize,
     rank: usize,
     method: AlltoallMethod,
-    serial: Option<Arc<Fft3T<T>>>,
-    r3: Arc<RealFft1dT<T>>,
-    c2: Arc<Fft1dT<T>>,
-    c1: Arc<Fft1dT<T>>,
+    /// The three 1-D plans — and, on one rank, the whole transform.
+    plans: Arc<Fft3T<T>>,
 }
 
 /// Field-precision ([`Real`]) distributed FFT plan.
@@ -146,16 +130,7 @@ impl<T: FftElem> DistFftT<T> {
                 ),
             });
         }
-        Ok(DistFftT {
-            grid,
-            nranks: p,
-            rank: comm.rank(),
-            method,
-            serial: if p == 1 { Some(cache::fft3_t(grid)) } else { None },
-            r3: cache::real_fft1d_t(grid.n[2]),
-            c2: cache::fft1d_t(grid.n[1]),
-            c1: cache::fft1d_t(grid.n[0]),
-        })
+        Ok(DistFftT { grid, nranks: p, rank: comm.rank(), method, plans: cache::fft3_t(grid) })
     }
 
     /// The grid this plan transforms.
@@ -168,329 +143,170 @@ impl<T: FftElem> DistFftT<T> {
         Slab::of_rank(self.grid.n[1], self.nranks, self.rank)
     }
 
-    fn scratch_len(&self) -> usize {
-        self.r3.scratch_len().max(self.c2.scratch_len()).max(self.c1.scratch_len())
+    /// This rank's real-space layout.
+    fn layout(&self) -> Layout {
+        let slab = Slab::of_rank(self.grid.n[0], self.nranks, self.rank);
+        Layout { grid: self.grid, slab, nranks: self.nranks, rank: self.rank }
     }
 
-    /// Step 1: batched 2-D FFT of `ni` local x2–x3 planes (r2c along x3,
-    /// complex along x2), split across workers like the serial plan.
-    fn planes2d_forward(&self, src: &[T], work: &mut [CpxT<T>], ni: usize) {
-        let [_, n2, n3] = self.grid.n;
-        let n3c = n3 / 2 + 1;
-        let scratch_len = self.scratch_len();
-        let shared = SharedSlice::new(work);
-        par_parts(ni * n2, ni * n2 * n3, |rows| {
-            let mut scratch = T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-            for row in rows {
-                // SAFETY: row ranges are disjoint across workers.
-                let dst = unsafe { shared.slice_mut(row * n3c..(row + 1) * n3c) };
-                self.r3.forward(&src[row * n3..(row + 1) * n3], dst, &mut scratch);
-            }
-        });
-        par_parts(ni * n3c, ni * n3c * n2, |lines| {
-            let mut scratch = T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-            let mut line = T::cpx_pool().checkout_filled(n2, CpxT::ZERO, WsCat::Fft);
-            for t in lines {
-                let (il, k) = (t / n3c, t % n3c);
-                let base = il * n2 * n3c + k;
-                // SAFETY: distinct (il, k) touch disjoint strided indices.
-                unsafe {
-                    for j in 0..n2 {
-                        line[j] = shared.read(base + j * n3c);
-                    }
-                    self.c2.forward(&mut line, &mut scratch);
-                    for j in 0..n2 {
-                        shared.write(base + j * n3c, line[j]);
-                    }
-                }
-            }
-        });
+    /// One `alltoallv` for all fields of a transform.
+    fn transpose(&self, bufs: &[Vec<CpxT<T>>], comm: &mut Comm) -> Vec<Vec<CpxT<T>>> {
+        let _c = span("fft.transpose_comm");
+        comm.alltoallv(bufs, CommCat::FftTranspose, self.method)
     }
 
-    /// Step 1 inverse: batched inverse 2-D FFT of `ni` planes, then c2r.
-    fn planes2d_inverse(&self, work: &mut [CpxT<T>], out: &mut [T], ni: usize) {
-        let [_, n2, n3] = self.grid.n;
-        let n3c = n3 / 2 + 1;
-        let scratch_len = self.scratch_len();
-        let shared = SharedSlice::new(work);
-        par_parts(ni * n3c, ni * n3c * n2, |lines| {
-            let mut scratch = T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-            let mut line = T::cpx_pool().checkout_filled(n2, CpxT::ZERO, WsCat::Fft);
-            for t in lines {
-                let (il, k) = (t / n3c, t % n3c);
-                let base = il * n2 * n3c + k;
-                // SAFETY: distinct (il, k) touch disjoint strided indices.
-                unsafe {
-                    for j in 0..n2 {
-                        line[j] = shared.read(base + j * n3c);
-                    }
-                    self.c2.inverse(&mut line, &mut scratch);
-                    for j in 0..n2 {
-                        shared.write(base + j * n3c, line[j]);
-                    }
-                }
-            }
-        });
-        let out_shared = SharedSlice::new(out);
-        par_parts(ni * n2, ni * n2 * n3, |rows| {
-            let mut scratch = T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-            for row in rows {
-                // SAFETY: work/out row ranges are disjoint across workers and
-                // work is only read during this pass.
-                let src = unsafe { &*shared.slice_mut(row * n3c..(row + 1) * n3c) };
-                let dst = unsafe { out_shared.slice_mut(row * n3..(row + 1) * n3) };
-                self.r3.inverse(src, dst, &mut scratch);
-            }
-        });
-    }
-
-    /// Step 3: batched 1-D complex FFT along x1 with the given jk-stride,
-    /// one pencil per (j, k), split across workers. When `scale` is set
-    /// (inverse only), each coefficient is multiplied by
-    /// `scale(i, j_global, k)` as it is first gathered — the fused spectral
-    /// symbol application, one pass instead of two.
-    fn pencils_x1_opt<S>(
-        &self,
-        data: &mut [CpxT<T>],
-        stride: usize,
-        inverse: bool,
-        j0: usize,
-        scale: Option<&S>,
-    ) where
-        S: Fn(usize, usize, usize) -> T + Sync,
-    {
-        let n1 = self.grid.n[0];
-        let n3c = self.grid.n[2] / 2 + 1;
-        let scratch_len = self.scratch_len();
-        let shared = SharedSlice::new(data);
-        par_parts(stride, stride * n1, |lines| {
-            let mut scratch = T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-            let mut line1 = T::cpx_pool().checkout_filled(n1, CpxT::ZERO, WsCat::Fft);
-            for jk in lines {
-                // SAFETY: distinct jk touch disjoint strided indices.
-                unsafe {
-                    match scale {
-                        None => {
-                            for i in 0..n1 {
-                                line1[i] = shared.read(i * stride + jk);
-                            }
-                        }
-                        Some(f) => {
-                            let (j, k) = (j0 + jk / n3c, jk % n3c);
-                            for i in 0..n1 {
-                                line1[i] = shared.read(i * stride + jk).scale(f(i, j, k));
-                            }
-                        }
-                    }
-                    if inverse {
-                        self.c1.inverse(&mut line1, &mut scratch);
-                    } else {
-                        self.c1.forward(&mut line1, &mut scratch);
-                    }
-                    for i in 0..n1 {
-                        shared.write(i * stride + jk, line1[i]);
-                    }
-                }
-            }
-        });
-    }
-
-    fn pencils_x1(&self, data: &mut [CpxT<T>], stride: usize, inverse: bool) {
-        self.pencils_x1_opt(data, stride, inverse, 0, None::<&NoScale<T>>);
-    }
-
-    /// Forward r2c transform of a slab-distributed field.
+    /// Forward r2c transform of a slab-distributed field: the one-field
+    /// call of [`DistFftT::forward_many`].
     pub fn forward(&self, field: &ScalarFieldT<T>, comm: &mut Comm) -> DistSpectralT<T> {
-        let _s = span("fft.forward");
-        assert_eq!(field.layout().grid, self.grid, "field grid mismatch");
-        let [n1, n2, n3] = self.grid.n;
-        let n3c = n3 / 2 + 1;
-
-        if let Some(serial) = &self.serial {
-            let mut spec = DistSpectralT::zeros(self.grid, Slab::full(n2));
-            serial.forward(field.data(), &mut spec.data);
-            return spec;
-        }
-
-        let ni = field.layout().slab.ni;
-
-        // step 1: 2D FFT per local x1 plane
-        let mut work = T::cpx_pool().checkout_filled(ni * n2 * n3c, CpxT::ZERO, WsCat::Fft);
-        timing::time(Kernel::FftDist, || {
-            self.planes2d_forward(field.data(), &mut work, ni);
-        });
-
-        // step 2: transpose x1-slabs -> x2-slabs; pack one block per
-        // destination rank in parallel
-        let p = self.nranks;
-        let bufs: Vec<Vec<CpxT<T>>> = timing::time(Kernel::FftTranspose, || {
-            par_map_collect_work(p, ni * n2 * n3c / p.max(1), |dst| {
-                let js = Slab::of_rank(n2, p, dst);
-                let mut buf = Vec::with_capacity(ni * js.ni * n3c);
-                // rows j ∈ js are consecutive at fixed il, so the whole
-                // destination-rank stripe of a plane is one contiguous run —
-                // one large memcpy per plane instead of one per row
-                for il in 0..ni {
-                    let base = (il * n2 + js.i0) * n3c;
-                    buf.extend_from_slice(&work[base..base + js.ni * n3c]);
-                }
-                buf
-            })
-        });
-        let parts = {
-            let _c = span("fft.transpose_comm");
-            comm.alltoallv(&bufs, CommCat::FftTranspose, self.method)
-        };
-
-        let my_js = self.x2_slab();
-        let nj = my_js.ni;
-        let mut spec = DistSpectralT::zeros(self.grid, my_js);
-        timing::time(Kernel::FftTranspose, || {
-            // unpack: each source block covers a disjoint global-x1 range
-            let shared = SharedSlice::new(&mut spec.data);
-            par_parts(p, n1 * nj * n3c, |srcs| {
-                for src in srcs {
-                    let part = &parts[src];
-                    let src_slab = Slab::of_rank(n1, p, src);
-                    assert_eq!(part.len(), src_slab.ni * nj * n3c, "transpose block size mismatch");
-                    // all nj rows of one global-x1 plane are contiguous in
-                    // both the packed block and the spectral storage — one
-                    // plane-sized memcpy instead of nj row copies
-                    let run = nj * n3c;
-                    let mut it = 0;
-                    for il in 0..src_slab.ni {
-                        let i = src_slab.i0 + il;
-                        let base = i * run;
-                        // SAFETY: src slabs partition x1, so blocks are disjoint.
-                        let dst = unsafe { shared.slice_mut(base..base + run) };
-                        dst.copy_from_slice(&part[it..it + run]);
-                        it += run;
-                    }
-                }
-            });
-        });
-
-        // step 3: 1D FFT along x1 (stride nj·n3c)
-        timing::time(Kernel::FftDist, || {
-            self.pencils_x1(&mut spec.data, nj * n3c, false);
-        });
+        let [spec] = self.forward_many([field], comm);
         spec
     }
 
-    /// Inverse c2r transform back to a slab-distributed real field.
+    /// Inverse c2r transform back to a slab-distributed real field: the
+    /// one-field call of [`DistFftT::inverse_many`].
     pub fn inverse(&self, spec: DistSpectralT<T>, comm: &mut Comm) -> ScalarFieldT<T> {
-        self.inverse_opt(spec, comm, None::<&NoScale<T>>)
+        let [field] = self.inverse_many([spec], comm);
+        field
     }
 
-    /// Inverse transform with a per-coefficient scale fused into the first
-    /// (x1-pencil) pass: each coefficient is multiplied by
-    /// `scale(i, j, k)` — global spectral indices — as it is first
-    /// gathered, saving a separate pass over the spectral array. The
-    /// per-element multiply is identical to a standalone scaling pass, so
-    /// results are bit-identical to scale-then-[`DistFftT::inverse`].
-    pub fn inverse_scaled<S>(
+    /// Forward r2c transform of 1–3 slab-distributed fields (the components
+    /// of a vector operator). The fields share one work buffer and, on
+    /// p > 1, ride one `alltoallv`: each destination rank gets a single
+    /// message holding its stripe of every field, back to back.
+    pub fn forward_many<const NF: usize>(
         &self,
-        spec: DistSpectralT<T>,
+        fields: [&ScalarFieldT<T>; NF],
         comm: &mut Comm,
-        scale: &S,
-    ) -> ScalarFieldT<T>
-    where
-        S: Fn(usize, usize, usize) -> T + Sync,
-    {
-        self.inverse_opt(spec, comm, Some(scale))
-    }
-
-    fn inverse_opt<S>(
-        &self,
-        mut spec: DistSpectralT<T>,
-        comm: &mut Comm,
-        scale: Option<&S>,
-    ) -> ScalarFieldT<T>
-    where
-        S: Fn(usize, usize, usize) -> T + Sync,
-    {
-        let _s = span("fft.inverse");
-        assert_eq!(spec.grid, self.grid, "spectral grid mismatch");
+    ) -> [DistSpectralT<T>; NF] {
+        let _s = span("fft.forward");
         let [n1, n2, n3] = self.grid.n;
         let n3c = n3 / 2 + 1;
-        let layout = if self.nranks == 1 {
-            Layout::serial(self.grid)
-        } else {
-            Layout {
-                grid: self.grid,
-                slab: Slab::of_rank(n1, self.nranks, self.rank),
-                nranks: self.nranks,
-                rank: self.rank,
-            }
-        };
-
-        if let Some(serial) = &self.serial {
-            let mut out = ScalarFieldT::zeros_in(layout, WsCat::Fft);
-            match scale {
-                None => serial.inverse(&mut spec.data, out.data_mut()),
-                Some(f) => serial.inverse_scaled(&mut spec.data, out.data_mut(), f),
-            }
-            return out;
+        for f in fields {
+            assert_eq!(*f.layout(), self.layout(), "field layout mismatch");
+        }
+        if self.nranks == 1 {
+            return fields.map(|f| {
+                let mut spec = DistSpectralT::zeros(self.grid, Slab::full(n2));
+                self.plans.forward(f.data(), &mut spec.data);
+                spec
+            });
         }
 
-        let nj = spec.x2_slab.ni;
-
-        // step 3': inverse 1D along x1 (with the optional fused symbol)
-        timing::time(Kernel::FftDist, || {
-            self.pencils_x1_opt(&mut spec.data, nj * n3c, true, spec.x2_slab.i0, scale);
-        });
-
-        // step 2': transpose x2-slabs -> x1-slabs; parallel pack per rank
-        let p = self.nranks;
-        let bufs: Vec<Vec<CpxT<T>>> = timing::time(Kernel::FftTranspose, || {
-            par_map_collect_work(p, n1 * nj * n3c / p.max(1), |dst| {
-                let is = Slab::of_rank(n1, p, dst);
-                let mut buf = Vec::with_capacity(is.ni * nj * n3c);
-                // all nj local rows of a global-x1 plane are contiguous in
-                // spectral storage — one plane-sized memcpy per plane
-                for il in 0..is.ni {
-                    let base = spec.idx(is.i0 + il, 0, 0);
-                    buf.extend_from_slice(&spec.data[base..base + nj * n3c]);
-                }
-                buf
-            })
-        });
-        let parts = {
-            let _c = span("fft.transpose_comm");
-            comm.alltoallv(&bufs, CommCat::FftTranspose, self.method)
-        };
-
-        let ni = layout.slab.ni;
+        // steps 1 + 2: batched 2-D FFT of each field's local x1 planes, then
+        // its stripes appended to the per-destination messages — rows
+        // j ∈ js are consecutive at fixed il, so a destination's stripe of a
+        // plane is one contiguous run
+        let (p, ni) = (self.nranks, self.layout().slab.ni);
         let mut work = T::cpx_pool().checkout_filled(ni * n2 * n3c, CpxT::ZERO, WsCat::Fft);
-        timing::time(Kernel::FftTranspose, || {
-            // unpack: each source block covers a disjoint global-x2 range
-            let shared = SharedSlice::new(&mut work);
-            par_parts(p, ni * n2 * n3c, |srcs| {
-                for src in srcs {
-                    let part = &parts[src];
-                    let src_js = Slab::of_rank(n2, p, src);
-                    assert_eq!(part.len(), ni * src_js.ni * n3c, "transpose block size mismatch");
-                    // rows j ∈ src_js are consecutive at fixed il — one
-                    // stripe-sized memcpy per plane instead of per-row copies
-                    let run = src_js.ni * n3c;
-                    let mut it = 0;
+        let mut bufs: Vec<Vec<CpxT<T>>> = (0..p)
+            .map(|dst| Vec::with_capacity(NF * ni * Slab::of_rank(n2, p, dst).ni * n3c))
+            .collect();
+        for f in fields {
+            timing::time(Kernel::FftDist, || {
+                pass::rows_forward(&self.plans.r3, f.data(), &mut work);
+                pass::cols(&self.plans.c2, false, &mut work, n3c);
+            });
+            timing::time(Kernel::FftTranspose, || {
+                for (dst, buf) in bufs.iter_mut().enumerate() {
+                    let js = Slab::of_rank(n2, p, dst);
                     for il in 0..ni {
-                        let base = (il * n2 + src_js.i0) * n3c;
-                        // SAFETY: src slabs partition x2, so blocks are disjoint.
-                        let dst = unsafe { shared.slice_mut(base..base + run) };
-                        dst.copy_from_slice(&part[it..it + run]);
-                        it += run;
+                        let base = (il * n2 + js.i0) * n3c;
+                        buf.extend_from_slice(&work[base..base + js.ni * n3c]);
                     }
                 }
             });
+        }
+        let parts = self.transpose(&bufs, comm);
+
+        // unpack: a source rank's x1 planes of one field are one contiguous
+        // run of the `[n1][nj][n3c]` spectral storage
+        let my_js = self.x2_slab();
+        let run = my_js.ni * n3c;
+        let mut specs = [(); NF].map(|_| DistSpectralT::zeros(self.grid, my_js));
+        timing::time(Kernel::FftTranspose, || {
+            for (src, part) in parts.iter().enumerate() {
+                let planes = Slab::of_rank(n1, p, src);
+                let len = planes.ni * run;
+                assert_eq!(part.len(), NF * len, "transpose block size mismatch");
+                for (spec, block) in specs.iter_mut().zip(part.chunks_exact(len)) {
+                    spec.data[planes.i0 * run..][..len].copy_from_slice(block);
+                }
+            }
         });
 
-        // step 1': inverse 2D per plane
-        let mut out = ScalarFieldT::zeros_in(layout, WsCat::Fft);
+        // step 3: 1D FFT along x1, down the whole slab
         timing::time(Kernel::FftDist, || {
-            self.planes2d_inverse(&mut work, out.data_mut(), ni);
+            for spec in &mut specs {
+                pass::cols(&self.plans.c1, false, &mut spec.data, run);
+            }
         });
-        out
+        specs
+    }
+
+    /// Inverse c2r transform of 1–3 spectra, the mirror of
+    /// [`DistFftT::forward_many`]: one `alltoallv` on p > 1.
+    pub fn inverse_many<const NF: usize>(
+        &self,
+        specs: [DistSpectralT<T>; NF],
+        comm: &mut Comm,
+    ) -> [ScalarFieldT<T>; NF] {
+        let _s = span("fft.inverse");
+        let [n1, n2, n3] = self.grid.n;
+        let n3c = n3 / 2 + 1;
+        let layout = self.layout();
+        for spec in &specs {
+            assert_eq!((spec.grid, spec.x2_slab), (self.grid, self.x2_slab()), "spectrum mismatch");
+        }
+        if self.nranks == 1 {
+            return specs.map(|mut spec| {
+                let mut out = ScalarFieldT::zeros_in(layout, WsCat::Fft);
+                self.plans.inverse(&mut spec.data, out.data_mut());
+                out
+            });
+        }
+
+        // steps 3' + 2': inverse 1D along x1, then each destination rank's
+        // x1 planes — one contiguous run — appended to its message
+        let (p, ni) = (self.nranks, layout.slab.ni);
+        let run = self.x2_slab().ni * n3c;
+        let mut bufs: Vec<Vec<CpxT<T>>> = (0..p)
+            .map(|dst| Vec::with_capacity(NF * Slab::of_rank(n1, p, dst).ni * run))
+            .collect();
+        for mut spec in specs {
+            timing::time(Kernel::FftDist, || pass::cols(&self.plans.c1, true, &mut spec.data, run));
+            timing::time(Kernel::FftTranspose, || {
+                for (dst, buf) in bufs.iter_mut().enumerate() {
+                    let planes = Slab::of_rank(n1, p, dst);
+                    buf.extend_from_slice(&spec.data[planes.i0 * run..][..planes.ni * run]);
+                }
+            });
+        }
+        let parts = self.transpose(&bufs, comm);
+
+        // unpack + step 1': per field, every source's stripes back into the
+        // `[ni][n2][n3c]` planes, inverse 2-D FFT, c2r
+        let mut work = T::cpx_pool().checkout_filled(ni * n2 * n3c, CpxT::ZERO, WsCat::Fft);
+        let mut field = 0;
+        [(); NF].map(|_| {
+            timing::time(Kernel::FftTranspose, || {
+                for (src, part) in parts.iter().enumerate() {
+                    let js = Slab::of_rank(n2, p, src);
+                    let stripe = js.ni * n3c;
+                    assert_eq!(part.len(), NF * ni * stripe, "transpose block size mismatch");
+                    let block = &part[field * ni * stripe..][..ni * stripe];
+                    for (il, rows) in block.chunks_exact(stripe).enumerate() {
+                        work[(il * n2 + js.i0) * n3c..][..stripe].copy_from_slice(rows);
+                    }
+                }
+            });
+            field += 1;
+            let mut out = ScalarFieldT::zeros_in(layout, WsCat::Fft);
+            timing::time(Kernel::FftDist, || {
+                pass::cols(&self.plans.c2, true, &mut work, n3c);
+                pass::rows_inverse(&self.plans.r3, &work, out.data_mut());
+            });
+            out
+        })
     }
 }
 
@@ -572,47 +388,6 @@ mod tests {
         });
         for (i, &re) in res.outputs.iter().enumerate() {
             assert!(re < 1e-4, "rank={i}: f32 roundtrip err {re}");
-        }
-    }
-
-    #[test]
-    fn inverse_scaled_matches_scale_then_inverse() {
-        // The fused symbol application must be bit-identical to a separate
-        // elementwise scaling pass followed by the plain inverse, on every
-        // rank count (serial fallback and true distributed path).
-        let grid = Grid::new([8, 6, 4]);
-        let n3c = grid.n[2] / 2 + 1;
-        let sym =
-            move |i: usize, j: usize, k: usize| 1.0 / (1.0 + (i + 2 * j + 3 * k) as Real * 0.25);
-        for p in [1usize, 3] {
-            let res = run_cluster(Topology::new(p, 4), move |comm| {
-                let layout = Layout::distributed(grid, comm);
-                let f = test_field(layout);
-                let dfft = DistFft::new(grid, comm);
-
-                let spec = dfft.forward(&f, comm);
-                let mut spec_ref = spec.clone();
-                for i in 0..grid.n[0] {
-                    for jl in 0..spec_ref.x2_slab.ni {
-                        let j = spec_ref.j_global(jl);
-                        for k in 0..n3c {
-                            let idx = spec_ref.idx(i, jl, k);
-                            spec_ref.data[idx] = spec_ref.data[idx].scale(sym(i, j, k));
-                        }
-                    }
-                }
-                let ref_out = dfft.inverse(spec_ref, comm);
-                let fused_out = dfft.inverse_scaled(spec, comm, &sym);
-                let bits_match = ref_out
-                    .data()
-                    .iter()
-                    .zip(fused_out.data())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                bits_match
-            });
-            for (i, &ok) in res.outputs.iter().enumerate() {
-                assert!(ok, "p={p} rank={i}: fused inverse must be bit-identical");
-            }
         }
     }
 

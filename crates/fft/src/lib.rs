@@ -37,6 +37,7 @@ pub mod cache;
 pub mod complex;
 pub mod dist;
 pub mod factor;
+pub mod pass;
 pub mod plan;
 pub mod real;
 pub mod serial3d;

@@ -1,22 +1,26 @@
-//! 1D complex FFT plans: mixed-radix Cooley–Tukey and Bluestein.
+//! 1D complex FFT plans: the lanes kernel's stage tables, and Bluestein.
+
+use std::mem::MaybeUninit;
 
 use claire_grid::{ClaireError, ClaireResult, Real};
-use claire_simd::Elem;
+use claire_simd::{Elem, Stockham};
 
 use crate::complex::{as_real, as_real_mut, Cpx, CpxT};
-use crate::factor::{is_smooth, next_pow2, smallest_prime_factor};
+use crate::factor::next_pow2;
 
 /// A planned 1D complex FFT of fixed length, generic over element width.
 ///
-/// {2,3,5}-smooth lengths take the recursive mixed-radix Cooley–Tukey path;
-/// any other length uses Bluestein's chirp-z algorithm on top of a
-/// power-of-two plan. The forward transform uses the `e^{-i k x}` sign
-/// convention; [`Fft1dT::inverse`] includes the `1/n` normalization, so
+/// A {2,3,5}-smooth length is a [`Stockham`] stage table — what the batched
+/// passes hand to the lanes kernel ([`Fft1dT::stockham`]); any other length
+/// uses Bluestein's chirp-z algorithm on top of a power-of-two plan. The
+/// forward transform uses the `e^{-i k x}` sign convention;
+/// [`Fft1dT::inverse`] includes the `1/n` normalization, so
 /// `inverse(forward(x)) == x`. Twiddle/chirp tables are evaluated in f64 and
-/// rounded once to `T`; both widths run the same recursion. The tested
-/// contract is accuracy against [`dft_naive`] (≤ 1e-12 at f64, ≤ 1e-5 at
-/// f32, relative to the largest output) and run-to-run determinism: one
-/// length and one input give the same bits on every plan and every call.
+/// rounded once to `T`; both widths run the same code. The tested contract
+/// is accuracy against [`dft_naive`] (≤ 1e-12 at f64, ≤ 1e-5 at f32,
+/// relative to the largest output) and determinism: one length and one
+/// input give the same bits on every plan, every call, and whether the line
+/// is transformed alone or as one column of a batch.
 pub struct Fft1dT<T> {
     n: usize,
     kind: Kind<T>,
@@ -26,8 +30,7 @@ pub struct Fft1dT<T> {
 pub type Fft1d = Fft1dT<Real>;
 
 enum Kind<T> {
-    /// Twiddle table `w[j] = e^{-2πi j / n}` for the recursive path.
-    Smooth { tw: Vec<CpxT<T>> },
+    Smooth(Stockham<T>),
     Bluestein {
         /// `chirp[j] = e^{-iπ j²/n}` (j² reduced mod 2n for accuracy).
         chirp: Vec<CpxT<T>>,
@@ -37,6 +40,16 @@ enum Kind<T> {
         kernel_hat: Vec<CpxT<T>>,
         m: usize,
     },
+}
+
+/// View complex storage — initialized (`S = CpxT<T>`) or a pooled buffer's
+/// spare capacity (`S = MaybeUninit<CpxT<T>>`) — as the kernels' scratch:
+/// reals they write before they read, and only ever with valid values.
+pub(crate) fn kernel_scratch<T: Elem, S>(scratch: &mut [S]) -> &mut [MaybeUninit<T>] {
+    assert_eq!(size_of::<S>(), size_of::<CpxT<T>>(), "scratch must be complex storage");
+    // SAFETY: `CpxT<T>` is two `T`s with no padding (see `as_real`);
+    // `MaybeUninit<T>` accepts whatever the storage holds.
+    unsafe { std::slice::from_raw_parts_mut(scratch.as_mut_ptr().cast(), scratch.len() * 2) }
 }
 
 impl<T: Elem> Fft1dT<T> {
@@ -58,36 +71,29 @@ impl<T: Elem> Fft1dT<T> {
     }
 
     fn plan(n: usize) -> Fft1dT<T> {
-        if is_smooth(n) || n == 1 {
-            let tw = (0..n)
-                .map(|j| {
-                    let theta = -2.0 * std::f64::consts::PI * j as f64 / n as f64;
-                    CpxT::new(T::from_f64(theta.cos()), T::from_f64(theta.sin()))
-                })
-                .collect();
-            Fft1dT { n, kind: Kind::Smooth { tw } }
-        } else {
-            let m = next_pow2(2 * n - 1);
-            let inner = Box::new(Fft1dT::new(m));
-            // chirp[j] = e^{-iπ j²/n}; reduce j² modulo 2n to keep the
-            // argument small (the chirp has period 2n in j).
-            let chirp: Vec<CpxT<T>> = (0..n)
-                .map(|j| {
-                    let jsq = (j * j) % (2 * n);
-                    let theta = -std::f64::consts::PI * jsq as f64 / n as f64;
-                    CpxT::new(T::from_f64(theta.cos()), T::from_f64(theta.sin()))
-                })
-                .collect();
-            let mut kernel = vec![CpxT::ZERO; m];
-            kernel[0] = chirp[0].conj();
-            for j in 1..n {
-                kernel[j] = chirp[j].conj();
-                kernel[m - j] = chirp[j].conj();
-            }
-            let mut scratch = vec![CpxT::ZERO; m];
-            inner.forward(&mut kernel, &mut scratch);
-            Fft1dT { n, kind: Kind::Bluestein { chirp, inner, kernel_hat: kernel, m } }
+        if let Some(stages) = Stockham::new(n) {
+            return Fft1dT { n, kind: Kind::Smooth(stages) };
         }
+        let m = next_pow2(2 * n - 1);
+        let inner = Box::new(Fft1dT::new(m));
+        // chirp[j] = e^{-iπ j²/n}; reduce j² modulo 2n to keep the
+        // argument small (the chirp has period 2n in j).
+        let chirp: Vec<CpxT<T>> = (0..n)
+            .map(|j| {
+                let jsq = (j * j) % (2 * n);
+                let theta = -std::f64::consts::PI * jsq as f64 / n as f64;
+                CpxT::new(T::from_f64(theta.cos()), T::from_f64(theta.sin()))
+            })
+            .collect();
+        let mut kernel = vec![CpxT::ZERO; m];
+        kernel[0] = chirp[0].conj();
+        for j in 1..n {
+            kernel[j] = chirp[j].conj();
+            kernel[m - j] = chirp[j].conj();
+        }
+        let mut scratch = vec![CpxT::ZERO; inner.scratch_len()];
+        inner.forward(&mut kernel, &mut scratch);
+        Fft1dT { n, kind: Kind::Bluestein { chirp, inner, kernel_hat: kernel, m } }
     }
 
     /// Transform length.
@@ -100,11 +106,19 @@ impl<T: Elem> Fft1dT<T> {
         false
     }
 
+    /// The stage table the batched passes run, if the length is smooth.
+    pub fn stockham(&self) -> Option<&Stockham<T>> {
+        match &self.kind {
+            Kind::Smooth(stages) => Some(stages),
+            Kind::Bluestein { .. } => None,
+        }
+    }
+
     /// Required scratch length for [`Fft1dT::forward`]/[`Fft1dT::inverse`].
     pub fn scratch_len(&self) -> usize {
         match &self.kind {
-            Kind::Smooth { .. } => self.n,
-            Kind::Bluestein { m, .. } => 2 * m,
+            Kind::Smooth(stages) => stages.scratch_len(1) / 2,
+            Kind::Bluestein { m, inner, .. } => m + inner.scratch_len(),
         }
     }
 
@@ -112,16 +126,23 @@ impl<T: Elem> Fft1dT<T> {
     ///
     /// `scratch` must have at least [`Fft1dT::scratch_len`] elements.
     pub fn forward(&self, data: &mut [CpxT<T>], scratch: &mut [CpxT<T>]) {
+        self.line(false, data, scratch);
+    }
+
+    /// In-place inverse DFT including the `1/n` normalization.
+    pub fn inverse(&self, data: &mut [CpxT<T>], scratch: &mut [CpxT<T>]) {
+        self.line(true, data, scratch);
+    }
+
+    /// One line: the one-column call of the lanes kernel, or Bluestein.
+    fn line(&self, inverse: bool, data: &mut [CpxT<T>], scratch: &mut [CpxT<T>]) {
         assert_eq!(data.len(), self.n, "data length mismatch");
         assert!(scratch.len() >= self.scratch_len(), "scratch too small");
         match &self.kind {
-            Kind::Smooth { tw } => {
-                if self.n == 1 {
-                    return;
-                }
-                let (src, _) = scratch.split_at_mut(self.n);
-                src.copy_from_slice(data);
-                fft_rec(src, 1, data, self.n, 1, tw);
+            Kind::Smooth(stages) => {
+                let (data, scratch) = (as_real_mut(data).as_mut_ptr(), kernel_scratch(scratch));
+                // SAFETY: `data` is exactly the `n` rows of the one column.
+                unsafe { T::kfft_cols(stages, inverse, data, 1, 1, scratch) }
             }
             Kind::Bluestein { chirp, inner, kernel_hat, m } => {
                 let (a, inner_scratch) = scratch.split_at_mut(*m);
@@ -131,120 +152,12 @@ impl<T: Elem> Fft1dT<T> {
                 T::kcpx_mul(as_real_mut(a), as_real(kernel_hat));
                 inner.inverse(a, inner_scratch);
                 T::kcpx_mul_into(as_real_mut(data), as_real(&a[..self.n]), as_real(chirp));
-            }
-        }
-    }
-
-    /// In-place inverse DFT including the `1/n` normalization.
-    pub fn inverse(&self, data: &mut [CpxT<T>], scratch: &mut [CpxT<T>]) {
-        T::kcpx_conj(as_real_mut(data));
-        self.forward(data, scratch);
-        let s = T::ONE / T::from_f64(self.n as f64);
-        T::kcpx_conj_scale(as_real_mut(data), s);
-    }
-}
-
-/// Recursive mixed-radix DIT step.
-///
-/// Computes `out[0..n] = DFT_n(inp[0], inp[s], inp[2s], …)` where the
-/// current sub-transform's twiddle `w_n^t` is the global table entry
-/// `tw[(t · ws) mod N]` (invariant: `n · ws == N == tw.len()`).
-fn fft_rec<T: Elem>(
-    inp: &[CpxT<T>],
-    s: usize,
-    out: &mut [CpxT<T>],
-    n: usize,
-    ws: usize,
-    tw: &[CpxT<T>],
-) {
-    // stop the recursion at unrolled small DFTs: the per-leaf call and
-    // modular-index overhead dominates small transforms (a smooth n > 5
-    // splits into factors ≥ 2, so every leaf lands here)
-    if n <= 5 {
-        dft_small(inp, s, out, n, ws, tw);
-        return;
-    }
-    let r = smallest_prime_factor(n);
-    let m = n / r;
-    for q in 0..r {
-        // SAFETY of indices: sub-sequence q has m elements at stride s·r.
-        fft_rec(&inp[q * s..], s * r, &mut out[q * m..(q + 1) * m], m, ws * r, tw);
-    }
-    // combine r sub-DFTs: X[p·m + k] = Σ_q w^{q(k+pm)} · Sub_q[k]
-    let nn = tw.len();
-    if r == 2 {
-        // Radix-2 butterfly, the hot combine of power-of-two lengths. Uses
-        // the half-period symmetry w^{k+m} = −w^k, so only the first half
-        // of the twiddle table is read and the whole pass runs as one SIMD
-        // kernel over interleaved re/im pairs.
-        let (lo, hi) = out.split_at_mut(m);
-        // short combines inline — the dispatched kernel's call and assert
-        // overhead outweighs SIMD on a handful of pairs
-        if m <= 16 {
-            for k in 0..m {
-                let t = tw[k * ws] * hi[k];
-                hi[k] = lo[k] - t;
-                lo[k] += t;
-            }
-            return;
-        }
-        T::kcpx_radix2_combine(as_real_mut(lo), as_real_mut(hi), as_real(tw), ws);
-        return;
-    }
-    let mut temp = [CpxT::ZERO; 8];
-    debug_assert!(r <= 8, "smooth radix should be 2, 3, or 5");
-    for k in 0..m {
-        for (q, t) in temp.iter_mut().enumerate().take(r) {
-            *t = out[q * m + k];
-        }
-        for p in 0..r {
-            let kk = k + p * m;
-            let mut acc = temp[0];
-            for (q, &t) in temp.iter().enumerate().take(r).skip(1) {
-                acc += tw[(kk * q * ws) % nn] * t;
-            }
-            out[kk] = acc;
-        }
-    }
-}
-
-/// Unrolled strided DFTs of length 2–5, the recursion base cases. Radix 2
-/// and 4 use exact ±1/±i rotations; 3 and 5 read the global twiddle table
-/// (`w_n^k = tw[k·ws]`) so their constants match the planned values.
-fn dft_small<T: Elem>(
-    inp: &[CpxT<T>],
-    s: usize,
-    out: &mut [CpxT<T>],
-    n: usize,
-    ws: usize,
-    tw: &[CpxT<T>],
-) {
-    match n {
-        2 => {
-            let (a, b) = (inp[0], inp[s]);
-            out[0] = a + b;
-            out[1] = a - b;
-        }
-        4 => {
-            let (x0, x1, x2, x3) = (inp[0], inp[s], inp[2 * s], inp[3 * s]);
-            let (t0, t1) = (x0 + x2, x0 - x2);
-            let t2 = x1 + x3;
-            let d = x1 - x3;
-            let j = CpxT::new(d.im, -d.re); // −i·(x1 − x3)
-            out[0] = t0 + t2;
-            out[1] = t1 + j;
-            out[2] = t0 - t2;
-            out[3] = t1 - j;
-        }
-        _ => {
-            // 3 or 5: direct DFT against the global table
-            let nn = tw.len();
-            for p in 0..n {
-                let mut acc = inp[0];
-                for q in 1..n {
-                    acc += tw[(p * q * ws) % nn] * inp[q * s];
+                if inverse {
+                    // F⁻¹(x)[k] = F(x)[(n − k) mod n] / n
+                    data[1..].reverse();
+                    let s = T::ONE / T::from_f64(self.n as f64);
+                    data.iter_mut().for_each(|z| *z = z.scale(s));
                 }
-                out[p] = acc;
             }
         }
     }

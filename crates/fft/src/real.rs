@@ -7,13 +7,18 @@
 //! a complex sequence of half the length.
 
 use claire_grid::{ClaireError, ClaireResult, Real};
-use claire_simd::Elem;
+use claire_simd::{Elem, Stockham};
 
 use crate::complex::{as_real, as_real_mut, CpxT};
-use crate::plan::Fft1dT;
+use crate::plan::{kernel_scratch, Fft1dT};
 
 /// Planned real↔half-complex transform of even length `n`, generic over
 /// element width.
+///
+/// When `n/2` is {2,3,5}-smooth the transform is the lanes kernel's real
+/// pass ([`RealFft1dT::lanes`] hands its tables to the batched x3 pass, and
+/// a single line is the one-row call); otherwise the packed half-length
+/// transform goes through Bluestein with a scalar split.
 pub struct RealFft1dT<T> {
     n: usize,
     half: Fft1dT<T>,
@@ -64,9 +69,23 @@ impl<T: Elem> RealFft1dT<T> {
         self.n / 2 + 1
     }
 
-    /// Required scratch (complex elements).
+    /// What the lanes kernel's real passes take — the half-length stage
+    /// table and the interleaved unpacking twiddles — if `n/2` is smooth.
+    pub fn lanes(&self) -> Option<(&Stockham<T>, &[T])> {
+        self.half.stockham().map(|half| (half, as_real(&self.w)))
+    }
+
+    /// Required scratch (complex elements) for a batch of `rows` lines.
+    pub fn batch_scratch_len(&self, rows: usize) -> usize {
+        match self.half.stockham() {
+            Some(half) => half.scratch_len(rows) / 2,
+            None => self.n / 2 + self.half.scratch_len(),
+        }
+    }
+
+    /// Required scratch (complex elements) for one line.
     pub fn scratch_len(&self) -> usize {
-        self.n / 2 + self.half.scratch_len()
+        self.batch_scratch_len(1)
     }
 
     /// Forward r2c: `input.len() == n`, `out.len() == n/2 + 1`.
@@ -75,6 +94,9 @@ impl<T: Elem> RealFft1dT<T> {
         assert_eq!(input.len(), self.n);
         assert_eq!(out.len(), m + 1);
         assert!(scratch.len() >= self.scratch_len());
+        if let Some((half, w)) = self.lanes() {
+            return T::kfft_r2c(half, w, input, as_real_mut(out), kernel_scratch(scratch));
+        }
         let half = T::from_f64(0.5);
         let (z, inner_scratch) = scratch.split_at_mut(m);
         // pack even/odd samples into z[j] = (input[2j], input[2j+1]) — a
@@ -98,6 +120,9 @@ impl<T: Elem> RealFft1dT<T> {
         assert_eq!(spec.len(), m + 1);
         assert_eq!(out.len(), self.n);
         assert!(scratch.len() >= self.scratch_len());
+        if let Some((half, w)) = self.lanes() {
+            return T::kfft_c2r(half, w, as_real(spec), out, kernel_scratch(scratch));
+        }
         let half = T::from_f64(0.5);
         let (z, inner_scratch) = scratch.split_at_mut(m);
         for (k, zk) in z.iter_mut().enumerate() {

@@ -1,24 +1,19 @@
 //! Serial 3D real↔complex FFT — the single-rank ("cuFFT 3D") path.
 //!
-//! Each of the three passes is a batch of independent 1-D transforms (rows
-//! along x3, strided lines along x2/x1); like cuFFT's batched plans, the
-//! batch is split across worker threads via `claire-par`, with per-worker
-//! line/scratch buffers and disjoint writes into the spectral array.
-
-// Strided line gathers: explicit indices keep the stride math readable.
-#![allow(clippy::needless_range_loop)]
+//! Three batched passes ([`crate::pass`]): real rows along x3, then the
+//! lanes kernel down every `[n2][n3c]` plane and down the whole
+//! `[n1][n2·n3c]` slab. The distributed plan runs the same three with a
+//! transpose in between.
 
 use std::sync::Arc;
 
-use claire_grid::{Grid, Real, WsCat};
+use claire_grid::{Grid, Real};
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_parts, SharedSlice};
 
-use crate::cache;
 use crate::complex::CpxT;
 use crate::plan::Fft1dT;
 use crate::real::RealFft1dT;
-use crate::FftElem;
+use crate::{cache, pass, FftElem};
 
 /// Planned 3D real↔complex transform on a full (serial) grid, generic over
 /// element width.
@@ -30,16 +25,13 @@ use crate::FftElem;
 /// already-seen grid does no planning work.
 pub struct Fft3T<T: FftElem> {
     grid: Grid,
-    r3: Arc<RealFft1dT<T>>,
-    c2: Arc<Fft1dT<T>>,
-    c1: Arc<Fft1dT<T>>,
+    pub(crate) r3: Arc<RealFft1dT<T>>,
+    pub(crate) c2: Arc<Fft1dT<T>>,
+    pub(crate) c1: Arc<Fft1dT<T>>,
 }
 
 /// Field-precision ([`Real`]) serial 3D plan.
 pub type Fft3 = Fft3T<Real>;
-
-/// Marker closure type for the unscaled inverse path (never called).
-type NoScale<T> = fn(usize, usize, usize) -> T;
 
 impl<T: FftElem> Fft3T<T> {
     /// Plan transforms for `grid` (requires even `n3`).
@@ -68,166 +60,28 @@ impl<T: FftElem> Fft3T<T> {
         self.grid.n[2] / 2 + 1
     }
 
-    fn scratch_len(&self) -> usize {
-        self.r3.scratch_len().max(self.c2.scratch_len()).max(self.c1.scratch_len())
-    }
-
     /// Forward r2c transform: `real.len() == N`, `out.len() == spectral_len()`.
     pub fn forward(&self, real: &[T], out: &mut [CpxT<T>]) {
-        let [n1, n2, n3] = self.grid.n;
-        let n3c = self.n3c();
         assert_eq!(real.len(), self.grid.len());
         assert_eq!(out.len(), self.spectral_len());
-        let scratch_len = self.scratch_len();
-
+        let n3c = self.n3c();
         timing::time(Kernel::FftSerial, || {
-            // x3: real-to-complex per (i, j) row — rows are disjoint output
-            // chunks, split across workers with per-worker scratch
-            let shared = SharedSlice::new(out);
-            par_parts(n1 * n2, n1 * n2 * n3, |rows| {
-                let mut scratch =
-                    T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-                for row in rows {
-                    // SAFETY: row ranges are disjoint across workers.
-                    let dst = unsafe { shared.slice_mut(row * n3c..(row + 1) * n3c) };
-                    self.r3.forward(&real[row * n3..(row + 1) * n3], dst, &mut scratch);
-                }
-            });
-            // x2: complex FFT with stride n3c, batched over (i, k) lines
-            par_parts(n1 * n3c, n1 * n3c * n2, |lines| {
-                let mut scratch =
-                    T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-                let mut line = T::cpx_pool().checkout_filled(n2, CpxT::ZERO, WsCat::Fft);
-                for t in lines {
-                    let (i, k) = (t / n3c, t % n3c);
-                    let base = i * n2 * n3c + k;
-                    // SAFETY: distinct (i, k) touch disjoint strided indices.
-                    unsafe {
-                        for j in 0..n2 {
-                            line[j] = shared.read(base + j * n3c);
-                        }
-                        self.c2.forward(&mut line, &mut scratch);
-                        for j in 0..n2 {
-                            shared.write(base + j * n3c, line[j]);
-                        }
-                    }
-                }
-            });
-            // x1: complex FFT with stride n2·n3c, batched over (j, k) lines
-            let stride = n2 * n3c;
-            par_parts(stride, stride * n1, |lines| {
-                let mut scratch =
-                    T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-                let mut line1 = T::cpx_pool().checkout_filled(n1, CpxT::ZERO, WsCat::Fft);
-                for jk in lines {
-                    // SAFETY: distinct jk touch disjoint strided indices.
-                    unsafe {
-                        for i in 0..n1 {
-                            line1[i] = shared.read(i * stride + jk);
-                        }
-                        self.c1.forward(&mut line1, &mut scratch);
-                        for i in 0..n1 {
-                            shared.write(i * stride + jk, line1[i]);
-                        }
-                    }
-                }
-            });
+            pass::rows_forward(&self.r3, real, out);
+            pass::cols(&self.c2, false, out, n3c);
+            pass::cols(&self.c1, false, out, self.grid.n[1] * n3c);
         });
     }
 
     /// Inverse c2r transform (normalized): `spec.len() == spectral_len()`,
     /// `out.len() == N`. `spec` is consumed as scratch.
     pub fn inverse(&self, spec: &mut [CpxT<T>], out: &mut [T]) {
-        self.inverse_opt(spec, out, None::<&NoScale<T>>);
-    }
-
-    /// Inverse transform with a per-coefficient scale fused into the first
-    /// (x1) pass: each coefficient is multiplied by `scale(i, j, k)` —
-    /// global spectral indices — as it is first gathered, saving a separate
-    /// pass over the spectral array. Applying a symbol this way performs
-    /// the exact same per-element multiply the standalone scaling pass
-    /// would, so results are bit-identical to scale-then-`inverse`.
-    pub fn inverse_scaled<S>(&self, spec: &mut [CpxT<T>], out: &mut [T], scale: &S)
-    where
-        S: Fn(usize, usize, usize) -> T + Sync,
-    {
-        self.inverse_opt(spec, out, Some(scale));
-    }
-
-    fn inverse_opt<S>(&self, spec: &mut [CpxT<T>], out: &mut [T], scale: Option<&S>)
-    where
-        S: Fn(usize, usize, usize) -> T + Sync,
-    {
-        let [n1, n2, n3] = self.grid.n;
-        let n3c = self.n3c();
         assert_eq!(spec.len(), self.spectral_len());
         assert_eq!(out.len(), self.grid.len());
-        let scratch_len = self.scratch_len();
-
+        let n3c = self.n3c();
         timing::time(Kernel::FftSerial, || {
-            let shared = SharedSlice::new(spec);
-            // x1 inverse (with the optional symbol fused into the gather)
-            let stride = n2 * n3c;
-            par_parts(stride, stride * n1, |lines| {
-                let mut scratch =
-                    T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-                let mut line1 = T::cpx_pool().checkout_filled(n1, CpxT::ZERO, WsCat::Fft);
-                for jk in lines {
-                    // SAFETY: distinct jk touch disjoint strided indices.
-                    unsafe {
-                        match scale {
-                            None => {
-                                for i in 0..n1 {
-                                    line1[i] = shared.read(i * stride + jk);
-                                }
-                            }
-                            Some(f) => {
-                                let (j, k) = (jk / n3c, jk % n3c);
-                                for i in 0..n1 {
-                                    line1[i] = shared.read(i * stride + jk).scale(f(i, j, k));
-                                }
-                            }
-                        }
-                        self.c1.inverse(&mut line1, &mut scratch);
-                        for i in 0..n1 {
-                            shared.write(i * stride + jk, line1[i]);
-                        }
-                    }
-                }
-            });
-            // x2 inverse
-            par_parts(n1 * n3c, n1 * n3c * n2, |lines| {
-                let mut scratch =
-                    T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-                let mut line = T::cpx_pool().checkout_filled(n2, CpxT::ZERO, WsCat::Fft);
-                for t in lines {
-                    let (i, k) = (t / n3c, t % n3c);
-                    let base = i * n2 * n3c + k;
-                    // SAFETY: distinct (i, k) touch disjoint strided indices.
-                    unsafe {
-                        for j in 0..n2 {
-                            line[j] = shared.read(base + j * n3c);
-                        }
-                        self.c2.inverse(&mut line, &mut scratch);
-                        for j in 0..n2 {
-                            shared.write(base + j * n3c, line[j]);
-                        }
-                    }
-                }
-            });
-            // x3 inverse (c2r): rows are disjoint spec/output chunks
-            let out_shared = SharedSlice::new(out);
-            par_parts(n1 * n2, n1 * n2 * n3, |rows| {
-                let mut scratch =
-                    T::cpx_pool().checkout_filled(scratch_len, CpxT::ZERO, WsCat::Fft);
-                for row in rows {
-                    // SAFETY: spec/out row ranges are disjoint across workers
-                    // and spec is only read during this pass.
-                    let src = unsafe { &*shared.slice_mut(row * n3c..(row + 1) * n3c) };
-                    let dst = unsafe { out_shared.slice_mut(row * n3..(row + 1) * n3) };
-                    self.r3.inverse(src, dst, &mut scratch);
-                }
-            });
+            pass::cols(&self.c1, true, spec, self.grid.n[1] * n3c);
+            pass::cols(&self.c2, true, spec, n3c);
+            pass::rows_inverse(&self.r3, spec, out);
         });
     }
 }
@@ -268,42 +122,6 @@ mod tests {
         plan.inverse(&mut spec, &mut back);
         for (a, b) in back.iter().zip(&f32_data) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn inverse_scaled_matches_scale_then_inverse() {
-        // The fused symbol application must be bit-identical to an explicit
-        // elementwise scaling pass followed by the plain inverse.
-        let grid = Grid::new([6, 4, 8]);
-        let f = ScalarField::from_fn(Layout::serial(grid), |x, y, z| {
-            (x - 0.2 * y).cos() + (3.0 * z).sin()
-        });
-        let plan = Fft3::new(grid);
-        let n3c = plan.n3c();
-        let [_, n2, _] = grid.n;
-        let sym = |i: usize, j: usize, k: usize| 1.0 / (1.0 + (i * i + j * j + k * k) as Real);
-
-        let mut spec = vec![Cpx::ZERO; plan.spectral_len()];
-        plan.forward(f.data(), &mut spec);
-
-        // reference: separate scaling pass, then inverse
-        let mut spec_ref = spec.clone();
-        for i in 0..grid.n[0] {
-            for j in 0..n2 {
-                for k in 0..n3c {
-                    let idx = (i * n2 + j) * n3c + k;
-                    spec_ref[idx] = spec_ref[idx].scale(sym(i, j, k));
-                }
-            }
-        }
-        let mut out_ref = vec![0.0 as Real; grid.len()];
-        plan.inverse(&mut spec_ref, &mut out_ref);
-
-        let mut out_fused = vec![0.0 as Real; grid.len()];
-        plan.inverse_scaled(&mut spec, &mut out_fused, &sym);
-        for (a, b) in out_fused.iter().zip(&out_ref) {
-            assert_eq!(a.to_bits(), b.to_bits(), "fused symbol must be bit-identical");
         }
     }
 

@@ -460,6 +460,12 @@ impl<'a, T> SharedSlice<'a, T> {
         self.len == 0
     }
 
+    /// The underlying pointer, for kernels that take a strided block whole.
+    /// Dereferencing it is subject to the same rules as [`SharedSlice::write`].
+    pub fn as_mut_ptr(&self) -> *mut T {
+        self.ptr
+    }
+
     /// Write one element.
     ///
     /// # Safety

@@ -14,6 +14,9 @@
 //! kernels differ per width and live in [`f32k`] (generic bodies again)
 //! and [`f64k`] (intrinsics; the batched interpolation loop is the generic
 //! body there too, with an intrinsic [`xk::CubicArm`] plugged in).
+//!
+//! The FFT kernel is the generic `fft` body as well; what it gets from here
+//! is its register: a dozen one-instruction [`Lanes`] methods per width.
 
 use crate::{xk, Elem};
 
@@ -41,11 +44,197 @@ gate!(sum<T>, wide_sum, (x: &[T]) -> f64);
 gate!(max_abs<T>, wide_max_abs, (x: &[T]) -> f64);
 gate!(cpx_mul<T>, scalar_cpx_mul, (dst: &mut [T], src: &[T]));
 gate!(cpx_mul_into<T>, scalar_cpx_mul_into, (out: &mut [T], a: &[T], b: &[T]));
-gate!(cpx_conj<T>, scalar_cpx_conj, (data: &mut [T]));
-gate!(cpx_conj_scale<T>, scalar_cpx_conj_scale, (data: &mut [T], s: T));
+
+/// One line with fused multiply-adds: the register a batch narrower than a
+/// vector runs on, so that a line's bits do not depend on how many lines
+/// travel with it.
+#[derive(Clone, Copy)]
+pub(crate) struct Fused<T>(T);
+
+/// Per width: [`Fused`] as a one-line register, and the three lanes kernels
+/// instantiated over the vector register `$v` under the feature gate.
+macro_rules! fft_arm {
+    ($t:ty, $v:ty) => {
+        impl Lanes<$t> for Fused<$t> {
+            const W: usize = 1;
+            type One = Self;
+            #[inline(always)]
+            unsafe fn splat(x: $t) -> Self {
+                Fused(x)
+            }
+            #[inline(always)]
+            unsafe fn load(p: *const $t) -> Self {
+                Fused(*p)
+            }
+            #[inline(always)]
+            unsafe fn store(self, p: *mut $t) {
+                *p = self.0
+            }
+            #[inline(always)]
+            unsafe fn load2(p: *const $t) -> (Self, Self) {
+                (Fused(*p), Fused(*p.add(1)))
+            }
+            #[inline(always)]
+            unsafe fn store2(p: *mut $t, re: Self, im: Self) {
+                *p = re.0;
+                *p.add(1) = im.0;
+            }
+            #[inline(always)]
+            unsafe fn add(self, o: Self) -> Self {
+                Fused(self.0 + o.0)
+            }
+            #[inline(always)]
+            unsafe fn sub(self, o: Self) -> Self {
+                Fused(self.0 - o.0)
+            }
+            #[inline(always)]
+            unsafe fn mul(self, o: Self) -> Self {
+                Fused(self.0 * o.0)
+            }
+            #[inline(always)]
+            unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+                Fused(self.0.mul_add(a.0, b.0))
+            }
+            #[inline(always)]
+            unsafe fn mul_sub(self, a: Self, b: Self) -> Self {
+                Fused(self.0.mul_add(a.0, -b.0))
+            }
+            #[inline(always)]
+            unsafe fn neg(self) -> Self {
+                Fused(-self.0)
+            }
+            #[inline(always)]
+            unsafe fn transpose(src: *const $t, _: usize, _: usize, dst: *mut $t, _: usize) {
+                *dst = *src
+            }
+        }
+
+        /// # Safety
+        /// [`fft::cols`]'s contract, on a host with AVX2 and FMA.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn fft_cols(
+            plan: &Stockham<$t>,
+            inverse: bool,
+            data: *mut $t,
+            (stride, cols): (usize, usize),
+            scratch: *mut $t,
+        ) {
+            if inverse {
+                fft::cols::<$t, $v, true>(plan, data, stride, cols, scratch)
+            } else {
+                fft::cols::<$t, $v, false>(plan, data, stride, cols, scratch)
+            }
+        }
+
+        /// # Safety
+        /// [`fft::r2c`]'s contract, on a host with AVX2 and FMA.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn fft_r2c(
+            half: &Stockham<$t>,
+            w: *const $t,
+            (input, out): (*const $t, *mut $t),
+            rows: usize,
+            scratch: *mut $t,
+        ) {
+            fft::r2c::<$t, $v>(half, w, input, out, rows, scratch)
+        }
+
+        /// # Safety
+        /// [`fft::c2r`]'s contract, on a host with AVX2 and FMA.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn fft_c2r(
+            half: &Stockham<$t>,
+            w: *const $t,
+            (spec, out): (*const $t, *mut $t),
+            rows: usize,
+            scratch: *mut $t,
+        ) {
+            fft::c2r::<$t, $v>(half, w, spec, out, rows, scratch)
+        }
+    };
+}
 
 pub mod f32k {
+    use core::arch::x86_64::*;
+
+    use super::Fused;
+    use crate::fft::{self, Lanes, Stockham};
     use crate::xk::{self, HaloDims, RowDotArm, Stencil};
+
+    fft_arm!(f32, __m256);
+
+    impl Lanes<f32> for __m256 {
+        const W: usize = 8;
+        type One = Fused<f32>;
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn load2(p: *const f32) -> (Self, Self) {
+            let (lo, hi) = (_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8)));
+            (_mm256_shuffle_ps(lo, hi, 0b10_00_10_00), _mm256_shuffle_ps(lo, hi, 0b11_01_11_01))
+        }
+        #[inline(always)]
+        unsafe fn store2(p: *mut f32, re: Self, im: Self) {
+            _mm256_storeu_ps(p, _mm256_unpacklo_ps(re, im));
+            _mm256_storeu_ps(p.add(8), _mm256_unpackhi_ps(re, im));
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            _mm256_add_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            _mm256_sub_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, o: Self) -> Self {
+            _mm256_mul_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+            _mm256_fmadd_ps(self, a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul_sub(self, a: Self, b: Self) -> Self {
+            _mm256_fmsub_ps(self, a, b)
+        }
+        #[inline(always)]
+        unsafe fn neg(self) -> Self {
+            _mm256_xor_ps(self, _mm256_set1_ps(-0.0))
+        }
+        #[inline(always)]
+        unsafe fn transpose(src: *const f32, sp: usize, flip: usize, dst: *mut f32, dp: usize) {
+            let r = |j: usize| _mm256_loadu_ps(src.add((j ^ flip) * sp));
+            // 2×2 blocks of each row pair, then 4×4 blocks, then the halves
+            let mut t = [_mm256_setzero_ps(); 8];
+            for j in 0..4 {
+                t[2 * j] = _mm256_unpacklo_ps(r(2 * j), r(2 * j + 1));
+                t[2 * j + 1] = _mm256_unpackhi_ps(r(2 * j), r(2 * j + 1));
+            }
+            let mut u = t;
+            for h in 0..2 {
+                for j in 0..2 {
+                    u[4 * h + 2 * j] = _mm256_shuffle_ps(t[4 * h + j], t[4 * h + 2 + j], 0x44);
+                    u[4 * h + 2 * j + 1] = _mm256_shuffle_ps(t[4 * h + j], t[4 * h + 2 + j], 0xEE);
+                }
+            }
+            for j in 0..4 {
+                _mm256_storeu_ps(dst.add(j * dp), _mm256_permute2f128_ps(u[j], u[4 + j], 0x20));
+                let hi = _mm256_permute2f128_ps(u[j], u[4 + j], 0x31);
+                _mm256_storeu_ps(dst.add((4 + j) * dp), hi);
+            }
+        }
+    }
 
     /// # Safety
     /// The host must support AVX2 and FMA.
@@ -62,8 +251,6 @@ pub mod f32k {
 
     gate!(fd8_combine_scale, scalar_fd8_combine_scale,
         (out: &mut [f32], plus: &[&[f32]; 4], minus: &[&[f32]; 4], c: &[f32; 4], inv_h: f32, s: f32));
-    gate!(cpx_radix2_combine, scalar_cpx_radix2_combine,
-        (lo: &mut [f32], hi: &mut [f32], tw: &[f32], ws: usize));
 }
 
 /// The f64 kernels where a hand-written intrinsic measured ≥ 1.2× faster
@@ -80,7 +267,72 @@ pub mod f32k {
 pub mod f64k {
     use core::arch::x86_64::*;
 
+    use super::Fused;
+    use crate::fft::{self, Lanes, Stockham};
     use crate::xk::{self, CubicArm, HaloDims, Stencil};
+
+    fft_arm!(f64, __m256d);
+
+    impl Lanes<f64> for __m256d {
+        const W: usize = 4;
+        type One = Fused<f64>;
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            _mm256_set1_pd(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm256_loadu_pd(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm256_storeu_pd(p, self)
+        }
+        #[inline(always)]
+        unsafe fn load2(p: *const f64) -> (Self, Self) {
+            let (lo, hi) = (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)));
+            (_mm256_unpacklo_pd(lo, hi), _mm256_unpackhi_pd(lo, hi))
+        }
+        #[inline(always)]
+        unsafe fn store2(p: *mut f64, re: Self, im: Self) {
+            _mm256_storeu_pd(p, _mm256_unpacklo_pd(re, im));
+            _mm256_storeu_pd(p.add(4), _mm256_unpackhi_pd(re, im));
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            _mm256_add_pd(self, o)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            _mm256_sub_pd(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, o: Self) -> Self {
+            _mm256_mul_pd(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+            _mm256_fmadd_pd(self, a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul_sub(self, a: Self, b: Self) -> Self {
+            _mm256_fmsub_pd(self, a, b)
+        }
+        #[inline(always)]
+        unsafe fn neg(self) -> Self {
+            _mm256_xor_pd(self, _mm256_set1_pd(-0.0))
+        }
+        #[inline(always)]
+        unsafe fn transpose(src: *const f64, sp: usize, flip: usize, dst: *mut f64, dp: usize) {
+            let r = |j: usize| _mm256_loadu_pd(src.add((j ^ flip) * sp));
+            let (t0, t1) = (_mm256_unpacklo_pd(r(0), r(1)), _mm256_unpackhi_pd(r(0), r(1)));
+            let (t2, t3) = (_mm256_unpacklo_pd(r(2), r(3)), _mm256_unpackhi_pd(r(2), r(3)));
+            _mm256_storeu_pd(dst, _mm256_permute2f128_pd(t0, t2, 0x20));
+            _mm256_storeu_pd(dst.add(dp), _mm256_permute2f128_pd(t1, t3, 0x20));
+            _mm256_storeu_pd(dst.add(2 * dp), _mm256_permute2f128_pd(t0, t2, 0x31));
+            _mm256_storeu_pd(dst.add(3 * dp), _mm256_permute2f128_pd(t1, t3, 0x31));
+        }
+    }
 
     #[target_feature(enable = "avx2,fma")]
     unsafe fn tail_mask(rem: usize) -> __m256i {
@@ -256,43 +508,5 @@ pub mod f64k {
         sink: S,
     ) {
         xk::interp_sites(FmaArm::new(), stencil, dims, fields, sites, sink)
-    }
-
-    // ----- interleaved complex kernels ---------------------------------------
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cpx_radix2_combine(lo: &mut [f64], hi: &mut [f64], tw: &[f64], ws: usize) {
-        let m = lo.len() / 2;
-        let pl = lo.as_mut_ptr();
-        let ph = hi.as_mut_ptr();
-        let pt = tw.as_ptr();
-        let mut k = 0;
-        while k + 2 <= m {
-            // two twiddles, strided in the global table: w_k and w_{k+1}
-            let w0 = _mm_loadu_pd(pt.add(2 * k * ws));
-            let w1 = _mm_loadu_pd(pt.add(2 * (k + 1) * ws));
-            let w = _mm256_set_m128d(w1, w0);
-            let t0 = _mm256_loadu_pd(pl.add(2 * k));
-            let t1 = _mm256_loadu_pd(ph.add(2 * k));
-            // x = w·t1 on packed pairs: even lanes get `re`, odd lanes `im`
-            let tr = _mm256_movedup_pd(t1); // [t0.re, t0.re, t1.re, t1.re]
-            let ti = _mm256_permute_pd(t1, 0xF); // [t0.im, t0.im, t1.im, t1.im]
-            let wsw = _mm256_permute_pd(w, 0x5); // [w0.im, w0.re, w1.im, w1.re]
-            let x = _mm256_fmaddsub_pd(w, tr, _mm256_mul_pd(wsw, ti));
-            _mm256_storeu_pd(pl.add(2 * k), _mm256_add_pd(t0, x));
-            _mm256_storeu_pd(ph.add(2 * k), _mm256_sub_pd(t0, x));
-            k += 2;
-        }
-        if k < m {
-            let (wr, wi) = (tw[2 * k * ws], tw[2 * k * ws + 1]);
-            let (t0r, t0i) = (lo[2 * k], lo[2 * k + 1]);
-            let (t1r, t1i) = (hi[2 * k], hi[2 * k + 1]);
-            let xr = wr * t1r - wi * t1i;
-            let xi = wr * t1i + wi * t1r;
-            lo[2 * k] = t0r + xr;
-            lo[2 * k + 1] = t0i + xi;
-            hi[2 * k] = t0r - xr;
-            hi[2 * k + 1] = t0i - xi;
-        }
     }
 }

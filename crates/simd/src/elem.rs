@@ -16,6 +16,9 @@
 use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
+use core::mem::MaybeUninit;
+
+use crate::fft::{self, Stockham};
 use crate::{active_backend, xk, Backend, HaloDims, Stencil};
 
 /// A scalar field element the solver core can be generic over (f64 | f32).
@@ -155,19 +158,51 @@ pub trait Elem:
     fn kcpx_mul(dst: &mut [Self], src: &[Self]);
     /// Element-wise complex multiply `out[j] = a[j] · b[j]` (interleaved).
     fn kcpx_mul_into(out: &mut [Self], a: &[Self], b: &[Self]);
-    /// In-place complex conjugate of an interleaved slice.
-    fn kcpx_conj(data: &mut [Self]);
-    /// In-place fused conjugate-and-scale: `z[j] = conj(z[j]) · s`
-    /// (interleaved) — the tail of the inverse FFT (`1/n` normalization).
-    fn kcpx_conj_scale(data: &mut [Self], s: Self);
-    /// Radix-2 DIT butterfly combine over interleaved half-spectra:
-    /// for each `k`, with `w = tw[k·ws]` (complex index into the global
-    /// twiddle table), `lo[k], hi[k] = lo[k] + w·hi[k], lo[k] − w·hi[k]`.
+
+    // ----- FFT: lines across lanes ----------------------------------------
+
+    /// In-place forward (`e^{-ikx}`, unnormalized) or inverse (`1/n`
+    /// included) transform of length `plan.len()` along the slow axis of an
+    /// `[n][stride]` array of interleaved complex numbers, for the `cols`
+    /// adjacent columns that start at `data` — one [`Stockham`] kernel call,
+    /// tiles of lines across SIMD lanes. A column's result does not depend
+    /// on `cols`, on its position, or on what its neighbours hold.
     ///
-    /// Uses the half-period symmetry `w_{k+m} = −w_k` of the twiddle table,
-    /// so only the first half of the table is read (indices
-    /// `k·ws < tw.len()/2`).
-    fn kcpx_radix2_combine(lo: &mut [Self], hi: &mut [Self], tw: &[Self], ws: usize);
+    /// The one `k*` method that takes a raw pointer: the columns of a slab
+    /// interleave in memory, so threads that split them cannot each hold a
+    /// `&mut` slice.
+    ///
+    /// # Safety
+    /// `data` must be valid for reads and writes of
+    /// `2·((n − 1)·stride + cols)` reals, and nothing else may access those
+    /// `cols` columns of the `n` rows during the call.
+    unsafe fn kfft_cols(
+        plan: &Stockham<Self>,
+        inverse: bool,
+        data: *mut Self,
+        stride: usize,
+        cols: usize,
+        scratch: &mut [MaybeUninit<Self>],
+    );
+    /// Batched real-to-complex transform: every `2m`-point row of `input`
+    /// (`m = half.len()`) becomes a row of `m + 1` interleaved complex
+    /// numbers in `out`. `w[k] = e^{-2πik/2m}`, `k = 0..=m`, interleaved.
+    fn kfft_r2c(
+        half: &Stockham<Self>,
+        w: &[Self],
+        input: &[Self],
+        out: &mut [Self],
+        scratch: &mut [MaybeUninit<Self>],
+    );
+    /// Batched complex-to-real transform, the inverse of [`Elem::kfft_r2c`]
+    /// including the `1/2m`.
+    fn kfft_c2r(
+        half: &Stockham<Self>,
+        w: &[Self],
+        spec: &[Self],
+        out: &mut [Self],
+        scratch: &mut [MaybeUninit<Self>],
+    );
 }
 
 /// Route one kernel call to the dispatched backend. The AVX2 arm only
@@ -298,27 +333,57 @@ macro_rules! impl_elem {
                 assert_eq!(out.len() % 2, 0, "cpx_mul_into needs interleaved re/im pairs");
                 dispatch!(crate::avx2::cpx_mul_into(out, a, b), xk::scalar_cpx_mul_into(out, a, b))
             }
-            fn kcpx_conj(data: &mut [Self]) {
-                assert_eq!(data.len() % 2, 0, "cpx_conj needs interleaved re/im pairs");
-                dispatch!(crate::avx2::cpx_conj(data), xk::scalar_cpx_conj(data))
-            }
-            fn kcpx_conj_scale(data: &mut [Self], s: Self) {
-                assert_eq!(data.len() % 2, 0, "cpx_conj_scale needs interleaved re/im pairs");
-                dispatch!(crate::avx2::cpx_conj_scale(data, s), xk::scalar_cpx_conj_scale(data, s))
-            }
-            fn kcpx_radix2_combine(lo: &mut [Self], hi: &mut [Self], tw: &[Self], ws: usize) {
-                assert_eq!(lo.len(), hi.len(), "cpx_radix2_combine half length mismatch");
-                assert_eq!(lo.len() % 2, 0, "cpx_radix2_combine needs interleaved re/im pairs");
-                let m = lo.len() / 2;
-                if m > 0 {
-                    assert!(
-                        2 * ((m - 1) * ws) + 1 < tw.len(),
-                        "cpx_radix2_combine twiddle table too short"
-                    );
-                }
+            unsafe fn kfft_cols(
+                plan: &Stockham<Self>,
+                inverse: bool,
+                data: *mut Self,
+                stride: usize,
+                cols: usize,
+                scratch: &mut [MaybeUninit<Self>],
+            ) {
+                assert!(cols <= stride, "fft_cols batch wider than the array");
+                let scratch = fft::scratch_ptr(plan, cols, scratch);
                 dispatch!(
-                    crate::avx2::$avx2::cpx_radix2_combine(lo, hi, tw, ws),
-                    xk::scalar_cpx_radix2_combine(lo, hi, tw, ws)
+                    crate::avx2::$avx2::fft_cols(plan, inverse, data, (stride, cols), scratch),
+                    if inverse {
+                        fft::cols::<Self, Self, true>(plan, data, stride, cols, scratch)
+                    } else {
+                        fft::cols::<Self, Self, false>(plan, data, stride, cols, scratch)
+                    }
+                )
+            }
+            fn kfft_r2c(
+                half: &Stockham<Self>,
+                w: &[Self],
+                input: &[Self],
+                out: &mut [Self],
+                scratch: &mut [MaybeUninit<Self>],
+            ) {
+                let rows = fft::real_rows(half, w, input.len(), out.len());
+                let scratch = fft::scratch_ptr(half, rows, scratch);
+                let io = (input.as_ptr(), out.as_mut_ptr());
+                // (on either arm: `real_rows` checked every length the kernel relies on)
+                dispatch!(
+                    crate::avx2::$avx2::fft_r2c(half, w.as_ptr(), io, rows, scratch),
+                    // SAFETY: `real_rows` checked every length the kernel relies on.
+                    unsafe { fft::r2c::<Self, Self>(half, w.as_ptr(), io.0, io.1, rows, scratch) }
+                )
+            }
+            fn kfft_c2r(
+                half: &Stockham<Self>,
+                w: &[Self],
+                spec: &[Self],
+                out: &mut [Self],
+                scratch: &mut [MaybeUninit<Self>],
+            ) {
+                let rows = fft::real_rows(half, w, out.len(), spec.len());
+                let scratch = fft::scratch_ptr(half, rows, scratch);
+                let io = (spec.as_ptr(), out.as_mut_ptr());
+                // (on either arm: `real_rows` checked every length the kernel relies on)
+                dispatch!(
+                    crate::avx2::$avx2::fft_c2r(half, w.as_ptr(), io, rows, scratch),
+                    // SAFETY: `real_rows` checked every length the kernel relies on.
+                    unsafe { fft::c2r::<Self, Self>(half, w.as_ptr(), io.0, io.1, rows, scratch) }
                 )
             }
         }

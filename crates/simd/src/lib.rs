@@ -47,9 +47,11 @@
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 mod elem;
+mod fft;
 mod xk;
 
 pub use elem::Elem;
+pub use fft::Stockham;
 pub use xk::{HaloDims, Stencil};
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -152,39 +152,6 @@ pub(crate) fn scalar_cpx_mul_into<T: Elem>(out: &mut [T], a: &[T], b: &[T]) {
     }
 }
 
-#[inline(always)]
-pub(crate) fn scalar_cpx_conj<T: Elem>(data: &mut [T]) {
-    for z in data.chunks_exact_mut(2) {
-        z[1] = -z[1];
-    }
-}
-
-#[inline(always)]
-pub(crate) fn scalar_cpx_conj_scale<T: Elem>(data: &mut [T], s: T) {
-    // `im · (−s)` is `−im · s` bit for bit; one multiply per element by an
-    // alternating constant is the shape the vectorizer handles best
-    let ns = -s;
-    for (i, v) in data.iter_mut().enumerate() {
-        *v *= if i & 1 == 0 { s } else { ns };
-    }
-}
-
-#[inline(always)]
-pub(crate) fn scalar_cpx_radix2_combine<T: Elem>(lo: &mut [T], hi: &mut [T], tw: &[T], ws: usize) {
-    let m = lo.len() / 2;
-    for k in 0..m {
-        let (wr, wi) = (tw[2 * k * ws], tw[2 * k * ws + 1]);
-        let (t0r, t0i) = (lo[2 * k], lo[2 * k + 1]);
-        let (t1r, t1i) = (hi[2 * k], hi[2 * k + 1]);
-        let xr = wr * t1r - wi * t1i;
-        let xi = wr * t1i + wi * t1r;
-        lo[2 * k] = t0r + xr;
-        lo[2 * k + 1] = t0i + xi;
-        hi[2 * k] = t0r - xr;
-        hi[2 * k + 1] = t0i - xi;
-    }
-}
-
 // ----- wide bodies (reordered summation) ----------------------------------
 
 const LANES: usize = 8;
