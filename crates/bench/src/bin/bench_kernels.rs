@@ -3,7 +3,8 @@
 //!
 //! Emits `BENCH_kernels.json` in the repo root (or the path given as the
 //! first CLI argument). Measures the three computational kernels of the
-//! paper (§3) — 8th-order FD gradient, 3D FFT round-trip, cubic Lagrange
+//! paper (§3) — 8th-order FD gradient, 3D FFT round-trip (whole, per pass at
+//! both widths, and three components at once), cubic Lagrange
 //! interpolation (one-shot, and split into plan build and planned scalar /
 //! 3-vector evaluation) — plus an axpy stream op, at 64³ and 128³, once with the
 //! parallel layer pinned to 1 thread and once at a fixed 8 threads. Both
@@ -32,7 +33,7 @@
 use std::time::Instant;
 
 use claire_diff::fd::{self, FdScratch};
-use claire_fft::{Cpx, DistFft, Fft3};
+use claire_fft::{cache, pass, Cpx, CpxT, DistFft, Fft3, FftElem};
 use claire_grid::{Grid, Layout, Real, ScalarField, VectorField};
 use claire_interp::{Interpolator, IpOrder};
 use claire_mpi::{run_cluster, AlltoallMethod, Comm, CommCat, Topology};
@@ -128,6 +129,34 @@ fn measure(
     }
 }
 
+/// The three passes of the 3-D transform at `n`³, each forward + inverse
+/// on its own (`fft_pass_x3`: real rows; `fft_pass_x2`: down every
+/// `[n][n3c]` plane; `fft_pass_x1`: down the whole slab), so an FFT change
+/// can see which pass it moved. `suffix` tags the element width.
+fn bench_fft_passes<T: FftElem>(
+    n: usize,
+    threads: usize,
+    oversubscribed: bool,
+    suffix: &str,
+    mut push: impl FnMut(BenchRow),
+) {
+    let reps = if n >= 128 { 2 } else { 5 };
+    let n3c = n / 2 + 1;
+    let (rows, lines) = (cache::real_fft1d_t::<T>(n), cache::fft1d_t::<T>(n));
+    let mut real: Vec<T> = test_field(n).data().iter().map(|&v| T::from_f64(v)).collect();
+    let mut spec = vec![CpxT::<T>::ZERO; n * n * n3c];
+    push(measure(&format!("fft_pass_x3{suffix}"), n, threads, oversubscribed, reps, || {
+        pass::rows_forward(&rows, &real, &mut spec);
+        pass::rows_inverse(&rows, &spec, &mut real);
+    }));
+    for (name, stride) in [("fft_pass_x2", n3c), ("fft_pass_x1", n * n3c)] {
+        push(measure(&format!("{name}{suffix}"), n, threads, oversubscribed, reps, || {
+            pass::cols(&lines, false, &mut spec, stride);
+            pass::cols(&lines, true, &mut spec, stride);
+        }));
+    }
+}
+
 fn bench_at(
     n: usize,
     threads: usize,
@@ -162,6 +191,19 @@ fn bench_at(
         push(measure("fft_roundtrip", n, threads, oversubscribed, reps, || {
             plan.forward(f.data(), &mut spec);
             plan.inverse(&mut spec, &mut back);
+        }));
+    }
+
+    bench_fft_passes::<Real>(n, threads, oversubscribed, "", &mut push);
+
+    // three components through the plan's multi-field entry (what every
+    // vector operator calls), on one rank
+    {
+        let mut comm = Comm::solo();
+        let dfft = DistFft::new(grid, &comm);
+        push(measure("fft_roundtrip_vec3", n, threads, oversubscribed, reps, || {
+            let specs = dfft.forward_many([&f, &f, &f], &mut comm);
+            std::hint::black_box(dfft.inverse_many(specs, &mut comm));
         }));
     }
 
@@ -258,6 +300,8 @@ fn bench_f32_at(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
         r.backend = backend.to_string();
         out.push(r);
     };
+
+    bench_fft_passes::<f32>(n, 1, false, "_f32", &mut push);
 
     // FD8 gradient: three stencil sweeps (one per dim) over an f32 field,
     // expressed as the same contiguous-x3-row combines as claire-diff's

@@ -317,7 +317,7 @@ fn solve_level(
 
     // coarse-to-fine grid continuation: solve every pair at half resolution
     // first, prolonging each velocity as that pair's warm start
-    if cfg.grid_continuation && coarse_solvable(&layout) {
+    if cfg.grid_continuation && coarse_solvable(&layout, cfg.precond) {
         let tl = mem[0].metered(|| claire_diff::TwoLevel::new(layout.grid, &comms[0]));
         if cfg.verbose && comms[0].rank() == 0 {
             eprintln!("== grid continuation: solving at {:?} ==", tl.coarse_grid().n);

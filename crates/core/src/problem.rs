@@ -42,7 +42,7 @@ impl SolverScaffold {
         grid: claire_grid::Grid,
         comm: &mut Comm,
     ) -> ClaireResult<SolverScaffold> {
-        validate_grid(grid)?;
+        validate_grid(grid, cfg.precond, comm.size())?;
         let ops = WidthOps::plan(cfg.precond, grid, comm);
         let ops32 =
             (cfg.precision == Precision::Mixed).then(|| WidthOps::plan(cfg.precond, grid, comm));
@@ -204,9 +204,14 @@ fn check_layouts(m0: &ScalarField, m1: &ScalarField, context: &'static str) -> C
 
 /// Validate grid dimensions up front so misconfigured problems fail with a
 /// typed error at construction instead of a panic deep inside the FFT plan
-/// cache (real transform needs even `n3`) or the ghost exchange (the
-/// 8th-order stencil needs a width-4 halo to fit in `n1`).
-fn validate_grid(grid: claire_grid::Grid) -> ClaireResult<()> {
+/// cache (real transform needs even `n3`), the ghost exchange (the
+/// 8th-order stencil needs a width-4 halo to fit in `n1`) or — for
+/// `2LInvH0` on `nranks` ranks — the planning of its half-resolution grid.
+pub(crate) fn validate_grid(
+    grid: claire_grid::Grid,
+    precond: PrecondKind,
+    nranks: usize,
+) -> ClaireResult<()> {
     let [n1, n2, n3] = grid.n;
     if n3 < 2 || !n3.is_multiple_of(2) {
         return Err(ClaireError::Config {
@@ -223,6 +228,19 @@ fn validate_grid(grid: claire_grid::Grid) -> ClaireResult<()> {
             message: format!(
                 "n1 must be >= {} for the 8th-order stencil halo, got {n1} (grid {n1}x{n2}x{n3})",
                 claire_diff::fd::FD8_WIDTH
+            ),
+        });
+    }
+    let halves = grid.n.iter().all(|&n| n >= 4 && n.is_multiple_of(2));
+    if precond == PrecondKind::TwoLevelInvH0
+        && !(halves && n3.is_multiple_of(4) && nranks <= n1.min(n2) / 2)
+    {
+        return Err(ClaireError::Config {
+            param: "grid",
+            message: format!(
+                "2LInvH0 coarsens to a half-resolution grid that must take the real FFT and a \
+                 slab per rank: every dimension even and >= 4, n3 % 4 == 0, and \
+                 p <= min(n1, n2)/2; got grid {n1}x{n2}x{n3} on p = {nranks}"
             ),
         });
     }
@@ -476,6 +494,33 @@ mod tests {
             .try_register(&ScalarField::zeros(layout), &ScalarField::zeros(layout), &mut comm)
             .unwrap_err();
         assert!(matches!(err, ClaireError::Config { param: "grid", .. }), "got {err:?}");
+        // grids whose half-resolution grid the real FFT (n3 ≡ 2 mod 4), the
+        // coarsening (an odd dimension) or the slab split (p > min(n1, n2)/2)
+        // cannot take: fine for InvA and InvH0, a typed error naming the
+        // constraint for 2LInvH0 — before any plan is built
+        let build = |n: [usize; 3], precond: PrecondKind, comm: &mut Comm| {
+            let layout = Layout::distributed(Grid::new(n), comm);
+            let cfg = RegistrationConfig { precond, ..Default::default() };
+            RegProblem::new(ScalarField::zeros(layout), ScalarField::zeros(layout), cfg, comm)
+        };
+        for n in [[18, 18, 18], [10, 12, 14], [9, 8, 8], [8, 11, 8]] {
+            assert!(build(n, PrecondKind::InvA, &mut comm).is_ok(), "InvA takes {n:?}");
+            assert!(build(n, PrecondKind::InvH0, &mut comm).is_ok(), "InvH0 takes {n:?}");
+            match build(n, PrecondKind::TwoLevelInvH0, &mut comm) {
+                Err(ClaireError::Config { param: "grid", message }) => {
+                    assert!(message.contains("n3 % 4 == 0"), "{n:?}: {message}")
+                }
+                other => panic!("2LInvH0 on {n:?}: expected a Config error, got {:?}", other.err()),
+            }
+        }
+        let outcomes = claire_mpi::run_cluster(claire_mpi::Topology::new(3, 4), move |comm| {
+            [PrecondKind::InvH0, PrecondKind::TwoLevelInvH0]
+                .map(|kind| build([16, 4, 8], kind, comm).map(|_| ()).map_err(|e| e.to_string()))
+        });
+        for [invh0, two_level] in outcomes.outputs {
+            assert_eq!(invh0, Ok(()), "p = 3 <= min(n1, n2) is enough without a coarse grid");
+            assert!(two_level.unwrap_err().contains("p <= min(n1, n2)/2"));
+        }
     }
 
     #[test]

@@ -19,9 +19,9 @@ use claire_opt::{GnConfig, GnStats};
 use claire_semilag::{displacement, Trajectory};
 
 use crate::batch::{solve_pairs, PairInput};
-use crate::config::RegistrationConfig;
+use crate::config::{PrecondKind, RegistrationConfig};
 use crate::memory;
-use crate::problem::RegProblem;
+use crate::problem::{validate_grid, RegProblem};
 use crate::report::RegistrationReport;
 
 /// Why a solve stopped before reaching its convergence criterion.
@@ -291,10 +291,11 @@ pub(crate) fn build_report(
 /// Whether the half-resolution grid still supports this layout's rank
 /// count and the spectral coarsening (even dims ≥ 8 so the 2LInvH0
 /// preconditioner's own coarse grid stays valid too).
-pub(crate) fn coarse_solvable(layout: &claire_grid::Layout) -> bool {
+pub(crate) fn coarse_solvable(layout: &claire_grid::Layout, precond: PrecondKind) -> bool {
     layout.grid.n.iter().all(|&n| n >= 16 && n % 4 == 0)
         && layout.nranks <= layout.grid.n[0] / 2
         && layout.nranks <= layout.grid.n[1] / 2
+        && validate_grid(layout.grid.coarsen(), precond, layout.nranks).is_ok()
 }
 
 /// Accumulate per-level Gauss–Newton statistics into a whole-run total.

@@ -414,6 +414,41 @@ mod tests {
     }
 
     #[test]
+    fn vector_operator_rides_one_collective_per_direction() {
+        // on 2 ranks one reg_apply is 2 FftTranspose collectives — one per
+        // direction — carrying exactly the bytes of the six that three
+        // scalar applications send, and the same field bits
+        let grid = Grid::new([12, 10, 8]);
+        let res = run_cluster(Topology::new(2, 4), move |comm| {
+            let layout = Layout::distributed(grid, comm);
+            let v = VectorField::from_fns(
+                layout,
+                |x, y, _| (x + y).sin(),
+                |_, y, z| (2.0 * y).cos() + z.sin(),
+                |x, _, z| (z - x).sin(),
+            );
+            let sp = Spectral::new(grid, comm);
+            let sent = |comm: &Comm| {
+                let cat = comm.stats().cat(claire_mpi::CommCat::FftTranspose);
+                (cat.msgs_sent, cat.bytes_sent)
+            };
+            let scalar = v.c.each_ref().map(|c| sp.reg_apply_scalar(c, 0.1, comm).into_data());
+            let (m1, b1) = sent(comm);
+            let vector = sp.reg_apply(&v, 0.1, comm);
+            let (m2, b2) = sent(comm);
+            let same = (0..3).all(|d| scalar[d].to_vec() == vector.c[d].data().to_vec());
+            (same, (m1, b1), (m2 - m1, b2 - b1))
+        });
+        // per rank and direction: its 6 x1 planes of the peer's 5 x2 rows
+        let one_way = 6 * 5 * (8 / 2 + 1) * std::mem::size_of::<CpxT<Real>>() as u64;
+        for (same, six, two) in res.outputs {
+            assert!(same, "batching the components moved bits");
+            assert_eq!(six, (6, 6 * one_way));
+            assert_eq!(two, (2, 6 * one_way));
+        }
+    }
+
+    #[test]
     fn distributed_matches_serial() {
         let grid = Grid::new([8, 8, 8]);
         let mut comm = Comm::solo();

@@ -269,9 +269,8 @@ impl<T: FftElem> DistFftT<T> {
         // x1 planes — one contiguous run — appended to its message
         let (p, ni) = (self.nranks, layout.slab.ni);
         let run = self.x2_slab().ni * n3c;
-        let mut bufs: Vec<Vec<CpxT<T>>> = (0..p)
-            .map(|dst| Vec::with_capacity(NF * Slab::of_rank(n1, p, dst).ni * run))
-            .collect();
+        let mut bufs: Vec<Vec<CpxT<T>>> =
+            (0..p).map(|dst| Vec::with_capacity(NF * Slab::of_rank(n1, p, dst).ni * run)).collect();
         for mut spec in specs {
             timing::time(Kernel::FftDist, || pass::cols(&self.plans.c1, true, &mut spec.data, run));
             timing::time(Kernel::FftTranspose, || {
@@ -364,6 +363,85 @@ mod tests {
             for (i, &(se, re)) in res.outputs.iter().enumerate() {
                 assert!(se < 1e-8, "p={p} rank={i}: spectral err {se}");
                 assert!(re < 1e-8, "p={p} rank={i}: roundtrip err {re}");
+            }
+        }
+    }
+
+    /// The distributed plan runs the serial plan's passes on the same lines,
+    /// so on every rank count each rank's slab of the spectrum — and the
+    /// round trip — carries the serial plan's bits.
+    fn matches_serial_bitwise<T: FftElem>(grid: Grid) {
+        let sf: ScalarFieldT<T> = test_field(Layout::serial(grid)).converted(WsCat::Fft);
+        let plan = Fft3T::<T>::new(grid);
+        let mut serial = vec![CpxT::<T>::ZERO; plan.spectral_len()];
+        plan.forward(sf.data(), &mut serial);
+        let mut back = vec![T::ZERO; grid.len()];
+        plan.inverse(&mut serial.clone(), &mut back);
+        for p in [1usize, 2, 3, 4] {
+            let (serial, back) = (serial.clone(), back.clone());
+            let res = run_cluster(Topology::new(p, 4), move |comm| {
+                let layout = Layout::distributed(grid, comm);
+                let f: ScalarFieldT<T> = test_field(layout).converted(WsCat::Fft);
+                let dfft = DistFftT::<T>::new(grid, comm);
+                let spec = dfft.forward(&f, comm);
+                let n3c = spec.n3c();
+                let rows = (0..grid.n[0]).flat_map(|i| (0..spec.x2_slab.ni).map(move |jl| (i, jl)));
+                let spectrum_ok = rows.into_iter().all(|(i, jl)| {
+                    let at = (i * grid.n[1] + spec.j_global(jl)) * n3c;
+                    spec.data[spec.idx(i, jl, 0)..][..n3c] == serial[at..at + n3c]
+                });
+                let planes = layout.slab.i0 * grid.n[1] * grid.n[2];
+                let out = dfft.inverse(spec, comm);
+                spectrum_ok && out.data() == &back[planes..planes + out.data().len()]
+            });
+            assert!(res.outputs.iter().all(|&ok| ok), "{} {:?} p={p}", T::LABEL, grid.n);
+        }
+    }
+
+    #[test]
+    fn every_rank_count_carries_the_serial_bits() {
+        // BENCHMARK.json's grid and the 2LInvH0 coarse level under it
+        for n in [[40, 32, 24], [20, 16, 12]] {
+            matches_serial_bitwise::<f64>(Grid::new(n));
+            matches_serial_bitwise::<f32>(Grid::new(n));
+        }
+    }
+
+    #[test]
+    fn three_fields_equal_three_one_field_calls() {
+        // one message per peer instead of three, the same bits and bytes
+        let grid = Grid::new([12, 10, 8]);
+        for p in [1usize, 2] {
+            let res = run_cluster(Topology::new(p, 4), move |comm| {
+                let layout = Layout::distributed(grid, comm);
+                let f = [0.0, 0.4, 1.3].map(|shift| {
+                    ScalarField::from_fn(layout, |x, y, z| {
+                        (x + shift).sin() * (y - z).cos() + shift
+                    })
+                });
+                let dfft = DistFft::new(grid, comm);
+                let sent = |comm: &Comm| {
+                    let cat = comm.stats().cat(CommCat::FftTranspose);
+                    (cat.msgs_sent, cat.bytes_sent)
+                };
+                let one_by_one = f.each_ref().map(|f| {
+                    let spec = dfft.forward(f, comm);
+                    (spec.data.to_vec(), dfft.inverse(spec, comm).into_data())
+                });
+                let (m1, b1) = sent(comm);
+                let specs = dfft.forward_many(f.each_ref(), comm);
+                let spectra = specs.each_ref().map(|s| s.data.to_vec());
+                let fields = dfft.inverse_many(specs, comm).map(|f| f.into_data());
+                let (m2, b2) = sent(comm);
+                let same = (0..3).all(|d| {
+                    one_by_one[d].0 == spectra[d] && one_by_one[d].1.to_vec() == fields[d].to_vec()
+                });
+                (same, m1, m2 - m1, b1, b2 - b1)
+            });
+            for (same, msgs_3x1, msgs_1x3, bytes_3x1, bytes_1x3) in res.outputs {
+                assert!(same, "p={p}: batching moved bits");
+                assert_eq!((msgs_3x1, msgs_1x3), (6 * (p as u64 - 1), 2 * (p as u64 - 1)));
+                assert_eq!(bytes_3x1, bytes_1x3, "p={p}: batching moved bytes");
             }
         }
     }

@@ -9,26 +9,35 @@
 //! This crate reproduces exactly that structure in pure Rust:
 //!
 //! * [`Cpx`]/[`CpxT`] — complex numbers, generic over element width;
-//! * [`Fft1d`] — 1D complex FFT: mixed-radix Cooley–Tukey for {2,3,5}-smooth
-//!   lengths, Bluestein's algorithm otherwise (so NIREP's 300-point axis
-//!   works too);
-//! * [`RealFft1d`] — real↔half-complex 1D transforms (even lengths) via the
-//!   standard pack-into-complex trick;
+//! * [`Fft1d`] — 1D complex plan: for a {2,3,5}-smooth length the radix
+//!   list and stage twiddles of the lanes kernel
+//!   ([`claire_simd::Stockham`]: an iterative Stockham FFT that transforms
+//!   a tile of adjacent lines at once, one line per SIMD lane), Bluestein's
+//!   algorithm otherwise (so a 7- or 11-point axis works too);
+//! * [`RealFft1d`] — real↔half-complex 1D plan (even lengths): the
+//!   kernel's real pass, or pack-into-complex around Bluestein;
+//! * [`pass`] — the three batched passes every 3-D transform is made of:
+//!   real rows along x3, the kernel down each x2–x3 plane, the kernel down
+//!   the x1 slab;
 //! * [`Fft3`] — serial 3D real↔complex transform (the "cuFFT 3D" path used
-//!   on a single rank);
+//!   on a single rank): the three passes back to back;
 //! * [`dist::DistFft`] — the distributed slab transform with the paper's
 //!   transpose communication pattern, instrumented under
-//!   [`CommCat::FftTranspose`](claire_mpi::CommCat::FftTranspose);
-//! * [`cache`] — process-wide plan cache: twiddle tables, factorizations and
-//!   Bluestein kernels are computed once per length/grid and shared (`Arc`)
-//!   across every plan built afterwards, including the β- and
-//!   grid-continuation levels of the solver.
+//!   [`CommCat::FftTranspose`](claire_mpi::CommCat::FftTranspose): the same
+//!   passes around an all-to-all, with a 1–3-field entry point that sends
+//!   all components of a vector operator in one message per peer;
+//! * [`cache`] — process-wide plan cache: stage tables and Bluestein
+//!   kernels are computed once per length/grid and shared (`Arc`) across
+//!   every plan built afterwards, including the β- and grid-continuation
+//!   levels of the solver.
 //!
 //! Every plan is generic over [`FftElem`] (`f32` or `f64`) and both widths
 //! run the same code: the mixed-precision solver runs its inner Krylov/FFT
 //! path in f32, halving spectral memory and transpose wire traffic. The
 //! tested contract at either width is accuracy against the O(n²) DFT plus
-//! run-to-run determinism (`plan.rs` tests), not a pinned bit pattern.
+//! determinism — a line's bits depend on the line alone, not on its batch,
+//! the thread count or the rank count — not a pinned bit pattern
+//! (DESIGN.md §20).
 //!
 //! Spectral data uses the half-spectrum convention: for real input of dims
 //! `[n1, n2, n3]`, the transform is complex of dims `[n1, n2, n3/2 + 1]`.
@@ -36,7 +45,6 @@
 pub mod cache;
 pub mod complex;
 pub mod dist;
-pub mod factor;
 pub mod pass;
 pub mod plan;
 pub mod real;

@@ -155,3 +155,157 @@ pub fn rows_inverse<T: FftElem>(plan: &RealFft1dT<T>, spec: &[CpxT<T>], real: &m
         }
     });
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::complex::Cpx;
+    use crate::plan::dft_naive;
+    use claire_grid::Real;
+    use claire_simd::Stockham;
+    use std::mem::MaybeUninit;
+
+    /// Tile width of the complex passes.
+    const B: usize = Stockham::<Real>::TILE;
+
+    fn noise(i: usize) -> f64 {
+        ((i * 7919 + 13) % 2003) as f64 / 1001.5 - 1.0
+    }
+
+    /// Run the lanes kernel on the first `cols` columns of an
+    /// `[n][stride]` array of `noise`.
+    fn kernel_cols<T: FftElem>(n: usize, inverse: bool, cols: usize, stride: usize) -> Vec<T> {
+        let plan = Stockham::<T>::new(n).unwrap();
+        let mut data: Vec<T> = (0..2 * n * stride).map(|i| T::from_f64(noise(i))).collect();
+        let mut scratch = vec![MaybeUninit::uninit(); plan.scratch_len(cols)];
+        // SAFETY: `data` is the whole array and `cols <= stride`.
+        unsafe { T::kfft_cols(&plan, inverse, data.as_mut_ptr(), stride, cols, &mut scratch) };
+        data
+    }
+
+    /// The accuracy contract of the complex pass at width `T`: every
+    /// column within `tol` of the O(n²) DFT relative to the largest output,
+    /// both directions, and the padding columns untouched.
+    fn cols_against_naive<T: FftElem>(n: usize, cols: usize, tol: f64) {
+        let stride = cols + 3;
+        for inverse in [false, true] {
+            let got = kernel_cols::<T>(n, inverse, cols, stride);
+            for c in 0..stride {
+                let at = |r: usize| 2 * (r * stride + c);
+                let line: Vec<Cpx> = (0..n)
+                    .map(|r| {
+                        CpxT::<T>::new(T::from_f64(noise(at(r))), T::from_f64(noise(at(r) + 1)))
+                            .cast()
+                    })
+                    .collect();
+                let mut want = dft_naive(&line, if inverse { 1.0 } else { -1.0 });
+                if inverse {
+                    want.iter_mut().for_each(|z| *z = z.scale(1.0 / n as Real));
+                }
+                if c >= cols {
+                    want = line;
+                }
+                let scale = want.iter().map(|z| z.abs()).fold(1.0, f64::max);
+                for (r, w) in want.iter().enumerate() {
+                    let z = Cpx::new(got[at(r)].to_f64(), got[at(r) + 1].to_f64());
+                    let bound = if c < cols { tol * scale } else { 0.0 };
+                    assert!(
+                        (z - *w).abs() <= bound,
+                        "{} n={n} cols={cols} inverse={inverse} column {c} row {r}: {z:?} vs {w:?}",
+                        T::LABEL
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_kernel_matches_naive_at_both_widths() {
+        let smooth = (2..=128).chain([300]).filter(|&n| Stockham::<Real>::new(n).is_some());
+        for n in smooth {
+            for cols in [1, B - 1, B, B + 1, 3 * B + 5] {
+                cols_against_naive::<f64>(n, cols, 1e-12);
+                cols_against_naive::<f32>(n, cols, 1e-5);
+            }
+        }
+    }
+
+    /// A column's output bits depend on the column alone: not on how many
+    /// columns travel with it, where it sits in its tile, or which tile it
+    /// falls in.
+    fn column_bits_are_position_free<T: FftElem>(n: usize) {
+        let wide = 3 * B + 5;
+        for inverse in [false, true] {
+            let all = kernel_cols::<T>(n, inverse, wide, wide);
+            // the same columns as (a) one-column batches, (b) batches that
+            // start elsewhere, so tile and register boundaries move
+            for (c0, cols) in
+                [(0, 1), (B - 1, 1), (wide - 1, 1), (3, B), (B + 2, 2 * B + 1), (7, 2)]
+            {
+                let plan = Stockham::<T>::new(n).unwrap();
+                let mut data: Vec<T> = (0..2 * n * wide).map(|i| T::from_f64(noise(i))).collect();
+                let mut scratch = vec![MaybeUninit::uninit(); plan.scratch_len(cols)];
+                // SAFETY: columns `c0 .. c0 + cols` lie inside the array.
+                unsafe {
+                    let first = data.as_mut_ptr().add(2 * c0);
+                    T::kfft_cols(&plan, inverse, first, wide, cols, &mut scratch)
+                };
+                for r in 0..n {
+                    let row = 2 * (r * wide + c0)..2 * (r * wide + c0 + cols);
+                    assert!(
+                        data[row.clone()] == all[row],
+                        "{} n={n} inverse={inverse}: columns {c0}+{cols} changed bits at row {r}",
+                        T::LABEL
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_bits_do_not_depend_on_the_batch() {
+        for n in [4, 6, 40, 64, 75] {
+            column_bits_are_position_free::<f64>(n);
+            column_bits_are_position_free::<f32>(n);
+        }
+    }
+
+    /// The batched real passes against the O(n²) DFT, over row counts that
+    /// are not multiples of any tile (and row lengths with and without a
+    /// stage table).
+    fn rows_against_naive<T: FftElem>(n: usize, rows: usize, tol: f64) {
+        let plan = RealFft1dT::<T>::new(n);
+        let real: Vec<T> = (0..rows * n).map(|i| T::from_f64(noise(i))).collect();
+        let mut spec = vec![CpxT::<T>::ZERO; rows * plan.spectral_len()];
+        rows_forward(&plan, &real, &mut spec);
+        for (row, got) in real.chunks_exact(n).zip(spec.chunks_exact(n / 2 + 1)) {
+            let line: Vec<Cpx> = row.iter().map(|&x| Cpx::real(x.to_f64())).collect();
+            let want = dft_naive(&line, -1.0);
+            let scale = want.iter().map(|z| z.abs()).fold(1.0, f64::max);
+            for (k, (z, w)) in got.iter().zip(&want).enumerate() {
+                let d = (z.cast::<Real>() - *w).abs();
+                assert!(
+                    d <= tol * scale,
+                    "{} r2c n={n} rows={rows} k={k}: {z:?} vs {w:?}",
+                    T::LABEL
+                );
+            }
+        }
+        let mut back = vec![T::ZERO; real.len()];
+        rows_inverse(&plan, &spec, &mut back);
+        for (i, (a, b)) in back.iter().zip(&real).enumerate() {
+            let d = (a.to_f64() - b.to_f64()).abs();
+            assert!(d <= 4.0 * tol, "{} c2r n={n} rows={rows} at {i}: {a} vs {b}", T::LABEL);
+        }
+    }
+
+    #[test]
+    fn real_passes_match_naive_at_both_widths() {
+        for n in (2..=64).step_by(2) {
+            for rows in [1, 3, 7, 13, 37, 131] {
+                rows_against_naive::<f64>(n, rows, 1e-12);
+                rows_against_naive::<f32>(n, rows, 1e-5);
+            }
+        }
+    }
+}

@@ -6,7 +6,6 @@ use claire_grid::{ClaireError, ClaireResult, Real};
 use claire_simd::{Elem, Stockham};
 
 use crate::complex::{as_real, as_real_mut, Cpx, CpxT};
-use crate::factor::next_pow2;
 
 /// A planned 1D complex FFT of fixed length, generic over element width.
 ///
@@ -74,7 +73,7 @@ impl<T: Elem> Fft1dT<T> {
         if let Some(stages) = Stockham::new(n) {
             return Fft1dT { n, kind: Kind::Smooth(stages) };
         }
-        let m = next_pow2(2 * n - 1);
+        let m = (2 * n - 1).next_power_of_two();
         let inner = Box::new(Fft1dT::new(m));
         // chirp[j] = e^{-iπ j²/n}; reduce j² modulo 2n to keep the
         // argument small (the chirp has period 2n in j).

@@ -45,69 +45,13 @@ gate!(max_abs<T>, wide_max_abs, (x: &[T]) -> f64);
 gate!(cpx_mul<T>, scalar_cpx_mul, (dst: &mut [T], src: &[T]));
 gate!(cpx_mul_into<T>, scalar_cpx_mul_into, (out: &mut [T], a: &[T], b: &[T]));
 
-/// One line with fused multiply-adds: the register a batch narrower than a
-/// vector runs on, so that a line's bits do not depend on how many lines
-/// travel with it.
-#[derive(Clone, Copy)]
-pub(crate) struct Fused<T>(T);
-
-/// Per width: [`Fused`] as a one-line register, and the three lanes kernels
-/// instantiated over the vector register `$v` under the feature gate.
+/// The three lanes kernels instantiated under the feature gate over the
+/// vector register `$v` — or, for a batch narrower than that register, over
+/// the one-line register with the same (fused) rounding, so that a line's
+/// bits do not depend on how many lines travel with it.
 macro_rules! fft_arm {
     ($t:ty, $v:ty) => {
-        impl Lanes<$t> for Fused<$t> {
-            const W: usize = 1;
-            type One = Self;
-            #[inline(always)]
-            unsafe fn splat(x: $t) -> Self {
-                Fused(x)
-            }
-            #[inline(always)]
-            unsafe fn load(p: *const $t) -> Self {
-                Fused(*p)
-            }
-            #[inline(always)]
-            unsafe fn store(self, p: *mut $t) {
-                *p = self.0
-            }
-            #[inline(always)]
-            unsafe fn load2(p: *const $t) -> (Self, Self) {
-                (Fused(*p), Fused(*p.add(1)))
-            }
-            #[inline(always)]
-            unsafe fn store2(p: *mut $t, re: Self, im: Self) {
-                *p = re.0;
-                *p.add(1) = im.0;
-            }
-            #[inline(always)]
-            unsafe fn add(self, o: Self) -> Self {
-                Fused(self.0 + o.0)
-            }
-            #[inline(always)]
-            unsafe fn sub(self, o: Self) -> Self {
-                Fused(self.0 - o.0)
-            }
-            #[inline(always)]
-            unsafe fn mul(self, o: Self) -> Self {
-                Fused(self.0 * o.0)
-            }
-            #[inline(always)]
-            unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-                Fused(self.0.mul_add(a.0, b.0))
-            }
-            #[inline(always)]
-            unsafe fn mul_sub(self, a: Self, b: Self) -> Self {
-                Fused(self.0.mul_add(a.0, -b.0))
-            }
-            #[inline(always)]
-            unsafe fn neg(self) -> Self {
-                Fused(-self.0)
-            }
-            #[inline(always)]
-            unsafe fn transpose(src: *const $t, _: usize, _: usize, dst: *mut $t, _: usize) {
-                *dst = *src
-            }
-        }
+        type One = Line<$t, true>;
 
         /// # Safety
         /// [`fft::cols`]'s contract, on a host with AVX2 and FMA.
@@ -119,10 +63,11 @@ macro_rules! fft_arm {
             (stride, cols): (usize, usize),
             scratch: *mut $t,
         ) {
-            if inverse {
-                fft::cols::<$t, $v, true>(plan, data, stride, cols, scratch)
-            } else {
-                fft::cols::<$t, $v, false>(plan, data, stride, cols, scratch)
+            match (cols < <$v>::W, inverse) {
+                (false, false) => fft::cols::<$t, $v, false>(plan, data, stride, cols, scratch),
+                (false, true) => fft::cols::<$t, $v, true>(plan, data, stride, cols, scratch),
+                (true, false) => fft::cols::<$t, One, false>(plan, data, stride, cols, scratch),
+                (true, true) => fft::cols::<$t, One, true>(plan, data, stride, cols, scratch),
             }
         }
 
@@ -136,7 +81,11 @@ macro_rules! fft_arm {
             rows: usize,
             scratch: *mut $t,
         ) {
-            fft::r2c::<$t, $v>(half, w, input, out, rows, scratch)
+            if rows < <$v>::W {
+                fft::r2c::<$t, One>(half, w, input, out, rows, scratch)
+            } else {
+                fft::r2c::<$t, $v>(half, w, input, out, rows, scratch)
+            }
         }
 
         /// # Safety
@@ -149,7 +98,11 @@ macro_rules! fft_arm {
             rows: usize,
             scratch: *mut $t,
         ) {
-            fft::c2r::<$t, $v>(half, w, spec, out, rows, scratch)
+            if rows < <$v>::W {
+                fft::c2r::<$t, One>(half, w, spec, out, rows, scratch)
+            } else {
+                fft::c2r::<$t, $v>(half, w, spec, out, rows, scratch)
+            }
         }
     };
 }
@@ -157,15 +110,14 @@ macro_rules! fft_arm {
 pub mod f32k {
     use core::arch::x86_64::*;
 
-    use super::Fused;
-    use crate::fft::{self, Lanes, Stockham};
+    use crate::fft::{self, Lanes, Line, Stockham};
     use crate::xk::{self, HaloDims, RowDotArm, Stencil};
 
     fft_arm!(f32, __m256);
 
     impl Lanes<f32> for __m256 {
         const W: usize = 8;
-        type One = Fused<f32>;
+        type One = One;
         #[inline(always)]
         unsafe fn splat(x: f32) -> Self {
             _mm256_set1_ps(x)
@@ -267,15 +219,14 @@ pub mod f32k {
 pub mod f64k {
     use core::arch::x86_64::*;
 
-    use super::Fused;
-    use crate::fft::{self, Lanes, Stockham};
+    use crate::fft::{self, Lanes, Line, Stockham};
     use crate::xk::{self, CubicArm, HaloDims, Stencil};
 
     fft_arm!(f64, __m256d);
 
     impl Lanes<f64> for __m256d {
         const W: usize = 4;
-        type One = Fused<f64>;
+        type One = One;
         #[inline(always)]
         unsafe fn splat(x: f64) -> Self {
             _mm256_set1_pd(x)

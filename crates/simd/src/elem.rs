@@ -18,7 +18,7 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 
 use core::mem::MaybeUninit;
 
-use crate::fft::{self, Stockham};
+use crate::fft::{self, Line, Stockham};
 use crate::{active_backend, xk, Backend, HaloDims, Stencil};
 
 /// A scalar field element the solver core can be generic over (f64 | f32).
@@ -60,6 +60,9 @@ pub trait Elem:
     fn from_f64(x: f64) -> Self;
     /// Promote to f64 (exact for both widths).
     fn to_f64(self) -> f64;
+    /// `self · a + b` rounded once (an FMA instruction where the caller's
+    /// target features have one).
+    fn fused_mul_add(self, a: Self, b: Self) -> Self;
 
     // ----- element-wise field kernels -------------------------------------
 
@@ -239,6 +242,10 @@ macro_rules! impl_elem {
             fn to_f64(self) -> f64 {
                 self as f64
             }
+            #[inline(always)]
+            fn fused_mul_add(self, a: Self, b: Self) -> Self {
+                self.mul_add(a, b)
+            }
 
             fn kscale(a: Self, y: &mut [Self]) {
                 dispatch!(crate::avx2::scale(a, y), xk::scalar_scale(a, y))
@@ -346,9 +353,13 @@ macro_rules! impl_elem {
                 dispatch!(
                     crate::avx2::$avx2::fft_cols(plan, inverse, data, (stride, cols), scratch),
                     if inverse {
-                        fft::cols::<Self, Self, true>(plan, data, stride, cols, scratch)
+                        fft::cols::<Self, Line<Self, false>, true>(
+                            plan, data, stride, cols, scratch,
+                        )
                     } else {
-                        fft::cols::<Self, Self, false>(plan, data, stride, cols, scratch)
+                        fft::cols::<Self, Line<Self, false>, false>(
+                            plan, data, stride, cols, scratch,
+                        )
                     }
                 )
             }
@@ -366,7 +377,16 @@ macro_rules! impl_elem {
                 dispatch!(
                     crate::avx2::$avx2::fft_r2c(half, w.as_ptr(), io, rows, scratch),
                     // SAFETY: `real_rows` checked every length the kernel relies on.
-                    unsafe { fft::r2c::<Self, Self>(half, w.as_ptr(), io.0, io.1, rows, scratch) }
+                    unsafe {
+                        fft::r2c::<Self, Line<Self, false>>(
+                            half,
+                            w.as_ptr(),
+                            io.0,
+                            io.1,
+                            rows,
+                            scratch,
+                        )
+                    }
                 )
             }
             fn kfft_c2r(
@@ -383,7 +403,16 @@ macro_rules! impl_elem {
                 dispatch!(
                     crate::avx2::$avx2::fft_c2r(half, w.as_ptr(), io, rows, scratch),
                     // SAFETY: `real_rows` checked every length the kernel relies on.
-                    unsafe { fft::c2r::<Self, Self>(half, w.as_ptr(), io.0, io.1, rows, scratch) }
+                    unsafe {
+                        fft::c2r::<Self, Line<Self, false>>(
+                            half,
+                            w.as_ptr(),
+                            io.0,
+                            io.1,
+                            rows,
+                            scratch,
+                        )
+                    }
                 )
             }
         }

@@ -12,7 +12,7 @@
 //! the stages themselves are forward-only.
 //!
 //! One generic body serves both widths and both backends; what differs is
-//! the register type behind [`Lanes`]: `T` itself (one line) on the scalar
+//! the register type behind [`Lanes`]: one line ([`Line`]) on the scalar
 //! backend, `__m256d` / `__m256` on AVX2 (`avx2.rs`).
 
 use core::mem::MaybeUninit;
@@ -23,14 +23,16 @@ use crate::Elem;
 /// `fft_pass_*` bench rows). A batch's last tile also takes a remainder of
 /// up to [`MAX_W`] lines, so no tile is narrower than a register unless the
 /// whole batch is.
-pub(crate) const TILE: usize = 40;
+const TILE: usize = 40;
 /// Lines per tile of the real passes, whose lines are contiguous rows: a
 /// narrow tile keeps rows, scratch and output in L1.
 const REAL_TILE: usize = 8;
 /// Widest register, in lines (`__m256` of f32).
 const MAX_W: usize = 8;
-/// Lines a scratch row of a batch has room for.
+/// Lines a scratch row of a complex pass has room for.
 const SLOTS: usize = TILE + MAX_W;
+/// Lines a scratch row of a real pass has room for.
+const REAL_SLOTS: usize = REAL_TILE + MAX_W;
 
 struct Stage {
     radix: usize,
@@ -52,6 +54,9 @@ pub struct Stockham<T> {
 }
 
 impl<T: Elem> Stockham<T> {
+    /// Lines per tile of the complex passes.
+    pub const TILE: usize = TILE;
+
     /// Plan length `n`; `None` unless `n ≥ 1` factors into 2, 3 and 5.
     pub fn new(n: usize) -> Option<Stockham<T>> {
         let mut radices = Vec::new();
@@ -96,17 +101,17 @@ impl<T: Elem> Stockham<T> {
     /// two planar buffers of `n + 1` rows (a real pass over `2n`-point lines
     /// holds their `n + 1` half-spectrum rows).
     pub fn scratch_len(&self, lines: usize) -> usize {
-        2 * (self.n + 1) * 2 * slots(lines)
+        2 * (self.n + 1) * 2 * slots(lines, SLOTS)
     }
 }
 
-/// Slots per scratch row for a batch of `lines` lines: a lone line packs
-/// tight, anything wider gets full tile rows.
-fn slots(lines: usize) -> usize {
+/// Slots per scratch row for a batch of `lines` lines in tiles of up to
+/// `widest`: a lone line packs tight, anything wider gets full tile rows.
+fn slots(lines: usize, widest: usize) -> usize {
     if lines == 1 {
         1
     } else {
-        SLOTS
+        widest
     }
 }
 
@@ -152,54 +157,59 @@ pub(crate) trait Lanes<T: Elem>: Copy {
     unsafe fn transpose(src: *const T, sp: usize, flip: usize, dst: *mut T, dp: usize);
 }
 
-/// The scalar backend's register: one line, separate multiply and add.
-impl<T: Elem> Lanes<T> for T {
+/// One line as a register. `FUSED` picks the rounding of a multiply-add:
+/// two roundings on the scalar backend, one where it stands in for an AVX2
+/// register on a batch narrower than that register.
+#[derive(Clone, Copy)]
+pub(crate) struct Line<T, const FUSED: bool>(T);
+
+impl<T: Elem, const FUSED: bool> Lanes<T> for Line<T, FUSED> {
     const W: usize = 1;
-    type One = T;
+    type One = Self;
     #[inline(always)]
-    unsafe fn splat(x: T) -> T {
-        x
+    unsafe fn splat(x: T) -> Self {
+        Line(x)
     }
     #[inline(always)]
-    unsafe fn load(p: *const T) -> T {
-        *p
+    unsafe fn load(p: *const T) -> Self {
+        Line(*p)
     }
     #[inline(always)]
     unsafe fn store(self, p: *mut T) {
-        *p = self
+        *p = self.0
     }
     #[inline(always)]
-    unsafe fn load2(p: *const T) -> (T, T) {
-        (*p, *p.add(1))
+    unsafe fn load2(p: *const T) -> (Self, Self) {
+        (Line(*p), Line(*p.add(1)))
     }
     #[inline(always)]
-    unsafe fn store2(p: *mut T, re: T, im: T) {
-        *p = re;
-        *p.add(1) = im;
+    unsafe fn store2(p: *mut T, re: Self, im: Self) {
+        *p = re.0;
+        *p.add(1) = im.0;
     }
     #[inline(always)]
-    unsafe fn add(self, o: T) -> T {
-        self + o
+    unsafe fn add(self, o: Self) -> Self {
+        Line(self.0 + o.0)
     }
     #[inline(always)]
-    unsafe fn sub(self, o: T) -> T {
-        self - o
+    unsafe fn sub(self, o: Self) -> Self {
+        Line(self.0 - o.0)
     }
     #[inline(always)]
-    unsafe fn mul(self, o: T) -> T {
-        self * o
+    unsafe fn mul(self, o: Self) -> Self {
+        Line(self.0 * o.0)
     }
     #[inline(always)]
-    unsafe fn mul_add(self, a: T, b: T) -> T {
-        self * a + b
+    unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+        Line(if FUSED { self.0.fused_mul_add(a.0, b.0) } else { self.0 * a.0 + b.0 })
     }
     #[inline(always)]
-    unsafe fn mul_sub(self, a: T, b: T) -> T {
-        self * a - b
+    unsafe fn mul_sub(self, a: Self, b: Self) -> Self {
+        Line(if FUSED { self.0.fused_mul_add(a.0, -b.0) } else { self.0 * a.0 - b.0 })
     }
     #[inline(always)]
-    unsafe fn neg(self) -> T {
-        -self
+    unsafe fn neg(self) -> Self {
+        Line(-self.0)
     }
     #[inline(always)]
     unsafe fn transpose(src: *const T, _: usize, _: usize, dst: *mut T, _: usize) {
@@ -413,15 +423,15 @@ unsafe fn stage<T: Elem, V: Lanes<T>, const R: usize, const ALIGNED: bool, S, D>
     for p in 0..m {
         let w = tw.add(st.tw + 2 * (R - 1) * p);
         let mut wk = [Cv { re: V::splat(T::ONE), im: V::splat(T::ZERO) }; R];
-        for k in 1..R {
-            wk[k] = Cv { re: V::splat(*w.add(2 * k - 2)), im: V::splat(*w.add(2 * k - 1)) };
+        for (k, wk) in wk.iter_mut().enumerate().skip(1) {
+            *wk = Cv { re: V::splat(*w.add(2 * k - 2)), im: V::splat(*w.add(2 * k - 1)) };
         }
         for q in 0..s {
             for i in 0..valid.div_ceil(V::W) {
                 let c = chunk_at::<ALIGNED>(i, V::W, valid);
                 let mut a = wk;
-                for j in 0..R {
-                    a[j] = src.load(q + s * (p + j * m), c);
+                for (j, a) in a.iter_mut().enumerate() {
+                    *a = src.load(q + s * (p + j * m), c);
                 }
                 let b = butterfly::<T, V, R>(a);
                 dst.store(q + s * R * p, c, b[0]);
@@ -459,8 +469,9 @@ unsafe fn run_stage<T: Elem, V: Lanes<T>, const ALIGNED: bool, S, D>(
 /// middle stages ping-pong in scratch, the last writes the array back.
 ///
 /// # Safety
-/// `data` must be valid for `2·((n − 1)·stride + cols)` reals with nothing
-/// else touching those columns, `scratch` for `plan.scratch_len(cols)`.
+/// `cols ≥ V::W` (a narrower batch takes `V::One`); `data` must be valid
+/// for `2·((n − 1)·stride + cols)` reals with nothing else touching those
+/// columns, `scratch` for `plan.scratch_len(cols)`.
 #[inline(always)]
 pub(crate) unsafe fn cols<T: Elem, V: Lanes<T>, const INV: bool>(
     plan: &Stockham<T>,
@@ -472,22 +483,7 @@ pub(crate) unsafe fn cols<T: Elem, V: Lanes<T>, const INV: bool>(
     if plan.n == 1 {
         return;
     }
-    if cols < V::W {
-        col_tiles::<T, V::One, INV>(plan, data, stride, cols, scratch)
-    } else {
-        col_tiles::<T, V, INV>(plan, data, stride, cols, scratch)
-    }
-}
-
-#[inline(always)]
-unsafe fn col_tiles<T: Elem, V: Lanes<T>, const INV: bool>(
-    plan: &Stockham<T>,
-    data: *mut T,
-    stride: usize,
-    cols: usize,
-    scratch: *mut T,
-) {
-    let bufs = Planar::pair(scratch, plan.n, slots(cols));
+    let bufs = Planar::pair(scratch, plan.n, slots(cols, SLOTS));
     let tw = plan.tw.as_ptr();
     let last = plan.stages.len() - 1;
     let scale = T::ONE / T::from_f64(plan.n as f64);
@@ -566,8 +562,9 @@ unsafe fn stages_in_scratch<T: Elem, V: Lanes<T>>(
 /// with a broadcast `w[k]`, and transposed back out.
 ///
 /// # Safety
-/// `input` must be valid for `rows·2m` reals, `out` for `rows·(2m + 2)`,
-/// `w` for `2m + 2`, `scratch` for `half.scratch_len(rows)`.
+/// `rows ≥ V::W` (a narrower batch takes `V::One`); `input` must be valid
+/// for `rows·2m` reals, `out` for `rows·(2m + 2)`, `w` for `2m + 2`,
+/// `scratch` for `half.scratch_len(rows)`.
 #[inline(always)]
 pub(crate) unsafe fn r2c<T: Elem, V: Lanes<T>>(
     half: &Stockham<T>,
@@ -577,24 +574,8 @@ pub(crate) unsafe fn r2c<T: Elem, V: Lanes<T>>(
     rows: usize,
     scratch: *mut T,
 ) {
-    if rows < V::W {
-        r2c_tiles::<T, V::One>(half, w, input, out, rows, scratch)
-    } else {
-        r2c_tiles::<T, V>(half, w, input, out, rows, scratch)
-    }
-}
-
-#[inline(always)]
-unsafe fn r2c_tiles<T: Elem, V: Lanes<T>>(
-    half: &Stockham<T>,
-    w: *const T,
-    input: *const T,
-    out: *mut T,
-    rows: usize,
-    scratch: *mut T,
-) {
     let m = half.n;
-    let bufs = Planar::pair(scratch, m + 1, slots(rows));
+    let bufs = Planar::pair(scratch, m + 1, slots(rows, REAL_SLOTS));
     let h = V::splat(T::from_f64(0.5));
     let mut r0 = 0;
     while r0 < rows {
@@ -627,8 +608,9 @@ unsafe fn r2c_tiles<T: Elem, V: Lanes<T>>(
 /// Complex-to-real pass, the inverse of [`r2c`] including the `1/2m`.
 ///
 /// # Safety
-/// `spec` must be valid for `rows·(2m + 2)` reals, `out` for `rows·2m`,
-/// `w` for `2m + 2`, `scratch` for `half.scratch_len(rows)`.
+/// `rows ≥ V::W` (a narrower batch takes `V::One`); `spec` must be valid
+/// for `rows·(2m + 2)` reals, `out` for `rows·2m`, `w` for `2m + 2`,
+/// `scratch` for `half.scratch_len(rows)`.
 #[inline(always)]
 pub(crate) unsafe fn c2r<T: Elem, V: Lanes<T>>(
     half: &Stockham<T>,
@@ -638,24 +620,8 @@ pub(crate) unsafe fn c2r<T: Elem, V: Lanes<T>>(
     rows: usize,
     scratch: *mut T,
 ) {
-    if rows < V::W {
-        c2r_tiles::<T, V::One>(half, w, spec, out, rows, scratch)
-    } else {
-        c2r_tiles::<T, V>(half, w, spec, out, rows, scratch)
-    }
-}
-
-#[inline(always)]
-unsafe fn c2r_tiles<T: Elem, V: Lanes<T>>(
-    half: &Stockham<T>,
-    w: *const T,
-    spec: *const T,
-    out: *mut T,
-    rows: usize,
-    scratch: *mut T,
-) {
     let m = half.n;
-    let bufs = Planar::pair(scratch, m + 1, slots(rows));
+    let bufs = Planar::pair(scratch, m + 1, slots(rows, REAL_SLOTS));
     let scale = T::ONE / T::from_f64(2.0 * m as f64);
     let sv = V::splat(scale);
     let mut r0 = 0;

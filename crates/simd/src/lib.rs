@@ -20,6 +20,12 @@
 //!   kernels where a hand-written intrinsic measured ≥ 1.2× faster (the
 //!   `avx2` module lists them); it is only ever selected after
 //!   `is_x86_feature_detected!` confirms support;
+//! * the **FFT kernels** (`kfft_cols`, `kfft_r2c`, `kfft_c2r`) are one
+//!   generic Stockham body whose SIMD lanes are adjacent *lines* (the `fft`
+//!   module): a register type with a dozen one-instruction methods stands
+//!   in for the autovectorizer, `T` itself on the scalar backend and
+//!   `__m256d`/`__m256` on AVX2; [`Stockham`] is the per-length stage table
+//!   they execute;
 //! * **fused single-pass kernels** (`kaxpy_dot`, `kaypx_norm2`,
 //!   `kscale_add_norm`, `kfd8_combine_scale`) combine a BLAS-1 update with
 //!   the reduction (or scale) the solver takes immediately after, halving

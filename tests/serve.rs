@@ -285,6 +285,20 @@ fn panicking_input_generation_fails_the_job_not_the_worker() {
     assert_eq!(svc.wait(after).unwrap().status, JobStatus::Succeeded);
 }
 
+#[test]
+fn grid_the_preconditioner_cannot_coarsen_fails_typed_not_by_panic() {
+    // 18³ is a fine grid for the transforms, but 2LInvH0's half-resolution
+    // grid (9³) is not one the real FFT can take: the job must end `Failed`
+    // with the validation message, without going through `catch_unwind`.
+    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
+    let cfg = RegistrationConfig { precond: PrecondKind::TwoLevelInvH0, ..tiny_config() };
+    let id = svc.submit(JobSpec::new("18", cfg, JobInput::Synthetic { n: [18; 3] })).unwrap();
+    let res = svc.wait(id).unwrap();
+    assert_eq!(res.status, JobStatus::Failed);
+    let error = res.error.unwrap();
+    assert!(error.contains("n3 % 4 == 0") && !error.contains("panicked"), "{error}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -272,7 +272,9 @@ fn check_fft_lanes<T: Elem>(n: usize, lines: usize, pad: usize, seed: u64) {
         T::kfft_c2r(&plan, &w, &spec, &mut back, &mut scratch);
         [fwd, inv, spec, back]
     });
-    for (what, (s, v)) in ["cols forward", "cols inverse", "r2c", "c2r"].iter().zip(scalar.iter().zip(&simd)) {
+    for (what, (s, v)) in
+        ["cols forward", "cols inverse", "r2c", "c2r"].iter().zip(scalar.iter().zip(&simd))
+    {
         let largest = s.iter().map(|x| x.to_f64().abs()).fold(1.0, f64::max);
         for (i, (a, b)) in s.iter().zip(v).enumerate() {
             let d = (a.to_f64() - b.to_f64()).abs();

@@ -13,7 +13,6 @@
 use std::sync::Mutex;
 
 use claire::diff::fd;
-use claire::fft::{Cpx, Fft3};
 use claire::grid::{Grid, Layout, Real, ScalarField, VectorField};
 use claire::interp::{Interpolator, IpOrder};
 use claire::mpi::Comm;
@@ -89,25 +88,38 @@ fn fd_gradient_and_divergence_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn fft_forward_and_roundtrip_identical_across_thread_counts() {
-    let f = test_field(32);
-    let grid = f.layout().grid;
-    let specs = at_thread_counts(&COUNTS, || {
-        let plan = Fft3::new(grid);
-        let mut spec = vec![Cpx::ZERO; plan.spectral_len()];
-        plan.forward(f.data(), &mut spec);
-        let mut back = vec![0.0 as Real; grid.len()];
-        let mut spec_copy = spec.clone();
-        plan.inverse(&mut spec_copy, &mut back);
+/// Forward spectrum and round trip of `grid` at width `T`, per thread count.
+fn fft_bits_at_thread_counts<T: claire::fft::FftElem>(grid: Grid) {
+    use claire::fft::{CpxT, Fft3T};
+    let n = grid.len();
+    let real: Vec<T> =
+        (0..n).map(|i| T::from_f64(((i * 37 + 11) % 101) as f64 / 50.0 - 1.0)).collect();
+    let runs = at_thread_counts(&COUNTS, || {
+        let plan = Fft3T::<T>::new(grid);
+        let mut spec = vec![CpxT::<T>::ZERO; plan.spectral_len()];
+        plan.forward(&real, &mut spec);
+        let mut back = vec![T::ZERO; n];
+        plan.inverse(&mut spec.clone(), &mut back);
         (spec, back)
     });
-    for (spec, back) in &specs[1..] {
-        for (i, (a, b)) in specs[0].0.iter().zip(spec).enumerate() {
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "fft re bin {i}");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "fft im bin {i}");
-        }
-        assert_bits_eq(&specs[0].1, back, "fft roundtrip");
+    for (spec, back) in &runs[1..] {
+        assert!(runs[0].0 == *spec, "{} {:?}: spectrum bits moved with threads", T::LABEL, grid.n);
+        assert!(
+            runs[0].1 == *back,
+            "{} {:?}: round trip bits moved with threads",
+            T::LABEL,
+            grid.n
+        );
+    }
+}
+
+#[test]
+fn fft_forward_and_roundtrip_identical_across_thread_counts() {
+    // a cube, and the benchmark grid whose column and row runs end ragged:
+    // workers split runs of lines, and a line's bits must not notice
+    for n in [[32, 32, 32], [40, 32, 24]] {
+        fft_bits_at_thread_counts::<f64>(Grid::new(n));
+        fft_bits_at_thread_counts::<f32>(Grid::new(n));
     }
 }
 
