@@ -131,7 +131,7 @@ impl<T: FftElem> TwoLevelT<T> {
         let parts = comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto);
 
         let slab = Slab::of_rank(t2, p, self.rank);
-        let mut out = [(); NF].map(|_| DistSpectralT::zeros(to, slab));
+        let mut out: [_; NF] = std::array::from_fn(|_| DistSpectralT::zeros(to, slab));
         for part in &parts {
             // every field sends the same modes, so a message is NF equal runs
             for (spec, coefs) in out.iter_mut().zip(part.chunks_exact((part.len() / NF).max(1))) {

@@ -149,10 +149,11 @@ impl<T: FftElem> DistFftT<T> {
         Layout { grid: self.grid, slab, nranks: self.nranks, rank: self.rank }
     }
 
-    /// One `alltoallv` for all fields of a transform.
-    fn transpose(&self, bufs: &[Vec<CpxT<T>>], comm: &mut Comm) -> Vec<Vec<CpxT<T>>> {
+    /// One `alltoallv` for all fields of a transform (the packed messages
+    /// are freed before the caller allocates what it unpacks into).
+    fn transpose(&self, bufs: Vec<Vec<CpxT<T>>>, comm: &mut Comm) -> Vec<Vec<CpxT<T>>> {
         let _c = span("fft.transpose_comm");
-        comm.alltoallv(bufs, CommCat::FftTranspose, self.method)
+        comm.alltoallv(&bufs, CommCat::FftTranspose, self.method)
     }
 
     /// Forward r2c transform of a slab-distributed field: the one-field
@@ -216,13 +217,13 @@ impl<T: FftElem> DistFftT<T> {
                 }
             });
         }
-        let parts = self.transpose(&bufs, comm);
+        let parts = self.transpose(bufs, comm);
 
         // unpack: a source rank's x1 planes of one field are one contiguous
         // run of the `[n1][nj][n3c]` spectral storage
         let my_js = self.x2_slab();
         let run = my_js.ni * n3c;
-        let mut specs = [(); NF].map(|_| DistSpectralT::zeros(self.grid, my_js));
+        let mut specs = std::array::from_fn(|_| DistSpectralT::zeros(self.grid, my_js));
         timing::time(Kernel::FftTranspose, || {
             for (src, part) in parts.iter().enumerate() {
                 let planes = Slab::of_rank(n1, p, src);
@@ -280,13 +281,12 @@ impl<T: FftElem> DistFftT<T> {
                 }
             });
         }
-        let parts = self.transpose(&bufs, comm);
+        let parts = self.transpose(bufs, comm);
 
         // unpack + step 1': per field, every source's stripes back into the
         // `[ni][n2][n3c]` planes, inverse 2-D FFT, c2r
         let mut work = T::cpx_pool().checkout_filled(ni * n2 * n3c, CpxT::ZERO, WsCat::Fft);
-        let mut field = 0;
-        [(); NF].map(|_| {
+        std::array::from_fn(|field| {
             timing::time(Kernel::FftTranspose, || {
                 for (src, part) in parts.iter().enumerate() {
                     let js = Slab::of_rank(n2, p, src);
@@ -298,7 +298,6 @@ impl<T: FftElem> DistFftT<T> {
                     }
                 }
             });
-            field += 1;
             let mut out = ScalarFieldT::zeros_in(layout, WsCat::Fft);
             timing::time(Kernel::FftDist, || {
                 pass::cols(&self.plans.c2, true, &mut work, n3c);

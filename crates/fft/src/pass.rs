@@ -82,34 +82,32 @@ pub fn cols<T: FftElem>(plan: &Fft1dT<T>, inverse: bool, data: &mut [CpxT<T>], s
     });
 }
 
-/// Row count of a real pass and the pooled scratch one worker needs:
-/// kernel scratch (uninitialized spare capacity) when the row length has a
-/// stage table, initialized single-line scratch otherwise.
-fn row_pass<T: FftElem>(
-    plan: &RealFft1dT<T>,
-    real: usize,
-    spec: usize,
-) -> (usize, impl Fn() -> claire_grid::PoolVec<CpxT<T>> + Sync + '_) {
+/// Row count of a real pass over `real` reals and `spec` coefficients.
+fn row_count<T: FftElem>(plan: &RealFft1dT<T>, real: usize, spec: usize) -> usize {
     assert!(real.is_multiple_of(plan.len()), "real side is not whole rows");
-    let count = real / plan.len();
-    assert_eq!(spec, count * plan.spectral_len(), "spectrum/row count mismatch");
-    (count, move || {
-        let mut buf = T::cpx_pool().checkout(plan.batch_scratch_len(ROW_RUN), WsCat::Fft);
-        if plan.lanes().is_none() {
-            buf.resize(plan.scratch_len(), CpxT::ZERO);
-        }
-        buf
-    })
+    assert_eq!(spec, real / plan.len() * plan.spectral_len(), "spectrum/row count mismatch");
+    real / plan.len()
+}
+
+/// The pooled scratch one worker of a real pass needs: kernel scratch
+/// (uninitialized spare capacity) when the row length has a stage table,
+/// initialized single-line scratch otherwise.
+fn row_scratch<T: FftElem>(plan: &RealFft1dT<T>) -> claire_grid::PoolVec<CpxT<T>> {
+    let mut buf = T::cpx_pool().checkout(plan.batch_scratch_len(ROW_RUN), WsCat::Fft);
+    if plan.lanes().is_none() {
+        buf.resize(plan.scratch_len(), CpxT::ZERO);
+    }
+    buf
 }
 
 /// Real-to-complex pass: every `n`-point row of `real` becomes a row of
 /// `n/2 + 1` coefficients of `spec` (`n = plan.len()`).
 pub fn rows_forward<T: FftElem>(plan: &RealFft1dT<T>, real: &[T], spec: &mut [CpxT<T>]) {
     let (n, nc) = (plan.len(), plan.spectral_len());
-    let (count, scratch) = row_pass(plan, real.len(), spec.len());
+    let count = row_count(plan, real.len(), spec.len());
     let shared = SharedSlice::new(spec);
     par_parts(count.div_ceil(ROW_RUN), real.len(), |runs| {
-        let mut buf = scratch();
+        let mut buf = row_scratch(plan);
         for run in runs {
             let (r0, r1) = (run * ROW_RUN, count.min((run + 1) * ROW_RUN));
             // SAFETY: row runs are disjoint across workers.
@@ -132,11 +130,11 @@ pub fn rows_forward<T: FftElem>(plan: &RealFft1dT<T>, real: &[T], spec: &mut [Cp
 /// Complex-to-real pass, the inverse of [`rows_forward`] with the `1/n`.
 pub fn rows_inverse<T: FftElem>(plan: &RealFft1dT<T>, spec: &[CpxT<T>], real: &mut [T]) {
     let (n, nc) = (plan.len(), plan.spectral_len());
-    let (count, scratch) = row_pass(plan, real.len(), spec.len());
+    let count = row_count(plan, real.len(), spec.len());
     let total = real.len();
     let shared = SharedSlice::new(real);
     par_parts(count.div_ceil(ROW_RUN), total, |runs| {
-        let mut buf = scratch();
+        let mut buf = row_scratch(plan);
         for run in runs {
             let (r0, r1) = (run * ROW_RUN, count.min((run + 1) * ROW_RUN));
             // SAFETY: row runs are disjoint across workers.
