@@ -12,12 +12,10 @@
 //!   seq_cold:  8 child processes, one pair each (sum of wall clocks)
 //!   batch_kN:  1 child process running a K-pair `BatchSolver`
 //!
-//! Rows are deterministic for CI gating: threads pinned to 1, fixed smoke
-//! grid, best-of-7 wall clocks, K ∈ {1, 4, 8}, once per SIMD backend.
-//! `check_bench` gates the `pairs_per_sec` column (a drop beyond the
-//! threshold fails CI). The headline `speedup_k8_vs_seq` — batch pairs/sec
-//! at K=8 over the sequential process-per-pair rate — is recorded per
-//! backend.
+//! Rows: threads pinned to 1, fixed smoke grid, best-of-7 wall clocks,
+//! K ∈ {1, 4, 8}, once per SIMD backend. The headline `speedup_k8_vs_seq`
+//! — batch pairs/sec at K=8 over the sequential process-per-pair rate — is
+//! recorded per backend.
 
 use std::process::Command;
 use std::time::Instant;

@@ -7,28 +7,22 @@
 //! both widths, and three components at once), cubic Lagrange
 //! interpolation (one-shot, and split into plan build and planned scalar /
 //! 3-vector evaluation) — plus an axpy stream op, at 64³ and 128³, once with the
-//! parallel layer pinned to 1 thread and once at a fixed 8 threads. Both
-//! thread counts and both grid sizes are pinned so the emitted row set is
-//! identical on every host — `check_bench` diffs these rows against the
-//! committed baseline, and host-dependent rows would break that diff.
-//! When 8 exceeds the host's concurrency the row is flagged
-//! `oversubscribed` (the parallel path is still exercised).
+//! parallel layer pinned to 1 thread and once at a fixed 8 threads. When 8
+//! exceeds the host's concurrency the row is flagged `oversubscribed` (the
+//! parallel path is still exercised).
 //!
 //! Every kernel is measured once per *requested* SIMD backend: `scalar`
 //! (the reference loops) and `auto` (runtime feature detection — AVX2+FMA
 //! where the host has it). Rows are tagged with the requested name, not
-//! the resolved one, so the row keys stay host-independent; the scalar
-//! pass only emits the stable threads==1 rows that gate CI.
+//! the resolved one; the scalar pass only emits the threads==1 rows.
 //!
-//! Two extra row families feed the roofline story:
-//! - `axpy_norm_fused` / `axpy_norm_unfused` time the PCG residual-update
-//!   chain (`r += αq` then `‖r‖²`) as one fused pass vs. the separate
-//!   update + reduction — the measured gap is the §3 traffic reduction
-//!   the fused field ops exist for, gated per backend at threads==1;
-//! - a `roofline` array reports achieved bytes/sec for the streaming
-//!   field-op rows as a percentage of the host's STREAM-probed DRAM peak
-//!   (`claire_perf::machine::host_roofline`), gated by `check_bench` as a
-//!   higher-is-better metric.
+//! `axpy_norm_fused` / `axpy_norm_unfused` time the PCG residual-update
+//! chain (`r += αq` then `‖r‖²`) as one fused pass vs. the separate
+//! update + reduction — the measured gap is the §3 traffic reduction the
+//! fused field ops exist for.
+//!
+//! The rows are printed, not gated: a performance claim is made with paired
+//! runs through `BENCHMARK.json`, and these rows say which layer moved.
 
 use std::time::Instant;
 
@@ -60,30 +54,11 @@ struct CounterRow {
     total_ms: f64,
 }
 
-/// Achieved-bandwidth row: modeled streaming traffic of one kernel call
-/// divided by its measured time, as a fraction of the host DRAM peak.
-#[derive(Serialize)]
-struct RooflineRow {
-    kernel: String,
-    n: usize,
-    threads: usize,
-    backend: String,
-    /// Streaming passes over the field the kernel makes per call.
-    passes: f64,
-    achieved_gbps: f64,
-    pct_of_peak: f64,
-}
-
 #[derive(Serialize)]
 struct Report {
     host_threads: usize,
     grids: Vec<usize>,
-    /// Host DRAM peak (bytes/sec) the `roofline` rows are normalized by.
-    dram_peak_bps: f64,
-    /// False when `CLAIRE_DRAM_PEAK` pinned the peak instead of the probe.
-    dram_peak_probed: bool,
     results: Vec<BenchRow>,
-    roofline: Vec<RooflineRow>,
     timing_counters: Vec<CounterRow>,
 }
 
@@ -97,8 +72,7 @@ fn test_field(n: usize) -> ScalarField {
 ///
 /// Reports the fastest of five timed batches: the minimum is far less
 /// sensitive to scheduler noise than a single batch, which matters because
-/// check_bench gates these rows and the sub-ns/pt kernels (axpy) finish in
-/// ~100µs per batch.
+/// the sub-ns/pt kernels (axpy) finish in ~100µs per batch.
 fn measure(
     kernel: &str,
     n: usize,
@@ -287,9 +261,8 @@ fn bench_at(
 /// f32 arms of the three §3 compute kernels plus the fused PCG stream op,
 /// at the same loop structure as their f64 counterparts — the element
 /// width is the only variable, so the f64-row / `_f32`-row gap is the
-/// mixed-precision traffic reduction the roofline model predicts (~2× on
-/// bandwidth-bound kernels). Rows are threads==1 only (the stable gated
-/// set); both timing and `pct_of_peak` roofline rows gate in CI.
+/// mixed-precision traffic reduction (~2× on bandwidth-bound kernels).
+/// Rows are threads==1 only.
 fn bench_f32_at(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
     set_threads(1);
     let reps = if n >= 128 { 2 } else { 5 };
@@ -424,8 +397,7 @@ fn bench_f32_at(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
 /// alltoallv transpose payload and a width-4 ghost exchange at `n`³, on 2
 /// and 4 ranks. Unlike the in-process channel rows these cross the kernel
 /// socket layer (framing, eager/rendezvous negotiation, reader threads),
-/// so they track the per-message cost a multi-process launch pays. Rows
-/// are threads==1 so `check_bench` gates them against the baseline.
+/// so they track the per-message cost a multi-process launch pays.
 fn bench_socket(n: usize, backend: &str, out: &mut Vec<BenchRow>) {
     set_threads(1);
     let grid = Grid::cube(n);
@@ -462,11 +434,8 @@ fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_kernels.json".into());
     let host_par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
-    // Pinned thread configs so the emitted row set — the (kernel, n,
-    // threads) keys baseline diffing relies on — is identical on every
-    // host: serial (threads=1, the stable rows `check_bench` compares) and
-    // a fixed 8-thread run that exercises the parallel path everywhere.
-    // `oversubscribed` records whether 8 exceeds the host's concurrency.
+    // Serial, and a fixed 8-thread run that exercises the parallel path on
+    // every host; `oversubscribed` records whether 8 exceeds its concurrency.
     let configs = [(1usize, false), (8usize, 8 > host_par)];
 
     timing::reset();
@@ -477,8 +446,8 @@ fn main() {
         claire_simd::force_backend(Some(choice));
         for n in [64usize, 128] {
             for &(threads, over) in &configs {
-                // the scalar pass exists to gate the vectorized speedup; only
-                // its stable threads==1 rows are comparable, so skip the rest
+                // the scalar pass is the reference for the vectorized
+                // speedup; its threads==1 rows say all there is to say
                 if backend != "auto" && threads != 1 {
                     continue;
                 }
@@ -497,46 +466,6 @@ fn main() {
     claire_simd::force_backend(None); // back to env-based resolution
     set_threads(0); // restore default resolution
 
-    // Roofline rows for the streaming kernels, where the pass count is
-    // exact: achieved bytes/sec = passes × element size ÷ measured
-    // ns/point, normalized by the host STREAM peak. The element size comes
-    // from the row's actual width (4 bytes for the `_f32` arms, the size
-    // of `Real` otherwise) — not a hard-coded 8. Only the stable
-    // threads==1 rows. Values can exceed 100%: the bench fields (1–16 MiB)
-    // are partly cache-resident while the probe streams a 24 MiB working
-    // set — the gate tracks relative drift, not the absolute DRAM ceiling.
-    let host = claire_perf::machine::host_roofline();
-    let passes_of = |kernel: &str| -> Option<f64> {
-        match kernel {
-            "axpy" => Some(3.0),               // read x, read + write y
-            "axpy_norm_fused" => Some(3.0),    // same pass also reduces
-            "axpy_norm_unfused" => Some(4.0),  // + one re-read for the dot
-            "axpy_dot_f32" => Some(3.0),       // fused chain, f32 elements
-            "fd_gradient_f32" => Some(6.0),    // 3 dims × (read + write)
-            "interp_planned_f32" => Some(2.0), // gather (cached) + write
-            _ => None,
-        }
-    };
-    let roofline: Vec<RooflineRow> = results
-        .iter()
-        .filter(|r| r.threads == 1)
-        .filter_map(|r| {
-            let passes = passes_of(&r.kernel)?;
-            let elem_bytes =
-                if r.kernel.ends_with("_f32") { 4.0 } else { std::mem::size_of::<Real>() as f64 };
-            let achieved = passes * elem_bytes / (r.ns_per_point * 1e-9);
-            Some(RooflineRow {
-                kernel: r.kernel.clone(),
-                n: r.n,
-                threads: r.threads,
-                backend: r.backend.clone(),
-                passes,
-                achieved_gbps: achieved / 1e9,
-                pct_of_peak: 100.0 * achieved / host.dram_bw,
-            })
-        })
-        .collect();
-
     let counters = timing::snapshot()
         .into_iter()
         .filter(|s| s.calls > 0)
@@ -547,15 +476,8 @@ fn main() {
         })
         .collect();
 
-    let report = Report {
-        host_threads: host_par,
-        grids: vec![64, 128],
-        dram_peak_bps: host.dram_bw,
-        dram_peak_probed: host.probed,
-        results,
-        roofline,
-        timing_counters: counters,
-    };
+    let report =
+        Report { host_threads: host_par, grids: vec![64, 128], results, timing_counters: counters };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&out_path, json + "\n").expect("write BENCH_kernels.json");
     eprintln!("wrote {out_path}");

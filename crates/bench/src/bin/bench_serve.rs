@@ -22,8 +22,7 @@
 //!    `NetServer` + `Client` pair: closed-loop end-to-end latency
 //!    (p50/p95) with the result cache off, then cache-hit throughput with
 //!    it on. These two emit `results` rows (`serve_net_e2e`,
-//!    `serve_net_cache_hit`, jobs/s as `pairs_per_sec`) so `check_bench`
-//!    gates them against `results/baselines/BENCH_serve.json`.
+//!    `serve_net_cache_hit`, jobs/s as `pairs_per_sec`).
 //!
 //! `--smoke` shrinks the workload for CI (8³ grids, few jobs) while still
 //! exercising every phase.
@@ -73,8 +72,8 @@ struct BatchingRow {
     largest_batch: usize,
 }
 
-/// One gated row of the networked phase (`check_bench` keys on
-/// `(kernel, n, threads, backend)` and gates `pairs_per_sec`).
+/// One row of the networked phase, in the `(kernel, n, threads, backend)`
+/// shape of the other printers' rows.
 #[derive(Serialize)]
 struct NetRow {
     kernel: String,
@@ -97,7 +96,7 @@ struct Report {
     levels: Vec<LevelRow>,
     overload: OverloadRow,
     batching: BatchingRow,
-    /// Networked rows, under the standard perf-gate schema.
+    /// Networked rows.
     results: Vec<NetRow>,
 }
 

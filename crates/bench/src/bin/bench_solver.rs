@@ -13,14 +13,14 @@
 //! A warm-up solve fills the pools and plan caches before the measured
 //! solve, so the reported rows describe the steady state.
 //! The GN iteration includes the fused PCG field-op chains, so its
-//! `ns_per_point` row gates the fusion work end to end, and its
-//! `allocs_per_iter` field asserts the fused loop stayed allocation-free.
+//! `ns_per_point` row shows the fusion work end to end, and its
+//! `allocs_per_iter` field shows the fused loop stayed allocation-free.
 //!
 //! Each configuration runs at both precisions (`gn_iteration` /
 //! `gn_iteration_mixed`), and a `pcg_h0` / `pcg_h0_mixed` row pair times a
 //! fixed-iteration inner PCG on the zero-velocity Hessian at 64³ and 96³
-//! — both widths on the identical schedule — so the committed baseline
-//! pins the mixed-precision speedup of the PCG-dominated phase.
+//! — both widths on the identical schedule — so the row pair shows the
+//! mixed-precision speedup of the PCG-dominated phase.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;

@@ -20,13 +20,17 @@
 //! std::fs::write("run.json", run.to_json()).unwrap();
 //! ```
 
-use claire_mpi::{CollOp, Comm, CommCat};
+use claire_fft::cache as fft_cache;
+use claire_grid::workspace::{self, WsCat};
+use claire_mpi::{CollOp, Comm, CommCat, CommStats};
 use claire_obs::report::{
     CollectiveEntry, CommPhaseEntry, KernelEntry, MemoryCatEntry, MemoryInfo, PhaseShares,
-    RooflineInfo, RooflineKernelEntry, RunReport, RunSummary,
+    RunReport, RunSummary,
 };
 use claire_obs::{metrics, records, span};
+use claire_opt::GnStats;
 
+use crate::batch::MemberMemStats;
 use crate::report::RegistrationReport;
 
 /// Arm the observability layer for a fresh run: enables collection and
@@ -34,8 +38,8 @@ use crate::report::RegistrationReport;
 pub fn begin() {
     claire_obs::begin();
     claire_par::timing::reset();
-    claire_grid::workspace::reset_stats();
-    claire_fft::cache::reset_stats();
+    workspace::reset_stats();
+    fft_cache::reset_stats();
 }
 
 /// Drain every telemetry source into a unified [`RunReport`].
@@ -45,29 +49,27 @@ pub fn begin() {
 /// consumes the span tree and GN records — a second call returns empty
 /// `spans`/`gn_trace`.
 pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm) -> RunReport {
-    let mut run = RunReport::new(label);
-    run.grid = report.grid;
-    run.nranks = report.nranks;
-    run.nt = report.nt;
-    run.precond = report.pc.clone();
-    run.backend = claire_simd::active_backend().label().to_string();
-    run.transport = comm.transport_kind().to_string();
-    run.precision = report.precision.clone();
-
-    run.summary = RunSummary {
-        gn_iters: report.gn_iters,
-        pcg_iters: report.pcg_iters,
-        obj_evals: metric_value(&metrics::snapshot(), "gn.obj_evals") as usize,
-        hess_applies: metric_value(&metrics::snapshot(), "gn.hess_applies") as usize,
-        rel_mismatch: report.rel_mismatch,
-        grad_rel: report.grad_rel,
-        jac_det_min: report.jac_det_min,
-        jac_det_max: report.jac_det_max,
-        time_total: report.time_total,
-        modeled_total: report.modeled_total,
-        converged: metric_value(&metrics::snapshot(), "gn.converged") >= 1.0,
+    // `Claire::register` hands back no `GnStats`; the process is this one
+    // solve, so the registry's counters and the pools' totals are its own.
+    let registry = metrics::snapshot();
+    let gn = GnStats {
+        obj_evals: metric_value(&registry, "gn.obj_evals") as usize,
+        hess_applies: metric_value(&registry, "gn.hess_applies") as usize,
+        converged: metric_value(&registry, "gn.converged") >= 1.0,
+        ..GnStats::default()
     };
+    let fft = fft_cache::stats();
+    let mut mem = MemberMemStats {
+        fft_plan_hits: fft.hits,
+        fft_plan_misses: fft.misses,
+        ..MemberMemStats::default()
+    };
+    for (i, s) in workspace::stats().iter().enumerate() {
+        mem.cat_checkouts[i] = s.checkouts;
+        mem.cat_misses[i] = s.misses;
+    }
 
+    let mut run = solve_run_report(label, report, &gn, comm.transport_kind(), comm.stats(), &mem);
     run.kernels = claire_par::timing::snapshot()
         .into_iter()
         .filter(|k| k.calls > 0)
@@ -78,8 +80,51 @@ pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm)
         })
         .collect();
     run.phases = PhaseShares::from_kernels(&run.kernels, report.time_total);
+    run.metrics = registry;
+    run.gn_trace = records::take_gn();
+    run.spans = span::take_spans();
+    run
+}
 
-    let stats = comm.stats();
+/// The blocks of a [`RunReport`] that one solve owns — header, `summary`,
+/// `comm`, `collectives`, `memory` — from that solve's own report,
+/// Gauss–Newton counts, traffic ledger and pool/plan-cache events. Nothing
+/// process-global is read except the pools' byte levels (see the
+/// sharing-semantics note on [`MemoryInfo`]), so it is exact for a job that
+/// shares the process with others; [`collect_run_report`] adds the
+/// process-global parts, `claire-serve` adds `scheduling` and the span tree.
+pub fn solve_run_report(
+    label: &str,
+    report: &RegistrationReport,
+    gn: &GnStats,
+    transport: &str,
+    stats: &CommStats,
+    mem: &MemberMemStats,
+) -> RunReport {
+    let mut run = RunReport::new(label);
+    run.grid = report.grid;
+    run.nranks = report.nranks;
+    run.nt = report.nt;
+    run.precond = report.pc.clone();
+    run.backend = claire_simd::active_backend().label().to_string();
+    run.transport = transport.to_string();
+    run.precision = report.precision.clone();
+
+    run.summary = RunSummary {
+        gn_iters: report.gn_iters,
+        pcg_iters: report.pcg_iters,
+        obj_evals: gn.obj_evals,
+        hess_applies: gn.hess_applies,
+        rel_mismatch: report.rel_mismatch,
+        grad_rel: report.grad_rel,
+        jac_det_min: report.jac_det_min,
+        jac_det_max: report.jac_det_max,
+        time_total: report.time_total,
+        modeled_total: report.modeled_total,
+        converged: gn.converged,
+    };
+    run.phases = PhaseShares::from_kernels(&[], report.time_total);
+
     run.comm = CommCat::ALL
         .iter()
         .map(|&c| {
@@ -103,72 +148,31 @@ pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm)
         .filter(|e| e.calls > 0)
         .collect();
 
-    run.metrics = metrics::snapshot();
-    run.memory = collect_memory(report.memory_bytes_per_rank);
-    run.roofline = collect_roofline(&run.kernels, report.grid, report.nranks);
-    run.gn_trace = records::take_gn();
-    run.spans = span::take_spans();
-    run
-}
-
-/// Per-kernel achieved bytes/sec against the host DRAM roofline: measured
-/// kernel seconds (claire-par timers) divided into modeled streaming traffic
-/// (`claire_perf::machine::kernel_traffic_bytes`), as a percentage of the
-/// STREAM-probed (or `CLAIRE_DRAM_PEAK`-pinned) host peak.
-fn collect_roofline(kernels: &[KernelEntry], grid: [usize; 3], nranks: usize) -> RooflineInfo {
-    let host = claire_perf::machine::host_roofline();
-    let points = (grid[0] * grid[1] * grid[2] / nranks.max(1)) as u64;
-    let real_bytes = std::mem::size_of::<claire_grid::Real>() as u64;
-    let entries = kernels
-        .iter()
-        .filter(|k| k.calls > 0 && k.secs > 0.0)
-        .filter_map(|k| {
-            let per_call = claire_perf::machine::kernel_traffic_bytes(&k.name, points, real_bytes)?;
-            let modeled_bytes = per_call * k.calls as f64;
-            let achieved_bps = modeled_bytes / k.secs;
-            Some(RooflineKernelEntry {
-                kernel: k.name.clone(),
-                calls: k.calls,
-                secs: k.secs,
-                modeled_bytes,
-                achieved_bps,
-                pct_of_peak: 100.0 * achieved_bps / host.dram_bw,
-            })
-        })
-        .collect();
-    RooflineInfo { dram_peak_bps: host.dram_bw, probed: host.probed, kernels: entries }
-}
-
-/// Snapshot the workspace pools and the FFT plan cache into the report's
-/// `memory` block, next to the analytic §3 per-rank estimate.
-fn collect_memory(modeled_bytes: u64) -> MemoryInfo {
-    use claire_grid::workspace::{self, WsCat};
-    let per_cat = workspace::stats();
-    let total = workspace::total_stats();
-    let fft = claire_fft::cache::stats();
-    MemoryInfo {
-        pool_checkouts: total.checkouts,
-        pool_misses: total.misses,
-        pool_peak_bytes: total.peak_bytes,
-        pool_in_use_bytes: total.in_use_bytes,
+    let levels = workspace::stats();
+    run.memory = MemoryInfo {
+        pool_checkouts: mem.pool_checkouts(),
+        pool_misses: mem.pool_misses(),
+        pool_peak_bytes: levels.iter().map(|s| s.peak_bytes).sum(),
+        pool_in_use_bytes: levels.iter().map(|s| s.in_use_bytes).sum(),
         categories: WsCat::ALL
             .iter()
-            .zip(per_cat.iter())
-            .filter(|(_, s)| s.checkouts > 0)
-            .map(|(c, s)| MemoryCatEntry {
-                cat: c.label().to_string(),
-                checkouts: s.checkouts,
-                misses: s.misses,
-                peak_bytes: s.peak_bytes,
+            .enumerate()
+            .filter(|&(i, _)| mem.cat_checkouts[i] > 0)
+            .map(|(i, cat)| MemoryCatEntry {
+                cat: cat.label().to_string(),
+                checkouts: mem.cat_checkouts[i],
+                misses: mem.cat_misses[i],
+                peak_bytes: levels[i].peak_bytes,
             })
             .collect(),
-        fft_plans: fft.plans,
-        fft_plan_hits: fft.hits,
-        fft_plan_misses: fft.misses,
+        fft_plans: fft_cache::stats().plans,
+        fft_plan_hits: mem.fft_plan_hits,
+        fft_plan_misses: mem.fft_plan_misses,
         result_cache_hits: 0,
         result_cache_misses: 0,
-        modeled_bytes,
-    }
+        modeled_bytes: report.memory_bytes_per_rank,
+    };
+    run
 }
 
 fn metric_value(entries: &[metrics::MetricEntry], key: &str) -> f64 {
@@ -224,12 +228,6 @@ mod tests {
             "µPDE category expected in the breakdown"
         );
         assert!(run.memory.fft_plans > 0, "plan cache should have planned");
-        assert!(run.roofline.dram_peak_bps > 0.0, "host roofline should be calibrated");
-        assert!(!run.roofline.kernels.is_empty(), "roofline entries expected");
-        for k in &run.roofline.kernels {
-            assert!(k.modeled_bytes > 0.0 && k.achieved_bps > 0.0, "{}", k.kernel);
-            assert!(k.pct_of_peak.is_finite() && k.pct_of_peak > 0.0, "{}", k.kernel);
-        }
         // Draining is one-shot (spans are thread-local, so this is exact
         // even with other tests running concurrently).
         let again = collect_run_report("unit2", &report, &comm);

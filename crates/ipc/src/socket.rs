@@ -47,8 +47,7 @@ const ABORT_POLL: Duration = Duration::from_millis(2);
 #[derive(Clone)]
 pub struct SocketOpts {
     /// Payloads at or below this size take the eager (staged, single-write)
-    /// path; larger payloads stream without staging. Env override:
-    /// `CLAIRE_IPC_EAGER` (bytes).
+    /// path; larger payloads stream without staging.
     pub eager_threshold: usize,
     /// How long to keep retrying the mesh construction before giving up
     /// (covers peers that are still starting). Env override:
@@ -61,16 +60,16 @@ pub struct SocketOpts {
 
 impl Default for SocketOpts {
     fn default() -> Self {
-        let eager = std::env::var("CLAIRE_IPC_EAGER")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_EAGER_THRESHOLD);
         let timeout = std::env::var("CLAIRE_IPC_TIMEOUT")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
             .map(Duration::from_secs)
             .unwrap_or(Duration::from_secs(30));
-        SocketOpts { eager_threshold: eager, bootstrap_timeout: timeout, abort: None }
+        SocketOpts {
+            eager_threshold: DEFAULT_EAGER_THRESHOLD,
+            bootstrap_timeout: timeout,
+            abort: None,
+        }
     }
 }
 

@@ -33,7 +33,6 @@ pub const SCHEMA_KEYS: &[&str] = &[
     "collectives",
     "metrics",
     "memory",
-    "roofline",
     "spans",
 ];
 
@@ -232,41 +231,6 @@ pub struct MemoryInfo {
     pub result_cache_misses: u64,
 }
 
-/// One kernel family's achieved DRAM bandwidth against the host roofline.
-#[derive(Serialize, Clone, Debug)]
-pub struct RooflineKernelEntry {
-    /// Kernel label (matches [`KernelEntry::name`]).
-    pub kernel: String,
-    /// Timed invocations the traffic model was applied to.
-    pub calls: u64,
-    /// Measured seconds across those invocations.
-    pub secs: f64,
-    /// Modeled DRAM bytes moved across those invocations (streaming-pass
-    /// model; see `claire_perf::machine::kernel_traffic_bytes`).
-    pub modeled_bytes: f64,
-    /// Achieved bytes/sec: `modeled_bytes / secs`.
-    pub achieved_bps: f64,
-    /// Achieved bandwidth as a percentage of the host DRAM peak.
-    pub pct_of_peak: f64,
-}
-
-/// Per-kernel %-of-DRAM-peak block: the paper's §3 bandwidth-bound cost
-/// model made visible per run. The denominator is the host roofline — a
-/// STREAM-style probe (or the `CLAIRE_DRAM_PEAK` override) — so the block
-/// answers "how close is each kernel family to saturating this machine's
-/// memory system". Kernels without a streaming-traffic model (ghost
-/// exchange) are omitted from `kernels`.
-#[derive(Serialize, Clone, Debug, Default)]
-pub struct RooflineInfo {
-    /// Host DRAM peak the percentages are measured against (bytes/sec).
-    pub dram_peak_bps: f64,
-    /// True when the peak came from the in-process STREAM probe, false when
-    /// the `CLAIRE_DRAM_PEAK` environment override supplied it.
-    pub probed: bool,
-    /// Per-kernel-family achieved bandwidth, in kernel-timer order.
-    pub kernels: Vec<RooflineKernelEntry>,
-}
-
 /// The unified per-run report. Serialize with [`RunReport::to_json`].
 #[derive(Serialize, Clone, Debug)]
 pub struct RunReport {
@@ -306,8 +270,6 @@ pub struct RunReport {
     pub metrics: Vec<MetricEntry>,
     /// Workspace-pool / plan-cache counters vs the analytic memory model.
     pub memory: MemoryInfo,
-    /// Per-kernel achieved bytes/sec vs the host DRAM roofline.
-    pub roofline: RooflineInfo,
     /// Hierarchical span tree (per rank-0 thread).
     pub spans: Vec<SpanNode>,
 }
@@ -333,7 +295,6 @@ impl RunReport {
             collectives: Vec::new(),
             metrics: Vec::new(),
             memory: MemoryInfo::default(),
-            roofline: RooflineInfo::default(),
             spans: Vec::new(),
         }
     }

@@ -1,10 +1,4 @@
-//! Machine description and modeled kernel time splits, plus the *host*
-//! roofline: a small STREAM-style probe measuring this machine's sustained
-//! DRAM bandwidth, against which per-kernel achieved bytes/sec are reported
-//! as %-of-peak (the paper's §3 bandwidth-bound cost model, applied to the
-//! CPU reproduction instead of the V100).
-
-use std::sync::OnceLock;
+//! Machine description and modeled kernel time splits.
 
 use claire_mpi::model::{DeviceModel, LinkModel};
 use claire_mpi::Topology;
@@ -31,97 +25,6 @@ impl Machine {
     pub fn topo(&self, p: usize) -> Topology {
         Topology::new(p, self.gpus_per_node)
     }
-}
-
-/// The measured roofline of the machine this process runs on.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct HostRoofline {
-    /// Sustained DRAM bandwidth in bytes/sec (STREAM-triad style measurement
-    /// or the `CLAIRE_DRAM_PEAK` override).
-    pub dram_bw: f64,
-    /// True when the value came from the in-process probe; false when the
-    /// `CLAIRE_DRAM_PEAK` environment override supplied it.
-    pub probed: bool,
-}
-
-/// Triad working-set: three arrays of 2²⁰ f64 (8 MiB each) — larger than
-/// typical L2, small enough that one probe rep streams 24 MiB and the whole
-/// calibration stays well under 100 ms even on slow CI runners.
-const PROBE_LEN: usize = 1 << 20;
-const PROBE_REPS: usize = 5;
-
-/// Best-of-`PROBE_REPS` STREAM triad (`a[i] = b[i] + s·c[i]`) bandwidth in
-/// bytes/sec, counting 3 × 8 bytes per element (two reads, one write;
-/// write-allocate traffic is ignored, matching STREAM's convention).
-fn stream_triad_probe() -> f64 {
-    let b: Vec<f64> = (0..PROBE_LEN).map(|i| i as f64 * 0.5).collect();
-    let c: Vec<f64> = (0..PROBE_LEN).map(|i| 1.0 - i as f64 * 0.25).collect();
-    let mut a = vec![0.0f64; PROBE_LEN];
-    let s = 3.0f64;
-    let mut best = 0.0f64;
-    for _ in 0..PROBE_REPS {
-        let t0 = std::time::Instant::now();
-        for ((av, &bv), &cv) in a.iter_mut().zip(&b).zip(&c) {
-            *av = bv + s * cv;
-        }
-        let dt = t0.elapsed().as_secs_f64().max(1e-9);
-        best = best.max(3.0 * 8.0 * PROBE_LEN as f64 / dt);
-    }
-    // keep the output observable so the triad loop cannot be optimized away
-    std::hint::black_box(&a);
-    best
-}
-
-/// The host roofline, measured once per process (or taken from the
-/// `CLAIRE_DRAM_PEAK` environment variable — bytes/sec — when set, which
-/// CI uses to pin the denominator on shared runners).
-pub fn host_roofline() -> HostRoofline {
-    static HOST: OnceLock<HostRoofline> = OnceLock::new();
-    *HOST.get_or_init(|| {
-        if let Some(bw) = std::env::var("CLAIRE_DRAM_PEAK")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|&v| v > 0.0)
-        {
-            return HostRoofline { dram_bw: bw, probed: false };
-        }
-        HostRoofline { dram_bw: stream_triad_probe(), probed: true }
-    })
-}
-
-/// Modeled DRAM bytes moved by **one call** of the named kernel family over
-/// `points` local grid points with `real_bytes`-wide scalars. Pass counts
-/// follow the §3 cost model and the kernels' actual loop structure:
-///
-/// | family          | passes | reasoning                                     |
-/// |-----------------|--------|-----------------------------------------------|
-/// | `fd`            | 2      | one derivative: read field, write output      |
-/// | `field_ops`     | 3      | two-operand update (read x, read+write y);    |
-/// |                 |        | fused update+reduce keeps the same 3 passes   |
-/// |                 |        | where the unfused pair costs 5                |
-/// | `interp`        | 2      | per query: gather (cached) + write value      |
-/// | `fft_serial`    | 12.5   | [`crate::kernels::FFT_PASS_FACTOR`], complex  |
-/// |                 |        | storage ≈ grid points of reals per transform  |
-/// | `fft_dist`      | 4      | one distributed stage: 2-D planes or 1-D      |
-/// |                 |        | pencils, strided read + write                 |
-/// | `fft_transpose` | 2      | pack *or* unpack: read block, write block     |
-/// | `semilag`       | 6      | RK2 stage streams 3-component points in + out |
-///
-/// Returns `None` for families without a meaningful streaming model
-/// (`ghost` — message-sized, not field-sized).
-pub fn kernel_traffic_bytes(name: &str, points: u64, real_bytes: u64) -> Option<f64> {
-    let field = points as f64 * real_bytes as f64;
-    let passes = match name {
-        "fd" => 2.0,
-        "field_ops" => 3.0,
-        "interp" => 2.0,
-        "fft_serial" => crate::kernels::FFT_PASS_FACTOR,
-        "fft_dist" => 4.0,
-        "fft_transpose" => 2.0,
-        "semilag" => 6.0,
-        _ => return None,
-    };
-    Some(passes * field)
 }
 
 /// A modeled kernel time split into compute and communication.
@@ -175,26 +78,6 @@ mod tests {
         assert!((k.total() - 4.0).abs() < 1e-12);
         let z = KernelTime::default();
         assert_eq!(z.comm_pct(), 0.0);
-    }
-
-    #[test]
-    fn host_roofline_is_positive_and_cached() {
-        let r1 = host_roofline();
-        let r2 = host_roofline();
-        assert!(r1.dram_bw > 0.0);
-        assert_eq!(r1.dram_bw, r2.dram_bw, "probe must run once per process");
-    }
-
-    #[test]
-    fn traffic_model_scales_with_points() {
-        let fd1 = kernel_traffic_bytes("fd", 1000, 8).unwrap();
-        let fd2 = kernel_traffic_bytes("fd", 2000, 8).unwrap();
-        assert_eq!(fd2, 2.0 * fd1);
-        assert_eq!(fd1, 2.0 * 1000.0 * 8.0);
-        // fused field_ops keep 3 passes; the unfused pair costs 5
-        assert_eq!(kernel_traffic_bytes("field_ops", 1000, 8), Some(3.0 * 1000.0 * 8.0));
-        assert_eq!(kernel_traffic_bytes("ghost", 1000, 8), None);
-        assert_eq!(kernel_traffic_bytes("unknown", 1000, 8), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fmt;
 use std::time::Duration;
 
 use claire_core::{ClaireError, ClaireResult, RegistrationConfig, RegistrationReport, SolverHooks};
-use claire_grid::ScalarField;
+use claire_grid::{Real, ScalarField};
 use claire_obs::report::RunReport;
 
 /// Service-assigned job identifier, unique for the lifetime of one
@@ -109,6 +109,12 @@ impl Priority {
     }
 }
 
+/// Most grid points a synthetic job may ask for: as many as the largest
+/// pair one wire frame can carry, so a few-hundred-byte `Submit` cannot
+/// claim more memory than outside input is held to anywhere else.
+const MAX_SYNTHETIC_POINTS: usize =
+    crate::wire::MAX_FRAME_BYTES / (2 * std::mem::size_of::<Real>());
+
 /// What a job registers.
 pub enum JobInput {
     /// A concrete template/reference image pair (layouts must match).
@@ -121,7 +127,8 @@ pub enum JobInput {
     /// The paper's analytic SYN problem at the given grid size, generated
     /// by the worker (useful for benchmarks and smoke tests).
     Synthetic {
-        /// Grid extents n₁ × n₂ × n₃ (all must be nonzero).
+        /// Grid extents n₁ × n₂ × n₃ (each ≥ 2, product bounded by one
+        /// frame's worth of points).
         n: [usize; 3],
     },
 }
@@ -207,6 +214,18 @@ impl JobSpec {
                     return Err(ClaireError::Config {
                         param: "grid",
                         message: format!("extents must all be >= 2, got {n:?}"),
+                    });
+                }
+                // an allocation the size of the grid aborts the process when
+                // it fails, which no worker-side guard can catch
+                let points = n.iter().try_fold(1usize, |p, &d| p.checked_mul(d));
+                if points.is_none_or(|p| p > MAX_SYNTHETIC_POINTS) {
+                    return Err(ClaireError::Config {
+                        param: "grid",
+                        message: format!(
+                            "extents {n:?} exceed the {MAX_SYNTHETIC_POINTS} grid points \
+                             one job may ask for"
+                        ),
                     });
                 }
             }
@@ -378,6 +397,11 @@ mod tests {
         let err = spec(JobInput::Synthetic { n: [8, 0, 8] }).validate().unwrap_err();
         assert!(err.to_string().contains(">= 2"), "{err}");
         assert!(spec(JobInput::Synthetic { n: [8, 8, 1] }).validate().is_err());
+        // more points than a frame could carry, and a product that overflows
+        for n in [[200_000; 3], [usize::MAX, 2, 2]] {
+            let err = spec(JobInput::Synthetic { n }).validate().unwrap_err();
+            assert!(matches!(err, ClaireError::Config { param: "grid", .. }), "{err}");
+        }
 
         let mut bad = spec(JobInput::Synthetic { n: [8, 8, 8] });
         bad.config.nt = 0;

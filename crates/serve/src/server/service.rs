@@ -23,17 +23,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use claire_core::{
-    BatchItem, BatchPair, BatchSolver, CancelToken, ClaireError, GnStats, MemberMemStats,
-    RegistrationReport, SolverHooks,
+    observe, BatchItem, BatchPair, BatchSolver, CancelToken, ClaireError, SolverHooks,
 };
-use claire_fft::cache as fft_cache;
-use claire_grid::workspace;
-use claire_mpi::{CollOp, Comm, CommCat, CommStats};
+use claire_mpi::Comm;
 use claire_obs::metrics::{Counter, Gauge, Histogram};
-use claire_obs::report::{
-    CollectiveEntry, CommPhaseEntry, MemoryCatEntry, MemoryInfo, PhaseShares, RooflineInfo,
-    RunReport, RunSummary, SchedulingInfo,
-};
+use claire_obs::report::SchedulingInfo;
 use claire_obs::span;
 
 use crate::cache::{content_key, ResultCache, ResultCacheStats};
@@ -689,8 +683,20 @@ fn execute(
                         tenant: member.tenant,
                         from_cache: false,
                     };
-                    let mut run =
-                        job_run_report(&member.label, &report, &gn, &comm, scheduling, &memory);
+                    // Only per-job sources: the metrics registry and kernel
+                    // timers are shared by every concurrently running job.
+                    // The counts cover the solve and its report, not the
+                    // generation of a synthetic input.
+                    let transport = Comm::solo().transport_kind();
+                    let mut run = observe::solve_run_report(
+                        &member.label,
+                        &report,
+                        &gn,
+                        transport,
+                        &comm,
+                        &memory,
+                    );
+                    run.scheduling = scheduling;
                     run.spans = spans.clone();
                     if member.cache_key.is_some() {
                         run.memory.result_cache_misses = 1;
@@ -752,110 +758,6 @@ fn cached_result(id: u64, spec: &JobSpec, mut hit: JobResult) -> JobResult {
         run.memory.result_cache_misses = 0;
     }
     hit
-}
-
-/// Build the report's memory block from this job's own counter deltas
-/// (event counts) plus the shared family's current byte levels — see the
-/// sharing-semantics note on [`MemoryInfo`].
-fn job_memory(mem: &MemberMemStats, modeled_bytes: u64) -> MemoryInfo {
-    let ws = workspace::stats();
-    let total = workspace::total_stats();
-    let fft = fft_cache::stats();
-    MemoryInfo {
-        pool_checkouts: mem.pool_checkouts(),
-        pool_misses: mem.pool_misses(),
-        pool_peak_bytes: total.peak_bytes,
-        pool_in_use_bytes: total.in_use_bytes,
-        categories: workspace::WsCat::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, cat)| MemoryCatEntry {
-                cat: cat.label().to_string(),
-                checkouts: mem.cat_checkouts[i],
-                misses: mem.cat_misses[i],
-                peak_bytes: ws[i].peak_bytes,
-            })
-            .filter(|c| c.checkouts > 0)
-            .collect(),
-        fft_plans: fft.plans,
-        fft_plan_hits: mem.fft_plan_hits,
-        fft_plan_misses: mem.fft_plan_misses,
-        modeled_bytes,
-        result_cache_hits: 0,
-        result_cache_misses: 0,
-    }
-}
-
-/// Assemble the per-job [`RunReport`]. Unlike
-/// `claire_core::observe::collect_run_report`, this only uses *per-job*
-/// telemetry sources — the job's own Gauss–Newton and communicator
-/// statistics, the worker-thread span tree, and the job's own
-/// pool/plan-cache counter deltas — because the global metrics registry and
-/// kernel timers are shared by every concurrently running job. Those
-/// per-job counts cover the solve and its report, not the generation of a
-/// synthetic input.
-fn job_run_report(
-    label: &str,
-    report: &RegistrationReport,
-    gn: &GnStats,
-    stats: &CommStats,
-    scheduling: SchedulingInfo,
-    mem: &MemberMemStats,
-) -> RunReport {
-    let mut run = RunReport::new(label);
-    run.grid = report.grid;
-    run.nranks = report.nranks;
-    run.nt = report.nt;
-    run.precond = report.pc.clone();
-    run.backend = claire_simd::active_backend().label().to_string();
-    run.transport = Comm::solo().transport_kind().to_string();
-    run.precision = report.precision.clone();
-    run.summary = RunSummary {
-        gn_iters: report.gn_iters,
-        pcg_iters: report.pcg_iters,
-        obj_evals: gn.obj_evals,
-        hess_applies: gn.hess_applies,
-        rel_mismatch: report.rel_mismatch,
-        grad_rel: report.grad_rel,
-        jac_det_min: report.jac_det_min,
-        jac_det_max: report.jac_det_max,
-        time_total: report.time_total,
-        modeled_total: report.modeled_total,
-        converged: gn.converged,
-    };
-    run.scheduling = scheduling;
-    run.phases = PhaseShares::from_kernels(&[], report.time_total);
-    run.memory = job_memory(mem, report.memory_bytes_per_rank);
-    // Kernel timers are process-global, so per-kernel roofline entries are
-    // unattributable here; the host DRAM calibration is still per-process
-    // valid and lets report consumers see the same peak as solo runs.
-    let host = claire_perf::machine::host_roofline();
-    run.roofline =
-        RooflineInfo { dram_peak_bps: host.dram_bw, probed: host.probed, kernels: Vec::new() };
-
-    run.comm = CommCat::ALL
-        .iter()
-        .map(|&c| {
-            let s = stats.cat(c);
-            CommPhaseEntry {
-                phase: c.label().to_string(),
-                bytes: s.bytes_sent,
-                msgs: s.msgs_sent,
-                wire_bytes: s.wire_bytes,
-                modeled_secs: s.modeled_secs,
-            }
-        })
-        .filter(|e| e.bytes > 0 || e.msgs > 0 || e.wire_bytes > 0)
-        .collect();
-    run.collectives = CollOp::ALL
-        .iter()
-        .map(|&op| {
-            let s = stats.coll(op);
-            CollectiveEntry { op: op.label().to_string(), calls: s.calls, bytes: s.bytes }
-        })
-        .filter(|e| e.calls > 0)
-        .collect();
-    run
 }
 
 #[cfg(test)]

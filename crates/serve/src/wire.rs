@@ -699,6 +699,10 @@ fn as_usize(v: &Value, key: &str) -> Result<usize, WireError> {
     Ok(as_u64(v, key)? as usize)
 }
 
+fn as_u32(v: &Value, key: &str) -> Result<u32, WireError> {
+    u32::try_from(as_u64(v, key)?).map_err(|_| bad(format!("`{key}` does not fit in 32 bits")))
+}
+
 fn as_f64(v: &Value, key: &str) -> Result<f64, WireError> {
     match v {
         Value::Num(x) => Ok(*x),
@@ -752,7 +756,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
     let o = as_obj(&v)?;
     match message_type(o)?.as_str() {
         "hello" => Ok(Request::Hello {
-            protocol: as_u64(field(o, "protocol")?, "protocol")? as u32,
+            protocol: as_u32(field(o, "protocol")?, "protocol")?,
             client: as_str(field(o, "client")?, "client")?,
         }),
         "submit" => Ok(Request::Submit { spec: decode_spec(field(o, "spec")?)? }),
@@ -770,7 +774,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, WireError> {
     let o = as_obj(&v)?;
     match message_type(o)?.as_str() {
         "hello" => Ok(Response::Hello {
-            protocol: as_u64(field(o, "protocol")?, "protocol")? as u32,
+            protocol: as_u32(field(o, "protocol")?, "protocol")?,
             server: as_str(field(o, "server")?, "server")?,
         }),
         "submitted" => Ok(Response::Submitted {
@@ -1099,6 +1103,9 @@ mod tests {
         assert!(matches!(decode_request(b"[1,2,3]"), Err(WireError::Malformed(_))));
         assert!(matches!(decode_request(b"{\"no\":\"type\"}"), Err(WireError::Malformed(_))));
         assert!(matches!(decode_request(b"{\"type\":\"warp\"}"), Err(WireError::Protocol(_))));
+        // 2³² + 1 must not wrap to protocol version 1
+        let wrapped = b"{\"type\":\"hello\",\"protocol\":4294967297,\"client\":\"c\"}";
+        assert!(matches!(decode_request(wrapped), Err(WireError::Malformed(_))));
         assert!(matches!(decode_response(&[0xff, 0xfe]), Err(WireError::Malformed(_))));
     }
 

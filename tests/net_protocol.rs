@@ -1,7 +1,8 @@
 //! Wire-protocol tests for the networked claire-serve front door: framing
 //! errors are typed, every envelope survives an encode/decode round trip
 //! (images bitwise), and a version-mismatched client is refused by a real
-//! server with a typed error before any job state is touched.
+//! server with a typed error before any job state is touched, as is a
+//! synthetic grid too large to allocate.
 
 use std::io::Cursor;
 
@@ -11,7 +12,7 @@ use claire::serve::wire::{
     decode_request, decode_response, encode, read_frame, send, write_frame, MAX_FRAME_BYTES,
 };
 use claire::serve::{
-    ErrorCode, JobId, JobStatus, NetServer, NetServerConfig, Priority, Request, Response,
+    Client, ErrorCode, JobId, JobStatus, NetServer, NetServerConfig, Priority, Request, Response,
     ServiceConfig, StreamEvent, WireError, WireInput, WireJobSpec, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
@@ -139,6 +140,30 @@ fn version_mismatch_is_refused_by_a_live_server() {
         Err(WireError::Closed) | Err(WireError::Io(_)) => {}
         other => panic!("expected the connection to be closed, got {other:?}"),
     }
+    server.shutdown();
+}
+
+/// A synthetic grid no machine can hold is refused at admission; had it
+/// reached a worker, the failed allocation would abort the whole server.
+#[test]
+fn oversized_synthetic_grid_is_refused_and_the_server_lives_on() {
+    let mut server = NetServer::bind(
+        "127.0.0.1:0",
+        NetServerConfig::default().service(ServiceConfig::default().workers(1)),
+    )
+    .expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    match client.submit(&sample_spec(WireInput::Synthetic { n: [200_000; 3] })) {
+        Err(WireError::Remote { code: ErrorCode::InvalidSpec, message }) => {
+            assert!(message.contains("grid"), "{message}");
+        }
+        other => panic!("expected an InvalidSpec refusal, got {other:?}"),
+    }
+    let small =
+        WireJobSpec { deadline_ms: None, ..sample_spec(WireInput::Synthetic { n: [8; 3] }) };
+    let admitted = client.submit(&small).expect("submit after the refusal");
+    let done = client.wait(admitted.id).expect("wait");
+    assert_eq!(done.status, JobStatus::Succeeded);
     server.shutdown();
 }
 
