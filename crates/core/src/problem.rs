@@ -6,7 +6,10 @@ use claire_diff::Spectral;
 use claire_grid::{ClaireError, ClaireResult, Layout, Real, ScalarField, VectorField};
 use claire_interp::Interpolator;
 use claire_mpi::Comm;
+use claire_obs::metrics::Counter;
 use claire_opt::GnProblem;
+use claire_par::timing::{self, Kernel};
+use claire_par::{par_parts, SharedSlice};
 use claire_semilag::{StateSolution, Trajectory, Transport};
 
 use crate::config::{Precision, PrecondKind, RegistrationConfig};
@@ -50,10 +53,23 @@ impl SolverScaffold {
     }
 }
 
-/// State cached at the last gradient point (needed by Hessian matvecs).
-struct Current {
+/// A state solve [`RegProblem`] keeps: the velocity it was made at (a pooled
+/// copy, matched bit for bit), its characteristics and its state series.
+struct Solved {
+    v: VectorField,
     traj: Trajectory,
     state: StateSolution,
+}
+
+static STATE_SOLVES: Counter = Counter::new("problem.state_solves");
+static STATE_REUSED: Counter = Counter::new("problem.state_reused");
+
+/// Equality of bit patterns, not of values: `-0.0` is not `0.0`.
+fn same_bits(a: &VectorField, b: &VectorField) -> bool {
+    let same = |x: &ScalarField, y: &ScalarField| {
+        x.data().iter().zip(y.data()).all(|(p, q)| p.to_bits() == q.to_bits())
+    };
+    a.c.iter().zip(&b.c).all(|(x, y)| same(x, y))
 }
 
 /// The registration problem for one (template, reference) pair at one β.
@@ -72,7 +88,14 @@ pub struct RegProblem {
     ops: Arc<WidthOps<Real>>,
     /// Preconditioner state and counters.
     pub pc: PrecondState,
-    cur: Option<Current>,
+    /// `‖m0 − m1‖`, the denominator of [`RegProblem::rel_mismatch`].
+    mismatch0: f64,
+    /// The linearization point: the last gradient's solve, with both
+    /// characteristic families (Hessian matvecs are evaluated there).
+    cur: Option<Solved>,
+    /// The last objective evaluation, with the backward characteristics
+    /// only; the gradient at the same `v` adopts it.
+    eval: Option<Solved>,
 }
 
 impl RegProblem {
@@ -121,7 +144,10 @@ impl RegProblem {
             });
         }
         let pc = PrecondState::with_scaffold(&cfg, &m0, scaffold, comm);
+        let mut den = m0.clone();
+        den.axpy(-1.0, &m1);
         Ok(RegProblem {
+            mismatch0: den.norm_l2(comm).max(f64::MIN_POSITIVE),
             layout,
             beta: cfg.beta_init,
             transport: Transport::new(cfg.nt, cfg.ip_order),
@@ -129,6 +155,7 @@ impl RegProblem {
             ops: Arc::clone(&scaffold.ops),
             pc,
             cur: None,
+            eval: None,
             cfg,
             m0,
             m1,
@@ -170,21 +197,49 @@ impl RegProblem {
         &self.transport
     }
 
+    /// Whether the linearization point and the last evaluation were solved
+    /// at exactly `v` — the same bits on every rank. Collective.
+    fn solved_at(&self, v: &VectorField, comm: &mut Comm) -> [bool; 2] {
+        let differs = |kept: &Option<Solved>| match kept {
+            Some(k) if same_bits(&k.v, v) => 0.0,
+            _ => 1.0,
+        };
+        let mut miss = [differs(&self.cur), differs(&self.eval)];
+        comm.allreduce_sum(&mut miss);
+        miss.map(|m| m == 0.0)
+    }
+
+    /// `m(·, 1)` at `v`: read off the linearization point or the last
+    /// evaluation when `v` is theirs, otherwise solved — and that solve
+    /// replaces the last evaluation. Collective.
+    fn final_state(&mut self, v: &VectorField, comm: &mut Comm) -> &ScalarField {
+        let [at_cur, at_eval] = self.solved_at(v, comm);
+        if at_cur {
+            // whatever trial was evaluated last, the caller is not at it
+            self.eval = None;
+            return self.cur.as_ref().expect("matched").state.final_state();
+        }
+        if !at_eval {
+            // back to the pools before its successor is computed
+            self.eval = None;
+            STATE_SOLVES.inc();
+            let traj = Trajectory::backward(v, self.cfg.nt, &mut self.interp, comm);
+            let state = self.transport.solve_state(&traj, &self.m0, false, &mut self.interp, comm);
+            self.eval = Some(Solved { v: v.clone(), traj, state });
+        }
+        self.eval.as_ref().expect("matched or just solved").state.final_state()
+    }
+
     /// Solve the state equation at `v` and return `m(·, 1)`. Collective.
     pub fn deformed_template(&mut self, v: &VectorField, comm: &mut Comm) -> ScalarField {
-        let traj = Trajectory::backward(v, self.cfg.nt, &mut self.interp, comm);
-        let mut sol = self.transport.solve_state(&traj, &self.m0, false, &mut self.interp, comm);
-        sol.m.pop().unwrap()
+        self.final_state(v, comm).clone()
     }
 
     /// Relative mismatch `‖m(1) − m1‖ / ‖m0 − m1‖` at `v`. Collective.
     pub fn rel_mismatch(&mut self, v: &VectorField, comm: &mut Comm) -> f64 {
-        let m_final = self.deformed_template(v, comm);
-        let mut num = m_final;
+        let mut num = self.deformed_template(v, comm);
         num.axpy(-1.0, &self.m1);
-        let mut den = self.m0.clone();
-        den.axpy(-1.0, &self.m1);
-        num.norm_l2(comm) / den.norm_l2(comm).max(f64::MIN_POSITIVE)
+        num.norm_l2(comm) / self.mismatch0
     }
 }
 
@@ -256,13 +311,32 @@ fn lambda_grad_integral(
     comm: &mut Comm,
 ) -> VectorField {
     let dt = 1.0 as Real / nt as Real;
+    let n = layout.local_len();
     let mut acc = VectorField::zeros(layout);
     for (j, lam) in lambda.iter().enumerate() {
         let w = if j == 0 || j == nt { 0.5 * dt } else { dt };
         let grad = state.grad_at(j, comm);
-        for d in 0..3 {
-            acc.c[d].add_scaled_product(w, lam, &grad.c[d]);
-        }
+        let (lam, [g1, g2, g3]) = (lam.data(), grad.c.each_ref().map(|c| c.data()));
+        // one pass over λ for the three components
+        timing::time(Kernel::FieldOps, || {
+            let [a1, a2, a3] = acc.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
+            par_parts(n, n, |range| {
+                // SAFETY: worker ranges are disjoint.
+                let (o1, o2, o3) = unsafe {
+                    (
+                        a1.slice_mut(range.clone()),
+                        a2.slice_mut(range.clone()),
+                        a3.slice_mut(range.clone()),
+                    )
+                };
+                for (k, i) in range.enumerate() {
+                    let wl = w * lam[i];
+                    o1[k] += wl * g1[i];
+                    o2[k] += wl * g2[i];
+                    o3[k] += wl * g3[i];
+                }
+            });
+        });
     }
     acc
 }
@@ -270,45 +344,69 @@ fn lambda_grad_integral(
 impl GnProblem for RegProblem {
     /// `J(v) = ½‖m(1) − m1‖² + β/2 ⟨Av, v⟩` (eq. 1a).
     fn objective(&mut self, v: &VectorField, comm: &mut Comm) -> f64 {
-        let m_final = self.deformed_template(v, comm);
-        let mut resid = m_final;
+        // the regularization term first: `Av` is back in the pools before
+        // the state solve takes its buffers
+        let reg_term = 0.5 * v.inner(&self.ops.spectral.reg_apply(v, self.beta, comm), comm);
+        let mut resid = self.deformed_template(v, comm);
         resid.axpy(-1.0, &self.m1);
         let data_term = 0.5 * resid.inner(&resid, comm);
-        let av = self.ops.spectral.reg_apply(v, self.beta, comm);
-        let reg_term = 0.5 * v.inner(&av, comm);
         data_term + reg_term
     }
 
     /// `g(v) = βAv + ∫ λ ∇m dt` (eq. 2); refreshes the preconditioner's
     /// deformed template, as the paper prescribes, "at the beginning of
-    /// each Gauss-Newton iteration".
+    /// each Gauss-Newton iteration". The state solve is the last
+    /// evaluation's when that was made at `v` (the accepted line-search
+    /// trial), and the linearization point's own when `v` has not moved
+    /// since (a new β level): neither the characteristics nor `m` depend
+    /// on β.
     fn gradient(&mut self, v: &VectorField, comm: &mut Comm) -> VectorField {
-        // the previous linearization point is dead from here on: return its
-        // characteristics and state series to the pools before computing
-        // their successors, not after
-        self.cur = None;
-        let traj = Trajectory::compute(v, self.cfg.nt, &mut self.interp, comm);
-        let state = self.transport.solve_state(
-            &traj,
-            &self.m0,
-            self.cfg.store_grad,
-            &mut self.interp,
-            comm,
-        );
+        let [at_cur, at_eval] = self.solved_at(v, comm);
+        // adopted below, or dead (a rejected trial) and dropped right here
+        let eval = self.eval.take().filter(|_| at_eval);
+        if !at_cur {
+            // the previous linearization point is dead from here on: return
+            // its characteristics and state series to the pools before
+            // computing their successors, not after
+            self.cur = None;
+            let cur = match eval {
+                Some(mut eval) => {
+                    eval.traj.add_adjoint(v, &mut self.interp, comm);
+                    if self.cfg.store_grad {
+                        eval.state.store_gradients(comm);
+                    }
+                    eval
+                }
+                None => {
+                    STATE_SOLVES.inc();
+                    let traj = Trajectory::compute(v, self.cfg.nt, &mut self.interp, comm);
+                    let state = self.transport.solve_state(
+                        &traj,
+                        &self.m0,
+                        self.cfg.store_grad,
+                        &mut self.interp,
+                        comm,
+                    );
+                    Solved { v: v.clone(), traj, state }
+                }
+            };
+            // refresh m̄ for InvH0/2LInvH0
+            self.pc.refresh(cur.state.final_state(), comm);
+            self.cur = Some(cur);
+        }
+        if at_cur || at_eval {
+            STATE_REUSED.inc();
+        }
+        let cur = self.cur.as_ref().expect("set above");
 
         // adjoint final condition λ(1) = m1 − m(1)
         let mut lam1 = self.m1.clone();
-        lam1.axpy(-1.0, state.final_state());
-        let lambda = self.transport.solve_adjoint(&traj, &lam1, &mut self.interp, comm);
-
-        // refresh m̄ for InvH0/2LInvH0
-        let mbar = state.final_state().clone();
-        self.pc.refresh(&mbar, comm);
+        lam1.axpy(-1.0, cur.state.final_state());
+        let lambda = self.transport.solve_adjoint(&cur.traj, &lam1, &mut self.interp, comm);
 
         let mut g = self.ops.spectral.reg_apply(v, self.beta, comm);
-        let integral = lambda_grad_integral(self.layout, self.cfg.nt, &state, &lambda, comm);
+        let integral = lambda_grad_integral(self.layout, self.cfg.nt, &cur.state, &lambda, comm);
         g.axpy(1.0, &integral);
-        self.cur = Some(Current { traj, state });
         g
     }
 
@@ -316,7 +414,7 @@ impl GnProblem for RegProblem {
     /// incremental state (6) and incremental adjoint (7) solves.
     fn hess_vec(&mut self, vt: &VectorField, comm: &mut Comm) -> VectorField {
         let cur =
-            self.cur.take().expect("hess_vec called before gradient (no linearization point)");
+            self.cur.as_ref().expect("hess_vec called before gradient (no linearization point)");
         // solve (6): m̃(1)
         let mt_final =
             self.transport.solve_inc_state(&cur.traj, vt, &cur.state, &mut self.interp, comm);
@@ -326,7 +424,6 @@ impl GnProblem for RegProblem {
         let lambda_t = self.transport.solve_adjoint(&cur.traj, &lt1, &mut self.interp, comm);
         let mut hv = self.ops.spectral.reg_apply(vt, self.beta, comm);
         let integral = lambda_grad_integral(self.layout, self.cfg.nt, &cur.state, &lambda_t, comm);
-        self.cur = Some(cur);
         hv.axpy(1.0, &integral);
         hv
     }
@@ -353,6 +450,15 @@ mod tests {
     use claire_grid::Grid;
 
     fn small_problem(n: usize, comm: &mut Comm) -> RegProblem {
+        small_problem_with(n, PrecondKind::InvA, false, comm)
+    }
+
+    fn small_problem_with(
+        n: usize,
+        precond: PrecondKind,
+        store_grad: bool,
+        comm: &mut Comm,
+    ) -> RegProblem {
         let layout = Layout::serial(Grid::cube(n));
         // blobs wide enough to be resolved at n³ (σ ≈ 1.4 ⇒ ~3.6 points/σ
         // at n = 16); cubic interpolation keeps the discrete adjoint
@@ -366,10 +472,14 @@ mod tests {
         let cfg = RegistrationConfig {
             nt: 4,
             ip_order: claire_interp::IpOrder::Cubic,
-            precond: PrecondKind::InvA,
+            precond,
+            store_grad,
             ..Default::default()
         };
-        RegProblem::new(m0, m1, cfg, comm).expect("matching layouts by construction")
+        let mut prob =
+            RegProblem::new(m0, m1, cfg, comm).expect("matching layouts by construction");
+        prob.set_beta(0.1);
+        prob
     }
 
     fn test_velocity(layout: Layout) -> VectorField {
@@ -381,62 +491,165 @@ mod tests {
         )
     }
 
-    #[test]
-    fn gradient_matches_finite_differences() {
-        let mut comm = Comm::solo();
-        let mut prob = small_problem(16, &mut comm);
-        prob.set_beta(0.1);
-        let layout = prob.layout();
-        let v = test_velocity(layout);
-        let g = prob.gradient(&v, &mut comm);
+    fn bits(f: &VectorField) -> Vec<u64> {
+        f.c.iter().flat_map(|c| c.data().iter().map(|x| x.to_bits())).collect()
+    }
 
-        // directional derivative along a smooth probe direction
-        let w = VectorField::from_fns(
-            layout,
-            |x, _, _| 0.3 * x.sin(),
-            |_, y, _| 0.2 * (2.0 * y).cos(),
-            |_, _, z| 0.1 * z.cos(),
-        );
-        let eps = 1e-4 as Real;
-        let mut vp = v.clone();
-        vp.axpy(eps, &w);
-        let mut vm = v.clone();
-        vm.axpy(-eps, &w);
-        let jp = prob.objective(&vp, &mut comm);
-        let jm = prob.objective(&vm, &mut comm);
-        let fd = (jp - jm) / (2.0 * eps as f64);
-        let gw = g.inner(&w, &mut comm);
-        let rel = ((fd - gw) / fd.abs().max(1e-12)).abs();
-        assert!(rel < 6e-2, "gradient check failed: fd={fd:.6e} vs <g,w>={gw:.6e} rel={rel:.2e}");
+    /// `gradient(v)`, cold or — `adopt` — off the state solve of an
+    /// `objective(v)` evaluated just before, as in the line search.
+    fn gradient_at(
+        prob: &mut RegProblem,
+        v: &VectorField,
+        adopt: bool,
+        comm: &mut Comm,
+    ) -> VectorField {
+        if adopt {
+            prob.objective(v, comm);
+            assert!(prob.eval.is_some(), "the evaluation is kept");
+        }
+        let g = prob.gradient(v, comm);
+        assert!(prob.eval.is_none() && prob.cur.is_some(), "adopted or dropped, never both kept");
+        g
+    }
+
+    /// Taylor remainder `|J(v + εw) − J(v) − ε⟨g, w⟩|` along the gradient
+    /// direction: second order in ε, so it falls 4× per halving until the
+    /// inconsistency of the discretized gradient (optimize-then-discretize:
+    /// first order in ε, 0.2 % of ⟨g, w⟩ on this grid) is all that is left.
+    #[test]
+    fn gradient_passes_the_taylor_test() {
+        const FLOOR: f64 = 5e-3;
+        let mut comm = Comm::solo();
+        for precond in [PrecondKind::InvA, PrecondKind::TwoLevelInvH0] {
+            for adopt in [true, false] {
+                let mut prob = small_problem_with(16, precond, false, &mut comm);
+                let v = test_velocity(prob.layout());
+                let g = gradient_at(&mut prob, &v, adopt, &mut comm);
+                let j0 = prob.objective(&v, &mut comm);
+                let mut w = g.clone();
+                w.scale(0.3 / g.max_abs(&mut comm));
+                let gw = g.inner(&w, &mut comm);
+                // (remainder, remainder relative to the first-order term)
+                let remainders: Vec<(f64, f64)> = (3..=8)
+                    .map(|k| {
+                        let eps = (0.5 as Real).powi(k);
+                        let mut vp = v.clone();
+                        vp.axpy(eps, &w);
+                        let r = (prob.objective(&vp, &mut comm) - j0 - eps * gw).abs();
+                        (r, r / (eps * gw.abs()))
+                    })
+                    .collect();
+                for pair in remainders.windows(2) {
+                    let ((r0, _), (r1, e1)) = (pair[0], pair[1]);
+                    assert!(
+                        r1 <= r0 / 3.0 || e1 <= FLOOR,
+                        "{precond:?} adopt={adopt}: remainder stalls above the floor: {remainders:?}"
+                    );
+                }
+                let (_, e_last) = remainders[remainders.len() - 1];
+                assert!(
+                    e_last <= FLOOR,
+                    "{precond:?} adopt={adopt}: floor not met: {remainders:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn adopted_gradient_is_the_cold_gradient_bit_for_bit() {
+        let mut comm = Comm::solo();
+        let layout = Layout::serial(Grid::cube(10));
+        let v = test_velocity(layout);
+        let x = VectorField::from_fns(layout, |x, _, _| x.sin(), |_, y, _| y.cos(), |_, _, z| z);
+        for store_grad in [false, true] {
+            let build =
+                |comm: &mut Comm| small_problem_with(10, PrecondKind::InvA, store_grad, comm);
+            let (mut cold, mut warm) = (build(&mut comm), build(&mut comm));
+            let g_cold = gradient_at(&mut cold, &v, false, &mut comm);
+            let g_warm = gradient_at(&mut warm, &v, true, &mut comm);
+            assert_eq!(bits(&g_cold), bits(&g_warm), "store_grad={store_grad}");
+            assert_eq!(
+                bits(&cold.hess_vec(&x, &mut comm)),
+                bits(&warm.hess_vec(&x, &mut comm)),
+                "store_grad={store_grad}: matvec at an adopted linearization point"
+            );
+
+            // at the linearization point J and the mismatch are read off its
+            // final state; after `set_beta` too (m does not depend on β), and
+            // the first gradient of the new level re-solves only the adjoint
+            let j_cold = build(&mut comm).objective(&v, &mut comm);
+            assert_eq!(warm.objective(&v, &mut comm).to_bits(), j_cold.to_bits());
+            let mm_cold = build(&mut comm).rel_mismatch(&v, &mut comm);
+            assert_eq!(warm.rel_mismatch(&v, &mut comm).to_bits(), mm_cold.to_bits());
+            let mut next = build(&mut comm);
+            for p in [&mut warm, &mut next] {
+                p.set_beta(0.01);
+            }
+            assert_eq!(
+                warm.objective(&v, &mut comm).to_bits(),
+                next.objective(&v, &mut comm).to_bits()
+            );
+            assert!(warm.eval.is_none(), "no state solve at the linearization point");
+            assert_eq!(warm.solved_at(&v, &mut comm), [true, false]);
+            let g_next = gradient_at(&mut next, &v, true, &mut comm);
+            assert_eq!(bits(&warm.gradient(&v, &mut comm)), bits(&g_next));
+            assert_eq!(bits(&warm.hess_vec(&x, &mut comm)), bits(&next.hess_vec(&x, &mut comm)));
+        }
+    }
+
+    #[test]
+    fn one_ulp_in_one_voxel_is_a_miss() {
+        let mut comm = Comm::solo();
+        let mut prob = small_problem(10, &mut comm);
+        let v = test_velocity(prob.layout());
+        let mut nudged = v.clone();
+        let x = &mut nudged.c[1].data_mut()[17];
+        *x = Real::from_bits(x.to_bits() + 1);
+
+        prob.objective(&v, &mut comm);
+        assert_eq!(prob.solved_at(&v, &mut comm), [false, true]);
+        assert_eq!(prob.solved_at(&nudged, &mut comm), [false, false]);
+        // the gradient next door does not adopt: it is the cold gradient
+        let g = prob.gradient(&nudged, &mut comm);
+        let g_cold = small_problem(10, &mut comm).gradient(&nudged, &mut comm);
+        assert_eq!(bits(&g), bits(&g_cold));
+        assert_eq!(prob.solved_at(&nudged, &mut comm), [true, false]);
+        assert_eq!(prob.solved_at(&v, &mut comm), [false, false]);
+        // −0.0 == 0.0 and NaN != NaN: the match is on bits, not on values
+        let zero = VectorField::zeros(prob.layout());
+        let mut neg_zero = zero.clone();
+        neg_zero.c[0].data_mut()[0] = -0.0;
+        assert!(same_bits(&zero, &zero) && !same_bits(&zero, &neg_zero));
     }
 
     #[test]
     fn hessian_is_symmetric() {
         let mut comm = Comm::solo();
-        let mut prob = small_problem(10, &mut comm);
-        prob.set_beta(0.1);
-        let layout = prob.layout();
-        let v = test_velocity(layout);
-        let _ = prob.gradient(&v, &mut comm); // set linearization point
+        for adopt in [false, true] {
+            let mut prob = small_problem(10, &mut comm);
+            let layout = prob.layout();
+            let v = test_velocity(layout);
+            gradient_at(&mut prob, &v, adopt, &mut comm); // set linearization point
 
-        let x = VectorField::from_fns(
-            layout,
-            |x, _, _| x.sin(),
-            |_, y, _| y.cos(),
-            |_, _, z| 0.5 * z.sin(),
-        );
-        let y = VectorField::from_fns(
-            layout,
-            |_, y, _| (2.0 * y).sin(),
-            |x, _, _| 0.3 * x.cos(),
-            |_, _, z| z.cos(),
-        );
-        let hx = prob.hess_vec(&x, &mut comm);
-        let hy = prob.hess_vec(&y, &mut comm);
-        let a = x.inner(&hy, &mut comm);
-        let b = y.inner(&hx, &mut comm);
-        let rel = ((a - b) / a.abs().max(1e-12)).abs();
-        assert!(rel < 5e-2, "<x,Hy>={a:.6e} vs <y,Hx>={b:.6e} rel={rel:.2e}");
+            let x = VectorField::from_fns(
+                layout,
+                |x, _, _| x.sin(),
+                |_, y, _| y.cos(),
+                |_, _, z| 0.5 * z.sin(),
+            );
+            let y = VectorField::from_fns(
+                layout,
+                |_, y, _| (2.0 * y).sin(),
+                |x, _, _| 0.3 * x.cos(),
+                |_, _, z| z.cos(),
+            );
+            let hx = prob.hess_vec(&x, &mut comm);
+            let hy = prob.hess_vec(&y, &mut comm);
+            let a = x.inner(&hy, &mut comm);
+            let b = y.inner(&hx, &mut comm);
+            let rel = ((a - b) / a.abs().max(1e-12)).abs();
+            assert!(rel < 5e-2, "adopt={adopt}: <x,Hy>={a:.6e} vs <y,Hx>={b:.6e} rel={rel:.2e}");
+        }
     }
 
     #[test]

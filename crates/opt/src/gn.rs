@@ -230,6 +230,9 @@ pub fn gauss_newton<P: GnProblem>(
 /// way, because [`GnState::step`] *is* the loop body.
 pub struct GnState {
     v: VectorField,
+    /// `J(v)`: the accepted line-search value, carried into the next
+    /// iteration; unknown until the first line search asks for it.
+    j: Option<f64>,
     stats: GnStats,
     g0norm: Option<f64>,
     finished: bool,
@@ -247,6 +250,7 @@ impl GnState {
         stats.objective_history.reserve(cfg.max_iter + 1);
         GnState {
             v: v0,
+            j: None,
             stats,
             g0norm: None,
             finished: cfg.max_iter == 0,
@@ -328,7 +332,9 @@ impl GnState {
             max_iter: cfg.fixed_pcg.unwrap_or(cfg.max_pcg),
             trace: false,
         };
-        let mut rhs = g.clone();
+        // negated in place: the line search gets its slope ⟨g, step⟩ back
+        // as −⟨rhs, step⟩, which is the same bits
+        let mut rhs = g;
         rhs.scale(-1.0 as Real);
 
         let (step, pcg_res, hess, pc) = if cfg.mixed {
@@ -376,18 +382,23 @@ impl GnState {
         let ls_span = span("linesearch");
         let t0 = Instant::now();
         let m0 = comm.clock().now();
-        let j0 = problem.objective(&self.v, comm);
-        stats.obj_evals += 1;
-        let slope = g.inner(&step, comm);
+        let j0 = self.j.unwrap_or_else(|| {
+            stats.obj_evals += 1;
+            problem.objective(&self.v, comm)
+        });
+        let slope = -rhs.inner(&step, comm);
+        // PCG can hand back a non-descent direction (f32 inner solve,
+        // preconditioner breakdown): Armijo would then admit a step that
+        // raises J, so the line search fails without a trial instead
+        let trials = if slope < 0.0 && j0.is_finite() { cfg.max_linesearch } else { 0 };
         let mut alpha = 1.0 as Real;
         let mut accepted = false;
-        let mut j_new = j0;
         // One trial buffer for the whole backtracking loop; each trial is a
         // single fused pass `trial = α·step + v` instead of clone (copy pass)
         // + axpy (update pass), and acceptance swaps buffers instead of
         // copying.
         let mut trial = VectorField::zeros(*self.v.layout());
-        for _ in 0..cfg.max_linesearch {
+        for _ in 0..trials {
             trial.scale_add_from(alpha, &step, &self.v);
             let j = problem.objective(&trial, comm);
             stats.obj_evals += 1;
@@ -395,11 +406,15 @@ impl GnState {
                 std::mem::swap(&mut self.v, &mut trial);
                 stats.objective_history.push(j);
                 accepted = true;
-                j_new = j;
+                self.j = Some(j);
                 break;
+            }
+            if !j.is_finite() {
+                break; // halving α does not bring a NaN back
             }
             alpha *= 0.5;
         }
+        let j_new = self.j.unwrap_or(j0);
         stats.time.obj += t0.elapsed().as_secs_f64();
         stats.modeled.obj += comm.clock().now() - m0;
         drop(ls_span);
@@ -495,6 +510,115 @@ mod tests {
         for w in stats.objective_history.windows(2) {
             assert!(w[1] <= w[0] + 1e-12);
         }
+    }
+
+    /// [`Quadratic`] with the two ways a line search goes wrong switched
+    /// on by flags, recording every iterate `objective` is asked about.
+    struct Probe {
+        inner: Quadratic,
+        /// `hess_vec` and `precond` both change sign — a sign error in the
+        /// inner solve. (Flipping the preconditioner alone changes nothing:
+        /// every PCG step is an exact line minimization of the model, so
+        /// with an SPD Hessian the step is a descent direction whatever
+        /// `precond` returns.)
+        negate_newton_system: bool,
+        /// `objective` is NaN anywhere but the start point (zero).
+        nan_off_start: bool,
+        asked: Vec<Vec<u64>>,
+    }
+
+    fn probe(layout: Layout) -> Probe {
+        Probe {
+            inner: Quadratic {
+                a: VectorField::from_fns(layout, |x, _, _| x.sin(), |_, y, _| y.cos(), |_, _, z| z),
+                d: ScalarField::from_fn(layout, |x, _, _| 1.5 + x.sin().powi(2)),
+            },
+            negate_newton_system: false,
+            nan_off_start: false,
+            asked: Vec::new(),
+        }
+    }
+
+    impl GnProblem for Probe {
+        fn objective(&mut self, v: &VectorField, comm: &mut Comm) -> f64 {
+            let bits: Vec<u64> =
+                v.c.iter().flat_map(|c| c.data().iter().map(|x| x.to_bits())).collect();
+            let at_start = bits.iter().all(|&b| b == 0);
+            self.asked.push(bits);
+            if self.nan_off_start && !at_start {
+                return f64::NAN;
+            }
+            self.inner.objective(v, comm)
+        }
+        fn gradient(&mut self, v: &VectorField, comm: &mut Comm) -> VectorField {
+            self.inner.gradient(v, comm)
+        }
+        fn hess_vec(&mut self, vt: &VectorField, comm: &mut Comm) -> VectorField {
+            let mut h = self.inner.hess_vec(vt, comm);
+            if self.negate_newton_system {
+                h.scale(-1.0);
+            }
+            h
+        }
+        fn precond(&mut self, r: &VectorField, _eps: f64, _comm: &mut Comm) -> VectorField {
+            let mut z = r.clone();
+            if self.negate_newton_system {
+                z.scale(-1.0);
+            }
+            z
+        }
+    }
+
+    #[test]
+    fn objective_is_asked_once_per_trial_and_once_per_state() {
+        let layout = Layout::serial(Grid::cube(8));
+        let mut comm = Comm::solo();
+        let mut prob = probe(layout);
+        let cfg = GnConfig { grad_rtol: 1e-8, max_iter: 10, ..Default::default() };
+        let (v, stats) = gauss_newton(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
+        assert!(stats.converged && stats.gn_iters >= 2, "{}", stats.gn_iters);
+        // this quadratic never backtracks: one trial per accepted step
+        let trials = stats.objective_history.len();
+        assert_eq!(stats.obj_evals, trials + 1);
+        assert_eq!(prob.asked.len(), trials + 1);
+        let mut seen = prob.asked.clone();
+        seen.sort();
+        seen.dedup();
+        assert_eq!(seen.len(), prob.asked.len(), "objective evaluated twice at one iterate");
+
+        // a second `GnState` (what a β level is) asks for its own J(v0) once
+        let before = prob.asked.len();
+        let warm = GnConfig { max_iter: 1, grad_rtol: 1e-30, ..cfg };
+        let (_, stats) = gauss_newton(&mut prob, v, &warm, &mut comm);
+        assert_eq!(prob.asked.len() - before, stats.objective_history.len() + 1);
+    }
+
+    #[test]
+    fn non_descent_step_fails_the_line_search_without_a_trial() {
+        let layout = Layout::serial(Grid::cube(4));
+        let mut comm = Comm::solo();
+        let mut prob = Probe { negate_newton_system: true, ..probe(layout) };
+        let cfg = GnConfig { grad_rtol: 1e-8, max_iter: 10, ..Default::default() };
+        let (v, stats) = gauss_newton(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
+        assert!(!stats.converged);
+        assert_eq!(stats.gn_iters, 1, "a failed line search ends the solve");
+        assert!(stats.obj_evals <= 1 && prob.asked.len() <= 1, "{} wasted", prob.asked.len());
+        assert!(stats.objective_history.is_empty());
+        assert_eq!(v.max_abs(&mut comm), 0.0, "the iterate must not move");
+    }
+
+    #[test]
+    fn non_finite_trial_ends_the_backtracking() {
+        let layout = Layout::serial(Grid::cube(4));
+        let mut comm = Comm::solo();
+        let mut prob = Probe { nan_off_start: true, ..probe(layout) };
+        let cfg = GnConfig { grad_rtol: 1e-8, max_iter: 10, ..Default::default() };
+        let (v, stats) = gauss_newton(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
+        assert!(!stats.converged);
+        assert_eq!(stats.gn_iters, 1);
+        // j0 at the start point, then one NaN trial instead of 20
+        assert_eq!(stats.obj_evals, 2);
+        assert_eq!(v.max_abs(&mut comm), 0.0, "a NaN trial is never accepted");
     }
 
     #[test]

@@ -26,7 +26,11 @@ pub struct SolverCounts {
     pub nt: usize,
     /// Cubic (true) or trilinear (false) interpolation.
     pub cubic: bool,
-    /// Objective evaluations per Gauss–Newton iteration (line search).
+    /// Objective evaluations per Gauss–Newton iteration (line search), each
+    /// with a state solve of its own. This models the paper's CLAIRE — 2 per
+    /// iteration in [`SolverCounts::table7`] — not this solver, which runs
+    /// one state solve per line-search trial and none for `J` at the
+    /// iterate or for the gradient (DESIGN.md §21).
     pub obj_evals_per_gn: f64,
 }
 

@@ -12,11 +12,11 @@
 //! transport direction: its characteristics use `−v`. Since `v` is
 //! stationary both foot-point sets are computed — and planned for
 //! interpolation — once per velocity and reused for all `Nt` steps,
-//! together with `∇·v` and its values at the adjoint foot points (needed by
-//! the source term of the continuity update).
+//! together with the growth factor `exp(½δt(∇·v|_foot + ∇·v|_x))` of the
+//! continuity update's source term.
 
 use claire_grid::workspace::{PoolVec, WsCat, R3_POOL, REAL_POOL};
-use claire_grid::{Layout, Real, ScalarField, VectorField};
+use claire_grid::{Layout, Real, VectorField};
 use claire_interp::{InterpPlan, Interpolator};
 use claire_mpi::Comm;
 use claire_obs::span::span;
@@ -53,14 +53,42 @@ pub(crate) struct AdjointFamily {
     /// The foot points of the characteristics of `−v`, planned. Their
     /// physical coordinates are not kept: nothing reads them.
     pub(crate) plan: InterpPlan,
-    /// `½·δt·(∇·v)` on the grid (8th-order FD). The trapezoidal source
-    /// factor of the continuity update is `exp(½·δt·(∇·v|_foot + ∇·v|_x))`;
-    /// folding the constant `½·δt` into the stencil sweep here
-    /// ([`claire_diff::fd::divergence_scaled`]) costs nothing and saves the
-    /// consumer a multiply per point per time step.
-    pub(crate) div_v: ScalarField,
-    /// `½·δt·(∇·v)` interpolated at the `−v` feet.
-    pub(crate) div_v_at_foot: PoolVec<Real>,
+    /// The trapezoidal source factor of the continuity update,
+    /// `exp(½·δt·(∇·v|_foot + ∇·v|_x))`, per grid point: `v` is stationary,
+    /// so it is the same at every step of every solve on this trajectory
+    /// and a step is interpolate-and-multiply.
+    pub(crate) growth: PoolVec<Real>,
+}
+
+impl AdjointFamily {
+    /// The `−v` characteristics from the grid points `pts`, and the
+    /// divergence source along them.
+    fn new(
+        pts: &[[Real; 3]],
+        v: &VectorField,
+        dt: Real,
+        interp: &mut Interpolator,
+        comm: &mut Comm,
+    ) -> AdjointFamily {
+        let foot_fwd = rk2_feet(pts, v, dt, interp, comm);
+        let plan = interp.plan_owned(*v.layout(), foot_fwd, comm);
+        // `½·δt` is folded into the divergence stencil sweep
+        let div_v = claire_diff::fd::divergence_scaled(v, comm, 0.5 * dt);
+        let mut growth = REAL_POOL.checkout_filled(plan.len(), 0.0 as Real, WsCat::Sl);
+        interp.evaluate(&plan, &[&div_v], comm, &mut [&mut growth]);
+        timing::time(Kernel::SemiLag, || {
+            let (n, div_v) = (growth.len(), div_v.data());
+            let shared = SharedSlice::new(&mut growth);
+            par_parts(n, n, |range| {
+                // SAFETY: worker ranges are disjoint.
+                let dst = unsafe { shared.slice_mut(range.clone()) };
+                for (o, d) in dst.iter_mut().zip(&div_v[range]) {
+                    *o = (*o + d).exp();
+                }
+            });
+        });
+        AdjointFamily { plan, growth }
+    }
 }
 
 /// Physical coordinates of all locally owned grid points.
@@ -119,20 +147,24 @@ impl Trajectory {
         comm: &mut Comm,
     ) -> Trajectory {
         let _s = span("semilag.trajectory");
-        let layout = *v.layout();
         let dt = time_step(nt);
-        let pts = grid_points_pooled(&layout);
+        let pts = grid_points_pooled(v.layout());
         // the −v family first: it is kept only as its plan, so its sweep is
         // over (and back to two point-sized buffers) before the +v sweep
         // starts — four at the peak instead of five
-        let foot_fwd = rk2_feet(&pts, v, dt, interp, comm);
-        let plan = interp.plan_owned(layout, foot_fwd, comm);
-        let div_v = claire_diff::fd::divergence_scaled(v, comm, 0.5 * dt);
-        let mut div_v_at_foot = REAL_POOL.checkout_filled(plan.len(), 0.0 as Real, WsCat::Sl);
-        interp.evaluate(&plan, &[&div_v], comm, &mut [&mut div_v_at_foot]);
+        let adjoint = AdjointFamily::new(&pts, v, dt, interp, comm);
         let mut traj = Trajectory::backward_from(pts, v, dt, interp, comm);
-        traj.adjoint = Some(AdjointFamily { plan, div_v, div_v_at_foot });
+        traj.adjoint = Some(adjoint);
         traj
+    }
+
+    /// Add the `−v` family to a [`Trajectory::backward`] of the same `v`:
+    /// the result is bit for bit a [`Trajectory::compute`], at the cost of
+    /// the half the backward-only trajectory skipped. Collective.
+    pub fn add_adjoint(&mut self, v: &VectorField, interp: &mut Interpolator, comm: &mut Comm) {
+        let _s = span("semilag.trajectory");
+        let pts = grid_points_pooled(v.layout());
+        self.adjoint = Some(AdjointFamily::new(&pts, v, self.dt, interp, comm));
     }
 
     /// Only the backward characteristics of `+v`: enough for the state and
@@ -249,7 +281,7 @@ fn rk2_feet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use claire_grid::{Grid, Layout, TWO_PI};
+    use claire_grid::{Grid, Layout, ScalarField, TWO_PI};
     use claire_interp::IpOrder;
 
     #[test]
@@ -275,8 +307,7 @@ mod tests {
         for (p, val) in pts.iter().zip(&at_foot) {
             assert!((val - (p[0] + c * traj.dt).sin()).abs() < 1e-3, "−v feet sit at x + c·δt");
         }
-        assert!(family.div_v.max_abs(&mut comm) < 1e-10);
-        assert!(family.div_v_at_foot.iter().all(|d| d.abs() < 1e-10));
+        assert!(family.growth.iter().all(|g| (g - 1.0).abs() < 1e-10), "∇·v = 0: nothing grows");
         assert!(traj.cfl > 0.0);
     }
 
@@ -292,10 +323,42 @@ mod tests {
         );
         let mut ip = Interpolator::new(IpOrder::Cubic);
         let full = Trajectory::compute(&v, 4, &mut ip, &mut comm);
-        let back = Trajectory::backward(&v, 4, &mut ip, &mut comm);
+        let mut back = Trajectory::backward(&v, 4, &mut ip, &mut comm);
         assert_eq!(full.foot_back, back.foot_back, "same departure points, bit for bit");
         assert_eq!((full.dt, full.cfl), (back.dt, back.cfl));
         assert!(back.adjoint.is_none());
+        // and the −v family added afterwards is the one `compute` builds
+        back.add_adjoint(&v, &mut ip, &mut comm);
+        assert_eq!(full.adjoint().growth, back.adjoint().growth);
+        let probe = ScalarField::from_fn(layout, |x, y, z| x.sin() + (y - z).cos());
+        let at_feet = |t: &Trajectory, ip: &mut Interpolator, comm: &mut Comm| {
+            let mut out = vec![0.0 as Real; layout.local_len()];
+            ip.evaluate(&t.adjoint().plan, &[&probe], comm, &mut [&mut out]);
+            out
+        };
+        assert_eq!(at_feet(&full, &mut ip, &mut comm), at_feet(&back, &mut ip, &mut comm));
+    }
+
+    #[test]
+    fn growth_factor_is_the_trapezoid_of_the_divergence() {
+        let layout = Layout::serial(Grid::new([12, 8, 10]));
+        let mut comm = Comm::solo();
+        let v = VectorField::from_fns(
+            layout,
+            |x, _, _| 0.3 * x.sin(),
+            |_, y, _| 0.2 * y.cos(),
+            |_, _, z| 0.1 * (2.0 * z).sin(),
+        );
+        let mut ip = Interpolator::new(IpOrder::Cubic);
+        let traj = Trajectory::compute(&v, 4, &mut ip, &mut comm);
+        let family = traj.adjoint();
+        let div = claire_diff::fd::divergence_scaled(&v, &mut comm, 0.5 * traj.dt);
+        let mut at_foot = vec![0.0 as Real; layout.local_len()];
+        ip.evaluate(&family.plan, &[&div], &mut comm, &mut [&mut at_foot]);
+        for ((g, d), f) in family.growth.iter().zip(div.data()).zip(&at_foot) {
+            assert_eq!(*g, (f + d).exp(), "exp(½δt(∇·v|_foot + ∇·v|_x)), stored once");
+        }
+        assert!(family.growth.iter().any(|g| (g - 1.0).abs() > 1e-3), "a compressible test flow");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use std::borrow::Cow;
 
 use claire_diff::fd::FdScratch;
-use claire_grid::workspace::{PoolVec, WsCat, REAL_POOL, SCALAR_FIELDS, VECTOR_FIELDS};
-use claire_grid::{ScalarField, VectorField};
+use claire_grid::workspace::{PoolVec, WsCat, SCALAR_FIELDS, VECTOR_FIELDS};
+use claire_grid::{Real, ScalarField, VectorField};
 use claire_interp::{Interpolator, IpOrder};
 use claire_mpi::Comm;
 use claire_obs::span::span;
@@ -32,6 +32,20 @@ impl StateSolution {
     /// The deformed template `m(·, 1)`.
     pub fn final_state(&self) -> &ScalarField {
         self.m.last().expect("state solution is never empty")
+    }
+
+    /// Fill [`StateSolution::grad_m`] from the stored series (8th-order FD)
+    /// — what solving with `store_grad` does. Collective.
+    pub fn store_gradients(&mut self, comm: &mut Comm) {
+        // one scratch (halo + temps) shared across all Nt+1 gradients
+        let mut scratch = FdScratch::new();
+        let mut gs = VECTOR_FIELDS.checkout(self.m.len(), WsCat::Pde);
+        for mj in self.m.iter() {
+            let mut g = VectorField::zeros(*mj.layout());
+            claire_diff::fd::gradient_into(mj, comm, &mut g, &mut scratch);
+            gs.push(g);
+        }
+        self.grad_m = Some(gs);
     }
 
     /// `∇m(·, t_j)`: borrowed from the cache, or recomputed with 8th-order
@@ -77,18 +91,11 @@ impl Transport {
             interp.evaluate(traj.back(), &[&m[j]], comm, &mut [next.data_mut()]);
             m.push(next);
         }
-        let grad_m = store_grad.then(|| {
-            // one scratch (halo + temps) shared across all Nt+1 gradients
-            let mut scratch = FdScratch::new();
-            let mut gs = VECTOR_FIELDS.checkout(m.len(), WsCat::Pde);
-            for mj in m.iter() {
-                let mut g = VectorField::zeros(*mj.layout());
-                claire_diff::fd::gradient_into(mj, comm, &mut g, &mut scratch);
-                gs.push(g);
-            }
-            gs
-        });
-        StateSolution { m, grad_m }
+        let mut sol = StateSolution { m, grad_m: None };
+        if store_grad {
+            sol.store_gradients(comm);
+        }
+        sol
     }
 
     /// Solve a continuity equation backward in time:
@@ -97,7 +104,8 @@ impl Transport {
     /// Used for both the adjoint (3) (`λ(1) = m1 − m(1)`) and the
     /// incremental adjoint (7) (`λ̃(1) = −m̃(1)`). Returns `λ(·, t_j)` for
     /// `j = 0..=nt`. Integrates along the characteristics of `−v` with a
-    /// trapezoidal exponential source for `λ ∇·v` (2nd order).
+    /// trapezoidal exponential source for `λ ∇·v` (2nd order), which the
+    /// trajectory holds as one growth factor per point.
     pub fn solve_adjoint(
         &self,
         traj: &Trajectory,
@@ -111,7 +119,6 @@ impl Transport {
         let mut lambda = SCALAR_FIELDS.checkout(self.nt + 1, WsCat::Pde);
         lambda.push(final_cond.clone());
         let family = traj.adjoint();
-        let (divv, divv_at_foot) = (family.div_v.data(), &family.div_v_at_foot);
         for _ in 0..self.nt {
             let mut next = ScalarField::zeros(layout);
             let last = lambda.last().expect("seeded with the final condition");
@@ -121,11 +128,8 @@ impl Transport {
                 par_parts(n, n, |range| {
                     // SAFETY: worker ranges are disjoint.
                     let dst = unsafe { shared.slice_mut(range.clone()) };
-                    for (o, i) in dst.iter_mut().zip(range) {
-                        // div_v carries the ½·δt factor already (prescaled
-                        // into the divergence stencil sweep in Trajectory)
-                        let src = divv_at_foot[i] + divv[i];
-                        *o *= src.exp();
+                    for (o, g) in dst.iter_mut().zip(&family.growth[range]) {
+                        *o *= g;
                     }
                 });
             });
@@ -151,40 +155,39 @@ impl Transport {
     ) -> ScalarField {
         let _s = span("semilag.inc_state");
         let layout = *state.m[0].layout();
-        let n = layout.local_len();
-        // b_j = ṽ·∇m_j (source term), computed per step
-        let bdot = |grad: &VectorField| -> ScalarField {
-            let mut b = ScalarField::zeros(layout);
-            b.add_scaled_product(1.0, &vt.c[0], &grad.c[0]);
-            b.add_scaled_product(1.0, &vt.c[1], &grad.c[1]);
-            b.add_scaled_product(1.0, &vt.c[2], &grad.c[2]);
-            b
-        };
-        let mut mt = ScalarField::zeros(layout);
-        let mut b_next = bdot(&state.grad_at(0, comm));
-        let mut mt_foot = REAL_POOL.checkout_filled(n, 0.0, WsCat::Sl);
-        let mut b_foot = REAL_POOL.checkout_filled(n, 0.0, WsCat::Sl);
-        for j in 0..self.nt {
-            let b_j = b_next;
-            b_next = bdot(&state.grad_at(j + 1, comm));
-            // trapezoid: m̃_{j+1}(x) = m̃_j(X) − δt/2·(b_j(X) + b_{j+1}(x))
-            interp.evaluate(traj.back(), &[&mt, &b_j], comm, &mut [&mut mt_foot, &mut b_foot]);
-            let bn = b_next.data();
+        // trapezoid: m̃_{j+1}(x) = [m̃_j − ½δt·b_j](X) − ½δt·b_{j+1}(x) with
+        // the source b_j = ṽ·∇m_j. The interpolant is linear in its field,
+        // so the bracket is interpolated as one field, `w`; the pass after
+        // takes off δt·b_{j+1} — this step's half and the next bracket's —
+        // and only ½δt·b_nt at the last step, which leaves m̃(1).
+        let mut w = ScalarField::zeros(layout);
+        sub_source(&mut w, 0.5 * traj.dt, vt, &state.grad_at(0, comm));
+        for j in 1..=self.nt {
             let mut next = ScalarField::zeros(layout);
-            timing::time(Kernel::SemiLag, || {
-                let shared = SharedSlice::new(next.data_mut());
-                par_parts(n, n, |range| {
-                    // SAFETY: worker ranges are disjoint.
-                    let dst = unsafe { shared.slice_mut(range.clone()) };
-                    for (o, i) in dst.iter_mut().zip(range) {
-                        *o = mt_foot[i] - 0.5 * traj.dt * (b_foot[i] + bn[i]);
-                    }
-                });
-            });
-            mt = next;
+            interp.evaluate(traj.back(), &[&w], comm, &mut [next.data_mut()]);
+            let c = if j < self.nt { traj.dt } else { 0.5 * traj.dt };
+            sub_source(&mut next, c, vt, &state.grad_at(j, comm));
+            w = next;
         }
-        mt
+        w
     }
+}
+
+/// `f −= c·(ṽ·∇m)` in one pass.
+fn sub_source(f: &mut ScalarField, c: Real, vt: &VectorField, grad: &VectorField) {
+    let n = f.data().len();
+    let [v1, v2, v3] = vt.c.each_ref().map(|c| c.data());
+    let [g1, g2, g3] = grad.c.each_ref().map(|c| c.data());
+    timing::time(Kernel::SemiLag, || {
+        let shared = SharedSlice::new(f.data_mut());
+        par_parts(n, n, |range| {
+            // SAFETY: worker ranges are disjoint.
+            let dst = unsafe { shared.slice_mut(range.clone()) };
+            for (o, i) in dst.iter_mut().zip(range) {
+                *o -= c * (v1[i] * g1[i] + v2[i] * g2[i] + v3[i] * g3[i]);
+            }
+        });
+    });
 }
 
 #[cfg(test)]
@@ -386,6 +389,50 @@ mod tests {
         };
         let den = fd.norm_l2(&mut comm).max(1e-12);
         assert!(num / den < 0.05, "incremental state mismatch: rel {num}/{den}");
+    }
+
+    #[test]
+    fn one_field_incremental_state_matches_the_two_field_formula() {
+        // m̃_{j+1}(x) = m̃_j(X) − ½δt·(b_j(X) + b_{j+1}(x)), interpolating m̃_j
+        // and b_j as two fields: what `solve_inc_state` computes from the
+        // one field m̃_j − ½δt·b_j, by linearity of the interpolant
+        let (layout, tr, mut ip, mut comm) = solo_setup(12, 4);
+        let v = VectorField::from_fns(
+            layout,
+            |_, y, _| 0.3 * y.sin(),
+            |x, _, _| 0.2 * x.cos(),
+            |_, _, z| 0.1 * (2.0 * z).sin(),
+        );
+        let vt = VectorField::from_fns(
+            layout,
+            |x, _, _| 0.5 * x.cos(),
+            |_, _, z| 0.3 * z.sin(),
+            |_, y, _| 0.2 * y.cos(),
+        );
+        let m0 = ScalarField::from_fn(layout, |x, y, z| x.sin() + (y - z).cos());
+        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
+        let state = tr.solve_state(&traj, &m0, true, &mut ip, &mut comm);
+        let got = tr.solve_inc_state(&traj, &vt, &state, &mut ip, &mut comm);
+
+        let n = layout.local_len();
+        let source = |j: usize| -> Vec<Real> {
+            let g = &state.grad_m.as_ref().unwrap()[j];
+            (0..n).map(|i| (0..3).map(|d| vt.c[d].data()[i] * g.c[d].data()[i]).sum()).collect()
+        };
+        let mut mt = ScalarField::zeros(layout);
+        for j in 0..tr.nt {
+            let b_j = ScalarField::from_data(layout, source(j));
+            let b_next = source(j + 1);
+            let (mut mt_foot, mut b_foot) = (vec![0.0; n], vec![0.0; n]);
+            ip.evaluate(traj.back(), &[&mt, &b_j], &mut comm, &mut [&mut mt_foot, &mut b_foot]);
+            for (i, o) in mt.data_mut().iter_mut().enumerate() {
+                *o = mt_foot[i] - 0.5 * traj.dt * (b_foot[i] + b_next[i]);
+            }
+        }
+        let err =
+            got.data().iter().zip(mt.data()).map(|(&a, &b)| (a - b).abs()).fold(0.0, f64::max);
+        assert!(mt.max_abs(&mut comm) > 1e-2, "the reference must not be trivially zero");
+        assert!(err < 1e-12, "one-field vs two-field incremental state: {err}");
     }
 
     #[test]

@@ -161,6 +161,20 @@ stage_report_schema() {
     grep -q '"precision": "f64"' "$report" || {
         echo "RunReport precision should default to f64"; exit 1; }
     grep -q '"name": "solve"' "$report" || { echo "RunReport span tree missing solve root"; exit 1; }
+    # one linearization point, solved once (DESIGN §21): the state equation
+    # is solved per line-search trial and for the very first gradient —
+    # objective evaluations minus the J(v0) each β level reads off the
+    # linearization point, plus one — and every later gradient reuses a solve
+    local obj_evals levels solves reused
+    counter() { grep -A2 "\"key\": \"$1\"" "$report" | sed -n 's/.*"count": \([0-9]*\).*/\1/p'; }
+    obj_evals="$(sed -n 's/.*"obj_evals": \([0-9]*\).*/\1/p' "$report")"
+    levels="$(grep '"level":' "$report" | sort -u | wc -l)"
+    solves="$(counter problem.state_solves)"
+    reused="$(counter problem.state_reused)"
+    [ "$solves" -eq $((obj_evals - levels + 1)) ] && [ "$reused" -gt 0 ] || {
+        echo "state solves $solves (expected obj_evals $obj_evals - levels $levels + 1)," \
+             "reused $reused (expected > 0): the kept state solve is not being reused"
+        exit 1; }
     # the environment selector must land in the report verbatim
     CLAIRE_PRECISION=mixed cargo run --release --example quickstart -- 16 --report "$report"
     grep -q '"precision": "mixed"' "$report" || {

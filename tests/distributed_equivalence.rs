@@ -4,11 +4,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use claire::core::{Claire, PrecondKind, RegistrationConfig, SolverHooks};
+use claire::core::{Claire, PrecondKind, RegProblem, RegistrationConfig, SolverHooks};
 use claire::data::syn::syn_problem;
-use claire::grid::redist;
+use claire::grid::{redist, VectorField};
 use claire::interp::IpOrder;
 use claire::mpi::{run_cluster, Comm, Topology};
+use claire::opt::GnProblem;
 
 fn fixed_cfg() -> RegistrationConfig {
     RegistrationConfig {
@@ -136,5 +137,47 @@ fn hook_boundaries_match_across_rank_counts() {
     assert!(*gn >= 2 && boundaries.len() > *gn, "{boundaries:?} vs {gn} iterations");
     for (rank, out) in run(2).iter().enumerate() {
         assert_eq!(out, &serial[0], "rank {rank} of 2 diverged from the 1-rank run");
+    }
+}
+
+#[test]
+fn kept_state_solve_is_matched_on_every_rank_or_on_none() {
+    // the gradient adopts the line search's state solve when the velocity
+    // has the same bits — a decision the ranks must take together: with one
+    // voxel of rank 1's slab off by one ulp, rank 0 (whose slab does match)
+    // has to miss too, or the two would run different collectives
+    let res = run_cluster(Topology::new(2, 4), |comm| {
+        let prob = syn_problem([16, 16, 16], comm);
+        let build = |comm: &mut Comm| {
+            RegProblem::new(prob.template.clone(), prob.reference.clone(), fixed_cfg(), comm)
+                .expect("the SYN pair shares one layout")
+        };
+        let v = VectorField::from_fns(
+            *prob.template.layout(),
+            |_, y, _| 0.1 * y.sin(),
+            |x, _, _| 0.08 * x.cos(),
+            |_, _, z| 0.05 * z.sin(),
+        );
+        let mut nudged = v.clone();
+        if comm.rank() == 1 {
+            let x = &mut nudged.c[0].data_mut()[5];
+            *x = f64::from_bits(x.to_bits() + 1);
+        }
+        let bits = |g: VectorField| -> Vec<u64> {
+            g.c.iter().flat_map(|c| c.data().iter().map(|x| x.to_bits())).collect()
+        };
+        let after_objective = |at: &VectorField, comm: &mut Comm| {
+            let mut p = build(comm);
+            p.objective(&v, comm);
+            bits(p.gradient(at, comm))
+        };
+        let cold = |at: &VectorField, comm: &mut Comm| bits(build(comm).gradient(at, comm));
+        (
+            after_objective(&v, comm) == cold(&v, comm),
+            after_objective(&nudged, comm) == cold(&nudged, comm),
+        )
+    });
+    for (rank, out) in res.outputs.iter().enumerate() {
+        assert_eq!(*out, (true, true), "rank {rank}: (adopted, missed) gradient vs cold gradient");
     }
 }
