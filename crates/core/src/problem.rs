@@ -214,14 +214,15 @@ impl RegProblem {
     /// replaces the last evaluation. Collective.
     fn final_state(&mut self, v: &VectorField, comm: &mut Comm) -> &ScalarField {
         let [at_cur, at_eval] = self.solved_at(v, comm);
-        if at_cur {
-            // whatever trial was evaluated last, the caller is not at it
+        if !at_eval {
+            // the caller is not at it: back to the pools before a successor
+            // is computed, or the report is built on a read off `cur`
             self.eval = None;
+        }
+        if at_cur {
             return self.cur.as_ref().expect("matched").state.final_state();
         }
-        if !at_eval {
-            // back to the pools before its successor is computed
-            self.eval = None;
+        if self.eval.is_none() {
             STATE_SOLVES.inc();
             let traj = Trajectory::backward(v, self.cfg.nt, &mut self.interp, comm);
             let state = self.transport.solve_state(&traj, &self.m0, false, &mut self.interp, comm);
@@ -230,7 +231,7 @@ impl RegProblem {
         self.eval.as_ref().expect("matched or just solved").state.final_state()
     }
 
-    /// Solve the state equation at `v` and return `m(·, 1)`. Collective.
+    /// The deformed template `m(·, 1)` at `v`. Collective.
     pub fn deformed_template(&mut self, v: &VectorField, comm: &mut Comm) -> ScalarField {
         self.final_state(v, comm).clone()
     }
@@ -769,7 +770,6 @@ mod tests {
     fn zero_velocity_gradient_is_data_driven() {
         let mut comm = Comm::solo();
         let mut prob = small_problem(12, &mut comm);
-        prob.set_beta(0.1);
         let v = VectorField::zeros(prob.layout());
         let g = prob.gradient(&v, &mut comm);
         // with v = 0, g = ∫λ∇m0 — nonzero because the images differ
