@@ -1,10 +1,10 @@
 //! Registration configuration and its validating builder.
 
 use claire_grid::{ClaireError, ClaireResult};
-use serde::Serialize;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Hessian preconditioner selection (paper §2, Algorithm 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PrecondKind {
     /// Spectral inverse of the regularization operator, `(βA)⁻¹` — the
     /// benchmark used in prior CLAIRE versions (`[A]` in Table 6).
@@ -44,7 +44,7 @@ pub use claire_interp::IpOrder;
 /// spectral preconditioner, FFTs, and their collective payloads — to f32,
 /// halving the memory traffic and wire bytes of the solver's dominant
 /// phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Precision {
     /// Full double precision: every lane at f64, the same generic code the
     /// f32 lanes run (deterministic run to run; no historical bit pin).
@@ -78,14 +78,14 @@ impl Precision {
     }
 }
 
-/// Full registration configuration (paper defaults).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+/// Full registration configuration (paper defaults). [`ConfigField`] is the
+/// table every front end reads it through; a new field gets a row there.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RegistrationConfig {
     /// Semi-Lagrangian time steps `Nt` (paper: 4 at 256³, 8 at 512³, 16 at
     /// 1024³).
     pub nt: usize,
     /// Interpolation kernel (paper's production runs use linear).
-    #[serde(skip_serializing)]
     pub ip_order: IpOrder,
     /// Store `∇m` time series (≈15% faster Hessian matvecs, higher memory).
     pub store_grad: bool,
@@ -123,6 +123,108 @@ pub struct RegistrationConfig {
     pub precision: Precision,
     /// Print progress on rank 0.
     pub verbose: bool,
+}
+
+/// One row of the [`RegistrationConfig`] field table: how a field is spelled
+/// on the wire, in a job manifest and on the command line, and how it is
+/// read and written as a JSON value. The serve wire codec, the solver
+/// fingerprint, the manifest parser and every `claire-cli` mode that takes
+/// solver flags iterate [`ConfigField::all`]; none of them names a field.
+pub struct ConfigField {
+    /// Wire and manifest key: the struct field's name.
+    pub key: &'static str,
+    /// Short manifest spelling accepted next to `key`.
+    pub alias: Option<&'static str>,
+    /// `claire-cli` flag. A bool field is a switch (`--flag` / `--no-flag`);
+    /// every other flag takes one value.
+    pub flag: &'static str,
+    /// The field as a JSON value (enums by label).
+    pub get: fn(&RegistrationConfig) -> Value,
+    /// Overwrite the field from a JSON value; touches nothing else.
+    pub set: fn(&mut RegistrationConfig, &Value) -> Result<(), DeError>,
+}
+
+macro_rules! row {
+    ($field:ident, $flag:literal) => {
+        row!($field, $flag, None)
+    };
+    ($field:ident, $flag:literal, $alias:expr) => {
+        ConfigField {
+            key: stringify!($field),
+            alias: $alias,
+            flag: $flag,
+            get: |c| c.$field.to_value(),
+            set: |c, v| Deserialize::from_value(v).map(|x| c.$field = x),
+        }
+    };
+}
+
+/// Rows in struct order, which is also the wire order of the keys.
+static FIELDS: [ConfigField; 18] = [
+    row!(nt, "--nt"),
+    // `IpOrder` lives in claire-interp, which knows nothing of serde
+    ConfigField {
+        key: "ip_order",
+        alias: None,
+        flag: "--order",
+        get: |c| Value::Str(c.ip_order.label().to_string()),
+        set: |c, v| {
+            let s = String::from_value(v)?;
+            let order = IpOrder::parse(&s);
+            order
+                .map(|o| c.ip_order = o)
+                .ok_or_else(|| DeError::new(format!("unknown IpOrder `{s}`")))
+        },
+    },
+    row!(store_grad, "--store-grad"),
+    row!(precond, "--precond"),
+    row!(beta_target, "--beta", Some("beta")),
+    row!(beta_init, "--beta-init"),
+    row!(beta_reduction, "--beta-reduction"),
+    row!(continuation, "--continuation"),
+    row!(grid_continuation, "--grid-cont"),
+    row!(eps_h0, "--eps-h0"),
+    row!(beta_floor, "--beta-floor"),
+    row!(grad_rtol, "--grad-rtol"),
+    row!(max_gn_iter, "--max-gn"),
+    row!(max_pcg_iter, "--max-pcg"),
+    row!(max_inner_iter, "--max-inner"),
+    row!(fixed_pcg, "--fixed-pcg"),
+    row!(precision, "--precision"),
+    row!(verbose, "--verbose"),
+];
+
+impl ConfigField {
+    /// Every field of [`RegistrationConfig`], in struct order.
+    pub fn all() -> &'static [ConfigField] {
+        &FIELDS
+    }
+}
+
+impl Serialize for RegistrationConfig {
+    fn to_value(&self) -> Value {
+        Value::Object(FIELDS.iter().map(|f| (f.key.to_string(), (f.get)(self))).collect())
+    }
+}
+
+impl Deserialize for RegistrationConfig {
+    /// Strict: an unknown key is an error and so is a missing one — except
+    /// `precision`, which peers older than the mixed lane do not send and
+    /// which then means the full-width path, whatever `CLAIRE_PRECISION`
+    /// says on this side.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let Value::Object(pairs) = v else {
+            return Err(DeError::new("expected a config object"));
+        };
+        let mut cfg = RegistrationConfig { precision: Precision::F64, ..Default::default() };
+        for (key, value) in pairs {
+            cfg.set_key(key, value)?;
+        }
+        match FIELDS.iter().find(|f| v.get(f.key).is_none() && f.key != "precision") {
+            Some(f) => Err(DeError::new(format!("missing `{}`", f.key))),
+            None => Ok(cfg),
+        }
+    }
 }
 
 impl Default for RegistrationConfig {
@@ -163,6 +265,26 @@ impl RegistrationConfig {
         RegistrationConfigBuilder { cfg: RegistrationConfig::default() }
     }
 
+    /// Overwrite the field that `key` names — a wire key or a manifest alias
+    /// from the [`ConfigField`] table — from a JSON value. An unknown key and
+    /// a value of the wrong type are errors naming the key.
+    pub fn set_key(&mut self, key: &str, value: &Value) -> Result<(), DeError> {
+        let field = FIELDS.iter().find(|f| f.key == key || f.alias == Some(key));
+        let field = field.ok_or_else(|| DeError::new(format!("unknown key `{key}`")))?;
+        (field.set)(self, value).map_err(|e| e.at(key))
+    }
+
+    /// The last step of a text front end (manifest entry, command line): a
+    /// target above the continuation start lifts the start, as
+    /// [`RegistrationConfigBuilder::beta`] does, then [`Self::validate`].
+    pub fn finish(mut self) -> ClaireResult<Self> {
+        if self.beta_init < self.beta_target {
+            self.beta_init = self.beta_target;
+        }
+        self.validate()?;
+        Ok(self)
+    }
+
     /// Check invariants the solver assumes; [`RegistrationConfigBuilder::build`]
     /// calls this, and hand-assembled configs can call it directly.
     pub fn validate(&self) -> ClaireResult<()> {
@@ -171,6 +293,15 @@ impl RegistrationConfig {
         }
         if self.nt < 1 {
             return Err(bad("nt", format!("need at least 1 time step, got {}", self.nt)));
+        }
+        if self.ip_order.needs_prefilter() {
+            // the transport never applies `Spectral::bspline_prefilter`, so
+            // the B-spline basis would smooth the image at every time step
+            // (the paper keeps GPU-TXTSPL out of the distributed solver too)
+            return Err(bad(
+                "ip_order",
+                format!("{} needs a prefilter the solver does not run", self.ip_order.label()),
+            ));
         }
         if !(self.beta_target > 0.0 && self.beta_target.is_finite()) {
             return Err(bad(
@@ -471,6 +602,73 @@ mod tests {
         // schedule stays well-defined for everything that validates
         let ok = RegistrationConfig::builder().beta(1e-3).beta_init(0.5).build().unwrap();
         assert!(ok.beta_schedule().len() < 64);
+    }
+
+    /// A field added to the struct stops this from compiling until it is
+    /// listed here, and then from passing until it has a [`ConfigField`] row.
+    #[test]
+    fn every_field_has_a_table_row_in_struct_order() {
+        macro_rules! names {
+            ($($field:ident),*) => {{
+                let RegistrationConfig { $($field: _),* } = RegistrationConfig::default();
+                vec![$(stringify!($field)),*]
+            }};
+        }
+        let names = names!(
+            nt,
+            ip_order,
+            store_grad,
+            precond,
+            beta_target,
+            beta_init,
+            beta_reduction,
+            continuation,
+            grid_continuation,
+            eps_h0,
+            beta_floor,
+            grad_rtol,
+            max_gn_iter,
+            max_pcg_iter,
+            max_inner_iter,
+            fixed_pcg,
+            precision,
+            verbose
+        );
+        let rows: Vec<&str> = ConfigField::all().iter().map(|f| f.key).collect();
+        assert_eq!(rows, names);
+        let mut flags: Vec<&str> = ConfigField::all().iter().map(|f| f.flag).collect();
+        flags.sort_unstable();
+        flags.dedup();
+        assert_eq!(flags.len(), names.len(), "two fields share a flag");
+    }
+
+    #[test]
+    fn set_key_reads_keys_and_aliases_and_names_what_it_refuses() {
+        let mut cfg = RegistrationConfig::default();
+        cfg.set_key("beta", &Value::Num(2.0)).unwrap();
+        cfg.set_key("max_gn_iter", &Value::UInt(7)).unwrap();
+        cfg.set_key("fixed_pcg", &Value::Null).unwrap();
+        assert_eq!((cfg.beta_target, cfg.max_gn_iter, cfg.fixed_pcg), (2.0, 7, None));
+        // `set` touches one field; lifting the start is the front end's last step
+        assert_eq!(cfg.beta_init, 1.0);
+        assert!(cfg.validate().is_err());
+        assert_eq!(cfg.finish().unwrap().beta_init, 2.0);
+
+        let err = cfg.set_key("betta", &Value::Num(2.0)).unwrap_err().to_string();
+        assert!(err.contains("unknown key `betta`"), "{err}");
+        let err = cfg.set_key("nt", &Value::Num(2.5)).unwrap_err().to_string();
+        assert!(err.contains("`nt`"), "{err}");
+        assert_eq!(cfg.nt, 4, "a refused value leaves the field alone");
+    }
+
+    #[test]
+    fn the_spline_kernel_is_not_a_solver_option() {
+        // nothing in the transport runs the prefilter the B-spline basis needs
+        let err = RegistrationConfig::builder().ip_order(IpOrder::CubicSpline).build().unwrap_err();
+        assert!(matches!(err, ClaireError::Config { param: "ip_order", .. }), "{err}");
+        for order in [IpOrder::Linear, IpOrder::Cubic] {
+            RegistrationConfig::builder().ip_order(order).build().unwrap();
+        }
     }
 
     #[test]

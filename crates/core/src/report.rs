@@ -1,16 +1,18 @@
 //! Registration reports — the rows of the paper's Table 6.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Everything Table 6 reports about one registration run, plus
 //  diffeomorphism diagnostics and modeled (virtual-cluster) timings.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RegistrationReport {
     /// Dataset label (e.g. `na02`).
     pub data: String,
     /// Preconditioner label (`InvA`, `InvH0`, `2LInvH0`).
     pub pc: String,
-    /// Solver arithmetic width label (`f64` or `mixed`).
+    /// Solver arithmetic width label (`f64` or `mixed`; a peer older than
+    /// the mixed lane sends none and ran full width).
+    #[serde(default = "full_width")]
     pub precision: String,
     /// Global grid.
     pub grid: [usize; 3],
@@ -60,6 +62,10 @@ pub struct RegistrationReport {
     pub jac_det_max: f64,
     /// Modeled memory per rank (paper formula, single-precision words).
     pub memory_bytes_per_rank: u64,
+}
+
+fn full_width() -> String {
+    crate::Precision::F64.label().to_string()
 }
 
 impl RegistrationReport {

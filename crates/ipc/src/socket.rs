@@ -28,9 +28,7 @@ use std::time::{Duration, Instant};
 
 use claire_grid::{ClaireError, ClaireResult};
 use claire_mpi::transport::{AbortHandle, Transport, TransportError};
-use claire_mpi::{
-    ClusterError, ClusterResult, Comm, CommStats, LinkModel, Message, ModelClock, Topology,
-};
+use claire_mpi::{ClusterError, ClusterResult, Comm, LinkModel, Message, Topology};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::frame::{self, FrameError, MAX_FRAME_BYTES};
@@ -350,22 +348,6 @@ impl Drop for SocketTransport {
 // in-process socket clusters (tests, benches, the --in-process comparison)
 // ---------------------------------------------------------------------------
 
-fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(e) = payload.downcast_ref::<TransportError>() {
-        e.to_string()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "rank panicked".to_string()
-    }
-}
-
-fn is_secondary(payload: &(dyn std::any::Any + Send)) -> bool {
-    matches!(payload.downcast_ref::<TransportError>(), Some(TransportError::Aborted { .. }))
-}
-
 /// Run `f` on every rank of a cluster whose ranks are threads of this
 /// process but whose messages travel through real Unix-domain sockets.
 ///
@@ -391,74 +373,18 @@ where
     R: Send,
     F: Fn(&mut Comm) -> R + Sync,
 {
-    let p = topo.nranks;
     let dir = fresh_rendezvous_dir("sockcluster")
         .unwrap_or_else(|e| panic!("cannot create rendezvous dir: {e}"));
-    let abort = Arc::new(AbortHandle::new());
-
-    type RankOutcome<R> = Result<(R, CommStats, ModelClock), Box<dyn std::any::Any + Send>>;
-    let mut results: Vec<Option<RankOutcome<R>>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for rank in 0..p {
-            let dir = dir.clone();
-            let abort = Arc::clone(&abort);
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let opts = SocketOpts { abort: Some(Arc::clone(&abort)), ..Default::default() };
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let transport = SocketTransport::bootstrap(&dir, rank, topo, opts)
-                        .unwrap_or_else(|e| {
-                            std::panic::panic_any(TransportError::Io { detail: e.to_string() })
-                        });
-                    let mut comm = Comm::from_transport(Box::new(transport), LinkModel::default());
-                    let out = f(&mut comm);
-                    let (stats, clock) = comm.take_results();
-                    (out, stats, clock)
-                }));
-                match out {
-                    Ok(v) => Ok(v),
-                    Err(payload) => {
-                        if !is_secondary(payload.as_ref()) {
-                            abort.abort(describe_panic(payload.as_ref()));
-                        }
-                        Err(payload)
-                    }
-                }
-            }));
-        }
-        for (rank, h) in handles.into_iter().enumerate() {
-            results[rank] = Some(h.join().expect("socket cluster harness panicked"));
-        }
-    });
+    let connect = |rank: usize, abort: &Arc<AbortHandle>| {
+        let opts = SocketOpts { abort: Some(Arc::clone(abort)), ..Default::default() };
+        let transport = SocketTransport::bootstrap(&dir, rank, topo, opts).unwrap_or_else(|e| {
+            std::panic::panic_any(TransportError::Io { detail: e.to_string() })
+        });
+        Comm::from_transport(Box::new(transport), LinkModel::default())
+    };
+    let result = claire_mpi::try_run_ranks(topo.nranks, connect, f);
     let _ = std::fs::remove_dir_all(&dir);
-
-    let mut primary: Option<ClusterError> = None;
-    let mut fallback: Option<ClusterError> = None;
-    for (rank, r) in results.iter().enumerate() {
-        if let Some(Err(payload)) = r {
-            let e = ClusterError { rank, detail: describe_panic(payload.as_ref()) };
-            if is_secondary(payload.as_ref()) {
-                fallback.get_or_insert(e);
-            } else if primary.is_none() {
-                primary = Some(e);
-            }
-        }
-    }
-    if let Some(e) = primary.or(fallback) {
-        return Err(e);
-    }
-
-    let mut outputs = Vec::with_capacity(p);
-    let mut stats = Vec::with_capacity(p);
-    let mut clocks = Vec::with_capacity(p);
-    for r in results {
-        let (o, s, c) = r.expect("rank result missing").unwrap_or_else(|_| unreachable!());
-        outputs.push(o);
-        stats.push(s);
-        clocks.push(c);
-    }
-    Ok(ClusterResult { outputs, stats, clocks })
+    result
 }
 
 #[cfg(test)]

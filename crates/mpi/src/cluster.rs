@@ -79,7 +79,9 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-fn describe_panic(payload: &(dyn Any + Send)) -> String {
+/// What a caught panic said: the [`TransportError`] a communication failure
+/// raised through `panic_any`, or the text `panic!` formatted.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(e) = payload.downcast_ref::<TransportError>() {
         e.to_string()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -87,13 +89,19 @@ fn describe_panic(payload: &(dyn Any + Send)) -> String {
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "rank panicked".to_string()
+        "panicked without a message".to_string()
     }
 }
 
-/// A failure that only happened because some other rank failed first.
-fn is_secondary(payload: &(dyn Any + Send)) -> bool {
-    matches!(payload.downcast_ref::<TransportError>(), Some(TransportError::Aborted { .. }))
+/// How far a failure is from being the one that started it: a rank's own
+/// panic (0), a transport that broke under it — in a cluster of threads
+/// because a peer went first (1) — or a wake-up from the abort handle (2).
+fn indirection(payload: &(dyn Any + Send)) -> u8 {
+    match payload.downcast_ref::<TransportError>() {
+        Some(TransportError::Aborted { .. }) => 2,
+        Some(_) => 1,
+        None => 0,
+    }
 }
 
 /// Run `f` on every rank of a virtual cluster with the default link model.
@@ -106,16 +114,7 @@ where
     R: Send,
     F: Fn(&mut Comm) -> R + Sync,
 {
-    run_cluster_with_link(topo, LinkModel::default(), f)
-}
-
-/// [`run_cluster`] with an explicit link model (for calibration studies).
-pub fn run_cluster_with_link<R, F>(topo: Topology, link: LinkModel, f: F) -> ClusterResult<R>
-where
-    R: Send,
-    F: Fn(&mut Comm) -> R + Sync,
-{
-    match try_run_cluster_with_link(topo, link, f) {
+    match try_run_cluster(topo, f) {
         Ok(res) => res,
         Err(e) => panic!("{e}"),
     }
@@ -128,93 +127,73 @@ where
     R: Send,
     F: Fn(&mut Comm) -> R + Sync,
 {
-    try_run_cluster_with_link(topo, LinkModel::default(), f)
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..topo.nranks).map(|_| unbounded::<Message>()).unzip();
+    let connect = |rank: usize, abort: &Arc<AbortHandle>| {
+        let (rx, abort) = (rxs[rank].clone(), Some(Arc::clone(abort)));
+        let transport = ChannelTransport::new(rank, topo, txs.clone(), rx, abort);
+        Comm::from_transport(Box::new(transport), LinkModel::default())
+    };
+    try_run_ranks(topo.nranks, connect, f)
 }
 
-/// [`try_run_cluster`] with an explicit link model.
-pub fn try_run_cluster_with_link<R, F>(
-    topo: Topology,
-    link: LinkModel,
+/// The rank-thread harness under every in-process cluster, whatever carries
+/// its messages: one scoped thread per rank runs `f` over the [`Comm`] that
+/// `connect(rank, abort)` builds on that thread. A rank that panics — in
+/// `connect` or in `f` — trips the shared [`AbortHandle`], which a transport
+/// built with it polls to wake peers blocked in a receive; the run then
+/// fails with the failure that was not itself the consequence of another.
+pub fn try_run_ranks<R, F, C>(
+    nranks: usize,
+    connect: C,
     f: F,
 ) -> Result<ClusterResult<R>, ClusterError>
 where
     R: Send,
     F: Fn(&mut Comm) -> R + Sync,
+    C: Fn(usize, &Arc<AbortHandle>) -> Comm + Sync,
 {
-    let p = topo.nranks;
-    let mut txs = Vec::with_capacity(p);
-    let mut rxs = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = unbounded::<Message>();
-        txs.push(tx);
-        rxs.push(rx);
-    }
     let abort = Arc::new(AbortHandle::new());
-
     type RankOutcome<R> = Result<(R, CommStats, ModelClock), Box<dyn Any + Send>>;
-    let mut results: Vec<Option<RankOutcome<R>>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (rank, rx) in rxs.into_iter().enumerate() {
-            let senders = txs.clone();
-            let abort = Arc::clone(&abort);
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let transport =
-                    ChannelTransport::new(rank, topo, senders, rx, Some(Arc::clone(&abort)));
-                let mut comm = Comm::from_transport(Box::new(transport), link);
-                match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
-                    Ok(out) => {
-                        let (stats, clock) = comm.take_results();
-                        Ok((out, stats, clock))
+    let outcomes: Vec<RankOutcome<R>> = std::thread::scope(|scope| {
+        let rank_thread = |rank| {
+            let (abort, connect, f) = (&abort, &connect, &f);
+            scope.spawn(move || {
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    let mut comm = connect(rank, abort);
+                    let out = f(&mut comm);
+                    let (stats, clock) = comm.take_results();
+                    (out, stats, clock)
+                }));
+                // wake the peers this rank will never answer; the first
+                // failure's description wins
+                run.inspect_err(|payload| {
+                    if indirection(payload.as_ref()) < 2 {
+                        abort.abort(panic_message(payload.as_ref()));
                     }
-                    Err(payload) => {
-                        // wake the peers this rank will never answer; the
-                        // first failure's description wins
-                        if !is_secondary(payload.as_ref()) {
-                            abort.abort(describe_panic(payload.as_ref()));
-                        }
-                        Err(payload)
-                    }
-                }
-            }));
-        }
-        drop(txs);
-        for (rank, h) in handles.into_iter().enumerate() {
-            // rank functions are fully caught above; a join error would mean
-            // a panic in the harness itself, so propagate that one
-            results[rank] = Some(h.join().expect("cluster harness panicked"));
-        }
+                })
+            })
+        };
+        let handles: Vec<_> = (0..nranks).map(rank_thread).collect();
+        // rank functions are fully caught above; a join error would mean a
+        // panic in the harness itself, so propagate that one
+        handles.into_iter().map(|h| h.join().expect("cluster harness panicked")).collect()
     });
 
-    // pick the primary failure: the lowest-ranked non-secondary panic (a
-    // rank that only died because the cluster was already aborting is noise)
-    let mut primary: Option<ClusterError> = None;
-    let mut fallback: Option<ClusterError> = None;
-    for (rank, r) in results.iter().enumerate() {
-        if let Some(Err(payload)) = r {
-            let e = ClusterError { rank, detail: describe_panic(payload.as_ref()) };
-            if is_secondary(payload.as_ref()) {
-                fallback.get_or_insert(e);
-            } else if primary.is_none() {
-                primary = Some(e);
-            }
-        }
+    // a rank that only died because another one had is noise: report the
+    // lowest rank among the failures nearest the origin
+    let failures =
+        outcomes.iter().enumerate().filter_map(|(rank, o)| Some((rank, o.as_ref().err()?)));
+    if let Some((rank, payload)) = failures.min_by_key(|(rank, p)| (indirection(p.as_ref()), *rank))
+    {
+        return Err(ClusterError { rank, detail: panic_message(payload.as_ref()) });
     }
-    if let Some(e) = primary.or(fallback) {
-        return Err(e);
+    let mut result = ClusterResult { outputs: Vec::new(), stats: Vec::new(), clocks: Vec::new() };
+    for (out, stats, clock) in outcomes.into_iter().flatten() {
+        result.outputs.push(out);
+        result.stats.push(stats);
+        result.clocks.push(clock);
     }
-
-    let mut outputs = Vec::with_capacity(p);
-    let mut stats = Vec::with_capacity(p);
-    let mut clocks = Vec::with_capacity(p);
-    for r in results {
-        let (o, s, c) = r.expect("rank result missing").unwrap_or_else(|_| unreachable!());
-        outputs.push(o);
-        stats.push(s);
-        clocks.push(c);
-    }
-    Ok(ClusterResult { outputs, stats, clocks })
+    Ok(result)
 }
 
 #[cfg(test)]

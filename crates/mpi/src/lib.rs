@@ -63,7 +63,9 @@ pub mod stats;
 pub mod topology;
 pub mod transport;
 
-pub use cluster::{run_cluster, try_run_cluster, ClusterError, ClusterResult};
+pub use cluster::{
+    panic_message, run_cluster, try_run_cluster, try_run_ranks, ClusterError, ClusterResult,
+};
 pub use comm::Comm;
 pub use message::Message;
 pub use model::{AlltoallMethod, LinkModel};

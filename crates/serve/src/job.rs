@@ -14,6 +14,7 @@ use std::time::Duration;
 use claire_core::{ClaireError, ClaireResult, RegistrationConfig, RegistrationReport, SolverHooks};
 use claire_grid::{Real, ScalarField};
 use claire_obs::report::RunReport;
+use serde::{Deserialize, Serialize};
 
 /// Service-assigned job identifier, unique for the lifetime of one
 /// [`RegistrationService`](crate::RegistrationService).
@@ -68,7 +69,7 @@ impl std::str::FromStr for JobId {
 /// Admission priority class. Within the queue, every `High` job runs before
 /// any `Normal` job, which runs before any `Low` job; within a class, order
 /// is FIFO.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Priority {
     /// Latency-sensitive work (drained first).
     High,
@@ -247,7 +248,7 @@ impl JobSpec {
 }
 
 /// Lifecycle state of a job. Terminal states are permanent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobStatus {
     /// Admitted, waiting in the queue.
     Queued,
@@ -336,6 +337,15 @@ mod tests {
 
     fn spec(input: JobInput) -> JobSpec {
         JobSpec::new("unit", RegistrationConfig::default(), input)
+    }
+
+    #[test]
+    fn admission_refuses_the_spline_kernel_the_solver_cannot_prefilter() {
+        let mut job = spec(JobInput::Synthetic { n: [8, 8, 8] });
+        job.validate().unwrap();
+        job.config.ip_order = claire_core::config::IpOrder::CubicSpline;
+        let err = job.validate().unwrap_err();
+        assert!(matches!(err, ClaireError::Config { param: "ip_order", .. }), "{err}");
     }
 
     #[test]

@@ -25,7 +25,8 @@ use std::sync::Mutex;
 
 use crate::client::{Client, RemoteAdmission};
 use crate::job::{JobId, JobStatus};
-use crate::wire::{solver_fingerprint, Fnv, RemoteJobResult, WireError, WireJobSpec};
+use crate::server::JobBackend;
+use crate::wire::{solver_fingerprint, Fnv, RemoteJobResult, StreamEvent, WireError, WireJobSpec};
 
 /// Ring points per backend. ~40 vnodes keeps the shard-size spread under a
 /// few percent for small fleets without making ring lookups expensive.
@@ -253,6 +254,50 @@ impl Router {
             .get(&id.as_u64())
             .map(|p| (p.backend, p.remote))
             .ok_or_else(|| WireError::Protocol(format!("job {id} not routed here")))
+    }
+}
+
+/// A router is served through the same connection loop as a worker
+/// ([`crate::server::serve_connection`]), so it speaks the protocol a worker
+/// speaks — and routers can front routers.
+impl JobBackend for Router {
+    fn submit(&self, spec: WireJobSpec) -> Result<RemoteAdmission, WireError> {
+        Router::submit(self, &spec)
+    }
+
+    fn status(&self, id: JobId) -> Result<JobStatus, WireError> {
+        Router::status(self, id)
+    }
+
+    fn cancel(&self, id: JobId) -> Result<bool, WireError> {
+        Router::cancel(self, id)
+    }
+
+    fn wait(&self, id: JobId) -> Result<RemoteJobResult, WireError> {
+        Router::wait(self, id)
+    }
+
+    /// Coarse status stream: `Queued` → `Running` → `Terminal`, polled from
+    /// the shard at 100 ms. Per-iteration events stay a direct-worker
+    /// feature; the router's job is placement, not fan-in.
+    fn stream(
+        &self,
+        id: JobId,
+        emit: &mut dyn FnMut(StreamEvent) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        emit(StreamEvent::Queued)?;
+        let mut sent_running = false;
+        loop {
+            let status = Router::status(self, id)?;
+            if !sent_running && status != JobStatus::Queued {
+                sent_running = true;
+                emit(StreamEvent::Running)?;
+            }
+            if status.is_terminal() {
+                return emit(StreamEvent::Terminal { status });
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        }
     }
 }
 

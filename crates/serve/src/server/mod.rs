@@ -8,5 +8,5 @@
 pub mod net;
 pub mod service;
 
-pub use net::{NetServer, NetServerConfig};
+pub use net::{serve_connection, JobBackend, NetServer, NetServerConfig};
 pub use service::{Admission, RegistrationService, ServiceConfig, SubmitError};

@@ -27,11 +27,12 @@ use std::time::Duration;
 
 use claire_core::SolverHooks;
 
+use crate::client::RemoteAdmission;
 use crate::job::{JobId, JobStatus};
 use crate::server::service::{RegistrationService, ServiceConfig, SubmitError};
 use crate::wire::{
     decode_request, read_frame, send, ErrorCode, RemoteJobResult, Request, Response, StreamEvent,
-    WireError, PROTOCOL_VERSION,
+    WireError, WireJobSpec, PROTOCOL_VERSION,
 };
 
 /// Poll tick for connection reads and stream waits.
@@ -206,7 +207,13 @@ fn accept_loop(
                 let handle = thread::Builder::new()
                     .name("claire-net-conn".into())
                     .spawn(move || {
-                        let _ = serve_connection(stream, &shared);
+                        let _ = serve_connection(
+                            stream,
+                            &*shared,
+                            &shared.name,
+                            shared.max_frame,
+                            &shared.stop,
+                        );
                     })
                     .expect("spawn connection thread");
                 conns.lock().unwrap().push(handle);
@@ -219,215 +226,200 @@ fn accept_loop(
     }
 }
 
-/// Run one connection to completion: handshake, then a request loop.
-fn serve_connection(mut stream: TcpStream, shared: &NetShared) -> Result<(), WireError> {
+/// The five calls a connection makes on whatever executes jobs behind it: a
+/// [`RegistrationService`] under [`NetServer`], a sharding
+/// [`Router`](crate::router::Router) under `claire-router`. An `Err` goes
+/// back to the client as a [`Response::Error`] — with the code of a
+/// [`WireError::Remote`], as `internal` otherwise — and the connection
+/// stays up.
+pub trait JobBackend: Sync {
+    /// Admit a job.
+    fn submit(&self, spec: WireJobSpec) -> Result<RemoteAdmission, WireError>;
+    /// A job's lifecycle status.
+    fn status(&self, id: JobId) -> Result<JobStatus, WireError>;
+    /// Request cancellation; whether it reached a live job.
+    fn cancel(&self, id: JobId) -> Result<bool, WireError>;
+    /// Block until the job is terminal and hand over its result.
+    fn wait(&self, id: JobId) -> Result<RemoteJobResult, WireError>;
+    /// Feed `emit` the job's events up to and including `Terminal`. An
+    /// `emit` failure (the client is gone) must be returned as is.
+    fn stream(
+        &self,
+        id: JobId,
+        emit: &mut dyn FnMut(StreamEvent) -> Result<(), WireError>,
+    ) -> Result<(), WireError>;
+}
+
+fn refusal(code: ErrorCode, message: impl ToString) -> Response {
+    Response::Error { code, message: message.to_string() }
+}
+
+/// Run one connection to completion over `backend`: the first frame must be
+/// a version-compatible `Hello` (anything else is refused and the connection
+/// dropped), then requests are answered until the peer closes or `stop` is
+/// seen on a read-timeout tick. `name` identifies this end in the handshake.
+pub fn serve_connection(
+    mut stream: TcpStream,
+    backend: &impl JobBackend,
+    name: &str,
+    max_frame: usize,
+    stop: &AtomicBool,
+) -> Result<(), WireError> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(TICK))?;
-
-    // Handshake: the first frame must be a version-compatible Hello.
+    let mut greeted = false;
     loop {
-        match read_frame(&mut stream, shared.max_frame) {
-            Ok(bytes) => match decode_request(&bytes) {
-                Ok(Request::Hello { protocol, client: _ }) if protocol == PROTOCOL_VERSION => {
-                    send(
-                        &mut stream,
-                        &Response::Hello {
-                            protocol: PROTOCOL_VERSION,
-                            server: shared.name.clone(),
-                        },
-                    )?;
-                    break;
-                }
-                Ok(Request::Hello { protocol, .. }) => {
-                    send(
-                        &mut stream,
-                        &Response::Error {
-                            code: ErrorCode::VersionMismatch,
-                            message: format!(
-                                "server speaks protocol {PROTOCOL_VERSION}, client sent {protocol}"
-                            ),
-                        },
-                    )?;
-                    return Err(WireError::VersionMismatch {
-                        ours: PROTOCOL_VERSION,
-                        theirs: protocol,
-                    });
-                }
-                Ok(_) => {
-                    send(
-                        &mut stream,
-                        &Response::Error {
-                            code: ErrorCode::Unsupported,
-                            message: "first frame must be Hello".into(),
-                        },
-                    )?;
-                    return Err(WireError::Protocol("first frame must be Hello".into()));
-                }
-                Err(e) => {
-                    send(
-                        &mut stream,
-                        &Response::Error { code: ErrorCode::Malformed, message: e.to_string() },
-                    )?;
-                    return Err(e);
-                }
-            },
-            Err(WireError::Timeout) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(WireError::Closed) => return Ok(()),
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Request loop.
-    loop {
-        let bytes = match read_frame(&mut stream, shared.max_frame) {
+        let bytes = match read_frame(&mut stream, max_frame) {
             Ok(b) => b,
-            Err(WireError::Timeout) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(WireError::Closed) => return Ok(()),
+            Err(WireError::Timeout) if !stop.load(Ordering::SeqCst) => continue,
+            Err(WireError::Timeout | WireError::Closed) => return Ok(()),
             Err(e) => return Err(e),
         };
+        // before the handshake every refusal also ends the connection
         let req = match decode_request(&bytes) {
-            Ok(r) => r,
+            Ok(Request::Hello { protocol: theirs, .. })
+                if !greeted && theirs != PROTOCOL_VERSION =>
+            {
+                let ours = PROTOCOL_VERSION;
+                let message = format!("{name} speaks protocol {ours}, client sent {theirs}");
+                send(&mut stream, &refusal(ErrorCode::VersionMismatch, message))?;
+                return Err(WireError::VersionMismatch { ours, theirs });
+            }
+            Ok(req) if !greeted && !matches!(req, Request::Hello { .. }) => {
+                send(&mut stream, &refusal(ErrorCode::Unsupported, "first frame must be Hello"))?;
+                return Err(WireError::Protocol("first frame must be Hello".into()));
+            }
+            Ok(req) => req,
             Err(e) => {
-                send(
-                    &mut stream,
-                    &Response::Error { code: ErrorCode::Malformed, message: e.to_string() },
-                )?;
-                continue;
+                send(&mut stream, &refusal(ErrorCode::Malformed, &e))?;
+                if greeted {
+                    continue;
+                }
+                return Err(e);
             }
         };
-        match req {
+        let reply = match req {
+            // re-greeting an open connection is harmless; re-acknowledge
             Request::Hello { .. } => {
-                // Idempotent re-greeting is harmless; re-acknowledge.
-                send(
-                    &mut stream,
-                    &Response::Hello { protocol: PROTOCOL_VERSION, server: shared.name.clone() },
-                )?;
+                greeted = true;
+                Ok(Response::Hello { protocol: PROTOCOL_VERSION, server: name.to_string() })
             }
-            Request::Submit { spec } => handle_submit(&mut stream, shared, spec)?,
-            Request::Status { id } => match shared.svc.status(id) {
-                Some(status) => send(&mut stream, &Response::Status { id, status })?,
-                None => send_unknown(&mut stream, id)?,
-            },
+            Request::Submit { spec } => backend
+                .submit(spec)
+                .map(|adm| Response::Submitted { id: adm.id, cached: adm.cached }),
+            Request::Status { id } => {
+                backend.status(id).map(|status| Response::Status { id, status })
+            }
             Request::Cancel { id } => {
-                let delivered = shared.svc.cancel(id);
-                send(&mut stream, &Response::Cancelled { id, delivered })?;
+                backend.cancel(id).map(|delivered| Response::Cancelled { id, delivered })
             }
-            Request::Result { id } => match wait_result(shared, id) {
-                Some(result) => {
-                    shared.hubs.lock().unwrap().remove(&id.as_u64());
-                    send(&mut stream, &Response::Result { result })?;
+            Request::Result { id } => backend.wait(id).map(|result| Response::Result { result }),
+            Request::Stream { id } => {
+                let mut emit = |event| send(&mut stream, &Response::Event { id, event });
+                match backend.stream(id, &mut emit) {
+                    Ok(()) => continue,
+                    Err(e) if e.is_transport() => return Err(e),
+                    Err(e) => Err(e),
                 }
-                None => send_unknown(&mut stream, id)?,
-            },
-            Request::Stream { id } => handle_stream(&mut stream, shared, id)?,
-        }
+            }
+        };
+        let reply = reply.unwrap_or_else(|e| match e {
+            WireError::Remote { code, message } => refusal(code, message),
+            e => refusal(ErrorCode::Internal, e),
+        });
+        send(&mut stream, &reply)?;
     }
 }
 
-fn send_unknown(stream: &mut TcpStream, id: JobId) -> Result<(), WireError> {
-    send(stream, &Response::Error { code: ErrorCode::UnknownJob, message: format!("no job {id}") })
+fn unknown_job(id: JobId) -> WireError {
+    WireError::Remote { code: ErrorCode::UnknownJob, message: format!("no job {id}") }
 }
 
-fn handle_submit(
-    stream: &mut TcpStream,
-    shared: &NetShared,
-    spec: crate::wire::WireJobSpec,
-) -> Result<(), WireError> {
-    let mut spec = match spec.into_spec() {
-        Ok(s) => s,
-        Err(e) => {
-            return send(
-                stream,
-                &Response::Error { code: ErrorCode::InvalidSpec, message: e.to_string() },
-            );
-        }
-    };
-    // Splice the streaming hook before admission so no iteration is lost.
-    let hub = Arc::new(Hub::new());
-    let publish = Arc::clone(&hub);
-    spec.hooks =
-        SolverHooks { cancel: None, on_gn_iter: Some(Arc::new(move |iter| publish.push(iter))) };
-    match shared.svc.try_submit_traced(spec) {
-        Ok(adm) => {
-            if !adm.cached {
-                shared.hubs.lock().unwrap().insert(adm.id.as_u64(), hub);
-            }
-            send(stream, &Response::Submitted { id: adm.id, cached: adm.cached })
-        }
-        Err(e) => {
+impl JobBackend for NetShared {
+    fn submit(&self, spec: WireJobSpec) -> Result<RemoteAdmission, WireError> {
+        let invalid = |e: WireError| WireError::Remote {
+            code: ErrorCode::InvalidSpec,
+            message: e.to_string(),
+        };
+        let mut spec = spec.into_spec().map_err(invalid)?;
+        // Splice the streaming hook before admission so no iteration is lost.
+        let hub = Arc::new(Hub::new());
+        let publish = Arc::clone(&hub);
+        spec.hooks = SolverHooks {
+            cancel: None,
+            on_gn_iter: Some(Arc::new(move |iter| publish.push(iter))),
+        };
+        let adm = self.svc.try_submit_traced(spec).map_err(|e| {
             let code = match &e {
                 SubmitError::QueueFull => ErrorCode::QueueFull,
                 SubmitError::ShuttingDown => ErrorCode::ShuttingDown,
                 SubmitError::Invalid(_) => ErrorCode::InvalidSpec,
                 SubmitError::QuotaExceeded { .. } => ErrorCode::QuotaExceeded,
             };
-            send(stream, &Response::Error { code, message: e.to_string() })
+            WireError::Remote { code, message: e.to_string() }
+        })?;
+        if !adm.cached {
+            self.hubs.lock().unwrap().insert(adm.id.as_u64(), hub);
         }
+        Ok(RemoteAdmission { id: adm.id, cached: adm.cached })
     }
-}
 
-/// Wait for a terminal result, bounded by the stop flag.
-fn wait_result(shared: &NetShared, id: JobId) -> Option<crate::wire::RemoteJobResult> {
-    shared.svc.wait(id).map(|r| RemoteJobResult::from_result(&r))
-}
-
-fn handle_stream(stream: &mut TcpStream, shared: &NetShared, id: JobId) -> Result<(), WireError> {
-    if shared.svc.status(id).is_none() {
-        return send_unknown(stream, id);
+    fn status(&self, id: JobId) -> Result<JobStatus, WireError> {
+        self.svc.status(id).ok_or_else(|| unknown_job(id))
     }
-    let hub = shared.hubs.lock().unwrap().get(&id.as_u64()).cloned();
-    send(stream, &Response::Event { id, event: StreamEvent::Queued })?;
-    let mut sent_running = false;
-    let mut next = 0usize;
-    loop {
-        // Read the status *before* draining the hub: iterations published
-        // before the job went terminal are still replayed afterwards.
-        let status = shared
-            .svc
-            .status(id)
-            .ok_or_else(|| WireError::Protocol(format!("job {id} vanished mid-stream")))?;
-        if !sent_running && status != JobStatus::Queued {
-            sent_running = true;
-            send(stream, &Response::Event { id, event: StreamEvent::Running })?;
-        }
-        // Iterations are only relayed once `Running` went out; nothing is
-        // lost because the hub replays from `next` on the following tick.
-        let fresh = if sent_running {
-            match &hub {
-                Some(hub) if status.is_terminal() => hub.drain_from(next, Duration::ZERO),
-                Some(hub) => hub.drain_from(next, TICK),
-                None => Vec::new(),
+
+    fn cancel(&self, id: JobId) -> Result<bool, WireError> {
+        Ok(self.svc.cancel(id))
+    }
+
+    fn wait(&self, id: JobId) -> Result<RemoteJobResult, WireError> {
+        let result = self.svc.wait(id).ok_or_else(|| unknown_job(id))?;
+        self.hubs.lock().unwrap().remove(&id.as_u64());
+        Ok(RemoteJobResult::from_result(&result))
+    }
+
+    fn stream(
+        &self,
+        id: JobId,
+        emit: &mut dyn FnMut(StreamEvent) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        let mut status = self.status(id)?;
+        let hub = self.hubs.lock().unwrap().get(&id.as_u64()).cloned();
+        emit(StreamEvent::Queued)?;
+        let mut sent_running = false;
+        let mut next = 0usize;
+        loop {
+            if !sent_running && status != JobStatus::Queued {
+                sent_running = true;
+                emit(StreamEvent::Running)?;
             }
-        } else {
-            Vec::new()
-        };
-        for iter in fresh {
-            next += 1;
-            send(stream, &Response::Event { id, event: StreamEvent::GnIter { iter } })?;
-        }
-        if status.is_terminal() {
-            return send(stream, &Response::Event { id, event: StreamEvent::Terminal { status } });
-        }
-        if !sent_running || hub.is_none() {
-            std::thread::sleep(TICK);
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            return send(
-                stream,
-                &Response::Error {
+            // Iterations are only relayed once `Running` went out; nothing is
+            // lost because the hub replays from `next` on the following tick.
+            let fresh = match &hub {
+                Some(hub) if sent_running => {
+                    hub.drain_from(next, if status.is_terminal() { Duration::ZERO } else { TICK })
+                }
+                _ => Vec::new(),
+            };
+            for iter in fresh {
+                next += 1;
+                emit(StreamEvent::GnIter { iter })?;
+            }
+            if status.is_terminal() {
+                return emit(StreamEvent::Terminal { status });
+            }
+            if !sent_running || hub.is_none() {
+                std::thread::sleep(TICK);
+            }
+            if self.stop.load(Ordering::SeqCst) {
+                return Err(WireError::Remote {
                     code: ErrorCode::ShuttingDown,
                     message: "server shutting down".into(),
-                },
-            );
+                });
+            }
+            // Read the status *before* draining the hub: iterations published
+            // before the job went terminal are still replayed afterwards.
+            status = self.status(id)?;
         }
     }
 }

@@ -526,7 +526,7 @@ fn worker_loop(
 /// fields, shared with the result cache and the router. Labels, priorities,
 /// deadlines, and hooks are deliberately *not* part of the key; they stay
 /// per-job inside the batch.
-fn coalescing_key(spec: &JobSpec) -> u64 {
+pub fn coalescing_key(spec: &JobSpec) -> u64 {
     let mut h = Fnv::new();
     hash_config(&mut h, spec.input.grid(), &spec.config);
     h.0
@@ -654,14 +654,10 @@ fn execute(
     let items: Vec<Result<BatchItem, String>> = match solved {
         Ok(Ok(outcome)) => outcome.items.into_iter().map(Ok).collect(),
         Ok(Err(e)) => whole_run_error(e.to_string()),
-        Err(payload) => {
-            let text = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("solver panicked");
-            whole_run_error(format!("solver panicked: {text}"))
-        }
+        Err(payload) => whole_run_error(format!(
+            "solver panicked: {}",
+            claire_mpi::panic_message(payload.as_ref())
+        )),
     };
 
     for (member, item) in members.into_iter().zip(items) {

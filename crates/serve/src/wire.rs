@@ -18,12 +18,11 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
-use claire_core::config::IpOrder;
-use claire_core::{Precision, PrecondKind, RegistrationConfig, RegistrationReport};
+use claire_core::{RegistrationConfig, RegistrationReport};
 use claire_grid::{Grid, Layout, Real, ScalarField};
-use serde::{Serialize, Value};
+use serde::{field, DeError, Deserialize, Serialize, Value};
 
-use crate::job::{JobId, JobInput, JobResult, JobSpec, JobStatus, Priority};
+use crate::job::{JobId, JobInput, JobResult, JobSpec, JobStatus, ParseJobIdError, Priority};
 
 /// Protocol revision negotiated in `Hello`. Bump on any change to frame
 /// layout or message schemas that an old peer cannot ignore.
@@ -357,21 +356,23 @@ pub enum StreamEvent {
 
 /// A [`JobSpec`] in wire form: images inline as flat `f64` arrays, the
 /// config fully spelled out, hooks (not serializable) left behind — the
-/// server installs its own cancel token and streaming hook.
-#[derive(Clone, Debug, PartialEq)]
+/// server installs its own cancel token and streaming hook. Field order is
+/// the wire's key order.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireJobSpec {
     /// Free-form label (used in reports).
     pub label: String,
     /// Tenant name for quota accounting (empty = the default tenant).
     pub tenant: String,
-    /// Full solver configuration.
-    pub config: RegistrationConfig,
-    /// Input images or synthetic problem size.
-    pub input: WireInput,
     /// Admission priority class.
     pub priority: Priority,
     /// Deadline in milliseconds from server-side admission (None = none).
     pub deadline_ms: Option<u64>,
+    /// Full solver configuration, one key per
+    /// [`ConfigField`](claire_core::config::ConfigField).
+    pub config: RegistrationConfig,
+    /// Input images or synthetic problem size.
+    pub input: WireInput,
 }
 
 /// Wire form of [`JobInput`].
@@ -455,7 +456,7 @@ impl WireJobSpec {
 /// A [`JobResult`] in wire form. The `RunReport` travels as an opaque JSON
 /// document (`run`): it is a reporting artifact, not an API type, so the
 /// client hands it through without imposing a schema.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RemoteJobResult {
     /// Server-assigned id.
     pub id: JobId,
@@ -475,7 +476,9 @@ pub struct RemoteJobResult {
     pub run_secs: f64,
     /// End-to-end server-side seconds.
     pub total_secs: f64,
-    /// Whether this result came from the content-hash cache.
+    /// Whether this result came from the content-hash cache (a server
+    /// without one does not say).
+    #[serde(default)]
     pub cached: bool,
 }
 
@@ -498,17 +501,20 @@ impl RemoteJobResult {
 }
 
 // ---------------------------------------------------------------------------
-// encoding (Serialize impls)
+// codec: the payload structs above and `RegistrationConfig` derive both
+// directions; what is written by hand is what is tagged by a string
 // ---------------------------------------------------------------------------
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+impl From<DeError> for WireError {
+    fn from(e: DeError) -> Self {
+        WireError::Malformed(e.to_string())
+    }
 }
 
-fn tagged(tag: &str, mut rest: Vec<(&str, Value)>) -> Value {
-    let mut pairs = vec![("type", Value::Str(tag.to_string()))];
-    pairs.append(&mut rest);
-    obj(pairs)
+/// `{"<tag_key>": "<tag>", ...rest}`.
+fn tagged(tag_key: &str, tag: &str, rest: Vec<(&str, Value)>) -> Value {
+    let pairs = std::iter::once((tag_key, Value::Str(tag.to_string()))).chain(rest);
+    Value::Object(pairs.map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 impl Serialize for JobId {
@@ -517,428 +523,151 @@ impl Serialize for JobId {
     }
 }
 
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        match self {
-            Request::Hello { protocol, client } => tagged(
-                "hello",
-                vec![("protocol", Value::UInt(*protocol as u64)), ("client", client.to_value())],
-            ),
-            Request::Submit { spec } => tagged("submit", vec![("spec", spec.to_value())]),
-            Request::Status { id } => tagged("status", vec![("id", id.to_value())]),
-            Request::Cancel { id } => tagged("cancel", vec![("id", id.to_value())]),
-            Request::Result { id } => tagged("result", vec![("id", id.to_value())]),
-            Request::Stream { id } => tagged("stream", vec![("id", id.to_value())]),
-        }
+impl Deserialize for JobId {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        String::from_value(v)?.parse().map_err(|e: ParseJobIdError| DeError::new(e.to_string()))
     }
-}
-
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        match self {
-            Response::Hello { protocol, server } => tagged(
-                "hello",
-                vec![("protocol", Value::UInt(*protocol as u64)), ("server", server.to_value())],
-            ),
-            Response::Submitted { id, cached } => {
-                tagged("submitted", vec![("id", id.to_value()), ("cached", Value::Bool(*cached))])
-            }
-            Response::Status { id, status } => tagged(
-                "status",
-                vec![("id", id.to_value()), ("status", Value::Str(status.label().into()))],
-            ),
-            Response::Cancelled { id, delivered } => tagged(
-                "cancelled",
-                vec![("id", id.to_value()), ("delivered", Value::Bool(*delivered))],
-            ),
-            Response::Result { result } => tagged("result", vec![("result", result.to_value())]),
-            Response::Event { id, event } => {
-                let mut fields = vec![("id", id.to_value())];
-                match event {
-                    StreamEvent::Queued => fields.push(("event", Value::Str("queued".into()))),
-                    StreamEvent::Running => fields.push(("event", Value::Str("running".into()))),
-                    StreamEvent::GnIter { iter } => {
-                        fields.push(("event", Value::Str("gn_iter".into())));
-                        fields.push(("iter", Value::UInt(*iter as u64)));
-                    }
-                    StreamEvent::Terminal { status } => {
-                        fields.push(("event", Value::Str("terminal".into())));
-                        fields.push(("status", Value::Str(status.label().into())));
-                    }
-                }
-                tagged("event", fields)
-            }
-            Response::Error { code, message } => tagged(
-                "error",
-                vec![("code", Value::Str(code.as_str().into())), ("message", message.to_value())],
-            ),
-        }
-    }
-}
-
-fn config_to_value(c: &RegistrationConfig) -> Value {
-    obj(vec![
-        ("nt", Value::UInt(c.nt as u64)),
-        ("ip_order", Value::Str(c.ip_order.label().into())),
-        ("store_grad", Value::Bool(c.store_grad)),
-        ("precond", Value::Str(c.precond.label().into())),
-        ("beta_target", Value::Num(c.beta_target)),
-        ("beta_init", Value::Num(c.beta_init)),
-        ("beta_reduction", Value::Num(c.beta_reduction)),
-        ("continuation", Value::Bool(c.continuation)),
-        ("grid_continuation", Value::Bool(c.grid_continuation)),
-        ("eps_h0", Value::Num(c.eps_h0)),
-        ("beta_floor", Value::Num(c.beta_floor)),
-        ("grad_rtol", Value::Num(c.grad_rtol)),
-        ("max_gn_iter", Value::UInt(c.max_gn_iter as u64)),
-        ("max_pcg_iter", Value::UInt(c.max_pcg_iter as u64)),
-        ("max_inner_iter", Value::UInt(c.max_inner_iter as u64)),
-        ("fixed_pcg", c.fixed_pcg.map(|n| n as u64).to_value()),
-        ("precision", Value::Str(c.precision.label().into())),
-        ("verbose", Value::Bool(c.verbose)),
-    ])
 }
 
 impl Serialize for WireInput {
     fn to_value(&self) -> Value {
         match self {
-            WireInput::Synthetic { n } => {
-                obj(vec![("kind", Value::Str("synthetic".into())), ("n", n.to_value())])
-            }
-            WireInput::Pair { n, template, reference } => obj(vec![
-                ("kind", Value::Str("pair".into())),
-                ("n", n.to_value()),
-                ("template", real_array(template)),
-                ("reference", real_array(reference)),
-            ]),
+            WireInput::Synthetic { n } => tagged("kind", "synthetic", vec![("n", n.to_value())]),
+            WireInput::Pair { n, template, reference } => tagged(
+                "kind",
+                "pair",
+                vec![
+                    ("n", n.to_value()),
+                    ("template", template.to_value()),
+                    ("reference", reference.to_value()),
+                ],
+            ),
         }
     }
 }
 
-fn real_array(data: &[Real]) -> Value {
-    Value::Array(data.iter().map(|&x| Value::Num(x)).collect())
+impl Deserialize for WireInput {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match field::<String>(v, "kind")?.as_str() {
+            "synthetic" => Ok(WireInput::Synthetic { n: field(v, "n")? }),
+            "pair" => Ok(WireInput::Pair {
+                n: field(v, "n")?,
+                template: field(v, "template")?,
+                reference: field(v, "reference")?,
+            }),
+            other => Err(DeError::new(format!("unknown input kind `{other}`"))),
+        }
+    }
 }
 
-impl Serialize for WireJobSpec {
+impl Serialize for Request {
     fn to_value(&self) -> Value {
-        obj(vec![
-            ("label", self.label.to_value()),
-            ("tenant", self.tenant.to_value()),
-            ("priority", Value::Str(self.priority.label().into())),
-            ("deadline_ms", self.deadline_ms.to_value()),
-            ("config", config_to_value(&self.config)),
-            ("input", self.input.to_value()),
-        ])
+        let (tag, rest) = match self {
+            Request::Hello { protocol, client } => {
+                ("hello", vec![("protocol", protocol.to_value()), ("client", client.to_value())])
+            }
+            Request::Submit { spec } => ("submit", vec![("spec", spec.to_value())]),
+            Request::Status { id } => ("status", vec![("id", id.to_value())]),
+            Request::Cancel { id } => ("cancel", vec![("id", id.to_value())]),
+            Request::Result { id } => ("result", vec![("id", id.to_value())]),
+            Request::Stream { id } => ("stream", vec![("id", id.to_value())]),
+        };
+        tagged("type", tag, rest)
     }
 }
 
-impl Serialize for RemoteJobResult {
+impl Serialize for Response {
     fn to_value(&self) -> Value {
-        obj(vec![
-            ("id", self.id.to_value()),
-            ("label", self.label.to_value()),
-            ("status", Value::Str(self.status.label().into())),
-            ("report", self.report.as_ref().map(|r| r.to_value()).to_value()),
-            ("run", self.run.to_value()),
-            ("error", self.error.to_value()),
-            ("queue_wait_secs", Value::Num(self.queue_wait_secs)),
-            ("run_secs", Value::Num(self.run_secs)),
-            ("total_secs", Value::Num(self.total_secs)),
-            ("cached", Value::Bool(self.cached)),
-        ])
+        let (tag, rest) = match self {
+            Response::Hello { protocol, server } => {
+                ("hello", vec![("protocol", protocol.to_value()), ("server", server.to_value())])
+            }
+            Response::Submitted { id, cached } => {
+                ("submitted", vec![("id", id.to_value()), ("cached", cached.to_value())])
+            }
+            Response::Status { id, status } => {
+                ("status", vec![("id", id.to_value()), ("status", status.to_value())])
+            }
+            Response::Cancelled { id, delivered } => {
+                ("cancelled", vec![("id", id.to_value()), ("delivered", delivered.to_value())])
+            }
+            Response::Result { result } => ("result", vec![("result", result.to_value())]),
+            Response::Event { id, event } => {
+                let (kind, detail) = match event {
+                    StreamEvent::Queued => ("queued", None),
+                    StreamEvent::Running => ("running", None),
+                    StreamEvent::GnIter { iter } => ("gn_iter", Some(("iter", iter.to_value()))),
+                    StreamEvent::Terminal { status } => {
+                        ("terminal", Some(("status", status.to_value())))
+                    }
+                };
+                let mut rest = vec![("id", id.to_value()), ("event", kind.to_value())];
+                rest.extend(detail);
+                ("event", rest)
+            }
+            Response::Error { code, message } => {
+                ("error", vec![("code", code.as_str().to_value()), ("message", message.to_value())])
+            }
+        };
+        tagged("type", tag, rest)
     }
 }
 
-// ---------------------------------------------------------------------------
-// decoding
-// ---------------------------------------------------------------------------
-
-fn bad(msg: impl Into<String>) -> WireError {
-    WireError::Malformed(msg.into())
-}
-
-fn as_obj(v: &Value) -> Result<&[(String, Value)], WireError> {
-    match v {
-        Value::Object(pairs) => Ok(pairs),
-        other => Err(bad(format!("expected an object, got {other:?}"))),
-    }
-}
-
-fn field<'a>(o: &'a [(String, Value)], key: &str) -> Result<&'a Value, WireError> {
-    o.iter().find(|(k, _)| k == key).map(|(_, v)| v).ok_or_else(|| bad(format!("missing `{key}`")))
-}
-
-fn opt_field<'a>(o: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    o.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_str(v: &Value, key: &str) -> Result<String, WireError> {
-    match v {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(bad(format!("`{key}` must be a string, got {other:?}"))),
-    }
-}
-
-fn as_bool(v: &Value, key: &str) -> Result<bool, WireError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        other => Err(bad(format!("`{key}` must be a bool, got {other:?}"))),
-    }
-}
-
-fn as_u64(v: &Value, key: &str) -> Result<u64, WireError> {
-    match v {
-        Value::UInt(n) => Ok(*n),
-        Value::Int(n) if *n >= 0 => Ok(*n as u64),
-        Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => Ok(*x as u64),
-        other => Err(bad(format!("`{key}` must be a non-negative integer, got {other:?}"))),
-    }
-}
-
-fn as_usize(v: &Value, key: &str) -> Result<usize, WireError> {
-    Ok(as_u64(v, key)? as usize)
-}
-
-fn as_u32(v: &Value, key: &str) -> Result<u32, WireError> {
-    u32::try_from(as_u64(v, key)?).map_err(|_| bad(format!("`{key}` does not fit in 32 bits")))
-}
-
-fn as_f64(v: &Value, key: &str) -> Result<f64, WireError> {
-    match v {
-        Value::Num(x) => Ok(*x),
-        Value::UInt(n) => Ok(*n as f64),
-        Value::Int(n) => Ok(*n as f64),
-        other => Err(bad(format!("`{key}` must be a number, got {other:?}"))),
-    }
-}
-
-fn as_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], WireError> {
-    match v {
-        Value::Array(items) => Ok(items),
-        other => Err(bad(format!("`{key}` must be an array, got {other:?}"))),
-    }
-}
-
-fn extents(v: &Value) -> Result<[usize; 3], WireError> {
-    let items = as_array(v, "n")?;
-    if items.len() != 3 {
-        return Err(bad(format!("`n` must have 3 extents, got {}", items.len())));
-    }
-    Ok([as_usize(&items[0], "n")?, as_usize(&items[1], "n")?, as_usize(&items[2], "n")?])
-}
-
-fn reals(v: &Value, key: &str) -> Result<Vec<Real>, WireError> {
-    as_array(v, key)?.iter().map(|x| as_f64(x, key).map(|f| f as Real)).collect()
-}
-
-fn job_id(v: &Value) -> Result<JobId, WireError> {
-    let s = as_str(v, "id")?;
-    s.parse().map_err(|e: crate::job::ParseJobIdError| bad(e.to_string()))
-}
-
-fn job_status(v: &Value, key: &str) -> Result<JobStatus, WireError> {
-    let s = as_str(v, key)?;
-    JobStatus::parse(&s).ok_or_else(|| bad(format!("unknown job status `{s}`")))
-}
-
-fn parse_json(bytes: &[u8]) -> Result<Value, WireError> {
-    let text = std::str::from_utf8(bytes).map_err(|e| bad(format!("invalid UTF-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| bad(e.to_string()))
-}
-
-fn message_type(o: &[(String, Value)]) -> Result<String, WireError> {
-    as_str(field(o, "type")?, "type")
+/// The JSON document in a frame payload and its `type` tag.
+fn parse_tagged(bytes: &[u8]) -> Result<(Value, String), WireError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| WireError::Malformed(format!("invalid UTF-8: {e}")))?;
+    let v = serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))?;
+    let tag = field(&v, "type")?;
+    Ok((v, tag))
 }
 
 /// Decode one frame payload as a [`Request`].
 pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
-    let v = parse_json(bytes)?;
-    let o = as_obj(&v)?;
-    match message_type(o)?.as_str() {
-        "hello" => Ok(Request::Hello {
-            protocol: as_u32(field(o, "protocol")?, "protocol")?,
-            client: as_str(field(o, "client")?, "client")?,
-        }),
-        "submit" => Ok(Request::Submit { spec: decode_spec(field(o, "spec")?)? }),
-        "status" => Ok(Request::Status { id: job_id(field(o, "id")?)? }),
-        "cancel" => Ok(Request::Cancel { id: job_id(field(o, "id")?)? }),
-        "result" => Ok(Request::Result { id: job_id(field(o, "id")?)? }),
-        "stream" => Ok(Request::Stream { id: job_id(field(o, "id")?)? }),
-        other => Err(WireError::Protocol(format!("unsupported request type `{other}`"))),
-    }
+    let (v, tag) = parse_tagged(bytes)?;
+    Ok(match tag.as_str() {
+        "hello" => {
+            Request::Hello { protocol: field(&v, "protocol")?, client: field(&v, "client")? }
+        }
+        "submit" => Request::Submit { spec: field(&v, "spec")? },
+        "status" => Request::Status { id: field(&v, "id")? },
+        "cancel" => Request::Cancel { id: field(&v, "id")? },
+        "result" => Request::Result { id: field(&v, "id")? },
+        "stream" => Request::Stream { id: field(&v, "id")? },
+        other => return Err(WireError::Protocol(format!("unsupported request type `{other}`"))),
+    })
 }
 
 /// Decode one frame payload as a [`Response`].
 pub fn decode_response(bytes: &[u8]) -> Result<Response, WireError> {
-    let v = parse_json(bytes)?;
-    let o = as_obj(&v)?;
-    match message_type(o)?.as_str() {
-        "hello" => Ok(Response::Hello {
-            protocol: as_u32(field(o, "protocol")?, "protocol")?,
-            server: as_str(field(o, "server")?, "server")?,
-        }),
-        "submitted" => Ok(Response::Submitted {
-            id: job_id(field(o, "id")?)?,
-            cached: as_bool(field(o, "cached")?, "cached")?,
-        }),
-        "status" => Ok(Response::Status {
-            id: job_id(field(o, "id")?)?,
-            status: job_status(field(o, "status")?, "status")?,
-        }),
-        "cancelled" => Ok(Response::Cancelled {
-            id: job_id(field(o, "id")?)?,
-            delivered: as_bool(field(o, "delivered")?, "delivered")?,
-        }),
-        "result" => Ok(Response::Result { result: decode_result(field(o, "result")?)? }),
+    let (v, tag) = parse_tagged(bytes)?;
+    Ok(match tag.as_str() {
+        "hello" => {
+            Response::Hello { protocol: field(&v, "protocol")?, server: field(&v, "server")? }
+        }
+        "submitted" => Response::Submitted { id: field(&v, "id")?, cached: field(&v, "cached")? },
+        "status" => Response::Status { id: field(&v, "id")?, status: field(&v, "status")? },
+        "cancelled" => {
+            Response::Cancelled { id: field(&v, "id")?, delivered: field(&v, "delivered")? }
+        }
+        "result" => Response::Result { result: field(&v, "result")? },
         "event" => {
-            let id = job_id(field(o, "id")?)?;
-            let event = match as_str(field(o, "event")?, "event")?.as_str() {
+            let event = match field::<String>(&v, "event")?.as_str() {
                 "queued" => StreamEvent::Queued,
                 "running" => StreamEvent::Running,
-                "gn_iter" => StreamEvent::GnIter { iter: as_usize(field(o, "iter")?, "iter")? },
-                "terminal" => {
-                    StreamEvent::Terminal { status: job_status(field(o, "status")?, "status")? }
+                "gn_iter" => StreamEvent::GnIter { iter: field(&v, "iter")? },
+                "terminal" => StreamEvent::Terminal { status: field(&v, "status")? },
+                other => {
+                    return Err(WireError::Malformed(format!("unknown stream event `{other}`")))
                 }
-                other => return Err(bad(format!("unknown stream event `{other}`"))),
             };
-            Ok(Response::Event { id, event })
+            Response::Event { id: field(&v, "id")?, event }
         }
-        "error" => Ok(Response::Error {
-            code: ErrorCode::parse(&as_str(field(o, "code")?, "code")?),
-            message: as_str(field(o, "message")?, "message")?,
-        }),
-        other => Err(WireError::Protocol(format!("unsupported response type `{other}`"))),
-    }
-}
-
-fn decode_config(v: &Value) -> Result<RegistrationConfig, WireError> {
-    let o = as_obj(v)?;
-    let ip = as_str(field(o, "ip_order")?, "ip_order")?;
-    let pc = as_str(field(o, "precond")?, "precond")?;
-    Ok(RegistrationConfig {
-        nt: as_usize(field(o, "nt")?, "nt")?,
-        ip_order: IpOrder::parse(&ip).ok_or_else(|| bad(format!("unknown ip_order `{ip}`")))?,
-        store_grad: as_bool(field(o, "store_grad")?, "store_grad")?,
-        precond: PrecondKind::parse(&pc).ok_or_else(|| bad(format!("unknown precond `{pc}`")))?,
-        beta_target: as_f64(field(o, "beta_target")?, "beta_target")?,
-        beta_init: as_f64(field(o, "beta_init")?, "beta_init")?,
-        beta_reduction: as_f64(field(o, "beta_reduction")?, "beta_reduction")?,
-        continuation: as_bool(field(o, "continuation")?, "continuation")?,
-        grid_continuation: as_bool(field(o, "grid_continuation")?, "grid_continuation")?,
-        eps_h0: as_f64(field(o, "eps_h0")?, "eps_h0")?,
-        beta_floor: as_f64(field(o, "beta_floor")?, "beta_floor")?,
-        grad_rtol: as_f64(field(o, "grad_rtol")?, "grad_rtol")?,
-        max_gn_iter: as_usize(field(o, "max_gn_iter")?, "max_gn_iter")?,
-        max_pcg_iter: as_usize(field(o, "max_pcg_iter")?, "max_pcg_iter")?,
-        max_inner_iter: as_usize(field(o, "max_inner_iter")?, "max_inner_iter")?,
-        fixed_pcg: match field(o, "fixed_pcg")? {
-            Value::Null => None,
-            v => Some(as_usize(v, "fixed_pcg")?),
+        "error" => Response::Error {
+            code: ErrorCode::parse(&field::<String>(&v, "code")?),
+            message: field(&v, "message")?,
         },
-        // Absent on pre-precision peers: default to the full-width path.
-        precision: opt_field(o, "precision")
-            .map(|v| as_str(v, "precision"))
-            .transpose()?
-            .map(|s| Precision::parse(&s).ok_or_else(|| bad(format!("unknown precision `{s}`"))))
-            .transpose()?
-            .unwrap_or(Precision::F64),
-        verbose: as_bool(field(o, "verbose")?, "verbose")?,
-    })
-}
-
-fn decode_spec(v: &Value) -> Result<WireJobSpec, WireError> {
-    let o = as_obj(v)?;
-    let prio = as_str(field(o, "priority")?, "priority")?;
-    let input_o = as_obj(field(o, "input")?)?;
-    let input = match as_str(field(input_o, "kind")?, "kind")?.as_str() {
-        "synthetic" => WireInput::Synthetic { n: extents(field(input_o, "n")?)? },
-        "pair" => WireInput::Pair {
-            n: extents(field(input_o, "n")?)?,
-            template: reals(field(input_o, "template")?, "template")?,
-            reference: reals(field(input_o, "reference")?, "reference")?,
-        },
-        other => return Err(bad(format!("unknown input kind `{other}`"))),
-    };
-    Ok(WireJobSpec {
-        label: as_str(field(o, "label")?, "label")?,
-        tenant: as_str(field(o, "tenant")?, "tenant")?,
-        config: decode_config(field(o, "config")?)?,
-        input,
-        priority: Priority::parse(&prio)
-            .ok_or_else(|| bad(format!("unknown priority `{prio}`")))?,
-        deadline_ms: match field(o, "deadline_ms")? {
-            Value::Null => None,
-            v => Some(as_u64(v, "deadline_ms")?),
-        },
-    })
-}
-
-fn decode_report(v: &Value) -> Result<RegistrationReport, WireError> {
-    let o = as_obj(v)?;
-    let grid_v = as_array(field(o, "grid")?, "grid")?;
-    if grid_v.len() != 3 {
-        return Err(bad("`grid` must have 3 extents"));
-    }
-    Ok(RegistrationReport {
-        data: as_str(field(o, "data")?, "data")?,
-        pc: as_str(field(o, "pc")?, "pc")?,
-        precision: opt_field(o, "precision")
-            .map(|v| as_str(v, "precision"))
-            .transpose()?
-            .unwrap_or_else(|| "f64".into()),
-        grid: [
-            as_usize(&grid_v[0], "grid")?,
-            as_usize(&grid_v[1], "grid")?,
-            as_usize(&grid_v[2], "grid")?,
-        ],
-        nt: as_usize(field(o, "nt")?, "nt")?,
-        nranks: as_usize(field(o, "nranks")?, "nranks")?,
-        gn_iters: as_usize(field(o, "gn_iters")?, "gn_iters")?,
-        pcg_iters: as_usize(field(o, "pcg_iters")?, "pcg_iters")?,
-        rel_mismatch: as_f64(field(o, "rel_mismatch")?, "rel_mismatch")?,
-        grad_rel: as_f64(field(o, "grad_rel")?, "grad_rel")?,
-        n_inva: as_usize(field(o, "n_inva")?, "n_inva")?,
-        n_invh0: as_usize(field(o, "n_invh0")?, "n_invh0")?,
-        inner_cg_total: as_usize(field(o, "inner_cg_total")?, "inner_cg_total")?,
-        inner_cg_avg: as_f64(field(o, "inner_cg_avg")?, "inner_cg_avg")?,
-        time_pc: as_f64(field(o, "time_pc")?, "time_pc")?,
-        time_obj: as_f64(field(o, "time_obj")?, "time_obj")?,
-        time_grad: as_f64(field(o, "time_grad")?, "time_grad")?,
-        time_hess: as_f64(field(o, "time_hess")?, "time_hess")?,
-        time_total: as_f64(field(o, "time_total")?, "time_total")?,
-        modeled_pc: as_f64(field(o, "modeled_pc")?, "modeled_pc")?,
-        modeled_obj: as_f64(field(o, "modeled_obj")?, "modeled_obj")?,
-        modeled_grad: as_f64(field(o, "modeled_grad")?, "modeled_grad")?,
-        modeled_hess: as_f64(field(o, "modeled_hess")?, "modeled_hess")?,
-        modeled_total: as_f64(field(o, "modeled_total")?, "modeled_total")?,
-        jac_det_min: as_f64(field(o, "jac_det_min")?, "jac_det_min")?,
-        jac_det_max: as_f64(field(o, "jac_det_max")?, "jac_det_max")?,
-        memory_bytes_per_rank: as_u64(field(o, "memory_bytes_per_rank")?, "memory_bytes_per_rank")?,
-    })
-}
-
-fn decode_result(v: &Value) -> Result<RemoteJobResult, WireError> {
-    let o = as_obj(v)?;
-    Ok(RemoteJobResult {
-        id: job_id(field(o, "id")?)?,
-        label: as_str(field(o, "label")?, "label")?,
-        status: job_status(field(o, "status")?, "status")?,
-        report: match field(o, "report")? {
-            Value::Null => None,
-            v => Some(decode_report(v)?),
-        },
-        run: match field(o, "run")? {
-            Value::Null => None,
-            v => Some(v.clone()),
-        },
-        error: match field(o, "error")? {
-            Value::Null => None,
-            v => Some(as_str(v, "error")?),
-        },
-        queue_wait_secs: as_f64(field(o, "queue_wait_secs")?, "queue_wait_secs")?,
-        run_secs: as_f64(field(o, "run_secs")?, "run_secs")?,
-        total_secs: as_f64(field(o, "total_secs")?, "total_secs")?,
-        cached: opt_field(o, "cached").map(|v| as_bool(v, "cached")).transpose()?.unwrap_or(false),
+        other => return Err(WireError::Protocol(format!("unsupported response type `{other}`"))),
     })
 }
 
@@ -971,53 +700,28 @@ impl Fnv {
     }
 }
 
-/// Feed grid extents plus every solver-relevant configuration field into
-/// `h`. This is the one list behind the result cache's content key, the
-/// router's [`solver_fingerprint`] and the service's coalescing key — a new
-/// `RegistrationConfig` field that changes the arithmetic goes here.
+/// Feed grid extents plus the configuration's wire encoding — every field of
+/// the [`ConfigField`](claire_core::config::ConfigField) table, numbers in
+/// shortest round-trip form — into `h`. This is the one input behind the
+/// result cache's content key, the router's [`solver_fingerprint`] and the
+/// service's coalescing key.
 pub(crate) fn hash_config(h: &mut Fnv, n: [usize; 3], c: &RegistrationConfig) {
     for d in n {
         h.write_u64(d as u64);
     }
-    h.write_u64(c.nt as u64);
-    h.write(c.ip_order.label().as_bytes());
-    h.write_u64(c.store_grad as u64);
-    h.write(c.precond.label().as_bytes());
-    h.write_u64(c.beta_target.to_bits());
-    h.write_u64(c.beta_init.to_bits());
-    h.write_u64(c.beta_reduction.to_bits());
-    h.write_u64(c.continuation as u64);
-    h.write_u64(c.grid_continuation as u64);
-    h.write_u64(c.eps_h0.to_bits());
-    h.write_u64(c.beta_floor.to_bits());
-    h.write_u64(c.grad_rtol.to_bits());
-    h.write_u64(c.max_gn_iter as u64);
-    h.write_u64(c.max_pcg_iter as u64);
-    h.write_u64(c.max_inner_iter as u64);
-    match c.fixed_pcg {
-        Some(k) => {
-            h.write_u64(1);
-            h.write_u64(k as u64);
-        }
-        None => h.write_u64(0),
-    }
-    h.write_u64(c.verbose as u64);
-    h.write(c.precision.label().as_bytes());
+    h.write(&encode(c));
 }
 
 /// Deterministic solver fingerprint of a wire spec: grid extents plus every
-/// solver-relevant configuration field (exactly the fields the service's
-/// coalescing key uses), *excluding* image data, labels, tenants,
-/// priorities, and deadlines. Two jobs with equal fingerprints can share
-/// one `BatchSolver` run — the router shards on this so same-fingerprint
-/// jobs land on the same worker process and coalescing still finds peers.
+/// configuration field (exactly what the service's coalescing key uses),
+/// *excluding* image data, labels, tenants, priorities, and deadlines. Two
+/// jobs with equal fingerprints can share one `BatchSolver` run — the router
+/// shards on this so same-fingerprint jobs land on the same worker process
+/// and coalescing still finds peers.
 pub fn solver_fingerprint(spec: &WireJobSpec) -> u64 {
-    let n = match &spec.input {
-        WireInput::Synthetic { n } => *n,
-        WireInput::Pair { n, .. } => *n,
-    };
+    let (WireInput::Synthetic { n } | WireInput::Pair { n, .. }) = &spec.input;
     let mut h = Fnv::new();
-    hash_config(&mut h, n, &spec.config);
+    hash_config(&mut h, *n, &spec.config);
     h.0
 }
 
@@ -1143,6 +847,92 @@ mod tests {
             ..spec()
         };
         assert!(matches!(w.into_spec(), Err(WireError::Malformed(_))));
+    }
+
+    /// Frame payloads the hand-written codec of the parent commit produced
+    /// (captured by running it): every key it wrote, in its order.
+    const GOLDEN_SUBMIT: &str = r#"{"type":"submit","spec":{"label":"golden","tenant":"tenant-a","priority":"high","deadline_ms":1234,"config":{"nt":2,"ip_order":"cubic","store_grad":true,"precond":"2LInvH0","beta_target":0.001,"beta_init":0.5,"beta_reduction":0.25,"continuation":false,"grid_continuation":true,"eps_h0":0.01,"beta_floor":0.1,"grad_rtol":0.02,"max_gn_iter":3,"max_pcg_iter":4,"max_inner_iter":5,"fixed_pcg":6,"precision":"mixed","verbose":false},"input":{"kind":"synthetic","n":[8,6,4]}}}"#;
+    const GOLDEN_RESULT: &str = r#"{"type":"result","result":{"id":"job-42","label":"golden","status":"succeeded","report":{"data":"golden","pc":"2LInvH0","precision":"mixed","grid":[8,6,4],"nt":2,"nranks":1,"gn_iters":3,"pcg_iters":7,"rel_mismatch":0.123456789012345,"grad_rel":0.015,"n_inva":2,"n_invh0":5,"inner_cg_total":40,"inner_cg_avg":8.0,"time_pc":0.25,"time_obj":0.125,"time_grad":0.5,"time_hess":1.0,"time_total":2.0,"modeled_pc":0.001,"modeled_obj":0.002,"modeled_grad":0.003,"modeled_hess":0.004,"modeled_total":0.01,"jac_det_min":0.75,"jac_det_max":1.5,"memory_bytes_per_rank":123456},"run":{"label":"golden","nranks":1},"error":null,"queue_wait_secs":0.001,"run_secs":2.0,"total_secs":2.5,"cached":true}}"#;
+
+    fn text(msg: &impl Serialize) -> String {
+        String::from_utf8(encode(msg)).unwrap()
+    }
+
+    #[test]
+    fn golden_frames_decode_and_the_derived_codec_writes_the_same_bytes() {
+        let Request::Submit { spec } = decode_request(GOLDEN_SUBMIT.as_bytes()).unwrap() else {
+            panic!("golden submit decoded to another variant");
+        };
+        assert_eq!((spec.label.as_str(), spec.tenant.as_str()), ("golden", "tenant-a"));
+        assert_eq!((spec.priority, spec.deadline_ms), (Priority::High, Some(1234)));
+        assert_eq!(spec.input, WireInput::Synthetic { n: [8, 6, 4] });
+        let c = spec.config;
+        assert_eq!((c.nt, c.ip_order.label(), c.precond.label()), (2, "cubic", "2LInvH0"));
+        assert_eq!((c.beta_target, c.beta_init, c.beta_reduction), (1e-3, 0.5, 0.25));
+        assert_eq!(
+            (c.store_grad, c.continuation, c.grid_continuation, c.verbose),
+            (true, false, true, false)
+        );
+        assert_eq!((c.eps_h0, c.beta_floor, c.grad_rtol), (1e-2, 0.1, 2e-2));
+        assert_eq!(
+            (c.max_gn_iter, c.max_pcg_iter, c.max_inner_iter, c.fixed_pcg),
+            (3, 4, 5, Some(6))
+        );
+        assert_eq!(c.precision, claire_core::Precision::Mixed);
+        assert_eq!(text(&Request::Submit { spec }), GOLDEN_SUBMIT);
+
+        let Response::Result { result } = decode_response(GOLDEN_RESULT.as_bytes()).unwrap() else {
+            panic!("golden result decoded to another variant");
+        };
+        assert_eq!(
+            (result.id.as_u64(), result.status, result.cached),
+            (42, JobStatus::Succeeded, true)
+        );
+        assert_eq!((result.error.as_deref(), result.total_secs), (None, 2.5));
+        let report = result.report.as_ref().expect("golden result carries a report");
+        assert_eq!((report.pc.as_str(), report.precision.as_str()), ("2LInvH0", "mixed"));
+        assert_eq!((report.grid, report.pcg_iters), ([8, 6, 4], 7));
+        assert_eq!(report.rel_mismatch.to_bits(), 0.123456789012345f64.to_bits());
+        assert_eq!(report.memory_bytes_per_rank, 123456);
+        let run = result.run.as_ref().expect("golden result carries a run document");
+        assert_eq!(run.get("nranks"), Some(&Value::UInt(1)));
+        assert_eq!(text(&Response::Result { result }), GOLDEN_RESULT);
+    }
+
+    #[test]
+    fn keys_an_older_peer_does_not_send_take_their_old_meaning() {
+        // a peer from before the mixed lane: full width, whatever this
+        // side's CLAIRE_PRECISION says
+        let old = GOLDEN_SUBMIT.replace(r#""precision":"mixed","#, "");
+        assert_ne!(old, GOLDEN_SUBMIT);
+        let Request::Submit { spec } = decode_request(old.as_bytes()).unwrap() else { panic!() };
+        assert_eq!(spec.config.precision, claire_core::Precision::F64);
+        assert_eq!(spec.config.fixed_pcg, Some(6), "the other keys still land");
+
+        let old =
+            GOLDEN_RESULT.replace(r#""precision":"mixed","#, "").replace(r#","cached":true"#, "");
+        let Response::Result { result } = decode_response(old.as_bytes()).unwrap() else {
+            panic!()
+        };
+        assert_eq!(result.report.unwrap().precision, "f64");
+        assert!(!result.cached);
+    }
+
+    #[test]
+    fn a_config_key_the_table_does_not_know_is_malformed_and_named() {
+        for (from, to, names) in [
+            (r#""nt":2"#, r#""nt":2,"presision":"mixed""#, "unknown key `presision`"),
+            (r#""nt":2,"#, "", "missing `nt`"),
+            (r#""eps_h0":0.01"#, r#""eps_h0":"tight""#, "`spec.config.eps_h0`"),
+            (r#""precond":"2LInvH0""#, r#""precond":"TwoLevelInvH0""#, "unknown PrecondKind"),
+        ] {
+            let frame = GOLDEN_SUBMIT.replace(from, to);
+            assert_ne!(frame, GOLDEN_SUBMIT);
+            match decode_request(frame.as_bytes()) {
+                Err(WireError::Malformed(m)) => assert!(m.contains(names), "{to}: {m}"),
+                other => panic!("{to}: expected Malformed, got {other:?}"),
+            }
+        }
     }
 
     #[test]

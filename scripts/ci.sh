@@ -210,7 +210,16 @@ stage_net_smoke() {
   {"label": "net-a", "syn": 8, "max_gn_iter": 2, "max_pcg_iter": 4,
    "continuation": false, "precond": "InvA"},
   {"label": "net-b", "syn": 8, "max_gn_iter": 2, "max_pcg_iter": 4,
-   "continuation": false, "precond": "InvA"}
+   "continuation": false, "precond": "InvA"},
+  {"label": "net-c", "syn": 8, "max_gn_iter": 2, "max_pcg_iter": 4,
+   "continuation": false, "precond": "InvH0", "eps_h0": 1e-2}
+]}
+EOF
+    # a key the config field table does not know: refused whole, below
+    cat > "$dir/typo.json" <<'EOF'
+{"jobs": [
+  {"label": "fine", "syn": 8, "max_gn_iter": 1, "continuation": false, "precond": "InvA"},
+  {"label": "typo", "syn": 8, "presision": "mixed"}
 ]}
 EOF
     NET_PIDS=()
@@ -257,9 +266,21 @@ EOF
         grep -q "$pat" "$dir/stream.out" || {
             echo "net smoke: streamed output missing $pat"; cat "$dir/stream.out"; exit 1; }
     done
-    for job in net-a net-b; do
+    for job in net-a net-b net-c; do
         [ -f "$dir/out/$job.json" ] || { echo "net smoke: missing report for $job"; exit 1; }
     done
+    # an unknown manifest key is a Config error (exit 3) naming the key,
+    # raised before the first job of that manifest is submitted
+    local code=0
+    ./target/release/claire-cli submit --addr "$router" "$dir/typo.json" \
+        -o "$dir/out-typo" 2> "$dir/typo.err" > /dev/null || code=$?
+    [ "$code" -eq 3 ] && grep -q "presision" "$dir/typo.err" || {
+        echo "net smoke: unknown manifest key: expected exit 3 naming it, got $code"
+        cat "$dir/typo.err"; exit 1; }
+    if grep -q "submitted" "$dir/typo.err" || [ -e "$dir/out-typo" ]; then
+        echo "net smoke: a job was submitted from a manifest with an unknown key"
+        cat "$dir/typo.err"; exit 1
+    fi
     # a repeated identical submission must be answered from a worker's
     # result cache without another solve
     ./target/release/claire-cli submit --addr "$router" "$manifest" \
@@ -296,6 +317,13 @@ stage_proc_smoke() {
     tm="$(grep '"rel_mismatch"' "$dir/thr.json")"
     [ -n "$pm" ] && [ "$pm" = "$tm" ] || {
         echo "proc smoke: mismatch diverges between transports: '$pm' vs '$tm'"; exit 1; }
+
+    # the launcher hands the workers its whole config: a field `launch` has
+    # no hand-written arm for must reach rank 0
+    ./target/release/claire-cli launch --ranks 2 --syn 16 --precision mixed \
+        --report "$dir/mixed.json" -q
+    grep -q '"precision": "mixed"' "$dir/mixed.json" || {
+        echo "proc smoke: --precision mixed did not reach the rank-0 report"; exit 1; }
 
     # rank-failure path: worker 1 exits mid-solve; the launcher must reap
     # the survivors and fail typed (exit 8) within the timeout

@@ -7,15 +7,27 @@
 //! claire-cli submit --addr ADDR <manifest.json> [submit options]
 //! claire-cli launch --ranks N --syn M [launch options]
 //!
+//! solver flags (single run, `launch` and `worker-rank` read the same ones
+//! from the `RegistrationConfig` field table; defaults are the single-run
+//! ones, `launch` lists its own below):
+//!   --nt N             semi-Lagrangian time steps        (default: 4)
+//!   --order KIND       linear | cubic                    (default: cubic)
+//!   --precond NAME     InvA | InvH0 | 2LInvH0            (default: 2LInvH0)
+//!   --precision WIDTH  f64 | mixed       (default: CLAIRE_PRECISION, f64)
+//!   --beta VALUE       target regularization parameter   (default: 5e-4)
+//!   --beta-init V, --beta-reduction V, --beta-floor V    β-continuation
+//!   --eps-h0 VALUE     inner H0 tolerance scale          (default: 1e-3)
+//!   --grad-rtol VALUE  relative gradient tolerance       (default: 5e-2)
+//!   --max-gn N, --max-pcg N, --max-inner N               iteration caps
+//!   --fixed-pcg N      fixed PCG iterations per GN step  (`null` = forcing
+//!                      sequence, the default)
+//!   --grid-cont        coarse-to-fine grid continuation
+//!   --store-grad       cache the state gradient (faster, more memory)
+//!   --continuation, --verbose    the other switches; every switch also
+//!                      has a `--no-…` form (`--no-continuation`)
+//!
 //! options:
 //!   -o DIR           output directory (default: claire_out)
-//!   --precond NAME   InvA | InvH0 | 2LInvH0          (default: 2LInvH0)
-//!   --beta VALUE     target regularization parameter (default: 5e-4)
-//!   --nt N           semi-Lagrangian time steps      (default: 4)
-//!   --order KIND     linear | cubic | cubic_spline   (default: cubic)
-//!   --grid-cont      enable coarse-to-fine grid continuation
-//!   --store-grad     cache the state gradient (faster, more memory)
-//!   --eps-h0 VALUE   inner H0 tolerance scale        (default: 1e-3)
 //!   --report PATH    write a unified RunReport JSON (spans, metrics,
 //!                    per-phase timings, per-collective traffic) to PATH
 //!                    and print the span-tree summary on exit
@@ -60,12 +72,10 @@
 //!                    driven by the synthetic dataset so every rank can
 //!                    generate its own slab without shared input files)
 //!   --gpus-per-node G  modeled topology (default: 4)
-//!   --nt N           semi-Lagrangian time steps          (default: 4)
-//!   --beta V         regularization parameter            (default: 1e-2)
-//!   --order KIND     linear | cubic | cubic_spline       (default: linear)
-//!   --precond NAME   InvA | InvH0 | 2LInvH0              (default: InvA)
-//!   --max-gn N       Gauss–Newton iteration cap          (default: 3)
-//!   --fixed-pcg N    fixed PCG iterations per GN step    (default: 5)
+//!   solver flags as above, from other defaults: --beta 1e-2, --order
+//!                    linear, --precond InvA, --no-continuation, --max-gn 3,
+//!                    --fixed-pcg 5; the launcher hands every rank the
+//!                    whole resulting configuration as flags
 //!   --timeout SECS   supervision budget before the cluster is reaped
 //!                    (default: 300)
 //!   --report PATH    write rank 0's merged RunReport JSON to PATH
@@ -99,9 +109,8 @@
 //! virtual-cluster rank panicked). Batch mode exits 1 when any job ends
 //! non-succeeded.
 
-use claire::core::{
-    observe, Claire, ClaireError, Precision, PrecondKind, RegistrationConfig, SolverHooks,
-};
+use claire::core::config::ConfigField;
+use claire::core::{observe, Claire, ClaireError, PrecondKind, RegistrationConfig, SolverHooks};
 use claire::data::nifti;
 use claire::interp::{Interpolator, IpOrder};
 use claire::ipc::{LaunchSpec, SocketOpts, SocketTransport};
@@ -109,9 +118,10 @@ use claire::mpi::{Comm, LinkModel, Topology, TransportError};
 use claire::obs::report::RunReport;
 use claire::semilag::{displacement, Trajectory};
 use claire::serve::{
-    Client, JobInput, JobSpec, JobStatus, NetServer, NetServerConfig, Priority, QuotaConfig,
+    Client, JobInput, JobSpec, JobStatus, NetServer, NetServerConfig, QuotaConfig,
     RegistrationService, ServiceConfig, StreamEvent, WireJobSpec,
 };
+use serde::{field, field_or, DeError, Deserialize};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -150,23 +160,24 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: claire-cli <template.nii> <reference.nii> [-o DIR] [--precond InvA|InvH0|2LInvH0]"
+        "usage: claire-cli <template.nii> <reference.nii> [-o DIR] [--report PATH] [--syn N]"
     );
-    eprintln!(
-        "                  [--beta V] [--nt N] [--order linear|cubic] [--grid-cont] [--store-grad]"
-    );
-    eprintln!("                  [--eps-h0 V] [--report PATH] [--syn N] [-q]");
+    eprintln!("                  [-q] [solver flags]");
     eprintln!("       claire-cli batch <manifest.json> [-o DIR] [--workers N] [--queue-cap N]");
     eprintln!("                  [--threads N] [--no-batch] [--max-batch N] [-q]");
     eprintln!("       claire-cli serve --listen ADDR [--workers N] [--queue-cap N] [--threads N]");
     eprintln!("                  [--no-batch] [--max-batch N] [--cache N] [--quota B:R] [-q]");
     eprintln!("       claire-cli submit --addr ADDR <manifest.json> [-o DIR] [--tenant NAME]");
     eprintln!("                  [--stream] [--ping] [-q]");
-    eprintln!("       claire-cli launch --ranks N --syn M [--gpus-per-node G] [--nt N] [--beta V]");
-    eprintln!("                  [--order linear|cubic] [--precond NAME] [--max-gn N]");
-    eprintln!(
-        "                  [--fixed-pcg N] [--timeout SECS] [--report PATH] [--in-process] [-q]"
-    );
+    eprintln!("       claire-cli launch --ranks N --syn M [--gpus-per-node G] [--timeout SECS]");
+    eprintln!("                  [--report PATH] [--in-process] [-q] [solver flags]");
+    let cfg = RegistrationConfig::default();
+    let flags = ConfigField::all().iter().map(|f| match (f.get)(&cfg) {
+        Value::Bool(_) => format!("[{}]", f.flag),
+        _ => format!("[{} V]", f.flag),
+    });
+    eprintln!("solver flags (a switch also has a --no-… form):");
+    eprintln!("  {}", flags.collect::<Vec<_>>().join(" "));
     eprintln!();
     eprintln!("note: `batch` runs jobs in-process and stays supported for one-shot local");
     eprintln!("runs; shared deployments should move to `serve` + `submit` (same manifest),");
@@ -174,20 +185,64 @@ fn usage() -> ! {
     exit(2)
 }
 
-/// `--precond` value by its Table 6 label, or the usage exit.
-fn precond_arg(v: &str) -> PrecondKind {
-    PrecondKind::parse(v).unwrap_or_else(|| {
-        eprintln!("unknown preconditioner {v}");
+/// The value after `flag`, or the usage exit.
+fn next_value(args: &mut dyn Iterator<Item = String>, flag: &str) -> String {
+    args.next().unwrap_or_else(|| {
+        eprintln!("missing value for {flag}");
         usage()
     })
 }
 
-/// `--order` value by its label, or the usage exit.
-fn order_arg(v: &str) -> IpOrder {
-    IpOrder::parse(v).unwrap_or_else(|| {
-        eprintln!("unknown interpolation order {v}");
+/// [`next_value`] parsed as a `T`, or the usage exit.
+fn parsed<T: std::str::FromStr>(args: &mut dyn Iterator<Item = String>, flag: &str) -> T {
+    let v = next_value(args, flag);
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("invalid value for {flag}: {v}");
         usage()
     })
+}
+
+/// Apply `arg` to `cfg` if the [`ConfigField`] table lists it as a solver
+/// flag: `--flag VALUE` (a number or `null` as JSON, anything else as a
+/// label), or `--flag` / `--no-flag` for a bool field. `false`: not a solver
+/// flag, nothing consumed.
+fn config_flag(
+    cfg: &mut RegistrationConfig,
+    arg: &str,
+    args: &mut dyn Iterator<Item = String>,
+) -> bool {
+    let negated = arg.strip_prefix("--no-").map(|rest| format!("--{rest}"));
+    let name = negated.as_deref().unwrap_or(arg);
+    let Some(f) = ConfigField::all().iter().find(|f| f.flag == name) else {
+        return false;
+    };
+    let value = match ((f.get)(cfg), negated.is_some()) {
+        (Value::Bool(_), off) => Value::Bool(!off),
+        (_, true) => return false,
+        (_, false) => {
+            let text = next_value(args, arg);
+            serde_json::from_str(&text).unwrap_or(Value::Str(text))
+        }
+    };
+    (f.set)(cfg, &value).unwrap_or_else(|e| {
+        eprintln!("invalid value for {arg}: {e}");
+        usage()
+    });
+    true
+}
+
+/// `cfg` as the flags [`config_flag`] reads back to the same bits: what the
+/// launcher puts on every worker's command line.
+fn config_args(cfg: &RegistrationConfig) -> Vec<String> {
+    let render = |f: &ConfigField| match (f.get)(cfg) {
+        Value::Bool(true) => vec![f.flag.to_string()],
+        Value::Bool(false) => vec![f.flag.replacen("--", "--no-", 1)],
+        Value::Str(label) => vec![f.flag.to_string(), label],
+        number => {
+            vec![f.flag.to_string(), serde_json::to_string(&number).expect("a JSON value renders")]
+        }
+    };
+    ConfigField::all().iter().flat_map(render).collect()
 }
 
 fn parse_args(args: Vec<String>) -> Options {
@@ -196,36 +251,16 @@ fn parse_args(args: Vec<String>) -> Options {
     let mut out = PathBuf::from("claire_out");
     let mut report = None;
     let mut syn = None;
-    let mut cfg = RegistrationConfig::builder().ip_order(IpOrder::Cubic).verbose(true);
-    let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage()
-        })
-    };
+    let mut cfg =
+        RegistrationConfig { ip_order: IpOrder::Cubic, verbose: true, ..Default::default() };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-o" => out = PathBuf::from(next_value(&mut args, "-o")),
-            "--precond" => cfg = cfg.precond(precond_arg(&next_value(&mut args, "--precond"))),
-            "--beta" => {
-                cfg = cfg.beta(next_value(&mut args, "--beta").parse().unwrap_or_else(|_| usage()))
-            }
-            "--nt" => {
-                cfg = cfg.nt(next_value(&mut args, "--nt").parse().unwrap_or_else(|_| usage()))
-            }
-            "--order" => cfg = cfg.ip_order(order_arg(&next_value(&mut args, "--order"))),
-            "--grid-cont" => cfg = cfg.grid_continuation(true),
-            "--store-grad" => cfg = cfg.store_grad(true),
-            "--eps-h0" => {
-                cfg = cfg
-                    .eps_h0(next_value(&mut args, "--eps-h0").parse().unwrap_or_else(|_| usage()))
-            }
             "--report" => report = Some(PathBuf::from(next_value(&mut args, "--report"))),
-            "--syn" => {
-                syn = Some(next_value(&mut args, "--syn").parse().unwrap_or_else(|_| usage()))
-            }
-            "-q" => cfg = cfg.verbose(false),
+            "--syn" => syn = Some(parsed(&mut args, "--syn")),
+            "-q" => cfg.verbose = false,
             "-h" | "--help" => usage(),
+            flag if config_flag(&mut cfg, flag, &mut args) => {}
             other if other.starts_with('-') => {
                 eprintln!("unknown option {other}");
                 usage()
@@ -246,11 +281,10 @@ fn parse_args(args: Vec<String>) -> Options {
             });
         }
     }
-    let cfg = cfg.build().unwrap_or_else(|e| fail(&e));
+    let cfg = cfg.finish().unwrap_or_else(|e| fail(&e));
     let get = |i: usize| positional.get(i).map(PathBuf::from).unwrap_or_default();
     Options { template: get(0), reference: get(1), out, report, syn, cfg }
 }
-
 fn load(path: &Path) -> claire::grid::ScalarField {
     nifti::read(path).unwrap_or_else(|e| fail(&io_error("nifti::read", path, &e)))
 }
@@ -385,102 +419,136 @@ fn single_main(opts: Options) {
 // batch mode
 // ---------------------------------------------------------------------------
 
-/// Look up `key` in a JSON object.
-fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn field_u64(v: &Value, key: &str) -> Option<u64> {
-    match field(v, key)? {
-        Value::UInt(n) => Some(*n),
-        Value::Int(n) if *n >= 0 => Some(*n as u64),
-        Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
-        _ => None,
-    }
-}
-
-fn field_f64(v: &Value, key: &str) -> Option<f64> {
-    match field(v, key)? {
-        Value::Num(x) => Some(*x),
-        Value::UInt(n) => Some(*n as f64),
-        Value::Int(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-fn field_str<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
-    match field(v, key)? {
-        Value::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 fn manifest_error(message: String) -> ClaireError {
     ClaireError::Config { param: "manifest", message }
 }
 
-/// Build one [`JobSpec`] from a manifest entry.
-fn parse_job(entry: &Value, index: usize, quiet: bool) -> Result<JobSpec, ClaireError> {
-    let label = field_str(entry, "label").map(String::from).unwrap_or(format!("job-{index}"));
-    let mut cfg = RegistrationConfig::builder().verbose(false);
-    if let Some(nt) = field_u64(entry, "nt") {
-        cfg = cfg.nt(nt as usize);
-    }
-    if let Some(beta) = field_f64(entry, "beta") {
-        cfg = cfg.beta(beta);
-    }
-    if let Some(n) = field_u64(entry, "max_gn_iter") {
-        cfg = cfg.max_gn_iter(n as usize);
-    }
-    if let Some(n) = field_u64(entry, "max_pcg_iter") {
-        cfg = cfg.max_pcg_iter(n as usize);
-    }
-    if let Some(Value::Bool(b)) = field(entry, "continuation") {
-        cfg = cfg.continuation(*b);
-    }
-    let unknown = |key: &str, v: &str| manifest_error(format!("{label}: unknown {key} {v}"));
-    if let Some(pc) = field_str(entry, "precond") {
-        cfg = cfg.precond(PrecondKind::parse(pc).ok_or_else(|| unknown("preconditioner", pc))?);
-    }
-    if let Some(p) = field_str(entry, "precision") {
-        cfg = cfg.precision(Precision::parse(p).ok_or_else(|| unknown("precision", p))?);
-    }
-    if let Some(o) = field_str(entry, "ip_order") {
-        cfg = cfg.ip_order(IpOrder::parse(o).ok_or_else(|| unknown("ip_order", o))?);
-    }
-    let config = cfg.build()?;
+/// The value at `key` of a manifest object, `None` when absent or `null`.
+fn opt<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, DeError> {
+    field_or(v, key, || Ok(None))
+}
 
-    let input = if let Some(n) = field_u64(entry, "syn") {
-        JobInput::Synthetic { n: [n as usize; 3] }
-    } else {
-        let template = field_str(entry, "template")
-            .ok_or_else(|| manifest_error(format!("{label}: needs `syn` or `template`")))?;
-        let reference = field_str(entry, "reference")
-            .ok_or_else(|| manifest_error(format!("{label}: needs `reference`")))?;
-        let t = PathBuf::from(template);
-        let r = PathBuf::from(reference);
-        let m0 = nifti::read(&t).map_err(|e| io_error("nifti::read", &t, &e))?;
-        let m1 = nifti::read(&r).map_err(|e| io_error("nifti::read", &r, &e))?;
-        JobInput::Pair { template: m0, reference: m1 }
+/// What a manifest entry says about the job; every other key of an entry
+/// must be a [`ConfigField`] key or alias.
+const JOB_KEYS: [&str; 6] = ["label", "syn", "template", "reference", "priority", "deadline_ms"];
+
+/// Build one [`JobSpec`] from a manifest entry. A key that is neither a job
+/// key nor a solver field, and a value of the wrong type, are errors.
+fn parse_job(entry: &Value, index: usize, quiet: bool) -> Result<JobSpec, ClaireError> {
+    let unnamed = format!("job-{index}");
+    let Value::Object(pairs) = entry else {
+        return Err(manifest_error(format!("{unnamed}: not an object")));
+    };
+    let label: String = field_or(entry, "label", || Ok(unnamed.clone()))
+        .map_err(|e| manifest_error(format!("{unnamed}: {e}")))?;
+    let bad = |e: DeError| manifest_error(format!("{label}: {e}"));
+    let mut cfg = RegistrationConfig { verbose: false, ..Default::default() };
+    for (key, value) in pairs.iter().filter(|(k, _)| !JOB_KEYS.contains(&k.as_str())) {
+        cfg.set_key(key, value).map_err(&bad)?;
+    }
+    let config = cfg.finish()?;
+
+    let input = match opt::<usize>(entry, "syn").map_err(&bad)? {
+        Some(n) => JobInput::Synthetic { n: [n; 3] },
+        None => {
+            let image = |key: &str| {
+                let path = opt::<String>(entry, key).map_err(&bad)?.map(PathBuf::from);
+                let path = path.ok_or_else(|| {
+                    manifest_error(format!("{label}: needs `syn`, or `template` and `reference`"))
+                })?;
+                nifti::read(&path).map_err(|e| io_error("nifti::read", &path, &e))
+            };
+            JobInput::Pair { template: image("template")?, reference: image("reference")? }
+        }
     };
 
-    let mut spec = JobSpec::new(label.clone(), config, input);
-    if let Some(p) = field_str(entry, "priority") {
-        spec = spec.priority(
-            Priority::parse(p)
-                .ok_or_else(|| manifest_error(format!("{label}: unknown priority {p}")))?,
-        );
-    }
-    if let Some(ms) = field_u64(entry, "deadline_ms") {
+    let mut spec = JobSpec::new(label.clone(), config, input)
+        .priority(opt(entry, "priority").map_err(&bad)?.unwrap_or_default());
+    if let Some(ms) = opt(entry, "deadline_ms").map_err(&bad)? {
         spec = spec.deadline(Duration::from_millis(ms));
     }
     if !quiet {
         eprintln!("  {label}: grid {:?}, priority {}", spec.input.grid(), spec.priority.label());
     }
     Ok(spec)
+}
+
+/// Read a `batch`/`submit` manifest: the document and its non-empty `jobs`.
+fn read_manifest(path: &Path, context: &'static str) -> (Value, Vec<Value>) {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&io_error(context, path, &e)));
+    let manifest = serde_json::from_str(&text)
+        .unwrap_or_else(|e| fail(&manifest_error(format!("not valid JSON: {e}"))));
+    match field::<Vec<Value>>(&manifest, "jobs") {
+        Ok(jobs) if !jobs.is_empty() => (manifest, jobs),
+        _ => fail(&manifest_error("needs a non-empty `jobs` array".into())),
+    }
+}
+
+/// Every manifest entry as a [`JobSpec`], or the typed exit on the first bad
+/// one — before anything is submitted.
+fn parse_jobs(jobs: &[Value], quiet: bool) -> Vec<JobSpec> {
+    let job = |(i, entry)| parse_job(entry, i, quiet).unwrap_or_else(|e| fail(&e));
+    jobs.iter().enumerate().map(job).collect()
+}
+
+/// The report file of a job that ended without a `RunReport`.
+fn failure_doc(label: &str, status: JobStatus, error: &Option<String>) -> String {
+    let doc = Value::Object(vec![
+        ("label".into(), Value::Str(label.into())),
+        ("status".into(), Value::Str(status.label().into())),
+        ("error".into(), Value::Str(error.clone().unwrap_or_default())),
+    ]);
+    serde_json::to_string_pretty(&doc).unwrap_or_default()
+}
+
+/// `, mismatch …` for the per-job summary line of a succeeded job.
+fn mismatch_note(report: &Option<claire::core::RegistrationReport>) -> String {
+    report.as_ref().map(|r| format!(", mismatch {:.3e}", r.rel_mismatch)).unwrap_or_default()
+}
+
+/// The worker-pool flags `batch` and `serve` share.
+#[derive(Default)]
+struct PoolFlags {
+    workers: Option<usize>,
+    queue_cap: Option<usize>,
+    threads: Option<usize>,
+    no_batch: bool,
+    max_batch: Option<usize>,
+    quiet: bool,
+}
+
+impl PoolFlags {
+    /// Take `arg` (and its value) if it is a pool flag.
+    fn take(&mut self, arg: &str, args: &mut dyn Iterator<Item = String>) -> bool {
+        match arg {
+            "--workers" => self.workers = Some(parsed(args, arg)),
+            "--queue-cap" => self.queue_cap = Some(parsed(args, arg)),
+            "--threads" => self.threads = Some(parsed(args, arg)),
+            "--no-batch" => self.no_batch = true,
+            "--max-batch" => self.max_batch = Some(parsed(args, arg)),
+            "-q" => self.quiet = true,
+            _ => return false,
+        }
+        true
+    }
+
+    /// The pool these flags describe; `workers` and `queue_cap` stand in for
+    /// the two the command line left out.
+    ///
+    /// Queued jobs with identical grid/config fingerprints are coalesced into
+    /// one BatchSolver run (shared FFT plans and scaffolding, interleaved
+    /// iterations) unless `--no-batch`; results stay bitwise identical to
+    /// runs of one.
+    fn service(&self, workers: usize, queue_cap: usize) -> ServiceConfig {
+        let cfg = ServiceConfig::default()
+            .workers(self.workers.unwrap_or(workers))
+            .queue_capacity(self.queue_cap.unwrap_or(queue_cap))
+            .max_batch(if self.no_batch { 1 } else { self.max_batch.unwrap_or(8) });
+        match self.threads {
+            Some(t) => cfg.total_threads(t),
+            None => cfg,
+        }
+    }
 }
 
 /// Turn a job label into a safe report file name.
@@ -496,40 +564,12 @@ fn batch_main(args: Vec<String>) {
     let mut args = args.into_iter();
     let mut manifest_path: Option<PathBuf> = None;
     let mut out = PathBuf::from("claire_out");
-    let mut workers: Option<usize> = None;
-    let mut queue_cap: Option<usize> = None;
-    let mut threads: Option<usize> = None;
-    let mut batching = true;
-    let mut max_batch: Option<usize> = None;
-    let mut quiet = false;
-    let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage()
-        })
-    };
+    let mut pool = PoolFlags::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-o" => out = PathBuf::from(next_value(&mut args, "-o")),
-            "--workers" => {
-                workers =
-                    Some(next_value(&mut args, "--workers").parse().unwrap_or_else(|_| usage()))
-            }
-            "--queue-cap" => {
-                queue_cap =
-                    Some(next_value(&mut args, "--queue-cap").parse().unwrap_or_else(|_| usage()))
-            }
-            "--threads" => {
-                threads =
-                    Some(next_value(&mut args, "--threads").parse().unwrap_or_else(|_| usage()))
-            }
-            "--no-batch" => batching = false,
-            "--max-batch" => {
-                max_batch =
-                    Some(next_value(&mut args, "--max-batch").parse().unwrap_or_else(|_| usage()))
-            }
-            "-q" => quiet = true,
             "-h" | "--help" => usage(),
+            flag if pool.take(flag, &mut args) => {}
             other if other.starts_with('-') => {
                 eprintln!("unknown option {other}");
                 usage()
@@ -538,31 +578,14 @@ fn batch_main(args: Vec<String>) {
             _ => usage(),
         }
     }
-    let manifest_path = manifest_path.unwrap_or_else(|| usage());
-
-    let text = std::fs::read_to_string(&manifest_path)
-        .unwrap_or_else(|e| fail(&io_error("batch manifest", &manifest_path, &e)));
-    let manifest = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(&manifest_error(format!("not valid JSON: {e}"))));
-    let jobs = match field(&manifest, "jobs") {
-        Some(Value::Array(jobs)) if !jobs.is_empty() => jobs,
-        _ => fail(&manifest_error("needs a non-empty `jobs` array".into())),
-    };
-
-    let mut svc_cfg = ServiceConfig::default()
-        .workers(workers.or(field_u64(&manifest, "workers").map(|n| n as usize)).unwrap_or(1))
-        .queue_capacity(
-            queue_cap
-                .or(field_u64(&manifest, "queue_capacity").map(|n| n as usize))
-                .unwrap_or_else(|| jobs.len().max(1)),
-        );
-    if let Some(t) = threads {
-        svc_cfg = svc_cfg.total_threads(t);
-    }
-    // Fast path: queued jobs with identical grid/config fingerprints are
-    // coalesced into one BatchSolver run (shared FFT plans and scaffolding,
-    // interleaved iterations); results stay bitwise identical to runs of one.
-    svc_cfg = svc_cfg.max_batch(if batching { max_batch.unwrap_or(8) } else { 1 });
+    let quiet = pool.quiet;
+    let (manifest, jobs) =
+        read_manifest(&manifest_path.unwrap_or_else(|| usage()), "batch manifest");
+    let sized = |key| opt::<usize>(&manifest, key).ok().flatten();
+    let svc_cfg = pool.service(
+        sized("workers").unwrap_or(1),
+        sized("queue_capacity").unwrap_or(jobs.len().max(1)),
+    );
     if !quiet {
         eprintln!(
             "batch: {} job(s), {} worker(s), queue capacity {}, coalescing {}",
@@ -572,12 +595,7 @@ fn batch_main(args: Vec<String>) {
             if svc_cfg.max_batch > 1 { "on" } else { "off" }
         );
     }
-
-    let specs: Vec<JobSpec> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| parse_job(entry, i, quiet).unwrap_or_else(|e| fail(&e)))
-        .collect();
+    let specs = parse_jobs(&jobs, quiet);
 
     create_dir(&out);
     observe::begin(); // span trees feed the per-job reports
@@ -606,28 +624,14 @@ fn batch_main(args: Vec<String>) {
         let file = out.join(report_file_name(&res.label));
         match (&res.status, &res.run) {
             (JobStatus::Succeeded, Some(run)) => write_text(&file, &run.to_json()),
-            _ => {
-                // terminal-but-unsuccessful jobs still get a report file
-                let status = res.status.label();
-                let error = res.error.clone().unwrap_or_default();
-                let doc = Value::Object(vec![
-                    ("label".into(), Value::Str(res.label.clone())),
-                    ("status".into(), Value::Str(status.into())),
-                    ("error".into(), Value::Str(error)),
-                ]);
-                let json = serde_json::to_string_pretty(&doc).unwrap_or_default();
-                write_text(&file, &json);
-            }
+            // terminal-but-unsuccessful jobs still get a report file
+            _ => write_text(&file, &failure_doc(&res.label, res.status, &res.error)),
         }
         if res.status != JobStatus::Succeeded {
             failures += 1;
         }
         if !quiet {
-            let mismatch = res
-                .report
-                .as_ref()
-                .map(|r| format!(", mismatch {:.3e}", r.rel_mismatch))
-                .unwrap_or_default();
+            let mismatch = mismatch_note(&res.report);
             eprintln!(
                 "  {} [{}]: queued {:.3}s, ran {:.3}s{mismatch}",
                 res.label,
@@ -655,43 +659,13 @@ fn batch_main(args: Vec<String>) {
 fn serve_main(args: Vec<String>) {
     let mut args = args.into_iter();
     let mut listen: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut queue_cap: Option<usize> = None;
-    let mut threads: Option<usize> = None;
-    let mut batching = true;
-    let mut max_batch: Option<usize> = None;
+    let mut pool = PoolFlags::default();
     let mut cache = 0usize;
     let mut quota: Option<QuotaConfig> = None;
-    let mut quiet = false;
-    let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage()
-        })
-    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = Some(next_value(&mut args, "--listen")),
-            "--workers" => {
-                workers =
-                    Some(next_value(&mut args, "--workers").parse().unwrap_or_else(|_| usage()))
-            }
-            "--queue-cap" => {
-                queue_cap =
-                    Some(next_value(&mut args, "--queue-cap").parse().unwrap_or_else(|_| usage()))
-            }
-            "--threads" => {
-                threads =
-                    Some(next_value(&mut args, "--threads").parse().unwrap_or_else(|_| usage()))
-            }
-            "--no-batch" => batching = false,
-            "--max-batch" => {
-                max_batch =
-                    Some(next_value(&mut args, "--max-batch").parse().unwrap_or_else(|_| usage()))
-            }
-            "--cache" => {
-                cache = next_value(&mut args, "--cache").parse().unwrap_or_else(|_| usage())
-            }
+            "--cache" => cache = parsed(&mut args, "--cache"),
             "--quota" => {
                 let v = next_value(&mut args, "--quota");
                 let (burst, rate) = v.split_once(':').unwrap_or_else(|| usage());
@@ -700,8 +674,8 @@ fn serve_main(args: Vec<String>) {
                     rate.parse().unwrap_or_else(|_| usage()),
                 ));
             }
-            "-q" => quiet = true,
             "-h" | "--help" => usage(),
+            flag if pool.take(flag, &mut args) => {}
             other => {
                 eprintln!("unknown option {other}");
                 usage()
@@ -710,14 +684,7 @@ fn serve_main(args: Vec<String>) {
     }
     let listen = listen.unwrap_or_else(|| usage());
 
-    let mut svc_cfg = ServiceConfig::default()
-        .workers(workers.unwrap_or(1))
-        .queue_capacity(queue_cap.unwrap_or(64))
-        .max_batch(if batching { max_batch.unwrap_or(8) } else { 1 })
-        .result_cache(cache);
-    if let Some(t) = threads {
-        svc_cfg = svc_cfg.total_threads(t);
-    }
+    let mut svc_cfg = pool.service(1, 64).result_cache(cache);
     if let Some(q) = quota {
         svc_cfg = svc_cfg.quota(q);
     }
@@ -730,11 +697,11 @@ fn serve_main(args: Vec<String>) {
     println!("claire-serve listening on {}", server.local_addr());
     use std::io::Write as _;
     std::io::stdout().flush().ok();
-    if !quiet {
+    if !pool.quiet {
         eprintln!(
             "workers {}, queue capacity {}, coalescing {}, cache {} entries, quota {}",
-            workers.unwrap_or(1),
-            queue_cap.unwrap_or(64),
+            svc_cfg.workers,
+            svc_cfg.queue_capacity,
             if svc_cfg.max_batch > 1 { "on" } else { "off" },
             cache,
             match quota {
@@ -778,12 +745,6 @@ fn submit_main(args: Vec<String>) {
     let mut stream = false;
     let mut ping = false;
     let mut quiet = false;
-    let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage()
-        })
-    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = Some(next_value(&mut args, "--addr")),
@@ -823,22 +784,10 @@ fn submit_main(args: Vec<String>) {
     let manifest_path = manifest_path.unwrap_or_else(|| usage());
 
     // Same manifest format as `batch`; jobs are lowered to wire specs.
-    let text = std::fs::read_to_string(&manifest_path)
-        .unwrap_or_else(|e| fail(&io_error("submit manifest", &manifest_path, &e)));
-    let manifest = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(&manifest_error(format!("not valid JSON: {e}"))));
-    let jobs = match field(&manifest, "jobs") {
-        Some(Value::Array(jobs)) if !jobs.is_empty() => jobs,
-        _ => fail(&manifest_error("needs a non-empty `jobs` array".into())),
-    };
-    let specs: Vec<WireJobSpec> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| {
-            let spec =
-                parse_job(entry, i, quiet).unwrap_or_else(|e| fail(&e)).tenant(tenant.clone());
-            WireJobSpec::from_spec(&spec)
-        })
+    let (_, jobs) = read_manifest(&manifest_path, "submit manifest");
+    let specs: Vec<WireJobSpec> = parse_jobs(&jobs, quiet)
+        .into_iter()
+        .map(|spec| WireJobSpec::from_spec(&spec.tenant(tenant.clone())))
         .collect();
 
     create_dir(&out);
@@ -884,24 +833,13 @@ fn submit_main(args: Vec<String>) {
                 let json = serde_json::to_string_pretty(run).unwrap_or_default();
                 write_text(&file, &json);
             }
-            _ => {
-                let doc = Value::Object(vec![
-                    ("label".into(), Value::Str(res.label.clone())),
-                    ("status".into(), Value::Str(res.status.label().into())),
-                    ("error".into(), Value::Str(res.error.clone().unwrap_or_default())),
-                ]);
-                write_text(&file, &serde_json::to_string_pretty(&doc).unwrap_or_default());
-            }
+            _ => write_text(&file, &failure_doc(&res.label, res.status, &res.error)),
         }
         if res.status != JobStatus::Succeeded {
             failures += 1;
         }
         if !quiet {
-            let mismatch = res
-                .report
-                .as_ref()
-                .map(|r| format!(", mismatch {:.3e}", r.rel_mismatch))
-                .unwrap_or_default();
+            let mismatch = mismatch_note(&res.report);
             eprintln!(
                 "  {} [{}]{}: queued {:.3}s, ran {:.3}s{mismatch}",
                 res.label,
@@ -926,18 +864,14 @@ fn submit_main(args: Vec<String>) {
 // ---------------------------------------------------------------------------
 
 /// Options shared by `launch` and the hidden `worker-rank` subcommand. The
-/// launcher re-serializes the solver flags onto every worker's command line,
-/// so both sides parse the same grammar and build the same config.
+/// launcher hands every worker its whole solver configuration as flags
+/// ([`config_args`]), so both sides parse the same grammar and hold the same
+/// config.
 struct LaunchOpts {
     ranks: usize,
     gpus_per_node: usize,
     syn: usize,
-    nt: usize,
-    beta: f64,
-    order: IpOrder,
-    precond: PrecondKind,
-    max_gn: usize,
-    fixed_pcg: usize,
+    cfg: RegistrationConfig,
     timeout_secs: u64,
     report: Option<PathBuf>,
     in_process: bool,
@@ -953,12 +887,17 @@ fn parse_launch_args(args: Vec<String>, worker: bool) -> LaunchOpts {
         ranks: 0,
         gpus_per_node: 4,
         syn: 0,
-        nt: 4,
-        beta: 1e-2,
-        order: IpOrder::Linear,
-        precond: PrecondKind::InvA,
-        max_gn: 3,
-        fixed_pcg: 5,
+        // The deterministic launch-mode defaults: β-continuation off and a
+        // fixed PCG iteration count, so the GN trajectory is a pure function
+        // of the problem — identical across the process and in-process paths.
+        cfg: RegistrationConfig {
+            beta_target: 1e-2,
+            precond: PrecondKind::InvA,
+            continuation: false,
+            max_gn_iter: 3,
+            fixed_pcg: Some(5),
+            ..Default::default()
+        },
         timeout_secs: 300,
         report: None,
         in_process: false,
@@ -966,43 +905,22 @@ fn parse_launch_args(args: Vec<String>, worker: bool) -> LaunchOpts {
         dir: None,
         rank: None,
     };
-    fn num<T: std::str::FromStr>(v: String, flag: &str) -> T {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for {flag}: {v}");
-            usage()
-        })
-    }
     let mut args = args.into_iter();
-    let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage()
-        })
-    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--ranks" => o.ranks = num(next_value(&mut args, "--ranks"), "--ranks"),
-            "--gpus-per-node" => {
-                o.gpus_per_node = num(next_value(&mut args, "--gpus-per-node"), "--gpus-per-node")
-            }
-            "--syn" => o.syn = num(next_value(&mut args, "--syn"), "--syn"),
-            "--nt" => o.nt = num(next_value(&mut args, "--nt"), "--nt"),
-            "--beta" => o.beta = num(next_value(&mut args, "--beta"), "--beta"),
-            "--order" => o.order = order_arg(&next_value(&mut args, "--order")),
-            "--precond" => o.precond = precond_arg(&next_value(&mut args, "--precond")),
-            "--max-gn" => o.max_gn = num(next_value(&mut args, "--max-gn"), "--max-gn"),
-            "--fixed-pcg" => o.fixed_pcg = num(next_value(&mut args, "--fixed-pcg"), "--fixed-pcg"),
-            "--timeout" if !worker => {
-                o.timeout_secs = num(next_value(&mut args, "--timeout"), "--timeout")
-            }
+            "--ranks" => o.ranks = parsed(&mut args, "--ranks"),
+            "--gpus-per-node" => o.gpus_per_node = parsed(&mut args, "--gpus-per-node"),
+            "--syn" => o.syn = parsed(&mut args, "--syn"),
+            "--timeout" if !worker => o.timeout_secs = parsed(&mut args, "--timeout"),
             "--report" if !worker => {
                 o.report = Some(PathBuf::from(next_value(&mut args, "--report")))
             }
             "--in-process" if !worker => o.in_process = true,
             "--dir" if worker => o.dir = Some(PathBuf::from(next_value(&mut args, "--dir"))),
-            "--rank" if worker => o.rank = Some(num(next_value(&mut args, "--rank"), "--rank")),
+            "--rank" if worker => o.rank = Some(parsed(&mut args, "--rank")),
             "-q" => o.quiet = true,
             "-h" | "--help" => usage(),
+            flag if config_flag(&mut o.cfg, flag, &mut args) => {}
             other => {
                 eprintln!("unknown launch option {other}");
                 usage()
@@ -1021,24 +939,8 @@ fn parse_launch_args(args: Vec<String>, worker: bool) -> LaunchOpts {
         eprintln!("worker-rank needs --dir and --rank");
         usage()
     }
+    o.cfg = o.cfg.finish().unwrap_or_else(|e| fail(&e));
     o
-}
-
-/// The deterministic launch-mode solver configuration: β-continuation off
-/// and a fixed PCG iteration count, so the GN trajectory is a pure function
-/// of the problem — identical across the process and in-process paths.
-fn launch_cfg(o: &LaunchOpts) -> RegistrationConfig {
-    RegistrationConfig::builder()
-        .nt(o.nt)
-        .beta(o.beta)
-        .ip_order(o.order)
-        .precond(o.precond)
-        .continuation(false)
-        .max_gn_iter(o.max_gn)
-        .fixed_pcg(Some(o.fixed_pcg))
-        .verbose(false)
-        .build()
-        .unwrap_or_else(|e| fail(&e))
 }
 
 fn launch_main(args: Vec<String>) {
@@ -1049,25 +951,8 @@ fn launch_main(args: Vec<String>) {
     let exe = std::env::current_exe().unwrap_or_else(|e| {
         fail(&ClaireError::Io { context: "current_exe", message: e.to_string() })
     });
-    let worker_args: Vec<String> = [
-        "--syn",
-        &o.syn.to_string(),
-        "--nt",
-        &o.nt.to_string(),
-        "--beta",
-        &format!("{:e}", o.beta),
-        "--order",
-        o.order.label(),
-        "--precond",
-        o.precond.label(),
-        "--max-gn",
-        &o.max_gn.to_string(),
-        "--fixed-pcg",
-        &o.fixed_pcg.to_string(),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    let mut worker_args = vec!["--syn".to_string(), o.syn.to_string()];
+    worker_args.extend(config_args(&o.cfg));
     let mut spec = LaunchSpec::new(exe, o.ranks, o.gpus_per_node, worker_args);
     spec.timeout = Duration::from_secs(o.timeout_secs);
     let outcome = claire::ipc::launch(&spec).unwrap_or_else(|e| fail(&e));
@@ -1084,8 +969,7 @@ fn launch_main(args: Vec<String>) {
 /// diffs cleanly against a real rank process's.
 fn launch_in_process(o: &LaunchOpts) {
     let topo = Topology::new(o.ranks, o.gpus_per_node);
-    let cfg = launch_cfg(o);
-    let syn = o.syn;
+    let (cfg, syn) = (o.cfg, o.syn);
     observe::begin();
     let result = claire::mpi::try_run_cluster(topo, |comm| {
         let prob = claire::data::syn::syn_problem([syn; 3], comm);
@@ -1129,10 +1013,10 @@ fn finish_launch(o: &LaunchOpts, json: String, transport: &str) {
         write_text(path, &json);
     }
     if !o.quiet {
-        let parsed = serde_json::from_str(&json).ok();
-        let summary = parsed.as_ref().and_then(|v| field(v, "summary"));
-        let gn = summary.and_then(|s| field_u64(s, "gn_iters")).unwrap_or(0);
-        let mm = summary.and_then(|s| field_f64(s, "rel_mismatch")).unwrap_or(f64::NAN);
+        let summary =
+            serde_json::from_str(&json).ok().and_then(|v| field::<Value>(&v, "summary").ok());
+        let of = |key| summary.as_ref().and_then(|s| field::<f64>(s, key).ok()).unwrap_or(f64::NAN);
+        let (gn, mm) = (of("gn_iters"), of("rel_mismatch"));
         eprintln!("launch: {} ranks ({transport}): {gn} GN iters, mismatch {mm:.3e}", o.ranks);
         if let Some(path) = &o.report {
             eprintln!("rank-0 RunReport written to {}", path.display());
@@ -1178,7 +1062,7 @@ fn worker_rank_main(args: Vec<String>) {
     }
 
     let prob = claire::data::syn::syn_problem([o.syn; 3], &mut comm);
-    let mut solver = Claire::with_hooks(launch_cfg(&o), hooks);
+    let mut solver = Claire::with_hooks(o.cfg, hooks);
     // Transport failures surface as panics carrying a `TransportError` (the
     // same mechanism the virtual cluster uses); catch them so a rank that
     // merely *observed* a peer die reports the culprit in-band and exits 0
@@ -1207,7 +1091,9 @@ fn worker_rank_main(args: Vec<String>) {
                     (*peer, format!("lost mid-solve: {detail}"))
                 }
                 Some(e) => (rank, e.to_string()),
-                None => (rank, describe_worker_panic(payload.as_ref())),
+                None => {
+                    (rank, format!("panicked: {}", claire::mpi::panic_message(payload.as_ref())))
+                }
             };
             let _ = claire::ipc::launch::send_failure(&dir, culprit, message.clone());
             if culprit == rank {
@@ -1220,22 +1106,24 @@ fn worker_rank_main(args: Vec<String>) {
     }
 }
 
-fn describe_worker_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panicked: {s}")
-    } else {
-        "panicked".into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use claire::core::Precision;
+    use claire::serve::wire::{decode_request, encode, solver_fingerprint};
+    use claire::serve::Request;
 
     fn job(json: &str) -> Result<JobSpec, ClaireError> {
         parse_job(&serde_json::from_str(json).expect("test manifest is valid JSON"), 0, true)
+    }
+
+    /// `base` after the command line `flags`, before validation.
+    fn flagged(mut base: RegistrationConfig, flags: Vec<String>) -> RegistrationConfig {
+        let mut args = flags.into_iter();
+        while let Some(arg) = args.next() {
+            assert!(config_flag(&mut base, &arg, &mut args), "{arg} is not a solver flag");
+        }
+        base
     }
 
     #[test]
@@ -1256,6 +1144,7 @@ mod tests {
             r#"{"label": "j", "syn": 8, "precision": "f16"}"#,
             r#"{"label": "j", "syn": 8, "ip_order": "quintic"}"#,
             r#"{"label": "j", "syn": 8, "precond": "invA"}"#,
+            r#"{"label": "j", "syn": 8, "priority": "urgent"}"#,
         ] {
             match job(entry) {
                 Err(ClaireError::Config { param: "manifest", message }) => {
@@ -1264,6 +1153,177 @@ mod tests {
                 Err(other) => panic!("{entry}: expected a manifest error, got {other:?}"),
                 Ok(_) => panic!("{entry}: unknown label accepted"),
             }
+        }
+    }
+
+    /// At the parent `eps_h0`, `store_grad` and `grid_continuation` in a
+    /// manifest ran with the defaults and a typo ran with no warning.
+    #[test]
+    fn manifest_job_reads_every_field_and_names_the_key_it_does_not_know() {
+        let spec =
+            job(r#"{"syn": 8, "eps_h0": 0.01, "store_grad": true, "grid_continuation": true,
+                "beta": 2.0, "priority": "low", "deadline_ms": 1500}"#)
+            .unwrap();
+        let cfg = spec.config;
+        assert_eq!((cfg.eps_h0, cfg.store_grad, cfg.grid_continuation), (0.01, true, true));
+        // the short spelling of `beta_target` lifts the start as `--beta` does
+        assert_eq!((cfg.beta_target, cfg.beta_init), (2.0, 2.0));
+        assert_eq!(spec.priority.label(), "low");
+        assert_eq!(spec.deadline, Some(Duration::from_millis(1500)));
+
+        for (entry, names) in [
+            (
+                r#"{"label": "typo", "syn": 8, "presision": "mixed"}"#,
+                "typo: unknown key `presision`",
+            ),
+            (r#"{"syn": 8, "nt": "4"}"#, "job-0: expected a non-negative integer"),
+            (r#"{"label": "j", "syn": 8, "continuation": 1}"#, "`continuation`"),
+            (r#"{"label": "j"}"#, "j: needs `syn`"),
+        ] {
+            match job(entry) {
+                Err(ClaireError::Config { param: "manifest", message }) => {
+                    assert!(message.contains(names), "{entry}: {message}")
+                }
+                other => panic!("{entry}: expected a manifest error, got {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn cubic_spline_is_refused_by_flag_and_by_manifest() {
+        let by_flag =
+            flagged(RegistrationConfig::default(), vec!["--order".into(), "cubic_spline".into()]);
+        assert_eq!(by_flag.ip_order, IpOrder::CubicSpline);
+        for refused in
+            [by_flag.finish().map(drop), job(r#"{"syn": 8, "ip_order": "cubic_spline"}"#).map(drop)]
+        {
+            assert!(
+                matches!(refused, Err(ClaireError::Config { param: "ip_order", .. })),
+                "{refused:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn flags_keep_their_parent_meaning() {
+        let single =
+            RegistrationConfig { ip_order: IpOrder::Cubic, verbose: true, ..Default::default() };
+        let text =
+            "--precond InvA --beta 2 --nt 8 --order linear --grid-cont --store-grad --eps-h0 1e-2";
+        let cfg = flagged(single, text.split(' ').map(String::from).collect()).finish().unwrap();
+        let expect = RegistrationConfig::builder()
+            .precond(PrecondKind::InvA)
+            .beta(2.0)
+            .nt(8)
+            .ip_order(IpOrder::Linear)
+            .grid_continuation(true)
+            .store_grad(true)
+            .eps_h0(1e-2)
+            .verbose(true)
+            .build()
+            .unwrap();
+        assert_eq!(cfg, expect);
+
+        let launch = |flags: &str| {
+            let args = format!("--ranks 2 --syn 8 {flags}");
+            parse_launch_args(args.split_whitespace().map(String::from).collect(), false).cfg
+        };
+        let expect = RegistrationConfig::builder()
+            .nt(4)
+            .beta(1e-2)
+            .ip_order(IpOrder::Linear)
+            .precond(PrecondKind::InvA)
+            .continuation(false)
+            .max_gn_iter(3)
+            .fixed_pcg(Some(5))
+            .verbose(false)
+            .build()
+            .unwrap();
+        assert_eq!(launch(""), expect);
+        let cfg = launch("--max-gn 2 --fixed-pcg 7 --beta 5 --order cubic --precond 2LInvH0");
+        assert_eq!(
+            (cfg.max_gn_iter, cfg.fixed_pcg, cfg.beta_target, cfg.beta_init),
+            (2, Some(7), 5.0, 5.0)
+        );
+        assert_eq!((cfg.ip_order, cfg.precond), (IpOrder::Cubic, PrecondKind::TwoLevelInvH0));
+        assert_eq!(launch("--fixed-pcg null --no-verbose").fixed_pcg, None);
+    }
+
+    /// One value per field that its `set` accepts, that differs from
+    /// `current` and that keeps the default configuration valid.
+    fn another(f: &ConfigField, current: &Value) -> Value {
+        let labels = ["linear", "cubic", "InvA", "InvH0", "f64", "mixed"];
+        let candidates: Vec<Value> = match current {
+            Value::Bool(b) => vec![Value::Bool(!b)],
+            Value::UInt(n) => vec![Value::UInt(n + 3)],
+            Value::Num(x) => vec![Value::Num(x * 0.75)],
+            Value::Null => vec![Value::UInt(3)],
+            _ => labels.iter().map(|l| Value::Str(l.to_string())).collect(),
+        };
+        let accepted =
+            |v: &&Value| v != &current && (f.set)(&mut RegistrationConfig::default(), v).is_ok();
+        candidates
+            .iter()
+            .find(accepted)
+            .unwrap_or_else(|| panic!("no other value for {}", f.key))
+            .clone()
+    }
+
+    /// Every field of the table, set to a non-default value, must arrive
+    /// unchanged through each front end and must move each key that decides
+    /// whether two jobs are the same solve. A field added to the table is
+    /// covered here without touching this test.
+    #[test]
+    fn every_config_field_survives_every_front_end_and_moves_every_key() {
+        let base = RegistrationConfig::default();
+        let spec = |cfg| JobSpec::new("t", cfg, JobInput::Synthetic { n: [8, 8, 8] });
+        let keys = |cfg| {
+            let s = spec(cfg);
+            (
+                solver_fingerprint(&WireJobSpec::from_spec(&s)),
+                claire::serve::cache::content_key(&s),
+                claire::serve::server::service::coalescing_key(&s),
+            )
+        };
+        for f in ConfigField::all() {
+            let value = another(f, &(f.get)(&base));
+            let mut want = base;
+            (f.set)(&mut want, &value).unwrap();
+            assert_ne!(want, base, "{}: set did not change the config", f.key);
+            assert_eq!((f.get)(&want), value, "{}: get does not read what set wrote", f.key);
+            want.validate().unwrap_or_else(|e| panic!("{}: {e}", f.key));
+
+            // wire: encode → decode
+            let frame = encode(&Request::Submit { spec: WireJobSpec::from_spec(&spec(want)) });
+            let Ok(Request::Submit { spec: back }) = decode_request(&frame) else {
+                panic!("{}: submit frame did not decode", f.key)
+            };
+            assert_eq!(back.config, want, "{}: wire", f.key);
+
+            // manifest: by key and, where there is one, by alias
+            for key in std::iter::once(f.key).chain(f.alias) {
+                let entry = Value::Object(vec![
+                    ("syn".into(), Value::UInt(8)),
+                    (key.into(), value.clone()),
+                ]);
+                assert_eq!(parse_job(&entry, 0, true).unwrap().config, want, "{key}: manifest");
+            }
+
+            // command line: flags → config, and the launcher's flags as a
+            // worker (which starts from other defaults) reads them back
+            assert_eq!(flagged(base, config_args(&want)), want, "{}: flags", f.key);
+            let mut worker = vec!["--ranks", "2", "--syn", "8", "--dir", "d", "--rank", "1"]
+                .into_iter()
+                .map(String::from)
+                .collect::<Vec<_>>();
+            worker.extend(config_args(&want));
+            assert_eq!(parse_launch_args(worker, true).cfg, want, "{}: launcher → worker", f.key);
+
+            // the three keys
+            let (moved, still) = (keys(want), keys(base));
+            assert_ne!(moved.0, still.0, "{}: solver_fingerprint", f.key);
+            assert_ne!(moved.1, still.1, "{}: content_key", f.key);
+            assert_ne!(moved.2, still.2, "{}: coalescing_key", f.key);
         }
     }
 }

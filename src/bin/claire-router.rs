@@ -20,18 +20,17 @@
 //!
 //! Exit codes: 0 clean shutdown, 2 usage, 6 bind failure.
 
-use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, Write as _};
+use std::net::TcpListener;
 use std::process::exit;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use claire::serve::wire::{
-    decode_request, read_frame, send, ErrorCode, Request, Response, WireError, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-};
-use claire::serve::{JobStatus, Router, StreamEvent};
+use claire::serve::server::serve_connection;
+use claire::serve::wire::MAX_FRAME_BYTES;
+use claire::serve::Router;
 
 fn usage() -> ! {
     eprintln!("usage: claire-router --listen ADDR --worker ADDR [--worker ADDR ...] [-q]");
@@ -70,20 +69,27 @@ fn main() {
     });
     let local = listener.local_addr().expect("bound listener has an address");
     println!("claire-router listening on {local} over {} worker(s)", workers.len());
-    use io::Write as _;
     io::stdout().flush().ok();
     if !quiet {
         for w in router.backend_addrs() {
             eprintln!("  worker {w}");
         }
     }
+    serve(listener, router)
+}
 
+/// Accept until killed, one thread per client, every connection through the
+/// loop a claire-serve worker runs.
+fn serve(listener: TcpListener, router: Arc<Router>) {
+    static RUN_UNTIL_KILLED: AtomicBool = AtomicBool::new(false);
     for stream in listener.incoming() {
         match stream {
             Ok(conn) => {
                 let router = Arc::clone(&router);
                 thread::spawn(move || {
-                    let _ = serve_connection(conn, &router);
+                    let name = "claire-router";
+                    let _ =
+                        serve_connection(conn, &*router, name, MAX_FRAME_BYTES, &RUN_UNTIL_KILLED);
                 });
             }
             Err(_) => thread::sleep(Duration::from_millis(20)),
@@ -91,129 +97,48 @@ fn main() {
     }
 }
 
-/// Serve one client connection: handshake, then proxy the envelope onto
-/// the router's sharded backends.
-fn serve_connection(mut stream: TcpStream, router: &Router) -> Result<(), WireError> {
-    stream.set_nodelay(true).ok();
-    // Handshake mirrors claire-serve: first frame must be a version-matched
-    // Hello.
-    let bytes = read_frame(&mut stream, MAX_FRAME_BYTES)?;
-    match decode_request(&bytes) {
-        Ok(Request::Hello { protocol, .. }) if protocol == PROTOCOL_VERSION => {
-            send(
-                &mut stream,
-                &Response::Hello { protocol: PROTOCOL_VERSION, server: "claire-router".into() },
-            )?;
-        }
-        Ok(Request::Hello { protocol, .. }) => {
-            send(
-                &mut stream,
-                &Response::Error {
-                    code: ErrorCode::VersionMismatch,
-                    message: format!(
-                        "router speaks protocol {PROTOCOL_VERSION}, client sent {protocol}"
-                    ),
-                },
-            )?;
-            return Err(WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: protocol });
-        }
-        _ => {
-            send(
-                &mut stream,
-                &Response::Error {
-                    code: ErrorCode::Unsupported,
-                    message: "first frame must be Hello".into(),
-                },
-            )?;
-            return Err(WireError::Protocol("first frame must be Hello".into()));
-        }
-    }
-
-    loop {
-        let bytes = match read_frame(&mut stream, MAX_FRAME_BYTES) {
-            Ok(b) => b,
-            Err(WireError::Closed) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let req = match decode_request(&bytes) {
-            Ok(r) => r,
-            Err(e) => {
-                send(
-                    &mut stream,
-                    &Response::Error { code: ErrorCode::Malformed, message: e.to_string() },
-                )?;
-                continue;
-            }
-        };
-        match req {
-            Request::Hello { .. } => send(
-                &mut stream,
-                &Response::Hello { protocol: PROTOCOL_VERSION, server: "claire-router".into() },
-            )?,
-            Request::Submit { spec } => match router.submit(&spec) {
-                Ok(adm) => {
-                    send(&mut stream, &Response::Submitted { id: adm.id, cached: adm.cached })?
-                }
-                Err(e) => send(&mut stream, &refusal(e))?,
-            },
-            Request::Status { id } => match router.status(id) {
-                Ok(status) => send(&mut stream, &Response::Status { id, status })?,
-                Err(e) => send(&mut stream, &refusal(e))?,
-            },
-            Request::Cancel { id } => match router.cancel(id) {
-                Ok(delivered) => send(&mut stream, &Response::Cancelled { id, delivered })?,
-                Err(e) => send(&mut stream, &refusal(e))?,
-            },
-            Request::Result { id } => match router.wait(id) {
-                Ok(result) => send(&mut stream, &Response::Result { result })?,
-                Err(e) => send(&mut stream, &refusal(e))?,
-            },
-            Request::Stream { id } => {
-                // The router does not hold worker stream subscriptions open;
-                // it synthesizes a coarse stream by polling the shard.
-                match poll_stream(&mut stream, router, id) {
-                    Ok(()) => {}
-                    Err(e) => send(&mut stream, &refusal(e))?,
-                }
-            }
-            _ => send(
-                &mut stream,
-                &Response::Error {
-                    code: ErrorCode::Unsupported,
-                    message: "request not supported by claire-router".into(),
-                },
-            )?,
-        }
-    }
-}
-
-/// Coarse status stream: `Queued` → `Running` → `Terminal`, polled from
-/// the backend at 100 ms. Per-iteration events stay a direct-worker
-/// feature; the router's job is placement, not fan-in.
-fn poll_stream(
-    stream: &mut TcpStream,
-    router: &Router,
-    id: claire::serve::JobId,
-) -> Result<(), WireError> {
-    send(stream, &Response::Event { id, event: StreamEvent::Queued })?;
-    let mut sent_running = false;
-    loop {
-        let status = router.status(id)?;
-        if !sent_running && status != JobStatus::Queued {
-            sent_running = true;
-            send(stream, &Response::Event { id, event: StreamEvent::Running })?;
-        }
-        if status.is_terminal() {
-            return send(stream, &Response::Event { id, event: StreamEvent::Terminal { status } });
-        }
-        thread::sleep(Duration::from_millis(100));
-    }
-}
-
-fn refusal(e: WireError) -> Response {
-    let code = match &e {
-        WireError::Remote { code, .. } => *code,
-        _ => ErrorCode::Internal,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use claire::serve::wire::{
+        decode_response, encode, read_frame, write_frame, ErrorCode, WireError, PROTOCOL_VERSION,
     };
-    Response::Error { code, message: e.to_string() }
+    use claire::serve::{JobId, NetServer, NetServerConfig, Request, Response};
+    use std::net::{SocketAddr, TcpStream};
+
+    /// How `addr` refuses `first` as the first frame of a connection: the
+    /// code, the message (under the worker's name) and whether it hung up.
+    fn refusal_of(addr: SocketAddr, first: &[u8]) -> (ErrorCode, String, bool) {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        write_frame(&mut conn, first).unwrap();
+        let reply = decode_response(&read_frame(&mut conn, MAX_FRAME_BYTES).unwrap()).unwrap();
+        let Response::Error { code, message } = reply else {
+            panic!("expected a refusal, got {reply:?}");
+        };
+        let hung_up = matches!(read_frame(&mut conn, MAX_FRAME_BYTES), Err(WireError::Closed));
+        (code, message.replace("claire-router", "claire-serve"), hung_up)
+    }
+
+    /// The router used to run its own copy of the handshake, which answered
+    /// a malformed first frame with `unsupported`.
+    #[test]
+    fn a_bad_first_frame_is_refused_as_a_worker_refuses_it() {
+        let mut worker = NetServer::bind("127.0.0.1:0", NetServerConfig::default()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let routed = listener.local_addr().unwrap();
+        let router = Arc::new(Router::new(&[worker.local_addr().to_string()]).unwrap());
+        thread::spawn(move || serve(listener, router));
+
+        let bad_version = Request::Hello { protocol: PROTOCOL_VERSION + 1, client: "t".into() };
+        for (first, code) in [
+            (encode(&bad_version), ErrorCode::VersionMismatch),
+            (encode(&Request::Status { id: JobId::from_u64(1) }), ErrorCode::Unsupported),
+            (b"{\"type\":".to_vec(), ErrorCode::Malformed),
+        ] {
+            let at_worker = refusal_of(worker.local_addr(), &first);
+            assert_eq!((at_worker.0, at_worker.2), (code, true), "{}", at_worker.1);
+            assert_eq!(refusal_of(routed, &first), at_worker);
+        }
+        worker.shutdown();
+    }
 }
