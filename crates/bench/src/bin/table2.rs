@@ -51,7 +51,7 @@ fn main() {
             let s0 = comm.stats().cat(CommCat::Scatter).bytes_sent;
             std::hint::black_box(ip.plan(layout, &traj.foot_back, comm));
             let scatter_bytes = comm.stats().cat(CommCat::Scatter).bytes_sent - s0;
-            let scatter = ip.stats.wall;
+            let scatter = ip.stats;
             ip.reset_stats(); // isolate the advection itself, like the paper
             let g0 = comm.stats().cat(CommCat::Ghost).bytes_sent;
             let _m: ScalarField = {
@@ -59,7 +59,7 @@ fn main() {
                 sol.m.pop().unwrap()
             };
             let ghost_bytes = comm.stats().cat(CommCat::Ghost).bytes_sent - g0;
-            let mut wall = ip.stats.wall;
+            let mut wall = ip.stats;
             wall.scatter_comm = scatter.scatter_comm;
             wall.scatter_mpi_buffer = scatter.scatter_mpi_buffer;
             (wall, ghost_bytes, scatter_bytes)

@@ -7,8 +7,9 @@
 //! plus which method the 512 kB auto-switch picks.
 
 use claire_bench::{fmt_size, header};
-use claire_mpi::{AlltoallMethod, LinkModel, Topology};
+use claire_mpi::{AlltoallMethod, Topology};
 use claire_perf::paper::{TABLE4, TABLE45_TASKS};
+use claire_perf::LinkModel;
 
 fn main() {
     let link = LinkModel::default();

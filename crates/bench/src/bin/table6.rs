@@ -3,8 +3,8 @@
 //! Runs the complete β-continuation Gauss–Newton–Krylov solver on the
 //! phantom datasets (grid sizes scaled per DESIGN.md; set `CLAIRE_BENCH_N`
 //! to go bigger) for all three preconditioners, and prints the same
-//! columns as the paper's Table 6 — once with wall times on this host and
-//! once with modeled V100 times — followed by the published rows.
+//! columns as the paper's Table 6 with wall times on this host, followed
+//! by the published rows.
 
 use claire_bench::{bench_n, header, record_json};
 use claire_core::{observe, Claire, PrecondKind, RegistrationConfig, RegistrationReport};
@@ -90,12 +90,6 @@ fn main() {
         println!("{}", phase_line(&run));
         record_json("table6", &serde_json::to_string(&run).unwrap());
         reports.push(r);
-    }
-
-    header("Table 6 — modeled V100 runtimes for the same runs");
-    println!("{}", RegistrationReport::header());
-    for r in &reports {
-        println!("{}", r.row_modeled());
     }
 
     header("Table 6 — paper reference (selected rows)");

@@ -79,7 +79,10 @@ pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm)
             secs: k.nanos as f64 * 1e-9,
         })
         .collect();
-    run.phases = PhaseShares::from_kernels(&run.kernels, report.time_total);
+    // rank threads of an in-process cluster all book into the one set of
+    // kernel timers; a rank process has them to itself
+    let sharing_ranks = if comm.transport_kind() == "channel" { comm.size() } else { 1 };
+    run.phases = PhaseShares::from_kernels(&run.kernels, report.time_total, sharing_ranks);
     run.metrics = registry;
     run.gn_trace = records::take_gn();
     run.spans = span::take_spans();
@@ -120,10 +123,9 @@ pub fn solve_run_report(
         jac_det_min: report.jac_det_min,
         jac_det_max: report.jac_det_max,
         time_total: report.time_total,
-        modeled_total: report.modeled_total,
         converged: gn.converged,
     };
-    run.phases = PhaseShares::from_kernels(&[], report.time_total);
+    run.phases = PhaseShares::from_kernels(&[], report.time_total, 1);
 
     run.comm = CommCat::ALL
         .iter()
@@ -134,7 +136,7 @@ pub fn solve_run_report(
                 bytes: s.bytes_sent,
                 msgs: s.msgs_sent,
                 wire_bytes: s.wire_bytes,
-                modeled_secs: s.modeled_secs,
+                blocked_secs: s.wall_blocked.as_secs_f64(),
             }
         })
         .filter(|e| e.bytes > 0 || e.msgs > 0 || e.wire_bytes > 0)

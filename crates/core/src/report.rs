@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Everything Table 6 reports about one registration run, plus
-//  diffeomorphism diagnostics and modeled (virtual-cluster) timings.
+/// diffeomorphism diagnostics.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RegistrationReport {
     /// Dataset label (e.g. `na02`).
@@ -46,16 +46,6 @@ pub struct RegistrationReport {
     pub time_hess: f64,
     /// Wall seconds total (`Total`).
     pub time_total: f64,
-    /// Modeled V100-cluster seconds, same breakdown.
-    pub modeled_pc: f64,
-    /// Modeled seconds in objective evaluations.
-    pub modeled_obj: f64,
-    /// Modeled seconds in gradient evaluations.
-    pub modeled_grad: f64,
-    /// Modeled seconds in Hessian matvecs.
-    pub modeled_hess: f64,
-    /// Modeled seconds total.
-    pub modeled_total: f64,
     /// Minimum of `det(∇y)` (diffeomorphism check; must be > 0).
     pub jac_det_min: f64,
     /// Maximum of `det(∇y)`.
@@ -99,29 +89,6 @@ impl RegistrationReport {
             self.time_total,
         )
     }
-
-    /// One Table 6 row with *modeled* V100 timings (the paper-comparable
-    /// numbers).
-    pub fn row_modeled(&self) -> String {
-        format!(
-            "{:8} {:8} {:>4} {:>5} {:>9.2e} {:>9.2e} {:>5} {:>5} {:>6} {:>5.1} | {:>8.2e} {:>8.2e} {:>8.2e} {:>8.2e} {:>8.2e}",
-            self.data,
-            self.pc,
-            self.gn_iters,
-            self.pcg_iters,
-            self.rel_mismatch,
-            self.grad_rel,
-            self.n_inva,
-            self.n_invh0,
-            self.inner_cg_total,
-            self.inner_cg_avg,
-            self.modeled_pc,
-            self.modeled_obj,
-            self.modeled_grad,
-            self.modeled_hess,
-            self.modeled_total,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -149,11 +116,6 @@ mod tests {
             time_grad: 0.435,
             time_hess: 1.52,
             time_total: 4.44,
-            modeled_pc: 1.0,
-            modeled_obj: 0.2,
-            modeled_grad: 0.4,
-            modeled_hess: 1.5,
-            modeled_total: 4.4,
             jac_det_min: 0.4,
             jac_det_max: 2.1,
             memory_bytes_per_rank: 5_090_000_000,
@@ -165,7 +127,6 @@ mod tests {
         let r = sample();
         assert!(RegistrationReport::header().contains("PCG"));
         assert!(r.row().contains("2LInvH0"));
-        assert!(r.row_modeled().contains("na02"));
     }
 
     #[test]

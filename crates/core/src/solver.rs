@@ -277,11 +277,6 @@ pub(crate) fn build_report(
         time_grad: stats.time.grad,
         time_hess: stats.time.hess,
         time_total: stats.time.total,
-        modeled_pc: stats.modeled.pc,
-        modeled_obj: stats.modeled.obj,
-        modeled_grad: stats.modeled.grad,
-        modeled_hess: stats.modeled.hess,
-        modeled_total: stats.modeled.total,
         jac_det_min,
         jac_det_max,
         memory_bytes_per_rank: mem.total(),
@@ -312,11 +307,6 @@ pub(crate) fn accumulate(total: &mut GnStats, level: &GnStats) {
     total.time.grad += level.time.grad;
     total.time.hess += level.time.hess;
     total.time.total += level.time.total;
-    total.modeled.pc += level.modeled.pc;
-    total.modeled.obj += level.modeled.obj;
-    total.modeled.grad += level.modeled.grad;
-    total.modeled.hess += level.modeled.hess;
-    total.modeled.total += level.modeled.total;
     total.converged = level.converged;
     total.grad_rel = level.grad_rel;
 }

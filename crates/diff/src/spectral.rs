@@ -19,7 +19,7 @@
 //! `(βA)⁻¹` is well-defined — identical behaviour for all non-constant
 //! modes. This substitution is recorded in DESIGN.md §5.
 
-use claire_fft::{CpxT, DistFftT, DistSpectralT, FftElem};
+use claire_fft::{DistFftT, DistSpectralT, FftElem};
 use claire_grid::{Grid, Real, ScalarFieldT, VectorFieldT};
 use claire_mpi::Comm;
 use claire_par::par_chunks_mut;
@@ -72,7 +72,6 @@ impl<T: FftElem> SpectralT<T> {
         comm: &mut Comm,
         op: impl Fn(&mut DistSpectralT<T>),
     ) -> [ScalarFieldT<T>; NF] {
-        self.charge_hadamard(comm, NF);
         if comm.size() == 1 {
             return fields.map(|f| {
                 let mut spec = self.fft.forward(f, comm);
@@ -112,13 +111,6 @@ impl<T: FftElem> SpectralT<T> {
     ) -> ScalarFieldT<T> {
         let [out] = self.apply_ksq_symbol_many([f], comm, sym);
         out
-    }
-
-    /// Modeled cost of `n` spectral Hadamard sweeps (DRAM-bound, at the
-    /// actual element width).
-    fn charge_hadamard(&self, comm: &mut Comm, n: usize) {
-        let words = self.grid.len() / comm.size().max(1);
-        comm.advance_kernel(n * words * std::mem::size_of::<CpxT<T>>(), 4 * n * words);
     }
 
     /// Laplacian `Δf` (spectral; used for verification and smoothing).
@@ -246,7 +238,6 @@ impl<T: FftElem> SpectralT<T> {
                 }
             }
         }
-        self.charge_hadamard(comm, 3);
         VectorFieldT { c: self.fft.inverse_many(specs, comm) }
     }
 }
@@ -254,6 +245,7 @@ impl<T: FftElem> SpectralT<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use claire_fft::CpxT;
     use claire_grid::{Layout, ScalarField, VectorField, WsCat};
     use claire_mpi::{run_cluster, Topology};
 

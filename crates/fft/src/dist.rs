@@ -85,7 +85,6 @@ pub struct DistFftT<T: FftElem> {
     grid: Grid,
     nranks: usize,
     rank: usize,
-    method: AlltoallMethod,
     /// The three 1-D plans — and, on one rank, the whole transform.
     plans: Arc<Fft3T<T>>,
 }
@@ -94,8 +93,7 @@ pub struct DistFftT<T: FftElem> {
 pub type DistFft = DistFftT<Real>;
 
 impl<T: FftElem> DistFftT<T> {
-    /// Plan for the calling rank of `comm` with the paper's production
-    /// communication switch ([`AlltoallMethod::Auto`]).
+    /// Plan for the calling rank of `comm`.
     /// Panicking convenience wrapper around [`DistFftT::try_new`].
     pub fn new(grid: Grid, comm: &Comm) -> DistFftT<T> {
         DistFftT::try_new(grid, comm).unwrap_or_else(|e| panic!("{e}"))
@@ -104,22 +102,6 @@ impl<T: FftElem> DistFftT<T> {
     /// Plan for the calling rank of `comm`, rejecting grids the slab
     /// decomposition cannot split across `comm.size()` ranks.
     pub fn try_new(grid: Grid, comm: &Comm) -> ClaireResult<DistFftT<T>> {
-        DistFftT::try_with_method(grid, comm, AlltoallMethod::Auto)
-    }
-
-    /// Plan with an explicit all-to-all method (for Table 4/5 studies).
-    /// Panicking convenience wrapper around [`DistFftT::try_with_method`].
-    pub fn with_method(grid: Grid, comm: &Comm, method: AlltoallMethod) -> DistFftT<T> {
-        DistFftT::try_with_method(grid, comm, method).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Plan with an explicit all-to-all method, returning a typed error when
-    /// the slab decomposition needs more planes than the grid has.
-    pub fn try_with_method(
-        grid: Grid,
-        comm: &Comm,
-        method: AlltoallMethod,
-    ) -> ClaireResult<DistFftT<T>> {
         let p = comm.size();
         if p > grid.n[0] || p > grid.n[1] {
             return Err(ClaireError::Decomposition {
@@ -130,7 +112,7 @@ impl<T: FftElem> DistFftT<T> {
                 ),
             });
         }
-        Ok(DistFftT { grid, nranks: p, rank: comm.rank(), method, plans: cache::fft3_t(grid) })
+        Ok(DistFftT { grid, nranks: p, rank: comm.rank(), plans: cache::fft3_t(grid) })
     }
 
     /// The grid this plan transforms.
@@ -153,7 +135,7 @@ impl<T: FftElem> DistFftT<T> {
     /// are freed before the caller allocates what it unpacks into).
     fn transpose(&self, bufs: Vec<Vec<CpxT<T>>>, comm: &mut Comm) -> Vec<Vec<CpxT<T>>> {
         let _c = span("fft.transpose_comm");
-        comm.alltoallv(&bufs, CommCat::FftTranspose, self.method)
+        comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto)
     }
 
     /// Forward r2c transform of a slab-distributed field: the one-field

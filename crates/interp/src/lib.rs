@@ -29,6 +29,6 @@ pub mod dist;
 pub mod kernel;
 pub mod plan;
 
-pub use dist::{Interpolator, PhaseStats};
+pub use dist::{Interpolator, PhaseTimes};
 pub use kernel::IpOrder;
 pub use plan::InterpPlan;

@@ -51,16 +51,6 @@ pub(crate) enum Sites {
     },
 }
 
-impl Sites {
-    /// Sites this rank evaluates.
-    pub(crate) fn count(&self) -> usize {
-        match self {
-            Sites::Local(sites) => sites.len(),
-            Sites::Routed { serve, .. } => serve.iter().map(Vec::len).sum(),
-        }
-    }
-}
-
 impl InterpPlan {
     /// Number of query points this rank asked for.
     pub fn len(&self) -> usize {
@@ -123,7 +113,7 @@ impl Interpolator {
         let t0 = Instant::now();
         timing::time(Kernel::Interp, || points_to_sites(&mut points, layout.grid.n));
         if p == 1 {
-            self.stats.wall.scatter_mpi_buffer += t0.elapsed().as_secs_f64();
+            self.stats.scatter_mpi_buffer += t0.elapsed().as_secs_f64();
             return InterpPlan { layout, nq, sites: Sites::Local(points) };
         }
         // bucketing is serial to keep per-owner query order stable
@@ -137,20 +127,12 @@ impl Interpolator {
             origins[owner].push(qi as u32);
         }
         drop(points);
-        // modeled: one streaming pass over the query list (copy_if analogue)
-        let query_bytes = nq * std::mem::size_of::<[Real; 3]>();
-        comm.advance_kernel(query_bytes * 2, 4 * nq);
-        let buf_kernel_secs =
-            2.0 * query_bytes as f64 / comm.device().dram_bw + comm.device().launch_overhead;
-        self.stats.wall.scatter_mpi_buffer += t0.elapsed().as_secs_f64();
-        self.stats.modeled.scatter_mpi_buffer += buf_kernel_secs;
+        self.stats.scatter_mpi_buffer += t0.elapsed().as_secs_f64();
 
         // ---- phase: scatter_comm (ship sites to their owners) ----
         let t0 = Instant::now();
-        let m0 = comm.stats().cat(CommCat::Scatter).modeled_secs;
         let serve = comm.alltoallv(&dest_sites, CommCat::Scatter, AlltoallMethod::Auto);
-        self.stats.wall.scatter_comm += t0.elapsed().as_secs_f64();
-        self.stats.modeled.scatter_comm += comm.stats().cat(CommCat::Scatter).modeled_secs - m0;
+        self.stats.scatter_comm += t0.elapsed().as_secs_f64();
         InterpPlan { layout, nq, sites: Sites::Routed { serve, origins } }
     }
 }

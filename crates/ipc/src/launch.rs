@@ -47,11 +47,9 @@ pub struct LaunchSpec {
     pub exe: PathBuf,
     /// Number of rank processes.
     pub ranks: usize,
-    /// GPUs per node in the modeled topology.
-    pub gpus_per_node: usize,
     /// Extra arguments appended after the standard
-    /// `worker-rank --dir … --rank … --ranks … --gpus-per-node …` prefix
-    /// (solver flags, problem size, …).
+    /// `worker-rank --dir … --rank … --ranks …` prefix (solver flags,
+    /// problem size, …).
     pub worker_args: Vec<String>,
     /// Wall-clock budget for the whole run before the launcher gives up and
     /// reaps the cluster.
@@ -60,8 +58,8 @@ pub struct LaunchSpec {
 
 impl LaunchSpec {
     /// A spec with the default five-minute supervision timeout.
-    pub fn new(exe: PathBuf, ranks: usize, gpus_per_node: usize, worker_args: Vec<String>) -> Self {
-        LaunchSpec { exe, ranks, gpus_per_node, worker_args, timeout: Duration::from_secs(300) }
+    pub fn new(exe: PathBuf, ranks: usize, worker_args: Vec<String>) -> Self {
+        LaunchSpec { exe, ranks, worker_args, timeout: Duration::from_secs(300) }
     }
 }
 
@@ -131,8 +129,6 @@ fn supervise(spec: &LaunchSpec, dir: &Path) -> ClaireResult<LaunchOutcome> {
             .arg(rank.to_string())
             .arg("--ranks")
             .arg(spec.ranks.to_string())
-            .arg("--gpus-per-node")
-            .arg(spec.gpus_per_node.to_string())
             .args(&spec.worker_args)
             .stdin(Stdio::null());
         for key in FORWARDED_ENV {
@@ -299,7 +295,9 @@ pub fn send_failure(dir: &Path, rank: usize, message: String) -> ClaireResult<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::os::unix::fs::PermissionsExt;
+    use std::sync::Mutex;
 
     // launch() against the real claire-cli binary is covered by
     // tests/ipc_equivalence.rs at the workspace root; here we exercise the
@@ -316,9 +314,25 @@ mod tests {
         path
     }
 
+    /// Held by each test whose stand-in rank is a `sleep 600`, so that a
+    /// sleeper seen after `launch` returned is that test's own leak.
+    static SLEEPERS: Mutex<()> = Mutex::new(());
+
+    /// Pids of the live `sleep 600` processes.
+    fn sleepers() -> BTreeSet<u32> {
+        let procs = std::fs::read_dir("/proc").unwrap().flatten();
+        procs
+            .filter_map(|e| {
+                let pid: u32 = e.file_name().to_str()?.parse().ok()?;
+                let cmdline = std::fs::read(e.path().join("cmdline")).ok()?;
+                (cmdline == b"sleep\x00600\x00").then_some(pid)
+            })
+            .collect()
+    }
+
     #[test]
     fn zero_ranks_is_config_error() {
-        let spec = LaunchSpec::new(PathBuf::from("/bin/true"), 0, 1, vec![]);
+        let spec = LaunchSpec::new(PathBuf::from("/bin/true"), 0, vec![]);
         let err = launch(&spec).unwrap_err();
         assert!(matches!(err, ClaireError::Config { param: "ranks", .. }));
     }
@@ -326,7 +340,7 @@ mod tests {
     #[test]
     fn child_that_dies_without_reporting_is_rank_failed() {
         let exe = script_worker("dies", "exit 7");
-        let spec = LaunchSpec::new(exe, 2, 1, vec![]);
+        let spec = LaunchSpec::new(exe, 2, vec![]);
         let t0 = Instant::now();
         let err = launch(&spec).unwrap_err();
         match err {
@@ -340,16 +354,16 @@ mod tests {
 
     #[test]
     fn timeout_reaps_hung_children() {
-        let exe = script_worker("hangs", "sleep 600");
-        let spec = LaunchSpec {
-            exe,
-            ranks: 1,
-            gpus_per_node: 1,
-            worker_args: vec![],
-            timeout: Duration::from_millis(300),
-        };
+        // `exec`: the stand-in rank is the sleeper itself, not a shell whose
+        // child would outlive it
+        let exe = script_worker("hangs", "exec sleep 600");
+        let spec =
+            LaunchSpec { exe, ranks: 1, worker_args: vec![], timeout: Duration::from_millis(300) };
+        let _one_at_a_time = SLEEPERS.lock().unwrap_or_else(|e| e.into_inner());
+        let before = sleepers();
         let t0 = Instant::now();
         let err = launch(&spec).unwrap_err();
+        assert!(sleepers().is_subset(&before), "the hung rank outlived the launcher");
         match err {
             ClaireError::RankFailed { message, .. } => {
                 assert!(message.contains("timed out"), "{message}");
@@ -364,7 +378,7 @@ mod tests {
         // workers idle while this thread injects the Report frames through
         // the real worker-side helpers, out of rank order
         let exe = script_worker("reporter", "sleep 2");
-        let spec = LaunchSpec::new(exe, 2, 1, vec![]);
+        let spec = LaunchSpec::new(exe, 2, vec![]);
         let dir = fresh_rendezvous_dir("launch-report-test").unwrap();
         let d = dir.clone();
         let handle = std::thread::spawn(move || supervise(&spec, &d));
@@ -380,9 +394,11 @@ mod tests {
 
     #[test]
     fn in_band_failure_frame_kills_the_cluster() {
-        let exe = script_worker("inband", "sleep 600");
-        let spec = LaunchSpec::new(exe, 2, 1, vec![]);
+        let exe = script_worker("inband", "exec sleep 600");
+        let spec = LaunchSpec::new(exe, 2, vec![]);
         let dir = fresh_rendezvous_dir("launch-failure-test").unwrap();
+        let _one_at_a_time = SLEEPERS.lock().unwrap_or_else(|e| e.into_inner());
+        let before = sleepers();
         let d = dir.clone();
         let t0 = Instant::now();
         let handle = std::thread::spawn(move || supervise(&spec, &d));
@@ -395,8 +411,9 @@ mod tests {
             err,
             ClaireError::RankFailed { rank: 1, message: "beta continuation diverged".into() }
         );
-        // the sleeping peer was killed, not waited out
+        // the sleeping peers were killed, not waited out
         assert!(t0.elapsed() < Duration::from_secs(30));
+        assert!(sleepers().is_subset(&before), "a sleeping rank outlived the launcher");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

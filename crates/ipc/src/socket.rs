@@ -11,7 +11,7 @@
 //! `accept` is ever called.
 //!
 //! Messages are length-framed binary (the serve protocol's 4-byte-BE
-//! framing, shared via [`crate::frame`]) with a fixed 24-byte header. Sends
+//! framing, shared via [`crate::frame`]) with a fixed 16-byte header. Sends
 //! below the eager threshold stage header + payload into one buffer and one
 //! `write`; larger sends stream the payload directly from its source slice
 //! (rendezvous path — the stream socket's flow control takes the place of a
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use claire_grid::{ClaireError, ClaireResult};
 use claire_mpi::transport::{AbortHandle, Transport, TransportError};
-use claire_mpi::{ClusterError, ClusterResult, Comm, LinkModel, Message, Topology};
+use claire_mpi::{ClusterError, ClusterResult, Comm, Message, Topology};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::frame::{self, FrameError, MAX_FRAME_BYTES};
@@ -380,7 +380,7 @@ where
         let transport = SocketTransport::bootstrap(&dir, rank, topo, opts).unwrap_or_else(|e| {
             std::panic::panic_any(TransportError::Io { detail: e.to_string() })
         });
-        Comm::from_transport(Box::new(transport), LinkModel::default())
+        Comm::from_transport(Box::new(transport))
     };
     let result = claire_mpi::try_run_ranks(topo.nranks, connect, f);
     let _ = std::fs::remove_dir_all(&dir);
@@ -413,8 +413,8 @@ mod tests {
             assert_eq!(got.len(), 100);
             comm.stats().cat(CommCat::Ghost).wire_bytes
         });
-        // 4-byte frame length + 24-byte header + 100 payload bytes
-        assert_eq!(res.outputs, vec![128, 128]);
+        // 4-byte frame length + 16-byte header + 100 payload bytes
+        assert_eq!(res.outputs, vec![120, 120]);
     }
 
     #[test]
@@ -433,8 +433,6 @@ mod tests {
                     src: 0,
                     tag,
                     cat: CommCat::Other,
-                    sent_clock: 0.0,
-                    link_free: false,
                     payload: bytes::Bytes::copy_from_slice(payload),
                 };
                 t.send(1, mk(&small, 1)).unwrap();
@@ -455,8 +453,6 @@ mod tests {
                     src: 1,
                     tag: 99,
                     cat: CommCat::Other,
-                    sent_clock: 0.0,
-                    link_free: false,
                     payload: bytes::Bytes::copy_from_slice(&[]),
                 };
                 t.send(0, ack).unwrap();

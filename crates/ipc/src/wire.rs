@@ -11,9 +11,9 @@
 //! | 4    | per-rank RunReport   | worker process → launcher        |
 //! | 5    | per-rank failure     | worker process → launcher        |
 //!
-//! The data-message header is fixed 24 bytes (kind, flags, category,
-//! reserved, `src: u32`, `tag: u64`, sender clock as `f64` bits) followed by
-//! the raw payload; integers are big-endian like the frame length.
+//! The data-message header is fixed 16 bytes (kind, reserved, category,
+//! reserved, `src: u32`, `tag: u64`) followed by the raw payload; integers
+//! are big-endian like the frame length.
 
 use bytes::Bytes;
 use claire_mpi::{CommCat, Message, Topology};
@@ -21,18 +21,16 @@ use claire_mpi::{CommCat, Message, Topology};
 /// Protocol magic for the bootstrap handshake ("CLIP" — CLaire IPc).
 pub const IPC_MAGIC: u32 = 0x434c_4950;
 /// Version of the rank-to-rank protocol; bumped on any layout change.
-pub const IPC_VERSION: u32 = 1;
+pub const IPC_VERSION: u32 = 2;
 
 /// Size of the encoded data-message header (after the frame length).
-pub const MSG_HEADER_BYTES: usize = 24;
+pub const MSG_HEADER_BYTES: usize = 16;
 
 const KIND_MSG: u8 = 1;
 const KIND_HELLO: u8 = 2;
 const KIND_WELCOME: u8 = 3;
 const KIND_REPORT: u8 = 4;
 const KIND_FAILURE: u8 = 5;
-
-const FLAG_LINK_FREE: u8 = 1;
 
 /// A decode failure: the peer sent bytes that are not a valid frame of the
 /// expected kind (version skew or corruption).
@@ -60,12 +58,10 @@ fn u64_at(buf: &[u8], off: usize) -> u64 {
 pub fn encode_msg_header(msg: &Message) -> [u8; MSG_HEADER_BYTES] {
     let mut h = [0u8; MSG_HEADER_BYTES];
     h[0] = KIND_MSG;
-    h[1] = if msg.link_free { FLAG_LINK_FREE } else { 0 };
+    // h[1], h[3] reserved
     h[2] = msg.cat.index() as u8;
-    // h[3] reserved
     h[4..8].copy_from_slice(&(msg.src as u32).to_be_bytes());
     h[8..16].copy_from_slice(&msg.tag.to_be_bytes());
-    h[16..24].copy_from_slice(&msg.sent_clock.to_bits().to_be_bytes());
     h
 }
 
@@ -83,8 +79,6 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, DecodeError> {
         src: u32_at(frame, 4) as usize,
         tag: u64_at(frame, 8),
         cat,
-        sent_clock: f64::from_bits(u64_at(frame, 16)),
-        link_free: frame[1] & FLAG_LINK_FREE != 0,
         payload: Bytes::copy_from_slice(&frame[MSG_HEADER_BYTES..]),
     })
 }
@@ -214,18 +208,18 @@ mod tests {
             src: 3,
             tag: u64::MAX - 6,
             cat: CommCat::FftTranspose,
-            sent_clock: 1.25e-3,
-            link_free: true,
             payload: Bytes::copy_from_slice(&[9, 8, 7]),
         };
         let mut frame = encode_msg_header(&msg).to_vec();
+        assert_eq!(frame.len(), 16);
+        // one byte short of a header is refused, an empty payload is not
+        assert!(decode_msg(&frame[..15]).unwrap_err().0.contains("too short"));
+        assert!(decode_msg(&frame).unwrap().payload.is_empty());
         frame.extend_from_slice(&msg.payload);
         let back = decode_msg(&frame).unwrap();
         assert_eq!(back.src, 3);
         assert_eq!(back.tag, u64::MAX - 6);
         assert_eq!(back.cat, CommCat::FftTranspose);
-        assert_eq!(back.sent_clock.to_bits(), msg.sent_clock.to_bits());
-        assert!(back.link_free);
         assert_eq!(&back.payload[..], &[9, 8, 7]);
     }
 
@@ -239,10 +233,12 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
+        // a rank of the previous protocol (24-byte data headers) says so in
+        // its hello and is refused before any data frame is misread
         let mut frame = encode_hello(&Hello { rank: 0, topo: Topology::solo() });
-        frame[11] ^= 0xff; // corrupt the version word
+        frame[8..12].copy_from_slice(&1u32.to_be_bytes());
         let err = decode_hello(&frame).unwrap_err();
-        assert!(err.0.contains("version mismatch"), "{err}");
+        assert!(err.0.contains("peer speaks v1, this rank v2"), "{err}");
     }
 
     #[test]

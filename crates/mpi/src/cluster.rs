@@ -8,21 +8,18 @@ use crossbeam::channel::unbounded;
 
 use crate::comm::Comm;
 use crate::message::Message;
-use crate::model::LinkModel;
-use crate::stats::{CommStats, ModelClock};
+use crate::stats::CommStats;
 use crate::topology::Topology;
 use crate::transport::{AbortHandle, ChannelTransport, TransportError};
 
-/// Everything a cluster run produces: per-rank outputs, traffic ledgers and
-/// logical clocks (indexed by rank).
+/// Everything a cluster run produces: per-rank outputs and traffic ledgers
+/// (indexed by rank).
 #[derive(Debug)]
 pub struct ClusterResult<R> {
     /// Per-rank return values of the rank function.
     pub outputs: Vec<R>,
     /// Per-rank traffic ledgers.
     pub stats: Vec<CommStats>,
-    /// Per-rank logical clocks at exit.
-    pub clocks: Vec<ModelClock>,
 }
 
 impl<R> ClusterResult<R> {
@@ -35,25 +32,11 @@ impl<R> ClusterResult<R> {
         total
     }
 
-    /// The slowest rank's logical time — the modeled wall time of the run.
-    pub fn modeled_wall_time(&self) -> f64 {
-        self.clocks.iter().map(|c| c.now()).fold(0.0, f64::max)
-    }
-
-    /// Maximum modeled communication fraction over ranks, as reported in the
-    /// "% comm" columns of the paper's Tables 3 and 7.
-    pub fn modeled_comm_fraction(&self) -> f64 {
-        self.clocks
-            .iter()
-            .map(|c| {
-                let t = c.now();
-                if t > 0.0 {
-                    c.comm_secs() / t
-                } else {
-                    0.0
-                }
-            })
-            .fold(0.0, f64::max)
+    /// Wall seconds the most-blocked rank spent waiting in receives and
+    /// collectives — over the run's wall time, the measured counterpart of
+    /// the "% comm" columns of the paper's Tables 3 and 7.
+    pub fn max_blocked_secs(&self) -> f64 {
+        self.stats.iter().map(CommStats::blocked_secs).fold(0.0, f64::max)
     }
 }
 
@@ -104,7 +87,7 @@ fn indirection(payload: &(dyn Any + Send)) -> u8 {
     }
 }
 
-/// Run `f` on every rank of a virtual cluster with the default link model.
+/// Run `f` on every rank of a virtual cluster.
 ///
 /// Blocks until all ranks return. Rank functions communicate through the
 /// [`Comm`] handle they receive. See the crate-level example. Panics if any
@@ -131,7 +114,7 @@ where
     let connect = |rank: usize, abort: &Arc<AbortHandle>| {
         let (rx, abort) = (rxs[rank].clone(), Some(Arc::clone(abort)));
         let transport = ChannelTransport::new(rank, topo, txs.clone(), rx, abort);
-        Comm::from_transport(Box::new(transport), LinkModel::default())
+        Comm::from_transport(Box::new(transport))
     };
     try_run_ranks(topo.nranks, connect, f)
 }
@@ -153,7 +136,7 @@ where
     C: Fn(usize, &Arc<AbortHandle>) -> Comm + Sync,
 {
     let abort = Arc::new(AbortHandle::new());
-    type RankOutcome<R> = Result<(R, CommStats, ModelClock), Box<dyn Any + Send>>;
+    type RankOutcome<R> = Result<(R, CommStats), Box<dyn Any + Send>>;
     let outcomes: Vec<RankOutcome<R>> = std::thread::scope(|scope| {
         let rank_thread = |rank| {
             let (abort, connect, f) = (&abort, &connect, &f);
@@ -161,8 +144,7 @@ where
                 let run = catch_unwind(AssertUnwindSafe(|| {
                     let mut comm = connect(rank, abort);
                     let out = f(&mut comm);
-                    let (stats, clock) = comm.take_results();
-                    (out, stats, clock)
+                    (out, comm.into_stats())
                 }));
                 // wake the peers this rank will never answer; the first
                 // failure's description wins
@@ -187,13 +169,8 @@ where
     {
         return Err(ClusterError { rank, detail: panic_message(payload.as_ref()) });
     }
-    let mut result = ClusterResult { outputs: Vec::new(), stats: Vec::new(), clocks: Vec::new() };
-    for (out, stats, clock) in outcomes.into_iter().flatten() {
-        result.outputs.push(out);
-        result.stats.push(stats);
-        result.clocks.push(clock);
-    }
-    Ok(result)
+    let (outputs, stats) = outcomes.into_iter().flatten().unzip();
+    Ok(ClusterResult { outputs, stats })
 }
 
 #[cfg(test)]
@@ -219,14 +196,6 @@ mod tests {
         let total = res.total_stats();
         assert_eq!(total.cat(CommCat::Ghost).bytes_sent, 200);
         assert_eq!(total.cat(CommCat::Ghost).msgs_sent, 2);
-    }
-
-    #[test]
-    fn modeled_wall_time_is_max() {
-        let res = run_cluster(Topology::new(3, 4), |comm| {
-            comm.advance_compute((comm.rank() + 1) as f64);
-        });
-        assert!((res.modeled_wall_time() - 3.0).abs() < 1e-12);
     }
 
     #[test]

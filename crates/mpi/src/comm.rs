@@ -9,9 +9,9 @@ use std::time::Instant;
 use bytes::Bytes;
 
 use crate::message::Message;
-use crate::model::{AlltoallMethod, DeviceModel, LinkModel};
+use crate::model::AlltoallMethod;
 use crate::pod::{as_bytes, from_bytes, Pod};
-use crate::stats::{CollOp, CommCat, CommStats, ModelClock};
+use crate::stats::{CollOp, CommCat, CommStats};
 use crate::topology::Topology;
 use crate::transport::{ChannelTransport, Transport};
 
@@ -38,9 +38,6 @@ pub struct Comm {
     transport: Box<dyn Transport>,
     pending: Vec<Message>,
     stats: CommStats,
-    clock: ModelClock,
-    link: LinkModel,
-    device: DeviceModel,
 }
 
 impl Comm {
@@ -49,16 +46,13 @@ impl Comm {
     /// This is the seam multi-process execution plugs into: `claire-ipc`
     /// hands a `SocketTransport` here and every kernel built on [`Comm`]
     /// runs unchanged across process boundaries.
-    pub fn from_transport(transport: Box<dyn Transport>, link: LinkModel) -> Self {
+    pub fn from_transport(transport: Box<dyn Transport>) -> Self {
         Self {
             rank: transport.rank(),
             topo: *transport.topo(),
             transport,
             pending: Vec::new(),
             stats: CommStats::default(),
-            clock: ModelClock::default(),
-            link,
-            device: DeviceModel::default(),
         }
     }
 
@@ -66,7 +60,7 @@ impl Comm {
     ///
     /// Self-sends work: they are queued and matched by the next receive.
     pub fn solo() -> Self {
-        Comm::from_transport(Box::new(ChannelTransport::solo()), LinkModel::default())
+        Comm::from_transport(Box::new(ChannelTransport::solo()))
     }
 
     /// This rank's id in `0..size()`.
@@ -89,32 +83,10 @@ impl Comm {
         &self.topo
     }
 
-    /// The link model used by the logical clock.
-    pub fn link(&self) -> &LinkModel {
-        &self.link
-    }
-
-    /// The device (virtual GPU) roofline model.
-    pub fn device(&self) -> &DeviceModel {
-        &self.device
-    }
-
-    /// Replace the device model (calibration studies).
-    pub fn set_device(&mut self, device: DeviceModel) {
-        self.device = device;
-    }
-
     /// Which transport carries this rank's messages (`"channel"`,
     /// `"socket"`, ...); recorded in RunReport.
     pub fn transport_kind(&self) -> &'static str {
         self.transport.kind()
-    }
-
-    /// Advance the modeled clock by the roofline time of a kernel that
-    /// moved `bytes` through DRAM and executed `flops`.
-    pub fn advance_kernel(&mut self, bytes: usize, flops: usize) {
-        let t = self.device.kernel_time(bytes, flops);
-        self.clock.advance_compute(t);
     }
 
     /// Traffic ledger of this rank.
@@ -122,21 +94,10 @@ impl Comm {
         &self.stats
     }
 
-    /// Logical clock of this rank.
-    pub fn clock(&self) -> &ModelClock {
-        &self.clock
-    }
-
-    /// Advance the logical clock by modeled compute seconds (roofline cost
-    /// of a kernel that just ran).
-    pub fn advance_compute(&mut self, secs: f64) {
-        self.clock.advance_compute(secs);
-    }
-
-    /// Consume the communicator, yielding its ledgers (cluster runners
+    /// Consume the communicator, yielding its ledger (cluster runners
     /// collect these per rank).
-    pub fn take_results(self) -> (CommStats, ModelClock) {
-        (self.stats, self.clock)
+    pub fn into_stats(self) -> CommStats {
+        self.stats
     }
 
     // ----- point to point -------------------------------------------------
@@ -144,21 +105,15 @@ impl Comm {
     /// Send a typed slice to `dst` with `tag`. Non-blocking (buffered).
     pub fn send<T: Pod>(&mut self, dst: usize, tag: u64, cat: CommCat, data: &[T]) {
         self.stats.record_coll(CollOp::P2p, std::mem::size_of_val(data) as u64);
-        self.send_impl(dst, tag, cat, data, false);
+        self.send_impl(dst, tag, cat, data);
     }
 
-    fn send_impl<T: Pod>(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        cat: CommCat,
-        data: &[T],
-        link_free: bool,
-    ) {
+    /// A send that is part of a collective: on the byte/message ledger of
+    /// `cat`, not on the `P2p` call count.
+    fn send_impl<T: Pod>(&mut self, dst: usize, tag: u64, cat: CommCat, data: &[T]) {
         let payload = Bytes::copy_from_slice(as_bytes(data));
         let nbytes = payload.len() as u64;
-        let msg =
-            Message { src: self.rank, tag, cat, sent_clock: self.clock.now(), link_free, payload };
+        let msg = Message { src: self.rank, tag, cat, payload };
         let wire = self.transport.send(dst, msg).unwrap_or_else(|e| std::panic::panic_any(e));
         let c = self.stats.cat_mut(cat);
         c.bytes_sent += nbytes;
@@ -166,18 +121,12 @@ impl Comm {
         c.wire_bytes += wire;
     }
 
-    /// Control-plane send (barrier rendezvous): bypasses the message/byte
-    /// ledger so the logical traffic accounting is identical across
-    /// transports, but still attributes real wire bytes to `Reduce`.
-    fn send_raw(&mut self, dst: usize, tag: u64, data: &[f64]) {
-        let msg = Message {
-            src: self.rank,
-            tag,
-            cat: CommCat::Reduce,
-            sent_clock: self.clock.now(),
-            link_free: true,
-            payload: Bytes::copy_from_slice(as_bytes(data)),
-        };
+    /// Control-plane send (barrier rendezvous): an empty message that
+    /// bypasses the message/byte ledger so the logical traffic accounting is
+    /// identical across transports, but still attributes real wire bytes to
+    /// `Reduce`.
+    fn send_control(&mut self, dst: usize, tag: u64) {
+        let msg = Message { src: self.rank, tag, cat: CommCat::Reduce, payload: Bytes::new() };
         let wire = self.transport.send(dst, msg).unwrap_or_else(|e| std::panic::panic_any(e));
         self.stats.cat_mut(CommCat::Reduce).wire_bytes += wire;
     }
@@ -187,37 +136,23 @@ impl Comm {
     /// Matches `(src, tag)` in FIFO order; other messages arriving in the
     /// meantime are buffered.
     pub fn recv<T: Pod>(&mut self, src: usize, tag: u64, cat: CommCat) -> Vec<T> {
-        let msg = self.recv_msg(src, tag, cat);
-        // logical timing: the transfer completes at sender clock + link time
-        if msg.link_free {
-            self.clock.sync_to(msg.sent_clock);
-        } else {
-            let t = self.link.msg_time(msg.payload.len(), self.topo.same_node(self.rank, msg.src));
-            self.clock.sync_to(msg.sent_clock + t);
-            self.stats.cat_mut(cat).modeled_secs += t;
-        }
-        from_bytes(&msg.payload)
+        from_bytes(&self.recv_msg(src, tag, cat).payload)
     }
 
-    fn recv_match(&mut self, src: usize, tag: u64) -> Message {
-        if let Some(pos) = self.pending.iter().position(|m| m.src == src && m.tag == tag) {
-            return self.pending.remove(pos);
-        }
-        loop {
-            let msg = self.transport.recv().unwrap_or_else(|e| std::panic::panic_any(e));
-            if msg.src == src && msg.tag == tag {
-                return msg;
-            }
-            self.pending.push(msg);
-        }
-    }
-
+    /// The next message from `src` with `tag`; the wait for it, if it has
+    /// not arrived yet, is booked as blocked time of `cat`.
     fn recv_msg(&mut self, src: usize, tag: u64, cat: CommCat) -> Message {
         if let Some(pos) = self.pending.iter().position(|m| m.src == src && m.tag == tag) {
             return self.pending.remove(pos);
         }
         let t0 = Instant::now();
-        let msg = self.recv_match(src, tag);
+        let msg = loop {
+            let msg = self.transport.recv().unwrap_or_else(|e| std::panic::panic_any(e));
+            if msg.src == src && msg.tag == tag {
+                break msg;
+            }
+            self.pending.push(msg);
+        };
         self.stats.cat_mut(cat).wall_blocked += t0.elapsed();
         msg
     }
@@ -237,54 +172,32 @@ impl Comm {
 
     // ----- collectives ----------------------------------------------------
 
-    /// Rendezvous of all logical clocks through the transport: every rank
-    /// learns the maximum entry clock. Rank 0 collects entry times in rank
-    /// order and releases peers with the maximum — a true barrier (nobody
-    /// proceeds before everybody arrived), built on the same point-to-point
-    /// surface as everything else so it works across processes.
-    fn clock_rendezvous(&mut self) -> f64 {
-        if self.rank == 0 {
-            let mut max = self.clock.now();
-            for src in 1..self.size() {
-                let msg = self.recv_match(src, TAG_BAR_UP);
-                let t = from_bytes::<f64>(&msg.payload)[0];
-                if t > max {
-                    max = t;
-                }
-            }
-            for dst in 1..self.size() {
-                self.send_raw(dst, TAG_BAR_DOWN, &[max]);
-            }
-            max
-        } else {
-            let now = self.clock.now();
-            self.send_raw(0, TAG_BAR_UP, &[now]);
-            let msg = self.recv_match(0, TAG_BAR_DOWN);
-            from_bytes::<f64>(&msg.payload)[0]
-        }
-    }
-
-    /// Barrier: all ranks wait; logical clocks synchronize to the maximum.
+    /// Barrier: no rank leaves before every rank has entered. Rank 0
+    /// collects one empty control message per peer and then releases them —
+    /// built on the same point-to-point surface as everything else, so it
+    /// works across processes.
     pub fn barrier(&mut self) {
         self.stats.record_coll(CollOp::Barrier, 0);
         if self.is_solo() {
             return;
         }
-        let t0 = Instant::now();
-        let max = self.clock_rendezvous();
-        self.clock.sync_to(max);
-        let bt = self.link.barrier_time(&self.topo);
-        self.clock.advance_comm(bt);
-        let c = self.stats.cat_mut(CommCat::Reduce);
-        c.wall_blocked += t0.elapsed();
-        c.modeled_secs += bt;
+        if self.rank == 0 {
+            for src in 1..self.size() {
+                self.recv_msg(src, TAG_BAR_UP, CommCat::Reduce);
+            }
+            for dst in 1..self.size() {
+                self.send_control(dst, TAG_BAR_DOWN);
+            }
+        } else {
+            self.send_control(0, TAG_BAR_UP);
+            self.recv_msg(0, TAG_BAR_DOWN, CommCat::Reduce);
+        }
     }
 
     /// All-reduce with a user-provided elementwise combiner.
     ///
-    /// Implemented as gather-to-root + broadcast over the message layer;
-    /// modeled cost is a binomial tree (charged once, messages are
-    /// link-free).
+    /// Implemented as gather-to-root + broadcast over the message layer,
+    /// folding contributions in rank order at rank 0.
     pub fn allreduce<T: Pod, F: Fn(&mut [T], &[T])>(&mut self, data: &mut [T], op: F) {
         self.stats.record_coll(CollOp::Allreduce, std::mem::size_of_val(data) as u64);
         if self.is_solo() {
@@ -294,38 +207,18 @@ impl Comm {
         const TAG_DOWN: u64 = u64::MAX - 2;
         if self.rank == 0 {
             for src in 1..self.size() {
-                let contrib: Vec<T> = self.recv_link_free(src, TAG_UP);
+                let contrib: Vec<T> = self.recv(src, TAG_UP, CommCat::Reduce);
                 assert_eq!(contrib.len(), data.len(), "allreduce length mismatch");
                 op(data, &contrib);
             }
             for dst in 1..self.size() {
-                self.send_impl(dst, TAG_DOWN, CommCat::Reduce, data, true);
+                self.send_impl(dst, TAG_DOWN, CommCat::Reduce, data);
             }
         } else {
-            self.send_impl(0, TAG_UP, CommCat::Reduce, data, true);
-            let result: Vec<T> = self.recv_link_free(0, TAG_DOWN);
+            self.send_impl(0, TAG_UP, CommCat::Reduce, data);
+            let result: Vec<T> = self.recv(0, TAG_DOWN, CommCat::Reduce);
             data.copy_from_slice(&result);
         }
-        // collective-level modeled cost: two tree sweeps
-        let bytes = std::mem::size_of_val(data);
-        let t = 2.0 * self.link.tree_time(bytes, &self.topo);
-        self.clock.advance_comm(t);
-        self.stats.cat_mut(CommCat::Reduce).modeled_secs += t;
-        self.barrier_clock_sync();
-    }
-
-    fn recv_link_free<T: Pod>(&mut self, src: usize, tag: u64) -> Vec<T> {
-        let msg = self.recv_msg(src, tag, CommCat::Reduce);
-        self.clock.sync_to(msg.sent_clock);
-        from_bytes(&msg.payload)
-    }
-
-    /// Clock-only synchronization (no wait semantics beyond the messages
-    /// already exchanged); used to make collectives leave all ranks at the
-    /// same logical time, like a blocking MPI collective.
-    fn barrier_clock_sync(&mut self) {
-        let max = self.clock_rendezvous();
-        self.clock.sync_to(max);
     }
 
     /// Sum-all-reduce for `f64` slices.
@@ -365,17 +258,12 @@ impl Comm {
         if self.rank == root {
             for dst in 0..self.size() {
                 if dst != root {
-                    self.send_impl(dst, TAG_BCAST, CommCat::Reduce, data, true);
+                    self.send_impl(dst, TAG_BCAST, CommCat::Reduce, data);
                 }
             }
         } else {
-            *data = self.recv_link_free(root, TAG_BCAST);
+            *data = self.recv(root, TAG_BCAST, CommCat::Reduce);
         }
-        let bytes = data.len() * std::mem::size_of::<T>();
-        let t = self.link.tree_time(bytes, &self.topo);
-        self.clock.advance_comm(t);
-        self.stats.cat_mut(CommCat::Reduce).modeled_secs += t;
-        self.barrier_clock_sync();
     }
 
     /// Gather variable-length contributions to `root`.
@@ -405,7 +293,7 @@ impl Comm {
             Some(parts)
         } else {
             self.stats.record_coll(CollOp::Gatherv, std::mem::size_of_val(data) as u64);
-            self.send_impl(root, TAG_GATHER, cat, data, false);
+            self.send_impl(root, TAG_GATHER, cat, data);
             None
         }
     }
@@ -434,7 +322,7 @@ impl Comm {
             self.stats.record_coll(CollOp::Scatterv, sent as u64);
             for (dst, part) in parts.iter().enumerate() {
                 if dst != root {
-                    self.send_impl(dst, TAG_SCATTER, cat, part, false);
+                    self.send_impl(dst, TAG_SCATTER, cat, part);
                 }
             }
             parts[root].clone()
@@ -447,23 +335,23 @@ impl Comm {
     /// All-to-all-v: rank `r` sends `bufs[d]` to rank `d`; returns the
     /// received parts indexed by source rank.
     ///
-    /// The paper's distributed FFT transpose is built on this. Both
-    /// communication paths of §3.3 are supported: the vendor `MPI_Alltoallv`
-    /// emulation and the asynchronous peer-to-peer scheme, switched at a
-    /// 512 kB per-pair volume by [`AlltoallMethod::Auto`]. Functionally the
-    /// paths are identical; they differ in the modeled cost.
+    /// The paper's distributed FFT transpose is built on this. `method`
+    /// names which of §3.3's two paths the caller would pick on the paper's
+    /// machine; it is a hint the in-process and socket transports ignore —
+    /// every exchange posts its p − 1 sends asynchronously, like the paper's
+    /// peer-to-peer scheme.
     pub fn alltoallv<T: Pod>(
         &mut self,
         bufs: &[Vec<T>],
         cat: CommCat,
-        method: AlltoallMethod,
+        _method: AlltoallMethod,
     ) -> Vec<Vec<T>> {
         assert_eq!(bufs.len(), self.size(), "alltoallv needs one buffer per rank");
         const TAG_A2A: u64 = u64::MAX - 6;
         // post all sends (asynchronous, like the paper's P2P scheme)
         for dst in 0..self.size() {
             if dst != self.rank {
-                self.send_impl(dst, TAG_A2A, cat, &bufs[dst], true);
+                self.send_impl(dst, TAG_A2A, cat, &bufs[dst]);
             }
         }
         let mut out: Vec<Vec<T>> = Vec::with_capacity(self.size());
@@ -471,12 +359,9 @@ impl Comm {
             if src == self.rank {
                 out.push(bufs[src].clone());
             } else {
-                let msg = self.recv_msg(src, TAG_A2A, cat);
-                self.clock.sync_to(msg.sent_clock);
-                out.push(from_bytes(&msg.payload));
+                out.push(self.recv(src, TAG_A2A, cat));
             }
         }
-        // collective-level modeled cost
         let per_rank_bytes: usize = bufs
             .iter()
             .enumerate()
@@ -484,12 +369,6 @@ impl Comm {
             .map(|(_, b)| std::mem::size_of_val(b.as_slice()))
             .sum();
         self.stats.record_coll(CollOp::Alltoallv, per_rank_bytes as u64);
-        let t = self.link.alltoall_time(per_rank_bytes, &self.topo, method);
-        self.clock.advance_comm(t);
-        self.stats.cat_mut(cat).modeled_secs += t;
-        if !self.is_solo() {
-            self.barrier_clock_sync();
-        }
         out
     }
 }
@@ -497,7 +376,12 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::run_cluster;
+    use crate::cluster::{run_cluster, try_run_ranks};
+    use crate::transport::{AbortHandle, TransportError};
+    use crossbeam::channel::unbounded;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn solo_self_send() {
@@ -578,17 +462,18 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes_clocks() {
-        let topo = Topology::new(4, 4);
-        let res = run_cluster(topo, |comm| {
-            comm.advance_compute(comm.rank() as f64);
+    fn no_rank_leaves_the_barrier_before_the_last_one_entered() {
+        let res = run_cluster(Topology::new(4, 4), |comm| {
+            // staggered arrivals, so a barrier that let ranks through early
+            // would show; the assertion does not depend on the delays
+            std::thread::sleep(Duration::from_millis(15 * comm.rank() as u64));
+            let entered = Instant::now();
             comm.barrier();
-            comm.clock().now()
+            (entered, Instant::now())
         });
-        let max = res.outputs.iter().cloned().fold(0.0, f64::max);
-        for &t in &res.outputs {
-            assert!(t >= 3.0, "all clocks should reach the slowest rank: {t} vs {max}");
-        }
+        let last_in = res.outputs.iter().map(|o| o.0).max().unwrap();
+        let first_out = res.outputs.iter().map(|o| o.1).min().unwrap();
+        assert!(first_out >= last_in, "a rank left {:?} early", last_in - first_out);
     }
 
     #[test]
@@ -609,21 +494,58 @@ mod tests {
         }
     }
 
+    /// Counts every message a rank puts on its transport.
+    struct Counting {
+        inner: ChannelTransport,
+        sent: Arc<AtomicUsize>,
+    }
+
+    impl Transport for Counting {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn topo(&self) -> &Topology {
+            self.inner.topo()
+        }
+        fn kind(&self) -> &'static str {
+            self.inner.kind()
+        }
+        fn send(&mut self, dst: usize, msg: Message) -> Result<u64, TransportError> {
+            self.sent.fetch_add(1, Ordering::Relaxed);
+            self.inner.send(dst, msg)
+        }
+        fn recv(&mut self) -> Result<Message, TransportError> {
+            self.inner.recv()
+        }
+    }
+
+    /// Messages one `op` on every rank of a `p`-rank cluster puts on the
+    /// transports, in total.
+    fn messages_on_the_transport(p: usize, op: impl Fn(&mut Comm) + Sync) -> usize {
+        let topo = Topology::new(p, 4);
+        let sent = Arc::new(AtomicUsize::new(0));
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..p).map(|_| unbounded::<Message>()).unzip();
+        let connect = |rank: usize, abort: &Arc<AbortHandle>| {
+            let (rx, abort) = (rxs[rank].clone(), Some(Arc::clone(abort)));
+            let inner = ChannelTransport::new(rank, topo, txs.clone(), rx, abort);
+            Comm::from_transport(Box::new(Counting { inner, sent: Arc::clone(&sent) }))
+        };
+        try_run_ranks(p, connect, op).unwrap();
+        sent.load(Ordering::Relaxed)
+    }
+
     #[test]
-    fn modeled_clock_orders_pipeline() {
-        // rank 0 computes 1s then sends; rank 1 must end past 1s.
-        let topo = Topology::new(2, 4);
-        let res = run_cluster(topo, |comm| {
-            if comm.rank() == 0 {
-                comm.advance_compute(1.0);
-                comm.send(1, 9, CommCat::Ghost, &[0u8; 1024]);
-                comm.clock().now()
-            } else {
-                let _: Vec<u8> = comm.recv(0, 9, CommCat::Ghost);
-                comm.clock().now()
-            }
-        });
-        assert!(res.outputs[1] > 1.0);
-        assert!(res.outputs[1] > res.outputs[0]);
+    fn collectives_send_their_own_messages_and_no_more() {
+        for p in 2..=4 {
+            let n = |op: fn(&mut Comm)| messages_on_the_transport(p, op);
+            assert_eq!(n(|c| c.allreduce_sum(&mut [1.0])), 2 * (p - 1), "allreduce, p={p}");
+            assert_eq!(n(|c| c.broadcast(1, &mut vec![7u64])), p - 1, "broadcast, p={p}");
+            let a2a = |c: &mut Comm| {
+                let bufs = vec![vec![0u8; 3]; c.size()];
+                c.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto);
+            };
+            assert_eq!(n(a2a), p * (p - 1), "alltoallv, p={p}");
+            assert_eq!(n(|c| c.barrier()), 2 * (p - 1), "barrier, p={p}");
+        }
     }
 }

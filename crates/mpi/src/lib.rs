@@ -24,17 +24,9 @@
 //! 2. **Accounting.** Every operation records its traffic in a per-rank
 //!    [`CommStats`] ledger, bucketed by [`CommCat`] so the five phases of the
 //!    paper's Table 2 (`ghost_comm`, `scatter_comm`, `interp_comm`, ...) can
-//!    be reported. In parallel, a logical [`ModelClock`](stats::ModelClock)
-//!    advances per rank using a calibrated α–β link model ([`LinkModel`]) so
-//!    that *modeled* runtimes at paper scale can be produced even though the
-//!    host has no GPUs.
-//!
-//! The modeled clock implements a small parallel-discrete-event scheme:
-//! every message carries the sender's logical timestamp; a receive sets the
-//! receiver's clock to `max(own, sender + latency + bytes/bandwidth)`;
-//! collectives synchronize to the maximum participant clock. Compute kernels
-//! advance the clock through [`Comm::advance_compute`] using the roofline
-//! costs of the paper's §3.
+//!    be reported, together with the wall time the rank spent blocked in
+//!    each. What the same traffic would cost on the paper's machine is not
+//!    this crate's business: `claire-perf` models that from the byte counts.
 //!
 //! # Example
 //!
@@ -68,8 +60,8 @@ pub use cluster::{
 };
 pub use comm::Comm;
 pub use message::Message;
-pub use model::{AlltoallMethod, LinkModel};
+pub use model::AlltoallMethod;
 pub use pod::Pod;
-pub use stats::{CatStats, CollOp, CollStats, CommCat, CommStats, ModelClock};
+pub use stats::{CatStats, CollOp, CollStats, CommCat, CommStats};
 pub use topology::Topology;
 pub use transport::{AbortHandle, ChannelTransport, Transport, TransportError};

@@ -6,8 +6,7 @@ use bytes::Bytes;
 /// A message in flight between two virtual ranks.
 ///
 /// The payload is an owned byte buffer ([`Bytes`]), mirroring the raw device
-/// buffers CUDA-aware MPI moves between GPUs. `sent_clock` carries the
-/// sender's logical timestamp for the discrete-event timing model.
+/// buffers CUDA-aware MPI moves between GPUs.
 #[derive(Clone, Debug)]
 pub struct Message {
     /// Sending rank.
@@ -16,12 +15,6 @@ pub struct Message {
     pub tag: u64,
     /// Traffic category for accounting.
     pub cat: CommCat,
-    /// Sender's logical clock at send time.
-    pub sent_clock: f64,
-    /// If true, the receiver only synchronizes clocks and does not charge
-    /// per-message link time (used by collectives that charge a single
-    /// collective-level cost instead).
-    pub link_free: bool,
     /// Raw payload bytes.
     pub payload: Bytes,
 }

@@ -1,14 +1,9 @@
-//! Per-rank traffic accounting and the logical modeled clock.
+//! Per-rank traffic accounting.
 //!
-//! Two ledgers are kept per rank:
-//!
-//! * [`CommStats`] counts bytes, messages, and wall time blocked per
-//!   [`CommCat`]. The categories are named after the runtime components of
-//!   the paper's Table 2 so that reproduction harnesses can print the same
-//!   breakdown (`ghost_comm`, `scatter_comm`, `interp_comm`, ...).
-//! * [`ModelClock`] is a logical timestamp that advances by *modeled* GPU
-//!   compute time and *modeled* link time (via [`crate::LinkModel`]); it is
-//!   the quantity the paper-scale tables are generated from.
+//! [`CommStats`] counts bytes, messages, and wall time blocked per
+//! [`CommCat`]. The categories are named after the runtime components of
+//! the paper's Table 2 so that reproduction harnesses can print the same
+//! breakdown (`ghost_comm`, `scatter_comm`, `interp_comm`, ...).
 
 use std::time::Duration;
 
@@ -92,8 +87,6 @@ pub struct CatStats {
     pub wire_bytes: u64,
     /// Wall-clock time this rank spent blocked in receives/collectives.
     pub wall_blocked: Duration,
-    /// Modeled communication seconds attributed to this category.
-    pub modeled_secs: f64,
 }
 
 /// A communication operation, for per-collective call/byte accounting.
@@ -101,7 +94,7 @@ pub struct CatStats {
 pub enum CollOp {
     /// Point-to-point sends issued directly by user code.
     P2p,
-    /// [`crate::Comm::barrier`] / `barrier_clock_sync`.
+    /// [`crate::Comm::barrier`].
     Barrier,
     /// [`crate::Comm::allreduce`].
     Allreduce,
@@ -196,9 +189,10 @@ impl CommStats {
         self.cats.iter().map(|c| c.bytes_sent).sum()
     }
 
-    /// Total modeled communication seconds across all categories.
-    pub fn total_modeled_secs(&self) -> f64 {
-        self.cats.iter().map(|c| c.modeled_secs).sum()
+    /// Wall seconds this rank spent blocked in receives and collectives,
+    /// all categories together.
+    pub fn blocked_secs(&self) -> f64 {
+        self.cats.iter().map(|c| c.wall_blocked.as_secs_f64()).sum()
     }
 
     /// Merge another rank's ledger into this one (for cluster-wide totals).
@@ -208,7 +202,6 @@ impl CommStats {
             a.msgs_sent += b.msgs_sent;
             a.wire_bytes += b.wire_bytes;
             a.wall_blocked += b.wall_blocked;
-            a.modeled_secs += b.modeled_secs;
         }
         for (a, b) in self.colls.iter_mut().zip(other.colls.iter()) {
             a.calls += b.calls;
@@ -217,73 +210,9 @@ impl CommStats {
     }
 }
 
-/// Logical per-rank clock for the parallel-discrete-event timing model.
-///
-/// `compute` and `comm` are tracked separately so harnesses can report the
-/// "% communication" columns of the paper's Tables 3 and 7; `now()` is their
-/// monotone combination used for message timestamps.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ModelClock {
-    now: f64,
-    compute: f64,
-    comm: f64,
-}
-
-impl ModelClock {
-    /// Current logical time in seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Accumulated modeled compute seconds.
-    pub fn compute_secs(&self) -> f64 {
-        self.compute
-    }
-
-    /// Accumulated modeled communication seconds (including waits).
-    pub fn comm_secs(&self) -> f64 {
-        self.comm
-    }
-
-    /// Advance by modeled compute time.
-    pub fn advance_compute(&mut self, secs: f64) {
-        debug_assert!(secs >= 0.0);
-        self.now += secs;
-        self.compute += secs;
-    }
-
-    /// Advance by modeled communication time.
-    pub fn advance_comm(&mut self, secs: f64) {
-        debug_assert!(secs >= 0.0);
-        self.now += secs;
-        self.comm += secs;
-    }
-
-    /// Synchronize with an event completing at logical time `t` (e.g. a
-    /// message arrival); any induced wait is accounted as communication.
-    pub fn sync_to(&mut self, t: f64) {
-        if t > self.now {
-            self.comm += t - self.now;
-            self.now = t;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_split_accounting() {
-        let mut c = ModelClock::default();
-        c.advance_compute(1.0);
-        c.advance_comm(0.5);
-        c.sync_to(2.0); // waits 0.5
-        c.sync_to(1.0); // no-op, in the past
-        assert!((c.now() - 2.0).abs() < 1e-12);
-        assert!((c.compute_secs() - 1.0).abs() < 1e-12);
-        assert!((c.comm_secs() - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn stats_merge_and_totals() {

@@ -1,8 +1,8 @@
 //! Cluster topology: how virtual ranks map onto virtual nodes.
 //!
 //! On TACC Longhorn (the paper's system) each node hosts four V100 GPUs and
-//! CLAIRE uses one MPI rank per GPU. Whether two ranks share a node decides
-//! which link their traffic uses: NVLink peer-to-peer inside a node versus
+//! CLAIRE uses one MPI rank per GPU. How many nodes a run spans decides
+//! which link its traffic uses: NVLink peer-to-peer inside a node versus
 //! InfiniBand between nodes — the distinction behind the paper's Table 4.
 
 /// Shape of the virtual cluster.
@@ -36,19 +36,9 @@ impl Topology {
         Self::new(nranks, 4)
     }
 
-    /// Node index hosting `rank`.
-    pub fn node_of(&self, rank: usize) -> usize {
-        rank / self.gpus_per_node
-    }
-
     /// Number of nodes (ceiling division).
     pub fn nnodes(&self) -> usize {
         self.nranks.div_ceil(self.gpus_per_node)
-    }
-
-    /// Whether two ranks share a node (and thus the intra-node link).
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
     }
 }
 
@@ -60,24 +50,18 @@ mod tests {
     fn longhorn_node_mapping() {
         let t = Topology::longhorn(32);
         assert_eq!(t.nnodes(), 8);
-        assert!(t.same_node(0, 3));
-        assert!(!t.same_node(3, 4));
-        assert_eq!(t.node_of(31), 7);
     }
 
     #[test]
     fn solo_is_single_node() {
         let t = Topology::solo();
         assert_eq!(t.nnodes(), 1);
-        assert!(t.same_node(0, 0));
     }
 
     #[test]
     fn partial_last_node() {
         let t = Topology::new(6, 4);
         assert_eq!(t.nnodes(), 2);
-        assert!(t.same_node(4, 5));
-        assert!(!t.same_node(3, 4));
     }
 
     #[test]

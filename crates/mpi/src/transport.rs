@@ -231,14 +231,7 @@ mod tests {
     use bytes::Bytes;
 
     fn msg(src: usize, tag: u64) -> Message {
-        Message {
-            src,
-            tag,
-            cat: CommCat::Other,
-            sent_clock: 0.0,
-            link_free: false,
-            payload: Bytes::copy_from_slice(&[1, 2, 3]),
-        }
+        Message { src, tag, cat: CommCat::Other, payload: Bytes::copy_from_slice(&[1, 2, 3]) }
     }
 
     #[test]

@@ -57,8 +57,6 @@ pub struct RunSummary {
     pub jac_det_max: f64,
     /// Measured wall-clock seconds for the solve.
     pub time_total: f64,
-    /// Modeled (virtual-cluster) seconds for the solve.
-    pub modeled_total: f64,
     /// Whether the gradient tolerance was reached.
     pub converged: bool,
 }
@@ -114,16 +112,19 @@ pub struct PhaseShares {
 }
 
 impl PhaseShares {
-    /// Derive shares from per-kernel timings plus the solve wall-clock.
-    /// Kernel names follow claire-par's timer labels.
-    pub fn from_kernels(kernels: &[KernelEntry], total_secs: f64) -> Self {
+    /// Derive shares from per-kernel timings plus one rank's solve
+    /// wall-clock. Kernel names follow claire-par's timer labels. The timers
+    /// are process-global: `sharing_ranks` is how many ranks ran in this
+    /// process and summed into them, so the shares are the mean rank's.
+    pub fn from_kernels(kernels: &[KernelEntry], total_secs: f64, sharing_ranks: usize) -> Self {
         let sum = |names: &[&str]| -> f64 {
-            kernels.iter().filter(|k| names.contains(&k.name.as_str())).map(|k| k.secs).sum()
+            let secs = kernels.iter().filter(|k| names.contains(&k.name.as_str())).map(|k| k.secs);
+            secs.sum::<f64>() / sharing_ranks as f64
         };
         let fft_secs = sum(&["fft_serial", "fft_dist", "fft_transpose"]);
         let ip_secs = sum(&["interp"]);
         let fd_secs = sum(&["fd"]);
-        let other_secs = (total_secs - fft_secs - ip_secs - fd_secs).max(0.0);
+        let other_secs = total_secs - fft_secs - ip_secs - fd_secs;
         PhaseShares { fft_secs, ip_secs, fd_secs, other_secs, total_secs }
     }
 }
@@ -153,8 +154,9 @@ pub struct CommPhaseEntry {
     /// Real bytes on the wire, framing and headers included (0 on the
     /// in-process channel transport, where nothing is serialized).
     pub wire_bytes: u64,
-    /// Modeled network seconds for this category.
-    pub modeled_secs: f64,
+    /// Wall seconds the reporting rank spent blocked in this category's
+    /// receives and collectives (measured; differs between transports).
+    pub blocked_secs: f64,
 }
 
 /// Calls/bytes for one collective operation across the communicator.
@@ -371,10 +373,16 @@ mod tests {
             KernelEntry { name: "interp".into(), calls: 4, secs: 2.0 },
             KernelEntry { name: "fd".into(), calls: 8, secs: 0.25 },
         ];
-        let p = PhaseShares::from_kernels(&kernels, 5.0);
+        let p = PhaseShares::from_kernels(&kernels, 5.0, 1);
         assert_eq!(p.fft_secs, 1.5);
         assert_eq!(p.ip_secs, 2.0);
         assert_eq!(p.fd_secs, 0.25);
         assert!((p.other_secs - 1.25).abs() < 1e-12);
+        // timers two rank threads summed into, against one rank's 2.5 s
+        let p = PhaseShares::from_kernels(&kernels, 2.5, 2);
+        assert_eq!((p.fft_secs, p.ip_secs, p.fd_secs), (0.75, 1.0, 0.125));
+        assert!((p.other_secs - 0.625).abs() < 1e-12);
+        // a ruler that over-counts shows, it is not clamped away
+        assert!(PhaseShares::from_kernels(&kernels, 2.5, 1).other_secs < 0.0);
     }
 }

@@ -100,7 +100,7 @@ impl Default for GnConfig {
     }
 }
 
-/// Wall or modeled seconds per solver component (Table 6 / Fig. 4 columns).
+/// Wall seconds per solver component (Table 6 / Fig. 4 columns).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Breakdown {
     /// Preconditioner applications.
@@ -141,8 +141,6 @@ pub struct GnStats {
     pub objective_history: Vec<f64>,
     /// Wall-clock breakdown.
     pub time: Breakdown,
-    /// Modeled (virtual cluster) breakdown.
-    pub modeled: Breakdown,
     /// Whether the gradient tolerance was reached.
     pub converged: bool,
     /// Whether [`GnState::cancel`] ended the solve early.
@@ -151,12 +149,11 @@ pub struct GnStats {
     pub grad_rel: f64,
 }
 
-/// Wall seconds, modeled seconds and calls of one solver component
-/// (Table 6 breakdown columns).
+/// Wall seconds and calls of one solver component (Table 6 breakdown
+/// columns).
 #[derive(Default)]
 struct Tally {
     secs: f64,
-    modeled: f64,
     calls: usize,
 }
 
@@ -170,10 +167,8 @@ impl Tally {
     ) -> R {
         let _s = span(name);
         let t = Instant::now();
-        let m = comm.clock().now();
         let out = f(comm);
         self.secs += t.elapsed().as_secs_f64();
-        self.modeled += comm.clock().now() - m;
         self.calls += 1;
         out
     }
@@ -237,7 +232,6 @@ pub struct GnState {
     g0norm: Option<f64>,
     finished: bool,
     t_total: f64,
-    m_total: f64,
 }
 
 impl GnState {
@@ -248,15 +242,7 @@ impl GnState {
         // per-iteration pushes in `step` never reallocate
         stats.grad_rel_history.reserve(cfg.max_iter + 1);
         stats.objective_history.reserve(cfg.max_iter + 1);
-        GnState {
-            v: v0,
-            j: None,
-            stats,
-            g0norm: None,
-            finished: cfg.max_iter == 0,
-            t_total: 0.0,
-            m_total: 0.0,
-        }
+        GnState { v: v0, j: None, stats, g0norm: None, finished: cfg.max_iter == 0, t_total: 0.0 }
     }
 
     /// Whether the solve is over (converged, stagnated, iteration cap, or
@@ -293,10 +279,8 @@ impl GnState {
             return true;
         }
         let t0 = Instant::now();
-        let m0 = comm.clock().now();
         self.step_body(problem, cfg, comm);
         self.t_total += t0.elapsed().as_secs_f64();
-        self.m_total += comm.clock().now() - m0;
         self.finished
     }
 
@@ -306,7 +290,6 @@ impl GnState {
         let mut grad = Tally::default();
         let g = grad.timed("gradient", comm, |comm| problem.gradient(&self.v, comm));
         stats.time.grad += grad.secs;
-        stats.modeled.grad += grad.modeled;
 
         let gnorm = g.norm_l2(comm);
         let g0 = *self.g0norm.get_or_insert(gnorm.max(f64::MIN_POSITIVE));
@@ -372,8 +355,6 @@ impl GnState {
         };
         stats.time.hess += hess.secs;
         stats.time.pc += pc.secs;
-        stats.modeled.hess += hess.modeled;
-        stats.modeled.pc += pc.modeled;
         stats.hess_applies += hess.calls;
         stats.pc_applies += pc.calls;
         stats.pcg_iters_total += pcg_res.iters;
@@ -381,7 +362,6 @@ impl GnState {
         // Armijo line search on J
         let ls_span = span("linesearch");
         let t0 = Instant::now();
-        let m0 = comm.clock().now();
         let j0 = self.j.unwrap_or_else(|| {
             stats.obj_evals += 1;
             problem.objective(&self.v, comm)
@@ -416,7 +396,6 @@ impl GnState {
         }
         let j_new = self.j.unwrap_or(j0);
         stats.time.obj += t0.elapsed().as_secs_f64();
-        stats.modeled.obj += comm.clock().now() - m0;
         drop(ls_span);
         records::push_gn(stats.gn_iters, j_new, rel, pcg_res.iters);
         stats.gn_iters += 1;
@@ -436,7 +415,6 @@ impl GnState {
     /// bump the end-of-solve metrics. Consumes the state.
     pub fn finish(mut self) -> (VectorField, GnStats) {
         self.stats.time.total = self.t_total;
-        self.stats.modeled.total = self.m_total;
         GN_OBJ_EVALS.add(self.stats.obj_evals as u64);
         GN_HESS_APPLIES.add(self.stats.hess_applies as u64);
         GN_CONVERGED.set(if self.stats.converged { 1.0 } else { 0.0 });

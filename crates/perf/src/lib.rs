@@ -6,11 +6,11 @@
 //! crate regenerates the paper's *scaling* tables analytically:
 //!
 //! * kernel compute times from a DRAM-roofline model of the V100
-//!   ([`claire_mpi::model::DeviceModel`]), using the paper's §3 operation
+//!   ([`DeviceModel`]), using the paper's §3 operation
 //!   counts (`cIP = 482·N/p` Lagrange / `30·N/p` linear, `cFD = 20·N/p`,
 //!   FFT `O(N log N)` with a calibrated pass count);
 //! * communication times from the α–β link model calibrated against the
-//!   measured bandwidths of Table 4 ([`claire_mpi::LinkModel`]);
+//!   measured bandwidths of Table 4 ([`LinkModel`]);
 //! * whole-solver times from the paper's cost composition (eq. 10).
 //!
 //! The same communication-volume formulas are *validated* against the
@@ -28,5 +28,5 @@ pub mod paper;
 pub mod solver;
 
 pub use kernels::{fd_time, fft_pair_time, sl_phases, SlPhases};
-pub use machine::{KernelTime, Machine};
+pub use machine::{DeviceModel, KernelTime, LinkModel, Machine};
 pub use solver::{solver_time, SolverBreakdown, SolverCounts};

@@ -53,8 +53,6 @@ pub struct SolverBreakdown {
     pub fd: KernelTime,
     /// Everything else (axpys, reductions, line-search logic).
     pub other: KernelTime,
-    /// Modeled memory per GPU, GB (paper §3 formula).
-    pub memory_gb: f64,
 }
 
 impl SolverBreakdown {
@@ -125,15 +123,8 @@ pub fn solver_time(
     let other_comm = red * machine.link.tree_time(8, &topo) * 2.0;
     let other = KernelTime::new(other_compute, other_comm);
 
-    // memory per GPU: (74+Nt)·N·µ0/p + ghost layers (paper §3)
-    let d = if c.cubic { 3.0 } else { 1.0 };
-    let memory_gb = ((74.0 + c.nt as f64) * n[0] as f64 * n[1] as f64 * n[2] as f64 * WORD
-        / p as f64
-        + 30.0 * d * n[1] as f64 * n[2] as f64 * WORD)
-        / 1e9;
-
     let _ = ip_flops(c.cubic); // constants documented in kernels
-    SolverBreakdown { fft, sl, fd, other, memory_gb }
+    SolverBreakdown { fft, sl, fd, other }
 }
 
 #[cfg(test)]
@@ -154,7 +145,6 @@ mod tests {
         assert!(within(b.sl.total(), 4.26, 3.0), "SL {}", b.sl.total());
         assert!(within(b.fd.total(), 1.62, 3.0), "FD {}", b.fd.total());
         assert!(within(b.total().total(), 16.2, 2.5), "total {}", b.total().total());
-        assert!(within(b.memory_gb, 11.2, 1.5), "mem {}", b.memory_gb);
     }
 
     #[test]
@@ -177,15 +167,6 @@ mod tests {
         let b = solver_time(&m, [1024, 1024, 1024], 32, &SolverCounts::table7());
         assert!(b.fft.total() > b.sl.total());
         assert!(b.fft.total() > b.fd.total());
-    }
-
-    #[test]
-    fn largest_run_memory_fits_v100() {
-        // paper: 2048³ on 256 GPUs = 12.5 GB/GPU, "the largest problem we
-        // could fit"
-        let m = Machine::longhorn();
-        let b = solver_time(&m, [2048, 2048, 2048], 256, &SolverCounts::table7());
-        assert!(b.memory_gb > 8.0 && b.memory_gb < 16.0, "{}", b.memory_gb);
     }
 
     #[test]

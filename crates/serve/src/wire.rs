@@ -26,7 +26,7 @@ use crate::job::{JobId, JobInput, JobResult, JobSpec, JobStatus, ParseJobIdError
 
 /// Protocol revision negotiated in `Hello`. Bump on any change to frame
 /// layout or message schemas that an old peer cannot ignore.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Hard upper bound on one frame's payload (guards against a hostile or
 /// corrupt length prefix allocating unbounded memory). Large enough for a
@@ -849,10 +849,11 @@ mod tests {
         assert!(matches!(w.into_spec(), Err(WireError::Malformed(_))));
     }
 
-    /// Frame payloads the hand-written codec of the parent commit produced
-    /// (captured by running it): every key it wrote, in its order.
+    /// Frame payloads of protocol 2, every key in wire order: what the
+    /// hand-written codec before the derive produced (captured by running
+    /// it), less the report's five modeled-seconds keys protocol 1 carried.
     const GOLDEN_SUBMIT: &str = r#"{"type":"submit","spec":{"label":"golden","tenant":"tenant-a","priority":"high","deadline_ms":1234,"config":{"nt":2,"ip_order":"cubic","store_grad":true,"precond":"2LInvH0","beta_target":0.001,"beta_init":0.5,"beta_reduction":0.25,"continuation":false,"grid_continuation":true,"eps_h0":0.01,"beta_floor":0.1,"grad_rtol":0.02,"max_gn_iter":3,"max_pcg_iter":4,"max_inner_iter":5,"fixed_pcg":6,"precision":"mixed","verbose":false},"input":{"kind":"synthetic","n":[8,6,4]}}}"#;
-    const GOLDEN_RESULT: &str = r#"{"type":"result","result":{"id":"job-42","label":"golden","status":"succeeded","report":{"data":"golden","pc":"2LInvH0","precision":"mixed","grid":[8,6,4],"nt":2,"nranks":1,"gn_iters":3,"pcg_iters":7,"rel_mismatch":0.123456789012345,"grad_rel":0.015,"n_inva":2,"n_invh0":5,"inner_cg_total":40,"inner_cg_avg":8.0,"time_pc":0.25,"time_obj":0.125,"time_grad":0.5,"time_hess":1.0,"time_total":2.0,"modeled_pc":0.001,"modeled_obj":0.002,"modeled_grad":0.003,"modeled_hess":0.004,"modeled_total":0.01,"jac_det_min":0.75,"jac_det_max":1.5,"memory_bytes_per_rank":123456},"run":{"label":"golden","nranks":1},"error":null,"queue_wait_secs":0.001,"run_secs":2.0,"total_secs":2.5,"cached":true}}"#;
+    const GOLDEN_RESULT: &str = r#"{"type":"result","result":{"id":"job-42","label":"golden","status":"succeeded","report":{"data":"golden","pc":"2LInvH0","precision":"mixed","grid":[8,6,4],"nt":2,"nranks":1,"gn_iters":3,"pcg_iters":7,"rel_mismatch":0.123456789012345,"grad_rel":0.015,"n_inva":2,"n_invh0":5,"inner_cg_total":40,"inner_cg_avg":8.0,"time_pc":0.25,"time_obj":0.125,"time_grad":0.5,"time_hess":1.0,"time_total":2.0,"jac_det_min":0.75,"jac_det_max":1.5,"memory_bytes_per_rank":123456},"run":{"label":"golden","nranks":1},"error":null,"queue_wait_secs":0.001,"run_secs":2.0,"total_secs":2.5,"cached":true}}"#;
 
     fn text(msg: &impl Serialize) -> String {
         String::from_utf8(encode(msg)).unwrap()

@@ -2,9 +2,10 @@
 # CI gate, organized as named stages with per-stage wall-clock timing.
 #
 #   scripts/ci.sh             full gate: build, tests, lints, formatting,
-#                             bench row printers, report-schema validation,
-#                             networked serve smoke-run, multi-process
-#                             launch smoke-run
+#                             bench row printers, the paper's tables at
+#                             16³, report-schema validation, networked
+#                             serve smoke-run, multi-process launch
+#                             smoke-run
 #   scripts/ci.sh --quick     inner-loop gate: build + tier-1 tests + full
 #                             workspace tests + benchmark-package tests +
 #                             clippy (skips benches AND the net/proc smoke
@@ -198,6 +199,23 @@ stage_bench_rows() {
     done
 }
 
+stage_paper_tables() {
+    # The bins behind EXPERIMENTS.md, at the smallest size they run at. A
+    # functional (part-A) line prints what this host measured: the word
+    # "modeled" belongs to the part-B rows, which come from claire-perf.
+    local dir run out bins="$PWD/target/release"; dir="$(mktemp -d)"
+    for run in table3 table5 table7 fig4 ablation "table7 --proc"; do
+        out="$dir/${run// /}.out"
+        # the bins append to results/ under the working directory
+        # shellcheck disable=SC2086  # $run carries the bin's argument
+        (cd "$dir" && CLAIRE_BENCH_N=16 "$bins"/$run) > "$out"
+        if sed '/^Table [0-9]*B /,$d' "$out" | grep -n "modeled"; then
+            echo "paper tables: $run prints a modeled number in a functional row"; exit 1
+        fi
+    done
+    rm -rf "$dir"
+}
+
 stage_net_smoke() {
     # Boot two claire-serve workers and a claire-router on loopback, push a
     # manifest through `claire-cli submit --stream`, and validate the
@@ -324,6 +342,16 @@ stage_proc_smoke() {
         --report "$dir/mixed.json" -q
     grep -q '"precision": "mixed"' "$dir/mixed.json" || {
         echo "proc smoke: --precision mixed did not reach the rank-0 report"; exit 1; }
+    # ... with the seconds rank 0 spent blocked in each traffic category
+    grep -q '"blocked_secs"' "$dir/mixed.json" || {
+        echo "proc smoke: no measured blocked_secs in the rank-0 report"; exit 1; }
+    # the modeled-topology flag went with the clock that read it (spelled in
+    # halves: a grep for the flag should find no user of it)
+    local gone="--gpus-per" usage=0
+    ./target/release/claire-cli launch --ranks 2 --syn 16 "$gone-node" 4 -q \
+        2> /dev/null || usage=$?
+    [ "$usage" -eq 2 ] || {
+        echo "proc smoke: launch $gone-node should be a usage error, got exit $usage"; exit 1; }
 
     # rank-failure path: worker 1 exits mid-solve; the launcher must reap
     # the survivors and fail typed (exit 8) within the timeout
@@ -362,6 +390,7 @@ if [ "$QUICK" -eq 0 ]; then
     stage "tier-1 tests (mixed-precision lane)" stage_tier1_mixed
     stage "rustfmt check" stage_fmt
     stage "bench rows" stage_bench_rows
+    stage "paper tables" stage_paper_tables
     stage "RunReport schema smoke-run" stage_report_schema
 fi
 # both --quick and --no-smoke skip the network-dependent smoke stages;

@@ -71,7 +71,6 @@
 //!   --syn M          synthetic M³ problem size (required; launch mode is
 //!                    driven by the synthetic dataset so every rank can
 //!                    generate its own slab without shared input files)
-//!   --gpus-per-node G  modeled topology (default: 4)
 //!   solver flags as above, from other defaults: --beta 1e-2, --order
 //!                    linear, --precond InvA, --no-continuation, --max-gn 3,
 //!                    --fixed-pcg 5; the launcher hands every rank the
@@ -114,7 +113,7 @@ use claire::core::{observe, Claire, ClaireError, PrecondKind, RegistrationConfig
 use claire::data::nifti;
 use claire::interp::{Interpolator, IpOrder};
 use claire::ipc::{LaunchSpec, SocketOpts, SocketTransport};
-use claire::mpi::{Comm, LinkModel, Topology, TransportError};
+use claire::mpi::{Comm, Topology, TransportError};
 use claire::obs::report::RunReport;
 use claire::semilag::{displacement, Trajectory};
 use claire::serve::{
@@ -169,8 +168,8 @@ fn usage() -> ! {
     eprintln!("                  [--no-batch] [--max-batch N] [--cache N] [--quota B:R] [-q]");
     eprintln!("       claire-cli submit --addr ADDR <manifest.json> [-o DIR] [--tenant NAME]");
     eprintln!("                  [--stream] [--ping] [-q]");
-    eprintln!("       claire-cli launch --ranks N --syn M [--gpus-per-node G] [--timeout SECS]");
-    eprintln!("                  [--report PATH] [--in-process] [-q] [solver flags]");
+    eprintln!("       claire-cli launch --ranks N --syn M [--timeout SECS] [--report PATH]");
+    eprintln!("                  [--in-process] [-q] [solver flags]");
     let cfg = RegistrationConfig::default();
     let flags = ConfigField::all().iter().map(|f| match (f.get)(&cfg) {
         Value::Bool(_) => format!("[{}]", f.flag),
@@ -869,7 +868,6 @@ fn submit_main(args: Vec<String>) {
 /// config.
 struct LaunchOpts {
     ranks: usize,
-    gpus_per_node: usize,
     syn: usize,
     cfg: RegistrationConfig,
     timeout_secs: u64,
@@ -885,7 +883,6 @@ struct LaunchOpts {
 fn parse_launch_args(args: Vec<String>, worker: bool) -> LaunchOpts {
     let mut o = LaunchOpts {
         ranks: 0,
-        gpus_per_node: 4,
         syn: 0,
         // The deterministic launch-mode defaults: β-continuation off and a
         // fixed PCG iteration count, so the GN trajectory is a pure function
@@ -909,7 +906,6 @@ fn parse_launch_args(args: Vec<String>, worker: bool) -> LaunchOpts {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--ranks" => o.ranks = parsed(&mut args, "--ranks"),
-            "--gpus-per-node" => o.gpus_per_node = parsed(&mut args, "--gpus-per-node"),
             "--syn" => o.syn = parsed(&mut args, "--syn"),
             "--timeout" if !worker => o.timeout_secs = parsed(&mut args, "--timeout"),
             "--report" if !worker => {
@@ -953,7 +949,7 @@ fn launch_main(args: Vec<String>) {
     });
     let mut worker_args = vec!["--syn".to_string(), o.syn.to_string()];
     worker_args.extend(config_args(&o.cfg));
-    let mut spec = LaunchSpec::new(exe, o.ranks, o.gpus_per_node, worker_args);
+    let mut spec = LaunchSpec::new(exe, o.ranks, worker_args);
     spec.timeout = Duration::from_secs(o.timeout_secs);
     let outcome = claire::ipc::launch(&spec).unwrap_or_else(|e| fail(&e));
     let rank0 = outcome.reports.into_iter().next().unwrap_or_default();
@@ -968,7 +964,7 @@ fn launch_main(args: Vec<String>) {
 /// counters are p-fold. Normalize both back to per-rank form so the report
 /// diffs cleanly against a real rank process's.
 fn launch_in_process(o: &LaunchOpts) {
-    let topo = Topology::new(o.ranks, o.gpus_per_node);
+    let topo = Topology::longhorn(o.ranks);
     let (cfg, syn) = (o.cfg, o.syn);
     observe::begin();
     let result = claire::mpi::try_run_cluster(topo, |comm| {
@@ -1013,11 +1009,24 @@ fn finish_launch(o: &LaunchOpts, json: String, transport: &str) {
         write_text(path, &json);
     }
     if !o.quiet {
-        let summary =
-            serde_json::from_str(&json).ok().and_then(|v| field::<Value>(&v, "summary").ok());
+        let run = serde_json::from_str(&json).ok();
+        let summary = run.as_ref().and_then(|v| field::<Value>(v, "summary").ok());
         let of = |key| summary.as_ref().and_then(|s| field::<f64>(s, key).ok()).unwrap_or(f64::NAN);
         let (gn, mm) = (of("gn_iters"), of("rel_mismatch"));
         eprintln!("launch: {} ranks ({transport}): {gn} GN iters, mismatch {mm:.3e}", o.ranks);
+        if o.ranks > 1 {
+            let comm = run.as_ref().and_then(|v| field::<Vec<Value>>(v, "comm").ok());
+            let blocked: f64 = comm
+                .iter()
+                .flatten()
+                .filter_map(|phase| field::<f64>(phase, "blocked_secs").ok())
+                .sum();
+            let total = of("time_total");
+            eprintln!(
+                "rank 0 blocked in communication {blocked:.3} s of {total:.3} s ({:.1} %)",
+                100.0 * blocked / total
+            );
+        }
         if let Some(path) = &o.report {
             eprintln!("rank-0 RunReport written to {}", path.display());
         }
@@ -1031,7 +1040,7 @@ fn finish_launch(o: &LaunchOpts, json: String, transport: &str) {
 fn worker_rank_main(args: Vec<String>) {
     let o = parse_launch_args(args, true);
     let (dir, rank) = (o.dir.clone().unwrap(), o.rank.unwrap());
-    let topo = Topology::new(o.ranks, o.gpus_per_node);
+    let topo = Topology::longhorn(o.ranks);
     let transport = match SocketTransport::bootstrap(&dir, rank, topo, SocketOpts::default()) {
         Ok(t) => t,
         Err(e) => {
@@ -1039,7 +1048,7 @@ fn worker_rank_main(args: Vec<String>) {
             fail(&e)
         }
     };
-    let mut comm = Comm::from_transport(Box::new(transport), LinkModel::default());
+    let mut comm = Comm::from_transport(Box::new(transport));
     observe::begin();
 
     // The default panic hook prints an opaque "Box<dyn Any>" line for

@@ -8,7 +8,7 @@
 //! This umbrella crate re-exports every subsystem:
 //!
 //! * [`mpi`] — virtual cluster (ranks-as-threads) message passing with
-//!   byte-accurate traffic instrumentation and a calibrated modeled clock
+//!   byte-accurate traffic instrumentation and measured blocked time
 //! * [`grid`] — periodic grids, scalar/vector fields, slab decomposition
 //! * [`fft`] — mixed-radix FFTs, serial and slab-decomposed distributed 3D
 //! * [`diff`] — 8th-order finite differences and spectral operators

@@ -72,7 +72,7 @@ proptest! {
         let sock = run_socket_cluster(topo, |comm| collective_battery(comm, seed));
         prop_assert_eq!(&chan.outputs, &sock.outputs);
         // The logical ledgers agree too: same payload bytes, same message
-        // counts, same modeled time — only wire_bytes (real framing) differs.
+        // counts — only wire_bytes (real framing) and the blocked time differ.
         for (cs, ss) in chan.stats.iter().zip(&sock.stats) {
             for cat in claire::mpi::CommCat::ALL.iter().copied() {
                 prop_assert_eq!(cs.cat(cat).bytes_sent, ss.cat(cat).bytes_sent);
@@ -103,8 +103,9 @@ fn get<'a>(v: &'a Value, key: &str) -> &'a Value {
 
 /// The transport-independent slice of a RunReport: problem identity, the
 /// full GN trajectory, and the logical communication ledgers. Wall-clock
-/// times, process-local telemetry (spans, kernels, metrics, memory), and
-/// the physical wire accounting are dropped.
+/// times (the seconds blocked in communication among them), process-local
+/// telemetry (spans, kernels, metrics, memory), and the physical wire
+/// accounting are dropped.
 fn canonical(run: &Value) -> Value {
     const KEEP: [&str; 9] = [
         "grid",
@@ -130,7 +131,11 @@ fn canonical(run: &Value) -> Value {
                         .iter()
                         .map(|e| {
                             Value::Object(
-                                obj(e).iter().filter(|(k, _)| k != "wire_bytes").cloned().collect(),
+                                obj(e)
+                                    .iter()
+                                    .filter(|(k, _)| k != "wire_bytes" && k != "blocked_secs")
+                                    .cloned()
+                                    .collect(),
                             )
                         })
                         .collect(),
@@ -196,6 +201,36 @@ fn launch_report_matches_in_process_report() {
         serde_json::to_string_pretty(&b).unwrap(),
         "multi-process and threads-as-ranks reports diverged"
     );
+}
+
+/// One rank's report is measured against that rank's wall clock: seconds
+/// blocked in communication per category, and kernel shares that are the
+/// rank's own although the rank threads book into one set of timers.
+#[test]
+fn in_process_report_is_one_ranks_ruler() {
+    let dir = std::env::temp_dir().join(format!("claire-ipc-ruler-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = run_launch(&dir, "thr.json", &["--in-process", "--ranks", "2", "--syn", "16"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let num = |v: &Value, key: &str| match get(v, key) {
+        Value::Num(x) => *x,
+        other => panic!("{key} should be a float, got {other:?}"),
+    };
+
+    let total = num(get(&run, "summary"), "time_total");
+    let Value::Array(comm) = get(&run, "comm") else { panic!("comm should be an array") };
+    let blocked = |e: &Value| num(e, "blocked_secs");
+    let transpose = comm.iter().find(|e| get(e, "phase") == &Value::Str("fft_transpose".into()));
+    assert!(blocked(transpose.expect("2 ranks transpose")) > 0.0, "transposes wait on the peer");
+    let all: f64 = comm.iter().map(blocked).sum();
+    assert!(all <= total, "blocked {all} s of a {total} s solve");
+
+    let phases = get(&run, "phases");
+    let [fft, ip, fd, other] =
+        ["fft_secs", "ip_secs", "fd_secs", "other_secs"].map(|k| num(phases, k));
+    assert!(other >= 0.0, "kernel seconds of both ranks booked against one rank's wall: {other}");
+    let sum = fft + ip + fd + other;
+    assert!((sum - num(phases, "total_secs")).abs() <= 1e-12 * sum, "shares do not partition");
 }
 
 /// Killing one rank mid-solve yields the typed rank-failure exit code —

@@ -49,7 +49,7 @@ fn populated_report() -> RunReport {
         KernelEntry { name: "fft_serial".into(), calls: 96, secs: 1.25 },
         KernelEntry { name: "interp".into(), calls: 48, secs: 2.0 },
     ];
-    run.phases = PhaseShares::from_kernels(&run.kernels, 4.5);
+    run.phases = PhaseShares::from_kernels(&run.kernels, 4.5, 1);
     run
 }
 
