@@ -25,12 +25,13 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use claire_core::precond::inv_h0;
 use claire_core::{Claire, Precision, PrecondKind, RegistrationConfig, SolverHooks};
 use claire_diff::SpectralT;
 use claire_fft::FftElem;
 use claire_grid::{Grid, Layout, Real, ScalarField, VectorField, VectorFieldT, WsCat};
 use claire_mpi::Comm;
-use claire_opt::{pcg, PcgConfig, PcgOperator};
+use claire_opt::PcgConfig;
 use claire_par::alloc_counter::{allocation_count, CountingAlloc};
 use claire_par::set_threads;
 use serde::Serialize;
@@ -134,40 +135,13 @@ fn bench_grid(n: usize, backend: &str, precision: Precision) -> SolverRow {
     }
 }
 
-/// The zero-velocity Hessian `H0 = βA + ∇m̄ ⊗ ∇m̄` solved by PCG with the
-/// `(βA)⁻¹` left preconditioner — the paper's inner solve, and the part of
-/// a Gauss-Newton iteration the mixed-precision seam runs at f32. Same
-/// operator structure as claire-core's `InvH0` apply, generic over the
-/// element width so the `pcg_h0` / `pcg_h0_mixed` row pair isolates the
-/// PCG-dominated phase at both widths.
-struct H0Bench<'a, T: FftElem> {
-    spectral: &'a SpectralT<T>,
-    grad: &'a VectorFieldT<T>,
-    beta: f64,
-}
-
-impl<T: FftElem> PcgOperator<T> for H0Bench<'_, T> {
-    fn apply(&mut self, s: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
-        let mut out = self.spectral.reg_apply(s, self.beta, comm);
-        let mut w = claire_grid::ScalarFieldT::<T>::zeros(*s.layout());
-        for d in 0..3 {
-            w.add_scaled_product(T::ONE, &self.grad.c[d], &s.c[d]);
-        }
-        for d in 0..3 {
-            out.c[d].add_scaled_product(T::ONE, &self.grad.c[d], &w);
-        }
-        out
-    }
-
-    fn prec(&mut self, r: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
-        self.spectral.reg_inv(r, self.beta, comm)
-    }
-}
-
-/// ns per grid point per inner-PCG iteration on the H0 system at element
-/// width `T`, pinned to a fixed iteration count (`tol_rel = 0`) so both
-/// widths run the identical schedule and the row pair measures pure
-/// per-iteration cost.
+/// ns per grid point per inner-PCG iteration of the shipped `InvH0`
+/// application (`claire_core::precond::inv_h0`: the zero-velocity Hessian
+/// `H0 = βA + ∇m̄ ⊗ ∇m̄` solved on spectra with the `(βA)⁻¹` left
+/// preconditioner — the part of a Gauss-Newton iteration the mixed-precision
+/// seam runs at f32) at element width `T`, pinned to a fixed iteration count
+/// (`tol_rel = 0`) so both widths run the identical schedule. The 12
+/// transforms around the iteration are in the row, as they are in the solver.
 fn bench_pcg_h0<T: FftElem>(n: usize, backend: &str, kernel: &str) -> SolverRow {
     let layout = Layout::serial(Grid::cube(n));
     let mut comm = Comm::solo();
@@ -186,12 +160,12 @@ fn bench_pcg_h0<T: FftElem>(n: usize, backend: &str, kernel: &str) -> SolverRow 
     );
     let grad: VectorFieldT<T> = grad64.converted(WsCat::Other);
     let rhs: VectorFieldT<T> = rhs64.converted(WsCat::Other);
-    let mut ops = H0Bench { spectral: &spectral, grad: &grad, beta: 1e-2 };
     let iters = 12usize;
     let cfg = PcgConfig { tol_rel: 0.0, max_iter: iters, trace: false };
 
     // warm-up: plan the FFTs, fill the width's workspace pools
-    let _ = pcg(&rhs, None, &cfg, &mut ops, &mut comm);
+    let solve = |comm: &mut Comm| inv_h0(&spectral, &grad, 1e-2, &rhs, &cfg, comm);
+    let _ = solve(&mut comm);
 
     let reps = 3usize;
     let mut best = std::time::Duration::MAX;
@@ -201,7 +175,7 @@ fn bench_pcg_h0<T: FftElem>(n: usize, backend: &str, kernel: &str) -> SolverRow 
         let a0 = allocation_count();
         let t0 = Instant::now();
         for _ in 0..reps {
-            let (_, res) = pcg(&rhs, None, &cfg, &mut ops, &mut comm);
+            let (_, res) = solve(&mut comm);
             done = res.iters;
         }
         best = best.min(t0.elapsed());

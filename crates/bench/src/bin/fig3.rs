@@ -77,11 +77,11 @@ fn main() {
                 prob.set_beta(beta);
                 // linearize at the true solution
                 let g = prob.gradient(&prob_data.v_true.clone(), &mut comm);
-                let mut rhs = g.clone();
+                let mut rhs = g;
                 rhs.scale(-1.0);
                 let pcg_cfg = PcgConfig { tol_rel: 1e-6, max_iter: 50, trace: true };
                 let mut ops = HessOps { prob: &mut prob, eps_k: 1e-1 };
-                let (_, res) = pcg(&rhs, None, &pcg_cfg, &mut ops, &mut comm);
+                let (_, res) = pcg(rhs, None, &pcg_cfg, &mut ops, &mut comm);
                 cells.push(format!(
                     "{}/{}/{}",
                     iters_to(&res.trace, 1e-2),

@@ -25,41 +25,98 @@
 use std::sync::Arc;
 
 use claire_diff::{SpectralT, TwoLevelT};
-use claire_fft::FftElem;
-use claire_grid::{Grid, Real, ScalarField, ScalarFieldT, VectorField, VectorFieldT, WsCat};
+use claire_fft::{FftElem, SpectralVecT};
+use claire_grid::{Grid, Real, ScalarField, VectorField, VectorFieldT, WsCat};
 use claire_mpi::Comm;
-use claire_opt::{pcg, PcgConfig, PcgOperator};
+use claire_opt::{pcg, PcgConfig, PcgOperator, PcgResult};
+use claire_par::timing::{self, Kernel};
+use claire_par::{par_parts, SharedSlice};
 
 use crate::config::{PrecondKind, RegistrationConfig};
 use crate::problem::SolverScaffold;
 
-/// The zero-velocity Hessian `H0 = βA + ∇m̄ ⊗ ∇m̄` on one grid.
-struct H0Ops<'a, T: FftElem> {
+/// The zero-velocity Hessian `H0 = βA + ∇m̄ ⊗ ∇m̄` on one grid, acting on
+/// spectra: `βA` and the left preconditioner `(βA)⁻¹` are Hadamard scales
+/// ("this adds vanishing computational costs"); only the rank-one-per-point
+/// term visits real space, at 3 inverse and 3 forward transforms.
+struct SpectralH0<'a, T: FftElem> {
     spectral: &'a SpectralT<T>,
     grad_mbar: &'a VectorFieldT<T>,
     beta: f64,
 }
 
-impl<T: FftElem> PcgOperator<T> for H0Ops<'_, T> {
-    fn apply(&mut self, s: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
-        let mut out = self.spectral.reg_apply(s, self.beta, comm);
-        // rank-one-per-point term: ∇m̄ (∇m̄ · s)
-        let layout = *s.layout();
-        let mut w = ScalarFieldT::zeros(layout);
-        for d in 0..3 {
-            w.add_scaled_product(T::ONE, &self.grad_mbar.c[d], &s.c[d]);
-        }
-        for d in 0..3 {
-            out.c[d].add_scaled_product(T::ONE, &self.grad_mbar.c[d], &w);
-        }
-        out
+/// `p ← ∇m̄ (∇m̄ · p)` at every point, one pass over the six fields.
+fn rank_one_in_place<T: FftElem>(grad_mbar: &VectorFieldT<T>, p: &mut VectorFieldT<T>) {
+    assert_eq!(grad_mbar.layout(), p.layout(), "field layout mismatch");
+    let n = p.layout().local_len();
+    let [g1, g2, g3] = grad_mbar.c.each_ref().map(|c| c.data());
+    timing::time(Kernel::FieldOps, || {
+        let [p1, p2, p3] = p.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
+        par_parts(n, n, |range| {
+            // SAFETY: worker ranges are disjoint.
+            let (o1, o2, o3) = unsafe {
+                (
+                    p1.slice_mut(range.clone()),
+                    p2.slice_mut(range.clone()),
+                    p3.slice_mut(range.clone()),
+                )
+            };
+            for (k, i) in range.enumerate() {
+                let w = g1[i] * o1[k] + g2[i] * o2[k] + g3[i] * o3[k];
+                o1[k] = g1[i] * w;
+                o2[k] = g2[i] * w;
+                o3[k] = g3[i] * w;
+            }
+        });
+    });
+}
+
+impl<T: FftElem> PcgOperator<SpectralVecT<T>> for SpectralH0<'_, T> {
+    fn apply(&mut self, p: &SpectralVecT<T>, comm: &mut Comm) -> SpectralVecT<T> {
+        let mut w = self.spectral.field_of(p, comm);
+        rank_one_in_place(self.grad_mbar, &mut w);
+        let mut q = self.spectral.spectra_of(&w, comm);
+        self.spectral.reg_add_spectra(&mut q, p, self.beta);
+        q
     }
 
-    /// Left preconditioner `(βA)⁻¹` — "this adds vanishing computational
-    /// costs".
-    fn prec(&mut self, r: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
-        self.spectral.reg_inv(r, self.beta, comm)
+    fn prec(&mut self, r: &SpectralVecT<T>, _comm: &mut Comm) -> SpectralVecT<T> {
+        let mut z = r.clone();
+        self.spectral.reg_inv_spectra(&mut z, self.beta);
+        z
     }
+}
+
+/// The inner solve of `InvH0`/`2LInvH0` on spectra: PCG on eq. (9),
+/// `(βA + ∇m̄ ⊗ ∇m̄) x̂ = r̂`, left-preconditioned by `(βA)⁻¹` and started
+/// from `x̂₀ = (βA)⁻¹ r̂`. `6 + 6k` scalar transforms on `spectral`'s grid for
+/// `k` iterations. Collective.
+pub fn solve_h0<T: FftElem>(
+    spectral: &SpectralT<T>,
+    grad_mbar: &VectorFieldT<T>,
+    beta: f64,
+    rhs: SpectralVecT<T>,
+    cfg: &PcgConfig,
+    comm: &mut Comm,
+) -> (SpectralVecT<T>, PcgResult) {
+    let mut ops = SpectralH0 { spectral, grad_mbar, beta };
+    let x0 = ops.prec(&rhs, comm);
+    pcg(rhs, Some(x0), cfg, &mut ops, comm)
+}
+
+/// `InvH0` on one grid, field to field: `r̂ = F r`, [`solve_h0`],
+/// `s = F⁻¹ x̂` — `12 + 6k` scalar transforms. Collective.
+pub fn inv_h0<T: FftElem>(
+    spectral: &SpectralT<T>,
+    grad_mbar: &VectorFieldT<T>,
+    beta: f64,
+    r: &VectorFieldT<T>,
+    cfg: &PcgConfig,
+    comm: &mut Comm,
+) -> (VectorFieldT<T>, PcgResult) {
+    let rhs = spectral.spectra_of(r, comm);
+    let (x, res) = solve_h0(spectral, grad_mbar, beta, rhs, cfg, comm);
+    (spectral.into_field(x, comm), res)
 }
 
 /// The pair-independent operators of one element width on one grid. A
@@ -125,27 +182,24 @@ impl<T: FftElem> Lane<T> {
         match kind {
             PrecondKind::InvA => (spectral.reg_inv(r, beta, comm), 0),
             PrecondKind::InvH0 => {
-                let x0 = spectral.reg_inv(r, beta_h0, comm);
-                let mut ops = H0Ops { spectral, grad_mbar: &self.grad_mbar, beta: beta_h0 };
-                let (s, res) = pcg(r, Some(&x0), &inner, &mut ops, comm);
+                let (s, res) = inv_h0(spectral, &self.grad_mbar, beta_h0, r, &inner, comm);
                 (s, res.iters)
             }
             PrecondKind::TwoLevelInvH0 => {
                 let (tl, sc_ops) = self.ops.coarse.as_ref().expect("2LInvH0 operators missing");
                 let gc = self.grad_mbar_c.as_ref().expect("coarse ∇m̄ missing");
 
-                // sf ← (βA)⁻¹ r
-                let sf = spectral.reg_inv(r, beta_h0, comm);
-                // coarse solve of (9) with restricted residual
-                let rc = tl.restrict_vector(r, comm);
-                let x0c = tl.restrict_vector(&sf, comm);
-                let mut ops = H0Ops { spectral: sc_ops, grad_mbar: gc, beta: beta_h0 };
-                let (sc, res) = pcg(&rc, Some(&x0c), &inner, &mut ops, comm);
-                // sf ← PROLONG(sc) + HIGHPASS(sf)
-                let mut out = tl.prolong_vector(&sc, comm);
-                let high = tl.highpass_vector(&sf, comm);
-                out.axpy(T::ONE, &high);
-                (out, res.iters)
+                // r̂, its restriction, then ŝf ← (βA)⁻¹ r̂ in place; the
+                // restricted ŝf the coarse solve starts from is (βA)⁻¹ of
+                // the restricted r̂, because the symbol only reads |k|²
+                let mut sf = spectral.spectra_of(r, comm);
+                let rc = SpectralVecT { c: tl.truncate(&sf.c, comm) };
+                spectral.reg_inv_spectra(&mut sf, beta_h0);
+                // coarse solve of (9)
+                let (sc, res) = solve_h0(sc_ops, gc, beta_h0, rc, &inner, comm);
+                // ŝf ← PROLONG(ŝc) + HIGHPASS(ŝf)
+                tl.merge_low(&sc.c, &mut sf.c, comm);
+                (spectral.into_field(sf, comm), res.iters)
             }
         }
     }
@@ -300,10 +354,20 @@ impl PrecondState {
 mod tests {
     use super::*;
     use crate::config::Precision;
-    use claire_grid::Layout;
+    use claire_grid::{Layout, ScalarFieldT};
+    use claire_mpi::{run_cluster, Topology};
 
     fn setup(kind: PrecondKind, precision: Precision, comm: &mut Comm) -> (PrecondState, Layout) {
-        let layout = Layout::serial(Grid::cube(16));
+        setup_on(Grid::cube(16), kind, precision, comm)
+    }
+
+    fn setup_on(
+        grid: Grid,
+        kind: PrecondKind,
+        precision: Precision,
+        comm: &mut Comm,
+    ) -> (PrecondState, Layout) {
+        let layout = Layout::distributed(grid, comm);
         let m0 = ScalarField::from_fn(layout, |x, y, z| {
             (-((x - 3.0).powi(2) + (y - 3.0).powi(2) + (z - 3.0).powi(2))).exp()
         });
@@ -319,6 +383,97 @@ mod tests {
             |_, y, _| (2.0 * y).cos(),
             |_, _, z| 0.3 * z.sin(),
         )
+    }
+
+    /// The real-space H0 the preconditioners iterated on before the inner
+    /// solve moved to spectra, every operator between its own forward and
+    /// inverse transform. Kept only as the reference of
+    /// `spectral_solve_matches_the_real_space_one`.
+    struct RefH0<'a, T: FftElem> {
+        spectral: &'a SpectralT<T>,
+        grad_mbar: &'a VectorFieldT<T>,
+        beta: f64,
+    }
+
+    impl<T: FftElem> PcgOperator<VectorFieldT<T>> for RefH0<'_, T> {
+        fn apply(&mut self, s: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
+            let mut out = self.spectral.reg_apply(s, self.beta, comm);
+            let mut w = ScalarFieldT::zeros(*s.layout());
+            for d in 0..3 {
+                w.add_scaled_product(T::ONE, &self.grad_mbar.c[d], &s.c[d]);
+            }
+            for d in 0..3 {
+                out.c[d].add_scaled_product(T::ONE, &self.grad_mbar.c[d], &w);
+            }
+            out
+        }
+
+        fn prec(&mut self, r: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
+            self.spectral.reg_inv(r, self.beta, comm)
+        }
+    }
+
+    /// `Lane::apply` as it was: the old real-space loop around the public
+    /// field-level operators (`HIGHPASS(s) = s − PROLONG(RESTRICT(s))`).
+    fn ref_apply<T: FftElem>(
+        lane: &Lane<T>,
+        kind: PrecondKind,
+        r: &VectorFieldT<T>,
+        inner: &PcgConfig,
+        beta_h0: f64,
+        comm: &mut Comm,
+    ) -> (VectorFieldT<T>, usize) {
+        let spectral = &lane.ops.spectral;
+        let sf = spectral.reg_inv(r, beta_h0, comm);
+        if kind == PrecondKind::InvH0 {
+            let mut ops = RefH0 { spectral, grad_mbar: &lane.grad_mbar, beta: beta_h0 };
+            let (s, res) = pcg(r.clone(), Some(sf), inner, &mut ops, comm);
+            return (s, res.iters);
+        }
+        let (tl, sc_ops) = lane.ops.coarse.as_ref().unwrap();
+        let gc = lane.grad_mbar_c.as_ref().unwrap();
+        let rc = tl.restrict_vector(r, comm);
+        let x0c = tl.restrict_vector(&sf, comm);
+        let mut ops = RefH0 { spectral: sc_ops, grad_mbar: gc, beta: beta_h0 };
+        let (sc, res) = pcg(rc, Some(x0c.clone()), inner, &mut ops, comm);
+        let mut out = tl.prolong_vector(&sc, comm);
+        out.axpy(T::ONE, &sf);
+        out.axpy(-T::ONE, &tl.prolong_vector(&x0c, comm));
+        (out, res.iters)
+    }
+
+    #[test]
+    fn spectral_solve_matches_the_real_space_one() {
+        // anisotropic, not a power of two, coarsens to 10×8×6; 4 ranks move
+        // low modes between ranks, 1 and 2 keep them local
+        let grid = Grid::new([20, 16, 12]);
+        for p in [1usize, 2, 4] {
+            let res = run_cluster(Topology::new(p, 4), move |comm| {
+                let mut worst = (0.0f64, true);
+                for kind in [PrecondKind::InvH0, PrecondKind::TwoLevelInvH0] {
+                    let (mut pc, layout) = setup_on(grid, kind, Precision::F64, comm);
+                    let r = probe(layout);
+                    let (eps_k, beta) = (0.1, 0.02f64);
+                    let beta_h0 = beta.max(pc.h0.beta_floor);
+                    let inner = PcgConfig {
+                        tol_rel: pc.h0.eps_h0 * eps_k,
+                        max_iter: pc.h0.max_inner,
+                        trace: false,
+                    };
+                    let (want, iters) = ref_apply(&pc.lane, kind, &r, &inner, beta_h0, comm);
+                    let got = pc.apply(&r, eps_k, beta, comm);
+                    let mut d = got.clone();
+                    d.axpy(-1.0, &want);
+                    let rel = d.norm_l2(comm) / want.norm_l2(comm);
+                    worst = (worst.0.max(rel), worst.1 && iters > 0 && pc.inner_iters == iters);
+                }
+                worst
+            });
+            for (rel, same_iters) in res.outputs {
+                assert!(rel < 1e-10, "p = {p}: spectral-resident solve drifted: rel {rel:e}");
+                assert!(same_iters, "p = {p}: inner iteration count moved");
+            }
+        }
     }
 
     #[test]
@@ -343,7 +498,7 @@ mod tests {
         let v = probe(layout);
         // r = H0 v
         let mut ops =
-            H0Ops { spectral: &pc.lane.ops.spectral, grad_mbar: &pc.lane.grad_mbar, beta };
+            RefH0 { spectral: &pc.lane.ops.spectral, grad_mbar: &pc.lane.grad_mbar, beta };
         let r = ops.apply(&v, &mut comm);
         let s = pc.apply(&r, 1e-3, beta, &mut comm);
         let mut d = s.clone();

@@ -345,9 +345,10 @@ fn lambda_grad_integral(
 impl GnProblem for RegProblem {
     /// `J(v) = ½‖m(1) − m1‖² + β/2 ⟨Av, v⟩` (eq. 1a).
     fn objective(&mut self, v: &VectorField, comm: &mut Comm) -> f64 {
-        // the regularization term first: `Av` is back in the pools before
+        // the regularization term first — a Parseval sum over `v̂`, no way
+        // back to real space — so its spectra are in the pools again before
         // the state solve takes its buffers
-        let reg_term = 0.5 * v.inner(&self.ops.spectral.reg_apply(v, self.beta, comm), comm);
+        let reg_term = self.ops.spectral.reg_energy(v, self.beta, comm);
         let mut resid = self.deformed_template(v, comm);
         resid.axpy(-1.0, &self.m1);
         let data_term = 0.5 * resid.inner(&resid, comm);

@@ -13,16 +13,24 @@
 //! rank, where there is no message to merge, they stream through one
 //! spectrum at a time.
 //!
+//! Every operator exists at two levels. The spectrum-level ones
+//! ([`SpectralT::scale_symbol`], [`SpectralT::axpy_symbol`] and their `βA`
+//! forms on a whole vector, [`SpectralT::reg_energy`]) act on coefficients and
+//! cost no transform, so a caller that iterates — the H0 preconditioners —
+//! transforms once in and once out. The field-level ones (`reg_apply`,
+//! `reg_inv`, …) are those between a forward and an inverse transform.
+//!
 //! Note on the zero mode: the paper uses an H1 *seminorm* (`A` = vector
 //! Laplacian) whose kernel (constant fields) is handled by the additional
 //! penalties; we lift the symbol by `+1` (full H1 norm) so `A` is SPD and
 //! `(βA)⁻¹` is well-defined — identical behaviour for all non-constant
 //! modes. This substitution is recorded in DESIGN.md §5.
 
-use claire_fft::{DistFftT, DistSpectralT, FftElem};
+use claire_fft::{DistFftT, DistSpectralT, FftElem, SpectralVecT};
 use claire_grid::{Grid, Real, ScalarFieldT, VectorFieldT};
 use claire_mpi::Comm;
-use claire_par::par_chunks_mut;
+use claire_par::timing::{self, Kernel};
+use claire_par::{par_chunks_mut, par_sum_blocks};
 
 /// Planned spectral operators on one grid for one rank, generic over the
 /// element width (f64 solver path or f32 mixed-precision inner solve).
@@ -39,6 +47,16 @@ pub type Spectral = SpectralT<Real>;
 
 /// Coefficients per parallel chunk of a Hadamard sweep.
 const SWEEP_CHUNK: usize = 4096;
+
+/// The symbol of `βA = β(I − Δ)` as a function of `|k|²`.
+fn reg_symbol(beta: f64) -> impl Fn(f64) -> f64 + Sync {
+    move |ksq| beta * (1.0 + ksq)
+}
+
+/// The symbol of `(βA)⁻¹`.
+fn reg_inv_symbol(beta: f64) -> impl Fn(f64) -> f64 + Sync {
+    move |ksq| 1.0 / (beta * (1.0 + ksq))
+}
 
 impl<T: FftElem> SpectralT<T> {
     /// Plan for `grid` on the calling rank of `comm`.
@@ -61,6 +79,98 @@ impl<T: FftElem> SpectralT<T> {
     /// Access the underlying FFT plan.
     pub fn fft(&self) -> &DistFftT<T> {
         &self.fft
+    }
+
+    /// Hadamard product with a real symbol, in place: `ẑ ← σ(|k|²)·ẑ`.
+    pub fn scale_symbol(&self, spec: &mut DistSpectralT<T>, sym: impl Fn(f64) -> f64 + Sync) {
+        assert_eq!(spec.data.len(), self.ksq.len(), "spectrum is not on this plan's slab");
+        timing::time(Kernel::FieldOps, || {
+            par_chunks_mut(&mut spec.data, SWEEP_CHUNK, |ci, chunk| {
+                for (z, k) in chunk.iter_mut().zip(&self.ksq[ci * SWEEP_CHUNK..]) {
+                    *z = z.scale(T::from_f64(sym(k.to_f64())));
+                }
+            })
+        });
+    }
+
+    /// `out ← out + σ(|k|²)·x̂` in one pass.
+    pub fn axpy_symbol(
+        &self,
+        out: &mut DistSpectralT<T>,
+        x: &DistSpectralT<T>,
+        sym: impl Fn(f64) -> f64 + Sync,
+    ) {
+        assert_eq!(out.data.len(), self.ksq.len(), "spectrum is not on this plan's slab");
+        assert_eq!(x.data.len(), self.ksq.len(), "spectrum is not on this plan's slab");
+        timing::time(Kernel::FieldOps, || {
+            par_chunks_mut(&mut out.data, SWEEP_CHUNK, |ci, chunk| {
+                let at = ci * SWEEP_CHUNK;
+                for ((z, x), k) in chunk.iter_mut().zip(&x.data[at..]).zip(&self.ksq[at..]) {
+                    *z += x.scale(T::from_f64(sym(k.to_f64())));
+                }
+            })
+        });
+    }
+
+    /// `x̂ ← (βA)⁻¹ x̂` on every component: a Hadamard scale, no transform.
+    pub fn reg_inv_spectra(&self, x: &mut SpectralVecT<T>, beta: f64) {
+        for c in &mut x.c {
+            self.scale_symbol(c, reg_inv_symbol(beta));
+        }
+    }
+
+    /// `out ← out + βA x̂` on every component, in one pass each.
+    pub fn reg_add_spectra(&self, out: &mut SpectralVecT<T>, x: &SpectralVecT<T>, beta: f64) {
+        for (o, c) in out.c.iter_mut().zip(&x.c) {
+            self.axpy_symbol(o, c, reg_symbol(beta));
+        }
+    }
+
+    /// The spectra of `v`: 3 forward transforms. Collective.
+    pub fn spectra_of(&self, v: &VectorFieldT<T>, comm: &mut Comm) -> SpectralVecT<T> {
+        SpectralVecT { c: self.fft.forward_many(v.c.each_ref(), comm) }
+    }
+
+    /// The field of `x̂`, consuming it: 3 inverse transforms. Collective.
+    pub fn into_field(&self, x: SpectralVecT<T>, comm: &mut Comm) -> VectorFieldT<T> {
+        VectorFieldT { c: self.fft.inverse_many(x.c, comm) }
+    }
+
+    /// The field of `x̂`, keeping it: 3 inverse transforms of copies — on one
+    /// rank one copy at a time. Collective.
+    pub fn field_of(&self, x: &SpectralVecT<T>, comm: &mut Comm) -> VectorFieldT<T> {
+        if comm.size() == 1 {
+            return VectorFieldT { c: x.c.each_ref().map(|s| self.fft.inverse(s.clone(), comm)) };
+        }
+        self.into_field(x.clone(), comm)
+    }
+
+    /// The regularization energy `½β⟨Av, v⟩` by Parseval: 3 forward
+    /// transforms and one sweep with the half-spectrum weights (1 on the
+    /// `k3 = 0` and Nyquist planes, 2 elsewhere) and the symbol folded in,
+    /// accumulated in f64. One allreduce. Collective.
+    pub fn reg_energy(&self, v: &VectorFieldT<T>, beta: f64, comm: &mut Comm) -> f64 {
+        let n3c = self.grid.n[2] / 2 + 1;
+        let energy = |spec: &DistSpectralT<T>| {
+            let term = |i: usize| {
+                let (re, im) = (spec.data[i].re.to_f64(), spec.data[i].im.to_f64());
+                (1.0 + self.ksq[i].to_f64()) * (re * re + im * im)
+            };
+            timing::time(Kernel::FieldOps, || {
+                let all = par_sum_blocks(spec.data.len(), |r| r.map(term).sum());
+                let ends: f64 = (0..spec.data.len() / n3c)
+                    .map(|row| term(row * n3c) + term(row * n3c + n3c - 1))
+                    .sum();
+                2.0 * all - ends
+            })
+        };
+        let local: f64 = if comm.size() == 1 {
+            v.c.iter().map(|c| energy(&self.fft.forward(c, comm))).sum()
+        } else {
+            self.spectra_of(v, comm).c.iter().map(energy).sum()
+        };
+        let scale = self.grid.cell_volume() / self.grid.len() as f64;
+        0.5 * beta * scale * comm.allreduce_sum_scalar(local)
     }
 
     /// `f ↦ F⁻¹[op(F f)]` for 1–3 fields whose spectra do not couple:
@@ -93,13 +203,7 @@ impl<T: FftElem> SpectralT<T> {
         comm: &mut Comm,
         sym: impl Fn(f64) -> f64 + Sync,
     ) -> [ScalarFieldT<T>; NF] {
-        self.map_spectra(fields, comm, |spec| {
-            par_chunks_mut(&mut spec.data, SWEEP_CHUNK, |ci, chunk| {
-                for (z, k) in chunk.iter_mut().zip(&self.ksq[ci * SWEEP_CHUNK..]) {
-                    *z = z.scale(T::from_f64(sym(k.to_f64())));
-                }
-            })
-        })
+        self.map_spectra(fields, comm, |spec| self.scale_symbol(spec, &sym))
     }
 
     /// The one-field call of [`SpectralT::apply_ksq_symbol_many`].
@@ -120,17 +224,13 @@ impl<T: FftElem> SpectralT<T> {
 
     /// Apply the regularization operator `βA = β(I − Δ)` to each component.
     pub fn reg_apply(&self, v: &VectorFieldT<T>, beta: f64, comm: &mut Comm) -> VectorFieldT<T> {
-        VectorFieldT {
-            c: self.apply_ksq_symbol_many(v.c.each_ref(), comm, |ksq| beta * (1.0 + ksq)),
-        }
+        VectorFieldT { c: self.apply_ksq_symbol_many(v.c.each_ref(), comm, reg_symbol(beta)) }
     }
 
     /// Apply `(βA)⁻¹` to each component — the `InvA` preconditioner (eq. 8)
     /// and the left-preconditioner inside `InvH0`.
     pub fn reg_inv(&self, v: &VectorFieldT<T>, beta: f64, comm: &mut Comm) -> VectorFieldT<T> {
-        VectorFieldT {
-            c: self.apply_ksq_symbol_many(v.c.each_ref(), comm, |ksq| 1.0 / (beta * (1.0 + ksq))),
-        }
+        VectorFieldT { c: self.apply_ksq_symbol_many(v.c.each_ref(), comm, reg_inv_symbol(beta)) }
     }
 
     /// Scalar version of [`SpectralT::reg_apply`].
@@ -140,7 +240,7 @@ impl<T: FftElem> SpectralT<T> {
         beta: f64,
         comm: &mut Comm,
     ) -> ScalarFieldT<T> {
-        self.apply_ksq_symbol(f, comm, |ksq| beta * (1.0 + ksq))
+        self.apply_ksq_symbol(f, comm, reg_symbol(beta))
     }
 
     /// Scalar version of [`SpectralT::reg_inv`].
@@ -150,7 +250,7 @@ impl<T: FftElem> SpectralT<T> {
         beta: f64,
         comm: &mut Comm,
     ) -> ScalarFieldT<T> {
-        self.apply_ksq_symbol(f, comm, |ksq| 1.0 / (beta * (1.0 + ksq)))
+        self.apply_ksq_symbol(f, comm, reg_inv_symbol(beta))
     }
 
     /// Apply a general per-mode real symbol `σ(k1, k2, k3)` (signed integer
@@ -164,13 +264,15 @@ impl<T: FftElem> SpectralT<T> {
         let g = self.grid;
         let [out] = self.map_spectra([f], comm, |spec| {
             let (nj, n3c) = (spec.x2_slab.ni, spec.n3c());
-            for (row, zs) in spec.data.chunks_exact_mut(n3c).enumerate() {
-                let k1 = g.wavenumber(0, row / nj);
-                let k2 = g.wavenumber(1, spec.x2_slab.i0 + row % nj);
-                for (k, z) in zs.iter_mut().enumerate() {
-                    *z = z.scale(T::from_f64(sym([k1, k2, k as isize])));
+            timing::time(Kernel::FieldOps, || {
+                for (row, zs) in spec.data.chunks_exact_mut(n3c).enumerate() {
+                    let k1 = g.wavenumber(0, row / nj);
+                    let k2 = g.wavenumber(1, spec.x2_slab.i0 + row % nj);
+                    for (k, z) in zs.iter_mut().enumerate() {
+                        *z = z.scale(T::from_f64(sym([k1, k2, k as isize])));
+                    }
                 }
-            }
+            })
         });
         out
     }
@@ -217,27 +319,29 @@ impl<T: FftElem> SpectralT<T> {
         let g = self.grid;
         let n3c = specs[0].n3c();
         let nj = specs[0].x2_slab.ni;
-        for i in 0..g.n[0] {
-            let k1 = T::from_f64(g.wavenumber(0, i) as f64);
-            for jl in 0..nj {
-                let k2 = T::from_f64(g.wavenumber(1, specs[0].j_global(jl)) as f64);
-                let base = (i * nj + jl) * n3c;
-                for k in 0..n3c {
-                    let ksq = self.ksq[base + k].to_f64();
-                    if ksq == 0.0 {
-                        continue;
+        timing::time(Kernel::FieldOps, || {
+            for i in 0..g.n[0] {
+                let k1 = T::from_f64(g.wavenumber(0, i) as f64);
+                for jl in 0..nj {
+                    let k2 = T::from_f64(g.wavenumber(1, specs[0].j_global(jl)) as f64);
+                    let base = (i * nj + jl) * n3c;
+                    for k in 0..n3c {
+                        let ksq = self.ksq[base + k].to_f64();
+                        if ksq == 0.0 {
+                            continue;
+                        }
+                        let k3 = T::from_f64(k as f64);
+                        let dot = specs[0].data[base + k].scale(k1)
+                            + specs[1].data[base + k].scale(k2)
+                            + specs[2].data[base + k].scale(k3);
+                        let proj = dot.scale(T::from_f64(1.0 / ksq));
+                        specs[0].data[base + k] = specs[0].data[base + k] - proj.scale(k1);
+                        specs[1].data[base + k] = specs[1].data[base + k] - proj.scale(k2);
+                        specs[2].data[base + k] = specs[2].data[base + k] - proj.scale(k3);
                     }
-                    let k3 = T::from_f64(k as f64);
-                    let dot = specs[0].data[base + k].scale(k1)
-                        + specs[1].data[base + k].scale(k2)
-                        + specs[2].data[base + k].scale(k3);
-                    let proj = dot.scale(T::from_f64(1.0 / ksq));
-                    specs[0].data[base + k] = specs[0].data[base + k] - proj.scale(k1);
-                    specs[1].data[base + k] = specs[1].data[base + k] - proj.scale(k2);
-                    specs[2].data[base + k] = specs[2].data[base + k] - proj.scale(k3);
                 }
             }
-        }
+        });
         VectorFieldT { c: self.fft.inverse_many(specs, comm) }
     }
 }

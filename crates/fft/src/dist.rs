@@ -38,7 +38,7 @@ use crate::{cache, pass, FftElem};
 ///
 /// Local dims are `[n1, nj, n3c]` with `nj` the owned x2 extent and
 /// `n3c = n3/2 + 1`; x1 is fully local (slowest), x3 fastest.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DistSpectralT<T: FftElem> {
     /// Global real-space grid.
     pub grid: Grid,
@@ -51,6 +51,14 @@ pub struct DistSpectralT<T: FftElem> {
 /// Field-precision ([`Real`]) distributed spectrum.
 pub type DistSpectral = DistSpectralT<Real>;
 
+impl<T: FftElem> Clone for DistSpectralT<T> {
+    /// A pooled copy; a whole-spectrum pass, so it is on the kernel clock.
+    fn clone(&self) -> Self {
+        let data = timing::time(Kernel::FieldOps, || self.data.clone());
+        DistSpectralT { grid: self.grid, x2_slab: self.x2_slab, data }
+    }
+}
+
 impl<T: FftElem> DistSpectralT<T> {
     /// Spectral extent along x3.
     pub fn n3c(&self) -> usize {
@@ -60,11 +68,10 @@ impl<T: FftElem> DistSpectralT<T> {
     /// Zeroed spectral storage for the given grid/slab.
     pub fn zeros(grid: Grid, x2_slab: Slab) -> DistSpectralT<T> {
         let len = grid.n[0] * x2_slab.ni * (grid.n[2] / 2 + 1);
-        DistSpectralT {
-            grid,
-            x2_slab,
-            data: T::cpx_pool().checkout_filled(len, CpxT::ZERO, WsCat::Fft),
-        }
+        let data = timing::time(Kernel::FieldOps, || {
+            T::cpx_pool().checkout_filled(len, CpxT::ZERO, WsCat::Fft)
+        });
+        DistSpectralT { grid, x2_slab, data }
     }
 
     /// Linear index of `(i, jl, k)` — global x1 `i`, local x2 `jl`, x3 `k`.

@@ -26,6 +26,10 @@
 //!   [`CommCat::FftTranspose`](claire_mpi::CommCat::FftTranspose): the same
 //!   passes around an all-to-all, with a 1–3-field entry point that sends
 //!   all components of a vector operator in one message per peer;
+//! * [`spectra::SpectralVecT`] — the three spectra of a vector field as a
+//!   Krylov vector: `axpy`/`aypx`/fused `axpy_norm` and the Parseval inner
+//!   product, so an iteration whose operators are diagonal in Fourier space
+//!   stays there;
 //! * [`cache`] — process-wide plan cache: stage tables and Bluestein
 //!   kernels are computed once per length/grid and shared (`Arc`) across
 //!   every plan built afterwards, including the β- and grid-continuation
@@ -49,6 +53,7 @@ pub mod pass;
 pub mod plan;
 pub mod real;
 pub mod serial3d;
+pub mod spectra;
 
 pub use claire_grid::{ClaireError, ClaireResult};
 pub use complex::{Cpx, CpxT};
@@ -56,6 +61,7 @@ pub use dist::{DistFft, DistFftT, DistSpectral, DistSpectralT};
 pub use plan::{Fft1d, Fft1dT};
 pub use real::{RealFft1d, RealFft1dT};
 pub use serial3d::{Fft3, Fft3T};
+pub use spectra::SpectralVecT;
 
 /// Shared pool for field-precision complex work buffers (per-worker
 /// transform scratch, gathered lines, transpose staging) — all charged to

@@ -442,6 +442,48 @@ impl<T: FieldElem> VectorFieldT<T> {
     }
 }
 
+/// What a Krylov method needs of the vectors it iterates on: the linear
+/// updates and an inner product, nothing else. `claire_opt::pcg` is written
+/// against this, so the one loop runs on [`VectorFieldT`]s (the outer
+/// Newton–PCG) and on spectra (`claire_fft::SpectralVecT`, the inner H0
+/// solve). Scalars cross as f64 and every reduction returns f64, whatever the
+/// storage width.
+pub trait KrylovVec: Clone {
+    /// A zero vector of the same shape.
+    fn zeros_like(&self) -> Self;
+    /// `self += a·x`.
+    fn axpy(&mut self, a: f64, x: &Self);
+    /// `self = a·self + x`.
+    fn aypx(&mut self, a: f64, x: &Self);
+    /// `self += a·x`, returning the norm of the updated vector from the same
+    /// pass. Collective.
+    fn axpy_norm(&mut self, a: f64, x: &Self, comm: &mut Comm) -> f64;
+    /// Inner product. Collective.
+    fn inner(&self, other: &Self, comm: &mut Comm) -> f64;
+    /// Norm induced by [`KrylovVec::inner`]. Collective.
+    fn norm(&self, comm: &mut Comm) -> f64 {
+        self.inner(self, comm).max(0.0).sqrt()
+    }
+}
+
+impl<T: FieldElem> KrylovVec for VectorFieldT<T> {
+    fn zeros_like(&self) -> Self {
+        VectorFieldT::zeros(*self.layout())
+    }
+    fn axpy(&mut self, a: f64, x: &Self) {
+        VectorFieldT::axpy(self, T::from_f64(a), x);
+    }
+    fn aypx(&mut self, a: f64, x: &Self) {
+        VectorFieldT::aypx(self, T::from_f64(a), x);
+    }
+    fn axpy_norm(&mut self, a: f64, x: &Self, comm: &mut Comm) -> f64 {
+        self.axpy_norm_l2(T::from_f64(a), x, comm)
+    }
+    fn inner(&self, other: &Self, comm: &mut Comm) -> f64 {
+        VectorFieldT::inner(self, other, comm)
+    }
+}
+
 impl VectorField {
     /// Sample three analytic component functions.
     pub fn from_fns(

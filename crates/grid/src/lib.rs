@@ -34,7 +34,7 @@ pub mod slab;
 pub mod workspace;
 
 pub use error::{ClaireError, ClaireResult};
-pub use field::{ScalarField, ScalarFieldT, VectorField, VectorFieldT};
+pub use field::{KrylovVec, ScalarField, ScalarFieldT, VectorField, VectorFieldT};
 pub use grid::Grid;
 pub use real::{Real, PI, TWO_PI};
 pub use slab::{Layout, Slab};

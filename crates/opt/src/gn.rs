@@ -187,7 +187,7 @@ struct NewtonOps<'a, P, H, M> {
     pc: Tally,
 }
 
-impl<T, P, H, M> PcgOperator<T> for NewtonOps<'_, P, H, M>
+impl<T, P, H, M> PcgOperator<VectorFieldT<T>> for NewtonOps<'_, P, H, M>
 where
     T: FieldElem,
     H: FnMut(&mut P, &VectorFieldT<T>, &mut Comm) -> VectorFieldT<T>,
@@ -340,7 +340,7 @@ impl GnState {
                 hess: Tally::default(),
                 pc: Tally::default(),
             };
-            let (step32, res) = pcg(&rhs32, None, &pcg_cfg, &mut ops, comm);
+            let (step32, res) = pcg(rhs32, None, &pcg_cfg, &mut ops, comm);
             (step32.converted(WsCat::GnCg), res, ops.hess, ops.pc)
         } else {
             let mut ops = NewtonOps {
@@ -350,7 +350,7 @@ impl GnState {
                 hess: Tally::default(),
                 pc: Tally::default(),
             };
-            let (step, res) = pcg(&rhs, None, &pcg_cfg, &mut ops, comm);
+            let (step, res) = pcg(rhs.clone(), None, &pcg_cfg, &mut ops, comm);
             (step, res, ops.hess, ops.pc)
         };
         stats.time.hess += hess.secs;

@@ -1,12 +1,14 @@
-//! Matrix-free preconditioned conjugate gradients on vector fields.
+//! Matrix-free preconditioned conjugate gradients.
 //!
-//! The solver is generic over the field element width `T` (the
-//! mixed-precision seam): the outer Gauss–Newton driver runs it at [`Real`]
-//! (f64) by default, or at `f32` when the inner Krylov solve is demoted.
-//! All reductions (`inner`, fused norms) accumulate in f64 regardless of
-//! `T`, so only the streamed field storage and matvec traffic narrow.
+//! The one loop is generic over the vector it iterates on ([`KrylovVec`]):
+//! the outer Gauss–Newton driver runs it on [`VectorField`]s — f64 by
+//! default, `VectorFieldT<f32>` when the inner Krylov solve is demoted —
+//! and `claire-core`'s H0 preconditioners run it on spectra, where `βA` and
+//! its inverse are Hadamard scales and inner products are Parseval sums.
+//! Scalars and reductions are f64 whatever the vector stores, so only the
+//! streamed storage and matvec traffic narrow.
 
-use claire_grid::{FieldElem, Real, VectorField, VectorFieldT};
+use claire_grid::{KrylovVec, VectorField};
 use claire_mpi::Comm;
 use claire_obs::{metrics::Counter, span::span};
 
@@ -48,13 +50,13 @@ pub struct PcgResult {
 /// preconditioner. One object provides both so a single mutable context
 /// (e.g. the registration problem) can back them.
 ///
-/// Generic over element width; `T` defaults to [`Real`] so existing f64
-/// operators (`impl PcgOperator for …`) are unchanged.
-pub trait PcgOperator<T: FieldElem = Real> {
+/// Generic over the vector type; `V` defaults to [`VectorField`] so f64
+/// field operators are written `impl PcgOperator for …`.
+pub trait PcgOperator<V: KrylovVec = VectorField> {
     /// `A·p`.
-    fn apply(&mut self, p: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T>;
+    fn apply(&mut self, p: &V, comm: &mut Comm) -> V;
     /// `M·r ≈ A⁻¹ r`. Default: identity (unpreconditioned CG).
-    fn prec(&mut self, r: &VectorFieldT<T>, _comm: &mut Comm) -> VectorFieldT<T> {
+    fn prec(&mut self, r: &V, _comm: &mut Comm) -> V {
         r.clone()
     }
 }
@@ -81,38 +83,34 @@ where
 
 /// Solve `A x = b` for SPD `A` with preconditioner `M ≈ A⁻¹`.
 ///
-/// `x0` seeds the iteration (zero if `None`). Collective. At `T = f64` the
-/// scalar recurrences (`α`, `β`) are computed in f64 and applied through
-/// the identity `from_f64`, so this is bit-identical to a hard-coded f64
-/// solver; at `T = f32` the recurrences stay f64 (reductions accumulate in
-/// f64) and only the field updates round.
-pub fn pcg<T: FieldElem, O: PcgOperator<T>>(
-    b: &VectorFieldT<T>,
-    x0: Option<&VectorFieldT<T>>,
+/// `b` is consumed — it becomes the residual — and `x0` seeds the iteration
+/// (zero if `None`). Collective. The scalar recurrences (`α`, `β`) are f64
+/// and every reduction accumulates in f64; a vector of f32 storage rounds
+/// only its own updates. Four vectors are live across an iteration (`x`,
+/// `r`, `p` and one of `A·p` / `M·r`, never both).
+pub fn pcg<V: KrylovVec, O: PcgOperator<V>>(
+    b: V,
+    x0: Option<V>,
     cfg: &PcgConfig,
     ops: &mut O,
     comm: &mut Comm,
-) -> (VectorFieldT<T>, PcgResult) {
+) -> (V, PcgResult) {
     let _s = span("pcg");
     PCG_SOLVES.inc();
-    let layout = *b.layout();
 
-    let mut x = match x0 {
-        Some(v) => v.clone(),
-        None => VectorFieldT::zeros(layout),
-    };
-    // r = b − A x. Cold start has r == b, so one fused reduction serves both
-    // ‖b‖ and the initial residual; warm start fuses the residual update with
-    // its norm (single pass over r instead of update + separate norm pass).
-    let mut r = b.clone();
-    let (bnorm, mut rel) = if x0.is_some() {
-        let bnorm = b.norm_l2(comm).max(f64::MIN_POSITIVE);
-        let ax = ops.apply(&x, comm);
-        (bnorm, r.axpy_norm_l2(-T::ONE, &ax, comm) / bnorm)
-    } else {
-        let bn_raw = r.norm_l2(comm);
-        let bnorm = bn_raw.max(f64::MIN_POSITIVE);
-        (bnorm, bn_raw / bnorm)
+    let bn_raw = b.norm(comm);
+    let bnorm = bn_raw.max(f64::MIN_POSITIVE);
+    // r = b − A x. Cold start has r == b, so ‖b‖ is the initial residual;
+    // warm start fuses the residual update with its norm (single pass over
+    // r instead of update + separate norm pass).
+    let mut r = b;
+    let (mut x, mut rel) = match x0 {
+        Some(x) => {
+            let ax = ops.apply(&x, comm);
+            let rel = r.axpy_norm(-1.0, &ax, comm) / bnorm;
+            (x, rel)
+        }
+        None => (r.zeros_like(), bn_raw / bnorm),
     };
     let mut trace = Vec::new();
     if cfg.trace {
@@ -122,9 +120,9 @@ pub fn pcg<T: FieldElem, O: PcgOperator<T>>(
         return (x, PcgResult { iters: 0, rel_residual: rel, converged: true, trace });
     }
 
-    let mut z = ops.prec(&r, comm);
-    let mut p = z.clone();
+    let z = ops.prec(&r, comm);
     let mut rz = r.inner(&z, comm);
+    let mut p = z;
     let mut iters = 0;
 
     for _ in 0..cfg.max_iter {
@@ -136,10 +134,12 @@ pub fn pcg<T: FieldElem, O: PcgOperator<T>>(
             break;
         }
         let alpha = rz / pq;
-        x.axpy(T::from_f64(alpha), &p);
+        x.axpy(alpha, &p);
         // fused residual update + norm: one streamed pass over r per
         // iteration instead of two (the solver's dominant field-op chain)
-        let rnorm = r.axpy_norm_l2(T::from_f64(-alpha), &q, comm);
+        let rnorm = r.axpy_norm(-alpha, &q, comm);
+        // back in its pool before the preconditioner asks for `z`
+        drop(q);
         iters += 1;
         PCG_ITERS.inc();
 
@@ -151,12 +151,12 @@ pub fn pcg<T: FieldElem, O: PcgOperator<T>>(
             return (x, PcgResult { iters, rel_residual: rel, converged: true, trace });
         }
 
-        z = ops.prec(&r, comm);
+        let z = ops.prec(&r, comm);
         let rz_new = r.inner(&z, comm);
         let beta = rz_new / rz;
         rz = rz_new;
         // p = z + β p
-        p.aypx(T::from_f64(beta), &z);
+        p.aypx(beta, &z);
     }
 
     (x, PcgResult { iters, rel_residual: rel, converged: rel <= cfg.tol_rel, trace })
@@ -165,7 +165,7 @@ pub fn pcg<T: FieldElem, O: PcgOperator<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use claire_grid::{Grid, Layout, Real, ScalarField, ScalarFieldT, WsCat};
+    use claire_grid::{Grid, Layout, Real, ScalarField, ScalarFieldT, VectorFieldT, WsCat};
     use proptest::prelude::*;
 
     /// Diagonal SPD test operator: componentwise scaling by (2 + sin²(x)).
@@ -193,7 +193,7 @@ mod tests {
         let b = apply_diag(&coef, &xtrue);
         let cfg = PcgConfig { tol_rel: 1e-10, max_iter: 200, trace: true };
         let (x, res) = pcg(
-            &b,
+            b.clone(),
             None,
             &cfg,
             &mut FnOps(
@@ -233,7 +233,7 @@ mod tests {
             out
         };
         let (_, res) = pcg(
-            &b,
+            b.clone(),
             None,
             &cfg,
             &mut FnOps(|v: &VectorField, _: &mut Comm| apply_diag(&coef, v), inv),
@@ -253,7 +253,7 @@ mod tests {
         let b = apply_diag(&coef, &xtrue);
         let cfg = PcgConfig { tol_rel: 1e-8, max_iter: 300, trace: false };
         let (_, cold) = pcg(
-            &b,
+            b.clone(),
             None,
             &cfg,
             &mut FnOps(
@@ -263,10 +263,9 @@ mod tests {
             &mut comm,
         );
         // warm start at the exact solution: zero iterations needed
-        let x0 = xtrue.clone();
         let (_, warm) = pcg(
-            &b,
-            Some(&x0),
+            b.clone(),
+            Some(xtrue.clone()),
             &cfg,
             &mut FnOps(
                 |v: &VectorField, _: &mut Comm| apply_diag(&coef, v),
@@ -282,7 +281,7 @@ mod tests {
     /// Diagonal SPD operator at f32 width for the mixed-agreement proptest.
     struct Diag32<'a>(&'a ScalarFieldT<f32>);
 
-    impl PcgOperator<f32> for Diag32<'_> {
+    impl PcgOperator<VectorFieldT<f32>> for Diag32<'_> {
         fn apply(&mut self, v: &VectorFieldT<f32>, _: &mut Comm) -> VectorFieldT<f32> {
             let mut out = v.clone();
             for c in &mut out.c {
@@ -316,7 +315,7 @@ mod tests {
             );
             let cfg = PcgConfig { tol_rel: 1e-5, max_iter: 200, trace: false };
             let (x64, r64) = pcg(
-                &b,
+                b.clone(),
                 None,
                 &cfg,
                 &mut FnOps(
@@ -327,7 +326,7 @@ mod tests {
             );
             let coef32: ScalarFieldT<f32> = coef.converted(WsCat::Other);
             let b32: VectorFieldT<f32> = b.converted(WsCat::Other);
-            let (x32, r32) = pcg(&b32, None, &cfg, &mut Diag32(&coef32), &mut comm);
+            let (x32, r32) = pcg(b32, None, &cfg, &mut Diag32(&coef32), &mut comm);
             prop_assert!(r64.converged && r32.converged,
                 "f64 rel {} / f32 rel {}", r64.rel_residual, r32.rel_residual);
             let mut d: VectorField = x32.converted(WsCat::Other);
@@ -337,6 +336,67 @@ mod tests {
         }
     }
 
+    /// A Krylov vector that is no field: coefficients with the Euclidean
+    /// inner product.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Dense(Vec<f64>);
+
+    impl KrylovVec for Dense {
+        fn zeros_like(&self) -> Self {
+            Dense(vec![0.0; self.0.len()])
+        }
+        fn axpy(&mut self, a: f64, x: &Self) {
+            self.0.iter_mut().zip(&x.0).for_each(|(y, x)| *y += a * x);
+        }
+        fn aypx(&mut self, a: f64, x: &Self) {
+            self.0.iter_mut().zip(&x.0).for_each(|(y, x)| *y = a * *y + x);
+        }
+        fn axpy_norm(&mut self, a: f64, x: &Self, comm: &mut Comm) -> f64 {
+            KrylovVec::axpy(self, a, x);
+            self.norm(comm)
+        }
+        fn inner(&self, other: &Self, _: &mut Comm) -> f64 {
+            self.0.iter().zip(&other.0).map(|(a, b)| a * b).sum()
+        }
+    }
+
+    /// The 1-D Laplacian plus identity, `(3, −1)` tridiagonal: SPD.
+    struct Tridiag {
+        jacobi: bool,
+    }
+
+    impl PcgOperator<Dense> for Tridiag {
+        fn apply(&mut self, p: &Dense, _: &mut Comm) -> Dense {
+            let (v, n) = (&p.0, p.0.len());
+            let at = |i: usize| if i < n { v[i] } else { 0.0 };
+            Dense((0..n).map(|i| 3.0 * v[i] - at(i.wrapping_sub(1)) - at(i + 1)).collect())
+        }
+        fn prec(&mut self, r: &Dense, _: &mut Comm) -> Dense {
+            Dense(r.0.iter().map(|x| if self.jacobi { x / 3.0 } else { *x }).collect())
+        }
+    }
+
+    #[test]
+    fn the_loop_runs_on_a_vector_that_is_no_field() {
+        let mut comm = Comm::solo();
+        let xtrue = Dense((0..40).map(|i| (0.3 * i as f64).sin()).collect());
+        let b = Tridiag { jacobi: false }.apply(&xtrue, &mut comm);
+        let cfg = PcgConfig { tol_rel: 1e-12, max_iter: 100, trace: true };
+        for jacobi in [false, true] {
+            let (x, res) = pcg(b.clone(), None, &cfg, &mut Tridiag { jacobi }, &mut comm);
+            assert!(res.converged && res.trace.len() == res.iters + 1, "rel {}", res.rel_residual);
+            let mut d = x;
+            KrylovVec::axpy(&mut d, -1.0, &xtrue);
+            assert!(d.norm(&mut comm) < 1e-10);
+        }
+        // warm start at the solution and a zero right-hand side: no iteration
+        let ops = &mut Tridiag { jacobi: true };
+        let (x, warm) = pcg(b.clone(), Some(xtrue.clone()), &cfg, ops, &mut comm);
+        assert_eq!((warm.iters, x), (0, xtrue));
+        let (x, zero) = pcg(b.zeros_like(), None, &cfg, ops, &mut comm);
+        assert_eq!((zero.iters, x), (0, b.zeros_like()));
+    }
+
     #[test]
     fn zero_rhs_returns_zero() {
         let layout = Layout::serial(Grid::cube(4));
@@ -344,7 +404,7 @@ mod tests {
         let b = VectorField::zeros(layout);
         let cfg = PcgConfig::default();
         let (x, res) = pcg(
-            &b,
+            b.clone(),
             None,
             &cfg,
             &mut FnOps(

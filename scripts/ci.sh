@@ -176,6 +176,29 @@ stage_report_schema() {
         echo "state solves $solves (expected obj_evals $obj_evals - levels $levels + 1)," \
              "reused $reused (expected > 0): the kept state solve is not being reused"
         exit 1; }
+    # the transform budget (DESIGN §5): scalar 3-D transforms against the
+    # report's own counts. Certain: 3 per objective, 6 per Hessian matvec,
+    # 12 + 6k per H0 application (pcg.solves beyond the one Newton solve per
+    # GN record; k = pcg.iters beyond the Hessian matvecs). On top, at most:
+    # 6 per InvA application (no more applications than matvecs + Newton
+    # solves), 6 + 6 per gradient (βA·v, and ∇m̄ restricted at a new
+    # linearization point; one gradient per record and one per level) and the
+    # first restriction. An operator that goes back to real space between
+    # two spectral steps breaks the ceiling.
+    local fft iters hess records h0 inner floor budget
+    fft="$(counter kernel.fft_serial.calls)"
+    iters="$(counter pcg.iters)"
+    hess="$(counter gn.hess_applies)"
+    records="$(grep -c '"level":' "$report")"
+    h0=$(( $(counter pcg.solves) - records ))
+    inner=$((iters - hess))
+    floor=$((3 * obj_evals + 6 * hess + 12 * h0 + 6 * inner))
+    budget=$((floor + 6 * (hess + records - h0) + 12 * (records + levels) + 6))
+    [ "$fft" -ge "$floor" ] && [ "$fft" -le "$budget" ] || {
+        echo "scalar transforms $fft outside [$floor, $budget] for obj_evals $obj_evals," \
+             "hess_applies $hess, H0 applications $h0 with $inner inner iterations," \
+             "$records GN records on $levels levels: the transform budget is broken"
+        exit 1; }
     # the environment selector must land in the report verbatim
     CLAIRE_PRECISION=mixed cargo run --release --example quickstart -- 16 --report "$report"
     grep -q '"precision": "mixed"' "$report" || {

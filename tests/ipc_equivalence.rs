@@ -254,43 +254,10 @@ fn killed_rank_fails_typed_not_hung() {
 // mixed precision over the wire: f32 inner-solve collectives halve traffic
 // ---------------------------------------------------------------------------
 
-/// The zero-velocity Hessian `H0 = βA + ∇m̄ ⊗ ∇m̄` at element width `T`,
-/// applied through the distributed spectral operator — the inner-PCG
-/// system whose collectives the mixed-precision seam demotes to f32.
-struct H0<'a, T: claire::fft::FftElem> {
-    spectral: &'a claire::diff::SpectralT<T>,
-    grad: &'a claire::grid::VectorFieldT<T>,
-    beta: f64,
-}
-
-impl<T: claire::fft::FftElem> claire::opt::PcgOperator<T> for H0<'_, T> {
-    fn apply(
-        &mut self,
-        s: &claire::grid::VectorFieldT<T>,
-        comm: &mut Comm,
-    ) -> claire::grid::VectorFieldT<T> {
-        let mut out = self.spectral.reg_apply(s, self.beta, comm);
-        let mut w = claire::grid::ScalarFieldT::<T>::zeros(*s.layout());
-        for d in 0..3 {
-            w.add_scaled_product(T::ONE, &self.grad.c[d], &s.c[d]);
-        }
-        for d in 0..3 {
-            out.c[d].add_scaled_product(T::ONE, &self.grad.c[d], &w);
-        }
-        out
-    }
-
-    fn prec(
-        &mut self,
-        r: &claire::grid::VectorFieldT<T>,
-        comm: &mut Comm,
-    ) -> claire::grid::VectorFieldT<T> {
-        self.spectral.reg_inv(r, self.beta, comm)
-    }
-}
-
-/// Fixed-iteration distributed PCG on the H0 system at width `T` over real
-/// sockets. Returns this rank's FftTranspose wire bytes for the solve and
+/// The shipped `InvH0` application (`claire::core::precond::inv_h0`: PCG on
+/// the zero-velocity Hessian `H0 = βA + ∇m̄ ⊗ ∇m̄`, whose collectives the
+/// mixed-precision seam demotes to f32) at width `T`, fixed iterations, over
+/// real sockets. Returns this rank's FftTranspose wire bytes for the solve and
 /// the local solution promoted to f64 (for cross-width comparison).
 fn pcg_rank<T: claire::fft::FftElem>(comm: &mut Comm, n: usize) -> (u64, Vec<f64>) {
     use claire::grid::{Grid, Layout, VectorField, WsCat};
@@ -310,13 +277,12 @@ fn pcg_rank<T: claire::fft::FftElem>(comm: &mut Comm, n: usize) -> (u64, Vec<f64
     );
     let grad: claire::grid::VectorFieldT<T> = grad64.converted(WsCat::Other);
     let rhs: claire::grid::VectorFieldT<T> = rhs64.converted(WsCat::Other);
-    let mut ops = H0 { spectral: &spectral, grad: &grad, beta: 1e-2 };
     // tol_rel = 0 pins the schedule: both widths run exactly 8 iterations,
     // so the wire-byte ratio measures element width alone
     let cfg = claire::opt::PcgConfig { tol_rel: 0.0, max_iter: 8, trace: false };
 
     let before = comm.stats().cat(CommCat::FftTranspose).wire_bytes;
-    let (x, res) = claire::opt::pcg(&rhs, None, &cfg, &mut ops, comm);
+    let (x, res) = claire::core::precond::inv_h0(&spectral, &grad, 1e-2, &rhs, &cfg, comm);
     assert_eq!(res.iters, 8);
     let wire = comm.stats().cat(CommCat::FftTranspose).wire_bytes - before;
 

@@ -15,7 +15,10 @@
 //!
 //! The whole measurement runs once per SIMD backend (scalar and auto) —
 //! the vectorized kernels, including the fused PCG field-op chains, must be
-//! as allocation-free as the loops they replaced.
+//! as allocation-free as the loops they replaced — and, for the two
+//! single-pair tests, once per preconditioner: the inner H0 solve iterates
+//! on pooled spectra and `2LInvH0` moves its low modes between two spectra
+//! this rank owns without staging them.
 //!
 //! The allocation counter and the backend override are both process-wide,
 //! so the tests serialize on one mutex: a concurrent test's warm-up would
@@ -34,6 +37,9 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 static LOCK: Mutex<()> = Mutex::new(());
 
 const BACKENDS: [claire_simd::Choice; 2] = [claire_simd::Choice::Scalar, claire_simd::Choice::Auto];
+
+const PRECONDS: [PrecondKind; 3] =
+    [PrecondKind::InvA, PrecondKind::InvH0, PrecondKind::TwoLevelInvH0];
 
 fn blob_pair(layout: Layout, shift: Real) -> (ScalarField, ScalarField) {
     let blob = move |cx: Real| {
@@ -68,10 +74,10 @@ fn steady_state_gn_iteration_is_allocation_free() {
     let mut comm = Comm::solo();
     let layout = Layout::serial(Grid::cube(16));
     let (m0, m1) = blob_pair(layout, 0.5);
-    let cfg = config();
 
-    for choice in BACKENDS {
+    for (choice, precond) in BACKENDS.into_iter().flat_map(|c| PRECONDS.map(|p| (c, p))) {
         claire_simd::force_backend(Some(choice));
+        let cfg = RegistrationConfig { precond, ..config() };
 
         // Warm-up solve: fills the workspace pools and the FFT plan cache.
         let _ = Claire::new(cfg).register(&m0, &m1, &mut comm);
@@ -103,7 +109,7 @@ fn steady_state_gn_iteration_is_allocation_free() {
         assert_eq!(
             tail,
             &[0, 0],
-            "steady-state GN iterations must not allocate under {choice:?}; \
+            "steady-state GN iterations must not allocate under {choice:?} with {precond:?}; \
              per-iteration allocations: {deltas:?}"
         );
     }
@@ -122,10 +128,11 @@ fn steady_state_mixed_gn_iteration_is_allocation_free() {
     let mut comm = Comm::solo();
     let layout = Layout::serial(Grid::cube(16));
     let (m0, m1) = blob_pair(layout, 0.5);
-    let cfg = RegistrationConfig { precision: claire::core::Precision::Mixed, ..config() };
 
-    for choice in BACKENDS {
+    for (choice, precond) in BACKENDS.into_iter().flat_map(|c| PRECONDS.map(|p| (c, p))) {
         claire_simd::force_backend(Some(choice));
+        let cfg =
+            RegistrationConfig { precision: claire::core::Precision::Mixed, precond, ..config() };
 
         let _ = Claire::new(cfg).register(&m0, &m1, &mut comm);
 
@@ -151,8 +158,8 @@ fn steady_state_mixed_gn_iteration_is_allocation_free() {
         assert_eq!(
             tail,
             &[0, 0],
-            "steady-state mixed-precision GN iterations must not allocate under {choice:?}; \
-             per-iteration allocations: {deltas:?}"
+            "steady-state mixed-precision GN iterations must not allocate under {choice:?} \
+             with {precond:?}; per-iteration allocations: {deltas:?}"
         );
     }
     claire_simd::force_backend(None);
