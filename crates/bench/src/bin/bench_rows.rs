@@ -1,0 +1,195 @@
+//! The layer rows `BENCHMARK.json` cannot see, one JSON line per row on
+//! stdout, at `2·N` and `3·N` for `CLAIRE_BENCH_N` (64³ and 96³ by default)
+//! on the active SIMD backend and thread count:
+//!
+//! | row | why no `per_layer` metric covers it |
+//! |---|---|
+//! | `fft_pass_x{3,2,1}` (+`_f32`) | `fft.roundtrip_ns_per_point*` time the three passes as one |
+//! | `interp_plan_build`, `interp_planned` | `interp.ns_per_query` is build + evaluation |
+//! | `fft_dist_roundtrip_p2` | the FFT probes run on the workload's ranks; only `reg_2r` has two, at 40×32×24 |
+//! | `ghost_sock_p{2,4}`, `alltoallv_sock_p{2,4}` | no workload runs the socket transport |
+//! | `pcg_h0`, `pcg_h0_mixed` | `core.precond_s` is a whole solve's total; this is per point per inner iteration, and its growth between the two sizes is what ROADMAP item 4 is judged on |
+//!
+//! The rows say which layer moved; nothing is gated on them. A performance
+//! claim is made with paired runs through `BENCHMARK.json`.
+
+use std::time::Instant;
+
+use claire_bench::bench_n;
+use claire_core::precond::inv_h0;
+use claire_diff::SpectralT;
+use claire_fft::{cache, pass, CpxT, DistFft, FftElem};
+use claire_grid::{ghost, Grid, Layout, Real, ScalarField, VectorField, VectorFieldT, WsCat};
+use claire_interp::{Interpolator, IpOrder};
+use claire_ipc::run_socket_cluster;
+use claire_mpi::{run_cluster, AlltoallMethod, Comm, CommCat, Topology};
+use claire_opt::PcgConfig;
+
+/// `(row, unit, value)` of one family of rows at one size.
+type Rows = Vec<(String, &'static str, f64)>;
+
+fn test_field(layout: Layout) -> ScalarField {
+    ScalarField::from_fn(layout, |x, y, z| {
+        (x + 0.3 * y).sin() * (2.0 * z).cos() + (z - 0.1 * x).sin()
+    })
+}
+
+/// Nanoseconds per call of `f` over `per` units of work: one warm call, then
+/// the fastest of five timed batches of three.
+fn measure(per: usize, mut f: impl FnMut()) -> f64 {
+    const REPS: usize = 3;
+    f();
+    let batch = (0..5).map(|_| {
+        let t0 = Instant::now();
+        (0..REPS).for_each(|_| f());
+        t0.elapsed()
+    });
+    batch.min().unwrap().as_nanos() as f64 / (REPS * per) as f64
+}
+
+/// The three passes of the 3-D transform, each forward + inverse on its own
+/// (`x3`: real rows; `x2`: down every `[n][n3c]` plane; `x1`: down the whole
+/// slab), so an FFT change can see which pass it moved.
+fn fft_passes<T: FftElem>(n: usize) -> Rows {
+    let suffix = if T::LABEL == "f32" { "_f32" } else { "" };
+    let (n3c, points) = (n / 2 + 1, n * n * n);
+    let (rows, lines) = (cache::real_fft1d_t::<T>(n), cache::fft1d_t::<T>(n));
+    let field = test_field(Layout::serial(Grid::cube(n)));
+    let mut real: Vec<T> = field.data().iter().map(|&v| T::from_f64(v)).collect();
+    let mut spec = vec![CpxT::<T>::ZERO; n * n * n3c];
+    let x3 = measure(points, || {
+        pass::rows_forward(&rows, &real, &mut spec);
+        pass::rows_inverse(&rows, &spec, &mut real);
+    });
+    let mut out = vec![(format!("fft_pass_x3{suffix}"), "ns/point", x3)];
+    for (name, stride) in [("fft_pass_x2", n3c), ("fft_pass_x1", n * n3c)] {
+        let t = measure(points, || {
+            pass::cols(&lines, false, &mut spec, stride);
+            pass::cols(&lines, true, &mut spec, stride);
+        });
+        out.push((format!("{name}{suffix}"), "ns/point", t));
+    }
+    out
+}
+
+/// Cubic interpolation, one off-grid query per grid point, split into the
+/// halves the solver pays separately: one plan build per characteristic
+/// family, one planned evaluation per time step.
+fn interp(n: usize) -> Rows {
+    let f = test_field(Layout::serial(Grid::cube(n)));
+    let h = f.layout().grid.spacing();
+    let queries: Vec<[Real; 3]> = claire_semilag::traj::grid_points(f.layout())
+        .into_iter()
+        .map(|p| [p[0] + 0.37 * h[0], p[1] - 0.21 * h[1], p[2] + 0.11 * h[2]])
+        .collect();
+    let mut comm = Comm::solo();
+    let mut ip = Interpolator::new(IpOrder::Cubic);
+    let build = measure(queries.len(), || {
+        std::hint::black_box(ip.plan(*f.layout(), &queries, &mut comm));
+    });
+    let plan = ip.plan(*f.layout(), &queries, &mut comm);
+    let mut vals = vec![0.0 as Real; queries.len()];
+    let eval = measure(queries.len(), || {
+        ip.evaluate(&plan, &[&f], &mut comm, &mut [&mut vals]);
+    });
+    vec![
+        ("interp_plan_build".into(), "ns/query", build),
+        ("interp_planned".into(), "ns/query", eval),
+    ]
+}
+
+/// Distributed FFT round trip on two in-process ranks: slab decomposition
+/// plus the alltoallv transposes, rank 0's clock.
+fn fft_dist(n: usize) -> Rows {
+    let grid = Grid::cube(n);
+    let t = run_cluster(Topology::new(2, 2), move |comm| {
+        let f = test_field(Layout::distributed(grid, comm));
+        let dfft = DistFft::new(grid, comm);
+        measure(grid.len(), || {
+            let spec = dfft.forward(&f, comm);
+            std::hint::black_box(dfft.inverse(spec, comm));
+        })
+    })
+    .outputs[0];
+    vec![("fft_dist_roundtrip_p2".into(), "ns/point", t)]
+}
+
+/// The two collectives a multi-process launch pays per message, over real
+/// Unix-domain sockets (framing, eager/rendezvous switch, reader threads):
+/// a width-4 ghost exchange and an alltoallv with the per-pair volume of a
+/// slab transpose, on 2 and 4 ranks, rank 0's clock.
+fn sockets(n: usize) -> Rows {
+    let grid = Grid::cube(n);
+    let mut out = Rows::new();
+    for p in [2usize, 4] {
+        let [gx, a2a] = run_socket_cluster(Topology::new(p, 2), move |comm| {
+            let f = test_field(Layout::distributed(grid, comm));
+            let gx = measure(grid.len(), || {
+                std::hint::black_box(ghost::exchange(&f, 4, comm));
+            });
+            let bufs = vec![vec![0.5 as Real; grid.len() / (p * p)]; p];
+            let a2a = measure(grid.len(), || {
+                let got = comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto);
+                std::hint::black_box(got);
+            });
+            [gx, a2a]
+        })
+        .outputs[0];
+        out.push((format!("ghost_sock_p{p}"), "ns/point", gx));
+        out.push((format!("alltoallv_sock_p{p}"), "ns/point", a2a));
+    }
+    out
+}
+
+/// The shipped `InvH0` application (`H0 = βA + ∇m̄ ⊗ ∇m̄` solved on spectra,
+/// `(βA)⁻¹` as its left preconditioner) at a pinned 12 inner iterations
+/// (`tol_rel = 0`), so both widths run the identical schedule; the 12
+/// transforms around the iteration are in the row, as they are in the solver.
+fn pcg_h0_at<T: FftElem>(n: usize) -> f64 {
+    const ITERS: usize = 12;
+    let layout = Layout::serial(Grid::cube(n));
+    let mut comm = Comm::solo();
+    let spectral = SpectralT::<T>::new(layout.grid, &comm);
+    let grad: VectorFieldT<T> = VectorField::from_fns(
+        layout,
+        |x, y, _| (x - 3.0) * (-(x - 3.0) * (x - 3.0) - (y - 3.0) * (y - 3.0)).exp(),
+        |_, y, z| (y - 3.0) * (-(y - 3.0) * (y - 3.0) - (z - 3.0) * (z - 3.0)).exp(),
+        |x, _, z| (z - 3.0) * (-(z - 3.0) * (z - 3.0) - (x - 3.0) * (x - 3.0)).exp(),
+    )
+    .converted(WsCat::Other);
+    let rhs: VectorFieldT<T> = VectorField::from_fns(
+        layout,
+        |x, y, z| (x + 0.5 * y).sin() * z.cos(),
+        |x, y, z| (y + 0.5 * z).sin() * x.cos(),
+        |x, y, z| (z + 0.5 * x).sin() * y.cos(),
+    )
+    .converted(WsCat::Other);
+    let cfg = PcgConfig { tol_rel: 0.0, max_iter: ITERS, trace: false };
+    measure(ITERS * layout.grid.len(), || {
+        let (_, res) = inv_h0(&spectral, &grad, 1e-2, &rhs, &cfg, &mut comm);
+        assert_eq!(res.iters, ITERS, "fixed-iteration PCG must run the pinned schedule");
+    })
+}
+
+fn pcg_h0(n: usize) -> Rows {
+    vec![
+        ("pcg_h0".into(), "ns/point/iter", pcg_h0_at::<f64>(n)),
+        ("pcg_h0_mixed".into(), "ns/point/iter", pcg_h0_at::<f32>(n)),
+    ]
+}
+
+fn main() {
+    let sizes = [2 * bench_n(), 3 * bench_n()];
+    let (backend, threads) = (claire_simd::active_backend().label(), claire_par::num_threads());
+    let families: [fn(usize) -> Rows; 6] =
+        [fft_passes::<Real>, fft_passes::<f32>, interp, fft_dist, sockets, pcg_h0];
+    for family in families {
+        let [small, large] = sizes.map(family);
+        for ((row, unit, a), (_, _, b)) in small.into_iter().zip(large) {
+            println!(
+                "{{\"row\":\"{row}\",\"unit\":\"{unit}\",\"backend\":\"{backend}\",\
+                 \"threads\":{threads},\"n\":{sizes:?},\"value\":[{a:.2},{b:.2}]}}"
+            );
+        }
+    }
+}

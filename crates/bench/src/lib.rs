@@ -17,6 +17,9 @@
 //! | `fig5`   | Fig. 5  | kernel-fraction bars for Table 7 |
 //! | `ablation` | §4 text | store-∇m, IP order, P2P switch, β floor |
 //!
+//! One more bin, `bench_rows`, prints the layer rows `BENCHMARK.json` has no
+//! probe for (its module doc lists them) and goes when they are probes.
+//!
 //! Functional runs execute on the virtual cluster at CPU-feasible sizes
 //! (the `CLAIRE_BENCH_N` environment variable scales them); paper-scale
 //! numbers come from the calibrated model (`claire-perf`) and are printed

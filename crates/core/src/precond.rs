@@ -398,12 +398,17 @@ mod tests {
     impl<T: FftElem> PcgOperator<VectorFieldT<T>> for RefH0<'_, T> {
         fn apply(&mut self, s: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
             let mut out = self.spectral.reg_apply(s, self.beta, comm);
-            let mut w = ScalarFieldT::zeros(*s.layout());
+            let mut w = ScalarFieldT::<T>::zeros(*s.layout());
+            let add_product = |acc: &mut [T], x: &[T], y: &[T]| {
+                for ((a, &x), &y) in acc.iter_mut().zip(x).zip(y) {
+                    *a += x * y;
+                }
+            };
             for d in 0..3 {
-                w.add_scaled_product(T::ONE, &self.grad_mbar.c[d], &s.c[d]);
+                add_product(w.data_mut(), self.grad_mbar.c[d].data(), s.c[d].data());
             }
             for d in 0..3 {
-                out.c[d].add_scaled_product(T::ONE, &self.grad_mbar.c[d], &w);
+                add_product(out.c[d].data_mut(), self.grad_mbar.c[d].data(), w.data());
             }
             out
         }

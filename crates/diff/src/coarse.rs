@@ -97,11 +97,6 @@ impl<T: FftElem> TwoLevelT<T> {
         }
     }
 
-    /// The fine grid.
-    pub fn fine_grid(&self) -> Grid {
-        self.fine
-    }
-
     /// The coarse (half-resolution) grid.
     pub fn coarse_grid(&self) -> Grid {
         self.coarse

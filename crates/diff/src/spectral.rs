@@ -297,17 +297,6 @@ impl<T: FftElem> SpectralT<T> {
         })
     }
 
-    /// Gaussian smoothing `exp(−σ²|k|²/2)` — used for image preprocessing
-    /// and phantom generation.
-    pub fn gauss_smooth(
-        &self,
-        f: &ScalarFieldT<T>,
-        sigma: f64,
-        comm: &mut Comm,
-    ) -> ScalarFieldT<T> {
-        self.apply_ksq_symbol(f, comm, |ksq| (-0.5 * sigma * sigma * ksq).exp())
-    }
-
     /// Leray projection onto divergence-free fields:
     /// `v ↦ v − ∇Δ⁻¹(∇·v)`, i.e. `v̂ ↦ v̂ − k (k·v̂)/|k|²`.
     ///

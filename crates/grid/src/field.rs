@@ -151,20 +151,6 @@ impl<T: FieldElem> ScalarFieldT<T> {
         });
     }
 
-    /// `self[i] += a · x[i] · y[i]` — fused multiply-accumulate of a product,
-    /// used for `λ∇m` terms in the reduced gradient.
-    pub fn add_scaled_product(&mut self, a: T, x: &Self, y: &Self) {
-        self.check_same_layout(x);
-        self.check_same_layout(y);
-        let (xd, yd) = (&x.data, &y.data);
-        timing::time(Kernel::FieldOps, || {
-            par_chunks_mut(&mut self.data, ELEM_CHUNK, |ci, c| {
-                let base = ci * ELEM_CHUNK;
-                T::kadd_scaled_product(a, &xd[base..base + c.len()], &yd[base..base + c.len()], c);
-            })
-        });
-    }
-
     // ----- precision conversion (the GN demote/promote boundary) -----------
 
     /// Overwrite `self` with `src` converted element-by-element through f64
@@ -210,19 +196,6 @@ impl<T: FieldElem> ScalarFieldT<T> {
             par_chunks_mut_sum(&mut self.data, ELEM_CHUNK, |ci, c| {
                 let base = ci * ELEM_CHUNK;
                 T::kaxpy_dot(a, &xd[base..base + c.len()], c)
-            })
-        })
-    }
-
-    /// `self = a·self + x`, returning the local raw self-dot `Σ selfᵢ²` of
-    /// the updated field from the same pass over memory.
-    pub fn aypx_norm2_local(&mut self, a: T, x: &Self) -> f64 {
-        self.check_same_layout(x);
-        let xd = &x.data;
-        timing::time(Kernel::FieldOps, || {
-            par_chunks_mut_sum(&mut self.data, ELEM_CHUNK, |ci, c| {
-                let base = ci * ELEM_CHUNK;
-                T::kaypx_norm2(a, &xd[base..base + c.len()], c)
             })
         })
     }
@@ -398,17 +371,6 @@ impl<T: FieldElem> VectorFieldT<T> {
         (comm.allreduce_sum_scalar(local) * vol).max(0.0).sqrt()
     }
 
-    /// `self = a·self + x`, returning the global L2(Ω)³ norm of the updated
-    /// field (fused `aypx` + `norm_l2`, same contract as [`Self::axpy_norm_l2`]).
-    pub fn aypx_norm_l2(&mut self, a: T, x: &Self, comm: &mut Comm) -> f64 {
-        let mut local = 0.0;
-        for (s, xc) in self.c.iter_mut().zip(&x.c) {
-            local += s.aypx_norm2_local(a, xc);
-        }
-        let vol = self.layout().grid.cell_volume();
-        (comm.allreduce_sum_scalar(local) * vol).max(0.0).sqrt()
-    }
-
     /// `self = a·x + y` per component in one pass (non-collective).
     pub fn scale_add_from(&mut self, a: T, x: &Self, y: &Self) {
         for ((s, xc), yc) in self.c.iter_mut().zip(&x.c).zip(&y.c) {
@@ -553,16 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_product() {
-        let l = serial(4);
-        let mut acc = ScalarField::zeros(l);
-        let x = ScalarField::from_fn(l, |_, _, _| 3.0);
-        let y = ScalarField::from_fn(l, |_, _, _| 4.0);
-        acc.add_scaled_product(0.5, &x, &y);
-        assert!(acc.data().iter().all(|&v| (v - 6.0).abs() < 1e-12));
-    }
-
-    #[test]
     fn fused_field_ops_bitwise_match_unfused_on_scalar_backend() {
         claire_simd::force_backend(Some(claire_simd::Choice::Scalar));
         let l = serial(16);
@@ -581,15 +533,6 @@ mod tests {
         let n_unfused = a.norm_l2(&mut comm);
         let mut b = v.clone();
         let n_fused = b.axpy_norm_l2(-0.75, &w, &mut comm);
-        assert_eq!(a, b);
-        assert_eq!(n_unfused.to_bits(), n_fused.to_bits());
-
-        // aypx + norm vs fused aypx_norm_l2
-        let mut a = v.clone();
-        a.aypx(0.3, &w);
-        let n_unfused = a.norm_l2(&mut comm);
-        let mut b = v.clone();
-        let n_fused = b.aypx_norm_l2(0.3, &w, &mut comm);
         assert_eq!(a, b);
         assert_eq!(n_unfused.to_bits(), n_fused.to_bits());
 

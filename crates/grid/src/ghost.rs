@@ -59,12 +59,6 @@ impl GhostField {
         self.data[(plane * g.n[1] + j) * g.n[2] + k]
     }
 
-    /// Bytes of halo data this exchange shipped in (both sides), for
-    /// model cross-checks.
-    pub fn halo_bytes(&self) -> usize {
-        2 * self.width * self.layout.grid.n[1] * self.layout.grid.n[2] * std::mem::size_of::<Real>()
-    }
-
     /// Check that `width` is a valid halo width for `layout`.
     pub fn validate(layout: &Layout, width: usize) -> ClaireResult<()> {
         let n0 = layout.grid.n[0];

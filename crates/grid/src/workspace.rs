@@ -233,11 +233,6 @@ impl<T: Send + 'static> Pool<T> {
     pub fn idle_buffers(&self) -> usize {
         self.shelf.lock().unwrap().values().map(Vec::len).sum()
     }
-
-    /// Free every shelved buffer.
-    pub fn drain(&self) {
-        self.shelf.lock().unwrap().clear();
-    }
 }
 
 impl<T: Copy + Send + 'static> Pool<T> {
@@ -364,23 +359,6 @@ impl FieldElem for f32 {
     fn pool() -> &'static Pool<f32> {
         &REAL32_POOL
     }
-}
-
-/// Checked-out zeroed scalar buffer of length `len`.
-pub fn real_zeroed(len: usize, cat: WsCat) -> PoolVec<Real> {
-    REAL_POOL.checkout_filled(len, 0.0 as Real, cat)
-}
-
-/// Free every shelved buffer in all solver pools. Checked-out buffers
-/// are unaffected. This exists for benchmarks that model a cold process
-/// (e.g. `bench_batch`'s sequential baseline) — production code should
-/// never need it.
-pub fn drain_all() {
-    REAL_POOL.drain();
-    REAL32_POOL.drain();
-    R3_POOL.drain();
-    SCALAR_FIELDS.drain();
-    VECTOR_FIELDS.drain();
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@ use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -29,7 +30,6 @@ use std::time::{Duration, Instant};
 use claire_grid::{ClaireError, ClaireResult};
 use claire_mpi::transport::{AbortHandle, Transport, TransportError};
 use claire_mpi::{ClusterError, ClusterResult, Comm, Message, Topology};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::frame::{self, FrameError, MAX_FRAME_BYTES};
 use crate::wire::{self, Hello};
@@ -210,7 +210,7 @@ impl SocketTransport {
         }
 
         // split each stream: reader threads decode frames into one queue
-        let (tx, inbox) = crossbeam::channel::unbounded::<Inbound>();
+        let (tx, inbox) = channel::<Inbound>();
         let mut readers = Vec::new();
         for (peer, slot) in peers.iter().enumerate() {
             let Some(stream) = slot else { continue };
@@ -433,7 +433,7 @@ mod tests {
                     src: 0,
                     tag,
                     cat: CommCat::Other,
-                    payload: bytes::Bytes::copy_from_slice(payload),
+                    payload: payload.to_vec(),
                 };
                 t.send(1, mk(&small, 1)).unwrap();
                 t.send(1, mk(&big, 2)).unwrap();
@@ -449,12 +449,7 @@ mod tests {
                 let m2 = t.recv().unwrap();
                 assert_eq!((m1.tag, m1.payload.len()), (1, 64));
                 assert_eq!((m2.tag, m2.payload.len()), (2, 4096));
-                let ack = Message {
-                    src: 1,
-                    tag: 99,
-                    cat: CommCat::Other,
-                    payload: bytes::Bytes::copy_from_slice(&[]),
-                };
+                let ack = Message { src: 1, tag: 99, cat: CommCat::Other, payload: Vec::new() };
                 t.send(0, ack).unwrap();
             });
         });

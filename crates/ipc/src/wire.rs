@@ -15,7 +15,6 @@
 //! reserved, `src: u32`, `tag: u64`) followed by the raw payload; integers
 //! are big-endian like the frame length.
 
-use bytes::Bytes;
 use claire_mpi::{CommCat, Message, Topology};
 
 /// Protocol magic for the bootstrap handshake ("CLIP" — CLaire IPc).
@@ -79,7 +78,7 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, DecodeError> {
         src: u32_at(frame, 4) as usize,
         tag: u64_at(frame, 8),
         cat,
-        payload: Bytes::copy_from_slice(&frame[MSG_HEADER_BYTES..]),
+        payload: frame[MSG_HEADER_BYTES..].to_vec(),
     })
 }
 
@@ -208,7 +207,7 @@ mod tests {
             src: 3,
             tag: u64::MAX - 6,
             cat: CommCat::FftTranspose,
-            payload: Bytes::copy_from_slice(&[9, 8, 7]),
+            payload: vec![9, 8, 7],
         };
         let mut frame = encode_msg_header(&msg).to_vec();
         assert_eq!(frame.len(), 16);

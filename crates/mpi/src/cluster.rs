@@ -4,10 +4,7 @@ use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crossbeam::channel::unbounded;
-
 use crate::comm::Comm;
-use crate::message::Message;
 use crate::stats::CommStats;
 use crate::topology::Topology;
 use crate::transport::{AbortHandle, ChannelTransport, TransportError};
@@ -110,12 +107,9 @@ where
     R: Send,
     F: Fn(&mut Comm) -> R + Sync,
 {
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..topo.nranks).map(|_| unbounded::<Message>()).unzip();
-    let connect = |rank: usize, abort: &Arc<AbortHandle>| {
-        let (rx, abort) = (rxs[rank].clone(), Some(Arc::clone(abort)));
-        let transport = ChannelTransport::new(rank, topo, txs.clone(), rx, abort);
-        Comm::from_transport(Box::new(transport))
-    };
+    let mesh = ChannelTransport::mesh(topo);
+    let connect =
+        |rank, abort: &Arc<AbortHandle>| Comm::from_transport(Box::new(mesh(rank, abort)));
     try_run_ranks(topo.nranks, connect, f)
 }
 

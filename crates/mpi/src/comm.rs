@@ -6,8 +6,6 @@
 
 use std::time::Instant;
 
-use bytes::Bytes;
-
 use crate::message::Message;
 use crate::model::AlltoallMethod;
 use crate::pod::{as_bytes, from_bytes, Pod};
@@ -111,7 +109,7 @@ impl Comm {
     /// A send that is part of a collective: on the byte/message ledger of
     /// `cat`, not on the `P2p` call count.
     fn send_impl<T: Pod>(&mut self, dst: usize, tag: u64, cat: CommCat, data: &[T]) {
-        let payload = Bytes::copy_from_slice(as_bytes(data));
+        let payload = as_bytes(data).to_vec();
         let nbytes = payload.len() as u64;
         let msg = Message { src: self.rank, tag, cat, payload };
         let wire = self.transport.send(dst, msg).unwrap_or_else(|e| std::panic::panic_any(e));
@@ -126,7 +124,7 @@ impl Comm {
     /// identical across transports, but still attributes real wire bytes to
     /// `Reduce`.
     fn send_control(&mut self, dst: usize, tag: u64) {
-        let msg = Message { src: self.rank, tag, cat: CommCat::Reduce, payload: Bytes::new() };
+        let msg = Message { src: self.rank, tag, cat: CommCat::Reduce, payload: Vec::new() };
         let wire = self.transport.send(dst, msg).unwrap_or_else(|e| std::panic::panic_any(e));
         self.stats.cat_mut(CommCat::Reduce).wire_bytes += wire;
     }
@@ -378,7 +376,6 @@ mod tests {
     use super::*;
     use crate::cluster::{run_cluster, try_run_ranks};
     use crate::transport::{AbortHandle, TransportError};
-    use crossbeam::channel::unbounded;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -524,10 +521,9 @@ mod tests {
     fn messages_on_the_transport(p: usize, op: impl Fn(&mut Comm) + Sync) -> usize {
         let topo = Topology::new(p, 4);
         let sent = Arc::new(AtomicUsize::new(0));
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..p).map(|_| unbounded::<Message>()).unzip();
+        let mesh = ChannelTransport::mesh(topo);
         let connect = |rank: usize, abort: &Arc<AbortHandle>| {
-            let (rx, abort) = (rxs[rank].clone(), Some(Arc::clone(abort)));
-            let inner = ChannelTransport::new(rank, topo, txs.clone(), rx, abort);
+            let inner = mesh(rank, abort);
             Comm::from_transport(Box::new(Counting { inner, sent: Arc::clone(&sent) }))
         };
         try_run_ranks(p, connect, op).unwrap();

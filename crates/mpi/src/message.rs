@@ -1,12 +1,11 @@
 //! Wire format of the virtual cluster.
 
 use crate::stats::CommCat;
-use bytes::Bytes;
 
 /// A message in flight between two virtual ranks.
 ///
-/// The payload is an owned byte buffer ([`Bytes`]), mirroring the raw device
-/// buffers CUDA-aware MPI moves between GPUs.
+/// The payload is an owned byte buffer, mirroring the raw device buffers
+/// CUDA-aware MPI moves between GPUs.
 #[derive(Clone, Debug)]
 pub struct Message {
     /// Sending rank.
@@ -16,5 +15,5 @@ pub struct Message {
     /// Traffic category for accounting.
     pub cat: CommCat,
     /// Raw payload bytes.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }

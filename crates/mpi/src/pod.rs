@@ -1,7 +1,7 @@
 //! Plain-old-data marker for zero-copy message payloads.
 //!
-//! Messages in the virtual cluster are byte buffers ([`bytes::Bytes`]). To
-//! send typed slices without a serialization framework we restrict payload
+//! Messages in the virtual cluster are byte buffers (`Vec<u8>`). To send
+//! typed slices without a serialization framework we restrict payload
 //! element types to "plain old data": `Copy` types with no padding whose any
 //! bit pattern is a valid value. This mirrors what CUDA-aware MPI does with
 //! device buffers: raw bytes on the wire.

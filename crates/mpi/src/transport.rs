@@ -5,7 +5,8 @@
 //! over one small surface: [`Transport`]. Two implementations exist:
 //!
 //! * [`ChannelTransport`] — the in-process default. Ranks are threads and
-//!   messages travel through crossbeam channels; nothing crosses a wire, so
+//!   messages travel through `std::sync::mpsc` channels (each rank is the one
+//!   consumer of its own); nothing crosses a wire, so
 //!   `send` reports 0 wire bytes. This is the zero-cost path used by
 //!   [`crate::run_cluster`] and [`Comm::solo`](crate::Comm::solo).
 //! * `SocketTransport` (in the `claire-ipc` crate) — true multi-process
@@ -26,10 +27,9 @@
 //! `recv`, so one dead rank cannot strand the others.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::message::Message;
 use crate::topology::Topology;
@@ -142,7 +142,7 @@ pub trait Transport: Send {
     fn recv(&mut self) -> Result<Message, TransportError>;
 }
 
-/// The in-process default transport: one crossbeam channel per rank.
+/// The in-process default transport: one std channel per rank.
 pub struct ChannelTransport {
     rank: usize,
     topo: Topology,
@@ -171,8 +171,21 @@ impl ChannelTransport {
 
     /// A single-rank transport whose sends loop back to its own receiver.
     pub fn solo() -> Self {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         Self::new(0, Topology::solo(), vec![tx], rx, None)
+    }
+
+    /// The channels of one in-process cluster, as the `connect` of
+    /// [`crate::try_run_ranks`]: rank `r`'s thread takes its endpoint, once
+    /// (a std receiver has one consumer), wired to the run's abort handle.
+    pub fn mesh(topo: Topology) -> impl Fn(usize, &Arc<AbortHandle>) -> Self + Sync {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..topo.nranks).map(|_| channel()).unzip();
+        let rxs: Vec<_> = rxs.into_iter().map(|rx| Mutex::new(Some(rx))).collect();
+        move |rank, abort| {
+            let mut slot = rxs[rank].lock().expect("a slot is locked only to take from it");
+            let rx = slot.take().expect("a rank connects once");
+            Self::new(rank, topo, txs.clone(), rx, Some(Arc::clone(abort)))
+        }
     }
 }
 
@@ -190,24 +203,17 @@ impl Transport for ChannelTransport {
     }
 
     fn send(&mut self, dst: usize, msg: Message) -> Result<u64, TransportError> {
-        match self.senders[dst].send(msg) {
-            Ok(()) => Ok(0), // in-process: nothing crossed a wire
-            Err(_) => Err(TransportError::PeerLost {
-                peer: dst,
-                detail: "virtual cluster channel closed".into(),
-            }),
-        }
+        // a rank that already returned has dropped its receiver; a message
+        // it will never read is not a failure of the sender
+        let _ = self.senders[dst].send(msg);
+        Ok(0) // in-process: nothing crossed a wire
     }
 
     fn recv(&mut self) -> Result<Message, TransportError> {
-        let Some(abort) = &self.abort else {
-            // no abort authority (solo / standalone comm): plain blocking recv
-            return self.rx.recv().map_err(|_| TransportError::Io {
-                detail: "virtual cluster channel closed (all senders gone)".into(),
-            });
-        };
         loop {
-            if abort.is_aborted() {
+            // without an abort handle (solo / standalone comm) a timeout only
+            // re-arms the wait
+            if let Some(abort) = self.abort.as_ref().filter(|a| a.is_aborted()) {
                 let detail = abort.detail().unwrap_or_else(|| "peer rank failed".into());
                 return Err(TransportError::Aborted { detail });
             }
@@ -228,10 +234,9 @@ impl Transport for ChannelTransport {
 mod tests {
     use super::*;
     use crate::stats::CommCat;
-    use bytes::Bytes;
 
     fn msg(src: usize, tag: u64) -> Message {
-        Message { src, tag, cat: CommCat::Other, payload: Bytes::copy_from_slice(&[1, 2, 3]) }
+        Message { src, tag, cat: CommCat::Other, payload: vec![1, 2, 3] }
     }
 
     #[test]
@@ -245,7 +250,7 @@ mod tests {
     #[test]
     fn abort_wakes_blocked_receiver() {
         let abort = Arc::new(AbortHandle::new());
-        let (tx, rx) = crossbeam::channel::unbounded::<Message>();
+        let (tx, rx) = channel::<Message>();
         let mut t =
             ChannelTransport::new(0, Topology::solo(), vec![tx], rx, Some(Arc::clone(&abort)));
         let a2 = Arc::clone(&abort);
@@ -256,6 +261,29 @@ mod tests {
         let err = t.recv().unwrap_err();
         h.join().unwrap();
         assert_eq!(err, TransportError::Aborted { detail: "rank 1 exploded".into() });
+    }
+
+    #[test]
+    fn late_send_to_a_departed_rank_is_not_an_error() {
+        let connect = ChannelTransport::mesh(Topology::new(2, 2));
+        let abort = Arc::new(AbortHandle::new());
+        let mut stays = connect(0, &abort);
+        drop(connect(1, &abort)); // rank 1 returned and took its receiver with it
+        assert_eq!(stays.send(1, msg(0, 1)), Ok(0));
+    }
+
+    #[test]
+    fn recv_fails_typed_once_every_sender_is_gone() {
+        // with and without an abort handle to poll
+        for abort in [None, Some(Arc::new(AbortHandle::new()))] {
+            let (tx, rx) = channel::<Message>();
+            let (elsewhere, _kept) = channel::<Message>();
+            let mut t = ChannelTransport::new(0, Topology::solo(), vec![elsewhere], rx, abort);
+            tx.send(msg(0, 4)).unwrap();
+            drop(tx);
+            assert_eq!(t.recv().unwrap().tag, 4, "sent before the hang-up: still delivered");
+            assert!(matches!(t.recv(), Err(TransportError::Io { .. })));
+        }
     }
 
     #[test]

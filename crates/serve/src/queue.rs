@@ -68,11 +68,6 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
-    }
-
     /// Non-blocking push into `lane`: fails fast with [`PushError::Full`]
     /// under backpressure instead of waiting.
     pub fn try_push(&self, item: T, lane: usize) -> Result<(), PushError<T>> {

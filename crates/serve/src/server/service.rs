@@ -320,12 +320,6 @@ impl RegistrationService {
         self.admit(spec, false)
     }
 
-    /// [`RegistrationService::submit`], additionally reporting whether the
-    /// result came straight from the content-hash cache.
-    pub fn submit_traced(&self, spec: JobSpec) -> Result<Admission, SubmitError> {
-        self.admit(spec, true)
-    }
-
     fn admit(&self, spec: JobSpec, block: bool) -> Result<Admission, SubmitError> {
         if !self.shared.accepting.load(Ordering::Acquire) {
             REJECTED.inc();

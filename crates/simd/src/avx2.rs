@@ -35,9 +35,7 @@ macro_rules! gate {
 gate!(scale<T>, scalar_scale, (a: T, y: &mut [T]));
 gate!(axpy<T>, scalar_axpy, (a: T, x: &[T], y: &mut [T]));
 gate!(aypx<T>, scalar_aypx, (a: T, x: &[T], y: &mut [T]));
-gate!(add_scaled_product<T>, scalar_add_scaled_product, (a: T, x: &[T], y: &[T], s: &mut [T]));
 gate!(axpy_dot<T>, wide_axpy_dot, (a: T, x: &[T], y: &mut [T]) -> f64);
-gate!(aypx_norm2<T>, wide_aypx_norm2, (a: T, x: &[T], y: &mut [T]) -> f64);
 gate!(scale_add_norm<T>, wide_scale_add_norm, (a: T, x: &[T], y: &[T], out: &mut [T]) -> f64);
 gate!(dot<T>, wide_dot, (x: &[T], y: &[T]) -> f64);
 gate!(sum<T>, wide_sum, (x: &[T]) -> f64);

@@ -72,8 +72,6 @@ pub trait Elem:
     fn kaxpy(a: Self, x: &[Self], y: &mut [Self]);
     /// `y[i] = a · y[i] + x[i]` (slices must have equal length).
     fn kaypx(a: Self, x: &[Self], y: &mut [Self]);
-    /// `s[i] += a · x[i] · y[i]` (slices must have equal length).
-    fn kadd_scaled_product(a: Self, x: &[Self], y: &[Self], s: &mut [Self]);
 
     // ----- fused element-wise + reduction kernels -------------------------
     //
@@ -84,10 +82,6 @@ pub trait Elem:
     /// the *updated* values in f64 — the residual-norm half of a PCG
     /// iteration in the same pass as the residual update.
     fn kaxpy_dot(a: Self, x: &[Self], y: &mut [Self]) -> f64;
-    /// Fused `aypx` + self-dot: `y[i] = a · y[i] + x[i]`, returning
-    /// `Σ y'[i]²` of the updated values in f64 (search-direction update
-    /// with its norm).
-    fn kaypx_norm2(a: Self, x: &[Self], y: &mut [Self]) -> f64;
     /// Fused scaled-add into a fresh buffer + self-dot:
     /// `out[i] = a · x[i] + y[i]`, returning `Σ out[i]²` in f64. Replaces
     /// the clone-then-axpy(-then-norm) multi-pass chain (line-search trials,
@@ -258,21 +252,9 @@ macro_rules! impl_elem {
                 assert_eq!(x.len(), y.len(), "aypx length mismatch");
                 dispatch!(crate::avx2::aypx(a, x, y), xk::scalar_aypx(a, x, y))
             }
-            fn kadd_scaled_product(a: Self, x: &[Self], y: &[Self], s: &mut [Self]) {
-                assert_eq!(x.len(), s.len(), "add_scaled_product length mismatch");
-                assert_eq!(y.len(), s.len(), "add_scaled_product length mismatch");
-                dispatch!(
-                    crate::avx2::add_scaled_product(a, x, y, s),
-                    xk::scalar_add_scaled_product(a, x, y, s)
-                )
-            }
             fn kaxpy_dot(a: Self, x: &[Self], y: &mut [Self]) -> f64 {
                 assert_eq!(x.len(), y.len(), "axpy_dot length mismatch");
                 dispatch!(crate::avx2::axpy_dot(a, x, y), xk::scalar_axpy_dot(a, x, y))
-            }
-            fn kaypx_norm2(a: Self, x: &[Self], y: &mut [Self]) -> f64 {
-                assert_eq!(x.len(), y.len(), "aypx_norm2 length mismatch");
-                dispatch!(crate::avx2::aypx_norm2(a, x, y), xk::scalar_aypx_norm2(a, x, y))
             }
             fn kscale_add_norm(a: Self, x: &[Self], y: &[Self], out: &mut [Self]) -> f64 {
                 assert_eq!(x.len(), out.len(), "scale_add_norm length mismatch");

@@ -53,27 +53,10 @@ pub(crate) fn scalar_aypx<T: Elem>(a: T, x: &[T], y: &mut [T]) {
 }
 
 #[inline(always)]
-pub(crate) fn scalar_add_scaled_product<T: Elem>(a: T, x: &[T], y: &[T], s: &mut [T]) {
-    for ((sv, &xv), &yv) in s.iter_mut().zip(x).zip(y) {
-        *sv += a * xv * yv;
-    }
-}
-
-#[inline(always)]
 pub(crate) fn scalar_axpy_dot<T: Elem>(a: T, x: &[T], y: &mut [T]) -> f64 {
     let mut acc = 0.0f64;
     for (v, &xv) in y.iter_mut().zip(x) {
         *v += a * xv;
-        acc += v.to_f64() * v.to_f64();
-    }
-    acc
-}
-
-#[inline(always)]
-pub(crate) fn scalar_aypx_norm2<T: Elem>(a: T, x: &[T], y: &mut [T]) -> f64 {
-    let mut acc = 0.0f64;
-    for (v, &xv) in y.iter_mut().zip(x) {
-        *v = a * *v + xv;
         acc += v.to_f64() * v.to_f64();
     }
     acc
@@ -192,22 +175,6 @@ pub(crate) fn wide_axpy_dot<T: Elem>(a: T, x: &[T], y: &mut [T]) -> f64 {
         }
     }
     fold_sum(acc) + scalar_axpy_dot(a, xt, yt)
-}
-
-#[inline(always)]
-pub(crate) fn wide_aypx_norm2<T: Elem>(a: T, x: &[T], y: &mut [T]) -> f64 {
-    let (xb, xt) = split(x);
-    let (yb, yt) = split_mut(y);
-    let mut acc = [0.0f64; LANES];
-    for (yc, xc) in yb.chunks_exact_mut(LANES).zip(xb.chunks_exact(LANES)) {
-        for ((v, &xv), l) in yc.iter_mut().zip(xc).zip(acc.iter_mut()) {
-            *v = a * *v + xv;
-            *l += v.to_f64() * v.to_f64();
-        }
-    }
-    let mut r = fold_sum(acc);
-    r += scalar_aypx_norm2(a, xt, yt);
-    r
 }
 
 #[inline(always)]

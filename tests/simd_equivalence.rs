@@ -97,38 +97,30 @@ fn check_fused<T: Elem>(n: usize, seed: u64, a: f64) {
         let mut ya = y.clone();
         T::kaxpy(a, &x, &mut ya);
         let da = T::kdot(&ya, &ya);
-        let mut yp = y.clone();
-        T::kaypx(a, &x, &mut yp);
-        let dp = T::kdot(&yp, &yp);
         let mut o = y.clone();
         T::kscale(a, &mut o);
         T::kaxpy(T::ONE, &x, &mut o); // o = a·y + x
         let ds = T::kdot(&o, &o);
-        (ya, da, yp, dp, o, ds)
+        (ya, da, o, ds)
     });
     let (fused, fused_simd) = both(|| {
         let mut ya = y.clone();
         let da = T::kaxpy_dot(a, &x, &mut ya);
-        let mut yp = y.clone();
-        let dp = T::kaypx_norm2(a, &x, &mut yp);
         let mut o = vec![T::ZERO; n];
         let ds = T::kscale_add_norm(a, &y, &x, &mut o);
-        (ya, da, yp, dp, o, ds)
+        (ya, da, o, ds)
     });
     assert_eq!(fused, unfused, "scalar fused kernels must equal their unfused pairs bitwise");
     assert_slices_close(&fused_simd.0, &fused.0, "axpy_dot data");
     assert_close::<T>(fused_simd.1, fused.1, "axpy_dot reduction");
-    assert_slices_close(&fused_simd.2, &fused.2, "aypx_norm2 data");
-    assert_close::<T>(fused_simd.3, fused.3, "aypx_norm2 reduction");
-    assert_slices_close(&fused_simd.4, &fused.4, "scale_add_norm data");
-    assert_close::<T>(fused_simd.5, fused.5, "scale_add_norm reduction");
+    assert_slices_close(&fused_simd.2, &fused.2, "scale_add_norm data");
+    assert_close::<T>(fused_simd.3, fused.3, "scale_add_norm reduction");
 }
 
 fn check_elementwise<T: Elem>(n: usize, seed: u64, a: f64) {
     let a = T::from_f64(a);
     let x = fill::<T>(seed, n, -100.0, 100.0);
     let y = fill::<T>(seed + 1, n, -100.0, 100.0);
-    let s = fill::<T>(seed + 2, n, -100.0, 100.0);
     let (r_scalar, r_simd) = both(|| {
         let mut ys = y.clone();
         T::kscale(a, &mut ys);
@@ -136,9 +128,7 @@ fn check_elementwise<T: Elem>(n: usize, seed: u64, a: f64) {
         T::kaxpy(a, &x, &mut ya);
         let mut yp = y.clone();
         T::kaypx(a, &x, &mut yp);
-        let mut sp = s.clone();
-        T::kadd_scaled_product(a, &x, &y, &mut sp);
-        (ys, ya, yp, sp)
+        (ys, ya, yp)
     });
     // the scalar arm is the pre-SIMD loop: separate multiply and add
     let axpy_ref: Vec<T> = x.iter().zip(&y).map(|(&xv, &yv)| yv + a * xv).collect();
@@ -146,7 +136,6 @@ fn check_elementwise<T: Elem>(n: usize, seed: u64, a: f64) {
     assert_slices_close(&r_simd.0, &r_scalar.0, "scale");
     assert_slices_close(&r_simd.1, &r_scalar.1, "axpy");
     assert_slices_close(&r_simd.2, &r_scalar.2, "aypx");
-    assert_slices_close(&r_simd.3, &r_scalar.3, "add_scaled_product");
 }
 
 fn check_reductions<T: Elem>(n: usize, seed: u64) {

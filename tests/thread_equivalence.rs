@@ -154,7 +154,6 @@ fn field_ops_and_reductions_identical_across_thread_counts() {
         let mut a = f.clone();
         a.axpy(0.7, &g);
         a.scale(1.3);
-        a.add_scaled_product(0.5, &f, &g);
         let dot = a.dot(&g, &mut comm);
         let sum = a.sum(&mut comm);
         let mx = a.max_abs(&mut comm);
