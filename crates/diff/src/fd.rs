@@ -5,23 +5,21 @@
 //! considered resolutions and much cheaper to parallelize — only a 4-plane
 //! ghost-layer exchange along the slab dimension (`ghost_comm`) instead of a
 //! global transpose. Derivatives along x2/x3 are rank-local (the slab
-//! decomposition only splits x1).
+//! decomposition only splits x1): their halo is padded without
+//! communication.
 //!
-//! Execution model: the stencil sweep is embarrassingly parallel over output
-//! points. Like the GPU implementation (one thread per output element), the
-//! loops here split the output into `x1`-planes (dim 0/1) or `x3`-rows
-//! (dim 2) and hand contiguous blocks of them to worker threads via
-//! `claire-par`. The ghost exchange stays a serial collective — it is the
-//! `ghost_comm` phase, not kernel compute. Hot loops should hold an
-//! [`FdScratch`] and call [`deriv_into`]/[`gradient_into`] to avoid
+//! There is one sweep: every derivative reads a [`GhostField`] padded by
+//! [`FD8_WIDTH`] on every axis, so the grid's periodicity lives in the halo
+//! and never in the stencil. Each output row is one contiguous
+//! `Elem::kfd8_combine_scale` over the eight neighbour rows, which sit a
+//! padded plane (x1), a padded row (x2) or one value (x3) apart. Like the GPU
+//! implementation (one thread per output element), the sweep splits the
+//! output into `x1`-planes and hands contiguous blocks of them to worker
+//! threads via `claire-par`. The ghost exchange stays a serial collective —
+//! it is the `ghost_comm` phase, not kernel compute; [`gradient_into`] does
+//! one exchange per field for all three components. Hot loops should hold
+//! an [`FdScratch`] and call [`deriv_into`]/[`gradient_into`] to avoid
 //! reallocating the ghost halo and output fields on every application.
-//!
-//! Within a worker, every sweep is expressed as contiguous-x3-row combines
-//! on the runtime-dispatched SIMD layer (`Elem::kfd8_combine_scale`): the
-//! x1 sweep reads 8 neighbouring ghost-storage rows, the x2 sweep 8
-//! periodic neighbour rows, and the x3 sweep vectorizes its interior with
-//! shifted views of the row, keeping only the 4-point wrap at each end on
-//! the scalar path.
 
 use std::cell::RefCell;
 
@@ -36,11 +34,11 @@ use claire_simd::Elem;
 /// `f'(x) ≈ (1/h) Σ_{m=1..4} c_m (f(x+mh) − f(x−mh))`.
 pub const FD8: [Real; 4] = [4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0];
 
-/// Halo width of the stencil (planes per side).
+/// Halo width of the stencil (points per side, on every axis).
 pub const FD8_WIDTH: usize = 4;
 
-/// Reusable buffers for repeated derivative applications: the ghost halo for
-/// dim-0 sweeps and a temporary field for [`divergence_into`]. One scratch
+/// Reusable buffers for repeated derivative applications: the ghost halo
+/// every sweep reads and a temporary field for [`divergence_into`]. One scratch
 /// per layout; buffers are (re)allocated lazily on first use or layout change.
 #[derive(Debug, Default)]
 pub struct FdScratch {
@@ -109,7 +107,7 @@ pub fn deriv_into(
 /// already applied per point, so it costs nothing). Lets consumers that
 /// immediately rescale a derivative — e.g. the `½·dt·(∇·v)` term of the
 /// semi-Lagrangian adjoint — drop a whole extra pass over memory.
-/// Collective when `dim == 0`.
+/// Collective when `dim == 0`; along x2/x3 the halo is padded locally.
 pub fn deriv_scaled_into(
     f: &ScalarField,
     dim: usize,
@@ -119,106 +117,36 @@ pub fn deriv_scaled_into(
     s: Real,
 ) {
     assert!(dim < 3);
-    let layout = *f.layout();
-    assert_eq!(out.layout(), &layout, "output layout mismatch");
-    let g = layout.grid;
-    let inv_h = 1.0 as Real / g.spacing()[dim];
-    let [_, n2, n3] = layout.local_dims();
-    let plane = n2 * n3;
-
-    match dim {
-        0 => {
-            let gf = scratch.ghost_for(f);
-            ghost::exchange_into(f, comm, gf);
-            let gd = gf.data();
-            timing::time(Kernel::Fd, || {
-                // rows (fixed storage plane, fixed j) are contiguous in x3,
-                // so each output row is one vectorized 8-row combine
-                par_chunks_mut(out.data_mut(), plane, |il, o| {
-                    let sp = il + FD8_WIDTH; // storage plane of owned plane il
-                    for j in 0..n2 {
-                        let row = |p: usize| &gd[(p * n2 + j) * n3..(p * n2 + j) * n3 + n3];
-                        let plus = [row(sp + 1), row(sp + 2), row(sp + 3), row(sp + 4)];
-                        let minus = [row(sp - 1), row(sp - 2), row(sp - 3), row(sp - 4)];
-                        Real::kfd8_combine_scale(
-                            &mut o[j * n3..(j + 1) * n3],
-                            &plus,
-                            &minus,
-                            &FD8,
-                            inv_h,
-                            s,
-                        );
-                    }
-                });
-            });
-        }
-        1 => {
-            let src = f.data();
-            timing::time(Kernel::Fd, || {
-                par_chunks_mut(out.data_mut(), plane, |il, o| {
-                    for j in 0..n2 {
-                        // periodic neighbour rows in x2: (j ± (m+1)) mod n2
-                        let mut rows_p = [0usize; 4];
-                        let mut rows_m = [0usize; 4];
-                        for m in 0..4 {
-                            let d = (m + 1) % n2;
-                            rows_p[m] = (il * n2 + (j + d) % n2) * n3;
-                            rows_m[m] = (il * n2 + (j + n2 - d) % n2) * n3;
-                        }
-                        let plus = std::array::from_fn(|m| &src[rows_p[m]..rows_p[m] + n3]);
-                        let minus = std::array::from_fn(|m| &src[rows_m[m]..rows_m[m] + n3]);
-                        Real::kfd8_combine_scale(
-                            &mut o[j * n3..(j + 1) * n3],
-                            &plus,
-                            &minus,
-                            &FD8,
-                            inv_h,
-                            s,
-                        );
-                    }
-                });
-            });
-        }
-        _ => {
-            let src = f.data();
-            let ihs = inv_h * s;
-            timing::time(Kernel::Fd, || {
-                par_chunks_mut(out.data_mut(), n3, |row, o| {
-                    let sr = &src[row * n3..(row + 1) * n3];
-                    let wrap = |o: &mut [Real], ks: std::ops::Range<usize>| {
-                        for k in ks {
-                            let mut acc = 0.0 as Real;
-                            for (m, &c) in FD8.iter().enumerate() {
-                                let d = m + 1;
-                                let kp = (k + d) % n3;
-                                let km = (k + n3 - d % n3) % n3;
-                                acc += c * (sr[kp] - sr[km]);
-                            }
-                            o[k] = acc * ihs;
-                        }
-                    };
-                    if n3 >= 2 * FD8_WIDTH {
-                        // periodic wrap only touches 4 points per end; the
-                        // interior reads contiguous shifted views of the row
-                        wrap(o, 0..FD8_WIDTH);
-                        wrap(o, n3 - FD8_WIDTH..n3);
-                        let plus = [&sr[5..], &sr[6..], &sr[7..], &sr[8..]];
-                        let minus = [&sr[3..], &sr[2..], &sr[1..], &sr[0..]];
-                        Real::kfd8_combine_scale(
-                            &mut o[FD8_WIDTH..n3 - FD8_WIDTH],
-                            &plus,
-                            &minus,
-                            &FD8,
-                            inv_h,
-                            s,
-                        );
-                    } else {
-                        wrap(o, 0..n3);
-                    }
-                });
-            });
-        }
+    let gf = scratch.ghost_for(f);
+    if dim == 0 {
+        ghost::exchange_into(f, comm, gf);
+    } else {
+        ghost::pad_into(f, gf);
     }
+    sweep(gf, dim, out, s);
+}
+
+/// `s · ∂/∂x_dim` of a filled halo into `out`: one `kfd8_combine_scale`
+/// per output row, its eight neighbour rows a plane, a row or one value
+/// apart in the padded storage.
+fn sweep(gf: &GhostField, dim: usize, out: &mut ScalarField, s: Real) {
+    let layout = *gf.layout();
+    assert_eq!(out.layout(), &layout, "output layout mismatch");
+    let inv_h = 1.0 as Real / layout.grid.spacing()[dim];
+    let [_, n2, n3] = layout.local_dims();
+    let [_, rows, cols] = gf.dims().stored;
+    let stride = [rows * cols, cols, 1][dim];
+    let gd = gf.data();
+    timing::time(Kernel::Fd, || {
+        par_chunks_mut(out.data_mut(), n2 * n3, |il, o| {
+            for (j, o) in o.chunks_exact_mut(n3).enumerate() {
+                let at = gf.offset(il as isize, j as isize, 0);
+                let plus = std::array::from_fn(|m| &gd[at + (m + 1) * stride..][..n3]);
+                let minus = std::array::from_fn(|m| &gd[at - (m + 1) * stride..][..n3]);
+                Real::kfd8_combine_scale(o, &plus, &minus, &FD8, inv_h, s);
+            }
+        });
+    });
 }
 
 /// Gradient `∇f` via three 8th-order derivatives. Collective. Wrapper over
@@ -229,16 +157,18 @@ pub fn gradient(f: &ScalarField, comm: &mut Comm) -> VectorField {
     out
 }
 
-/// Allocation-free gradient: writes `∇f` into `out`, reusing `scratch`.
-/// Collective.
+/// Allocation-free gradient: writes `∇f` into `out`, reusing `scratch`; one
+/// halo exchange serves all three components. Collective.
 pub fn gradient_into(
     f: &ScalarField,
     comm: &mut Comm,
     out: &mut VectorField,
     scratch: &mut FdScratch,
 ) {
-    for dim in 0..3 {
-        deriv_into(f, dim, comm, &mut out.c[dim], scratch);
+    let gf = scratch.ghost_for(f);
+    ghost::exchange_into(f, comm, gf);
+    for (dim, o) in out.c.iter_mut().enumerate() {
+        sweep(gf, dim, o, 1.0 as Real);
     }
 }
 

@@ -327,8 +327,13 @@ impl<T: PartialEq + Send + 'static> PartialEq for PoolVec<T> {
 
 // ----- the solver's shared pools --------------------------------------------
 
-/// Scalar samples: field storage, interpolation values, FD ghost layers.
+/// Scalar samples: field storage, interpolation values.
 pub static REAL_POOL: Pool<Real> = Pool::new();
+/// Halo-padded slabs (`GhostField`s). Kept apart from [`REAL_POOL`]: a
+/// padded buffer is larger than a field, so a field checkout would take
+/// an idle one (first fit ≥) and the next ghost checkout would then miss —
+/// every field of a time series could end up in a padded buffer.
+pub static HALO_POOL: Pool<Real> = Pool::new();
 /// f32 scalar samples for the mixed-precision inner solve: PCG vectors and
 /// spectral scratch. Kept separate from [`REAL_POOL`] so pool shelves stay
 /// keyed by element size and the memory accounting reflects the halved

@@ -38,17 +38,6 @@ impl PhaseTimes {
             + self.interp_kernel
             + self.scatter_mpi_buffer
     }
-
-    /// (label, value) pairs in the paper's Table 2 row order.
-    pub fn rows(&self) -> [(&'static str, f64); 5] {
-        [
-            ("ghost_comm", self.ghost_comm),
-            ("interp_comm", self.interp_comm),
-            ("scatter_comm", self.scatter_comm),
-            ("interp_kernel", self.interp_kernel),
-            ("scatter_mpi_buffer", self.scatter_mpi_buffer),
-        ]
-    }
 }
 
 /// Distributed scattered interpolator.
@@ -181,12 +170,7 @@ impl Interpolator {
             std::array::from_fn(|f| ghost::exchange(fields[f], IpOrder::GHOST_WIDTH, comm));
         self.stats.ghost_comm += t0.elapsed().as_secs_f64();
 
-        let halo = HaloDims {
-            planes: layout.slab.ni + 2 * IpOrder::GHOST_WIDTH,
-            n2: layout.grid.n[1],
-            n3: layout.grid.n[2],
-            plane0: IpOrder::GHOST_WIDTH as isize - layout.slab.i0 as isize,
-        };
+        let halo = ghosts[0].dims();
         let data: [&[Real]; NF] = std::array::from_fn(|f| ghosts[f].data());
 
         // ---- phase: interp_kernel (local stencil evaluation) ----
@@ -301,17 +285,6 @@ impl Interpolator {
         comm: &mut Comm,
     ) -> Vec<Real> {
         self.interp_many(&[field], queries, comm).pop().unwrap()
-    }
-
-    /// Interpolate one scalar field into a caller-provided buffer.
-    pub fn interp_into(
-        &mut self,
-        field: &ScalarField,
-        queries: &[[Real; 3]],
-        comm: &mut Comm,
-        out: &mut [Real],
-    ) {
-        self.interp_many_into(&[field], queries, comm, &mut [out]);
     }
 
     /// Interpolate a vector field; returns per-query 3-vectors.

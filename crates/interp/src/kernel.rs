@@ -24,8 +24,8 @@ pub enum IpOrder {
 }
 
 impl IpOrder {
-    /// Ghost-layer width needed along x1 (both kernels fit in 2 planes:
-    /// linear needs (0, +1), cubic needs (−1, +2)).
+    /// Ghost-layer width on every axis (both kernels fit in 2 points per
+    /// side: linear needs (0, +1), cubic needs (−1, +2)).
     pub const GHOST_WIDTH: usize = 2;
 
     /// Stable name in CLI flags, job manifests and the serve wire protocol.
@@ -159,8 +159,10 @@ fn split(u: Real) -> (isize, Real) {
 /// a time in plain scalar arithmetic — the reference evaluator. The solver
 /// never calls it; tests compare the planned, batched path against it.
 ///
-/// The x1 coordinate must fall inside the owned slab; x2/x3 wrap locally
-/// since those dimensions are not decomposed.
+/// The x1 coordinate must fall inside the owned slab. x2/x3 wrap here, by
+/// `rem_euclid`, onto owned values only, so comparing the batched kernel
+/// against this evaluator checks the padded x2/x3 halo instead of trusting
+/// it.
 pub fn interp_ghost(gf: &GhostField, order: IpOrder, x: [Real; 3]) -> Real {
     let layout = gf.layout();
     let g = layout.grid;
@@ -188,7 +190,7 @@ pub fn interp_ghost(gf: &GhostField, order: IpOrder, x: [Real; 3]) -> Real {
             let jj = (b2 + b as isize + lo).rem_euclid(n2);
             for (c, &wc) in w3[..taps].iter().enumerate() {
                 let kk = (b3 + c as isize + lo).rem_euclid(n3);
-                acc += wa * wb * wc * gf.at(ii, jj as usize, kk as usize);
+                acc += wa * wb * wc * gf.at(ii, jj, kk);
             }
         }
     }

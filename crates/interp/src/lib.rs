@@ -9,7 +9,8 @@
 //!    (the paper uses `thrust::copy_if` on the GPU);
 //! 2. `scatter_comm` — ship off-rank query points to their owners;
 //! 3. `ghost_comm` — exchange the x1 ghost layers of the interpolated field
-//!    needed by stencils near slab boundaries;
+//!    needed by stencils near slab boundaries (and pad x2/x3 locally, so
+//!    the stencil never wraps);
 //! 4. `interp_kernel` — evaluate the interpolation stencils locally;
 //! 5. `interp_comm` — return interpolated values to the requesting ranks.
 //!

@@ -115,13 +115,6 @@ pub struct Breakdown {
     pub total: f64,
 }
 
-impl Breakdown {
-    /// Time outside the four instrumented components ("Other" in Fig. 4).
-    pub fn other(&self) -> f64 {
-        (self.total - self.pc - self.obj - self.grad - self.hess).max(0.0)
-    }
-}
-
 /// Statistics of one Gauss–Newton solve.
 #[derive(Clone, Debug, Default)]
 pub struct GnStats {

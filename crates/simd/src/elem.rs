@@ -107,9 +107,9 @@ pub trait Elem:
     ///
     /// `plus[m]`/`minus[m]` are the rows at offsets `±(m+1)` along the
     /// differentiated dimension; all slices must be at least `out.len()`
-    /// long. Serves all three dimensions of the FD8 sweep: x1/x2 rows are
-    /// naturally contiguous in x3, and the x3 (periodic) sweep vectorizes
-    /// its interior with shifted sub-slices of the same row. The scale
+    /// long. Serves all three dimensions of the FD8 sweep over a
+    /// halo-padded slab: the neighbour rows sit a plane, a row or one value
+    /// apart, so every output row is one call. The scale
     /// costs nothing extra — `inv_h·s` is folded into the single per-point
     /// multiply — so a derivative-then-scale chain is one memory pass, and
     /// `s == 1` is the plain derivative bit for bit.
@@ -133,10 +133,10 @@ pub trait Elem:
     /// `NF` values to `sink(i, values)`, `i` being the site's position in
     /// the batch.
     ///
-    /// A site is a continuous grid index `[u1, u2, u3]` with `u2 ∈ [0, n2)`
-    /// and `u3 ∈ [0, n3)` (x2/x3 wrap periodically inside the kernel) and
-    /// `u1` a *global* x1 index whose stencil support lies inside the
-    /// stored planes; a site outside them panics. The backend is resolved
+    /// A site is a *global* continuous grid index `[u1, u2, u3]` whose
+    /// stencil support lies inside the stored halo on every axis; a site
+    /// outside it panics. The kernel never wraps: the halo is the periodic
+    /// extension. The backend is resolved
     /// once per batch; per site the index split and the basis weights are
     /// computed once and every field accumulates against them. A field's
     /// value does not depend on `NF` or on its position in `fields`.
@@ -408,34 +408,8 @@ impl_elem!(f32, "f32", f32k);
 mod tests {
     use super::*;
 
-    /// Evaluate a constant field at one site of a slab that owns planes 0
-    /// and 1 (plus its width-2 halos).
-    fn evaluate_at<T: Elem>(stencil: Stencil, u1: f64) {
-        let dims = HaloDims { planes: 6, n2: 4, n3: 4, plane0: 2 }; // owns planes 0, 1
-        let field = vec![T::ONE; dims.points()];
-        let site = [T::from_f64(u1), T::ONE, T::ONE];
-        T::kinterp_sites(stencil, &dims, &[&field], &[site], |_, [v]| {
-            assert!((v.to_f64() - 1.0).abs() < 1e-6, "weights are a partition of unity: {v}")
-        });
-    }
-
-    #[test]
-    fn sites_inside_the_halo_evaluate() {
-        for stencil in [Stencil::Linear, Stencil::CubicLagrange, Stencil::CubicBspline] {
-            // the cubic support of the owned planes reaches exactly the halo edge
-            evaluate_at::<f64>(stencil, -1.0);
-            evaluate_at::<f32>(stencil, 1.5);
-        }
-    }
-
-    /// A site whose x1 support leaves the stored planes is a routing bug
-    /// upstream: reported, never read out of bounds (both backends and
-    /// every stencil: `tests/simd_equivalence.rs`).
-    #[test]
-    #[should_panic(expected = "outside the slab")]
-    fn site_below_the_slab_panics() {
-        evaluate_at::<f32>(Stencil::CubicBspline, -1.5);
-    }
+    // The site kernel's halo shapes come from a `GhostField`, which this
+    // crate cannot see: its tests live in `tests/simd_equivalence.rs`.
 
     #[test]
     fn elem_consts_and_conversions() {

@@ -15,7 +15,7 @@
 //!   allocation state;
 //! * the batched interpolation kernel ([`interp_sites`]) is one body for
 //!   every backend with the two pieces that differ per backend — cubic
-//!   Lagrange weights and the wrap-free 64-tap accumulation — behind
+//!   Lagrange weights and the 64-tap accumulation — behind
 //!   [`CubicArm`]: [`SpecArm`] is the specification, [`RowDotArm`] the f32
 //!   AVX2 arm (row by row), and `avx2::f64k::FmaArm` the f64 intrinsics.
 //!
@@ -247,32 +247,29 @@ pub enum Stencil {
     CubicBspline,
 }
 
-/// Storage shape of the halo-extended slabs the site kernel reads: each
-/// field holds `planes × n2 × n3` values, and global x1 plane `i` sits at
-/// storage plane `i + plane0` (`plane0 = halo width − first owned plane`).
-#[derive(Clone, Copy, Debug)]
+/// Storage shape of the halo-extended slabs the site kernel reads (a
+/// `claire_grid` `GhostField` hands it out): each field holds
+/// `stored[0] × stored[1] × stored[2]` values, x3 fastest, and global grid
+/// index `u` along axis `a` sits at storage index `u + origin[a]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HaloDims {
-    /// Stored x1 planes (owned + both halos).
-    pub planes: usize,
-    /// Full (undecomposed, periodic) x2 extent.
-    pub n2: usize,
-    /// Full (undecomposed, periodic) x3 extent.
-    pub n3: usize,
-    /// Storage plane of global x1 plane 0.
-    pub plane0: isize,
+    /// Stored points per axis: the owned extent plus a halo on both sides.
+    pub stored: [usize; 3],
+    /// Storage index of global grid index 0 along each axis.
+    pub origin: [isize; 3],
 }
 
 impl HaloDims {
     /// Stored values per field.
     pub fn points(&self) -> usize {
-        self.planes * self.n2 * self.n3
+        self.stored.iter().product()
     }
 }
 
 /// The two backend-specific pieces of the cubic stencil: the Lagrange
-/// weight evaluation and the wrap-free 64-tap accumulation. Everything else
-/// (index split, B-spline and linear weights, the periodic-seam gather) is
-/// one generic body shared by every arm.
+/// weight evaluation and the 64-tap accumulation. Everything else (index
+/// split, support check, B-spline and linear weights) is one generic body
+/// shared by every arm.
 ///
 /// An arm is passed by value; constructing one whose methods need a CPU
 /// feature is `unsafe`, so holding it proves the feature is present.
@@ -282,7 +279,7 @@ pub(crate) trait CubicArm<T: Elem>: Copy {
     fn lagrange(self, t: T) -> [T; 4];
 
     /// `Σ_{a,b,c} w1[a]·w2[b]·w3[c] · f[base + a·ps + b·rs + c]` for each of
-    /// the `NF` fields. The caller guarantees the support is wrap-free; the
+    /// the `NF` fields. The caller checks the support against the halo; the
     /// arm bounds-checks it against the field length.
     fn accumulate<const NF: usize>(
         self,
@@ -394,53 +391,44 @@ fn bspline_weights<T: Elem>(t: T) -> [T; 4] {
     ]
 }
 
-/// Periodic wrap of `j ∈ [−n, 2n)` into `[0, n)`. A site's integer base is
-/// in `[0, n)`, so its taps at offsets `−1..=2` never leave that window.
+/// A site's support of `taps` nodes from node offset `lo` per axis: the
+/// storage index of its first tap and the fraction per axis. The support
+/// must lie inside the stored halo — the planner routes each site to the
+/// rank that owns its base plane, and the halo covers the stencil from
+/// there — so a site outside it is a routing bug, reported here instead of
+/// read out of bounds.
 #[inline(always)]
-fn wrap(j: isize, n: isize) -> usize {
-    (if j < 0 {
-        j + n
-    } else if j >= n {
-        j - n
-    } else {
-        j
-    }) as usize
-}
-
-/// Storage plane of a site's first x1 tap. The x1 support must lie inside
-/// the slab's halo — the planner routes each site to the rank that owns
-/// its base plane, and the halo covers the stencil from there — so a site
-/// outside it is a routing bug, reported here instead of read out of bounds.
-#[inline(always)]
-fn first_plane(b1: isize, lo: isize, taps: isize, d: &HaloDims) -> usize {
-    let p = b1 + d.plane0 + lo;
-    assert!(
-        p >= 0 && p + taps <= d.planes as isize,
-        "interpolation site x1 support [{p}, {}) outside the slab's {} stored planes",
-        p + taps,
-        d.planes
-    );
-    p as usize
+fn support<T: Elem>(d: &HaloDims, s: &[T; 3], lo: isize, taps: usize) -> (usize, [T; 3]) {
+    let (mut base, mut t) = (0, [T::ZERO; 3]);
+    for (a, (u, ta)) in s.iter().zip(&mut t).enumerate() {
+        let b;
+        (b, *ta) = u.split_index();
+        let p = b + d.origin[a] + lo;
+        assert!(
+            p >= 0 && p as usize + taps <= d.stored[a],
+            "interpolation site x{} support [{p}, {}) outside the slab's {} stored points",
+            a + 1,
+            p + taps as isize,
+            d.stored[a]
+        );
+        base = base * d.stored[a] + p as usize;
+    }
+    (base, t)
 }
 
 #[inline(always)]
 fn linear_site<T: Elem, const NF: usize>(d: &HaloDims, fields: &[&[T]; NF], s: &[T; 3]) -> [T; NF] {
-    let (b1, t1) = s[0].split_index();
-    let (b2, t2) = s[1].split_index();
-    let (b3, t3) = s[2].split_index();
-    let (n2, n3) = (d.n2 as isize, d.n3 as isize);
-    let p = first_plane(b1, 0, 2, d);
-    let jj = [wrap(b2, n2) * d.n3, wrap(b2 + 1, n2) * d.n3];
-    let kk = [wrap(b3, n3), wrap(b3 + 1, n3)];
+    let (base, [t1, t2, t3]) = support(d, s, 0, 2);
+    let (ps, rs) = (d.stored[1] * d.stored[2], d.stored[2]);
     let (w1, w2, w3) = ([T::ONE - t1, t1], [T::ONE - t2, t2], [T::ONE - t3, t3]);
     let mut acc = [T::ZERO; NF];
     for (a, &wa) in w1.iter().enumerate() {
-        let pa = (p + a) * d.n2 * d.n3;
-        for (&wb, &j) in w2.iter().zip(&jj) {
-            for (&wc, &k) in w3.iter().zip(&kk) {
+        for (b, &wb) in w2.iter().enumerate() {
+            let row = base + a * ps + b * rs;
+            for (c, &wc) in w3.iter().enumerate() {
                 let w = wa * wb * wc;
                 for (o, f) in acc.iter_mut().zip(fields) {
-                    *o += w * f[pa + j + k];
+                    *o += w * f[row + c];
                 }
             }
         }
@@ -456,38 +444,9 @@ fn cubic_site<T: Elem, A: CubicArm<T>, const NF: usize>(
     s: &[T; 3],
     weights: impl Fn(T) -> [T; 4],
 ) -> [T; NF] {
-    let (b1, t1) = s[0].split_index();
-    let (b2, t2) = s[1].split_index();
-    let (b3, t3) = s[2].split_index();
+    let (base, [t1, t2, t3]) = support(d, s, -1, 4);
     let w = [weights(t1), weights(t2), weights(t3)];
-    let (n2, n3) = (d.n2 as isize, d.n3 as isize);
-    let p = first_plane(b1, -1, 4, d);
-    let ps = d.n2 * d.n3;
-    // Fast path: the 4×4 rows of the support are contiguous 4-runs when
-    // the support does not cross the periodic seam in x2/x3 — the common
-    // case away from the domain boundary.
-    if b2 >= 1 && b2 + 2 < n2 && b3 >= 1 && b3 + 2 < n3 {
-        let base = (p * d.n2 + (b2 - 1) as usize) * d.n3 + (b3 - 1) as usize;
-        return arm.accumulate(fields, base, ps, d.n3, &w);
-    }
-    // Seam path: the wrapped row and column offsets are resolved once per
-    // site; the sum keeps the specification's order on every backend.
-    let jj: [usize; 4] = core::array::from_fn(|b| wrap(b2 + b as isize - 1, n2) * d.n3);
-    let kk: [usize; 4] = core::array::from_fn(|c| wrap(b3 + c as isize - 1, n3));
-    let mut acc = [T::ZERO; NF];
-    for (a, &wa) in w[0].iter().enumerate() {
-        let pa = (p + a) * ps;
-        for (&wb, &j) in w[1].iter().zip(&jj) {
-            let wab = wa * wb;
-            for (&wc, &k) in w[2].iter().zip(&kk) {
-                let wabc = wab * wc;
-                for (o, f) in acc.iter_mut().zip(fields) {
-                    *o += wabc * f[pa + j + k];
-                }
-            }
-        }
-    }
-    acc
+    arm.accumulate(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
 }
 
 /// Evaluate `NF` fields at every site of a batch and hand each site's

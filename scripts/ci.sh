@@ -237,7 +237,7 @@ stage_paper_tables() {
     # functional (part-A) line prints what this host measured: the word
     # "modeled" belongs to the part-B rows, which come from claire-perf.
     local dir run out bins="$PWD/target/release"; dir="$(mktemp -d)"
-    for run in table3 table5 table7 fig4 ablation "table7 --proc"; do
+    for run in table2 table3 table5 table7 fig4 ablation "table7 --proc"; do
         out="$dir/${run// /}.out"
         # the bins append to results/ under the working directory
         # shellcheck disable=SC2086  # $run carries the bin's argument

@@ -87,26 +87,34 @@ proptest! {
         prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "{v} outside [{lo}, {hi}]");
     }
 
-    /// Ghost halos agree with the periodic extension for random widths and
-    /// rank counts.
+    /// Ghost halos agree with the periodic extension at every stored point
+    /// — x1, x2 and x3 halos and their corners — for random widths, rank
+    /// counts and thin grids (a width above `n2`/`n3` wraps more than once).
     #[test]
-    fn ghost_matches_periodic_extension(p in 1usize..5, width in 1usize..5, seed in 0u64..100) {
-        let grid = Grid::new([12, 4, 4]);
+    fn ghost_matches_periodic_extension(
+        p in 1usize..5, width in 1usize..5, n2 in 2usize..6, n3 in 2usize..6, seed in 0u64..100
+    ) {
+        let grid = Grid::new([12, n2, n3]);
         let res = run_cluster(Topology::new(p, 4), move |comm| {
             let layout = Layout::distributed(grid, comm);
             let f = seeded_field(layout, seed);
             let gf = ghost::exchange(&f, width, comm);
             // rebuild the full field to cross-check halos
             let full = redist::replicate(&f, comm);
+            let (w, [ni, n2, n3]) = (width as isize, layout.local_dims().map(|n| n as isize));
             let mut max_err = 0.0 as Real;
-            for ii in -(width as isize)..(layout.slab.ni + width) as isize {
-                let gi = grid.wrap(0, layout.slab.i0 as isize + ii);
-                for j in 0..4 {
-                    for k in 0..4 {
-                        max_err = max_err.max((gf.at(ii, j, k) - full.at(gi, j, k)).abs());
+            let mut visited = 0;
+            for i in -w..ni + w {
+                for j in -w..n2 + w {
+                    for k in -w..n3 + w {
+                        let gi = grid.wrap(0, layout.slab.i0 as isize + i);
+                        let want = full.at(gi, grid.wrap(1, j), grid.wrap(2, k));
+                        max_err = max_err.max((gf.at(i, j, k) - want).abs());
+                        visited += 1;
                     }
                 }
             }
+            assert_eq!(visited, gf.data().len(), "every stored point is checked");
             max_err
         });
         for &e in &res.outputs {

@@ -22,6 +22,7 @@
 use std::fmt::Debug;
 use std::sync::Mutex;
 
+use claire::grid::ghost;
 use claire::prelude::*;
 use claire_simd::{Choice, Elem, HaloDims, Stencil, Stockham};
 use proptest::prelude::*;
@@ -173,11 +174,16 @@ fn check_fd8<T: Elem>(n: usize, seed: u64, inv_h: f64, s: f64) {
     assert_slices_close(&f_simd, &reference, "fd8_combine_scale [avx2]");
 }
 
+/// The shape of the interpolation halo of a serial slab of `n` points.
+fn halo_dims(n: [usize; 3]) -> HaloDims {
+    ghost::GhostField::alloc(Layout::serial(Grid::new(n)), IpOrder::GHOST_WIDTH).dims()
+}
+
 /// The batched site kernel on a 3-plane slab with width-2 halos: the vector
 /// arm agrees with the scalar one for every stencil, and within a backend a
 /// field's values do not depend on which fields it is evaluated with.
 fn check_interp<T: Elem>(n2: usize, n3: usize, seed: u64) {
-    let dims = HaloDims { planes: 7, n2, n3, plane0: 2 };
+    let dims = halo_dims([3, n2, n3]);
     let fields: [Vec<T>; 3] =
         std::array::from_fn(|f| fill(seed + f as u64, dims.points(), -1.0, 1.0));
     let data = [&fields[0][..], &fields[1][..], &fields[2][..]];
@@ -315,7 +321,7 @@ proptest! {
     }
 
     #[test]
-    fn interp_kernels_match(n2 in 4usize..9, n3 in 4usize..9, seed in 0u64..1_000_000) {
+    fn interp_kernels_match(n2 in 2usize..9, n3 in 2usize..9, seed in 0u64..1_000_000) {
         check_interp::<f64>(n2, n3, seed);
         check_interp::<f32>(n2, n3, seed);
     }
@@ -348,8 +354,8 @@ fn scalar_site_kernel_equals_the_reference_evaluator() {
     let grid = Grid::new([6, 5, 7]);
     let f =
         ScalarField::from_fn(Layout::serial(grid), |x, y, z| (x + 0.3).sin() * (2.0 * y).cos() + z);
-    let gf = claire::grid::ghost::exchange(&f, IpOrder::GHOST_WIDTH, &mut Comm::solo());
-    let dims = HaloDims { planes: 6 + 2 * IpOrder::GHOST_WIDTH, n2: 5, n3: 7, plane0: 2 };
+    let gf = ghost::exchange(&f, IpOrder::GHOST_WIDTH, &mut Comm::solo());
+    let dims = gf.dims();
     let points: Vec<[Real; 3]> =
         fill::<f64>(17, 3 * 200, -7.0, 14.0).chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
     let sites: Vec<[Real; 3]> = points.iter().map(|&x| to_site(x, grid.n)).collect();
@@ -365,25 +371,110 @@ fn scalar_site_kernel_equals_the_reference_evaluator() {
     }
 }
 
-/// A site whose x1 support leaves the stored planes is a bounds panic on
-/// every arm, never an out-of-bounds load.
+/// A site whose support leaves the stored halo on any axis is a bounds
+/// panic on every arm, never an out-of-bounds load; a site whose support
+/// reaches exactly the halo edge evaluates, at either width.
 #[test]
 fn out_of_slab_site_panics_on_every_backend() {
+    fn evaluate<T: Elem>(stencil: Stencil, site: [f64; 3]) -> std::thread::Result<()> {
+        let dims = halo_dims([2, 4, 4]); // owns planes 0, 1
+        let field = vec![T::ONE; dims.points()];
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            T::kinterp_sites(stencil, &dims, &[&field], &[site.map(T::from_f64)], |_, [v]| {
+                assert!((v.to_f64() - 1.0).abs() < 1e-5, "weights are a partition of unity: {v}")
+            })
+        }))
+    }
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let dims = HaloDims { planes: 6, n2: 4, n3: 4, plane0: 2 }; // owns planes 0, 1
-    let field = vec![1.0f64; dims.points()];
     for choice in ALL_BACKENDS {
         claire_simd::force_backend(Some(choice));
         for stencil in [Stencil::Linear, Stencil::CubicLagrange, Stencil::CubicBspline] {
-            for u1 in [-2.5, 3.25, 1e6] {
-                let outside = std::panic::catch_unwind(|| {
-                    f64::kinterp_sites(stencil, &dims, &[&field], &[[u1, 1.0, 1.0]], |_, _| {})
-                });
-                assert!(outside.is_err(), "{choice:?} {stencil:?} u1={u1} must panic");
+            // the cubic support of the owned planes reaches exactly the halo edge
+            for site in [[-1.0, 1.0, 1.0], [1.5, 3.5, 0.0], [0.0, -1.0, 3.75]] {
+                assert!(evaluate::<f64>(stencil, site).is_ok(), "{choice:?} {stencil:?} {site:?}");
+                assert!(evaluate::<f32>(stencil, site).is_ok(), "{choice:?} {stencil:?} {site:?}");
+            }
+            for site in [
+                [-2.5, 1.0, 1.0],
+                [3.25, 1.0, 1.0],
+                [1e6, 1.0, 1.0],
+                [1.0, -3.5, 1.0],
+                [1.0, 1.0, 6.0],
+            ] {
+                let outside = evaluate::<f64>(stencil, site);
+                assert!(outside.is_err(), "{choice:?} {stencil:?} {site:?} must panic");
             }
         }
     }
     claire_simd::force_backend(None);
+}
+
+/// FD on grids thinner than the stencil — `n2, n3 ∈ {2, 4, 6}`, below
+/// `2·FD8_WIDTH`, so the x2/x3 halos wrap more than once — on 1 and 2 ranks:
+/// gradient and divergence equal a direct `rem_euclid` stencil on the
+/// periodic grid, bitwise on the scalar backend, to tolerance on the vector
+/// arm.
+#[test]
+fn fd_on_thin_grids_matches_the_direct_stencil() {
+    use claire::diff::fd::{self, FD8};
+    use claire::grid::redist;
+    let wave =
+        |c: Real| move |x: Real, y: Real, z: Real| (x + c).sin() * (2.0 * y).cos() + (z - c).sin();
+    for (n2, n3, p) in [2, 4, 6]
+        .into_iter()
+        .flat_map(|a| [2, 4, 6].map(|b| (a, b)))
+        .flat_map(|(a, b)| [(a, b, 1), (a, b, 2)])
+    {
+        let grid = Grid::new([8, n2, n3]);
+        let (scalar, simd) = both(|| {
+            claire::mpi::run_cluster(claire::mpi::Topology::new(p, 4), move |comm| {
+                let layout = Layout::distributed(grid, comm);
+                let v = VectorField {
+                    c: std::array::from_fn(|c| ScalarField::from_fn(layout, wave(c as Real))),
+                };
+                let full: Vec<ScalarField> =
+                    v.c.iter().map(|c| redist::replicate(c, comm)).collect();
+                // d/dx_dim of global component `c` at owned point (il, j, k)
+                let direct = |c: usize, dim: usize, [il, j, k]: [usize; 3]| {
+                    let at = [(layout.slab.i0 + il) as isize, j as isize, k as isize];
+                    let tap = |d: isize| {
+                        let q: [usize; 3] = std::array::from_fn(|a| {
+                            let x = at[a] + if a == dim { d } else { 0 };
+                            x.rem_euclid(grid.n[a] as isize) as usize
+                        });
+                        full[c].at(q[0], q[1], q[2])
+                    };
+                    let mut acc = 0.0 as Real;
+                    for (m, &cm) in FD8.iter().enumerate() {
+                        acc += cm * (tap(m as isize + 1) - tap(-(m as isize) - 1));
+                    }
+                    acc * (1.0 as Real / grid.spacing()[dim])
+                };
+                let points: Vec<[usize; 3]> =
+                    (0..layout.local_len()).map(|i| [i / (n2 * n3), i / n3 % n2, i % n3]).collect();
+                let grad = fd::gradient(&v.c[0], comm);
+                let div = fd::divergence(&v, comm);
+                let mut got: Vec<Real> = grad.c.iter().flat_map(|c| c.data().to_vec()).collect();
+                got.extend_from_slice(div.data());
+                let mut want: Vec<Real> = (0..3)
+                    .flat_map(|dim| points.iter().map(move |&q| (dim, q)))
+                    .map(|(dim, q)| direct(0, dim, q))
+                    .collect();
+                want.extend(
+                    points.iter().map(|&q| (direct(0, 0, q) + direct(1, 1, q)) + direct(2, 2, q)),
+                );
+                (got, want)
+            })
+            .outputs
+        });
+        for (rank, ((s_got, want), (v_got, _))) in scalar.iter().zip(&simd).enumerate() {
+            assert_eq!(
+                s_got, want,
+                "[8, {n2}, {n3}] p={p} rank {rank}: scalar FD must be the direct stencil bitwise"
+            );
+            assert_slices_close(v_got, want, &format!("fd [8, {n2}, {n3}] p={p} rank {rank}"));
+        }
+    }
 }
 
 /// Reductions over f32 storage must accumulate in f64: past 2²⁴ an f32
