@@ -408,9 +408,6 @@ impl_elem!(f32, "f32", f32k);
 mod tests {
     use super::*;
 
-    // The site kernel's halo shapes come from a `GhostField`, which this
-    // crate cannot see: its tests live in `tests/simd_equivalence.rs`.
-
     #[test]
     fn elem_consts_and_conversions() {
         assert_eq!(<f64 as Elem>::LABEL, "f64");

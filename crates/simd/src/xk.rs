@@ -251,7 +251,7 @@ pub enum Stencil {
 /// `claire_grid` `GhostField` hands it out): each field holds
 /// `stored[0] × stored[1] × stored[2]` values, x3 fastest, and global grid
 /// index `u` along axis `a` sits at storage index `u + origin[a]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct HaloDims {
     /// Stored points per axis: the owned extent plus a halo on both sides.
     pub stored: [usize; 3],

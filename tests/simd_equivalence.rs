@@ -371,11 +371,18 @@ fn scalar_site_kernel_equals_the_reference_evaluator() {
     }
 }
 
-/// A site whose support leaves the stored halo on any axis is a bounds
-/// panic on every arm, never an out-of-bounds load; a site whose support
-/// reaches exactly the halo edge evaluates, at either width.
+/// A site whose support leaves the stored halo on any axis is caught by the
+/// kernel's support check on every arm and at either width, never an
+/// out-of-bounds load; a site whose support reaches exactly the halo edge
+/// evaluates.
 #[test]
 fn out_of_slab_site_panics_on_every_backend() {
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+        }
+    }
     fn evaluate<T: Elem>(stencil: Stencil, site: [f64; 3]) -> std::thread::Result<()> {
         let dims = halo_dims([2, 4, 4]); // owns planes 0, 1
         let field = vec![T::ONE; dims.points()];
@@ -401,8 +408,17 @@ fn out_of_slab_site_panics_on_every_backend() {
                 [1.0, -3.5, 1.0],
                 [1.0, 1.0, 6.0],
             ] {
-                let outside = evaluate::<f64>(stencil, site);
-                assert!(outside.is_err(), "{choice:?} {stencil:?} {site:?} must panic");
+                for (width, outside) in [
+                    ("f64", evaluate::<f64>(stencil, site)),
+                    ("f32", evaluate::<f32>(stencil, site)),
+                ] {
+                    let msg =
+                        panic_message(outside.expect_err("a site outside the halo must panic"));
+                    assert!(
+                        msg.contains("outside the slab"),
+                        "{choice:?} {stencil:?} {width} {site:?}: wrong panic {msg:?}"
+                    );
+                }
             }
         }
     }
