@@ -6,6 +6,7 @@
 //! |---|---|
 //! | `fft_pass_x{3,2,1}` (+`_f32`) | `fft.roundtrip_ns_per_point*` time the three passes as one |
 //! | `interp_plan_build`, `interp_planned` | `interp.ns_per_query` is build + evaluation |
+//! | `interp_planned_linear` | the trilinear evaluation (`reg_fft`'s kernel) is only ever timed with its plan build |
 //! | `fft_dist_roundtrip_p2` | the FFT probes run on the workload's ranks; only `reg_2r` has two, at 40×32×24 |
 //! | `ghost_sock_p{2,4}`, `alltoallv_sock_p{2,4}` | no workload runs the socket transport |
 //! | `pcg_h0`, `pcg_h0_mixed` | `core.precond_s` is a whole solve's total; this is per point per inner iteration, and its growth between the two sizes is what ROADMAP item 4 is judged on |
@@ -74,7 +75,8 @@ fn fft_passes<T: FftElem>(n: usize) -> Rows {
 
 /// Cubic interpolation, one off-grid query per grid point, split into the
 /// halves the solver pays separately: one plan build per characteristic
-/// family, one planned evaluation per time step.
+/// family, one planned evaluation per time step; then a trilinear planned
+/// evaluation of the same plan (a plan is order-independent).
 fn interp(n: usize) -> Rows {
     let f = test_field(Layout::serial(Grid::cube(n)));
     let h = f.layout().grid.spacing();
@@ -89,12 +91,15 @@ fn interp(n: usize) -> Rows {
     });
     let plan = ip.plan(*f.layout(), &queries, &mut comm);
     let mut vals = vec![0.0 as Real; queries.len()];
-    let eval = measure(queries.len(), || {
-        ip.evaluate(&plan, &[&f], &mut comm, &mut [&mut vals]);
-    });
+    let mut eval = |ip: &mut Interpolator| {
+        measure(queries.len(), || ip.evaluate(&plan, &[&f], &mut comm, &mut [&mut vals]))
+    };
+    let cubic = eval(&mut ip);
+    let linear = eval(&mut Interpolator::new(IpOrder::Linear));
     vec![
         ("interp_plan_build".into(), "ns/query", build),
-        ("interp_planned".into(), "ns/query", eval),
+        ("interp_planned".into(), "ns/query", cubic),
+        ("interp_planned_linear".into(), "ns/query", linear),
     ]
 }
 

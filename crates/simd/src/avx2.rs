@@ -13,7 +13,7 @@
 //! reductions the 8-lane `wide_*` one. The butterfly/FD/interpolation
 //! kernels differ per width and live in [`f32k`] (generic bodies again)
 //! and [`f64k`] (intrinsics; the batched interpolation loop is the generic
-//! body there too, with an intrinsic [`xk::CubicArm`] plugged in).
+//! body there too, with an intrinsic [`xk::StencilArm`] plugged in).
 //!
 //! The FFT kernel is the generic `fft` body as well; what it gets from here
 //! is its register: a dozen one-instruction [`Lanes`] methods per width.
@@ -205,8 +205,9 @@ pub mod f32k {
 
 /// The f64 kernels where a hand-written intrinsic measured ≥ 1.2× faster
 /// than the generic body under the same feature gate (DESIGN.md §13 has
-/// the table); for interpolation that is the cubic stencil's [`f64k::FmaArm`]
-/// (weights + 64-tap accumulation) inside the shared batched site loop.
+/// the table); for interpolation that is [`f64k::FmaArm`] (Lagrange
+/// weights, the cubic and the trilinear sums) inside the shared batched
+/// site loop.
 /// These carry the FFT, FD and interpolation time of an f64 solve.
 ///
 /// # Safety
@@ -218,7 +219,7 @@ pub mod f64k {
     use core::arch::x86_64::*;
 
     use crate::fft::{self, Lanes, Line, Stockham};
-    use crate::xk::{self, CubicArm, HaloDims, Stencil};
+    use crate::xk::{self, HaloDims, Stencil, StencilArm};
 
     fft_arm!(f64, __m256d);
 
@@ -296,10 +297,13 @@ pub mod f64k {
     /// Fixed-shape horizontal sum: `(l0 + l2) + (l1 + l3)`.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn hsum(v: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd(v, 1);
-        let s = _mm_add_pd(lo, hi);
-        _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
+        hsum2(_mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1)))
+    }
+
+    /// Horizontal sum of a 2-lane vector: `l0 + l1`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn hsum2(v: __m128d) -> f64 {
+        _mm_cvtsd_f64(_mm_add_sd(v, _mm_unpackhi_pd(v, v)))
     }
 
     // ----- 8th-order FD stencil ----------------------------------------------
@@ -376,9 +380,17 @@ pub mod f64k {
 
     // ----- scattered interpolation -------------------------------------------
 
-    /// The f64 arm of the cubic stencil: four Lagrange weights in one
-    /// vector, and the 64 taps as sixteen 4-lane FMAs per field against the
-    /// shared `w1[a]·w2[b]·w3` vector, folded by [`hsum`].
+    /// The f64 arm of the site kernel: four Lagrange weights in one vector,
+    /// and sums that never wait on a long add chain. A cubic site forms
+    /// `w2[b]·w3` once as four vectors; each field sums every x1 plane `a`
+    /// into its own partial (four FMAs, one per 4-wide row), folds the
+    /// partials with `w1` as the tree `(p0·w1[0] + p1·w1[1]) + (p2·w1[2] +
+    /// p3·w1[3])` and reduces it by [`hsum`]. A trilinear site does the same
+    /// with 2-wide rows, two planes and [`hsum2`]. Against the specification
+    /// `w1[a]` is factored out of each plane partial and `a·b + c` rounds
+    /// once: a different association of the same sum, inside the ≤ 1e-12
+    /// contract. A field's sum reads only its own taps, so its bits do not
+    /// depend on how many fields travel with it.
     #[derive(Clone, Copy)]
     pub(crate) struct FmaArm(());
 
@@ -390,7 +402,7 @@ pub mod f64k {
         }
     }
 
-    impl CubicArm<f64> for FmaArm {
+    impl StencilArm<f64> for FmaArm {
         #[inline(always)]
         fn lagrange(self, t: f64) -> [f64; 4] {
             let t1 = t - 1.0;
@@ -411,7 +423,7 @@ pub mod f64k {
         }
 
         #[inline(always)]
-        fn accumulate<const NF: usize>(
+        fn cubic<const NF: usize>(
             self,
             fields: &[&[f64]; NF],
             base: usize,
@@ -428,20 +440,66 @@ pub mod f64k {
             // with `a, b ≤ 3`, which ends at or before `last + 4`, checked
             // against each field's length just above.
             unsafe {
-                let w3v = _mm256_loadu_pd(w[2].as_ptr());
-                let mut acc = [_mm256_setzero_pd(); NF];
-                for (a, &wa) in w[0].iter().enumerate() {
-                    for (b, &wb) in w[1].iter().enumerate() {
-                        let at = base + a * ps + b * rs;
-                        let wv = _mm256_mul_pd(_mm256_set1_pd(wa * wb), w3v);
-                        for (s, f) in acc.iter_mut().zip(fields) {
-                            *s = _mm256_fmadd_pd(_mm256_loadu_pd(f.as_ptr().add(at)), wv, *s);
+                let w3 = _mm256_loadu_pd(w[2].as_ptr());
+                let w23 = [
+                    _mm256_mul_pd(_mm256_set1_pd(w[1][0]), w3),
+                    _mm256_mul_pd(_mm256_set1_pd(w[1][1]), w3),
+                    _mm256_mul_pd(_mm256_set1_pd(w[1][2]), w3),
+                    _mm256_mul_pd(_mm256_set1_pd(w[1][3]), w3),
+                ];
+                let w1 = [
+                    _mm256_set1_pd(w[0][0]),
+                    _mm256_set1_pd(w[0][1]),
+                    _mm256_set1_pd(w[0][2]),
+                    _mm256_set1_pd(w[0][3]),
+                ];
+                let mut out = [0.0f64; NF];
+                for (o, f) in out.iter_mut().zip(fields) {
+                    let mut plane = [_mm256_setzero_pd(); 4];
+                    for (a, p) in plane.iter_mut().enumerate() {
+                        let at = f.as_ptr().add(base + a * ps);
+                        for (b, &wv) in w23.iter().enumerate() {
+                            *p = _mm256_fmadd_pd(_mm256_loadu_pd(at.add(b * rs)), wv, *p);
                         }
                     }
+                    let lo = _mm256_fmadd_pd(plane[1], w1[1], _mm256_mul_pd(plane[0], w1[0]));
+                    let hi = _mm256_fmadd_pd(plane[3], w1[3], _mm256_mul_pd(plane[2], w1[2]));
+                    *o = hsum(_mm256_add_pd(lo, hi));
                 }
+                out
+            }
+        }
+
+        #[inline(always)]
+        fn linear<const NF: usize>(
+            self,
+            fields: &[&[f64]; NF],
+            base: usize,
+            ps: usize,
+            rs: usize,
+            w: &[[f64; 2]; 3],
+        ) -> [f64; NF] {
+            let last = base + ps + rs;
+            for f in fields {
+                assert!(last + 2 <= f.len(), "linear support out of bounds");
+            }
+            // SAFETY: as in `cubic`, with 2 values per load at `a, b ≤ 1`,
+            // ending at or before `last + 2`, checked just above.
+            unsafe {
+                let w3 = _mm_loadu_pd(w[2].as_ptr());
+                let w23 =
+                    [_mm_mul_pd(_mm_set1_pd(w[1][0]), w3), _mm_mul_pd(_mm_set1_pd(w[1][1]), w3)];
+                let w1 = [_mm_set1_pd(w[0][0]), _mm_set1_pd(w[0][1])];
                 let mut out = [0.0f64; NF];
-                for (o, &s) in out.iter_mut().zip(&acc) {
-                    *o = hsum(s);
+                for (o, f) in out.iter_mut().zip(fields) {
+                    let mut plane = [_mm_setzero_pd(); 2];
+                    for (a, p) in plane.iter_mut().enumerate() {
+                        let at = f.as_ptr().add(base + a * ps);
+                        for (b, &wv) in w23.iter().enumerate() {
+                            *p = _mm_fmadd_pd(_mm_loadu_pd(at.add(b * rs)), wv, *p);
+                        }
+                    }
+                    *o = hsum2(_mm_fmadd_pd(plane[1], w1[1], _mm_mul_pd(plane[0], w1[0])));
                 }
                 out
             }

@@ -14,10 +14,14 @@
 //!   input values and the selected backend, never on thread count or
 //!   allocation state;
 //! * the batched interpolation kernel ([`interp_sites`]) is one body for
-//!   every backend with the two pieces that differ per backend — cubic
-//!   Lagrange weights and the 64-tap accumulation — behind
-//!   [`CubicArm`]: [`SpecArm`] is the specification, [`RowDotArm`] the f32
-//!   AVX2 arm (row by row), and `avx2::f64k::FmaArm` the f64 intrinsics.
+//!   every backend with the pieces that differ per backend — cubic
+//!   Lagrange weights, the 64-tap cubic and the 8-tap trilinear
+//!   accumulation — behind [`StencilArm`]: [`SpecArm`] is the
+//!   specification, [`RowDotArm`] the f32 AVX2 arm (cubic row by row), and
+//!   `avx2::f64k::FmaArm` the f64 intrinsics, which sum a site as
+//!   independent plane partials instead of one serial chain. The trilinear
+//!   sum has one generic body, [`StencilArm::linear`]'s default, which
+//!   only `FmaArm` overrides.
 //!
 //! The bodies are `#[inline(always)]`: the AVX2 arm is a body inlined into
 //! a `#[target_feature(enable = "avx2,fma")]` wrapper (see `avx2`), where
@@ -266,22 +270,25 @@ impl HaloDims {
     }
 }
 
-/// The two backend-specific pieces of the cubic stencil: the Lagrange
-/// weight evaluation and the 64-tap accumulation. Everything else (index
-/// split, support check, B-spline and linear weights) is one generic body
-/// shared by every arm.
+/// The backend-specific pieces of the site kernel: the cubic Lagrange
+/// weight evaluation and the weighted sums over a site's 4×4×4 (cubic) and
+/// 2×2×2 (trilinear) support. Everything else (index split, support check,
+/// B-spline and linear weights) is one generic body shared by every arm.
+///
+/// Both sums are `Σ_{a,b,c} w1[a]·w2[b]·w3[c] · f[base + a·ps + b·rs + c]`
+/// for each of the `NF` fields, `ps` and `rs` being the plane and row
+/// strides. The caller checks the support against the halo; the arm
+/// bounds-checks it against the field length.
 ///
 /// An arm is passed by value; constructing one whose methods need a CPU
 /// feature is `unsafe`, so holding it proves the feature is present.
-pub(crate) trait CubicArm<T: Elem>: Copy {
+pub(crate) trait StencilArm<T: Elem>: Copy {
     /// Cubic Lagrange weights at fraction `t ∈ [0,1)` for node offsets
     /// `{−1, 0, 1, 2}`.
     fn lagrange(self, t: T) -> [T; 4];
 
-    /// `Σ_{a,b,c} w1[a]·w2[b]·w3[c] · f[base + a·ps + b·rs + c]` for each of
-    /// the `NF` fields. The caller checks the support against the halo; the
-    /// arm bounds-checks it against the field length.
-    fn accumulate<const NF: usize>(
+    /// The 64-tap sum of a cubic site.
+    fn cubic<const NF: usize>(
         self,
         fields: &[&[T]; NF],
         base: usize,
@@ -289,6 +296,33 @@ pub(crate) trait CubicArm<T: Elem>: Copy {
         rs: usize,
         w: &[[T; 4]; 3],
     ) -> [T; NF];
+
+    /// The 8-tap sum of a trilinear site. The default is the specification:
+    /// separate multiply and add, `(w1[a]·w2[b])·w3[c]` per tap, one
+    /// left-to-right sum per field.
+    #[inline(always)]
+    fn linear<const NF: usize>(
+        self,
+        fields: &[&[T]; NF],
+        base: usize,
+        ps: usize,
+        rs: usize,
+        w: &[[T; 2]; 3],
+    ) -> [T; NF] {
+        let mut acc = [T::ZERO; NF];
+        for (a, &wa) in w[0].iter().enumerate() {
+            for (b, &wb) in w[1].iter().enumerate() {
+                let row = base + a * ps + b * rs;
+                for (c, &wc) in w[2].iter().enumerate() {
+                    let w = wa * wb * wc;
+                    for (o, f) in acc.iter_mut().zip(fields) {
+                        *o += w * f[row + c];
+                    }
+                }
+            }
+        }
+        acc
+    }
 }
 
 /// The specification arm: separate multiply and add, one 64-term
@@ -296,7 +330,7 @@ pub(crate) trait CubicArm<T: Elem>: Copy {
 #[derive(Clone, Copy)]
 pub(crate) struct SpecArm;
 
-impl<T: Elem> CubicArm<T> for SpecArm {
+impl<T: Elem> StencilArm<T> for SpecArm {
     #[inline(always)]
     fn lagrange(self, t: T) -> [T; 4] {
         let t1 = t - T::ONE;
@@ -311,7 +345,7 @@ impl<T: Elem> CubicArm<T> for SpecArm {
     }
 
     #[inline(always)]
-    fn accumulate<const NF: usize>(
+    fn cubic<const NF: usize>(
         self,
         fields: &[&[T]; NF],
         base: usize,
@@ -343,14 +377,14 @@ impl<T: Elem> CubicArm<T> for SpecArm {
 #[derive(Clone, Copy)]
 pub(crate) struct RowDotArm;
 
-impl<T: Elem> CubicArm<T> for RowDotArm {
+impl<T: Elem> StencilArm<T> for RowDotArm {
     #[inline(always)]
     fn lagrange(self, t: T) -> [T; 4] {
         SpecArm.lagrange(t)
     }
 
     #[inline(always)]
-    fn accumulate<const NF: usize>(
+    fn cubic<const NF: usize>(
         self,
         fields: &[&[T]; NF],
         base: usize,
@@ -417,27 +451,19 @@ fn support<T: Elem>(d: &HaloDims, s: &[T; 3], lo: isize, taps: usize) -> (usize,
 }
 
 #[inline(always)]
-fn linear_site<T: Elem, const NF: usize>(d: &HaloDims, fields: &[&[T]; NF], s: &[T; 3]) -> [T; NF] {
+fn linear_site<T: Elem, A: StencilArm<T>, const NF: usize>(
+    arm: A,
+    d: &HaloDims,
+    fields: &[&[T]; NF],
+    s: &[T; 3],
+) -> [T; NF] {
     let (base, [t1, t2, t3]) = support(d, s, 0, 2);
-    let (ps, rs) = (d.stored[1] * d.stored[2], d.stored[2]);
-    let (w1, w2, w3) = ([T::ONE - t1, t1], [T::ONE - t2, t2], [T::ONE - t3, t3]);
-    let mut acc = [T::ZERO; NF];
-    for (a, &wa) in w1.iter().enumerate() {
-        for (b, &wb) in w2.iter().enumerate() {
-            let row = base + a * ps + b * rs;
-            for (c, &wc) in w3.iter().enumerate() {
-                let w = wa * wb * wc;
-                for (o, f) in acc.iter_mut().zip(fields) {
-                    *o += w * f[row + c];
-                }
-            }
-        }
-    }
-    acc
+    let w = [[T::ONE - t1, t1], [T::ONE - t2, t2], [T::ONE - t3, t3]];
+    arm.linear(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
 }
 
 #[inline(always)]
-fn cubic_site<T: Elem, A: CubicArm<T>, const NF: usize>(
+fn cubic_site<T: Elem, A: StencilArm<T>, const NF: usize>(
     arm: A,
     d: &HaloDims,
     fields: &[&[T]; NF],
@@ -446,14 +472,14 @@ fn cubic_site<T: Elem, A: CubicArm<T>, const NF: usize>(
 ) -> [T; NF] {
     let (base, [t1, t2, t3]) = support(d, s, -1, 4);
     let w = [weights(t1), weights(t2), weights(t3)];
-    arm.accumulate(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
+    arm.cubic(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
 }
 
 /// Evaluate `NF` fields at every site of a batch and hand each site's
 /// values to `sink(i, values)`. Per site the index split and the basis
 /// weights are computed once and shared by all fields.
 #[inline(always)]
-pub(crate) fn interp_sites<T: Elem, A: CubicArm<T>, const NF: usize>(
+pub(crate) fn interp_sites<T: Elem, A: StencilArm<T>, const NF: usize>(
     arm: A,
     stencil: Stencil,
     d: &HaloDims,
@@ -464,7 +490,7 @@ pub(crate) fn interp_sites<T: Elem, A: CubicArm<T>, const NF: usize>(
     match stencil {
         Stencil::Linear => {
             for (i, s) in sites.iter().enumerate() {
-                sink(i, linear_site(d, fields, s));
+                sink(i, linear_site(arm, d, fields, s));
             }
         }
         Stencil::CubicLagrange => {

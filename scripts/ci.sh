@@ -14,7 +14,9 @@
 #
 # When CLAIRE_SIMD is set in the environment (the CI backend matrix exports
 # scalar | auto), the tier-1 stage runs once under that backend; otherwise
-# it sweeps both. The full gate additionally runs the tier-1
+# it sweeps both, and the workspace stage runs the claire-simd,
+# claire-interp and claire-semilag tests under scalar too. The full gate
+# additionally runs the tier-1
 # suite once under CLAIRE_PRECISION=mixed × CLAIRE_SIMD=auto — the f32
 # inner-solve lane — and checks that the RunReport `"precision"` key
 # follows the environment selector.
@@ -135,6 +137,12 @@ stage_tier1_mixed() {
 
 stage_workspace_tests() {
     cargo test -q --release --workspace
+    # the crates whose own tests pin the site kernel bit for bit (e.g.
+    # `planned_evaluation_equals_one_shot`) run under both backends, as
+    # tier-1 does; a pinned CLAIRE_SIMD already chose one
+    if [ -z "${CLAIRE_SIMD:-}" ]; then
+        CLAIRE_SIMD=scalar cargo test -q --release -p claire-simd -p claire-interp -p claire-semilag
+    fi
 }
 
 stage_benchmark_package() {

@@ -2,7 +2,7 @@
 //! the scalar reference on every kernel at both element widths, and the
 //! end-to-end solver must be insensitive to the backend choice.
 //!
-//! Two layers:
+//! Three layers:
 //! - one harness generic over `T: Elem`, driven by proptest at `f64` and
 //!   `f32` with random sizes — including ragged tails (`n % 8 != 0`) and
 //!   sub-vector lengths: every `claire-simd` kernel must agree across
@@ -11,6 +11,9 @@
 //!   and must return identical results when rerun on the same backend. On
 //!   the scalar backend the fused update+reduction kernels must additionally
 //!   equal their unfused pairs bit for bit;
+//! - an oracle for the interpolation site kernel that does not lean on the
+//!   scalar backend: every backend must reproduce the polynomials its basis
+//!   reproduces and return each tap's textbook weight for an impulse;
 //! - a smoke registration solve under `CLAIRE_SIMD=scalar` and `=auto` must
 //!   reach the same Gauss–Newton iteration count and the same final
 //!   mismatch to 6 significant digits.
@@ -179,6 +182,27 @@ fn halo_dims(n: [usize; 3]) -> HaloDims {
     ghost::GhostField::alloc(Layout::serial(Grid::new(n)), IpOrder::GHOST_WIDTH).dims()
 }
 
+const STENCILS: [Stencil; 3] = [Stencil::Linear, Stencil::CubicLagrange, Stencil::CubicBspline];
+
+/// Every site's values of `NF` fields through the batched kernel.
+fn eval_sites<T: Elem, const NF: usize>(
+    stencil: Stencil,
+    dims: &HaloDims,
+    fields: &[&[T]; NF],
+    sites: &[[T; 3]],
+) -> Vec<[T; NF]> {
+    let mut out = vec![[T::ZERO; NF]; sites.len()];
+    T::kinterp_sites(stencil, dims, fields, sites, |i, v| out[i] = v);
+    out
+}
+
+/// `count` random sites inside the owned extent `[3, n2, n3]`.
+fn random_sites<T: Elem>(n2: usize, n3: usize, seed: u64, count: usize) -> Vec<[T; 3]> {
+    let ext = [3.0, n2 as f64, n3 as f64];
+    let frac = fill::<f64>(seed, 3 * count, 0.0, 0.999);
+    frac.chunks_exact(3).map(|c| std::array::from_fn(|d| T::from_f64(c[d] * ext[d]))).collect()
+}
+
 /// The batched site kernel on a 3-plane slab with width-2 halos: the vector
 /// arm agrees with the scalar one for every stencil, and within a backend a
 /// field's values do not depend on which fields it is evaluated with.
@@ -188,31 +212,145 @@ fn check_interp<T: Elem>(n2: usize, n3: usize, seed: u64) {
         std::array::from_fn(|f| fill(seed + f as u64, dims.points(), -1.0, 1.0));
     let data = [&fields[0][..], &fields[1][..], &fields[2][..]];
     // random interior points, points on nodes, and every periodic seam
-    let ext = [3.0, n2 as f64, n3 as f64];
-    let frac = fill::<f64>(seed + 3, 3 * 16, 0.0, 0.999);
-    let mut sites: Vec<[T; 3]> =
-        frac.chunks_exact(3).map(|c| std::array::from_fn(|d| T::from_f64(c[d] * ext[d]))).collect();
+    let mut sites = random_sites::<T>(n2, n3, seed + 3, 16);
     for &u2 in &[0.0, 0.4, 1.0, n2 as f64 - 2.0, n2 as f64 - 1.5, n2 as f64 - 0.25] {
         for &u3 in &[0.0, 0.7, n3 as f64 - 1.75, n3 as f64 - 1.0, n3 as f64 - 0.5] {
             sites.push([1.25, u2, u3].map(T::from_f64));
         }
     }
-    for stencil in [Stencil::Linear, Stencil::CubicLagrange, Stencil::CubicBspline] {
+    for stencil in STENCILS {
         let what = format!("interp_sites {stencil:?}");
-        let (s3, v3) = both(|| {
-            let mut out = vec![[T::ZERO; 3]; sites.len()];
-            T::kinterp_sites(stencil, &dims, &data, &sites, |i, v| out[i] = v);
-            out
-        });
+        let (s3, v3) = both(|| eval_sites(stencil, &dims, &data, &sites));
         assert_slices_close(v3.as_flattened(), s3.as_flattened(), &what);
-        let (s1, v1) = both(|| {
-            let mut out = vec![T::ZERO; sites.len()];
-            T::kinterp_sites(stencil, &dims, &[data[1]], &sites, |i, [v]| out[i] = v);
-            out
-        });
-        let middle = |vals: &[[T; 3]]| vals.iter().map(|v| v[1]).collect::<Vec<T>>();
+        let (s1, v1) = both(|| eval_sites(stencil, &dims, &[data[1]], &sites));
+        let middle = |vals: &[[T; 3]]| vals.iter().map(|v| [v[1]]).collect::<Vec<[T; 1]>>();
         assert_eq!(s1, middle(&s3), "{what} [scalar]: grouping changed a field's bits");
         assert_eq!(v1, middle(&v3), "{what} [avx2]: grouping changed a field's bits");
+    }
+}
+
+/// A stencil's basis along one axis at fraction `t`, from the textbook
+/// definitions rather than the kernel's expanded weights: the hat function,
+/// the Lagrange product `Π_{m≠k} (t − m)/(k − m)` and the centred cubic
+/// B-spline `B3(t − k)`, one `(node offset k, weight)` per tap.
+fn basis(stencil: Stencil, t: f64) -> Vec<(isize, f64)> {
+    let b3 = |x: f64| match x.abs() {
+        x if x < 1.0 => (4.0 - 6.0 * x * x + 3.0 * x * x * x) / 6.0,
+        x if x < 2.0 => (2.0 - x).powi(3) / 6.0,
+        _ => 0.0,
+    };
+    let nodes = |k: isize| (k, t - k as f64);
+    match stencil {
+        Stencil::Linear => (0..2).map(nodes).map(|(k, x)| (k, 1.0 - x.abs())).collect(),
+        Stencil::CubicLagrange => (-1..3)
+            .map(|k| {
+                let others = (-1..3).filter(|&m| m != k);
+                (k, others.map(|m| (t - m as f64) / (k - m) as f64).product())
+            })
+            .collect(),
+        Stencil::CubicBspline => (-1..3).map(nodes).map(|(k, x)| (k, b3(x))).collect(),
+    }
+}
+
+/// Impulse response: a field that is 1 at one tap of a site's support and 0
+/// elsewhere evaluates to that tap's `w1[a]·w2[b]·w3[c]`, for every tap of
+/// every stencil, on every backend, alone (NF = 1) and with two other
+/// fields whose impulses sit at the next two taps (NF = 3). A swapped plane
+/// or row stride, or a dropped partial, fails at one named tap.
+fn check_impulse<T: Elem>(n2: usize, n3: usize, seed: u64) {
+    let dims = halo_dims([3, n2, n3]);
+    let [_, s2, s3] = dims.stored;
+    for site in random_sites::<T>(n2, n3, seed, 3) {
+        let u = site.map(|x| x.to_f64());
+        for stencil in STENCILS {
+            let w: [Vec<(isize, f64)>; 3] =
+                std::array::from_fn(|a| basis(stencil, u[a] - u[a].floor()));
+            let first: [usize; 3] = std::array::from_fn(|a| {
+                (u[a].floor() as isize + dims.origin[a] + w[a][0].0) as usize
+            });
+            let m = w[0].len();
+            let taps: Vec<[usize; 3]> =
+                (0..m * m * m).map(|i| [i / (m * m), i / m % m, i % m]).collect();
+            let at =
+                |[a, b, c]: [usize; 3]| ((first[0] + a) * s2 + first[1] + b) * s3 + first[2] + c;
+            let want = |[a, b, c]: [usize; 3]| w[0][a].1 * w[1][b].1 * w[2][c].1;
+            for i in 0..taps.len() {
+                let tap: [[usize; 3]; 3] = std::array::from_fn(|f| taps[(i + f) % taps.len()]);
+                let fields: [Vec<T>; 3] = std::array::from_fn(|f| {
+                    let mut v = vec![T::ZERO; dims.points()];
+                    v[at(tap[f])] = T::ONE;
+                    v
+                });
+                let three = [&fields[0][..], &fields[1][..], &fields[2][..]];
+                let (s3v, v3v) = both(|| eval_sites(stencil, &dims, &three, &[site])[0]);
+                let (s1v, v1v) = both(|| eval_sites(stencil, &dims, &[three[0]], &[site])[0]);
+                for (backend, got3, got1) in [("scalar", s3v, s1v), ("avx2", v3v, v1v)] {
+                    for (f, got, nf) in
+                        [(0, got1[0], 1), (0, got3[0], 3), (1, got3[1], 3), (2, got3[2], 3)]
+                    {
+                        let (got, want) = (got.to_f64(), want(tap[f]));
+                        assert!(
+                            (got - want).abs() <= tol::<T>(),
+                            "{stencil:?} [{}] {backend} NF={nf} field {f}: tap {:?} at site {u:?} \
+                             gives {got}, its weight is {want}",
+                            T::LABEL,
+                            tap[f]
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Polynomial reproduction: on a slab filled with a tensor-product
+/// polynomial of the (normalized) storage index, cubic Lagrange reproduces
+/// per-axis degree ≤ 3 and trilinear and the cubic B-spline per-axis degree
+/// ≤ 1 at random sites, on every backend, for NF = 1 and 3, to the width's
+/// tolerance relative to the field's max.
+fn check_polynomials<T: Elem>(n2: usize, n3: usize, seed: u64) {
+    let dims = halo_dims([3, n2, n3]);
+    let [_, s2, s3] = dims.stored;
+    let sites = random_sites::<T>(n2, n3, seed, 16);
+    for (stencil, degree) in
+        [(Stencil::Linear, 1), (Stencil::CubicLagrange, 3), (Stencil::CubicBspline, 1)]
+    {
+        let coef: [[Vec<f64>; 3]; 3] = std::array::from_fn(|f| {
+            std::array::from_fn(|a| fill(seed + 1 + (3 * f + a) as u64, degree + 1, -1.0, 1.0))
+        });
+        let poly = |f: usize, q: [f64; 3]| -> f64 {
+            (0..3)
+                .map(|a| {
+                    let x = q[a] / dims.stored[a] as f64;
+                    coef[f][a].iter().rev().fold(0.0, |acc, &c| acc * x + c)
+                })
+                .product()
+        };
+        let fields: [Vec<T>; 3] = std::array::from_fn(|f| {
+            let q = |i: usize| [i / (s2 * s3), i / s3 % s2, i % s3].map(|x| x as f64);
+            (0..dims.points()).map(|i| T::from_f64(poly(f, q(i)))).collect()
+        });
+        let largest: [f64; 3] =
+            std::array::from_fn(|f| fields[f].iter().map(|x| x.to_f64().abs()).fold(0.0, f64::max));
+        let three = [&fields[0][..], &fields[1][..], &fields[2][..]];
+        let (s3v, v3v) = both(|| eval_sites(stencil, &dims, &three, &sites));
+        let (s1v, v1v) = both(|| eval_sites(stencil, &dims, &[three[0]], &sites));
+        for (backend, got3, got1) in [("scalar", &s3v, &s1v), ("avx2", &v3v, &v1v)] {
+            for (i, site) in sites.iter().enumerate() {
+                let q: [f64; 3] = std::array::from_fn(|a| site[a].to_f64() + dims.origin[a] as f64);
+                for (f, got, nf) in
+                    [(0, got1[i][0], 1), (0, got3[i][0], 3), (1, got3[i][1], 3), (2, got3[i][2], 3)]
+                {
+                    let (got, want) = (got.to_f64(), poly(f, q));
+                    assert!(
+                        (got - want).abs() <= tol::<T>() * largest[f],
+                        "{stencil:?} [{}] {backend} NF={nf} field {f}: degree {degree} at site \
+                         {site:?} gives {got}, the polynomial is {want}",
+                        T::LABEL
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -327,6 +465,22 @@ proptest! {
     }
 
     #[test]
+    fn interp_reproduces_polynomials(n2 in 2usize..9, n3 in 2usize..9, seed in 0u64..1_000_000) {
+        check_polynomials::<f64>(n2, n3, seed);
+        check_polynomials::<f32>(n2, n3, seed);
+    }
+
+    #[test]
+    fn interp_impulse_returns_the_tap_weight(
+        n2 in 2usize..9,
+        n3 in 2usize..9,
+        seed in 0u64..1_000_000,
+    ) {
+        check_impulse::<f64>(n2, n3, seed);
+        check_impulse::<f32>(n2, n3, seed);
+    }
+
+    #[test]
     fn complex_kernels_match(m in 0usize..131, seed in 0u64..1_000_000) {
         check_complex::<f64>(m, seed);
         check_complex::<f32>(m, seed);
@@ -395,7 +549,7 @@ fn out_of_slab_site_panics_on_every_backend() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     for choice in ALL_BACKENDS {
         claire_simd::force_backend(Some(choice));
-        for stencil in [Stencil::Linear, Stencil::CubicLagrange, Stencil::CubicBspline] {
+        for stencil in STENCILS {
             // the cubic support of the owned planes reaches exactly the halo edge
             for site in [[-1.0, 1.0, 1.0], [1.5, 3.5, 0.0], [0.0, -1.0, 3.75]] {
                 assert!(evaluate::<f64>(stencil, site).is_ok(), "{choice:?} {stencil:?} {site:?}");
