@@ -25,6 +25,11 @@ pub struct GnIterRecord {
     pub grad_rel: f64,
     /// PCG iterations spent on this iteration's Newton system.
     pub pcg_iters: usize,
+    /// Objective evaluations of this iteration's line search (the trials;
+    /// the `J(v₀)` a β-level reads first is not one).
+    pub ls_trials: usize,
+    /// Accepted line-search step length α, or 0.0 when the search failed.
+    pub step: f64,
 }
 
 static LEVEL: AtomicUsize = AtomicUsize::new(0);
@@ -43,12 +48,28 @@ pub fn context() -> (usize, f64) {
 }
 
 /// Record one GN iteration under the current context. No-op while disabled.
-pub fn push_gn(iter: usize, objective: f64, grad_rel: f64, pcg_iters: usize) {
+pub fn push_gn(
+    iter: usize,
+    objective: f64,
+    grad_rel: f64,
+    pcg_iters: usize,
+    ls_trials: usize,
+    step: f64,
+) {
     if !crate::enabled() {
         return;
     }
     let (level, beta) = context();
-    GN.lock().unwrap().push(GnIterRecord { level, beta, iter, objective, grad_rel, pcg_iters });
+    GN.lock().unwrap().push(GnIterRecord {
+        level,
+        beta,
+        iter,
+        objective,
+        grad_rel,
+        pcg_iters,
+        ls_trials,
+        step,
+    });
 }
 
 /// Drain all recorded GN iterations.
@@ -72,14 +93,15 @@ mod tests {
         crate::set_enabled(true);
         reset();
         set_context(1, 1e-2);
-        push_gn(0, 0.5, 1.0, 7);
-        push_gn(1, 0.25, 0.4, 9);
+        push_gn(0, 0.5, 1.0, 7, 1, 1.0);
+        push_gn(1, 0.25, 0.4, 9, 2, 0.0);
         let recs = take_gn();
         crate::set_enabled(false);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].level, 1);
         assert_eq!(recs[0].beta, 1e-2);
         assert_eq!(recs[1].pcg_iters, 9);
+        assert_eq!((recs[1].ls_trials, recs[1].step), (2, 0.0));
         assert!(take_gn().is_empty());
     }
 
@@ -87,7 +109,7 @@ mod tests {
     fn disabled_push_is_noop() {
         let _g = crate::TEST_LOCK.lock().unwrap();
         crate::set_enabled(false);
-        push_gn(0, 1.0, 1.0, 1);
+        push_gn(0, 1.0, 1.0, 1, 1, 1.0);
         assert!(take_gn().is_empty());
     }
 }

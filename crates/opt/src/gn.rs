@@ -72,7 +72,8 @@ pub struct GnConfig {
     pub fixed_pcg: Option<usize>,
     /// Armijo sufficient-decrease constant.
     pub armijo_c1: f64,
-    /// Max line-search backtracks.
+    /// Cap on line-search trials (objective evaluations per search): the
+    /// default 20 tries α = 1, ½, …, 2⁻¹⁹.
     pub max_linesearch: usize,
     /// Print per-iteration progress on rank 0.
     pub verbose: bool,
@@ -360,40 +361,28 @@ impl GnState {
             problem.objective(&self.v, comm)
         });
         let slope = -rhs.inner(&step, comm);
-        // PCG can hand back a non-descent direction (f32 inner solve,
-        // preconditioner breakdown): Armijo would then admit a step that
-        // raises J, so the line search fails without a trial instead
-        let trials = if slope < 0.0 && j0.is_finite() { cfg.max_linesearch } else { 0 };
-        let mut alpha = 1.0 as Real;
-        let mut accepted = false;
-        // One trial buffer for the whole backtracking loop; each trial is a
-        // single fused pass `trial = α·step + v` instead of clone (copy pass)
-        // + axpy (update pass), and acceptance swaps buffers instead of
-        // copying.
+        // One trial buffer for the whole search; each trial is a single
+        // fused pass `trial = α·step + v` instead of clone (copy pass) + axpy
+        // (update pass), and acceptance swaps buffers instead of copying.
         let mut trial = VectorField::zeros(*self.v.layout());
-        for _ in 0..trials {
+        let (accepted, trials) = backtrack(j0, slope, cfg.armijo_c1, cfg.max_linesearch, |alpha| {
             trial.scale_add_from(alpha, &step, &self.v);
-            let j = problem.objective(&trial, comm);
-            stats.obj_evals += 1;
-            if j <= j0 + cfg.armijo_c1 * alpha as f64 * slope {
-                std::mem::swap(&mut self.v, &mut trial);
-                stats.objective_history.push(j);
-                accepted = true;
-                self.j = Some(j);
-                break;
-            }
-            if !j.is_finite() {
-                break; // halving α does not bring a NaN back
-            }
-            alpha *= 0.5;
+            problem.objective(&trial, comm)
+        });
+        stats.obj_evals += trials;
+        if let Some((_, j)) = accepted {
+            std::mem::swap(&mut self.v, &mut trial);
+            stats.objective_history.push(j);
+            self.j = Some(j);
         }
         let j_new = self.j.unwrap_or(j0);
         stats.time.obj += t0.elapsed().as_secs_f64();
         drop(ls_span);
-        records::push_gn(stats.gn_iters, j_new, rel, pcg_res.iters);
+        let step_len = accepted.map_or(0.0, |(alpha, _)| alpha);
+        records::push_gn(stats.gn_iters, j_new, rel, pcg_res.iters, trials, step_len);
         stats.gn_iters += 1;
 
-        if !accepted {
+        if accepted.is_none() {
             // line search failed — stagnation; stop with current iterate
             self.finished = true;
             return;
@@ -413,6 +402,58 @@ impl GnState {
         GN_CONVERGED.set(if self.stats.converged { 1.0 } else { 0.0 });
         (self.v, self.stats)
     }
+}
+
+/// Armijo backtracking along a step with directional derivative `slope`
+/// from `J(0) = j0`: tries α = 1, ½, ¼, … through `objective(α)` and
+/// accepts the first α with `J(α) ≤ j0 + c1·α·slope`. Returns the accepted
+/// `(α, J(α))`, or `None` when the search failed, and the trials spent.
+///
+/// The search fails
+/// - without a trial when `slope ≥ 0` or `j0` is not finite: PCG can hand
+///   back a non-descent direction (f32 inner solve, preconditioner
+///   breakdown), and Armijo would then admit a step that raises `J`;
+/// - at the first non-finite `J(α)`: halving α does not bring a NaN back;
+/// - once two consecutive rejections show that no shorter step can pass.
+///   With the secant slopes `σ(a) = (J(a) − j0)/a` of the rejections at α
+///   and α/2, `d = 2σ(α/2) − σ(α)` extrapolates the directional derivative
+///   of the `J` the trials see, and `d > c1·slope` ends the search. For a
+///   quadratic `J`, `σ` is linear in `a`, so `d` is that derivative exactly
+///   and every `σ(a)` with `a < α/2` lies between `d` and `σ(α/2)`, both
+///   above `c1·slope`: plain halving would reject every remaining trial;
+/// - after `max_trials` trials.
+///
+/// The decision reads only `j0`, `slope` and the `J(α)` values, so every
+/// rank of a distributed solve stops at the same trial.
+fn backtrack(
+    j0: f64,
+    slope: f64,
+    c1: f64,
+    max_trials: usize,
+    mut objective: impl FnMut(Real) -> f64,
+) -> (Option<(Real, f64)>, usize) {
+    if !(slope < 0.0 && j0.is_finite()) {
+        return (None, 0);
+    }
+    let mut alpha = 1.0 as Real;
+    // σ of the rejection at 2α
+    let mut secant_prev: Option<f64> = None;
+    for trial in 1..=max_trials {
+        let j = objective(alpha);
+        if j <= j0 + c1 * alpha as f64 * slope {
+            return (Some((alpha, j)), trial);
+        }
+        if !j.is_finite() {
+            return (None, trial);
+        }
+        let secant = (j - j0) / alpha as f64;
+        if secant_prev.is_some_and(|prev| 2.0 * secant - prev > c1 * slope) {
+            return (None, trial);
+        }
+        secant_prev = Some(secant);
+        alpha *= 0.5;
+    }
+    (None, max_trials)
 }
 
 #[cfg(test)]
@@ -495,6 +536,10 @@ mod tests {
         negate_newton_system: bool,
         /// `objective` is NaN anywhere but the start point (zero).
         nan_off_start: bool,
+        /// `objective` gains `−2⟨g(0), v⟩`: it rises to first order along
+        /// every step the gradient (still the quadratic's) calls descent —
+        /// a gradient inconsistent with its objective.
+        ascent_objective: bool,
         asked: Vec<Vec<u64>>,
     }
 
@@ -506,6 +551,7 @@ mod tests {
             },
             negate_newton_system: false,
             nan_off_start: false,
+            ascent_objective: false,
             asked: Vec::new(),
         }
     }
@@ -519,7 +565,12 @@ mod tests {
             if self.nan_off_start && !at_start {
                 return f64::NAN;
             }
-            self.inner.objective(v, comm)
+            let j = self.inner.objective(v, comm);
+            if self.ascent_objective {
+                // g(0) = −D·a
+                return j + 2.0 * self.inner.apply_d(&self.inner.a).inner(v, comm);
+            }
+            j
         }
         fn gradient(&mut self, v: &VectorField, comm: &mut Comm) -> VectorField {
             self.inner.gradient(v, comm)
@@ -590,6 +641,88 @@ mod tests {
         // j0 at the start point, then one NaN trial instead of 20
         assert_eq!(stats.obj_evals, 2);
         assert_eq!(v.max_abs(&mut comm), 0.0, "a NaN trial is never accepted");
+    }
+
+    #[test]
+    fn objective_rising_along_the_step_fails_after_two_trials() {
+        let layout = Layout::serial(Grid::cube(4));
+        let mut comm = Comm::solo();
+        let mut prob = Probe { ascent_objective: true, ..probe(layout) };
+        let cfg = GnConfig { grad_rtol: 1e-8, max_iter: 10, ..Default::default() };
+        let (v, stats) = gauss_newton(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
+        assert!(!stats.converged);
+        assert_eq!(stats.gn_iters, 1, "a failed line search ends the solve");
+        // j0 at the start point, then the two trials whose secant slopes
+        // show J rising, instead of 20
+        assert_eq!(stats.obj_evals, 3);
+        assert_eq!(prob.asked.len(), 3);
+        assert!(stats.objective_history.is_empty());
+        assert_eq!(v.max_abs(&mut comm), 0.0, "the iterate must not move");
+    }
+
+    /// Armijo backtracking without the secant stop: halve until a trial
+    /// passes, one is not finite, or the trials run out.
+    fn plain_halving(
+        j0: f64,
+        slope: f64,
+        c1: f64,
+        max_trials: usize,
+        objective: impl Fn(Real) -> f64,
+    ) -> (Option<(Real, f64)>, usize) {
+        let mut alpha = 1.0 as Real;
+        for trial in 1..=max_trials {
+            let j = objective(alpha);
+            if j <= j0 + c1 * alpha as f64 * slope {
+                return (Some((alpha, j)), trial);
+            }
+            if !j.is_finite() {
+                return (None, trial);
+            }
+            alpha *= 0.5;
+        }
+        (None, max_trials)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// On an exact quadratic `J(α) = j0 + d·α + e·α²` the secant stop
+        /// never changes what the search returns — the accepted α and
+        /// `J(α)` bit for bit, or a failure — only how many trials a
+        /// failure costs: exactly 2 when `J` rises to first order
+        /// (`d > c1·slope`) and the first two trials fail. `d` sits
+        /// `±10^u` from `c1·slope` and `e` is `±10^w`, so every trial count
+        /// up to the cap occurs.
+        #[test]
+        fn secant_stop_matches_plain_halving_on_quadratics(
+            j0 in -1.0f64..1.0,
+            slope in -1.0f64..-1e-3,
+            u in -9.0f64..0.5,
+            d_above in 0u8..2,
+            w in -3.0f64..3.0,
+            e_positive in 0u8..2,
+        ) {
+            let c1 = GnConfig::default().armijo_c1;
+            let cap = GnConfig::default().max_linesearch;
+            let offset = if d_above == 1 { 10f64.powf(u) } else { -(10f64.powf(u)) };
+            let d = c1 * slope + offset;
+            let e = if e_positive == 1 { 10f64.powf(w) } else { -(10f64.powf(w)) };
+            proptest::prop_assume!((d - c1 * slope).abs() > 1e-9);
+            let model = |a: Real| j0 + d * a + e * a * a;
+
+            let (got, trials) = backtrack(j0, slope, c1, cap, model);
+            let (want, plain_trials) = plain_halving(j0, slope, c1, cap, model);
+            let bits = |r: Option<(Real, f64)>| r.map(|(a, j)| (a.to_bits(), j.to_bits()));
+            proptest::prop_assert_eq!(bits(got), bits(want), "d {} e {}", d, e);
+            proptest::prop_assert!(trials <= plain_trials);
+            if got.is_some() {
+                proptest::prop_assert_eq!(trials, plain_trials);
+            }
+            let rejected = |a: Real| model(a) > j0 + c1 * a * slope;
+            if d > c1 * slope && rejected(1.0) && rejected(0.5) {
+                proptest::prop_assert_eq!(trials, 2, "d {} e {}", d, e);
+            }
+        }
     }
 
     #[test]

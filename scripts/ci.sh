@@ -191,6 +191,14 @@ stage_report_schema() {
         echo "state solves $solves (expected obj_evals $obj_evals - levels $levels + 1)," \
              "reused $reused (expected > 0): the kept state solve is not being reused"
         exit 1; }
+    # every objective evaluation past each level's J(v0) is a line-search
+    # trial some GN record owns
+    local ls_trials
+    ls_trials="$(awk -F': ' '/"ls_trials":/ { s += $2 } END { print s + 0 }' "$report")"
+    [ "$ls_trials" -eq $((obj_evals - levels)) ] || {
+        echo "gn_trace ls_trials sum to $ls_trials (expected obj_evals $obj_evals" \
+             "- levels $levels): a line-search trial is not on its GN record"
+        exit 1; }
     # the transform budget (DESIGN §5): scalar 3-D transforms against the
     # report's own counts. Certain: 3 per objective, 6 per Hessian matvec,
     # 12 + 6k per H0 application (pcg.solves beyond the one Newton solve per
