@@ -11,9 +11,9 @@
 //! top of this file: element-wise and complex-product kernels reuse the
 //! `scalar_*` body (same bits, measured at parity with a chunked form),
 //! reductions the 8-lane `wide_*` one. The butterfly/FD/interpolation
-//! kernels differ per width and live in [`f32k`] (generic bodies again)
-//! and [`f64k`] (intrinsics; the batched interpolation loop is the generic
-//! body there too, with an intrinsic [`xk::StencilArm`] plugged in).
+//! kernels differ per width and live in [`f32k`] (generic bodies again,
+//! the site loop with [`xk::RowDotArm`] plugged in) and [`f64k`]
+//! (intrinsics, the batched interpolation loop included).
 //!
 //! The FFT kernel is the generic `fft` body as well; what it gets from here
 //! is its register: a dozen one-instruction [`Lanes`] methods per width.
@@ -205,21 +205,23 @@ pub mod f32k {
 
 /// The f64 kernels where a hand-written intrinsic measured ≥ 1.2× faster
 /// than the generic body under the same feature gate (DESIGN.md §13 has
-/// the table); for interpolation that is [`f64k::FmaArm`] (Lagrange
-/// weights, the cubic and the trilinear sums) inside the shared batched
-/// site loop.
+/// the table); for interpolation that is [`f64k::interp_sites`], a site
+/// loop of its own that walks a batch four sites per step instead of the
+/// generic one.
 /// These carry the FFT, FD and interpolation time of an f64 solve.
 ///
 /// # Safety
 /// Every function here requires AVX2 and FMA on the host. The raw-pointer
 /// loads and stores stay inside the argument slices: the dispatching
 /// `Elem` method has already asserted the length/bounds contract each
-/// kernel documents, and every loop bounds its index by a slice length.
+/// kernel documents, every loop bounds its index by a slice length, and
+/// the site kernel checks each site's support against the halo before any
+/// load.
 pub mod f64k {
     use core::arch::x86_64::*;
 
     use crate::fft::{self, Lanes, Line, Stockham};
-    use crate::xk::{self, HaloDims, Stencil, StencilArm};
+    use crate::xk::{self, HaloDims, Stencil};
 
     fft_arm!(f64, __m256d);
 
@@ -292,18 +294,6 @@ pub mod f64k {
             2 => _mm256_setr_epi64x(on, on, 0, 0),
             _ => _mm256_setr_epi64x(on, on, on, 0),
         }
-    }
-
-    /// Fixed-shape horizontal sum: `(l0 + l2) + (l1 + l3)`.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn hsum(v: __m256d) -> f64 {
-        hsum2(_mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1)))
-    }
-
-    /// Horizontal sum of a 2-lane vector: `l0 + l1`.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn hsum2(v: __m128d) -> f64 {
-        _mm_cvtsd_f64(_mm_add_sd(v, _mm_unpackhi_pd(v, v)))
     }
 
     // ----- 8th-order FD stencil ----------------------------------------------
@@ -380,140 +370,336 @@ pub mod f64k {
 
     // ----- scattered interpolation -------------------------------------------
 
-    /// The f64 arm of the site kernel: four Lagrange weights in one vector,
-    /// and sums that never wait on a long add chain. A cubic site forms
-    /// `w2[b]·w3` once as four vectors; each field sums every x1 plane `a`
-    /// into its own partial (four FMAs, one per 4-wide row), folds the
-    /// partials with `w1` as the tree `(p0·w1[0] + p1·w1[1]) + (p2·w1[2] +
-    /// p3·w1[3])` and reduces it by [`hsum`]. A trilinear site does the same
-    /// with 2-wide rows, two planes and [`hsum2`]. Against the specification
-    /// `w1[a]` is factored out of each plane partial and `a·b + c` rounds
-    /// once: a different association of the same sum, inside the ≤ 1e-12
-    /// contract. A field's sum reads only its own taps, so its bits do not
-    /// depend on how many fields travel with it.
-    #[derive(Clone, Copy)]
-    pub(crate) struct FmaArm(());
+    /// Sites per block: one per f64 lane.
+    const BLOCK: usize = 4;
 
-    impl FmaArm {
-        /// # Safety
-        /// The host must support AVX2 and FMA.
-        unsafe fn new() -> FmaArm {
-            FmaArm(())
-        }
-    }
-
-    impl StencilArm<f64> for FmaArm {
-        #[inline(always)]
-        fn lagrange(self, t: f64) -> [f64; 4] {
-            let t1 = t - 1.0;
-            let t2 = t - 2.0;
-            let tp = t + 1.0;
-            let mut out = [0.0f64; 4];
-            // SAFETY: an `FmaArm` only exists on a host with AVX2 (`new`);
-            // the store writes the four lanes into the four-element array.
-            unsafe {
-                let v1 = _mm256_setr_pd(-t, tp, -tp, tp);
-                let v2 = _mm256_setr_pd(t1, t1, t, t);
-                let v3 = _mm256_setr_pd(t2, t2, t2, t1);
-                let d = _mm256_setr_pd(1.0 / 6.0, 0.5, 0.5, 1.0 / 6.0);
-                let w = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(v1, v2), v3), d);
-                _mm256_storeu_pd(out.as_mut_ptr(), w);
-            }
-            out
-        }
-
-        #[inline(always)]
-        fn cubic<const NF: usize>(
-            self,
-            fields: &[&[f64]; NF],
-            base: usize,
-            ps: usize,
-            rs: usize,
-            w: &[[f64; 4]; 3],
-        ) -> [f64; NF] {
-            let last = base + 3 * ps + 3 * rs;
-            for f in fields {
-                assert!(last + 4 <= f.len(), "cubic support out of bounds");
-            }
-            // SAFETY: an `FmaArm` only exists on a host with AVX2 and FMA
-            // (`new`). Every load reads 4 values at `base + a·ps + b·rs`
-            // with `a, b ≤ 3`, which ends at or before `last + 4`, checked
-            // against each field's length just above.
-            unsafe {
-                let w3 = _mm256_loadu_pd(w[2].as_ptr());
-                let w23 = [
-                    _mm256_mul_pd(_mm256_set1_pd(w[1][0]), w3),
-                    _mm256_mul_pd(_mm256_set1_pd(w[1][1]), w3),
-                    _mm256_mul_pd(_mm256_set1_pd(w[1][2]), w3),
-                    _mm256_mul_pd(_mm256_set1_pd(w[1][3]), w3),
-                ];
-                let w1 = [
-                    _mm256_set1_pd(w[0][0]),
-                    _mm256_set1_pd(w[0][1]),
-                    _mm256_set1_pd(w[0][2]),
-                    _mm256_set1_pd(w[0][3]),
-                ];
-                let mut out = [0.0f64; NF];
-                for (o, f) in out.iter_mut().zip(fields) {
-                    let mut plane = [_mm256_setzero_pd(); 4];
-                    for (a, p) in plane.iter_mut().enumerate() {
-                        let at = f.as_ptr().add(base + a * ps);
-                        for (b, &wv) in w23.iter().enumerate() {
-                            *p = _mm256_fmadd_pd(_mm256_loadu_pd(at.add(b * rs)), wv, *p);
-                        }
-                    }
-                    let lo = _mm256_fmadd_pd(plane[1], w1[1], _mm256_mul_pd(plane[0], w1[0]));
-                    let hi = _mm256_fmadd_pd(plane[3], w1[3], _mm256_mul_pd(plane[2], w1[2]));
-                    *o = hsum(_mm256_add_pd(lo, hi));
-                }
-                out
-            }
-        }
-
-        #[inline(always)]
-        fn linear<const NF: usize>(
-            self,
-            fields: &[&[f64]; NF],
-            base: usize,
-            ps: usize,
-            rs: usize,
-            w: &[[f64; 2]; 3],
-        ) -> [f64; NF] {
-            let last = base + ps + rs;
-            for f in fields {
-                assert!(last + 2 <= f.len(), "linear support out of bounds");
-            }
-            // SAFETY: as in `cubic`, with 2 values per load at `a, b ≤ 1`,
-            // ending at or before `last + 2`, checked just above.
-            unsafe {
-                let w3 = _mm_loadu_pd(w[2].as_ptr());
-                let w23 =
-                    [_mm_mul_pd(_mm_set1_pd(w[1][0]), w3), _mm_mul_pd(_mm_set1_pd(w[1][1]), w3)];
-                let w1 = [_mm_set1_pd(w[0][0]), _mm_set1_pd(w[0][1])];
-                let mut out = [0.0f64; NF];
-                for (o, f) in out.iter_mut().zip(fields) {
-                    let mut plane = [_mm_setzero_pd(); 2];
-                    for (a, p) in plane.iter_mut().enumerate() {
-                        let at = f.as_ptr().add(base + a * ps);
-                        for (b, &wv) in w23.iter().enumerate() {
-                            *p = _mm_fmadd_pd(_mm_loadu_pd(at.add(b * rs)), wv, *p);
-                        }
-                    }
-                    *o = hsum2(_mm_fmadd_pd(plane[1], w1[1], _mm_mul_pd(plane[0], w1[0])));
-                }
-                out
-            }
-        }
-    }
-
+    /// The f64 site kernel: a batch walks [`BLOCK`] sites per step, each
+    /// block one vector prologue with one site per lane, then each site's
+    /// taps. A tail of 1–3 sites is padded with copies of its first site
+    /// and takes the same code, and no lane reads another's values, so a
+    /// site's bits depend neither on its batch nor on its position in it.
+    ///
+    /// The prologue ([`split`]) floors, bounds-checks and indexes the four
+    /// sites at once; [`lagrange`] / [`bspline`] (and `1 − t, t`) give the
+    /// weights. A cubic site ([`cubic_block`]) forms `w2[b]·w3` once as four
+    /// vectors; each field sums every x1 plane `a` into its own partial
+    /// (four FMAs, one per 4-wide row), folds the partials with `w1` as the
+    /// tree `(p0·w1[0] + p1·w1[1]) + (p2·w1[2] + p3·w1[3])` and reduces it
+    /// as `(l0 + l2) + (l1 + l3)`. A trilinear site ([`linear_block`]) does
+    /// the same with 2-wide rows, two sites per register, and `l0 + l1`.
+    /// Against the specification `w1[a]` is factored out of each plane
+    /// partial and `a·b + c` rounds once: a different association of the
+    /// same sum, inside the ≤ 1e-12 contract. A field's sum reads only its
+    /// own taps, so its bits do not depend on how many fields travel with
+    /// it.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA, and every field must hold
+    /// `dims.points()` values (`Elem::kinterp_sites` asserts it).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn interp_sites<const NF: usize, S: FnMut(usize, [f64; NF])>(
         stencil: Stencil,
         dims: &HaloDims,
         fields: &[&[f64]; NF],
         sites: &[[f64; 3]],
-        sink: S,
+        mut sink: S,
     ) {
-        xk::interp_sites(FmaArm::new(), stencil, dims, fields, sites, sink)
+        let [_, s2, s3] = dims.stored;
+        let (ps, rs) = (s2 * s3, s3);
+        // `split` converts first-tap indices to i32 and multiplies them by
+        // `ps`, `rs` as 32-bit unsigned; every load relies on the index it
+        // computes and its support check
+        assert!(
+            dims.stored.iter().all(|&s| s <= i32::MAX as usize) && ps <= u32::MAX as usize,
+            "interp_sites: halo {:?} too large for the f64 site kernel",
+            dims.stored
+        );
+        let (lo, taps) = stencil.reach();
+        let mut pad: [[f64; 3]; BLOCK];
+        for (k, chunk) in sites.chunks(BLOCK).enumerate() {
+            let quad: &[[f64; 3]; BLOCK] = match chunk.try_into() {
+                Ok(quad) => quad,
+                Err(_) => {
+                    pad = [chunk[0]; BLOCK];
+                    pad[..chunk.len()].copy_from_slice(chunk);
+                    &pad
+                }
+            };
+            let (base, t) = split(dims, lo, taps, quad);
+            let values = match stencil {
+                Stencil::Linear => linear_block(fields, ps, rs, &base, t),
+                Stencil::CubicLagrange => {
+                    let w = [lagrange(t[0]), lagrange(t[1]), lagrange(t[2])];
+                    cubic_block(fields, ps, rs, &base, w)
+                }
+                Stencil::CubicBspline => {
+                    let w = [bspline(t[0]), bspline(t[1]), bspline(t[2])];
+                    cubic_block(fields, ps, rs, &base, w)
+                }
+            };
+            for (l, v) in values.into_iter().take(chunk.len()).enumerate() {
+                sink(k * BLOCK + l, v);
+            }
+        }
+    }
+
+    /// The block prologue, one site per lane: the storage index of each
+    /// site's first tap (support of `taps` nodes from node offset `lo` per
+    /// axis) and its fraction per axis. `⌊u⌋` and `u − ⌊u⌋` are
+    /// `split_index`'s, a NaN coordinate included (base 0, fraction NaN).
+    /// When a lane's support leaves the halo, [`xk::support`] runs on each
+    /// site and panics with its message.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA, every `d.stored[a]` must be at
+    /// most `i32::MAX` and `d.stored[1]·d.stored[2]` at most `u32::MAX`
+    /// (`interp_sites` asserts both).
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn split(
+        d: &HaloDims,
+        lo: isize,
+        taps: usize,
+        quad: &[[f64; 3]; BLOCK],
+    ) -> ([usize; BLOCK], [__m256d; 3]) {
+        // SAFETY: `quad` is 12 contiguous values; the loads read 0..4, 4..8
+        // and 8..12 of them
+        let p = quad.as_ptr() as *const f64;
+        let (r0, r1, r2) =
+            (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)), _mm256_loadu_pd(p.add(8)));
+        // x0 y0 z0 x1 | y1 z1 x2 y2 | z2 x3 y3 z3 → x0..x3, y0..y3, z0..z3
+        let m1 = _mm256_blend_pd::<0b1100>(r0, r1); // x0 y0 x2 y2
+        let m2 = _mm256_blend_pd::<0b1100>(r1, r2); // y1 z1 y3 z3
+        let m3 = _mm256_blend_pd::<0b0011>(r0, r2); // z2 x3 z0 x1
+        let m3 = _mm256_permute2f128_pd::<0x01>(m3, m3); // z0 x1 z2 x3
+        let u = [
+            _mm256_blend_pd::<0b1010>(m1, m3),
+            _mm256_shuffle_pd::<0b0101>(m1, m2),
+            _mm256_blend_pd::<0b1010>(m3, m2),
+        ];
+        let mut t = [_mm256_setzero_pd(); 3];
+        let mut first = [_mm256_setzero_si256(); 3];
+        let mut inside = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+        for a in 0..3 {
+            let f = _mm256_floor_pd(u[a]);
+            t[a] = _mm256_sub_pd(u[a], f);
+            let f = _mm256_and_pd(f, _mm256_cmp_pd::<_CMP_ORD_Q>(f, f));
+            // the first tap's index along axis `a`, exact as f64
+            let q = _mm256_add_pd(f, _mm256_set1_pd((d.origin[a] + lo) as f64));
+            let last = _mm256_set1_pd((d.stored[a] as isize - taps as isize) as f64);
+            let ok = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GE_OQ>(q, _mm256_setzero_pd()),
+                _mm256_cmp_pd::<_CMP_LE_OQ>(q, last),
+            );
+            inside = _mm256_and_pd(inside, ok);
+            first[a] = _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(q));
+        }
+        if _mm256_movemask_pd(inside) != 0b1111 {
+            for s in quad {
+                xk::support(d, s, lo, taps);
+            }
+            unreachable!("the block support check rejected sites that `support` accepts");
+        }
+        let [_, s2, s3] = d.stored;
+        let index = _mm256_add_epi64(
+            _mm256_add_epi64(
+                _mm256_mul_epu32(first[0], _mm256_set1_epi64x((s2 * s3) as i64)),
+                _mm256_mul_epu32(first[1], _mm256_set1_epi64x(s3 as i64)),
+            ),
+            first[2],
+        );
+        let mut base = [0usize; BLOCK];
+        // SAFETY: four 64-bit lanes into four `usize`s
+        _mm256_storeu_si256(base.as_mut_ptr() as *mut __m256i, index);
+        (base, t)
+    }
+
+    /// Cubic Lagrange weights of four fractions, `[k]` = weight of node
+    /// offset `k − 1` in every lane: `((v1·v2)·v3)·d` with `v1 = (−t, t+1,
+    /// −(t+1), t+1)`, `v2 = (t−1, t−1, t, t)`, `v3 = (t−2, t−2, t−2, t−1)`,
+    /// `d = (1/6, 1/2, 1/2, 1/6)`.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn lagrange(t: __m256d) -> [__m256d; 4] {
+        let one = _mm256_set1_pd(1.0);
+        let t1 = _mm256_sub_pd(t, one);
+        let t2 = _mm256_sub_pd(t, _mm256_set1_pd(2.0));
+        let tp = _mm256_add_pd(t, one);
+        let neg = _mm256_set1_pd(-0.0);
+        let (sixth, half) = (_mm256_set1_pd(1.0 / 6.0), _mm256_set1_pd(0.5));
+        [
+            _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(_mm256_xor_pd(t, neg), t1), t2), sixth),
+            _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(tp, t1), t2), half),
+            _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(_mm256_xor_pd(tp, neg), t), t2), half),
+            _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(tp, t), t1), sixth),
+        ]
+    }
+
+    /// Cubic B-spline weights of four fractions, the expressions of
+    /// `xk::bspline_weights` (separate multiply and add, divide by 6).
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn bspline(t: __m256d) -> [__m256d; 4] {
+        let (one, three, six) = (_mm256_set1_pd(1.0), _mm256_set1_pd(3.0), _mm256_set1_pd(6.0));
+        let t2 = _mm256_mul_pd(t, t);
+        let t3 = _mm256_mul_pd(t2, t);
+        let om = _mm256_sub_pd(one, t);
+        let w1 = _mm256_sub_pd(_mm256_mul_pd(three, t3), _mm256_mul_pd(six, t2));
+        let w2 = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(-3.0), t3), _mm256_mul_pd(three, t2));
+        let w2 = _mm256_add_pd(_mm256_add_pd(w2, _mm256_mul_pd(three, t)), one);
+        [
+            _mm256_div_pd(_mm256_mul_pd(_mm256_mul_pd(om, om), om), six),
+            _mm256_div_pd(_mm256_add_pd(w1, _mm256_set1_pd(4.0)), six),
+            _mm256_div_pd(w2, six),
+            _mm256_div_pd(t3, six),
+        ]
+    }
+
+    /// The 64-tap sums of a block of cubic sites; `w[axis][k]` holds the
+    /// weight of tap `k` for every site, one site per lane.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA; `base` must come from [`split`]
+    /// with the cubic reach, for a halo whose plane and row strides are
+    /// `ps`, `rs` and whose `points()` values every field holds.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn cubic_block<const NF: usize>(
+        fields: &[&[f64]; NF],
+        ps: usize,
+        rs: usize,
+        base: &[usize; BLOCK],
+        w: [[__m256d; 4]; 3],
+    ) -> [[f64; NF]; BLOCK] {
+        // x1 and x2 weights are broadcast per site from memory, the x3
+        // weights transposed into one register per site
+        let mut w12 = [[[0.0f64; BLOCK]; 4]; 2];
+        for (wa, va) in w12.iter_mut().zip(&w) {
+            for (wk, &vk) in wa.iter_mut().zip(va) {
+                // SAFETY: four lanes into four values
+                _mm256_storeu_pd(wk.as_mut_ptr(), vk);
+            }
+        }
+        let [w30, w31, w32, w33] = w[2];
+        let (t0, t1) = (_mm256_unpacklo_pd(w30, w31), _mm256_unpackhi_pd(w30, w31));
+        let (t2, t3) = (_mm256_unpacklo_pd(w32, w33), _mm256_unpackhi_pd(w32, w33));
+        let w3 = [
+            _mm256_permute2f128_pd::<0x20>(t0, t2),
+            _mm256_permute2f128_pd::<0x20>(t1, t3),
+            _mm256_permute2f128_pd::<0x31>(t0, t2),
+            _mm256_permute2f128_pd::<0x31>(t1, t3),
+        ];
+        let mut sums = [[_mm256_setzero_pd(); BLOCK]; NF];
+        for l in 0..BLOCK {
+            let mut w23 = [_mm256_setzero_pd(); 4];
+            let mut w1 = [_mm256_setzero_pd(); 4];
+            for k in 0..4 {
+                w23[k] = _mm256_mul_pd(_mm256_broadcast_sd(&w12[1][k][l]), w3[l]);
+                w1[k] = _mm256_broadcast_sd(&w12[0][k][l]);
+            }
+            for (sum, f) in sums.iter_mut().zip(fields) {
+                let mut plane = [_mm256_setzero_pd(); 4];
+                for (a, p) in plane.iter_mut().enumerate() {
+                    // SAFETY: `split` placed the support inside the halo,
+                    // so `base + a·ps + b·rs + 4` (a, b ≤ 3) is at most
+                    // `dims.points()`, every field's length
+                    let at = f.as_ptr().add(base[l] + a * ps);
+                    for (b, &wv) in w23.iter().enumerate() {
+                        *p = _mm256_fmadd_pd(_mm256_loadu_pd(at.add(b * rs)), wv, *p);
+                    }
+                }
+                let lo = _mm256_fmadd_pd(plane[1], w1[1], _mm256_mul_pd(plane[0], w1[0]));
+                let hi = _mm256_fmadd_pd(plane[3], w1[3], _mm256_mul_pd(plane[2], w1[2]));
+                sum[l] = _mm256_add_pd(lo, hi);
+            }
+        }
+        let mut out = [[0.0f64; NF]; BLOCK];
+        for (f, [s0, s1, s2, s3]) in sums.into_iter().enumerate() {
+            // (l0 + l2) + (l1 + l3) of sites 0, 1, 2, 3 at once
+            let s02 = _mm256_add_pd(
+                _mm256_permute2f128_pd::<0x20>(s0, s2),
+                _mm256_permute2f128_pd::<0x31>(s0, s2),
+            );
+            let s13 = _mm256_add_pd(
+                _mm256_permute2f128_pd::<0x20>(s1, s3),
+                _mm256_permute2f128_pd::<0x31>(s1, s3),
+            );
+            store_column(&mut out, f, _mm256_hadd_pd(s02, s13));
+        }
+        out
+    }
+
+    /// The 8-tap sums of a block of trilinear sites from their fractions,
+    /// two sites per register: sites 0 and 2 share one, 1 and 3 the other.
+    ///
+    /// # Safety
+    /// As [`cubic_block`]'s, with `base` from [`split`] with the linear
+    /// reach.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn linear_block<const NF: usize>(
+        fields: &[&[f64]; NF],
+        ps: usize,
+        rs: usize,
+        base: &[usize; BLOCK],
+        t: [__m256d; 3],
+    ) -> [[f64; NF]; BLOCK] {
+        let one = _mm256_set1_pd(1.0);
+        let om = [_mm256_sub_pd(one, t[0]), _mm256_sub_pd(one, t[1]), _mm256_sub_pd(one, t[2])];
+        // pair h holds sites h and h + 2: (1 − t, t) of either in its half
+        let w3 = [_mm256_unpacklo_pd(om[2], t[2]), _mm256_unpackhi_pd(om[2], t[2])];
+        let w2 = [
+            [_mm256_movedup_pd(om[1]), _mm256_movedup_pd(t[1])],
+            [_mm256_permute_pd::<0b1111>(om[1]), _mm256_permute_pd::<0b1111>(t[1])],
+        ];
+        let w1 = [
+            [_mm256_movedup_pd(om[0]), _mm256_movedup_pd(t[0])],
+            [_mm256_permute_pd::<0b1111>(om[0]), _mm256_permute_pd::<0b1111>(t[0])],
+        ];
+        let mut sums = [[_mm256_setzero_pd(); 2]; NF];
+        for h in 0..2 {
+            let w23 = [_mm256_mul_pd(w2[h][0], w3[h]), _mm256_mul_pd(w2[h][1], w3[h])];
+            for (sum, f) in sums.iter_mut().zip(fields) {
+                let mut plane = [_mm256_setzero_pd(); 2];
+                for (a, p) in plane.iter_mut().enumerate() {
+                    // SAFETY: as in `cubic_block`, with 2 values per load
+                    // at `a, b ≤ 1`
+                    let (lo, hi) =
+                        (f.as_ptr().add(base[h] + a * ps), f.as_ptr().add(base[h + 2] + a * ps));
+                    for (b, &wv) in w23.iter().enumerate() {
+                        let row = _mm256_loadu2_m128d(hi.add(b * rs), lo.add(b * rs));
+                        *p = _mm256_fmadd_pd(row, wv, *p);
+                    }
+                }
+                sum[h] = _mm256_fmadd_pd(plane[1], w1[h][1], _mm256_mul_pd(plane[0], w1[h][0]));
+            }
+        }
+        let mut out = [[0.0f64; NF]; BLOCK];
+        for (f, [s02, s13]) in sums.into_iter().enumerate() {
+            // l0 + l1 of sites 0, 1, 2, 3 at once
+            store_column(&mut out, f, _mm256_hadd_pd(s02, s13));
+        }
+        out
+    }
+
+    /// Scatter field `f`'s value of each site (one per lane) into `out`.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn store_column<const NF: usize>(out: &mut [[f64; NF]; BLOCK], f: usize, v: __m256d) {
+        let mut lanes = [0.0f64; BLOCK];
+        // SAFETY: four lanes into four values
+        _mm256_storeu_pd(lanes.as_mut_ptr(), v);
+        for (o, x) in out.iter_mut().zip(lanes) {
+            o[f] = x;
+        }
     }
 }

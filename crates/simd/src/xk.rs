@@ -13,15 +13,13 @@
 //!   Every width keeps the determinism contract: results depend only on
 //!   input values and the selected backend, never on thread count or
 //!   allocation state;
-//! * the batched interpolation kernel ([`interp_sites`]) is one body for
-//!   every backend with the pieces that differ per backend — cubic
-//!   Lagrange weights, the 64-tap cubic and the 8-tap trilinear
-//!   accumulation — behind [`StencilArm`]: [`SpecArm`] is the
-//!   specification, [`RowDotArm`] the f32 AVX2 arm (cubic row by row), and
-//!   `avx2::f64k::FmaArm` the f64 intrinsics, which sum a site as
-//!   independent plane partials instead of one serial chain. The trilinear
-//!   sum has one generic body, [`StencilArm::linear`]'s default, which
-//!   only `FmaArm` overrides.
+//! * the batched interpolation kernel ([`interp_sites`]) is one site loop
+//!   for the scalar backend and the f32 AVX2 arm, with the 64-tap cubic
+//!   sum behind [`StencilArm`]: [`SpecArm`] is the specification,
+//!   [`RowDotArm`] the f32 AVX2 arm (cubic row by row). The f64 AVX2 arm
+//!   is not this body: `avx2::f64k::interp_sites` walks a batch four
+//!   sites per step in intrinsics, sharing only [`support`] (its
+//!   out-of-halo panic) with the loop here.
 //!
 //! The bodies are `#[inline(always)]`: the AVX2 arm is a body inlined into
 //! a `#[target_feature(enable = "avx2,fma")]` wrapper (see `avx2`), where
@@ -251,6 +249,17 @@ pub enum Stencil {
     CubicBspline,
 }
 
+impl Stencil {
+    /// Node offset of the first tap and the taps per axis.
+    #[inline(always)]
+    pub(crate) fn reach(self) -> (isize, usize) {
+        match self {
+            Stencil::Linear => (0, 2),
+            Stencil::CubicLagrange | Stencil::CubicBspline => (-1, 4),
+        }
+    }
+}
+
 /// Storage shape of the halo-extended slabs the site kernel reads (a
 /// `claire_grid` `GhostField` hands it out): each field holds
 /// `stored[0] × stored[1] × stored[2]` values, x3 fastest, and global grid
@@ -270,23 +279,13 @@ impl HaloDims {
     }
 }
 
-/// The backend-specific pieces of the site kernel: the cubic Lagrange
-/// weight evaluation and the weighted sums over a site's 4×4×4 (cubic) and
-/// 2×2×2 (trilinear) support. Everything else (index split, support check,
-/// B-spline and linear weights) is one generic body shared by every arm.
-///
-/// Both sums are `Σ_{a,b,c} w1[a]·w2[b]·w3[c] · f[base + a·ps + b·rs + c]`
-/// for each of the `NF` fields, `ps` and `rs` being the plane and row
-/// strides. The caller checks the support against the halo; the arm
-/// bounds-checks it against the field length.
-///
-/// An arm is passed by value; constructing one whose methods need a CPU
-/// feature is `unsafe`, so holding it proves the feature is present.
+/// The part of the generic site loop that differs per arm: the weighted
+/// sum over a cubic site's 4×4×4 support,
+/// `Σ_{a,b,c} w1[a]·w2[b]·w3[c] · f[base + a·ps + b·rs + c]` for each of
+/// the `NF` fields, `ps` and `rs` being the plane and row strides. The
+/// caller checks the support against the halo; slice indexing bounds-checks
+/// it against the field length.
 pub(crate) trait StencilArm<T: Elem>: Copy {
-    /// Cubic Lagrange weights at fraction `t ∈ [0,1)` for node offsets
-    /// `{−1, 0, 1, 2}`.
-    fn lagrange(self, t: T) -> [T; 4];
-
     /// The 64-tap sum of a cubic site.
     fn cubic<const NF: usize>(
         self,
@@ -296,33 +295,6 @@ pub(crate) trait StencilArm<T: Elem>: Copy {
         rs: usize,
         w: &[[T; 4]; 3],
     ) -> [T; NF];
-
-    /// The 8-tap sum of a trilinear site. The default is the specification:
-    /// separate multiply and add, `(w1[a]·w2[b])·w3[c]` per tap, one
-    /// left-to-right sum per field.
-    #[inline(always)]
-    fn linear<const NF: usize>(
-        self,
-        fields: &[&[T]; NF],
-        base: usize,
-        ps: usize,
-        rs: usize,
-        w: &[[T; 2]; 3],
-    ) -> [T; NF] {
-        let mut acc = [T::ZERO; NF];
-        for (a, &wa) in w[0].iter().enumerate() {
-            for (b, &wb) in w[1].iter().enumerate() {
-                let row = base + a * ps + b * rs;
-                for (c, &wc) in w[2].iter().enumerate() {
-                    let w = wa * wb * wc;
-                    for (o, f) in acc.iter_mut().zip(fields) {
-                        *o += w * f[row + c];
-                    }
-                }
-            }
-        }
-        acc
-    }
 }
 
 /// The specification arm: separate multiply and add, one 64-term
@@ -331,19 +303,6 @@ pub(crate) trait StencilArm<T: Elem>: Copy {
 pub(crate) struct SpecArm;
 
 impl<T: Elem> StencilArm<T> for SpecArm {
-    #[inline(always)]
-    fn lagrange(self, t: T) -> [T; 4] {
-        let t1 = t - T::ONE;
-        let t2 = t - T::from_f64(2.0);
-        let tp = t + T::ONE;
-        [
-            -t * t1 * t2 / T::from_f64(6.0),
-            tp * t1 * t2 / T::from_f64(2.0),
-            -tp * t * t2 / T::from_f64(2.0),
-            tp * t * t1 / T::from_f64(6.0),
-        ]
-    }
-
     #[inline(always)]
     fn cubic<const NF: usize>(
         self,
@@ -379,11 +338,6 @@ pub(crate) struct RowDotArm;
 
 impl<T: Elem> StencilArm<T> for RowDotArm {
     #[inline(always)]
-    fn lagrange(self, t: T) -> [T; 4] {
-        SpecArm.lagrange(t)
-    }
-
-    #[inline(always)]
     fn cubic<const NF: usize>(
         self,
         fields: &[&[T]; NF],
@@ -406,6 +360,46 @@ impl<T: Elem> StencilArm<T> for RowDotArm {
         }
         acc
     }
+}
+
+/// The 8-tap sum of a trilinear site, the specification: separate multiply
+/// and add, `(w1[a]·w2[b])·w3[c]` per tap, one left-to-right sum per field.
+#[inline(always)]
+fn linear_sum<T: Elem, const NF: usize>(
+    fields: &[&[T]; NF],
+    base: usize,
+    ps: usize,
+    rs: usize,
+    w: &[[T; 2]; 3],
+) -> [T; NF] {
+    let mut acc = [T::ZERO; NF];
+    for (a, &wa) in w[0].iter().enumerate() {
+        for (b, &wb) in w[1].iter().enumerate() {
+            let row = base + a * ps + b * rs;
+            for (c, &wc) in w[2].iter().enumerate() {
+                let w = wa * wb * wc;
+                for (o, f) in acc.iter_mut().zip(fields) {
+                    *o += w * f[row + c];
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// Cubic Lagrange weights at fraction `t ∈ [0,1)` for node offsets
+/// `{−1, 0, 1, 2}`.
+#[inline(always)]
+fn lagrange_weights<T: Elem>(t: T) -> [T; 4] {
+    let t1 = t - T::ONE;
+    let t2 = t - T::from_f64(2.0);
+    let tp = t + T::ONE;
+    [
+        -t * t1 * t2 / T::from_f64(6.0),
+        tp * t1 * t2 / T::from_f64(2.0),
+        -tp * t * t2 / T::from_f64(2.0),
+        tp * t * t1 / T::from_f64(6.0),
+    ]
 }
 
 /// Cubic B-spline basis weights at fraction `t ∈ [0,1)` for node offsets
@@ -432,7 +426,12 @@ fn bspline_weights<T: Elem>(t: T) -> [T; 4] {
 /// there — so a site outside it is a routing bug, reported here instead of
 /// read out of bounds.
 #[inline(always)]
-fn support<T: Elem>(d: &HaloDims, s: &[T; 3], lo: isize, taps: usize) -> (usize, [T; 3]) {
+pub(crate) fn support<T: Elem>(
+    d: &HaloDims,
+    s: &[T; 3],
+    lo: isize,
+    taps: usize,
+) -> (usize, [T; 3]) {
     let (mut base, mut t) = (0, [T::ZERO; 3]);
     for (a, (u, ta)) in s.iter().zip(&mut t).enumerate() {
         let b;
@@ -451,15 +450,11 @@ fn support<T: Elem>(d: &HaloDims, s: &[T; 3], lo: isize, taps: usize) -> (usize,
 }
 
 #[inline(always)]
-fn linear_site<T: Elem, A: StencilArm<T>, const NF: usize>(
-    arm: A,
-    d: &HaloDims,
-    fields: &[&[T]; NF],
-    s: &[T; 3],
-) -> [T; NF] {
-    let (base, [t1, t2, t3]) = support(d, s, 0, 2);
+fn linear_site<T: Elem, const NF: usize>(d: &HaloDims, fields: &[&[T]; NF], s: &[T; 3]) -> [T; NF] {
+    let (lo, taps) = Stencil::Linear.reach();
+    let (base, [t1, t2, t3]) = support(d, s, lo, taps);
     let w = [[T::ONE - t1, t1], [T::ONE - t2, t2], [T::ONE - t3, t3]];
-    arm.linear(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
+    linear_sum(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
 }
 
 #[inline(always)]
@@ -470,7 +465,8 @@ fn cubic_site<T: Elem, A: StencilArm<T>, const NF: usize>(
     s: &[T; 3],
     weights: impl Fn(T) -> [T; 4],
 ) -> [T; NF] {
-    let (base, [t1, t2, t3]) = support(d, s, -1, 4);
+    let (lo, taps) = Stencil::CubicLagrange.reach();
+    let (base, [t1, t2, t3]) = support(d, s, lo, taps);
     let w = [weights(t1), weights(t2), weights(t3)];
     arm.cubic(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
 }
@@ -490,12 +486,12 @@ pub(crate) fn interp_sites<T: Elem, A: StencilArm<T>, const NF: usize>(
     match stencil {
         Stencil::Linear => {
             for (i, s) in sites.iter().enumerate() {
-                sink(i, linear_site(arm, d, fields, s));
+                sink(i, linear_site(d, fields, s));
             }
         }
         Stencil::CubicLagrange => {
             for (i, s) in sites.iter().enumerate() {
-                sink(i, cubic_site(arm, d, fields, s, |t| arm.lagrange(t)));
+                sink(i, cubic_site(arm, d, fields, s, lagrange_weights));
             }
         }
         Stencil::CubicBspline => {

@@ -222,6 +222,19 @@ stage_report_schema() {
              "hess_applies $hess, H0 applications $h0 with $inner inner iterations," \
              "$records GN records on $levels levels: the transform budget is broken"
         exit 1; }
+    # a whole solve takes the same path to the same bits on 1 and 3 threads
+    # (DESIGN §13): at 16³ the site kernel runs threaded, and 3 workers split
+    # 4096 sites into ranges that end inside a block of four
+    local path1 path3
+    solve_path() { grep -E '"(gn_iters|pcg_iters|obj_evals|rel_mismatch)":' "$report"; }
+    CLAIRE_THREADS=1 cargo run --release --example quickstart -- 16 --report "$report"
+    path1="$(solve_path)"
+    CLAIRE_THREADS=3 cargo run --release --example quickstart -- 16 --report "$report"
+    path3="$(solve_path)"
+    [ -n "$path1" ] && [ "$path1" = "$path3" ] || {
+        echo "quickstart 16 on 1 and 3 threads took different paths:"
+        diff <(echo "$path1") <(echo "$path3") || true
+        exit 1; }
     # the environment selector must land in the report verbatim
     CLAIRE_PRECISION=mixed cargo run --release --example quickstart -- 16 --report "$report"
     grep -q '"precision": "mixed"' "$report" || {

@@ -354,6 +354,56 @@ fn check_polynomials<T: Elem>(n2: usize, n3: usize, seed: u64) {
     }
 }
 
+/// Every value's bits (promoted to f64, which is exact), so that −0 and +0
+/// differ and a NaN equals itself.
+fn bits<T: Elem, const NF: usize>(vals: &[[T; NF]]) -> Vec<[u64; NF]> {
+    vals.iter().map(|v| v.map(|x| x.to_f64().to_bits())).collect()
+}
+
+/// A site's bits do not depend on where it sits in a batch: on every
+/// backend, for every stencil and NF ∈ {1, 2, 3}, the suffixes
+/// `sites[k..]` (k = 1..3, which moves each site through every lane of a
+/// 4-site block and every tail length) and each site alone evaluate to the
+/// bits of the whole batch.
+fn check_positions<T: Elem>(n2: usize, n3: usize, seed: u64, count: usize) {
+    let dims = halo_dims([3, n2, n3]);
+    let fields: [Vec<T>; 3] =
+        std::array::from_fn(|f| fill(seed + f as u64, dims.points(), -1.0, 1.0));
+    let [f0, f1, f2] = [&fields[0][..], &fields[1][..], &fields[2][..]];
+    let sites = random_sites::<T>(n2, n3, seed + 3, count);
+    for stencil in STENCILS {
+        positions(stencil, &dims, &[f0], &sites);
+        positions(stencil, &dims, &[f0, f1], &sites);
+        positions(stencil, &dims, &[f0, f1, f2], &sites);
+    }
+}
+
+fn positions<T: Elem, const NF: usize>(
+    stencil: Stencil,
+    dims: &HaloDims,
+    fields: &[&[T]; NF],
+    sites: &[[T; 3]],
+) {
+    let (scalar, simd) = both(|| {
+        let whole = bits(&eval_sites(stencil, dims, fields, sites));
+        let suffixes: Vec<_> = (1..sites.len().min(4))
+            .map(|k| bits(&eval_sites(stencil, dims, fields, &sites[k..])))
+            .collect();
+        let alone: Vec<_> = sites
+            .iter()
+            .map(|s| bits(&eval_sites(stencil, dims, fields, std::slice::from_ref(s)))[0])
+            .collect();
+        (whole, suffixes, alone)
+    });
+    for (backend, (whole, suffixes, alone)) in [("scalar", scalar), ("avx2", simd)] {
+        let what = format!("{stencil:?} [{}] {backend} NF={NF}", T::LABEL);
+        for (k, suffix) in (1..).zip(&suffixes) {
+            assert_eq!(suffix[..], whole[k..], "{what}: sites[{k}..] changed a site's bits");
+        }
+        assert_eq!(alone, whole, "{what}: a site alone has other bits than in its batch");
+    }
+}
+
 fn check_complex<T: Elem>(m: usize, seed: u64) {
     let a = fill::<T>(seed, 2 * m, -100.0, 100.0);
     let b = fill::<T>(seed + 1, 2 * m, -100.0, 100.0);
@@ -481,6 +531,17 @@ proptest! {
     }
 
     #[test]
+    fn interp_bits_do_not_depend_on_batch_position(
+        n2 in 2usize..9,
+        n3 in 2usize..9,
+        seed in 0u64..1_000_000,
+        count in 1usize..20,
+    ) {
+        check_positions::<f64>(n2, n3, seed, count);
+        check_positions::<f32>(n2, n3, seed, count);
+    }
+
+    #[test]
     fn complex_kernels_match(m in 0usize..131, seed in 0u64..1_000_000) {
         check_complex::<f64>(m, seed);
         check_complex::<f32>(m, seed);
@@ -527,8 +588,9 @@ fn scalar_site_kernel_equals_the_reference_evaluator() {
 
 /// A site whose support leaves the stored halo on any axis is caught by the
 /// kernel's support check on every arm and at either width, never an
-/// out-of-bounds load; a site whose support reaches exactly the halo edge
-/// evaluates.
+/// out-of-bounds load — alone, and at every position of a batch of good
+/// sites (each lane of a 4-site block and a tail); a site whose support
+/// reaches exactly the halo edge evaluates.
 #[test]
 fn out_of_slab_site_panics_on_every_backend() {
     fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -537,23 +599,27 @@ fn out_of_slab_site_panics_on_every_backend() {
             Err(p) => p.downcast::<&str>().map(|s| s.to_string()).unwrap_or_default(),
         }
     }
-    fn evaluate<T: Elem>(stencil: Stencil, site: [f64; 3]) -> std::thread::Result<()> {
+    fn evaluate<T: Elem>(stencil: Stencil, sites: &[[f64; 3]]) -> std::thread::Result<()> {
         let dims = halo_dims([2, 4, 4]); // owns planes 0, 1
         let field = vec![T::ONE; dims.points()];
+        let sites: Vec<[T; 3]> = sites.iter().map(|s| s.map(T::from_f64)).collect();
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            T::kinterp_sites(stencil, &dims, &[&field], &[site.map(T::from_f64)], |_, [v]| {
+            T::kinterp_sites(stencil, &dims, &[&field], &sites, |_, [v]| {
                 assert!((v.to_f64() - 1.0).abs() < 1e-5, "weights are a partition of unity: {v}")
             })
         }))
     }
+    // the cubic support of the owned planes reaches exactly the halo edge
+    let inside = [[-1.0, 1.0, 1.0], [1.5, 3.5, 0.0], [0.0, -1.0, 3.75]];
+    let good: Vec<[f64; 3]> = inside.iter().cycle().take(5).copied().collect();
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     for choice in ALL_BACKENDS {
         claire_simd::force_backend(Some(choice));
         for stencil in STENCILS {
-            // the cubic support of the owned planes reaches exactly the halo edge
-            for site in [[-1.0, 1.0, 1.0], [1.5, 3.5, 0.0], [0.0, -1.0, 3.75]] {
-                assert!(evaluate::<f64>(stencil, site).is_ok(), "{choice:?} {stencil:?} {site:?}");
-                assert!(evaluate::<f32>(stencil, site).is_ok(), "{choice:?} {stencil:?} {site:?}");
+            for sites in inside.iter().map(std::slice::from_ref).chain([&good[..]]) {
+                let what = format!("{choice:?} {stencil:?} {sites:?}");
+                assert!(evaluate::<f64>(stencil, sites).is_ok(), "{what}");
+                assert!(evaluate::<f32>(stencil, sites).is_ok(), "{what}");
             }
             for site in [
                 [-2.5, 1.0, 1.0],
@@ -562,21 +628,75 @@ fn out_of_slab_site_panics_on_every_backend() {
                 [1.0, -3.5, 1.0],
                 [1.0, 1.0, 6.0],
             ] {
-                for (width, outside) in [
-                    ("f64", evaluate::<f64>(stencil, site)),
-                    ("f32", evaluate::<f32>(stencil, site)),
-                ] {
-                    let msg =
-                        panic_message(outside.expect_err("a site outside the halo must panic"));
-                    assert!(
-                        msg.contains("outside the slab"),
-                        "{choice:?} {stencil:?} {width} {site:?}: wrong panic {msg:?}"
-                    );
+                let batches = (0..good.len()).map(|at| {
+                    let mut sites = good.clone();
+                    sites[at] = site;
+                    sites
+                });
+                for sites in batches.chain([vec![site]]) {
+                    for (width, outside) in [
+                        ("f64", evaluate::<f64>(stencil, &sites)),
+                        ("f32", evaluate::<f32>(stencil, &sites)),
+                    ] {
+                        let msg =
+                            panic_message(outside.expect_err("a site outside the halo must panic"));
+                        assert!(
+                            msg.contains("outside the slab"),
+                            "{choice:?} {stencil:?} {width} {sites:?}: wrong panic {msg:?}"
+                        );
+                    }
                 }
             }
         }
     }
     claire_simd::force_backend(None);
+}
+
+/// A NaN coordinate is not outside the slab: it splits as base 0 with a NaN
+/// fraction, so on every backend and at every lane of a 4-site block its
+/// site evaluates to NaN without a panic, and the other three sites keep
+/// the bits they have alone.
+#[test]
+fn nan_site_is_nan_and_leaves_its_block_alone() {
+    fn check<T: Elem>() {
+        let dims = halo_dims([3, 5, 6]);
+        let fields: [Vec<T>; 2] =
+            std::array::from_fn(|f| fill(7 + f as u64, dims.points(), -1.0, 1.0));
+        let data = [&fields[0][..], &fields[1][..]];
+        let good = random_sites::<T>(5, 6, 11, 4);
+        let nan = T::from_f64(f64::NAN);
+        for stencil in STENCILS {
+            let (scalar, simd) = both(|| {
+                let alone: Vec<_> = good
+                    .iter()
+                    .map(|s| bits(&eval_sites(stencil, &dims, &data, std::slice::from_ref(s)))[0])
+                    .collect();
+                let mut with_nan = Vec::new();
+                for lane in 0..4 {
+                    for axis in 0..3 {
+                        let mut sites = good.clone();
+                        sites[lane][axis] = nan;
+                        with_nan.push((lane, bits(&eval_sites(stencil, &dims, &data, &sites))));
+                    }
+                }
+                (alone, with_nan)
+            });
+            for (backend, (alone, with_nan)) in [("scalar", scalar), ("avx2", simd)] {
+                for (lane, got) in with_nan {
+                    let what = format!("{stencil:?} [{}] {backend} NaN at lane {lane}", T::LABEL);
+                    for (i, (g, a)) in got.iter().zip(&alone).enumerate() {
+                        if i == lane {
+                            assert!(g.iter().all(|&x| f64::from_bits(x).is_nan()), "{what}: {g:?}");
+                        } else {
+                            assert_eq!(g, a, "{what}: site {i} changed its bits");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    check::<f64>();
+    check::<f32>();
 }
 
 /// FD on grids thinner than the stencil — `n2, n3 ∈ {2, 4, 6}`, below
