@@ -170,8 +170,6 @@ pub fn solve_run_report(
         fft_plans: fft_cache::stats().plans,
         fft_plan_hits: mem.fft_plan_hits,
         fft_plan_misses: mem.fft_plan_misses,
-        result_cache_hits: 0,
-        result_cache_misses: 0,
         modeled_bytes: report.memory_bytes_per_rank,
     };
     run

@@ -88,12 +88,6 @@ pub struct SchedulingInfo {
     pub batch_id: u64,
     /// Number of jobs coalesced into that batch (0 = solo run).
     pub batch_size: usize,
-    /// Tenant the job was accounted to (empty = default tenant or a
-    /// direct run).
-    pub tenant: String,
-    /// Whether this result was served from the service's content-hash
-    /// result cache instead of running the solver.
-    pub from_cache: bool,
 }
 
 /// Runtime share per kernel phase — the paper's Table 7 FFT/IP/FD columns.
@@ -225,12 +219,6 @@ pub struct MemoryInfo {
     /// Modeled per-rank bytes from the analytic §3 memory model
     /// (0 when no model was attached).
     pub modeled_bytes: u64,
-    /// Result-cache hits attributed to this job: 1 when the result was
-    /// served from the service's content-hash cache, else 0.
-    pub result_cache_hits: u64,
-    /// Result-cache misses attributed to this job: 1 when the job was
-    /// looked up but had to solve (cache enabled), else 0.
-    pub result_cache_misses: u64,
 }
 
 /// The unified per-run report. Serialize with [`RunReport::to_json`].

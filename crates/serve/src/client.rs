@@ -3,29 +3,18 @@
 //! [`Client::connect`] performs the `Hello` handshake (refusing servers
 //! that speak a different [`PROTOCOL_VERSION`]) and then exposes the
 //! request envelope as plain methods: [`Client::submit`],
-//! [`Client::status`], [`Client::cancel`], [`Client::wait`], and
-//! [`Client::stream`]. One `Client` is one connection; requests on it are
-//! strictly sequential (submit many jobs first, then wait on each — the
-//! server executes them concurrently regardless).
+//! [`Client::status`], [`Client::cancel`] and [`Client::wait`]. One
+//! `Client` is one connection; requests on it are strictly sequential
+//! (submit many jobs first, then wait on each — the server executes them
+//! concurrently regardless).
 
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 use crate::job::{JobId, JobStatus};
 use crate::wire::{
-    decode_response, read_frame, send, ErrorCode, RemoteJobResult, Request, Response, StreamEvent,
-    WireError, WireJobSpec, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    decode_response, read_frame, send, ErrorCode, RemoteJobResult, Request, Response, WireError,
+    WireJobSpec, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
-
-/// Outcome of a remote submission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RemoteAdmission {
-    /// Server-assigned job id.
-    pub id: JobId,
-    /// Whether the result was served from the server's content-hash cache
-    /// (the job is already terminal; no solve will run).
-    pub cached: bool,
-}
 
 /// A blocking connection to a claire-serve network server.
 pub struct Client {
@@ -37,16 +26,14 @@ pub struct Client {
 impl Client {
     /// Connect and perform the version handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, WireError> {
-        Self::connect_as(addr, "claire-client")
-    }
-
-    /// [`Client::connect`] with an explicit client identification string.
-    pub fn connect_as(addr: impl ToSocketAddrs, name: &str) -> Result<Client, WireError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let mut client = Client { stream, server: String::new() };
-        client.send(&Request::Hello { protocol: PROTOCOL_VERSION, client: name.to_string() })?;
-        match client.recv(None)? {
+        client.send(&Request::Hello {
+            protocol: PROTOCOL_VERSION,
+            client: "claire-client".to_string(),
+        })?;
+        match client.recv()? {
             Response::Hello { protocol, server } if protocol == PROTOCOL_VERSION => {
                 client.server = server;
                 Ok(client)
@@ -66,11 +53,11 @@ impl Client {
         &self.server
     }
 
-    /// Submit a job; returns its id and whether it was a cache hit.
-    pub fn submit(&mut self, spec: &WireJobSpec) -> Result<RemoteAdmission, WireError> {
+    /// Submit a job; returns its id.
+    pub fn submit(&mut self, spec: &WireJobSpec) -> Result<JobId, WireError> {
         self.send(&Request::Submit { spec: spec.clone() })?;
-        match self.recv(None)? {
-            Response::Submitted { id, cached } => Ok(RemoteAdmission { id, cached }),
+        match self.recv()? {
+            Response::Submitted { id } => Ok(id),
             other => Err(unexpected(other)),
         }
     }
@@ -78,7 +65,7 @@ impl Client {
     /// Query a job's lifecycle status.
     pub fn status(&mut self, id: JobId) -> Result<JobStatus, WireError> {
         self.send(&Request::Status { id })?;
-        match self.recv(None)? {
+        match self.recv()? {
             Response::Status { id: got, status } if got == id => Ok(status),
             other => Err(unexpected(other)),
         }
@@ -87,7 +74,7 @@ impl Client {
     /// Request cancellation; returns whether a live job was reached.
     pub fn cancel(&mut self, id: JobId) -> Result<bool, WireError> {
         self.send(&Request::Cancel { id })?;
-        match self.recv(None)? {
+        match self.recv()? {
             Response::Cancelled { id: got, delivered } if got == id => Ok(delivered),
             other => Err(unexpected(other)),
         }
@@ -96,31 +83,9 @@ impl Client {
     /// Block until the job is terminal and fetch its full result.
     pub fn wait(&mut self, id: JobId) -> Result<RemoteJobResult, WireError> {
         self.send(&Request::Result { id })?;
-        match self.recv(None)? {
+        match self.recv()? {
             Response::Result { result } => Ok(result),
             other => Err(unexpected(other)),
-        }
-    }
-
-    /// Subscribe to a job's status stream, invoking `on_event` for every
-    /// event until the terminal one (inclusive). Returns the terminal
-    /// status.
-    pub fn stream(
-        &mut self,
-        id: JobId,
-        mut on_event: impl FnMut(StreamEvent),
-    ) -> Result<JobStatus, WireError> {
-        self.send(&Request::Stream { id })?;
-        loop {
-            match self.recv(None)? {
-                Response::Event { id: got, event } if got == id => {
-                    on_event(event);
-                    if let StreamEvent::Terminal { status } = event {
-                        return Ok(status);
-                    }
-                }
-                other => return Err(unexpected(other)),
-            }
         }
     }
 
@@ -129,9 +94,8 @@ impl Client {
     }
 
     /// Receive one response, surfacing server-side `Error` frames as
-    /// [`WireError::Remote`]. `timeout` bounds the wait (None = forever).
-    fn recv(&mut self, timeout: Option<Duration>) -> Result<Response, WireError> {
-        self.stream.set_read_timeout(timeout)?;
+    /// [`WireError::Remote`].
+    fn recv(&mut self) -> Result<Response, WireError> {
         match decode_response(&read_frame(&mut self.stream, MAX_FRAME_BYTES)?)? {
             Response::Error { code, message } => Err(WireError::Remote { code, message }),
             resp => Ok(resp),

@@ -148,11 +148,6 @@ impl JobInput {
 pub struct JobSpec {
     /// Free-form label (dataset or experiment name; used in reports).
     pub label: String,
-    /// Tenant name for quota accounting and the report's scheduling block
-    /// (empty = the default tenant). Deliberately *not* part of the
-    /// coalescing fingerprint or the result-cache key: a registration is a
-    /// pure function of its images and config.
-    pub tenant: String,
     /// Solver configuration.
     pub config: RegistrationConfig,
     /// Input images.
@@ -172,19 +167,12 @@ impl JobSpec {
     pub fn new(label: impl Into<String>, config: RegistrationConfig, input: JobInput) -> JobSpec {
         JobSpec {
             label: label.into(),
-            tenant: String::new(),
             config,
             input,
             priority: Priority::default(),
             deadline: None,
             hooks: SolverHooks::default(),
         }
-    }
-
-    /// Set the tenant name for quota accounting.
-    pub fn tenant(mut self, tenant: impl Into<String>) -> JobSpec {
-        self.tenant = tenant.into();
-        self
     }
 
     /// Set the priority class.
@@ -320,9 +308,6 @@ pub struct JobResult {
     pub run: Option<RunReport>,
     /// Error text (`Failed`/`Cancelled`/`DeadlineExpired`).
     pub error: Option<String>,
-    /// Whether this result was served from the content-hash result cache
-    /// (a verbatim clone of an earlier solve, no new solver run).
-    pub from_cache: bool,
     /// Time spent queued between submission and execution start.
     pub queue_wait: Duration,
     /// Time spent executing on the worker.

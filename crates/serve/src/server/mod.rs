@@ -1,12 +1,12 @@
 //! Server half of the claire-serve split.
 //!
 //! [`service`] is the in-process engine — worker pool, bounded priority
-//! queue, batching, cache, quotas. [`net`] puts that engine behind a TCP
-//! listener speaking the versioned frame protocol in [`crate::wire`], so
-//! remote [`crate::client::Client`]s can submit work.
+//! queue, coalescing. [`net`] puts that engine behind a TCP listener
+//! speaking the versioned frame protocol in [`crate::wire`], so remote
+//! [`crate::client::Client`]s can submit work.
 
 pub mod net;
 pub mod service;
 
-pub use net::{serve_connection, JobBackend, NetServer, NetServerConfig};
-pub use service::{Admission, RegistrationService, ServiceConfig, SubmitError};
+pub use net::NetServer;
+pub use service::{RegistrationService, ServiceConfig, SubmitError};

@@ -30,11 +30,8 @@ use claire_obs::metrics::{Counter, Gauge, Histogram};
 use claire_obs::report::SchedulingInfo;
 use claire_obs::span;
 
-use crate::cache::{content_key, ResultCache, ResultCacheStats};
 use crate::job::{JobId, JobInput, JobResult, JobSpec, JobStatus, Priority};
 use crate::queue::{BoundedQueue, PushError};
-use crate::quota::{QuotaConfig, TenantQuotas};
-use crate::wire::{hash_config, Fnv};
 
 static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue.depth");
 static QUEUE_WAIT: Histogram = Histogram::new("serve.queue.wait_secs");
@@ -46,9 +43,6 @@ static DEADLINE_EXPIRED: Counter = Counter::new("serve.jobs.deadline_expired");
 static FAILED: Counter = Counter::new("serve.jobs.failed");
 static BATCHES: Counter = Counter::new("serve.batches.executed");
 static BATCHED_JOBS: Counter = Counter::new("serve.batches.jobs");
-static CACHE_HITS: Counter = Counter::new("serve.cache.hits");
-static CACHE_MISSES: Counter = Counter::new("serve.cache.misses");
-static QUOTA_REJECTED: Counter = Counter::new("serve.jobs.quota_rejected");
 static SOLVER_RUNS: Counter = Counter::new("serve.solver.runs");
 
 /// Why a submission was refused.
@@ -61,13 +55,6 @@ pub enum SubmitError {
     ShuttingDown,
     /// The spec failed admission validation.
     Invalid(ClaireError),
-    /// The tenant's token bucket is empty; retry after the hinted duration.
-    QuotaExceeded {
-        /// Tenant whose bucket ran dry.
-        tenant: String,
-        /// Time until one token will have refilled.
-        retry_after: Duration,
-    },
 }
 
 impl fmt::Display for SubmitError {
@@ -76,11 +63,6 @@ impl fmt::Display for SubmitError {
             SubmitError::QueueFull => write!(f, "admission queue is full"),
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
             SubmitError::Invalid(e) => write!(f, "invalid job spec: {e}"),
-            SubmitError::QuotaExceeded { tenant, retry_after } => write!(
-                f,
-                "tenant `{tenant}` exceeded its submission quota; retry in {:.3} s",
-                retry_after.as_secs_f64()
-            ),
         }
     }
 }
@@ -102,25 +84,14 @@ pub struct ServiceConfig {
     pub collect_reports: bool,
     /// Largest batch one worker coalesces (the head job counts; ≤ 1 never
     /// coalesces). When a worker pops a job it also drains up to
-    /// `max_batch − 1` queued jobs with the same grid/config fingerprint
-    /// from the *same* priority lane and solves them as one
+    /// `max_batch − 1` queued jobs with the same grid and config (see
+    /// [`coalesces`]) from the *same* priority lane and solves them as one
     /// [`BatchSolver`](claire_core::BatchSolver) run — amortizing FFT
     /// planning, pool warm-up, and preconditioner scaffolding, and
     /// interleaving the Gauss–Newton iterations. Per-job deadlines,
     /// cancellation, priorities, and [`RunReport`]s are preserved; results
     /// are bitwise identical to runs of one.
     pub max_batch: usize,
-    /// Content-hash result-cache capacity in entries (0 disables the
-    /// cache). When on, a submission whose images and config hash to a
-    /// previously *succeeded* job's content key completes immediately with
-    /// a clone of the cached result — no queueing, no solve. Off by
-    /// default: in-process callers often submit identical specs on purpose
-    /// (benchmarks, coalescing); the network front door enables it.
-    pub result_cache: usize,
-    /// Per-tenant token-bucket admission quota (None = unlimited). Checked
-    /// before queue capacity and before the result cache, so a tenant
-    /// cannot launder load through cache hits.
-    pub quota: Option<QuotaConfig>,
 }
 
 impl Default for ServiceConfig {
@@ -131,8 +102,6 @@ impl Default for ServiceConfig {
             total_threads: 0,
             collect_reports: true,
             max_batch: 1,
-            result_cache: 0,
-            quota: None,
         }
     }
 }
@@ -167,29 +136,6 @@ impl ServiceConfig {
         self.max_batch = n;
         self
     }
-
-    /// Set the result-cache capacity (0 disables).
-    pub fn result_cache(mut self, entries: usize) -> Self {
-        self.result_cache = entries;
-        self
-    }
-
-    /// Set the per-tenant admission quota.
-    pub fn quota(mut self, q: QuotaConfig) -> Self {
-        self.quota = Some(q);
-        self
-    }
-}
-
-/// What a (traced) submission produced: the assigned id, and whether the
-/// result was served straight from the content-hash cache (in which case
-/// the job is already terminal).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Admission {
-    /// Service-assigned job id.
-    pub id: JobId,
-    /// `true` when the result came from the cache without queueing.
-    pub cached: bool,
 }
 
 /// A job admitted to the queue.
@@ -199,9 +145,6 @@ struct QueuedJob {
     token: CancelToken,
     submitted: Instant,
     deadline: Option<Duration>,
-    /// Content key computed at admission (Some iff the cache is enabled);
-    /// a succeeded result is stored under it.
-    cache_key: Option<u128>,
 }
 
 struct JobEntry {
@@ -217,12 +160,6 @@ struct Shared {
     accepting: AtomicBool,
     next_id: AtomicU64,
     next_batch_id: AtomicU64,
-    cache: Option<ResultCache>,
-    quotas: Option<TenantQuotas>,
-    /// Solver invocations (batched runs count once) — the counter the
-    /// cache-bypass tests assert against. Per-service, unlike the obs
-    /// counters, which are global and gated on observability being on.
-    solver_runs: AtomicU64,
 }
 
 impl Shared {
@@ -249,7 +186,7 @@ impl Shared {
     }
 }
 
-/// An in-process multi-tenant registration job service.
+/// An in-process registration job service.
 ///
 /// Dropping the service performs an immediate shutdown (cancelling queued
 /// and running jobs); call [`RegistrationService::shutdown`] for a graceful
@@ -276,9 +213,6 @@ impl RegistrationService {
             accepting: AtomicBool::new(true),
             next_id: AtomicU64::new(1),
             next_batch_id: AtomicU64::new(1),
-            cache: (cfg.result_cache > 0).then(|| ResultCache::new(cfg.result_cache)),
-            quotas: cfg.quota.map(TenantQuotas::new),
-            solver_runs: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -306,21 +240,15 @@ impl RegistrationService {
     /// Non-blocking submission: validates, then fails fast with
     /// [`SubmitError::QueueFull`] under backpressure.
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        self.admit(spec, false).map(|a| a.id)
+        self.admit(spec, false)
     }
 
     /// Blocking submission: validates, then waits for queue capacity.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        self.admit(spec, true).map(|a| a.id)
+        self.admit(spec, true)
     }
 
-    /// [`RegistrationService::try_submit`], additionally reporting whether
-    /// the result came straight from the content-hash cache.
-    pub fn try_submit_traced(&self, spec: JobSpec) -> Result<Admission, SubmitError> {
-        self.admit(spec, false)
-    }
-
-    fn admit(&self, spec: JobSpec, block: bool) -> Result<Admission, SubmitError> {
+    fn admit(&self, spec: JobSpec, block: bool) -> Result<JobId, SubmitError> {
         if !self.shared.accepting.load(Ordering::Acquire) {
             REJECTED.inc();
             return Err(SubmitError::ShuttingDown);
@@ -328,36 +256,6 @@ impl RegistrationService {
         if let Err(e) = spec.validate() {
             REJECTED.inc();
             return Err(SubmitError::Invalid(e));
-        }
-        // Quota before queue capacity and before the cache: admission is
-        // the unit the token pays for, hit or miss.
-        if let Some(quotas) = &self.shared.quotas {
-            if let Err(retry_after) = quotas.try_take(&spec.tenant) {
-                QUOTA_REJECTED.inc();
-                REJECTED.inc();
-                return Err(SubmitError::QuotaExceeded { tenant: spec.tenant, retry_after });
-            }
-        }
-
-        // Content-hash cache: an identical registration that already
-        // succeeded is served as a terminal job without touching the queue.
-        let cache_key = self.shared.cache.as_ref().map(|_| content_key(&spec));
-        if let (Some(cache), Some(key)) = (&self.shared.cache, cache_key) {
-            if let Some(hit) = cache.lookup(key) {
-                CACHE_HITS.inc();
-                SUBMITTED.inc();
-                let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-                let result = cached_result(id, &spec, hit);
-                let token = spec.hooks.cancel.clone().unwrap_or_default();
-                self.shared.jobs.lock().unwrap().insert(
-                    id,
-                    JobEntry { status: JobStatus::Succeeded, token, result: Some(result) },
-                );
-                COMPLETED.inc();
-                self.shared.done.notify_all();
-                return Ok(Admission { id: JobId(id), cached: true });
-            }
-            CACHE_MISSES.inc();
         }
 
         // A caller-provided token is the cancellation seam for tests and
@@ -375,7 +273,7 @@ impl RegistrationService {
 
         let lane = spec.priority.index();
         let deadline = spec.deadline;
-        let job = QueuedJob { id, spec, token, submitted: Instant::now(), deadline, cache_key };
+        let job = QueuedJob { id, spec, token, submitted: Instant::now(), deadline };
         let pushed = if block {
             self.shared.queue.push(job, lane)
         } else {
@@ -385,7 +283,7 @@ impl RegistrationService {
             Ok(()) => {
                 SUBMITTED.inc();
                 QUEUE_DEPTH.set(self.shared.queue.len() as f64);
-                Ok(Admission { id: JobId(id), cached: false })
+                Ok(JobId(id))
             }
             Err(err) => {
                 self.shared.jobs.lock().unwrap().remove(&id);
@@ -396,17 +294,6 @@ impl RegistrationService {
                 })
             }
         }
-    }
-
-    /// Solver invocations so far (a coalesced batch counts once). A cache
-    /// hit leaves this untouched — the seam the cache tests assert on.
-    pub fn solver_invocations(&self) -> u64 {
-        self.shared.solver_runs.load(Ordering::Relaxed)
-    }
-
-    /// Result-cache counters (all zero when the cache is disabled).
-    pub fn cache_stats(&self) -> ResultCacheStats {
-        self.shared.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
     /// Request cancellation of a job. Returns `true` if the job exists and
@@ -500,42 +387,37 @@ fn worker_loop(
         // popped job's own lane (never across lanes, so priorities hold).
         let mut jobs = vec![job];
         if max_batch > 1 {
-            let key = coalescing_key(&jobs[0].spec);
             let lane = jobs[0].spec.priority.index();
-            jobs.append(
-                &mut shared
-                    .queue
-                    .take_matching(lane, max_batch - 1, |j| coalescing_key(&j.spec) == key),
-            );
+            let mut companions = shared
+                .queue
+                .take_matching(lane, max_batch - 1, |j| coalesces(&jobs[0].spec, &j.spec));
+            jobs.append(&mut companions);
         }
         QUEUE_DEPTH.set(shared.queue.len() as f64);
         execute(worker, budget, collect_reports, shared, jobs);
     }
 }
 
-/// Coalescing compatibility key: jobs may share one `BatchSolver` run only
-/// when their grid extents and every solver-relevant configuration field
-/// agree — the batch then provably runs each member through the same
-/// arithmetic as a run of one. [`hash_config`] is the one list of those
-/// fields, shared with the result cache and the router. Labels, priorities,
-/// deadlines, and hooks are deliberately *not* part of the key; they stay
-/// per-job inside the batch.
-pub fn coalescing_key(spec: &JobSpec) -> u64 {
-    let mut h = Fnv::new();
-    hash_config(&mut h, spec.input.grid(), &spec.config);
-    h.0
+/// Whether two jobs may share one `BatchSolver` run: their grid extents and
+/// every [`RegistrationConfig`](claire_core::RegistrationConfig) field are
+/// equal, so the batch runs each member through the same arithmetic as a
+/// run of one (the worker solves every member with the first one's
+/// config). The comparison is exact: admission validates every `f64` field
+/// as finite and positive, so no NaN or `±0` reaches the queue. Labels,
+/// priorities, deadlines, and hooks are not compared; they stay per-job
+/// inside the batch.
+pub fn coalesces(a: &JobSpec, b: &JobSpec) -> bool {
+    a.input.grid() == b.input.grid() && a.config == b.config
 }
 
 /// What [`execute`] keeps of a job once its images have moved to the solver.
 struct Member {
     id: u64,
     label: String,
-    tenant: String,
     priority: Priority,
     deadline: Option<Duration>,
     token: CancelToken,
     submitted: Instant,
-    cache_key: Option<u128>,
 }
 
 impl Member {
@@ -555,7 +437,6 @@ impl Member {
             report: None,
             run: None,
             error,
-            from_cache: false,
             queue_wait: started.duration_since(self.submitted),
             run_time,
             total: self.submitted.elapsed(),
@@ -579,9 +460,9 @@ fn execute(
     let mut members = Vec::with_capacity(jobs.len());
     let mut inputs = Vec::with_capacity(jobs.len());
     for job in jobs {
-        let QueuedJob { id, spec, token, submitted, deadline, cache_key } = job;
-        let JobSpec { label, tenant, input, priority, hooks, .. } = spec;
-        let member = Member { id, label, tenant, priority, deadline, token, submitted, cache_key };
+        let QueuedJob { id, spec, token, submitted, deadline } = job;
+        let JobSpec { label, input, priority, hooks, .. } = spec;
+        let member = Member { id, label, priority, deadline, token, submitted };
         QUEUE_WAIT.record(started.duration_since(submitted).as_secs_f64());
         // A deadline may have expired (or a cancel landed) while the job sat
         // in the queue — don't start a doomed solve, and don't let it hold
@@ -613,7 +494,6 @@ fn execute(
         (0, 0)
     };
 
-    shared.solver_runs.fetch_add(1, Ordering::Relaxed);
     SOLVER_RUNS.inc();
     // The run is ONE unit of schedulable work: hand it this worker's exact
     // thread slice so K coalesced jobs never oversubscribe claire-par
@@ -670,8 +550,6 @@ fn execute(
                         deadline_secs: member.deadline.map(|d| d.as_secs_f64()).unwrap_or(0.0),
                         batch_id,
                         batch_size,
-                        tenant: member.tenant,
-                        from_cache: false,
                     };
                     // Only per-job sources: the metrics registry and kernel
                     // timers are shared by every concurrently running job.
@@ -688,9 +566,6 @@ fn execute(
                     );
                     run.scheduling = scheduling;
                     run.spans = spans.clone();
-                    if member.cache_key.is_some() {
-                        run.memory.result_cache_misses = 1;
-                    }
                     result.run = Some(run);
                 }
                 result.report = Some(report);
@@ -711,43 +586,8 @@ fn execute(
             }
             Err(error) => result.error = Some(error),
         }
-        if let (Some(cache), Some(key)) = (&shared.cache, member.cache_key) {
-            cache.insert(key, &result);
-        }
         shared.finish(member.id, result);
     }
-}
-
-/// Rewrite a cached result as this submission's own terminal outcome: new
-/// id/label and scheduling identity, zero latencies, cache counters set to
-/// "hit". The solve artifacts themselves — `report`, the run's summary,
-/// traces, and memory event counts — are a verbatim clone of the original
-/// run, so the registration numbers are bitwise-identical to solving again
-/// (`report.data` keeps the original submission's label: it is part of the
-/// cached artifact).
-fn cached_result(id: u64, spec: &JobSpec, mut hit: JobResult) -> JobResult {
-    hit.id = JobId(id);
-    hit.label = spec.label.clone();
-    hit.error = None;
-    hit.from_cache = true;
-    hit.queue_wait = Duration::ZERO;
-    hit.run_time = Duration::ZERO;
-    hit.total = Duration::ZERO;
-    if let Some(run) = &mut hit.run {
-        run.label = spec.label.clone();
-        run.scheduling.job_id = id;
-        run.scheduling.priority = spec.priority.label().to_string();
-        run.scheduling.tenant = spec.tenant.clone();
-        run.scheduling.from_cache = true;
-        run.scheduling.queue_wait_secs = 0.0;
-        run.scheduling.run_secs = 0.0;
-        run.scheduling.total_secs = 0.0;
-        run.scheduling.batch_id = 0;
-        run.scheduling.batch_size = 0;
-        run.memory.result_cache_hits = 1;
-        run.memory.result_cache_misses = 0;
-    }
-    hit
 }
 
 #[cfg(test)]
@@ -800,7 +640,7 @@ mod tests {
         // must never coalesce into one BatchSolver
         let a = JobSpec::new("m", mixed_cfg, JobInput::Synthetic { n: [8, 8, 8] });
         let b = JobSpec::new("d", f64_cfg, JobInput::Synthetic { n: [8, 8, 8] });
-        assert_ne!(coalescing_key(&a), coalescing_key(&b));
+        assert!(!coalesces(&a, &b));
 
         let mut svc = RegistrationService::start(ServiceConfig::default().workers(1));
         let id = svc.try_submit(a).unwrap();
@@ -984,95 +824,6 @@ mod tests {
                 "batched member must match the solo solve bitwise"
             );
             assert!(res.run.unwrap().scheduling.batch_id > 0, "actually took the batch path");
-        }
-        svc.shutdown();
-    }
-
-    #[test]
-    fn cache_hit_skips_the_solver_and_is_bitwise_identical() {
-        let mut svc =
-            RegistrationService::start(ServiceConfig::default().workers(1).result_cache(8));
-        let first = svc.try_submit_traced(tiny_spec("orig").tenant("t1")).unwrap();
-        assert!(!first.cached);
-        let a = svc.wait(first.id).unwrap();
-        assert_eq!(a.status, JobStatus::Succeeded, "{:?}", a.error);
-        assert_eq!(svc.solver_invocations(), 1);
-        assert_eq!(a.run.as_ref().unwrap().memory.result_cache_misses, 1);
-
-        // different label/tenant, same content → hit, no solver run
-        let second = svc.try_submit_traced(tiny_spec("replay").tenant("t2")).unwrap();
-        assert!(second.cached, "identical content must be served from the cache");
-        assert_ne!(second.id, first.id, "every submission keeps its own id");
-        let b = svc.wait(second.id).unwrap();
-        assert_eq!(svc.solver_invocations(), 1, "cache hit must not run the solver");
-        assert_eq!(b.status, JobStatus::Succeeded);
-        assert_eq!(b.label, "replay");
-        let (ra, rb) = (a.report.unwrap(), b.report.unwrap());
-        assert_eq!(ra, rb, "cached report must be a verbatim clone");
-        assert_eq!(ra.rel_mismatch.to_bits(), rb.rel_mismatch.to_bits());
-        let run = b.run.unwrap();
-        assert!(run.scheduling.from_cache);
-        assert_eq!(run.scheduling.tenant, "t2");
-        assert_eq!(run.memory.result_cache_hits, 1);
-        let stats = svc.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        svc.shutdown();
-    }
-
-    #[test]
-    fn distinct_content_misses_the_cache() {
-        let mut svc =
-            RegistrationService::start(ServiceConfig::default().workers(1).result_cache(8));
-        let a = svc.try_submit_traced(tiny_spec("a")).unwrap();
-        svc.wait(a.id).unwrap();
-        let mut spec = tiny_spec("b");
-        spec.config.max_gn_iter = 1;
-        let b = svc.try_submit_traced(spec).unwrap();
-        assert!(!b.cached);
-        svc.wait(b.id).unwrap();
-        assert_eq!(svc.solver_invocations(), 2);
-        svc.shutdown();
-
-        // precision changes the arithmetic: same images, same remaining
-        // config, f64 then mixed must solve twice and report its own width
-        use claire_core::Precision;
-        let mut svc =
-            RegistrationService::start(ServiceConfig::default().workers(1).result_cache(4));
-        for (precision, want) in [(Precision::F64, "f64"), (Precision::Mixed, "mixed")] {
-            let mut spec = tiny_spec(want);
-            spec.config.precision = precision;
-            let adm = svc.try_submit_traced(spec).unwrap();
-            assert!(!adm.cached, "{want} must not be answered from the other width's result");
-            let res = svc.wait(adm.id).unwrap();
-            assert_eq!(res.run.expect("run report").precision, want);
-        }
-        assert_eq!(svc.solver_invocations(), 2);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn quota_rejects_with_retry_hint_and_isolates_tenants() {
-        let mut svc = RegistrationService::start(
-            ServiceConfig::default()
-                .workers(1)
-                .queue_capacity(16)
-                .quota(QuotaConfig::new(2.0, 0.01)),
-        );
-        let ids: Vec<_> = (0..2)
-            .map(|i| svc.try_submit(tiny_spec(&format!("q{i}")).tenant("greedy")).unwrap())
-            .collect();
-        match svc.try_submit(tiny_spec("q2").tenant("greedy")) {
-            Err(SubmitError::QuotaExceeded { tenant, retry_after }) => {
-                assert_eq!(tenant, "greedy");
-                assert!(retry_after > Duration::ZERO);
-            }
-            other => panic!("expected QuotaExceeded, got {other:?}"),
-        }
-        // another tenant (and the default tenant) still get in
-        let other = svc.try_submit(tiny_spec("polite").tenant("polite")).unwrap();
-        let default = svc.try_submit(tiny_spec("default")).unwrap();
-        for id in ids.into_iter().chain([other, default]) {
-            assert_eq!(svc.wait(id).unwrap().status, JobStatus::Succeeded);
         }
         svc.shutdown();
     }

@@ -50,19 +50,11 @@
 //! --max-batch/-q as in batch mode):
 //!   --listen ADDR    TCP address to bind (e.g. 127.0.0.1:7741; port 0
 //!                    picks a free port, printed on stdout)
-//!   --cache N        content-hash result cache capacity in entries
-//!                    (default: 0 = off); repeated identical submissions
-//!                    are answered without running the solver
-//!   --quota B:R      per-tenant token bucket: burst B jobs, refill R
-//!                    jobs/second (default: unlimited)
 //!
 //! submit options:
-//!   --addr ADDR      server (or claire-router) address to submit to
+//!   --addr ADDR      server address to submit to
 //!   -o DIR           output directory for per-job reports (default:
 //!                    claire_out)
-//!   --tenant NAME    tenant for quota accounting (default: "")
-//!   --stream         print one JSON status event per line on stdout
-//!                    (queued/running/gn_iter/terminal) while each job runs
 //!   --ping           just check the server answers the handshake; exit 0/1
 //!   -q               quiet
 //!
@@ -90,11 +82,7 @@
 //! runs every job in the manifest through the `claire-serve` worker pool
 //! and writes one report JSON per job. `serve` exposes the same worker pool
 //! over the versioned claire-serve wire protocol; `submit` sends a batch
-//! manifest to such a server (or to `claire-router`, which shards across
-//! several) and writes the same per-job reports. For multi-client or
-//! multi-machine use prefer `serve` + `submit`: in-process `batch` stays
-//! supported for single-shot local runs but new scheduling features
-//! (result cache, tenant quotas, sharding) land on the served path only.
+//! manifest to such a server and writes the same per-job reports.
 //!
 //! `launch` spawns N `worker-rank` child processes (a hidden subcommand)
 //! that bootstrap a Unix-domain-socket mesh in a private rendezvous
@@ -117,8 +105,8 @@ use claire::mpi::{Comm, Topology, TransportError};
 use claire::obs::report::RunReport;
 use claire::semilag::{displacement, Trajectory};
 use claire::serve::{
-    Client, JobInput, JobSpec, JobStatus, NetServer, NetServerConfig, QuotaConfig,
-    RegistrationService, ServiceConfig, StreamEvent, WireJobSpec,
+    Client, JobInput, JobSpec, JobStatus, NetServer, RegistrationService, ServiceConfig,
+    WireJobSpec,
 };
 use serde::{field, field_or, DeError, Deserialize};
 use serde_json::Value;
@@ -165,9 +153,8 @@ fn usage() -> ! {
     eprintln!("       claire-cli batch <manifest.json> [-o DIR] [--workers N] [--queue-cap N]");
     eprintln!("                  [--threads N] [--no-batch] [--max-batch N] [-q]");
     eprintln!("       claire-cli serve --listen ADDR [--workers N] [--queue-cap N] [--threads N]");
-    eprintln!("                  [--no-batch] [--max-batch N] [--cache N] [--quota B:R] [-q]");
-    eprintln!("       claire-cli submit --addr ADDR <manifest.json> [-o DIR] [--tenant NAME]");
-    eprintln!("                  [--stream] [--ping] [-q]");
+    eprintln!("                  [--no-batch] [--max-batch N] [-q]");
+    eprintln!("       claire-cli submit --addr ADDR <manifest.json> [-o DIR] [--ping] [-q]");
     eprintln!("       claire-cli launch --ranks N --syn M [--timeout SECS] [--report PATH]");
     eprintln!("                  [--in-process] [-q] [solver flags]");
     let cfg = RegistrationConfig::default();
@@ -177,10 +164,6 @@ fn usage() -> ! {
     });
     eprintln!("solver flags (a switch also has a --no-… form):");
     eprintln!("  {}", flags.collect::<Vec<_>>().join(" "));
-    eprintln!();
-    eprintln!("note: `batch` runs jobs in-process and stays supported for one-shot local");
-    eprintln!("runs; shared deployments should move to `serve` + `submit` (same manifest),");
-    eprintln!("where new scheduling features (result cache, quotas, sharding) land.");
     exit(2)
 }
 
@@ -534,7 +517,7 @@ impl PoolFlags {
     /// The pool these flags describe; `workers` and `queue_cap` stand in for
     /// the two the command line left out.
     ///
-    /// Queued jobs with identical grid/config fingerprints are coalesced into
+    /// Queued jobs with identical grid and config are coalesced into
     /// one BatchSolver run (shared FFT plans and scaffolding, interleaved
     /// iterations) unless `--no-batch`; results stay bitwise identical to
     /// runs of one.
@@ -659,20 +642,9 @@ fn serve_main(args: Vec<String>) {
     let mut args = args.into_iter();
     let mut listen: Option<String> = None;
     let mut pool = PoolFlags::default();
-    let mut cache = 0usize;
-    let mut quota: Option<QuotaConfig> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = Some(next_value(&mut args, "--listen")),
-            "--cache" => cache = parsed(&mut args, "--cache"),
-            "--quota" => {
-                let v = next_value(&mut args, "--quota");
-                let (burst, rate) = v.split_once(':').unwrap_or_else(|| usage());
-                quota = Some(QuotaConfig::new(
-                    burst.parse().unwrap_or_else(|_| usage()),
-                    rate.parse().unwrap_or_else(|_| usage()),
-                ));
-            }
             "-h" | "--help" => usage(),
             flag if pool.take(flag, &mut args) => {}
             other => {
@@ -683,30 +655,20 @@ fn serve_main(args: Vec<String>) {
     }
     let listen = listen.unwrap_or_else(|| usage());
 
-    let mut svc_cfg = pool.service(1, 64).result_cache(cache);
-    if let Some(q) = quota {
-        svc_cfg = svc_cfg.quota(q);
-    }
-
-    let server = NetServer::bind(&listen[..], NetServerConfig::default().service(svc_cfg))
-        .unwrap_or_else(|e| {
-            fail(&ClaireError::Io { context: "serve --listen", message: format!("{listen}: {e}") })
-        });
+    let svc_cfg = pool.service(1, 64);
+    let server = NetServer::bind(&listen[..], svc_cfg).unwrap_or_else(|e| {
+        fail(&ClaireError::Io { context: "serve --listen", message: format!("{listen}: {e}") })
+    });
     // The bound address goes to stdout so scripts can scrape it (port 0).
     println!("claire-serve listening on {}", server.local_addr());
     use std::io::Write as _;
     std::io::stdout().flush().ok();
     if !pool.quiet {
         eprintln!(
-            "workers {}, queue capacity {}, coalescing {}, cache {} entries, quota {}",
+            "workers {}, queue capacity {}, coalescing {}",
             svc_cfg.workers,
             svc_cfg.queue_capacity,
-            if svc_cfg.max_batch > 1 { "on" } else { "off" },
-            cache,
-            match quota {
-                Some(q) => format!("{}:{} per tenant", q.burst, q.per_sec),
-                None => "unlimited".into(),
-            }
+            if svc_cfg.max_batch > 1 { "on" } else { "off" }
         );
     }
     // Serve until killed; job lifecycle is driven by connection threads.
@@ -719,37 +681,17 @@ fn serve_main(args: Vec<String>) {
 // submit mode (network client)
 // ---------------------------------------------------------------------------
 
-/// Render one streamed status event as a JSON line for stdout.
-fn event_line(label: &str, id: claire::serve::JobId, event: StreamEvent) -> String {
-    let (kind, extra) = match event {
-        StreamEvent::Queued => ("queued", String::new()),
-        StreamEvent::Running => ("running", String::new()),
-        StreamEvent::GnIter { iter } => ("gn_iter", format!(",\"iter\":{iter}")),
-        StreamEvent::Terminal { status } => {
-            ("terminal", format!(",\"status\":\"{}\"", status.label()))
-        }
-        _ => ("unknown", String::new()),
-    };
-    format!(
-        "{{\"type\":\"event\",\"job\":\"{id}\",\"label\":\"{label}\",\"event\":\"{kind}\"{extra}}}"
-    )
-}
-
 fn submit_main(args: Vec<String>) {
     let mut args = args.into_iter();
     let mut addr: Option<String> = None;
     let mut manifest_path: Option<PathBuf> = None;
     let mut out = PathBuf::from("claire_out");
-    let mut tenant = String::new();
-    let mut stream = false;
     let mut ping = false;
     let mut quiet = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = Some(next_value(&mut args, "--addr")),
             "-o" => out = PathBuf::from(next_value(&mut args, "-o")),
-            "--tenant" => tenant = next_value(&mut args, "--tenant"),
-            "--stream" => stream = true,
             "--ping" => ping = true,
             "-q" => quiet = true,
             "-h" | "--help" => usage(),
@@ -784,25 +726,18 @@ fn submit_main(args: Vec<String>) {
 
     // Same manifest format as `batch`; jobs are lowered to wire specs.
     let (_, jobs) = read_manifest(&manifest_path, "submit manifest");
-    let specs: Vec<WireJobSpec> = parse_jobs(&jobs, quiet)
-        .into_iter()
-        .map(|spec| WireJobSpec::from_spec(&spec.tenant(tenant.clone())))
-        .collect();
+    let specs: Vec<WireJobSpec> =
+        parse_jobs(&jobs, quiet).iter().map(WireJobSpec::from_spec).collect();
 
     create_dir(&out);
     let mut admissions = Vec::with_capacity(specs.len());
     for spec in &specs {
         match client.submit(spec) {
-            Ok(adm) => {
+            Ok(id) => {
                 if !quiet {
-                    eprintln!(
-                        "  submitted {} as {}{}",
-                        spec.label,
-                        adm.id,
-                        if adm.cached { " (cache hit)" } else { "" }
-                    );
+                    eprintln!("  submitted {} as {id}", spec.label);
                 }
-                admissions.push((spec.label.clone(), adm));
+                admissions.push((spec.label.clone(), id));
             }
             Err(e) => {
                 eprintln!("claire-cli: submission of {} refused: {e}", spec.label);
@@ -812,17 +747,8 @@ fn submit_main(args: Vec<String>) {
     }
 
     let mut failures = 0usize;
-    for (label, adm) in admissions {
-        if stream {
-            let streamed = client.stream(adm.id, |event| {
-                println!("{}", event_line(&label, adm.id, event));
-            });
-            if let Err(e) = streamed {
-                eprintln!("claire-cli: stream for {label} broke: {e}");
-                exit(1)
-            }
-        }
-        let res = client.wait(adm.id).unwrap_or_else(|e| {
+    for (label, id) in admissions {
+        let res = client.wait(id).unwrap_or_else(|e| {
             eprintln!("claire-cli: waiting on {label} failed: {e}");
             exit(1)
         });
@@ -840,12 +766,8 @@ fn submit_main(args: Vec<String>) {
         if !quiet {
             let mismatch = mismatch_note(&res.report);
             eprintln!(
-                "  {} [{}]{}: queued {:.3}s, ran {:.3}s{mismatch}",
-                res.label,
-                res.status,
-                if res.cached { " (cached)" } else { "" },
-                res.queue_wait_secs,
-                res.run_secs
+                "  {} [{}]: queued {:.3}s, ran {:.3}s{mismatch}",
+                res.label, res.status, res.queue_wait_secs, res.run_secs
             );
         }
     }
@@ -1119,7 +1041,8 @@ fn worker_rank_main(args: Vec<String>) {
 mod tests {
     use super::*;
     use claire::core::Precision;
-    use claire::serve::wire::{decode_request, encode, solver_fingerprint};
+    use claire::serve::server::service::coalesces;
+    use claire::serve::wire::{decode_request, encode};
     use claire::serve::Request;
 
     fn job(json: &str) -> Result<JobSpec, ClaireError> {
@@ -1279,21 +1202,14 @@ mod tests {
     }
 
     /// Every field of the table, set to a non-default value, must arrive
-    /// unchanged through each front end and must move each key that decides
-    /// whether two jobs are the same solve. A field added to the table is
-    /// covered here without touching this test.
+    /// unchanged through each front end and must keep two jobs that differ
+    /// in it out of one batch. A field added to the table is covered here
+    /// without touching this test.
     #[test]
     fn every_config_field_survives_every_front_end_and_moves_every_key() {
         let base = RegistrationConfig::default();
         let spec = |cfg| JobSpec::new("t", cfg, JobInput::Synthetic { n: [8, 8, 8] });
-        let keys = |cfg| {
-            let s = spec(cfg);
-            (
-                solver_fingerprint(&WireJobSpec::from_spec(&s)),
-                claire::serve::cache::content_key(&s),
-                claire::serve::server::service::coalescing_key(&s),
-            )
-        };
+        assert!(coalesces(&spec(base), &spec(base)), "equal specs must share a batch");
         for f in ConfigField::all() {
             let value = another(f, &(f.get)(&base));
             let mut want = base;
@@ -1328,11 +1244,8 @@ mod tests {
             worker.extend(config_args(&want));
             assert_eq!(parse_launch_args(worker, true).cfg, want, "{}: launcher → worker", f.key);
 
-            // the three keys
-            let (moved, still) = (keys(want), keys(base));
-            assert_ne!(moved.0, still.0, "{}: solver_fingerprint", f.key);
-            assert_ne!(moved.1, still.1, "{}: content_key", f.key);
-            assert_ne!(moved.2, still.2, "{}: coalescing_key", f.key);
+            // coalescing: the two solves differ, so they never share a batch
+            assert!(!coalesces(&spec(want), &spec(base)), "{}: coalesces", f.key);
         }
     }
 }

@@ -32,14 +32,12 @@
 //! * [`obs`] — spans, metrics, and the unified [`obs::report::RunReport`]
 //!   (enable with [`core::observe::begin`], collect with
 //!   [`core::observe::collect_run_report`])
-//! * [`serve`] — multi-tenant job service, in-process or over TCP:
-//!   bounded admission queue with priorities, per-job deadlines and
-//!   cancellation, a worker pool partitioning the thread budget, batch
-//!   coalescing into shared [`core::BatchSolver`] runs, a content-hash
-//!   result cache, per-tenant quotas, a versioned length-framed wire
-//!   protocol (`serve::wire`) with a blocking client, and a
-//!   consistent-hash sharding router (drives `claire-cli serve`/`submit`
-//!   and `claire-router`)
+//! * [`serve`] — job service, in-process or over TCP: bounded admission
+//!   queue with priorities, per-job deadlines and cancellation, a worker
+//!   pool partitioning the thread budget, batch coalescing into shared
+//!   [`core::BatchSolver`] runs, and a versioned length-framed wire
+//!   protocol (`serve::wire`) with a blocking client (drives `claire-cli
+//!   batch`/`serve`/`submit`)
 //!
 //! ## Quickstart
 //!
@@ -90,9 +88,8 @@ pub mod prelude {
     pub use crate::mpi::{run_cluster, Comm, CommCat, Topology};
     pub use crate::obs::report::RunReport;
     pub use crate::serve::{
-        Admission, Client, JobId, JobInput, JobResult, JobSpec, JobStatus, NetServer,
-        NetServerConfig, Priority, QuotaConfig, RegistrationService, RemoteAdmission,
-        RemoteJobResult, Router, ServiceConfig, StreamEvent, SubmitError, WireError, WireInput,
+        Client, JobId, JobInput, JobResult, JobSpec, JobStatus, NetServer, Priority,
+        RegistrationService, RemoteJobResult, ServiceConfig, SubmitError, WireError, WireInput,
         WireJobSpec, PROTOCOL_VERSION,
     };
 }

@@ -12,8 +12,8 @@ use claire::serve::wire::{
     decode_request, decode_response, encode, read_frame, send, write_frame, MAX_FRAME_BYTES,
 };
 use claire::serve::{
-    Client, ErrorCode, JobId, JobStatus, NetServer, NetServerConfig, Priority, Request, Response,
-    ServiceConfig, StreamEvent, WireError, WireInput, WireJobSpec, PROTOCOL_VERSION,
+    Client, ErrorCode, JobId, JobStatus, NetServer, Priority, Request, Response, ServiceConfig,
+    WireError, WireInput, WireJobSpec, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -33,7 +33,6 @@ fn round_trip_response(resp: &Response) {
 fn sample_spec(input: WireInput) -> WireJobSpec {
     WireJobSpec {
         label: "round-trip".into(),
-        tenant: "tenant-a".into(),
         config: RegistrationConfig {
             nt: 2,
             max_gn_iter: 3,
@@ -58,7 +57,6 @@ fn every_request_variant_round_trips() {
         Request::Status { id },
         Request::Cancel { id },
         Request::Result { id },
-        Request::Stream { id },
     ] {
         round_trip_request(&req);
     }
@@ -69,12 +67,10 @@ fn every_response_variant_round_trips() {
     let id = JobId::from_u64(7);
     for resp in [
         Response::Hello { protocol: PROTOCOL_VERSION, server: "test".into() },
-        Response::Submitted { id, cached: true },
+        Response::Submitted { id },
         Response::Status { id, status: JobStatus::Running },
         Response::Cancelled { id, delivered: false },
-        Response::Event { id, event: StreamEvent::GnIter { iter: 3 } },
-        Response::Event { id, event: StreamEvent::Terminal { status: JobStatus::Succeeded } },
-        Response::Error { code: ErrorCode::QuotaExceeded, message: "slow down".into() },
+        Response::Error { code: ErrorCode::QueueFull, message: "slow down".into() },
     ] {
         round_trip_response(&resp);
     }
@@ -118,27 +114,40 @@ fn framing_errors_are_typed() {
     }
 }
 
+/// A protocol-2 peer (which still sends `tenant` and reads `cached`), a
+/// newer one, a first frame that is not `Hello` and one that does not
+/// decode are each refused with a typed error and the connection closed,
+/// before any job state is touched.
 #[test]
 fn version_mismatch_is_refused_by_a_live_server() {
-    let mut server = NetServer::bind(
-        "127.0.0.1:0",
-        NetServerConfig::default().service(ServiceConfig::default().workers(1)),
-    )
-    .expect("bind");
-    let mut conn = std::net::TcpStream::connect(server.local_addr()).expect("connect");
-    send(&mut conn, &Request::Hello { protocol: PROTOCOL_VERSION + 1, client: "future".into() })
-        .expect("send future hello");
-    let payload = read_frame(&mut conn, MAX_FRAME_BYTES).expect("refusal frame");
-    match decode_response(&payload).expect("typed refusal") {
-        Response::Error { code: ErrorCode::VersionMismatch, message } => {
-            assert!(message.contains(&PROTOCOL_VERSION.to_string()));
+    let mut server =
+        NetServer::bind("127.0.0.1:0", ServiceConfig::default().workers(1)).expect("bind");
+    let hello = |theirs| {
+        let frame = encode(&Request::Hello { protocol: theirs, client: "old or new".into() });
+        let names = format!("protocol {PROTOCOL_VERSION}, client sent {theirs}");
+        (frame, ErrorCode::VersionMismatch, names)
+    };
+    let status = encode(&Request::Status { id: JobId::from_u64(1) });
+    for (first, code, names) in [
+        hello(2),
+        hello(PROTOCOL_VERSION + 1),
+        (status, ErrorCode::Unsupported, "first frame must be Hello".into()),
+        (b"{\"type\":".to_vec(), ErrorCode::Malformed, String::new()),
+    ] {
+        let mut conn = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        write_frame(&mut conn, &first).expect("send first frame");
+        let payload = read_frame(&mut conn, MAX_FRAME_BYTES).expect("refusal frame");
+        match decode_response(&payload).expect("typed refusal") {
+            Response::Error { code: got, message } if got == code => {
+                assert!(message.contains(&names), "{code:?}: {message}");
+            }
+            other => panic!("expected a {code:?} error, got {other:?}"),
         }
-        other => panic!("expected a VersionMismatch error, got {other:?}"),
-    }
-    // the server closes the connection after the refusal
-    match read_frame(&mut conn, MAX_FRAME_BYTES) {
-        Err(WireError::Closed) | Err(WireError::Io(_)) => {}
-        other => panic!("expected the connection to be closed, got {other:?}"),
+        // the server closes the connection after the refusal
+        match read_frame(&mut conn, MAX_FRAME_BYTES) {
+            Err(WireError::Closed) | Err(WireError::Io(_)) => {}
+            other => panic!("{code:?}: expected the connection to be closed, got {other:?}"),
+        }
     }
     server.shutdown();
 }
@@ -147,11 +156,8 @@ fn version_mismatch_is_refused_by_a_live_server() {
 /// reached a worker, the failed allocation would abort the whole server.
 #[test]
 fn oversized_synthetic_grid_is_refused_and_the_server_lives_on() {
-    let mut server = NetServer::bind(
-        "127.0.0.1:0",
-        NetServerConfig::default().service(ServiceConfig::default().workers(1)),
-    )
-    .expect("bind");
+    let mut server =
+        NetServer::bind("127.0.0.1:0", ServiceConfig::default().workers(1)).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     match client.submit(&sample_spec(WireInput::Synthetic { n: [200_000; 3] })) {
         Err(WireError::Remote { code: ErrorCode::InvalidSpec, message }) => {
@@ -162,7 +168,7 @@ fn oversized_synthetic_grid_is_refused_and_the_server_lives_on() {
     let small =
         WireJobSpec { deadline_ms: None, ..sample_spec(WireInput::Synthetic { n: [8; 3] }) };
     let admitted = client.submit(&small).expect("submit after the refusal");
-    let done = client.wait(admitted.id).expect("wait");
+    let done = client.wait(admitted).expect("wait");
     assert_eq!(done.status, JobStatus::Succeeded);
     server.shutdown();
 }
