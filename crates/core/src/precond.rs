@@ -81,9 +81,7 @@ impl<T: FftElem> PcgOperator<SpectralVecT<T>> for SpectralH0<'_, T> {
     }
 
     fn prec(&mut self, r: &SpectralVecT<T>, _comm: &mut Comm) -> SpectralVecT<T> {
-        let mut z = r.clone();
-        self.spectral.reg_inv_spectra(&mut z, self.beta);
-        z
+        self.spectral.reg_inv_spectra_of(r, self.beta)
     }
 }
 

@@ -313,9 +313,13 @@ fn lambda_grad_integral(
 ) -> VectorField {
     let dt = 1.0 as Real / nt as Real;
     let n = layout.local_len();
-    let mut acc = VectorField::zeros(layout);
+    assert!(!lambda.is_empty(), "the adjoint series holds λ(0)");
+    // the `j = 0` term writes `0.0 + w·λ·∇m`, which is what accumulating
+    // onto a zeroed field gives, sign of zero included
+    let mut acc = VectorField::for_overwrite(layout);
     for (j, lam) in lambda.iter().enumerate() {
         let w = if j == 0 || j == nt { 0.5 * dt } else { dt };
+        let first = j == 0;
         let grad = state.grad_at(j, comm);
         let (lam, [g1, g2, g3]) = (lam.data(), grad.c.each_ref().map(|c| c.data()));
         // one pass over λ for the three components
@@ -332,9 +336,10 @@ fn lambda_grad_integral(
                 };
                 for (k, i) in range.enumerate() {
                     let wl = w * lam[i];
-                    o1[k] += wl * g1[i];
-                    o2[k] += wl * g2[i];
-                    o3[k] += wl * g3[i];
+                    let [s1, s2, s3] = if first { [0.0; 3] } else { [o1[k], o2[k], o3[k]] };
+                    o1[k] = s1 + wl * g1[i];
+                    o2[k] = s2 + wl * g2[i];
+                    o3[k] = s3 + wl * g3[i];
                 }
             });
         });

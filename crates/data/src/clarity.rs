@@ -56,7 +56,7 @@ pub fn volume(layout: Layout, seed: u64, _comm: &mut Comm) -> ScalarField {
 
     let h = g.spacing();
     let slab_i0 = layout.slab.i0;
-    let mut f = ScalarField::zeros(layout);
+    let mut f = ScalarField::for_overwrite(layout);
     let [ni, n2, n3] = layout.local_dims();
     for il in 0..ni {
         let gi = slab_i0 + il;

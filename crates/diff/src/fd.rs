@@ -83,7 +83,7 @@ fn with_wrapper_scratch<R>(f: impl FnOnce(&mut FdScratch) -> R) -> R {
 /// the halo comes from a pooled thread-local scratch. Hot loops should
 /// still use [`deriv_into`] with their own scratch.
 pub fn deriv(f: &ScalarField, dim: usize, comm: &mut Comm) -> ScalarField {
-    let mut out = ScalarField::zeros(*f.layout());
+    let mut out = ScalarField::for_overwrite(*f.layout());
     with_wrapper_scratch(|scratch| deriv_into(f, dim, comm, &mut out, scratch));
     out
 }
@@ -152,7 +152,7 @@ fn sweep(gf: &GhostField, dim: usize, out: &mut ScalarField, s: Real) {
 /// Gradient `∇f` via three 8th-order derivatives. Collective. Wrapper over
 /// [`gradient_into`] using the pooled thread-local scratch.
 pub fn gradient(f: &ScalarField, comm: &mut Comm) -> VectorField {
-    let mut out = VectorField::zeros(*f.layout());
+    let mut out = VectorField::for_overwrite(*f.layout());
     with_wrapper_scratch(|scratch| gradient_into(f, comm, &mut out, scratch));
     out
 }
@@ -175,7 +175,7 @@ pub fn gradient_into(
 /// Divergence `∇·v` via three 8th-order derivatives. Collective. Wrapper
 /// over [`divergence_into`] using the pooled thread-local scratch.
 pub fn divergence(v: &VectorField, comm: &mut Comm) -> ScalarField {
-    let mut out = ScalarField::zeros(*v.layout());
+    let mut out = ScalarField::for_overwrite(*v.layout());
     with_wrapper_scratch(|scratch| divergence_into(v, comm, &mut out, scratch));
     out
 }
@@ -207,7 +207,7 @@ pub fn divergence_scaled_into(
         .tmp
         .take()
         .filter(|t| t.layout() == v.layout())
-        .unwrap_or_else(|| ScalarField::zeros(*v.layout()));
+        .unwrap_or_else(|| ScalarField::for_overwrite(*v.layout()));
     for dim in 1..3 {
         deriv_scaled_into(&v.c[dim], dim, comm, &mut tmp, scratch, s);
         out.axpy(1.0, &tmp);
@@ -218,7 +218,7 @@ pub fn divergence_scaled_into(
 /// Scaled divergence wrapper over [`divergence_scaled_into`] using the
 /// pooled thread-local scratch. Collective.
 pub fn divergence_scaled(v: &VectorField, comm: &mut Comm, s: Real) -> ScalarField {
-    let mut out = ScalarField::zeros(*v.layout());
+    let mut out = ScalarField::for_overwrite(*v.layout());
     with_wrapper_scratch(|scratch| divergence_scaled_into(v, comm, &mut out, scratch, s));
     out
 }

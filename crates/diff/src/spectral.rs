@@ -119,6 +119,26 @@ impl<T: FftElem> SpectralT<T> {
         }
     }
 
+    /// `(βA)⁻¹ x̂` into new spectra, one pass per component, `x̂` kept: the
+    /// out-of-place [`SpectralT::reg_inv_spectra`], bit for bit.
+    pub fn reg_inv_spectra_of(&self, x: &SpectralVecT<T>, beta: f64) -> SpectralVecT<T> {
+        let sym = reg_inv_symbol(beta);
+        let c = x.c.each_ref().map(|xc| {
+            assert_eq!(xc.data.len(), self.ksq.len(), "spectrum is not on this plan's slab");
+            let mut out = DistSpectralT::for_overwrite(xc.grid, xc.x2_slab);
+            timing::time(Kernel::FieldOps, || {
+                par_chunks_mut(&mut out.data, SWEEP_CHUNK, |ci, chunk| {
+                    let at = ci * SWEEP_CHUNK;
+                    for ((z, x), k) in chunk.iter_mut().zip(&xc.data[at..]).zip(&self.ksq[at..]) {
+                        *z = x.scale(T::from_f64(sym(k.to_f64())));
+                    }
+                })
+            });
+            out
+        });
+        SpectralVecT { c }
+    }
+
     /// `out ← out + βA x̂` on every component, in one pass each.
     pub fn reg_add_spectra(&self, out: &mut SpectralVecT<T>, x: &SpectralVecT<T>, beta: f64) {
         for (o, c) in out.c.iter_mut().zip(&x.c) {

@@ -29,6 +29,7 @@ use claire_grid::{
 use claire_mpi::{AlltoallMethod, Comm, CommCat};
 use claire_obs::span::span;
 use claire_par::timing::{self, Kernel};
+use claire_par::{par_chunks_mut, SUM_BLOCK};
 
 use crate::complex::CpxT;
 use crate::serial3d::Fft3T;
@@ -51,11 +52,23 @@ pub struct DistSpectralT<T: FftElem> {
 /// Field-precision ([`Real`]) distributed spectrum.
 pub type DistSpectral = DistSpectralT<Real>;
 
+/// The poison of a write-only complex checkout.
+fn cpx_nan<T: FftElem>() -> CpxT<T> {
+    let nan = T::from_f64(f64::NAN);
+    CpxT::new(nan, nan)
+}
+
 impl<T: FftElem> Clone for DistSpectralT<T> {
-    /// A pooled copy; a whole-spectrum pass, so it is on the kernel clock.
+    /// A pooled copy, written in parallel on the field-op clock.
     fn clone(&self) -> Self {
-        let data = timing::time(Kernel::FieldOps, || self.data.clone());
-        DistSpectralT { grid: self.grid, x2_slab: self.x2_slab, data }
+        let mut out = DistSpectralT::for_overwrite(self.grid, self.x2_slab);
+        let src = &self.data;
+        timing::time(Kernel::FieldOps, || {
+            par_chunks_mut(&mut out.data, SUM_BLOCK, |ci, c| {
+                c.copy_from_slice(&src[ci * SUM_BLOCK..][..c.len()])
+            })
+        });
+        out
     }
 }
 
@@ -65,12 +78,23 @@ impl<T: FftElem> DistSpectralT<T> {
         self.grid.n[2] / 2 + 1
     }
 
-    /// Zeroed spectral storage for the given grid/slab.
+    /// Zeroed spectral storage for the given grid/slab, written in
+    /// parallel on the field-op clock.
     pub fn zeros(grid: Grid, x2_slab: Slab) -> DistSpectralT<T> {
-        let len = grid.n[0] * x2_slab.ni * (grid.n[2] / 2 + 1);
-        let data = timing::time(Kernel::FieldOps, || {
-            T::cpx_pool().checkout_filled(len, CpxT::ZERO, WsCat::Fft)
+        let mut out = DistSpectralT::for_overwrite(grid, x2_slab);
+        timing::time(Kernel::FieldOps, || {
+            par_chunks_mut(&mut out.data, SUM_BLOCK, |_, c| c.fill(CpxT::ZERO))
         });
+        out
+    }
+
+    /// Spectral storage for a writer that sets every coefficient before
+    /// anything reads one. Its coefficients are unspecified: under
+    /// `debug_assertions` all NaN, otherwise whatever the buffer's last
+    /// holder wrote, NaN beyond that.
+    pub fn for_overwrite(grid: Grid, x2_slab: Slab) -> DistSpectralT<T> {
+        let len = grid.n[0] * x2_slab.ni * (grid.n[2] / 2 + 1);
+        let data = T::cpx_pool().checkout_written(len, cpx_nan(), WsCat::Fft);
         DistSpectralT { grid, x2_slab, data }
     }
 
@@ -176,7 +200,7 @@ impl<T: FftElem> DistFftT<T> {
         }
         if self.nranks == 1 {
             return fields.map(|f| {
-                let mut spec = DistSpectralT::zeros(self.grid, Slab::full(n2));
+                let mut spec = DistSpectralT::for_overwrite(self.grid, Slab::full(n2));
                 self.plans.forward(f.data(), &mut spec.data);
                 spec
             });
@@ -187,7 +211,7 @@ impl<T: FftElem> DistFftT<T> {
         // j ∈ js are consecutive at fixed il, so a destination's stripe of a
         // plane is one contiguous run
         let (p, ni) = (self.nranks, self.layout().slab.ni);
-        let mut work = T::cpx_pool().checkout_filled(ni * n2 * n3c, CpxT::ZERO, WsCat::Fft);
+        let mut work = T::cpx_pool().checkout_written(ni * n2 * n3c, cpx_nan(), WsCat::Fft);
         let mut bufs: Vec<Vec<CpxT<T>>> = (0..p)
             .map(|dst| Vec::with_capacity(NF * ni * Slab::of_rank(n2, p, dst).ni * n3c))
             .collect();
@@ -212,7 +236,7 @@ impl<T: FftElem> DistFftT<T> {
         // run of the `[n1][nj][n3c]` spectral storage
         let my_js = self.x2_slab();
         let run = my_js.ni * n3c;
-        let mut specs = std::array::from_fn(|_| DistSpectralT::zeros(self.grid, my_js));
+        let mut specs = std::array::from_fn(|_| DistSpectralT::for_overwrite(self.grid, my_js));
         timing::time(Kernel::FftTranspose, || {
             for (src, part) in parts.iter().enumerate() {
                 let planes = Slab::of_rank(n1, p, src);
@@ -249,7 +273,7 @@ impl<T: FftElem> DistFftT<T> {
         }
         if self.nranks == 1 {
             return specs.map(|mut spec| {
-                let mut out = ScalarFieldT::zeros_in(layout, WsCat::Fft);
+                let mut out = ScalarFieldT::for_overwrite_in(layout, WsCat::Fft);
                 self.plans.inverse(&mut spec.data, out.data_mut());
                 out
             });
@@ -274,7 +298,7 @@ impl<T: FftElem> DistFftT<T> {
 
         // unpack + step 1': per field, every source's stripes back into the
         // `[ni][n2][n3c]` planes, inverse 2-D FFT, c2r
-        let mut work = T::cpx_pool().checkout_filled(ni * n2 * n3c, CpxT::ZERO, WsCat::Fft);
+        let mut work = T::cpx_pool().checkout_written(ni * n2 * n3c, cpx_nan(), WsCat::Fft);
         std::array::from_fn(|field| {
             timing::time(Kernel::FftTranspose, || {
                 for (src, part) in parts.iter().enumerate() {
@@ -287,7 +311,7 @@ impl<T: FftElem> DistFftT<T> {
                     }
                 }
             });
-            let mut out = ScalarFieldT::zeros_in(layout, WsCat::Fft);
+            let mut out = ScalarFieldT::for_overwrite_in(layout, WsCat::Fft);
             timing::time(Kernel::FftDist, || {
                 pass::cols(&self.plans.c2, true, &mut work, n3c);
                 pass::rows_inverse(&self.plans.r3, &work, out.data_mut());

@@ -39,7 +39,7 @@ fn par_max_abs<T: FieldElem>(d: &[T]) -> f64 {
 /// ([`FieldElem::pool`]): constructing a field checks a buffer out, dropping
 /// one checks it back in, so field churn in the solver hot path recycles
 /// memory instead of allocating.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ScalarFieldT<T: FieldElem> {
     layout: Layout,
     data: PoolVec<T>,
@@ -54,9 +54,28 @@ impl<T: FieldElem> ScalarFieldT<T> {
         Self::zeros_in(layout, WsCat::Pde)
     }
 
-    /// Zero field charged to an explicit workspace category.
+    /// Zero field charged to an explicit workspace category; the zeros are
+    /// written in parallel, on the field-op clock.
     pub fn zeros_in(layout: Layout, cat: WsCat) -> Self {
-        Self { layout, data: T::pool().checkout_filled(layout.local_len(), T::ZERO, cat) }
+        let mut out = Self::for_overwrite_in(layout, cat);
+        out.fill(T::ZERO);
+        out
+    }
+
+    /// A field for a writer that sets every sample before anything reads
+    /// one (pooled, charged to µPDE). Its samples are unspecified: under
+    /// `debug_assertions` all NaN, otherwise whatever the buffer's last
+    /// holder wrote, NaN beyond that. A field that is read as zero — an
+    /// accumulator, an initial guess — takes [`ScalarFieldT::zeros`].
+    pub fn for_overwrite(layout: Layout) -> Self {
+        Self::for_overwrite_in(layout, WsCat::Pde)
+    }
+
+    /// [`ScalarFieldT::for_overwrite`] charged to an explicit workspace
+    /// category.
+    pub fn for_overwrite_in(layout: Layout, cat: WsCat) -> Self {
+        let nan = T::from_f64(f64::NAN);
+        Self { layout, data: T::pool().checkout_written(layout.local_len(), nan, cat) }
     }
 
     /// Field from existing local data (must match the layout's local length).
@@ -100,7 +119,9 @@ impl<T: FieldElem> ScalarFieldT<T> {
 
     /// Set every sample to `v`.
     pub fn fill(&mut self, v: T) {
-        self.data.fill(v);
+        timing::time(Kernel::FieldOps, || {
+            par_chunks_mut(&mut self.data, ELEM_CHUNK, |_, c| c.fill(v))
+        });
     }
 
     /// `self *= a`.
@@ -137,7 +158,12 @@ impl<T: FieldElem> ScalarFieldT<T> {
     /// Copy values from another field of the same layout.
     pub fn copy_from(&mut self, x: &Self) {
         self.check_same_layout(x);
-        self.data.copy_from_slice(&x.data);
+        let xd = &x.data;
+        timing::time(Kernel::FieldOps, || {
+            par_chunks_mut(&mut self.data, ELEM_CHUNK, |ci, c| {
+                c.copy_from_slice(&xd[ci * ELEM_CHUNK..][..c.len()])
+            })
+        });
     }
 
     /// Apply `f` to every sample in place.
@@ -173,7 +199,7 @@ impl<T: FieldElem> ScalarFieldT<T> {
 
     /// A freshly pooled field holding `self` converted to width `U`.
     pub fn converted<U: FieldElem>(&self, cat: WsCat) -> ScalarFieldT<U> {
-        let mut out = ScalarFieldT::<U>::zeros_in(self.layout, cat);
+        let mut out = ScalarFieldT::<U>::for_overwrite_in(self.layout, cat);
         out.convert_from(self);
         out
     }
@@ -261,11 +287,21 @@ impl<T: FieldElem> ScalarFieldT<T> {
     }
 }
 
+impl<T: FieldElem> Clone for ScalarFieldT<T> {
+    /// A pooled copy of the same category, written in parallel on the
+    /// field-op clock.
+    fn clone(&self) -> Self {
+        let mut out = Self::for_overwrite_in(self.layout, self.data.category());
+        out.copy_from(self);
+        out
+    }
+}
+
 impl ScalarField {
     /// Sample an analytic function `f(x1, x2, x3)` at the owned grid points.
     /// Rows (fixed `il`, `j`) are sampled in parallel.
     pub fn from_fn(layout: Layout, f: impl Fn(Real, Real, Real) -> Real + Sync) -> Self {
-        let mut field = Self::zeros(layout);
+        let mut field = Self::for_overwrite(layout);
         let h = layout.grid.spacing();
         let [_, n2, n3] = layout.local_dims();
         let i0 = layout.slab.i0;
@@ -300,6 +336,19 @@ impl<T: FieldElem> VectorFieldT<T> {
     /// Zero vector field charged to an explicit workspace category.
     pub fn zeros_in(layout: Layout, cat: WsCat) -> Self {
         Self { c: std::array::from_fn(|_| ScalarFieldT::zeros_in(layout, cat)) }
+    }
+
+    /// A vector field for a writer that sets every sample of every
+    /// component before anything reads one (see
+    /// [`ScalarFieldT::for_overwrite`]; pooled, charged to µPDE).
+    pub fn for_overwrite(layout: Layout) -> Self {
+        Self::for_overwrite_in(layout, WsCat::Pde)
+    }
+
+    /// [`VectorFieldT::for_overwrite`] charged to an explicit workspace
+    /// category.
+    pub fn for_overwrite_in(layout: Layout, cat: WsCat) -> Self {
+        Self { c: std::array::from_fn(|_| ScalarFieldT::for_overwrite_in(layout, cat)) }
     }
 
     /// The layout shared by all components.
@@ -352,7 +401,7 @@ impl<T: FieldElem> VectorFieldT<T> {
 
     /// A freshly pooled vector field holding `self` converted to width `U`.
     pub fn converted<U: FieldElem>(&self, cat: WsCat) -> VectorFieldT<U> {
-        let mut out = VectorFieldT::<U>::zeros_in(*self.layout(), cat);
+        let mut out = VectorFieldT::<U>::for_overwrite_in(*self.layout(), cat);
         out.convert_from(self);
         out
     }

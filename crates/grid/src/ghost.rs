@@ -93,9 +93,11 @@ impl GhostField {
         Ok(())
     }
 
-    /// Zeroed ghost buffer sized for `layout` and `width`, to be filled by
-    /// [`exchange_into`] — allocate once, reuse across exchanges. Returns a
-    /// typed error when the halo width exceeds the grid extent.
+    /// Ghost buffer sized for `layout` and `width`, to be filled by
+    /// [`exchange_into`] (every point) or [`pad_into`] (all but the x1
+    /// halo) — allocate once, reuse across exchanges. Its contents before
+    /// the first fill are unspecified (NaN under `debug_assertions`).
+    /// Returns a typed error when the halo width exceeds the grid extent.
     pub fn try_alloc(layout: Layout, width: usize) -> ClaireResult<GhostField> {
         Self::validate(&layout, width)?;
         let w = width as isize;
@@ -103,7 +105,7 @@ impl GhostField {
             stored: layout.local_dims().map(|n| n + 2 * width),
             origin: [w - layout.slab.i0 as isize, w, w],
         };
-        let data = HALO_POOL.checkout_filled(dims.points(), 0.0, WsCat::Fd);
+        let data = HALO_POOL.checkout_written(dims.points(), Real::NAN, WsCat::Fd);
         Ok(GhostField { layout, width, dims, data })
     }
 
@@ -154,11 +156,14 @@ fn pad_owned(field: &ScalarField, gf: &mut GhostField) {
     });
 }
 
-/// Exchange ghost layers of `width` points for `field`.
+/// Exchange ghost layers of `width` points for `field`: a new ghost field
+/// with every stored point set, owned points and all halos.
 ///
 /// Works for any rank count, including serial (pure local periodic wrap).
-/// All ranks of the communicator must call this collectively. Allocates the
-/// ghost buffer; hot loops should hold one and call [`exchange_into`].
+/// All ranks of the communicator must call this collectively. Checks the
+/// ghost buffer out of the pool without filling it first, since the
+/// exchange writes every point; hot loops may hold one and call
+/// [`exchange_into`].
 pub fn exchange(field: &ScalarField, width: usize, comm: &mut Comm) -> GhostField {
     let mut gf = GhostField::alloc(*field.layout(), width);
     exchange_into(field, comm, &mut gf);
@@ -167,7 +172,7 @@ pub fn exchange(field: &ScalarField, width: usize, comm: &mut Comm) -> GhostFiel
 
 /// Fill `gf` from `field` except for its x1 halo — the owned planes and
 /// their x2/x3 halos, everything a stencil along x2 or x3 reads — with no
-/// communication.
+/// communication. The x1 halo keeps whatever it held.
 pub fn pad_into(field: &ScalarField, gf: &mut GhostField) {
     timing::time(Kernel::Ghost, || pad_owned(field, gf));
 }
@@ -366,15 +371,25 @@ mod tests {
 
     #[test]
     fn local_padding_fills_all_but_the_x1_halo() {
+        // Every stored point of an owned plane (x2/x3 halos and corners
+        // included) holds the periodic extension; every point of the x1
+        // halo still holds what was there before.
+        const SENTINEL: Real = -7.5;
         let layout = Layout::serial(Grid::new([4, 3, 2]));
         let f = indexed_field(layout);
         let mut gf = GhostField::alloc(layout, 3);
+        gf.data.fill(SENTINEL);
         pad_into(&f, &mut gf);
         for i in -3..7 {
-            for (j, k) in [(-3, -3), (0, 1), (5, 4)] {
-                let expect =
-                    if (0..4).contains(&i) { reference_value(layout.grid, [i, j, k]) } else { 0.0 };
-                assert_eq!(gf.at(i, j, k), expect, "at i={i} j={j} k={k}");
+            for j in -3..6 {
+                for k in -3..5 {
+                    let expect = if (0..4).contains(&i) {
+                        reference_value(layout.grid, [i, j, k])
+                    } else {
+                        SENTINEL
+                    };
+                    assert_eq!(gf.at(i, j, k), expect, "at i={i} j={j} k={k}");
+                }
             }
         }
     }

@@ -11,6 +11,15 @@
 //! the hot path stops touching the system allocator entirely (enforced by
 //! the `zero_alloc` tier-1 test).
 //!
+//! Most buffers are overwritten in full by the kernel that produces them, as
+//! the GPU solver's are, so filling them first is a wasted sweep.
+//! [`Pool::checkout_written`] hands out such a buffer without one: every
+//! shelved buffer carries the length of its *written prefix* (the elements
+//! some holder has set since the allocation was made), and only the part of
+//! the request beyond it is filled, with a caller-chosen poison. Under
+//! `debug_assertions` the whole buffer is poisoned, so a kernel that reads
+//! before it writes shows up as NaN in a debug test run.
+//!
 //! Accounting is per *category* ([`WsCat`], mirroring the paper's budget
 //! terms) and global across pools: [`stats`] reports checkouts, misses
 //! (fresh allocations), bytes currently charged, and the high-water mark,
@@ -163,16 +172,20 @@ fn uncharge(cat: WsCat, bytes: usize) {
 /// through many buffers of one size (excess check-ins are simply freed).
 const MAX_SHELF: usize = 64;
 
+/// A shelved buffer: empty, with the length of its written prefix.
+type Shelved<T> = (Vec<T>, usize);
+
 /// A buffer pool for `Vec<T>` work buffers, keyed by capacity.
 ///
 /// `checkout` returns the smallest shelved buffer whose capacity covers the
 /// request (allocating fresh on a miss); dropping the returned [`PoolVec`]
-/// clears it and puts it back. Pools are declared as `static`s (they must
-/// outlive every buffer) and are safe to use from the scoped worker threads
-/// of `claire-par` — concurrent checkouts never alias, each returns a
-/// distinct buffer.
+/// clears it and puts it back, together with how much of it was ever
+/// written. Pools are declared as `static`s (they must outlive every
+/// buffer) and are safe to use from the scoped worker threads of
+/// `claire-par` — concurrent checkouts never alias, each returns a distinct
+/// buffer.
 pub struct Pool<T: Send + 'static> {
-    shelf: Mutex<BTreeMap<usize, Vec<Vec<T>>>>,
+    shelf: Mutex<BTreeMap<usize, Vec<Shelved<T>>>>,
 }
 
 impl<T: Send + 'static> Default for Pool<T> {
@@ -198,26 +211,28 @@ impl<T: Send + 'static> Pool<T> {
             let key = shelf.range(cap..).find(|(_, s)| !s.is_empty()).map(|(&k, _)| k);
             key.and_then(|k| shelf.get_mut(&k).and_then(Vec::pop))
         };
-        let buf = match reused {
-            Some(b) => b,
-            None => {
-                STATS[cat.idx()].misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(cap)
-            }
-        };
-        let charged = buf.capacity() * std::mem::size_of::<T>();
-        charge(cat, charged);
-        PoolVec { buf, cat, charged, pool: self }
+        let (buf, written) = reused.unwrap_or_else(|| {
+            STATS[cat.idx()].misses.fetch_add(1, Ordering::Relaxed);
+            (Vec::with_capacity(cap), 0)
+        });
+        self.wrap(buf, written, cat)
     }
 
     /// Wrap an existing vector so it migrates into the pool on drop.
     pub fn adopt(&'static self, buf: Vec<T>, cat: WsCat) -> PoolVec<T> {
-        let charged = buf.capacity() * std::mem::size_of::<T>();
-        charge(cat, charged);
-        PoolVec { buf, cat, charged, pool: self }
+        let written = buf.len();
+        self.wrap(buf, written, cat)
     }
 
-    fn checkin(&self, mut buf: Vec<T>) {
+    fn wrap(&'static self, buf: Vec<T>, written: usize, cat: WsCat) -> PoolVec<T> {
+        let charged = buf.capacity() * std::mem::size_of::<T>();
+        charge(cat, charged);
+        // saturating: claiming a shorter prefix than was written is safe
+        let written = u32::try_from(written).unwrap_or(u32::MAX);
+        PoolVec { buf, cat, written, charged, pool: self }
+    }
+
+    fn checkin(&self, mut buf: Vec<T>, written: usize) {
         buf.clear(); // drop elements before taking the shelf lock
         if buf.capacity() == 0 {
             return;
@@ -225,13 +240,20 @@ impl<T: Send + 'static> Pool<T> {
         let mut shelf = self.shelf.lock().unwrap();
         let stack = shelf.entry(buf.capacity()).or_default();
         if stack.len() < MAX_SHELF {
-            stack.push(buf);
+            stack.push((buf, written));
         }
     }
 
     /// Number of buffers currently shelved (idle) in this pool.
     pub fn idle_buffers(&self) -> usize {
         self.shelf.lock().unwrap().values().map(Vec::len).sum()
+    }
+
+    /// `(capacity, written prefix)` of every shelved buffer.
+    #[cfg(test)]
+    fn shelved(&self) -> Vec<(usize, usize)> {
+        let shelf = self.shelf.lock().unwrap();
+        shelf.values().flatten().map(|(b, w)| (b.capacity(), *w)).collect()
     }
 }
 
@@ -243,14 +265,45 @@ impl<T: Copy + Send + 'static> Pool<T> {
         v.resize(len, fill);
         v
     }
+
+    /// Check out a buffer of exactly `len` elements for a writer that sets
+    /// every one of them before anything reads it. The buffer's written
+    /// prefix is handed out as the last holder left it and only the rest is
+    /// set to `poison`; under `debug_assertions` all `len` elements are.
+    /// Accounting is [`Pool::checkout_filled`]'s: one checkout, a miss only
+    /// when no shelved buffer fits, the same bytes charged.
+    pub fn checkout_written(&'static self, len: usize, poison: T, cat: WsCat) -> PoolVec<T> {
+        let mut v = self.checkout(len, cat);
+        let keep = if cfg!(debug_assertions) { 0 } else { (v.written as usize).min(len) };
+        // SAFETY: `keep <= written <= capacity`, and the first `written`
+        // elements of this allocation were set by earlier holders: a holder
+        // whose vector reallocated is caught by the capacity check in
+        // `PoolVec::drop`, and holders neither swap another allocation into
+        // a `PoolVec` nor store uninitialized values (no API here hands out
+        // `MaybeUninit`; the spare-capacity writers in `claire_fft::pass`
+        // store numbers). `T: Copy` has no drop glue, so check-in's `clear`
+        // left those elements as they were: initialized values.
+        unsafe { v.buf.set_len(keep) };
+        v.buf.resize(len, poison);
+        v
+    }
 }
 
 /// An RAII pooled buffer: derefs to `Vec<T>`, checks back into its pool on
 /// drop. The bytes charged to its [`WsCat`] are fixed at checkout (growing
-/// the vector afterwards is not re-charged).
+/// the vector afterwards is not re-charged). The buffer's written prefix
+/// (see [`Pool::checkout_written`]) can reach past `len` into the spare
+/// capacity, so a holder may write numbers there but must not store
+/// `MaybeUninit::uninit()`, and must not swap another allocation into the
+/// vector (swapping whole `PoolVec`s is fine).
 pub struct PoolVec<T: Send + 'static> {
     buf: Vec<T>,
     cat: WsCat,
+    /// Written prefix of `buf`'s allocation at checkout.
+    written: u32,
+    /// `capacity · size_of::<T>()` at checkout: a different capacity at
+    /// check-in means the vector reallocated and `written` no longer
+    /// applies.
     charged: usize,
     pool: &'static Pool<T>,
 }
@@ -271,7 +324,10 @@ impl<T: Send + 'static> Drop for PoolVec<T> {
     fn drop(&mut self) {
         uncharge(self.cat, self.charged);
         if self.buf.capacity() > 0 {
-            self.pool.checkin(std::mem::take(&mut self.buf));
+            let same = self.buf.capacity() * std::mem::size_of::<T>() == self.charged;
+            let len = self.buf.len();
+            let written = if same { (self.written as usize).max(len) } else { len };
+            self.pool.checkin(std::mem::take(&mut self.buf), written);
         }
     }
 }
@@ -434,8 +490,13 @@ mod tests {
         assert_eq!(p.len(), 8, "every concurrent checkout must get a distinct buffer");
     }
 
+    /// Serializes the tests that read the global per-category counters
+    /// against the one that resets them.
+    static STATS_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn stats_track_in_use_and_peak() {
+        let _serial = STATS_LOCK.lock().unwrap();
         reset_stats();
         let before = stats()[WsCat::GnCg.idx()];
         let v = REAL_POOL.checkout_filled(1000, 0.0, WsCat::GnCg);
@@ -446,6 +507,86 @@ mod tests {
         let after = stats()[WsCat::GnCg.idx()];
         assert!(after.in_use_bytes <= during.in_use_bytes - 1000 * 8 + 8);
         assert!(after.peak_bytes >= during.in_use_bytes, "peak keeps the high-water mark");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn written_checkout_is_all_poison_in_debug() {
+        static POISON: Pool<u64> = Pool::new();
+        let fresh = POISON.checkout_written(48, 0xBAD, WsCat::Other);
+        assert!(fresh.iter().all(|&x| x == 0xBAD), "a fresh buffer is poison");
+        drop(fresh);
+        {
+            let mut v = POISON.checkout_filled(64, 7u64, WsCat::Other);
+            v[0] = 1;
+        }
+        let v = POISON.checkout_written(64, 0xBAD, WsCat::Other);
+        assert_eq!(v.len(), 64);
+        assert!(v.iter().all(|&x| x == 0xBAD), "a reused buffer is poison in debug");
+    }
+
+    #[test]
+    fn written_checkout_poisons_only_the_tail_beyond_the_prefix() {
+        static TAIL: Pool<u64> = Pool::new();
+        {
+            let mut v = TAIL.checkout(80, WsCat::Other);
+            v.resize(40, 7u64);
+        }
+        let v = TAIL.checkout_written(80, 0xBAD, WsCat::Other);
+        assert_eq!(v.len(), 80);
+        let prefix = if cfg!(debug_assertions) { 0xBAD } else { 7 };
+        assert!(v[..40].iter().all(|&x| x == prefix), "release reuses the written prefix");
+        assert!(v[40..].iter().all(|&x| x == 0xBAD), "the never-written tail is poison");
+    }
+
+    #[test]
+    fn written_prefix_survives_spare_capacity_writers_and_not_reallocation() {
+        static PREFIX: Pool<u64> = Pool::new();
+        drop(PREFIX.checkout_filled(100, 3u64, WsCat::Other));
+        assert_eq!(PREFIX.shelved(), [(100, 100)]);
+        {
+            // an empty checkout that writes only its spare capacity, as the
+            // FFT kernel scratch does, comes back with `len` 0
+            let mut v = PREFIX.checkout(100, WsCat::Other);
+            for x in &mut v.spare_capacity_mut()[..10] {
+                x.write(5);
+            }
+            assert!(v.is_empty());
+        }
+        assert_eq!(PREFIX.shelved(), [(100, 100)], "the written prefix is kept");
+        {
+            let mut v = PREFIX.checkout(100, WsCat::Other);
+            v.extend(0..30u64);
+            v.reserve(1000); // reallocates
+        }
+        let shelved = PREFIX.shelved();
+        assert_eq!(shelved.len(), 1);
+        assert!(shelved[0].0 >= 1030);
+        assert_eq!(shelved[0].1, 30, "a reallocation forgets the old prefix");
+    }
+
+    #[test]
+    fn written_and_filled_checkouts_account_alike() {
+        static A: Pool<u64> = Pool::new();
+        static B: Pool<u64> = Pool::new();
+        fn run(checkout: impl Fn(usize) -> PoolVec<u64>) -> (u64, u64, u64) {
+            let _serial = STATS_LOCK.lock().unwrap();
+            let before = stats()[WsCat::Sl.idx()];
+            let mut charged = 0;
+            for len in [64, 32, 64, 200, 100, 200, 8] {
+                let v = checkout(len);
+                let now = stats()[WsCat::Sl.idx()].in_use_bytes;
+                charged += now - before.in_use_bytes;
+                drop(v);
+            }
+            let after = stats()[WsCat::Sl.idx()];
+            (after.checkouts - before.checkouts, after.misses - before.misses, charged)
+        }
+        let filled = run(|len| A.checkout_filled(len, 0, WsCat::Sl));
+        let written = run(|len| B.checkout_written(len, 0, WsCat::Sl));
+        assert_eq!(filled, written, "(checkouts, misses, bytes charged)");
+        assert_eq!(filled.0, 7);
+        assert_eq!(filled.1, 2, "a miss only when no shelved buffer fits");
     }
 
     proptest! {

@@ -321,7 +321,7 @@ impl GnState {
             // promotes the Krylov direction into one reused f64 field and
             // demotes the result (streamed conversions charged to µGN/CG).
             let rhs32: VectorFieldT<f32> = rhs.converted(WsCat::GnCg);
-            let mut p64 = VectorField::zeros_in(*self.v.layout(), WsCat::GnCg);
+            let mut p64 = VectorField::for_overwrite_in(*self.v.layout(), WsCat::GnCg);
             let mut ops = NewtonOps {
                 problem,
                 hess_vec: |pb: &mut P, p: &VectorFieldT<f32>, comm: &mut Comm| {
@@ -364,7 +364,7 @@ impl GnState {
         // One trial buffer for the whole search; each trial is a single
         // fused pass `trial = α·step + v` instead of clone (copy pass) + axpy
         // (update pass), and acceptance swaps buffers instead of copying.
-        let mut trial = VectorField::zeros(*self.v.layout());
+        let mut trial = VectorField::for_overwrite(*self.v.layout());
         let (accepted, trials) = backtrack(j0, slope, cfg.armijo_c1, cfg.max_linesearch, |alpha| {
             trial.scale_add_from(alpha, &step, &self.v);
             problem.objective(&trial, comm)

@@ -57,7 +57,7 @@ pub fn displacement(
 pub fn jacobian_det(u: &VectorField, comm: &mut Comm) -> ScalarField {
     let layout = *u.layout();
     let g: Vec<VectorField> = (0..3).map(|d| claire_diff::fd::gradient(&u.c[d], comm)).collect();
-    let mut det = ScalarField::zeros(layout);
+    let mut det = ScalarField::for_overwrite(layout);
     let n = layout.local_len();
     let out = det.data_mut();
     for i in 0..n {

@@ -74,7 +74,7 @@ impl AdjointFamily {
         let plan = interp.plan_owned(*v.layout(), foot_fwd, comm);
         // `½·δt` is folded into the divergence stencil sweep
         let div_v = claire_diff::fd::divergence_scaled(v, comm, 0.5 * dt);
-        let mut growth = REAL_POOL.checkout_filled(plan.len(), 0.0 as Real, WsCat::Sl);
+        let mut growth = REAL_POOL.checkout_written(plan.len(), Real::NAN, WsCat::Sl);
         interp.evaluate(&plan, &[&div_v], comm, &mut [&mut growth]);
         timing::time(Kernel::SemiLag, || {
             let (n, div_v) = (growth.len(), div_v.data());
@@ -128,7 +128,7 @@ fn time_step(nt: usize) -> Real {
 
 /// [`grid_points`] in a pooled (µSL) buffer.
 fn grid_points_pooled(layout: &Layout) -> PoolVec<[Real; 3]> {
-    let mut pts = R3_POOL.checkout_filled(layout.local_len(), [0.0 as Real; 3], WsCat::Sl);
+    let mut pts = R3_POOL.checkout_written(layout.local_len(), [Real::NAN; 3], WsCat::Sl);
     grid_points_into(layout, &mut pts);
     pts
 }
@@ -242,7 +242,7 @@ fn rk2_feet(
     // v at grid points (no interpolation needed)
     let [v1, v2, v3] = [v.c[0].data(), v.c[1].data(), v.c[2].data()];
     // Euler predictor — one independent update per grid point
-    let mut mid = R3_POOL.checkout_filled(n, [0.0 as Real; 3], WsCat::Sl);
+    let mut mid = R3_POOL.checkout_written(n, [Real::NAN; 3], WsCat::Sl);
     timing::time(Kernel::SemiLag, || {
         let shared = SharedSlice::new(&mut mid);
         par_parts(n, n, |range| {
@@ -256,7 +256,7 @@ fn rk2_feet(
     });
     // v at predictor points (off-grid)
     let mid = interp.plan_owned(*v.layout(), mid, comm);
-    let mut foot = R3_POOL.checkout_filled(n, [0.0 as Real; 3], WsCat::Sl);
+    let mut foot = R3_POOL.checkout_written(n, [Real::NAN; 3], WsCat::Sl);
     interp.evaluate_vector(&mid, v, comm, &mut foot);
     drop(mid);
     // Heun corrector, over the midpoint velocities

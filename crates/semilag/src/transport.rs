@@ -41,7 +41,7 @@ impl StateSolution {
         let mut scratch = FdScratch::new();
         let mut gs = VECTOR_FIELDS.checkout(self.m.len(), WsCat::Pde);
         for mj in self.m.iter() {
-            let mut g = VectorField::zeros(*mj.layout());
+            let mut g = VectorField::for_overwrite(*mj.layout());
             claire_diff::fd::gradient_into(mj, comm, &mut g, &mut scratch);
             gs.push(g);
         }
@@ -87,7 +87,7 @@ impl Transport {
         let mut m = SCALAR_FIELDS.checkout(self.nt + 1, WsCat::Pde);
         m.push(m0.clone());
         for j in 0..self.nt {
-            let mut next = ScalarField::zeros(*m0.layout());
+            let mut next = ScalarField::for_overwrite(*m0.layout());
             interp.evaluate(traj.back(), &[&m[j]], comm, &mut [next.data_mut()]);
             m.push(next);
         }
@@ -120,7 +120,7 @@ impl Transport {
         lambda.push(final_cond.clone());
         let family = traj.adjoint();
         for _ in 0..self.nt {
-            let mut next = ScalarField::zeros(layout);
+            let mut next = ScalarField::for_overwrite(layout);
             let last = lambda.last().expect("seeded with the final condition");
             interp.evaluate(&family.plan, &[last], comm, &mut [next.data_mut()]);
             timing::time(Kernel::SemiLag, || {
@@ -163,7 +163,7 @@ impl Transport {
         let mut w = ScalarField::zeros(layout);
         sub_source(&mut w, 0.5 * traj.dt, vt, &state.grad_at(0, comm));
         for j in 1..=self.nt {
-            let mut next = ScalarField::zeros(layout);
+            let mut next = ScalarField::for_overwrite(layout);
             interp.evaluate(traj.back(), &[&w], comm, &mut [next.data_mut()]);
             let c = if j < self.nt { traj.dt } else { 0.5 * traj.dt };
             sub_source(&mut next, c, vt, &state.grad_at(j, comm));

@@ -7,9 +7,9 @@
 #                             serve smoke-run, multi-process launch
 #                             smoke-run
 #   scripts/ci.sh --quick     inner-loop gate: build + tier-1 tests + full
-#                             workspace tests + benchmark-package tests +
-#                             clippy (skips benches AND the net/proc smoke
-#                             stages)
+#                             workspace tests + debug tests of the solver
+#                             crates + benchmark-package tests + clippy
+#                             (skips benches AND the net/proc smoke stages)
 #   scripts/ci.sh --no-smoke  full gate minus the net/proc smoke stages
 #
 # When CLAIRE_SIMD is set in the environment (the CI backend matrix exports
@@ -143,6 +143,15 @@ stage_workspace_tests() {
     if [ -z "${CLAIRE_SIMD:-}" ]; then
         CLAIRE_SIMD=scalar cargo test -q --release -p claire-simd -p claire-interp -p claire-semilag
     fi
+}
+
+stage_poison_tests() {
+    # every other test stage builds --release, where a write-only pool
+    # checkout (`Pool::checkout_written`) hands out its buffer's old
+    # contents; under debug_assertions it is all NaN, so a kernel that reads
+    # an element before writing it turns these crates' results into NaN
+    cargo test -q -p claire-grid -p claire-fft -p claire-diff -p claire-semilag \
+        -p claire-interp -p claire-opt -p claire-core
 }
 
 stage_benchmark_package() {
@@ -442,6 +451,7 @@ stage "tier-1 tests (root package)" stage_tier1_tests
 # every crate's own tests, in --quick too: a red crate-level test must not
 # survive behind a green tier-1 suite
 stage "full workspace tests" stage_workspace_tests
+stage "debug tests (NaN-poisoned checkouts)" stage_poison_tests
 stage "benchmark package tests" stage_benchmark_package
 stage "clippy (deny warnings)" stage_clippy
 if [ "$QUICK" -eq 0 ]; then
@@ -467,7 +477,7 @@ for i in "${!STAGE_NAMES[@]}"; do
 done
 echo "stage timings: target/ci_stages.json"
 if [ "$QUICK" -eq 1 ]; then
-    echo "CI gate passed (--quick: build + tier-1 + workspace + benchmark-package tests + clippy)."
+    echo "CI gate passed (--quick: build + tier-1 + workspace + debug + benchmark-package tests + clippy)."
 else
     echo "CI gate passed."
 fi
