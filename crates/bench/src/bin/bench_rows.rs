@@ -9,6 +9,7 @@
 //! | `interp_planned_linear` | the trilinear evaluation (`reg_fft`'s kernel) is only ever timed with its plan build |
 //! | `fft_dist_roundtrip_p2` | the FFT probes run on the workload's ranks; only `reg_2r` has two, at 40×32×24 |
 //! | `ghost_sock_p{2,4}`, `alltoallv_sock_p{2,4}` | no workload runs the socket transport |
+//! | `alltoallv_chan_p{2,4}` | `mpi.alltoallv_ms` times one volume on two ranks; this is the in-process carrier beside the socket rows, same volume, 2 and 4 ranks |
 //! | `pcg_h0`, `pcg_h0_mixed` | `core.precond_s` is a whole solve's total; this is per point per inner iteration, and its growth between the two sizes is what ROADMAP item 4 is judged on |
 //!
 //! The rows say which layer moved; nothing is gated on them. A performance
@@ -119,6 +120,17 @@ fn fft_dist(n: usize) -> Rows {
     vec![("fft_dist_roundtrip_p2".into(), "ns/point", t)]
 }
 
+/// An alltoallv with the per-pair volume of a slab transpose of `grid`,
+/// this rank's clock.
+fn alltoallv(grid: Grid, comm: &mut Comm) -> f64 {
+    let p = comm.size();
+    let bufs = vec![vec![0.5 as Real; grid.len() / (p * p)]; p];
+    measure(grid.len(), || {
+        let got = comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto);
+        std::hint::black_box(got);
+    })
+}
+
 /// The two collectives a multi-process launch pays per message, over real
 /// Unix-domain sockets (framing, eager/rendezvous switch, reader threads):
 /// a width-4 ghost exchange and an alltoallv with the per-pair volume of a
@@ -132,18 +144,25 @@ fn sockets(n: usize) -> Rows {
             let gx = measure(grid.len(), || {
                 std::hint::black_box(ghost::exchange(&f, 4, comm));
             });
-            let bufs = vec![vec![0.5 as Real; grid.len() / (p * p)]; p];
-            let a2a = measure(grid.len(), || {
-                let got = comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto);
-                std::hint::black_box(got);
-            });
-            [gx, a2a]
+            [gx, alltoallv(grid, comm)]
         })
         .outputs[0];
         out.push((format!("ghost_sock_p{p}"), "ns/point", gx));
         out.push((format!("alltoallv_sock_p{p}"), "ns/point", a2a));
     }
     out
+}
+
+/// The socket rows' alltoallv on in-process ranks, whose channels hand the
+/// typed buffers over, on 2 and 4 ranks, rank 0's clock.
+fn channels(n: usize) -> Rows {
+    let grid = Grid::cube(n);
+    [2usize, 4]
+        .map(|p| {
+            let a2a = run_cluster(Topology::new(p, 2), move |comm| alltoallv(grid, comm));
+            (format!("alltoallv_chan_p{p}"), "ns/point", a2a.outputs[0])
+        })
+        .into()
 }
 
 /// The shipped `InvH0` application (`H0 = βA + ∇m̄ ⊗ ∇m̄` solved on spectra,
@@ -186,8 +205,8 @@ fn pcg_h0(n: usize) -> Rows {
 fn main() {
     let sizes = [2 * bench_n(), 3 * bench_n()];
     let (backend, threads) = (claire_simd::active_backend().label(), claire_par::num_threads());
-    let families: [fn(usize) -> Rows; 6] =
-        [fft_passes::<Real>, fft_passes::<f32>, interp, fft_dist, sockets, pcg_h0];
+    let families: [fn(usize) -> Rows; 7] =
+        [fft_passes::<Real>, fft_passes::<f32>, interp, fft_dist, sockets, channels, pcg_h0];
     for family in families {
         let [small, large] = sizes.map(family);
         for ((row, unit, a), (_, _, b)) in small.into_iter().zip(large) {

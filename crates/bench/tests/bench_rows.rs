@@ -25,7 +25,14 @@ fn every_line_is_one_json_row_and_no_row_repeats() {
             "one positive value per size: {line}"
         );
     }
-    for name in ["fft_pass_x1_f32", "interp_planned", "alltoallv_sock_p4", "pcg_h0_mixed"] {
+    let names = [
+        "fft_pass_x1_f32",
+        "interp_planned",
+        "alltoallv_sock_p4",
+        "alltoallv_chan_p4",
+        "pcg_h0_mixed",
+    ];
+    for name in names {
         assert!(seen.iter().any(|s| s == name), "row {name} missing from {seen:?}");
     }
 }

@@ -174,7 +174,7 @@ impl<T: FftElem> TwoLevelT<T> {
         if !self.any_remote {
             return;
         }
-        let parts = comm.alltoallv(&staged, CommCat::FftTranspose, AlltoallMethod::Auto);
+        let parts = comm.alltoallv_owned(staged, CommCat::FftTranspose, AlltoallMethod::Auto);
         timing::time(Kernel::FieldOps, || {
             for part in &parts {
                 // every field sends the same modes, so a message is NF equal runs

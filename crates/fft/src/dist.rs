@@ -162,11 +162,14 @@ impl<T: FftElem> DistFftT<T> {
         Layout { grid: self.grid, slab, nranks: self.nranks, rank: self.rank }
     }
 
-    /// One `alltoallv` for all fields of a transform (the packed messages
-    /// are freed before the caller allocates what it unpacks into).
+    /// One `alltoallv` for all fields of a transform. The packed messages
+    /// are handed over, not copied: in-process peers get the vectors
+    /// themselves and this rank's own stripe moves into the result, so the
+    /// sent buffers are gone before the caller allocates what it unpacks
+    /// into.
     fn transpose(&self, bufs: Vec<Vec<CpxT<T>>>, comm: &mut Comm) -> Vec<Vec<CpxT<T>>> {
         let _c = span("fft.transpose_comm");
-        comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto)
+        comm.alltoallv_owned(bufs, CommCat::FftTranspose, AlltoallMethod::Auto)
     }
 
     /// Forward r2c transform of a slab-distributed field: the one-field

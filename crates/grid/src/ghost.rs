@@ -242,7 +242,7 @@ pub fn exchange_into(field: &ScalarField, comm: &mut Comm, gf: &mut GhostField) 
                     let il = gi - layout.slab.i0;
                     buf.extend_from_slice(&field.data()[il * unpadded..(il + 1) * unpadded]);
                 }
-                comm.send(peer, TAG_GHOST, CommCat::Ghost, &buf);
+                comm.send_owned(peer, TAG_GHOST, CommCat::Ghost, buf);
             }
         }
 

@@ -201,7 +201,8 @@ impl Interpolator {
 
         // ---- phase: interp_comm (return values) ----
         let t0 = Instant::now();
-        let returned = comm.alltoallv(&value_bufs, CommCat::InterpValues, AlltoallMethod::Auto);
+        let returned =
+            comm.alltoallv_owned(value_bufs, CommCat::InterpValues, AlltoallMethod::Auto);
         self.stats.interp_comm += t0.elapsed().as_secs_f64();
 
         // reassemble into query order

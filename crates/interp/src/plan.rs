@@ -131,7 +131,7 @@ impl Interpolator {
 
         // ---- phase: scatter_comm (ship sites to their owners) ----
         let t0 = Instant::now();
-        let serve = comm.alltoallv(&dest_sites, CommCat::Scatter, AlltoallMethod::Auto);
+        let serve = comm.alltoallv_owned(dest_sites, CommCat::Scatter, AlltoallMethod::Auto);
         self.stats.scatter_comm += t0.elapsed().as_secs_f64();
         InterpPlan { layout, nq, sites: Sites::Routed { serve, origins } }
     }

@@ -287,24 +287,25 @@ impl Transport for SocketTransport {
 
     fn send(&mut self, dst: usize, msg: Message) -> Result<u64, TransportError> {
         let header = wire::encode_msg_header(&msg);
-        let frame_len = header.len() + msg.payload.len();
+        let payload = msg.payload.bytes();
+        let frame_len = header.len() + payload.len();
         let wire_bytes = (4 + frame_len) as u64;
         let stream = self.peers[dst].as_mut().ok_or_else(|| TransportError::Io {
             detail: format!("no stream to rank {dst} (self-send is not routed over sockets)"),
         })?;
-        let res = if msg.payload.len() <= self.eager_threshold {
+        let res = if payload.len() <= self.eager_threshold {
             // eager: one staged buffer, one write
             self.eager_msgs += 1;
             self.scratch.clear();
             self.scratch.reserve(4 + frame_len);
             self.scratch.extend_from_slice(&(frame_len as u32).to_be_bytes());
             self.scratch.extend_from_slice(&header);
-            self.scratch.extend_from_slice(&msg.payload);
+            self.scratch.extend_from_slice(payload);
             stream.write_all(&self.scratch).and_then(|_| stream.flush()).map_err(FrameError::Io)
         } else {
             // rendezvous: stream the payload from its source, no staging copy
             self.rendezvous_msgs += 1;
-            frame::write_frame_parts(stream, &[&header, &msg.payload])
+            frame::write_frame_parts(stream, &[&header, payload])
         };
         res.map_err(|e| TransportError::PeerLost { peer: dst, detail: e.to_string() })?;
         Ok(wire_bytes)
@@ -390,7 +391,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use claire_mpi::{AlltoallMethod, CommCat};
+    use claire_mpi::{AlltoallMethod, CommCat, Payload};
 
     #[test]
     fn socket_cluster_ring_exchange() {
@@ -433,7 +434,7 @@ mod tests {
                     src: 0,
                     tag,
                     cat: CommCat::Other,
-                    payload: payload.to_vec(),
+                    payload: Payload::Bytes(payload.to_vec()),
                 };
                 t.send(1, mk(&small, 1)).unwrap();
                 t.send(1, mk(&big, 2)).unwrap();
@@ -447,9 +448,10 @@ mod tests {
                     SocketTransport::bootstrap(&dir, 1, topo, SocketOpts::default()).unwrap();
                 let m1 = t.recv().unwrap();
                 let m2 = t.recv().unwrap();
-                assert_eq!((m1.tag, m1.payload.len()), (1, 64));
-                assert_eq!((m2.tag, m2.payload.len()), (2, 4096));
-                let ack = Message { src: 1, tag: 99, cat: CommCat::Other, payload: Vec::new() };
+                assert_eq!((m1.tag, m1.payload.bytes().len()), (1, 64));
+                assert_eq!((m2.tag, m2.payload.bytes().len()), (2, 4096));
+                let payload = Payload::Bytes(Vec::new());
+                let ack = Message { src: 1, tag: 99, cat: CommCat::Other, payload };
                 t.send(0, ack).unwrap();
             });
         });

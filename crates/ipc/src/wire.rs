@@ -15,7 +15,7 @@
 //! reserved, `src: u32`, `tag: u64`) followed by the raw payload; integers
 //! are big-endian like the frame length.
 
-use claire_mpi::{CommCat, Message, Topology};
+use claire_mpi::{CommCat, Message, Payload, Topology};
 
 /// Protocol magic for the bootstrap handshake ("CLIP" — CLaire IPc).
 pub const IPC_MAGIC: u32 = 0x434c_4950;
@@ -78,7 +78,7 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, DecodeError> {
         src: u32_at(frame, 4) as usize,
         tag: u64_at(frame, 8),
         cat,
-        payload: frame[MSG_HEADER_BYTES..].to_vec(),
+        payload: Payload::Bytes(frame[MSG_HEADER_BYTES..].to_vec()),
     })
 }
 
@@ -207,19 +207,19 @@ mod tests {
             src: 3,
             tag: u64::MAX - 6,
             cat: CommCat::FftTranspose,
-            payload: vec![9, 8, 7],
+            payload: Payload::Bytes(vec![9, 8, 7]),
         };
         let mut frame = encode_msg_header(&msg).to_vec();
         assert_eq!(frame.len(), 16);
         // one byte short of a header is refused, an empty payload is not
         assert!(decode_msg(&frame[..15]).unwrap_err().0.contains("too short"));
-        assert!(decode_msg(&frame).unwrap().payload.is_empty());
-        frame.extend_from_slice(&msg.payload);
+        assert!(decode_msg(&frame).unwrap().payload.bytes().is_empty());
+        frame.extend_from_slice(msg.payload.bytes());
         let back = decode_msg(&frame).unwrap();
         assert_eq!(back.src, 3);
         assert_eq!(back.tag, u64::MAX - 6);
         assert_eq!(back.cat, CommCat::FftTranspose);
-        assert_eq!(&back.payload[..], &[9, 8, 7]);
+        assert_eq!(back.payload.bytes(), &[9, 8, 7]);
     }
 
     #[test]

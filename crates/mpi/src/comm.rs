@@ -4,9 +4,10 @@
 // the MPI-style pseudocode they implement.
 #![allow(clippy::needless_range_loop)]
 
+use std::borrow::Cow;
 use std::time::Instant;
 
-use crate::message::Message;
+use crate::message::{Message, Payload};
 use crate::model::AlltoallMethod;
 use crate::pod::{as_bytes, from_bytes, Pod};
 use crate::stats::{CollOp, CommCat, CommStats};
@@ -30,6 +31,11 @@ const TAG_BAR_DOWN: u64 = u64::MAX - 11;
 /// Every collective is implemented over tagged point-to-point messages in a
 /// fixed deterministic rank order (reductions fold contributions in rank
 /// order at rank 0), so results are bitwise identical across transports.
+///
+/// On a transport that [moves values](Transport::moves_values) a send hands
+/// the typed vector itself to the receiver; the owning forms
+/// ([`Comm::send_owned`], [`Comm::alltoallv_owned`]) then copy nothing, and
+/// the borrowing forms copy once, on the sending side.
 pub struct Comm {
     rank: usize,
     topo: Topology,
@@ -106,11 +112,30 @@ impl Comm {
         self.send_impl(dst, tag, cat, data);
     }
 
+    /// [`Comm::send`] consuming `data`: a transport that moves values hands
+    /// the vector itself to `dst`.
+    pub fn send_owned<T: Pod>(&mut self, dst: usize, tag: u64, cat: CommCat, data: Vec<T>) {
+        self.stats.record_coll(CollOp::P2p, std::mem::size_of_val(data.as_slice()) as u64);
+        self.send_impl(dst, tag, cat, data);
+    }
+
     /// A send that is part of a collective: on the byte/message ledger of
-    /// `cat`, not on the `P2p` call count.
-    fn send_impl<T: Pod>(&mut self, dst: usize, tag: u64, cat: CommCat, data: &[T]) {
-        let payload = as_bytes(data).to_vec();
-        let nbytes = payload.len() as u64;
+    /// `cat`, not on the `P2p` call count. Copies `data` once if it is
+    /// borrowed or the transport takes bytes, and not at all otherwise.
+    fn send_impl<'a, T: Pod>(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        cat: CommCat,
+        data: impl Into<Cow<'a, [T]>>,
+    ) {
+        let data = data.into();
+        let payload = if self.transport.moves_values() {
+            Payload::values(data.into_owned())
+        } else {
+            Payload::Bytes(as_bytes(&data).to_vec())
+        };
+        let nbytes = payload.bytes().len() as u64;
         let msg = Message { src: self.rank, tag, cat, payload };
         let wire = self.transport.send(dst, msg).unwrap_or_else(|e| std::panic::panic_any(e));
         let c = self.stats.cat_mut(cat);
@@ -124,7 +149,8 @@ impl Comm {
     /// identical across transports, but still attributes real wire bytes to
     /// `Reduce`.
     fn send_control(&mut self, dst: usize, tag: u64) {
-        let msg = Message { src: self.rank, tag, cat: CommCat::Reduce, payload: Vec::new() };
+        let payload = Payload::Bytes(Vec::new());
+        let msg = Message { src: self.rank, tag, cat: CommCat::Reduce, payload };
         let wire = self.transport.send(dst, msg).unwrap_or_else(|e| std::panic::panic_any(e));
         self.stats.cat_mut(CommCat::Reduce).wire_bytes += wire;
     }
@@ -132,9 +158,31 @@ impl Comm {
     /// Blocking receive of a typed slice from `src` with `tag`.
     ///
     /// Matches `(src, tag)` in FIFO order; other messages arriving in the
-    /// meantime are buffered.
+    /// meantime are buffered. A moved `Vec<T>` is returned as it is; any
+    /// other payload is read as bytes, so receiving another element type
+    /// than was sent reinterprets the bits exactly as over a wire.
+    ///
+    /// # Panics
+    ///
+    /// If the payload is not a whole number of `T`s, naming the message.
     pub fn recv<T: Pod>(&mut self, src: usize, tag: u64, cat: CommCat) -> Vec<T> {
-        from_bytes(&self.recv_msg(src, tag, cat).payload)
+        let payload = self.recv_msg(src, tag, cat).payload;
+        let payload = match payload {
+            Payload::Values(v, view) => match v.downcast::<Vec<T>>() {
+                Ok(v) => return *v,
+                Err(v) => Payload::Values(v, view),
+            },
+            bytes => bytes,
+        };
+        let (bytes, size) = (payload.bytes(), std::mem::size_of::<T>());
+        assert!(
+            size == 0 || bytes.len().is_multiple_of(size),
+            "message from rank {src}, tag {tag}, category {}: {} bytes are not a whole number \
+             of {size}-byte elements",
+            cat.label(),
+            bytes.len()
+        );
+        from_bytes(bytes)
     }
 
     /// The next message from `src` with `tag`; the wait for it, if it has
@@ -210,10 +258,10 @@ impl Comm {
                 op(data, &contrib);
             }
             for dst in 1..self.size() {
-                self.send_impl(dst, TAG_DOWN, CommCat::Reduce, data);
+                self.send_impl(dst, TAG_DOWN, CommCat::Reduce, &*data);
             }
         } else {
-            self.send_impl(0, TAG_UP, CommCat::Reduce, data);
+            self.send_impl(0, TAG_UP, CommCat::Reduce, &*data);
             let result: Vec<T> = self.recv(0, TAG_DOWN, CommCat::Reduce);
             data.copy_from_slice(&result);
         }
@@ -256,7 +304,7 @@ impl Comm {
         if self.rank == root {
             for dst in 0..self.size() {
                 if dst != root {
-                    self.send_impl(dst, TAG_BCAST, CommCat::Reduce, data);
+                    self.send_impl(dst, TAG_BCAST, CommCat::Reduce, data.as_slice());
                 }
             }
         } else {
@@ -320,7 +368,7 @@ impl Comm {
             self.stats.record_coll(CollOp::Scatterv, sent as u64);
             for (dst, part) in parts.iter().enumerate() {
                 if dst != root {
-                    self.send_impl(dst, TAG_SCATTER, cat, part);
+                    self.send_impl(dst, TAG_SCATTER, cat, part.as_slice());
                 }
             }
             parts[root].clone()
@@ -338,35 +386,58 @@ impl Comm {
     /// machine; it is a hint the in-process and socket transports ignore —
     /// every exchange posts its p − 1 sends asynchronously, like the paper's
     /// peer-to-peer scheme.
+    ///
+    /// Every part is copied once: the own part into the result, a peer's
+    /// part into its message. A caller that packed its buffers for this
+    /// exchange alone should hand them over ([`Comm::alltoallv_owned`]).
     pub fn alltoallv<T: Pod>(
         &mut self,
         bufs: &[Vec<T>],
         cat: CommCat,
         _method: AlltoallMethod,
     ) -> Vec<Vec<T>> {
+        self.exchange(bufs.iter().map(|b| Cow::Borrowed(b.as_slice())), cat)
+    }
+
+    /// [`Comm::alltoallv`] consuming `bufs`: this rank's own part moves into
+    /// the result, and on a transport that moves values each peer's part
+    /// moves to that peer.
+    pub fn alltoallv_owned<T: Pod>(
+        &mut self,
+        bufs: Vec<Vec<T>>,
+        cat: CommCat,
+        _method: AlltoallMethod,
+    ) -> Vec<Vec<T>> {
+        self.exchange(bufs.into_iter().map(Cow::Owned), cat)
+    }
+
+    /// The all-to-all-v behind both forms.
+    fn exchange<'a, T: Pod>(
+        &mut self,
+        bufs: impl ExactSizeIterator<Item = Cow<'a, [T]>>,
+        cat: CommCat,
+    ) -> Vec<Vec<T>> {
         assert_eq!(bufs.len(), self.size(), "alltoallv needs one buffer per rank");
         const TAG_A2A: u64 = u64::MAX - 6;
         // post all sends (asynchronous, like the paper's P2P scheme)
-        for dst in 0..self.size() {
-            if dst != self.rank {
-                self.send_impl(dst, TAG_A2A, cat, &bufs[dst]);
+        let (mut own, mut per_rank_bytes) = (Vec::new(), 0);
+        for (dst, buf) in bufs.enumerate() {
+            if dst == self.rank {
+                own = buf.into_owned();
+            } else {
+                per_rank_bytes += std::mem::size_of_val(&*buf) as u64;
+                self.send_impl(dst, TAG_A2A, cat, buf);
             }
         }
         let mut out: Vec<Vec<T>> = Vec::with_capacity(self.size());
         for src in 0..self.size() {
             if src == self.rank {
-                out.push(bufs[src].clone());
+                out.push(std::mem::take(&mut own));
             } else {
                 out.push(self.recv(src, TAG_A2A, cat));
             }
         }
-        let per_rank_bytes: usize = bufs
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| *d != self.rank)
-            .map(|(_, b)| std::mem::size_of_val(b.as_slice()))
-            .sum();
-        self.stats.record_coll(CollOp::Alltoallv, per_rank_bytes as u64);
+        self.stats.record_coll(CollOp::Alltoallv, per_rank_bytes);
         out
     }
 }
@@ -374,7 +445,7 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{run_cluster, try_run_ranks};
+    use crate::cluster::{run_cluster, try_run_ranks, ClusterResult};
     use crate::transport::{AbortHandle, TransportError};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -443,17 +514,32 @@ mod tests {
         assert!(res.outputs.iter().all(|&ok| ok));
     }
 
+    /// Part r → d reaches d at index r, through the owning and the
+    /// borrowing form alike, on 1–4 ranks.
     #[test]
     fn alltoallv_permutation() {
-        let topo = Topology::new(4, 4);
-        let res = run_cluster(topo, |comm| {
-            let bufs: Vec<Vec<u64>> =
-                (0..comm.size()).map(|d| vec![(comm.rank() * 10 + d) as u64]).collect();
-            comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto)
-        });
-        for (r, out) in res.outputs.iter().enumerate() {
-            for (s, part) in out.iter().enumerate() {
-                assert_eq!(part, &vec![(s * 10 + r) as u64]);
+        for p in 1..=4 {
+            let res = run_cluster(Topology::new(p, 4), |comm| {
+                let r = comm.rank();
+                // part r → d holds (r + d) % 3 values: some parts are empty,
+                // the own part of ranks 0 and 3 among them
+                let bufs: Vec<Vec<u64>> = (0..comm.size())
+                    .map(|d| (0..(r + d) % 3).map(|i| (100 * r + 10 * d + i) as u64).collect())
+                    .collect();
+                let borrowed = comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto);
+                let after_borrowed = ledger(comm.stats());
+                let owned = comm.alltoallv_owned(bufs, CommCat::FftTranspose, AlltoallMethod::Auto);
+                let twice: Vec<_> = after_borrowed.iter().map(|&(a, b)| (2 * a, 2 * b)).collect();
+                assert_eq!(ledger(comm.stats()), twice, "both forms book the same traffic");
+                (borrowed, owned)
+            });
+            for (r, (borrowed, owned)) in res.outputs.iter().enumerate() {
+                assert_eq!(borrowed, owned, "p={p} rank {r}");
+                for (s, part) in owned.iter().enumerate() {
+                    let want: Vec<u64> =
+                        (0..(s + r) % 3).map(|i| (100 * s + 10 * r + i) as u64).collect();
+                    assert_eq!(part, &want, "p={p}: part {s} → {r}");
+                }
             }
         }
     }
@@ -491,7 +577,9 @@ mod tests {
         }
     }
 
-    /// Counts every message a rank puts on its transport.
+    /// A transport that, like the socket transport, cannot move values: it
+    /// delivers byte payloads over the channels, refuses a value payload
+    /// (which `Comm` must never hand it), and counts every message.
     struct Counting {
         inner: ChannelTransport,
         sent: Arc<AtomicUsize>,
@@ -505,9 +593,13 @@ mod tests {
             self.inner.topo()
         }
         fn kind(&self) -> &'static str {
-            self.inner.kind()
+            "bytes"
         }
         fn send(&mut self, dst: usize, msg: Message) -> Result<u64, TransportError> {
+            if let Payload::Values(..) = msg.payload {
+                let detail = format!("value payload on a byte transport: {msg:?}");
+                return Err(TransportError::Io { detail });
+            }
             self.sent.fetch_add(1, Ordering::Relaxed);
             self.inner.send(dst, msg)
         }
@@ -516,9 +608,12 @@ mod tests {
         }
     }
 
-    /// Messages one `op` on every rank of a `p`-rank cluster puts on the
-    /// transports, in total.
-    fn messages_on_the_transport(p: usize, op: impl Fn(&mut Comm) + Sync) -> usize {
+    /// `f` on every rank of a `p`-rank cluster over [`Counting`] transports,
+    /// and the messages they carried, in total.
+    fn run_on_bytes<R: Send>(
+        p: usize,
+        f: impl Fn(&mut Comm) -> R + Sync,
+    ) -> (ClusterResult<R>, usize) {
         let topo = Topology::new(p, 4);
         let sent = Arc::new(AtomicUsize::new(0));
         let mesh = ChannelTransport::mesh(topo);
@@ -526,14 +621,93 @@ mod tests {
             let inner = mesh(rank, abort);
             Comm::from_transport(Box::new(Counting { inner, sent: Arc::clone(&sent) }))
         };
-        try_run_ranks(p, connect, op).unwrap();
-        sent.load(Ordering::Relaxed)
+        let res = try_run_ranks(p, connect, f).unwrap_or_else(|e| panic!("{e}"));
+        (res, sent.load(Ordering::Relaxed))
+    }
+
+    /// `(bytes_sent, msgs_sent)` of every category, then `(calls, bytes)` of
+    /// every operation: the ledger every transport must keep alike.
+    fn ledger(stats: &CommStats) -> Vec<(u64, u64)> {
+        let cats = CommCat::ALL.iter().map(|&c| (stats.cat(c).bytes_sent, stats.cat(c).msgs_sent));
+        let colls = CollOp::ALL.iter().map(|&op| (stats.coll(op).calls, stats.coll(op).bytes));
+        cats.chain(colls).collect()
+    }
+
+    /// Every path a payload can take — borrowed and owned sends and
+    /// all-to-alls, a type pun, the collectives — as bit patterns.
+    fn battery(comm: &mut Comm) -> Vec<u64> {
+        let (r, p) = (comm.rank(), comm.size());
+        let mut bits = Vec::new();
+        let right = (r + 1) % p;
+        let left = (r + p - 1) % p;
+        comm.send(right, 1, CommCat::Ghost, &[r as f64 + 0.5, -1.0]);
+        comm.send_owned(right, 2, CommCat::Ghost, vec![[r as u32; 3]]);
+        comm.send_owned(right, 3, CommCat::Other, vec![(r as f64 + 0.25).to_bits()]);
+        let got: Vec<f64> = comm.recv(left, 1, CommCat::Ghost);
+        bits.extend(got.iter().map(|x| x.to_bits()));
+        let got: Vec<[u32; 3]> = comm.recv(left, 2, CommCat::Ghost);
+        bits.extend(got.iter().flatten().map(|&x| x as u64));
+        // sent as u64, received as f64: the same bits either way
+        let punned: Vec<f64> = comm.recv(left, 3, CommCat::Other);
+        bits.extend(punned.iter().map(|x| x.to_bits()));
+        let bufs: Vec<Vec<f32>> = (0..p)
+            .map(|d| (0..(r + d) % 3).map(|i| (r * 10 + d) as f32 + i as f32).collect())
+            .collect();
+        for part in comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto) {
+            bits.extend(part.iter().map(|x| x.to_bits() as u64));
+        }
+        for part in comm.alltoallv_owned(bufs, CommCat::Scatter, AlltoallMethod::Auto) {
+            bits.extend(part.iter().map(|x| x.to_bits() as u64));
+        }
+        bits.push(comm.allreduce_sum_scalar(r as f64 * 0.1).to_bits());
+        let mut b = if r == 0 { vec![7u64, 9] } else { Vec::new() };
+        comm.broadcast(0, &mut b);
+        bits.extend(b);
+        let parts = comm.gatherv(0, &vec![r as u16; r + 1], CommCat::FieldRedist);
+        bits.extend(
+            comm.scatterv(0, parts.as_deref(), CommCat::FieldRedist).iter().map(|&x| x as u64),
+        );
+        comm.barrier();
+        bits
+    }
+
+    #[test]
+    fn byte_transports_get_bytes_and_the_same_results_and_ledger() {
+        for p in 1..=4 {
+            let chan = run_cluster(Topology::new(p, 4), battery);
+            let (bytes, _) = run_on_bytes(p, battery);
+            assert_eq!(chan.outputs, bytes.outputs, "p={p}");
+            for (c, b) in chan.stats.iter().zip(&bytes.stats) {
+                assert_eq!(ledger(c), ledger(b), "p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_receive_of_a_mismatched_element_size_names_the_message() {
+        // 12 bytes are no whole number of f64s, moved or as bytes
+        let recv_u32s_as_f64s = |comm: &mut Comm| {
+            comm.send_owned(0, 5, CommCat::Ghost, vec![1u32, 2, 3]);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _: Vec<f64> = comm.recv(0, 5, CommCat::Ghost);
+            }))
+            .map_err(|e| crate::panic_message(&*e))
+        };
+        let mut solo = Comm::solo();
+        let (bytes, _) = run_on_bytes(1, recv_u32s_as_f64s);
+        for err in [recv_u32s_as_f64s(&mut solo), bytes.outputs.into_iter().next().unwrap()] {
+            let err = err.expect_err("a 12-byte payload read as f64s");
+            for part in ["rank 0", "tag 5", "ghost_comm", "12 bytes", "8-byte"] {
+                assert!(err.contains(part), "{part:?} missing from {err:?}");
+            }
+        }
     }
 
     #[test]
     fn collectives_send_their_own_messages_and_no_more() {
         for p in 2..=4 {
-            let n = |op: fn(&mut Comm)| messages_on_the_transport(p, op);
+            // messages one op on every rank puts on the transports, in total
+            let n = |op: fn(&mut Comm)| run_on_bytes(p, op).1;
             assert_eq!(n(|c| c.allreduce_sum(&mut [1.0])), 2 * (p - 1), "allreduce, p={p}");
             assert_eq!(n(|c| c.broadcast(1, &mut vec![7u64])), p - 1, "broadcast, p={p}");
             let a2a = |c: &mut Comm| {

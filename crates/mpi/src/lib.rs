@@ -59,7 +59,7 @@ pub use cluster::{
     panic_message, run_cluster, try_run_cluster, try_run_ranks, ClusterError, ClusterResult,
 };
 pub use comm::Comm;
-pub use message::Message;
+pub use message::{Message, Payload};
 pub use model::AlltoallMethod;
 pub use pod::Pod;
 pub use stats::{CatStats, CollOp, CollStats, CommCat, CommStats};

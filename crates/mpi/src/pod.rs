@@ -1,7 +1,9 @@
 //! Plain-old-data marker for zero-copy message payloads.
 //!
-//! Messages in the virtual cluster are byte buffers (`Vec<u8>`). To send
-//! typed slices without a serialization framework we restrict payload
+//! A message crossing an address space is a byte buffer (`Vec<u8>`); one
+//! between ranks of one process may carry the typed `Vec<T>` itself, and is
+//! still read as bytes when the receiver asks for another element type. To
+//! send typed slices without a serialization framework we restrict payload
 //! element types to "plain old data": `Copy` types with no padding whose any
 //! bit pattern is a valid value. This mirrors what CUDA-aware MPI does with
 //! device buffers: raw bytes on the wire.

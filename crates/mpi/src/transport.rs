@@ -7,15 +7,22 @@
 //! * [`ChannelTransport`] — the in-process default. Ranks are threads and
 //!   messages travel through `std::sync::mpsc` channels (each rank is the one
 //!   consumer of its own); nothing crosses a wire, so
-//!   `send` reports 0 wire bytes. This is the zero-cost path used by
-//!   [`crate::run_cluster`] and [`Comm::solo`](crate::Comm::solo).
+//!   `send` reports 0 wire bytes. It moves values
+//!   ([`Transport::moves_values`]): a message carries the sender's typed
+//!   `Vec<T>` ([`Payload::Values`](crate::message::Payload::Values)) and the
+//!   receiver gets that vector back, with no byte copy on either side. This
+//!   is the path used by [`crate::run_cluster`] and
+//!   [`Comm::solo`](crate::Comm::solo).
 //! * `SocketTransport` (in the `claire-ipc` crate) — true multi-process
 //!   execution over Unix-domain sockets with length-framed binary messages;
-//!   `send` reports the real bytes-on-wire (frame header + payload).
+//!   it only ever gets [`Payload::Bytes`](crate::message::Payload::Bytes),
+//!   and `send` reports the real bytes-on-wire (frame header + payload).
 //!
 //! Because the collectives live in `Comm` and reduce in a fixed
-//! deterministic rank order, swapping the transport changes *how* bytes
-//! move but not a single bit of any collective's result.
+//! deterministic rank order, and a receive yields the same elements from
+//! moved values as from bytes, swapping the transport changes *how*
+//! payloads move but not a single bit of any collective's result, nor a
+//! byte or message of the traffic ledger.
 //!
 //! # Failure model
 //!
@@ -137,6 +144,14 @@ pub trait Transport: Send {
     /// Short identifier for reports: `"channel"` or `"socket"`.
     fn kind(&self) -> &'static str;
 
+    /// Whether `send` can take a [`Payload::Values`](crate::message::Payload)
+    /// message and deliver the moved vector itself, i.e. sender and receiver
+    /// share one address space. When false (the default), [`Comm`](crate::Comm)
+    /// only ever sends bytes.
+    fn moves_values(&self) -> bool {
+        false
+    }
+
     /// Deliver `msg` to rank `dst`. Non-blocking (buffered).
     ///
     /// Returns the number of bytes that crossed a real wire — 0 for
@@ -211,6 +226,10 @@ impl Transport for ChannelTransport {
         "channel"
     }
 
+    fn moves_values(&self) -> bool {
+        true
+    }
+
     fn send(&mut self, dst: usize, msg: Message) -> Result<u64, TransportError> {
         // a rank that already returned has dropped its receiver; a message
         // it will never read is not a failure of the sender
@@ -248,10 +267,11 @@ impl Transport for ChannelTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Payload;
     use crate::stats::CommCat;
 
     fn msg(src: usize, tag: u64) -> Message {
-        Message { src, tag, cat: CommCat::Other, payload: vec![1, 2, 3] }
+        Message { src, tag, cat: CommCat::Other, payload: Payload::Bytes(vec![1, 2, 3]) }
     }
 
     #[test]

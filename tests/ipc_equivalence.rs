@@ -2,14 +2,16 @@
 //! indistinguishable from the channel transport.
 //!
 //! Every collective is built on the same deterministic rank-ordered
-//! point-to-point schedule, so swapping the bytes' carrier (crossbeam
-//! channels vs Unix-domain sockets) must not change a single result bit.
+//! point-to-point schedule, so swapping the carrier (`std::sync::mpsc`
+//! channels that hand the sender's typed vectors over, vs Unix-domain
+//! sockets that carry bytes) must not change a single result bit, nor a
+//! byte, message or call of the logical traffic ledger.
 //! The end-to-end half of the contract — a real multi-process
 //! `claire-cli launch` run reproducing the threads-as-ranks trajectory
 //! field-for-field — is exercised against the built binary.
 
 use claire::ipc::run_socket_cluster;
-use claire::mpi::{run_cluster, AlltoallMethod, Comm, CommCat, Topology};
+use claire::mpi::{run_cluster, AlltoallMethod, CollOp, Comm, CommCat, Topology};
 use proptest::prelude::*;
 use serde_json::Value;
 use std::process::Command;
@@ -56,6 +58,17 @@ fn collective_battery(comm: &mut Comm, seed: u64) -> Vec<u64> {
     for got in comm.alltoallv(&bufs, CommCat::FftTranspose, AlltoallMethod::Auto) {
         bits.extend(got.iter().map(|x| x.to_bits()));
     }
+    // The owning form, as the hot callers use it: the same parts.
+    for got in comm.alltoallv_owned(bufs, CommCat::Scatter, AlltoallMethod::Auto) {
+        bits.extend(got.iter().map(|x| x.to_bits()));
+    }
+
+    // A type pun: u64s sent, f64s received, the same bits on every carrier.
+    let right = (rank + 1) % p;
+    let words: Vec<u64> = (0..3 + rank).map(|i| val(seed ^ 6, rank, i).to_bits()).collect();
+    comm.send_owned(right, 11, CommCat::Other, words);
+    let punned: Vec<f64> = comm.recv((rank + p - 1) % p, 11, CommCat::Other);
+    bits.extend(punned.iter().map(|x| x.to_bits()));
 
     comm.barrier();
     bits
@@ -72,11 +85,15 @@ proptest! {
         let sock = run_socket_cluster(topo, |comm| collective_battery(comm, seed));
         prop_assert_eq!(&chan.outputs, &sock.outputs);
         // The logical ledgers agree too: same payload bytes, same message
-        // counts — only wire_bytes (real framing) and the blocked time differ.
+        // counts, same per-operation calls and bytes — only wire_bytes (real
+        // framing) and the blocked time differ.
         for (cs, ss) in chan.stats.iter().zip(&sock.stats) {
-            for cat in claire::mpi::CommCat::ALL.iter().copied() {
+            for cat in CommCat::ALL.iter().copied() {
                 prop_assert_eq!(cs.cat(cat).bytes_sent, ss.cat(cat).bytes_sent);
                 prop_assert_eq!(cs.cat(cat).msgs_sent, ss.cat(cat).msgs_sent);
+            }
+            for op in CollOp::ALL.iter().copied() {
+                prop_assert_eq!(cs.coll(op), ss.coll(op), "{}", op.label());
             }
         }
     }
