@@ -9,7 +9,7 @@
 //! | `interp_planned_linear` | the trilinear evaluation (`reg_fft`'s kernel) is only ever timed with its plan build |
 //! | `fft_dist_roundtrip_p2` | the FFT probes run on the workload's ranks; only `reg_2r` has two, at 40×32×24 |
 //! | `ghost_sock_p{2,4}`, `alltoallv_sock_p{2,4}` | no workload runs the socket transport |
-//! | `alltoallv_chan_p{2,4}` | `mpi.alltoallv_ms` times one volume on two ranks; this is the in-process carrier beside the socket rows, same volume, 2 and 4 ranks |
+//! | `alltoallv_chan_p{2,4}` | `mpi.alltoallv_ms` times one volume on two ranks; this is the in-process carrier beside the socket rows, same volume, 2 and 4 ranks, borrowing form |
 //! | `pcg_h0`, `pcg_h0_mixed` | `core.precond_s` is a whole solve's total; this is per point per inner iteration, and its growth between the two sizes is what ROADMAP item 4 is judged on |
 //!
 //! The rows say which layer moved; nothing is gated on them. A performance
@@ -120,8 +120,8 @@ fn fft_dist(n: usize) -> Rows {
     vec![("fft_dist_roundtrip_p2".into(), "ns/point", t)]
 }
 
-/// An alltoallv with the per-pair volume of a slab transpose of `grid`,
-/// this rank's clock.
+/// An alltoallv with the per-pair volume of a slab transpose of `grid`, in
+/// the borrowing form (every part copied once on send), this rank's clock.
 fn alltoallv(grid: Grid, comm: &mut Comm) -> f64 {
     let p = comm.size();
     let bufs = vec![vec![0.5 as Real; grid.len() / (p * p)]; p];
@@ -153,8 +153,11 @@ fn sockets(n: usize) -> Rows {
     out
 }
 
-/// The socket rows' alltoallv on in-process ranks, whose channels hand the
-/// typed buffers over, on 2 and 4 ranks, rank 0's clock.
+/// The socket rows' alltoallv on in-process ranks, on 2 and 4 ranks, rank
+/// 0's clock. It times the borrowing form, so the copy on send is what it
+/// measures: the owning form the FFT, interpolation and 2LInvH0 callers run
+/// moves every part and costs a per-message latency that does not grow with
+/// the volume, below this row's 0.01 ns/point resolution at 64³.
 fn channels(n: usize) -> Rows {
     let grid = Grid::cube(n);
     [2usize, 4]

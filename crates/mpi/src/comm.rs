@@ -4,12 +4,11 @@
 // the MPI-style pseudocode they implement.
 #![allow(clippy::needless_range_loop)]
 
-use std::borrow::Cow;
 use std::time::Instant;
 
 use crate::message::{Message, Payload};
 use crate::model::AlltoallMethod;
-use crate::pod::{as_bytes, from_bytes, Pod};
+use crate::pod::{from_bytes, Pod};
 use crate::stats::{CollOp, CommCat, CommStats};
 use crate::topology::Topology;
 use crate::transport::{ChannelTransport, Transport};
@@ -32,10 +31,10 @@ const TAG_BAR_DOWN: u64 = u64::MAX - 11;
 /// fixed deterministic rank order (reductions fold contributions in rank
 /// order at rank 0), so results are bitwise identical across transports.
 ///
-/// On a transport that [moves values](Transport::moves_values) a send hands
-/// the typed vector itself to the receiver; the owning forms
-/// ([`Comm::send_owned`], [`Comm::alltoallv_owned`]) then copy nothing, and
-/// the borrowing forms copy once, on the sending side.
+/// A message carries the sent `Vec<T>` itself: the channel transport hands
+/// it to the receiver, the socket transport writes its bytes. The owning
+/// forms ([`Comm::send_owned`], [`Comm::alltoallv_owned`]) copy nothing on
+/// the sending side, and the borrowing forms copy once.
 pub struct Comm {
     rank: usize,
     topo: Topology,
@@ -109,32 +108,19 @@ impl Comm {
     /// Send a typed slice to `dst` with `tag`. Non-blocking (buffered).
     pub fn send<T: Pod>(&mut self, dst: usize, tag: u64, cat: CommCat, data: &[T]) {
         self.stats.record_coll(CollOp::P2p, std::mem::size_of_val(data) as u64);
-        self.send_impl(dst, tag, cat, data);
+        self.send_impl(dst, tag, cat, data.to_vec());
     }
 
-    /// [`Comm::send`] consuming `data`: a transport that moves values hands
-    /// the vector itself to `dst`.
+    /// [`Comm::send`] consuming `data`: the vector itself goes to `dst`.
     pub fn send_owned<T: Pod>(&mut self, dst: usize, tag: u64, cat: CommCat, data: Vec<T>) {
         self.stats.record_coll(CollOp::P2p, std::mem::size_of_val(data.as_slice()) as u64);
         self.send_impl(dst, tag, cat, data);
     }
 
     /// A send that is part of a collective: on the byte/message ledger of
-    /// `cat`, not on the `P2p` call count. Copies `data` once if it is
-    /// borrowed or the transport takes bytes, and not at all otherwise.
-    fn send_impl<'a, T: Pod>(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        cat: CommCat,
-        data: impl Into<Cow<'a, [T]>>,
-    ) {
-        let data = data.into();
-        let payload = if self.transport.moves_values() {
-            Payload::values(data.into_owned())
-        } else {
-            Payload::Bytes(as_bytes(&data).to_vec())
-        };
+    /// `cat`, not on the `P2p` call count.
+    fn send_impl<T: Pod>(&mut self, dst: usize, tag: u64, cat: CommCat, data: Vec<T>) {
+        let payload = Payload::values(data);
         let nbytes = payload.bytes().len() as u64;
         let msg = Message { src: self.rank, tag, cat, payload };
         let wire = self.transport.send(dst, msg).unwrap_or_else(|e| std::panic::panic_any(e));
@@ -174,15 +160,16 @@ impl Comm {
             },
             bytes => bytes,
         };
-        let (bytes, size) = (payload.bytes(), std::mem::size_of::<T>());
-        assert!(
-            size == 0 || bytes.len().is_multiple_of(size),
-            "message from rank {src}, tag {tag}, category {}: {} bytes are not a whole number \
-             of {size}-byte elements",
-            cat.label(),
-            bytes.len()
-        );
-        from_bytes(bytes)
+        let bytes = payload.bytes();
+        from_bytes(bytes).unwrap_or_else(|| {
+            panic!(
+                "message from rank {src}, tag {tag}, category {}: {} bytes are not a whole \
+                 number of {}-byte elements",
+                cat.label(),
+                bytes.len(),
+                std::mem::size_of::<T>()
+            )
+        })
     }
 
     /// The next message from `src` with `tag`; the wait for it, if it has
@@ -258,10 +245,10 @@ impl Comm {
                 op(data, &contrib);
             }
             for dst in 1..self.size() {
-                self.send_impl(dst, TAG_DOWN, CommCat::Reduce, &*data);
+                self.send_impl(dst, TAG_DOWN, CommCat::Reduce, data.to_vec());
             }
         } else {
-            self.send_impl(0, TAG_UP, CommCat::Reduce, &*data);
+            self.send_impl(0, TAG_UP, CommCat::Reduce, data.to_vec());
             let result: Vec<T> = self.recv(0, TAG_DOWN, CommCat::Reduce);
             data.copy_from_slice(&result);
         }
@@ -304,7 +291,7 @@ impl Comm {
         if self.rank == root {
             for dst in 0..self.size() {
                 if dst != root {
-                    self.send_impl(dst, TAG_BCAST, CommCat::Reduce, data.as_slice());
+                    self.send_impl(dst, TAG_BCAST, CommCat::Reduce, data.clone());
                 }
             }
         } else {
@@ -339,7 +326,7 @@ impl Comm {
             Some(parts)
         } else {
             self.stats.record_coll(CollOp::Gatherv, std::mem::size_of_val(data) as u64);
-            self.send_impl(root, TAG_GATHER, cat, data);
+            self.send_impl(root, TAG_GATHER, cat, data.to_vec());
             None
         }
     }
@@ -368,7 +355,7 @@ impl Comm {
             self.stats.record_coll(CollOp::Scatterv, sent as u64);
             for (dst, part) in parts.iter().enumerate() {
                 if dst != root {
-                    self.send_impl(dst, TAG_SCATTER, cat, part.as_slice());
+                    self.send_impl(dst, TAG_SCATTER, cat, part.clone());
                 }
             }
             parts[root].clone()
@@ -387,45 +374,35 @@ impl Comm {
     /// every exchange posts its p − 1 sends asynchronously, like the paper's
     /// peer-to-peer scheme.
     ///
-    /// Every part is copied once: the own part into the result, a peer's
-    /// part into its message. A caller that packed its buffers for this
-    /// exchange alone should hand them over ([`Comm::alltoallv_owned`]).
+    /// Every part is copied once, into [`Comm::alltoallv_owned`]. A caller
+    /// that packed its buffers for this exchange alone should hand them over
+    /// to that form instead.
     pub fn alltoallv<T: Pod>(
         &mut self,
         bufs: &[Vec<T>],
         cat: CommCat,
-        _method: AlltoallMethod,
+        method: AlltoallMethod,
     ) -> Vec<Vec<T>> {
-        self.exchange(bufs.iter().map(|b| Cow::Borrowed(b.as_slice())), cat)
+        self.alltoallv_owned(bufs.to_vec(), cat, method)
     }
 
     /// [`Comm::alltoallv`] consuming `bufs`: this rank's own part moves into
-    /// the result, and on a transport that moves values each peer's part
-    /// moves to that peer.
+    /// the result and each peer's part moves into its message.
     pub fn alltoallv_owned<T: Pod>(
         &mut self,
         bufs: Vec<Vec<T>>,
         cat: CommCat,
         _method: AlltoallMethod,
     ) -> Vec<Vec<T>> {
-        self.exchange(bufs.into_iter().map(Cow::Owned), cat)
-    }
-
-    /// The all-to-all-v behind both forms.
-    fn exchange<'a, T: Pod>(
-        &mut self,
-        bufs: impl ExactSizeIterator<Item = Cow<'a, [T]>>,
-        cat: CommCat,
-    ) -> Vec<Vec<T>> {
         assert_eq!(bufs.len(), self.size(), "alltoallv needs one buffer per rank");
         const TAG_A2A: u64 = u64::MAX - 6;
         // post all sends (asynchronous, like the paper's P2P scheme)
         let (mut own, mut per_rank_bytes) = (Vec::new(), 0);
-        for (dst, buf) in bufs.enumerate() {
+        for (dst, buf) in bufs.into_iter().enumerate() {
             if dst == self.rank {
-                own = buf.into_owned();
+                own = buf;
             } else {
-                per_rank_bytes += std::mem::size_of_val(&*buf) as u64;
+                per_rank_bytes += std::mem::size_of_val(buf.as_slice()) as u64;
                 self.send_impl(dst, TAG_A2A, cat, buf);
             }
         }
@@ -577,9 +554,8 @@ mod tests {
         }
     }
 
-    /// A transport that, like the socket transport, cannot move values: it
-    /// delivers byte payloads over the channels, refuses a value payload
-    /// (which `Comm` must never hand it), and counts every message.
+    /// A transport that, like the socket transport, delivers only a
+    /// payload's bytes, here over the channels, and counts every message.
     struct Counting {
         inner: ChannelTransport,
         sent: Arc<AtomicUsize>,
@@ -596,12 +572,9 @@ mod tests {
             "bytes"
         }
         fn send(&mut self, dst: usize, msg: Message) -> Result<u64, TransportError> {
-            if let Payload::Values(..) = msg.payload {
-                let detail = format!("value payload on a byte transport: {msg:?}");
-                return Err(TransportError::Io { detail });
-            }
             self.sent.fetch_add(1, Ordering::Relaxed);
-            self.inner.send(dst, msg)
+            let payload = Payload::Bytes(msg.payload.bytes().to_vec());
+            self.inner.send(dst, Message { payload, ..msg })
         }
         fn recv(&mut self) -> Result<Message, TransportError> {
             self.inner.recv()
@@ -672,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_transports_get_bytes_and_the_same_results_and_ledger() {
+    fn byte_transports_give_the_same_results_and_ledger() {
         for p in 1..=4 {
             let chan = run_cluster(Topology::new(p, 4), battery);
             let (bytes, _) = run_on_bytes(p, battery);

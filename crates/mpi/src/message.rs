@@ -1,16 +1,15 @@
 //! Wire format of the virtual cluster.
 //!
-//! A message carries its payload in one of two forms. A transport that
-//! crosses an address space (the `claire-ipc` socket transport) gets
+//! A message carries its payload in one of two forms.
+//! [`Comm`](crate::Comm) sends [`Payload::Values`]: the sender's typed
+//! `Vec<T>` itself. A transport whose ranks share one address space
+//! ([`ChannelTransport`](crate::ChannelTransport)) moves that vector to the
+//! receiver, the way the paper's intra-node P2P hands a device buffer over
+//! without staging copies. A transport that crosses an address space (the
+//! `claire-ipc` socket transport) writes its byte view and delivers
 //! [`Payload::Bytes`]: the raw bytes CUDA-aware MPI would put on the wire.
-//! A transport whose ranks share one address space
-//! ([`ChannelTransport`](crate::ChannelTransport)) gets [`Payload::Values`]:
-//! the sender's typed `Vec<T>` itself, moved to the receiver the way the
-//! paper's intra-node P2P hands a device buffer over without staging copies.
-//! [`Comm`](crate::Comm) picks the form from
-//! [`Transport::moves_values`](crate::Transport::moves_values), and a
-//! receive yields the same elements from either, so the choice never
-//! changes a bit of any result.
+//! A receive yields the same elements from either form, so the carrier
+//! never changes a bit of any result.
 
 use std::any::Any;
 

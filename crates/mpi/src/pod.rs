@@ -1,8 +1,8 @@
 //! Plain-old-data marker for zero-copy message payloads.
 //!
-//! A message crossing an address space is a byte buffer (`Vec<u8>`); one
-//! between ranks of one process may carry the typed `Vec<T>` itself, and is
-//! still read as bytes when the receiver asks for another element type. To
+//! A message carries the sender's typed `Vec<T>`; it is read as bytes when
+//! it crossed an address space as a byte buffer (`Vec<u8>`) or when the
+//! receiver asks for another element type. To
 //! send typed slices without a serialization framework we restrict payload
 //! element types to "plain old data": `Copy` types with no padding whose any
 //! bit pattern is a valid value. This mirrors what CUDA-aware MPI does with
@@ -40,19 +40,13 @@ pub fn as_bytes<T: Pod>(slice: &[T]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(slice.as_ptr() as *const u8, std::mem::size_of_val(slice)) }
 }
 
-/// Copy raw bytes into a typed vector.
-///
-/// # Panics
-///
-/// Panics if `bytes.len()` is not a multiple of `size_of::<T>()`.
-pub fn from_bytes<T: Pod>(bytes: &[u8]) -> Vec<T> {
+/// Copy raw bytes into a typed vector, or `None` if `bytes.len()` is not a
+/// multiple of `size_of::<T>()`.
+pub fn from_bytes<T: Pod>(bytes: &[u8]) -> Option<Vec<T>> {
     let size = std::mem::size_of::<T>();
-    assert!(
-        size == 0 || bytes.len().is_multiple_of(size),
-        "byte length {} is not a multiple of element size {}",
-        bytes.len(),
-        size
-    );
+    if size != 0 && !bytes.len().is_multiple_of(size) {
+        return None;
+    }
     let n = bytes.len().checked_div(size).unwrap_or(0);
     let mut out = Vec::<T>::with_capacity(n);
     // SAFETY: we reserved n elements; T: Pod means any bit pattern is valid;
@@ -61,7 +55,7 @@ pub fn from_bytes<T: Pod>(bytes: &[u8]) -> Vec<T> {
         std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr() as *mut u8, n * size);
         out.set_len(n);
     }
-    out
+    Some(out)
 }
 
 #[cfg(test)]
@@ -73,28 +67,26 @@ mod tests {
         let xs = vec![1.0f64, -2.5, 3.25, f64::MIN_POSITIVE];
         let bytes = as_bytes(&xs);
         assert_eq!(bytes.len(), 32);
-        let back: Vec<f64> = from_bytes(bytes);
+        let back: Vec<f64> = from_bytes(bytes).unwrap();
         assert_eq!(back, xs);
     }
 
     #[test]
     fn roundtrip_u32_arrays() {
         let xs = vec![[1u32, 2, 3], [4, 5, 6]];
-        let back: Vec<[u32; 3]> = from_bytes(as_bytes(&xs));
+        let back: Vec<[u32; 3]> = from_bytes(as_bytes(&xs)).unwrap();
         assert_eq!(back, xs);
     }
 
     #[test]
     fn empty_slice() {
         let xs: Vec<f32> = vec![];
-        let back: Vec<f32> = from_bytes(as_bytes(&xs));
+        let back: Vec<f32> = from_bytes(as_bytes(&xs)).unwrap();
         assert!(back.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn misaligned_length_panics() {
-        let bytes = [0u8; 7];
-        let _: Vec<f64> = from_bytes(&bytes);
+    fn misaligned_length_is_refused() {
+        assert_eq!(from_bytes::<f64>(&[0u8; 7]), None);
     }
 }

@@ -7,16 +7,17 @@
 //! * [`ChannelTransport`] — the in-process default. Ranks are threads and
 //!   messages travel through `std::sync::mpsc` channels (each rank is the one
 //!   consumer of its own); nothing crosses a wire, so
-//!   `send` reports 0 wire bytes. It moves values
-//!   ([`Transport::moves_values`]): a message carries the sender's typed
-//!   `Vec<T>` ([`Payload::Values`](crate::message::Payload::Values)) and the
-//!   receiver gets that vector back, with no byte copy on either side. This
-//!   is the path used by [`crate::run_cluster`] and
+//!   `send` reports 0 wire bytes. It moves values: the sender's typed
+//!   `Vec<T>` ([`Payload::Values`](crate::message::Payload::Values)) reaches
+//!   the receiver as it is, with no byte copy on either side. This is the
+//!   path used by [`crate::run_cluster`] and
 //!   [`Comm::solo`](crate::Comm::solo).
 //! * `SocketTransport` (in the `claire-ipc` crate) — true multi-process
 //!   execution over Unix-domain sockets with length-framed binary messages;
-//!   it only ever gets [`Payload::Bytes`](crate::message::Payload::Bytes),
-//!   and `send` reports the real bytes-on-wire (frame header + payload).
+//!   it sends bytes: it writes a payload's byte view
+//!   ([`Payload::bytes`](crate::message::Payload::bytes)) and delivers
+//!   [`Payload::Bytes`](crate::message::Payload::Bytes), and `send` reports
+//!   the real bytes-on-wire (frame header + payload).
 //!
 //! Because the collectives live in `Comm` and reduce in a fixed
 //! deterministic rank order, and a receive yields the same elements from
@@ -144,14 +145,6 @@ pub trait Transport: Send {
     /// Short identifier for reports: `"channel"` or `"socket"`.
     fn kind(&self) -> &'static str;
 
-    /// Whether `send` can take a [`Payload::Values`](crate::message::Payload)
-    /// message and deliver the moved vector itself, i.e. sender and receiver
-    /// share one address space. When false (the default), [`Comm`](crate::Comm)
-    /// only ever sends bytes.
-    fn moves_values(&self) -> bool {
-        false
-    }
-
     /// Deliver `msg` to rank `dst`. Non-blocking (buffered).
     ///
     /// Returns the number of bytes that crossed a real wire — 0 for
@@ -224,10 +217,6 @@ impl Transport for ChannelTransport {
 
     fn kind(&self) -> &'static str {
         "channel"
-    }
-
-    fn moves_values(&self) -> bool {
-        true
     }
 
     fn send(&mut self, dst: usize, msg: Message) -> Result<u64, TransportError> {

@@ -380,19 +380,6 @@ EOF
     echo "net smoke: one worker served, solved a repeat again, refused the removed flags OK"
 }
 
-# Two launch reports (socket, in-process) of one problem: the same
-# rel_mismatch bits and the same GN trajectory, record for record.
-same_trajectory() {
-    local pm tm
-    pm="$(grep '"rel_mismatch"' "$1")"
-    tm="$(grep '"rel_mismatch"' "$2")"
-    [ -n "$pm" ] && [ "$pm" = "$tm" ] || {
-        echo "proc smoke: mismatch diverges between transports: '$pm' vs '$tm'"; exit 1; }
-    local trace='/"gn_trace": \[/,/^  \]/p'
-    [ "$(sed -n "$trace" "$1")" = "$(sed -n "$trace" "$2")" ] || {
-        echo "proc smoke: gn_trace diverges between $1 and $2"; exit 1; }
-}
-
 stage_proc_smoke() {
     # Boot a real 4-process rank cluster with `claire-cli launch` (each rank
     # its own OS process, Unix-domain-socket transport), validate the merged
@@ -410,15 +397,11 @@ stage_proc_smoke() {
     # same problem, threads-as-ranks in one process: trajectories must agree
     ./target/release/claire-cli launch --ranks 4 --syn 16 --in-process \
         --report "$dir/thr.json" -q
-    same_trajectory "$dir/proc.json" "$dir/thr.json"
-
-    # the same pair at the paper's default preconditioner, 2LInvH0: its
-    # coarse-grid transfers are messages only this preconditioner sends
-    ./target/release/claire-cli launch --ranks 2 --syn 16 --precond 2LInvH0 \
-        --report "$dir/proc2l.json" -q
-    ./target/release/claire-cli launch --ranks 2 --syn 16 --precond 2LInvH0 --in-process \
-        --report "$dir/thr2l.json" -q
-    same_trajectory "$dir/proc2l.json" "$dir/thr2l.json"
+    local pm tm
+    pm="$(grep '"rel_mismatch"' "$dir/proc.json")"
+    tm="$(grep '"rel_mismatch"' "$dir/thr.json")"
+    [ -n "$pm" ] && [ "$pm" = "$tm" ] || {
+        echo "proc smoke: mismatch diverges between transports: '$pm' vs '$tm'"; exit 1; }
 
     # the launcher hands the workers its whole config: a field `launch` has
     # no hand-written arm for must reach rank 0
@@ -449,7 +432,7 @@ stage_proc_smoke() {
         echo "proc smoke: failure not attributed to rank 1"; cat "$dir/fail.err"; exit 1; }
 
     rm -rf "$dir"
-    echo "proc smoke: 4- and 2-process (2LInvH0) launches, transport-equivalent reports, typed rank failure OK"
+    echo "proc smoke: 4-process launch, transport-equivalent report, typed rank failure OK"
 }
 
 # --stage <fn>: child-shell entry for retry_stage — run the one stage

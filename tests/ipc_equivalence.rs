@@ -184,40 +184,44 @@ fn run_launch(dir: &std::path::Path, name: &str, extra: &[&str]) -> Value {
     serde_json::from_str(&json).expect("report JSON")
 }
 
-/// A 4-rank multi-process solve reproduces the threads-as-ranks run
-/// field-for-field: same trajectory, same mismatch bits, same ledgers.
+/// A multi-process solve reproduces the threads-as-ranks run
+/// field-for-field: same trajectory, same mismatch bits, same ledgers. On 4
+/// ranks at the launch defaults, and on 2 ranks with 2LInvH0, whose
+/// coarse-grid transfers are messages only that preconditioner sends.
 #[test]
 fn launch_report_matches_in_process_report() {
     let dir = std::env::temp_dir().join(format!("claire-ipc-eq-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let proc_run = run_launch(&dir, "proc.json", &[]);
-    let thr_run = run_launch(&dir, "thr.json", &["--in-process"]);
+    for extra in [&[][..], &["--ranks", "2", "--syn", "16", "--precond", "2LInvH0"]] {
+        let proc_run = run_launch(&dir, "proc.json", extra);
+        let thr_run = run_launch(&dir, "thr.json", &[extra, &["--in-process"]].concat());
+
+        assert_eq!(get(&proc_run, "transport"), &Value::Str("socket".into()));
+        assert_eq!(get(&thr_run, "transport"), &Value::Str("channel".into()));
+        // Real bytes hit the wire in process mode, none in channel mode.
+        let wire = |run: &Value| -> u64 {
+            match get(run, "comm") {
+                Value::Array(entries) => entries
+                    .iter()
+                    .map(|e| match get(e, "wire_bytes") {
+                        Value::UInt(n) => *n,
+                        _ => 0,
+                    })
+                    .sum(),
+                _ => 0,
+            }
+        };
+        assert!(wire(&proc_run) > 0, "socket transport should account wire bytes ({extra:?})");
+        assert_eq!(wire(&thr_run), 0, "channel transport has no wire ({extra:?})");
+
+        let (a, b) = (canonical(&proc_run), canonical(&thr_run));
+        assert_eq!(
+            serde_json::to_string_pretty(&a).unwrap(),
+            serde_json::to_string_pretty(&b).unwrap(),
+            "multi-process and threads-as-ranks reports diverged ({extra:?})"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
-
-    assert_eq!(get(&proc_run, "transport"), &Value::Str("socket".into()));
-    assert_eq!(get(&thr_run, "transport"), &Value::Str("channel".into()));
-    // Real bytes hit the wire in process mode, none in channel mode.
-    let wire = |run: &Value| -> u64 {
-        match get(run, "comm") {
-            Value::Array(entries) => entries
-                .iter()
-                .map(|e| match get(e, "wire_bytes") {
-                    Value::UInt(n) => *n,
-                    _ => 0,
-                })
-                .sum(),
-            _ => 0,
-        }
-    };
-    assert!(wire(&proc_run) > 0, "socket transport should account wire bytes");
-    assert_eq!(wire(&thr_run), 0, "channel transport has no wire");
-
-    let (a, b) = (canonical(&proc_run), canonical(&thr_run));
-    assert_eq!(
-        serde_json::to_string_pretty(&a).unwrap(),
-        serde_json::to_string_pretty(&b).unwrap(),
-        "multi-process and threads-as-ranks reports diverged"
-    );
 }
 
 /// One rank's report is measured against that rank's wall clock: seconds
