@@ -40,7 +40,7 @@ fn run_one(
         .verbose(false)
         .build()
         .expect("valid configuration");
-    observe::begin(); // fresh spans/metrics/kernel timers per run
+    observe::begin(); // fresh spans/records/kernel timers per run
     let mut claire = Claire::new(cfg);
     let (_, report) = claire.register_from(m0, m1, None, data, comm);
     let run = observe::collect_run_report(data, &report, comm);

@@ -44,8 +44,7 @@ fn main() {
     ] {
         let grid = claire_grid::Grid::new(size);
         // Arm observability once per case; rank 0 assembles the RunReport
-        // (spans are per-thread, the comm ledger per-rank; kernel timers
-        // aggregate across the whole virtual cluster).
+        // from its own spans, GN records, kernel timers and comm ledger.
         observe::begin();
         let solve = move |comm: &mut claire_mpi::Comm| {
             let layout = Layout::distributed(grid, comm);

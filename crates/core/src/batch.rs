@@ -140,9 +140,6 @@ pub struct BatchItem {
     /// The solve result: velocity + report, or the per-pair error
     /// (cancellation, deadline, invalid input).
     pub outcome: ClaireResult<(VectorField, RegistrationReport)>,
-    /// Gauss–Newton statistics accumulated over the pair's β-levels on the
-    /// finest grid (default-empty when the pair failed before iterating).
-    pub gn: GnStats,
     /// Pool/plan-cache activity attributed to this member.
     pub memory: MemberMemStats,
     /// Traffic on this member's communicator (the solve and its report).
@@ -283,15 +280,11 @@ pub(crate) fn solve_pairs(
     for (((res, label), comm), mut mem) in
         results.into_iter().zip(labels).zip(comms.iter_mut()).zip(mem)
     {
-        let (outcome, gn) = match res {
-            Ok((mut problem, v, stats)) => {
-                let report =
-                    mem.metered(|| build_report(cfg, &mut problem, &v, &label, comm, &stats));
-                (Ok((v, report)), stats)
-            }
-            Err(e) => (Err(e), GnStats::default()),
-        };
-        items.push(BatchItem { label, outcome, gn, memory: mem, comm: comm.stats().clone() });
+        let outcome = res.map(|(mut problem, v, stats)| {
+            let report = mem.metered(|| build_report(cfg, &mut problem, &v, &label, comm, &stats));
+            (v, report)
+        });
+        items.push(BatchItem { label, outcome, memory: mem, comm: comm.stats().clone() });
     }
     let solve_secs = (t0.elapsed().as_secs_f64() - setup_secs).max(0.0);
     BatchOutcome { items, stats: BatchStats { pairs: k, rounds, setup_secs, solve_secs } }
@@ -314,6 +307,9 @@ fn solve_level(
     let layout = *inputs[0].m0.layout();
     let k = inputs.len();
     let mut failed: Vec<Option<ClaireError>> = (0..k).map(|_| None).collect();
+    // each pair's Gauss–Newton totals on the coarser grids, which its
+    // totals on this grid continue
+    let mut coarse_totals = vec![GnStats::default(); k];
 
     // coarse-to-fine grid continuation: solve every pair at half resolution
     // first, prolonging each velocity as that pair's warm start
@@ -340,9 +336,10 @@ fn solve_level(
             solve_level(&coarse_cfg, context, coarse_inputs, comms, mem, rounds, setup_secs);
         for (i, res) in coarse.into_iter().enumerate() {
             match res {
-                Ok((_, vc, _)) => {
+                Ok((_, vc, stats)) => {
                     let v = mem[i].metered(|| tl.prolong_vector(&vc, &mut comms[i]));
                     inputs[i].v_init = Some(v);
+                    coarse_totals[i] = stats;
                 }
                 Err(e) => failed[i] = Some(e),
             }
@@ -369,11 +366,11 @@ fn solve_level(
             drivers.push(Err(e));
             continue;
         }
-        let comm = &mut comms[i];
+        let (comm, total) = (&mut comms[i], std::mem::take(&mut coarse_totals[i]));
         drivers.push(mem[i].metered(|| {
             let problem = RegProblem::with_scaffold(p.m0, p.m1, *cfg, &scaffold, comm)?;
             let v0 = p.v_init.unwrap_or_else(|| VectorField::zeros(layout));
-            Ok(PairDriver::new(p.hooks, problem, v0, &level, comm))
+            Ok(PairDriver::new(p.hooks, problem, v0, total, &level, comm))
         }));
     }
     *setup_secs += t_setup.elapsed().as_secs_f64();
@@ -420,24 +417,27 @@ struct PairDriver {
     /// Current β-level's Gauss–Newton state (`None` once `end` is set).
     state: Option<GnState>,
     level: usize,
-    /// Statistics accumulated over the closed β-levels; `total.gn_iters` is
-    /// the base of the cumulative iteration index the hooks see.
+    /// Statistics accumulated over the closed β-levels, the coarser grids'
+    /// first; `total.gn_iters` is the base of the cumulative iteration index
+    /// the hooks see.
     total: GnStats,
     /// Final velocity or the error that retired the pair.
     end: Option<ClaireResult<VectorField>>,
 }
 
 impl PairDriver {
+    /// A driver whose totals continue `total` (the coarser grids' totals
+    /// under grid continuation, otherwise empty).
     fn new(
         hooks: SolverHooks,
         problem: RegProblem,
         v0: VectorField,
+        mut total: GnStats,
         plan: &LevelPlan,
         comm: &Comm,
     ) -> PairDriver {
-        // reserve the whole-run histories up front so closing a β-level
+        // reserve this grid's histories up front so closing a β-level
         // (accumulate) never allocates inside a measured iteration
-        let mut total = GnStats::default();
         let cap = plan.betas.len() * (plan.gn_cfg.max_iter + 1);
         total.grad_rel_history.reserve(cap);
         total.objective_history.reserve(cap);

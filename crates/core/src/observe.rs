@@ -1,10 +1,12 @@
 //! Assembling a [`RunReport`] from a finished solve.
 //!
-//! The observability layer (claire-obs) collects spans, metrics, and GN
-//! records globally while a solve runs; claire-par accumulates per-kernel
-//! timers; claire-mpi accumulates per-category and per-collective traffic.
+//! While a solve runs, the observability layer (claire-obs) collects spans
+//! and GN records and claire-par accumulates per-kernel timers, all on the
+//! rank thread that does the work; claire-mpi accumulates per-category and
+//! per-collective traffic on the rank's communicator.
 //! [`collect_run_report`] drains all of them into one JSON-serializable
-//! [`RunReport`] keyed by the solve's [`RegistrationReport`].
+//! [`RunReport`] keyed by the solve's [`RegistrationReport`], so every work
+//! count in it is the collecting rank's own.
 //!
 //! Typical use (this is what `claire-cli --report` does):
 //!
@@ -13,7 +15,7 @@
 //! # let config = claire_core::RegistrationConfig::default();
 //! # let (m0, m1): (claire_grid::ScalarField, claire_grid::ScalarField) = unimplemented!();
 //! # let mut comm = claire_mpi::Comm::solo();
-//! observe::begin(); // enable + reset spans/metrics/records/kernel timers
+//! observe::begin(); // enable + reset spans/records/kernel timers/pool stats
 //! let (v, report) = claire_core::Claire::new(config).register(&m0, &m1, &mut comm);
 //! let run = observe::collect_run_report("na02", &report, &comm);
 //! println!("{}", run.span_summary());
@@ -27,14 +29,14 @@ use claire_obs::report::{
     CollectiveEntry, CommPhaseEntry, KernelEntry, MemoryCatEntry, MemoryInfo, PhaseShares,
     RunReport, RunSummary,
 };
-use claire_obs::{metrics, records, span};
-use claire_opt::GnStats;
+use claire_obs::{records, span};
 
 use crate::batch::MemberMemStats;
 use crate::report::RegistrationReport;
 
-/// Arm the observability layer for a fresh run: enables collection and
-/// resets spans, metrics, GN records, and the claire-par kernel timers.
+/// Arm the observability layer for a fresh run: enables collection, resets
+/// the calling thread's spans, GN records and claire-par kernel timers, and
+/// the process's pool and plan-cache counters.
 pub fn begin() {
     claire_obs::begin();
     claire_par::timing::reset();
@@ -44,20 +46,12 @@ pub fn begin() {
 
 /// Drain every telemetry source into a unified [`RunReport`].
 ///
-/// Call once, after the solve, on the rank whose ledger should be reported
-/// (rank 0 by convention; with `Comm::solo` there is only one). Draining
-/// consumes the span tree and GN records — a second call returns empty
-/// `spans`/`gn_trace`.
+/// Call once, after the solve, on the rank thread whose ledger should be
+/// reported (rank 0 by convention; with `Comm::solo` there is only one).
+/// Draining consumes that thread's span tree and GN records — a second call
+/// returns empty `spans`/`gn_trace`. The pool and plan-cache counters are
+/// the process's, which is this one solve's unless ranks share the process.
 pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm) -> RunReport {
-    // `Claire::register` hands back no `GnStats`; the process is this one
-    // solve, so the registry's counters and the pools' totals are its own.
-    let registry = metrics::snapshot();
-    let gn = GnStats {
-        obj_evals: metric_value(&registry, "gn.obj_evals") as usize,
-        hess_applies: metric_value(&registry, "gn.hess_applies") as usize,
-        converged: metric_value(&registry, "gn.converged") >= 1.0,
-        ..GnStats::default()
-    };
     let fft = fft_cache::stats();
     let mut mem = MemberMemStats {
         fft_plan_hits: fft.hits,
@@ -69,7 +63,7 @@ pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm)
         mem.cat_misses[i] = s.misses;
     }
 
-    let mut run = solve_run_report(label, report, &gn, comm.transport_kind(), comm.stats(), &mem);
+    let mut run = solve_run_report(label, report, comm.transport_kind(), comm.stats(), &mem);
     run.kernels = claire_par::timing::snapshot()
         .into_iter()
         .filter(|k| k.calls > 0)
@@ -79,27 +73,23 @@ pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm)
             secs: k.nanos as f64 * 1e-9,
         })
         .collect();
-    // rank threads of an in-process cluster all book into the one set of
-    // kernel timers; a rank process has them to itself
-    let sharing_ranks = if comm.transport_kind() == "channel" { comm.size() } else { 1 };
-    run.phases = PhaseShares::from_kernels(&run.kernels, report.time_total, sharing_ranks);
-    run.metrics = registry;
+    run.phases = PhaseShares::from_kernels(&run.kernels, report.time_total);
     run.gn_trace = records::take_gn();
     run.spans = span::take_spans();
     run
 }
 
 /// The blocks of a [`RunReport`] that one solve owns — header, `summary`,
-/// `comm`, `collectives`, `memory` — from that solve's own report,
-/// Gauss–Newton counts, traffic ledger and pool/plan-cache events. Nothing
-/// process-global is read except the pools' byte levels (see the
-/// sharing-semantics note on [`MemoryInfo`]), so it is exact for a job that
-/// shares the process with others; [`collect_run_report`] adds the
-/// process-global parts, `claire-serve` adds `scheduling` and the span tree.
+/// `comm`, `collectives`, `memory` — from that solve's own report, traffic
+/// ledger and pool/plan-cache events. Nothing process-global is read except
+/// the pools' byte levels (see the sharing-semantics note on
+/// [`MemoryInfo`]), so it is exact for a job that shares the process with
+/// others; [`collect_run_report`] adds the kernel timers, GN records and
+/// span tree of the collecting thread, `claire-serve` adds `scheduling` and
+/// the span tree.
 pub fn solve_run_report(
     label: &str,
     report: &RegistrationReport,
-    gn: &GnStats,
     transport: &str,
     stats: &CommStats,
     mem: &MemberMemStats,
@@ -116,16 +106,16 @@ pub fn solve_run_report(
     run.summary = RunSummary {
         gn_iters: report.gn_iters,
         pcg_iters: report.pcg_iters,
-        obj_evals: gn.obj_evals,
-        hess_applies: gn.hess_applies,
+        obj_evals: report.obj_evals,
+        hess_applies: report.hess_applies,
         rel_mismatch: report.rel_mismatch,
         grad_rel: report.grad_rel,
         jac_det_min: report.jac_det_min,
         jac_det_max: report.jac_det_max,
         time_total: report.time_total,
-        converged: gn.converged,
+        converged: report.converged,
     };
-    run.phases = PhaseShares::from_kernels(&[], report.time_total, 1);
+    run.phases = PhaseShares::from_kernels(&[], report.time_total);
 
     run.comm = CommCat::ALL
         .iter()
@@ -173,10 +163,6 @@ pub fn solve_run_report(
         modeled_bytes: report.memory_bytes_per_rank,
     };
     run
-}
-
-fn metric_value(entries: &[metrics::MetricEntry], key: &str) -> f64 {
-    entries.iter().find(|e| e.key == key).map(|e| e.value).unwrap_or(0.0)
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@ use claire_diff::Spectral;
 use claire_grid::{ClaireError, ClaireResult, Layout, Real, ScalarField, VectorField};
 use claire_interp::Interpolator;
 use claire_mpi::Comm;
-use claire_obs::metrics::Counter;
 use claire_opt::GnProblem;
 use claire_par::timing::{self, Kernel};
 use claire_par::{par_parts, SharedSlice};
@@ -60,9 +59,6 @@ struct Solved {
     traj: Trajectory,
     state: StateSolution,
 }
-
-static STATE_SOLVES: Counter = Counter::new("problem.state_solves");
-static STATE_REUSED: Counter = Counter::new("problem.state_reused");
 
 /// Equality of bit patterns, not of values: `-0.0` is not `0.0`.
 fn same_bits(a: &VectorField, b: &VectorField) -> bool {
@@ -223,7 +219,6 @@ impl RegProblem {
             return self.cur.as_ref().expect("matched").state.final_state();
         }
         if self.eval.is_none() {
-            STATE_SOLVES.inc();
             let traj = Trajectory::backward(v, self.cfg.nt, &mut self.interp, comm);
             let state = self.transport.solve_state(&traj, &self.m0, false, &mut self.interp, comm);
             self.eval = Some(Solved { v: v.clone(), traj, state });
@@ -385,7 +380,6 @@ impl GnProblem for RegProblem {
                     eval
                 }
                 None => {
-                    STATE_SOLVES.inc();
                     let traj = Trajectory::compute(v, self.cfg.nt, &mut self.interp, comm);
                     let state = self.transport.solve_state(
                         &traj,
@@ -400,9 +394,6 @@ impl GnProblem for RegProblem {
             // refresh m̄ for InvH0/2LInvH0
             self.pc.refresh(cur.state.final_state(), comm);
             self.cur = Some(cur);
-        }
-        if at_cur || at_eval {
-            STATE_REUSED.inc();
         }
         let cur = self.cur.as_ref().expect("set above");
 

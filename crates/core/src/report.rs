@@ -24,6 +24,16 @@ pub struct RegistrationReport {
     pub gn_iters: usize,
     /// Accumulated PCG iterations (`PCG` column).
     pub pcg_iters: usize,
+    /// Objective evaluations, line-search trials included (a peer older
+    /// than this key sends none).
+    #[serde(default)]
+    pub obj_evals: usize,
+    /// Gauss–Newton Hessian matvecs.
+    #[serde(default)]
+    pub hess_applies: usize,
+    /// Whether the last β-level reached the gradient tolerance.
+    #[serde(default)]
+    pub converged: bool,
     /// Relative mismatch `‖m(1) − m1‖/‖m0 − m1‖` (`mism.` column).
     pub rel_mismatch: f64,
     /// Relative gradient norm (`‖g‖rel` column).
@@ -105,6 +115,9 @@ mod tests {
             nranks: 1,
             gn_iters: 14,
             pcg_iters: 28,
+            obj_evals: 19,
+            hess_applies: 28,
+            converged: true,
             rel_mismatch: 2.79e-2,
             grad_rel: 3.23e-2,
             n_inva: 3,

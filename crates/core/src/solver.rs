@@ -266,6 +266,9 @@ pub(crate) fn build_report(
         nranks: layout.nranks,
         gn_iters: stats.gn_iters,
         pcg_iters: stats.pcg_iters_total,
+        obj_evals: stats.obj_evals,
+        hess_applies: stats.hess_applies,
+        converged: stats.converged,
         rel_mismatch,
         grad_rel: stats.grad_rel,
         n_inva: problem.pc.n_inva,

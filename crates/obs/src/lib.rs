@@ -8,10 +8,8 @@
 //!   repeated spans with the same name under the same parent aggregate into
 //!   one node (call count + total time), so the tree stays bounded no matter
 //!   how many iterations run.
-//! * [`metrics`] — a registry of statically-declared counters, gauges, and
-//!   histograms with `&'static str` keys. Declaration is `const`; the first
-//!   touch self-registers the metric, after which updates are single
-//!   lock-free atomic ops.
+//! * [`records`] — one [`records::GnIterRecord`] per Gauss–Newton
+//!   iteration, stamped with the β-level it ran in.
 //! * [`report`] — [`report::RunReport`], a JSON-serializable record that
 //!   unifies what previously lived in claire-par kernel timers, claire-mpi
 //!   comm stats, `PrecondState` counters, and `core/report.rs`.
@@ -20,11 +18,10 @@
 //! prior data), run the solver, then assemble a `RunReport` (claire-core's
 //! `observe::collect_run_report` does this) and write `report.to_json()`.
 //!
-//! Span data is **per thread** — each rank thread in a virtual cluster owns
-//! its own tree and must drain it (`span::take_spans`) on that thread.
-//! Metrics and GN-iteration records are global and merge across threads.
+//! Span trees and GN-iteration records are **per thread** — each rank thread
+//! in a virtual cluster owns its own and drains them (`span::take_spans`,
+//! `records::take_gn`) on that thread, so a report holds one rank's work.
 
-pub mod metrics;
 pub mod records;
 pub mod report;
 pub mod span;
@@ -46,7 +43,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Enable collection and clear all previously recorded observability data
-/// (spans on the calling thread, all metrics, GN-iteration records).
+/// (spans and GN-iteration records on the calling thread).
 pub fn begin() {
     set_enabled(true);
     reset();
@@ -55,7 +52,6 @@ pub fn begin() {
 /// Clear all recorded data without changing the enabled flag.
 pub fn reset() {
     span::reset();
-    metrics::reset();
     records::reset();
 }
 

@@ -2,18 +2,18 @@
 //!
 //! The solver sets the continuation context ([`set_context`]) when it enters
 //! a β-level; the Gauss–Newton loop pushes one [`GnIterRecord`] per
-//! iteration ([`push_gn`]). Records are global (mutex-guarded — pushes
-//! happen a handful of times per second, far off the hot path) and drained
-//! with [`take_gn`].
+//! iteration ([`push_gn`]). Context and records are thread-local, like the
+//! span tree: each rank thread of a virtual cluster keeps its own and drains
+//! them with [`take_gn`] on that thread.
 
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
 
 /// One Gauss–Newton iteration: where it ran (level/β) and what it achieved.
 #[derive(Serialize, Clone, Debug)]
 pub struct GnIterRecord {
-    /// Grid-continuation level (0 = coarsest solved level).
+    /// β-continuation level within its grid (0 = the grid's first β);
+    /// under grid continuation every grid starts again at 0.
     pub level: usize,
     /// Regularization weight β at this iteration.
     pub beta: f64,
@@ -32,19 +32,20 @@ pub struct GnIterRecord {
     pub step: f64,
 }
 
-static LEVEL: AtomicUsize = AtomicUsize::new(0);
-static BETA_BITS: AtomicU64 = AtomicU64::new(0);
-static GN: Mutex<Vec<GnIterRecord>> = Mutex::new(Vec::new());
-
-/// Set the continuation context stamped onto subsequent GN records.
-pub fn set_context(level: usize, beta: f64) {
-    LEVEL.store(level, Ordering::Relaxed);
-    BETA_BITS.store(beta.to_bits(), Ordering::Relaxed);
+thread_local! {
+    static CONTEXT: Cell<(usize, f64)> = const { Cell::new((0, 0.0)) };
+    static GN: RefCell<Vec<GnIterRecord>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Current continuation context `(level, beta)`.
+/// Set the continuation context stamped onto this thread's subsequent GN
+/// records.
+pub fn set_context(level: usize, beta: f64) {
+    CONTEXT.set((level, beta));
+}
+
+/// This thread's continuation context `(level, beta)`.
 pub fn context() -> (usize, f64) {
-    (LEVEL.load(Ordering::Relaxed), f64::from_bits(BETA_BITS.load(Ordering::Relaxed)))
+    CONTEXT.get()
 }
 
 /// Record one GN iteration under the current context. No-op while disabled.
@@ -60,27 +61,20 @@ pub fn push_gn(
         return;
     }
     let (level, beta) = context();
-    GN.lock().unwrap().push(GnIterRecord {
-        level,
-        beta,
-        iter,
-        objective,
-        grad_rel,
-        pcg_iters,
-        ls_trials,
-        step,
-    });
+    let record =
+        GnIterRecord { level, beta, iter, objective, grad_rel, pcg_iters, ls_trials, step };
+    GN.with_borrow_mut(|gn| gn.push(record));
 }
 
-/// Drain all recorded GN iterations.
+/// Drain the GN iterations recorded on this thread.
 pub fn take_gn() -> Vec<GnIterRecord> {
-    std::mem::take(&mut *GN.lock().unwrap())
+    GN.take()
 }
 
-/// Clear records and context.
+/// Clear this thread's records and context.
 pub fn reset() {
     set_context(0, 0.0);
-    GN.lock().unwrap().clear();
+    GN.with_borrow_mut(Vec::clear);
 }
 
 #[cfg(test)]
@@ -103,6 +97,29 @@ mod tests {
         assert_eq!(recs[1].pcg_iters, 9);
         assert_eq!((recs[1].ls_trials, recs[1].step), (2, 0.0));
         assert!(take_gn().is_empty());
+    }
+
+    #[test]
+    fn each_thread_drains_only_its_own_records() {
+        let _g = crate::TEST_LOCK.lock().unwrap();
+        crate::set_enabled(true);
+        reset();
+        set_context(0, 1.0);
+        push_gn(0, 1.0, 1.0, 1, 1, 1.0);
+        let other = std::thread::spawn(|| {
+            assert_eq!(context(), (0, 0.0), "a new thread starts without context");
+            set_context(2, 0.5);
+            push_gn(0, 2.0, 1.0, 3, 1, 1.0);
+            push_gn(1, 1.5, 0.5, 4, 1, 1.0);
+            take_gn()
+        })
+        .join()
+        .unwrap();
+        let mine = take_gn();
+        crate::set_enabled(false);
+        assert_eq!(other.iter().map(|r| (r.level, r.iter)).collect::<Vec<_>>(), [(2, 0), (2, 1)]);
+        assert_eq!(mine.len(), 1);
+        assert_eq!((mine[0].level, mine[0].beta, mine[0].pcg_iters), (0, 1.0, 1));
     }
 
     #[test]

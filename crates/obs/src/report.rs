@@ -8,7 +8,6 @@
 //! `kernels`/`comm`, Table 5 from `kernels` (FFT phases), and Table 7's
 //! FFT/IP/FD runtime shares from `phases`.
 
-use crate::metrics::MetricEntry;
 use crate::records::GnIterRecord;
 use crate::span::{self, SpanNode};
 use serde::Serialize;
@@ -31,7 +30,6 @@ pub const SCHEMA_KEYS: &[&str] = &[
     "kernels",
     "comm",
     "collectives",
-    "metrics",
     "memory",
     "spans",
 ];
@@ -106,14 +104,11 @@ pub struct PhaseShares {
 }
 
 impl PhaseShares {
-    /// Derive shares from per-kernel timings plus one rank's solve
-    /// wall-clock. Kernel names follow claire-par's timer labels. The timers
-    /// are process-global: `sharing_ranks` is how many ranks ran in this
-    /// process and summed into them, so the shares are the mean rank's.
-    pub fn from_kernels(kernels: &[KernelEntry], total_secs: f64, sharing_ranks: usize) -> Self {
+    /// Derive shares from one rank's per-kernel timings and its solve
+    /// wall-clock. Kernel names follow claire-par's timer labels.
+    pub fn from_kernels(kernels: &[KernelEntry], total_secs: f64) -> Self {
         let sum = |names: &[&str]| -> f64 {
-            let secs = kernels.iter().filter(|k| names.contains(&k.name.as_str())).map(|k| k.secs);
-            secs.sum::<f64>() / sharing_ranks as f64
+            kernels.iter().filter(|k| names.contains(&k.name.as_str())).map(|k| k.secs).sum()
         };
         let fft_secs = sum(&["fft_serial", "fft_dist", "fft_transpose"]);
         let ip_secs = sum(&["interp"]);
@@ -248,16 +243,15 @@ pub struct RunReport {
     pub scheduling: SchedulingInfo,
     /// FFT/IP/FD runtime shares.
     pub phases: PhaseShares,
-    /// Per-GN-iteration trace (objective, gradient norm, PCG iterations).
+    /// Per-GN-iteration trace (objective, gradient norm, PCG iterations)
+    /// of the reporting rank, every grid of a grid continuation included.
     pub gn_trace: Vec<GnIterRecord>,
-    /// Per-kernel timers.
+    /// Per-kernel timers of the reporting rank.
     pub kernels: Vec<KernelEntry>,
     /// Per-category communication volume.
     pub comm: Vec<CommPhaseEntry>,
     /// Per-collective calls/bytes.
     pub collectives: Vec<CollectiveEntry>,
-    /// Registered metrics snapshot.
-    pub metrics: Vec<MetricEntry>,
     /// Workspace-pool / plan-cache counters vs the analytic memory model.
     pub memory: MemoryInfo,
     /// Hierarchical span tree (per rank-0 thread).
@@ -283,7 +277,6 @@ impl RunReport {
             kernels: Vec::new(),
             comm: Vec::new(),
             collectives: Vec::new(),
-            metrics: Vec::new(),
             memory: MemoryInfo::default(),
             spans: Vec::new(),
         }
@@ -361,16 +354,12 @@ mod tests {
             KernelEntry { name: "interp".into(), calls: 4, secs: 2.0 },
             KernelEntry { name: "fd".into(), calls: 8, secs: 0.25 },
         ];
-        let p = PhaseShares::from_kernels(&kernels, 5.0, 1);
+        let p = PhaseShares::from_kernels(&kernels, 5.0);
         assert_eq!(p.fft_secs, 1.5);
         assert_eq!(p.ip_secs, 2.0);
         assert_eq!(p.fd_secs, 0.25);
         assert!((p.other_secs - 1.25).abs() < 1e-12);
-        // timers two rank threads summed into, against one rank's 2.5 s
-        let p = PhaseShares::from_kernels(&kernels, 2.5, 2);
-        assert_eq!((p.fft_secs, p.ip_secs, p.fd_secs), (0.75, 1.0, 0.125));
-        assert!((p.other_secs - 0.625).abs() < 1e-12);
         // a ruler that over-counts shows, it is not clamped away
-        assert!(PhaseShares::from_kernels(&kernels, 2.5, 1).other_secs < 0.0);
+        assert!(PhaseShares::from_kernels(&kernels, 2.5).other_secs < 0.0);
     }
 }

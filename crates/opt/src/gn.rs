@@ -4,15 +4,7 @@ use std::time::Instant;
 
 use claire_grid::{FieldElem, Real, VectorField, VectorFieldT, WsCat};
 use claire_mpi::Comm;
-use claire_obs::{
-    metrics::{Counter, Gauge},
-    records,
-    span::span,
-};
-
-static GN_OBJ_EVALS: Counter = Counter::new("gn.obj_evals");
-static GN_HESS_APPLIES: Counter = Counter::new("gn.hess_applies");
-static GN_CONVERGED: Gauge = Gauge::new("gn.converged");
+use claire_obs::{records, span::span};
 
 use crate::pcg::{pcg, PcgConfig, PcgOperator};
 
@@ -393,13 +385,10 @@ impl GnState {
         }
     }
 
-    /// Close out the solve: stamp the accumulated totals into the stats and
-    /// bump the end-of-solve metrics. Consumes the state.
+    /// Close out the solve: stamp the accumulated wall time into the stats.
+    /// Consumes the state.
     pub fn finish(mut self) -> (VectorField, GnStats) {
         self.stats.time.total = self.t_total;
-        GN_OBJ_EVALS.add(self.stats.obj_evals as u64);
-        GN_HESS_APPLIES.add(self.stats.hess_applies as u64);
-        GN_CONVERGED.set(if self.stats.converged { 1.0 } else { 0.0 });
         (self.v, self.stats)
     }
 }

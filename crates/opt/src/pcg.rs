@@ -10,10 +10,7 @@
 
 use claire_grid::{KrylovVec, VectorField};
 use claire_mpi::Comm;
-use claire_obs::{metrics::Counter, span::span};
-
-static PCG_ITERS: Counter = Counter::new("pcg.iters");
-static PCG_SOLVES: Counter = Counter::new("pcg.solves");
+use claire_obs::span::span;
 
 /// PCG options.
 #[derive(Clone, Copy, Debug)]
@@ -96,7 +93,6 @@ pub fn pcg<V: KrylovVec, O: PcgOperator<V>>(
     comm: &mut Comm,
 ) -> (V, PcgResult) {
     let _s = span("pcg");
-    PCG_SOLVES.inc();
 
     let bn_raw = b.norm(comm);
     let bnorm = bn_raw.max(f64::MIN_POSITIVE);
@@ -141,7 +137,6 @@ pub fn pcg<V: KrylovVec, O: PcgOperator<V>>(
         // back in its pool before the preconditioner asks for `z`
         drop(q);
         iters += 1;
-        PCG_ITERS.inc();
 
         rel = rnorm / bnorm;
         if cfg.trace {

@@ -1,12 +1,16 @@
 //! Per-kernel timing counters.
 //!
-//! Each parallelized kernel family has one [`Kernel`] slot holding an atomic
-//! call count and accumulated wall-clock nanoseconds. Counters cover the
-//! whole kernel invocation (serial or parallel), so comparing snapshots taken
+//! Each parallelized kernel family has one [`Kernel`] slot holding a call
+//! count and accumulated wall-clock nanoseconds. Counters cover the whole
+//! kernel invocation (serial or parallel), so comparing snapshots taken
 //! under different thread counts measures the realized speedup directly.
+//!
+//! The slots are thread-local and charged to the thread that invoked the
+//! kernel (its workers run inside the timed call): each rank thread of a
+//! virtual cluster keeps its own, and [`snapshot`] and [`reset`] see only
+//! the calling thread's.
 
-use claire_obs::metrics::Counter;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 
 /// The instrumented kernel families.
@@ -36,38 +40,14 @@ const NAMES: [&str; NKERNELS] =
     ["fd", "fft_serial", "fft_dist", "fft_transpose", "interp", "ghost", "field_ops", "semilag"];
 
 struct Slot {
-    calls: AtomicU64,
-    nanos: AtomicU64,
+    calls: Cell<u64>,
+    nanos: Cell<u64>,
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_SLOT: Slot = Slot { calls: AtomicU64::new(0), nanos: AtomicU64::new(0) };
-
-static SLOTS: [Slot; NKERNELS] = [ZERO_SLOT; NKERNELS];
-
-// Mirror counters in the claire-obs registry so kernel activity shows up in
-// `obs::metrics::snapshot()` (and hence RunReport.metrics) alongside solver
-// counters. The local SLOTS stay authoritative for `snapshot()`/`reset()`.
-static OBS_CALLS: [Counter; NKERNELS] = [
-    Counter::new("kernel.fd.calls"),
-    Counter::new("kernel.fft_serial.calls"),
-    Counter::new("kernel.fft_dist.calls"),
-    Counter::new("kernel.fft_transpose.calls"),
-    Counter::new("kernel.interp.calls"),
-    Counter::new("kernel.ghost.calls"),
-    Counter::new("kernel.field_ops.calls"),
-    Counter::new("kernel.semilag.calls"),
-];
-static OBS_NANOS: [Counter; NKERNELS] = [
-    Counter::new("kernel.fd.nanos"),
-    Counter::new("kernel.fft_serial.nanos"),
-    Counter::new("kernel.fft_dist.nanos"),
-    Counter::new("kernel.fft_transpose.nanos"),
-    Counter::new("kernel.interp.nanos"),
-    Counter::new("kernel.ghost.nanos"),
-    Counter::new("kernel.field_ops.nanos"),
-    Counter::new("kernel.semilag.nanos"),
-];
+thread_local! {
+    static SLOTS: [Slot; NKERNELS] =
+        const { [const { Slot { calls: Cell::new(0), nanos: Cell::new(0) } }; NKERNELS] };
+}
 
 impl Kernel {
     fn index(self) -> usize {
@@ -83,24 +63,22 @@ impl Kernel {
         }
     }
 
-    /// Stable snake_case name used in reports and `BENCH_kernels.json`.
+    /// Stable snake_case name used in reports (`RunReport.kernels`).
     pub fn name(self) -> &'static str {
         NAMES[self.index()]
     }
 }
 
-/// Run `f`, charging its wall time to `k`.
+/// Run `f`, charging its wall time to `k` on the calling thread.
 pub fn time<R>(k: Kernel, f: impl FnOnce() -> R) -> R {
     let t0 = Instant::now();
     let out = f();
     let nanos = t0.elapsed().as_nanos() as u64;
-    let slot = &SLOTS[k.index()];
-    slot.calls.fetch_add(1, Ordering::Relaxed);
-    slot.nanos.fetch_add(nanos, Ordering::Relaxed);
-    if claire_obs::enabled() {
-        OBS_CALLS[k.index()].inc();
-        OBS_NANOS[k.index()].add(nanos);
-    }
+    SLOTS.with(|slots| {
+        let slot = &slots[k.index()];
+        slot.calls.set(slot.calls.get() + 1);
+        slot.nanos.set(slot.nanos.get() + nanos);
+    });
     out
 }
 
@@ -115,24 +93,26 @@ pub struct KernelStat {
     pub nanos: u64,
 }
 
-/// Counters for every kernel family, in declaration order (including
-/// never-invoked ones, with zero calls).
+/// The calling thread's counters for every kernel family, in declaration
+/// order (including never-invoked ones, with zero calls).
 pub fn snapshot() -> Vec<KernelStat> {
-    (0..NKERNELS)
-        .map(|i| KernelStat {
-            name: NAMES[i],
-            calls: SLOTS[i].calls.load(Ordering::Relaxed),
-            nanos: SLOTS[i].nanos.load(Ordering::Relaxed),
-        })
-        .collect()
+    SLOTS.with(|slots| {
+        NAMES
+            .iter()
+            .zip(slots)
+            .map(|(&name, s)| KernelStat { name, calls: s.calls.get(), nanos: s.nanos.get() })
+            .collect()
+    })
 }
 
-/// Zero all counters.
+/// Zero the calling thread's counters.
 pub fn reset() {
-    for s in &SLOTS {
-        s.calls.store(0, Ordering::Relaxed);
-        s.nanos.store(0, Ordering::Relaxed);
-    }
+    SLOTS.with(|slots| {
+        for s in slots {
+            s.calls.set(0);
+            s.nanos.set(0);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -151,5 +131,22 @@ mod tests {
         assert!(fd.nanos >= 1_000_000, "expected >=1ms accumulated, got {}", fd.nanos);
         reset();
         assert!(snapshot().iter().all(|s| s.calls == 0 && s.nanos == 0));
+    }
+
+    #[test]
+    fn each_thread_snapshots_only_its_own_calls() {
+        let calls = |k: &str| snapshot().iter().find(|s| s.name == k).unwrap().calls;
+        reset();
+        time(Kernel::Interp, || ());
+        let other = std::thread::spawn(move || {
+            time(Kernel::Ghost, || ());
+            time(Kernel::Ghost, || ());
+            (calls("interp"), calls("ghost"))
+        })
+        .join()
+        .unwrap();
+        assert_eq!(other, (0, 2));
+        assert_eq!((calls("interp"), calls("ghost")), (1, 0));
+        reset();
     }
 }

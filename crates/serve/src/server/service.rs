@@ -26,24 +26,11 @@ use claire_core::{
     observe, BatchItem, BatchPair, BatchSolver, CancelToken, ClaireError, SolverHooks,
 };
 use claire_mpi::Comm;
-use claire_obs::metrics::{Counter, Gauge, Histogram};
 use claire_obs::report::SchedulingInfo;
-use claire_obs::span;
+use claire_obs::{records, span};
 
 use crate::job::{JobId, JobInput, JobResult, JobSpec, JobStatus, Priority};
 use crate::queue::{BoundedQueue, PushError};
-
-static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue.depth");
-static QUEUE_WAIT: Histogram = Histogram::new("serve.queue.wait_secs");
-static SUBMITTED: Counter = Counter::new("serve.jobs.submitted");
-static REJECTED: Counter = Counter::new("serve.jobs.rejected");
-static COMPLETED: Counter = Counter::new("serve.jobs.completed");
-static CANCELLED: Counter = Counter::new("serve.jobs.cancelled");
-static DEADLINE_EXPIRED: Counter = Counter::new("serve.jobs.deadline_expired");
-static FAILED: Counter = Counter::new("serve.jobs.failed");
-static BATCHES: Counter = Counter::new("serve.batches.executed");
-static BATCHED_JOBS: Counter = Counter::new("serve.batches.jobs");
-static SOLVER_RUNS: Counter = Counter::new("serve.solver.runs");
 
 /// Why a submission was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -164,12 +151,6 @@ struct Shared {
 
 impl Shared {
     fn finish(&self, id: u64, result: JobResult) {
-        match result.status {
-            JobStatus::Succeeded => COMPLETED.inc(),
-            JobStatus::Cancelled => CANCELLED.inc(),
-            JobStatus::DeadlineExpired => DEADLINE_EXPIRED.inc(),
-            _ => FAILED.inc(),
-        }
         let mut jobs = self.jobs.lock().unwrap();
         if let Some(entry) = jobs.get_mut(&id) {
             entry.status = result.status;
@@ -250,11 +231,9 @@ impl RegistrationService {
 
     fn admit(&self, spec: JobSpec, block: bool) -> Result<JobId, SubmitError> {
         if !self.shared.accepting.load(Ordering::Acquire) {
-            REJECTED.inc();
             return Err(SubmitError::ShuttingDown);
         }
         if let Err(e) = spec.validate() {
-            REJECTED.inc();
             return Err(SubmitError::Invalid(e));
         }
 
@@ -280,14 +259,9 @@ impl RegistrationService {
             self.shared.queue.try_push(job, lane)
         };
         match pushed {
-            Ok(()) => {
-                SUBMITTED.inc();
-                QUEUE_DEPTH.set(self.shared.queue.len() as f64);
-                Ok(JobId(id))
-            }
+            Ok(()) => Ok(JobId(id)),
             Err(err) => {
                 self.shared.jobs.lock().unwrap().remove(&id);
-                REJECTED.inc();
                 Err(match err {
                     PushError::Full(_) => SubmitError::QueueFull,
                     PushError::Closed(_) => SubmitError::ShuttingDown,
@@ -393,7 +367,6 @@ fn worker_loop(
                 .take_matching(lane, max_batch - 1, |j| coalesces(&jobs[0].spec, &j.spec));
             jobs.append(&mut companions);
         }
-        QUEUE_DEPTH.set(shared.queue.len() as f64);
         execute(worker, budget, collect_reports, shared, jobs);
     }
 }
@@ -463,7 +436,6 @@ fn execute(
         let QueuedJob { id, spec, token, submitted, deadline } = job;
         let JobSpec { label, input, priority, hooks, .. } = spec;
         let member = Member { id, label, priority, deadline, token, submitted };
-        QUEUE_WAIT.record(started.duration_since(submitted).as_secs_f64());
         // A deadline may have expired (or a cancel landed) while the job sat
         // in the queue — don't start a doomed solve, and don't let it hold
         // up the rest of its batch.
@@ -487,14 +459,11 @@ fn execute(
     }
     // the report and wire contract: batch_id/batch_size 0 = not batched
     let (batch_id, batch_size) = if members.len() > 1 {
-        BATCHES.inc();
-        BATCHED_JOBS.add(members.len() as u64);
         (shared.next_batch_id.fetch_add(1, Ordering::Relaxed), members.len())
     } else {
         (0, 0)
     };
 
-    SOLVER_RUNS.inc();
     // The run is ONE unit of schedulable work: hand it this worker's exact
     // thread slice so K coalesced jobs never oversubscribe claire-par
     // (K × per-worker threads would, under the one-job-per-worker split).
@@ -518,10 +487,12 @@ fn execute(
         solver.solve(pairs)
     }));
     let run_time = started.elapsed();
-    // Spans are thread-local; drain them after every run so one tenant's
-    // trace never leaks into the next job on this worker. They cover the
-    // whole interleaved run, so every member gets the tree.
+    // Spans and GN records are thread-local; drain them after every run so
+    // one tenant's trace never leaks into the next job on this worker. The
+    // spans cover the whole interleaved run, so every member gets the tree;
+    // the records interleave the members' iterations and go unreported.
     let spans = span::take_spans();
+    records::take_gn();
 
     // one entry per member: its own item, or the error that failed the run
     let whole_run_error = |error: String| members.iter().map(|_| Err(error.clone())).collect();
@@ -537,7 +508,7 @@ fn execute(
     for (member, item) in members.into_iter().zip(items) {
         let mut result = member.result(started, run_time, JobStatus::Failed, None);
         match item {
-            Ok(BatchItem { outcome: Ok((_, report)), gn, memory, comm, .. }) => {
+            Ok(BatchItem { outcome: Ok((_, report)), memory, comm, .. }) => {
                 result.status = JobStatus::Succeeded;
                 if collect_reports {
                     let scheduling = SchedulingInfo {
@@ -551,15 +522,14 @@ fn execute(
                         batch_id,
                         batch_size,
                     };
-                    // Only per-job sources: the metrics registry and kernel
-                    // timers are shared by every concurrently running job.
-                    // The counts cover the solve and its report, not the
-                    // generation of a synthetic input.
+                    // Only per-job sources: this worker's kernel timers cover
+                    // every member of the batch. The counts cover the solve
+                    // and its report, not the generation of a synthetic
+                    // input.
                     let transport = Comm::solo().transport_kind();
                     let mut run = observe::solve_run_report(
                         &member.label,
                         &report,
-                        &gn,
                         transport,
                         &comm,
                         &memory,

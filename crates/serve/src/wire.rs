@@ -702,9 +702,10 @@ mod tests {
     /// Frame payloads of protocol 3, every key in wire order: what the
     /// hand-written codec before the derive produced (captured by running
     /// it), less the report's five modeled-seconds keys protocol 1 carried
-    /// and the `tenant` and `cached` keys protocol 2 carried.
+    /// and the `tenant` and `cached` keys protocol 2 carried, plus the
+    /// report's `obj_evals`, `hess_applies` and `converged`.
     const GOLDEN_SUBMIT: &str = r#"{"type":"submit","spec":{"label":"golden","priority":"high","deadline_ms":1234,"config":{"nt":2,"ip_order":"cubic","store_grad":true,"precond":"2LInvH0","beta_target":0.001,"beta_init":0.5,"beta_reduction":0.25,"continuation":false,"grid_continuation":true,"eps_h0":0.01,"beta_floor":0.1,"grad_rtol":0.02,"max_gn_iter":3,"max_pcg_iter":4,"max_inner_iter":5,"fixed_pcg":6,"precision":"mixed","verbose":false},"input":{"kind":"synthetic","n":[8,6,4]}}}"#;
-    const GOLDEN_RESULT: &str = r#"{"type":"result","result":{"id":"job-42","label":"golden","status":"succeeded","report":{"data":"golden","pc":"2LInvH0","precision":"mixed","grid":[8,6,4],"nt":2,"nranks":1,"gn_iters":3,"pcg_iters":7,"rel_mismatch":0.123456789012345,"grad_rel":0.015,"n_inva":2,"n_invh0":5,"inner_cg_total":40,"inner_cg_avg":8.0,"time_pc":0.25,"time_obj":0.125,"time_grad":0.5,"time_hess":1.0,"time_total":2.0,"jac_det_min":0.75,"jac_det_max":1.5,"memory_bytes_per_rank":123456},"run":{"label":"golden","nranks":1},"error":null,"queue_wait_secs":0.001,"run_secs":2.0,"total_secs":2.5}}"#;
+    const GOLDEN_RESULT: &str = r#"{"type":"result","result":{"id":"job-42","label":"golden","status":"succeeded","report":{"data":"golden","pc":"2LInvH0","precision":"mixed","grid":[8,6,4],"nt":2,"nranks":1,"gn_iters":3,"pcg_iters":7,"obj_evals":5,"hess_applies":7,"converged":true,"rel_mismatch":0.123456789012345,"grad_rel":0.015,"n_inva":2,"n_invh0":5,"inner_cg_total":40,"inner_cg_avg":8.0,"time_pc":0.25,"time_obj":0.125,"time_grad":0.5,"time_hess":1.0,"time_total":2.0,"jac_det_min":0.75,"jac_det_max":1.5,"memory_bytes_per_rank":123456},"run":{"label":"golden","nranks":1},"error":null,"queue_wait_secs":0.001,"run_secs":2.0,"total_secs":2.5}}"#;
 
     fn text(msg: &impl Serialize) -> String {
         String::from_utf8(encode(msg)).unwrap()
@@ -741,6 +742,7 @@ mod tests {
         let report = result.report.as_ref().expect("golden result carries a report");
         assert_eq!((report.pc.as_str(), report.precision.as_str()), ("2LInvH0", "mixed"));
         assert_eq!((report.grid, report.pcg_iters), ([8, 6, 4], 7));
+        assert_eq!((report.obj_evals, report.hess_applies, report.converged), (5, 7, true));
         assert_eq!(report.rel_mismatch.to_bits(), 0.123456789012345f64.to_bits());
         assert_eq!(report.memory_bytes_per_rank, 123456);
         let run = result.run.as_ref().expect("golden result carries a run document");
@@ -758,11 +760,17 @@ mod tests {
         assert_eq!(spec.config.precision, claire_core::Precision::F64);
         assert_eq!(spec.config.fixed_pcg, Some(6), "the other keys still land");
 
-        let old = GOLDEN_RESULT.replace(r#""precision":"mixed","#, "");
+        // ... and from before the report carried the solve's counts
+        let old = GOLDEN_RESULT
+            .replace(r#""precision":"mixed","#, "")
+            .replace(r#""obj_evals":5,"hess_applies":7,"converged":true,"#, "");
         let Response::Result { result } = decode_response(old.as_bytes()).unwrap() else {
             panic!()
         };
-        assert_eq!(result.report.unwrap().precision, "f64");
+        let report = result.report.unwrap();
+        assert_eq!(report.precision, "f64");
+        assert_eq!((report.obj_evals, report.hess_applies, report.converged), (0, 0, false));
+        assert_eq!(report.pcg_iters, 7, "the other keys still land");
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!
 //! options:
 //!   -o DIR           output directory (default: claire_out)
-//!   --report PATH    write a unified RunReport JSON (spans, metrics,
-//!                    per-phase timings, per-collective traffic) to PATH
+//!   --report PATH    write a unified RunReport JSON (spans, GN trace,
+//!                    per-kernel timings, per-collective traffic) to PATH
 //!                    and print the span-tree summary on exit
 //!   --syn N          skip the NIfTI inputs and register the synthetic
 //!                    N³ sinusoidal problem (smoke tests, CI)
@@ -69,7 +69,7 @@
 //!                    whole resulting configuration as flags
 //!   --timeout SECS   supervision budget before the cluster is reaped
 //!                    (default: 300)
-//!   --report PATH    write rank 0's merged RunReport JSON to PATH
+//!   --report PATH    write rank 0's RunReport JSON to PATH
 //!   --in-process     run the identical solve on the threads-as-ranks
 //!                    virtual cluster instead of spawning processes (the
 //!                    two modes produce bitwise-identical trajectories;
@@ -102,7 +102,6 @@ use claire::data::nifti;
 use claire::interp::{Interpolator, IpOrder};
 use claire::ipc::{LaunchSpec, SocketOpts, SocketTransport};
 use claire::mpi::{Comm, Topology, TransportError};
-use claire::obs::report::RunReport;
 use claire::semilag::{displacement, Trajectory};
 use claire::serve::{
     Client, JobInput, JobSpec, JobStatus, NetServer, RegistrationService, ServiceConfig,
@@ -879,12 +878,9 @@ fn launch_main(args: Vec<String>) {
 }
 
 /// `--in-process`: the identical solve on the threads-as-ranks virtual
-/// cluster, as a reference for the multi-process path.
-///
-/// Observability state is process-global, so with p ranks in one process
-/// every rank's GN records land in one ledger and the objective/Hessian
-/// counters are p-fold. Normalize both back to per-rank form so the report
-/// diffs cleanly against a real rank process's.
+/// cluster, as a reference for the multi-process path. Spans, GN records
+/// and kernel timers are per rank thread, so rank 0's report is its own, as
+/// a rank process's is.
 fn launch_in_process(o: &LaunchOpts) {
     let topo = Topology::longhorn(o.ranks);
     let (cfg, syn) = (o.cfg, o.syn);
@@ -908,21 +904,10 @@ fn launch_in_process(o: &LaunchOpts) {
         Ok(res) => res.outputs,
         Err(e) => fail(&ClaireError::from(e)),
     };
-    let mut run = outputs.into_iter().flatten().next().unwrap_or_else(|| {
+    let run = outputs.into_iter().flatten().next().unwrap_or_else(|| {
         fail(&ClaireError::RankFailed { rank: 0, message: "no rank-0 report".into() })
     });
-    normalize_threads_report(&mut run, o.ranks);
     finish_launch(o, run.to_json(), "channel");
-}
-
-/// Undo the artifacts of running p ranks inside one process (see
-/// [`launch_in_process`]): keep the first copy of each GN record and divide
-/// the process-global counters by the rank count.
-fn normalize_threads_report(run: &mut RunReport, ranks: usize) {
-    let mut seen = std::collections::HashSet::new();
-    run.gn_trace.retain(|r| seen.insert((r.level, r.beta.to_bits(), r.iter)));
-    run.summary.obj_evals /= ranks;
-    run.summary.hess_applies /= ranks;
 }
 
 /// Write/print the rank-0 report on the launcher side.

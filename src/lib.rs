@@ -29,7 +29,8 @@
 //! * [`ipc`] — true multi-process execution: the Unix-domain-socket
 //!   [`mpi::Transport`], rendezvous bootstrap, and the rank process
 //!   launcher behind `claire-cli launch`
-//! * [`obs`] — spans, metrics, and the unified [`obs::report::RunReport`]
+//! * [`obs`] — spans, GN-iteration records, and the unified
+//!   [`obs::report::RunReport`]
 //!   (enable with [`core::observe::begin`], collect with
 //!   [`core::observe::collect_run_report`])
 //! * [`serve`] — job service, in-process or over TCP: bounded admission

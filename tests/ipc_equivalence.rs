@@ -119,12 +119,12 @@ fn get<'a>(v: &'a Value, key: &str) -> &'a Value {
 }
 
 /// The transport-independent slice of a RunReport: problem identity, the
-/// full GN trajectory, and the logical communication ledgers. Wall-clock
-/// times (the seconds blocked in communication among them), process-local
-/// telemetry (spans, kernels, metrics, memory), and the physical wire
-/// accounting are dropped.
+/// full GN trajectory, each kernel's call count, and the logical
+/// communication ledgers. Wall-clock times (kernel seconds and the seconds
+/// blocked in communication among them), spans, memory, and the physical
+/// wire accounting are dropped.
 fn canonical(run: &Value) -> Value {
-    const KEEP: [&str; 9] = [
+    const KEEP: [&str; 10] = [
         "grid",
         "nranks",
         "nt",
@@ -134,30 +134,23 @@ fn canonical(run: &Value) -> Value {
         "comm",
         "collectives",
         "gn_trace",
+        "kernels",
     ];
+    let without = |v: &Value, drop: &[&str]| {
+        Value::Object(obj(v).iter().filter(|(k, _)| !drop.contains(&k.as_str())).cloned().collect())
+    };
+    let each_without = |v: &Value, drop: &[&str]| match v {
+        Value::Array(entries) => Value::Array(entries.iter().map(|e| without(e, drop)).collect()),
+        other => panic!("expected an array, got {other:?}"),
+    };
     let fields = KEEP
         .iter()
         .map(|&key| {
             let v = get(run, key);
             let v = match key {
-                "summary" => Value::Object(
-                    obj(v).iter().filter(|(k, _)| k != "time_total").cloned().collect(),
-                ),
-                "comm" => Value::Array(match v {
-                    Value::Array(entries) => entries
-                        .iter()
-                        .map(|e| {
-                            Value::Object(
-                                obj(e)
-                                    .iter()
-                                    .filter(|(k, _)| k != "wire_bytes" && k != "blocked_secs")
-                                    .cloned()
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                    other => panic!("comm should be an array, got {other:?}"),
-                }),
+                "summary" => without(v, &["time_total"]),
+                "comm" => each_without(v, &["wire_bytes", "blocked_secs"]),
+                "kernels" => each_without(v, &["secs"]),
                 _ => v.clone(),
             };
             (key.to_string(), v)
@@ -185,14 +178,20 @@ fn run_launch(dir: &std::path::Path, name: &str, extra: &[&str]) -> Value {
 }
 
 /// A multi-process solve reproduces the threads-as-ranks run
-/// field-for-field: same trajectory, same mismatch bits, same ledgers. On 4
-/// ranks at the launch defaults, and on 2 ranks with 2LInvH0, whose
-/// coarse-grid transfers are messages only that preconditioner sends.
+/// field-for-field: same trajectory, same mismatch bits, same kernel calls,
+/// same ledgers, with no post-processing of either report. On 4 ranks at
+/// the launch defaults, on 2 ranks with 2LInvH0, whose coarse-grid
+/// transfers are messages only that preconditioner sends, and on 2 ranks
+/// with grid continuation, whose every grid restarts its β-levels at 0.
 #[test]
 fn launch_report_matches_in_process_report() {
     let dir = std::env::temp_dir().join(format!("claire-ipc-eq-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for extra in [&[][..], &["--ranks", "2", "--syn", "16", "--precond", "2LInvH0"]] {
+    for extra in [
+        &[][..],
+        &["--ranks", "2", "--syn", "16", "--precond", "2LInvH0"],
+        &["--ranks", "2", "--syn", "16", "--grid-cont"],
+    ] {
         let proc_run = run_launch(&dir, "proc.json", extra);
         let thr_run = run_launch(&dir, "thr.json", &[extra, &["--in-process"]].concat());
 
@@ -225,8 +224,8 @@ fn launch_report_matches_in_process_report() {
 }
 
 /// One rank's report is measured against that rank's wall clock: seconds
-/// blocked in communication per category, and kernel shares that are the
-/// rank's own although the rank threads book into one set of timers.
+/// blocked in communication per category, and kernel shares from the rank
+/// thread's own timers.
 #[test]
 fn in_process_report_is_one_ranks_ruler() {
     let dir = std::env::temp_dir().join(format!("claire-ipc-ruler-{}", std::process::id()));

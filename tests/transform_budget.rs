@@ -13,10 +13,16 @@
 //!   `F⁻¹ ŝ`) and `6 + 6k` on the coarse one;
 //! * `objective`: 3 (the regularization energy is a Parseval sum).
 //!
-//! The kernel counters are process-global, so this file is its own test
-//! binary with a single test, like `zero_alloc`.
+//! A whole solve then keeps two budgets (DESIGN.md §5, §21), read off its
+//! report: one state solve per line-search trial plus the first gradient,
+//! and a scalar-transform count between what its operator applications
+//! certainly cost and that plus their bounded slack.
+//!
+//! The kernel counters are thread-local, so each test counts only its own
+//! transforms.
 
 use claire::core::{PrecondKind, RegProblem, RegistrationConfig};
+use claire::obs::span::SpanNode;
 use claire::opt::GnProblem;
 use claire::prelude::*;
 
@@ -75,4 +81,67 @@ fn transforms_per_call_are_what_the_design_says() {
             assert_eq!(k > 0, kind != PrecondKind::InvA, "{kind:?}: the inner solve iterates");
         }
     }
+}
+
+/// Calls of every span named `name` anywhere in the tree.
+fn span_calls(nodes: &[SpanNode], name: &str) -> usize {
+    nodes
+        .iter()
+        .map(|n| if n.name == name { n.calls as usize } else { 0 } + span_calls(&n.children, name))
+        .sum()
+}
+
+#[test]
+fn a_whole_solve_keeps_its_state_solve_and_transform_budgets() {
+    let mut comm = Comm::solo();
+    let prob = syn_problem([16, 16, 16], &mut comm);
+    let cfg = RegistrationConfig::builder()
+        .nt(4)
+        .beta(1e-3)
+        .precond(PrecondKind::TwoLevelInvH0)
+        .build()
+        .expect("valid configuration");
+    let levels = cfg.beta_schedule().len();
+    assert!(levels >= 2, "the solve runs a β continuation");
+
+    begin_observing();
+    let (_, report) =
+        Claire::new(cfg).register_from(&prob.template, &prob.reference, None, "SYN", &mut comm);
+    let run = collect_run_report("SYN", &report, &comm);
+    claire::obs::set_enabled(false);
+
+    let obj_evals = run.summary.obj_evals;
+    let records = run.gn_trace.len();
+    assert_eq!(records, run.summary.gn_iters);
+
+    // one linearization point, solved once (DESIGN §21): the state equation
+    // is solved per line-search trial and for the very first gradient —
+    // objective evaluations minus the J(v0) each β-level reads off the
+    // linearization point, plus one. Every later gradient (one per record
+    // and one per level) reuses a solve.
+    let solves = span_calls(&run.spans, "semilag.state");
+    assert_eq!(solves, obj_evals - levels + 1, "the kept state solve is not being reused");
+    // every objective evaluation past each level's J(v0) is a line-search
+    // trial some GN record owns
+    let trials: usize = run.gn_trace.iter().map(|r| r.ls_trials).sum();
+    assert_eq!(trials, obj_evals - levels, "a line-search trial is not on its GN record");
+
+    // the transform budget (DESIGN §5). Certain: 3 per objective, 6 per
+    // Hessian matvec, 12 + 6k per H0 application with k inner iterations.
+    // On top, at most: 6 per InvA application (no more applications than
+    // matvecs + Newton solves), 6 + 6 per gradient (βA·v, and ∇m̄ restricted
+    // at a new linearization point; one gradient per record and one per
+    // level) and the first restriction. An operator that goes back to real
+    // space between two spectral steps breaks the ceiling.
+    let fft = run.kernels.iter().find(|k| k.name == "fft_serial").expect("transforms ran").calls;
+    let (hess, h0, inner) = (run.summary.hess_applies, report.n_invh0, report.inner_cg_total);
+    assert!(h0 > 0 && inner > 0, "the 2LInvH0 inner solve iterates");
+    let floor = 3 * obj_evals + 6 * hess + 12 * h0 + 6 * inner;
+    let ceiling = floor + 6 * (hess + records - h0) + 12 * (records + levels) + 6;
+    assert!(
+        (floor..=ceiling).contains(&(fft as usize)),
+        "{fft} scalar transforms outside [{floor}, {ceiling}] for {obj_evals} objectives, \
+         {hess} Hessian matvecs, {h0} H0 applications with {inner} inner iterations, \
+         {records} GN records on {levels} β-levels: the transform budget is broken"
+    );
 }
