@@ -34,7 +34,7 @@ fn main() {
             .build()
             .expect("valid configuration");
         let mut claire = Claire::new(cfg);
-        let (_, r) = claire.register_from(&template, &reference, None, "na10", &mut comm);
+        let (_, r) = claire.register_from(&template, &reference, "na10", &mut comm);
         rows.push(r);
     }
     let max_total = rows.iter().map(|r| r.time_total).fold(0.0, f64::max);

@@ -42,7 +42,7 @@ fn run_one(
         .expect("valid configuration");
     observe::begin(); // fresh spans/records/kernel timers per run
     let mut claire = Claire::new(cfg);
-    let (_, report) = claire.register_from(m0, m1, None, data, comm);
+    let (_, report) = claire.register_from(m0, m1, data, comm);
     let run = observe::collect_run_report(data, &report, comm);
     (report, run)
 }

@@ -63,8 +63,7 @@ fn main() {
                 .expect("valid configuration");
             let t0 = std::time::Instant::now();
             let mut claire = Claire::new(cfg);
-            let (_, report) =
-                claire.register_from(&prob.template, &prob.reference, None, "SYN", comm);
+            let (_, report) = claire.register_from(&prob.template, &prob.reference, "SYN", comm);
             let run =
                 (comm.rank() == 0).then(|| observe::collect_run_report("table7", &report, comm));
             (t0.elapsed().as_secs_f64(), run)

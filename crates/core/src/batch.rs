@@ -1,6 +1,5 @@
 //! The continuation driver: K registrations on one grid, each stepped
-//! through grid continuation, β-continuation and Gauss–Newton one iteration
-//! at a time.
+//! through β-continuation and Gauss–Newton one iteration at a time.
 //!
 //! This is the only place the solver's outer loops live. [`Claire`] runs it
 //! with K = 1 on the caller's communicator (a stepping driver run alone *is*
@@ -39,9 +38,7 @@ use claire_opt::{GnConfig, GnState, GnStats};
 use crate::config::RegistrationConfig;
 use crate::problem::{RegProblem, SolverScaffold};
 use crate::report::RegistrationReport;
-use crate::solver::{
-    accumulate, build_report, coarse_solvable, level_gn_config, CancelToken, SolverHooks,
-};
+use crate::solver::{accumulate, build_report, level_gn_config, CancelToken, SolverHooks};
 
 /// One registration job in a batch: a (template, reference) pair plus its
 /// own control hooks.
@@ -127,7 +124,7 @@ pub struct BatchStats {
     /// Interleave rounds executed (a round steps every active pair once).
     pub rounds: usize,
     /// Seconds spent on shared + per-pair setup (scaffold planning, problem
-    /// construction) across all grid levels. Amortized over `pairs`.
+    /// construction). Amortized over `pairs`.
     pub setup_secs: f64,
     /// Seconds spent in the interleaved iterations and report assembly.
     pub solve_secs: f64,
@@ -202,7 +199,6 @@ impl BatchSolver {
     /// deadlines) are reported inside the affected [`BatchItem`] while the
     /// remaining pairs complete normally.
     pub fn solve(&self, pairs: Vec<BatchPair>) -> ClaireResult<BatchOutcome> {
-        self.cfg.validate()?;
         if pairs.is_empty() {
             return Err(ClaireError::Config {
                 param: "batch",
@@ -233,149 +229,49 @@ impl BatchSolver {
         // a run of one is a solo solve, so it keeps the solo span root
         let _run_span = span(if pairs.len() == 1 { "solve" } else { "batch.solve" });
         let mut comms: Vec<Comm> = pairs.iter().map(|_| Comm::solo()).collect();
-        let inputs = pairs
-            .into_iter()
-            .map(|p| PairInput {
-                label: p.label,
-                hooks: p.hooks,
-                m0: p.template,
-                m1: p.reference,
-                v_init: None,
-            })
-            .collect();
-        Ok(solve_pairs(&self.cfg, "BatchSolver::solve", inputs, &mut comms))
+        solve_pairs(&self.cfg, "BatchSolver::solve", pairs, &mut comms)
     }
 }
 
-/// One pair's inputs for a grid level.
-pub(crate) struct PairInput {
-    pub(crate) label: String,
-    pub(crate) hooks: SolverHooks,
-    pub(crate) m0: ScalarField,
-    pub(crate) m1: ScalarField,
-    pub(crate) v_init: Option<VectorField>,
-}
-
-/// Run every pair to completion — grid continuation, β-continuation,
-/// Gauss–Newton, final report — with member `i` communicating over
-/// `comms[i]`. All inputs share one layout. Collective over each member's
-/// communicator. `context` names the public entry point in a member's
-/// [`ClaireError::Cancelled`].
+/// Run every pair to completion — setup, β-continuation and Gauss–Newton
+/// interleaved round-robin, final reports — with member `i` communicating
+/// over `comms[i]`. All pairs share one layout. Collective over each
+/// member's communicator. `context` names the public entry point in a
+/// member's [`ClaireError::Cancelled`]. Fails only on an invalid `cfg`.
 pub(crate) fn solve_pairs(
     cfg: &RegistrationConfig,
     context: &'static str,
-    inputs: Vec<PairInput>,
+    pairs: Vec<BatchPair>,
     comms: &mut [Comm],
-) -> BatchOutcome {
-    let k = inputs.len();
+) -> ClaireResult<BatchOutcome> {
+    cfg.validate()?;
+    let k = pairs.len();
     let t0 = Instant::now();
+    let layout = *pairs[0].template.layout();
     let mut mem: Vec<MemberMemStats> = vec![MemberMemStats::default(); k];
-    let mut rounds = 0usize;
-    let mut setup_secs = 0.0f64;
-    let labels: Vec<String> = inputs.iter().map(|p| p.label.clone()).collect();
-
-    let results = solve_level(cfg, context, inputs, comms, &mut mem, &mut rounds, &mut setup_secs);
-
-    let mut items = Vec::with_capacity(k);
-    for (((res, label), comm), mut mem) in
-        results.into_iter().zip(labels).zip(comms.iter_mut()).zip(mem)
-    {
-        let outcome = res.map(|(mut problem, v, stats)| {
-            let report = mem.metered(|| build_report(cfg, &mut problem, &v, &label, comm, &stats));
-            (v, report)
-        });
-        items.push(BatchItem { label, outcome, memory: mem, comm: comm.stats().clone() });
-    }
-    let solve_secs = (t0.elapsed().as_secs_f64() - setup_secs).max(0.0);
-    BatchOutcome { items, stats: BatchStats { pairs: k, rounds, setup_secs, solve_secs } }
-}
-
-type PairResult = Result<(RegProblem, VectorField, GnStats), ClaireError>;
-
-/// Solve every pair on the inputs' grid, recursing to the half-resolution
-/// grid first when grid continuation applies. Returns per-pair results in
-/// order.
-fn solve_level(
-    cfg: &RegistrationConfig,
-    context: &'static str,
-    mut inputs: Vec<PairInput>,
-    comms: &mut [Comm],
-    mem: &mut [MemberMemStats],
-    rounds: &mut usize,
-    setup_secs: &mut f64,
-) -> Vec<PairResult> {
-    let layout = *inputs[0].m0.layout();
-    let k = inputs.len();
-    let mut failed: Vec<Option<ClaireError>> = (0..k).map(|_| None).collect();
-    // each pair's Gauss–Newton totals on the coarser grids, which its
-    // totals on this grid continue
-    let mut coarse_totals = vec![GnStats::default(); k];
-
-    // coarse-to-fine grid continuation: solve every pair at half resolution
-    // first, prolonging each velocity as that pair's warm start
-    if cfg.grid_continuation && coarse_solvable(&layout, cfg.precond) {
-        let tl = mem[0].metered(|| claire_diff::TwoLevel::new(layout.grid, &comms[0]));
-        if cfg.verbose && comms[0].rank() == 0 {
-            eprintln!("== grid continuation: solving at {:?} ==", tl.coarse_grid().n);
-        }
-        let mut coarse_cfg = *cfg;
-        coarse_cfg.grid_continuation = layout.grid.n.iter().all(|&n| n >= 16);
-        let coarse_inputs: Vec<PairInput> = inputs
-            .iter_mut()
-            .zip(comms.iter_mut())
-            .zip(mem.iter_mut())
-            .map(|((p, comm), mem)| PairInput {
-                label: p.label.clone(),
-                hooks: p.hooks.clone(),
-                m0: mem.metered(|| tl.restrict(&p.m0, comm)),
-                m1: mem.metered(|| tl.restrict(&p.m1, comm)),
-                v_init: p.v_init.take(),
-            })
-            .collect();
-        let coarse =
-            solve_level(&coarse_cfg, context, coarse_inputs, comms, mem, rounds, setup_secs);
-        for (i, res) in coarse.into_iter().enumerate() {
-            match res {
-                Ok((_, vc, stats)) => {
-                    let v = mem[i].metered(|| tl.prolong_vector(&vc, &mut comms[i]));
-                    inputs[i].v_init = Some(v);
-                    coarse_totals[i] = stats;
-                }
-                Err(e) => failed[i] = Some(e),
-            }
-        }
-        // nothing left to solve (e.g. cancelled during the coarse solve):
-        // surface the errors without planning this grid
-        if failed.iter().all(Option::is_some) {
-            return failed.into_iter().map(|e| Err(e.expect("all failed"))).collect();
-        }
-    }
 
     // shared per-grid scaffolding (FFT symbols, 2LInvH0 transfer operators);
     // the first member is charged for it, so member counts sum to the run's
     let t_setup = Instant::now();
-    let scaffold = match mem[0].metered(|| SolverScaffold::new(cfg, layout.grid, &mut comms[0])) {
-        Ok(scaffold) => scaffold,
-        Err(e) => return (0..k).map(|_| Err(e.clone())).collect(),
-    };
-    let level = LevelPlan { context, betas: cfg.beta_schedule(), gn_cfg: level_gn_config(cfg) };
-
+    let scaffold = mem[0].metered(|| SolverScaffold::new(cfg, layout.grid, &mut comms[0]));
+    let plan = SolvePlan { context, betas: cfg.beta_schedule(), gn_cfg: level_gn_config(cfg) };
+    let mut labels = Vec::with_capacity(k);
     let mut drivers: Vec<ClaireResult<PairDriver>> = Vec::with_capacity(k);
-    for (i, p) in inputs.into_iter().enumerate() {
-        if let Some(e) = failed[i].take() {
-            drivers.push(Err(e));
-            continue;
-        }
-        let (comm, total) = (&mut comms[i], std::mem::take(&mut coarse_totals[i]));
-        drivers.push(mem[i].metered(|| {
-            let problem = RegProblem::with_scaffold(p.m0, p.m1, *cfg, &scaffold, comm)?;
-            let v0 = p.v_init.unwrap_or_else(|| VectorField::zeros(layout));
-            Ok(PairDriver::new(p.hooks, problem, v0, total, &level, comm))
-        }));
+    for ((p, comm), mem) in pairs.into_iter().zip(comms.iter_mut()).zip(mem.iter_mut()) {
+        labels.push(p.label);
+        drivers.push(match &scaffold {
+            Ok(scaffold) => mem.metered(|| {
+                let problem =
+                    RegProblem::with_scaffold(p.template, p.reference, *cfg, scaffold, comm)?;
+                Ok(PairDriver::new(p.hooks, problem, &plan, comm))
+            }),
+            Err(e) => Err(e.clone()),
+        });
     }
-    *setup_secs += t_setup.elapsed().as_secs_f64();
+    let setup_secs = t_setup.elapsed().as_secs_f64();
 
     // the interleave: step every active pair once per round
+    let mut rounds = 0usize;
     loop {
         let mut any = false;
         for (i, drv) in drivers.iter_mut().enumerate() {
@@ -384,70 +280,70 @@ fn solve_level(
                 continue;
             }
             any = true;
-            mem[i].metered(|| drv.advance(&level, &mut comms[i]));
+            mem[i].metered(|| drv.advance(&plan, &mut comms[i]));
         }
         if !any {
             break;
         }
-        *rounds += 1;
+        rounds += 1;
     }
 
-    drivers
-        .into_iter()
-        .map(|drv| {
-            let drv = drv?;
+    let mut items = Vec::with_capacity(k);
+    for (((drv, label), comm), mut mem) in
+        drivers.into_iter().zip(labels).zip(comms.iter_mut()).zip(mem)
+    {
+        let outcome = drv.and_then(|drv| {
             let v = drv.end.expect("the interleave runs every driver to its end")?;
-            Ok((drv.problem, v, drv.total))
-        })
-        .collect()
+            let mut problem = drv.problem;
+            let report =
+                mem.metered(|| build_report(cfg, &mut problem, &v, &label, comm, &drv.total));
+            Ok((v, report))
+        });
+        items.push(BatchItem { label, outcome, memory: mem, comm: comm.stats().clone() });
+    }
+    let solve_secs = (t0.elapsed().as_secs_f64() - setup_secs).max(0.0);
+    Ok(BatchOutcome { items, stats: BatchStats { pairs: k, rounds, setup_secs, solve_secs } })
 }
 
-/// What every pair on one grid level iterates against.
-struct LevelPlan {
+/// What every pair iterates against.
+struct SolvePlan {
     /// Entry point named in a member's `Cancelled` error.
     context: &'static str,
     betas: Vec<f64>,
     gn_cfg: GnConfig,
 }
 
-/// One pair's in-flight solver state on one grid level.
+/// One pair's in-flight solver state.
 struct PairDriver {
     hooks: SolverHooks,
     problem: RegProblem,
     /// Current β-level's Gauss–Newton state (`None` once `end` is set).
     state: Option<GnState>,
     level: usize,
-    /// Statistics accumulated over the closed β-levels, the coarser grids'
-    /// first; `total.gn_iters` is the base of the cumulative iteration index
-    /// the hooks see.
+    /// Statistics accumulated over the closed β-levels; `total.gn_iters` is
+    /// the base of the cumulative iteration index the hooks see.
     total: GnStats,
     /// Final velocity or the error that retired the pair.
     end: Option<ClaireResult<VectorField>>,
 }
 
 impl PairDriver {
-    /// A driver whose totals continue `total` (the coarser grids' totals
-    /// under grid continuation, otherwise empty).
-    fn new(
-        hooks: SolverHooks,
-        problem: RegProblem,
-        v0: VectorField,
-        mut total: GnStats,
-        plan: &LevelPlan,
-        comm: &Comm,
-    ) -> PairDriver {
-        // reserve this grid's histories up front so closing a β-level
-        // (accumulate) never allocates inside a measured iteration
+    /// A driver at the first β-level, starting from `v = 0`.
+    fn new(hooks: SolverHooks, problem: RegProblem, plan: &SolvePlan, comm: &Comm) -> PairDriver {
+        // reserve the histories up front so closing a β-level (accumulate)
+        // never allocates inside a measured iteration
         let cap = plan.betas.len() * (plan.gn_cfg.max_iter + 1);
+        let mut total = GnStats::default();
         total.grad_rel_history.reserve(cap);
         total.objective_history.reserve(cap);
         let mut drv = PairDriver { hooks, problem, state: None, level: 0, total, end: None };
+        let v0 = VectorField::zeros(drv.problem.layout());
         drv.open_level(v0, plan, comm);
         drv
     }
 
     /// Start β-level `self.level` from `v`.
-    fn open_level(&mut self, v: VectorField, plan: &LevelPlan, comm: &Comm) {
+    fn open_level(&mut self, v: VectorField, plan: &SolvePlan, comm: &Comm) {
         let beta = plan.betas[self.level];
         if plan.gn_cfg.verbose && comm.rank() == 0 {
             eprintln!("== continuation level {}: beta = {beta:.3e} ==", self.level);
@@ -469,7 +365,7 @@ impl PairDriver {
     /// cancellation (so an observer can trip the token and stop the solve
     /// before that iteration runs), step, and roll to the next β-level (or
     /// retire) when the current level finishes.
-    fn advance(&mut self, plan: &LevelPlan, comm: &mut Comm) {
+    fn advance(&mut self, plan: &SolvePlan, comm: &mut Comm) {
         let _lvl = span("beta_level");
         let state = self.state.as_mut().expect("active driver has a level state");
         if let Some(cb) = &self.hooks.on_gn_iter {

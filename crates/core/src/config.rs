@@ -99,10 +99,6 @@ pub struct RegistrationConfig {
     pub beta_reduction: f64,
     /// Run the continuation at all (false = solve at `beta_target` only).
     pub continuation: bool,
-    /// Coarse-to-fine grid continuation: solve on the half-resolution grid
-    /// first and prolong the velocity as the fine-grid initial guess
-    /// (CLAIRE's grid-continuation scheme; combined with β-continuation).
-    pub grid_continuation: bool,
     /// Inner tolerance scale `εH0` (paper: 1e−3 NIREP, 1e−2 CLARITY).
     pub eps_h0: f64,
     /// Lower bound for β inside H0 (paper: 5e−2).
@@ -160,7 +156,7 @@ macro_rules! row {
 }
 
 /// Rows in struct order, which is also the wire order of the keys.
-static FIELDS: [ConfigField; 18] = [
+static FIELDS: [ConfigField; 17] = [
     row!(nt, "--nt"),
     // `IpOrder` lives in claire-interp, which knows nothing of serde
     ConfigField {
@@ -182,7 +178,6 @@ static FIELDS: [ConfigField; 18] = [
     row!(beta_init, "--beta-init"),
     row!(beta_reduction, "--beta-reduction"),
     row!(continuation, "--continuation"),
-    row!(grid_continuation, "--grid-cont"),
     row!(eps_h0, "--eps-h0"),
     row!(beta_floor, "--beta-floor"),
     row!(grad_rtol, "--grad-rtol"),
@@ -238,7 +233,6 @@ impl Default for RegistrationConfig {
             beta_init: 1.0,
             beta_reduction: 0.1,
             continuation: true,
-            grid_continuation: false,
             eps_h0: 1e-3,
             beta_floor: 5e-2,
             grad_rtol: 5e-2,
@@ -418,12 +412,6 @@ impl RegistrationConfigBuilder {
     /// Run the β-continuation (true by default).
     pub fn continuation(mut self, on: bool) -> Self {
         self.cfg.continuation = on;
-        self
-    }
-
-    /// Coarse-to-fine grid continuation.
-    pub fn grid_continuation(mut self, on: bool) -> Self {
-        self.cfg.grid_continuation = on;
         self
     }
 
@@ -623,7 +611,6 @@ mod tests {
             beta_init,
             beta_reduction,
             continuation,
-            grid_continuation,
             eps_h0,
             beta_floor,
             grad_rtol,

@@ -21,8 +21,8 @@ use crate::precond::{PrecondState, WidthOps};
 /// Everything here depends only on the grid, the preconditioner kind and
 /// the precision — never on the images — so one scaffold can back any
 /// number of [`RegProblem`]s on the same grid. The continuation driver
-/// builds one per grid level and shares it across all K pairs (K = 1 for a
-/// lone registration); [`RegProblem::new`] builds a private one.
+/// builds one per solve and shares it across all K pairs (K = 1 for a lone
+/// registration); [`RegProblem::new`] builds a private one.
 /// All shared pieces are immutable (`&self` methods only), so sharing does
 /// not change any arithmetic.
 pub struct SolverScaffold {

@@ -18,10 +18,10 @@ use claire_obs::span::span;
 use claire_opt::{GnConfig, GnStats};
 use claire_semilag::{displacement, Trajectory};
 
-use crate::batch::{solve_pairs, PairInput};
-use crate::config::{PrecondKind, RegistrationConfig};
+use crate::batch::{solve_pairs, BatchPair};
+use crate::config::RegistrationConfig;
 use crate::memory;
-use crate::problem::{validate_grid, RegProblem};
+use crate::problem::RegProblem;
 use crate::report::RegistrationReport;
 
 /// Why a solve stopped before reaching its convergence criterion.
@@ -123,7 +123,7 @@ impl CancelToken {
 /// Observation and control hooks threaded through a solve.
 ///
 /// `cancel` is polled at every Gauss–Newton iteration boundary (across all
-/// β-continuation levels and the coarse grid-continuation solve);
+/// β-continuation levels);
 /// `on_gn_iter` fires at the same boundaries with the cumulative iteration
 /// index, *before* the cancel check — so an observer can trip the token and
 /// have the solve stop before that iteration runs. `claire-serve` uses this
@@ -175,28 +175,27 @@ impl Claire {
     }
 
     /// Fallible [`Claire::register`]: returns a typed error on mismatched
-    /// template/reference layouts instead of panicking.
+    /// template/reference layouts or an invalid configuration instead of
+    /// panicking.
     pub fn try_register(
         &mut self,
         m0: &ScalarField,
         m1: &ScalarField,
         comm: &mut Comm,
     ) -> ClaireResult<(VectorField, RegistrationReport)> {
-        self.try_register_from(m0, m1, None, "data", comm)
+        self.try_register_from(m0, m1, "data", comm)
     }
 
-    /// [`Claire::register`] with an initial velocity guess and a dataset
-    /// label for the report. Panicking convenience wrapper around
-    /// [`Claire::try_register_from`].
+    /// [`Claire::register`] with a dataset label for the report. Panicking
+    /// convenience wrapper around [`Claire::try_register_from`].
     pub fn register_from(
         &mut self,
         m0: &ScalarField,
         m1: &ScalarField,
-        v_init: Option<VectorField>,
         label: &str,
         comm: &mut Comm,
     ) -> (VectorField, RegistrationReport) {
-        self.try_register_from(m0, m1, v_init, label, comm).unwrap_or_else(|e| panic!("{e}"))
+        self.try_register_from(m0, m1, label, comm).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`Claire::register_from`].
@@ -204,20 +203,13 @@ impl Claire {
         &mut self,
         m0: &ScalarField,
         m1: &ScalarField,
-        v_init: Option<VectorField>,
         label: &str,
         comm: &mut Comm,
     ) -> ClaireResult<(VectorField, RegistrationReport)> {
         let _solve = span("solve");
-        let pair = PairInput {
-            label: label.to_string(),
-            hooks: self.hooks.clone(),
-            m0: m0.clone(),
-            m1: m1.clone(),
-            v_init,
-        };
+        let pair = BatchPair::new(label, m0.clone(), m1.clone()).with_hooks(self.hooks.clone());
         let outcome =
-            solve_pairs(&self.cfg, "Claire::register", vec![pair], std::slice::from_mut(comm));
+            solve_pairs(&self.cfg, "Claire::register", vec![pair], std::slice::from_mut(comm))?;
         outcome.items.into_iter().next().expect("one item per pair").outcome
     }
 }
@@ -286,16 +278,6 @@ pub(crate) fn build_report(
     }
 }
 
-/// Whether the half-resolution grid still supports this layout's rank
-/// count and the spectral coarsening (even dims ≥ 8 so the 2LInvH0
-/// preconditioner's own coarse grid stays valid too).
-pub(crate) fn coarse_solvable(layout: &claire_grid::Layout, precond: PrecondKind) -> bool {
-    layout.grid.n.iter().all(|&n| n >= 16 && n % 4 == 0)
-        && layout.nranks <= layout.grid.n[0] / 2
-        && layout.nranks <= layout.grid.n[1] / 2
-        && validate_grid(layout.grid.coarsen(), precond, layout.nranks).is_ok()
-}
-
 /// Accumulate per-level Gauss–Newton statistics into a whole-run total.
 pub(crate) fn accumulate(total: &mut GnStats, level: &GnStats) {
     total.gn_iters += level.gn_iters;
@@ -356,22 +338,18 @@ mod tests {
     }
 
     #[test]
-    fn grid_continuation_produces_valid_registration() {
+    fn an_invalid_config_is_refused_as_the_batch_solver_refuses_it() {
+        use crate::{batch::BatchSolver, config::IpOrder};
         let layout = Layout::serial(Grid::cube(16));
         let mut comm = Comm::solo();
         let (m0, m1) = blob_pair(layout, 0.5);
-        let cfg = RegistrationConfig {
-            nt: 4,
-            precond: PrecondKind::InvA,
-            beta_target: 1e-2,
-            max_gn_iter: 8,
-            grid_continuation: true,
-            ..Default::default()
-        };
-        let mut claire = Claire::new(cfg);
-        let (_, report) = claire.register(&m0, &m1, &mut comm);
-        assert!(report.rel_mismatch < 0.4, "mismatch {}", report.rel_mismatch);
-        assert!(report.jac_det_min > 0.0);
+        // a struct literal skips the builder's validation
+        let cfg = RegistrationConfig { ip_order: IpOrder::CubicSpline, ..Default::default() };
+        let err = Claire::new(cfg).try_register(&m0, &m1, &mut comm).unwrap_err();
+        assert!(matches!(err, ClaireError::Config { param: "ip_order", .. }), "{err}");
+        let pair = BatchPair::new("a", m0, m1);
+        let err = BatchSolver::new(cfg).solve(vec![pair]).err().expect("refused");
+        assert!(matches!(err, ClaireError::Config { param: "ip_order", .. }), "{err}");
     }
 
     #[test]
@@ -395,34 +373,6 @@ mod tests {
         assert!(matches!(err, ClaireError::Cancelled { .. }), "{err}");
         assert!(err.to_string().starts_with("Claire::register stopped early: cancelled"), "{err}");
         assert_eq!(iters.load(Ordering::Relaxed), 1, "only the first boundary is visited");
-    }
-
-    #[test]
-    fn cancel_in_the_coarse_grid_solve_skips_the_fine_grid() {
-        let layout = Layout::serial(Grid::cube(16));
-        let mut comm = Comm::solo();
-        let (m0, m1) = blob_pair(layout, 0.5);
-        let cfg = RegistrationConfig {
-            nt: 2,
-            max_gn_iter: 10,
-            grid_continuation: true,
-            ..Default::default()
-        };
-        let token = CancelToken::new();
-        let trip = token.clone();
-        let boundaries = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let seen = boundaries.clone();
-        let hooks = SolverHooks {
-            cancel: Some(token),
-            on_gn_iter: Some(Arc::new(move |_| {
-                seen.fetch_add(1, Ordering::Relaxed);
-                trip.cancel(); // the first boundary is the 8³ solve's
-            })),
-        };
-        let err = Claire::with_hooks(cfg, hooks).try_register(&m0, &m1, &mut comm).unwrap_err();
-        assert!(matches!(err, ClaireError::Cancelled { .. }), "{err}");
-        assert!(err.to_string().contains("after 0 Gauss-Newton"), "{err}");
-        assert_eq!(boundaries.load(Ordering::Relaxed), 1, "the 16³ level never starts");
     }
 
     #[test]

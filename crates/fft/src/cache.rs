@@ -4,8 +4,8 @@
 //! kernels) is far more expensive than executing it on the small-to-medium
 //! grids of a continuation schedule, and the paper's solver re-plans the
 //! same grids over and over: every β-continuation level reuses the grid,
-//! grid continuation revisits each coarse level, and the two-level
-//! preconditioner plans both fine and coarse transforms per refresh. This
+//! and the two-level preconditioner plans both fine and coarse transforms
+//! per refresh. This
 //! module memoizes plans per length/grid behind `Arc`s so each is computed
 //! exactly once per process and shared by every [`Fft3`]/`DistFft` built
 //! afterwards — including across the virtual-MPI worker threads of

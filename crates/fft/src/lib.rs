@@ -32,8 +32,8 @@
 //!   stays there;
 //! * [`cache`] — process-wide plan cache: stage tables and Bluestein
 //!   kernels are computed once per length/grid and shared (`Arc`) across
-//!   every plan built afterwards, including the β- and grid-continuation
-//!   levels of the solver.
+//!   every plan built afterwards, including the β-continuation levels of
+//!   the solver.
 //!
 //! Every plan is generic over [`FftElem`] (`f32` or `f64`) and both widths
 //! run the same code: the mixed-precision solver runs its inner Krylov/FFT

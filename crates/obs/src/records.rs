@@ -12,8 +12,7 @@ use std::cell::{Cell, RefCell};
 /// One Gauss–Newton iteration: where it ran (level/β) and what it achieved.
 #[derive(Serialize, Clone, Debug)]
 pub struct GnIterRecord {
-    /// β-continuation level within its grid (0 = the grid's first β);
-    /// under grid continuation every grid starts again at 0.
+    /// β-continuation level (0 = the first β).
     pub level: usize,
     /// Regularization weight β at this iteration.
     pub beta: f64,

@@ -244,7 +244,7 @@ pub struct RunReport {
     /// FFT/IP/FD runtime shares.
     pub phases: PhaseShares,
     /// Per-GN-iteration trace (objective, gradient norm, PCG iterations)
-    /// of the reporting rank, every grid of a grid continuation included.
+    /// of the reporting rank, every β-level included.
     pub gn_trace: Vec<GnIterRecord>,
     /// Per-kernel timers of the reporting rank.
     pub kernels: Vec<KernelEntry>,

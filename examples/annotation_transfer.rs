@@ -65,7 +65,7 @@ fn main() {
         .expect("valid configuration");
     println!("registering atlas -> subject with {} ...", cfg.precond.label());
     let mut solver = Claire::new(cfg);
-    let (v, report) = solver.register_from(&atlas, &subject, None, "na05", &mut comm);
+    let (v, report) = solver.register_from(&atlas, &subject, "na05", &mut comm);
     println!(
         "  mismatch {:.3e}, GN {}, PCG {}, det(∇y) ∈ [{:.3}, {:.3}]",
         report.rel_mismatch,

@@ -35,7 +35,7 @@ fn main() {
             .build()
             .expect("valid configuration");
         let mut solver = Claire::new(cfg);
-        let (v, report) = solver.register_from(&m0, &m1, None, &template_name, &mut comm);
+        let (v, report) = solver.register_from(&m0, &m1, &template_name, &mut comm);
         println!("{}", report.row());
         if best.as_ref().map(|(b, _)| report.rel_mismatch < b.rel_mismatch).unwrap_or(true) {
             best = Some((report, v));

@@ -34,7 +34,7 @@ fn main() {
             .build()
             .expect("valid configuration");
         let mut solver = Claire::new(cfg);
-        let (_, report) = solver.register_from(&m0, &m1, None, "clarity", &mut comm);
+        let (_, report) = solver.register_from(&m0, &m1, "clarity", &mut comm);
         println!("{}", report.row());
         // CLARITY registrations plateau at a higher mismatch than MRI
         // (speckle is not alignable); the paper reports ~2e-1.

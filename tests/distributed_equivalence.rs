@@ -32,7 +32,7 @@ fn run_registration(p: usize, n: usize) -> (Vec<claire::grid::Real>, f64) {
     let res = run_cluster(Topology::new(p, 4), move |comm| {
         let prob = syn_problem(size, comm);
         let mut solver = Claire::new(fixed_cfg());
-        let (v, report) = solver.register_from(&prob.template, &prob.reference, None, "SYN", comm);
+        let (v, report) = solver.register_from(&prob.template, &prob.reference, "SYN", comm);
         let gathered = redist::gather_vector(&v, comm);
         (
             gathered.map(|g| {
@@ -68,8 +68,7 @@ fn serial_solo_matches_one_rank_cluster() {
     let mut comm = Comm::solo();
     let prob = syn_problem([n, n, n], &mut comm);
     let mut solver = Claire::new(fixed_cfg());
-    let (_, report_solo) =
-        solver.register_from(&prob.template, &prob.reference, None, "SYN", &mut comm);
+    let (_, report_solo) = solver.register_from(&prob.template, &prob.reference, "SYN", &mut comm);
 
     let (_, mismatch_cluster) = run_registration(1, n);
     assert!((report_solo.rel_mismatch - mismatch_cluster).abs() < 1e-12);
@@ -86,8 +85,7 @@ fn preconditioned_solves_match_distributed() {
         let res = run_cluster(Topology::new(p, 4), move |comm| {
             let prob = syn_problem(size, comm);
             let mut solver = Claire::new(cfg);
-            let (_, report) =
-                solver.register_from(&prob.template, &prob.reference, None, "SYN", comm);
+            let (_, report) = solver.register_from(&prob.template, &prob.reference, "SYN", comm);
             (report.rel_mismatch, report.pcg_iters, report.gn_iters)
         });
         res.outputs[0]
@@ -122,7 +120,6 @@ fn hook_boundaries_match_across_rank_counts() {
             let (_, report) = Claire::with_hooks(cfg, hooks).register_from(
                 &prob.template,
                 &prob.reference,
-                None,
                 "SYN",
                 comm,
             );

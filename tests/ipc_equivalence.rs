@@ -182,7 +182,7 @@ fn run_launch(dir: &std::path::Path, name: &str, extra: &[&str]) -> Value {
 /// same ledgers, with no post-processing of either report. On 4 ranks at
 /// the launch defaults, on 2 ranks with 2LInvH0, whose coarse-grid
 /// transfers are messages only that preconditioner sends, and on 2 ranks
-/// with grid continuation, whose every grid restarts its β-levels at 0.
+/// with β-continuation, whose trace spans several β-levels.
 #[test]
 fn launch_report_matches_in_process_report() {
     let dir = std::env::temp_dir().join(format!("claire-ipc-eq-{}", std::process::id()));
@@ -190,7 +190,7 @@ fn launch_report_matches_in_process_report() {
     for extra in [
         &[][..],
         &["--ranks", "2", "--syn", "16", "--precond", "2LInvH0"],
-        &["--ranks", "2", "--syn", "16", "--grid-cont"],
+        &["--ranks", "2", "--syn", "16", "--continuation"],
     ] {
         let proc_run = run_launch(&dir, "proc.json", extra);
         let thr_run = run_launch(&dir, "thr.json", &[extra, &["--in-process"]].concat());
@@ -212,6 +212,11 @@ fn launch_report_matches_in_process_report() {
         };
         assert!(wire(&proc_run) > 0, "socket transport should account wire bytes ({extra:?})");
         assert_eq!(wire(&thr_run), 0, "channel transport has no wire ({extra:?})");
+        if extra.contains(&"--continuation") {
+            let Value::Array(trace) = get(&proc_run, "gn_trace") else { panic!("gn_trace") };
+            let later = trace.iter().any(|r| get(r, "level") != &Value::UInt(0));
+            assert!(later, "the trace should span several β-levels");
+        }
 
         let (a, b) = (canonical(&proc_run), canonical(&thr_run));
         assert_eq!(
@@ -367,7 +372,6 @@ fn mixed_registration_matches_f64_mismatch_over_sockets() {
             let cfg = RegistrationConfig {
                 nt: 2,
                 continuation: false,
-                grid_continuation: false,
                 beta_target: 1e-2,
                 max_gn_iter: 6,
                 precision,

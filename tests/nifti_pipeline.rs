@@ -42,6 +42,6 @@ fn register_images_loaded_from_disk() {
         ..Default::default()
     };
     let mut solver = Claire::new(cfg);
-    let (_, report) = solver.register_from(&r0, &r1, None, "disk", &mut comm);
+    let (_, report) = solver.register_from(&r0, &r1, "disk", &mut comm);
     assert!(report.rel_mismatch < 0.9, "mismatch {}", report.rel_mismatch);
 }

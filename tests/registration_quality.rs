@@ -19,7 +19,7 @@ fn syn_registration_reduces_mismatch_substantially() {
         ..Default::default()
     };
     let mut solver = Claire::new(cfg);
-    let (_, report) = solver.register_from(&prob.template, &prob.reference, None, "SYN", &mut comm);
+    let (_, report) = solver.register_from(&prob.template, &prob.reference, "SYN", &mut comm);
     assert!(report.rel_mismatch < 0.35, "mismatch {}", report.rel_mismatch);
     assert!(report.jac_det_min > 0.0, "must stay diffeomorphic");
 }
@@ -38,8 +38,7 @@ fn recovered_velocity_correlates_with_truth() {
         ..Default::default()
     };
     let mut solver = Claire::new(cfg);
-    let (v, report) =
-        solver.register_from(&prob.template, &prob.reference, None, "truth", &mut comm);
+    let (v, report) = solver.register_from(&prob.template, &prob.reference, "truth", &mut comm);
     assert!(report.rel_mismatch < 0.5, "mismatch {}", report.rel_mismatch);
     // cosine similarity between recovered and true velocity: registration
     // is ill-posed so we expect correlation, not identity
@@ -68,7 +67,7 @@ fn invh0_needs_fewer_outer_pcg_iterations_than_inva() {
             ..Default::default()
         };
         let mut solver = Claire::new(cfg);
-        let (_, report) = solver.register_from(&m0, &m1, None, "na02", &mut comm);
+        let (_, report) = solver.register_from(&m0, &m1, "na02", &mut comm);
         assert!(report.rel_mismatch < 0.7, "{:?}: mismatch {}", pc, report.rel_mismatch);
         pcg_counts.push(report.pcg_iters);
     }
@@ -99,7 +98,7 @@ fn continuation_improves_over_direct_solve() {
             ..Default::default()
         };
         let mut solver = Claire::new(cfg);
-        let (_, r) = solver.register_from(&m0, &m1, None, "na03", comm);
+        let (_, r) = solver.register_from(&m0, &m1, "na03", comm);
         r
     };
     let with = run(true, &mut comm);
@@ -130,7 +129,7 @@ fn store_grad_does_not_change_results() {
             ..Default::default()
         };
         let mut solver = Claire::new(cfg);
-        let (_, r) = solver.register_from(&prob.template, &prob.reference, None, "SYN", comm);
+        let (_, r) = solver.register_from(&prob.template, &prob.reference, "SYN", comm);
         r.rel_mismatch
     };
     let a = run(false, &mut comm);

@@ -814,7 +814,6 @@ fn smoke_solve_is_backend_insensitive() {
         nt: 2,
         precond: PrecondKind::InvA,
         continuation: false,
-        grid_continuation: false,
         beta_target: 1e-2,
         max_gn_iter: 5,
         max_pcg_iter: 5,

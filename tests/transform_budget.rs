@@ -106,7 +106,7 @@ fn a_whole_solve_keeps_its_state_solve_and_transform_budgets() {
 
     begin_observing();
     let (_, report) =
-        Claire::new(cfg).register_from(&prob.template, &prob.reference, None, "SYN", &mut comm);
+        Claire::new(cfg).register_from(&prob.template, &prob.reference, "SYN", &mut comm);
     let run = collect_run_report("SYN", &report, &comm);
     claire::obs::set_enabled(false);
 
@@ -125,6 +125,9 @@ fn a_whole_solve_keeps_its_state_solve_and_transform_budgets() {
     // trial some GN record owns
     let trials: usize = run.gn_trace.iter().map(|r| r.ls_trials).sum();
     assert_eq!(trials, obj_evals - levels, "a line-search trial is not on its GN record");
+    // and every PCG iteration of the summary is on some record
+    let pcg: usize = run.gn_trace.iter().map(|r| r.pcg_iters).sum();
+    assert_eq!(pcg, run.summary.pcg_iters, "a PCG iteration is not on its GN record");
 
     // the transform budget (DESIGN §5). Certain: 3 per objective, 6 per
     // Hessian matvec, 12 + 6k per H0 application with k inner iterations.

@@ -56,7 +56,6 @@ fn config() -> RegistrationConfig {
         nt: 2,
         precond: PrecondKind::InvA,
         continuation: false,
-        grid_continuation: false,
         beta_target: 1e-2,
         max_gn_iter: 8,
         max_pcg_iter: 5,
