@@ -25,7 +25,6 @@
 //! produces [`report::RegistrationReport`]s containing exactly the columns
 //! of the paper's Table 6.
 
-pub mod batch;
 pub mod config;
 pub mod memory;
 pub mod metrics;
@@ -35,12 +34,11 @@ pub mod problem;
 pub mod report;
 pub mod solver;
 
-pub use batch::{BatchItem, BatchOutcome, BatchPair, BatchSolver, BatchStats, MemberMemStats};
 pub use claire_grid::workspace;
 pub use claire_grid::{ClaireError, ClaireResult, Pool, PoolVec, WsCat};
 pub use claire_opt::GnStats;
 pub use config::{IpOrder, Precision, PrecondKind, RegistrationConfig, RegistrationConfigBuilder};
 pub use observe::{begin as begin_observing, collect_run_report};
-pub use problem::{RegProblem, SolverScaffold};
+pub use problem::RegProblem;
 pub use report::RegistrationReport;
 pub use solver::{CancelToken, Claire, SolverHooks, StopReason};

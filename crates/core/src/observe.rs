@@ -24,14 +24,13 @@
 
 use claire_fft::cache as fft_cache;
 use claire_grid::workspace::{self, WsCat};
-use claire_mpi::{CollOp, Comm, CommCat, CommStats};
+use claire_mpi::{CollOp, Comm, CommCat};
 use claire_obs::report::{
     CollectiveEntry, CommPhaseEntry, KernelEntry, MemoryCatEntry, MemoryInfo, PhaseShares,
     RunReport, RunSummary,
 };
 use claire_obs::{records, span};
 
-use crate::batch::MemberMemStats;
 use crate::report::RegistrationReport;
 
 /// Arm the observability layer for a fresh run: enables collection, resets
@@ -44,55 +43,74 @@ pub fn begin() {
     fft_cache::reset_stats();
 }
 
-/// Drain every telemetry source into a unified [`RunReport`].
+/// Pool and plan-cache events: per-category checkouts and misses of the
+/// workspace pools, hits and misses of the FFT plan cache.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MemStats {
+    /// Pool checkouts per [`WsCat`] index.
+    cat_checkouts: [u64; 6],
+    /// Pool misses (fresh allocations) per category index.
+    cat_misses: [u64; 6],
+    /// FFT plan-cache hits.
+    fft_plan_hits: u64,
+    /// FFT plan-cache misses (plans computed).
+    fft_plan_misses: u64,
+}
+
+impl MemStats {
+    /// The process's counts since the last [`begin`].
+    pub fn process() -> MemStats {
+        let fft = fft_cache::stats();
+        let ws = workspace::stats();
+        MemStats {
+            cat_checkouts: ws.map(|s| s.checkouts),
+            cat_misses: ws.map(|s| s.misses),
+            fft_plan_hits: fft.hits,
+            fft_plan_misses: fft.misses,
+        }
+    }
+
+    /// Run `f` and add the pool and plan-cache events of the process while
+    /// it ran.
+    pub fn metered<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let before = MemStats::process();
+        let out = f();
+        let after = MemStats::process();
+        for i in 0..6 {
+            self.cat_checkouts[i] += after.cat_checkouts[i].saturating_sub(before.cat_checkouts[i]);
+            self.cat_misses[i] += after.cat_misses[i].saturating_sub(before.cat_misses[i]);
+        }
+        self.fft_plan_hits += after.fft_plan_hits.saturating_sub(before.fft_plan_hits);
+        self.fft_plan_misses += after.fft_plan_misses.saturating_sub(before.fft_plan_misses);
+        out
+    }
+}
+
+/// Drain every telemetry source into a unified [`RunReport`], with the
+/// process's pool and plan-cache counts since [`begin`] as its `memory`.
+/// See [`collect_job_report`].
+pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm) -> RunReport {
+    collect_job_report(label, report, comm, &MemStats::process())
+}
+
+/// Drain every telemetry source into a unified [`RunReport`]: header,
+/// `summary`, `comm` and `collectives` from the solve's report and
+/// traffic ledger, kernel timers, GN records and the span tree of the
+/// calling thread, and `mem` as the `memory` event counts.
 ///
 /// Call once, after the solve, on the rank thread whose ledger should be
 /// reported (rank 0 by convention; with `Comm::solo` there is only one).
 /// Draining consumes that thread's span tree and GN records — a second call
-/// returns empty `spans`/`gn_trace`. The pool and plan-cache counters are
-/// the process's, which is this one solve's unless ranks share the process.
-pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm) -> RunReport {
-    let fft = fft_cache::stats();
-    let mut mem = MemberMemStats {
-        fft_plan_hits: fft.hits,
-        fft_plan_misses: fft.misses,
-        ..MemberMemStats::default()
-    };
-    for (i, s) in workspace::stats().iter().enumerate() {
-        mem.cat_checkouts[i] = s.checkouts;
-        mem.cat_misses[i] = s.misses;
-    }
-
-    let mut run = solve_run_report(label, report, comm.transport_kind(), comm.stats(), &mem);
-    run.kernels = claire_par::timing::snapshot()
-        .into_iter()
-        .filter(|k| k.calls > 0)
-        .map(|k| KernelEntry {
-            name: k.name.to_string(),
-            calls: k.calls,
-            secs: k.nanos as f64 * 1e-9,
-        })
-        .collect();
-    run.phases = PhaseShares::from_kernels(&run.kernels, report.time_total);
-    run.gn_trace = records::take_gn();
-    run.spans = span::take_spans();
-    run
-}
-
-/// The blocks of a [`RunReport`] that one solve owns — header, `summary`,
-/// `comm`, `collectives`, `memory` — from that solve's own report, traffic
-/// ledger and pool/plan-cache events. Nothing process-global is read except
-/// the pools' byte levels (see the sharing-semantics note on
-/// [`MemoryInfo`]), so it is exact for a job that shares the process with
-/// others; [`collect_run_report`] adds the kernel timers, GN records and
-/// span tree of the collecting thread, `claire-serve` adds `scheduling` and
-/// the span tree.
-pub fn solve_run_report(
+/// returns empty `spans`/`gn_trace`. The pools and the plan cache are the
+/// process's, so `mem`, however metered, also counts whatever else ran in
+/// the process meanwhile (other jobs, other in-process ranks): its counts
+/// are exact only when one job runs in the process at a time (see
+/// [`MemoryInfo`]).
+pub fn collect_job_report(
     label: &str,
     report: &RegistrationReport,
-    transport: &str,
-    stats: &CommStats,
-    mem: &MemberMemStats,
+    comm: &Comm,
+    mem: &MemStats,
 ) -> RunReport {
     let mut run = RunReport::new(label);
     run.grid = report.grid;
@@ -100,7 +118,7 @@ pub fn solve_run_report(
     run.nt = report.nt;
     run.precond = report.pc.clone();
     run.backend = claire_simd::active_backend().label().to_string();
-    run.transport = transport.to_string();
+    run.transport = comm.transport_kind().to_string();
     run.precision = report.precision.clone();
 
     run.summary = RunSummary {
@@ -115,8 +133,8 @@ pub fn solve_run_report(
         time_total: report.time_total,
         converged: report.converged,
     };
-    run.phases = PhaseShares::from_kernels(&[], report.time_total);
 
+    let stats = comm.stats();
     run.comm = CommCat::ALL
         .iter()
         .map(|&c| {
@@ -142,8 +160,8 @@ pub fn solve_run_report(
 
     let levels = workspace::stats();
     run.memory = MemoryInfo {
-        pool_checkouts: mem.pool_checkouts(),
-        pool_misses: mem.pool_misses(),
+        pool_checkouts: mem.cat_checkouts.iter().sum(),
+        pool_misses: mem.cat_misses.iter().sum(),
         pool_peak_bytes: levels.iter().map(|s| s.peak_bytes).sum(),
         pool_in_use_bytes: levels.iter().map(|s| s.in_use_bytes).sum(),
         categories: WsCat::ALL
@@ -162,6 +180,19 @@ pub fn solve_run_report(
         fft_plan_misses: mem.fft_plan_misses,
         modeled_bytes: report.memory_bytes_per_rank,
     };
+
+    run.kernels = claire_par::timing::snapshot()
+        .into_iter()
+        .filter(|k| k.calls > 0)
+        .map(|k| KernelEntry {
+            name: k.name.to_string(),
+            calls: k.calls,
+            secs: k.nanos as f64 * 1e-9,
+        })
+        .collect();
+    run.phases = PhaseShares::from_kernels(&run.kernels, report.time_total);
+    run.gn_trace = records::take_gn();
+    run.spans = span::take_spans();
     run
 }
 

@@ -22,9 +22,7 @@
 //! and `∇m̄` and has the one application body. The f64 lane always exists,
 //! the f32 lane only under `Precision::Mixed`.
 
-use std::sync::Arc;
-
-use claire_diff::{SpectralT, TwoLevelT};
+use claire_diff::{Spectral, SpectralT, TwoLevelT};
 use claire_fft::{FftElem, SpectralVecT};
 use claire_grid::{Grid, Real, ScalarField, VectorField, VectorFieldT, WsCat};
 use claire_mpi::Comm;
@@ -32,8 +30,7 @@ use claire_opt::{pcg, PcgConfig, PcgOperator, PcgResult};
 use claire_par::timing::{self, Kernel};
 use claire_par::{par_parts, SharedSlice};
 
-use crate::config::{PrecondKind, RegistrationConfig};
-use crate::problem::SolverScaffold;
+use crate::config::{Precision, PrecondKind, RegistrationConfig};
 
 /// The zero-velocity Hessian `H0 = βA + ∇m̄ ⊗ ∇m̄` on one grid, acting on
 /// spectra: `βA` and the left preconditioner `(βA)⁻¹` are Hadamard scales
@@ -117,26 +114,24 @@ pub fn inv_h0<T: FftElem>(
     (spectral.into_field(x, comm), res)
 }
 
-/// The pair-independent operators of one element width on one grid. A
-/// [`SolverScaffold`] plans them once (FFT plans are cached per width) and
-/// every problem on the grid shares them; all methods take `&self`.
-pub(crate) struct WidthOps<T: FftElem> {
+/// The image-independent operators of one element width on one grid.
+struct WidthOps<T: FftElem> {
     /// Fine-grid spectral operators.
-    pub(crate) spectral: SpectralT<T>,
+    spectral: SpectralT<T>,
     /// Grid transfers and coarse-grid spectral operators (2LInvH0 only).
     coarse: Option<(TwoLevelT<T>, SpectralT<T>)>,
 }
 
 impl<T: FftElem> WidthOps<T> {
     /// Plan the operators `kind` needs on `grid`. Collective.
-    pub(crate) fn plan(kind: PrecondKind, grid: Grid, comm: &mut Comm) -> Arc<WidthOps<T>> {
+    fn plan(kind: PrecondKind, grid: Grid, comm: &mut Comm) -> WidthOps<T> {
         let spectral = SpectralT::new(grid, comm);
         let coarse = (kind == PrecondKind::TwoLevelInvH0).then(|| {
             let tl = TwoLevelT::new(grid, comm);
             let sc = SpectralT::new(tl.coarse_grid(), comm);
             (tl, sc)
         });
-        Arc::new(WidthOps { spectral, coarse })
+        WidthOps { spectral, coarse }
     }
 }
 
@@ -147,10 +142,10 @@ struct H0Solve {
     max_inner: usize,
 }
 
-/// One element width of the preconditioner: the shared operators plus this
-/// pair's `∇m̄` at that width.
+/// One element width of the preconditioner: the operators plus `∇m̄` at
+/// that width.
 struct Lane<T: FftElem> {
-    ops: Arc<WidthOps<T>>,
+    ops: WidthOps<T>,
     /// `∇m̄` on the fine grid (m̄ = deformed template at current iterate).
     grad_mbar: VectorFieldT<T>,
     /// `∇m̄` restricted to the coarse grid (2LInvH0 only).
@@ -225,21 +220,18 @@ pub struct PrecondState {
 }
 
 impl PrecondState {
-    /// Build preconditioner state on the operators of `scaffold` (planned
-    /// for the same `cfg`); only the per-pair `∇m̄` fields are computed
-    /// here, and `m0` seeds `m̄` before the first Gauss–Newton iteration.
-    /// Collective.
-    pub(crate) fn with_scaffold(
-        cfg: &RegistrationConfig,
-        m0: &ScalarField,
-        scaffold: &SolverScaffold,
-        comm: &mut Comm,
-    ) -> PrecondState {
+    /// Plan the operators `cfg` needs on the grid of `m0` — at f64 and,
+    /// under [`Precision::Mixed`], at f32 as well — and seed `m̄` with `m0`
+    /// before the first Gauss–Newton iteration. Collective.
+    pub(crate) fn new(cfg: &RegistrationConfig, m0: &ScalarField, comm: &mut Comm) -> PrecondState {
+        let grid = m0.layout().grid;
+        let ops = WidthOps::plan(cfg.precond, grid, comm);
+        let ops32 =
+            (cfg.precision == Precision::Mixed).then(|| WidthOps::plan(cfg.precond, grid, comm));
         let grad_mbar = claire_diff::fd::gradient(m0, comm);
-        let grad_mbar_c =
-            scaffold.ops.coarse.as_ref().map(|(tl, _)| tl.restrict_vector(&grad_mbar, comm));
-        let lane32 = scaffold.ops32.as_ref().map(|ops| Lane {
-            ops: Arc::clone(ops),
+        let grad_mbar_c = ops.coarse.as_ref().map(|(tl, _)| tl.restrict_vector(&grad_mbar, comm));
+        let lane32 = ops32.map(|ops| Lane {
+            ops,
             grad_mbar: grad_mbar.converted(WsCat::GnCg),
             grad_mbar_c: grad_mbar_c.as_ref().map(|g| g.converted(WsCat::GnCg)),
         });
@@ -250,7 +242,7 @@ impl PrecondState {
                 beta_floor: cfg.beta_floor,
                 max_inner: cfg.max_inner_iter,
             },
-            lane: Lane { ops: Arc::clone(&scaffold.ops), grad_mbar, grad_mbar_c },
+            lane: Lane { ops, grad_mbar, grad_mbar_c },
             lane32,
             fd_scratch: claire_diff::fd::FdScratch::new(),
             n_inva: 0,
@@ -298,6 +290,11 @@ impl PrecondState {
         } else {
             self.inner_iters as f64 / self.n_invh0 as f64
         }
+    }
+
+    /// The fine-grid spectral operators at f64.
+    pub(crate) fn spectral(&self) -> &Spectral {
+        &self.lane.ops.spectral
     }
 
     /// Book one application of `kind` that spent `iters` inner iterations.
@@ -351,7 +348,6 @@ impl PrecondState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Precision;
     use claire_grid::{Layout, ScalarFieldT};
     use claire_mpi::{run_cluster, Topology};
 
@@ -370,8 +366,7 @@ mod tests {
             (-((x - 3.0).powi(2) + (y - 3.0).powi(2) + (z - 3.0).powi(2))).exp()
         });
         let cfg = RegistrationConfig { precond: kind, precision, ..Default::default() };
-        let scaffold = SolverScaffold::new(&cfg, layout.grid, comm).expect("usable grid");
-        (PrecondState::with_scaffold(&cfg, &m0, &scaffold, comm), layout)
+        (PrecondState::new(&cfg, &m0, comm), layout)
     }
 
     fn probe(layout: Layout) -> VectorField {

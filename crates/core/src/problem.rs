@@ -1,7 +1,5 @@
 //! The PDE-constrained registration problem (objective, gradient, Hessian).
 
-use std::sync::Arc;
-
 use claire_diff::Spectral;
 use claire_grid::{ClaireError, ClaireResult, Layout, Real, ScalarField, VectorField};
 use claire_interp::Interpolator;
@@ -11,46 +9,8 @@ use claire_par::timing::{self, Kernel};
 use claire_par::{par_parts, SharedSlice};
 use claire_semilag::{StateSolution, Trajectory, Transport};
 
-use crate::config::{Precision, PrecondKind, RegistrationConfig};
-use crate::precond::{PrecondState, WidthOps};
-
-/// Pair-independent solver machinery for one grid: the spectral operators
-/// and (for `2LInvH0`) the grid-transfer/coarse-spectral scaffolding, at f64
-/// and — under [`Precision::Mixed`] — at f32 as well.
-///
-/// Everything here depends only on the grid, the preconditioner kind and
-/// the precision — never on the images — so one scaffold can back any
-/// number of [`RegProblem`]s on the same grid. The continuation driver
-/// builds one per solve and shares it across all K pairs (K = 1 for a lone
-/// registration); [`RegProblem::new`] builds a private one.
-/// All shared pieces are immutable (`&self` methods only), so sharing does
-/// not change any arithmetic.
-pub struct SolverScaffold {
-    grid: claire_grid::Grid,
-    /// What the operators below were planned for.
-    planned_for: (PrecondKind, Precision),
-    pub(crate) ops: Arc<WidthOps<Real>>,
-    pub(crate) ops32: Option<Arc<WidthOps<f32>>>,
-}
-
-impl SolverScaffold {
-    /// Plan the shared machinery for `grid` under `cfg`. Collective (plans
-    /// FFTs on the fine and, for `2LInvH0`, the coarse grid). Returns a
-    /// typed error when the grid dimensions are unusable for the
-    /// spectral/stencil machinery — so a scaffold only exists for a grid
-    /// every problem built on it can use.
-    pub fn new(
-        cfg: &RegistrationConfig,
-        grid: claire_grid::Grid,
-        comm: &mut Comm,
-    ) -> ClaireResult<SolverScaffold> {
-        validate_grid(grid, cfg.precond, comm.size())?;
-        let ops = WidthOps::plan(cfg.precond, grid, comm);
-        let ops32 =
-            (cfg.precision == Precision::Mixed).then(|| WidthOps::plan(cfg.precond, grid, comm));
-        Ok(SolverScaffold { grid, planned_for: (cfg.precond, cfg.precision), ops, ops32 })
-    }
-}
+use crate::config::{PrecondKind, RegistrationConfig};
+use crate::precond::PrecondState;
 
 /// A state solve [`RegProblem`] keeps: the velocity it was made at (a pooled
 /// copy, matched bit for bit), its characteristics and its state series.
@@ -70,7 +30,7 @@ fn same_bits(a: &VectorField, b: &VectorField) -> bool {
 
 /// The registration problem for one (template, reference) pair at one β.
 ///
-/// Implements [`GnProblem`]; the β-continuation driver ([`crate::batch`])
+/// Implements [`GnProblem`]; the β-continuation loop ([`crate::solver`])
 /// re-uses one `RegProblem` across levels via [`RegProblem::set_beta`].
 pub struct RegProblem {
     layout: Layout,
@@ -81,7 +41,6 @@ pub struct RegProblem {
     transport: Transport,
     /// Shared interpolator (accumulates Table 2 phase stats).
     pub interp: Interpolator,
-    ops: Arc<WidthOps<Real>>,
     /// Preconditioner state and counters.
     pub pc: PrecondState,
     /// `‖m0 − m1‖`, the denominator of [`RegProblem::rel_mismatch`].
@@ -105,41 +64,17 @@ impl RegProblem {
         comm: &mut Comm,
     ) -> ClaireResult<RegProblem> {
         let layout = *m0.layout();
-        check_layouts(&m0, &m1, "RegProblem::new")?;
-        let scaffold = SolverScaffold::new(&cfg, layout.grid, comm)?;
-        Self::with_scaffold(m0, m1, cfg, &scaffold, comm)
-    }
-
-    /// [`RegProblem::new`] backed by a pre-built [`SolverScaffold`]: K
-    /// problems on one grid share one scaffold instead of planning K
-    /// copies. The scaffold must have been planned for the images' grid
-    /// and for `cfg`'s preconditioner kind and precision.
-    pub fn with_scaffold(
-        m0: ScalarField,
-        m1: ScalarField,
-        cfg: RegistrationConfig,
-        scaffold: &SolverScaffold,
-        comm: &mut Comm,
-    ) -> ClaireResult<RegProblem> {
-        let layout = *m0.layout();
-        check_layouts(&m0, &m1, "RegProblem::with_scaffold")?;
-        if scaffold.grid != layout.grid {
+        if *m1.layout() != layout {
             return Err(ClaireError::LayoutMismatch {
-                context: "RegProblem::with_scaffold",
+                context: "RegProblem::new",
                 message: format!(
-                    "scaffold grid {:?} != image grid {:?}",
-                    scaffold.grid.n, layout.grid.n
+                    "template layout {layout:?} != reference layout {:?}",
+                    m1.layout()
                 ),
             });
         }
-        let (planned, asked) = (scaffold.planned_for, (cfg.precond, cfg.precision));
-        if planned != asked {
-            return Err(ClaireError::Config {
-                param: "scaffold",
-                message: format!("planned for {planned:?}, cannot back a {asked:?} problem"),
-            });
-        }
-        let pc = PrecondState::with_scaffold(&cfg, &m0, scaffold, comm);
+        validate_grid(layout.grid, cfg.precond, comm.size())?;
+        let pc = PrecondState::new(&cfg, &m0, comm);
         let mut den = m0.clone();
         den.axpy(-1.0, &m1);
         Ok(RegProblem {
@@ -148,7 +83,6 @@ impl RegProblem {
             beta: cfg.beta_init,
             transport: Transport::new(cfg.nt, cfg.ip_order),
             interp: Interpolator::new(cfg.ip_order),
-            ops: Arc::clone(&scaffold.ops),
             pc,
             cur: None,
             eval: None,
@@ -175,7 +109,7 @@ impl RegProblem {
 
     /// Access the spectral operators.
     pub fn spectral(&self) -> &Spectral {
-        &self.ops.spectral
+        self.pc.spectral()
     }
 
     /// Template image.
@@ -239,30 +173,12 @@ impl RegProblem {
     }
 }
 
-fn check_layouts(m0: &ScalarField, m1: &ScalarField, context: &'static str) -> ClaireResult<()> {
-    if m0.layout() != m1.layout() {
-        return Err(ClaireError::LayoutMismatch {
-            context,
-            message: format!(
-                "template layout {:?} != reference layout {:?}",
-                m0.layout(),
-                m1.layout()
-            ),
-        });
-    }
-    Ok(())
-}
-
 /// Validate grid dimensions up front so misconfigured problems fail with a
 /// typed error at construction instead of a panic deep inside the FFT plan
 /// cache (real transform needs even `n3`), the ghost exchange (the
 /// 8th-order stencil needs a width-4 halo to fit in `n1`) or — for
 /// `2LInvH0` on `nranks` ranks — the planning of its half-resolution grid.
-pub(crate) fn validate_grid(
-    grid: claire_grid::Grid,
-    precond: PrecondKind,
-    nranks: usize,
-) -> ClaireResult<()> {
+fn validate_grid(grid: claire_grid::Grid, precond: PrecondKind, nranks: usize) -> ClaireResult<()> {
     let [n1, n2, n3] = grid.n;
     if n3 < 2 || !n3.is_multiple_of(2) {
         return Err(ClaireError::Config {
@@ -348,7 +264,7 @@ impl GnProblem for RegProblem {
         // the regularization term first — a Parseval sum over `v̂`, no way
         // back to real space — so its spectra are in the pools again before
         // the state solve takes its buffers
-        let reg_term = self.ops.spectral.reg_energy(v, self.beta, comm);
+        let reg_term = self.pc.spectral().reg_energy(v, self.beta, comm);
         let mut resid = self.deformed_template(v, comm);
         resid.axpy(-1.0, &self.m1);
         let data_term = 0.5 * resid.inner(&resid, comm);
@@ -402,7 +318,7 @@ impl GnProblem for RegProblem {
         lam1.axpy(-1.0, cur.state.final_state());
         let lambda = self.transport.solve_adjoint(&cur.traj, &lam1, &mut self.interp, comm);
 
-        let mut g = self.ops.spectral.reg_apply(v, self.beta, comm);
+        let mut g = self.pc.spectral().reg_apply(v, self.beta, comm);
         let integral = lambda_grad_integral(self.layout, self.cfg.nt, &cur.state, &lambda, comm);
         g.axpy(1.0, &integral);
         g
@@ -420,7 +336,7 @@ impl GnProblem for RegProblem {
         let mut lt1 = mt_final;
         lt1.scale(-1.0);
         let lambda_t = self.transport.solve_adjoint(&cur.traj, &lt1, &mut self.interp, comm);
-        let mut hv = self.ops.spectral.reg_apply(vt, self.beta, comm);
+        let mut hv = self.pc.spectral().reg_apply(vt, self.beta, comm);
         let integral = lambda_grad_integral(self.layout, self.cfg.nt, &cur.state, &lambda_t, comm);
         hv.axpy(1.0, &integral);
         hv
@@ -700,7 +616,7 @@ mod tests {
         };
         assert!(matches!(err, ClaireError::Config { param: "grid", .. }), "got {err:?}");
         // the continuation driver reports the same typed error instead of
-        // panicking in the scaffold's FFT planning
+        // panicking in the FFT planning
         let err = crate::Claire::new(RegistrationConfig::default())
             .try_register(&ScalarField::zeros(layout), &ScalarField::zeros(layout), &mut comm)
             .unwrap_err();
@@ -731,35 +647,6 @@ mod tests {
         for [invh0, two_level] in outcomes.outputs {
             assert_eq!(invh0, Ok(()), "p = 3 <= min(n1, n2) is enough without a coarse grid");
             assert!(two_level.unwrap_err().contains("p <= min(n1, n2)/2"));
-        }
-    }
-
-    #[test]
-    fn scaffold_for_another_config_is_a_typed_error() {
-        let mut comm = Comm::solo();
-        let layout = Layout::serial(Grid::cube(8));
-        let base = RegistrationConfig {
-            precond: PrecondKind::InvA,
-            precision: Precision::F64,
-            ..Default::default()
-        };
-        let scaffold = SolverScaffold::new(&base, layout.grid, &mut comm).unwrap();
-        let build = |cfg: RegistrationConfig, comm: &mut Comm| {
-            let (m0, m1) = (ScalarField::zeros(layout), ScalarField::zeros(layout));
-            RegProblem::with_scaffold(m0, m1, cfg, &scaffold, comm)
-        };
-        assert!(build(base, &mut comm).is_ok());
-        for cfg in [
-            RegistrationConfig { precond: PrecondKind::TwoLevelInvH0, ..base },
-            RegistrationConfig { precision: Precision::Mixed, ..base },
-        ] {
-            match build(cfg, &mut comm) {
-                Err(ClaireError::Config { param: "scaffold", message }) => {
-                    assert!(message.contains("(InvA, F64)"), "message: {message}")
-                }
-                Err(other) => panic!("expected Config error, got {other:?}"),
-                Ok(_) => panic!("a scaffold planned for another config must be rejected"),
-            }
         }
     }
 

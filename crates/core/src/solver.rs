@@ -5,20 +5,20 @@
 //! the problem is solved for a decreasing sequence of β, each level warm-
 //! starting from the previous velocity; InvA preconditions the strongly
 //! regularized levels (β > 5e−1), the configured InvH0 variant the rest.
-//! That loop lives in [`crate::batch`]; [`Claire`] is its K = 1 caller.
+//! That loop is `continuation`, which [`Claire`] runs on the caller's
+//! communicator.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use claire_grid::{ClaireResult, ScalarField, VectorField};
+use claire_grid::{ClaireError, ClaireResult, ScalarField, VectorField};
 use claire_interp::Interpolator;
 use claire_mpi::Comm;
-use claire_obs::span::span;
-use claire_opt::{GnConfig, GnStats};
+use claire_obs::{records, span::span};
+use claire_opt::{GnConfig, GnState, GnStats};
 use claire_semilag::{displacement, Trajectory};
 
-use crate::batch::{solve_pairs, BatchPair};
 use crate::config::RegistrationConfig;
 use crate::memory;
 use crate::problem::RegProblem;
@@ -207,15 +207,67 @@ impl Claire {
         comm: &mut Comm,
     ) -> ClaireResult<(VectorField, RegistrationReport)> {
         let _solve = span("solve");
-        let pair = BatchPair::new(label, m0.clone(), m1.clone()).with_hooks(self.hooks.clone());
-        let outcome =
-            solve_pairs(&self.cfg, "Claire::register", vec![pair], std::slice::from_mut(comm))?;
-        outcome.items.into_iter().next().expect("one item per pair").outcome
+        self.cfg.validate()?;
+        let mut problem = RegProblem::new(m0.clone(), m1.clone(), self.cfg, comm)?;
+        let (v, stats) = continuation(&self.cfg, &self.hooks, &mut problem, comm)?;
+        let report = build_report(&self.cfg, &mut problem, &v, label, comm, &stats);
+        Ok((v, report))
     }
 }
 
+/// The β-continuation from `v = 0`: one Gauss–Newton solve per level of
+/// `cfg.beta_schedule()`, each starting from the previous level's velocity.
+/// At every iteration boundary the observer sees the cumulative iteration
+/// index *before* the cancel token is polled, so an observer can trip the
+/// token and stop the solve before that iteration runs. Collective.
+fn continuation(
+    cfg: &RegistrationConfig,
+    hooks: &SolverHooks,
+    problem: &mut RegProblem,
+    comm: &mut Comm,
+) -> ClaireResult<(VectorField, GnStats)> {
+    let betas = cfg.beta_schedule();
+    let gn_cfg = level_gn_config(cfg);
+    // reserve the histories up front so closing a β-level (accumulate)
+    // never allocates inside a measured iteration
+    let cap = betas.len() * (gn_cfg.max_iter + 1);
+    let mut total = GnStats::default();
+    total.grad_rel_history.reserve(cap);
+    total.objective_history.reserve(cap);
+    let mut v = VectorField::zeros(problem.layout());
+    for (level, &beta) in betas.iter().enumerate() {
+        if gn_cfg.verbose && comm.rank() == 0 {
+            eprintln!("== continuation level {level}: beta = {beta:.3e} ==");
+        }
+        problem.set_beta(beta);
+        let mut state = GnState::new(v, &gn_cfg);
+        while !state.finished() {
+            let _lvl = span("beta_level");
+            if let Some(cb) = &hooks.on_gn_iter {
+                cb(total.gn_iters + state.stats().gn_iters);
+            }
+            if let Some(reason) = hooks.cancel.as_ref().and_then(CancelToken::stop_reason) {
+                return Err(ClaireError::Cancelled {
+                    context: "Claire::register",
+                    message: format!(
+                        "{} after {} Gauss-Newton iteration(s) at beta level {level}",
+                        reason.label(),
+                        total.gn_iters + state.stats().gn_iters
+                    ),
+                });
+            }
+            records::set_context(level, beta);
+            state.step(problem, &gn_cfg, comm);
+        }
+        let (v_level, stats) = state.finish();
+        accumulate(&mut total, &stats);
+        v = v_level;
+    }
+    Ok((v, total))
+}
+
 /// Gauss–Newton options for one β-continuation level of `cfg`.
-pub(crate) fn level_gn_config(cfg: &RegistrationConfig) -> GnConfig {
+fn level_gn_config(cfg: &RegistrationConfig) -> GnConfig {
     GnConfig {
         max_iter: cfg.max_gn_iter,
         grad_rtol: cfg.grad_rtol,
@@ -229,7 +281,7 @@ pub(crate) fn level_gn_config(cfg: &RegistrationConfig) -> GnConfig {
 
 /// Assemble the Table 6-style report for a finished solve. Collective
 /// (computes the final mismatch and diffeomorphism diagnostics).
-pub(crate) fn build_report(
+fn build_report(
     cfg: &RegistrationConfig,
     problem: &mut RegProblem,
     v: &VectorField,
@@ -279,7 +331,7 @@ pub(crate) fn build_report(
 }
 
 /// Accumulate per-level Gauss–Newton statistics into a whole-run total.
-pub(crate) fn accumulate(total: &mut GnStats, level: &GnStats) {
+fn accumulate(total: &mut GnStats, level: &GnStats) {
     total.gn_iters += level.gn_iters;
     total.pcg_iters_total += level.pcg_iters_total;
     total.obj_evals += level.obj_evals;
@@ -300,7 +352,7 @@ pub(crate) fn accumulate(total: &mut GnStats, level: &GnStats) {
 mod tests {
     use super::*;
     use crate::config::PrecondKind;
-    use claire_grid::{ClaireError, Grid, Layout, Real};
+    use claire_grid::{Grid, Layout, Real};
 
     /// A pair of Gaussian-blob images offset by a small translation.
     fn blob_pair(layout: Layout, shift: Real) -> (ScalarField, ScalarField) {
@@ -338,17 +390,14 @@ mod tests {
     }
 
     #[test]
-    fn an_invalid_config_is_refused_as_the_batch_solver_refuses_it() {
-        use crate::{batch::BatchSolver, config::IpOrder};
+    fn an_invalid_config_is_refused() {
         let layout = Layout::serial(Grid::cube(16));
         let mut comm = Comm::solo();
         let (m0, m1) = blob_pair(layout, 0.5);
         // a struct literal skips the builder's validation
-        let cfg = RegistrationConfig { ip_order: IpOrder::CubicSpline, ..Default::default() };
+        let cfg =
+            RegistrationConfig { ip_order: crate::IpOrder::CubicSpline, ..Default::default() };
         let err = Claire::new(cfg).try_register(&m0, &m1, &mut comm).unwrap_err();
-        assert!(matches!(err, ClaireError::Config { param: "ip_order", .. }), "{err}");
-        let pair = BatchPair::new("a", m0, m1);
-        let err = BatchSolver::new(cfg).solve(vec![pair]).err().expect("refused");
         assert!(matches!(err, ClaireError::Config { param: "ip_order", .. }), "{err}");
     }
 

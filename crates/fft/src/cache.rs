@@ -140,7 +140,7 @@ pub fn reset_stats() {
 
 /// Drop every cached plan (counters are kept). Plans still held by live
 /// `Arc`s stay usable; the next lookup re-plans. This exists for benchmarks
-/// that model a cold process (e.g. `bench_batch`'s sequential baseline) —
+/// that model a cold process (the `fft.plan_s` probe of `benchmark/`) —
 /// production code should never need it.
 pub fn clear() {
     CACHES_F64.clear();

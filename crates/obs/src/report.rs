@@ -80,12 +80,6 @@ pub struct SchedulingInfo {
     /// Deadline the job was admitted with, seconds from submission
     /// (0 = none).
     pub deadline_secs: f64,
-    /// Identifier of the coalesced batch this job ran in (0 = solo run,
-    /// not batched). Jobs sharing a `batch_id` were solved by one
-    /// `BatchSolver` invocation with interleaved Gauss–Newton iterations.
-    pub batch_id: u64,
-    /// Number of jobs coalesced into that batch (0 = solo run).
-    pub batch_size: usize,
 }
 
 /// Runtime share per kernel phase — the paper's Table 7 FFT/IP/FD columns.
@@ -179,24 +173,23 @@ pub struct MemoryCatEntry {
 /// `pool_misses` staying flat while `pool_checkouts` keeps growing.
 ///
 /// **Sharing semantics.** The pools and the plan cache are process-global
-/// and shared by every solve — in a batched run (`scheduling.batch_id`
-/// nonzero), by all members at once. Event counts (`pool_checkouts`,
-/// `pool_misses`, `fft_plan_hits`, `fft_plan_misses`) are attributed to
-/// *this job only*: they are exact deltas sampled around the job's own
-/// solver steps, so summing them across a batch's reports double-counts
-/// nothing. Byte *levels* (`pool_peak_bytes`, `pool_in_use_bytes`, the
-/// per-category `peak_bytes`) are properties of the shared pool family and
-/// are reported family-wide — identical across a batch's members and not
-/// summable.
+/// and shared by every solve in the process. Event counts
+/// (`pool_checkouts`, `pool_misses`, `fft_plan_hits`, `fft_plan_misses`)
+/// are deltas of those global counters sampled around the job's solve, so
+/// they are exact only when one job runs in the process at a time; a
+/// service with several workers charges each job the events of the jobs
+/// running beside it. Byte *levels* (`pool_peak_bytes`,
+/// `pool_in_use_bytes`, the per-category `peak_bytes`) are properties of
+/// the shared pool family and are reported family-wide.
 #[derive(Serialize, Clone, Debug, Default)]
 pub struct MemoryInfo {
-    /// Pool checkouts attributed to this job (exact per-job delta, even
-    /// inside a batch).
+    /// Pool checkouts during this job's solve (process-wide delta).
     pub pool_checkouts: u64,
-    /// Checkouts by this job that allocated fresh memory (per-job delta).
+    /// Checkouts during this job's solve that allocated fresh memory
+    /// (process-wide delta).
     pub pool_misses: u64,
     /// Peak bytes simultaneously checked out of the shared pool family
-    /// (not per-job; identical across batch members).
+    /// (not per-job).
     pub pool_peak_bytes: u64,
     /// Bytes still checked out of the shared pool family when the report
     /// was collected (not per-job).
@@ -206,10 +199,10 @@ pub struct MemoryInfo {
     /// Plans resident in the shared FFT plan cache (process-wide level,
     /// not per-job).
     pub fft_plans: u64,
-    /// FFT plan-cache hits attributed to this job (per-job delta).
+    /// FFT plan-cache hits during this job's solve (process-wide delta).
     pub fft_plan_hits: u64,
-    /// FFT plan-cache misses (plans built) attributed to this job
-    /// (per-job delta).
+    /// FFT plan-cache misses (plans built) during this job's solve
+    /// (process-wide delta).
     pub fft_plan_misses: u64,
     /// Modeled per-rank bytes from the analytic §3 memory model
     /// (0 when no model was attached).

@@ -129,8 +129,6 @@ pub struct GnStats {
     pub time: Breakdown,
     /// Whether the gradient tolerance was reached.
     pub converged: bool,
-    /// Whether [`GnState::cancel`] ended the solve early.
-    pub cancelled: bool,
     /// Final relative gradient norm.
     pub grad_rel: f64,
 }
@@ -205,10 +203,9 @@ pub fn gauss_newton<P: GnProblem>(
 /// iterations.
 ///
 /// [`gauss_newton`] is a plain loop over this type. `claire-core`'s
-/// continuation driver steps one `GnState` per registration pair, polling
-/// its hooks between steps and interleaving K pairs round-robin at
-/// GN-iteration granularity — the arithmetic of a solve is identical either
-/// way, because [`GnState::step`] *is* the loop body.
+/// β-continuation runs the same loop with its hooks polled between steps —
+/// the arithmetic of a solve is identical either way, because
+/// [`GnState::step`] *is* the loop body.
 pub struct GnState {
     v: VectorField,
     /// `J(v)`: the accepted line-search value, carried into the next
@@ -231,15 +228,10 @@ impl GnState {
         GnState { v: v0, j: None, stats, g0norm: None, finished: cfg.max_iter == 0, t_total: 0.0 }
     }
 
-    /// Whether the solve is over (converged, stagnated, iteration cap, or
-    /// cancelled). Once true, [`GnState::step`] is a no-op.
+    /// Whether the solve is over (converged, stagnated or at the iteration
+    /// cap). Once true, [`GnState::step`] is a no-op.
     pub fn finished(&self) -> bool {
         self.finished
-    }
-
-    /// The current iterate.
-    pub fn v(&self) -> &VectorField {
-        &self.v
     }
 
     /// Statistics accumulated so far.
@@ -247,27 +239,15 @@ impl GnState {
         &self.stats
     }
 
-    /// Mark the solve cancelled at this iteration boundary (the
-    /// cooperative-cancellation seam used by `claire-core`'s driver). The
-    /// current iterate stays the result. Iterations are never interrupted
-    /// mid-flight — a cancelled solve finishes the PCG/line-search it is
-    /// inside and stops at the next boundary.
-    pub fn cancel(&mut self) {
-        self.stats.cancelled = true;
-        self.finished = true;
-    }
-
     /// Run exactly one Gauss–Newton iteration (gradient, Newton-PCG,
-    /// Armijo line search). Returns [`GnState::finished`] afterwards.
-    /// Collective.
-    pub fn step<P: GnProblem>(&mut self, problem: &mut P, cfg: &GnConfig, comm: &mut Comm) -> bool {
+    /// Armijo line search). Collective.
+    pub fn step<P: GnProblem>(&mut self, problem: &mut P, cfg: &GnConfig, comm: &mut Comm) {
         if self.finished {
-            return true;
+            return;
         }
         let t0 = Instant::now();
         self.step_body(problem, cfg, comm);
         self.t_total += t0.elapsed().as_secs_f64();
-        self.finished
     }
 
     fn step_body<P: GnProblem>(&mut self, problem: &mut P, cfg: &GnConfig, comm: &mut Comm) {
@@ -785,36 +765,6 @@ mod tests {
             "{}",
             stats.pcg_iters_total
         );
-    }
-
-    #[test]
-    fn cancel_halts_at_iteration_boundary() {
-        let layout = Layout::serial(Grid::cube(4));
-        let mut comm = Comm::solo();
-        let mut prob = Quadratic {
-            a: VectorField::from_fns(layout, |x, _, _| x.sin(), |_, y, _| y.cos(), |_, _, z| z),
-            d: ScalarField::from_fn(layout, |_, _, _| 2.0),
-        };
-        let cfg = GnConfig { grad_rtol: 1e-30, max_iter: 50, ..Default::default() };
-
-        // run iteration 0, cancel at the boundary of iteration 1
-        let mut state = GnState::new(VectorField::zeros(layout), &cfg);
-        assert!(!state.step(&mut prob, &cfg, &mut comm));
-        state.cancel();
-        assert!(state.finished());
-        assert!(state.step(&mut prob, &cfg, &mut comm), "a cancelled state never steps again");
-        let (_, stats) = state.finish();
-        assert!(stats.cancelled);
-        assert!(!stats.converged);
-        assert_eq!(stats.gn_iters, 1, "exactly one iteration ran");
-
-        // cancelling before the first step performs zero work
-        let mut state = GnState::new(VectorField::zeros(layout), &cfg);
-        state.cancel();
-        let (_, stats) = state.finish();
-        assert!(stats.cancelled);
-        assert_eq!(stats.gn_iters, 0);
-        assert_eq!(stats.obj_evals, 0);
     }
 
     #[test]

@@ -77,21 +77,6 @@ pub fn local_threads() -> usize {
     LOCAL_THREADS.with(|c| c.get())
 }
 
-/// Run `f` with the calling thread's budget forced to `n`, restoring the
-/// previous per-thread budget afterwards (including on panic).
-pub fn with_local_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            LOCAL_THREADS.with(|c| c.set(self.0));
-        }
-    }
-    let guard = Restore(LOCAL_THREADS.with(|c| c.replace(n)));
-    let out = f();
-    drop(guard);
-    out
-}
-
 fn env_threads(var: &str) -> Option<usize> {
     std::env::var(var).ok()?.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
@@ -624,34 +609,31 @@ mod tests {
     fn local_budget_beats_global_override() {
         with_threads(8, || {
             assert_eq!(num_threads(), 8);
-            with_local_threads(2, || assert_eq!(num_threads(), 2));
-            assert_eq!(num_threads(), 8, "budget restored after scope");
+            set_local_threads(2);
+            assert_eq!(num_threads(), 2);
+            set_local_threads(0);
+            assert_eq!(num_threads(), 8, "a cleared budget falls back");
         });
     }
 
     #[test]
     fn local_budget_is_per_thread() {
-        with_local_threads(3, || {
-            assert_eq!(local_threads(), 3);
-            let other = std::thread::spawn(local_threads).join().unwrap();
-            assert_eq!(other, 0, "budget must not leak to other threads");
-        });
-        assert_eq!(local_threads(), 0);
-    }
-
-    #[test]
-    fn local_budget_restored_on_panic() {
-        let caught = std::panic::catch_unwind(|| with_local_threads(5, || panic!("boom")));
-        assert!(caught.is_err());
-        assert_eq!(local_threads(), 0);
+        set_local_threads(3);
+        assert_eq!(local_threads(), 3);
+        let other = std::thread::spawn(local_threads).join().unwrap();
+        assert_eq!(other, 0, "budget must not leak to other threads");
+        set_local_threads(0);
     }
 
     #[test]
     fn kernels_respect_local_budget() {
         // a parallel map under a 1-thread budget matches the serial result
         let n = MIN_PAR_LEN + 9;
-        let serial = with_local_threads(1, || par_map_collect(n, |i| i * 3));
-        let par = with_local_threads(4, || par_map_collect(n, |i| i * 3));
+        set_local_threads(1);
+        let serial = par_map_collect(n, |i| i * 3);
+        set_local_threads(4);
+        let par = par_map_collect(n, |i| i * 3);
+        set_local_threads(0);
         assert_eq!(serial, par);
     }
 }

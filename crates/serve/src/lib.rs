@@ -9,8 +9,9 @@
 //! * **Bounded admission** — a capacity-limited priority queue;
 //!   [`RegistrationService::try_submit`] rejects under overload (open-loop
 //!   backpressure), [`RegistrationService::submit`] blocks (closed-loop);
-//! * **Coalescing** — a worker solves queued jobs with the same grid and
-//!   config as one [`BatchSolver`](claire_core::BatchSolver) run;
+//! * **One job, one solve** — a worker pops one job and runs it through
+//!   [`Claire`](claire_core::Claire) on its share of the threads; its
+//!   report carries that solve's kernel timers, GN trace and span tree;
 //! * **Deadlines & cancellation** — armed on the job's
 //!   [`CancelToken`](claire_core::CancelToken) at submission and polled by
 //!   the solver at every Gauss–Newton iteration boundary;

@@ -127,41 +127,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking scan of one lane: extract up to `max` items matching
-    /// `pred`, preserving FIFO order among both the taken items and the
-    /// survivors. This is the coalescing primitive for batch scheduling — a
-    /// worker that popped a job calls this to pull compatible companions
-    /// out of the *same* priority lane (so coalescing never promotes or
-    /// demotes work across lanes) without blocking producers.
-    pub fn take_matching(
-        &self,
-        lane: usize,
-        max: usize,
-        mut pred: impl FnMut(&T) -> bool,
-    ) -> Vec<T> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let mut st = self.state.lock().unwrap();
-        let mut taken = Vec::new();
-        let mut rest = VecDeque::with_capacity(st.lanes[lane].len());
-        while let Some(item) = st.lanes[lane].pop_front() {
-            if taken.len() < max && pred(&item) {
-                taken.push(item);
-            } else {
-                rest.push_back(item);
-            }
-        }
-        st.lanes[lane] = rest;
-        st.len -= taken.len();
-        drop(st);
-        // freed capacity wakes blocked producers
-        for _ in &taken {
-            self.not_full.notify_one();
-        }
-        taken
-    }
-
     /// Close the queue: further pushes fail, blocked pushers wake with
     /// [`PushError::Closed`], and consumers drain the remaining items before
     /// seeing `None`.
@@ -229,20 +194,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert!(producer.join().unwrap(), "blocked push must complete after a pop");
         assert_eq!(q.pop(), Some(2));
-    }
-
-    #[test]
-    fn take_matching_extracts_in_order_and_preserves_survivors() {
-        let q = BoundedQueue::new(8);
-        for v in [1, 2, 3, 4, 5, 6] {
-            q.try_push(v, 1).ok().unwrap();
-        }
-        let evens = q.take_matching(1, 2, |v| v % 2 == 0);
-        assert_eq!(evens, [2, 4], "takes at most max, in FIFO order");
-        assert_eq!(q.len(), 4);
-        let order: Vec<_> = (0..4).map(|_| q.pop().unwrap()).collect();
-        assert_eq!(order, [1, 3, 5, 6], "survivors keep their relative order");
-        assert!(q.take_matching(1, 4, |_| true).is_empty(), "empty lane yields nothing");
     }
 
     #[test]

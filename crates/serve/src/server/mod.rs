@@ -1,7 +1,7 @@
 //! Server half of the claire-serve split.
 //!
 //! [`service`] is the in-process engine — worker pool, bounded priority
-//! queue, coalescing. [`net`] puts that engine behind a TCP listener
+//! queue, one job per worker at a time. [`net`] puts that engine behind a TCP listener
 //! speaking the versioned frame protocol in [`crate::wire`], so remote
 //! [`crate::client::Client`]s can submit work.
 

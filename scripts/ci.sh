@@ -3,9 +3,9 @@
 #
 #   scripts/ci.sh             full gate: build, tests, lints, formatting,
 #                             the bench row printer, the paper's tables at
-#                             16³, report-schema validation, networked
-#                             serve smoke-run, multi-process launch
-#                             smoke-run
+#                             16³, report-schema validation, batch
+#                             smoke-run, networked serve smoke-run,
+#                             multi-process launch smoke-run
 #   scripts/ci.sh --quick     inner-loop gate: build + tier-1 tests + full
 #                             workspace tests + debug tests of the solver
 #                             crates + benchmark-package tests + clippy
@@ -242,6 +242,41 @@ stage_paper_tables() {
     rm -rf "$dir"
 }
 
+stage_batch_smoke() {
+    # Three jobs through `claire-cli batch` on two workers: one report per
+    # job, every job succeeded (a job that did not turns the exit status to
+    # 1 and its summary line to another status), and each report carries
+    # its own solve's GN trace.
+    local dir; dir="$(mktemp -d)"
+    cat > "$dir/manifest.json" <<'EOF'
+{"jobs": [
+  {"label": "batch-a", "syn": 8, "max_gn_iter": 2, "max_pcg_iter": 4,
+   "continuation": false, "precond": "InvA"},
+  {"label": "batch-b", "syn": 8, "max_gn_iter": 2, "max_pcg_iter": 4,
+   "continuation": false, "precond": "InvA"},
+  {"label": "batch-c", "syn": 8, "max_gn_iter": 2, "max_pcg_iter": 4,
+   "continuation": false, "precond": "InvH0", "eps_h0": 1e-2}
+]}
+EOF
+    local code=0
+    ./target/release/claire-cli batch "$dir/manifest.json" --workers 2 -o "$dir/out" \
+        2> "$dir/batch.err" || code=$?
+    [ "$code" -eq 0 ] || { echo "batch smoke: exit $code"; cat "$dir/batch.err"; exit 1; }
+    local job report
+    for job in batch-a batch-b batch-c; do
+        report="$dir/out/$job.json"
+        [ -f "$report" ] || { echo "batch smoke: missing report for $job"; exit 1; }
+        grep -q "^  $job \[succeeded\]" "$dir/batch.err" || {
+            echo "batch smoke: $job did not succeed"; cat "$dir/batch.err"; exit 1; }
+        grep -q '"gn_trace": \[$' "$report" || {
+            echo "batch smoke: $job has an empty gn_trace"; exit 1; }
+    done
+    [ "$(find "$dir/out" -name '*.json' | wc -l)" -eq 3 ] || {
+        echo "batch smoke: expected exactly one report per job"; ls "$dir/out"; exit 1; }
+    rm -rf "$dir"
+    echo "batch smoke: three jobs on two workers, each succeeded with its own GN trace"
+}
+
 stage_net_smoke() {
     # Boot one claire-serve worker on loopback, push a manifest through
     # `claire-cli submit`, and check a report per job. The server runs on an
@@ -415,6 +450,7 @@ if [ "$QUICK" -eq 0 ]; then
     stage "bench rows" stage_bench_rows
     stage "paper tables" stage_paper_tables
     stage "RunReport schema smoke-run" stage_report_schema
+    stage "batch smoke-run" stage_batch_smoke
 fi
 # both --quick and --no-smoke skip the network-dependent smoke stages;
 # otherwise each runs in a child shell under a 10-minute timeout with one

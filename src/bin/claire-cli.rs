@@ -39,14 +39,10 @@
 //!   --workers N      worker threads (overrides the manifest)
 //!   --queue-cap N    admission-queue capacity (overrides the manifest)
 //!   --threads N      machine thread budget to partition across workers
-//!   --no-batch       disable job coalescing (one BatchSolver run per
-//!                    group of queued jobs with identical grid/config is
-//!                    the default fast path)
-//!   --max-batch N    largest coalesced batch (default: 8)
 //!   -q               quiet
 //!
-//! serve options (plus --workers/--queue-cap/--threads/--no-batch/
-//! --max-batch/-q as in batch mode):
+//! serve options (plus --workers/--queue-cap/--threads/-q as in batch
+//! mode):
 //!   --listen ADDR    TCP address to bind (e.g. 127.0.0.1:7741; port 0
 //!                    picks a free port, printed on stdout)
 //!
@@ -149,9 +145,9 @@ fn usage() -> ! {
     );
     eprintln!("                  [-q] [solver flags]");
     eprintln!("       claire-cli batch <manifest.json> [-o DIR] [--workers N] [--queue-cap N]");
-    eprintln!("                  [--threads N] [--no-batch] [--max-batch N] [-q]");
+    eprintln!("                  [--threads N] [-q]");
     eprintln!("       claire-cli serve --listen ADDR [--workers N] [--queue-cap N] [--threads N]");
-    eprintln!("                  [--no-batch] [--max-batch N] [-q]");
+    eprintln!("                  [-q]");
     eprintln!("       claire-cli submit --addr ADDR <manifest.json> [-o DIR] [--ping] [-q]");
     eprintln!("       claire-cli launch --ranks N --syn M [--timeout SECS] [--report PATH]");
     eprintln!("                  [--in-process] [-q] [solver flags]");
@@ -492,8 +488,6 @@ struct PoolFlags {
     workers: Option<usize>,
     queue_cap: Option<usize>,
     threads: Option<usize>,
-    no_batch: bool,
-    max_batch: Option<usize>,
     quiet: bool,
 }
 
@@ -504,8 +498,6 @@ impl PoolFlags {
             "--workers" => self.workers = Some(parsed(args, arg)),
             "--queue-cap" => self.queue_cap = Some(parsed(args, arg)),
             "--threads" => self.threads = Some(parsed(args, arg)),
-            "--no-batch" => self.no_batch = true,
-            "--max-batch" => self.max_batch = Some(parsed(args, arg)),
             "-q" => self.quiet = true,
             _ => return false,
         }
@@ -514,16 +506,10 @@ impl PoolFlags {
 
     /// The pool these flags describe; `workers` and `queue_cap` stand in for
     /// the two the command line left out.
-    ///
-    /// Queued jobs with identical grid and config are coalesced into
-    /// one BatchSolver run (shared FFT plans and scaffolding, interleaved
-    /// iterations) unless `--no-batch`; results stay bitwise identical to
-    /// runs of one.
     fn service(&self, workers: usize, queue_cap: usize) -> ServiceConfig {
         let cfg = ServiceConfig::default()
             .workers(self.workers.unwrap_or(workers))
-            .queue_capacity(self.queue_cap.unwrap_or(queue_cap))
-            .max_batch(if self.no_batch { 1 } else { self.max_batch.unwrap_or(8) });
+            .queue_capacity(self.queue_cap.unwrap_or(queue_cap));
         match self.threads {
             Some(t) => cfg.total_threads(t),
             None => cfg,
@@ -568,11 +554,10 @@ fn batch_main(args: Vec<String>) {
     );
     if !quiet {
         eprintln!(
-            "batch: {} job(s), {} worker(s), queue capacity {}, coalescing {}",
+            "batch: {} job(s), {} worker(s), queue capacity {}",
             jobs.len(),
             svc_cfg.workers,
-            svc_cfg.queue_capacity,
-            if svc_cfg.max_batch > 1 { "on" } else { "off" }
+            svc_cfg.queue_capacity
         );
     }
     let specs = parse_jobs(&jobs, quiet);
@@ -662,12 +647,7 @@ fn serve_main(args: Vec<String>) {
     use std::io::Write as _;
     std::io::stdout().flush().ok();
     if !pool.quiet {
-        eprintln!(
-            "workers {}, queue capacity {}, coalescing {}",
-            svc_cfg.workers,
-            svc_cfg.queue_capacity,
-            if svc_cfg.max_batch > 1 { "on" } else { "off" }
-        );
+        eprintln!("workers {}, queue capacity {}", svc_cfg.workers, svc_cfg.queue_capacity);
     }
     // Serve until killed; job lifecycle is driven by connection threads.
     loop {
@@ -1024,7 +1004,6 @@ fn worker_rank_main(args: Vec<String>) {
 mod tests {
     use super::*;
     use claire::core::Precision;
-    use claire::serve::server::service::coalesces;
     use claire::serve::wire::{decode_request, encode};
     use claire::serve::Request;
 
@@ -1146,6 +1125,14 @@ mod tests {
             let mut cfg = RegistrationConfig::default();
             assert!(!config_flag(&mut cfg, gone, &mut std::iter::empty()), "{gone}");
         }
+        // nor are the removed job-coalescing switches a worker-pool flag of
+        // `batch` or `serve`
+        for gone in [concat!("--no", "-batch"), concat!("--max", "-batch")] {
+            let mut value = std::iter::once("8".to_string());
+            assert!(!PoolFlags::default().take(gone, &mut value), "{gone}");
+            let mut cfg = RegistrationConfig::default();
+            assert!(!config_flag(&mut cfg, gone, &mut std::iter::once("8".into())), "{gone}");
+        }
 
         let launch = |flags: &str| {
             let args = format!("--ranks 2 --syn 8 {flags}");
@@ -1193,14 +1180,12 @@ mod tests {
     }
 
     /// Every field of the table, set to a non-default value, must arrive
-    /// unchanged through each front end and must keep two jobs that differ
-    /// in it out of one batch. A field added to the table is covered here
-    /// without touching this test.
+    /// unchanged through each front end. A field added to the table is
+    /// covered here without touching this test.
     #[test]
     fn every_config_field_survives_every_front_end_and_moves_every_key() {
         let base = RegistrationConfig::default();
         let spec = |cfg| JobSpec::new("t", cfg, JobInput::Synthetic { n: [8, 8, 8] });
-        assert!(coalesces(&spec(base), &spec(base)), "equal specs must share a batch");
         for f in ConfigField::all() {
             let value = another(f, &(f.get)(&base));
             let mut want = base;
@@ -1234,9 +1219,6 @@ mod tests {
                 .collect::<Vec<_>>();
             worker.extend(config_args(&want));
             assert_eq!(parse_launch_args(worker, true).cfg, want, "{}: launcher → worker", f.key);
-
-            // coalescing: the two solves differ, so they never share a batch
-            assert!(!coalesces(&spec(want), &spec(base)), "{}: coalesces", f.key);
         }
     }
 }

@@ -35,10 +35,9 @@
 //!   [`core::observe::collect_run_report`])
 //! * [`serve`] — job service, in-process or over TCP: bounded admission
 //!   queue with priorities, per-job deadlines and cancellation, a worker
-//!   pool partitioning the thread budget, batch coalescing into shared
-//!   [`core::BatchSolver`] runs, and a versioned length-framed wire
-//!   protocol (`serve::wire`) with a blocking client (drives `claire-cli
-//!   batch`/`serve`/`submit`)
+//!   pool partitioning the thread budget (one job per worker at a time),
+//!   and a versioned length-framed wire protocol (`serve::wire`) with a
+//!   blocking client (drives `claire-cli batch`/`serve`/`submit`)
 //!
 //! ## Quickstart
 //!
@@ -80,8 +79,8 @@ pub use claire_serve as serve;
 pub mod prelude {
     pub use crate::core::observe::{begin as begin_observing, collect_run_report};
     pub use crate::core::{
-        BatchOutcome, BatchPair, BatchSolver, Claire, ClaireError, ClaireResult, PrecondKind,
-        RegProblem, RegistrationConfig, RegistrationConfigBuilder, RegistrationReport,
+        Claire, ClaireError, ClaireResult, PrecondKind, RegProblem, RegistrationConfig,
+        RegistrationConfigBuilder, RegistrationReport,
     };
     pub use crate::data::syn::{syn_problem, SynProblem};
     pub use crate::grid::{Grid, Layout, Real, ScalarField, VectorField};

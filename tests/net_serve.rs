@@ -79,13 +79,7 @@ fn cancel_over_the_wire_reaches_a_queued_job() {
     // only assert the protocol round trip.
     let (mut server, mut client) = boot(ServiceConfig::default().workers(1).queue_capacity(8));
     let first = client.submit(&WireJobSpec::from_spec(&tiny_spec("busy"))).expect("first");
-    let second = client
-        .submit(&WireJobSpec::from_spec(&{
-            let mut s = tiny_spec("doomed");
-            s.config.max_gn_iter = 1; // different content: no coalescing surprises
-            s
-        }))
-        .expect("second");
+    let second = client.submit(&WireJobSpec::from_spec(&tiny_spec("doomed"))).expect("second");
     let delivered = client.cancel(second).expect("cancel round trip");
     let res = client.wait(second).expect("terminal result");
     if delivered && res.status == JobStatus::Cancelled {

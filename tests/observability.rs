@@ -207,8 +207,8 @@ fn solver_run_emits_complete_report() {
 
 #[test]
 fn served_span_tree_is_rooted_by_run_size() {
-    // one served job is a solo solve (`solve`); coalesced members share a
-    // `batch.solve` tree
+    // one served job is one solve: its tree is rooted at `solve`, as a
+    // direct `Claire` run's is
     let _g = OBS_LOCK.lock().unwrap();
     let cfg = RegistrationConfig::builder()
         .nt(2)
@@ -223,24 +223,10 @@ fn served_span_tree_is_rooted_by_run_size() {
     let alone =
         svc.submit(JobSpec::new("alone", cfg, JobInput::Synthetic { n: [8, 8, 8] })).unwrap();
     let run = svc.wait(alone).unwrap().run.expect("reports on");
-    // (generating the synthetic input leaves sibling roots of its own)
-    let roots: Vec<&str> = run.spans.iter().map(|s| s.name.as_str()).collect();
-    assert!(roots.contains(&"solve") && !roots.contains(&"batch.solve"), "{roots:?}");
     drop(svc);
-
-    // K = 2 through the batch solver the service hands coalesced jobs to
-    let mut comm = Comm::solo();
-    let pairs = ["a", "b"]
-        .map(|l| {
-            let p = syn_problem([8, 8, 8], &mut comm);
-            BatchPair::new(l, p.template, p.reference)
-        })
-        .into();
-    claire::obs::span::take_spans();
-    BatchSolver::new(cfg).solve(pairs).unwrap();
-    let spans = claire::obs::span::take_spans();
     claire::obs::set_enabled(false);
-    assert_eq!(spans.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["batch.solve"]);
+    let roots: Vec<&str> = run.spans.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(roots, ["solve"], "the tree covers the solve, not the input generation");
 }
 
 #[test]

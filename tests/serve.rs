@@ -43,6 +43,21 @@ fn start_recorder(label: &'static str, order: &Arc<Mutex<Vec<&'static str>>>) ->
     }
 }
 
+/// Hooks that park the job in its first GN boundary until `release` fires
+/// (or 30 s pass), so the single worker stays busy while the test queues
+/// more jobs behind it.
+fn parked_until(release: mpsc::Receiver<()>) -> SolverHooks {
+    let release = Mutex::new(Some(release));
+    SolverHooks {
+        cancel: None,
+        on_gn_iter: Some(Arc::new(move |_| {
+            if let Some(rx) = release.lock().unwrap().take() {
+                let _ = rx.recv_timeout(Duration::from_secs(30));
+            }
+        })),
+    }
+}
+
 #[test]
 fn priority_classes_drain_in_order() {
     // One worker; the first job parks inside its first GN boundary until we
@@ -52,16 +67,7 @@ fn priority_classes_drain_in_order() {
         ServiceConfig::default().workers(1).queue_capacity(8).collect_reports(false),
     );
     let (release_tx, release_rx) = mpsc::channel::<()>();
-    let release_rx = Mutex::new(Some(release_rx));
-    let blocker_hooks = SolverHooks {
-        cancel: None,
-        on_gn_iter: Some(Arc::new(move |_| {
-            if let Some(rx) = release_rx.lock().unwrap().take() {
-                let _ = rx.recv_timeout(Duration::from_secs(30));
-            }
-        })),
-    };
-    let blocker = svc.submit(tiny_spec("blocker").hooks(blocker_hooks)).unwrap();
+    let blocker = svc.submit(tiny_spec("blocker").hooks(parked_until(release_rx))).unwrap();
     // the worker must be occupied before the contenders are queued
     while svc.status(blocker) != Some(JobStatus::Running) {
         std::thread::sleep(Duration::from_millis(1));
@@ -171,28 +177,15 @@ fn per_job_report_records_queue_wait_and_latency() {
 }
 
 #[test]
-fn batching_preserves_per_job_cancellation_and_reports() {
-    // One worker with coalescing on. A blocker (incompatible 4³ grid)
-    // parks in its first GN boundary so three compatible jobs pile up; one
-    // of them cancels itself at its own iteration boundary ≥ 1 — the batch
-    // must retire exactly that member while the rest complete with full
-    // per-job reports carrying the shared batch id.
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1).max_batch(8));
+fn per_job_cancellation_on_a_sequential_worker() {
+    // One worker. A blocker parks in its first GN boundary so three jobs
+    // queue behind it; one of them cancels itself at its own iteration
+    // boundary 1. That job alone ends `Cancelled`; the jobs before and
+    // after it on the same worker complete with full reports of their own.
+    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
     let (release_tx, release_rx) = mpsc::channel::<()>();
-    let release_rx = Mutex::new(Some(release_rx));
-    let blocker_hooks = SolverHooks {
-        cancel: None,
-        on_gn_iter: Some(Arc::new(move |_| {
-            if let Some(rx) = release_rx.lock().unwrap().take() {
-                let _ = rx.recv_timeout(Duration::from_secs(30));
-            }
-        })),
-    };
-    let blocker = JobSpec::new("blocker", tiny_config(), JobInput::Synthetic { n: [4, 4, 4] })
-        .hooks(blocker_hooks);
-    let b = svc.submit(blocker).unwrap();
+    let b = svc.submit(tiny_spec("blocker").hooks(parked_until(release_rx))).unwrap();
 
-    // the self-cancelling member: trips its own token at boundary 1
     let token = CancelToken::new();
     let trip = token.clone();
     let self_cancel = SolverHooks {
@@ -203,8 +196,8 @@ fn batching_preserves_per_job_cancellation_and_reports() {
             }
         })),
     };
-    let quitter = svc.submit(tiny_spec("quitter").hooks(self_cancel)).unwrap();
     let ok1 = svc.submit(tiny_spec("ok1")).unwrap();
+    let quitter = svc.submit(tiny_spec("quitter").hooks(self_cancel)).unwrap();
     let ok2 = svc.submit(tiny_spec("ok2")).unwrap();
     release_tx.send(()).unwrap();
 
@@ -212,42 +205,29 @@ fn batching_preserves_per_job_cancellation_and_reports() {
     let quit = svc.wait(quitter).unwrap();
     assert_eq!(quit.status, JobStatus::Cancelled, "{:?}", quit.error);
     let error = quit.error.unwrap();
-    assert!(error.starts_with("BatchSolver::solve stopped early: cancelled"), "{error}");
+    assert!(error.starts_with("Claire::register stopped early: cancelled"), "{error}");
+    assert!(error.contains("after 1 Gauss-Newton"), "{error}");
+    assert!(quit.report.is_none() && quit.run.is_none());
 
-    let mut batch_ids = Vec::new();
     for id in [ok1, ok2] {
         let res = svc.wait(id).unwrap();
         assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
-        assert!(res.report.is_some(), "coalesced members keep their own reports");
+        let report = res.report.expect("a succeeded job keeps its report");
         let run = res.run.expect("reports on");
-        assert_eq!(run.scheduling.batch_size, 3, "quitter was admitted to the batch");
-        assert!(run.memory.pool_checkouts > 0, "per-member memory attribution");
-        batch_ids.push(run.scheduling.batch_id);
+        assert_eq!(run.summary.gn_iters, report.gn_iters);
+        assert!(run.memory.pool_checkouts > 0, "the job's own pool events");
     }
-    assert!(batch_ids[0] > 0);
-    assert_eq!(batch_ids[0], batch_ids[1], "both survivors ran in the same batch");
 }
 
 #[test]
-fn panicking_run_fails_every_member_and_keeps_their_queue_wait() {
-    // One worker, coalescing on. While the blocker parks, two compatible
-    // jobs queue up; one's observer panics inside their shared run. The
-    // panic is caught, fails both members — each still reporting the time
-    // it spent queued — and the pool survives.
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1).max_batch(8));
+fn panicking_run_fails_its_job_and_spares_the_one_behind_it() {
+    // One worker. While the blocker parks, two jobs queue up; the first
+    // one's observer panics inside its solve. The panic is caught and fails
+    // that job alone — which still reports the time it spent queued — and
+    // the bystander queued behind it on the same worker succeeds.
+    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
     let (release_tx, release_rx) = mpsc::channel::<()>();
-    let release_rx = Mutex::new(Some(release_rx));
-    let blocker_hooks = SolverHooks {
-        cancel: None,
-        on_gn_iter: Some(Arc::new(move |_| {
-            if let Some(rx) = release_rx.lock().unwrap().take() {
-                let _ = rx.recv_timeout(Duration::from_secs(30));
-            }
-        })),
-    };
-    let blocker = JobSpec::new("blocker", tiny_config(), JobInput::Synthetic { n: [4, 4, 4] })
-        .hooks(blocker_hooks);
-    let b = svc.submit(blocker).unwrap();
+    let b = svc.submit(tiny_spec("blocker").hooks(parked_until(release_rx))).unwrap();
     let bomb_hooks =
         SolverHooks { cancel: None, on_gn_iter: Some(Arc::new(|_| panic!("observer exploded"))) };
     let bomb = svc.submit(tiny_spec("bomb").hooks(bomb_hooks)).unwrap();
@@ -255,16 +235,37 @@ fn panicking_run_fails_every_member_and_keeps_their_queue_wait() {
     release_tx.send(()).unwrap();
 
     assert_eq!(svc.wait(b).unwrap().status, JobStatus::Succeeded);
-    for id in [bomb, bystander] {
+    let res = svc.wait(bomb).unwrap();
+    assert_eq!(res.status, JobStatus::Failed);
+    let error = res.error.unwrap();
+    assert!(error.contains("solver panicked: observer exploded"), "{error}");
+    assert!(res.queue_wait > Duration::ZERO, "a failed job keeps its queue wait");
+    assert!(res.total >= res.queue_wait + res.run_time);
+    let res = svc.wait(bystander).unwrap();
+    assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
+}
+
+#[test]
+fn served_reports_carry_their_own_kernels_and_gn_trace() {
+    // Two workers, each running one job at a time: a job's report holds
+    // the kernel timers and GN records of its own solve, not its
+    // predecessor's on the same worker. Equal jobs therefore report equal
+    // kernel call counts.
+    claire::obs::set_enabled(true);
+    let mut svc = RegistrationService::start(ServiceConfig::default().workers(2));
+    let ids: Vec<JobId> =
+        (0..4).map(|i| svc.submit(tiny_spec(&format!("own-{i}"))).unwrap()).collect();
+    let mut calls = Vec::new();
+    for id in ids {
         let res = svc.wait(id).unwrap();
-        assert_eq!(res.status, JobStatus::Failed);
-        let error = res.error.unwrap();
-        assert!(error.contains("solver panicked: observer exploded"), "{error}");
-        assert!(res.queue_wait > Duration::ZERO, "a failed member keeps its queue wait");
-        assert!(res.total >= res.queue_wait + res.run_time);
+        assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
+        let run = res.run.expect("reports on");
+        assert_eq!(run.gn_trace.len(), run.summary.gn_iters, "{}", res.label);
+        assert!(!run.kernels.is_empty(), "{}: no kernel timers", res.label);
+        calls.push(run.kernels.iter().map(|k| (k.name.clone(), k.calls)).collect::<Vec<_>>());
     }
-    let after = svc.submit(tiny_spec("after")).unwrap();
-    assert_eq!(svc.wait(after).unwrap().status, JobStatus::Succeeded);
+    svc.shutdown();
+    assert!(calls.windows(2).all(|w| w[0] == w[1]), "{calls:?}");
 }
 
 #[test]

@@ -15,8 +15,8 @@
 //!
 //! The whole measurement runs once per SIMD backend (scalar and auto) —
 //! the vectorized kernels, including the fused PCG field-op chains, must be
-//! as allocation-free as the loops they replaced — and, for the two
-//! single-pair tests, once per preconditioner: the inner H0 solve iterates
+//! as allocation-free as the loops they replaced — and once per
+//! preconditioner: the inner H0 solve iterates
 //! on pooled spectra and `2LInvH0` moves its low modes between two spectra
 //! this rank owns without staging them.
 //!
@@ -26,7 +26,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use claire::core::BatchSolver;
 use claire::prelude::*;
 use claire_par::alloc_counter::{allocation_count, CountingAlloc};
 
@@ -159,67 +158,6 @@ fn steady_state_mixed_gn_iteration_is_allocation_free() {
             &[0, 0],
             "steady-state mixed-precision GN iterations must not allocate under {choice:?} \
              with {precond:?}; per-iteration allocations: {deltas:?}"
-        );
-    }
-    claire_simd::force_backend(None);
-}
-
-/// The batched path must be as allocation-clean as the sequential one: once
-/// every member of a K-pair batch is past its first interleaved round (all
-/// pools and plan caches warm, every `GnState` history at capacity), a full
-/// interleaved GN round allocates nothing.
-///
-/// The observer hooks onto pair 0 only — its boundaries fire once per
-/// round while all K members are active, so consecutive samples bracket
-/// complete rounds (K steps each).
-#[test]
-fn steady_state_batch_round_is_allocation_free() {
-    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    claire::par::set_threads(1);
-    claire::obs::set_enabled(false);
-    let layout = Layout::serial(Grid::cube(16));
-    let cfg = config();
-    let pairs = |hooks: Option<claire::core::SolverHooks>| -> Vec<claire::core::BatchPair> {
-        [0.5 as Real, 0.45, 0.4]
-            .iter()
-            .enumerate()
-            .map(|(i, &shift)| {
-                let (m0, m1) = blob_pair(layout, shift);
-                let p = claire::core::BatchPair::new(format!("p{i}"), m0, m1);
-                match (i, &hooks) {
-                    (0, Some(h)) => p.with_hooks(h.clone()),
-                    _ => p,
-                }
-            })
-            .collect()
-    };
-
-    for choice in BACKENDS {
-        claire_simd::force_backend(Some(choice));
-
-        // Warm-up batch: fills the pools and the plan cache.
-        let _ = BatchSolver::new(cfg).solve(pairs(None)).unwrap();
-
-        let samples: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(64)));
-        let sink = samples.clone();
-        let hooks = claire::core::SolverHooks {
-            cancel: None,
-            on_gn_iter: Some(Arc::new(move |_| {
-                sink.lock().unwrap().push(allocation_count());
-            })),
-        };
-        let outcome = BatchSolver::new(cfg).solve(pairs(Some(hooks))).unwrap();
-        assert!(outcome.items.iter().all(|i| i.outcome.is_ok()));
-
-        let s = samples.lock().unwrap();
-        assert!(s.len() >= 4, "need several rounds for a steady state, got {}", s.len());
-        let deltas: Vec<u64> = s.windows(2).map(|w| w[1] - w[0]).collect();
-        let tail = &deltas[deltas.len() - 2..];
-        assert_eq!(
-            tail,
-            &[0, 0],
-            "steady-state interleaved GN rounds must not allocate under {choice:?}; \
-             per-round allocations: {deltas:?}"
         );
     }
     claire_simd::force_backend(None);
