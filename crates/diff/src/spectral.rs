@@ -27,10 +27,10 @@
 //! modes. This substitution is recorded in DESIGN.md §5.
 
 use claire_fft::{DistFftT, DistSpectralT, FftElem, SpectralVecT};
-use claire_grid::{Grid, Real, ScalarFieldT, VectorFieldT};
+use claire_grid::{Grid, PlaneSums, Real, ScalarFieldT, VectorFieldT};
 use claire_mpi::Comm;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_chunks_mut, par_sum_blocks};
+use claire_par::{par_chunks_mut, ELEM_CHUNK};
 
 /// Planned spectral operators on one grid for one rank, generic over the
 /// element width (f64 solver path or f32 mixed-precision inner solve).
@@ -44,9 +44,6 @@ pub struct SpectralT<T: FftElem> {
 
 /// Field-precision ([`Real`]) spectral operators.
 pub type Spectral = SpectralT<Real>;
-
-/// Coefficients per parallel chunk of a Hadamard sweep.
-const SWEEP_CHUNK: usize = 4096;
 
 /// The symbol of `βA = β(I − Δ)` as a function of `|k|²`.
 fn reg_symbol(beta: f64) -> impl Fn(f64) -> f64 + Sync {
@@ -85,8 +82,8 @@ impl<T: FftElem> SpectralT<T> {
     pub fn scale_symbol(&self, spec: &mut DistSpectralT<T>, sym: impl Fn(f64) -> f64 + Sync) {
         assert_eq!(spec.data.len(), self.ksq.len(), "spectrum is not on this plan's slab");
         timing::time(Kernel::FieldOps, || {
-            par_chunks_mut(&mut spec.data, SWEEP_CHUNK, |ci, chunk| {
-                for (z, k) in chunk.iter_mut().zip(&self.ksq[ci * SWEEP_CHUNK..]) {
+            par_chunks_mut(&mut spec.data, ELEM_CHUNK, |ci, chunk| {
+                for (z, k) in chunk.iter_mut().zip(&self.ksq[ci * ELEM_CHUNK..]) {
                     *z = z.scale(T::from_f64(sym(k.to_f64())));
                 }
             })
@@ -103,8 +100,8 @@ impl<T: FftElem> SpectralT<T> {
         assert_eq!(out.data.len(), self.ksq.len(), "spectrum is not on this plan's slab");
         assert_eq!(x.data.len(), self.ksq.len(), "spectrum is not on this plan's slab");
         timing::time(Kernel::FieldOps, || {
-            par_chunks_mut(&mut out.data, SWEEP_CHUNK, |ci, chunk| {
-                let at = ci * SWEEP_CHUNK;
+            par_chunks_mut(&mut out.data, ELEM_CHUNK, |ci, chunk| {
+                let at = ci * ELEM_CHUNK;
                 for ((z, x), k) in chunk.iter_mut().zip(&x.data[at..]).zip(&self.ksq[at..]) {
                     *z += x.scale(T::from_f64(sym(k.to_f64())));
                 }
@@ -127,8 +124,8 @@ impl<T: FftElem> SpectralT<T> {
             assert_eq!(xc.data.len(), self.ksq.len(), "spectrum is not on this plan's slab");
             let mut out = DistSpectralT::for_overwrite(xc.grid, xc.x2_slab);
             timing::time(Kernel::FieldOps, || {
-                par_chunks_mut(&mut out.data, SWEEP_CHUNK, |ci, chunk| {
-                    let at = ci * SWEEP_CHUNK;
+                par_chunks_mut(&mut out.data, ELEM_CHUNK, |ci, chunk| {
+                    let at = ci * ELEM_CHUNK;
                     for ((z, x), k) in chunk.iter_mut().zip(&xc.data[at..]).zip(&self.ksq[at..]) {
                         *z = x.scale(T::from_f64(sym(k.to_f64())));
                     }
@@ -168,29 +165,30 @@ impl<T: FftElem> SpectralT<T> {
     /// The regularization energy `½β⟨Av, v⟩` by Parseval: 3 forward
     /// transforms and one sweep with the half-spectrum weights (1 on the
     /// `k3 = 0` and Nyquist planes, 2 elsewhere) and the symbol folded in,
-    /// accumulated in f64. One allreduce. Collective.
+    /// accumulated in f64 over [`PlaneSums`], one partial per global x2
+    /// index (rows `(i, j)` in `i` order, the weights folded into each row).
+    /// One allreduce. Collective.
     pub fn reg_energy(&self, v: &VectorFieldT<T>, beta: f64, comm: &mut Comm) -> f64 {
         let n3c = self.grid.n[2] / 2 + 1;
-        let energy = |spec: &DistSpectralT<T>| {
+        let mut sums = PlaneSums::new(self.grid.n[1], self.fft.x2_slab(), self.grid.n[0], n3c);
+        let mut add = |spec: &DistSpectralT<T>| {
             let term = |i: usize| {
                 let (re, im) = (spec.data[i].re.to_f64(), spec.data[i].im.to_f64());
                 (1.0 + self.ksq[i].to_f64()) * (re * re + im * im)
             };
             timing::time(Kernel::FieldOps, || {
-                let all = par_sum_blocks(spec.data.len(), |r| r.map(term).sum());
-                let ends: f64 = (0..spec.data.len() / n3c)
-                    .map(|row| term(row * n3c) + term(row * n3c + n3c - 1))
-                    .sum();
-                2.0 * all - ends
+                sums.add(|r| {
+                    2.0 * r.clone().map(term).sum::<f64>() - (term(r.start) + term(r.end - 1))
+                })
             })
         };
-        let local: f64 = if comm.size() == 1 {
-            v.c.iter().map(|c| energy(&self.fft.forward(c, comm))).sum()
+        if comm.size() == 1 {
+            v.c.iter().for_each(|c| add(&self.fft.forward(c, comm)));
         } else {
-            self.spectra_of(v, comm).c.iter().map(energy).sum()
-        };
+            self.spectra_of(v, comm).c.iter().for_each(add);
+        }
         let scale = self.grid.cell_volume() / self.grid.len() as f64;
-        0.5 * beta * scale * comm.allreduce_sum_scalar(local)
+        0.5 * beta * scale * sums.global(comm)
     }
 
     /// `f ↦ F⁻¹[op(F f)]` for 1–3 fields whose spectra do not couple:

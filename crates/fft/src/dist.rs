@@ -29,7 +29,7 @@ use claire_grid::{
 use claire_mpi::{AlltoallMethod, Comm, CommCat};
 use claire_obs::span::span;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_chunks_mut, SUM_BLOCK};
+use claire_par::{par_chunks_mut, ELEM_CHUNK};
 
 use crate::complex::CpxT;
 use crate::serial3d::Fft3T;
@@ -64,8 +64,8 @@ impl<T: FftElem> Clone for DistSpectralT<T> {
         let mut out = DistSpectralT::for_overwrite(self.grid, self.x2_slab);
         let src = &self.data;
         timing::time(Kernel::FieldOps, || {
-            par_chunks_mut(&mut out.data, SUM_BLOCK, |ci, c| {
-                c.copy_from_slice(&src[ci * SUM_BLOCK..][..c.len()])
+            par_chunks_mut(&mut out.data, ELEM_CHUNK, |ci, c| {
+                c.copy_from_slice(&src[ci * ELEM_CHUNK..][..c.len()])
             })
         });
         out
@@ -83,7 +83,7 @@ impl<T: FftElem> DistSpectralT<T> {
     pub fn zeros(grid: Grid, x2_slab: Slab) -> DistSpectralT<T> {
         let mut out = DistSpectralT::for_overwrite(grid, x2_slab);
         timing::time(Kernel::FieldOps, || {
-            par_chunks_mut(&mut out.data, SUM_BLOCK, |_, c| c.fill(CpxT::ZERO))
+            par_chunks_mut(&mut out.data, ELEM_CHUNK, |_, c| c.fill(CpxT::ZERO))
         });
         out
     }

@@ -11,18 +11,19 @@
 //! ```
 //!
 //! because the r2c half-spectrum stores one of each conjugate pair except on
-//! the two self-conjugate planes. Sums accumulate in f64 at either width and
-//! end in one allreduce. The updates and the unweighted part of the sum are
-//! the `claire-simd` field kernels on the interleaved `[re, im, …]` view; the
-//! two weight-1 planes are taken off again in a strided pass over the row
-//! ends.
+//! the two self-conjugate planes. The updates are the `claire-simd` field
+//! kernels on the interleaved `[re, im, …]` view. The sums accumulate in f64
+//! at either width and go through [`PlaneSums`] with one partial per global
+//! x2 index — the spectral slab's distributed axis: a partial folds its rows
+//! `(i, j)` over `i` in order, each row its doubled dot less its two
+//! weight-1 ends, and then the next component's rows.
 
-use claire_grid::KrylovVec;
+use claire_grid::{KrylovVec, PlaneSums};
 use claire_mpi::Comm;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_chunks_mut, par_chunks_mut_sum, par_sum_blocks, SUM_BLOCK};
+use claire_par::{par_chunks_mut, ELEM_CHUNK};
 
-use crate::complex::{as_real, as_real_mut, CpxT};
+use crate::complex::{as_real, as_real_mut};
 use crate::dist::DistSpectralT;
 use crate::FftElem;
 
@@ -33,15 +34,13 @@ pub struct SpectralVecT<T: FftElem> {
     pub c: [DistSpectralT<T>; 3],
 }
 
-/// `Σ_rows (a·b at k3 = 0) + (a·b at k3 = n3/2)`: what the doubled sum over a
-/// half-spectrum counts once too often.
-fn row_ends_dot<T: FftElem>(a: &[CpxT<T>], b: &[CpxT<T>], n3c: usize) -> f64 {
-    let re_dot =
-        |x: CpxT<T>, y: CpxT<T>| x.re.to_f64() * y.re.to_f64() + x.im.to_f64() * y.im.to_f64();
-    a.chunks_exact(n3c)
-        .zip(b.chunks_exact(n3c))
-        .map(|(ra, rb)| re_dot(ra[0], rb[0]) + re_dot(ra[n3c - 1], rb[n3c - 1]))
-        .sum()
+/// A half-spectrum row's share of the weighted sum, from the row's
+/// unweighted dot `dot` of the interleaved rows `a`, `b`: twice it, less the
+/// `k3 = 0` and `k3 = n3/2` ends, which count once.
+fn row_term<T: FftElem>(dot: f64, a: &[T], b: &[T]) -> f64 {
+    let re_dot = |x: &[T], y: &[T]| x[0].to_f64() * y[0].to_f64() + x[1].to_f64() * y[1].to_f64();
+    let last = a.len() - 2;
+    2.0 * dot - (re_dot(a, b) + re_dot(&a[last..], &b[last..]))
 }
 
 impl<T: FftElem> SpectralVecT<T> {
@@ -52,15 +51,21 @@ impl<T: FftElem> SpectralVecT<T> {
         grid.cell_volume() / grid.len() as f64
     }
 
-    /// `f(a, x_chunk, self_chunk)` over every `SUM_BLOCK` of the interleaved
+    /// Zero partials, one per global x2 index, over interleaved rows.
+    fn plane_sums(&self) -> PlaneSums {
+        let s = &self.c[0];
+        PlaneSums::new(s.grid.n[1], s.x2_slab, s.grid.n[0], 2 * s.n3c())
+    }
+
+    /// `f(a, x_chunk, self_chunk)` over every `ELEM_CHUNK` of the interleaved
     /// view of every component: the elementwise updates.
     fn update(&mut self, a: f64, x: &Self, f: impl Fn(T, &[T], &mut [T]) + Sync) {
         let a = T::from_f64(a);
         timing::time(Kernel::FieldOps, || {
             for (s, xc) in self.c.iter_mut().zip(&x.c) {
                 let xr = as_real(&xc.data);
-                par_chunks_mut(as_real_mut(&mut s.data), SUM_BLOCK, |ci, c| {
-                    f(a, &xr[ci * SUM_BLOCK..][..c.len()], c)
+                par_chunks_mut(as_real_mut(&mut s.data), ELEM_CHUNK, |ci, c| {
+                    f(a, &xr[ci * ELEM_CHUNK..][..c.len()], c)
                 });
             }
         });
@@ -80,37 +85,37 @@ impl<T: FftElem> KrylovVec for SpectralVecT<T> {
         self.update(a, x, T::kaypx);
     }
 
-    /// The update and the unweighted sum share one pass; the result is the
-    /// `L²(Ω)³` norm of the updated vector's field.
+    /// The update and the sum share one pass; the result is the `L²(Ω)³`
+    /// norm of the updated vector's field.
     fn axpy_norm(&mut self, a: f64, x: &Self, comm: &mut Comm) -> f64 {
-        let (a, n3c) = (T::from_f64(a), self.c[0].n3c());
-        let local: f64 = timing::time(Kernel::FieldOps, || {
-            let sums = self.c.iter_mut().zip(&x.c).map(|(s, xc)| {
+        let a = T::from_f64(a);
+        let mut sums = self.plane_sums();
+        timing::time(Kernel::FieldOps, || {
+            for (s, xc) in self.c.iter_mut().zip(&x.c) {
                 let xr = as_real(&xc.data);
-                let all = par_chunks_mut_sum(as_real_mut(&mut s.data), SUM_BLOCK, |ci, c| {
-                    T::kaxpy_dot(a, &xr[ci * SUM_BLOCK..][..c.len()], c)
+                sums.add_mut(as_real_mut(&mut s.data), |r, row| {
+                    let dot = T::kaxpy_dot(a, &xr[r], row);
+                    row_term(dot, row, row)
                 });
-                2.0 * all - row_ends_dot(&s.data, &s.data, n3c)
-            });
-            sums.sum()
+            }
         });
-        (comm.allreduce_sum_scalar(local) * self.parseval_scale()).max(0.0).sqrt()
+        (sums.global(comm) * self.parseval_scale()).max(0.0).sqrt()
     }
 
     /// The `L²(Ω)³` inner product of the two fields, from their spectra
     /// (Parseval; see the module docs).
     fn inner(&self, other: &Self, comm: &mut Comm) -> f64 {
-        let n3c = self.c[0].n3c();
-        let local: f64 = timing::time(Kernel::FieldOps, || {
-            let sums = self.c.iter().zip(&other.c).map(|(a, b)| {
+        let mut sums = self.plane_sums();
+        timing::time(Kernel::FieldOps, || {
+            for (a, b) in self.c.iter().zip(&other.c) {
                 assert_eq!((a.grid, a.x2_slab), (b.grid, b.x2_slab), "spectrum mismatch");
                 let (ar, br) = (as_real(&a.data), as_real(&b.data));
-                let all = par_sum_blocks(ar.len(), |r| T::kdot(&ar[r.clone()], &br[r]));
-                2.0 * all - row_ends_dot(&a.data, &b.data, n3c)
-            });
-            sums.sum()
+                sums.add(|r| {
+                    row_term(T::kdot(&ar[r.clone()], &br[r.clone()]), &ar[r.clone()], &br[r])
+                });
+            }
         });
-        comm.allreduce_sum_scalar(local) * self.parseval_scale()
+        sums.global(comm) * self.parseval_scale()
     }
 }
 

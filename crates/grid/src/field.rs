@@ -1,10 +1,11 @@
 //! Scalar and vector fields on (possibly distributed) periodic grids.
 //!
-//! Element-wise ops and reductions run on the runtime-dispatched SIMD
-//! layer (`claire-simd`): each `claire-par` worker applies the vectorized
-//! kernel to its fixed-size chunk, so thread-level and data-level
-//! parallelism compose and block boundaries (hence reduction order) stay
-//! independent of both thread count and backend.
+//! Element-wise ops run on the runtime-dispatched SIMD layer
+//! (`claire-simd`): each `claire-par` worker applies the vectorized kernel
+//! to its chunks, so thread-level and data-level parallelism compose.
+//! Global sums go through [`PlaneSums`] — one partial per x1 plane, formed
+//! by one thread of the plane's owner — so their bits depend on neither the
+//! thread count nor the rank count nor the transport; a max needs no order.
 //!
 //! Fields are generic over the element width ([`FieldElem`]: `f64` | `f32`)
 //! for the mixed-precision solver core. [`ScalarField`]/[`VectorField`]
@@ -13,24 +14,24 @@
 //! footprint. Every reduction accumulates and returns `f64` regardless of
 //! the element width, so convergence logic is width-independent.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use claire_mpi::Comm;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_chunks_mut, par_chunks_mut_sum, par_max_blocks, par_sum_blocks, SUM_BLOCK};
+use claire_par::{par_chunks_mut, par_parts, ELEM_CHUNK};
 
 use crate::real::Real;
+use crate::reduce::PlaneSums;
 use crate::slab::Layout;
 use crate::workspace::{FieldElem, PoolVec, WsCat};
 
-/// Per-chunk element count for parallel element-wise loops. Matches the
-/// reduction block so element-wise and reduction passes stream the same
-/// cache-sized tiles.
-const ELEM_CHUNK: usize = SUM_BLOCK;
-
-/// Per-block max-abs partials with thread-count-independent block boundaries
-/// (same contract as [`par_sum_blocks`]; max is reorder-safe anyway, but
-/// keeping every reduction deterministic keeps the equivalence tests exact).
-fn par_max_abs<T: FieldElem>(d: &[T]) -> f64 {
-    par_max_blocks(d.len(), |r| T::kmax_abs(&d[r])).max(0.0)
+/// Raise `max` to `max |d|`; NaN if any sample is NaN. Threads take any
+/// split, as max needs no order: non-negative doubles order as their bits,
+/// and `|NaN|` lies above `+∞`.
+fn par_max_abs<T: FieldElem>(d: &[T], max: &AtomicU64) {
+    par_parts(d.len(), d.len(), |r| {
+        max.fetch_max(T::kmax_abs(&d[r]).to_bits(), Ordering::Relaxed);
+    });
 }
 
 /// A scalar field: this rank's slab of samples of a function on Ω.
@@ -209,21 +210,25 @@ impl<T: FieldElem> ScalarFieldT<T> {
     // These single-pass variants halve the DRAM traffic of the PCG field-op
     // chains (update then norm): the solver is bandwidth-bound (paper §3
     // counts memory passes, not flops), so one streamed pass instead of two
-    // is a direct win. `ELEM_CHUNK == SUM_BLOCK`, so the fused reduction has
-    // the same block boundaries as `dot_local` — on the scalar backend the
-    // fused result is bit-identical to the unfused pair.
+    // is a direct win. The fused pass has the planes of the unfused pair, so
+    // on the scalar backend the two agree bit for bit.
 
     /// `self += a·x`, returning the local raw self-dot `Σ selfᵢ²` of the
     /// updated field from the same pass over memory.
     pub fn axpy_dot_local(&mut self, a: T, x: &Self) -> f64 {
+        let mut sums = PlaneSums::of_layout(&self.layout);
+        self.add_axpy_dot(a, x, &mut sums);
+        sums.local()
+    }
+
+    /// `self += a·x`, adding the updated field's per-plane `Σ selfᵢ²` to
+    /// `sums`.
+    fn add_axpy_dot(&mut self, a: T, x: &Self, sums: &mut PlaneSums) {
         self.check_same_layout(x);
         let xd = &x.data;
         timing::time(Kernel::FieldOps, || {
-            par_chunks_mut_sum(&mut self.data, ELEM_CHUNK, |ci, c| {
-                let base = ci * ELEM_CHUNK;
-                T::kaxpy_dot(a, &xd[base..base + c.len()], c)
-            })
-        })
+            sums.add_mut(&mut self.data, |r, plane| T::kaxpy_dot(a, &xd[r], plane))
+        });
     }
 
     /// `self = a·x + y` in one pass — replaces the clone-then-axpy pattern
@@ -247,19 +252,18 @@ impl<T: FieldElem> ScalarFieldT<T> {
 
     // ----- reductions ------------------------------------------------------
 
-    /// Local (this-rank) raw dot product, accumulated in f64 over fixed-size
-    /// blocks so the result is bitwise identical for every thread count.
-    pub fn dot_local(&self, other: &Self) -> f64 {
+    /// Add the per-plane raw dot product with `other` to `sums`.
+    fn add_dot(&self, other: &Self, sums: &mut PlaneSums) {
         self.check_same_layout(other);
         let (a, b) = (&self.data, &other.data);
-        timing::time(Kernel::FieldOps, || {
-            par_sum_blocks(a.len(), |r| T::kdot(&a[r.clone()], &b[r]))
-        })
+        timing::time(Kernel::FieldOps, || sums.add(|r| T::kdot(&a[r.clone()], &b[r])));
     }
 
     /// Global raw dot product (sum over all grid points).
     pub fn dot(&self, other: &Self, comm: &mut Comm) -> f64 {
-        comm.allreduce_sum_scalar(self.dot_local(other))
+        let mut sums = PlaneSums::of_layout(&self.layout);
+        self.add_dot(other, &mut sums);
+        sums.global(comm)
     }
 
     /// Global L2(Ω) inner product: `∫ f·g ≈ h³ Σ f·g`.
@@ -272,18 +276,18 @@ impl<T: FieldElem> ScalarFieldT<T> {
         self.inner(self, comm).max(0.0).sqrt()
     }
 
-    /// Global max absolute value.
+    /// Global max absolute value; NaN if any sample is NaN.
     pub fn max_abs(&self, comm: &mut Comm) -> f64 {
-        let local = timing::time(Kernel::FieldOps, || par_max_abs(&self.data));
-        comm.allreduce_max_scalar(local)
+        let max = AtomicU64::new(0);
+        timing::time(Kernel::FieldOps, || par_max_abs(&self.data, &max));
+        comm.allreduce_max_scalar(f64::from_bits(max.into_inner()))
     }
 
     /// Global sum of samples.
     pub fn sum(&self, comm: &mut Comm) -> f64 {
-        let local = timing::time(Kernel::FieldOps, || {
-            par_sum_blocks(self.data.len(), |r| T::ksum(&self.data[r]))
-        });
-        comm.allreduce_sum_scalar(local)
+        let mut sums = PlaneSums::of_layout(&self.layout);
+        timing::time(Kernel::FieldOps, || sums.add(|r| T::ksum(&self.data[r])));
+        sums.global(comm)
     }
 }
 
@@ -409,15 +413,15 @@ impl<T: FieldElem> VectorFieldT<T> {
     /// `self += a·x`, returning the global L2(Ω)³ norm of the updated field
     /// — the fused form of `axpy` followed by `norm_l2`, one streamed pass
     /// over each component instead of two plus the same single allreduce.
-    /// Component partials are summed in component order, so the scalar
-    /// backend reproduces the unfused result bit for bit.
+    /// A plane's components are summed in component order, as in `dot`, so
+    /// the scalar backend reproduces the unfused result bit for bit.
     pub fn axpy_norm_l2(&mut self, a: T, x: &Self, comm: &mut Comm) -> f64 {
-        let mut local = 0.0;
+        let mut sums = PlaneSums::of_layout(self.layout());
         for (s, xc) in self.c.iter_mut().zip(&x.c) {
-            local += s.axpy_dot_local(a, xc);
+            s.add_axpy_dot(a, xc, &mut sums);
         }
         let vol = self.layout().grid.cell_volume();
-        (comm.allreduce_sum_scalar(local) * vol).max(0.0).sqrt()
+        (sums.global(comm) * vol).max(0.0).sqrt()
     }
 
     /// `self = a·x + y` per component in one pass (non-collective).
@@ -429,8 +433,11 @@ impl<T: FieldElem> VectorFieldT<T> {
 
     /// Global raw dot product over all components.
     pub fn dot(&self, other: &Self, comm: &mut Comm) -> f64 {
-        let local: f64 = self.c.iter().zip(&other.c).map(|(a, b)| a.dot_local(b)).sum();
-        comm.allreduce_sum_scalar(local)
+        let mut sums = PlaneSums::of_layout(self.layout());
+        for (a, b) in self.c.iter().zip(&other.c) {
+            a.add_dot(b, &mut sums);
+        }
+        sums.global(comm)
     }
 
     /// Global L2(Ω)³ inner product.
@@ -444,12 +451,12 @@ impl<T: FieldElem> VectorFieldT<T> {
     }
 
     /// Global max over components of max absolute value — used for the CFL
-    /// estimate that sizes the scatter buffers (paper §3.1).
+    /// estimate that sizes the scatter buffers (paper §3.1). NaN if any
+    /// sample is NaN.
     pub fn max_abs(&self, comm: &mut Comm) -> f64 {
-        let local = timing::time(Kernel::FieldOps, || {
-            self.c.iter().map(|c| par_max_abs(c.data())).fold(0.0, f64::max)
-        });
-        comm.allreduce_max_scalar(local)
+        let max = AtomicU64::new(0);
+        timing::time(Kernel::FieldOps, || self.c.iter().for_each(|c| par_max_abs(c.data(), &max)));
+        comm.allreduce_max_scalar(f64::from_bits(max.into_inner()))
     }
 }
 
@@ -608,8 +615,9 @@ mod tests {
             );
         }
         // the demoted field's reductions still accumulate in f64
-        let n64 = f.dot_local(&f);
-        let n32 = demoted.dot_local(&demoted);
+        let mut comm = Comm::solo();
+        let n64 = f.dot(&f, &mut comm);
+        let n32 = demoted.dot(&demoted, &mut comm);
         assert!((n64 - n32).abs() <= 1e-5 * n64.max(1.0), "{n64} vs {n32}");
     }
 

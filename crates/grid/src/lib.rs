@@ -10,8 +10,10 @@
 //! * [`Slab`]/[`Layout`] — the x1-slab decomposition, with the convention
 //!   that a *serial* field is just a slab covering the whole grid, so every
 //!   kernel has a single code path for 1 and many ranks;
-//! * [`ScalarField`]/[`VectorField`] — owned field storage with local and
+//! * [`ScalarField`]/[`VectorField`] — owned field storage with
 //!   communicator-aware (distributed) reductions;
+//! * [`reduce`] — the one order of every global sum ([`PlaneSums`]: one
+//!   partial per plane), the same for every thread and rank count;
 //! * [`ghost`] — periodic ghost-layer exchange along `x1`, the communication
 //!   primitive behind the paper's `ghost_comm` phase (Tables 2 and 3);
 //! * [`redist`] — gather/scatter/replication of fields between ranks for
@@ -30,6 +32,7 @@ pub mod ghost;
 pub mod grid;
 pub mod real;
 pub mod redist;
+pub mod reduce;
 pub mod slab;
 pub mod workspace;
 
@@ -37,5 +40,6 @@ pub use error::{ClaireError, ClaireResult};
 pub use field::{KrylovVec, ScalarField, ScalarFieldT, VectorField, VectorFieldT};
 pub use grid::Grid;
 pub use real::{Real, PI, TWO_PI};
+pub use reduce::PlaneSums;
 pub use slab::{Layout, Slab};
 pub use workspace::{FieldElem, Pool, PoolVec, WsCat};

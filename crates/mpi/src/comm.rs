@@ -270,11 +270,11 @@ impl Comm {
         buf[0]
     }
 
-    /// Scalar max-all-reduce.
+    /// Scalar max-all-reduce; NaN if any rank's `x` is NaN.
     pub fn allreduce_max_scalar(&mut self, x: f64) -> f64 {
         let mut buf = [x];
         self.allreduce(&mut buf, |acc, v| {
-            if v[0] > acc[0] {
+            if v[0] > acc[0] || v[0].is_nan() {
                 acc[0] = v[0];
             }
         });

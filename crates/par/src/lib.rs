@@ -12,12 +12,11 @@
 //! pool-reentrancy hazards.
 //!
 //! Determinism: every parallel construct here produces *bitwise identical*
-//! results for every thread count, including the serial fallback. Element-wise
-//! kernels (stencils, FFT lines, interpolation) are trivially deterministic
-//! because each output element's computation never crosses a chunk boundary.
-//! Reductions ([`par_sum_blocks`]) accumulate fixed-size blocks whose
-//! boundaries depend only on the problem size — never on the thread count —
-//! and combine the per-block partials in index order.
+//! results for every thread count, including the serial fallback, because
+//! each output element's computation never crosses a chunk boundary. The
+//! crate has no reductions: the order of a global sum is `claire-grid`'s
+//! (`claire_grid::reduce`: one partial per plane, and threads split planes,
+//! never a plane), so it is the same for every thread and rank count.
 //!
 //! Thread-count resolution (first match wins):
 //! 1. [`set_local_threads`] per-thread budget (how `claire-serve` partitions
@@ -40,10 +39,9 @@ pub mod timing;
 /// touches at least this many grid points / queries.
 pub const MIN_PAR_LEN: usize = 1 << 13;
 
-/// Fixed reduction-block length for [`par_sum_blocks`]. Block boundaries are
-/// a function of the problem size only, so partial sums — and therefore the
-/// final sum — are bitwise identical for every thread count.
-pub const SUM_BLOCK: usize = 4096;
+/// Element count of one chunk of a parallel element-wise loop: a cache-sized
+/// tile (32 KiB of f64). Element-wise results do not depend on it.
+pub const ELEM_CHUNK: usize = 4096;
 
 /// 0 = no override; otherwise the value set via [`set_threads`].
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -157,14 +155,6 @@ where
     });
 }
 
-/// [`par_parts`] where each item is one unit of work.
-pub fn par_range<F>(n: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    par_parts(n, n, f)
-}
-
 fn effective_threads(n: usize) -> usize {
     if !par_enabled(n) {
         return 1;
@@ -215,204 +205,6 @@ where
             }
         }
     });
-}
-
-/// Fused mutate-and-reduce over fixed-size chunks: like [`par_chunks_mut`],
-/// but `f(chunk_index, chunk)` also returns a per-chunk partial (sum) and the
-/// partials are combined in chunk order. Because the chunk boundaries depend
-/// only on `chunk` and `data.len()` — never on the thread count — the result
-/// is bitwise identical for every thread count, exactly like
-/// [`par_sum_blocks`] with `chunk == SUM_BLOCK`. This is the substrate for
-/// fused field-op kernels (update + norm in one pass over memory), which is
-/// where a bandwidth-bound solver wins: one DRAM pass instead of two.
-/// Steady-state allocation-free (partials live in a reused thread-local
-/// buffer).
-pub fn par_chunks_mut_sum<T, F>(data: &mut [T], chunk: usize, f: F) -> f64
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) -> f64 + Sync,
-{
-    assert!(chunk > 0, "chunk length must be positive");
-    let len = data.len();
-    if len == 0 {
-        return 0.0;
-    }
-    let nchunks = len.div_ceil(chunk);
-    with_reduce_partials(
-        nchunks,
-        |partials| {
-            let shared = SharedSlice::new(partials);
-            let nt = effective_threads(len).min(nchunks.max(1));
-            if nt <= 1 {
-                for (ci, c) in data.chunks_mut(chunk).enumerate() {
-                    // SAFETY: serial loop — each partial written exactly once.
-                    unsafe { shared.write(ci, f(ci, c)) };
-                }
-                return;
-            }
-            std::thread::scope(|s| {
-                let mut rest = data;
-                let mut chunk_base = 0usize;
-                for t in 0..nt {
-                    let r = split_range(nchunks, nt, t);
-                    let elems = ((r.end - r.start) * chunk).min(rest.len());
-                    let (mine, tail) = rest.split_at_mut(elems);
-                    rest = tail;
-                    let base = chunk_base;
-                    chunk_base += r.end - r.start;
-                    let f = &f;
-                    if t + 1 == nt {
-                        for (ci, c) in mine.chunks_mut(chunk).enumerate() {
-                            // SAFETY: chunk ranges are disjoint across workers,
-                            // so each partial slot is written by exactly one.
-                            unsafe { shared.write(base + ci, f(base + ci, c)) };
-                        }
-                    } else {
-                        s.spawn(move || {
-                            for (ci, c) in mine.chunks_mut(chunk).enumerate() {
-                                // SAFETY: as above — disjoint chunk ranges.
-                                unsafe { shared.write(base + ci, f(base + ci, c)) };
-                            }
-                        });
-                    }
-                }
-            });
-        },
-        |p| p.iter().sum(),
-    )
-}
-
-/// Map `f` over `0..n` collecting results in index order. Each worker fills a
-/// contiguous segment of the output directly, so ordering — and therefore the
-/// result — is identical for every thread count.
-pub fn par_map_collect<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_collect_work(n, 1, f)
-}
-
-/// [`par_map_collect`] with the serial-vs-parallel decision made on
-/// `n · work_per_item` (see [`par_parts`]) — used when each mapped item
-/// covers many grid points (reduction blocks, FFT lines).
-pub fn par_map_collect_work<R, F>(n: usize, work_per_item: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut out: Vec<R> = Vec::with_capacity(n);
-    {
-        let spare = out.spare_capacity_mut();
-        let shared = SharedUninit { ptr: spare.as_mut_ptr(), len: n };
-        par_parts(n, n.saturating_mul(work_per_item.max(1)), |r| {
-            for i in r {
-                // SAFETY: par_range hands out disjoint index ranges, so each
-                // slot is written exactly once before set_len below.
-                unsafe { shared.write(i, f(i)) };
-            }
-        });
-    }
-    // SAFETY: every index in 0..n was initialized by exactly one worker.
-    unsafe { out.set_len(n) };
-    out
-}
-
-struct SharedUninit<R> {
-    ptr: *mut std::mem::MaybeUninit<R>,
-    len: usize,
-}
-
-unsafe impl<R: Send> Sync for SharedUninit<R> {}
-
-impl<R> SharedUninit<R> {
-    /// # Safety
-    /// Each index must be written by at most one thread.
-    unsafe fn write(&self, i: usize, v: R) {
-        debug_assert!(i < self.len);
-        unsafe { (*self.ptr.add(i)).write(v) };
-    }
-}
-
-thread_local! {
-    /// Reused per-block partial buffer for [`par_sum_blocks`] /
-    /// [`par_max_blocks`]: after the first reduction on a thread the buffer's
-    /// capacity is retained, so steady-state reductions are allocation-free.
-    static REDUCE_PARTIALS: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Run a block reduction: `fill` writes one partial per block into the
-/// (reused) scratch buffer, `finish` folds the partials in block order.
-fn with_reduce_partials<R>(
-    nblocks: usize,
-    fill: impl FnOnce(&mut [f64]),
-    finish: impl FnOnce(&[f64]) -> R,
-) -> R {
-    REDUCE_PARTIALS.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut buf) => {
-            buf.clear();
-            buf.resize(nblocks, 0.0);
-            fill(&mut buf);
-            finish(&buf)
-        }
-        // re-entrant reduction on this thread (a block closure itself
-        // reducing): fall back to a fresh buffer
-        Err(_) => {
-            let mut buf = vec![0.0; nblocks];
-            fill(&mut buf);
-            finish(&buf)
-        }
-    })
-}
-
-fn par_fill_blocks<F>(n: usize, partials: &mut [f64], f: &F)
-where
-    F: Fn(std::ops::Range<usize>) -> f64 + Sync,
-{
-    let nblocks = partials.len();
-    let shared = SharedSlice::new(partials);
-    par_parts(nblocks, n, |r| {
-        for b in r {
-            let lo = b * SUM_BLOCK;
-            // SAFETY: par_parts hands out disjoint block ranges, so each
-            // partial slot is written by exactly one worker.
-            unsafe { shared.write(b, f(lo..(lo + SUM_BLOCK).min(n))) };
-        }
-    });
-}
-
-/// Deterministic parallel sum: `f(block_range)` computes the partial sum of
-/// one fixed-size block ([`SUM_BLOCK`] elements; boundaries independent of the
-/// thread count) and the partials are combined in block order. Returns 0.0
-/// for `n == 0`. Steady-state allocation-free (partials live in a reused
-/// thread-local buffer).
-pub fn par_sum_blocks<F>(n: usize, f: F) -> f64
-where
-    F: Fn(std::ops::Range<usize>) -> f64 + Sync,
-{
-    if n == 0 {
-        return 0.0;
-    }
-    let nblocks = n.div_ceil(SUM_BLOCK);
-    with_reduce_partials(nblocks, |p| par_fill_blocks(n, p, &f), |p| p.iter().sum())
-}
-
-/// Deterministic parallel max: like [`par_sum_blocks`] but the per-block
-/// partials are combined with `f64::max`. Returns `f64::NEG_INFINITY` for
-/// `n == 0`.
-pub fn par_max_blocks<F>(n: usize, f: F) -> f64
-where
-    F: Fn(std::ops::Range<usize>) -> f64 + Sync,
-{
-    if n == 0 {
-        return f64::NEG_INFINITY;
-    }
-    let nblocks = n.div_ceil(SUM_BLOCK);
-    with_reduce_partials(
-        nblocks,
-        |p| par_fill_blocks(n, p, &f),
-        |p| p.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x)),
-    )
 }
 
 /// A raw view of a mutable slice that many threads may write through, for
@@ -522,67 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn map_collect_matches_serial() {
-        let n = MIN_PAR_LEN + 3;
-        let serial = with_threads(1, || par_map_collect(n, |i| i * i));
-        let par = with_threads(8, || par_map_collect(n, |i| i * i));
-        assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn chunks_mut_sum_bitwise_stable_and_matches_two_passes() {
-        let n = MIN_PAR_LEN * 3 + 29;
-        let base: Vec<f64> = (0..n).map(|i| ((i * 2654435761) % 997) as f64 * 1e-3).collect();
-        let run = |nt: usize| {
-            let mut data = base.clone();
-            let s = with_threads(nt, || {
-                par_chunks_mut_sum(&mut data, SUM_BLOCK, |_, c| {
-                    let mut acc = 0.0;
-                    for v in c.iter_mut() {
-                        *v = *v * 2.0 + 1.0;
-                        acc += *v * *v;
-                    }
-                    acc
-                })
-            });
-            (data, s)
-        };
-        let (d1, s1) = run(1);
-        // two-pass reference with the same block boundaries
-        let mut dref = base.clone();
-        for v in dref.iter_mut() {
-            *v = *v * 2.0 + 1.0;
-        }
-        let sref = par_sum_blocks(n, |r| dref[r].iter().map(|x| x * x).sum());
-        assert_eq!(d1, dref);
-        assert_eq!(s1.to_bits(), sref.to_bits());
-        for nt in [2, 3, 8] {
-            let (d, s) = run(nt);
-            assert_eq!(d, d1, "nt={nt}");
-            assert_eq!(s.to_bits(), s1.to_bits(), "nt={nt}");
-        }
-    }
-
-    #[test]
-    fn sum_blocks_bitwise_stable_across_threads() {
-        let n = MIN_PAR_LEN * 3 + 7;
-        let data: Vec<f64> = (0..n).map(|i| ((i * 2654435761) % 1000) as f64 * 1e-3).collect();
-        let sum_at = |nt: usize| {
-            with_threads(nt, || par_sum_blocks(n, |r| data[r].iter().map(|x| x * x + 0.5).sum()))
-        };
-        let s1 = sum_at(1);
-        for nt in [2, 3, 8] {
-            assert_eq!(s1.to_bits(), sum_at(nt).to_bits(), "nt={nt}");
-        }
-    }
-
-    #[test]
     fn shared_slice_disjoint_writes() {
         let n = MIN_PAR_LEN * 2;
         let mut data = vec![0.0f64; n];
         let shared = SharedSlice::new(&mut data);
         with_threads(4, || {
-            par_range(n, |r| {
+            par_parts(n, n, |r| {
                 for i in r {
                     unsafe { shared.write(i, i as f64) };
                 }
@@ -627,12 +364,19 @@ mod tests {
 
     #[test]
     fn kernels_respect_local_budget() {
-        // a parallel map under a 1-thread budget matches the serial result
+        // a parallel kernel under a 1-thread budget matches the serial result
         let n = MIN_PAR_LEN + 9;
-        set_local_threads(1);
-        let serial = par_map_collect(n, |i| i * 3);
-        set_local_threads(4);
-        let par = par_map_collect(n, |i| i * 3);
+        let run = |budget: usize| {
+            set_local_threads(budget);
+            let mut data = vec![0usize; n];
+            par_chunks_mut(&mut data, 100, |ci, c| {
+                for (k, v) in c.iter_mut().enumerate() {
+                    *v = (ci * 100 + k) * 3;
+                }
+            });
+            data
+        };
+        let (serial, par) = (run(1), run(4));
         set_local_threads(0);
         assert_eq!(serial, par);
     }

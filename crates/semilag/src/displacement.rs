@@ -74,10 +74,13 @@ pub fn jacobian_det(u: &VectorField, comm: &mut Comm) -> ScalarField {
     det
 }
 
-/// Global (min, max) of the Jacobian determinant. Collective.
+/// Global (min, max) of the Jacobian determinant; both NaN if any sample
+/// is. Collective.
 pub fn det_bounds(det: &ScalarField, comm: &mut Comm) -> (f64, f64) {
-    let local_min = det.data().iter().fold(f64::MAX, |m, &x| m.min(x));
-    let local_max = det.data().iter().fold(f64::MIN, |m, &x| m.max(x));
+    let (local_min, local_max) = det.data().iter().fold((f64::MAX, f64::MIN), |(lo, hi), &x| {
+        let nan = x.is_nan();
+        (if x < lo || nan { x } else { lo }, if x > hi || nan { x } else { hi })
+    });
     let max = comm.allreduce_max_scalar(local_max);
     let min = -comm.allreduce_max_scalar(-local_min);
     (min, max)

@@ -90,13 +90,13 @@ pub trait Elem:
 
     // ----- reductions (f64 accumulation at both widths) -------------------
 
-    /// `Σ x[i]·y[i]` accumulated in f64. Callers keep determinism across
-    /// thread counts by invoking this on fixed-size blocks
-    /// (`par_sum_blocks`).
+    /// `Σ x[i]·y[i]` accumulated in f64. A global sum calls it once per
+    /// plane row (`claire_grid::PlaneSums`), so its bits do not depend on
+    /// the thread or rank count.
     fn kdot(x: &[Self], y: &[Self]) -> f64;
     /// `Σ x[i]` accumulated in f64.
     fn ksum(x: &[Self]) -> f64;
-    /// `max_i |x[i]|` as f64 (0 for an empty slice).
+    /// `max_i |x[i]|` as f64 (0 for an empty slice, NaN if any `x[i]` is).
     fn kmax_abs(x: &[Self]) -> f64;
 
     // ----- 8th-order FD stencil -------------------------------------------

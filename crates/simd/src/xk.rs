@@ -86,14 +86,17 @@ pub(crate) fn scalar_sum<T: Elem>(x: &[T]) -> f64 {
 
 #[inline(always)]
 pub(crate) fn scalar_max_abs<T: Elem>(x: &[T]) -> f64 {
-    let mut m = 0.0f64;
-    for &v in x {
-        let a = v.to_f64().abs();
-        if a > m {
-            m = a;
-        }
+    x.iter().fold(0.0, |m, &v| max_nan(m, v.to_f64().abs()))
+}
+
+/// `max(a, b)`, NaN if either is: a NaN sample must not vanish in a max.
+#[inline(always)]
+fn max_nan(a: f64, b: f64) -> f64 {
+    if b > a || b.is_nan() {
+        b
+    } else {
+        a
     }
-    m
 }
 
 #[inline(always)]
@@ -149,9 +152,9 @@ fn fold_sum(acc: [f64; LANES]) -> f64 {
 
 #[inline(always)]
 fn fold_max(acc: [f64; LANES]) -> f64 {
-    let a = acc[0].max(acc[4]).max(acc[2].max(acc[6]));
-    let b = acc[1].max(acc[5]).max(acc[3].max(acc[7]));
-    a.max(b)
+    let a = max_nan(max_nan(acc[0], acc[4]), max_nan(acc[2], acc[6]));
+    let b = max_nan(max_nan(acc[1], acc[5]), max_nan(acc[3], acc[7]));
+    max_nan(a, b)
 }
 
 #[inline(always)]
@@ -227,13 +230,10 @@ pub(crate) fn wide_max_abs<T: Elem>(x: &[T]) -> f64 {
     let mut acc = [0.0f64; LANES];
     for xc in xb.chunks_exact(LANES) {
         for (&v, l) in xc.iter().zip(acc.iter_mut()) {
-            let a = v.to_f64().abs();
-            if a > *l {
-                *l = a;
-            }
+            *l = max_nan(*l, v.to_f64().abs());
         }
     }
-    fold_max(acc).max(scalar_max_abs(xt))
+    max_nan(fold_max(acc), scalar_max_abs(xt))
 }
 
 // ----- batched scattered interpolation --------------------------------------

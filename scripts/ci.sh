@@ -374,8 +374,9 @@ stage_proc_smoke() {
     # Boot a real 4-process rank cluster with `claire-cli launch` (each rank
     # its own OS process, Unix-domain-socket transport), validate rank 0's
     # RunReport, require its solve trajectory to match the same problem run
-    # threads-as-ranks in one process, and check that a rank dying mid-solve
-    # surfaces as a typed exit — not a hang.
+    # threads-as-ranks in one process and its mismatch bits a single run's,
+    # and check that a rank dying mid-solve surfaces as a typed exit — not a
+    # hang.
     local dir; dir="$(mktemp -d)"
     ./target/release/claire-cli launch --ranks 4 --syn 16 --report "$dir/proc.json" -q
     require_report_keys "$dir/proc.json"
@@ -392,6 +393,13 @@ stage_proc_smoke() {
     tm="$(grep '"rel_mismatch"' "$dir/thr.json")"
     [ -n "$pm" ] && [ "$pm" = "$tm" ] || {
         echo "proc smoke: mismatch diverges between transports: '$pm' vs '$tm'"; exit 1; }
+
+    # launch solves with the single run's defaults, and a global sum has one
+    # order for every rank count: 4 rank processes give a single process's bits
+    ./target/release/claire-cli --syn 16 --report "$dir/single.json" -o "$dir/single" -q
+    local sm; sm="$(grep '"rel_mismatch"' "$dir/single.json")"
+    [ -n "$sm" ] && [ "$pm" = "$sm" ] || {
+        echo "proc smoke: 4-process mismatch differs from one process: '$pm' vs '$sm'"; exit 1; }
 
     # the launcher hands the workers its whole config: a field `launch` has
     # no hand-written arm for must reach rank 0

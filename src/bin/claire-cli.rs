@@ -8,8 +8,7 @@
 //! claire-cli launch --ranks N --syn M [launch options]
 //!
 //! solver flags (single run, `launch` and `worker-rank` read the same ones
-//! from the `RegistrationConfig` field table; defaults are the single-run
-//! ones, `launch` lists its own below):
+//! from the `RegistrationConfig` field table, onto the same defaults):
 //!   --nt N             semi-Lagrangian time steps        (default: 4)
 //!   --order KIND       linear | cubic                    (default: cubic)
 //!   --precond NAME     InvA | InvH0 | 2LInvH0            (default: 2LInvH0)
@@ -58,17 +57,15 @@
 //!   --syn M          synthetic M³ problem size (required; launch mode is
 //!                    driven by the synthetic dataset so every rank can
 //!                    generate its own slab without shared input files)
-//!   solver flags as above, from other defaults: --beta 1e-2, --order
-//!                    linear, --precond InvA, --no-continuation, --max-gn 3,
-//!                    --fixed-pcg 5; the launcher hands every rank the
-//!                    whole resulting configuration as flags
+//!   solver flags as above; the launcher hands every rank the whole
+//!                    resulting configuration as flags
 //!   --timeout SECS   supervision budget before the cluster is reaped
 //!                    (default: 300)
 //!   --report PATH    write rank 0's RunReport JSON to PATH
 //!   --in-process     run the identical solve on the threads-as-ranks
 //!                    virtual cluster instead of spawning processes (the
-//!                    two modes produce bitwise-identical trajectories;
-//!                    CI diffs their reports)
+//!                    two modes, and a single run, produce bitwise-identical
+//!                    trajectories; CI diffs their reports)
 //!   -q               quiet
 //! ```
 //!
@@ -92,7 +89,7 @@
 //! non-succeeded.
 
 use claire::core::config::ConfigField;
-use claire::core::{observe, Claire, ClaireError, PrecondKind, RegistrationConfig, SolverHooks};
+use claire::core::{observe, Claire, ClaireError, RegistrationConfig, SolverHooks};
 use claire::data::nifti;
 use claire::interp::{Interpolator, IpOrder};
 use claire::ipc::{LaunchSpec, SocketOpts, SocketTransport};
@@ -221,14 +218,19 @@ fn config_args(cfg: &RegistrationConfig) -> Vec<String> {
     ConfigField::all().iter().flat_map(render).collect()
 }
 
+/// The configuration a single run and `launch` read their solver flags
+/// onto: the paper defaults, with cubic interpolation.
+fn cli_config() -> RegistrationConfig {
+    RegistrationConfig { ip_order: IpOrder::Cubic, ..Default::default() }
+}
+
 fn parse_args(args: Vec<String>) -> Options {
     let mut args = args.into_iter();
     let mut positional: Vec<String> = Vec::new();
     let mut out = PathBuf::from("claire_out");
     let mut report = None;
     let mut syn = None;
-    let mut cfg =
-        RegistrationConfig { ip_order: IpOrder::Cubic, verbose: true, ..Default::default() };
+    let mut cfg = RegistrationConfig { verbose: true, ..cli_config() };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-o" => out = PathBuf::from(next_value(&mut args, "-o")),
@@ -784,17 +786,7 @@ fn parse_launch_args(args: Vec<String>, worker: bool) -> LaunchOpts {
     let mut o = LaunchOpts {
         ranks: 0,
         syn: 0,
-        // The deterministic launch-mode defaults: β-continuation off and a
-        // fixed PCG iteration count, so the GN trajectory is a pure function
-        // of the problem — identical across the process and in-process paths.
-        cfg: RegistrationConfig {
-            beta_target: 1e-2,
-            precond: PrecondKind::InvA,
-            continuation: false,
-            max_gn_iter: 3,
-            fixed_pcg: Some(5),
-            ..Default::default()
-        },
+        cfg: cli_config(),
         timeout_secs: 300,
         report: None,
         in_process: false,
@@ -1003,7 +995,7 @@ fn worker_rank_main(args: Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use claire::core::Precision;
+    use claire::core::{Precision, PrecondKind};
     use claire::serve::wire::{decode_request, encode};
     use claire::serve::Request;
 
@@ -1104,8 +1096,7 @@ mod tests {
 
     #[test]
     fn flags_keep_their_parent_meaning() {
-        let single =
-            RegistrationConfig { ip_order: IpOrder::Cubic, verbose: true, ..Default::default() };
+        let single = RegistrationConfig { verbose: true, ..cli_config() };
         let text = "--precond InvA --beta 2 --nt 8 --order linear --store-grad --eps-h0 1e-2";
         let cfg = flagged(single, text.split(' ').map(String::from).collect()).finish().unwrap();
         let expect = RegistrationConfig::builder()
@@ -1138,24 +1129,19 @@ mod tests {
             let args = format!("--ranks 2 --syn 8 {flags}");
             parse_launch_args(args.split_whitespace().map(String::from).collect(), false).cfg
         };
-        let expect = RegistrationConfig::builder()
-            .nt(4)
-            .beta(1e-2)
-            .ip_order(IpOrder::Linear)
-            .precond(PrecondKind::InvA)
-            .continuation(false)
-            .max_gn_iter(3)
-            .fixed_pcg(Some(5))
-            .verbose(false)
-            .build()
-            .unwrap();
-        assert_eq!(launch(""), expect);
-        let cfg = launch("--max-gn 2 --fixed-pcg 7 --beta 5 --order cubic --precond 2LInvH0");
+        // `launch` reads its flags onto a single run's defaults
+        let single_run = parse_args(["--syn", "8", "-q"].map(String::from).to_vec()).cfg;
+        assert_eq!(launch(""), single_run);
+        assert_eq!(
+            (single_run.ip_order, single_run.precond),
+            (IpOrder::Cubic, PrecondKind::TwoLevelInvH0)
+        );
+        let cfg = launch("--max-gn 2 --fixed-pcg 7 --beta 5 --order linear --precond InvA");
         assert_eq!(
             (cfg.max_gn_iter, cfg.fixed_pcg, cfg.beta_target, cfg.beta_init),
             (2, Some(7), 5.0, 5.0)
         );
-        assert_eq!((cfg.ip_order, cfg.precond), (IpOrder::Cubic, PrecondKind::TwoLevelInvH0));
+        assert_eq!((cfg.ip_order, cfg.precond), (IpOrder::Linear, PrecondKind::InvA));
         assert_eq!(launch("--fixed-pcg null --no-verbose").fixed_pcg, None);
     }
 

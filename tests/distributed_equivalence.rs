@@ -1,15 +1,18 @@
-//! The distributed solver must produce the same numbers as the serial one:
-//! every kernel (FFT, FD, interpolation, transport) and the full
-//! registration are compared across rank counts.
+//! The distributed solver must produce the same numbers as the serial one,
+//! bit for bit: every global sum has one order for every rank and thread
+//! count (`claire::grid::reduce`), so the reductions, the full registration
+//! and its iteration counts are compared with `==` across rank counts.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use claire::core::{Claire, PrecondKind, RegProblem, RegistrationConfig, SolverHooks};
 use claire::data::syn::syn_problem;
-use claire::grid::{redist, VectorField};
+use claire::diff::Spectral;
+use claire::grid::{redist, Grid, KrylovVec, Layout, VectorField};
 use claire::interp::IpOrder;
 use claire::mpi::{run_cluster, Comm, Topology};
 use claire::opt::GnProblem;
+use claire::par::with_threads;
 
 fn fixed_cfg() -> RegistrationConfig {
     RegistrationConfig {
@@ -25,39 +28,62 @@ fn fixed_cfg() -> RegistrationConfig {
     }
 }
 
-/// Run the fixed-work SYN registration on `p` ranks; return the gathered
-/// velocity (rank 0) and the mismatch.
-fn run_registration(p: usize, n: usize) -> (Vec<claire::grid::Real>, f64) {
-    let size = [n, n, n];
+/// One rank's view of a solve: the `on_gn_iter` boundaries it saw, and the
+/// report's `[rel_mismatch bits, GN, PCG, objective, matvec]`.
+type RankRun = (Vec<usize>, [u64; 5]);
+
+/// A whole solve: the gathered velocity's bits and every rank's [`RankRun`].
+type Run = (Vec<u64>, Vec<RankRun>);
+
+/// Run the SYN registration under `cfg` on `p` ranks.
+fn run_registration(p: usize, n: usize, cfg: RegistrationConfig) -> Run {
     let res = run_cluster(Topology::new(p, 4), move |comm| {
-        let prob = syn_problem(size, comm);
-        let mut solver = Claire::new(fixed_cfg());
-        let (v, report) = solver.register_from(&prob.template, &prob.reference, "SYN", comm);
-        let gathered = redist::gather_vector(&v, comm);
-        (
-            gathered.map(|g| {
-                let mut out = Vec::new();
-                for c in &g.c {
-                    out.extend_from_slice(c.data());
-                }
-                out
-            }),
-            report.rel_mismatch,
-        )
+        let prob = syn_problem([n; 3], comm);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        let hooks = SolverHooks {
+            cancel: None,
+            on_gn_iter: Some(Arc::new(move |k| sink.lock().unwrap().push(k))),
+        };
+        let mut solver = Claire::with_hooks(cfg, hooks);
+        let (v, r) = solver.register_from(&prob.template, &prob.reference, "SYN", comm);
+        let bits = redist::gather_vector(&v, comm).map(|g| {
+            g.c.iter().flat_map(|c| c.data().iter().map(|x| x.to_bits())).collect::<Vec<_>>()
+        });
+        let counts = [r.gn_iters, r.pcg_iters, r.obj_evals, r.hess_applies].map(|k| k as u64);
+        let summary = [r.rel_mismatch.to_bits(), counts[0], counts[1], counts[2], counts[3]];
+        let boundaries = seen.lock().unwrap().clone();
+        (bits, (boundaries, summary))
     });
-    let v = res.outputs[0].0.clone().expect("rank 0 gathers");
-    (v, res.outputs[0].1)
+    let (bits, ranks): (Vec<_>, Vec<_>) = res.outputs.into_iter().unzip();
+    (bits.into_iter().next().flatten().expect("rank 0 gathers"), ranks)
+}
+
+/// [`run_registration`] on each of the rank counts `ps`.
+fn on_rank_counts(ps: &[usize], n: usize, cfg: RegistrationConfig) -> Vec<Run> {
+    ps.iter().map(|&p| run_registration(p, n, cfg)).collect()
+}
+
+/// The paper defaults — 2LInvH0 (FFTs, grid transfer and the inner PCG
+/// across ranks), β-continuation, cubic interpolation — solved to
+/// convergence at 16³ on 1, 2 and 3 ranks, once for the tests that read it.
+fn paper_default_runs() -> &'static [Run] {
+    static RUNS: OnceLock<Vec<Run>> = OnceLock::new();
+    RUNS.get_or_init(|| on_rank_counts(&[1, 2, 3], 16, paper_cfg()))
+}
+
+fn paper_cfg() -> RegistrationConfig {
+    RegistrationConfig { ip_order: IpOrder::Cubic, ..Default::default() }
 }
 
 #[test]
 fn full_registration_matches_across_rank_counts() {
-    let n = 16;
-    let (v1, m1) = run_registration(1, n);
-    for p in [2usize, 4] {
-        let (vp, mp) = run_registration(p, n);
-        assert!((m1 - mp).abs() < 1e-9, "p={p}: mismatch differs: {m1} vs {mp}");
-        let max_dv = v1.iter().zip(&vp).map(|(&a, &b)| (a - b).abs()).fold(0.0, f64::max);
-        assert!(max_dv < 1e-8, "p={p}: velocity fields differ by {max_dv}");
+    let runs = on_rank_counts(&[1, 2, 3, 4], 16, fixed_cfg());
+    for (p, (v, ranks)) in (1..).zip(&runs) {
+        assert!(*v == runs[0].0, "p = {p}: velocity bits differ");
+        for (rank, run) in ranks.iter().enumerate() {
+            assert_eq!(run, &runs[0].1[0], "rank {rank} of {p}: [mismatch bits, counts]");
+        }
     }
 }
 
@@ -70,70 +96,88 @@ fn serial_solo_matches_one_rank_cluster() {
     let mut solver = Claire::new(fixed_cfg());
     let (_, report_solo) = solver.register_from(&prob.template, &prob.reference, "SYN", &mut comm);
 
-    let (_, mismatch_cluster) = run_registration(1, n);
-    assert!((report_solo.rel_mismatch - mismatch_cluster).abs() < 1e-12);
+    let (_, ranks) = run_registration(1, n, fixed_cfg());
+    assert_eq!(report_solo.rel_mismatch.to_bits(), ranks[0].1[0]);
 }
 
 #[test]
 fn preconditioned_solves_match_distributed() {
-    // 2LInvH0 exercises FFTs, grid transfer, and the inner PCG across
-    // ranks; the result must still match the serial run.
-    let n = 16;
-    let size = [n, n, n];
-    let cfg = RegistrationConfig { precond: PrecondKind::TwoLevelInvH0, ..fixed_cfg() };
-    let run = move |p: usize| {
-        let res = run_cluster(Topology::new(p, 4), move |comm| {
-            let prob = syn_problem(size, comm);
-            let mut solver = Claire::new(cfg);
-            let (_, report) = solver.register_from(&prob.template, &prob.reference, "SYN", comm);
-            (report.rel_mismatch, report.pcg_iters, report.gn_iters)
-        });
-        res.outputs[0]
-    };
-    let (m1, pcg1, gn1) = run(1);
-    let (m2, pcg2, gn2) = run(2);
-    assert!((m1 - m2).abs() < 1e-9, "mismatch {m1} vs {m2}");
-    assert_eq!(pcg1, pcg2, "PCG iteration counts must agree");
-    assert_eq!(gn1, gn2, "GN iteration counts must agree");
+    // the paper defaults: the same velocity bits, mismatch bits and counts
+    // on every rank count
+    let cfg = paper_cfg();
+    assert_eq!((cfg.precond, cfg.continuation), (PrecondKind::TwoLevelInvH0, true));
+    let runs = paper_default_runs();
+    for (p, (v, ranks)) in (1..).zip(runs) {
+        assert!(*v == runs[0].0, "p = {p}: velocity bits differ");
+        for (rank, (_, got)) in ranks.iter().enumerate() {
+            let want = &runs[0].1[0].1;
+            assert_eq!(got, want, "rank {rank} of {p}: [rel_mismatch bits, GN, PCG, obj, matvec]");
+        }
+    }
+}
+
+/// Every global sum — real-space dot, sum, norm and fused update-norm, the
+/// spectral (Parseval) inner product and fused update-norm, and the
+/// regularization energy — on a grid whose n1 is split unevenly by 2 and
+/// by 3 ranks, big enough for 2 threads to share a rank's planes.
+fn reductions(p: usize, threads: usize) -> Vec<Vec<u64>> {
+    let grid = Grid::new([13, 48, 48]);
+    let res = with_threads(threads, || {
+        run_cluster(Topology::new(p, 4), move |comm| {
+            let layout = Layout::distributed(grid, comm);
+            let field = |s: f64| {
+                VectorField::from_fns(
+                    layout,
+                    move |x, y, z| (x + s).sin() * (2.0 * y).cos() + (3.0 * z - x).sin() + s,
+                    move |x, y, z| (x * y * 0.2 + s).cos() - 0.5 * (z + s).sin(),
+                    move |x, y, z| ((x - 1.0) * (y - 2.0) * (z - 3.0) * 0.05 * s).exp(),
+                )
+            };
+            let (v, w) = (field(0.3), field(1.1));
+            let spectral = Spectral::new(grid, comm);
+            let (sv, sw) = (spectral.spectra_of(&v, comm), spectral.spectra_of(&w, comm));
+            let (mut u, mut su) = (v.clone(), sv.clone());
+            let sums = [
+                v.c[0].dot(&w.c[1], comm),
+                v.c[2].sum(comm),
+                v.c[1].norm_l2(comm),
+                v.dot(&w, comm),
+                v.norm_l2(comm),
+                u.axpy_norm_l2(-0.7, &w, comm),
+                sv.inner(&sw, comm),
+                su.axpy_norm(-0.7, &sw, comm),
+                spectral.reg_energy(&v, 1e-2, comm),
+            ];
+            sums.map(f64::to_bits).to_vec()
+        })
+    });
+    res.outputs
+}
+
+#[test]
+fn reductions_match_bitwise_across_rank_and_thread_counts() {
+    let want = reductions(1, 1).remove(0);
+    for (p, threads) in [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)] {
+        for (rank, got) in reductions(p, threads).iter().enumerate() {
+            assert_eq!(got, &want, "rank {rank} of {p}, {threads} threads");
+        }
+    }
 }
 
 #[test]
 fn hook_boundaries_match_across_rank_counts() {
     // the continuation driver steps over the caller's communicator: every
-    // rank of a 2-rank solve must see the same cumulative on_gn_iter
-    // boundaries, across β-levels, as the 1-rank run
-    let cfg = RegistrationConfig {
-        continuation: true,
-        beta_target: 1e-1,
-        grad_rtol: 5e-2,
-        ..fixed_cfg()
-    };
-    let run = move |p: usize| {
-        let res = run_cluster(Topology::new(p, 4), move |comm| {
-            let prob = syn_problem([16, 16, 16], comm);
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            let sink = seen.clone();
-            let hooks = SolverHooks {
-                cancel: None,
-                on_gn_iter: Some(Arc::new(move |k| sink.lock().unwrap().push(k))),
-            };
-            let (_, report) = Claire::with_hooks(cfg, hooks).register_from(
-                &prob.template,
-                &prob.reference,
-                "SYN",
-                comm,
-            );
-            let boundaries = seen.lock().unwrap().clone();
-            (boundaries, report.gn_iters, report.pcg_iters)
-        });
-        res.outputs
-    };
-    let serial = run(1);
-    let (boundaries, gn, _) = &serial[0];
-    assert!(cfg.beta_schedule().len() > 1, "the run must cross β-levels");
-    assert!(*gn >= 2 && boundaries.len() > *gn, "{boundaries:?} vs {gn} iterations");
-    for (rank, out) in run(2).iter().enumerate() {
-        assert_eq!(out, &serial[0], "rank {rank} of 2 diverged from the 1-rank run");
+    // rank of a 2- and a 3-rank solve must see the same cumulative
+    // on_gn_iter boundaries, across β-levels, as the 1-rank run
+    let runs = paper_default_runs();
+    let serial = &runs[0].1[0];
+    let (boundaries, [_, gn, ..]) = serial;
+    assert!(paper_cfg().beta_schedule().len() > 1, "the run must cross β-levels");
+    assert!(*gn >= 2 && boundaries.len() as u64 > *gn, "{boundaries:?} vs {gn} iterations");
+    for (p, (_, ranks)) in (1..).zip(runs) {
+        for (rank, out) in ranks.iter().enumerate() {
+            assert_eq!(out, serial, "rank {rank} of {p} diverged from the 1-rank run");
+        }
     }
 }
 

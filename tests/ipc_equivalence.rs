@@ -177,21 +177,22 @@ fn run_launch(dir: &std::path::Path, name: &str, extra: &[&str]) -> Value {
     serde_json::from_str(&json).expect("report JSON")
 }
 
+/// Flags that cut a solve short where a test's runtime needs it: InvA, one
+/// β-level, 3 Gauss–Newton steps of 5 PCG iterations each.
+const SHORT: [&str; 7] =
+    ["--precond", "InvA", "--no-continuation", "--max-gn", "3", "--fixed-pcg", "5"];
+
 /// A multi-process solve reproduces the threads-as-ranks run
 /// field-for-field: same trajectory, same mismatch bits, same kernel calls,
 /// same ledgers, with no post-processing of either report. On 4 ranks at
-/// the launch defaults, on 2 ranks with 2LInvH0, whose coarse-grid
-/// transfers are messages only that preconditioner sends, and on 2 ranks
-/// with β-continuation, whose trace spans several β-levels.
+/// the solver defaults — 2LInvH0, whose coarse-grid transfers are messages
+/// only that preconditioner sends, and β-continuation, whose trace spans
+/// several β-levels — and on 2 ranks at 16³ in a short InvA run.
 #[test]
 fn launch_report_matches_in_process_report() {
     let dir = std::env::temp_dir().join(format!("claire-ipc-eq-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for extra in [
-        &[][..],
-        &["--ranks", "2", "--syn", "16", "--precond", "2LInvH0"],
-        &["--ranks", "2", "--syn", "16", "--continuation"],
-    ] {
+    for extra in [&[][..], &[&["--ranks", "2", "--syn", "16"][..], &SHORT].concat()] {
         let proc_run = run_launch(&dir, "proc.json", extra);
         let thr_run = run_launch(&dir, "thr.json", &[extra, &["--in-process"]].concat());
 
@@ -212,7 +213,8 @@ fn launch_report_matches_in_process_report() {
         };
         assert!(wire(&proc_run) > 0, "socket transport should account wire bytes ({extra:?})");
         assert_eq!(wire(&thr_run), 0, "channel transport has no wire ({extra:?})");
-        if extra.contains(&"--continuation") {
+        if extra.is_empty() {
+            assert_eq!(get(&proc_run, "precond"), &Value::Str("2LInvH0".into()));
             let Value::Array(trace) = get(&proc_run, "gn_trace") else { panic!("gn_trace") };
             let later = trace.iter().any(|r| get(r, "level") != &Value::UInt(0));
             assert!(later, "the trace should span several β-levels");
@@ -235,7 +237,8 @@ fn launch_report_matches_in_process_report() {
 fn in_process_report_is_one_ranks_ruler() {
     let dir = std::env::temp_dir().join(format!("claire-ipc-ruler-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let run = run_launch(&dir, "thr.json", &["--in-process", "--ranks", "2", "--syn", "16"]);
+    let flags = [&["--in-process", "--ranks", "2", "--syn", "16"][..], &SHORT].concat();
+    let run = run_launch(&dir, "thr.json", &flags);
     let _ = std::fs::remove_dir_all(&dir);
     let num = |v: &Value, key: &str| match get(v, key) {
         Value::Num(x) => *x,

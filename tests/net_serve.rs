@@ -34,7 +34,7 @@ fn boot(cfg: ServiceConfig) -> (NetServer, Client) {
     (server, client)
 }
 
-/// The registration arithmetic is deterministic (fixed-block reductions),
+/// The registration arithmetic is deterministic (one reduction order, DESIGN §6),
 /// so everything except wall-clock timings must match bitwise between two
 /// solves of the same spec — in particular across the wire.
 fn assert_reports_bitwise_equal(a: &RegistrationReport, b: &RegistrationReport) {

@@ -699,6 +699,41 @@ fn nan_site_is_nan_and_leaves_its_block_alone() {
     check::<f32>();
 }
 
+/// A NaN sample never vanishes in a max: with one NaN voxel in plane `i`,
+/// for every `i` — so on every rank of 1, 2 and 3, and in lanes and tails of
+/// the vector arm — `max_abs` and both `det_bounds` return NaN on both
+/// backends.
+#[test]
+fn one_nan_voxel_makes_every_max_nan() {
+    let grid = Grid::new([7, 6, 9]);
+    let (scalar, simd) = both(|| {
+        let mut seen = Vec::new();
+        for p in 1..=3 {
+            for i in 0..7 {
+                let res = run_cluster(Topology::new(p, 4), move |comm| {
+                    let layout = Layout::distributed(grid, comm);
+                    let mut f = ScalarField::from_fn(layout, |x, y, z| 1.0 + (x + y * z).sin());
+                    if layout.slab.owns(i) {
+                        *f.at_mut(i - layout.slab.i0, i % 6, (5 * i) % 9) = Real::NAN;
+                    }
+                    let (lo, hi) = claire::semilag::displacement::det_bounds(&f, comm);
+                    [f.max_abs(comm), lo, hi].map(f64::is_nan)
+                });
+                seen.extend(res.outputs.into_iter().map(|nan| (p, i, nan)));
+            }
+        }
+        seen
+    });
+    for (backend, seen) in [("scalar", scalar), ("avx2", simd)] {
+        for (p, i, nan) in seen {
+            assert_eq!(
+                nan, [true; 3],
+                "{backend}, {p} ranks, NaN in plane {i}: [max_abs, min, max]"
+            );
+        }
+    }
+}
+
 /// FD on grids thinner than the stencil — `n2, n3 ∈ {2, 4, 6}`, below
 /// `2·FD8_WIDTH`, so the x2/x3 halos wrap more than once — on 1 and 2 ranks:
 /// gradient and divergence equal a direct `rem_euclid` stencil on the

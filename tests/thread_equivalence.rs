@@ -2,9 +2,10 @@
 //!
 //! Every kernel in the shared-memory parallel layer must produce the same
 //! answer for every thread count. Element-wise kernels never split work
-//! inside one output element, and reductions always combine fixed-size
-//! blocks in index order, so the results are *bitwise* identical — which
-//! these tests assert (far stronger than the 1e-12 requirement).
+//! inside one output element, and a reduction's threads split its planes,
+//! never a plane (`claire::grid::reduce`), so the results are *bitwise*
+//! identical — which these tests assert (far stronger than the 1e-12
+//! requirement).
 //!
 //! `claire_par::set_threads` is process-global, so everything runs under a
 //! mutex to keep the harness's own test parallelism from interleaving
