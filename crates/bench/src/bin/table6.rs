@@ -16,8 +16,8 @@ use claire_obs::report::RunReport;
 use claire_perf::paper::TABLE6;
 
 /// Run one registration with observability on and return the unified
-/// [`RunReport`] — span tree, kernel phases, GN trace, and traffic — next
-/// to the Table 6 row.
+/// [`RunReport`]: the Table 6 row as its `summary`, with span tree, kernel
+/// phases, GN trace, and traffic.
 fn run_one(
     data: &str,
     m0: &claire_grid::ScalarField,
@@ -25,7 +25,7 @@ fn run_one(
     pc: PrecondKind,
     eps_h0: f64,
     comm: &mut Comm,
-) -> (RegistrationReport, RunReport) {
+) -> RunReport {
     // NOTE: the paper's Table 6 uses linear interpolation at >= 256^3; at
     // the scaled-down grids of this reproduction the linear kernel's
     // forward/adjoint inconsistency dominates the gradient, so we use the
@@ -43,8 +43,7 @@ fn run_one(
     observe::begin(); // fresh spans/records/kernel timers per run
     let mut claire = Claire::new(cfg);
     let (_, report) = claire.register_from(m0, m1, data, comm);
-    let run = observe::collect_run_report(data, &report, comm);
-    (report, run)
+    observe::collect_run_report(report, comm)
 }
 
 /// One-line FFT/IP/FD phase summary from the run report (Table 7's runtime
@@ -73,11 +72,11 @@ fn main() {
     for subject in ["na02", "na03", "na10"] {
         let template = brain::subject(subject, layout, &mut comm);
         for pc in [PrecondKind::InvA, PrecondKind::InvH0, PrecondKind::TwoLevelInvH0] {
-            let (r, run) = run_one(subject, &template, &reference, pc, 1e-3, &mut comm);
-            println!("{}", r.row());
+            let run = run_one(subject, &template, &reference, pc, 1e-3, &mut comm);
+            println!("{}", run.summary.row());
             println!("{}", phase_line(&run));
             record_json("table6", &serde_json::to_string(&run).unwrap());
-            reports.push(r);
+            reports.push(run.summary);
         }
     }
 
@@ -85,11 +84,11 @@ fn main() {
     let clarity_layout = Layout::serial(Grid::new([2 * n, n, n]));
     let (c0, c1) = clarity::pair(clarity_layout, &mut comm);
     for pc in [PrecondKind::InvA, PrecondKind::TwoLevelInvH0] {
-        let (r, run) = run_one("clarity", &c0, &c1, pc, 1e-2, &mut comm);
-        println!("{}", r.row());
+        let run = run_one("clarity", &c0, &c1, pc, 1e-2, &mut comm);
+        println!("{}", run.summary.row());
         println!("{}", phase_line(&run));
         record_json("table6", &serde_json::to_string(&run).unwrap());
-        reports.push(r);
+        reports.push(run.summary);
     }
 
     header("Table 6 — paper reference (selected rows)");

@@ -63,9 +63,8 @@ fn main() {
                 .expect("valid configuration");
             let t0 = std::time::Instant::now();
             let mut claire = Claire::new(cfg);
-            let (_, report) = claire.register_from(&prob.template, &prob.reference, "SYN", comm);
-            let run =
-                (comm.rank() == 0).then(|| observe::collect_run_report("table7", &report, comm));
+            let (_, report) = claire.register_from(&prob.template, &prob.reference, "table7", comm);
+            let run = (comm.rank() == 0).then(|| observe::collect_run_report(report, comm));
             (t0.elapsed().as_secs_f64(), run)
         };
         let res = if proc_mode {

@@ -203,19 +203,16 @@ impl Serialize for RegistrationConfig {
 }
 
 impl Deserialize for RegistrationConfig {
-    /// Strict: an unknown key is an error and so is a missing one — except
-    /// `precision`, which peers older than the mixed lane do not send and
-    /// which then means the full-width path, whatever `CLAIRE_PRECISION`
-    /// says on this side.
+    /// Strict: an unknown key is an error and so is a missing one.
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let Value::Object(pairs) = v else {
             return Err(DeError::new("expected a config object"));
         };
-        let mut cfg = RegistrationConfig { precision: Precision::F64, ..Default::default() };
+        let mut cfg = RegistrationConfig::default();
         for (key, value) in pairs {
             cfg.set_key(key, value)?;
         }
-        match FIELDS.iter().find(|f| v.get(f.key).is_none() && f.key != "precision") {
+        match FIELDS.iter().find(|f| v.get(f.key).is_none()) {
             Some(f) => Err(DeError::new(format!("missing `{}`", f.key))),
             None => Ok(cfg),
         }

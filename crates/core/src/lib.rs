@@ -22,8 +22,9 @@
 //!
 //! [`Claire`] wires everything together with the β-continuation scheme
 //! (InvA while β > 5e−1, the configured preconditioner afterwards) and
-//! produces [`report::RegistrationReport`]s containing exactly the columns
-//! of the paper's Table 6.
+//! produces [`RegistrationReport`]s containing exactly the columns of the
+//! paper's Table 6 (the type lives in claire-obs: it is the `summary` of
+//! every [`RunReport`](claire_obs::report::RunReport)).
 
 pub mod config;
 pub mod memory;
@@ -31,14 +32,13 @@ pub mod metrics;
 pub mod observe;
 pub mod precond;
 pub mod problem;
-pub mod report;
 pub mod solver;
 
 pub use claire_grid::workspace;
 pub use claire_grid::{ClaireError, ClaireResult, Pool, PoolVec, WsCat};
+pub use claire_obs::report::RegistrationReport;
 pub use claire_opt::GnStats;
 pub use config::{IpOrder, Precision, PrecondKind, RegistrationConfig, RegistrationConfigBuilder};
 pub use observe::{begin as begin_observing, collect_run_report};
 pub use problem::RegProblem;
-pub use report::RegistrationReport;
 pub use solver::{CancelToken, Claire, SolverHooks, StopReason};

@@ -5,8 +5,8 @@
 //! rank thread that does the work; claire-mpi accumulates per-category and
 //! per-collective traffic on the rank's communicator.
 //! [`collect_run_report`] drains all of them into one JSON-serializable
-//! [`RunReport`] keyed by the solve's [`RegistrationReport`], so every work
-//! count in it is the collecting rank's own.
+//! [`RunReport`] whose `summary` is the solve's [`RegistrationReport`], so
+//! every work count in it is the collecting rank's own.
 //!
 //! Typical use (this is what `claire-cli --report` does):
 //!
@@ -16,8 +16,9 @@
 //! # let (m0, m1): (claire_grid::ScalarField, claire_grid::ScalarField) = unimplemented!();
 //! # let mut comm = claire_mpi::Comm::solo();
 //! observe::begin(); // enable + reset spans/records/kernel timers/pool stats
-//! let (v, report) = claire_core::Claire::new(config).register(&m0, &m1, &mut comm);
-//! let run = observe::collect_run_report("na02", &report, &comm);
+//! let (v, report) =
+//!     claire_core::Claire::new(config).register_from(&m0, &m1, "na02", &mut comm);
+//! let run = observe::collect_run_report(report, &comm);
 //! println!("{}", run.span_summary());
 //! std::fs::write("run.json", run.to_json()).unwrap();
 //! ```
@@ -27,11 +28,9 @@ use claire_grid::workspace::{self, WsCat};
 use claire_mpi::{CollOp, Comm, CommCat};
 use claire_obs::report::{
     CollectiveEntry, CommPhaseEntry, KernelEntry, MemoryCatEntry, MemoryInfo, PhaseShares,
-    RunReport, RunSummary,
+    RegistrationReport, RunReport,
 };
 use claire_obs::{records, span};
-
-use crate::report::RegistrationReport;
 
 /// Arm the observability layer for a fresh run: enables collection, resets
 /// the calling thread's spans, GN records and claire-par kernel timers, and
@@ -89,14 +88,14 @@ impl MemStats {
 /// Drain every telemetry source into a unified [`RunReport`], with the
 /// process's pool and plan-cache counts since [`begin`] as its `memory`.
 /// See [`collect_job_report`].
-pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm) -> RunReport {
-    collect_job_report(label, report, comm, &MemStats::process())
+pub fn collect_run_report(report: RegistrationReport, comm: &Comm) -> RunReport {
+    collect_job_report(report, comm, &MemStats::process())
 }
 
-/// Drain every telemetry source into a unified [`RunReport`]: header,
-/// `summary`, `comm` and `collectives` from the solve's report and
-/// traffic ledger, kernel timers, GN records and the span tree of the
-/// calling thread, and `mem` as the `memory` event counts.
+/// Drain every telemetry source into a unified [`RunReport`]: the solve's
+/// report as its `summary`, `comm` and `collectives` from the traffic
+/// ledger, kernel timers, GN records and the span tree of the calling
+/// thread, and `mem` as the `memory` event counts.
 ///
 /// Call once, after the solve, on the rank thread whose ledger should be
 /// reported (rank 0 by convention; with `Comm::solo` there is only one).
@@ -106,33 +105,10 @@ pub fn collect_run_report(label: &str, report: &RegistrationReport, comm: &Comm)
 /// the process meanwhile (other jobs, other in-process ranks): its counts
 /// are exact only when one job runs in the process at a time (see
 /// [`MemoryInfo`]).
-pub fn collect_job_report(
-    label: &str,
-    report: &RegistrationReport,
-    comm: &Comm,
-    mem: &MemStats,
-) -> RunReport {
-    let mut run = RunReport::new(label);
-    run.grid = report.grid;
-    run.nranks = report.nranks;
-    run.nt = report.nt;
-    run.precond = report.pc.clone();
+pub fn collect_job_report(report: RegistrationReport, comm: &Comm, mem: &MemStats) -> RunReport {
+    let mut run = RunReport::new(report);
     run.backend = claire_simd::active_backend().label().to_string();
     run.transport = comm.transport_kind().to_string();
-    run.precision = report.precision.clone();
-
-    run.summary = RunSummary {
-        gn_iters: report.gn_iters,
-        pcg_iters: report.pcg_iters,
-        obj_evals: report.obj_evals,
-        hess_applies: report.hess_applies,
-        rel_mismatch: report.rel_mismatch,
-        grad_rel: report.grad_rel,
-        jac_det_min: report.jac_det_min,
-        jac_det_max: report.jac_det_max,
-        time_total: report.time_total,
-        converged: report.converged,
-    };
 
     let stats = comm.stats();
     run.comm = CommCat::ALL
@@ -178,7 +154,6 @@ pub fn collect_job_report(
         fft_plans: fft_cache::stats().plans,
         fft_plan_hits: mem.fft_plan_hits,
         fft_plan_misses: mem.fft_plan_misses,
-        modeled_bytes: report.memory_bytes_per_rank,
     };
 
     run.kernels = claire_par::timing::snapshot()
@@ -190,7 +165,7 @@ pub fn collect_job_report(
             secs: k.nanos as f64 * 1e-9,
         })
         .collect();
-    run.phases = PhaseShares::from_kernels(&run.kernels, report.time_total);
+    run.phases = PhaseShares::from_kernels(&run.kernels, run.summary.time_total);
     run.gn_trace = records::take_gn();
     run.spans = span::take_spans();
     run
@@ -227,11 +202,11 @@ mod tests {
 
         begin();
         let mut comm = Comm::solo();
-        let (_, report) = crate::Claire::new(config).register(&m0, &m1, &mut comm);
-        let run = collect_run_report("unit", &report, &comm);
+        let (_, report) = crate::Claire::new(config).register_from(&m0, &m1, "unit", &mut comm);
+        let run = collect_run_report(report.clone(), &comm);
         claire_obs::set_enabled(false);
 
-        assert_eq!(run.grid, [8, 8, 8]);
+        assert_eq!((run.summary.data.as_str(), run.summary.grid), ("unit", [8, 8, 8]));
         assert!(run.summary.gn_iters >= 1);
         assert!(!run.kernels.is_empty(), "kernel timers should have fired");
         assert!(!run.spans.is_empty(), "span tree should be non-empty");
@@ -239,7 +214,7 @@ mod tests {
         assert!(!run.gn_trace.is_empty(), "per-iteration records expected");
         assert!(run.memory.pool_checkouts > 0, "workspace pool should be in use");
         assert!(run.memory.pool_peak_bytes > 0);
-        assert!(run.memory.modeled_bytes > 0, "analytic model should be attached");
+        assert!(run.summary.memory_bytes_per_rank > 0, "analytic model should be attached");
         assert!(
             run.memory.categories.iter().any(|c| c.cat == "pde"),
             "µPDE category expected in the breakdown"
@@ -247,7 +222,7 @@ mod tests {
         assert!(run.memory.fft_plans > 0, "plan cache should have planned");
         // Draining is one-shot (spans are thread-local, so this is exact
         // even with other tests running concurrently).
-        let again = collect_run_report("unit2", &report, &comm);
+        let again = collect_run_report(report, &comm);
         assert!(again.spans.is_empty());
         // JSON document carries every schema key.
         let json = run.to_json();

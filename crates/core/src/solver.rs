@@ -22,7 +22,7 @@ use claire_semilag::{displacement, Trajectory};
 use crate::config::RegistrationConfig;
 use crate::memory;
 use crate::problem::RegProblem;
-use crate::report::RegistrationReport;
+use crate::RegistrationReport;
 
 /// Why a solve stopped before reaching its convergence criterion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -228,12 +228,7 @@ fn continuation(
 ) -> ClaireResult<(VectorField, GnStats)> {
     let betas = cfg.beta_schedule();
     let gn_cfg = level_gn_config(cfg);
-    // reserve the histories up front so closing a β-level (accumulate)
-    // never allocates inside a measured iteration
-    let cap = betas.len() * (gn_cfg.max_iter + 1);
     let mut total = GnStats::default();
-    total.grad_rel_history.reserve(cap);
-    total.objective_history.reserve(cap);
     let mut v = VectorField::zeros(problem.layout());
     for (level, &beta) in betas.iter().enumerate() {
         if gn_cfg.verbose && comm.rank() == 0 {
@@ -337,8 +332,6 @@ fn accumulate(total: &mut GnStats, level: &GnStats) {
     total.obj_evals += level.obj_evals;
     total.hess_applies += level.hess_applies;
     total.pc_applies += level.pc_applies;
-    total.grad_rel_history.extend_from_slice(&level.grad_rel_history);
-    total.objective_history.extend_from_slice(&level.objective_history);
     total.time.pc += level.time.pc;
     total.time.obj += level.time.obj;
     total.time.grad += level.time.grad;

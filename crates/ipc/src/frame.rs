@@ -3,8 +3,8 @@
 //! One frame is a 4-byte big-endian payload length followed by the payload.
 //! This is the framing discipline `claire-serve`'s JSON protocol introduced;
 //! the socket transport's binary rank messages reuse it verbatim, so the
-//! codec lives here once and both protocols wrap it (`claire-serve` maps
-//! [`FrameError`] onto its `WireError`).
+//! codec lives here once and both protocols call it (`claire-serve` carries
+//! a [`FrameError`] as its `WireError::Frame`).
 //!
 //! Semantics the callers rely on:
 //!

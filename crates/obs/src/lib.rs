@@ -11,8 +11,8 @@
 //! * [`records`] — one [`records::GnIterRecord`] per Gauss–Newton
 //!   iteration, stamped with the β-level it ran in.
 //! * [`report`] — [`report::RunReport`], a JSON-serializable record that
-//!   unifies what previously lived in claire-par kernel timers, claire-mpi
-//!   comm stats, `PrecondState` counters, and `core/report.rs`.
+//!   unifies claire-par kernel timers, claire-mpi comm stats and the
+//!   solve's Table 6 row ([`report::RegistrationReport`], its `summary`).
 //!
 //! Typical use: call [`begin`] before a solve (enables collection and clears
 //! prior data), run the solver, then assemble a `RunReport` (claire-core's

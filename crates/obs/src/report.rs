@@ -4,25 +4,19 @@
 //! kernel phase timings (claire-par), per-phase and per-collective
 //! communication volume (claire-mpi), preconditioner/GN/PCG counters
 //! (claire-core, claire-opt), and the span tree from this crate. The
-//! paper's tables map onto it directly — Table 2 columns come from
-//! `kernels`/`comm`, Table 5 from `kernels` (FFT phases), and Table 7's
-//! FFT/IP/FD runtime shares from `phases`.
+//! paper's tables map onto it directly — Table 6's row is the `summary`
+//! ([`RegistrationReport`]), Table 2 columns come from `kernels`/`comm`,
+//! Table 5 from `kernels` (FFT phases), and Table 7's FFT/IP/FD runtime
+//! shares from `phases`.
 
 use crate::records::GnIterRecord;
 use crate::span::{self, SpanNode};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Top-level keys every emitted `RunReport` JSON object contains, in order.
-/// CI validates emitted reports against this list.
 pub const SCHEMA_KEYS: &[&str] = &[
-    "label",
-    "grid",
-    "nranks",
-    "nt",
-    "precond",
     "backend",
     "transport",
-    "precision",
     "summary",
     "scheduling",
     "phases",
@@ -34,29 +28,95 @@ pub const SCHEMA_KEYS: &[&str] = &[
     "spans",
 ];
 
-/// Headline solve outcome (mirrors the paper's Table 6 row).
-#[derive(Serialize, Clone, Debug, Default)]
-pub struct RunSummary {
-    /// Total Gauss–Newton iterations across all β-levels.
+/// Everything the paper's Table 6 reports about one registration run, plus
+/// diffeomorphism diagnostics: the `summary` of a [`RunReport`].
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct RegistrationReport {
+    /// Dataset label (e.g. `na02`).
+    pub data: String,
+    /// Preconditioner label (`InvA`, `InvH0`, `2LInvH0`).
+    pub pc: String,
+    /// Solver arithmetic width: `f64` (full double precision) or `mixed`
+    /// (f32 inner Krylov/FFT path under the f64 outer Gauss–Newton loop).
+    pub precision: String,
+    /// Global grid n₁ × n₂ × n₃.
+    pub grid: [usize; 3],
+    /// Semi-Lagrangian time steps.
+    pub nt: usize,
+    /// Ranks (virtual GPUs).
+    pub nranks: usize,
+    /// Gauss–Newton iterations across all β-levels (`GN` column).
     pub gn_iters: usize,
-    /// Total PCG iterations.
+    /// Accumulated PCG iterations (`PCG` column).
     pub pcg_iters: usize,
-    /// Objective evaluations (line search included).
+    /// Objective evaluations, line-search trials included.
     pub obj_evals: usize,
-    /// Hessian-vector products.
+    /// Gauss–Newton Hessian matvecs.
     pub hess_applies: usize,
-    /// Relative final mismatch ‖m(1) − m₁‖/‖m₀ − m₁‖.
-    pub rel_mismatch: f64,
-    /// Relative final gradient norm.
-    pub grad_rel: f64,
-    /// Minimum determinant of the deformation-gradient field.
-    pub jac_det_min: f64,
-    /// Maximum determinant of the deformation-gradient field.
-    pub jac_det_max: f64,
-    /// Measured wall-clock seconds for the solve.
-    pub time_total: f64,
-    /// Whether the gradient tolerance was reached.
+    /// Whether the last β-level reached the gradient tolerance.
     pub converged: bool,
+    /// Relative mismatch `‖m(1) − m1‖/‖m0 − m1‖` (`mism.` column).
+    pub rel_mismatch: f64,
+    /// Relative gradient norm (`‖g‖rel` column).
+    pub grad_rel: f64,
+    /// Applications of InvA (`[A]` column).
+    pub n_inva: usize,
+    /// Applications of InvH0/2LInvH0 (`[B|C]` column).
+    pub n_invh0: usize,
+    /// Inner PCG iterations to invert H0, total (`total` column).
+    pub inner_cg_total: usize,
+    /// Inner PCG iterations per application (`avg.` column).
+    pub inner_cg_avg: f64,
+    /// Wall seconds in the preconditioner (`PC`).
+    pub time_pc: f64,
+    /// Wall seconds in objective evaluations (`Obj`).
+    pub time_obj: f64,
+    /// Wall seconds in gradient evaluations (`Grad`).
+    pub time_grad: f64,
+    /// Wall seconds in Hessian matvecs (`Hess`).
+    pub time_hess: f64,
+    /// Wall seconds total (`Total`).
+    pub time_total: f64,
+    /// Minimum of `det(∇y)` (diffeomorphism check; must be > 0).
+    pub jac_det_min: f64,
+    /// Maximum of `det(∇y)`.
+    pub jac_det_max: f64,
+    /// Modeled memory per rank (the paper's §3 formula, single-precision
+    /// words).
+    pub memory_bytes_per_rank: u64,
+}
+
+impl RegistrationReport {
+    /// Table 6 header.
+    pub fn header() -> String {
+        format!(
+            "{:8} {:8} {:>4} {:>5} {:>9} {:>9} {:>5} {:>5} {:>6} {:>5} | {:>8} {:>8} {:>8} {:>8} {:>8}",
+            "data", "PC", "GN", "PCG", "mism.", "|g|_rel", "[A]", "[B|C]", "total", "avg.",
+            "PC", "Obj", "Grad", "Hess", "Total"
+        )
+    }
+
+    /// One Table 6 row (wall times).
+    pub fn row(&self) -> String {
+        format!(
+            "{:8} {:8} {:>4} {:>5} {:>9.2e} {:>9.2e} {:>5} {:>5} {:>6} {:>5.1} | {:>8.2e} {:>8.2e} {:>8.2e} {:>8.2e} {:>8.2e}",
+            self.data,
+            self.pc,
+            self.gn_iters,
+            self.pcg_iters,
+            self.rel_mismatch,
+            self.grad_rel,
+            self.n_inva,
+            self.n_invh0,
+            self.inner_cg_total,
+            self.inner_cg_avg,
+            self.time_pc,
+            self.time_obj,
+            self.time_grad,
+            self.time_hess,
+            self.time_total,
+        )
+    }
 }
 
 /// Scheduling metadata for solves executed through a job service
@@ -167,10 +227,10 @@ pub struct MemoryCatEntry {
     pub peak_bytes: u64,
 }
 
-/// Measured workspace-pool and FFT-plan-cache counters, next to the
-/// analytic per-rank estimate from the paper's §3 memory model
-/// (claire-core `memory::estimate`). Steady state shows up here as
-/// `pool_misses` staying flat while `pool_checkouts` keeps growing.
+/// Measured workspace-pool and FFT-plan-cache counters (the analytic
+/// per-rank estimate of the paper's §3 memory model is the summary's
+/// `memory_bytes_per_rank`). Steady state shows up here as `pool_misses`
+/// staying flat while `pool_checkouts` keeps growing.
 ///
 /// **Sharing semantics.** The pools and the plan cache are process-global
 /// and shared by every solve in the process. Event counts
@@ -204,34 +264,19 @@ pub struct MemoryInfo {
     /// FFT plan-cache misses (plans built) during this job's solve
     /// (process-wide delta).
     pub fft_plan_misses: u64,
-    /// Modeled per-rank bytes from the analytic §3 memory model
-    /// (0 when no model was attached).
-    pub modeled_bytes: u64,
 }
 
 /// The unified per-run report. Serialize with [`RunReport::to_json`].
 #[derive(Serialize, Clone, Debug)]
 pub struct RunReport {
-    /// Free-form run label (dataset or experiment name).
-    pub label: String,
-    /// Global grid extents n₁ × n₂ × n₃.
-    pub grid: [usize; 3],
-    /// Ranks in the communicator.
-    pub nranks: usize,
-    /// Semi-Lagrangian time steps.
-    pub nt: usize,
-    /// Preconditioner label.
-    pub precond: String,
     /// Active SIMD backend for the hot kernels (`scalar` or `avx2`).
     pub backend: String,
     /// Comm transport the ranks exchanged messages over (`channel` for the
     /// in-process virtual cluster, `socket` for multi-process execution).
     pub transport: String,
-    /// Solver arithmetic width: `f64` (full double precision) or `mixed`
-    /// (f32 inner Krylov/FFT path under the f64 outer Gauss–Newton loop).
-    pub precision: String,
-    /// Headline outcome.
-    pub summary: RunSummary,
+    /// The solve's Table 6 row: problem identity (label, grid, ranks, time
+    /// steps, preconditioner, precision) and outcome.
+    pub summary: RegistrationReport,
     /// Queue/scheduling metadata (zeroed for runs outside `claire-serve`).
     pub scheduling: SchedulingInfo,
     /// FFT/IP/FD runtime shares.
@@ -245,25 +290,20 @@ pub struct RunReport {
     pub comm: Vec<CommPhaseEntry>,
     /// Per-collective calls/bytes.
     pub collectives: Vec<CollectiveEntry>,
-    /// Workspace-pool / plan-cache counters vs the analytic memory model.
+    /// Workspace-pool / plan-cache counters.
     pub memory: MemoryInfo,
     /// Hierarchical span tree (per rank-0 thread).
     pub spans: Vec<SpanNode>,
 }
 
 impl RunReport {
-    /// An empty report with the given label — callers fill in sections.
-    pub fn new(label: impl Into<String>) -> Self {
+    /// A report of `summary` with every other section empty — callers fill
+    /// them in.
+    pub fn new(summary: RegistrationReport) -> Self {
         RunReport {
-            label: label.into(),
-            grid: [0; 3],
-            nranks: 1,
-            nt: 0,
-            precond: String::new(),
             backend: String::new(),
             transport: String::new(),
-            precision: "f64".into(),
-            summary: RunSummary::default(),
+            summary,
             scheduling: SchedulingInfo::default(),
             phases: PhaseShares::default(),
             gn_trace: Vec::new(),
@@ -282,25 +322,15 @@ impl RunReport {
 
     /// Human-readable span-tree summary plus headline numbers.
     pub fn span_summary(&self) -> String {
+        let s = &self.summary;
         let mut out = String::new();
         out.push_str(&format!(
             "run `{}`  {}x{}x{}  ranks={}  nt={}  pc={}  simd={}\n",
-            self.label,
-            self.grid[0],
-            self.grid[1],
-            self.grid[2],
-            self.nranks,
-            self.nt,
-            self.precond,
-            self.backend
+            s.data, s.grid[0], s.grid[1], s.grid[2], s.nranks, s.nt, s.pc, self.backend
         ));
         out.push_str(&format!(
             "  GN {}  PCG {}  mismatch {:.3e}  |g|rel {:.3e}  {:.3} s\n",
-            self.summary.gn_iters,
-            self.summary.pcg_iters,
-            self.summary.rel_mismatch,
-            self.summary.grad_rel,
-            self.summary.time_total
+            s.gn_iters, s.pcg_iters, s.rel_mismatch, s.grad_rel, s.time_total
         ));
         out.push_str(&format!(
             "  phases: fft {:.3} s  ip {:.3} s  fd {:.3} s  other {:.3} s\n",
@@ -331,12 +361,54 @@ mod tests {
 
     #[test]
     fn schema_keys_match_serialized_object() {
-        let report = RunReport::new("unit");
+        let report = RunReport::new(RegistrationReport::default());
         let serde::Value::Object(pairs) = serde::Serialize::to_value(&report) else {
             panic!("RunReport must serialize to an object");
         };
         let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, SCHEMA_KEYS);
+    }
+
+    #[test]
+    fn table6_row_renders_and_round_trips() {
+        let r = RegistrationReport {
+            data: "na02".into(),
+            pc: "2LInvH0".into(),
+            precision: "f64".into(),
+            grid: [32, 32, 32],
+            nt: 4,
+            nranks: 1,
+            gn_iters: 14,
+            pcg_iters: 28,
+            obj_evals: 19,
+            hess_applies: 28,
+            converged: true,
+            rel_mismatch: 2.79e-2,
+            grad_rel: 3.23e-2,
+            n_inva: 3,
+            n_invh0: 25,
+            inner_cg_total: 294,
+            inner_cg_avg: 11.8,
+            time_pc: 1.04,
+            time_obj: 0.205,
+            time_grad: 0.435,
+            time_hess: 1.52,
+            time_total: 4.44,
+            jac_det_min: 0.4,
+            jac_det_max: 2.1,
+            memory_bytes_per_rank: 5_090_000_000,
+        };
+        assert!(RegistrationReport::header().contains("PCG"));
+        assert!(r.row().contains("2LInvH0"));
+        let json = serde_json::to_string(&r).unwrap();
+        assert!(json.contains("\"gn_iters\":14"));
+        let decode =
+            |text: &str| RegistrationReport::from_value(&serde_json::from_str(text).unwrap());
+        assert_eq!(decode(&json).unwrap(), r);
+        // every key is required: a report without its width does not decode
+        let old = json.replace("\"precision\":\"f64\",", "");
+        assert_ne!(old, json);
+        assert!(decode(&old).is_err());
     }
 
     #[test]

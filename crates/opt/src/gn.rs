@@ -121,10 +121,6 @@ pub struct GnStats {
     pub hess_applies: usize,
     /// Preconditioner applications.
     pub pc_applies: usize,
-    /// Relative gradient norm after each iteration.
-    pub grad_rel_history: Vec<f64>,
-    /// Objective value after each iteration.
-    pub objective_history: Vec<f64>,
     /// Wall-clock breakdown.
     pub time: Breakdown,
     /// Whether the gradient tolerance was reached.
@@ -220,12 +216,14 @@ pub struct GnState {
 impl GnState {
     /// Start a solve at `v0`. No work happens until [`GnState::step`].
     pub fn new(v0: VectorField, cfg: &GnConfig) -> GnState {
-        let mut stats = GnStats::default();
-        // size histories up front: at most one entry per iteration, so the
-        // per-iteration pushes in `step` never reallocate
-        stats.grad_rel_history.reserve(cfg.max_iter + 1);
-        stats.objective_history.reserve(cfg.max_iter + 1);
-        GnState { v: v0, j: None, stats, g0norm: None, finished: cfg.max_iter == 0, t_total: 0.0 }
+        GnState {
+            v: v0,
+            j: None,
+            stats: GnStats::default(),
+            g0norm: None,
+            finished: cfg.max_iter == 0,
+            t_total: 0.0,
+        }
     }
 
     /// Whether the solve is over (converged, stagnated or at the iteration
@@ -260,7 +258,6 @@ impl GnState {
         let gnorm = g.norm_l2(comm);
         let g0 = *self.g0norm.get_or_insert(gnorm.max(f64::MIN_POSITIVE));
         let rel = gnorm / g0;
-        stats.grad_rel_history.push(rel);
         stats.grad_rel = rel;
         if cfg.verbose && comm.rank() == 0 {
             eprintln!(
@@ -344,7 +341,6 @@ impl GnState {
         stats.obj_evals += trials;
         if let Some((_, j)) = accepted {
             std::mem::swap(&mut self.v, &mut trial);
-            stats.objective_history.push(j);
             self.j = Some(j);
         }
         let j_new = self.j.unwrap_or(j0);
@@ -430,6 +426,19 @@ mod tests {
     use super::*;
     use claire_grid::{Grid, Layout, ScalarField};
 
+    /// [`gauss_newton`] with the GN records switched on: the solve and the
+    /// per-iteration records it left on this thread.
+    fn recorded<P: GnProblem>(
+        problem: &mut P,
+        v0: VectorField,
+        cfg: &GnConfig,
+        comm: &mut Comm,
+    ) -> (VectorField, GnStats, Vec<records::GnIterRecord>) {
+        claire_obs::begin();
+        let (v, stats) = gauss_newton(problem, v0, cfg, comm);
+        (v, stats, records::take_gn())
+    }
+
     /// J(v) = ½⟨v − a, D(v − a)⟩ with diagonal SPD D.
     struct Quadratic {
         a: VectorField,
@@ -477,7 +486,7 @@ mod tests {
             d: ScalarField::from_fn(layout, |x, _, _| 1.5 + x.sin().powi(2)),
         };
         let cfg = GnConfig { grad_rtol: 1e-8, max_iter: 10, ..Default::default() };
-        let (v, stats) = gauss_newton(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
+        let (v, stats, recs) = recorded(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
         assert!(stats.converged, "rel grad {}", stats.grad_rel);
         assert!(
             stats.gn_iters <= 8,
@@ -487,9 +496,10 @@ mod tests {
         let mut e = v.clone();
         e.axpy(-1.0, &prob.a);
         assert!(e.norm_l2(&mut comm) < 1e-5);
-        // objective history is monotone decreasing
-        for w in stats.objective_history.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12);
+        // the objective after each iteration is monotone decreasing
+        assert_eq!(recs.len(), stats.gn_iters);
+        for w in recs.windows(2) {
+            assert!(w[1].objective <= w[0].objective + 1e-12);
         }
     }
 
@@ -566,12 +576,12 @@ mod tests {
         let mut comm = Comm::solo();
         let mut prob = probe(layout);
         let cfg = GnConfig { grad_rtol: 1e-8, max_iter: 10, ..Default::default() };
-        let (v, stats) = gauss_newton(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
+        let (v, stats, recs) = recorded(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
         assert!(stats.converged && stats.gn_iters >= 2, "{}", stats.gn_iters);
         // this quadratic never backtracks: one trial per accepted step
-        let trials = stats.objective_history.len();
-        assert_eq!(stats.obj_evals, trials + 1);
-        assert_eq!(prob.asked.len(), trials + 1);
+        assert!(recs.iter().all(|r| (r.ls_trials, r.step) == (1, 1.0)), "{recs:?}");
+        assert_eq!(stats.obj_evals, recs.len() + 1);
+        assert_eq!(prob.asked.len(), recs.len() + 1);
         let mut seen = prob.asked.clone();
         seen.sort();
         seen.dedup();
@@ -580,8 +590,10 @@ mod tests {
         // a second `GnState` (what a β level is) asks for its own J(v0) once
         let before = prob.asked.len();
         let warm = GnConfig { max_iter: 1, grad_rtol: 1e-30, ..cfg };
-        let (_, stats) = gauss_newton(&mut prob, v, &warm, &mut comm);
-        assert_eq!(prob.asked.len() - before, stats.objective_history.len() + 1);
+        let (_, _, recs) = recorded(&mut prob, v, &warm, &mut comm);
+        let trials: usize = recs.iter().map(|r| r.ls_trials).sum();
+        assert!(trials >= 1, "{recs:?}");
+        assert_eq!(prob.asked.len() - before, trials + 1);
     }
 
     #[test]
@@ -590,11 +602,11 @@ mod tests {
         let mut comm = Comm::solo();
         let mut prob = Probe { negate_newton_system: true, ..probe(layout) };
         let cfg = GnConfig { grad_rtol: 1e-8, max_iter: 10, ..Default::default() };
-        let (v, stats) = gauss_newton(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
+        let (v, stats, recs) = recorded(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
         assert!(!stats.converged);
         assert_eq!(stats.gn_iters, 1, "a failed line search ends the solve");
         assert!(stats.obj_evals <= 1 && prob.asked.len() <= 1, "{} wasted", prob.asked.len());
-        assert!(stats.objective_history.is_empty());
+        assert_eq!((recs[0].ls_trials, recs[0].step), (0, 0.0), "no step accepted");
         assert_eq!(v.max_abs(&mut comm), 0.0, "the iterate must not move");
     }
 
@@ -618,14 +630,14 @@ mod tests {
         let mut comm = Comm::solo();
         let mut prob = Probe { ascent_objective: true, ..probe(layout) };
         let cfg = GnConfig { grad_rtol: 1e-8, max_iter: 10, ..Default::default() };
-        let (v, stats) = gauss_newton(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
+        let (v, stats, recs) = recorded(&mut prob, VectorField::zeros(layout), &cfg, &mut comm);
         assert!(!stats.converged);
         assert_eq!(stats.gn_iters, 1, "a failed line search ends the solve");
         // j0 at the start point, then the two trials whose secant slopes
         // show J rising, instead of 20
         assert_eq!(stats.obj_evals, 3);
         assert_eq!(prob.asked.len(), 3);
-        assert!(stats.objective_history.is_empty());
+        assert_eq!((recs[0].ls_trials, recs[0].step), (2, 0.0), "no step accepted");
         assert_eq!(v.max_abs(&mut comm), 0.0, "the iterate must not move");
     }
 
@@ -714,8 +726,8 @@ mod tests {
         let rel = d.norm_l2(&mut comm) / v64.norm_l2(&mut comm).max(1e-30);
         assert!(rel < 1e-4, "mixed solution drifted: rel {rel}");
         // final objectives agree to the documented mixed tolerance
-        let j64 = *s64.objective_history.last().unwrap();
-        let j32 = *s32.objective_history.last().unwrap();
+        let j64 = make().objective(&v64, &mut comm);
+        let j32 = make().objective(&v32, &mut comm);
         assert!((j64 - j32).abs() <= 1e-6 * j64.abs() + 1e-10, "{j64} vs {j32}");
     }
 

@@ -10,10 +10,12 @@
 
 use std::net::{TcpStream, ToSocketAddrs};
 
+use claire_ipc::frame::{read_frame, MAX_FRAME_BYTES};
+
 use crate::job::{JobId, JobStatus};
 use crate::wire::{
-    decode_response, read_frame, send, ErrorCode, RemoteJobResult, Request, Response, WireError,
-    WireJobSpec, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    decode_response, send, ErrorCode, RemoteJobResult, Request, Response, WireError, WireJobSpec,
+    PROTOCOL_VERSION,
 };
 
 /// A blocking connection to a claire-serve network server.

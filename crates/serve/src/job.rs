@@ -5,13 +5,13 @@
 //! a priority class, an optional deadline, and optional [`SolverHooks`] —
 //! and is validated *at admission*, so malformed work is rejected before it
 //! occupies queue capacity. A finished job yields a [`JobResult`] carrying
-//! the Table 6-style [`RegistrationReport`] plus the per-job
-//! [`RunReport`](claire_obs::report::RunReport) with scheduling metadata.
+//! the per-job [`RunReport`] — the solve's Table 6 row as its `summary`,
+//! with scheduling metadata.
 
 use std::fmt;
 use std::time::Duration;
 
-use claire_core::{ClaireError, ClaireResult, RegistrationConfig, RegistrationReport, SolverHooks};
+use claire_core::{ClaireError, ClaireResult, RegistrationConfig, SolverHooks};
 use claire_grid::{Real, ScalarField};
 use claire_obs::report::RunReport;
 use serde::{Deserialize, Serialize};
@@ -113,8 +113,7 @@ impl Priority {
 /// Most grid points a synthetic job may ask for: as many as the largest
 /// pair one wire frame can carry, so a few-hundred-byte `Submit` cannot
 /// claim more memory than outside input is held to anywhere else.
-const MAX_SYNTHETIC_POINTS: usize =
-    crate::wire::MAX_FRAME_BYTES / (2 * std::mem::size_of::<Real>());
+const MAX_SYNTHETIC_POINTS: usize = claire_ipc::MAX_FRAME_BYTES / (2 * std::mem::size_of::<Real>());
 
 /// What a job registers.
 pub enum JobInput {
@@ -301,10 +300,8 @@ pub struct JobResult {
     pub label: String,
     /// Terminal status.
     pub status: JobStatus,
-    /// Table 6-style solve report (`Succeeded` only).
-    pub report: Option<RegistrationReport>,
-    /// Unified per-job run report with scheduling metadata (`Succeeded`
-    /// only, and only when the service collects reports).
+    /// Unified per-job run report: the solve's Table 6 row as its
+    /// `summary`, with scheduling metadata (`Succeeded` only).
     pub run: Option<RunReport>,
     /// Error text (`Failed`/`Cancelled`/`DeadlineExpired`).
     pub error: Option<String>,

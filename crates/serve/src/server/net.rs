@@ -7,7 +7,9 @@
 //!
 //! One thread per connection, 100 ms read timeouts as poll ticks, and a
 //! stop flag checked on every tick make shutdown deterministic: stop the
-//! accept loop, join the connection threads, then drain the service.
+//! accept loop, join the connection threads, then drain the service. The
+//! accept loop joins the threads of closed connections as new ones arrive,
+//! so a long-lived server holds one thread per open connection.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -16,11 +18,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use claire_ipc::frame::{read_frame, MAX_FRAME_BYTES};
+use claire_ipc::FrameError;
+
 use crate::job::JobId;
 use crate::server::service::{RegistrationService, ServiceConfig, SubmitError};
 use crate::wire::{
-    decode_request, read_frame, send, ErrorCode, RemoteJobResult, Request, Response, WireError,
-    WireJobSpec, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    decode_request, send, ErrorCode, RemoteJobResult, Request, Response, WireError, WireJobSpec,
+    PROTOCOL_VERSION,
 };
 
 /// Poll tick for connection reads.
@@ -120,7 +125,11 @@ fn accept_loop(
                         let _ = serve_connection(stream, &shared);
                     })
                     .expect("spawn connection thread");
-                conns.lock().unwrap().push(handle);
+                let mut conns = conns.lock().unwrap();
+                for ended in conns.extract_if(.., |h| h.is_finished()) {
+                    let _ = ended.join();
+                }
+                conns.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(20));
@@ -146,9 +155,9 @@ fn serve_connection(mut stream: TcpStream, shared: &NetShared) -> Result<(), Wir
     loop {
         let bytes = match read_frame(&mut stream, MAX_FRAME_BYTES) {
             Ok(b) => b,
-            Err(WireError::Timeout) if !shared.stop.load(Ordering::SeqCst) => continue,
-            Err(WireError::Timeout | WireError::Closed) => return Ok(()),
-            Err(e) => return Err(e),
+            Err(FrameError::Timeout) if !shared.stop.load(Ordering::SeqCst) => continue,
+            Err(FrameError::Timeout | FrameError::Closed) => return Ok(()),
+            Err(e) => return Err(e.into()),
         };
         // before the handshake every refusal also ends the connection
         let req = match decode_request(&bytes) {
@@ -215,5 +224,38 @@ fn submit(svc: &RegistrationService, spec: WireJobSpec) -> Response {
             };
             refusal(code, e)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// Poll `done` every few milliseconds for up to 10 s.
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let start = Instant::now();
+        while !done() {
+            assert!(start.elapsed() < Duration::from_secs(10), "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn closed_connections_are_joined_as_new_ones_arrive() {
+        let mut srv = NetServer::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        // eight open connections: eight live threads
+        let clients: Vec<_> =
+            (0..8).map(|_| TcpStream::connect(srv.local_addr()).unwrap()).collect();
+        eventually("8 accepts", || srv.conns.lock().unwrap().len() == 8);
+        drop(clients);
+        eventually("8 connection threads to end", || {
+            srv.conns.lock().unwrap().iter().all(|h| h.is_finished())
+        });
+        let ninth = TcpStream::connect(srv.local_addr()).unwrap();
+        eventually("the ninth accept", || srv.conns.lock().unwrap().len() != 8);
+        assert!(srv.conns.lock().unwrap().len() <= 1, "ended connections still hold threads");
+        drop(ninth);
+        srv.shutdown();
     }
 }

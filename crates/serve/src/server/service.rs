@@ -67,14 +67,11 @@ pub struct ServiceConfig {
     /// Machine thread budget partitioned across workers; 0 means "use
     /// `claire_par::num_threads()`" (the ambient resolution).
     pub total_threads: usize,
-    /// Whether workers assemble a per-job [`RunReport`] (spans, comm
-    /// volume, scheduling metadata) for succeeded jobs.
-    pub collect_reports: bool,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig { workers: 1, queue_capacity: 16, total_threads: 0, collect_reports: true }
+        ServiceConfig { workers: 1, queue_capacity: 16, total_threads: 0 }
     }
 }
 
@@ -94,12 +91,6 @@ impl ServiceConfig {
     /// Set the machine thread budget to partition across workers.
     pub fn total_threads(mut self, n: usize) -> Self {
         self.total_threads = n;
-        self
-    }
-
-    /// Enable or disable per-job [`RunReport`] assembly.
-    pub fn collect_reports(mut self, on: bool) -> Self {
-        self.collect_reports = on;
         self
     }
 }
@@ -175,10 +166,9 @@ impl RegistrationService {
         let handles = (0..workers)
             .map(|w| {
                 let shared = shared.clone();
-                let collect = cfg.collect_reports;
                 std::thread::Builder::new()
                     .name(format!("claire-serve-{w}"))
-                    .spawn(move || worker_loop(w, per_worker, collect, &shared))
+                    .spawn(move || worker_loop(w, per_worker, &shared))
                     .expect("spawning a service worker thread")
             })
             .collect();
@@ -324,17 +314,17 @@ impl Drop for RegistrationService {
     }
 }
 
-fn worker_loop(worker: usize, budget: usize, collect_reports: bool, shared: &Shared) {
+fn worker_loop(worker: usize, budget: usize, shared: &Shared) {
     // Partition the machine: this worker's kernels see only its share.
     claire_par::set_local_threads(budget);
     while let Some(job) = shared.queue.pop() {
-        execute(worker, collect_reports, shared, job);
+        execute(worker, shared, job);
     }
 }
 
 /// Run one popped job on the calling worker thread and finish it with its
 /// result and, when it succeeded, its report.
-fn execute(worker: usize, collect_reports: bool, shared: &Shared, job: QueuedJob) {
+fn execute(worker: usize, shared: &Shared, job: QueuedJob) {
     let started = Instant::now();
     let QueuedJob { id, spec, token, submitted, deadline } = job;
     let JobSpec { label, config, input, priority, hooks, .. } = spec;
@@ -342,7 +332,6 @@ fn execute(worker: usize, collect_reports: bool, shared: &Shared, job: QueuedJob
         id: JobId(id),
         label,
         status: JobStatus::Failed,
-        report: None,
         run: None,
         error: None,
         queue_wait: started.duration_since(submitted),
@@ -389,20 +378,17 @@ fn execute(worker: usize, collect_reports: bool, shared: &Shared, job: QueuedJob
     match solved {
         Ok(Ok((_, report))) => {
             result.status = JobStatus::Succeeded;
-            if collect_reports {
-                let mut run = observe::collect_job_report(&result.label, &report, &comm, &mem);
-                run.scheduling = SchedulingInfo {
-                    job_id: id,
-                    priority: priority.label().to_string(),
-                    worker,
-                    queue_wait_secs: result.queue_wait.as_secs_f64(),
-                    run_secs: result.run_time.as_secs_f64(),
-                    total_secs: result.total.as_secs_f64(),
-                    deadline_secs: deadline.map(|d| d.as_secs_f64()).unwrap_or(0.0),
-                };
-                result.run = Some(run);
-            }
-            result.report = Some(report);
+            let mut run = observe::collect_job_report(report, &comm, &mem);
+            run.scheduling = SchedulingInfo {
+                job_id: id,
+                priority: priority.label().to_string(),
+                worker,
+                queue_wait_secs: result.queue_wait.as_secs_f64(),
+                run_secs: result.run_time.as_secs_f64(),
+                total_secs: result.total.as_secs_f64(),
+                deadline_secs: deadline.map(|d| d.as_secs_f64()).unwrap_or(0.0),
+            };
+            result.run = Some(run);
         }
         Ok(Err(e)) => {
             // Cancellation precedence mirrors the token: an explicit cancel
@@ -451,9 +437,9 @@ mod tests {
         let id = svc.try_submit(tiny_spec("syn-8")).unwrap();
         let res = svc.wait(id).expect("job must be known");
         assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
-        let report = res.report.expect("succeeded job carries a report");
-        assert!(report.gn_iters >= 1);
-        let run = res.run.expect("collect_reports defaults to on");
+        let run = res.run.expect("a succeeded job carries its report");
+        assert_eq!(run.summary.data, "syn-8", "the job's label names its row");
+        assert!(run.summary.gn_iters >= 1);
         assert_eq!(run.scheduling.job_id, id.as_u64());
         assert_eq!(run.scheduling.priority, "normal");
         assert!(run.scheduling.total_secs >= run.scheduling.run_secs);
@@ -477,10 +463,10 @@ mod tests {
         let id = svc.try_submit(a).unwrap();
         let res = svc.wait(id).unwrap();
         assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
-        assert_eq!(res.run.expect("run report").precision, "mixed");
+        assert_eq!(res.run.expect("run report").summary.precision, "mixed");
         let id = svc.try_submit(b).unwrap();
         let res = svc.wait(id).unwrap();
-        assert_eq!(res.run.expect("run report").precision, "f64");
+        assert_eq!(res.run.expect("run report").summary.precision, "f64");
         svc.shutdown();
     }
 
@@ -515,7 +501,7 @@ mod tests {
         let id = svc.try_submit(spec).unwrap();
         let res = svc.wait(id).unwrap();
         assert_eq!(res.status, JobStatus::DeadlineExpired);
-        assert!(res.report.is_none());
+        assert!(res.run.is_none());
         assert!(res.error.unwrap().contains("deadline"));
         // the pool survives: a healthy job still runs afterwards
         let ok = svc.try_submit(tiny_spec("healthy")).unwrap();

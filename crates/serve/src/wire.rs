@@ -15,51 +15,30 @@
 //! values are not wire-safe — they render as `null`, like serde_json).
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::time::Duration;
 
-use claire_core::{RegistrationConfig, RegistrationReport};
+use claire_core::RegistrationConfig;
 use claire_grid::{Grid, Layout, Real, ScalarField};
+use claire_ipc::FrameError;
 use serde::{field, DeError, Deserialize, Serialize, Value};
 
 use crate::job::{JobId, JobInput, JobResult, JobSpec, JobStatus, ParseJobIdError, Priority};
 
 /// Protocol revision negotiated in `Hello`. Bump on any change to frame
 /// layout or message schemas that an old peer cannot ignore.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
-/// Hard upper bound on one frame's payload (guards against a hostile or
-/// corrupt length prefix allocating unbounded memory). Large enough for a
-/// 256³ image pair with slack. Shared with the socket transport's binary
-/// protocol — one framing discipline per workspace.
-pub use claire_ipc::frame::MAX_FRAME_BYTES;
-
-/// Typed wire failure. Transport-level variants (`Io`, `Timeout`,
-/// `Closed`, `Truncated`) mean the byte stream itself broke; the rest mean
-/// the peer sent something this implementation refuses.
+/// Typed wire failure. [`WireError::Frame`] means the byte stream itself
+/// broke (the codec of `claire_ipc::frame`, shared with the socket
+/// transport); the rest mean the peer sent something this implementation
+/// refuses.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum WireError {
-    /// Underlying socket/stream error.
-    Io(io::Error),
-    /// A read timed out with no frame started (idle poll tick).
-    Timeout,
-    /// Clean EOF on a frame boundary (peer closed the connection).
-    Closed,
-    /// The stream ended mid-frame.
-    Truncated {
-        /// Bytes the frame promised.
-        expected: usize,
-        /// Bytes actually received.
-        got: usize,
-    },
-    /// The length prefix exceeds the receiver's frame cap.
-    FrameTooLarge {
-        /// Announced payload length.
-        len: usize,
-        /// Receiver's cap.
-        max: usize,
-    },
+    /// The stream failed below the message layer: i/o error, idle timeout,
+    /// clean close, truncated or oversized frame.
+    Frame(FrameError),
     /// The payload is not valid JSON or not a valid message schema.
     Malformed(String),
     /// `Hello` carried an incompatible [`PROTOCOL_VERSION`].
@@ -83,15 +62,7 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Io(e) => write!(f, "wire i/o error: {e}"),
-            WireError::Timeout => write!(f, "read timed out before a frame started"),
-            WireError::Closed => write!(f, "connection closed"),
-            WireError::Truncated { expected, got } => {
-                write!(f, "truncated frame: expected {expected} bytes, got {got}")
-            }
-            WireError::FrameTooLarge { len, max } => {
-                write!(f, "frame of {len} bytes exceeds the {max}-byte cap")
-            }
+            WireError::Frame(e) => write!(f, "wire {e}"),
             WireError::Malformed(m) => write!(f, "malformed message: {m}"),
             WireError::VersionMismatch { ours, theirs } => {
                 write!(f, "protocol version mismatch: ours {ours}, peer {theirs}")
@@ -106,9 +77,15 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        WireError::Frame(e)
+    }
+}
+
 impl From<io::Error> for WireError {
     fn from(e: io::Error) -> Self {
-        WireError::Io(e)
+        WireError::Frame(FrameError::Io(e))
     }
 }
 
@@ -166,37 +143,9 @@ impl ErrorCode {
 }
 
 // ---------------------------------------------------------------------------
-// framing — the byte-level codec lives in `claire_ipc::frame`, shared with
-// the socket transport's binary rank protocol; these wrappers keep the
-// serve-facing API and map the codec's typed errors onto `WireError`
+// messages in frames — the byte-level codec is `claire_ipc::frame`, shared
+// with the socket transport's binary rank protocol
 // ---------------------------------------------------------------------------
-
-impl From<claire_ipc::FrameError> for WireError {
-    fn from(e: claire_ipc::FrameError) -> Self {
-        use claire_ipc::FrameError as F;
-        match e {
-            F::Io(e) => WireError::Io(e),
-            F::Timeout => WireError::Timeout,
-            F::Closed => WireError::Closed,
-            F::Truncated { expected, got } => WireError::Truncated { expected, got },
-            F::TooLarge { len, max } => WireError::FrameTooLarge { len, max },
-        }
-    }
-}
-
-/// Write one frame: 4-byte big-endian payload length, then the payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    claire_ipc::frame::write_frame(w, payload).map_err(WireError::from)
-}
-
-/// Read one frame's payload, enforcing `max` against the length prefix
-/// *before* allocating. A clean EOF on the frame boundary is
-/// [`WireError::Closed`]; a read timeout before any header byte is
-/// [`WireError::Timeout`] (so pollers can use short socket timeouts as
-/// idle ticks); EOF mid-frame is [`WireError::Truncated`].
-pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, WireError> {
-    claire_ipc::frame::read_frame(r, max).map_err(WireError::from)
-}
 
 /// Serialize any wire message to its frame payload.
 pub fn encode<T: Serialize + ?Sized>(msg: &T) -> Vec<u8> {
@@ -205,7 +154,7 @@ pub fn encode<T: Serialize + ?Sized>(msg: &T) -> Vec<u8> {
 
 /// Write one message as a frame.
 pub fn send<T: Serialize + ?Sized>(w: &mut impl Write, msg: &T) -> Result<(), WireError> {
-    write_frame(w, &encode(msg))
+    Ok(claire_ipc::frame::write_frame(w, &encode(msg))?)
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +347,8 @@ impl WireJobSpec {
 
 /// A [`JobResult`] in wire form. The `RunReport` travels as an opaque JSON
 /// document (`run`): it is a reporting artifact, not an API type, so the
-/// client hands it through without imposing a schema.
+/// client hands it through without imposing a schema. Its `summary` is the
+/// solve's Table 6 row, the only copy of it in the frame.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RemoteJobResult {
     /// Server-assigned id.
@@ -407,9 +357,7 @@ pub struct RemoteJobResult {
     pub label: String,
     /// Terminal status.
     pub status: JobStatus,
-    /// Table 6-style solve report (`Succeeded` only).
-    pub report: Option<RegistrationReport>,
-    /// Per-job `RunReport` JSON document (when the server collects them).
+    /// Per-job `RunReport` JSON document (`Succeeded` only).
     pub run: Option<Value>,
     /// Error text for non-succeeded statuses.
     pub error: Option<String>,
@@ -428,7 +376,6 @@ impl RemoteJobResult {
             id: r.id,
             label: r.label.clone(),
             status: r.status,
-            report: r.report.clone(),
             run: r.run.as_ref().map(|run| run.to_value()),
             error: r.error.clone(),
             queue_wait_secs: r.queue_wait.as_secs_f64(),
@@ -595,31 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        assert_eq!(&buf[..4], &5u32.to_be_bytes());
-        let mut r = io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap(), b"hello");
-        assert!(matches!(read_frame(&mut r, MAX_FRAME_BYTES), Err(WireError::Closed)));
-    }
-
-    #[test]
-    fn oversized_and_truncated_frames_are_typed() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &[0u8; 64]).unwrap();
-        let err = read_frame(&mut io::Cursor::new(&buf), 16).unwrap_err();
-        assert!(matches!(err, WireError::FrameTooLarge { len: 64, max: 16 }), "{err}");
-
-        let err = read_frame(&mut io::Cursor::new(&buf[..buf.len() - 10]), 1024).unwrap_err();
-        assert!(matches!(err, WireError::Truncated { expected: 64, got: 54 }), "{err}");
-
-        // header itself cut short
-        let err = read_frame(&mut io::Cursor::new(&buf[..2]), 1024).unwrap_err();
-        assert!(matches!(err, WireError::Truncated { .. }), "{err}");
-    }
-
-    #[test]
     fn request_envelopes_round_trip() {
         let id: JobId = "job-42".parse().unwrap();
         let reqs = vec![
@@ -699,14 +621,15 @@ mod tests {
         assert!(matches!(w.into_spec(), Err(WireError::Malformed(_))));
     }
 
-    /// Frame payloads of protocol 4, every key in wire order: what the
+    /// Frame payloads of protocol 5, every key in wire order: what the
     /// hand-written codec before the derive produced (captured by running
     /// it), less the report's five modeled-seconds keys protocol 1 carried,
-    /// the `tenant` and `cached` keys protocol 2 carried and the config's
-    /// coarse-to-fine switch protocol 3 carried, plus the report's
-    /// `obj_evals`, `hess_applies` and `converged`.
+    /// the `tenant` and `cached` keys protocol 2 carried, the config's
+    /// coarse-to-fine switch protocol 3 carried and the result's separate
+    /// `report` protocol 4 carried (its row is the run's `summary`), plus
+    /// the report's `obj_evals`, `hess_applies` and `converged`.
     const GOLDEN_SUBMIT: &str = r#"{"type":"submit","spec":{"label":"golden","priority":"high","deadline_ms":1234,"config":{"nt":2,"ip_order":"cubic","store_grad":true,"precond":"2LInvH0","beta_target":0.001,"beta_init":0.5,"beta_reduction":0.25,"continuation":false,"eps_h0":0.01,"beta_floor":0.1,"grad_rtol":0.02,"max_gn_iter":3,"max_pcg_iter":4,"max_inner_iter":5,"fixed_pcg":6,"precision":"mixed","verbose":false},"input":{"kind":"synthetic","n":[8,6,4]}}}"#;
-    const GOLDEN_RESULT: &str = r#"{"type":"result","result":{"id":"job-42","label":"golden","status":"succeeded","report":{"data":"golden","pc":"2LInvH0","precision":"mixed","grid":[8,6,4],"nt":2,"nranks":1,"gn_iters":3,"pcg_iters":7,"obj_evals":5,"hess_applies":7,"converged":true,"rel_mismatch":0.123456789012345,"grad_rel":0.015,"n_inva":2,"n_invh0":5,"inner_cg_total":40,"inner_cg_avg":8.0,"time_pc":0.25,"time_obj":0.125,"time_grad":0.5,"time_hess":1.0,"time_total":2.0,"jac_det_min":0.75,"jac_det_max":1.5,"memory_bytes_per_rank":123456},"run":{"label":"golden","nranks":1},"error":null,"queue_wait_secs":0.001,"run_secs":2.0,"total_secs":2.5}}"#;
+    const GOLDEN_RESULT: &str = r#"{"type":"result","result":{"id":"job-42","label":"golden","status":"succeeded","run":{"backend":"scalar","transport":"channel","summary":{"data":"golden","pc":"2LInvH0","precision":"mixed","grid":[8,6,4],"nt":2,"nranks":1,"gn_iters":3,"pcg_iters":7,"obj_evals":5,"hess_applies":7,"converged":true,"rel_mismatch":0.123456789012345,"grad_rel":0.015,"n_inva":2,"n_invh0":5,"inner_cg_total":40,"inner_cg_avg":8.0,"time_pc":0.25,"time_obj":0.125,"time_grad":0.5,"time_hess":1.0,"time_total":2.0,"jac_det_min":0.75,"jac_det_max":1.5,"memory_bytes_per_rank":123456}},"error":null,"queue_wait_secs":0.001,"run_secs":2.0,"total_secs":2.5}}"#;
 
     fn text(msg: &impl Serialize) -> String {
         String::from_utf8(encode(msg)).unwrap()
@@ -737,38 +660,15 @@ mod tests {
         };
         assert_eq!((result.id.as_u64(), result.status), (42, JobStatus::Succeeded));
         assert_eq!((result.error.as_deref(), result.total_secs), (None, 2.5));
-        let report = result.report.as_ref().expect("golden result carries a report");
+        let run = result.run.as_ref().expect("golden result carries a run document");
+        assert_eq!(run.get("transport"), Some(&Value::Str("channel".into())));
+        let report: claire_core::RegistrationReport = field(run, "summary").unwrap();
         assert_eq!((report.pc.as_str(), report.precision.as_str()), ("2LInvH0", "mixed"));
         assert_eq!((report.grid, report.pcg_iters), ([8, 6, 4], 7));
         assert_eq!((report.obj_evals, report.hess_applies, report.converged), (5, 7, true));
         assert_eq!(report.rel_mismatch.to_bits(), 0.123456789012345f64.to_bits());
         assert_eq!(report.memory_bytes_per_rank, 123456);
-        let run = result.run.as_ref().expect("golden result carries a run document");
-        assert_eq!(run.get("nranks"), Some(&Value::UInt(1)));
         assert_eq!(text(&Response::Result { result }), GOLDEN_RESULT);
-    }
-
-    #[test]
-    fn keys_an_older_peer_does_not_send_take_their_old_meaning() {
-        // a peer from before the mixed lane: full width, whatever this
-        // side's CLAIRE_PRECISION says
-        let old = GOLDEN_SUBMIT.replace(r#""precision":"mixed","#, "");
-        assert_ne!(old, GOLDEN_SUBMIT);
-        let Request::Submit { spec } = decode_request(old.as_bytes()).unwrap() else { panic!() };
-        assert_eq!(spec.config.precision, claire_core::Precision::F64);
-        assert_eq!(spec.config.fixed_pcg, Some(6), "the other keys still land");
-
-        // ... and from before the report carried the solve's counts
-        let old = GOLDEN_RESULT
-            .replace(r#""precision":"mixed","#, "")
-            .replace(r#""obj_evals":5,"hess_applies":7,"converged":true,"#, "");
-        let Response::Result { result } = decode_response(old.as_bytes()).unwrap() else {
-            panic!()
-        };
-        let report = result.report.unwrap();
-        assert_eq!(report.precision, "f64");
-        assert_eq!((report.obj_evals, report.hess_applies, report.converged), (0, 0, false));
-        assert_eq!(report.pcg_iters, 7, "the other keys still land");
     }
 
     #[test]
@@ -782,6 +682,7 @@ mod tests {
             (r#""nt":2"#, r#""nt":2,"presision":"mixed""#, "unknown key `presision`"),
             (r#""continuation":false"#, old.as_str(), old_names.as_str()),
             (r#""nt":2,"#, "", "missing `nt`"),
+            (r#""precision":"mixed","#, "", "missing `precision`"),
             (r#""eps_h0":0.01"#, r#""eps_h0":"tight""#, "`spec.config.eps_h0`"),
             (r#""precond":"2LInvH0""#, r#""precond":"TwoLevelInvH0""#, "unknown PrecondKind"),
         ] {

@@ -361,7 +361,7 @@ fn single_main(opts: Options) {
     );
 
     if let Some(path) = &opts.report {
-        let run = observe::collect_run_report("cli", &report, &comm);
+        let run = observe::collect_run_report(report.clone(), &comm);
         eprint!("{}", run.span_summary());
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             create_dir(dir);
@@ -462,11 +462,26 @@ fn read_manifest(path: &Path, context: &'static str) -> (Value, Vec<Value>) {
     }
 }
 
-/// Every manifest entry as a [`JobSpec`], or the typed exit on the first bad
-/// one — before anything is submitted.
-fn parse_jobs(jobs: &[Value], quiet: bool) -> Vec<JobSpec> {
-    let job = |(i, entry)| parse_job(entry, i, quiet).unwrap_or_else(|e| fail(&e));
-    jobs.iter().enumerate().map(job).collect()
+/// Every manifest entry as a [`JobSpec`], or the error of the first bad one.
+/// Two entries whose labels name one report file are an error too: the
+/// second report would overwrite the first.
+fn parse_jobs(jobs: &[Value], quiet: bool) -> Result<Vec<JobSpec>, ClaireError> {
+    let specs = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| parse_job(entry, i, quiet))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut files = std::collections::HashMap::new();
+    for (i, spec) in specs.iter().enumerate() {
+        let file = report_file_name(&spec.label);
+        if let Some(first) = files.insert(file.clone(), i) {
+            let (a, b) = (&specs[first].label, &spec.label);
+            return Err(manifest_error(format!(
+                "entries {first} (`{a}`) and {i} (`{b}`) would both write their report to {file}"
+            )));
+        }
+    }
+    Ok(specs)
 }
 
 /// The report file of a job that ended without a `RunReport`.
@@ -480,8 +495,8 @@ fn failure_doc(label: &str, status: JobStatus, error: &Option<String>) -> String
 }
 
 /// `, mismatch …` for the per-job summary line of a succeeded job.
-fn mismatch_note(report: &Option<claire::core::RegistrationReport>) -> String {
-    report.as_ref().map(|r| format!(", mismatch {:.3e}", r.rel_mismatch)).unwrap_or_default()
+fn mismatch_note(rel_mismatch: Option<f64>) -> String {
+    rel_mismatch.map(|m| format!(", mismatch {m:.3e}")).unwrap_or_default()
 }
 
 /// The worker-pool flags `batch` and `serve` share.
@@ -562,7 +577,7 @@ fn batch_main(args: Vec<String>) {
             svc_cfg.queue_capacity
         );
     }
-    let specs = parse_jobs(&jobs, quiet);
+    let specs = parse_jobs(&jobs, quiet).unwrap_or_else(|e| fail(&e));
 
     create_dir(&out);
     observe::begin(); // span trees feed the per-job reports
@@ -598,7 +613,7 @@ fn batch_main(args: Vec<String>) {
             failures += 1;
         }
         if !quiet {
-            let mismatch = mismatch_note(&res.report);
+            let mismatch = mismatch_note(res.run.as_ref().map(|r| r.summary.rel_mismatch));
             eprintln!(
                 "  {} [{}]: queued {:.3}s, ran {:.3}s{mismatch}",
                 res.label,
@@ -684,6 +699,17 @@ fn submit_main(args: Vec<String>) {
         }
     }
     let addr = addr.unwrap_or_else(|| usage());
+    // Same manifest format as `batch`, checked whole before the server hears
+    // of it; jobs are lowered to wire specs.
+    let specs: Vec<WireJobSpec> = match (ping, &manifest_path) {
+        (true, _) => Vec::new(),
+        (false, None) => usage(),
+        (false, Some(path)) => {
+            let (_, jobs) = read_manifest(path, "submit manifest");
+            let jobs = parse_jobs(&jobs, quiet).unwrap_or_else(|e| fail(&e));
+            jobs.iter().map(WireJobSpec::from_spec).collect()
+        }
+    };
 
     let mut client = match Client::connect(&addr[..]) {
         Ok(c) => c,
@@ -702,12 +728,6 @@ fn submit_main(args: Vec<String>) {
         }
         return;
     }
-    let manifest_path = manifest_path.unwrap_or_else(|| usage());
-
-    // Same manifest format as `batch`; jobs are lowered to wire specs.
-    let (_, jobs) = read_manifest(&manifest_path, "submit manifest");
-    let specs: Vec<WireJobSpec> =
-        parse_jobs(&jobs, quiet).iter().map(WireJobSpec::from_spec).collect();
 
     create_dir(&out);
     let mut admissions = Vec::with_capacity(specs.len());
@@ -744,7 +764,9 @@ fn submit_main(args: Vec<String>) {
             failures += 1;
         }
         if !quiet {
-            let mismatch = mismatch_note(&res.report);
+            let summary = res.run.as_ref().and_then(|run| field::<Value>(run, "summary").ok());
+            let mismatch =
+                mismatch_note(summary.and_then(|s| field::<f64>(&s, "rel_mismatch").ok()));
             eprintln!(
                 "  {} [{}]: queued {:.3}s, ran {:.3}s{mismatch}",
                 res.label, res.status, res.queue_wait_secs, res.run_secs
@@ -864,7 +886,7 @@ fn launch_in_process(o: &LaunchOpts) {
         // ledger identical collective counts.
         comm.barrier();
         if comm.rank() == 0 {
-            Some(observe::collect_run_report("launch", &report, comm))
+            Some(observe::collect_run_report(report, comm))
         } else {
             None
         }
@@ -962,7 +984,7 @@ fn worker_rank_main(args: Vec<String>) {
             // Barrier before collecting so every rank ledgers the same
             // collective counts (mirrored by the in-process path).
             comm.barrier();
-            let run = observe::collect_run_report("launch", &report, &comm);
+            let run = observe::collect_run_report(report, &comm);
             claire::obs::set_enabled(false);
             claire::ipc::launch::send_report(&dir, rank, run.to_json())
                 .unwrap_or_else(|e| fail(&e));
@@ -1077,6 +1099,29 @@ mod tests {
                 other => panic!("{entry}: expected a manifest error, got {:?}", other.err()),
             }
         }
+    }
+
+    #[test]
+    fn manifest_whose_labels_share_a_report_file_is_refused_naming_both() {
+        let jobs = |entries: &str| -> Vec<Value> {
+            field(&serde_json::from_str(&format!(r#"{{"jobs": [{entries}]}}"#)).unwrap(), "jobs")
+                .unwrap()
+        };
+        for (entries, names) in [
+            (r#"{"label": "a", "syn": 8}, {"label": "a", "syn": 8}"#, "0 (`a`) and 1 (`a`)"),
+            (r#"{"label": "a b", "syn": 8}, {"label": "a_b", "syn": 8}"#, "0 (`a b`) and 1"),
+            (r#"{"label": "job-1", "syn": 8}, {"syn": 8}"#, "0 (`job-1`) and 1 (`job-1`)"),
+        ] {
+            match parse_jobs(&jobs(entries), true) {
+                Err(e @ ClaireError::Config { param: "manifest", .. }) => {
+                    assert_eq!(error_exit_code(&e), 3);
+                    assert!(e.to_string().contains(names), "{entries}: {e}");
+                }
+                other => panic!("{entries}: expected a manifest error, got {:?}", other.err()),
+            }
+        }
+        let distinct = r#"{"label": "a", "syn": 8}, {"label": "b", "syn": 8}, {"syn": 8}"#;
+        assert_eq!(parse_jobs(&jobs(distinct), true).unwrap().len(), 3);
     }
 
     #[test]

@@ -118,24 +118,15 @@ fn get<'a>(v: &'a Value, key: &str) -> &'a Value {
         .unwrap_or_else(|| panic!("missing key {key}"))
 }
 
-/// The transport-independent slice of a RunReport: problem identity, the
-/// full GN trajectory, each kernel's call count, and the logical
-/// communication ledgers. Wall-clock times (kernel seconds and the seconds
-/// blocked in communication among them), spans, memory, and the physical
-/// wire accounting are dropped.
+/// The transport-independent slice of a RunReport: the whole summary
+/// (problem identity and outcome), the full GN trajectory, each kernel's
+/// call count, and the logical communication ledgers. Wall-clock times (the
+/// summary's `time_*` seconds, kernel seconds and the seconds blocked in
+/// communication among them), spans, memory, and the physical wire
+/// accounting are dropped.
 fn canonical(run: &Value) -> Value {
-    const KEEP: [&str; 10] = [
-        "grid",
-        "nranks",
-        "nt",
-        "precond",
-        "backend",
-        "summary",
-        "comm",
-        "collectives",
-        "gn_trace",
-        "kernels",
-    ];
+    const KEEP: [&str; 6] = ["backend", "summary", "comm", "collectives", "gn_trace", "kernels"];
+    const CLOCKS: [&str; 5] = ["time_pc", "time_obj", "time_grad", "time_hess", "time_total"];
     let without = |v: &Value, drop: &[&str]| {
         Value::Object(obj(v).iter().filter(|(k, _)| !drop.contains(&k.as_str())).cloned().collect())
     };
@@ -148,7 +139,7 @@ fn canonical(run: &Value) -> Value {
         .map(|&key| {
             let v = get(run, key);
             let v = match key {
-                "summary" => without(v, &["time_total"]),
+                "summary" => without(v, &CLOCKS),
                 "comm" => each_without(v, &["wire_bytes", "blocked_secs"]),
                 "kernels" => each_without(v, &["secs"]),
                 _ => v.clone(),
@@ -195,6 +186,10 @@ fn launch_report_matches_in_process_report() {
     for extra in [&[][..], &[&["--ranks", "2", "--syn", "16"][..], &SHORT].concat()] {
         let proc_run = run_launch(&dir, "proc.json", extra);
         let thr_run = run_launch(&dir, "thr.json", &[extra, &["--in-process"]].concat());
+        for run in [&proc_run, &thr_run] {
+            let keys: Vec<&str> = obj(run).iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, claire::obs::report::SCHEMA_KEYS, "top-level keys ({extra:?})");
+        }
 
         assert_eq!(get(&proc_run, "transport"), &Value::Str("socket".into()));
         assert_eq!(get(&thr_run, "transport"), &Value::Str("channel".into()));
@@ -214,7 +209,7 @@ fn launch_report_matches_in_process_report() {
         assert!(wire(&proc_run) > 0, "socket transport should account wire bytes ({extra:?})");
         assert_eq!(wire(&thr_run), 0, "channel transport has no wire ({extra:?})");
         if extra.is_empty() {
-            assert_eq!(get(&proc_run, "precond"), &Value::Str("2LInvH0".into()));
+            assert_eq!(get(get(&proc_run, "summary"), "pc"), &Value::Str("2LInvH0".into()));
             let Value::Array(trace) = get(&proc_run, "gn_trace") else { panic!("gn_trace") };
             let later = trace.iter().any(|r| get(r, "level") != &Value::UInt(0));
             assert!(later, "the trace should span several β-levels");

@@ -1,16 +1,17 @@
-//! Wire-protocol tests for the networked claire-serve front door: framing
-//! errors are typed, every envelope survives an encode/decode round trip
-//! (images bitwise), and a version-mismatched client is refused by a real
-//! server with a typed error before any job state is touched, as is a
-//! synthetic grid too large to allocate.
+//! Wire-protocol tests for the networked claire-serve front door: garbage
+//! in a frame decodes to a typed error, every envelope survives an
+//! encode/decode round trip (images bitwise), and a version-mismatched
+//! client is refused by a real server with a typed error before any job
+//! state is touched, as is a synthetic grid too large to allocate. The
+//! framing itself is `claire::ipc::frame`'s, tested there.
 
 use std::io::Cursor;
 
 use claire::core::{PrecondKind, RegistrationConfig};
 use claire::grid::Real;
-use claire::serve::wire::{
-    decode_request, decode_response, encode, read_frame, send, write_frame, MAX_FRAME_BYTES,
-};
+use claire::ipc::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
+use claire::ipc::FrameError;
+use claire::serve::wire::{decode_request, decode_response, encode, send};
 use claire::serve::{
     Client, ErrorCode, JobId, JobStatus, NetServer, Priority, Request, Response, ServiceConfig,
     WireError, WireInput, WireJobSpec, PROTOCOL_VERSION,
@@ -78,23 +79,6 @@ fn every_response_variant_round_trips() {
 
 #[test]
 fn framing_errors_are_typed() {
-    // truncated: the header promises more bytes than the stream holds
-    let mut buf = Vec::new();
-    write_frame(&mut buf, b"0123456789").unwrap();
-    buf.truncate(buf.len() - 4);
-    match read_frame(&mut Cursor::new(&buf), MAX_FRAME_BYTES) {
-        Err(WireError::Truncated { expected: 10, got: 6 }) => {}
-        other => panic!("expected Truncated, got {other:?}"),
-    }
-
-    // oversized: length prefix beyond the cap is refused before allocating
-    let mut buf = Vec::new();
-    write_frame(&mut buf, &[0u8; 64]).unwrap();
-    match read_frame(&mut Cursor::new(&buf), 16) {
-        Err(WireError::FrameTooLarge { len: 64, max: 16 }) => {}
-        other => panic!("expected FrameTooLarge, got {other:?}"),
-    }
-
     // garbage payloads decode to typed errors (Malformed for non-schema
     // bytes, Protocol for a well-formed frame with an unknown type tag)
     for garbage in [&b"not json"[..], b"{\"type\":\"warp_core\"}", b"[1,2,3]", b"{}"] {
@@ -106,16 +90,10 @@ fn framing_errors_are_typed() {
             other => panic!("expected a typed decode error for {garbage:?}, got {other:?}"),
         }
     }
-
-    // clean EOF at a frame boundary is Closed (peer hung up), not an error
-    match read_frame(&mut Cursor::new(&[][..]), MAX_FRAME_BYTES) {
-        Err(WireError::Closed) => {}
-        other => panic!("expected Closed, got {other:?}"),
-    }
 }
 
 /// A protocol-2 peer (which still sends `tenant` and reads `cached`), a
-/// newer one, a first frame that is not `Hello` and one that does not
+/// protocol-4 one (which reads the result's separate `report`), a newer one, a first frame that is not `Hello` and one that does not
 /// decode are each refused with a typed error and the connection closed,
 /// before any job state is touched.
 #[test]
@@ -130,6 +108,7 @@ fn version_mismatch_is_refused_by_a_live_server() {
     let status = encode(&Request::Status { id: JobId::from_u64(1) });
     for (first, code, names) in [
         hello(2),
+        hello(4),
         hello(PROTOCOL_VERSION + 1),
         (status, ErrorCode::Unsupported, "first frame must be Hello".into()),
         (b"{\"type\":".to_vec(), ErrorCode::Malformed, String::new()),
@@ -145,7 +124,7 @@ fn version_mismatch_is_refused_by_a_live_server() {
         }
         // the server closes the connection after the refusal
         match read_frame(&mut conn, MAX_FRAME_BYTES) {
-            Err(WireError::Closed) | Err(WireError::Io(_)) => {}
+            Err(FrameError::Closed) | Err(FrameError::Io(_)) => {}
             other => panic!("{code:?}: expected the connection to be closed, got {other:?}"),
         }
     }

@@ -8,7 +8,7 @@
 use claire::obs::report::{KernelEntry, PhaseShares, RunReport, SCHEMA_KEYS};
 use claire::obs::span::span;
 use claire::prelude::*;
-use serde::Value;
+use serde::{Deserialize, Value};
 use std::sync::Mutex;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -24,18 +24,30 @@ fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
     }
 }
 
+/// The top-level keys of a report document, in order.
+fn top_level_keys(v: &Value) -> Vec<&str> {
+    match v {
+        Value::Object(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("expected object, got {other:?}"),
+    }
+}
+
 fn populated_report() -> RunReport {
-    let mut run = RunReport::new("round-trip");
-    run.grid = [64, 32, 32];
-    run.nranks = 4;
-    run.nt = 8;
-    run.precond = "2LInvH0".to_string();
-    run.summary.gn_iters = 12;
-    run.summary.pcg_iters = 120;
-    run.summary.rel_mismatch = 2.79e-2;
-    run.summary.grad_rel = 3.2e-2;
-    run.summary.time_total = 4.5;
-    run.summary.converged = true;
+    let mut run = RunReport::new(RegistrationReport {
+        data: "round-trip".to_string(),
+        pc: "2LInvH0".to_string(),
+        precision: "f64".to_string(),
+        grid: [64, 32, 32],
+        nranks: 4,
+        nt: 8,
+        gn_iters: 12,
+        pcg_iters: 120,
+        rel_mismatch: 2.79e-2,
+        grad_rel: 3.2e-2,
+        time_total: 4.5,
+        converged: true,
+        ..Default::default()
+    });
     run.scheduling.job_id = 7;
     run.scheduling.priority = "high".to_string();
     run.scheduling.worker = 1;
@@ -56,14 +68,12 @@ fn run_report_json_round_trips() {
     let run = populated_report();
     let json = run.to_json();
 
-    // parse back: every schema key present, values preserved
+    // parse back: the schema keys in order, values preserved
     let v = serde_json::from_str(&json).expect("RunReport JSON parses");
-    for key in SCHEMA_KEYS {
-        let _ = field(&v, key);
-    }
-    assert_eq!(field(&v, "label"), &Value::Str("round-trip".into()));
-    assert_eq!(field(&v, "nranks"), &Value::UInt(4));
+    assert_eq!(top_level_keys(&v), SCHEMA_KEYS);
     let summary = field(&v, "summary");
+    assert_eq!(field(summary, "data"), &Value::Str("round-trip".into()));
+    assert_eq!(field(summary, "nranks"), &Value::UInt(4));
     assert_eq!(field(summary, "gn_iters"), &Value::UInt(12));
     assert_eq!(field(summary, "converged"), &Value::Bool(true));
     assert_eq!(field(summary, "rel_mismatch"), &Value::Num(2.79e-2));
@@ -74,8 +84,10 @@ fn run_report_json_round_trips() {
     assert_eq!(field(scheduling, "queue_wait_secs"), &Value::Num(0.25));
     assert_eq!(field(scheduling, "total_secs"), &Value::Num(4.75));
     assert_eq!(field(scheduling, "deadline_secs"), &Value::Num(30.0));
-    let grid = field(&v, "grid");
+    let grid = field(summary, "grid");
     assert_eq!(grid, &Value::Array(vec![Value::UInt(64), Value::UInt(32), Value::UInt(32)]));
+    let back = RegistrationReport::from_value(summary).expect("the summary decodes");
+    assert_eq!(back, run.summary);
 
     // render -> parse -> render is a fixed point (textual stability)
     let rendered = serde_json::to_string_pretty(&v).expect("re-render");
@@ -186,23 +198,20 @@ fn solver_run_emits_complete_report() {
     begin_observing();
     let mut solver = Claire::new(cfg);
     let (_, report) = solver.register_from(&prob.template, &prob.reference, "SYN", &mut comm);
-    let run = collect_run_report("SYN", &report, &comm);
+    let run = collect_run_report(report, &comm);
     claire::obs::set_enabled(false);
 
-    assert_eq!(run.grid, [12, 12, 12]);
+    assert_eq!((run.summary.data.as_str(), run.summary.grid), ("SYN", [12, 12, 12]));
     assert!(run.spans.iter().any(|s| s.name == "solve"), "span tree must be rooted at solve");
     assert!(!run.gn_trace.is_empty(), "per-GN-iteration records expected");
     assert!(run.gn_trace.iter().all(|r| r.beta == 1e-2));
     assert!(!run.kernels.is_empty());
     assert!(run.phases.total_secs > 0.0);
-    assert_eq!(run.summary.obj_evals, report.obj_evals);
-    assert_eq!(run.summary.hess_applies, report.hess_applies);
+    assert!(run.summary.obj_evals > run.summary.gn_iters, "every step is a line-search trial");
     assert!(run.summary.hess_applies > 0, "the Newton solves apply the Hessian");
     let json = run.to_json();
     let v = serde_json::from_str(&json).expect("emitted report parses");
-    for key in SCHEMA_KEYS {
-        let _ = field(&v, key);
-    }
+    assert_eq!(top_level_keys(&v), SCHEMA_KEYS);
 }
 
 #[test]
@@ -222,7 +231,7 @@ fn served_span_tree_is_rooted_by_run_size() {
     let svc = RegistrationService::start(ServiceConfig::default().workers(1));
     let alone =
         svc.submit(JobSpec::new("alone", cfg, JobInput::Synthetic { n: [8, 8, 8] })).unwrap();
-    let run = svc.wait(alone).unwrap().run.expect("reports on");
+    let run = svc.wait(alone).unwrap().run.expect("a succeeded job carries its report");
     drop(svc);
     claire::obs::set_enabled(false);
     let roots: Vec<&str> = run.spans.iter().map(|s| s.name.as_str()).collect();

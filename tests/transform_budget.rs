@@ -107,7 +107,7 @@ fn a_whole_solve_keeps_its_state_solve_and_transform_budgets() {
     begin_observing();
     let (_, report) =
         Claire::new(cfg).register_from(&prob.template, &prob.reference, "SYN", &mut comm);
-    let run = collect_run_report("SYN", &report, &comm);
+    let run = collect_run_report(report, &comm);
     claire::obs::set_enabled(false);
 
     let obj_evals = run.summary.obj_evals;
@@ -137,7 +137,8 @@ fn a_whole_solve_keeps_its_state_solve_and_transform_budgets() {
     // level) and the first restriction. An operator that goes back to real
     // space between two spectral steps breaks the ceiling.
     let fft = run.kernels.iter().find(|k| k.name == "fft_serial").expect("transforms ran").calls;
-    let (hess, h0, inner) = (run.summary.hess_applies, report.n_invh0, report.inner_cg_total);
+    let s = &run.summary;
+    let (hess, h0, inner) = (s.hess_applies, s.n_invh0, s.inner_cg_total);
     assert!(h0 > 0 && inner > 0, "the 2LInvH0 inner solve iterates");
     let floor = 3 * obj_evals + 6 * hess + 12 * h0 + 6 * inner;
     let ceiling = floor + 6 * (hess + records - h0) + 12 * (records + levels) + 6;
