@@ -194,5 +194,11 @@ mod tests {
             read_frame(&mut r, MAX_FRAME_BYTES),
             Err(FrameError::Truncated { expected: 5, got: 3 })
         ));
+        // a header cut short is a truncation too, not a clean hang-up
+        let mut r = &buf[..2];
+        assert!(matches!(
+            read_frame(&mut r, MAX_FRAME_BYTES),
+            Err(FrameError::Truncated { expected: 4, got: 2 })
+        ));
     }
 }

@@ -44,9 +44,21 @@ fn populated_report() -> RunReport {
         pcg_iters: 120,
         rel_mismatch: 2.79e-2,
         grad_rel: 3.2e-2,
-        time_total: 4.5,
+        obj_evals: 15,
+        hess_applies: 120,
         converged: true,
-        ..Default::default()
+        n_inva: 2,
+        n_invh0: 10,
+        inner_cg_total: 110,
+        inner_cg_avg: 11.0,
+        time_pc: 1.0,
+        time_obj: 0.5,
+        time_grad: 0.75,
+        time_hess: 2.0,
+        time_total: 4.5,
+        jac_det_min: 0.5,
+        jac_det_max: 1.8,
+        memory_bytes_per_rank: 1 << 20,
     });
     run.scheduling.job_id = 7;
     run.scheduling.priority = "high".to_string();
