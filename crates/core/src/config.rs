@@ -122,12 +122,12 @@ pub struct RegistrationConfig {
 }
 
 /// One row of the [`RegistrationConfig`] field table: how a field is spelled
-/// on the wire, in a job manifest and on the command line, and how it is
-/// read and written as a JSON value. The serve wire codec, the solver
-/// fingerprint, the manifest parser and every `claire-cli` mode that takes
-/// solver flags iterate [`ConfigField::all`]; none of them names a field.
+/// in a job manifest and on the command line, and how it is read and
+/// written as a JSON value. The manifest parser, every `claire-cli` mode
+/// that takes solver flags and the launcher's worker command line iterate
+/// [`ConfigField::all`]; none of them names a field.
 pub struct ConfigField {
-    /// Wire and manifest key: the struct field's name.
+    /// Manifest key: the struct field's name.
     pub key: &'static str,
     /// Short manifest spelling accepted next to `key`.
     pub alias: Option<&'static str>,
@@ -155,7 +155,7 @@ macro_rules! row {
     };
 }
 
-/// Rows in struct order, which is also the wire order of the keys.
+/// Rows in struct order.
 static FIELDS: [ConfigField; 17] = [
     row!(nt, "--nt"),
     // `IpOrder` lives in claire-interp, which knows nothing of serde
@@ -196,29 +196,6 @@ impl ConfigField {
     }
 }
 
-impl Serialize for RegistrationConfig {
-    fn to_value(&self) -> Value {
-        Value::Object(FIELDS.iter().map(|f| (f.key.to_string(), (f.get)(self))).collect())
-    }
-}
-
-impl Deserialize for RegistrationConfig {
-    /// Strict: an unknown key is an error and so is a missing one.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let Value::Object(pairs) = v else {
-            return Err(DeError::new("expected a config object"));
-        };
-        let mut cfg = RegistrationConfig::default();
-        for (key, value) in pairs {
-            cfg.set_key(key, value)?;
-        }
-        match FIELDS.iter().find(|f| v.get(f.key).is_none()) {
-            Some(f) => Err(DeError::new(format!("missing `{}`", f.key))),
-            None => Ok(cfg),
-        }
-    }
-}
-
 impl Default for RegistrationConfig {
     fn default() -> Self {
         Self {
@@ -256,7 +233,7 @@ impl RegistrationConfig {
         RegistrationConfigBuilder { cfg: RegistrationConfig::default() }
     }
 
-    /// Overwrite the field that `key` names — a wire key or a manifest alias
+    /// Overwrite the field that `key` names — a manifest key or its alias
     /// from the [`ConfigField`] table — from a JSON value. An unknown key and
     /// a value of the wrong type are errors naming the key.
     pub fn set_key(&mut self, key: &str, value: &Value) -> Result<(), DeError> {

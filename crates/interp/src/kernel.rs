@@ -28,7 +28,7 @@ impl IpOrder {
     /// side: linear needs (0, +1), cubic needs (−1, +2)).
     pub const GHOST_WIDTH: usize = 2;
 
-    /// Stable name in CLI flags, job manifests and the serve wire protocol.
+    /// Stable name in CLI flags and job manifests.
     pub fn label(self) -> &'static str {
         match self {
             IpOrder::Linear => "linear",

@@ -1,10 +1,8 @@
-//! The length-framed byte codec shared by every CLAIRE-rs wire protocol.
+//! The length-framed byte codec of the socket transport and the launcher.
 //!
-//! One frame is a 4-byte big-endian payload length followed by the payload.
-//! This is the framing discipline `claire-serve`'s JSON protocol introduced;
-//! the socket transport's binary rank messages reuse it verbatim, so the
-//! codec lives here once and both protocols call it (`claire-serve` carries
-//! a [`FrameError`] as its `WireError::Frame`).
+//! One frame is a 4-byte big-endian payload length followed by the payload:
+//! the rank data messages, the bootstrap handshake and the worker→launcher
+//! result frames all travel in it.
 //!
 //! Semantics the callers rely on:
 //!

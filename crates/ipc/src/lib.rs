@@ -9,8 +9,8 @@
 //!
 //! The layering mirrors how CLAIRE's MPI build sits on an interconnect:
 //!
-//! * [`frame`] — the 4-byte-BE length-framed codec, shared with
-//!   `claire-serve`'s wire protocol (one framing discipline per workspace);
+//! * [`frame`] — the 4-byte-BE length-framed codec every socket message
+//!   travels in;
 //! * [`wire`] — binary codecs for rank data messages, the
 //!   `Hello`/`Welcome` bootstrap handshake, and worker→launcher result
 //!   frames;
@@ -34,7 +34,6 @@ pub mod launch;
 pub mod socket;
 pub mod wire;
 
-pub use frame::{FrameError, MAX_FRAME_BYTES};
 pub use launch::{launch, LaunchOutcome, LaunchSpec};
 pub use socket::{
     run_socket_cluster, try_run_socket_cluster, SocketOpts, SocketTransport,

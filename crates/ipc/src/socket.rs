@@ -10,8 +10,8 @@
 //! because a bound listener queues connections in its backlog before
 //! `accept` is ever called.
 //!
-//! Messages are length-framed binary (the serve protocol's 4-byte-BE
-//! framing, shared via [`crate::frame`]) with a fixed 16-byte header. Sends
+//! Messages are length-framed binary ([`crate::frame`]'s 4-byte-BE
+//! framing) with a fixed 16-byte header. Sends
 //! below the eager threshold stage header + payload into one buffer and one
 //! `write`; larger sends stream the payload directly from its source slice
 //! (rendezvous path — the stream socket's flow control takes the place of a

@@ -12,9 +12,9 @@ use std::fmt;
 use std::time::Duration;
 
 use claire_core::{ClaireError, ClaireResult, RegistrationConfig, SolverHooks};
-use claire_grid::{Real, ScalarField};
+use claire_grid::ScalarField;
 use claire_obs::report::RunReport;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 /// Service-assigned job identifier, unique for the lifetime of one
 /// [`RegistrationService`](crate::RegistrationService).
@@ -26,13 +26,6 @@ impl JobId {
     pub fn as_u64(self) -> u64 {
         self.0
     }
-
-    /// Reconstruct an id from its raw numeric form (e.g. out of a report's
-    /// scheduling block). The service only knows ids it assigned itself;
-    /// fabricated ids are simply unknown.
-    pub fn from_u64(raw: u64) -> JobId {
-        JobId(raw)
-    }
 }
 
 impl fmt::Display for JobId {
@@ -41,35 +34,10 @@ impl fmt::Display for JobId {
     }
 }
 
-/// Error from parsing a [`JobId`]'s string form.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseJobIdError(String);
-
-impl fmt::Display for ParseJobIdError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid job id `{}` (expected `job-<number>`)", self.0)
-    }
-}
-
-impl std::error::Error for ParseJobIdError {}
-
-impl std::str::FromStr for JobId {
-    type Err = ParseJobIdError;
-
-    /// Parse the stable string form `job-<number>` produced by `Display`,
-    /// so ids round-trip through the wire protocol and logs.
-    fn from_str(s: &str) -> Result<JobId, ParseJobIdError> {
-        s.strip_prefix("job-")
-            .and_then(|raw| raw.parse::<u64>().ok())
-            .map(JobId)
-            .ok_or_else(|| ParseJobIdError(s.to_string()))
-    }
-}
-
 /// Admission priority class. Within the queue, every `High` job runs before
 /// any `Normal` job, which runs before any `Low` job; within a class, order
 /// is FIFO.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Deserialize)]
 pub enum Priority {
     /// Latency-sensitive work (drained first).
     High,
@@ -110,11 +78,6 @@ impl Priority {
     }
 }
 
-/// Most grid points a synthetic job may ask for: as many as the largest
-/// pair one wire frame can carry, so a few-hundred-byte `Submit` cannot
-/// claim more memory than outside input is held to anywhere else.
-const MAX_SYNTHETIC_POINTS: usize = claire_ipc::MAX_FRAME_BYTES / (2 * std::mem::size_of::<Real>());
-
 /// What a job registers.
 pub enum JobInput {
     /// A concrete template/reference image pair (layouts must match).
@@ -127,8 +90,8 @@ pub enum JobInput {
     /// The paper's analytic SYN problem at the given grid size, generated
     /// by the worker (useful for benchmarks and smoke tests).
     Synthetic {
-        /// Grid extents n₁ × n₂ × n₃ (each ≥ 2, product bounded by one
-        /// frame's worth of points).
+        /// Grid extents n₁ × n₂ × n₃ (each ≥ 2, at most 2²⁶ points in
+        /// all).
         n: [usize; 3],
     },
 }
@@ -194,6 +157,12 @@ impl JobSpec {
 
     /// Admission-time validation: solver config plus input well-formedness.
     pub fn validate(&self) -> ClaireResult<()> {
+        /// Most grid points a synthetic job may ask for (a 2¹⁰ × 2⁸ × 2⁸
+        /// grid, 512 MiB per f64 field). A grid-sized allocation that fails
+        /// aborts the process — every worker and every queued job with it —
+        /// and no guard on the worker can catch that, so a manifest entry
+        /// naming an absurd grid is refused here.
+        const MAX_SYNTHETIC_POINTS: usize = 1 << 26;
         self.config.validate()?;
         match &self.input {
             JobInput::Synthetic { n } => {
@@ -204,8 +173,6 @@ impl JobSpec {
                         message: format!("extents must all be >= 2, got {n:?}"),
                     });
                 }
-                // an allocation the size of the grid aborts the process when
-                // it fails, which no worker-side guard can catch
                 let points = n.iter().try_fold(1usize, |p, &d| p.checked_mul(d));
                 if points.is_none_or(|p| p > MAX_SYNTHETIC_POINTS) {
                     return Err(ClaireError::Config {
@@ -235,7 +202,7 @@ impl JobSpec {
 }
 
 /// Lifecycle state of a job. Terminal states are permanent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobStatus {
     /// Admitted, waiting in the queue.
     Queued,
@@ -255,19 +222,6 @@ impl JobStatus {
     /// Whether this state is final.
     pub fn is_terminal(self) -> bool {
         !matches!(self, JobStatus::Queued | JobStatus::Running)
-    }
-
-    /// Parse a wire/report label back into a status.
-    pub fn parse(s: &str) -> Option<JobStatus> {
-        match s {
-            "queued" => Some(JobStatus::Queued),
-            "running" => Some(JobStatus::Running),
-            "succeeded" => Some(JobStatus::Succeeded),
-            "failed" => Some(JobStatus::Failed),
-            "cancelled" => Some(JobStatus::Cancelled),
-            "deadline_expired" => Some(JobStatus::DeadlineExpired),
-            _ => None,
-        }
     }
 
     /// Lower-case label used in reports and logs.
@@ -344,30 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn job_id_string_form_round_trips() {
-        let id = JobId::from_u64(42);
-        assert_eq!(id.to_string(), "job-42");
-        assert_eq!("job-42".parse::<JobId>().unwrap(), id);
-        assert_eq!("job-0".parse::<JobId>().unwrap().as_u64(), 0);
-        for bad in ["42", "job-", "job--3", "job-1x", "JOB-42", " job-42"] {
-            let err = bad.parse::<JobId>().unwrap_err();
-            assert!(err.to_string().contains(bad.trim()), "{err}");
-        }
-    }
-
-    #[test]
-    fn status_labels_round_trip() {
-        for s in [
-            JobStatus::Queued,
-            JobStatus::Running,
-            JobStatus::Succeeded,
-            JobStatus::Failed,
-            JobStatus::Cancelled,
-            JobStatus::DeadlineExpired,
-        ] {
-            assert_eq!(JobStatus::parse(s.label()), Some(s));
-        }
-        assert_eq!(JobStatus::parse("exploded"), None);
+    fn job_id_displays_as_job_number() {
+        assert_eq!(JobId(42).to_string(), "job-42");
+        assert_eq!(JobId(42).as_u64(), 42);
     }
 
     #[test]
@@ -389,7 +322,7 @@ mod tests {
         let err = spec(JobInput::Synthetic { n: [8, 0, 8] }).validate().unwrap_err();
         assert!(err.to_string().contains(">= 2"), "{err}");
         assert!(spec(JobInput::Synthetic { n: [8, 8, 1] }).validate().is_err());
-        // more points than a frame could carry, and a product that overflows
+        // more points than one job may ask for, and a product that overflows
         for n in [[200_000; 3], [usize::MAX, 2, 2]] {
             let err = spec(JobInput::Synthetic { n }).validate().unwrap_err();
             assert!(matches!(err, ClaireError::Config { param: "grid", .. }), "{err}");

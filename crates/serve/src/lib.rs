@@ -1,11 +1,12 @@
-//! claire-serve: a registration job service, in-process or over TCP.
+//! claire-serve: an in-process registration job service.
 //!
 //! The paper runs CLAIRE as a batch solver — one registration per
 //! invocation. This crate runs many registrations on one machine on plain
-//! std threads, channels, and sockets:
+//! std threads and channels; `claire-cli batch` drives it from a JSON
+//! manifest:
 //!
 //! * **Typed jobs** — [`JobSpec`] (config + inputs + priority + deadline +
-//!   hooks) in, [`JobResult`] (status + reports + latency breakdown) out;
+//!   hooks) in, [`JobResult`] (status + report + latency breakdown) out;
 //! * **Bounded admission** — a capacity-limited priority queue;
 //!   [`RegistrationService::try_submit`] rejects under overload (open-loop
 //!   backpressure), [`RegistrationService::submit`] blocks (closed-loop);
@@ -14,15 +15,7 @@
 //!   report carries that solve's kernel timers, GN trace and span tree;
 //! * **Deadlines & cancellation** — armed on the job's
 //!   [`CancelToken`](claire_core::CancelToken) at submission and polled by
-//!   the solver at every Gauss–Newton iteration boundary;
-//! * **Networking** — [`server::NetServer`] puts the service behind a
-//!   length-framed, versioned JSON protocol ([`wire`]) answering `Hello`,
-//!   `Submit`, `Status`, `Cancel` and `Result`; [`client::Client`] is the
-//!   matching blocking client.
-//!
-//! The crate splits server from client: embed
-//! [`server::RegistrationService`] (or [`server::NetServer`]) in a daemon;
-//! link only [`client::Client`] + [`wire`] types in tools that submit.
+//!   the solver at every Gauss–Newton iteration boundary.
 //!
 //! ```no_run
 //! use claire_serve::{JobInput, JobSpec, RegistrationService, ServiceConfig};
@@ -36,17 +29,10 @@
 //! svc.shutdown();
 //! ```
 
-pub mod client;
 pub mod job;
 pub mod queue;
-pub mod server;
-pub mod wire;
+pub mod service;
 
-pub use client::Client;
-pub use job::{JobId, JobInput, JobResult, JobSpec, JobStatus, ParseJobIdError, Priority};
+pub use job::{JobId, JobInput, JobResult, JobSpec, JobStatus, Priority};
 pub use queue::{BoundedQueue, PushError};
-pub use server::{NetServer, RegistrationService, ServiceConfig, SubmitError};
-pub use wire::{
-    ErrorCode, RemoteJobResult, Request, Response, WireError, WireInput, WireJobSpec,
-    PROTOCOL_VERSION,
-};
+pub use service::{RegistrationService, ServiceConfig, SubmitError};

@@ -4,14 +4,13 @@
 #   scripts/ci.sh             full gate: build, tests, lints, formatting,
 #                             the bench row printer, the paper's tables at
 #                             16³, RunReport smoke-run (the key order is
-#                             a tier-1 test), batch smoke-run, networked
-#                             serve smoke-run,
+#                             a tier-1 test), batch smoke-run,
 #                             multi-process launch smoke-run
 #   scripts/ci.sh --quick     inner-loop gate: build + tier-1 tests + full
 #                             workspace tests + debug tests of the solver
 #                             crates + benchmark-package tests + clippy
-#                             (skips benches AND the net/proc smoke stages)
-#   scripts/ci.sh --no-smoke  full gate minus the net/proc smoke stages
+#                             (skips benches AND the launch smoke stage)
+#   scripts/ci.sh --no-smoke  full gate minus the launch smoke stage
 #
 # When CLAIRE_SIMD is set in the environment (the CI backend matrix exports
 # scalar | auto), the tier-1 stage runs once under that backend; otherwise
@@ -82,7 +81,7 @@ write_stage_timings() {
 }
 
 # Re-run a stage function in a child shell with a hard timeout and bounded
-# retries: a hung socket in the smoke stages gets SIGTERM from `timeout`
+# retries: a hung socket in the launch smoke stage gets SIGTERM from `timeout`
 # (tripping the stage's own cleanup trap) instead of stalling the
 # 60-minute job, and one transient flake does not fail the gate.
 retry_stage() {
@@ -235,7 +234,9 @@ stage_batch_smoke() {
     # Three jobs through `claire-cli batch` on two workers: one report per
     # job, every job succeeded (a job that did not turns the exit status to
     # 1 and its summary line to another status), and each report carries
-    # its own solve's GN trace.
+    # its own solve's GN trace. A manifest with a key the config field table
+    # does not know is refused whole, and the deleted TCP subcommands are
+    # usage errors.
     local dir; dir="$(mktemp -d)"
     cat > "$dir/manifest.json" <<'EOF'
 {"jobs": [
@@ -262,101 +263,38 @@ EOF
     done
     [ "$(find "$dir/out" -name '*.json' | wc -l)" -eq 3 ] || {
         echo "batch smoke: expected exactly one report per job"; ls "$dir/out"; exit 1; }
-    rm -rf "$dir"
-    echo "batch smoke: three jobs on two workers, each succeeded with its own GN trace"
-}
 
-stage_net_smoke() {
-    # Boot one claire-serve worker on loopback, push a manifest through
-    # `claire-cli submit`, and check a report per job. The server runs on an
-    # ephemeral port scraped from its stdout.
-    local dir; dir="$(mktemp -d)"
-    local manifest="$dir/manifest.json"
-    cat > "$manifest" <<'EOF'
-{"jobs": [
-  {"label": "net-a", "syn": 8, "max_gn_iter": 2, "max_pcg_iter": 4,
-   "continuation": false, "precond": "InvA"},
-  {"label": "net-b", "syn": 8, "max_gn_iter": 2, "max_pcg_iter": 4,
-   "continuation": false, "precond": "InvA"},
-  {"label": "net-c", "syn": 8, "max_gn_iter": 2, "max_pcg_iter": 4,
-   "continuation": false, "precond": "InvH0", "eps_h0": 1e-2}
-]}
-EOF
-    # a key the config field table does not know: refused whole, below
+    # an unknown manifest key is a Config error (exit 3) naming the key,
+    # raised before the first job of the manifest runs
     cat > "$dir/typo.json" <<'EOF'
 {"jobs": [
   {"label": "fine", "syn": 8, "max_gn_iter": 1, "continuation": false, "precond": "InvA"},
   {"label": "typo", "syn": 8, "presision": "mixed"}
 ]}
 EOF
-    NET_PIDS=()
-    cleanup_net() { for p in "${NET_PIDS[@]:-}"; do kill "$p" 2>/dev/null || true; done; }
-    trap cleanup_net EXIT
-
-    ./target/release/claire-cli serve --listen 127.0.0.1:0 -q > "$dir/serve.out" &
-    NET_PIDS+=($!)
-    for i in $(seq 1 50); do
-        grep -q "listening on" "$dir/serve.out" && break
-        sleep 0.2
-    done
-    local addr
-    addr="$(sed -n 's/.*listening on //p' "$dir/serve.out" | head -1)"
-    [ -n "$addr" ] || { echo "net smoke: server did not come up"; exit 1; }
-
-    # readiness probe through the full handshake
-    for i in $(seq 1 50); do
-        if ./target/release/claire-cli submit --addr "$addr" --ping -q 2>/dev/null; then
-            break
-        fi
-        sleep 0.2
-    done
-
-    ./target/release/claire-cli submit --addr "$addr" "$manifest" -o "$dir/out" -q
-    for job in net-a net-b net-c; do
-        [ -f "$dir/out/$job.json" ] || { echo "net smoke: missing report for $job"; exit 1; }
-    done
-    # an unknown manifest key is a Config error (exit 3) naming the key,
-    # raised before the first job of that manifest is submitted
-    local code=0
-    ./target/release/claire-cli submit --addr "$addr" "$dir/typo.json" \
-        -o "$dir/out-typo" 2> "$dir/typo.err" > /dev/null || code=$?
+    code=0
+    ./target/release/claire-cli batch "$dir/typo.json" -o "$dir/out-typo" \
+        2> "$dir/typo.err" || code=$?
     [ "$code" -eq 3 ] && grep -q "presision" "$dir/typo.err" || {
-        echo "net smoke: unknown manifest key: expected exit 3 naming it, got $code"
+        echo "batch smoke: unknown manifest key: expected exit 3 naming it, got $code"
         cat "$dir/typo.err"; exit 1; }
-    if grep -q "submitted" "$dir/typo.err" || [ -e "$dir/out-typo" ]; then
-        echo "net smoke: a job was submitted from a manifest with an unknown key"
+    if grep -q "\[succeeded\]" "$dir/typo.err" || [ -e "$dir/out-typo" ]; then
+        echo "batch smoke: a job ran from a manifest with an unknown key"
         cat "$dir/typo.err"; exit 1
     fi
-    # a repeated identical submission is solved again: three new jobs, each
-    # with its own run time and report
-    ./target/release/claire-cli submit --addr "$addr" "$manifest" -o "$dir/out2" -q
-    local job report id secs
-    for job in net-a net-b net-c; do
-        report="$dir/out2/$job.json"
-        [ -f "$report" ] || { echo "net smoke: repeat wrote no report for $job"; exit 1; }
-        id="$(sed -n 's/.*"job_id": \([0-9]*\).*/\1/p' "$report")"
-        secs="$(sed -n 's/.*"run_secs": \([0-9.e-]*\).*/\1/p' "$report")"
-        [ -n "$id" ] && [ "$id" -gt 3 ] && awk -v s="$secs" 'BEGIN { exit !(s > 0) }' || {
-            echo "net smoke: repeat of $job was not solved again (job_id '$id', run_secs '$secs')"
-            exit 1; }
-    done
-    # the result cache and the status stream went with their flags (spelled
-    # in halves: a grep for a flag should find no user of it)
-    local cache="--ca" stream="--str" usage=0
-    timeout 10 ./target/release/claire-cli serve --listen 127.0.0.1:0 "${cache}che" 8 -q \
-        > /dev/null 2>&1 || usage=$?
-    [ "$usage" -eq 2 ] || {
-        echo "net smoke: serve ${cache}che should be a usage error, got exit $usage"; exit 1; }
-    usage=0
-    timeout 10 ./target/release/claire-cli submit --addr "$addr" "$manifest" "${stream}eam" \
-        -o "$dir/out-stream" -q > /dev/null 2>&1 || usage=$?
-    [ "$usage" -eq 2 ] || {
-        echo "net smoke: submit ${stream}eam should be a usage error, got exit $usage"; exit 1; }
 
-    cleanup_net
-    trap - EXIT
+    # the TCP server and client subcommands were deleted: their command
+    # lines are usage errors now
+    local argv usage
+    for argv in "serve --listen 127.0.0.1:0 -q" "submit --addr 127.0.0.1:1 $dir/manifest.json -q"; do
+        usage=0
+        # shellcheck disable=SC2086  # $argv is the word-split command line
+        timeout 10 ./target/release/claire-cli $argv > /dev/null 2>&1 || usage=$?
+        [ "$usage" -eq 2 ] || {
+            echo "batch smoke: claire-cli $argv should be a usage error, got exit $usage"; exit 1; }
+    done
     rm -rf "$dir"
-    echo "net smoke: one worker served, solved a repeat again, refused the removed flags OK"
+    echo "batch smoke: three jobs on two workers, each with its own GN trace; typo and TCP refused"
 }
 
 stage_proc_smoke() {
@@ -448,11 +386,10 @@ if [ "$QUICK" -eq 0 ]; then
     stage "RunReport schema smoke-run" stage_report_schema
     stage "batch smoke-run" stage_batch_smoke
 fi
-# both --quick and --no-smoke skip the network-dependent smoke stages;
-# otherwise each runs in a child shell under a 10-minute timeout with one
+# both --quick and --no-smoke skip the socket-dependent launch smoke stage;
+# otherwise it runs in a child shell under a 10-minute timeout with one
 # retry, so a wedged socket cannot stall the workflow job
 if [ "$RUN_SMOKE" -eq 1 ]; then
-    stage "networked serve smoke-run" retry_stage 2 600 stage_net_smoke
     stage "multi-process launch smoke-run" retry_stage 2 600 stage_proc_smoke
 fi
 stage "clean tree" stage_clean_tree

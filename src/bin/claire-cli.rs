@@ -3,8 +3,6 @@
 //! ```bash
 //! claire-cli <template.nii> <reference.nii> [options]
 //! claire-cli batch <manifest.json> [batch options]
-//! claire-cli serve --listen ADDR [serve options]
-//! claire-cli submit --addr ADDR <manifest.json> [submit options]
 //! claire-cli launch --ranks N --syn M [launch options]
 //!
 //! solver flags (single run, `launch` and `worker-rank` read the same ones
@@ -40,18 +38,6 @@
 //!   --threads N      machine thread budget to partition across workers
 //!   -q               quiet
 //!
-//! serve options (plus --workers/--queue-cap/--threads/-q as in batch
-//! mode):
-//!   --listen ADDR    TCP address to bind (e.g. 127.0.0.1:7741; port 0
-//!                    picks a free port, printed on stdout)
-//!
-//! submit options:
-//!   --addr ADDR      server address to submit to
-//!   -o DIR           output directory for per-job reports (default:
-//!                    claire_out)
-//!   --ping           just check the server answers the handshake; exit 0/1
-//!   -q               quiet
-//!
 //! launch options:
 //!   --ranks N        rank processes to spawn (required)
 //!   --syn M          synthetic M³ problem size (required; launch mode is
@@ -69,12 +55,12 @@
 //!   -q               quiet
 //! ```
 //!
-//! Single mode writes `deformed_template.nii`, `velocity_[123].nii`,
-//! `jacobian_det.nii` and `report.json` to the output directory. Batch mode
-//! runs every job in the manifest through the `claire-serve` worker pool
-//! and writes one report JSON per job. `serve` exposes the same worker pool
-//! over the versioned claire-serve wire protocol; `submit` sends a batch
-//! manifest to such a server and writes the same per-job reports.
+//! Single mode writes `deformed_template.nii`, `velocity_[123].nii` and
+//! `jacobian_det.nii` to the output directory, and the solve's Table 6 row
+//! once: as the `summary` of the `--report` RunReport, or without
+//! `--report` as `report.json` in the output directory. Batch mode runs
+//! every job in the manifest through the `claire-serve` worker pool and
+//! writes one report JSON per job.
 //!
 //! `launch` spawns N `worker-rank` child processes (a hidden subcommand)
 //! that bootstrap a Unix-domain-socket mesh in a private rendezvous
@@ -95,10 +81,7 @@ use claire::interp::{Interpolator, IpOrder};
 use claire::ipc::{LaunchSpec, SocketOpts, SocketTransport};
 use claire::mpi::{Comm, Topology, TransportError};
 use claire::semilag::{displacement, Trajectory};
-use claire::serve::{
-    Client, JobInput, JobSpec, JobStatus, NetServer, RegistrationService, ServiceConfig,
-    WireJobSpec,
-};
+use claire::serve::{JobInput, JobSpec, JobStatus, RegistrationService, ServiceConfig};
 use serde::{field, field_or, DeError, Deserialize};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -143,9 +126,6 @@ fn usage() -> ! {
     eprintln!("                  [-q] [solver flags]");
     eprintln!("       claire-cli batch <manifest.json> [-o DIR] [--workers N] [--queue-cap N]");
     eprintln!("                  [--threads N] [-q]");
-    eprintln!("       claire-cli serve --listen ADDR [--workers N] [--queue-cap N] [--threads N]");
-    eprintln!("                  [-q]");
-    eprintln!("       claire-cli submit --addr ADDR <manifest.json> [-o DIR] [--ping] [-q]");
     eprintln!("       claire-cli launch --ranks N --syn M [--timeout SECS] [--report PATH]");
     eprintln!("                  [--in-process] [-q] [solver flags]");
     let cfg = RegistrationConfig::default();
@@ -286,14 +266,6 @@ fn main() {
             args.remove(0);
             batch_main(args);
         }
-        Some("serve") => {
-            args.remove(0);
-            serve_main(args);
-        }
-        Some("submit") => {
-            args.remove(0);
-            submit_main(args);
-        }
         Some("launch") => {
             args.remove(0);
             launch_main(args);
@@ -360,15 +332,21 @@ fn single_main(opts: Options) {
         report.jac_det_max
     );
 
-    if let Some(path) = &opts.report {
-        let run = observe::collect_run_report(report.clone(), &comm);
-        eprint!("{}", run.span_summary());
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            create_dir(dir);
+    // the Table 6 row is written once: as the run report's summary, or on
+    // its own into the output directory
+    let row = match &opts.report {
+        Some(path) => {
+            let run = observe::collect_run_report(report, &comm);
+            eprint!("{}", run.span_summary());
+            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                create_dir(dir);
+            }
+            write_text(path, &run.to_json());
+            eprintln!("wrote run report to {}", path.display());
+            None
         }
-        write_text(path, &run.to_json());
-        eprintln!("wrote run report to {}", path.display());
-    }
+        None => Some(report),
+    };
 
     create_dir(&opts.out);
     // deformed template
@@ -386,10 +364,12 @@ fn single_main(opts: Options) {
     let u = displacement::displacement(&traj, cfg.nt, &mut ip, &mut comm);
     let det = displacement::jacobian_det(&u, &mut comm);
     write_nifti(&opts.out.join("jacobian_det.nii"), &det);
-    // machine-readable report
-    let json = serde_json::to_string_pretty(&report)
-        .unwrap_or_else(|e| fail(&ClaireError::Io { context: "report", message: e.to_string() }));
-    write_text(&opts.out.join("report.json"), &json);
+    if let Some(report) = row {
+        let json = serde_json::to_string_pretty(&report).unwrap_or_else(|e| {
+            fail(&ClaireError::Io { context: "report", message: e.to_string() })
+        });
+        write_text(&opts.out.join("report.json"), &json);
+    }
     eprintln!("wrote results to {}", opts.out.display());
 }
 
@@ -451,9 +431,10 @@ fn parse_job(entry: &Value, index: usize, quiet: bool) -> Result<JobSpec, Claire
     Ok(spec)
 }
 
-/// Read a `batch`/`submit` manifest: the document and its non-empty `jobs`.
-fn read_manifest(path: &Path, context: &'static str) -> (Value, Vec<Value>) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&io_error(context, path, &e)));
+/// Read a `batch` manifest: the document and its non-empty `jobs`.
+fn read_manifest(path: &Path) -> (Value, Vec<Value>) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(&io_error("batch manifest", path, &e)));
     let manifest = serde_json::from_str(&text)
         .unwrap_or_else(|e| fail(&manifest_error(format!("not valid JSON: {e}"))));
     match field::<Vec<Value>>(&manifest, "jobs") {
@@ -494,46 +475,6 @@ fn failure_doc(label: &str, status: JobStatus, error: &Option<String>) -> String
     serde_json::to_string_pretty(&doc).unwrap_or_default()
 }
 
-/// `, mismatch …` for the per-job summary line of a succeeded job.
-fn mismatch_note(rel_mismatch: Option<f64>) -> String {
-    rel_mismatch.map(|m| format!(", mismatch {m:.3e}")).unwrap_or_default()
-}
-
-/// The worker-pool flags `batch` and `serve` share.
-#[derive(Default)]
-struct PoolFlags {
-    workers: Option<usize>,
-    queue_cap: Option<usize>,
-    threads: Option<usize>,
-    quiet: bool,
-}
-
-impl PoolFlags {
-    /// Take `arg` (and its value) if it is a pool flag.
-    fn take(&mut self, arg: &str, args: &mut dyn Iterator<Item = String>) -> bool {
-        match arg {
-            "--workers" => self.workers = Some(parsed(args, arg)),
-            "--queue-cap" => self.queue_cap = Some(parsed(args, arg)),
-            "--threads" => self.threads = Some(parsed(args, arg)),
-            "-q" => self.quiet = true,
-            _ => return false,
-        }
-        true
-    }
-
-    /// The pool these flags describe; `workers` and `queue_cap` stand in for
-    /// the two the command line left out.
-    fn service(&self, workers: usize, queue_cap: usize) -> ServiceConfig {
-        let cfg = ServiceConfig::default()
-            .workers(self.workers.unwrap_or(workers))
-            .queue_capacity(self.queue_cap.unwrap_or(queue_cap));
-        match self.threads {
-            Some(t) => cfg.total_threads(t),
-            None => cfg,
-        }
-    }
-}
-
 /// Turn a job label into a safe report file name.
 fn report_file_name(label: &str) -> String {
     let safe: String = label
@@ -547,12 +488,16 @@ fn batch_main(args: Vec<String>) {
     let mut args = args.into_iter();
     let mut manifest_path: Option<PathBuf> = None;
     let mut out = PathBuf::from("claire_out");
-    let mut pool = PoolFlags::default();
+    let (mut workers, mut queue_cap, mut threads) = (None, None, None);
+    let mut quiet = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-o" => out = PathBuf::from(next_value(&mut args, "-o")),
+            "--workers" => workers = Some(parsed(&mut args, "--workers")),
+            "--queue-cap" => queue_cap = Some(parsed(&mut args, "--queue-cap")),
+            "--threads" => threads = Some(parsed(&mut args, "--threads")),
+            "-q" => quiet = true,
             "-h" | "--help" => usage(),
-            flag if pool.take(flag, &mut args) => {}
             other if other.starts_with('-') => {
                 eprintln!("unknown option {other}");
                 usage()
@@ -561,14 +506,13 @@ fn batch_main(args: Vec<String>) {
             _ => usage(),
         }
     }
-    let quiet = pool.quiet;
-    let (manifest, jobs) =
-        read_manifest(&manifest_path.unwrap_or_else(|| usage()), "batch manifest");
+    let (manifest, jobs) = read_manifest(&manifest_path.unwrap_or_else(|| usage()));
+    // a flag overrides the manifest's pool size
     let sized = |key| opt::<usize>(&manifest, key).ok().flatten();
-    let svc_cfg = pool.service(
-        sized("workers").unwrap_or(1),
-        sized("queue_capacity").unwrap_or(jobs.len().max(1)),
-    );
+    let svc_cfg = ServiceConfig::default()
+        .workers(workers.or(sized("workers")).unwrap_or(1))
+        .queue_capacity(queue_cap.or(sized("queue_capacity")).unwrap_or(jobs.len().max(1)))
+        .total_threads(threads.unwrap_or(0));
     if !quiet {
         eprintln!(
             "batch: {} job(s), {} worker(s), queue capacity {}",
@@ -613,7 +557,11 @@ fn batch_main(args: Vec<String>) {
             failures += 1;
         }
         if !quiet {
-            let mismatch = mismatch_note(res.run.as_ref().map(|r| r.summary.rel_mismatch));
+            let mismatch = res
+                .run
+                .as_ref()
+                .map(|r| format!(", mismatch {:.3e}", r.summary.rel_mismatch))
+                .unwrap_or_default();
             eprintln!(
                 "  {} [{}]: queued {:.3}s, ran {:.3}s{mismatch}",
                 res.label,
@@ -627,154 +575,6 @@ fn batch_main(args: Vec<String>) {
     claire::obs::set_enabled(false);
     if !quiet {
         eprintln!("wrote batch reports to {}", out.display());
-    }
-    if failures > 0 {
-        eprintln!("claire-cli: {failures} job(s) did not succeed");
-        exit(1);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// serve mode (network server)
-// ---------------------------------------------------------------------------
-
-fn serve_main(args: Vec<String>) {
-    let mut args = args.into_iter();
-    let mut listen: Option<String> = None;
-    let mut pool = PoolFlags::default();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--listen" => listen = Some(next_value(&mut args, "--listen")),
-            "-h" | "--help" => usage(),
-            flag if pool.take(flag, &mut args) => {}
-            other => {
-                eprintln!("unknown option {other}");
-                usage()
-            }
-        }
-    }
-    let listen = listen.unwrap_or_else(|| usage());
-
-    let svc_cfg = pool.service(1, 64);
-    let server = NetServer::bind(&listen[..], svc_cfg).unwrap_or_else(|e| {
-        fail(&ClaireError::Io { context: "serve --listen", message: format!("{listen}: {e}") })
-    });
-    // The bound address goes to stdout so scripts can scrape it (port 0).
-    println!("claire-serve listening on {}", server.local_addr());
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
-    if !pool.quiet {
-        eprintln!("workers {}, queue capacity {}", svc_cfg.workers, svc_cfg.queue_capacity);
-    }
-    // Serve until killed; job lifecycle is driven by connection threads.
-    loop {
-        std::thread::park();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// submit mode (network client)
-// ---------------------------------------------------------------------------
-
-fn submit_main(args: Vec<String>) {
-    let mut args = args.into_iter();
-    let mut addr: Option<String> = None;
-    let mut manifest_path: Option<PathBuf> = None;
-    let mut out = PathBuf::from("claire_out");
-    let mut ping = false;
-    let mut quiet = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => addr = Some(next_value(&mut args, "--addr")),
-            "-o" => out = PathBuf::from(next_value(&mut args, "-o")),
-            "--ping" => ping = true,
-            "-q" => quiet = true,
-            "-h" | "--help" => usage(),
-            other if other.starts_with('-') => {
-                eprintln!("unknown option {other}");
-                usage()
-            }
-            other if manifest_path.is_none() => manifest_path = Some(PathBuf::from(other)),
-            _ => usage(),
-        }
-    }
-    let addr = addr.unwrap_or_else(|| usage());
-    // Same manifest format as `batch`, checked whole before the server hears
-    // of it; jobs are lowered to wire specs.
-    let specs: Vec<WireJobSpec> = match (ping, &manifest_path) {
-        (true, _) => Vec::new(),
-        (false, None) => usage(),
-        (false, Some(path)) => {
-            let (_, jobs) = read_manifest(path, "submit manifest");
-            let jobs = parse_jobs(&jobs, quiet).unwrap_or_else(|e| fail(&e));
-            jobs.iter().map(WireJobSpec::from_spec).collect()
-        }
-    };
-
-    let mut client = match Client::connect(&addr[..]) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("claire-cli: cannot reach {addr}: {e}");
-            exit(if ping { 1 } else { 6 })
-        }
-    };
-    if ping {
-        if !quiet {
-            eprintln!(
-                "{} at {addr} answers protocol {}",
-                client.server_name(),
-                claire::serve::PROTOCOL_VERSION
-            );
-        }
-        return;
-    }
-
-    create_dir(&out);
-    let mut admissions = Vec::with_capacity(specs.len());
-    for spec in &specs {
-        match client.submit(spec) {
-            Ok(id) => {
-                if !quiet {
-                    eprintln!("  submitted {} as {id}", spec.label);
-                }
-                admissions.push((spec.label.clone(), id));
-            }
-            Err(e) => {
-                eprintln!("claire-cli: submission of {} refused: {e}", spec.label);
-                exit(1)
-            }
-        }
-    }
-
-    let mut failures = 0usize;
-    for (label, id) in admissions {
-        let res = client.wait(id).unwrap_or_else(|e| {
-            eprintln!("claire-cli: waiting on {label} failed: {e}");
-            exit(1)
-        });
-        let file = out.join(report_file_name(&res.label));
-        match (&res.status, &res.run) {
-            (JobStatus::Succeeded, Some(run)) => {
-                let json = serde_json::to_string_pretty(run).unwrap_or_default();
-                write_text(&file, &json);
-            }
-            _ => write_text(&file, &failure_doc(&res.label, res.status, &res.error)),
-        }
-        if res.status != JobStatus::Succeeded {
-            failures += 1;
-        }
-        if !quiet {
-            let summary = res.run.as_ref().and_then(|run| field::<Value>(run, "summary").ok());
-            let mismatch =
-                mismatch_note(summary.and_then(|s| field::<f64>(&s, "rel_mismatch").ok()));
-            eprintln!(
-                "  {} [{}]: queued {:.3}s, ran {:.3}s{mismatch}",
-                res.label, res.status, res.queue_wait_secs, res.run_secs
-            );
-        }
-    }
-    if !quiet {
-        eprintln!("wrote reports to {}", out.display());
     }
     if failures > 0 {
         eprintln!("claire-cli: {failures} job(s) did not succeed");
@@ -1018,8 +818,6 @@ fn worker_rank_main(args: Vec<String>) {
 mod tests {
     use super::*;
     use claire::core::{Precision, PrecondKind};
-    use claire::serve::wire::{decode_request, encode};
-    use claire::serve::Request;
 
     fn job(json: &str) -> Result<JobSpec, ClaireError> {
         parse_job(&serde_json::from_str(json).expect("test manifest is valid JSON"), 0, true)
@@ -1161,11 +959,8 @@ mod tests {
             let mut cfg = RegistrationConfig::default();
             assert!(!config_flag(&mut cfg, gone, &mut std::iter::empty()), "{gone}");
         }
-        // nor are the removed job-coalescing switches a worker-pool flag of
-        // `batch` or `serve`
+        // nor are the removed job-coalescing switches
         for gone in [concat!("--no", "-batch"), concat!("--max", "-batch")] {
-            let mut value = std::iter::once("8".to_string());
-            assert!(!PoolFlags::default().take(gone, &mut value), "{gone}");
             let mut cfg = RegistrationConfig::default();
             assert!(!config_flag(&mut cfg, gone, &mut std::iter::once("8".into())), "{gone}");
         }
@@ -1216,7 +1011,6 @@ mod tests {
     #[test]
     fn every_config_field_survives_every_front_end_and_moves_every_key() {
         let base = RegistrationConfig::default();
-        let spec = |cfg| JobSpec::new("t", cfg, JobInput::Synthetic { n: [8, 8, 8] });
         for f in ConfigField::all() {
             let value = another(f, &(f.get)(&base));
             let mut want = base;
@@ -1224,13 +1018,6 @@ mod tests {
             assert_ne!(want, base, "{}: set did not change the config", f.key);
             assert_eq!((f.get)(&want), value, "{}: get does not read what set wrote", f.key);
             want.validate().unwrap_or_else(|e| panic!("{}: {e}", f.key));
-
-            // wire: encode → decode
-            let frame = encode(&Request::Submit { spec: WireJobSpec::from_spec(&spec(want)) });
-            let Ok(Request::Submit { spec: back }) = decode_request(&frame) else {
-                panic!("{}: submit frame did not decode", f.key)
-            };
-            assert_eq!(back.config, want, "{}: wire", f.key);
 
             // manifest: by key and, where there is one, by alias
             for key in std::iter::once(f.key).chain(f.alias) {

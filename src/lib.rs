@@ -33,11 +33,10 @@
 //!   [`obs::report::RunReport`]
 //!   (enable with [`core::observe::begin`], collect with
 //!   [`core::observe::collect_run_report`])
-//! * [`serve`] — job service, in-process or over TCP: bounded admission
-//!   queue with priorities, per-job deadlines and cancellation, a worker
-//!   pool partitioning the thread budget (one job per worker at a time),
-//!   and a versioned length-framed wire protocol (`serve::wire`) with a
-//!   blocking client (drives `claire-cli batch`/`serve`/`submit`)
+//! * [`serve`] — in-process job service behind `claire-cli batch`: bounded
+//!   admission queue with priorities, per-job deadlines and cancellation,
+//!   and a worker pool partitioning the thread budget (one job per worker
+//!   at a time)
 //!
 //! ## Quickstart
 //!
@@ -88,8 +87,7 @@ pub mod prelude {
     pub use crate::mpi::{run_cluster, Comm, CommCat, Topology};
     pub use crate::obs::report::RunReport;
     pub use crate::serve::{
-        Client, JobId, JobInput, JobResult, JobSpec, JobStatus, NetServer, Priority,
-        RegistrationService, RemoteJobResult, ServiceConfig, SubmitError, WireError, WireInput,
-        WireJobSpec, PROTOCOL_VERSION,
+        JobId, JobInput, JobResult, JobSpec, JobStatus, Priority, RegistrationService,
+        ServiceConfig, SubmitError,
     };
 }

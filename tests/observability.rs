@@ -226,6 +226,42 @@ fn solver_run_emits_complete_report() {
     assert_eq!(top_level_keys(&v), SCHEMA_KEYS);
 }
 
+/// A single `claire-cli` run writes its Table 6 row once: inside the
+/// `--report` RunReport when one is asked for, as `report.json` in the
+/// output directory when not.
+#[test]
+fn single_run_writes_its_table6_row_once() {
+    let dir = std::env::temp_dir().join(format!("claire-cli-row-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = |out: &str, report: Option<&str>| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_claire-cli"));
+        cmd.args(["--syn", "8", "--max-gn", "1", "--max-pcg", "2", "--no-continuation", "-q"]);
+        cmd.arg("-o").arg(dir.join(out));
+        if let Some(report) = report {
+            cmd.arg("--report").arg(dir.join(report));
+        }
+        let done = cmd.output().expect("spawn claire-cli");
+        assert!(done.status.success(), "{}", String::from_utf8_lossy(&done.stderr));
+    };
+    let images = ["deformed_template.nii", "velocity_1.nii", "jacobian_det.nii"];
+
+    run("plain", None);
+    for file in images.iter().chain(&["report.json"]) {
+        assert!(dir.join("plain").join(file).is_file(), "without --report: no {file}");
+    }
+
+    run("reported", Some("run.json"));
+    for file in images {
+        assert!(dir.join("reported").join(file).is_file(), "with --report: no {file}");
+    }
+    assert!(!dir.join("reported/report.json").exists(), "the row was written twice");
+    let v = serde_json::from_str(&std::fs::read_to_string(dir.join("run.json")).unwrap())
+        .expect("run report parses");
+    assert_eq!(top_level_keys(&v), SCHEMA_KEYS);
+    assert_eq!(field(field(&v, "summary"), "gn_iters"), &Value::UInt(1));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn served_span_tree_is_rooted_by_run_size() {
     // one served job is one solve: its tree is rooted at `solve`, as a

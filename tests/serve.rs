@@ -1,7 +1,8 @@
 //! End-to-end tests of the claire-serve job service: priority scheduling,
 //! cooperative cancellation within one Gauss–Newton iteration, deadlines,
-//! graceful shutdown, and a property test over submit/cancel/shutdown
-//! interleavings (no job lost, none duplicated).
+//! graceful shutdown, a served job's report against a direct solve's, and
+//! a property test over submit/cancel/shutdown interleavings (no job lost,
+//! none duplicated).
 //!
 //! Jobs are tiny synthetic problems (8³, nt ≤ 2, ≤ 2 GN iterations) so the
 //! whole file stays fast on a single-core host.
@@ -171,6 +172,56 @@ fn per_job_report_records_queue_wait_and_latency() {
     let json = run.to_json();
     assert!(json.contains("\"scheduling\""));
     assert!(json.contains("\"queue_wait_secs\""));
+}
+
+/// The registration arithmetic is deterministic (one reduction order, DESIGN
+/// §6), so every summary field except the label and the wall-clock `time_*`
+/// seconds must match bitwise between two solves of the same spec. The
+/// comparison is of the reports with those fields cleared, so a field added
+/// to the summary is covered without touching this test.
+fn assert_reports_bitwise_equal(a: &RegistrationReport, b: &RegistrationReport) {
+    let deterministic = |r: &RegistrationReport| RegistrationReport {
+        data: String::new(),
+        time_pc: 0.0,
+        time_obj: 0.0,
+        time_grad: 0.0,
+        time_hess: 0.0,
+        time_total: 0.0,
+        ..r.clone()
+    };
+    let (a, b) = (deterministic(a), deterministic(b));
+    // f64 fields compare by bits: `==` would let a 0.0 pass for a −0.0
+    let bits = |r: &RegistrationReport| {
+        [r.rel_mismatch, r.grad_rel, r.inner_cg_avg, r.jac_det_min, r.jac_det_max].map(f64::to_bits)
+    };
+    assert_eq!(bits(&a), bits(&b), "a floating-point summary field drifted");
+    assert_eq!(a, b);
+}
+
+#[test]
+fn served_job_matches_a_direct_solve_bitwise() {
+    let mut svc = RegistrationService::start(ServiceConfig::default().workers(1));
+    let id = svc.submit(tiny_spec("served")).expect("admission");
+    let served = svc.wait(id).expect("job known");
+    assert_eq!(served.status, JobStatus::Succeeded, "{:?}", served.error);
+    svc.shutdown();
+    let served = served.run.expect("a succeeded job carries its report");
+
+    // the same spec, solved directly through `Claire`
+    let mut comm = Comm::solo();
+    let prob = syn_problem([8, 8, 8], &mut comm);
+    let (_, report) = Claire::new(tiny_config())
+        .try_register_from(&prob.template, &prob.reference, "direct", &mut comm)
+        .expect("direct solve");
+    let direct = collect_run_report(report, &comm);
+
+    assert_eq!((served.summary.data.as_str(), direct.summary.data.as_str()), ("served", "direct"));
+    assert_reports_bitwise_equal(&served.summary, &direct.summary);
+    // the served run document holds the row once, as its summary
+    let doc = serde_json::from_str(&served.to_json()).expect("the run report parses");
+    let serde::Value::Object(pairs) = &doc else { panic!("the run is a JSON object") };
+    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, claire::obs::report::SCHEMA_KEYS);
 }
 
 #[test]
