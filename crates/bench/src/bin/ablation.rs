@@ -10,7 +10,7 @@
 //!    the preconditioner remains effective even for vanishing βs".
 
 use claire_bench::{bench_n, header};
-use claire_core::{PrecondKind, RegProblem, RegistrationConfig};
+use claire_core::{workspace, PrecondKind, RegProblem, RegistrationConfig};
 use claire_data::truth::fig3_problem;
 use claire_grid::{Grid, Layout, ScalarField, VectorField};
 use claire_interp::{Interpolator, IpOrder};
@@ -36,6 +36,8 @@ fn main() {
             .continuation(false)
             .build()
             .expect("valid configuration");
+        // the pools' high-water from here on is this configuration's
+        workspace::reset_stats();
         let mut prob = RegProblem::new(
             prob_data.template.clone(),
             prob_data.reference.clone(),
@@ -51,13 +53,19 @@ fn main() {
         for _ in 0..5 {
             let _ = prob.hess_vec(&g, &mut comm);
         }
+        let matvec_wall = t0.elapsed().as_secs_f64();
+        let peak = workspace::total_stats().peak_bytes;
         println!(
-            "store_grad = {store:5}: 5 Hessian matvecs wall {:.3}s (gradient wall {:.3}s)",
-            t0.elapsed().as_secs_f64(),
-            grad_wall
+            "store_grad = {store:5}: 5 Hessian matvecs wall {matvec_wall:.3}s (gradient wall \
+             {grad_wall:.3}s), pool high-water {:.1} MiB = {:.1} words/point",
+            peak as f64 / (1 << 20) as f64,
+            peak as f64 / 8.0 / layout.local_len() as f64
         );
     }
-    println!("expected: storing ∇m removes (Nt+1) FD gradients per matvec (~15% end-to-end in the paper).");
+    println!(
+        "expected: storing ∇m removes (Nt+1) FD gradients per matvec (~15% end-to-end in the \
+         paper) and holds 3·(Nt+1) more fields."
+    );
 
     // ---- 2. interpolation order -------------------------------------------
     header("Ablation 2 — GPU-TXTLIN vs GPU-TXTLAG vs GPU-TXTSPL");

@@ -5,8 +5,7 @@ use claire_grid::{ClaireError, ClaireResult, Layout, Real, ScalarField, VectorFi
 use claire_interp::Interpolator;
 use claire_mpi::Comm;
 use claire_opt::GnProblem;
-use claire_par::timing::{self, Kernel};
-use claire_par::{par_parts, SharedSlice};
+use claire_par::SharedSlice;
 use claire_semilag::{StateSolution, Trajectory, Transport};
 
 use crate::config::{PrecondKind, RegistrationConfig};
@@ -46,7 +45,8 @@ pub struct RegProblem {
     /// `‖m0 − m1‖`, the denominator of [`RegProblem::rel_mismatch`].
     mismatch0: f64,
     /// The linearization point: the last gradient's solve, with both
-    /// characteristic families (Hessian matvecs are evaluated there).
+    /// characteristic families (Hessian matvecs are evaluated there), until
+    /// the first evaluation away from it.
     cur: Option<Solved>,
     /// The last objective evaluation, with the backward characteristics
     /// only; the gradient at the same `v` adopts it.
@@ -141,7 +141,9 @@ impl RegProblem {
 
     /// `m(·, 1)` at `v`: read off the linearization point or the last
     /// evaluation when `v` is theirs, otherwise solved — and that solve
-    /// replaces the last evaluation. Collective.
+    /// replaces the last evaluation. A read away from the linearization
+    /// point releases it: that is the first line-search trial, and the
+    /// matvecs at it are done by then. Collective.
     fn final_state(&mut self, v: &VectorField, comm: &mut Comm) -> &ScalarField {
         let [at_cur, at_eval] = self.solved_at(v, comm);
         if !at_eval {
@@ -152,6 +154,8 @@ impl RegProblem {
         if at_cur {
             return self.cur.as_ref().expect("matched").state.final_state();
         }
+        // likewise the linearization point, before the trial is solved
+        self.cur = None;
         if self.eval.is_none() {
             let traj = Trajectory::backward(v, self.cfg.nt, &mut self.interp, comm);
             let state = self.transport.solve_state(&traj, &self.m0, false, &mut self.interp, comm);
@@ -165,9 +169,16 @@ impl RegProblem {
         self.final_state(v, comm).clone()
     }
 
-    /// Relative mismatch `‖m(1) − m1‖ / ‖m0 − m1‖` at `v`. Collective.
+    /// Relative mismatch `‖m(1) − m1‖ / ‖m0 − m1‖` at `v`, read off the
+    /// linearization point or the last evaluation when `v` is theirs. It is
+    /// the last read of a solve (the final report's), so it returns both
+    /// kept solves to the pools: the report's trajectory and deformation map
+    /// then reuse their buffers instead of stacking on them; any later
+    /// evaluation starts cold. Collective.
     pub fn rel_mismatch(&mut self, v: &VectorField, comm: &mut Comm) -> f64 {
         let mut num = self.deformed_template(v, comm);
+        self.cur = None;
+        self.eval = None;
         num.axpy(-1.0, &self.m1);
         num.norm_l2(comm) / self.mismatch0
     }
@@ -214,48 +225,38 @@ fn validate_grid(grid: claire_grid::Grid, precond: PrecondKind, nranks: usize) -
     Ok(())
 }
 
-/// `∫ λ(t) ∇m(t) dt` by trapezoidal quadrature over the stored series.
-fn lambda_grad_integral(
-    layout: Layout,
-    nt: usize,
+/// One term of `∫ λ(t) ∇m(t) dt` by trapezoidal quadrature: adds
+/// `w_j·λ_j·∇m_j` to `acc`, reading `∇m_j` by row tiles. The adjoint loop
+/// makes `λ_j` from `j = nt` down to `0`; the first term (`j = nt`) writes
+/// `0.0 + w·λ·∇m`, which is what accumulating onto a zeroed field gives,
+/// sign of zero included.
+fn add_lambda_grad(
+    acc: &mut VectorField,
+    j: usize,
+    lam: &ScalarField,
     state: &StateSolution,
-    lambda: &[ScalarField],
     comm: &mut Comm,
-) -> VectorField {
+) {
+    let nt = state.m.len() - 1;
     let dt = 1.0 as Real / nt as Real;
-    let n = layout.local_len();
-    assert!(!lambda.is_empty(), "the adjoint series holds λ(0)");
-    // the `j = 0` term writes `0.0 + w·λ·∇m`, which is what accumulating
-    // onto a zeroed field gives, sign of zero included
-    let mut acc = VectorField::for_overwrite(layout);
-    for (j, lam) in lambda.iter().enumerate() {
-        let w = if j == 0 || j == nt { 0.5 * dt } else { dt };
-        let first = j == 0;
-        let grad = state.grad_at(j, comm);
-        let (lam, [g1, g2, g3]) = (lam.data(), grad.c.each_ref().map(|c| c.data()));
-        // one pass over λ for the three components
-        timing::time(Kernel::FieldOps, || {
-            let [a1, a2, a3] = acc.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
-            par_parts(n, n, |range| {
-                // SAFETY: worker ranges are disjoint.
-                let (o1, o2, o3) = unsafe {
-                    (
-                        a1.slice_mut(range.clone()),
-                        a2.slice_mut(range.clone()),
-                        a3.slice_mut(range.clone()),
-                    )
-                };
-                for (k, i) in range.enumerate() {
-                    let wl = w * lam[i];
-                    let [s1, s2, s3] = if first { [0.0; 3] } else { [o1[k], o2[k], o3[k]] };
-                    o1[k] = s1 + wl * g1[i];
-                    o2[k] = s2 + wl * g2[i];
-                    o3[k] = s3 + wl * g3[i];
-                }
-            });
-        });
-    }
-    acc
+    let w = if j == 0 || j == nt { 0.5 * dt } else { dt };
+    let first = j == nt;
+    let lam = lam.data();
+    // one pass over λ for the three components
+    let [a1, a2, a3] = acc.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
+    state.grad_tiles(j, comm, |at, [g1, g2, g3]| {
+        let tile = at..at + g1.len();
+        // SAFETY: every point is in exactly one tile.
+        let (o1, o2, o3) =
+            unsafe { (a1.slice_mut(tile.clone()), a2.slice_mut(tile.clone()), a3.slice_mut(tile)) };
+        for k in 0..g1.len() {
+            let wl = w * lam[at + k];
+            let [s1, s2, s3] = if first { [0.0; 3] } else { [o1[k], o2[k], o3[k]] };
+            o1[k] = s1 + wl * g1[k];
+            o2[k] = s2 + wl * g2[k];
+            o3[k] = s3 + wl * g3[k];
+        }
+    });
 }
 
 impl GnProblem for RegProblem {
@@ -313,31 +314,42 @@ impl GnProblem for RegProblem {
         }
         let cur = self.cur.as_ref().expect("set above");
 
-        // adjoint final condition λ(1) = m1 − m(1)
+        // adjoint final condition λ(1) = m1 − m(1), then λ backward in time,
+        // each λ_j folded into the quadrature as it is made
         let mut lam1 = self.m1.clone();
         lam1.axpy(-1.0, cur.state.final_state());
-        let lambda = self.transport.solve_adjoint(&cur.traj, &lam1, &mut self.interp, comm);
-
+        let mut integral = VectorField::for_overwrite(self.layout);
+        self.transport.adjoint_steps(&cur.traj, lam1, &mut self.interp, comm, |j, lam, comm| {
+            add_lambda_grad(&mut integral, j, lam, &cur.state, comm)
+        });
         let mut g = self.pc.spectral().reg_apply(v, self.beta, comm);
-        let integral = lambda_grad_integral(self.layout, self.cfg.nt, &cur.state, &lambda, comm);
         g.axpy(1.0, &integral);
         g
     }
 
     /// Gauss–Newton matvec `Hṽ = βAṽ + ∫ λ̃ ∇m dt` (eq. 5), requiring the
     /// incremental state (6) and incremental adjoint (7) solves.
+    ///
+    /// # Panics
+    /// Without a linearization point: it is set by [`RegProblem::gradient`]
+    /// and released by the first evaluation away from it (a line-search
+    /// trial), so after any such trial a matvec needs a gradient first.
     fn hess_vec(&mut self, vt: &VectorField, comm: &mut Comm) -> VectorField {
-        let cur =
-            self.cur.as_ref().expect("hess_vec called before gradient (no linearization point)");
+        let cur = self.cur.as_ref().expect(
+            "hess_vec without a linearization point: call gradient first (an evaluation away \
+             from it releases it)",
+        );
         // solve (6): m̃(1)
         let mt_final =
             self.transport.solve_inc_state(&cur.traj, vt, &cur.state, &mut self.interp, comm);
-        // solve (7): λ̃ with final condition −m̃(1)
+        // solve (7): λ̃ with final condition −m̃(1), folded into the quadrature
         let mut lt1 = mt_final;
         lt1.scale(-1.0);
-        let lambda_t = self.transport.solve_adjoint(&cur.traj, &lt1, &mut self.interp, comm);
+        let mut integral = VectorField::for_overwrite(self.layout);
+        self.transport.adjoint_steps(&cur.traj, lt1, &mut self.interp, comm, |j, lam, comm| {
+            add_lambda_grad(&mut integral, j, lam, &cur.state, comm)
+        });
         let mut hv = self.pc.spectral().reg_apply(vt, self.beta, comm);
-        let integral = lambda_grad_integral(self.layout, self.cfg.nt, &cur.state, &lambda_t, comm);
         hv.axpy(1.0, &integral);
         hv
     }
@@ -493,8 +505,6 @@ mod tests {
             // the first gradient of the new level re-solves only the adjoint
             let j_cold = build(&mut comm).objective(&v, &mut comm);
             assert_eq!(warm.objective(&v, &mut comm).to_bits(), j_cold.to_bits());
-            let mm_cold = build(&mut comm).rel_mismatch(&v, &mut comm);
-            assert_eq!(warm.rel_mismatch(&v, &mut comm).to_bits(), mm_cold.to_bits());
             let mut next = build(&mut comm);
             for p in [&mut warm, &mut next] {
                 p.set_beta(0.01);
@@ -508,7 +518,52 @@ mod tests {
             let g_next = gradient_at(&mut next, &v, true, &mut comm);
             assert_eq!(bits(&warm.gradient(&v, &mut comm)), bits(&g_next));
             assert_eq!(bits(&warm.hess_vec(&x, &mut comm)), bits(&next.hess_vec(&x, &mut comm)));
+
+            // the mismatch, the last read of a solve, is read off the
+            // linearization point and then releases both kept solves
+            let mm_cold = build(&mut comm).rel_mismatch(&v, &mut comm);
+            assert_eq!(warm.rel_mismatch(&v, &mut comm).to_bits(), mm_cold.to_bits());
+            assert!(warm.cur.is_none() && warm.eval.is_none(), "released after the read");
         }
+    }
+
+    #[test]
+    fn a_trial_away_from_the_linearization_point_releases_it() {
+        let mut comm = Comm::solo();
+        let x = VectorField::from_fns(
+            Layout::serial(Grid::cube(10)),
+            |x, _, _| x.sin(),
+            |_, y, _| y.cos(),
+            |_, _, z| z,
+        );
+        for store_grad in [false, true] {
+            let build =
+                |comm: &mut Comm| small_problem_with(10, PrecondKind::InvA, store_grad, comm);
+            let mut prob = build(&mut comm);
+            let v = test_velocity(prob.layout());
+            let g = prob.gradient(&v, &mut comm);
+            let mut trial = v.clone();
+            trial.axpy(-1e-2, &g);
+            prob.objective(&trial, &mut comm);
+            assert!(prob.cur.is_none(), "store_grad={store_grad}: the trial released `cur`");
+            assert_eq!(prob.solved_at(&trial, &mut comm), [false, true]);
+            // back at `v` (a failed search, then the next β level): cold
+            let mut cold = build(&mut comm);
+            assert_eq!(bits(&prob.gradient(&v, &mut comm)), bits(&cold.gradient(&v, &mut comm)));
+            assert!(prob.eval.is_none(), "the dead trial is dropped");
+            assert_eq!(bits(&prob.hess_vec(&x, &mut comm)), bits(&cold.hess_vec(&x, &mut comm)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "call gradient first")]
+    fn a_matvec_after_a_trial_needs_a_gradient() {
+        let mut comm = Comm::solo();
+        let mut prob = small_problem(10, &mut comm);
+        let v = test_velocity(prob.layout());
+        let g = prob.gradient(&v, &mut comm);
+        prob.objective(&VectorField::zeros(prob.layout()), &mut comm);
+        prob.hess_vec(&g, &mut comm);
     }
 
     #[test]

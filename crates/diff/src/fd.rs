@@ -20,14 +20,19 @@
 //! one exchange per field for all three components. Hot loops should hold
 //! an [`FdScratch`] and call [`deriv_into`]/[`gradient_into`] to avoid
 //! reallocating the ghost halo and output fields on every application.
+//!
+//! A consumer that reads `∇f` once, point by point, need not hold it at all:
+//! [`gradient_tiles`] runs the same sweep one x3-row tile at a time into
+//! stack buffers and hands each tile to the consumer (the transport solves'
+//! `ṽ·∇m` source and the `∫ λ ∇m dt` quadrature), so no `∇f` field is built.
 
 use std::cell::RefCell;
 
 use claire_grid::ghost::{self, GhostField};
 use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::Comm;
-use claire_par::par_chunks_mut;
 use claire_par::timing::{self, Kernel};
+use claire_par::{par_chunks_mut, par_parts};
 use claire_simd::Elem;
 
 /// Stencil coefficients `c_m` of the 8th-order central first derivative:
@@ -170,6 +175,59 @@ pub fn gradient_into(
     for (dim, o) in out.c.iter_mut().enumerate() {
         sweep(gf, dim, o, 1.0 as Real);
     }
+}
+
+/// Points per tile of [`gradient_tiles`] (a row of up to 1 KiB per
+/// component). A point's value does not depend on its tile: the stencil
+/// kernel never mixes lanes.
+pub const TILE: usize = 128;
+
+/// `∇f` one x3-row tile at a time, never as a field: one halo exchange, then
+/// per row the three components of up to [`TILE`] consecutive points are
+/// swept into stack buffers by the `kfd8_combine_scale` of
+/// [`gradient_into`] (the same values, bit for bit) and handed to
+/// `each(at, [g1, g2, g3])`, `at` being the local index of the tile's first
+/// point. Every owned point is in exactly one tile, and worker threads take
+/// contiguous blocks of x1 planes, so `each` may write the points of its
+/// tile through a [`claire_par::SharedSlice`]. Allocates nothing once the
+/// thread's halo is warm (it is the pooled wrapper scratch's); the sweep
+/// and `each` run on the FD clock. Collective.
+pub fn gradient_tiles<F>(f: &ScalarField, comm: &mut Comm, each: F)
+where
+    F: Fn(usize, [&[Real]; 3]) + Sync,
+{
+    with_wrapper_scratch(|scratch| {
+        let gf = scratch.ghost_for(f);
+        ghost::exchange_into(f, comm, gf);
+        let h = gf.layout().grid.spacing();
+        let inv_h: [Real; 3] = std::array::from_fn(|d| 1.0 as Real / h[d]);
+        let [n1, n2, n3] = gf.layout().local_dims();
+        let [_, rows, cols] = gf.dims().stored;
+        let stride = [rows * cols, cols, 1];
+        let gd = gf.data();
+        timing::time(Kernel::Fd, || {
+            par_parts(n1, n1 * n2 * n3, |planes| {
+                let mut tile = [[0.0 as Real; TILE]; 3];
+                for il in planes {
+                    for j in 0..n2 {
+                        for k0 in (0..n3).step_by(TILE) {
+                            let len = TILE.min(n3 - k0);
+                            let at = gf.offset(il as isize, j as isize, k0 as isize);
+                            for (d, t) in tile.iter_mut().enumerate() {
+                                let s = stride[d];
+                                let plus = std::array::from_fn(|m| &gd[at + (m + 1) * s..][..len]);
+                                let minus = std::array::from_fn(|m| &gd[at - (m + 1) * s..][..len]);
+                                let out = &mut t[..len];
+                                Real::kfd8_combine_scale(out, &plus, &minus, &FD8, inv_h[d], 1.0);
+                            }
+                            let [t1, t2, t3] = &tile;
+                            each((il * n2 + j) * n3 + k0, [&t1[..len], &t2[..len], &t3[..len]]);
+                        }
+                    }
+                }
+            });
+        });
+    });
 }
 
 /// Divergence `∇·v` via three 8th-order derivatives. Collective. Wrapper

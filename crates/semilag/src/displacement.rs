@@ -10,14 +10,16 @@
 // Component-wise update indexes u and the foot array in lockstep.
 #![allow(clippy::needless_range_loop)]
 
+use claire_grid::workspace::{WsCat, R3_POOL};
 use claire_grid::{Real, ScalarField, VectorField};
 use claire_interp::Interpolator;
 use claire_mpi::Comm;
 
-use crate::traj::{grid_points, Trajectory};
+use crate::traj::{grid_points_pooled, Trajectory};
 
 /// Integrate the displacement field `u = y − x` of the full-interval
-/// backward flow. Collective.
+/// backward flow. Its buffers come from the µSL pool, like the
+/// trajectory's. Collective.
 pub fn displacement(
     traj: &Trajectory,
     nt: usize,
@@ -25,25 +27,18 @@ pub fn displacement(
     comm: &mut Comm,
 ) -> VectorField {
     let layout = *traj.layout();
-    let pts = grid_points(&layout);
+    let pts = grid_points_pooled(&layout);
     let n = pts.len();
-    // step displacement d(x) = φ(x) − x (small, CFL-bounded, no wrap issues)
-    let step: Vec<[Real; 3]> = traj
-        .foot_back
-        .iter()
-        .zip(&pts)
-        .map(|(f, p)| [f[0] - p[0], f[1] - p[1], f[2] - p[2]])
-        .collect();
-
     let mut u = VectorField::zeros(layout);
-    let mut u_at_foot = vec![[0.0 as Real; 3]; n];
+    let mut u_at_foot = R3_POOL.checkout_written(n, [Real::NAN; 3], WsCat::Sl);
     for _ in 0..nt {
-        // u_{j+1}(x) = (φ(x) − x) + u_j(φ(x))
+        // u_{j+1}(x) = (φ(x) − x) + u_j(φ(x)), the step displacement
+        // φ(x) − x small and CFL-bounded (no wrap issues)
         interp.evaluate_vector(traj.back(), &u, comm, &mut u_at_foot);
         for d in 0..3 {
             let data = u.c[d].data_mut();
             for i in 0..n {
-                data[i] = step[i][d] + u_at_foot[i][d];
+                data[i] = (traj.foot_back[i][d] - pts[i][d]) + u_at_foot[i][d];
             }
         }
     }

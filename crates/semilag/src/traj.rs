@@ -127,7 +127,7 @@ fn time_step(nt: usize) -> Real {
 }
 
 /// [`grid_points`] in a pooled (µSL) buffer.
-fn grid_points_pooled(layout: &Layout) -> PoolVec<[Real; 3]> {
+pub(crate) fn grid_points_pooled(layout: &Layout) -> PoolVec<[Real; 3]> {
     let mut pts = R3_POOL.checkout_written(layout.local_len(), [Real::NAN; 3], WsCat::Sl);
     grid_points_into(layout, &mut pts);
     pts

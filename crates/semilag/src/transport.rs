@@ -1,8 +1,6 @@
 //! The four transport solves of the optimality system.
 
-use std::borrow::Cow;
-
-use claire_diff::fd::FdScratch;
+use claire_diff::fd::{FdScratch, TILE};
 use claire_grid::workspace::{PoolVec, WsCat, SCALAR_FIELDS, VECTOR_FIELDS};
 use claire_grid::{Real, ScalarField, VectorField};
 use claire_interp::{Interpolator, IpOrder};
@@ -48,13 +46,32 @@ impl StateSolution {
         self.grad_m = Some(gs);
     }
 
-    /// `∇m(·, t_j)`: borrowed from the cache, or recomputed with 8th-order
-    /// FD when the series was solved without `store_grad`.
-    pub fn grad_at(&self, j: usize, comm: &mut Comm) -> Cow<'_, VectorField> {
-        match &self.grad_m {
-            Some(g) => Cow::Borrowed(&g[j]),
-            None => Cow::Owned(claire_diff::fd::gradient(&self.m[j], comm)),
-        }
+    /// `∇m(·, t_j)` one x3-row tile at a time, as
+    /// [`claire_diff::fd::gradient_tiles`] hands it out: sliced from
+    /// [`StateSolution::grad_m`] when the series was solved with
+    /// `store_grad`, swept by 8th-order FD from `m[j]` otherwise. Either way
+    /// the tiles and their values are the same, so a consumer has one code
+    /// path. Collective.
+    pub fn grad_tiles<F>(&self, j: usize, comm: &mut Comm, each: F)
+    where
+        F: Fn(usize, [&[Real]; 3]) + Sync,
+    {
+        let Some(stored) = &self.grad_m else {
+            return claire_diff::fd::gradient_tiles(&self.m[j], comm, each);
+        };
+        let [g1, g2, g3] = stored[j].c.each_ref().map(|c| c.data());
+        let [n1, n2, n3] = stored[j].c[0].layout().local_dims();
+        timing::time(Kernel::FieldOps, || {
+            par_parts(n1, n1 * n2 * n3, |planes| {
+                for row in planes.start * n2..planes.end * n2 {
+                    for k0 in (0..n3).step_by(TILE) {
+                        let at = row * n3 + k0;
+                        let tile = at..at + TILE.min(n3 - k0);
+                        each(at, [&g1[tile.clone()], &g2[tile.clone()], &g3[tile]]);
+                    }
+                }
+            });
+        });
     }
 }
 
@@ -99,30 +116,33 @@ impl Transport {
     }
 
     /// Solve a continuity equation backward in time:
-    /// `−∂t λ − ∇·(λ v) = 0` with `λ(·, 1) = final_cond`.
+    /// `−∂t λ − ∇·(λ v) = 0` with `λ(·, 1) = final_cond`, handing each
+    /// `λ(·, t_j)` to `each(j, λ_j, comm)` as it is made (`j = nt, …, 0`)
+    /// while holding two fields: a consumer that folds the series into a
+    /// sum (the gradient's and the matvec's `∫ λ ∇m dt`) never stores it.
     ///
     /// Used for both the adjoint (3) (`λ(1) = m1 − m(1)`) and the
-    /// incremental adjoint (7) (`λ̃(1) = −m̃(1)`). Returns `λ(·, t_j)` for
-    /// `j = 0..=nt`. Integrates along the characteristics of `−v` with a
-    /// trapezoidal exponential source for `λ ∇·v` (2nd order), which the
-    /// trajectory holds as one growth factor per point.
-    pub fn solve_adjoint(
+    /// incremental adjoint (7) (`λ̃(1) = −m̃(1)`). Integrates along the
+    /// characteristics of `−v` with a trapezoidal exponential source for
+    /// `λ ∇·v` (2nd order), which the trajectory holds as one growth factor
+    /// per point. `final_cond` becomes one of the two fields.
+    pub fn adjoint_steps(
         &self,
         traj: &Trajectory,
-        final_cond: &ScalarField,
+        final_cond: ScalarField,
         interp: &mut Interpolator,
         comm: &mut Comm,
-    ) -> PoolVec<ScalarField> {
+        mut each: impl FnMut(usize, &ScalarField, &mut Comm),
+    ) {
         let _s = span("semilag.adjoint");
         let layout = *final_cond.layout();
         let n = layout.local_len();
-        let mut lambda = SCALAR_FIELDS.checkout(self.nt + 1, WsCat::Pde);
-        lambda.push(final_cond.clone());
         let family = traj.adjoint();
-        for _ in 0..self.nt {
-            let mut next = ScalarField::for_overwrite(layout);
-            let last = lambda.last().expect("seeded with the final condition");
-            interp.evaluate(&family.plan, &[last], comm, &mut [next.data_mut()]);
+        let mut lam = final_cond;
+        let mut next = ScalarField::for_overwrite(layout);
+        each(self.nt, &lam, comm);
+        for j in (0..self.nt).rev() {
+            interp.evaluate(&family.plan, &[&lam], comm, &mut [next.data_mut()]);
             timing::time(Kernel::SemiLag, || {
                 let shared = SharedSlice::new(next.data_mut());
                 par_parts(n, n, |range| {
@@ -133,8 +153,24 @@ impl Transport {
                     }
                 });
             });
-            lambda.push(next);
+            std::mem::swap(&mut lam, &mut next);
+            each(j, &lam, comm);
         }
+    }
+
+    /// [`Transport::adjoint_steps`], collected: `λ(·, t_j)` for
+    /// `j = 0..=nt`, the whole series held at once.
+    pub fn solve_adjoint(
+        &self,
+        traj: &Trajectory,
+        final_cond: &ScalarField,
+        interp: &mut Interpolator,
+        comm: &mut Comm,
+    ) -> PoolVec<ScalarField> {
+        let mut lambda = SCALAR_FIELDS.checkout(self.nt + 1, WsCat::Pde);
+        self.adjoint_steps(traj, final_cond.clone(), interp, comm, |_, lam, _| {
+            lambda.push(lam.clone())
+        });
         lambda.reverse(); // index j now corresponds to time t_j
         lambda
     }
@@ -161,32 +197,36 @@ impl Transport {
         // takes off δt·b_{j+1} — this step's half and the next bracket's —
         // and only ½δt·b_nt at the last step, which leaves m̃(1).
         let mut w = ScalarField::zeros(layout);
-        sub_source(&mut w, 0.5 * traj.dt, vt, &state.grad_at(0, comm));
+        sub_source(&mut w, 0.5 * traj.dt, vt, state, 0, comm);
         for j in 1..=self.nt {
             let mut next = ScalarField::for_overwrite(layout);
             interp.evaluate(traj.back(), &[&w], comm, &mut [next.data_mut()]);
             let c = if j < self.nt { traj.dt } else { 0.5 * traj.dt };
-            sub_source(&mut next, c, vt, &state.grad_at(j, comm));
+            sub_source(&mut next, c, vt, state, j, comm);
             w = next;
         }
         w
     }
 }
 
-/// `f −= c·(ṽ·∇m)` in one pass.
-fn sub_source(f: &mut ScalarField, c: Real, vt: &VectorField, grad: &VectorField) {
-    let n = f.data().len();
+/// `f −= c·(ṽ·∇m_j)` in one pass, reading `∇m_j` by row tiles.
+fn sub_source(
+    f: &mut ScalarField,
+    c: Real,
+    vt: &VectorField,
+    state: &StateSolution,
+    j: usize,
+    comm: &mut Comm,
+) {
     let [v1, v2, v3] = vt.c.each_ref().map(|c| c.data());
-    let [g1, g2, g3] = grad.c.each_ref().map(|c| c.data());
-    timing::time(Kernel::SemiLag, || {
-        let shared = SharedSlice::new(f.data_mut());
-        par_parts(n, n, |range| {
-            // SAFETY: worker ranges are disjoint.
-            let dst = unsafe { shared.slice_mut(range.clone()) };
-            for (o, i) in dst.iter_mut().zip(range) {
-                *o -= c * (v1[i] * g1[i] + v2[i] * g2[i] + v3[i] * g3[i]);
-            }
-        });
+    let out = SharedSlice::new(f.data_mut());
+    state.grad_tiles(j, comm, |at, [g1, g2, g3]| {
+        // SAFETY: every point is in exactly one tile.
+        let dst = unsafe { out.slice_mut(at..at + g1.len()) };
+        for (k, o) in dst.iter_mut().enumerate() {
+            let i = at + k;
+            *o -= c * (v1[i] * g1[k] + v2[i] * g2[k] + v3[i] * g3[k]);
+        }
     });
 }
 
@@ -333,6 +373,32 @@ mod tests {
     }
 
     #[test]
+    fn collected_adjoint_is_the_streamed_loop() {
+        let (layout, tr, mut ip, mut comm) = solo_setup(12, 4);
+        let v = VectorField::from_fns(
+            layout,
+            |_, y, _| 0.3 * y.sin(),
+            |x, _, _| 0.2 * x.cos(),
+            |_, _, z| 0.1 * (2.0 * z).sin(),
+        );
+        let lam1 = ScalarField::from_fn(layout, |x, y, z| x.cos() + (y - z).sin());
+        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
+        let bits = |f: &ScalarField| f.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let collected = tr.solve_adjoint(&traj, &lam1, &mut ip, &mut comm);
+        let mut streamed = Vec::new();
+        tr.adjoint_steps(&traj, lam1.clone(), &mut ip, &mut comm, |j, lam, _| {
+            streamed.push((j, bits(lam)))
+        });
+        let order: Vec<usize> = streamed.iter().map(|(j, _)| *j).collect();
+        assert_eq!(order, (0..=tr.nt).rev().collect::<Vec<_>>(), "λ_j from t = 1 down to 0");
+        assert_eq!(collected.len(), tr.nt + 1);
+        for (j, lam) in streamed {
+            assert_eq!(bits(&collected[j]), lam, "λ_{j}");
+        }
+        assert_eq!(bits(&collected[tr.nt]), bits(&lam1), "the final condition comes first");
+    }
+
+    #[test]
     fn adjoint_conserves_mass() {
         // the continuity equation conserves ∫λ dx exactly in the continuum
         let (layout, tr, mut ip, mut comm) = solo_setup(24, 8);
@@ -451,8 +517,8 @@ mod tests {
         let without = tr.solve_state(&traj, &m0, false, &mut ip, &mut comm);
         let a = tr.solve_inc_state(&traj, &vt, &with, &mut ip, &mut comm);
         let b = tr.solve_inc_state(&traj, &vt, &without, &mut ip, &mut comm);
-        let err = a.data().iter().zip(b.data()).map(|(&x, &y)| (x - y).abs()).fold(0.0, f64::max);
-        assert!(err < 1e-12, "store_grad must not change results: {err}");
+        // the stored and the swept tiles hold the same values
+        assert_eq!(a.data(), b.data(), "store_grad must not change results");
     }
 
     #[test]

@@ -802,6 +802,57 @@ fn fd_on_thin_grids_matches_the_direct_stencil() {
     }
 }
 
+/// Per rank, the bits of `gradient_tiles` and of `gradient_into` of one
+/// field, and whether the tiles covered as many points as the rank owns.
+fn tiled_and_full_gradient(grid: Grid, p: usize) -> Vec<(Vec<u64>, Vec<u64>, bool)> {
+    use claire::diff::fd;
+    use claire::par::SharedSlice;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let bits = |v: &VectorField| -> Vec<u64> {
+        v.c.iter().flat_map(|c| c.data().iter().map(|x| x.to_bits())).collect()
+    };
+    claire::mpi::run_cluster(claire::mpi::Topology::new(p, 4), move |comm| {
+        let layout = Layout::distributed(grid, comm);
+        let f = ScalarField::from_fn(layout, |x, y, z| {
+            (x + 0.3).sin() * (2.0 * y).cos() + (z - 0.1).sin() * x.cos()
+        });
+        let mut full = VectorField::zeros(layout);
+        fd::gradient_into(&f, comm, &mut full, &mut fd::FdScratch::new());
+        let mut tiled = VectorField::zeros(layout);
+        let seen = AtomicUsize::new(0);
+        let out = tiled.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
+        fd::gradient_tiles(&f, comm, |at, g| {
+            seen.fetch_add(g[0].len(), Ordering::Relaxed);
+            for (o, g) in out.iter().zip(g) {
+                // SAFETY: every point is in exactly one tile.
+                unsafe { o.slice_mut(at..at + g.len()) }.copy_from_slice(g);
+            }
+        });
+        (bits(&tiled), bits(&full), seen.into_inner() == layout.local_len())
+    })
+    .outputs
+}
+
+/// The row-tile gradient is `gradient_into`, bit for bit, on every backend,
+/// thread count and rank count: on an anisotropic grid, on one that engages
+/// the worker threads, and on one whose rows split into a ragged last tile.
+#[test]
+fn gradient_tiles_match_gradient_into_bitwise() {
+    for n in [[12, 10, 8], [34, 22, 24], [8, 4, 2 * claire::diff::fd::TILE + 6]] {
+        let grid = Grid::new(n);
+        both(|| {
+            for (p, threads) in [1, 2].into_iter().flat_map(|p| [1, 2, 3].map(|t| (p, t))) {
+                let ranks = claire::par::with_threads(threads, || tiled_and_full_gradient(grid, p));
+                for (rank, (tiled, full, covered)) in ranks.into_iter().enumerate() {
+                    let at = format!("{n:?} p={p} rank {rank} threads={threads}");
+                    assert!(covered, "{at}: every point in one tile");
+                    assert_eq!(tiled, full, "{at}");
+                }
+            }
+        });
+    }
+}
+
 /// Reductions over f32 storage must accumulate in f64: past 2²⁴ an f32
 /// accumulator stops absorbing `+1`, the mandated f64 one must not.
 #[test]
