@@ -126,8 +126,9 @@ impl CancelToken {
 /// β-continuation levels);
 /// `on_gn_iter` fires at the same boundaries with the cumulative iteration
 /// index, *before* the cancel check — so an observer can trip the token and
-/// have the solve stop before that iteration runs. `claire-serve` uses this
-/// seam for job cancellation, deadlines, and its scheduler tests.
+/// have the solve stop before that iteration runs. `claire-cli batch` uses
+/// this seam for job cancellation and deadlines, and its tests for
+/// injected cancels and panics.
 #[derive(Clone, Default)]
 pub struct SolverHooks {
     /// Cooperative cancellation handle.

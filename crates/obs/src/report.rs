@@ -119,26 +119,25 @@ impl RegistrationReport {
     }
 }
 
-/// Scheduling metadata for solves executed through a job service
-/// (`claire-serve`): which job/worker this run was, how long it waited in
-/// the admission queue, and its end-to-end latency. Zero-valued defaults for
-/// runs executed directly (outside any service).
+/// Scheduling metadata for a `claire-cli batch` job: which manifest entry
+/// and worker this run was, how long it waited for a worker, and its
+/// end-to-end latency, all measured from batch start. Zero-valued defaults
+/// for runs outside a batch.
 #[derive(Serialize, Clone, Debug, Default)]
 pub struct SchedulingInfo {
-    /// Service-assigned job id (0 for direct runs).
+    /// 1-based manifest position (0 for direct runs).
     pub job_id: u64,
     /// Priority class label (`high`/`normal`/`low`; empty for direct runs).
     pub priority: String,
     /// Index of the worker that executed the job.
     pub worker: usize,
-    /// Seconds spent queued between submission and execution start.
+    /// Seconds from batch start until a worker took the job.
     pub queue_wait_secs: f64,
     /// Seconds executing (solve wall-clock inside the worker).
     pub run_secs: f64,
-    /// End-to-end seconds from submission to terminal status.
+    /// Seconds from batch start until the job ended.
     pub total_secs: f64,
-    /// Deadline the job was admitted with, seconds from submission
-    /// (0 = none).
+    /// The job's deadline, seconds from batch start (0 = none).
     pub deadline_secs: f64,
 }
 
@@ -277,7 +276,7 @@ pub struct RunReport {
     /// The solve's Table 6 row: problem identity (label, grid, ranks, time
     /// steps, preconditioner, precision) and outcome.
     pub summary: RegistrationReport,
-    /// Queue/scheduling metadata (zeroed for runs outside `claire-serve`).
+    /// Scheduling metadata (zeroed for runs outside `claire-cli batch`).
     pub scheduling: SchedulingInfo,
     /// FFT/IP/FD runtime shares.
     pub phases: PhaseShares,

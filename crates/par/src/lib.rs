@@ -19,8 +19,9 @@
 //! never a plane), so it is the same for every thread and rank count.
 //!
 //! Thread-count resolution (first match wins):
-//! 1. [`set_local_threads`] per-thread budget (how `claire-serve` partitions
-//!    the machine across concurrent jobs — each worker thread gets a slice),
+//! 1. [`set_local_threads`] per-thread budget (how `claire-cli batch`
+//!    partitions the machine across concurrent jobs — each worker thread
+//!    gets a slice),
 //! 2. [`set_threads`] process-wide programmatic override,
 //! 3. `CLAIRE_THREADS` environment variable,
 //! 4. `RAYON_NUM_THREADS` environment variable (honored for familiarity),
@@ -64,8 +65,8 @@ pub fn set_threads(n: usize) {
 /// kernels (`0` clears it). Takes precedence over every other resolution
 /// source, so a pool of job workers can partition the machine: each worker
 /// sets its slice once at startup and all kernels it launches — including
-/// the scoped threads they spawn — stay within it. `claire-serve` uses this
-/// so N concurrent registrations don't oversubscribe the host.
+/// the scoped threads they spawn — stay within it. `claire-cli batch` uses
+/// this so N concurrent registrations don't oversubscribe the host.
 pub fn set_local_threads(n: usize) {
     LOCAL_THREADS.with(|c| c.set(n));
 }

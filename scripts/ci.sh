@@ -235,8 +235,9 @@ stage_batch_smoke() {
     # job, every job succeeded (a job that did not turns the exit status to
     # 1 and its summary line to another status), and each report carries
     # its own solve's GN trace. A manifest with a key the config field table
-    # does not know is refused whole, and the deleted TCP subcommands are
-    # usage errors.
+    # does not know, an unknown top-level key or an entry with a bad grid is
+    # refused whole before any job runs, and the deleted `--queue-cap` flag
+    # and TCP subcommands are usage errors.
     local dir; dir="$(mktemp -d)"
     cat > "$dir/manifest.json" <<'EOF'
 {"jobs": [
@@ -283,10 +284,44 @@ EOF
         cat "$dir/typo.err"; exit 1
     fi
 
-    # the TCP server and client subcommands were deleted: their command
-    # lines are usage errors now
+    # the top level holds `jobs` and `workers` only: the deleted
+    # `queue_capacity` is an unknown key (exit 3) naming it
+    cat > "$dir/queue.json" <<'EOF'
+{"queue_capacity": 4, "jobs": [
+  {"label": "fine", "syn": 8, "max_gn_iter": 1, "continuation": false, "precond": "InvA"}
+]}
+EOF
+    code=0
+    ./target/release/claire-cli batch "$dir/queue.json" -o "$dir/out-queue" \
+        2> "$dir/queue.err" || code=$?
+    [ "$code" -eq 3 ] && grep -q "queue_capacity" "$dir/queue.err" || {
+        echo "batch smoke: top-level queue_capacity: expected exit 3 naming it, got $code"
+        cat "$dir/queue.err"; exit 1; }
+
+    # a second entry whose grid no solve can take is refused (exit 3)
+    # before the first entry runs and before the output directory is made
+    cat > "$dir/grid.json" <<'EOF'
+{"jobs": [
+  {"label": "first", "syn": 8, "max_gn_iter": 1, "continuation": false, "precond": "InvA"},
+  {"label": "bad", "syn": 1}
+]}
+EOF
+    code=0
+    ./target/release/claire-cli batch "$dir/grid.json" -o "$dir/out-grid" \
+        2> "$dir/grid.err" || code=$?
+    [ "$code" -eq 3 ] || {
+        echo "batch smoke: a syn 1 entry: expected exit 3, got $code"; cat "$dir/grid.err"; exit 1; }
+    if grep -q "\[succeeded\]" "$dir/grid.err" || [ -e "$dir/out-grid" ]; then
+        echo "batch smoke: a job ran from a manifest with a bad grid"
+        cat "$dir/grid.err"; exit 1
+    fi
+
+    # the admission queue's capacity flag went with the queue, and the TCP
+    # server and client subcommands were deleted: their command lines are
+    # usage errors now
     local argv usage
-    for argv in "serve --listen 127.0.0.1:0 -q" "submit --addr 127.0.0.1:1 $dir/manifest.json -q"; do
+    for argv in "batch $dir/manifest.json --queue-cap 4 -o $dir/out-cap -q" \
+        "serve --listen 127.0.0.1:0 -q" "submit --addr 127.0.0.1:1 $dir/manifest.json -q"; do
         usage=0
         # shellcheck disable=SC2086  # $argv is the word-split command line
         timeout 10 ./target/release/claire-cli $argv > /dev/null 2>&1 || usage=$?
@@ -294,7 +329,8 @@ EOF
             echo "batch smoke: claire-cli $argv should be a usage error, got exit $usage"; exit 1; }
     done
     rm -rf "$dir"
-    echo "batch smoke: three jobs on two workers, each with its own GN trace; typo and TCP refused"
+    echo "batch smoke: three jobs on two workers, each with its own GN trace;" \
+        "typo, top-level key, bad grid, --queue-cap and TCP refused"
 }
 
 stage_proc_smoke() {

@@ -33,8 +33,7 @@
 //!
 //! batch options:
 //!   -o DIR           output directory for per-job reports (default: claire_out)
-//!   --workers N      worker threads (overrides the manifest)
-//!   --queue-cap N    admission-queue capacity (overrides the manifest)
+//!   --workers N      worker threads (overrides the manifest's `workers`)
 //!   --threads N      machine thread budget to partition across workers
 //!   -q               quiet
 //!
@@ -58,9 +57,9 @@
 //! Single mode writes `deformed_template.nii`, `velocity_[123].nii` and
 //! `jacobian_det.nii` to the output directory, and the solve's Table 6 row
 //! once: as the `summary` of the `--report` RunReport, or without
-//! `--report` as `report.json` in the output directory. Batch mode runs
-//! every job in the manifest through the `claire-serve` worker pool and
-//! writes one report JSON per job.
+//! `--report` as `report.json` in the output directory. Batch mode
+//! (`batch.rs`) validates the whole manifest, runs its jobs in priority
+//! order on scoped worker threads and writes one report JSON per job.
 //!
 //! `launch` spawns N `worker-rank` child processes (a hidden subcommand)
 //! that bootstrap a Unix-domain-socket mesh in a private rendezvous
@@ -81,12 +80,15 @@ use claire::interp::{Interpolator, IpOrder};
 use claire::ipc::{LaunchSpec, SocketOpts, SocketTransport};
 use claire::mpi::{Comm, Topology, TransportError};
 use claire::semilag::{displacement, Trajectory};
-use claire::serve::{JobInput, JobSpec, JobStatus, RegistrationService, ServiceConfig};
-use serde::{field, field_or, DeError, Deserialize};
+use serde::field;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::Duration;
+
+#[path = "claire-cli/batch.rs"]
+mod batch;
+use batch::io_error;
 
 /// One distinct nonzero exit code per `ClaireError` variant.
 fn error_exit_code(e: &ClaireError) -> i32 {
@@ -106,10 +108,6 @@ fn fail(e: &ClaireError) -> ! {
     exit(error_exit_code(e))
 }
 
-fn io_error(context: &'static str, path: &Path, e: &std::io::Error) -> ClaireError {
-    ClaireError::Io { context, message: format!("{}: {e}", path.display()) }
-}
-
 struct Options {
     template: PathBuf,
     reference: PathBuf,
@@ -124,8 +122,8 @@ fn usage() -> ! {
         "usage: claire-cli <template.nii> <reference.nii> [-o DIR] [--report PATH] [--syn N]"
     );
     eprintln!("                  [-q] [solver flags]");
-    eprintln!("       claire-cli batch <manifest.json> [-o DIR] [--workers N] [--queue-cap N]");
-    eprintln!("                  [--threads N] [-q]");
+    eprintln!("       claire-cli batch <manifest.json> [-o DIR] [--workers N] [--threads N]");
+    eprintln!("                  [-q]");
     eprintln!("       claire-cli launch --ranks N --syn M [--timeout SECS] [--report PATH]");
     eprintln!("                  [--in-process] [-q] [solver flags]");
     let cfg = RegistrationConfig::default();
@@ -377,125 +375,17 @@ fn single_main(opts: Options) {
 // batch mode
 // ---------------------------------------------------------------------------
 
-fn manifest_error(message: String) -> ClaireError {
-    ClaireError::Config { param: "manifest", message }
-}
-
-/// The value at `key` of a manifest object, `None` when absent or `null`.
-fn opt<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, DeError> {
-    field_or(v, key, || Ok(None))
-}
-
-/// What a manifest entry says about the job; every other key of an entry
-/// must be a [`ConfigField`] key or alias.
-const JOB_KEYS: [&str; 6] = ["label", "syn", "template", "reference", "priority", "deadline_ms"];
-
-/// Build one [`JobSpec`] from a manifest entry. A key that is neither a job
-/// key nor a solver field, and a value of the wrong type, are errors.
-fn parse_job(entry: &Value, index: usize, quiet: bool) -> Result<JobSpec, ClaireError> {
-    let unnamed = format!("job-{index}");
-    let Value::Object(pairs) = entry else {
-        return Err(manifest_error(format!("{unnamed}: not an object")));
-    };
-    let label: String = field_or(entry, "label", || Ok(unnamed.clone()))
-        .map_err(|e| manifest_error(format!("{unnamed}: {e}")))?;
-    let bad = |e: DeError| manifest_error(format!("{label}: {e}"));
-    let mut cfg = RegistrationConfig { verbose: false, ..Default::default() };
-    for (key, value) in pairs.iter().filter(|(k, _)| !JOB_KEYS.contains(&k.as_str())) {
-        cfg.set_key(key, value).map_err(&bad)?;
-    }
-    let config = cfg.finish()?;
-
-    let input = match opt::<usize>(entry, "syn").map_err(&bad)? {
-        Some(n) => JobInput::Synthetic { n: [n; 3] },
-        None => {
-            let image = |key: &str| {
-                let path = opt::<String>(entry, key).map_err(&bad)?.map(PathBuf::from);
-                let path = path.ok_or_else(|| {
-                    manifest_error(format!("{label}: needs `syn`, or `template` and `reference`"))
-                })?;
-                nifti::read(&path).map_err(|e| io_error("nifti::read", &path, &e))
-            };
-            JobInput::Pair { template: image("template")?, reference: image("reference")? }
-        }
-    };
-
-    let mut spec = JobSpec::new(label.clone(), config, input)
-        .priority(opt(entry, "priority").map_err(&bad)?.unwrap_or_default());
-    if let Some(ms) = opt(entry, "deadline_ms").map_err(&bad)? {
-        spec = spec.deadline(Duration::from_millis(ms));
-    }
-    if !quiet {
-        eprintln!("  {label}: grid {:?}, priority {}", spec.input.grid(), spec.priority.label());
-    }
-    Ok(spec)
-}
-
-/// Read a `batch` manifest: the document and its non-empty `jobs`.
-fn read_manifest(path: &Path) -> (Value, Vec<Value>) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&io_error("batch manifest", path, &e)));
-    let manifest = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(&manifest_error(format!("not valid JSON: {e}"))));
-    match field::<Vec<Value>>(&manifest, "jobs") {
-        Ok(jobs) if !jobs.is_empty() => (manifest, jobs),
-        _ => fail(&manifest_error("needs a non-empty `jobs` array".into())),
-    }
-}
-
-/// Every manifest entry as a [`JobSpec`], or the error of the first bad one.
-/// Two entries whose labels name one report file are an error too: the
-/// second report would overwrite the first.
-fn parse_jobs(jobs: &[Value], quiet: bool) -> Result<Vec<JobSpec>, ClaireError> {
-    let specs = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| parse_job(entry, i, quiet))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut files = std::collections::HashMap::new();
-    for (i, spec) in specs.iter().enumerate() {
-        let file = report_file_name(&spec.label);
-        if let Some(first) = files.insert(file.clone(), i) {
-            let (a, b) = (&specs[first].label, &spec.label);
-            return Err(manifest_error(format!(
-                "entries {first} (`{a}`) and {i} (`{b}`) would both write their report to {file}"
-            )));
-        }
-    }
-    Ok(specs)
-}
-
-/// The report file of a job that ended without a `RunReport`.
-fn failure_doc(label: &str, status: JobStatus, error: &Option<String>) -> String {
-    let doc = Value::Object(vec![
-        ("label".into(), Value::Str(label.into())),
-        ("status".into(), Value::Str(status.label().into())),
-        ("error".into(), Value::Str(error.clone().unwrap_or_default())),
-    ]);
-    serde_json::to_string_pretty(&doc).unwrap_or_default()
-}
-
-/// Turn a job label into a safe report file name.
-fn report_file_name(label: &str) -> String {
-    let safe: String = label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .collect();
-    format!("{safe}.json")
-}
-
 fn batch_main(args: Vec<String>) {
     let mut args = args.into_iter();
     let mut manifest_path: Option<PathBuf> = None;
     let mut out = PathBuf::from("claire_out");
-    let (mut workers, mut queue_cap, mut threads) = (None, None, None);
+    let (mut workers, mut threads) = (None, 0);
     let mut quiet = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-o" => out = PathBuf::from(next_value(&mut args, "-o")),
             "--workers" => workers = Some(parsed(&mut args, "--workers")),
-            "--queue-cap" => queue_cap = Some(parsed(&mut args, "--queue-cap")),
-            "--threads" => threads = Some(parsed(&mut args, "--threads")),
+            "--threads" => threads = parsed(&mut args, "--threads"),
             "-q" => quiet = true,
             "-h" | "--help" => usage(),
             other if other.starts_with('-') => {
@@ -506,76 +396,28 @@ fn batch_main(args: Vec<String>) {
             _ => usage(),
         }
     }
-    let (manifest, jobs) = read_manifest(&manifest_path.unwrap_or_else(|| usage()));
-    // a flag overrides the manifest's pool size
-    let sized = |key| opt::<usize>(&manifest, key).ok().flatten();
-    let svc_cfg = ServiceConfig::default()
-        .workers(workers.or(sized("workers")).unwrap_or(1))
-        .queue_capacity(queue_cap.or(sized("queue_capacity")).unwrap_or(jobs.len().max(1)))
-        .total_threads(threads.unwrap_or(0));
+    let manifest = batch::read_manifest(&manifest_path.unwrap_or_else(|| usage()))
+        .unwrap_or_else(|e| fail(&e));
+    // a flag overrides the manifest's worker count
+    let workers = workers.or(manifest.workers).unwrap_or(1).max(1);
     if !quiet {
-        eprintln!(
-            "batch: {} job(s), {} worker(s), queue capacity {}",
-            jobs.len(),
-            svc_cfg.workers,
-            svc_cfg.queue_capacity
-        );
+        eprintln!("batch: {} job(s), {workers} worker(s)", manifest.jobs.len());
     }
-    let specs = parse_jobs(&jobs, quiet).unwrap_or_else(|e| fail(&e));
+    let jobs = batch::parse_jobs(&manifest.jobs, quiet).unwrap_or_else(|e| fail(&e));
 
     create_dir(&out);
     observe::begin(); // span trees feed the per-job reports
-    let mut svc = RegistrationService::start(svc_cfg);
-    // Blocking submission: the CLI is a closed-loop producer, so a full
-    // queue applies backpressure here instead of dropping jobs.
-    let ids: Vec<_> = specs
-        .into_iter()
-        .map(|spec| {
-            svc.submit(spec).unwrap_or_else(|e| {
-                eprintln!("claire-cli: batch submission failed: {e}");
-                exit(match e {
-                    claire::serve::SubmitError::Invalid(inner) => error_exit_code(&inner),
-                    _ => 1,
-                })
-            })
-        })
-        .collect();
-
-    let mut failures = 0usize;
-    for id in ids {
-        let Some(res) = svc.wait(id) else {
-            eprintln!("claire-cli: internal error: {id} vanished from the service");
-            exit(1);
-        };
-        let file = out.join(report_file_name(&res.label));
-        match (&res.status, &res.run) {
-            (JobStatus::Succeeded, Some(run)) => write_text(&file, &run.to_json()),
-            // terminal-but-unsuccessful jobs still get a report file
-            _ => write_text(&file, &failure_doc(&res.label, res.status, &res.error)),
-        }
-        if res.status != JobStatus::Succeeded {
-            failures += 1;
-        }
+    let outcomes = batch::run(&jobs, workers, threads, &|outcome| {
+        batch::write_report(&out, outcome).unwrap_or_else(|e| fail(&e));
         if !quiet {
-            let mismatch = res
-                .run
-                .as_ref()
-                .map(|r| format!(", mismatch {:.3e}", r.summary.rel_mismatch))
-                .unwrap_or_default();
-            eprintln!(
-                "  {} [{}]: queued {:.3}s, ran {:.3}s{mismatch}",
-                res.label,
-                res.status,
-                res.queue_wait.as_secs_f64(),
-                res.run_time.as_secs_f64()
-            );
+            eprintln!("{}", batch::summary_line(outcome));
         }
-    }
-    svc.shutdown();
+    });
     claire::obs::set_enabled(false);
     if !quiet {
         eprintln!("wrote batch reports to {}", out.display());
     }
+    let failures = outcomes.iter().filter(|o| o.status != batch::Status::Succeeded).count();
     if failures > 0 {
         eprintln!("claire-cli: {failures} job(s) did not succeed");
         exit(1);
@@ -817,9 +659,10 @@ fn worker_rank_main(args: Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batch::{parse_job, parse_jobs, parse_manifest, Job};
     use claire::core::{Precision, PrecondKind};
 
-    fn job(json: &str) -> Result<JobSpec, ClaireError> {
+    fn job(json: &str) -> Result<Job, ClaireError> {
         parse_job(&serde_json::from_str(json).expect("test manifest is valid JSON"), 0, true)
     }
 
@@ -1037,6 +880,84 @@ mod tests {
                 .collect::<Vec<_>>();
             worker.extend(config_args(&want));
             assert_eq!(parse_launch_args(worker, true).cfg, want, "{}: launcher → worker", f.key);
+        }
+    }
+
+    /// The job entries of the manifest document `text`.
+    fn entries(text: &str) -> Vec<Value> {
+        field(&serde_json::from_str(text).expect("test manifest is valid JSON"), "jobs").unwrap()
+    }
+
+    /// A bad entry is refused with its own typed error before any entry of
+    /// the manifest runs, however many good entries precede it.
+    #[test]
+    fn manifest_is_validated_whole_before_any_job_runs() {
+        let first = r#"{"label": "first", "syn": 16, "nt": 2, "max_gn_iter": 1}"#;
+        for (bad, names) in [
+            (r#"{"label": "bad", "syn": 1}"#, "bad: extents must all be >= 2, got 1"),
+            (r#"{"label": "bad", "syn": 0}"#, "bad: extents must all be >= 2"),
+            (r#"{"label": "bad", "syn": 200000}"#, "grid points one job may ask for"),
+            (r#"{"label": "bad", "syn": 4194304}"#, "grid points one job may ask for"),
+        ] {
+            let manifest = format!(r#"{{"jobs": [{first}, {bad}]}}"#);
+            match parse_jobs(&entries(&manifest), true) {
+                Err(e @ ClaireError::Config { param: "grid", .. }) => {
+                    assert_eq!(error_exit_code(&e), 3);
+                    assert!(e.to_string().contains(names), "{bad}: {e}");
+                }
+                other => panic!("{bad}: expected a grid error, got {:?}", other.err()),
+            }
+        }
+        let manifest = format!(r#"{{"jobs": [{first}, {{"label": "bad", "syn": 8, "nt": 0}}]}}"#);
+        let err = parse_jobs(&entries(&manifest), true).err().expect("nt 0 is refused");
+        assert!(matches!(err, ClaireError::Config { param: "nt", .. }), "{err}");
+
+        // a pair whose images differ in grid is a layout error (exit 4)
+        use claire::grid::{Grid, Layout, ScalarField};
+        let dir = std::env::temp_dir().join(format!("claire-cli-pair-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, n) in [("t.nii", 8), ("r.nii", 16)] {
+            nifti::write(&dir.join(name), &ScalarField::zeros(Layout::serial(Grid::cube(n))))
+                .unwrap();
+        }
+        let (t, r) = (dir.join("t.nii"), dir.join("r.nii"));
+        let pair = format!(
+            r#"{{"jobs": [{first}, {{"label": "pair", "template": "{}", "reference": "{}"}}]}}"#,
+            t.display(),
+            r.display()
+        );
+        let err = parse_jobs(&entries(&pair), true).err().expect("a mismatched pair is refused");
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(matches!(err, ClaireError::LayoutMismatch { .. }), "{err}");
+        assert_eq!(error_exit_code(&err), 4);
+        assert!(err.to_string().contains("pair: template grid [8, 8, 8]"), "{err}");
+    }
+
+    #[test]
+    fn manifest_top_level_holds_only_jobs_and_workers() {
+        let jobs = r#""jobs": [{"syn": 8}]"#;
+        for (top, names) in [
+            (r#""worker": 2"#, "unknown top-level key `worker`"),
+            (r#""queue_capacity": 8"#, "unknown top-level key `queue_capacity`"),
+            (r#""workers": "two""#, "expected a non-negative integer"),
+            (r#""workers": -1"#, "expected a non-negative integer"),
+            (r#""workers": 1.5"#, "at `workers`"),
+        ] {
+            let doc = serde_json::from_str(&format!("{{{jobs}, {top}}}")).unwrap();
+            match parse_manifest(&doc) {
+                Err(e @ ClaireError::Config { param: "manifest", .. }) => {
+                    assert_eq!(error_exit_code(&e), 3);
+                    assert!(e.to_string().contains(names), "{top}: {e}");
+                }
+                other => panic!("{top}: expected a manifest error, got {:?}", other.err()),
+            }
+        }
+        let workers = |text: &str| parse_manifest(&serde_json::from_str(text).unwrap()).unwrap();
+        assert_eq!(workers(&format!(r#"{{{jobs}, "workers": 2}}"#)).workers, Some(2));
+        assert_eq!(workers(&format!("{{{jobs}}}")).workers, None);
+        for empty in [r#"{"jobs": []}"#, r#"{"workers": 2}"#, "[]"] {
+            let doc = serde_json::from_str(empty).unwrap();
+            assert!(parse_manifest(&doc).is_err(), "{empty}");
         }
     }
 }

@@ -33,10 +33,10 @@
 //!   [`obs::report::RunReport`]
 //!   (enable with [`core::observe::begin`], collect with
 //!   [`core::observe::collect_run_report`])
-//! * [`serve`] — in-process job service behind `claire-cli batch`: bounded
-//!   admission queue with priorities, per-job deadlines and cancellation,
-//!   and a worker pool partitioning the thread budget (one job per worker
-//!   at a time)
+//!
+//! `claire-cli batch` runs the registrations of a JSON manifest on scoped
+//! worker threads that split the thread budget, one job per worker at a
+//! time, each job a [`core::Claire`] solve with its own report.
 //!
 //! ## Quickstart
 //!
@@ -67,7 +67,6 @@ pub use claire_opt as opt;
 pub use claire_par as par;
 pub use claire_perf as perf;
 pub use claire_semilag as semilag;
-pub use claire_serve as serve;
 
 /// Everything a typical registration program needs, one `use` away.
 ///
@@ -86,8 +85,4 @@ pub mod prelude {
     pub use crate::interp::IpOrder;
     pub use crate::mpi::{run_cluster, Comm, CommCat, Topology};
     pub use crate::obs::report::RunReport;
-    pub use crate::serve::{
-        JobId, JobInput, JobResult, JobSpec, JobStatus, Priority, RegistrationService,
-        ServiceConfig, SubmitError,
-    };
 }

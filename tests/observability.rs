@@ -264,26 +264,30 @@ fn single_run_writes_its_table6_row_once() {
 
 #[test]
 fn served_span_tree_is_rooted_by_run_size() {
-    // one served job is one solve: its tree is rooted at `solve`, as a
+    // one batch job is one solve: its tree is rooted at `solve`, as a
     // direct `Claire` run's is
-    let _g = OBS_LOCK.lock().unwrap();
-    let cfg = RegistrationConfig::builder()
-        .nt(2)
-        .continuation(false)
-        .precond(PrecondKind::InvA)
-        .max_gn_iter(2)
-        .max_pcg_iter(4)
-        .build()
-        .unwrap();
-    claire::obs::begin();
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
-    let alone =
-        svc.submit(JobSpec::new("alone", cfg, JobInput::Synthetic { n: [8, 8, 8] })).unwrap();
-    let run = svc.wait(alone).unwrap().run.expect("a succeeded job carries its report");
-    drop(svc);
-    claire::obs::set_enabled(false);
-    let roots: Vec<&str> = run.spans.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(roots, ["solve"], "the tree covers the solve, not the input generation");
+    let dir = std::env::temp_dir().join(format!("claire-cli-spans-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("m.json");
+    let job = r#"{"label": "alone", "syn": 8, "nt": 2, "continuation": false,
+        "precond": "InvA", "max_gn_iter": 2, "max_pcg_iter": 4}"#;
+    std::fs::write(&manifest, format!(r#"{{"jobs": [{job}]}}"#)).unwrap();
+    let done = std::process::Command::new(env!("CARGO_BIN_EXE_claire-cli"))
+        .arg("batch")
+        .arg(&manifest)
+        .arg("-o")
+        .arg(dir.join("out"))
+        .arg("-q")
+        .output()
+        .expect("spawn claire-cli");
+    assert!(done.status.success(), "{}", String::from_utf8_lossy(&done.stderr));
+    let report = std::fs::read_to_string(dir.join("out/alone.json")).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let v = serde_json::from_str(&report).expect("the job's run report parses");
+    let Value::Array(spans) = field(&v, "spans") else { panic!("spans is an array") };
+    let roots: Vec<&Value> = spans.iter().map(|s| field(s, "name")).collect();
+    assert_eq!(roots, [&Value::Str("solve".into())], "the tree covers the solve, not the input");
 }
 
 #[test]

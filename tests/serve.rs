@@ -1,17 +1,24 @@
-//! End-to-end tests of the claire-serve job service: priority scheduling,
-//! cooperative cancellation within one Gauss–Newton iteration, deadlines,
-//! graceful shutdown, a served job's report against a direct solve's, and
-//! a property test over submit/cancel/shutdown interleavings (no job lost,
-//! none duplicated).
+//! End-to-end tests of `claire-cli batch`'s runner: priority order,
+//! cooperative cancellation within one Gauss–Newton iteration, deadlines
+//! counted from batch start, a panicking job failing alone, a batch job's
+//! report against a direct solve's, and a property test over worker counts
+//! and cancellations (every entry gets exactly one outcome).
 //!
 //! Jobs are tiny synthetic problems (8³, nt ≤ 2, ≤ 2 GN iterations) so the
 //! whole file stays fast on a single-core host.
 
+// A test cannot link the `claire-cli` binary, so the runner's file is
+// compiled in as a module; the manifest half is the binary's unit tests'.
+#[path = "../src/bin/claire-cli/batch.rs"]
+#[allow(dead_code)]
+mod batch;
+
+use batch::{Job, JobInput, Outcome, Priority, Status};
 use claire::core::{CancelToken, PrecondKind, RegistrationConfig, SolverHooks};
 use claire::prelude::*;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn tiny_config() -> RegistrationConfig {
@@ -25,151 +32,147 @@ fn tiny_config() -> RegistrationConfig {
     }
 }
 
-fn tiny_spec(label: &str) -> JobSpec {
-    JobSpec::new(label, tiny_config(), JobInput::Synthetic { n: [8, 8, 8] })
+fn job_on(label: &str, config: RegistrationConfig, n: [usize; 3]) -> Job {
+    Job {
+        label: label.into(),
+        config,
+        input: JobInput::Synthetic { n },
+        priority: Priority::Normal,
+        deadline: None,
+        hooks: SolverHooks::default(),
+    }
 }
 
-/// Hooks whose first GN boundary appends `label` to `order` — records the
-/// order in which the worker *started* jobs.
+fn tiny_job(label: &str) -> Job {
+    job_on(label, tiny_config(), [8; 3])
+}
+
+/// Run `jobs` on `workers` workers sharing the ambient thread budget.
+fn run(jobs: &[Job], workers: usize) -> Vec<Outcome> {
+    batch::run(jobs, workers, 0, &|_| {})
+}
+
+fn assert_succeeded(outcome: &Outcome) -> &RunReport {
+    assert_eq!(outcome.status, Status::Succeeded, "{}: {:?}", outcome.label, outcome.error);
+    outcome.run.as_ref().expect("a succeeded job carries its report")
+}
+
+/// The error of a job that ended `status`, without a report.
+fn error_of(outcome: &Outcome, status: Status) -> &str {
+    assert_eq!(outcome.status, status, "{}: {:?}", outcome.label, outcome.error);
+    assert!(outcome.run.is_none(), "{}", outcome.label);
+    outcome.error.as_deref().expect("a job that did not succeed says why")
+}
+
+/// Hooks that carry `cancel` and call `f` at every GN boundary.
+fn observing(
+    cancel: Option<CancelToken>,
+    f: impl Fn(usize) + Send + Sync + 'static,
+) -> SolverHooks {
+    SolverHooks { cancel, on_gn_iter: Some(Arc::new(f)) }
+}
+
+/// Hooks whose first GN boundary appends `label` to `order`: the order in
+/// which the workers *started* jobs.
 fn start_recorder(label: &'static str, order: &Arc<Mutex<Vec<&'static str>>>) -> SolverHooks {
-    let order = order.clone();
-    let first = AtomicBool::new(true);
-    SolverHooks {
-        cancel: None,
-        on_gn_iter: Some(Arc::new(move |_| {
-            if first.swap(false, Ordering::Relaxed) {
-                order.lock().unwrap().push(label);
-            }
-        })),
-    }
-}
-
-/// Hooks that park the job in its first GN boundary until `release` fires
-/// (or 30 s pass), so the single worker stays busy while the test queues
-/// more jobs behind it.
-fn parked_until(release: mpsc::Receiver<()>) -> SolverHooks {
-    let release = Mutex::new(Some(release));
-    SolverHooks {
-        cancel: None,
-        on_gn_iter: Some(Arc::new(move |_| {
-            if let Some(rx) = release.lock().unwrap().take() {
-                let _ = rx.recv_timeout(Duration::from_secs(30));
-            }
-        })),
-    }
+    let (order, first) = (order.clone(), AtomicBool::new(true));
+    observing(None, move |_| {
+        if first.swap(false, Ordering::Relaxed) {
+            order.lock().unwrap().push(label);
+        }
+    })
 }
 
 #[test]
 fn priority_classes_drain_in_order() {
-    // One worker; the first job parks inside its first GN boundary until we
-    // release it, so the queue is guaranteed to hold all three priority
-    // classes before the worker picks the next job.
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1).queue_capacity(8));
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    let blocker = svc.submit(tiny_spec("blocker").hooks(parked_until(release_rx))).unwrap();
-    // the worker must be occupied before the contenders are queued
-    while svc.status(blocker) != Some(JobStatus::Running) {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-
+    // listed worst-first, so manifest order would be wrong; within a class
+    // manifest order holds
     let order = Arc::new(Mutex::new(Vec::new()));
-    // submitted worst-first so FIFO order would be wrong
-    let low = svc
-        .submit(tiny_spec("low").priority(Priority::Low).hooks(start_recorder("low", &order)))
-        .unwrap();
-    let normal = svc.submit(tiny_spec("normal").hooks(start_recorder("normal", &order))).unwrap();
-    let high = svc
-        .submit(tiny_spec("high").priority(Priority::High).hooks(start_recorder("high", &order)))
-        .unwrap();
-    assert_eq!(svc.queue_depth(), 3);
-
-    release_tx.send(()).unwrap();
-    for id in [blocker, high, normal, low] {
-        let res = svc.wait(id).expect("job known");
-        assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
+    let entries: [(&'static str, Priority); 4] = [
+        ("low", Priority::Low),
+        ("normal-1", Priority::Normal),
+        ("high", Priority::High),
+        ("normal-2", Priority::Normal),
+    ];
+    let jobs: Vec<Job> = entries
+        .iter()
+        .map(|&(label, priority)| Job {
+            priority,
+            hooks: start_recorder(label, &order),
+            ..tiny_job(label)
+        })
+        .collect();
+    let outcomes = run(&jobs, 1);
+    for outcome in &outcomes {
+        assert_succeeded(outcome);
     }
-    assert_eq!(*order.lock().unwrap(), ["high", "normal", "low"]);
+    assert_eq!(*order.lock().unwrap(), ["high", "normal-1", "normal-2", "low"]);
+    // outcomes come back in manifest order
+    let labels: Vec<&str> = outcomes.iter().map(|o| o.label.as_str()).collect();
+    assert_eq!(labels, entries.map(|(label, _)| label));
 }
 
 #[test]
 fn cancelled_job_stops_within_one_gn_iteration() {
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
-    // external token through the spec's hooks: the service adopts it
-    let token = CancelToken::new();
-    let trip = token.clone();
-    let boundaries = Arc::new(AtomicUsize::new(0));
-    let seen = boundaries.clone();
-    let hooks = SolverHooks {
-        cancel: Some(token),
-        on_gn_iter: Some(Arc::new(move |k| {
-            seen.fetch_add(1, Ordering::Relaxed);
-            if k == 1 {
-                trip.cancel();
-            }
-        })),
+    let (token, boundaries) = (CancelToken::new(), Arc::new(AtomicUsize::new(0)));
+    let (trip, seen) = (token.clone(), boundaries.clone());
+    let hooks = observing(Some(token), move |k| {
+        seen.fetch_add(1, Ordering::Relaxed);
+        if k == 1 {
+            trip.cancel();
+        }
+    });
+    let config = RegistrationConfig {
+        max_gn_iter: 25,
+        grad_rtol: 1e-12, // keep iterating until cancelled
+        ..tiny_config()
     };
-    let mut spec = tiny_spec("to-cancel").hooks(hooks);
-    spec.config.max_gn_iter = 25;
-    spec.config.grad_rtol = 1e-12; // keep iterating until cancelled
+    let jobs = [Job { hooks, ..job_on("to-cancel", config, [8; 3]) }, tiny_job("after-cancel")];
+    let outcomes = run(&jobs, 1);
 
-    let id = svc.submit(spec).unwrap();
-    let res = svc.wait(id).expect("job known");
-    assert_eq!(res.status, JobStatus::Cancelled, "{:?}", res.error);
+    assert!(error_of(&outcomes[0], Status::Cancelled).contains("cancelled"));
     // boundary 0 ran the iteration, boundary 1 tripped and stopped: the
     // cancel took effect within one GN iteration
     assert_eq!(boundaries.load(Ordering::Relaxed), 2);
-    assert!(res.error.unwrap().contains("cancelled"));
-    assert!(res.run.is_none());
-
-    // the worker pool is not poisoned: a healthy job still succeeds
-    let ok = svc.submit(tiny_spec("after-cancel")).unwrap();
-    assert_eq!(svc.wait(ok).unwrap().status, JobStatus::Succeeded);
+    // the worker goes on: the job behind it succeeds
+    assert_succeeded(&outcomes[1]);
 }
 
 #[test]
 fn deadline_expired_job_is_terminal_and_pool_survives() {
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
-    let id = svc.submit(tiny_spec("doomed").deadline(Duration::ZERO)).unwrap();
-    let res = svc.wait(id).expect("job known");
-    assert_eq!(res.status, JobStatus::DeadlineExpired);
-    assert!(res.status.is_terminal());
-    let ok = svc.submit(tiny_spec("healthy")).unwrap();
-    assert_eq!(svc.wait(ok).unwrap().status, JobStatus::Succeeded);
-}
-
-#[test]
-fn graceful_shutdown_drains_in_flight_and_rejects_new_work() {
-    let mut svc = RegistrationService::start(ServiceConfig::default().workers(2).queue_capacity(8));
-    let ids: Vec<JobId> =
-        (0..4).map(|i| svc.submit(tiny_spec(&format!("drain-{i}"))).unwrap()).collect();
-    let results = svc.shutdown();
-    assert_eq!(results.len(), ids.len(), "every admitted job must be drained");
-    for res in &results {
-        assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
-    }
-    // new work is rejected after shutdown
-    assert!(matches!(svc.submit(tiny_spec("late")), Err(SubmitError::ShuttingDown)));
-    assert!(matches!(svc.try_submit(tiny_spec("late-2")), Err(SubmitError::ShuttingDown)));
+    let jobs = [Job { deadline: Some(Duration::ZERO), ..tiny_job("doomed") }, tiny_job("healthy")];
+    let outcomes = run(&jobs, 1);
+    let error = error_of(&outcomes[0], Status::DeadlineExpired);
+    assert_eq!(error, "deadline expired before execution started");
+    assert_succeeded(&outcomes[1]);
 }
 
 #[test]
 fn per_job_report_records_queue_wait_and_latency() {
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
-    let id = svc.submit(tiny_spec("observed").priority(Priority::High)).unwrap();
-    let res = svc.wait(id).expect("job known");
-    assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
-    let run = res.run.expect("a succeeded job carries its report");
-    assert_eq!(run.summary.data, "observed", "the row is named by the job's label");
-    assert_eq!(run.scheduling.job_id, id.as_u64());
-    assert_eq!(run.scheduling.priority, "high");
-    assert!(run.scheduling.run_secs > 0.0);
-    assert!(run.scheduling.total_secs >= run.scheduling.run_secs);
-    assert!(
-        (run.scheduling.total_secs - res.total.as_secs_f64()).abs() < 1e-9,
-        "report and result must agree on end-to-end latency"
-    );
+    // One worker, two jobs: the high-priority second entry runs first, so
+    // the first entry waits the whole of its run, counted from batch start.
+    let jobs = [
+        Job { deadline: Some(Duration::from_secs(600)), ..tiny_job("waiting") },
+        Job { priority: Priority::High, ..tiny_job("observed") },
+    ];
+    let outcomes = run(&jobs, 1);
+    let (waiting, observed) = (assert_succeeded(&outcomes[0]), assert_succeeded(&outcomes[1]));
+    assert_eq!(observed.summary.data, "observed", "the row is named by the job's label");
+
+    let (w, o) = (&waiting.scheduling, &observed.scheduling);
+    assert_eq!((w.job_id, o.job_id), (1, 2), "job ids are 1-based manifest positions");
+    assert_eq!((w.priority.as_str(), o.priority.as_str()), ("normal", "high"));
+    assert_eq!((w.worker, o.worker), (0, 0));
+    assert_eq!((w.deadline_secs, o.deadline_secs), (600.0, 0.0));
+    for s in [w, o] {
+        assert!(s.run_secs > 0.0);
+        assert!(s.total_secs >= s.queue_wait_secs + s.run_secs - 1e-6, "{s:?}");
+    }
+    assert!(w.queue_wait_secs >= o.total_secs - 1e-6, "{w:?} vs {o:?}");
+    assert_eq!(outcomes[0].queue_wait.as_secs_f64(), w.queue_wait_secs);
+    assert_eq!(outcomes[0].run_time.as_secs_f64(), w.run_secs);
     // the JSON document carries the scheduling block
-    let json = run.to_json();
+    let json = waiting.to_json();
     assert!(json.contains("\"scheduling\""));
     assert!(json.contains("\"queue_wait_secs\""));
 }
@@ -200,14 +203,10 @@ fn assert_reports_bitwise_equal(a: &RegistrationReport, b: &RegistrationReport) 
 
 #[test]
 fn served_job_matches_a_direct_solve_bitwise() {
-    let mut svc = RegistrationService::start(ServiceConfig::default().workers(1));
-    let id = svc.submit(tiny_spec("served")).expect("admission");
-    let served = svc.wait(id).expect("job known");
-    assert_eq!(served.status, JobStatus::Succeeded, "{:?}", served.error);
-    svc.shutdown();
-    let served = served.run.expect("a succeeded job carries its report");
+    let outcomes = run(&[tiny_job("batch")], 1);
+    let batched = assert_succeeded(&outcomes[0]);
 
-    // the same spec, solved directly through `Claire`
+    // the same job, solved directly through `Claire`
     let mut comm = Comm::solo();
     let prob = syn_problem([8, 8, 8], &mut comm);
     let (_, report) = Claire::new(tiny_config())
@@ -215,10 +214,10 @@ fn served_job_matches_a_direct_solve_bitwise() {
         .expect("direct solve");
     let direct = collect_run_report(report, &comm);
 
-    assert_eq!((served.summary.data.as_str(), direct.summary.data.as_str()), ("served", "direct"));
-    assert_reports_bitwise_equal(&served.summary, &direct.summary);
-    // the served run document holds the row once, as its summary
-    let doc = serde_json::from_str(&served.to_json()).expect("the run report parses");
+    assert_eq!((batched.summary.data.as_str(), direct.summary.data.as_str()), ("batch", "direct"));
+    assert_reports_bitwise_equal(&batched.summary, &direct.summary);
+    // the job's run document holds the row once, as its summary
+    let doc = serde_json::from_str(&batched.to_json()).expect("the run report parses");
     let serde::Value::Object(pairs) = &doc else { panic!("the run is a JSON object") };
     let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(keys, claire::obs::report::SCHEMA_KEYS);
@@ -226,41 +225,35 @@ fn served_job_matches_a_direct_solve_bitwise() {
 
 #[test]
 fn per_job_cancellation_on_a_sequential_worker() {
-    // One worker. A blocker parks in its first GN boundary so three jobs
-    // queue behind it; one of them cancels itself at its own iteration
-    // boundary 1. That job alone ends `Cancelled`; the jobs before and
-    // after it on the same worker complete with full reports of their own.
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    let b = svc.submit(tiny_spec("blocker").hooks(parked_until(release_rx))).unwrap();
+    // One worker. `ok1`'s observer cancels `queued` while `ok1` runs, so
+    // `queued` never starts; `quitter` cancels itself at its own iteration
+    // boundary 1. Those two alone end `Cancelled`; the jobs before and after
+    // them on the same worker complete with full reports of their own.
+    let (queued, quitter) = (CancelToken::new(), CancelToken::new());
+    let (neighbour, trip) = (queued.clone(), quitter.clone());
+    let jobs = [
+        Job { hooks: observing(None, move |_| neighbour.cancel()), ..tiny_job("ok1") },
+        Job { hooks: SolverHooks::with_cancel(queued), ..tiny_job("queued") },
+        Job {
+            hooks: observing(Some(quitter), move |k| {
+                if k >= 1 {
+                    trip.cancel();
+                }
+            }),
+            ..tiny_job("quitter")
+        },
+        tiny_job("ok2"),
+    ];
+    let outcomes = run(&jobs, 1);
 
-    let token = CancelToken::new();
-    let trip = token.clone();
-    let self_cancel = SolverHooks {
-        cancel: Some(token),
-        on_gn_iter: Some(Arc::new(move |k| {
-            if k >= 1 {
-                trip.cancel();
-            }
-        })),
-    };
-    let ok1 = svc.submit(tiny_spec("ok1")).unwrap();
-    let quitter = svc.submit(tiny_spec("quitter").hooks(self_cancel)).unwrap();
-    let ok2 = svc.submit(tiny_spec("ok2")).unwrap();
-    release_tx.send(()).unwrap();
-
-    assert_eq!(svc.wait(b).unwrap().status, JobStatus::Succeeded);
-    let quit = svc.wait(quitter).unwrap();
-    assert_eq!(quit.status, JobStatus::Cancelled, "{:?}", quit.error);
-    let error = quit.error.unwrap();
+    let error = error_of(&outcomes[1], Status::Cancelled);
+    assert_eq!(error, "cancelled before execution started");
+    let error = error_of(&outcomes[2], Status::Cancelled);
     assert!(error.starts_with("Claire::register stopped early: cancelled"), "{error}");
     assert!(error.contains("after 1 Gauss-Newton"), "{error}");
-    assert!(quit.run.is_none());
 
-    for id in [ok1, ok2] {
-        let res = svc.wait(id).unwrap();
-        assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
-        let run = res.run.expect("a succeeded job keeps its report");
+    for outcome in [&outcomes[0], &outcomes[3]] {
+        let run = assert_succeeded(outcome);
         assert!(run.summary.gn_iters >= 1, "{:?}", run.summary);
         assert!(run.memory.pool_checkouts > 0, "the job's own pool events");
     }
@@ -268,28 +261,18 @@ fn per_job_cancellation_on_a_sequential_worker() {
 
 #[test]
 fn panicking_run_fails_its_job_and_spares_the_one_behind_it() {
-    // One worker. While the blocker parks, two jobs queue up; the first
-    // one's observer panics inside its solve. The panic is caught and fails
-    // that job alone — which still reports the time it spent queued — and
-    // the bystander queued behind it on the same worker succeeds.
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    let b = svc.submit(tiny_spec("blocker").hooks(parked_until(release_rx))).unwrap();
-    let bomb_hooks =
-        SolverHooks { cancel: None, on_gn_iter: Some(Arc::new(|_| panic!("observer exploded"))) };
-    let bomb = svc.submit(tiny_spec("bomb").hooks(bomb_hooks)).unwrap();
-    let bystander = svc.submit(tiny_spec("bystander")).unwrap();
-    release_tx.send(()).unwrap();
+    // One worker. The bomb's observer panics inside its solve. The panic is
+    // caught and fails that job alone — which still reports the time it
+    // waited behind the first job — and the bystander behind it succeeds.
+    let bomb = observing(None, |_| panic!("observer exploded"));
+    let jobs = [tiny_job("first"), Job { hooks: bomb, ..tiny_job("bomb") }, tiny_job("bystander")];
+    let outcomes = run(&jobs, 1);
 
-    assert_eq!(svc.wait(b).unwrap().status, JobStatus::Succeeded);
-    let res = svc.wait(bomb).unwrap();
-    assert_eq!(res.status, JobStatus::Failed);
-    let error = res.error.unwrap();
+    assert_succeeded(&outcomes[0]);
+    let error = error_of(&outcomes[1], Status::Failed);
     assert!(error.contains("solver panicked: observer exploded"), "{error}");
-    assert!(res.queue_wait > Duration::ZERO, "a failed job keeps its queue wait");
-    assert!(res.total >= res.queue_wait + res.run_time);
-    let res = svc.wait(bystander).unwrap();
-    assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
+    assert!(outcomes[1].queue_wait >= outcomes[0].run_time, "a failed job keeps its queue wait");
+    assert_succeeded(&outcomes[2]);
 }
 
 #[test]
@@ -299,38 +282,37 @@ fn served_reports_carry_their_own_kernels_and_gn_trace() {
     // predecessor's on the same worker. Equal jobs therefore report equal
     // kernel call counts.
     claire::obs::set_enabled(true);
-    let mut svc = RegistrationService::start(ServiceConfig::default().workers(2));
-    let ids: Vec<JobId> =
-        (0..4).map(|i| svc.submit(tiny_spec(&format!("own-{i}"))).unwrap()).collect();
+    let jobs: Vec<Job> = (0..4).map(|i| tiny_job(&format!("own-{i}"))).collect();
+    let outcomes = run(&jobs, 2);
     let mut calls = Vec::new();
-    for id in ids {
-        let res = svc.wait(id).unwrap();
-        assert_eq!(res.status, JobStatus::Succeeded, "{:?}", res.error);
-        let run = res.run.expect("a succeeded job carries its report");
-        assert_eq!(run.gn_trace.len(), run.summary.gn_iters, "{}", res.label);
-        assert!(!run.kernels.is_empty(), "{}: no kernel timers", res.label);
+    for outcome in &outcomes {
+        let run = assert_succeeded(outcome);
+        assert_eq!(run.gn_trace.len(), run.summary.gn_iters, "{}", outcome.label);
+        assert!(!run.kernels.is_empty(), "{}: no kernel timers", outcome.label);
         calls.push(run.kernels.iter().map(|k| (k.name.clone(), k.calls)).collect::<Vec<_>>());
     }
-    svc.shutdown();
+    let workers: Vec<usize> =
+        outcomes.iter().map(|o| o.run.as_ref().unwrap().scheduling.worker).collect();
+    assert!(workers.iter().all(|&w| w < 2), "{workers:?}");
     assert!(calls.windows(2).all(|w| w[0] == w[1]), "{calls:?}");
 }
 
 #[test]
 fn panicking_input_generation_fails_the_job_not_the_worker() {
-    // Admission accepts any extent >= 2, but generating a synthetic pair
+    // The manifest accepts any extent >= 2, but generating a synthetic pair
     // on a grid narrower than the FD8 halo panics. That must end as a
-    // `Failed` job — not a dead worker and a job stuck `Running`.
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
-    for n in [[2, 2, 2], [3, 3, 3]] {
-        let id =
-            svc.submit(JobSpec::new("tiny", tiny_config(), JobInput::Synthetic { n })).unwrap();
-        let res = svc.wait(id).unwrap();
-        assert_eq!(res.status, JobStatus::Failed);
-        let error = res.error.unwrap();
+    // `Failed` job, and the worker goes on to the next one.
+    let jobs = [
+        job_on("two", tiny_config(), [2; 3]),
+        job_on("three", tiny_config(), [3; 3]),
+        tiny_job("after"),
+    ];
+    let outcomes = run(&jobs, 1);
+    for outcome in &outcomes[..2] {
+        let error = error_of(outcome, Status::Failed);
         assert!(error.contains("solver panicked: "), "{error}");
     }
-    let after = svc.submit(tiny_spec("after")).unwrap();
-    assert_eq!(svc.wait(after).unwrap().status, JobStatus::Succeeded);
+    assert_succeeded(&outcomes[2]);
 }
 
 #[test]
@@ -338,66 +320,57 @@ fn grid_the_preconditioner_cannot_coarsen_fails_typed_not_by_panic() {
     // 18³ is a fine grid for the transforms, but 2LInvH0's half-resolution
     // grid (9³) is not one the real FFT can take: the job must end `Failed`
     // with the validation message, without going through `catch_unwind`.
-    let svc = RegistrationService::start(ServiceConfig::default().workers(1));
     let cfg = RegistrationConfig { precond: PrecondKind::TwoLevelInvH0, ..tiny_config() };
-    let id = svc.submit(JobSpec::new("18", cfg, JobInput::Synthetic { n: [18; 3] })).unwrap();
-    let res = svc.wait(id).unwrap();
-    assert_eq!(res.status, JobStatus::Failed);
-    let error = res.error.unwrap();
+    let outcomes = run(&[job_on("18", cfg, [18; 3])], 1);
+    let error = error_of(&outcomes[0], Status::Failed);
     assert!(error.contains("n3 % 4 == 0") && !error.contains("panicked"), "{error}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random submit/cancel/shutdown interleavings: every accepted job
-    /// reaches exactly one terminal state (none lost, none duplicated),
-    /// ids are unique, and cancelled jobs are really terminal.
+    /// Workers claim jobs from one atomic counter while the first boundary
+    /// of any job cancels the masked ones, which may be queued, running or
+    /// done by then. Every entry gets exactly one outcome, in manifest
+    /// order, and no job starts twice.
     #[test]
     fn no_job_lost_or_duplicated_across_interleavings(
         n_jobs in 1usize..5,
         workers in 1usize..3,
         cancel_mask in 0u32..16,
-        graceful_bit in 0u32..2,
     ) {
-        let graceful = graceful_bit == 1;
-        let mut svc = RegistrationService::start(
-            ServiceConfig::default()
-                .workers(workers)
-                .queue_capacity(n_jobs.max(1)),
-        );
-        let mut cfg = tiny_config();
-        cfg.nt = 1;
-        cfg.max_gn_iter = 1;
-        let mut accepted = Vec::new();
-        for j in 0..n_jobs {
-            let spec = JobSpec::new(
-                format!("prop-{j}"),
-                cfg,
-                JobInput::Synthetic { n: [8, 8, 8] },
-            );
-            let id = svc.submit(spec).unwrap();
-            if cancel_mask & (1 << j) != 0 {
-                svc.cancel(id); // may race the solve — both outcomes valid
-            }
-            accepted.push(id);
-        }
-        let results = if graceful { svc.shutdown() } else { svc.shutdown_now() };
+        let cfg = RegistrationConfig { nt: 1, max_gn_iter: 1, ..tiny_config() };
+        let masked = move |j: usize| cancel_mask & (1 << j) != 0;
+        let tokens: Arc<Vec<CancelToken>> =
+            Arc::new((0..n_jobs).map(|_| CancelToken::new()).collect());
+        let starts: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..n_jobs).map(|_| AtomicUsize::new(0)).collect());
+        let jobs: Vec<Job> = (0..n_jobs)
+            .map(|j| {
+                let (all, starts) = (tokens.clone(), starts.clone());
+                let observer = move |k: usize| {
+                    if k == 0 {
+                        starts[j].fetch_add(1, Ordering::Relaxed);
+                        (0..all.len()).filter(|&m| masked(m)).for_each(|m| all[m].cancel());
+                    }
+                };
+                let hooks = observing(Some(tokens[j].clone()), observer);
+                Job { hooks, ..job_on(&format!("prop-{j}"), cfg, [8; 3]) }
+            })
+            .collect();
+        let outcomes = run(&jobs, workers);
 
-        prop_assert_eq!(results.len(), accepted.len(), "a job was lost or duplicated");
-        let mut ids: Vec<u64> = results.iter().map(|r| r.id.as_u64()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        prop_assert_eq!(ids.len(), accepted.len(), "duplicate job ids in results");
-        for res in &results {
-            prop_assert!(res.status.is_terminal(), "non-terminal result {}", res.status);
-            prop_assert!(
-                matches!(res.status, JobStatus::Succeeded | JobStatus::Cancelled),
-                "unexpected status {} ({:?})", res.status, res.error
-            );
+        prop_assert_eq!(outcomes.len(), n_jobs, "a job was lost or duplicated");
+        for (j, outcome) in outcomes.iter().enumerate() {
+            prop_assert_eq!(&outcome.label, &format!("prop-{j}"));
+            prop_assert!(starts[j].load(Ordering::Relaxed) <= 1, "{} started twice", outcome.label);
+            // a masked job is cancelled by its own first boundary if no
+            // other job's came first: it never succeeds
+            let expected = if masked(j) { Status::Cancelled } else { Status::Succeeded };
+            prop_assert_eq!(outcome.status, expected, "{}: {:?}", outcome.label, outcome.error);
+            if let Some(run) = &outcome.run {
+                prop_assert_eq!(run.scheduling.job_id, j as u64 + 1);
+            }
         }
-        // after shutdown the service accepts nothing
-        let late = JobSpec::new("late", cfg, JobInput::Synthetic { n: [8, 8, 8] });
-        prop_assert!(matches!(svc.submit(late), Err(SubmitError::ShuttingDown)));
     }
 }
