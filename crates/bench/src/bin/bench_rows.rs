@@ -132,7 +132,7 @@ fn alltoallv(grid: Grid, comm: &mut Comm) -> f64 {
 }
 
 /// The two collectives a multi-process launch pays per message, over real
-/// Unix-domain sockets (framing, eager/rendezvous switch, reader threads):
+/// Unix-domain sockets (framing, vectored sends, reader threads):
 /// a width-4 ghost exchange and an alltoallv with the per-pair volume of a
 /// slab transpose, on 2 and 4 ranks, rank 0's clock.
 fn sockets(n: usize) -> Rows {

@@ -1,6 +1,6 @@
 //! Registration configuration and its validating builder.
 
-use claire_grid::{ClaireError, ClaireResult};
+use claire_grid::{ClaireError, ClaireResult, Grid};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Hessian preconditioner selection (paper §2, Algorithm 1).
@@ -67,15 +67,6 @@ impl Precision {
     pub fn parse(s: &str) -> Option<Precision> {
         [Precision::F64, Precision::Mixed].into_iter().find(|p| p.label() == s)
     }
-
-    /// Read `CLAIRE_PRECISION` (`mixed`/`f32`/`single` → [`Precision::Mixed`],
-    /// anything else or unset → [`Precision::F64`]).
-    pub fn from_env() -> Precision {
-        match std::env::var("CLAIRE_PRECISION").ok().as_deref() {
-            Some("mixed") | Some("f32") | Some("single") => Precision::Mixed,
-            _ => Precision::F64,
-        }
-    }
 }
 
 /// Full registration configuration (paper defaults). [`ConfigField`] is the
@@ -114,8 +105,7 @@ pub struct RegistrationConfig {
     /// Fixed PCG iterations (Table 7 scaling mode), disables the forcing
     /// sequence when set.
     pub fixed_pcg: Option<usize>,
-    /// Arithmetic width of the inner Krylov/FFT path (default: the
-    /// `CLAIRE_PRECISION` environment selection, `F64` when unset).
+    /// Arithmetic width of the inner Krylov/FFT path (default `F64`).
     pub precision: Precision,
     /// Print progress on rank 0.
     pub verbose: bool,
@@ -214,7 +204,7 @@ impl Default for RegistrationConfig {
             max_pcg_iter: 100,
             max_inner_iter: 50,
             fixed_pcg: None,
-            precision: Precision::from_env(),
+            precision: Precision::F64,
             verbose: false,
         }
     }
@@ -322,6 +312,49 @@ impl RegistrationConfig {
             if fixed < 1 {
                 return Err(bad("fixed_pcg", format!("must be >= 1 when set, got {fixed}")));
             }
+        }
+        Ok(())
+    }
+
+    /// Check that the solver can run on `grid` over `nranks` ranks, so a
+    /// misconfigured problem fails with a typed error before any work
+    /// instead of a panic deep inside the FFT plan cache (the real
+    /// transform needs an even `n3`), the ghost exchange (the 8th-order
+    /// stencil needs a width-4 halo to fit in `n1`) or — for `2LInvH0` —
+    /// the planning of its half-resolution grid. [`crate::RegProblem::new`]
+    /// calls it, and so does `claire-cli launch` before it spawns a rank.
+    pub fn validate_grid(&self, grid: Grid, nranks: usize) -> ClaireResult<()> {
+        let [n1, n2, n3] = grid.n;
+        if n3 < 2 || !n3.is_multiple_of(2) {
+            return Err(ClaireError::Config {
+                param: "grid",
+                message: format!(
+                    "innermost dimension n3 must be even and >= 2 for the real FFT, got {n3} \
+                     (grid {n1}x{n2}x{n3})"
+                ),
+            });
+        }
+        if n1 < claire_diff::fd::FD8_WIDTH {
+            return Err(ClaireError::Config {
+                param: "grid",
+                message: format!(
+                    "n1 must be >= {} for the 8th-order stencil halo, got {n1} (grid {n1}x{n2}x{n3})",
+                    claire_diff::fd::FD8_WIDTH
+                ),
+            });
+        }
+        let halves = grid.n.iter().all(|&n| n >= 4 && n.is_multiple_of(2));
+        if self.precond == PrecondKind::TwoLevelInvH0
+            && !(halves && n3.is_multiple_of(4) && nranks <= n1.min(n2) / 2)
+        {
+            return Err(ClaireError::Config {
+                param: "grid",
+                message: format!(
+                    "2LInvH0 coarsens to a half-resolution grid that must take the real FFT and a \
+                     slab per rank: every dimension even and >= 4, n3 % 4 == 0, and \
+                     p <= min(n1, n2)/2; got grid {n1}x{n2}x{n3} on p = {nranks}"
+                ),
+            });
         }
         Ok(())
     }
@@ -449,7 +482,7 @@ impl RegistrationConfigBuilder {
         self
     }
 
-    /// Inner Krylov/FFT arithmetic width (overrides `CLAIRE_PRECISION`).
+    /// Inner Krylov/FFT arithmetic width.
     pub fn precision(mut self, p: Precision) -> Self {
         self.cfg.precision = p;
         self

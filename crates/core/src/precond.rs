@@ -22,6 +22,7 @@
 //! and `∇m̄` and has the one application body. The f64 lane always exists,
 //! the f32 lane only under `Precision::Mixed`.
 
+use claire_diff::fd::FdScratch;
 use claire_diff::{Spectral, SpectralT, TwoLevelT};
 use claire_fft::{FftElem, SpectralVecT};
 use claire_grid::{Grid, Real, ScalarField, VectorField, VectorFieldT, WsCat};
@@ -207,9 +208,6 @@ pub struct PrecondState {
     /// The f32 lane of the mixed-precision inner solve; its `∇m̄` is the
     /// f64 one demoted on every [`PrecondState::refresh`].
     lane32: Option<Lane<f32>>,
-    /// Persistent FD scratch so per-iteration refreshes reuse ghost/tmp
-    /// buffers instead of allocating.
-    fd_scratch: claire_diff::fd::FdScratch,
     /// Applications of InvA (`[A]` column; includes continuation levels
     /// with β > 5e−1).
     pub n_inva: usize,
@@ -244,7 +242,6 @@ impl PrecondState {
             },
             lane: Lane { ops, grad_mbar, grad_mbar_c },
             lane32,
-            fd_scratch: claire_diff::fd::FdScratch::new(),
             n_inva: 0,
             n_invh0: 0,
             inner_iters: 0,
@@ -259,7 +256,7 @@ impl PrecondState {
             return; // InvA never uses m̄
         }
         let lane = &mut self.lane;
-        claire_diff::fd::gradient_into(mbar, comm, &mut lane.grad_mbar, &mut self.fd_scratch);
+        claire_diff::fd::gradient_into(mbar, comm, &mut lane.grad_mbar, &mut FdScratch::new());
         if let Some((tl, _)) = &lane.ops.coarse {
             lane.grad_mbar_c = Some(tl.restrict_vector(&lane.grad_mbar, comm));
         }

@@ -8,7 +8,7 @@ use claire_opt::GnProblem;
 use claire_par::SharedSlice;
 use claire_semilag::{StateSolution, Trajectory, Transport};
 
-use crate::config::{PrecondKind, RegistrationConfig};
+use crate::config::RegistrationConfig;
 use crate::precond::PrecondState;
 
 /// A state solve [`RegProblem`] keeps: the velocity it was made at (a pooled
@@ -73,7 +73,7 @@ impl RegProblem {
                 ),
             });
         }
-        validate_grid(layout.grid, cfg.precond, comm.size())?;
+        cfg.validate_grid(layout.grid, comm.size())?;
         let pc = PrecondState::new(&cfg, &m0, comm);
         let mut den = m0.clone();
         den.axpy(-1.0, &m1);
@@ -182,47 +182,6 @@ impl RegProblem {
         num.axpy(-1.0, &self.m1);
         num.norm_l2(comm) / self.mismatch0
     }
-}
-
-/// Validate grid dimensions up front so misconfigured problems fail with a
-/// typed error at construction instead of a panic deep inside the FFT plan
-/// cache (real transform needs even `n3`), the ghost exchange (the
-/// 8th-order stencil needs a width-4 halo to fit in `n1`) or — for
-/// `2LInvH0` on `nranks` ranks — the planning of its half-resolution grid.
-fn validate_grid(grid: claire_grid::Grid, precond: PrecondKind, nranks: usize) -> ClaireResult<()> {
-    let [n1, n2, n3] = grid.n;
-    if n3 < 2 || !n3.is_multiple_of(2) {
-        return Err(ClaireError::Config {
-            param: "grid",
-            message: format!(
-                "innermost dimension n3 must be even and >= 2 for the real FFT, got {n3} \
-                 (grid {n1}x{n2}x{n3})"
-            ),
-        });
-    }
-    if n1 < claire_diff::fd::FD8_WIDTH {
-        return Err(ClaireError::Config {
-            param: "grid",
-            message: format!(
-                "n1 must be >= {} for the 8th-order stencil halo, got {n1} (grid {n1}x{n2}x{n3})",
-                claire_diff::fd::FD8_WIDTH
-            ),
-        });
-    }
-    let halves = grid.n.iter().all(|&n| n >= 4 && n.is_multiple_of(2));
-    if precond == PrecondKind::TwoLevelInvH0
-        && !(halves && n3.is_multiple_of(4) && nranks <= n1.min(n2) / 2)
-    {
-        return Err(ClaireError::Config {
-            param: "grid",
-            message: format!(
-                "2LInvH0 coarsens to a half-resolution grid that must take the real FFT and a \
-                 slab per rank: every dimension even and >= 4, n3 % 4 == 0, and \
-                 p <= min(n1, n2)/2; got grid {n1}x{n2}x{n3} on p = {nranks}"
-            ),
-        });
-    }
-    Ok(())
 }
 
 /// One term of `∫ λ(t) ∇m(t) dt` by trapezoidal quadrature: adds
@@ -373,6 +332,7 @@ impl GnProblem for RegProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PrecondKind;
     use claire_grid::Grid;
 
     fn small_problem(n: usize, comm: &mut Comm) -> RegProblem {

@@ -271,7 +271,6 @@ fn level_gn_config(cfg: &RegistrationConfig) -> GnConfig {
         fixed_pcg: cfg.fixed_pcg,
         verbose: cfg.verbose,
         mixed: cfg.precision == crate::config::Precision::Mixed,
-        ..Default::default()
     }
 }
 

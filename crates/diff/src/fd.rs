@@ -17,16 +17,17 @@
 //! output into `x1`-planes and hands contiguous blocks of them to worker
 //! threads via `claire-par`. The ghost exchange stays a serial collective —
 //! it is the `ghost_comm` phase, not kernel compute; [`gradient_into`] does
-//! one exchange per field for all three components. Hot loops should hold
-//! an [`FdScratch`] and call [`deriv_into`]/[`gradient_into`] to avoid
-//! reallocating the ghost halo and output fields on every application.
+//! one exchange per field for all three components. The halo comes from
+//! the `fd` workspace pool and goes back when its [`FdScratch`] drops: the
+//! convenience wrappers (`deriv`, `gradient`, `divergence`) and
+//! [`gradient_tiles`] hold one for the call only, and a loop that applies
+//! the stencil many times in a row holds its own and calls
+//! [`deriv_into`]/[`gradient_into`].
 //!
 //! A consumer that reads `∇f` once, point by point, need not hold it at all:
 //! [`gradient_tiles`] runs the same sweep one x3-row tile at a time into
 //! stack buffers and hands each tile to the consumer (the transport solves'
 //! `ṽ·∇m` source and the `∫ λ ∇m dt` quadrature), so no `∇f` field is built.
-
-use std::cell::RefCell;
 
 use claire_grid::ghost::{self, GhostField};
 use claire_grid::{Real, ScalarField, VectorField};
@@ -44,7 +45,8 @@ pub const FD8_WIDTH: usize = 4;
 
 /// Reusable buffers for repeated derivative applications: the ghost halo
 /// every sweep reads and a temporary field for [`divergence_into`]. One scratch
-/// per layout; buffers are (re)allocated lazily on first use or layout change.
+/// per layout; buffers are checked out of the workspace pools lazily on
+/// first use or layout change, and back in when the scratch drops.
 #[derive(Debug, Default)]
 pub struct FdScratch {
     ghost: Option<GhostField>,
@@ -67,29 +69,12 @@ impl FdScratch {
     }
 }
 
-// The convenience wrappers (`deriv`, `gradient`, `divergence`) share one
-// thread-local scratch so repeated calls reuse the ghost halo and temporary
-// field instead of re-allocating them — the non-`_into` API no longer
-// breaks the zero-alloc story when used from examples or tests.
-thread_local! {
-    static WRAPPER_SCRATCH: RefCell<FdScratch> = RefCell::new(FdScratch::new());
-}
-
-fn with_wrapper_scratch<R>(f: impl FnOnce(&mut FdScratch) -> R) -> R {
-    WRAPPER_SCRATCH.with(|s| match s.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        // re-entrant call (defensive): fall back to a fresh scratch
-        Err(_) => f(&mut FdScratch::new()),
-    })
-}
-
 /// Partial derivative `∂f/∂x_dim` (dim ∈ {0,1,2}); collective over `comm`
 /// when `dim == 0` (ghost exchange), local otherwise. Allocates the output;
-/// the halo comes from a pooled thread-local scratch. Hot loops should
-/// still use [`deriv_into`] with their own scratch.
+/// the halo is pooled and held for this call only.
 pub fn deriv(f: &ScalarField, dim: usize, comm: &mut Comm) -> ScalarField {
     let mut out = ScalarField::for_overwrite(*f.layout());
-    with_wrapper_scratch(|scratch| deriv_into(f, dim, comm, &mut out, scratch));
+    deriv_into(f, dim, comm, &mut out, &mut FdScratch::new());
     out
 }
 
@@ -155,10 +140,10 @@ fn sweep(gf: &GhostField, dim: usize, out: &mut ScalarField, s: Real) {
 }
 
 /// Gradient `∇f` via three 8th-order derivatives. Collective. Wrapper over
-/// [`gradient_into`] using the pooled thread-local scratch.
+/// [`gradient_into`] with a call-local scratch.
 pub fn gradient(f: &ScalarField, comm: &mut Comm) -> VectorField {
     let mut out = VectorField::for_overwrite(*f.layout());
-    with_wrapper_scratch(|scratch| gradient_into(f, comm, &mut out, scratch));
+    gradient_into(f, comm, &mut out, &mut FdScratch::new());
     out
 }
 
@@ -189,52 +174,50 @@ pub const TILE: usize = 128;
 /// `each(at, [g1, g2, g3])`, `at` being the local index of the tile's first
 /// point. Every owned point is in exactly one tile, and worker threads take
 /// contiguous blocks of x1 planes, so `each` may write the points of its
-/// tile through a [`claire_par::SharedSlice`]. Allocates nothing once the
-/// thread's halo is warm (it is the pooled wrapper scratch's); the sweep
-/// and `each` run on the FD clock. Collective.
+/// tile through a [`claire_par::SharedSlice`]. Its halo is pooled and held
+/// for this call only; the sweep and `each` run on the FD clock.
+/// Collective.
 pub fn gradient_tiles<F>(f: &ScalarField, comm: &mut Comm, each: F)
 where
     F: Fn(usize, [&[Real]; 3]) + Sync,
 {
-    with_wrapper_scratch(|scratch| {
-        let gf = scratch.ghost_for(f);
-        ghost::exchange_into(f, comm, gf);
-        let h = gf.layout().grid.spacing();
-        let inv_h: [Real; 3] = std::array::from_fn(|d| 1.0 as Real / h[d]);
-        let [n1, n2, n3] = gf.layout().local_dims();
-        let [_, rows, cols] = gf.dims().stored;
-        let stride = [rows * cols, cols, 1];
-        let gd = gf.data();
-        timing::time(Kernel::Fd, || {
-            par_parts(n1, n1 * n2 * n3, |planes| {
-                let mut tile = [[0.0 as Real; TILE]; 3];
-                for il in planes {
-                    for j in 0..n2 {
-                        for k0 in (0..n3).step_by(TILE) {
-                            let len = TILE.min(n3 - k0);
-                            let at = gf.offset(il as isize, j as isize, k0 as isize);
-                            for (d, t) in tile.iter_mut().enumerate() {
-                                let s = stride[d];
-                                let plus = std::array::from_fn(|m| &gd[at + (m + 1) * s..][..len]);
-                                let minus = std::array::from_fn(|m| &gd[at - (m + 1) * s..][..len]);
-                                let out = &mut t[..len];
-                                Real::kfd8_combine_scale(out, &plus, &minus, &FD8, inv_h[d], 1.0);
-                            }
-                            let [t1, t2, t3] = &tile;
-                            each((il * n2 + j) * n3 + k0, [&t1[..len], &t2[..len], &t3[..len]]);
+    let mut gf = GhostField::alloc(*f.layout(), FD8_WIDTH);
+    ghost::exchange_into(f, comm, &mut gf);
+    let h = gf.layout().grid.spacing();
+    let inv_h: [Real; 3] = std::array::from_fn(|d| 1.0 as Real / h[d]);
+    let [n1, n2, n3] = gf.layout().local_dims();
+    let [_, rows, cols] = gf.dims().stored;
+    let stride = [rows * cols, cols, 1];
+    let gd = gf.data();
+    timing::time(Kernel::Fd, || {
+        par_parts(n1, n1 * n2 * n3, |planes| {
+            let mut tile = [[0.0 as Real; TILE]; 3];
+            for il in planes {
+                for j in 0..n2 {
+                    for k0 in (0..n3).step_by(TILE) {
+                        let len = TILE.min(n3 - k0);
+                        let at = gf.offset(il as isize, j as isize, k0 as isize);
+                        for (d, t) in tile.iter_mut().enumerate() {
+                            let s = stride[d];
+                            let plus = std::array::from_fn(|m| &gd[at + (m + 1) * s..][..len]);
+                            let minus = std::array::from_fn(|m| &gd[at - (m + 1) * s..][..len]);
+                            let out = &mut t[..len];
+                            Real::kfd8_combine_scale(out, &plus, &minus, &FD8, inv_h[d], 1.0);
                         }
+                        let [t1, t2, t3] = &tile;
+                        each((il * n2 + j) * n3 + k0, [&t1[..len], &t2[..len], &t3[..len]]);
                     }
                 }
-            });
+            }
         });
     });
 }
 
 /// Divergence `∇·v` via three 8th-order derivatives. Collective. Wrapper
-/// over [`divergence_into`] using the pooled thread-local scratch.
+/// over [`divergence_into`] with a call-local scratch.
 pub fn divergence(v: &VectorField, comm: &mut Comm) -> ScalarField {
     let mut out = ScalarField::for_overwrite(*v.layout());
-    with_wrapper_scratch(|scratch| divergence_into(v, comm, &mut out, scratch));
+    divergence_into(v, comm, &mut out, &mut FdScratch::new());
     out
 }
 
@@ -273,11 +256,11 @@ pub fn divergence_scaled_into(
     scratch.tmp = Some(tmp);
 }
 
-/// Scaled divergence wrapper over [`divergence_scaled_into`] using the
-/// pooled thread-local scratch. Collective.
+/// Scaled divergence wrapper over [`divergence_scaled_into`] with a
+/// call-local scratch. Collective.
 pub fn divergence_scaled(v: &VectorField, comm: &mut Comm, s: Real) -> ScalarField {
     let mut out = ScalarField::for_overwrite(*v.layout());
-    with_wrapper_scratch(|scratch| divergence_scaled_into(v, comm, &mut out, scratch, s));
+    divergence_scaled_into(v, comm, &mut out, &mut FdScratch::new(), s);
     out
 }
 
@@ -444,22 +427,5 @@ mod tests {
         let div = divergence(&v, &mut comm);
         let m = div.max_abs(&mut comm);
         assert!(m < 1e-10, "divergence should vanish: {m}");
-    }
-
-    #[test]
-    fn wrapper_reuses_pooled_scratch() {
-        let layout = Layout::serial(Grid::cube(16));
-        let mut comm = Comm::solo();
-        let f = ScalarField::from_fn(layout, |x, y, _| x.sin() + y.cos());
-        let halo_ptr = || {
-            WRAPPER_SCRATCH.with(|s| s.borrow().ghost.as_ref().map(|g| g.data().as_ptr() as usize))
-        };
-        // warm up this thread's wrapper scratch, then check the halo buffer
-        // is held (not re-allocated) across subsequent wrapper calls
-        let _ = deriv(&f, 0, &mut comm);
-        let p1 = halo_ptr().expect("wrapper scratch should hold a halo after deriv");
-        let _ = gradient(&f, &mut comm);
-        let p2 = halo_ptr().expect("wrapper scratch should hold a halo after gradient");
-        assert_eq!(p1, p2, "wrappers must reuse the thread-local halo buffer");
     }
 }

@@ -4,8 +4,9 @@
 //! storage is `f64` — the functional experiments run at much smaller grid
 //! sizes where robust Krylov convergence matters more than memory footprint
 //! — and the paper's precision is a per-job runtime choice instead of a
-//! build flavour: `CLAIRE_PRECISION=mixed` runs the inner Krylov/FFT path on
-//! `ScalarFieldT<f32>` through the same width-generic kernels. Reductions
+//! build flavour: the solver configuration's `precision: Mixed` runs the
+//! inner Krylov/FFT path on `ScalarFieldT<f32>` through the same
+//! width-generic kernels. Reductions
 //! accumulate in `f64` at either width.
 
 /// Scalar type of all outer-loop field data.

@@ -16,7 +16,7 @@
 //!   frame has arrived, timeouts keep retrying — the peer has promised the
 //!   rest.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Upper bound on a frame payload (1 GiB), checked against the length
 /// prefix before any allocation.
@@ -73,29 +73,32 @@ impl From<io::Error> for FrameError {
 
 /// Write one frame: 4-byte big-endian payload length, then the payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge { len: payload.len(), max: MAX_FRAME_BYTES });
-    }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
+    write_frame_parts(w, &[], payload)
 }
 
-/// Write one frame whose payload is the concatenation of `parts`, without
-/// staging them into one buffer first.
-///
-/// This is the rendezvous-path send of the socket transport: the fixed
-/// message header and the (possibly large) payload stream straight from
-/// their source slices.
-pub fn write_frame_parts(w: &mut impl Write, parts: &[&[u8]]) -> Result<(), FrameError> {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
+/// Write one frame whose payload is `header` followed by `payload`: the
+/// length prefix and both parts go out by `Write::write_vectored` straight
+/// from their slices, never staged into one buffer, and a short write
+/// resumes where it stopped. Every socket data message is sent this way.
+pub fn write_frame_parts(
+    w: &mut impl Write,
+    header: &[u8],
+    payload: &[u8],
+) -> Result<(), FrameError> {
+    let len = header.len() + payload.len();
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge { len, max: MAX_FRAME_BYTES });
     }
-    w.write_all(&(len as u32).to_be_bytes())?;
-    for p in parts {
-        w.write_all(p)?;
+    let prefix = (len as u32).to_be_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(header), IoSlice::new(payload)];
+    let mut left = &mut slices[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(FrameError::Io(io::ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(FrameError::Io(e)),
+        }
     }
     w.flush()?;
     Ok(())
@@ -167,8 +170,35 @@ mod tests {
         let mut staged = Vec::new();
         write_frame(&mut staged, b"headerpayload").unwrap();
         let mut parted = Vec::new();
-        write_frame_parts(&mut parted, &[b"header", b"payload"]).unwrap();
+        write_frame_parts(&mut parted, b"header", b"payload").unwrap();
         assert_eq!(staged, parted);
+    }
+
+    /// A writer that takes at most 3 bytes per call, so every slice
+    /// boundary is crossed by a short write.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_where_they_stopped() {
+        let mut whole = Vec::new();
+        write_frame_parts(&mut whole, b"head", b"payload!").unwrap();
+        let mut trickle = Trickle(Vec::new());
+        write_frame_parts(&mut trickle, b"head", b"payload!").unwrap();
+        assert_eq!(trickle.0, whole);
+        let mut r = &whole[..];
+        assert_eq!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap(), b"headpayload!");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   `Hello`/`Welcome` bootstrap handshake, and worker→launcher result
 //!   frames;
 //! * [`socket`] — [`SocketTransport`](socket::SocketTransport): full-mesh
-//!   Unix-domain-socket transport with a rank-0 rendezvous, eager and
-//!   rendezvous send paths, and real bytes-on-wire accounting feeding
+//!   Unix-domain-socket transport with a rank-0 rendezvous, one vectored
+//!   send path, and real bytes-on-wire accounting feeding
 //!   `CommStats`;
 //! * [`launch`] — the process launcher behind `claire-cli launch`: spawn N
 //!   worker ranks, forward `CLAIRE_THREADS`/`CLAIRE_SIMD`, collect per-rank
@@ -35,8 +35,5 @@ pub mod socket;
 pub mod wire;
 
 pub use launch::{launch, LaunchOutcome, LaunchSpec};
-pub use socket::{
-    run_socket_cluster, try_run_socket_cluster, SocketOpts, SocketTransport,
-    DEFAULT_EAGER_THRESHOLD,
-};
+pub use socket::{run_socket_cluster, try_run_socket_cluster, SocketOpts, SocketTransport};
 pub use wire::{Hello, WorkerFrame, IPC_VERSION};

@@ -11,14 +11,12 @@
 //! `accept` is ever called.
 //!
 //! Messages are length-framed binary ([`crate::frame`]'s 4-byte-BE
-//! framing) with a fixed 16-byte header. Sends
-//! below the eager threshold stage header + payload into one buffer and one
-//! `write`; larger sends stream the payload directly from its source slice
-//! (rendezvous path — the stream socket's flow control takes the place of a
-//! clear-to-send round trip). One reader thread per peer decodes frames
-//! into an internal queue that [`Transport::recv`] drains.
+//! framing) with a fixed 16-byte header. Every send writes the length, the
+//! header and the payload with one vectored write straight from their
+//! slices, whatever the size: the stream socket's flow control takes the
+//! place of a clear-to-send round trip. One reader thread per peer decodes
+//! frames into an internal queue that [`Transport::recv`] drains.
 
-use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,19 +32,12 @@ use claire_mpi::{ClusterError, ClusterResult, Comm, Message, Topology};
 use crate::frame::{self, FrameError, MAX_FRAME_BYTES};
 use crate::wire::{self, Hello};
 
-/// Default eager/rendezvous switchover: payloads up to this many bytes are
-/// staged and written in one syscall; larger ones stream unstaged.
-pub const DEFAULT_EAGER_THRESHOLD: usize = 256 * 1024;
-
 /// How often a blocked receive re-checks the abort flag.
 const ABORT_POLL: Duration = Duration::from_millis(2);
 
 /// Tuning knobs for [`SocketTransport::bootstrap`].
 #[derive(Clone)]
 pub struct SocketOpts {
-    /// Payloads at or below this size take the eager (staged, single-write)
-    /// path; larger payloads stream without staging.
-    pub eager_threshold: usize,
     /// How long to keep retrying the mesh construction before giving up
     /// (covers peers that are still starting). Env override:
     /// `CLAIRE_IPC_TIMEOUT` (seconds).
@@ -63,11 +54,7 @@ impl Default for SocketOpts {
             .and_then(|v| v.parse::<u64>().ok())
             .map(Duration::from_secs)
             .unwrap_or(Duration::from_secs(30));
-        SocketOpts {
-            eager_threshold: DEFAULT_EAGER_THRESHOLD,
-            bootstrap_timeout: timeout,
-            abort: None,
-        }
+        SocketOpts { bootstrap_timeout: timeout, abort: None }
     }
 }
 
@@ -102,12 +89,7 @@ pub struct SocketTransport {
     peers: Vec<Option<UnixStream>>,
     inbox: Receiver<Inbound>,
     readers: Vec<JoinHandle<()>>,
-    eager_threshold: usize,
     abort: Option<Arc<AbortHandle>>,
-    /// Reused staging buffer for the eager path.
-    scratch: Vec<u8>,
-    eager_msgs: u64,
-    rendezvous_msgs: u64,
 }
 
 fn io_err(context: &str, e: impl std::fmt::Display) -> ClaireError {
@@ -219,28 +201,7 @@ impl SocketTransport {
         }
         drop(tx);
 
-        Ok(SocketTransport {
-            rank,
-            topo,
-            peers,
-            inbox,
-            readers,
-            eager_threshold: opts.eager_threshold,
-            abort: opts.abort,
-            scratch: Vec::new(),
-            eager_msgs: 0,
-            rendezvous_msgs: 0,
-        })
-    }
-
-    /// Messages sent through the eager (staged single-write) path.
-    pub fn eager_msgs(&self) -> u64 {
-        self.eager_msgs
-    }
-
-    /// Messages sent through the rendezvous (unstaged streaming) path.
-    pub fn rendezvous_msgs(&self) -> u64 {
-        self.rendezvous_msgs
+        Ok(SocketTransport { rank, topo, peers, inbox, readers, abort: opts.abort })
     }
 }
 
@@ -288,26 +249,12 @@ impl Transport for SocketTransport {
     fn send(&mut self, dst: usize, msg: Message) -> Result<u64, TransportError> {
         let header = wire::encode_msg_header(&msg);
         let payload = msg.payload.bytes();
-        let frame_len = header.len() + payload.len();
-        let wire_bytes = (4 + frame_len) as u64;
+        let wire_bytes = (4 + header.len() + payload.len()) as u64;
         let stream = self.peers[dst].as_mut().ok_or_else(|| TransportError::Io {
             detail: format!("no stream to rank {dst} (self-send is not routed over sockets)"),
         })?;
-        let res = if payload.len() <= self.eager_threshold {
-            // eager: one staged buffer, one write
-            self.eager_msgs += 1;
-            self.scratch.clear();
-            self.scratch.reserve(4 + frame_len);
-            self.scratch.extend_from_slice(&(frame_len as u32).to_be_bytes());
-            self.scratch.extend_from_slice(&header);
-            self.scratch.extend_from_slice(payload);
-            stream.write_all(&self.scratch).and_then(|_| stream.flush()).map_err(FrameError::Io)
-        } else {
-            // rendezvous: stream the payload from its source, no staging copy
-            self.rendezvous_msgs += 1;
-            frame::write_frame_parts(stream, &[&header, payload])
-        };
-        res.map_err(|e| TransportError::PeerLost { peer: dst, detail: e.to_string() })?;
+        frame::write_frame_parts(stream, &header, payload)
+            .map_err(|e| TransportError::PeerLost { peer: dst, detail: e.to_string() })?;
         Ok(wire_bytes)
     }
 
@@ -353,7 +300,7 @@ impl Drop for SocketTransport {
 /// process but whose messages travel through real Unix-domain sockets.
 ///
 /// This exercises the full socket path — bootstrap handshake, framing,
-/// eager/rendezvous sends, reader threads — without spawning processes;
+/// vectored sends, reader threads — without spawning processes;
 /// the proptest equivalence suite and the transport bench rows use it.
 /// Panics on failure; see [`try_run_socket_cluster`] for the typed variant.
 pub fn run_socket_cluster<R, F>(topo: Topology, f: F) -> ClusterResult<R>
@@ -391,7 +338,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use claire_mpi::{AlltoallMethod, CommCat, Payload};
+    use claire_mpi::{AlltoallMethod, CommCat};
 
     #[test]
     fn socket_cluster_ring_exchange() {
@@ -419,43 +366,24 @@ mod tests {
     }
 
     #[test]
-    fn rendezvous_path_used_above_threshold() {
-        let dir = fresh_rendezvous_dir("eager-test").unwrap();
-        let topo = Topology::new(2, 2);
-        let small = vec![0u8; 64];
-        let big = vec![0u8; 4096];
-        std::thread::scope(|scope| {
-            let d = dir.clone();
-            let (small, big) = (small.clone(), big.clone());
-            scope.spawn(move || {
-                let opts = SocketOpts { eager_threshold: 1024, ..Default::default() };
-                let mut t = SocketTransport::bootstrap(&d, 0, topo, opts).unwrap();
-                let mk = |payload: &[u8], tag| Message {
-                    src: 0,
-                    tag,
-                    cat: CommCat::Other,
-                    payload: Payload::Bytes(payload.to_vec()),
-                };
-                t.send(1, mk(&small, 1)).unwrap();
-                t.send(1, mk(&big, 2)).unwrap();
-                assert_eq!((t.eager_msgs(), t.rendezvous_msgs()), (1, 1));
-                // hold until the peer confirms receipt
-                let done = t.recv().unwrap();
-                assert_eq!(done.tag, 99);
-            });
-            scope.spawn(move || {
-                let mut t =
-                    SocketTransport::bootstrap(&dir, 1, topo, SocketOpts::default()).unwrap();
-                let m1 = t.recv().unwrap();
-                let m2 = t.recv().unwrap();
-                assert_eq!((m1.tag, m1.payload.bytes().len()), (1, 64));
-                assert_eq!((m2.tag, m2.payload.bytes().len()), (2, 4096));
-                let payload = Payload::Bytes(Vec::new());
-                let ack = Message { src: 1, tag: 99, cat: CommCat::Other, payload };
-                t.send(0, ack).unwrap();
-            });
+    fn small_and_large_payloads_share_one_send_path() {
+        // one send path for every size: a small and a 4 MiB payload both
+        // arrive intact, each charged its frame's length, header and payload
+        let small: Vec<u8> = (0..64).map(|i| i as u8).collect();
+        let big: Vec<u8> = (0..4 << 20).map(|i: usize| (i * 7 + i / 251) as u8).collect();
+        let res = run_socket_cluster(Topology::new(2, 2), |comm| {
+            let peer = 1 - comm.rank();
+            let mut wire = Vec::new();
+            for payload in [&small, &big] {
+                let before = comm.stats().cat(CommCat::Other).wire_bytes;
+                let got: Vec<u8> = comm.sendrecv(peer, peer, 1, CommCat::Other, &payload[..]);
+                assert!(got == *payload, "{} B payload arrived changed", payload.len());
+                wire.push(comm.stats().cat(CommCat::Other).wire_bytes - before);
+            }
+            wire
         });
-        let _ = std::fs::remove_dir_all(std::env::temp_dir().join("claire-eager-test"));
+        let want = [small.len(), big.len()].map(|len| (4 + 16 + len) as u64).to_vec();
+        assert_eq!(res.outputs, vec![want.clone(), want]);
     }
 
     #[test]

@@ -49,6 +49,13 @@ pub trait GnProblem {
     }
 }
 
+/// Armijo sufficient-decrease constant of the line search.
+const ARMIJO_C1: f64 = 1e-4;
+
+/// Cap on line-search trials (objective evaluations per search): 20 tries
+/// α = 1, ½, …, 2⁻¹⁹.
+const MAX_LINESEARCH: usize = 20;
+
 /// Gauss–Newton options.
 #[derive(Clone, Copy, Debug)]
 pub struct GnConfig {
@@ -62,11 +69,6 @@ pub struct GnConfig {
     /// iterations "to avoid discrepancies arising from relative
     /// tolerances"). Overrides the forcing sequence when set.
     pub fixed_pcg: Option<usize>,
-    /// Armijo sufficient-decrease constant.
-    pub armijo_c1: f64,
-    /// Cap on line-search trials (objective evaluations per search): the
-    /// default 20 tries α = 1, ½, …, 2⁻¹⁹.
-    pub max_linesearch: usize,
     /// Print per-iteration progress on rank 0.
     pub verbose: bool,
     /// Run the inner Newton-PCG solve in f32 (mixed precision): the GN
@@ -85,8 +87,6 @@ impl Default for GnConfig {
             grad_rtol: 5e-2,
             max_pcg: 100,
             fixed_pcg: None,
-            armijo_c1: 1e-4,
-            max_linesearch: 20,
             verbose: false,
             mixed: false,
         }
@@ -334,7 +334,7 @@ impl GnState {
         // fused pass `trial = α·step + v` instead of clone (copy pass) + axpy
         // (update pass), and acceptance swaps buffers instead of copying.
         let mut trial = VectorField::for_overwrite(*self.v.layout());
-        let (accepted, trials) = backtrack(j0, slope, cfg.armijo_c1, cfg.max_linesearch, |alpha| {
+        let (accepted, trials) = backtrack(j0, slope, ARMIJO_C1, MAX_LINESEARCH, |alpha| {
             trial.scale_add_from(alpha, &step, &self.v);
             problem.objective(&trial, comm)
         });
@@ -683,8 +683,7 @@ mod tests {
             w in -3.0f64..3.0,
             e_positive in 0u8..2,
         ) {
-            let c1 = GnConfig::default().armijo_c1;
-            let cap = GnConfig::default().max_linesearch;
+            let (c1, cap) = (ARMIJO_C1, MAX_LINESEARCH);
             let offset = if d_above == 1 { 10f64.powf(u) } else { -(10f64.powf(u)) };
             let d = c1 * slope + offset;
             let e = if e_positive == 1 { 10f64.powf(w) } else { -(10f64.powf(w)) };

@@ -24,8 +24,7 @@
 //!    gets a slice),
 //! 2. [`set_threads`] process-wide programmatic override,
 //! 3. `CLAIRE_THREADS` environment variable,
-//! 4. `RAYON_NUM_THREADS` environment variable (honored for familiarity),
-//! 5. `std::thread::available_parallelism()`.
+//! 4. `std::thread::available_parallelism()`.
 //!
 //! With a resolved count of 1 every construct degenerates to a plain serial
 //! loop on the calling thread — no threads are spawned, no atomics touched.
@@ -76,13 +75,8 @@ pub fn local_threads() -> usize {
     LOCAL_THREADS.with(|c| c.get())
 }
 
-fn env_threads(var: &str) -> Option<usize> {
-    std::env::var(var).ok()?.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
 /// The worker-thread count kernels will use, resolved as documented on the
-/// crate: per-thread budget, global override, `CLAIRE_THREADS`,
-/// `RAYON_NUM_THREADS`, hardware.
+/// crate: per-thread budget, global override, `CLAIRE_THREADS`, hardware.
 pub fn num_threads() -> usize {
     let local = local_threads();
     if local > 0 {
@@ -92,10 +86,8 @@ pub fn num_threads() -> usize {
     if forced > 0 {
         return forced;
     }
-    if let Some(n) = env_threads("CLAIRE_THREADS") {
-        return n;
-    }
-    if let Some(n) = env_threads("RAYON_NUM_THREADS") {
+    let env = std::env::var("CLAIRE_THREADS").ok().and_then(|v| v.trim().parse::<usize>().ok());
+    if let Some(n) = env.filter(|&n| n > 0) {
         return n;
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)

@@ -35,9 +35,9 @@
 //! Dispatch granularity is a kernel call (a row sweep, a reduction block,
 //! a batch of interpolation sites), never a single vector op — a per-op branch would
 //! cost more than the op itself. The backend is resolved once from the
-//! `CLAIRE_SIMD` environment variable (`auto` | `avx2` | `scalar`, default
-//! `auto`) and cached; tests and benches can override it in-process with
-//! [`force_backend`].
+//! `CLAIRE_SIMD` environment variable (`auto` | `scalar`, default `auto`:
+//! AVX2 wherever the host has it) and cached; tests and benches can
+//! override it in-process with [`force_backend`].
 //!
 //! # Equivalence contract
 //!
@@ -88,8 +88,6 @@ impl Backend {
 pub enum Choice {
     /// Use AVX2 when compiled in and detected, scalar otherwise (default).
     Auto,
-    /// Require AVX2; falls back to scalar with a warning if unavailable.
-    Avx2,
     /// Force the scalar reference path.
     Scalar,
 }
@@ -99,7 +97,6 @@ impl Choice {
     pub fn parse(s: &str) -> Option<Choice> {
         match s.trim().to_ascii_lowercase().as_str() {
             "" | "auto" => Some(Choice::Auto),
-            "avx2" => Some(Choice::Avx2),
             "scalar" => Some(Choice::Scalar),
             _ => None,
         }
@@ -126,26 +123,12 @@ static WARN_ONCE: Once = Once::new();
 fn resolve(choice: Choice) -> Backend {
     match choice {
         Choice::Scalar => Backend::Scalar,
-        Choice::Auto | Choice::Avx2 if avx2_available() => Backend::Avx2,
+        Choice::Auto if avx2_available() => Backend::Avx2,
         Choice::Auto => Backend::Scalar,
-        Choice::Avx2 => {
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "claire-simd: CLAIRE_SIMD=avx2 requested but AVX2+FMA is {} — \
-                     falling back to the scalar backend",
-                    if cfg!(target_arch = "x86_64") {
-                        "not detected on this host"
-                    } else {
-                        "not compiled in"
-                    }
-                );
-            });
-            Backend::Scalar
-        }
     }
 }
 
-fn resolve_from_env() -> Backend {
+fn resolve_and_cache() -> Backend {
     let choice = match std::env::var("CLAIRE_SIMD") {
         Ok(v) => Choice::parse(&v).unwrap_or_else(|| {
             WARN_ONCE.call_once(|| {
@@ -168,7 +151,7 @@ pub fn active_backend() -> Backend {
     match BACKEND.load(Ordering::Relaxed) {
         1 => Backend::Scalar,
         2 => Backend::Avx2,
-        _ => resolve_from_env(),
+        _ => resolve_and_cache(),
     }
 }
 
@@ -190,10 +173,12 @@ mod tests {
     fn choice_parsing() {
         assert_eq!(Choice::parse("auto"), Some(Choice::Auto));
         assert_eq!(Choice::parse(""), Some(Choice::Auto));
-        assert_eq!(Choice::parse("AVX2"), Some(Choice::Avx2));
+        assert_eq!(Choice::parse(" AUTO "), Some(Choice::Auto));
         assert_eq!(Choice::parse(" scalar "), Some(Choice::Scalar));
         assert_eq!(Choice::parse("portable"), None);
         assert_eq!(Choice::parse("neon"), None);
+        // `avx2` is what `auto` picks wherever it can run: no choice of its own
+        assert_eq!(Choice::parse("avx2"), None);
     }
 
     // One test owns the process-wide override: separate `#[test]`s would
@@ -206,10 +191,6 @@ mod tests {
 
         force_backend(Some(Choice::Auto));
         let expect = if avx2_available() { Backend::Avx2 } else { Backend::Scalar };
-        assert_eq!(active_backend(), expect);
-
-        // an AVX2 request never panics: it degrades to scalar with a warning
-        force_backend(Some(Choice::Avx2));
         assert_eq!(active_backend(), expect);
         force_backend(None);
     }

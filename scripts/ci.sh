@@ -15,11 +15,10 @@
 # When CLAIRE_SIMD is set in the environment (the CI backend matrix exports
 # scalar | auto), the tier-1 stage runs once under that backend; otherwise
 # it sweeps both, and the workspace stage runs the claire-simd,
-# claire-interp and claire-semilag tests under scalar too. The full gate
-# additionally runs the tier-1
-# suite once under CLAIRE_PRECISION=mixed × CLAIRE_SIMD=auto — the f32
-# inner-solve lane — and checks that the RunReport `"precision"` key
-# follows the environment selector.
+# claire-interp and claire-semilag tests under scalar too. The f32
+# inner-solve lane (`Precision::Mixed`) is selected by its config field
+# only, so tier-1 tests it by name, and the RunReport smoke-run checks that
+# `--precision mixed` lands in the report.
 #
 # The "bench rows" stage runs `bench_rows` at its smallest size and checks
 # its exit status and the shape of its lines, no number: a performance claim
@@ -117,13 +116,6 @@ stage_tier1_tests() {
     fi
 }
 
-stage_tier1_mixed() {
-    # mixed-precision lane: the entire tier-1 suite must hold with the f32
-    # inner Krylov/FFT path selected by environment (`Default` picks up
-    # CLAIRE_PRECISION, so every test that doesn't pin a width runs mixed)
-    CLAIRE_PRECISION=mixed CLAIRE_SIMD=auto cargo test -q --release
-}
-
 stage_workspace_tests() {
     cargo test -q --release --workspace
     # the crates whose own tests pin the site kernel bit for bit (e.g.
@@ -187,11 +179,12 @@ stage_report_schema() {
         echo "quickstart 16 on 1 and 3 threads took different paths:"
         diff <(echo "$path1") <(echo "$path3") || true
         exit 1; }
-    # the environment selector must land in the report verbatim
-    CLAIRE_PRECISION=mixed cargo run --release --example quickstart -- 16 --report "$report"
+    # the precision flag must land in the report verbatim
+    ./target/release/claire-cli --syn 16 --precision mixed -q -o "$(dirname "$report")/out" \
+        --report "$report"
     grep -q '"precision": "mixed"' "$report" || {
-        echo "RunReport precision should follow CLAIRE_PRECISION=mixed"; exit 1; }
-    rm -f "$report"
+        echo "RunReport precision should follow --precision mixed"; exit 1; }
+    rm -rf "$(dirname "$report")"
 }
 
 stage_bench_rows() {
@@ -415,7 +408,6 @@ stage "debug tests (NaN-poisoned checkouts)" stage_poison_tests
 stage "benchmark package tests" stage_benchmark_package
 stage "clippy (deny warnings)" stage_clippy
 if [ "$QUICK" -eq 0 ]; then
-    stage "tier-1 tests (mixed-precision lane)" stage_tier1_mixed
     stage "rustfmt check" stage_fmt
     stage "bench rows" stage_bench_rows
     stage "paper tables" stage_paper_tables

@@ -10,7 +10,7 @@
 //!   --nt N             semi-Lagrangian time steps        (default: 4)
 //!   --order KIND       linear | cubic                    (default: cubic)
 //!   --precond NAME     InvA | InvH0 | 2LInvH0            (default: 2LInvH0)
-//!   --precision WIDTH  f64 | mixed       (default: CLAIRE_PRECISION, f64)
+//!   --precision WIDTH  f64 | mixed                       (default: f64)
 //!   --beta VALUE       target regularization parameter   (default: 5e-4)
 //!   --beta-init V, --beta-reduction V, --beta-floor V    β-continuation
 //!   --eps-h0 VALUE     inner H0 tolerance scale          (default: 1e-3)
@@ -76,6 +76,7 @@
 use claire::core::config::ConfigField;
 use claire::core::{observe, Claire, ClaireError, RegistrationConfig, SolverHooks};
 use claire::data::nifti;
+use claire::grid::Grid;
 use claire::interp::{Interpolator, IpOrder};
 use claire::ipc::{LaunchSpec, SocketOpts, SocketTransport};
 use claire::mpi::{Comm, Topology, TransportError};
@@ -492,6 +493,8 @@ fn parse_launch_args(args: Vec<String>, worker: bool) -> LaunchOpts {
         usage()
     }
     o.cfg = o.cfg.finish().unwrap_or_else(|e| fail(&e));
+    // refuse a grid the solver cannot split before any rank is started
+    o.cfg.validate_grid(Grid::new([o.syn; 3]), o.ranks).unwrap_or_else(|e| fail(&e));
     o
 }
 

@@ -5,14 +5,14 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use claire::core::{Claire, PrecondKind, RegProblem, RegistrationConfig, SolverHooks};
+use claire::core::{Claire, Precision, PrecondKind, RegProblem, RegistrationConfig, SolverHooks};
 use claire::data::syn::syn_problem;
 use claire::diff::Spectral;
 use claire::grid::{redist, Grid, KrylovVec, Layout, VectorField};
 use claire::interp::IpOrder;
 use claire::mpi::{run_cluster, Comm, Topology};
 use claire::opt::GnProblem;
-use claire::par::with_threads;
+use claire::par::{set_local_threads, with_threads};
 
 fn fixed_cfg() -> RegistrationConfig {
     RegistrationConfig {
@@ -35,28 +35,41 @@ type RankRun = (Vec<usize>, [u64; 5]);
 /// A whole solve: the gathered velocity's bits and every rank's [`RankRun`].
 type Run = (Vec<u64>, Vec<RankRun>);
 
+/// Solve the SYN registration under `cfg` on `comm`: the velocity's bits
+/// gathered on rank 0, and this rank's [`RankRun`].
+fn solve(n: [usize; 3], cfg: RegistrationConfig, comm: &mut Comm) -> (Option<Vec<u64>>, RankRun) {
+    let prob = syn_problem(n, comm);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = seen.clone();
+    let hooks = SolverHooks {
+        cancel: None,
+        on_gn_iter: Some(Arc::new(move |k| sink.lock().unwrap().push(k))),
+    };
+    let mut solver = Claire::with_hooks(cfg, hooks);
+    let (v, r) = solver.register_from(&prob.template, &prob.reference, "SYN", comm);
+    let bits = redist::gather_vector(&v, comm)
+        .map(|g| g.c.iter().flat_map(|c| c.data().iter().map(|x| x.to_bits())).collect::<Vec<_>>());
+    let counts = [r.gn_iters, r.pcg_iters, r.obj_evals, r.hess_applies].map(|k| k as u64);
+    let summary = [r.rel_mismatch.to_bits(), counts[0], counts[1], counts[2], counts[3]];
+    let boundaries = seen.lock().unwrap().clone();
+    (bits, (boundaries, summary))
+}
+
 /// Run the SYN registration under `cfg` on `p` ranks.
 fn run_registration(p: usize, n: usize, cfg: RegistrationConfig) -> Run {
-    let res = run_cluster(Topology::new(p, 4), move |comm| {
-        let prob = syn_problem([n; 3], comm);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = seen.clone();
-        let hooks = SolverHooks {
-            cancel: None,
-            on_gn_iter: Some(Arc::new(move |k| sink.lock().unwrap().push(k))),
-        };
-        let mut solver = Claire::with_hooks(cfg, hooks);
-        let (v, r) = solver.register_from(&prob.template, &prob.reference, "SYN", comm);
-        let bits = redist::gather_vector(&v, comm).map(|g| {
-            g.c.iter().flat_map(|c| c.data().iter().map(|x| x.to_bits())).collect::<Vec<_>>()
-        });
-        let counts = [r.gn_iters, r.pcg_iters, r.obj_evals, r.hess_applies].map(|k| k as u64);
-        let summary = [r.rel_mismatch.to_bits(), counts[0], counts[1], counts[2], counts[3]];
-        let boundaries = seen.lock().unwrap().clone();
-        (bits, (boundaries, summary))
-    });
+    let res = run_cluster(Topology::new(p, 4), move |comm| solve([n; 3], cfg, comm));
     let (bits, ranks): (Vec<_>, Vec<_>) = res.outputs.into_iter().unzip();
     (bits.into_iter().next().flatten().expect("rank 0 gathers"), ranks)
+}
+
+/// Run the SYN registration under `cfg` on one rank, this thread, whose
+/// kernels get `threads` workers: a per-thread budget, so a concurrent
+/// test's `with_threads` cannot change it.
+fn run_solo(n: [usize; 3], cfg: RegistrationConfig, threads: usize) -> Run {
+    set_local_threads(threads);
+    let (bits, rank) = solve(n, cfg, &mut Comm::solo());
+    set_local_threads(0);
+    (bits.expect("a solo run holds the whole field"), vec![rank])
 }
 
 /// [`run_registration`] on each of the rank counts `ps`.
@@ -74,6 +87,39 @@ fn paper_default_runs() -> &'static [Run] {
 
 fn paper_cfg() -> RegistrationConfig {
     RegistrationConfig { ip_order: IpOrder::Cubic, ..Default::default() }
+}
+
+/// The paper defaults on the mixed lane — f32 inner solve, coarse grid and
+/// transposes under the f64 Gauss–Newton loop — at the target β only, so
+/// every Newton step is preconditioned by 2LInvH0, for three steps.
+fn mixed_cfg() -> RegistrationConfig {
+    RegistrationConfig {
+        precision: Precision::Mixed,
+        continuation: false,
+        max_gn_iter: 3,
+        ..paper_cfg()
+    }
+}
+
+/// [`paper_default_runs`] at [`mixed_cfg`].
+fn mixed_runs() -> &'static [Run] {
+    static RUNS: OnceLock<Vec<Run>> = OnceLock::new();
+    RUNS.get_or_init(|| on_rank_counts(&[1, 2, 3], 16, mixed_cfg()))
+}
+
+/// Every run of `runs` has the first one's velocity bits, and every rank
+/// of it the first run's `[rel_mismatch bits, GN, PCG, obj, matvec]`.
+fn assert_runs_match(runs: &[Run], what: &str) {
+    for (p, (v, ranks)) in (1..).zip(runs) {
+        assert!(*v == runs[0].0, "{what}, p = {p}: velocity bits differ");
+        for (rank, (_, got)) in ranks.iter().enumerate() {
+            let want = &runs[0].1[0].1;
+            assert_eq!(
+                got, want,
+                "{what}, rank {rank} of {p}: [rel_mismatch bits, GN, PCG, obj, matvec]"
+            );
+        }
+    }
 }
 
 #[test]
@@ -106,14 +152,30 @@ fn preconditioned_solves_match_distributed() {
     // on every rank count
     let cfg = paper_cfg();
     assert_eq!((cfg.precond, cfg.continuation), (PrecondKind::TwoLevelInvH0, true));
-    let runs = paper_default_runs();
-    for (p, (v, ranks)) in (1..).zip(runs) {
-        assert!(*v == runs[0].0, "p = {p}: velocity bits differ");
-        for (rank, (_, got)) in ranks.iter().enumerate() {
-            let want = &runs[0].1[0].1;
-            assert_eq!(got, want, "rank {rank} of {p}: [rel_mismatch bits, GN, PCG, obj, matvec]");
-        }
-    }
+    assert_eq!(cfg.precision, Precision::F64, "the default lane is f64");
+    assert_runs_match(paper_default_runs(), "f64");
+}
+
+#[test]
+fn mixed_preconditioned_solves_match_distributed() {
+    // the same at Precision::Mixed, whose f32 collectives (transposes,
+    // coarse-grid transfers, inner PCG sums) only this lane sends
+    let runs = mixed_runs();
+    assert_runs_match(runs, "mixed");
+    let f64_cfg = RegistrationConfig { precision: Precision::F64, ..mixed_cfg() };
+    let [(_, f64_ranks), (_, mixed_ranks)] = [&run_registration(1, 16, f64_cfg), &runs[0]];
+    assert_ne!(mixed_ranks[0].1[0], f64_ranks[0].1[0], "the mixed lane must not solve in f64");
+}
+
+#[test]
+fn mixed_solve_matches_across_thread_counts() {
+    // one rank on 1 and on 3 kernel threads, on a grid of at least
+    // MIN_PAR_LEN points, so that every fine-grid kernel splits its work
+    let n = [32, 16, 16];
+    assert!(n.iter().product::<usize>() >= claire::par::MIN_PAR_LEN);
+    let cfg = RegistrationConfig { max_gn_iter: 2, ..mixed_cfg() };
+    let one = run_solo(n, cfg, 1);
+    assert!(run_solo(n, cfg, 3) == one, "3 threads: velocity, mismatch or counts differ");
 }
 
 /// Every global sum — real-space dot, sum, norm and fused update-norm, the

@@ -273,6 +273,25 @@ fn killed_rank_fails_typed_not_hung() {
     assert!(start.elapsed() < std::time::Duration::from_secs(60), "should fail fast");
 }
 
+/// A grid that 2LInvH0 cannot coarsen into a slab per rank (8³ on 8 ranks)
+/// is a configuration error found before any rank starts, on both
+/// transports: exit 3 naming the preconditioner, not a rank failure.
+#[test]
+fn launch_refuses_a_grid_the_preconditioner_cannot_split() {
+    for extra in [&[][..], &["--in-process"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_claire-cli"))
+            .arg("launch")
+            .args(["--ranks", "8", "--syn", "8", "--timeout", "60", "-q"])
+            .args(extra)
+            .output()
+            .expect("spawn claire-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{extra:?}: want the config exit; stderr: {stderr}");
+        assert!(stderr.contains("2LInvH0"), "{extra:?}: should name the preconditioner: {stderr}");
+        assert!(!stderr.contains("rank 0 failed"), "{extra:?}: no rank should run: {stderr}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // mixed precision over the wire: f32 inner-solve collectives halve traffic
 // ---------------------------------------------------------------------------

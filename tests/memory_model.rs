@@ -8,14 +8,18 @@
 //! folded into the gradient's and the matvec's quadrature as it is made
 //! (two fields, not `Nt + 1`), `∇m` is read by row tiles instead of being
 //! built as a field, and a line-search trial releases the linearization
-//! point. A matvec's working set therefore does not grow with `Nt`.
+//! point. A matvec's working set therefore does not grow with `Nt`. A
+//! ghost halo is held for the call that fills it only: no FD halo stays
+//! checked out between stencil applications, so the µFD category peaks
+//! at one call's halos.
 //!
 //! The pool counters are process-wide, so the tests serialize on one mutex.
 
 use std::sync::Mutex;
 
 use claire::core::memory;
-use claire::core::workspace;
+use claire::core::workspace::{self, WsCat};
+use claire::diff::fd::FD8_WIDTH;
 use claire::opt::GnProblem;
 use claire::prelude::*;
 
@@ -31,13 +35,29 @@ fn points() -> f64 {
 fn pool_peak_is_within_the_papers_model() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let mut comm = Comm::solo();
+    let fd = WsCat::ALL.iter().position(|&c| c == WsCat::Fd).expect("µFD is a category");
+    // no halo is held between calls: generating the images and solving
+    // leave the µFD category where this thread found it
+    let fd_idle = workspace::stats()[fd].in_use_bytes;
     // the images only: the rest of the synthetic problem is not the solve's
     let SynProblem { template, reference, .. } = syn_problem([N; 3], &mut comm);
+    // bytes of one halo-padded N³ field of width w
+    let halo = |w: usize| ((N + 2 * w).pow(3) * std::mem::size_of::<Real>()) as u64;
     for (nt, precond) in [(4, PrecondKind::TwoLevelInvH0), (8, PrecondKind::InvA)] {
         let cfg =
             RegistrationConfig { nt, precond, ip_order: IpOrder::Cubic, ..Default::default() };
         begin_observing();
         let (_, report) = Claire::new(cfg).register(&template, &reference, &mut comm);
+        let fd_after = workspace::stats()[fd];
+        assert_eq!(fd_after.in_use_bytes, fd_idle, "nt {nt} {precond:?}: a halo outlived its call");
+        // one call's halos: the three velocity components the RK2 midpoint
+        // interpolates at once, or one 8th-order stencil halo
+        let one_call = (3 * halo(IpOrder::GHOST_WIDTH)).max(halo(FD8_WIDTH));
+        let fd_peak = fd_after.peak_bytes - fd_idle;
+        assert!(
+            fd_peak <= one_call,
+            "nt {nt} {precond:?}: µFD peaks at {fd_peak} B, one call holds {one_call} B"
+        );
         let run = collect_run_report(report, &comm);
         claire::obs::set_enabled(false);
         let measured = run.memory.pool_peak_bytes as f64 / 8.0 / points();

@@ -1,7 +1,7 @@
 //! End-to-end registration quality: mismatch reduction, velocity recovery,
 //! preconditioner behaviour (the paper's §4.1–4.2 claims at test scale).
 
-use claire::core::{Claire, PrecondKind, RegistrationConfig};
+use claire::core::{Claire, Precision, PrecondKind, RegistrationConfig};
 use claire::data::{brain, syn::syn_problem, truth};
 use claire::grid::{Grid, Layout};
 use claire::interp::IpOrder;
@@ -11,17 +11,22 @@ use claire::mpi::Comm;
 fn syn_registration_reduces_mismatch_substantially() {
     let mut comm = Comm::solo();
     let prob = syn_problem([20, 20, 20], &mut comm);
-    let cfg = RegistrationConfig {
-        nt: 4,
-        beta_target: 1e-3,
-        precond: PrecondKind::TwoLevelInvH0,
-        max_gn_iter: 10,
-        ..Default::default()
-    };
-    let mut solver = Claire::new(cfg);
-    let (_, report) = solver.register_from(&prob.template, &prob.reference, "SYN", &mut comm);
-    assert!(report.rel_mismatch < 0.35, "mismatch {}", report.rel_mismatch);
-    assert!(report.jac_det_min > 0.0, "must stay diffeomorphic");
+    // on both lanes: the f32 inner solve must reach what the f64 one does
+    for precision in [Precision::F64, Precision::Mixed] {
+        let cfg = RegistrationConfig {
+            nt: 4,
+            beta_target: 1e-3,
+            precond: PrecondKind::TwoLevelInvH0,
+            max_gn_iter: 10,
+            precision,
+            ..Default::default()
+        };
+        let mut solver = Claire::new(cfg);
+        let (_, report) = solver.register_from(&prob.template, &prob.reference, "SYN", &mut comm);
+        assert_eq!(report.precision, precision.label());
+        assert!(report.rel_mismatch < 0.35, "{precision:?}: mismatch {}", report.rel_mismatch);
+        assert!(report.jac_det_min > 0.0, "{precision:?}: must stay diffeomorphic");
+    }
 }
 
 #[test]

@@ -33,8 +33,9 @@ use proptest::prelude::*;
 /// Serializes backend flips across this binary's tests.
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Every dispatch arm.
-const ALL_BACKENDS: [Choice; 2] = [Choice::Scalar, Choice::Avx2];
+/// Every dispatch arm: the scalar reference and what `auto` resolves to
+/// (AVX2 wherever the host has it).
+const ALL_BACKENDS: [Choice; 2] = [Choice::Scalar, Choice::Auto];
 
 /// Run `f` twice under each backend, holding the flip lock so concurrent
 /// tests cannot observe a half-flipped state. The two runs on one backend
