@@ -69,6 +69,12 @@ impl Precision {
     }
 }
 
+/// First β of the continuation: the schedule starts at `max(1, β_target)`.
+const BETA_INIT: f64 = 1.0;
+
+/// Factor by which each continuation level reduces β.
+const BETA_REDUCTION: f64 = 0.1;
+
 /// Full registration configuration (paper defaults). [`ConfigField`] is the
 /// table every front end reads it through; a new field gets a row there.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -84,10 +90,6 @@ pub struct RegistrationConfig {
     pub precond: PrecondKind,
     /// Target regularization parameter of the continuation (paper: 5e−4).
     pub beta_target: f64,
-    /// Initial β of the continuation.
-    pub beta_init: f64,
-    /// Continuation reduction factor per level.
-    pub beta_reduction: f64,
     /// Run the continuation at all (false = solve at `beta_target` only).
     pub continuation: bool,
     /// Inner tolerance scale `εH0` (paper: 1e−3 NIREP, 1e−2 CLARITY).
@@ -100,8 +102,6 @@ pub struct RegistrationConfig {
     pub max_gn_iter: usize,
     /// PCG iteration cap per Newton step.
     pub max_pcg_iter: usize,
-    /// Inner (H0) PCG iteration cap.
-    pub max_inner_iter: usize,
     /// Fixed PCG iterations (Table 7 scaling mode), disables the forcing
     /// sequence when set.
     pub fixed_pcg: Option<usize>,
@@ -146,7 +146,7 @@ macro_rules! row {
 }
 
 /// Rows in struct order.
-static FIELDS: [ConfigField; 17] = [
+static FIELDS: [ConfigField; 14] = [
     row!(nt, "--nt"),
     // `IpOrder` lives in claire-interp, which knows nothing of serde
     ConfigField {
@@ -165,15 +165,12 @@ static FIELDS: [ConfigField; 17] = [
     row!(store_grad, "--store-grad"),
     row!(precond, "--precond"),
     row!(beta_target, "--beta", Some("beta")),
-    row!(beta_init, "--beta-init"),
-    row!(beta_reduction, "--beta-reduction"),
     row!(continuation, "--continuation"),
     row!(eps_h0, "--eps-h0"),
     row!(beta_floor, "--beta-floor"),
     row!(grad_rtol, "--grad-rtol"),
     row!(max_gn_iter, "--max-gn"),
     row!(max_pcg_iter, "--max-pcg"),
-    row!(max_inner_iter, "--max-inner"),
     row!(fixed_pcg, "--fixed-pcg"),
     row!(precision, "--precision"),
     row!(verbose, "--verbose"),
@@ -194,15 +191,12 @@ impl Default for RegistrationConfig {
             store_grad: false,
             precond: PrecondKind::TwoLevelInvH0,
             beta_target: 5e-4,
-            beta_init: 1.0,
-            beta_reduction: 0.1,
             continuation: true,
             eps_h0: 1e-3,
             beta_floor: 5e-2,
             grad_rtol: 5e-2,
             max_gn_iter: 25,
             max_pcg_iter: 100,
-            max_inner_iter: 50,
             fixed_pcg: None,
             precision: Precision::F64,
             verbose: false,
@@ -232,17 +226,6 @@ impl RegistrationConfig {
         (field.set)(self, value).map_err(|e| e.at(key))
     }
 
-    /// The last step of a text front end (manifest entry, command line): a
-    /// target above the continuation start lifts the start, as
-    /// [`RegistrationConfigBuilder::beta`] does, then [`Self::validate`].
-    pub fn finish(mut self) -> ClaireResult<Self> {
-        if self.beta_init < self.beta_target {
-            self.beta_init = self.beta_target;
-        }
-        self.validate()?;
-        Ok(self)
-    }
-
     /// Check invariants the solver assumes; [`RegistrationConfigBuilder::build`]
     /// calls this, and hand-assembled configs can call it directly.
     pub fn validate(&self) -> ClaireResult<()> {
@@ -267,23 +250,6 @@ impl RegistrationConfig {
                 format!("must be positive and finite, got {}", self.beta_target),
             ));
         }
-        if !self.beta_init.is_finite() {
-            // NaN/∞ would pass the ordering check below (NaN comparisons are
-            // false) and then hang the β-schedule loop
-            return Err(bad("beta_init", format!("must be finite, got {}", self.beta_init)));
-        }
-        if self.beta_init < self.beta_target {
-            return Err(bad(
-                "beta_init",
-                format!("must be >= beta_target ({}), got {}", self.beta_target, self.beta_init),
-            ));
-        }
-        if !(self.beta_reduction > 0.0 && self.beta_reduction < 1.0) {
-            return Err(bad(
-                "beta_reduction",
-                format!("must lie in (0, 1), got {}", self.beta_reduction),
-            ));
-        }
         if !(self.eps_h0 > 0.0 && self.eps_h0 <= 1.0) {
             return Err(bad("eps_h0", format!("must lie in (0, 1], got {}", self.eps_h0)));
         }
@@ -299,12 +265,12 @@ impl RegistrationConfig {
                 format!("must be positive and finite, got {}", self.grad_rtol),
             ));
         }
-        if self.max_gn_iter < 1 || self.max_pcg_iter < 1 || self.max_inner_iter < 1 {
+        if self.max_gn_iter < 1 || self.max_pcg_iter < 1 {
             return Err(bad(
                 "max_gn_iter",
                 format!(
-                    "iteration caps must be >= 1, got gn={} pcg={} inner={}",
-                    self.max_gn_iter, self.max_pcg_iter, self.max_inner_iter
+                    "iteration caps must be >= 1, got gn={} pcg={}",
+                    self.max_gn_iter, self.max_pcg_iter
                 ),
             ));
         }
@@ -359,17 +325,23 @@ impl RegistrationConfig {
         Ok(())
     }
 
-    /// The β-continuation schedule: `beta_init`, reduced by
-    /// `beta_reduction` per level, ending exactly at `beta_target`.
+    /// The first β a problem is set up at: the continuation's start, or
+    /// the target when that lies above it.
+    pub fn beta_start(&self) -> f64 {
+        BETA_INIT.max(self.beta_target)
+    }
+
+    /// The β-continuation schedule: [`Self::beta_start`], reduced tenfold
+    /// per level, ending exactly at `beta_target`.
     pub fn beta_schedule(&self) -> Vec<f64> {
         if !self.continuation {
             return vec![self.beta_target];
         }
         let mut betas = Vec::new();
-        let mut b = self.beta_init;
+        let mut b = self.beta_start();
         while b > self.beta_target * 1.0000001 {
             betas.push(b);
-            b *= self.beta_reduction;
+            b *= BETA_REDUCTION;
         }
         betas.push(self.beta_target);
         betas
@@ -394,25 +366,9 @@ impl RegistrationConfigBuilder {
         self
     }
 
-    /// Target regularization weight; also disables the continuation start
-    /// below it (use [`Self::beta_init`] to restore a higher start).
+    /// Target regularization weight.
     pub fn beta(mut self, beta_target: f64) -> Self {
         self.cfg.beta_target = beta_target;
-        if self.cfg.beta_init < beta_target {
-            self.cfg.beta_init = beta_target;
-        }
-        self
-    }
-
-    /// Initial β of the continuation.
-    pub fn beta_init(mut self, beta_init: f64) -> Self {
-        self.cfg.beta_init = beta_init;
-        self
-    }
-
-    /// Continuation reduction factor per level.
-    pub fn beta_reduction(mut self, factor: f64) -> Self {
-        self.cfg.beta_reduction = factor;
         self
     }
 
@@ -467,12 +423,6 @@ impl RegistrationConfigBuilder {
     /// PCG iteration cap per Newton step.
     pub fn max_pcg_iter(mut self, cap: usize) -> Self {
         self.cfg.max_pcg_iter = cap;
-        self
-    }
-
-    /// Inner (H0) PCG iteration cap.
-    pub fn max_inner_iter(mut self, cap: usize) -> Self {
-        self.cfg.max_inner_iter = cap;
         self
     }
 
@@ -562,7 +512,6 @@ mod tests {
     fn builder_rejects_bad_configs() {
         assert!(RegistrationConfig::builder().nt(0).build().is_err());
         assert!(RegistrationConfig::builder().beta(-1.0).build().is_err());
-        assert!(RegistrationConfig::builder().beta_reduction(1.5).build().is_err());
         assert!(RegistrationConfig::builder().eps_h0(0.0).build().is_err());
         assert!(RegistrationConfig::builder().grad_rtol(0.0).build().is_err());
         assert!(RegistrationConfig::builder().fixed_pcg(Some(0)).build().is_err());
@@ -575,16 +524,10 @@ mod tests {
     fn builder_rejects_non_finite_fields() {
         // each of these previously slipped through: NaN fails every ordering
         // comparison, ∞ fails none
-        let nan_init = RegistrationConfig::builder().beta_init(f64::NAN).build();
-        assert!(nan_init.is_err(), "NaN beta_init must be rejected");
-        assert!(nan_init.unwrap_err().to_string().contains("beta_init"));
-
-        let inf_init = RegistrationConfig::builder().beta_init(f64::INFINITY).build();
-        assert!(inf_init.is_err(), "infinite beta_init would hang beta_schedule()");
-
-        let inf_target =
-            RegistrationConfig::builder().beta(f64::INFINITY).beta_init(f64::INFINITY).build();
-        assert!(inf_target.is_err(), "infinite beta_target must be rejected");
+        let inf_target = RegistrationConfig::builder().beta(f64::INFINITY).build();
+        assert!(inf_target.is_err(), "infinite beta_target would hang beta_schedule()");
+        let nan_target = RegistrationConfig::builder().beta(f64::NAN).build();
+        assert!(nan_target.unwrap_err().to_string().contains("beta_target"));
 
         let inf_rtol = RegistrationConfig::builder().grad_rtol(f64::INFINITY).build();
         assert!(inf_rtol.is_err(), "infinite grad_rtol must be rejected");
@@ -595,8 +538,8 @@ mod tests {
         assert!(RegistrationConfig::builder().beta_floor(f64::NAN).build().is_err());
 
         // schedule stays well-defined for everything that validates
-        let ok = RegistrationConfig::builder().beta(1e-3).beta_init(0.5).build().unwrap();
-        assert!(ok.beta_schedule().len() < 64);
+        let ok = RegistrationConfig::builder().beta(f64::MIN_POSITIVE).build().unwrap();
+        assert!(ok.beta_schedule().len() < 400);
     }
 
     /// A field added to the struct stops this from compiling until it is
@@ -615,15 +558,12 @@ mod tests {
             store_grad,
             precond,
             beta_target,
-            beta_init,
-            beta_reduction,
             continuation,
             eps_h0,
             beta_floor,
             grad_rtol,
             max_gn_iter,
             max_pcg_iter,
-            max_inner_iter,
             fixed_pcg,
             precision,
             verbose
@@ -643,11 +583,6 @@ mod tests {
         cfg.set_key("max_gn_iter", &Value::UInt(7)).unwrap();
         cfg.set_key("fixed_pcg", &Value::Null).unwrap();
         assert_eq!((cfg.beta_target, cfg.max_gn_iter, cfg.fixed_pcg), (2.0, 7, None));
-        // `set` touches one field; lifting the start is the front end's last step
-        assert_eq!(cfg.beta_init, 1.0);
-        assert!(cfg.validate().is_err());
-        assert_eq!(cfg.finish().unwrap().beta_init, 2.0);
-
         let err = cfg.set_key("betta", &Value::Num(2.0)).unwrap_err().to_string();
         assert!(err.contains("unknown key `betta`"), "{err}");
         let err = cfg.set_key("nt", &Value::Num(2.5)).unwrap_err().to_string();
@@ -666,8 +601,10 @@ mod tests {
     }
 
     #[test]
-    fn beta_raises_init_when_needed() {
+    fn a_target_above_the_start_is_the_whole_schedule() {
         let cfg = RegistrationConfig::builder().beta(2.0).build().unwrap();
-        assert!(cfg.beta_init >= cfg.beta_target);
+        assert_eq!((cfg.beta_start(), cfg.beta_schedule()), (2.0, vec![2.0]));
+        let cfg = RegistrationConfig::builder().beta(1.0).build().unwrap();
+        assert_eq!((cfg.beta_start(), cfg.beta_schedule()), (1.0, vec![1.0]));
     }
 }

@@ -136,11 +136,13 @@ impl<T: FftElem> WidthOps<T> {
     }
 }
 
+/// Inner (H0) PCG iteration cap.
+const MAX_INNER_ITER: usize = 50;
+
 /// Options of the H0 solve (9), fixed per problem.
 struct H0Solve {
     eps_h0: f64,
     beta_floor: f64,
-    max_inner: usize,
 }
 
 /// One element width of the preconditioner: the operators plus `∇m̄` at
@@ -170,7 +172,7 @@ impl<T: FftElem> Lane<T> {
         let beta_h0 = beta.max(h0.beta_floor);
         let inner = PcgConfig {
             tol_rel: (h0.eps_h0 * eps_k).min(0.5),
-            max_iter: h0.max_inner,
+            max_iter: MAX_INNER_ITER,
             trace: false,
         };
         match kind {
@@ -235,11 +237,7 @@ impl PrecondState {
         });
         PrecondState {
             kind: cfg.precond,
-            h0: H0Solve {
-                eps_h0: cfg.eps_h0,
-                beta_floor: cfg.beta_floor,
-                max_inner: cfg.max_inner_iter,
-            },
+            h0: H0Solve { eps_h0: cfg.eps_h0, beta_floor: cfg.beta_floor },
             lane: Lane { ops, grad_mbar, grad_mbar_c },
             lane32,
             n_inva: 0,
@@ -452,7 +450,7 @@ mod tests {
                     let beta_h0 = beta.max(pc.h0.beta_floor);
                     let inner = PcgConfig {
                         tol_rel: pc.h0.eps_h0 * eps_k,
-                        max_iter: pc.h0.max_inner,
+                        max_iter: MAX_INNER_ITER,
                         trace: false,
                     };
                     let (want, iters) = ref_apply(&pc.lane, kind, &r, &inner, beta_h0, comm);

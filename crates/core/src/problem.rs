@@ -80,7 +80,7 @@ impl RegProblem {
         Ok(RegProblem {
             mismatch0: den.norm_l2(comm).max(f64::MIN_POSITIVE),
             layout,
-            beta: cfg.beta_init,
+            beta: cfg.beta_start(),
             transport: Transport::new(cfg.nt, cfg.ip_order),
             interp: Interpolator::new(cfg.ip_order),
             pc,

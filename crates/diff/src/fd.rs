@@ -11,7 +11,7 @@
 //! There is one sweep: every derivative reads a [`GhostField`] padded by
 //! [`FD8_WIDTH`] on every axis, so the grid's periodicity lives in the halo
 //! and never in the stencil. Each output row is one contiguous
-//! `Elem::kfd8_combine_scale` over the eight neighbour rows, which sit a
+//! `claire_simd::fd8_combine_scale` over the eight neighbour rows, which sit a
 //! padded plane (x1), a padded row (x2) or one value (x3) apart. Like the GPU
 //! implementation (one thread per output element), the sweep splits the
 //! output into `x1`-planes and hands contiguous blocks of them to worker
@@ -34,7 +34,7 @@ use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::Comm;
 use claire_par::timing::{self, Kernel};
 use claire_par::{par_chunks_mut, par_parts};
-use claire_simd::Elem;
+use claire_simd::fd8_combine_scale;
 
 /// Stencil coefficients `c_m` of the 8th-order central first derivative:
 /// `f'(x) ≈ (1/h) Σ_{m=1..4} c_m (f(x+mh) − f(x−mh))`.
@@ -116,7 +116,7 @@ pub fn deriv_scaled_into(
     sweep(gf, dim, out, s);
 }
 
-/// `s · ∂/∂x_dim` of a filled halo into `out`: one `kfd8_combine_scale`
+/// `s · ∂/∂x_dim` of a filled halo into `out`: one `fd8_combine_scale`
 /// per output row, its eight neighbour rows a plane, a row or one value
 /// apart in the padded storage.
 fn sweep(gf: &GhostField, dim: usize, out: &mut ScalarField, s: Real) {
@@ -133,7 +133,7 @@ fn sweep(gf: &GhostField, dim: usize, out: &mut ScalarField, s: Real) {
                 let at = gf.offset(il as isize, j as isize, 0);
                 let plus = std::array::from_fn(|m| &gd[at + (m + 1) * stride..][..n3]);
                 let minus = std::array::from_fn(|m| &gd[at - (m + 1) * stride..][..n3]);
-                Real::kfd8_combine_scale(o, &plus, &minus, &FD8, inv_h, s);
+                fd8_combine_scale(o, &plus, &minus, &FD8, inv_h, s);
             }
         });
     });
@@ -169,7 +169,7 @@ pub const TILE: usize = 128;
 
 /// `∇f` one x3-row tile at a time, never as a field: one halo exchange, then
 /// per row the three components of up to [`TILE`] consecutive points are
-/// swept into stack buffers by the `kfd8_combine_scale` of
+/// swept into stack buffers by the `fd8_combine_scale` of
 /// [`gradient_into`] (the same values, bit for bit) and handed to
 /// `each(at, [g1, g2, g3])`, `at` being the local index of the tile's first
 /// point. Every owned point is in exactly one tile, and worker threads take
@@ -202,7 +202,7 @@ where
                             let plus = std::array::from_fn(|m| &gd[at + (m + 1) * s..][..len]);
                             let minus = std::array::from_fn(|m| &gd[at - (m + 1) * s..][..len]);
                             let out = &mut t[..len];
-                            Real::kfd8_combine_scale(out, &plus, &minus, &FD8, inv_h[d], 1.0);
+                            fd8_combine_scale(out, &plus, &minus, &FD8, inv_h[d], 1.0);
                         }
                         let [t1, t2, t3] = &tile;
                         each((il * n2 + j) * n3 + k0, [&t1[..len], &t2[..len], &t3[..len]]);

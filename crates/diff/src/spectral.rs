@@ -1,4 +1,5 @@
-//! Spectral operators: regularization, Laplacian, Leray projection.
+//! Spectral operators: regularization and its inverse, the B-spline
+//! prefilter.
 //!
 //! The regularization operator `A` and its inverse are applied in the
 //! spectral domain "at the cost of two FFTs and a Hadamard product" (§2).
@@ -235,11 +236,6 @@ impl<T: FftElem> SpectralT<T> {
         out
     }
 
-    /// Laplacian `Δf` (spectral; used for verification and smoothing).
-    pub fn laplacian(&self, f: &ScalarFieldT<T>, comm: &mut Comm) -> ScalarFieldT<T> {
-        self.apply_ksq_symbol(f, comm, |ksq| -ksq)
-    }
-
     /// Apply the regularization operator `βA = β(I − Δ)` to each component.
     pub fn reg_apply(&self, v: &VectorFieldT<T>, beta: f64, comm: &mut Comm) -> VectorFieldT<T> {
         VectorFieldT { c: self.apply_ksq_symbol_many(v.c.each_ref(), comm, reg_symbol(beta)) }
@@ -249,26 +245,6 @@ impl<T: FftElem> SpectralT<T> {
     /// and the left-preconditioner inside `InvH0`.
     pub fn reg_inv(&self, v: &VectorFieldT<T>, beta: f64, comm: &mut Comm) -> VectorFieldT<T> {
         VectorFieldT { c: self.apply_ksq_symbol_many(v.c.each_ref(), comm, reg_inv_symbol(beta)) }
-    }
-
-    /// Scalar version of [`SpectralT::reg_apply`].
-    pub fn reg_apply_scalar(
-        &self,
-        f: &ScalarFieldT<T>,
-        beta: f64,
-        comm: &mut Comm,
-    ) -> ScalarFieldT<T> {
-        self.apply_ksq_symbol(f, comm, reg_symbol(beta))
-    }
-
-    /// Scalar version of [`SpectralT::reg_inv`].
-    pub fn reg_inv_scalar(
-        &self,
-        f: &ScalarFieldT<T>,
-        beta: f64,
-        comm: &mut Comm,
-    ) -> ScalarFieldT<T> {
-        self.apply_ksq_symbol(f, comm, reg_inv_symbol(beta))
     }
 
     /// Apply a general per-mode real symbol `σ(k1, k2, k3)` (signed integer
@@ -314,43 +290,6 @@ impl<T: FftElem> SpectralT<T> {
             1.0 / (axis(k[0], n[0]) * axis(k[1], n[1]) * axis(k[2], n[2]))
         })
     }
-
-    /// Leray projection onto divergence-free fields:
-    /// `v ↦ v − ∇Δ⁻¹(∇·v)`, i.e. `v̂ ↦ v̂ − k (k·v̂)/|k|²`.
-    ///
-    /// This is the projection CLAIRE uses for the incompressibility penalty
-    /// (§1.1, [48]). The three spectra couple per mode, so all three are
-    /// live at once on every rank count. Collective.
-    pub fn leray(&self, v: &VectorFieldT<T>, comm: &mut Comm) -> VectorFieldT<T> {
-        let mut specs = self.fft.forward_many(v.c.each_ref(), comm);
-        let g = self.grid;
-        let n3c = specs[0].n3c();
-        let nj = specs[0].x2_slab.ni;
-        timing::time(Kernel::FieldOps, || {
-            for i in 0..g.n[0] {
-                let k1 = T::from_f64(g.wavenumber(0, i) as f64);
-                for jl in 0..nj {
-                    let k2 = T::from_f64(g.wavenumber(1, specs[0].j_global(jl)) as f64);
-                    let base = (i * nj + jl) * n3c;
-                    for k in 0..n3c {
-                        let ksq = self.ksq[base + k].to_f64();
-                        if ksq == 0.0 {
-                            continue;
-                        }
-                        let k3 = T::from_f64(k as f64);
-                        let dot = specs[0].data[base + k].scale(k1)
-                            + specs[1].data[base + k].scale(k2)
-                            + specs[2].data[base + k].scale(k3);
-                        let proj = dot.scale(T::from_f64(1.0 / ksq));
-                        specs[0].data[base + k] = specs[0].data[base + k] - proj.scale(k1);
-                        specs[1].data[base + k] = specs[1].data[base + k] - proj.scale(k2);
-                        specs[2].data[base + k] = specs[2].data[base + k] - proj.scale(k3);
-                    }
-                }
-            }
-        });
-        VectorFieldT { c: self.fft.inverse_many(specs, comm) }
-    }
 }
 
 #[cfg(test)]
@@ -361,19 +300,26 @@ mod tests {
     use claire_mpi::{run_cluster, Topology};
 
     #[test]
-    fn laplacian_of_eigenfunction() {
+    fn reg_apply_of_eigenfunction() {
         let grid = Grid::cube(16);
         let layout = Layout::serial(grid);
         let mut comm = Comm::solo();
         let sp = Spectral::new(grid, &comm);
-        // Δ sin(2 x1) = -4 sin(2 x1)
+        // β(I − Δ) sin(2 x1) = β(1 + 4) sin(2 x1)
         let f = ScalarField::from_fn(layout, |x, _, _| (2.0 * x).sin());
-        let lap = sp.laplacian(&f, &mut comm);
+        let v = VectorField { c: [f.clone(), f.clone(), f.clone()] };
+        let av = sp.reg_apply(&v, 0.5, &mut comm);
         let mut expect = f.clone();
-        expect.scale(-4.0);
-        let err =
-            lap.data().iter().zip(expect.data()).map(|(&a, &b)| (a - b).abs()).fold(0.0, f64::max);
-        assert!(err < 1e-8, "err {err}");
+        expect.scale(2.5);
+        for c in &av.c {
+            let err = c
+                .data()
+                .iter()
+                .zip(expect.data())
+                .map(|(&a, &b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            assert!(err < 1e-8, "err {err}");
+        }
     }
 
     #[test]
@@ -385,17 +331,24 @@ mod tests {
         let mut comm = Comm::solo();
         let sp64 = Spectral::new(grid, &comm);
         let sp32 = SpectralT::<f32>::new(grid, &comm);
-        let f = ScalarField::from_fn(layout, |x, y, z| (x + y).sin() + (2.0 * z).cos());
-        let out64 = sp64.reg_inv_scalar(&f, 0.05, &mut comm);
-        let f32_in: ScalarFieldT<f32> = f.converted(WsCat::Fft);
-        let out32 = sp32.reg_inv_scalar(&f32_in, 0.05, &mut comm);
-        let err = out32
-            .data()
-            .iter()
-            .zip(out64.data())
-            .map(|(&a, &b)| (a as f64 - b).abs())
-            .fold(0.0, f64::max);
-        assert!(err < 1e-5, "f32 spectral path diverged: {err}");
+        let v = VectorField::from_fns(
+            layout,
+            |x, y, z| (x + y).sin() + (2.0 * z).cos(),
+            |_, y, z| (y - z).cos(),
+            |x, _, z| (x + 2.0 * z).sin(),
+        );
+        let out64 = sp64.reg_inv(&v, 0.05, &mut comm);
+        let v32: VectorFieldT<f32> = v.converted(WsCat::Fft);
+        let out32 = sp32.reg_inv(&v32, 0.05, &mut comm);
+        for (c32, c64) in out32.c.iter().zip(&out64.c) {
+            let err = c32
+                .data()
+                .iter()
+                .zip(c64.data())
+                .map(|(&a, &b)| (a as f64 - b).abs())
+                .fold(0.0, f64::max);
+            assert!(err < 1e-5, "f32 spectral path diverged: {err}");
+        }
     }
 
     #[test]
@@ -450,33 +403,6 @@ mod tests {
         let wav = w.inner(&av, &mut comm);
         assert!(vav > 0.0, "positive definite");
         assert!((vaw - wav).abs() < 1e-8 * vaw.abs().max(1.0), "symmetric: {vaw} vs {wav}");
-    }
-
-    #[test]
-    fn leray_output_is_divergence_free() {
-        let grid = Grid::cube(16);
-        let layout = Layout::serial(grid);
-        let mut comm = Comm::solo();
-        let sp = Spectral::new(grid, &comm);
-        let v = VectorField::from_fns(
-            layout,
-            |x, y, _| (x + y).sin(),
-            |x, y, z| (y + z).cos() * x.sin(),
-            |x, _, z| (z * 2.0).sin() + x.cos(),
-        );
-        let pv = sp.leray(&v, &mut comm);
-        let div = crate::fd::divergence(&pv, &mut comm);
-        let m = div.max_abs(&mut comm);
-        // FD divergence of a spectrally div-free field: truncation-level small
-        assert!(m < 1e-3, "divergence after Leray: {m}");
-        // projection is idempotent
-        let ppv = sp.leray(&pv, &mut comm);
-        let d = {
-            let mut t = ppv.clone();
-            t.axpy(-1.0, &pv);
-            t.norm_l2(&mut comm)
-        };
-        assert!(d < 1e-8, "idempotency defect {d}");
     }
 
     #[test]
@@ -535,7 +461,8 @@ mod tests {
                 let cat = comm.stats().cat(claire_mpi::CommCat::FftTranspose);
                 (cat.msgs_sent, cat.bytes_sent)
             };
-            let scalar = v.c.each_ref().map(|c| sp.reg_apply_scalar(c, 0.1, comm).into_data());
+            let scalar =
+                v.c.each_ref().map(|c| sp.apply_ksq_symbol(c, comm, reg_symbol(0.1)).into_data());
             let (m1, b1) = sent(comm);
             let vector = sp.reg_apply(&v, 0.1, comm);
             let (m2, b2) = sent(comm);
@@ -556,19 +483,22 @@ mod tests {
         let grid = Grid::new([8, 8, 8]);
         let mut comm = Comm::solo();
         let sp = Spectral::new(grid, &comm);
-        let f = ScalarField::from_fn(Layout::serial(grid), |x, y, z| (x + y).sin() + (z).cos());
-        let serial = sp.reg_inv_scalar(&f, 0.1, &mut comm);
-        let expect = serial.data().to_vec();
-        let res = run_cluster(Topology::new(4, 4), move |comm| {
-            let layout = Layout::distributed(grid, comm);
+        let field = |layout| {
             let f = ScalarField::from_fn(layout, |x, y, z| (x + y).sin() + (z).cos());
+            VectorField { c: [f.clone(), f.clone(), f] }
+        };
+        let serial = sp.reg_inv(&field(Layout::serial(grid)), 0.1, &mut comm);
+        let res = run_cluster(Topology::new(4, 4), move |comm| {
+            let v = field(Layout::distributed(grid, comm));
             let sp = Spectral::new(grid, comm);
-            let out = sp.reg_inv_scalar(&f, 0.1, comm);
-            claire_grid::redist::gather(&out, comm).map(|g| g.into_data())
+            let out = sp.reg_inv(&v, 0.1, comm);
+            claire_grid::redist::gather_vector(&out, comm)
         });
         let got = res.outputs[0].as_ref().unwrap();
-        for (a, b) in got.iter().zip(&expect) {
-            assert!((a - b).abs() < 1e-9);
+        for (c, expect) in got.c.iter().zip(&serial.c) {
+            for (a, b) in c.data().iter().zip(expect.data()) {
+                assert!((a - b).abs() < 1e-9);
+            }
         }
     }
 }

@@ -47,12 +47,6 @@ impl Grid {
         h[0] * h[1] * h[2]
     }
 
-    /// Physical coordinates of grid point `(i, j, k)`.
-    pub fn coords(&self, i: usize, j: usize, k: usize) -> [Real; 3] {
-        let h = self.spacing();
-        [i as Real * h[0], j as Real * h[1], k as Real * h[2]]
-    }
-
     /// Linear index of global point `(i, j, k)` in row-major x3-fastest order.
     pub fn idx(&self, i: usize, j: usize, k: usize) -> usize {
         debug_assert!(i < self.n[0] && j < self.n[1] && k < self.n[2]);

@@ -9,7 +9,7 @@ use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::{AlltoallMethod, Comm, CommCat};
 use claire_par::timing::{self, Kernel};
 use claire_par::{par_parts, SharedSlice};
-use claire_simd::{Elem, HaloDims};
+use claire_simd::{interp_sites, HaloDims};
 
 use crate::kernel::IpOrder;
 use crate::plan::{InterpPlan, Sites};
@@ -234,7 +234,7 @@ impl Interpolator {
         let weight = (self.order.flops_per_query() / 8).max(1);
         par_parts(sites.len(), sites.len() * NF * weight, |range| {
             let lo = range.start;
-            Real::kinterp_sites(stencil, halo, data, &sites[range], |i, v| {
+            interp_sites(stencil, halo, data, &sites[range], |i, v| {
                 // SAFETY: `lo + i` indexes this worker's range of `sites`,
                 // which is in bounds of `dest` (asserted above), and worker
                 // ranges are disjoint.
@@ -286,18 +286,6 @@ impl Interpolator {
         comm: &mut Comm,
     ) -> Vec<Real> {
         self.interp_many(&[field], queries, comm).pop().unwrap()
-    }
-
-    /// Interpolate a vector field; returns per-query 3-vectors.
-    pub fn interp_vector(
-        &mut self,
-        v: &VectorField,
-        queries: &[[Real; 3]],
-        comm: &mut Comm,
-    ) -> Vec<[Real; 3]> {
-        let mut out = vec![[0.0 as Real; 3]; queries.len()];
-        self.interp_vector_into(v, queries, comm, &mut out);
-        out
     }
 
     /// Interpolate a vector field into a caller-provided buffer of per-query
@@ -417,7 +405,8 @@ mod tests {
         let v = VectorField::from_fns(layout, |x, _, _| x.sin(), |_, y, _| y.cos(), |_, _, z| z);
         let mut ip = Interpolator::new(IpOrder::Cubic);
         let queries = make_queries(10, 3);
-        let vals = ip.interp_vector(&v, &queries, &mut comm);
+        let mut vals = vec![[0.0 as Real; 3]; queries.len()];
+        ip.interp_vector_into(&v, &queries, &mut comm, &mut vals);
         for (q, val) in queries.iter().zip(&vals) {
             assert!((val[0] - q[0].sin()).abs() < 2e-3);
             assert!((val[1] - q[1].cos()).abs() < 2e-3);

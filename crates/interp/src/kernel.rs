@@ -1,6 +1,6 @@
 //! Interpolation orders, the physical-point → grid-site conversion, and a
 //! scalar per-query evaluator kept as the reference the batched kernel
-//! ([`claire_simd::Elem::kinterp_sites`]) is tested against.
+//! ([`claire_simd::interp_sites`]) is tested against.
 
 use claire_grid::{ghost::GhostField, Real, ScalarField, TWO_PI};
 use claire_simd::Stencil;

@@ -303,15 +303,32 @@ mod tests {
     // tests/ipc_equivalence.rs at the workspace root; here we exercise the
     // supervision loop with shell-script stand-ins for worker processes.
 
-    /// Write `script` as an executable stand-in worker. The script runs with
-    /// the launcher's standard args (`worker-rank --dir D --rank R …`), so
-    /// `$3` is the rendezvous dir and `$5` the rank.
-    fn script_worker(name: &str, script: &str) -> PathBuf {
-        let dir = fresh_rendezvous_dir(&format!("launchtest-{name}")).unwrap();
-        let path = dir.join("worker.sh");
+    /// A fresh rendezvous directory, removed when the guard drops: at the
+    /// end of its test, a failing one included.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(label: &str) -> TempDir {
+            TempDir(fresh_rendezvous_dir(label).unwrap())
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Write `script` as an executable stand-in worker into a directory of
+    /// its own; the worker is `guard.0.join("worker.sh")`. The script runs
+    /// with the launcher's standard args (`worker-rank --dir D --rank R …`),
+    /// so `$3` is the rendezvous dir and `$5` the rank.
+    fn script_worker(name: &str, script: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new(&format!("launchtest-{name}"));
+        let path = dir.0.join("worker.sh");
         std::fs::write(&path, format!("#!/bin/sh\n{script}\n")).unwrap();
         std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).unwrap();
-        path
+        (dir, path)
     }
 
     /// Held by each test whose stand-in rank is a `sleep 600`, so that a
@@ -339,7 +356,7 @@ mod tests {
 
     #[test]
     fn child_that_dies_without_reporting_is_rank_failed() {
-        let exe = script_worker("dies", "exit 7");
+        let (_dir, exe) = script_worker("dies", "exit 7");
         let spec = LaunchSpec::new(exe, 2, vec![]);
         let t0 = Instant::now();
         let err = launch(&spec).unwrap_err();
@@ -356,7 +373,7 @@ mod tests {
     fn timeout_reaps_hung_children() {
         // `exec`: the stand-in rank is the sleeper itself, not a shell whose
         // child would outlive it
-        let exe = script_worker("hangs", "exec sleep 600");
+        let (_dir, exe) = script_worker("hangs", "exec sleep 600");
         let spec =
             LaunchSpec { exe, ranks: 1, worker_args: vec![], timeout: Duration::from_millis(300) };
         let _one_at_a_time = SLEEPERS.lock().unwrap_or_else(|e| e.into_inner());
@@ -377,9 +394,10 @@ mod tests {
     fn reports_are_collected_in_rank_order() {
         // workers idle while this thread injects the Report frames through
         // the real worker-side helpers, out of rank order
-        let exe = script_worker("reporter", "sleep 2");
+        let (_script, exe) = script_worker("reporter", "sleep 2");
         let spec = LaunchSpec::new(exe, 2, vec![]);
-        let dir = fresh_rendezvous_dir("launch-report-test").unwrap();
+        let guard = TempDir::new("launch-report-test");
+        let dir = guard.0.clone();
         let d = dir.clone();
         let handle = std::thread::spawn(move || supervise(&spec, &d));
         while !dir.join(LAUNCH_SOCKET).exists() {
@@ -389,14 +407,14 @@ mod tests {
         send_report(&dir, 0, "{\"rank\":0}".into()).unwrap();
         let outcome = handle.join().unwrap().unwrap();
         assert_eq!(outcome.reports, vec!["{\"rank\":0}".to_string(), "{\"rank\":1}".to_string()]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn in_band_failure_frame_kills_the_cluster() {
-        let exe = script_worker("inband", "exec sleep 600");
+        let (_script, exe) = script_worker("inband", "exec sleep 600");
         let spec = LaunchSpec::new(exe, 2, vec![]);
-        let dir = fresh_rendezvous_dir("launch-failure-test").unwrap();
+        let guard = TempDir::new("launch-failure-test");
+        let dir = guard.0.clone();
         let _one_at_a_time = SLEEPERS.lock().unwrap_or_else(|e| e.into_inner());
         let before = sleepers();
         let d = dir.clone();
@@ -414,6 +432,5 @@ mod tests {
         // the sleeping peers were killed, not waited out
         assert!(t0.elapsed() < Duration::from_secs(30));
         assert!(sleepers().is_subset(&before), "a sleeping rank outlived the launcher");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

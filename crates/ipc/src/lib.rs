@@ -35,5 +35,5 @@ pub mod socket;
 pub mod wire;
 
 pub use launch::{launch, LaunchOutcome, LaunchSpec};
-pub use socket::{run_socket_cluster, try_run_socket_cluster, SocketOpts, SocketTransport};
+pub use socket::{run_socket_cluster, try_run_socket_cluster, SocketTransport};
 pub use wire::{Hello, WorkerFrame, IPC_VERSION};

@@ -35,28 +35,9 @@ use crate::wire::{self, Hello};
 /// How often a blocked receive re-checks the abort flag.
 const ABORT_POLL: Duration = Duration::from_millis(2);
 
-/// Tuning knobs for [`SocketTransport::bootstrap`].
-#[derive(Clone)]
-pub struct SocketOpts {
-    /// How long to keep retrying the mesh construction before giving up
-    /// (covers peers that are still starting). Env override:
-    /// `CLAIRE_IPC_TIMEOUT` (seconds).
-    pub bootstrap_timeout: Duration,
-    /// Shared abort flag for in-process socket clusters; `None` for real
-    /// worker processes (the launcher supervises those).
-    pub abort: Option<Arc<AbortHandle>>,
-}
-
-impl Default for SocketOpts {
-    fn default() -> Self {
-        let timeout = std::env::var("CLAIRE_IPC_TIMEOUT")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(Duration::from_secs)
-            .unwrap_or(Duration::from_secs(30));
-        SocketOpts { bootstrap_timeout: timeout, abort: None }
-    }
-}
+/// How long [`SocketTransport::bootstrap`] keeps retrying the mesh
+/// construction before giving up (covers peers that are still starting).
+const BOOTSTRAP_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Path of rank `r`'s listener inside the rendezvous directory.
 pub fn rank_socket_path(dir: &Path, rank: usize) -> PathBuf {
@@ -100,16 +81,18 @@ impl SocketTransport {
     /// Join the cluster rendezvous in `dir` as `rank` and build the mesh.
     ///
     /// Blocks until every peer stream is connected, validated, and rank 0
-    /// has released the cluster; fails typed after `opts.bootstrap_timeout`.
+    /// has released the cluster; fails typed after 30 s. `abort` is the
+    /// shared abort flag of an in-process socket cluster; `None` for real
+    /// worker processes (the launcher supervises those).
     pub fn bootstrap(
         dir: &Path,
         rank: usize,
         topo: Topology,
-        opts: SocketOpts,
+        abort: Option<Arc<AbortHandle>>,
     ) -> ClaireResult<SocketTransport> {
         let size = topo.nranks;
         assert!(rank < size, "rank {rank} out of range for {size} ranks");
-        let deadline = Instant::now() + opts.bootstrap_timeout;
+        let deadline = Instant::now() + BOOTSTRAP_TIMEOUT;
 
         let own_path = rank_socket_path(dir, rank);
         // a stale socket file from a crashed previous run would make bind fail
@@ -201,7 +184,7 @@ impl SocketTransport {
         }
         drop(tx);
 
-        Ok(SocketTransport { rank, topo, peers, inbox, readers, abort: opts.abort })
+        Ok(SocketTransport { rank, topo, peers, inbox, readers, abort })
     }
 }
 
@@ -324,10 +307,10 @@ where
     let dir = fresh_rendezvous_dir("sockcluster")
         .unwrap_or_else(|e| panic!("cannot create rendezvous dir: {e}"));
     let connect = |rank: usize, abort: &Arc<AbortHandle>| {
-        let opts = SocketOpts { abort: Some(Arc::clone(abort)), ..Default::default() };
-        let transport = SocketTransport::bootstrap(&dir, rank, topo, opts).unwrap_or_else(|e| {
-            std::panic::panic_any(TransportError::Io { detail: e.to_string() })
-        });
+        let transport = SocketTransport::bootstrap(&dir, rank, topo, Some(Arc::clone(abort)))
+            .unwrap_or_else(|e| {
+                std::panic::panic_any(TransportError::Io { detail: e.to_string() })
+            });
         Comm::from_transport(Box::new(transport))
     };
     let result = claire_mpi::try_run_ranks(topo.nranks, connect, f);

@@ -1,8 +1,8 @@
 //! A counting global allocator for allocation-regression harnesses.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
-//! allocation (and allocated byte) that goes through it. Binaries that
-//! want the counts install it as their global allocator:
+//! allocation that goes through it. Binaries that want the count install
+//! it as their global allocator:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -10,17 +10,16 @@
 //!     claire_par::alloc_counter::CountingAlloc::new();
 //! ```
 //!
-//! The counters are process-global statics, so [`allocation_count`] /
-//! [`allocated_bytes`] read zero unless the wrapper actually is the global
-//! allocator. The zero-allocation tier-1 test and `bench_solver` both use
-//! this to sample allocations at Gauss–Newton iteration boundaries and
-//! prove the solver hot path is allocation-free at steady state.
+//! The counter is a process-global static, so [`allocation_count`] reads
+//! zero unless the wrapper actually is the global allocator. The
+//! zero-allocation tier-1 test (`tests/zero_alloc.rs`) uses it to sample
+//! allocations at Gauss–Newton iteration boundaries and prove the solver
+//! hot path is allocation-free at steady state.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// System-allocator wrapper that counts allocations. Install with
 /// `#[global_allocator]`; construction alone does nothing.
@@ -44,13 +43,11 @@ impl Default for CountingAlloc {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
@@ -60,10 +57,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growing realloc acquires memory even when it extends in place;
-        // count it like a fresh allocation of the delta.
+        // count it like a fresh allocation.
         if new_size > layout.size() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -73,9 +69,4 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// is not the global allocator).
 pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Total bytes requested since process start.
-pub fn allocated_bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
 }

@@ -1,4 +1,4 @@
-//! AVX2+FMA arms of the [`crate::Elem`] kernels.
+//! AVX2+FMA arms of the crate's kernels.
 //!
 //! Every function is compiled with `#[target_feature(enable = "avx2,fma")]`
 //! and must only be called after runtime detection (the dispatcher in
@@ -10,10 +10,10 @@
 //! kernels that do this at both widths are the generic functions at the
 //! top of this file: element-wise and complex-product kernels reuse the
 //! `scalar_*` body (same bits, measured at parity with a chunked form),
-//! reductions the 8-lane `wide_*` one. The butterfly/FD/interpolation
-//! kernels differ per width and live in [`f32k`] (generic bodies again,
-//! the site loop with [`xk::RowDotArm`] plugged in) and [`f64k`]
-//! (intrinsics, the batched interpolation loop included).
+//! reductions the 8-lane `wide_*` one. The FFT registers differ per width
+//! and live in [`f32k`] and [`f64k`]; the FD and interpolation kernels
+//! exist at f64 only, in [`f64k`] (intrinsics, the batched interpolation
+//! loop included).
 //!
 //! The FFT kernel is the generic `fft` body as well; what it gets from here
 //! is its register: a dozen one-instruction [`Lanes`] methods per width.
@@ -22,26 +22,26 @@ use crate::{xk, Elem};
 
 /// Instantiate an `xk` body under the AVX2+FMA feature gate.
 macro_rules! gate {
-    ($name:ident$(<$g:ident>)?, $body:ident, ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
+    ($name:ident, $body:ident, ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
         /// # Safety
         /// The host must support AVX2 and FMA.
         #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn $name$(<$g: Elem>)?($($arg: $ty),*) $(-> $ret)? {
+        pub unsafe fn $name<T: Elem>($($arg: $ty),*) $(-> $ret)? {
             xk::$body($($arg),*)
         }
     };
 }
 
-gate!(scale<T>, scalar_scale, (a: T, y: &mut [T]));
-gate!(axpy<T>, scalar_axpy, (a: T, x: &[T], y: &mut [T]));
-gate!(aypx<T>, scalar_aypx, (a: T, x: &[T], y: &mut [T]));
-gate!(axpy_dot<T>, wide_axpy_dot, (a: T, x: &[T], y: &mut [T]) -> f64);
-gate!(scale_add_norm<T>, wide_scale_add_norm, (a: T, x: &[T], y: &[T], out: &mut [T]) -> f64);
-gate!(dot<T>, wide_dot, (x: &[T], y: &[T]) -> f64);
-gate!(sum<T>, wide_sum, (x: &[T]) -> f64);
-gate!(max_abs<T>, wide_max_abs, (x: &[T]) -> f64);
-gate!(cpx_mul<T>, scalar_cpx_mul, (dst: &mut [T], src: &[T]));
-gate!(cpx_mul_into<T>, scalar_cpx_mul_into, (out: &mut [T], a: &[T], b: &[T]));
+gate!(scale, scalar_scale, (a: T, y: &mut [T]));
+gate!(axpy, scalar_axpy, (a: T, x: &[T], y: &mut [T]));
+gate!(aypx, scalar_aypx, (a: T, x: &[T], y: &mut [T]));
+gate!(axpy_dot, wide_axpy_dot, (a: T, x: &[T], y: &mut [T]) -> f64);
+gate!(scale_add_norm, wide_scale_add_norm, (a: T, x: &[T], y: &[T], out: &mut [T]) -> f64);
+gate!(dot, wide_dot, (x: &[T], y: &[T]) -> f64);
+gate!(sum, wide_sum, (x: &[T]) -> f64);
+gate!(max_abs, wide_max_abs, (x: &[T]) -> f64);
+gate!(cpx_mul, scalar_cpx_mul, (dst: &mut [T], src: &[T]));
+gate!(cpx_mul_into, scalar_cpx_mul_into, (out: &mut [T], a: &[T], b: &[T]));
 
 /// The three lanes kernels instantiated under the feature gate over the
 /// vector register `$v` — or, for a batch narrower than that register, over
@@ -109,7 +109,6 @@ pub mod f32k {
     use core::arch::x86_64::*;
 
     use crate::fft::{self, Lanes, Line, Stockham};
-    use crate::xk::{self, HaloDims, RowDotArm, Stencil};
 
     fft_arm!(f32, __m256);
 
@@ -185,35 +184,19 @@ pub mod f32k {
             }
         }
     }
-
-    /// # Safety
-    /// The host must support AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn interp_sites<const NF: usize, S: FnMut(usize, [f32; NF])>(
-        stencil: Stencil,
-        dims: &HaloDims,
-        fields: &[&[f32]; NF],
-        sites: &[[f32; 3]],
-        sink: S,
-    ) {
-        xk::interp_sites(RowDotArm, stencil, dims, fields, sites, sink)
-    }
-
-    gate!(fd8_combine_scale, scalar_fd8_combine_scale,
-        (out: &mut [f32], plus: &[&[f32]; 4], minus: &[&[f32]; 4], c: &[f32; 4], inv_h: f32, s: f32));
 }
 
 /// The f64 kernels where a hand-written intrinsic measured ≥ 1.2× faster
 /// than the generic body under the same feature gate (DESIGN.md §13 has
 /// the table); for interpolation that is [`f64k::interp_sites`], a site
 /// loop of its own that walks a batch four sites per step instead of the
-/// generic one.
+/// scalar one.
 /// These carry the FFT, FD and interpolation time of an f64 solve.
 ///
 /// # Safety
 /// Every function here requires AVX2 and FMA on the host. The raw-pointer
 /// loads and stores stay inside the argument slices: the dispatching
-/// `Elem` method has already asserted the length/bounds contract each
+/// function has already asserted the length/bounds contract each
 /// kernel documents, every loop bounds its index by a slice length, and
 /// the site kernel checks each site's support against the halo before any
 /// load.
@@ -395,7 +378,7 @@ pub mod f64k {
     ///
     /// # Safety
     /// The host must support AVX2 and FMA, and every field must hold
-    /// `dims.points()` values (`Elem::kinterp_sites` asserts it).
+    /// `dims.points()` values (`crate::interp_sites` asserts it).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn interp_sites<const NF: usize, S: FnMut(usize, [f64; NF])>(
         stencil: Stencil,

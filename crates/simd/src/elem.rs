@@ -5,8 +5,9 @@
 //! `impl_elem!` macro below, which owns every kernel's length/bounds
 //! asserts and the `Scalar | Avx2` dispatch. The element width a job runs
 //! at is a runtime choice of the layer above (`Precision` in `claire-core`);
-//! this crate only guarantees that both widths have every kernel on every
-//! backend.
+//! this crate only guarantees that both widths have every kernel of the
+//! trait on every backend. Interpolation and FD are not among them: no path
+//! runs them at f32, so they are the f64 functions at the crate root.
 //!
 //! Reductions return `f64` for every element width — PCG's convergence
 //! logic, Armijo decisions, and reported norms stay in double even when the
@@ -19,7 +20,7 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 use core::mem::MaybeUninit;
 
 use crate::fft::{self, Line, Stockham};
-use crate::{active_backend, xk, Backend, HaloDims, Stencil};
+use crate::xk;
 
 /// A scalar field element the solver core can be generic over (f64 | f32).
 ///
@@ -99,55 +100,6 @@ pub trait Elem:
     /// `max_i |x[i]|` as f64 (0 for an empty slice, NaN if any `x[i]` is).
     fn kmax_abs(x: &[Self]) -> f64;
 
-    // ----- 8th-order FD stencil -------------------------------------------
-
-    /// One contiguous row of the central-difference combine with a folded
-    /// output scale:
-    /// `out[k] = s · inv_h · Σ_m c[m] · (plus[m][k] − minus[m][k])`.
-    ///
-    /// `plus[m]`/`minus[m]` are the rows at offsets `±(m+1)` along the
-    /// differentiated dimension; all slices must be at least `out.len()`
-    /// long. Serves all three dimensions of the FD8 sweep over a
-    /// halo-padded slab: the neighbour rows sit a plane, a row or one value
-    /// apart, so every output row is one call. The scale
-    /// costs nothing extra — `inv_h·s` is folded into the single per-point
-    /// multiply — so a derivative-then-scale chain is one memory pass, and
-    /// `s == 1` is the plain derivative bit for bit.
-    fn kfd8_combine_scale(
-        out: &mut [Self],
-        plus: &[&[Self]; 4],
-        minus: &[&[Self]; 4],
-        c: &[Self; 4],
-        inv_h: Self,
-        s: Self,
-    );
-
-    // ----- scattered interpolation ----------------------------------------
-
-    /// Split a continuous grid index into its integer base `⌊u⌋` and the
-    /// fraction `u − ⌊u⌋ ∈ [0, 1)`.
-    fn split_index(self) -> (isize, Self);
-
-    /// Batched scattered interpolation: evaluate `NF` halo-extended fields
-    /// (all of shape `dims`) at every site of `sites` and pass each site's
-    /// `NF` values to `sink(i, values)`, `i` being the site's position in
-    /// the batch.
-    ///
-    /// A site is a *global* continuous grid index `[u1, u2, u3]` whose
-    /// stencil support lies inside the stored halo on every axis; a site
-    /// outside it panics. The kernel never wraps: the halo is the periodic
-    /// extension. The backend is resolved
-    /// once per batch; per site the index split and the basis weights are
-    /// computed once and every field accumulates against them. A field's
-    /// value does not depend on `NF` or on its position in `fields`.
-    fn kinterp_sites<const NF: usize, S: FnMut(usize, [Self; NF])>(
-        stencil: Stencil,
-        dims: &HaloDims,
-        fields: &[&[Self]; NF],
-        sites: &[[Self; 3]],
-        sink: S,
-    );
-
     // ----- interleaved complex kernels (re,im pairs) ----------------------
 
     /// Element-wise complex multiply `dst[j] *= src[j]` on interleaved
@@ -202,25 +154,9 @@ pub trait Elem:
     );
 }
 
-/// Route one kernel call to the dispatched backend. The AVX2 arm only
-/// exists on x86-64; `Backend::Avx2` can never be cached elsewhere, so the
-/// fallthrough to scalar is unreachable there but keeps the match
-/// exhaustive.
-macro_rules! dispatch {
-    ($avx2:expr, $scalar:expr) => {{
-        match active_backend() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: Backend::Avx2 is only ever cached after
-            // `is_x86_feature_detected!("avx2")` + `("fma")` succeeded.
-            Backend::Avx2 => unsafe { $avx2 },
-            _ => $scalar,
-        }
-    }};
-}
-
 /// Implement [`Elem`] for one width. `$avx2` names the module in
-/// `crate::avx2` holding this width's butterfly/FD/interpolation AVX2
-/// arms; the field ops and complex products share one generic arm.
+/// `crate::avx2` holding this width's FFT arms; the field ops and complex
+/// products share one generic arm.
 macro_rules! impl_elem {
     ($t:ty, $label:expr, $avx2:ident) => {
         impl Elem for $t {
@@ -273,43 +209,6 @@ macro_rules! impl_elem {
             }
             fn kmax_abs(x: &[Self]) -> f64 {
                 dispatch!(crate::avx2::max_abs(x), xk::scalar_max_abs(x))
-            }
-            fn kfd8_combine_scale(
-                out: &mut [Self],
-                plus: &[&[Self]; 4],
-                minus: &[&[Self]; 4],
-                c: &[Self; 4],
-                inv_h: Self,
-                s: Self,
-            ) {
-                for m in 0..4 {
-                    assert!(plus[m].len() >= out.len(), "fd8_combine_scale plus[{m}] too short");
-                    assert!(minus[m].len() >= out.len(), "fd8_combine_scale minus[{m}] too short");
-                }
-                dispatch!(
-                    crate::avx2::$avx2::fd8_combine_scale(out, plus, minus, c, inv_h, s),
-                    xk::scalar_fd8_combine_scale(out, plus, minus, c, inv_h, s)
-                )
-            }
-            #[inline(always)]
-            fn split_index(self) -> (isize, Self) {
-                let f = self.floor();
-                (f as isize, self - f)
-            }
-            fn kinterp_sites<const NF: usize, S: FnMut(usize, [Self; NF])>(
-                stencil: Stencil,
-                dims: &HaloDims,
-                fields: &[&[Self]; NF],
-                sites: &[[Self; 3]],
-                sink: S,
-            ) {
-                for f in fields {
-                    assert_eq!(f.len(), dims.points(), "interp_sites field/halo shape mismatch");
-                }
-                dispatch!(
-                    crate::avx2::$avx2::interp_sites(stencil, dims, fields, sites, sink),
-                    xk::interp_sites(xk::SpecArm, stencil, dims, fields, sites, sink)
-                )
             }
             fn kcpx_mul(dst: &mut [Self], src: &[Self]) {
                 assert_eq!(dst.len(), src.len(), "cpx_mul length mismatch");

@@ -6,19 +6,24 @@
 //! parallelism for free from the GPU's vector units; on CPU the equivalent
 //! is AVX2+FMA, which this crate provides behind runtime dispatch:
 //!
-//! * [`Elem`] is the one public kernel surface: every kernel is a **safe
-//!   slice-level associated function** (`T::kaxpy`, `T::kfd8_combine_scale`,
-//!   `T::kinterp_sites`, `T::kcpx_mul`, …) implemented for `f64` and
-//!   `f32`, which checks its length contract once and picks a backend per
-//!   call from a cached process-wide choice;
-//! * each kernel body is written once, generic over the element width (the
-//!   `xk` module): a `scalar_*` reference loop — the specification, with the
-//!   pre-SIMD solver's exact operation order — and, for reductions, a
-//!   `wide_*` 8-lane body with a fixed fold shape;
-//! * the AVX2 arm of a kernel is that generic body compiled under
-//!   `#[target_feature(enable = "avx2,fma")]`, except for the few f64
-//!   kernels where a hand-written intrinsic measured ≥ 1.2× faster (the
-//!   `avx2` module lists them); it is only ever selected after
+//! * [`Elem`] is the kernel surface of the two element widths: every kernel
+//!   is a **safe slice-level associated function** (`T::kaxpy`,
+//!   `T::kdot`, `T::kcpx_mul`, `T::kfft_cols`, …) implemented for `f64`
+//!   and `f32`, which checks its length contract once and picks a backend
+//!   per call from a cached process-wide choice;
+//! * interpolation and FD run at f64 on every path, `Precision::Mixed`
+//!   included (it demotes only the Krylov/FFT lane), so their kernels are
+//!   the f64-only functions [`interp_sites`] and [`fd8_combine_scale`],
+//!   dispatched the same way;
+//! * each kernel body is written once (the `xk` module): a `scalar_*`
+//!   reference loop — the specification, with the pre-SIMD solver's exact
+//!   operation order — and, for reductions, a `wide_*` 8-lane body with a
+//!   fixed fold shape; the field ops and reductions are generic over the
+//!   element width;
+//! * the AVX2 arm of a kernel is that body compiled under
+//!   `#[target_feature(enable = "avx2,fma")]`, except for the f64 kernels
+//!   where a hand-written intrinsic measured ≥ 1.2× faster (the `avx2`
+//!   module lists them); it is only ever selected after
 //!   `is_x86_feature_detected!` confirms support;
 //! * the **FFT kernels** (`kfft_cols`, `kfft_r2c`, `kfft_c2r`) are one
 //!   generic Stockham body whose SIMD lanes are adjacent *lines* (the `fft`
@@ -26,8 +31,8 @@
 //!   in for the autovectorizer, `T` itself on the scalar backend and
 //!   `__m256d`/`__m256` on AVX2; [`Stockham`] is the per-length stage table
 //!   they execute;
-//! * **fused single-pass kernels** (`kaxpy_dot`, `kaypx_norm2`,
-//!   `kscale_add_norm`, `kfd8_combine_scale`) combine a BLAS-1 update with
+//! * **fused single-pass kernels** (`kaxpy_dot`, `kscale_add_norm`,
+//!   [`fd8_combine_scale`]) combine a BLAS-1 update with
 //!   the reduction (or scale) the solver takes immediately after, halving
 //!   DRAM traffic for the memory-bound PCG chains (paper §3's cost model
 //!   counts passes over memory, not flops).
@@ -50,6 +55,22 @@
 //! count, timing, or allocation state — only on the input values and the
 //! selected backend. Reductions accumulate in f64 at both widths.
 
+/// Route one kernel call to the dispatched backend. The AVX2 arm only
+/// exists on x86-64; `Backend::Avx2` can never be cached elsewhere, so the
+/// fallthrough to scalar is unreachable there but keeps the match
+/// exhaustive.
+macro_rules! dispatch {
+    ($avx2:expr, $scalar:expr) => {{
+        match $crate::active_backend() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Backend::Avx2 is only ever cached after
+            // `is_x86_feature_detected!("avx2")` + `("fma")` succeeded.
+            $crate::Backend::Avx2 => unsafe { $avx2 },
+            _ => $scalar,
+        }
+    }};
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 mod elem;
@@ -59,6 +80,63 @@ mod xk;
 pub use elem::Elem;
 pub use fft::Stockham;
 pub use xk::{HaloDims, Stencil};
+
+/// One contiguous row of the 8th-order central-difference combine with a
+/// folded output scale:
+/// `out[k] = s · inv_h · Σ_m c[m] · (plus[m][k] − minus[m][k])`.
+///
+/// `plus[m]`/`minus[m]` are the rows at offsets `±(m+1)` along the
+/// differentiated dimension; all slices must be at least `out.len()` long.
+/// Serves all three dimensions of the FD8 sweep over a halo-padded slab:
+/// the neighbour rows sit a plane, a row or one value apart, so every
+/// output row is one call. The scale costs nothing extra — `inv_h·s` is
+/// folded into the single per-point multiply — so a derivative-then-scale
+/// chain is one memory pass, and `s == 1` is the plain derivative bit for
+/// bit.
+pub fn fd8_combine_scale(
+    out: &mut [f64],
+    plus: &[&[f64]; 4],
+    minus: &[&[f64]; 4],
+    c: &[f64; 4],
+    inv_h: f64,
+    s: f64,
+) {
+    for m in 0..4 {
+        assert!(plus[m].len() >= out.len(), "fd8_combine_scale plus[{m}] too short");
+        assert!(minus[m].len() >= out.len(), "fd8_combine_scale minus[{m}] too short");
+    }
+    dispatch!(
+        avx2::f64k::fd8_combine_scale(out, plus, minus, c, inv_h, s),
+        xk::scalar_fd8_combine_scale(out, plus, minus, c, inv_h, s)
+    )
+}
+
+/// Batched scattered interpolation: evaluate `NF` halo-extended fields (all
+/// of shape `dims`) at every site of `sites` and pass each site's `NF`
+/// values to `sink(i, values)`, `i` being the site's position in the batch.
+///
+/// A site is a *global* continuous grid index `[u1, u2, u3]` whose stencil
+/// support lies inside the stored halo on every axis; a site outside it
+/// panics. The kernel never wraps: the halo is the periodic extension. The
+/// backend is resolved once per batch; per site the index split and the
+/// basis weights are computed once and every field accumulates against
+/// them. A field's value does not depend on `NF` or on its position in
+/// `fields`.
+pub fn interp_sites<const NF: usize, S: FnMut(usize, [f64; NF])>(
+    stencil: Stencil,
+    dims: &HaloDims,
+    fields: &[&[f64]; NF],
+    sites: &[[f64; 3]],
+    sink: S,
+) {
+    for f in fields {
+        assert_eq!(f.len(), dims.points(), "interp_sites field/halo shape mismatch");
+    }
+    dispatch!(
+        avx2::f64k::interp_sites(stencil, dims, fields, sites, sink),
+        xk::interp_sites(stencil, dims, fields, sites, sink)
+    )
+}
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Once;

@@ -1,6 +1,7 @@
-//! Kernel bodies, written once and generic over the element width.
+//! Kernel bodies, written once: generic over the element width for the
+//! [`Elem`] kernels, at f64 for interpolation and FD.
 //!
-//! Every [`Elem`] kernel dispatches to one of the bodies here:
+//! Every kernel dispatches to one of the bodies here:
 //!
 //! * `scalar_*` is the specification: the pre-SIMD solver's loops (separate
 //!   multiply and add, left-to-right reduction order, f64 accumulation), so
@@ -13,13 +14,11 @@
 //!   Every width keeps the determinism contract: results depend only on
 //!   input values and the selected backend, never on thread count or
 //!   allocation state;
-//! * the batched interpolation kernel ([`interp_sites`]) is one site loop
-//!   for the scalar backend and the f32 AVX2 arm, with the 64-tap cubic
-//!   sum behind [`StencilArm`]: [`SpecArm`] is the specification,
-//!   [`RowDotArm`] the f32 AVX2 arm (cubic row by row). The f64 AVX2 arm
-//!   is not this body: `avx2::f64k::interp_sites` walks a batch four
-//!   sites per step in intrinsics, sharing only [`support`] (its
-//!   out-of-halo panic) with the loop here.
+//! * the batched interpolation kernel ([`interp_sites`]) is the scalar
+//!   backend's site loop, the specification. The AVX2 arm is not this
+//!   body: `avx2::f64k::interp_sites` walks a batch four sites per step in
+//!   intrinsics, sharing only [`support`] (its out-of-halo panic) with the
+//!   loop here.
 //!
 //! The bodies are `#[inline(always)]`: the AVX2 arm is a body inlined into
 //! a `#[target_feature(enable = "avx2,fma")]` wrapper (see `avx2`), where
@@ -100,19 +99,19 @@ fn max_nan(a: f64, b: f64) -> f64 {
 }
 
 #[inline(always)]
-pub(crate) fn scalar_fd8_combine_scale<T: Elem>(
-    out: &mut [T],
-    plus: &[&[T]; 4],
-    minus: &[&[T]; 4],
-    c: &[T; 4],
-    inv_h: T,
-    s: T,
+pub(crate) fn scalar_fd8_combine_scale(
+    out: &mut [f64],
+    plus: &[&[f64]; 4],
+    minus: &[&[f64]; 4],
+    c: &[f64; 4],
+    inv_h: f64,
+    s: f64,
 ) {
     // `inv_h·s` folds once up front; with `s == 1` the product is exactly
     // `inv_h`, so the unscaled derivative is the `s = 1` case bit for bit.
     let ihs = inv_h * s;
     for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = T::ZERO;
+        let mut acc = 0.0;
         for (m, &cm) in c.iter().enumerate() {
             acc += cm * (plus[m][k] - minus[m][k]);
         }
@@ -238,7 +237,7 @@ pub(crate) fn wide_max_abs<T: Elem>(x: &[T]) -> f64 {
 
 // ----- batched scattered interpolation --------------------------------------
 
-/// Basis of the batched site kernel ([`Elem::kinterp_sites`]).
+/// Basis of the batched site kernel ([`crate::interp_sites`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stencil {
     /// Trilinear, 2×2×2 support at node offsets `{0, 1}`.
@@ -279,100 +278,48 @@ impl HaloDims {
     }
 }
 
-/// The part of the generic site loop that differs per arm: the weighted
-/// sum over a cubic site's 4×4×4 support,
+/// The 64-tap sum of a cubic site, the specification:
 /// `Σ_{a,b,c} w1[a]·w2[b]·w3[c] · f[base + a·ps + b·rs + c]` for each of
-/// the `NF` fields, `ps` and `rs` being the plane and row strides. The
-/// caller checks the support against the halo; slice indexing bounds-checks
-/// it against the field length.
-pub(crate) trait StencilArm<T: Elem>: Copy {
-    /// The 64-tap sum of a cubic site.
-    fn cubic<const NF: usize>(
-        self,
-        fields: &[&[T]; NF],
-        base: usize,
-        ps: usize,
-        rs: usize,
-        w: &[[T; 4]; 3],
-    ) -> [T; NF];
-}
-
-/// The specification arm: separate multiply and add, one 64-term
-/// left-to-right sum per field.
-#[derive(Clone, Copy)]
-pub(crate) struct SpecArm;
-
-impl<T: Elem> StencilArm<T> for SpecArm {
-    #[inline(always)]
-    fn cubic<const NF: usize>(
-        self,
-        fields: &[&[T]; NF],
-        base: usize,
-        ps: usize,
-        rs: usize,
-        w: &[[T; 4]; 3],
-    ) -> [T; NF] {
-        let mut acc = [T::ZERO; NF];
-        for (a, &wa) in w[0].iter().enumerate() {
-            for (b, &wb) in w[1].iter().enumerate() {
-                let wab = wa * wb;
-                let at = base + a * ps + b * rs;
-                let rows: [&[T]; NF] = core::array::from_fn(|f| &fields[f][at..at + 4]);
-                for (c, &wc) in w[2].iter().enumerate() {
-                    let wabc = wab * wc;
-                    for (s, row) in acc.iter_mut().zip(&rows) {
-                        *s += wabc * row[c];
-                    }
+/// the `NF` fields, `ps` and `rs` being the plane and row strides, with
+/// separate multiply and add, `(w1[a]·w2[b])·w3[c]` per tap and one 64-term
+/// left-to-right sum per field. The caller checks the support against the
+/// halo; slice indexing bounds-checks it against the field length.
+#[inline(always)]
+fn cubic_sum<const NF: usize>(
+    fields: &[&[f64]; NF],
+    base: usize,
+    ps: usize,
+    rs: usize,
+    w: &[[f64; 4]; 3],
+) -> [f64; NF] {
+    let mut acc = [0.0; NF];
+    for (a, &wa) in w[0].iter().enumerate() {
+        for (b, &wb) in w[1].iter().enumerate() {
+            let wab = wa * wb;
+            let at = base + a * ps + b * rs;
+            let rows: [&[f64]; NF] = core::array::from_fn(|f| &fields[f][at..at + 4]);
+            for (c, &wc) in w[2].iter().enumerate() {
+                let wabc = wab * wc;
+                for (s, row) in acc.iter_mut().zip(&rows) {
+                    *s += wabc * row[c];
                 }
             }
         }
-        acc
     }
-}
-
-/// Row-dot arm (f32 under AVX2): each 4-tap row reduces on its own before
-/// the `w1·w2` weight applies, which breaks the 64-long add chain of the
-/// specification into vectorizable pieces.
-#[derive(Clone, Copy)]
-pub(crate) struct RowDotArm;
-
-impl<T: Elem> StencilArm<T> for RowDotArm {
-    #[inline(always)]
-    fn cubic<const NF: usize>(
-        self,
-        fields: &[&[T]; NF],
-        base: usize,
-        ps: usize,
-        rs: usize,
-        w: &[[T; 4]; 3],
-    ) -> [T; NF] {
-        let w3 = &w[2];
-        let mut acc = [T::ZERO; NF];
-        for (a, &wa) in w[0].iter().enumerate() {
-            for (b, &wb) in w[1].iter().enumerate() {
-                let wab = wa * wb;
-                let at = base + a * ps + b * rs;
-                for (s, f) in acc.iter_mut().zip(fields) {
-                    let row = &f[at..at + 4];
-                    *s += wab * (w3[0] * row[0] + w3[1] * row[1] + w3[2] * row[2] + w3[3] * row[3]);
-                }
-            }
-        }
-        acc
-    }
+    acc
 }
 
 /// The 8-tap sum of a trilinear site, the specification: separate multiply
 /// and add, `(w1[a]·w2[b])·w3[c]` per tap, one left-to-right sum per field.
 #[inline(always)]
-fn linear_sum<T: Elem, const NF: usize>(
-    fields: &[&[T]; NF],
+fn linear_sum<const NF: usize>(
+    fields: &[&[f64]; NF],
     base: usize,
     ps: usize,
     rs: usize,
-    w: &[[T; 2]; 3],
-) -> [T; NF] {
-    let mut acc = [T::ZERO; NF];
+    w: &[[f64; 2]; 3],
+) -> [f64; NF] {
+    let mut acc = [0.0; NF];
     for (a, &wa) in w[0].iter().enumerate() {
         for (b, &wb) in w[1].iter().enumerate() {
             let row = base + a * ps + b * rs;
@@ -390,33 +337,34 @@ fn linear_sum<T: Elem, const NF: usize>(
 /// Cubic Lagrange weights at fraction `t ∈ [0,1)` for node offsets
 /// `{−1, 0, 1, 2}`.
 #[inline(always)]
-fn lagrange_weights<T: Elem>(t: T) -> [T; 4] {
-    let t1 = t - T::ONE;
-    let t2 = t - T::from_f64(2.0);
-    let tp = t + T::ONE;
-    [
-        -t * t1 * t2 / T::from_f64(6.0),
-        tp * t1 * t2 / T::from_f64(2.0),
-        -tp * t * t2 / T::from_f64(2.0),
-        tp * t * t1 / T::from_f64(6.0),
-    ]
+fn lagrange_weights(t: f64) -> [f64; 4] {
+    let t1 = t - 1.0;
+    let t2 = t - 2.0;
+    let tp = t + 1.0;
+    [-t * t1 * t2 / 6.0, tp * t1 * t2 / 2.0, -tp * t * t2 / 2.0, tp * t * t1 / 6.0]
 }
 
 /// Cubic B-spline basis weights at fraction `t ∈ [0,1)` for node offsets
 /// `{−1, 0, 1, 2}` (partition of unity; C² smooth).
 #[inline(always)]
-fn bspline_weights<T: Elem>(t: T) -> [T; 4] {
-    let six = T::from_f64(6.0);
-    let three = T::from_f64(3.0);
+fn bspline_weights(t: f64) -> [f64; 4] {
     let t2 = t * t;
     let t3 = t2 * t;
-    let one_m = T::ONE - t;
+    let one_m = 1.0 - t;
     [
-        one_m * one_m * one_m / six,
-        (three * t3 - six * t2 + T::from_f64(4.0)) / six,
-        (-three * t3 + three * t2 + three * t + T::ONE) / six,
-        t3 / six,
+        one_m * one_m * one_m / 6.0,
+        (3.0 * t3 - 6.0 * t2 + 4.0) / 6.0,
+        (-3.0 * t3 + 3.0 * t2 + 3.0 * t + 1.0) / 6.0,
+        t3 / 6.0,
     ]
+}
+
+/// Split a continuous grid index into its integer base `⌊u⌋` and the
+/// fraction `u − ⌊u⌋ ∈ [0, 1)` (base 0 and fraction NaN for a NaN `u`).
+#[inline(always)]
+fn split_index(u: f64) -> (isize, f64) {
+    let f = u.floor();
+    (f as isize, u - f)
 }
 
 /// A site's support of `taps` nodes from node offset `lo` per axis: the
@@ -426,16 +374,11 @@ fn bspline_weights<T: Elem>(t: T) -> [T; 4] {
 /// there — so a site outside it is a routing bug, reported here instead of
 /// read out of bounds.
 #[inline(always)]
-pub(crate) fn support<T: Elem>(
-    d: &HaloDims,
-    s: &[T; 3],
-    lo: isize,
-    taps: usize,
-) -> (usize, [T; 3]) {
-    let (mut base, mut t) = (0, [T::ZERO; 3]);
-    for (a, (u, ta)) in s.iter().zip(&mut t).enumerate() {
+pub(crate) fn support(d: &HaloDims, s: &[f64; 3], lo: isize, taps: usize) -> (usize, [f64; 3]) {
+    let (mut base, mut t) = (0, [0.0; 3]);
+    for (a, (&u, ta)) in s.iter().zip(&mut t).enumerate() {
         let b;
-        (b, *ta) = u.split_index();
+        (b, *ta) = split_index(u);
         let p = b + d.origin[a] + lo;
         assert!(
             p >= 0 && p as usize + taps <= d.stored[a],
@@ -450,38 +393,36 @@ pub(crate) fn support<T: Elem>(
 }
 
 #[inline(always)]
-fn linear_site<T: Elem, const NF: usize>(d: &HaloDims, fields: &[&[T]; NF], s: &[T; 3]) -> [T; NF] {
+fn linear_site<const NF: usize>(d: &HaloDims, fields: &[&[f64]; NF], s: &[f64; 3]) -> [f64; NF] {
     let (lo, taps) = Stencil::Linear.reach();
     let (base, [t1, t2, t3]) = support(d, s, lo, taps);
-    let w = [[T::ONE - t1, t1], [T::ONE - t2, t2], [T::ONE - t3, t3]];
+    let w = [[1.0 - t1, t1], [1.0 - t2, t2], [1.0 - t3, t3]];
     linear_sum(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
 }
 
 #[inline(always)]
-fn cubic_site<T: Elem, A: StencilArm<T>, const NF: usize>(
-    arm: A,
+fn cubic_site<const NF: usize>(
     d: &HaloDims,
-    fields: &[&[T]; NF],
-    s: &[T; 3],
-    weights: impl Fn(T) -> [T; 4],
-) -> [T; NF] {
+    fields: &[&[f64]; NF],
+    s: &[f64; 3],
+    weights: impl Fn(f64) -> [f64; 4],
+) -> [f64; NF] {
     let (lo, taps) = Stencil::CubicLagrange.reach();
     let (base, [t1, t2, t3]) = support(d, s, lo, taps);
     let w = [weights(t1), weights(t2), weights(t3)];
-    arm.cubic(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
+    cubic_sum(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
 }
 
 /// Evaluate `NF` fields at every site of a batch and hand each site's
 /// values to `sink(i, values)`. Per site the index split and the basis
 /// weights are computed once and shared by all fields.
 #[inline(always)]
-pub(crate) fn interp_sites<T: Elem, A: StencilArm<T>, const NF: usize>(
-    arm: A,
+pub(crate) fn interp_sites<const NF: usize>(
     stencil: Stencil,
     d: &HaloDims,
-    fields: &[&[T]; NF],
-    sites: &[[T; 3]],
-    mut sink: impl FnMut(usize, [T; NF]),
+    fields: &[&[f64]; NF],
+    sites: &[[f64; 3]],
+    mut sink: impl FnMut(usize, [f64; NF]),
 ) {
     match stencil {
         Stencil::Linear => {
@@ -491,12 +432,12 @@ pub(crate) fn interp_sites<T: Elem, A: StencilArm<T>, const NF: usize>(
         }
         Stencil::CubicLagrange => {
             for (i, s) in sites.iter().enumerate() {
-                sink(i, cubic_site(arm, d, fields, s, lagrange_weights));
+                sink(i, cubic_site(d, fields, s, lagrange_weights));
             }
         }
         Stencil::CubicBspline => {
             for (i, s) in sites.iter().enumerate() {
-                sink(i, cubic_site(arm, d, fields, s, bspline_weights));
+                sink(i, cubic_site(d, fields, s, bspline_weights));
             }
         }
     }

@@ -46,7 +46,7 @@ fn main() {
     println!(
         "registering with {} (β continuation {:?} -> {:.0e}) ...",
         cfg.precond.label(),
-        cfg.beta_init,
+        cfg.beta_start(),
         cfg.beta_target
     );
     if report_path.is_some() {

@@ -117,13 +117,23 @@ stage_tier1_tests() {
 }
 
 stage_workspace_tests() {
-    cargo test -q --release --workspace
+    # the tests run with a TMPDIR of their own that must be empty when they
+    # end: a rendezvous or scratch directory a test leaves behind (a socket
+    # cluster's, a launch test's stand-in worker) fails the stage by name
+    local tmp rc=0 left
+    tmp="$(mktemp -d)"
+    TMPDIR="$tmp" cargo test -q --release --workspace || rc=$?
     # the crates whose own tests pin the site kernel bit for bit (e.g.
     # `planned_evaluation_equals_one_shot`) run under both backends, as
     # tier-1 does; a pinned CLAIRE_SIMD already chose one
-    if [ -z "${CLAIRE_SIMD:-}" ]; then
-        CLAIRE_SIMD=scalar cargo test -q --release -p claire-simd -p claire-interp -p claire-semilag
+    if [ "$rc" -eq 0 ] && [ -z "${CLAIRE_SIMD:-}" ]; then
+        TMPDIR="$tmp" CLAIRE_SIMD=scalar cargo test -q --release \
+            -p claire-simd -p claire-interp -p claire-semilag || rc=$?
     fi
+    left="$(ls -A "$tmp")"
+    rm -rf "$tmp"
+    [ "$rc" -eq 0 ] || return "$rc"
+    [ -z "$left" ] || { echo "workspace tests left in TMPDIR:"; echo "$left"; return 1; }
 }
 
 stage_poison_tests() {
@@ -291,6 +301,22 @@ EOF
         echo "batch smoke: top-level queue_capacity: expected exit 3 naming it, got $code"
         cat "$dir/queue.err"; exit 1; }
 
+    # the settings that became constants are unknown manifest keys: exit 3
+    # naming the key, before the first entry runs
+    local key
+    for key in beta_init beta_reduction max_inner_iter; do
+        printf '{"jobs": [%s, %s]}\n' \
+            '{"label": "first", "syn": 8, "max_gn_iter": 1, "continuation": false}' \
+            "{\"label\": \"gone\", \"syn\": 8, \"$key\": 0.5}" > "$dir/gone.json"
+        code=0
+        ./target/release/claire-cli batch "$dir/gone.json" -o "$dir/out-gone" \
+            2> "$dir/gone.err" || code=$?
+        [ "$code" -eq 3 ] && grep -q "unknown key .$key." "$dir/gone.err" || {
+            echo "batch smoke: manifest key $key: expected exit 3 naming it, got $code"
+            cat "$dir/gone.err"; exit 1; }
+        [ ! -e "$dir/out-gone" ] || { echo "batch smoke: a job ran beside $key"; exit 1; }
+    done
+
     # a second entry whose grid no solve can take is refused (exit 3)
     # before the first entry runs and before the output directory is made
     cat > "$dir/grid.json" <<'EOF'
@@ -309,12 +335,16 @@ EOF
         cat "$dir/grid.err"; exit 1
     fi
 
-    # the admission queue's capacity flag went with the queue, and the TCP
-    # server and client subcommands were deleted: their command lines are
-    # usage errors now
+    # the admission queue's capacity flag went with the queue, the TCP
+    # server and client subcommands were deleted, and the settings that
+    # became constants lost their flags: these command lines are usage
+    # errors now
     local argv usage
     for argv in "batch $dir/manifest.json --queue-cap 4 -o $dir/out-cap -q" \
-        "serve --listen 127.0.0.1:0 -q" "submit --addr 127.0.0.1:1 $dir/manifest.json -q"; do
+        "serve --listen 127.0.0.1:0 -q" "submit --addr 127.0.0.1:1 $dir/manifest.json -q" \
+        "--syn 8 --beta-init 0.5 -q -o $dir/out-init" \
+        "--syn 8 --beta-reduction 0.5 -q -o $dir/out-reduction" \
+        "launch --ranks 1 --syn 8 --max-inner 5 -q"; do
         usage=0
         # shellcheck disable=SC2086  # $argv is the word-split command line
         timeout 10 ./target/release/claire-cli $argv > /dev/null 2>&1 || usage=$?
@@ -323,7 +353,7 @@ EOF
     done
     rm -rf "$dir"
     echo "batch smoke: three jobs on two workers, each with its own GN trace;" \
-        "typo, top-level key, bad grid, --queue-cap and TCP refused"
+        "typo, top-level key, constant settings, bad grid, --queue-cap and TCP refused"
 }
 
 stage_proc_smoke() {

@@ -6,16 +6,18 @@
 //! claire-cli launch --ranks N --syn M [launch options]
 //!
 //! solver flags (single run, `launch` and `worker-rank` read the same ones
-//! from the `RegistrationConfig` field table, onto the same defaults):
+//! from the `RegistrationConfig` field table, onto the defaults a batch
+//! manifest entry starts from too):
 //!   --nt N             semi-Lagrangian time steps        (default: 4)
 //!   --order KIND       linear | cubic                    (default: cubic)
 //!   --precond NAME     InvA | InvH0 | 2LInvH0            (default: 2LInvH0)
 //!   --precision WIDTH  f64 | mixed                       (default: f64)
-//!   --beta VALUE       target regularization parameter   (default: 5e-4)
-//!   --beta-init V, --beta-reduction V, --beta-floor V    β-continuation
+//!   --beta VALUE       target regularization parameter   (default: 5e-4;
+//!                      the β-continuation runs 1, 1e-1, … down to it)
+//!   --beta-floor VALUE lower bound for β inside H0       (default: 5e-2)
 //!   --eps-h0 VALUE     inner H0 tolerance scale          (default: 1e-3)
 //!   --grad-rtol VALUE  relative gradient tolerance       (default: 5e-2)
-//!   --max-gn N, --max-pcg N, --max-inner N               iteration caps
+//!   --max-gn N, --max-pcg N                              iteration caps
 //!   --fixed-pcg N      fixed PCG iterations per GN step  (`null` = forcing
 //!                      sequence, the default)
 //!   --store-grad       cache the state gradient (faster, more memory)
@@ -77,8 +79,8 @@ use claire::core::config::ConfigField;
 use claire::core::{observe, Claire, ClaireError, RegistrationConfig, SolverHooks};
 use claire::data::nifti;
 use claire::grid::Grid;
-use claire::interp::{Interpolator, IpOrder};
-use claire::ipc::{LaunchSpec, SocketOpts, SocketTransport};
+use claire::interp::Interpolator;
+use claire::ipc::{LaunchSpec, SocketTransport};
 use claire::mpi::{Comm, Topology, TransportError};
 use claire::semilag::{displacement, Trajectory};
 use serde::field;
@@ -89,7 +91,7 @@ use std::time::Duration;
 
 #[path = "claire-cli/batch.rs"]
 mod batch;
-use batch::io_error;
+use batch::{base_config, io_error};
 
 /// One distinct nonzero exit code per `ClaireError` variant.
 fn error_exit_code(e: &ClaireError) -> i32 {
@@ -197,19 +199,13 @@ fn config_args(cfg: &RegistrationConfig) -> Vec<String> {
     ConfigField::all().iter().flat_map(render).collect()
 }
 
-/// The configuration a single run and `launch` read their solver flags
-/// onto: the paper defaults, with cubic interpolation.
-fn cli_config() -> RegistrationConfig {
-    RegistrationConfig { ip_order: IpOrder::Cubic, ..Default::default() }
-}
-
 fn parse_args(args: Vec<String>) -> Options {
     let mut args = args.into_iter();
     let mut positional: Vec<String> = Vec::new();
     let mut out = PathBuf::from("claire_out");
     let mut report = None;
     let mut syn = None;
-    let mut cfg = RegistrationConfig { verbose: true, ..cli_config() };
+    let mut cfg = RegistrationConfig { verbose: true, ..base_config() };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-o" => out = PathBuf::from(next_value(&mut args, "-o")),
@@ -238,7 +234,7 @@ fn parse_args(args: Vec<String>) -> Options {
             });
         }
     }
-    let cfg = cfg.finish().unwrap_or_else(|e| fail(&e));
+    cfg.validate().unwrap_or_else(|e| fail(&e));
     let get = |i: usize| positional.get(i).map(PathBuf::from).unwrap_or_default();
     Options { template: get(0), reference: get(1), out, report, syn, cfg }
 }
@@ -451,7 +447,7 @@ fn parse_launch_args(args: Vec<String>, worker: bool) -> LaunchOpts {
     let mut o = LaunchOpts {
         ranks: 0,
         syn: 0,
-        cfg: cli_config(),
+        cfg: base_config(),
         timeout_secs: 300,
         report: None,
         in_process: false,
@@ -492,7 +488,7 @@ fn parse_launch_args(args: Vec<String>, worker: bool) -> LaunchOpts {
         eprintln!("worker-rank needs --dir and --rank");
         usage()
     }
-    o.cfg = o.cfg.finish().unwrap_or_else(|e| fail(&e));
+    o.cfg.validate().unwrap_or_else(|e| fail(&e));
     // refuse a grid the solver cannot split before any rank is started
     o.cfg.validate_grid(Grid::new([o.syn; 3]), o.ranks).unwrap_or_else(|e| fail(&e));
     o
@@ -585,7 +581,7 @@ fn worker_rank_main(args: Vec<String>) {
     let o = parse_launch_args(args, true);
     let (dir, rank) = (o.dir.clone().unwrap(), o.rank.unwrap());
     let topo = Topology::longhorn(o.ranks);
-    let transport = match SocketTransport::bootstrap(&dir, rank, topo, SocketOpts::default()) {
+    let transport = match SocketTransport::bootstrap(&dir, rank, topo, None) {
         Ok(t) => t,
         Err(e) => {
             let _ = claire::ipc::launch::send_failure(&dir, rank, e.to_string());
@@ -664,6 +660,7 @@ mod tests {
     use super::*;
     use batch::{parse_job, parse_jobs, parse_manifest, Job};
     use claire::core::{Precision, PrecondKind};
+    use claire::interp::IpOrder;
 
     fn job(json: &str) -> Result<Job, ClaireError> {
         parse_job(&serde_json::from_str(json).expect("test manifest is valid JSON"), 0, true)
@@ -717,8 +714,9 @@ mod tests {
         .unwrap();
         let cfg = spec.config;
         assert_eq!((cfg.eps_h0, cfg.store_grad), (0.01, true));
-        // the short spelling of `beta_target` lifts the start as `--beta` does
-        assert_eq!((cfg.beta_target, cfg.beta_init), (2.0, 2.0));
+        // the short spelling of `beta_target`; a target above the
+        // continuation's start is the whole schedule, as with `--beta 2`
+        assert_eq!((cfg.beta_target, cfg.beta_schedule()), (2.0, vec![2.0]));
         assert_eq!(spec.priority.label(), "low");
         assert_eq!(spec.deadline, Some(Duration::from_millis(1500)));
 
@@ -774,7 +772,7 @@ mod tests {
             flagged(RegistrationConfig::default(), vec!["--order".into(), "cubic_spline".into()]);
         assert_eq!(by_flag.ip_order, IpOrder::CubicSpline);
         for refused in
-            [by_flag.finish().map(drop), job(r#"{"syn": 8, "ip_order": "cubic_spline"}"#).map(drop)]
+            [by_flag.validate(), job(r#"{"syn": 8, "ip_order": "cubic_spline"}"#).map(drop)]
         {
             assert!(
                 matches!(refused, Err(ClaireError::Config { param: "ip_order", .. })),
@@ -783,11 +781,47 @@ mod tests {
         }
     }
 
+    /// The three settings that became constants (spelled in parts: they are
+    /// gone) are unknown options to every flag front end (the usage exit)
+    /// and unknown keys to a manifest (a config error naming the key).
+    #[test]
+    fn settings_that_became_constants_are_refused_by_flag_and_by_manifest() {
+        for (flag, key) in [
+            (concat!("--beta", "-init"), concat!("beta", "_init")),
+            (concat!("--beta", "-reduction"), concat!("beta", "_reduction")),
+            (concat!("--max", "-inner"), concat!("max_inner", "_iter")),
+        ] {
+            let mut cfg = base_config();
+            assert!(!config_flag(&mut cfg, flag, &mut std::iter::once("0.5".into())), "{flag}");
+            assert_eq!(cfg, base_config(), "{flag} moved a field");
+            let entry = format!(r#"{{"label": "j", "syn": 8, "{key}": 0.5}}"#);
+            match job(&entry) {
+                Err(e @ ClaireError::Config { param: "manifest", .. }) => {
+                    assert_eq!(error_exit_code(&e), 3);
+                    assert!(e.to_string().contains(&format!("j: unknown key `{key}`")), "{e}");
+                }
+                other => panic!("{entry}: expected a manifest error, got {:?}", other.err()),
+            }
+        }
+    }
+
+    /// `{"syn": 8}` in a manifest and `claire-cli --syn 8` solve one problem:
+    /// both front ends start from the same defaults.
+    #[test]
+    fn a_manifest_entry_and_a_single_run_start_from_one_default() {
+        let by_manifest = job(r#"{"syn": 8}"#).unwrap().config;
+        let by_flags = parse_args(["--syn", "8"].map(String::from).to_vec()).cfg;
+        assert!(by_flags.verbose && !by_manifest.verbose);
+        assert_eq!(RegistrationConfig { verbose: false, ..by_flags }, by_manifest);
+        assert_eq!(by_manifest.ip_order, IpOrder::Cubic);
+    }
+
     #[test]
     fn flags_keep_their_parent_meaning() {
-        let single = RegistrationConfig { verbose: true, ..cli_config() };
+        let single = RegistrationConfig { verbose: true, ..base_config() };
         let text = "--precond InvA --beta 2 --nt 8 --order linear --store-grad --eps-h0 1e-2";
-        let cfg = flagged(single, text.split(' ').map(String::from).collect()).finish().unwrap();
+        let cfg = flagged(single, text.split(' ').map(String::from).collect());
+        cfg.validate().unwrap();
         let expect = RegistrationConfig::builder()
             .precond(PrecondKind::InvA)
             .beta(2.0)
@@ -823,10 +857,8 @@ mod tests {
             (IpOrder::Cubic, PrecondKind::TwoLevelInvH0)
         );
         let cfg = launch("--max-gn 2 --fixed-pcg 7 --beta 5 --order linear --precond InvA");
-        assert_eq!(
-            (cfg.max_gn_iter, cfg.fixed_pcg, cfg.beta_target, cfg.beta_init),
-            (2, Some(7), 5.0, 5.0)
-        );
+        assert_eq!((cfg.max_gn_iter, cfg.fixed_pcg, cfg.beta_target), (2, Some(7), 5.0));
+        assert_eq!(cfg.beta_schedule(), vec![5.0]);
         assert_eq!((cfg.ip_order, cfg.precond), (IpOrder::Linear, PrecondKind::InvA));
         assert_eq!(launch("--fixed-pcg null --no-verbose").fixed_pcg, None);
     }
@@ -856,7 +888,7 @@ mod tests {
     /// covered here without touching this test.
     #[test]
     fn every_config_field_survives_every_front_end_and_moves_every_key() {
-        let base = RegistrationConfig::default();
+        let base = base_config();
         for f in ConfigField::all() {
             let value = another(f, &(f.get)(&base));
             let mut want = base;

@@ -19,6 +19,7 @@ use claire::core::observe::{self, MemStats};
 use claire::core::{CancelToken, Claire, ClaireError, RegistrationConfig, SolverHooks, StopReason};
 use claire::data::nifti;
 use claire::grid::ScalarField;
+use claire::interp::IpOrder;
 use claire::mpi::Comm;
 use claire::obs::report::{RunReport, SchedulingInfo};
 use serde::{field, field_or, DeError, Deserialize};
@@ -213,6 +214,13 @@ pub fn parse_manifest(doc: &Value) -> Result<Manifest, ClaireError> {
     }
 }
 
+/// The configuration every front end reads its settings onto — a manifest
+/// entry, a single run's flags, `launch`'s flags: the paper defaults, with
+/// cubic interpolation.
+pub fn base_config() -> RegistrationConfig {
+    RegistrationConfig { ip_order: IpOrder::Cubic, ..Default::default() }
+}
+
 /// Build one [`Job`] from the manifest entry at `index`. A key that is
 /// neither a job key nor a solver field, a value of the wrong type, an
 /// invalid config, a synthetic grid out of range and a pair whose images
@@ -225,11 +233,11 @@ pub fn parse_job(entry: &Value, index: usize, quiet: bool) -> Result<Job, Claire
     let label: String = field_or(entry, "label", || Ok(unnamed.clone()))
         .map_err(|e| manifest_error(format!("{unnamed}: {e}")))?;
     let bad = |e: DeError| manifest_error(format!("{label}: {e}"));
-    let mut cfg = RegistrationConfig { verbose: false, ..Default::default() };
+    let mut config = base_config();
     for (key, value) in pairs.iter().filter(|(k, _)| !JOB_KEYS.contains(&k.as_str())) {
-        cfg.set_key(key, value).map_err(&bad)?;
+        config.set_key(key, value).map_err(&bad)?;
     }
-    let config = cfg.finish()?;
+    config.validate()?;
 
     let grid_error = |message| ClaireError::Config { param: "grid", message };
     let input = match opt::<usize>(entry, "syn").map_err(&bad)? {

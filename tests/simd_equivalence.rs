@@ -1,10 +1,11 @@
 //! Tier-1 SIMD equivalence gate: the vectorized backend must agree with
-//! the scalar reference on every kernel at both element widths, and the
-//! end-to-end solver must be insensitive to the backend choice.
+//! the scalar reference on every kernel — the `Elem` kernels at both
+//! element widths, interpolation and FD at f64, the one width they run at —
+//! and the end-to-end solver must be insensitive to the backend choice.
 //!
 //! Three layers:
-//! - one harness generic over `T: Elem`, driven by proptest at `f64` and
-//!   `f32` with random sizes — including ragged tails (`n % 8 != 0`) and
+//! - one harness, generic over `T: Elem` for the `Elem` kernels, driven by
+//!   proptest with random sizes — including ragged tails (`n % 8 != 0`) and
 //!   sub-vector lengths: every `claire-simd` kernel must agree across
 //!   backends to ≤ 1e-12 (f64) / ≤ 1e-5 (f32) relative — the contract is one
 //!   FMA rounding or a different fold order, never a different algorithm —
@@ -27,7 +28,7 @@ use std::sync::Mutex;
 
 use claire::grid::ghost;
 use claire::prelude::*;
-use claire_simd::{Choice, Elem, HaloDims, Stencil, Stockham};
+use claire_simd::{fd8_combine_scale, interp_sites, Choice, Elem, HaloDims, Stencil, Stockham};
 use proptest::prelude::*;
 
 /// Serializes backend flips across this binary's tests.
@@ -156,22 +157,21 @@ fn check_reductions<T: Elem>(n: usize, seed: u64) {
 
 /// The scaled fd8 combine (`inv_h·s` folded into one sweep) must match
 /// combine-then-scale on every backend.
-fn check_fd8<T: Elem>(n: usize, seed: u64, inv_h: f64, s: f64) {
-    let (inv_h, s) = (T::from_f64(inv_h), T::from_f64(s));
-    let rows: Vec<Vec<T>> = (0..8).map(|r| fill(seed + r, n, -100.0, 100.0)).collect();
-    let cv = fill::<T>(seed + 8, 4, -1.0, 1.0);
+fn check_fd8(n: usize, seed: u64, inv_h: f64, s: f64) {
+    let rows: Vec<Vec<f64>> = (0..8).map(|r| fill(seed + r, n, -100.0, 100.0)).collect();
+    let cv = fill::<f64>(seed + 8, 4, -1.0, 1.0);
     let c = [cv[0], cv[1], cv[2], cv[3]];
-    let plus: [&[T]; 4] = [&rows[0], &rows[1], &rows[2], &rows[3]];
-    let minus: [&[T]; 4] = [&rows[4], &rows[5], &rows[6], &rows[7]];
+    let plus: [&[f64]; 4] = [&rows[0], &rows[1], &rows[2], &rows[3]];
+    let minus: [&[f64]; 4] = [&rows[4], &rows[5], &rows[6], &rows[7]];
     let (reference, _) = both(|| {
-        let mut out = vec![T::ZERO; n];
-        T::kfd8_combine_scale(&mut out, &plus, &minus, &c, inv_h, T::ONE);
-        T::kscale(s, &mut out);
+        let mut out = vec![0.0; n];
+        fd8_combine_scale(&mut out, &plus, &minus, &c, inv_h, 1.0);
+        f64::kscale(s, &mut out);
         out
     });
     let (f_scalar, f_simd) = both(|| {
-        let mut out = vec![T::ZERO; n];
-        T::kfd8_combine_scale(&mut out, &plus, &minus, &c, inv_h, s);
+        let mut out = vec![0.0; n];
+        fd8_combine_scale(&mut out, &plus, &minus, &c, inv_h, s);
         out
     });
     assert_slices_close(&f_scalar, &reference, "fd8_combine_scale [scalar]");
@@ -186,37 +186,37 @@ fn halo_dims(n: [usize; 3]) -> HaloDims {
 const STENCILS: [Stencil; 3] = [Stencil::Linear, Stencil::CubicLagrange, Stencil::CubicBspline];
 
 /// Every site's values of `NF` fields through the batched kernel.
-fn eval_sites<T: Elem, const NF: usize>(
+fn eval_sites<const NF: usize>(
     stencil: Stencil,
     dims: &HaloDims,
-    fields: &[&[T]; NF],
-    sites: &[[T; 3]],
-) -> Vec<[T; NF]> {
-    let mut out = vec![[T::ZERO; NF]; sites.len()];
-    T::kinterp_sites(stencil, dims, fields, sites, |i, v| out[i] = v);
+    fields: &[&[f64]; NF],
+    sites: &[[f64; 3]],
+) -> Vec<[f64; NF]> {
+    let mut out = vec![[0.0; NF]; sites.len()];
+    interp_sites(stencil, dims, fields, sites, |i, v| out[i] = v);
     out
 }
 
 /// `count` random sites inside the owned extent `[3, n2, n3]`.
-fn random_sites<T: Elem>(n2: usize, n3: usize, seed: u64, count: usize) -> Vec<[T; 3]> {
+fn random_sites(n2: usize, n3: usize, seed: u64, count: usize) -> Vec<[f64; 3]> {
     let ext = [3.0, n2 as f64, n3 as f64];
     let frac = fill::<f64>(seed, 3 * count, 0.0, 0.999);
-    frac.chunks_exact(3).map(|c| std::array::from_fn(|d| T::from_f64(c[d] * ext[d]))).collect()
+    frac.chunks_exact(3).map(|c| std::array::from_fn(|d| c[d] * ext[d])).collect()
 }
 
 /// The batched site kernel on a 3-plane slab with width-2 halos: the vector
 /// arm agrees with the scalar one for every stencil, and within a backend a
 /// field's values do not depend on which fields it is evaluated with.
-fn check_interp<T: Elem>(n2: usize, n3: usize, seed: u64) {
+fn check_interp(n2: usize, n3: usize, seed: u64) {
     let dims = halo_dims([3, n2, n3]);
-    let fields: [Vec<T>; 3] =
+    let fields: [Vec<f64>; 3] =
         std::array::from_fn(|f| fill(seed + f as u64, dims.points(), -1.0, 1.0));
     let data = [&fields[0][..], &fields[1][..], &fields[2][..]];
     // random interior points, points on nodes, and every periodic seam
-    let mut sites = random_sites::<T>(n2, n3, seed + 3, 16);
+    let mut sites = random_sites(n2, n3, seed + 3, 16);
     for &u2 in &[0.0, 0.4, 1.0, n2 as f64 - 2.0, n2 as f64 - 1.5, n2 as f64 - 0.25] {
         for &u3 in &[0.0, 0.7, n3 as f64 - 1.75, n3 as f64 - 1.0, n3 as f64 - 0.5] {
-            sites.push([1.25, u2, u3].map(T::from_f64));
+            sites.push([1.25, u2, u3]);
         }
     }
     for stencil in STENCILS {
@@ -224,7 +224,7 @@ fn check_interp<T: Elem>(n2: usize, n3: usize, seed: u64) {
         let (s3, v3) = both(|| eval_sites(stencil, &dims, &data, &sites));
         assert_slices_close(v3.as_flattened(), s3.as_flattened(), &what);
         let (s1, v1) = both(|| eval_sites(stencil, &dims, &[data[1]], &sites));
-        let middle = |vals: &[[T; 3]]| vals.iter().map(|v| [v[1]]).collect::<Vec<[T; 1]>>();
+        let middle = |vals: &[[f64; 3]]| vals.iter().map(|v| [v[1]]).collect::<Vec<[f64; 1]>>();
         assert_eq!(s1, middle(&s3), "{what} [scalar]: grouping changed a field's bits");
         assert_eq!(v1, middle(&v3), "{what} [avx2]: grouping changed a field's bits");
     }
@@ -258,11 +258,10 @@ fn basis(stencil: Stencil, t: f64) -> Vec<(isize, f64)> {
 /// every stencil, on every backend, alone (NF = 1) and with two other
 /// fields whose impulses sit at the next two taps (NF = 3). A swapped plane
 /// or row stride, or a dropped partial, fails at one named tap.
-fn check_impulse<T: Elem>(n2: usize, n3: usize, seed: u64) {
+fn check_impulse(n2: usize, n3: usize, seed: u64) {
     let dims = halo_dims([3, n2, n3]);
     let [_, s2, s3] = dims.stored;
-    for site in random_sites::<T>(n2, n3, seed, 3) {
-        let u = site.map(|x| x.to_f64());
+    for u in random_sites(n2, n3, seed, 3) {
         for stencil in STENCILS {
             let w: [Vec<(isize, f64)>; 3] =
                 std::array::from_fn(|a| basis(stencil, u[a] - u[a].floor()));
@@ -277,24 +276,23 @@ fn check_impulse<T: Elem>(n2: usize, n3: usize, seed: u64) {
             let want = |[a, b, c]: [usize; 3]| w[0][a].1 * w[1][b].1 * w[2][c].1;
             for i in 0..taps.len() {
                 let tap: [[usize; 3]; 3] = std::array::from_fn(|f| taps[(i + f) % taps.len()]);
-                let fields: [Vec<T>; 3] = std::array::from_fn(|f| {
-                    let mut v = vec![T::ZERO; dims.points()];
-                    v[at(tap[f])] = T::ONE;
+                let fields: [Vec<f64>; 3] = std::array::from_fn(|f| {
+                    let mut v = vec![0.0; dims.points()];
+                    v[at(tap[f])] = 1.0;
                     v
                 });
                 let three = [&fields[0][..], &fields[1][..], &fields[2][..]];
-                let (s3v, v3v) = both(|| eval_sites(stencil, &dims, &three, &[site])[0]);
-                let (s1v, v1v) = both(|| eval_sites(stencil, &dims, &[three[0]], &[site])[0]);
+                let (s3v, v3v) = both(|| eval_sites(stencil, &dims, &three, &[u])[0]);
+                let (s1v, v1v) = both(|| eval_sites(stencil, &dims, &[three[0]], &[u])[0]);
                 for (backend, got3, got1) in [("scalar", s3v, s1v), ("avx2", v3v, v1v)] {
                     for (f, got, nf) in
                         [(0, got1[0], 1), (0, got3[0], 3), (1, got3[1], 3), (2, got3[2], 3)]
                     {
-                        let (got, want) = (got.to_f64(), want(tap[f]));
+                        let want = want(tap[f]);
                         assert!(
-                            (got - want).abs() <= tol::<T>(),
-                            "{stencil:?} [{}] {backend} NF={nf} field {f}: tap {:?} at site {u:?} \
+                            (got - want).abs() <= tol::<f64>(),
+                            "{stencil:?} {backend} NF={nf} field {f}: tap {:?} at site {u:?} \
                              gives {got}, its weight is {want}",
-                            T::LABEL,
                             tap[f]
                         );
                     }
@@ -309,10 +307,10 @@ fn check_impulse<T: Elem>(n2: usize, n3: usize, seed: u64) {
 /// per-axis degree ≤ 3 and trilinear and the cubic B-spline per-axis degree
 /// ≤ 1 at random sites, on every backend, for NF = 1 and 3, to the width's
 /// tolerance relative to the field's max.
-fn check_polynomials<T: Elem>(n2: usize, n3: usize, seed: u64) {
+fn check_polynomials(n2: usize, n3: usize, seed: u64) {
     let dims = halo_dims([3, n2, n3]);
     let [_, s2, s3] = dims.stored;
-    let sites = random_sites::<T>(n2, n3, seed, 16);
+    let sites = random_sites(n2, n3, seed, 16);
     for (stencil, degree) in
         [(Stencil::Linear, 1), (Stencil::CubicLagrange, 3), (Stencil::CubicBspline, 1)]
     {
@@ -327,27 +325,26 @@ fn check_polynomials<T: Elem>(n2: usize, n3: usize, seed: u64) {
                 })
                 .product()
         };
-        let fields: [Vec<T>; 3] = std::array::from_fn(|f| {
+        let fields: [Vec<f64>; 3] = std::array::from_fn(|f| {
             let q = |i: usize| [i / (s2 * s3), i / s3 % s2, i % s3].map(|x| x as f64);
-            (0..dims.points()).map(|i| T::from_f64(poly(f, q(i)))).collect()
+            (0..dims.points()).map(|i| poly(f, q(i))).collect()
         });
         let largest: [f64; 3] =
-            std::array::from_fn(|f| fields[f].iter().map(|x| x.to_f64().abs()).fold(0.0, f64::max));
+            std::array::from_fn(|f| fields[f].iter().map(|x| x.abs()).fold(0.0, f64::max));
         let three = [&fields[0][..], &fields[1][..], &fields[2][..]];
         let (s3v, v3v) = both(|| eval_sites(stencil, &dims, &three, &sites));
         let (s1v, v1v) = both(|| eval_sites(stencil, &dims, &[three[0]], &sites));
         for (backend, got3, got1) in [("scalar", &s3v, &s1v), ("avx2", &v3v, &v1v)] {
             for (i, site) in sites.iter().enumerate() {
-                let q: [f64; 3] = std::array::from_fn(|a| site[a].to_f64() + dims.origin[a] as f64);
+                let q: [f64; 3] = std::array::from_fn(|a| site[a] + dims.origin[a] as f64);
                 for (f, got, nf) in
                     [(0, got1[i][0], 1), (0, got3[i][0], 3), (1, got3[i][1], 3), (2, got3[i][2], 3)]
                 {
-                    let (got, want) = (got.to_f64(), poly(f, q));
+                    let want = poly(f, q);
                     assert!(
-                        (got - want).abs() <= tol::<T>() * largest[f],
-                        "{stencil:?} [{}] {backend} NF={nf} field {f}: degree {degree} at site \
-                         {site:?} gives {got}, the polynomial is {want}",
-                        T::LABEL
+                        (got - want).abs() <= tol::<f64>() * largest[f],
+                        "{stencil:?} {backend} NF={nf} field {f}: degree {degree} at site \
+                         {site:?} gives {got}, the polynomial is {want}"
                     );
                 }
             }
@@ -355,10 +352,9 @@ fn check_polynomials<T: Elem>(n2: usize, n3: usize, seed: u64) {
     }
 }
 
-/// Every value's bits (promoted to f64, which is exact), so that −0 and +0
-/// differ and a NaN equals itself.
-fn bits<T: Elem, const NF: usize>(vals: &[[T; NF]]) -> Vec<[u64; NF]> {
-    vals.iter().map(|v| v.map(|x| x.to_f64().to_bits())).collect()
+/// Every value's bits, so that −0 and +0 differ and a NaN equals itself.
+fn bits<const NF: usize>(vals: &[[f64; NF]]) -> Vec<[u64; NF]> {
+    vals.iter().map(|v| v.map(f64::to_bits)).collect()
 }
 
 /// A site's bits do not depend on where it sits in a batch: on every
@@ -366,12 +362,12 @@ fn bits<T: Elem, const NF: usize>(vals: &[[T; NF]]) -> Vec<[u64; NF]> {
 /// `sites[k..]` (k = 1..3, which moves each site through every lane of a
 /// 4-site block and every tail length) and each site alone evaluate to the
 /// bits of the whole batch.
-fn check_positions<T: Elem>(n2: usize, n3: usize, seed: u64, count: usize) {
+fn check_positions(n2: usize, n3: usize, seed: u64, count: usize) {
     let dims = halo_dims([3, n2, n3]);
-    let fields: [Vec<T>; 3] =
+    let fields: [Vec<f64>; 3] =
         std::array::from_fn(|f| fill(seed + f as u64, dims.points(), -1.0, 1.0));
     let [f0, f1, f2] = [&fields[0][..], &fields[1][..], &fields[2][..]];
-    let sites = random_sites::<T>(n2, n3, seed + 3, count);
+    let sites = random_sites(n2, n3, seed + 3, count);
     for stencil in STENCILS {
         positions(stencil, &dims, &[f0], &sites);
         positions(stencil, &dims, &[f0, f1], &sites);
@@ -379,11 +375,11 @@ fn check_positions<T: Elem>(n2: usize, n3: usize, seed: u64, count: usize) {
     }
 }
 
-fn positions<T: Elem, const NF: usize>(
+fn positions<const NF: usize>(
     stencil: Stencil,
     dims: &HaloDims,
-    fields: &[&[T]; NF],
-    sites: &[[T; 3]],
+    fields: &[&[f64]; NF],
+    sites: &[[f64; 3]],
 ) {
     let (scalar, simd) = both(|| {
         let whole = bits(&eval_sites(stencil, dims, fields, sites));
@@ -397,7 +393,7 @@ fn positions<T: Elem, const NF: usize>(
         (whole, suffixes, alone)
     });
     for (backend, (whole, suffixes, alone)) in [("scalar", scalar), ("avx2", simd)] {
-        let what = format!("{stencil:?} [{}] {backend} NF={NF}", T::LABEL);
+        let what = format!("{stencil:?} {backend} NF={NF}");
         for (k, suffix) in (1..).zip(&suffixes) {
             assert_eq!(suffix[..], whole[k..], "{what}: sites[{k}..] changed a site's bits");
         }
@@ -478,7 +474,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // n in 0..131 sweeps full 8-lane chunks, ragged tails, and sub-vector
-    // lengths for every kernel below, at both element widths.
+    // lengths for every kernel below, at both element widths for the `Elem`
+    // kernels and at f64 for FD and interpolation.
 
     #[test]
     fn fused_kernels_match_unfused(n in 0usize..131, seed in 0u64..1_000_000, a in -3.0f64..3.0) {
@@ -505,20 +502,17 @@ proptest! {
         inv_h in 0.1f64..10.0,
         s in -4.0f64..4.0,
     ) {
-        check_fd8::<f64>(n, seed, inv_h, s);
-        check_fd8::<f32>(n, seed, inv_h, s);
+        check_fd8(n, seed, inv_h, s);
     }
 
     #[test]
     fn interp_kernels_match(n2 in 2usize..9, n3 in 2usize..9, seed in 0u64..1_000_000) {
-        check_interp::<f64>(n2, n3, seed);
-        check_interp::<f32>(n2, n3, seed);
+        check_interp(n2, n3, seed);
     }
 
     #[test]
     fn interp_reproduces_polynomials(n2 in 2usize..9, n3 in 2usize..9, seed in 0u64..1_000_000) {
-        check_polynomials::<f64>(n2, n3, seed);
-        check_polynomials::<f32>(n2, n3, seed);
+        check_polynomials(n2, n3, seed);
     }
 
     #[test]
@@ -527,8 +521,7 @@ proptest! {
         n3 in 2usize..9,
         seed in 0u64..1_000_000,
     ) {
-        check_impulse::<f64>(n2, n3, seed);
-        check_impulse::<f32>(n2, n3, seed);
+        check_impulse(n2, n3, seed);
     }
 
     #[test]
@@ -538,8 +531,7 @@ proptest! {
         seed in 0u64..1_000_000,
         count in 1usize..20,
     ) {
-        check_positions::<f64>(n2, n3, seed, count);
-        check_positions::<f32>(n2, n3, seed, count);
+        check_positions(n2, n3, seed, count);
     }
 
     #[test]
@@ -578,7 +570,7 @@ fn scalar_site_kernel_equals_the_reference_evaluator() {
     for order in [IpOrder::Linear, IpOrder::Cubic, IpOrder::CubicSpline] {
         let (scalar, simd) = both(|| {
             let mut out = vec![0.0; sites.len()];
-            Real::kinterp_sites(order.stencil(), &dims, &[gf.data()], &sites, |i, [v]| out[i] = v);
+            interp_sites(order.stencil(), &dims, &[gf.data()], &sites, |i, [v]| out[i] = v);
             out
         });
         let reference: Vec<Real> = points.iter().map(|&x| interp_ghost(&gf, order, x)).collect();
@@ -588,8 +580,7 @@ fn scalar_site_kernel_equals_the_reference_evaluator() {
 }
 
 /// A site whose support leaves the stored halo on any axis is caught by the
-/// kernel's support check on every arm and at either width, never an
-/// out-of-bounds load — alone, and at every position of a batch of good
+/// kernel's support check on every arm, never an out-of-bounds load — alone, and at every position of a batch of good
 /// sites (each lane of a 4-site block and a tail); a site whose support
 /// reaches exactly the halo edge evaluates.
 #[test]
@@ -600,13 +591,12 @@ fn out_of_slab_site_panics_on_every_backend() {
             Err(p) => p.downcast::<&str>().map(|s| s.to_string()).unwrap_or_default(),
         }
     }
-    fn evaluate<T: Elem>(stencil: Stencil, sites: &[[f64; 3]]) -> std::thread::Result<()> {
+    fn evaluate(stencil: Stencil, sites: &[[f64; 3]]) -> std::thread::Result<()> {
         let dims = halo_dims([2, 4, 4]); // owns planes 0, 1
-        let field = vec![T::ONE; dims.points()];
-        let sites: Vec<[T; 3]> = sites.iter().map(|s| s.map(T::from_f64)).collect();
+        let field = vec![1.0; dims.points()];
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            T::kinterp_sites(stencil, &dims, &[&field], &sites, |_, [v]| {
-                assert!((v.to_f64() - 1.0).abs() < 1e-5, "weights are a partition of unity: {v}")
+            interp_sites(stencil, &dims, &[&field], sites, |_, [v]| {
+                assert!((v - 1.0).abs() < 1e-12, "weights are a partition of unity: {v}")
             })
         }))
     }
@@ -619,8 +609,7 @@ fn out_of_slab_site_panics_on_every_backend() {
         for stencil in STENCILS {
             for sites in inside.iter().map(std::slice::from_ref).chain([&good[..]]) {
                 let what = format!("{choice:?} {stencil:?} {sites:?}");
-                assert!(evaluate::<f64>(stencil, sites).is_ok(), "{what}");
-                assert!(evaluate::<f32>(stencil, sites).is_ok(), "{what}");
+                assert!(evaluate(stencil, sites).is_ok(), "{what}");
             }
             for site in [
                 [-2.5, 1.0, 1.0],
@@ -635,17 +624,13 @@ fn out_of_slab_site_panics_on_every_backend() {
                     sites
                 });
                 for sites in batches.chain([vec![site]]) {
-                    for (width, outside) in [
-                        ("f64", evaluate::<f64>(stencil, &sites)),
-                        ("f32", evaluate::<f32>(stencil, &sites)),
-                    ] {
-                        let msg =
-                            panic_message(outside.expect_err("a site outside the halo must panic"));
-                        assert!(
-                            msg.contains("outside the slab"),
-                            "{choice:?} {stencil:?} {width} {sites:?}: wrong panic {msg:?}"
-                        );
-                    }
+                    let outside = evaluate(stencil, &sites);
+                    let msg =
+                        panic_message(outside.expect_err("a site outside the halo must panic"));
+                    assert!(
+                        msg.contains("outside the slab"),
+                        "{choice:?} {stencil:?} {sites:?}: wrong panic {msg:?}"
+                    );
                 }
             }
         }
@@ -659,45 +644,40 @@ fn out_of_slab_site_panics_on_every_backend() {
 /// the bits they have alone.
 #[test]
 fn nan_site_is_nan_and_leaves_its_block_alone() {
-    fn check<T: Elem>() {
-        let dims = halo_dims([3, 5, 6]);
-        let fields: [Vec<T>; 2] =
-            std::array::from_fn(|f| fill(7 + f as u64, dims.points(), -1.0, 1.0));
-        let data = [&fields[0][..], &fields[1][..]];
-        let good = random_sites::<T>(5, 6, 11, 4);
-        let nan = T::from_f64(f64::NAN);
-        for stencil in STENCILS {
-            let (scalar, simd) = both(|| {
-                let alone: Vec<_> = good
-                    .iter()
-                    .map(|s| bits(&eval_sites(stencil, &dims, &data, std::slice::from_ref(s)))[0])
-                    .collect();
-                let mut with_nan = Vec::new();
-                for lane in 0..4 {
-                    for axis in 0..3 {
-                        let mut sites = good.clone();
-                        sites[lane][axis] = nan;
-                        with_nan.push((lane, bits(&eval_sites(stencil, &dims, &data, &sites))));
-                    }
+    let dims = halo_dims([3, 5, 6]);
+    let fields: [Vec<f64>; 2] =
+        std::array::from_fn(|f| fill(7 + f as u64, dims.points(), -1.0, 1.0));
+    let data = [&fields[0][..], &fields[1][..]];
+    let good = random_sites(5, 6, 11, 4);
+    for stencil in STENCILS {
+        let (scalar, simd) = both(|| {
+            let alone: Vec<_> = good
+                .iter()
+                .map(|s| bits(&eval_sites(stencil, &dims, &data, std::slice::from_ref(s)))[0])
+                .collect();
+            let mut with_nan = Vec::new();
+            for lane in 0..4 {
+                for axis in 0..3 {
+                    let mut sites = good.clone();
+                    sites[lane][axis] = f64::NAN;
+                    with_nan.push((lane, bits(&eval_sites(stencil, &dims, &data, &sites))));
                 }
-                (alone, with_nan)
-            });
-            for (backend, (alone, with_nan)) in [("scalar", scalar), ("avx2", simd)] {
-                for (lane, got) in with_nan {
-                    let what = format!("{stencil:?} [{}] {backend} NaN at lane {lane}", T::LABEL);
-                    for (i, (g, a)) in got.iter().zip(&alone).enumerate() {
-                        if i == lane {
-                            assert!(g.iter().all(|&x| f64::from_bits(x).is_nan()), "{what}: {g:?}");
-                        } else {
-                            assert_eq!(g, a, "{what}: site {i} changed its bits");
-                        }
+            }
+            (alone, with_nan)
+        });
+        for (backend, (alone, with_nan)) in [("scalar", scalar), ("avx2", simd)] {
+            for (lane, got) in with_nan {
+                let what = format!("{stencil:?} {backend} NaN at lane {lane}");
+                for (i, (g, a)) in got.iter().zip(&alone).enumerate() {
+                    if i == lane {
+                        assert!(g.iter().all(|&x| f64::from_bits(x).is_nan()), "{what}: {g:?}");
+                    } else {
+                        assert_eq!(g, a, "{what}: site {i} changed its bits");
                     }
                 }
             }
         }
     }
-    check::<f64>();
-    check::<f32>();
 }
 
 /// A NaN sample never vanishes in a max: with one NaN voxel in plane `i`,
