@@ -73,9 +73,9 @@ fn main() {
     let v = claire_data::brain::random_smooth_velocity(layout, 42, 0.4, 2);
     let spectral = claire_diff::Spectral::new(layout.grid, &comm);
     for order in [IpOrder::Linear, IpOrder::Cubic, IpOrder::CubicSpline] {
-        let mut ip = Interpolator::new(order);
+        let ip = Interpolator::new(order);
         let tr = Transport::new(4, order);
-        let traj = Trajectory::compute(&v, 4, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, 4, &ip, &mut comm);
         // TXTSPL reads B-spline coefficients: prefilter the transported
         // field each step — this is exactly the extra global step that made
         // the paper prefer TXTLAG in the distributed setting (§3.1).
@@ -105,7 +105,7 @@ fn main() {
             w.scale(-1.0);
             w
         };
-        let traj_back = Trajectory::compute(&vneg, 4, &mut ip, &mut comm);
+        let traj_back = Trajectory::compute(&vneg, 4, &ip, &mut comm);
         let mut back = cur.clone();
         for _ in 0..4 {
             let coef = prepare(&back, &mut comm, &mut prefilter_time);

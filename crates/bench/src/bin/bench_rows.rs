@@ -86,17 +86,17 @@ fn interp(n: usize) -> Rows {
         .map(|p| [p[0] + 0.37 * h[0], p[1] - 0.21 * h[1], p[2] + 0.11 * h[2]])
         .collect();
     let mut comm = Comm::solo();
-    let mut ip = Interpolator::new(IpOrder::Cubic);
+    let ip = Interpolator::new(IpOrder::Cubic);
     let build = measure(queries.len(), || {
         std::hint::black_box(ip.plan(*f.layout(), &queries, &mut comm));
     });
     let plan = ip.plan(*f.layout(), &queries, &mut comm);
     let mut vals = vec![0.0 as Real; queries.len()];
-    let mut eval = |ip: &mut Interpolator| {
+    let mut eval = |ip: Interpolator| {
         measure(queries.len(), || ip.evaluate(&plan, &[&f], &mut comm, &mut [&mut vals]))
     };
-    let cubic = eval(&mut ip);
-    let linear = eval(&mut Interpolator::new(IpOrder::Linear));
+    let cubic = eval(ip);
+    let linear = eval(Interpolator::new(IpOrder::Linear));
     vec![
         ("interp_plan_build".into(), "ns/query", build),
         ("interp_planned".into(), "ns/query", cubic),

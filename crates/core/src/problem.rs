@@ -38,8 +38,7 @@ pub struct RegProblem {
     m0: ScalarField,
     m1: ScalarField,
     transport: Transport,
-    /// Shared interpolator (accumulates Table 2 phase stats).
-    pub interp: Interpolator,
+    interp: Interpolator,
     /// Preconditioner state and counters.
     pub pc: PrecondState,
     /// `‖m0 − m1‖`, the denominator of [`RegProblem::rel_mismatch`].
@@ -157,8 +156,8 @@ impl RegProblem {
         // likewise the linearization point, before the trial is solved
         self.cur = None;
         if self.eval.is_none() {
-            let traj = Trajectory::backward(v, self.cfg.nt, &mut self.interp, comm);
-            let state = self.transport.solve_state(&traj, &self.m0, false, &mut self.interp, comm);
+            let traj = Trajectory::backward(v, self.cfg.nt, &self.interp, comm);
+            let state = self.transport.solve_state(&traj, &self.m0, false, &self.interp, comm);
             self.eval = Some(Solved { v: v.clone(), traj, state });
         }
         self.eval.as_ref().expect("matched or just solved").state.final_state()
@@ -249,19 +248,19 @@ impl GnProblem for RegProblem {
             self.cur = None;
             let cur = match eval {
                 Some(mut eval) => {
-                    eval.traj.add_adjoint(v, &mut self.interp, comm);
+                    eval.traj.add_adjoint(v, &self.interp, comm);
                     if self.cfg.store_grad {
                         eval.state.store_gradients(comm);
                     }
                     eval
                 }
                 None => {
-                    let traj = Trajectory::compute(v, self.cfg.nt, &mut self.interp, comm);
+                    let traj = Trajectory::compute(v, self.cfg.nt, &self.interp, comm);
                     let state = self.transport.solve_state(
                         &traj,
                         &self.m0,
                         self.cfg.store_grad,
-                        &mut self.interp,
+                        &self.interp,
                         comm,
                     );
                     Solved { v: v.clone(), traj, state }
@@ -278,7 +277,7 @@ impl GnProblem for RegProblem {
         let mut lam1 = self.m1.clone();
         lam1.axpy(-1.0, cur.state.final_state());
         let mut integral = VectorField::for_overwrite(self.layout);
-        self.transport.adjoint_steps(&cur.traj, lam1, &mut self.interp, comm, |j, lam, comm| {
+        self.transport.adjoint_steps(&cur.traj, lam1, &self.interp, comm, |j, lam, comm| {
             add_lambda_grad(&mut integral, j, lam, &cur.state, comm)
         });
         let mut g = self.pc.spectral().reg_apply(v, self.beta, comm);
@@ -300,12 +299,12 @@ impl GnProblem for RegProblem {
         );
         // solve (6): m̃(1)
         let mt_final =
-            self.transport.solve_inc_state(&cur.traj, vt, &cur.state, &mut self.interp, comm);
+            self.transport.solve_inc_state(&cur.traj, vt, &cur.state, &self.interp, comm);
         // solve (7): λ̃ with final condition −m̃(1), folded into the quadrature
         let mut lt1 = mt_final;
         lt1.scale(-1.0);
         let mut integral = VectorField::for_overwrite(self.layout);
-        self.transport.adjoint_steps(&cur.traj, lt1, &mut self.interp, comm, |j, lam, comm| {
+        self.transport.adjoint_steps(&cur.traj, lt1, &self.interp, comm, |j, lam, comm| {
             add_lambda_grad(&mut integral, j, lam, &cur.state, comm)
         });
         let mut hv = self.pc.spectral().reg_apply(vt, self.beta, comm);

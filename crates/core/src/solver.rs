@@ -290,9 +290,9 @@ fn build_report(
     // diffeomorphism diagnostics; the benchmark's traced pass
     // (`benchmark/src/child.rs`) repeats these calls and must see the same
     // pool and communication counts
-    let mut interp = Interpolator::new(cfg.ip_order);
-    let traj = Trajectory::compute(v, cfg.nt, &mut interp, comm);
-    let u = displacement::displacement(&traj, cfg.nt, &mut interp, comm);
+    let interp = Interpolator::new(cfg.ip_order);
+    let traj = Trajectory::compute(v, cfg.nt, &interp, comm);
+    let u = displacement::displacement(&traj, cfg.nt, &interp, comm);
     let det = displacement::jacobian_det(&u, comm);
     let (jac_det_min, jac_det_max) = displacement::det_bounds(&det, comm);
 
@@ -333,7 +333,6 @@ fn accumulate(total: &mut GnStats, level: &GnStats) {
     total.pcg_iters_total += level.pcg_iters_total;
     total.obj_evals += level.obj_evals;
     total.hess_applies += level.hess_applies;
-    total.pc_applies += level.pc_applies;
     total.time.pc += level.time.pc;
     total.time.obj += level.time.obj;
     total.time.grad += level.time.grad;

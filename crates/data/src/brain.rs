@@ -115,10 +115,10 @@ pub fn subject(name: &str, layout: Layout, comm: &mut Comm) -> ScalarField {
         return atlas;
     }
     let v = random_smooth_velocity(layout, 1000 + idx, 0.35, 2);
-    let mut interp = Interpolator::new(IpOrder::Cubic);
+    let interp = Interpolator::new(IpOrder::Cubic);
     let transport = Transport::new(4, IpOrder::Cubic);
-    let traj = Trajectory::compute(&v, transport.nt, &mut interp, comm);
-    let mut sol = transport.solve_state(&traj, &atlas, false, &mut interp, comm);
+    let traj = Trajectory::compute(&v, transport.nt, &interp, comm);
+    let mut sol = transport.solve_state(&traj, &atlas, false, &interp, comm);
     sol.m.pop().unwrap()
 }
 

@@ -98,10 +98,10 @@ pub fn pair(layout: Layout, comm: &mut Comm) -> (ScalarField, ScalarField) {
     // the second subject: same anatomy class, different warp
     let base = volume(layout, 189, comm);
     let v = random_smooth_velocity(layout, 175, 0.3, 2);
-    let mut interp = Interpolator::new(IpOrder::Cubic);
+    let interp = Interpolator::new(IpOrder::Cubic);
     let transport = Transport::new(4, IpOrder::Cubic);
-    let traj = Trajectory::compute(&v, transport.nt, &mut interp, comm);
-    let mut sol = transport.solve_state(&traj, &base, false, &mut interp, comm);
+    let traj = Trajectory::compute(&v, transport.nt, &interp, comm);
+    let mut sol = transport.solve_state(&traj, &base, false, &interp, comm);
     let cocaine = sol.m.pop().unwrap();
     (cocaine, control)
 }

@@ -54,10 +54,10 @@ pub fn syn_problem(n: [usize; 3], comm: &mut Comm) -> SynProblem {
     };
     let template = syn_template(layout);
     let true_velocity = syn_velocity(layout);
-    let mut interp = Interpolator::new(IpOrder::Cubic);
+    let interp = Interpolator::new(IpOrder::Cubic);
     let transport = Transport::new(4, IpOrder::Cubic);
-    let traj = Trajectory::compute(&true_velocity, transport.nt, &mut interp, comm);
-    let mut sol = transport.solve_state(&traj, &template, false, &mut interp, comm);
+    let traj = Trajectory::compute(&true_velocity, transport.nt, &interp, comm);
+    let mut sol = transport.solve_state(&traj, &template, false, &interp, comm);
     SynProblem { reference: sol.m.pop().unwrap(), template, true_velocity }
 }
 

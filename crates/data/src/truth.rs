@@ -31,10 +31,10 @@ pub fn with_velocity(
     nt: usize,
     comm: &mut Comm,
 ) -> TruthProblem {
-    let mut interp = Interpolator::new(IpOrder::Cubic);
+    let interp = Interpolator::new(IpOrder::Cubic);
     let transport = Transport::new(nt, IpOrder::Cubic);
-    let traj = Trajectory::compute(&v_true, nt, &mut interp, comm);
-    let mut sol = transport.solve_state(&traj, &template, false, &mut interp, comm);
+    let traj = Trajectory::compute(&v_true, nt, &interp, comm);
+    let mut sol = transport.solve_state(&traj, &template, false, &interp, comm);
     TruthProblem { reference: sol.m.pop().unwrap(), template, v_true }
 }
 
@@ -58,10 +58,10 @@ mod tests {
         let layout = Layout::serial(Grid::cube(16));
         let mut comm = Comm::solo();
         let prob = fig3_problem(layout, &mut comm);
-        let mut interp = Interpolator::new(IpOrder::Cubic);
+        let interp = Interpolator::new(IpOrder::Cubic);
         let transport = Transport::new(4, IpOrder::Cubic);
-        let traj = Trajectory::compute(&prob.v_true, 4, &mut interp, &mut comm);
-        let sol = transport.solve_state(&traj, &prob.template, false, &mut interp, &mut comm);
+        let traj = Trajectory::compute(&prob.v_true, 4, &interp, &mut comm);
+        let sol = transport.solve_state(&traj, &prob.template, false, &interp, &mut comm);
         let mut d = sol.final_state().clone();
         d.axpy(-1.0, &prob.reference);
         assert!(d.max_abs(&mut comm) < 1e-12, "same path must be exact");

@@ -2,8 +2,6 @@
 //! evaluating an [`InterpPlan`] is ghost exchange → batched stencil kernel →
 //! value return; the two scatter phases belong to the plan build.
 
-use std::time::Instant;
-
 use claire_grid::ghost::{self, GhostField};
 use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::{AlltoallMethod, Comm, CommCat};
@@ -14,44 +12,19 @@ use claire_simd::{interp_sites, HaloDims};
 use crate::kernel::IpOrder;
 use crate::plan::{InterpPlan, Sites};
 
-/// Wall seconds of the five phases of Table 2.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTimes {
-    /// Ghost-layer exchange of the interpolated field(s).
-    pub ghost_comm: f64,
-    /// Returning interpolated values to the requesting rank.
-    pub interp_comm: f64,
-    /// Shipping query points to their owner rank.
-    pub scatter_comm: f64,
-    /// Local stencil evaluation.
-    pub interp_kernel: f64,
-    /// Building the per-destination MPI buffers (thrust::copy_if analogue).
-    pub scatter_mpi_buffer: f64,
-}
-
-impl PhaseTimes {
-    /// Sum of all phases.
-    pub fn total(&self) -> f64 {
-        self.ghost_comm
-            + self.interp_comm
-            + self.scatter_comm
-            + self.interp_kernel
-            + self.scatter_mpi_buffer
-    }
-}
-
 /// Distributed scattered interpolator.
 ///
 /// Evaluates fields at the sites of an [`InterpPlan`] — built once per
 /// query set by [`Interpolator::plan`], which routes each query to the rank
 /// owning its x1 plane — using ghost layers for slab-boundary support, and
-/// returns values to the requester: the workflow of paper §3.1. Accumulates
-/// [`PhaseTimes`] across calls for Table 2 reporting.
+/// returns values to the requester: the workflow of paper §3.1. Holds no
+/// state but the order: each phase is timed on the ledger the RunReport
+/// carries (the `interp` and `ghost` kernel slots, the `Scatter`,
+/// `InterpValues` and `Ghost` communication categories).
+#[derive(Clone, Copy, Debug)]
 pub struct Interpolator {
     /// Stencil order (GPU-TXTLIN / GPU-TXTLAG).
     pub order: IpOrder,
-    /// Accumulated phase timings (wall seconds on this host).
-    pub stats: PhaseTimes,
 }
 
 /// Where one evaluation's values land, indexed by query: a slice per field
@@ -100,14 +73,9 @@ impl<'a, const NF: usize> Dest<'a, NF> {
 }
 
 impl Interpolator {
-    /// New interpolator with zeroed stats.
+    /// New interpolator of stencil order `order`.
     pub fn new(order: IpOrder) -> Interpolator {
-        Interpolator { order, stats: PhaseTimes::default() }
-    }
-
-    /// Zero the accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = PhaseTimes::default();
+        Interpolator { order }
     }
 
     /// Evaluate several fields (sharing the plan's layout) at the plan's
@@ -117,7 +85,7 @@ impl Interpolator {
     ///
     /// Collective: every rank passes its own plan.
     pub fn evaluate(
-        &mut self,
+        &self,
         plan: &InterpPlan,
         fields: &[&ScalarField],
         comm: &mut Comm,
@@ -141,7 +109,7 @@ impl Interpolator {
     ///
     /// Collective: every rank passes its own plan.
     pub fn evaluate_vector(
-        &mut self,
+        &self,
         plan: &InterpPlan,
         v: &VectorField,
         comm: &mut Comm,
@@ -152,7 +120,7 @@ impl Interpolator {
 
     /// One evaluation of `NF` fields: ghost exchange → kernel → value return.
     fn run<const NF: usize>(
-        &mut self,
+        &self,
         plan: &InterpPlan,
         fields: [&ScalarField; NF],
         comm: &mut Comm,
@@ -165,16 +133,13 @@ impl Interpolator {
         assert_eq!(dest.len(), plan.len(), "output buffer/query size mismatch");
 
         // ---- phase: ghost_comm (halo exchange of the fields) ----
-        let t0 = Instant::now();
         let ghosts: [GhostField; NF] =
             std::array::from_fn(|f| ghost::exchange(fields[f], IpOrder::GHOST_WIDTH, comm));
-        self.stats.ghost_comm += t0.elapsed().as_secs_f64();
 
         let halo = ghosts[0].dims();
         let data: [&[Real]; NF] = std::array::from_fn(|f| ghosts[f].data());
 
         // ---- phase: interp_kernel (local stencil evaluation) ----
-        let t0 = Instant::now();
         // on one rank the values go straight to `dest`; on p > 1 ranks the
         // values for peer r go to `value_bufs[r]`, field-major, to be
         // shipped back
@@ -196,14 +161,11 @@ impl Interpolator {
                 })
                 .collect(),
         });
-        self.stats.interp_kernel += t0.elapsed().as_secs_f64();
         let Sites::Routed { origins, .. } = plan.sites() else { return };
 
         // ---- phase: interp_comm (return values) ----
-        let t0 = Instant::now();
         let returned =
             comm.alltoallv_owned(value_bufs, CommCat::InterpValues, AlltoallMethod::Auto);
-        self.stats.interp_comm += t0.elapsed().as_secs_f64();
 
         // reassemble into query order
         for (vals, origin) in returned.iter().zip(origins) {
@@ -244,30 +206,14 @@ impl Interpolator {
     }
 
     /// Interpolate several fields (sharing one layout) at the same query
-    /// points; returns one value vector per field, in query order.
-    ///
-    /// Collective: every rank passes its own queries.
-    pub fn interp_many(
-        &mut self,
-        fields: &[&ScalarField],
-        queries: &[[Real; 3]],
-        comm: &mut Comm,
-    ) -> Vec<Vec<Real>> {
-        let mut out: Vec<Vec<Real>> =
-            (0..fields.len()).map(|_| vec![0.0 as Real; queries.len()]).collect();
-        let mut slices: Vec<&mut [Real]> = out.iter_mut().map(|v| v.as_mut_slice()).collect();
-        self.interp_many_into(fields, queries, comm, &mut slices);
-        out
-    }
-
-    /// [`Interpolator::interp_many`] writing into caller-provided buffers
-    /// (one per field, each of `queries.len()` values): a one-shot
-    /// [`Interpolator::plan`] + [`Interpolator::evaluate`]. Callers that
-    /// evaluate at the same points again should keep the plan.
+    /// points into caller-provided buffers (one per field, each of
+    /// `queries.len()` values): a one-shot [`Interpolator::plan`] +
+    /// [`Interpolator::evaluate`]. Callers that evaluate at the same points
+    /// again should keep the plan.
     ///
     /// Collective: every rank passes its own queries.
     pub fn interp_many_into(
-        &mut self,
+        &self,
         fields: &[&ScalarField],
         queries: &[[Real; 3]],
         comm: &mut Comm,
@@ -278,21 +224,20 @@ impl Interpolator {
         self.evaluate(&plan, fields, comm, outs);
     }
 
-    /// Interpolate one scalar field.
-    pub fn interp(
-        &mut self,
-        field: &ScalarField,
-        queries: &[[Real; 3]],
-        comm: &mut Comm,
-    ) -> Vec<Real> {
-        self.interp_many(&[field], queries, comm).pop().unwrap()
+    /// Interpolate one scalar field at `queries`, in query order.
+    ///
+    /// Collective: every rank passes its own queries.
+    pub fn interp(&self, field: &ScalarField, queries: &[[Real; 3]], comm: &mut Comm) -> Vec<Real> {
+        let mut out = vec![0.0 as Real; queries.len()];
+        self.interp_many_into(&[field], queries, comm, &mut [&mut out]);
+        out
     }
 
     /// Interpolate a vector field into a caller-provided buffer of per-query
     /// 3-vectors: a one-shot [`Interpolator::plan`] +
     /// [`Interpolator::evaluate_vector`].
     pub fn interp_vector_into(
-        &mut self,
+        &self,
         v: &VectorField,
         queries: &[[Real; 3]],
         comm: &mut Comm,
@@ -342,7 +287,7 @@ mod tests {
                 let res = run_cluster(Topology::new(p, 4), move |comm| {
                     let layout = Layout::distributed(grid, comm);
                     let f = ScalarField::from_fn(layout, test_fn);
-                    let mut ip = Interpolator::new(order);
+                    let ip = Interpolator::new(order);
                     // split queries over ranks to exercise routing
                     let chunk = queries.len() / comm.size();
                     let lo = comm.rank() * chunk;
@@ -368,7 +313,7 @@ mod tests {
         let f = move |comm: &mut Comm| {
             let layout = Layout::distributed(grid, comm);
             let f = ScalarField::from_fn(layout, test_fn);
-            let mut ip = Interpolator::new(IpOrder::Cubic);
+            let ip = Interpolator::new(IpOrder::Cubic);
             let chunk = queries.len() / comm.size();
             let lo = comm.rank() * chunk;
             let hi = if comm.rank() + 1 == comm.size() { queries.len() } else { lo + chunk };
@@ -379,21 +324,33 @@ mod tests {
         assert_eq!(chan.outputs, sock.outputs, "transports must agree bitwise");
     }
 
+    /// Every phase of Table 2 lands on a ledger the RunReport carries: the
+    /// two local phases on the `interp` and `ghost` kernel slots, the three
+    /// exchanges on their communication categories.
     #[test]
-    fn phase_stats_populated() {
+    fn every_phase_lands_on_a_report_ledger() {
         let grid = Grid::new([8, 8, 8]);
         let res = run_cluster(Topology::new(4, 4), move |comm| {
             let layout = Layout::distributed(grid, comm);
             let f = ScalarField::from_fn(layout, test_fn);
-            let mut ip = Interpolator::new(IpOrder::Cubic);
             let queries = make_queries(32, comm.rank() as u64);
-            let _ = ip.interp(&f, &queries, comm);
-            ip.stats
+            timing::reset();
+            let _ = Interpolator::new(IpOrder::Cubic).interp(&f, &queries, comm);
+            let calls = |k: Kernel| {
+                timing::snapshot().iter().find(|s| s.name == k.name()).map_or(0, |s| s.calls)
+            };
+            let bytes = |c: CommCat| comm.stats().cat(c).bytes_sent;
+            (
+                [calls(Kernel::Interp), calls(Kernel::Ghost)],
+                [bytes(CommCat::Ghost), bytes(CommCat::Scatter), bytes(CommCat::InterpValues)],
+            )
         });
-        for s in &res.outputs {
-            assert!(s.interp_kernel > 0.0);
-            assert!(s.ghost_comm > 0.0, "ghost exchange should be timed");
-            assert!(s.total() > 0.0);
+        for (rank, (calls, bytes)) in res.outputs.iter().enumerate() {
+            assert!(calls.iter().all(|&c| c > 0), "rank {rank}: interp/ghost slot calls {calls:?}");
+            assert!(
+                bytes.iter().all(|&b| b > 0),
+                "rank {rank}: ghost/scatter/value bytes {bytes:?}"
+            );
         }
     }
 
@@ -403,7 +360,7 @@ mod tests {
         let mut comm = Comm::solo();
         let layout = Layout::serial(grid);
         let v = VectorField::from_fns(layout, |x, _, _| x.sin(), |_, y, _| y.cos(), |_, _, z| z);
-        let mut ip = Interpolator::new(IpOrder::Cubic);
+        let ip = Interpolator::new(IpOrder::Cubic);
         let queries = make_queries(10, 3);
         let mut vals = vec![[0.0 as Real; 3]; queries.len()];
         ip.interp_vector_into(&v, &queries, &mut comm, &mut vals);
@@ -464,7 +421,7 @@ mod tests {
                         let layout = Layout::distributed(grid, comm);
                         let f: [ScalarField; 3] =
                             std::array::from_fn(|c| ScalarField::from_fn(layout, field(c)));
-                        let mut ip = Interpolator::new(order);
+                        let ip = Interpolator::new(order);
                         // every rank asks for a different slice of the points
                         let chunk = queries.len() / comm.size();
                         let lo = comm.rank() * chunk;
@@ -558,7 +515,7 @@ mod tests {
         let grid = Grid::cube(8);
         let mut comm = Comm::solo();
         let f = ScalarField::from_fn(Layout::serial(grid), test_fn);
-        let mut ip = Interpolator::new(IpOrder::Linear);
+        let ip = Interpolator::new(IpOrder::Linear);
         let out = ip.interp(&f, &[], &mut comm);
         assert!(out.is_empty());
     }

@@ -2,8 +2,8 @@
 //!
 //! The semi-Lagrangian transport solver evaluates fields at the off-grid
 //! end points of backward characteristics. On the paper's multi-GPU systems
-//! this is the most important kernel; its distributed workflow has five
-//! instrumented phases that Table 2 reports:
+//! this is the most important kernel; its distributed workflow has the five
+//! phases that Table 2 reports:
 //!
 //! 1. `scatter_mpi_buffer` — partition the query points by owning rank
 //!    (the paper uses `thrust::copy_if` on the GPU);
@@ -13,6 +13,12 @@
 //!    the stencil never wraps);
 //! 4. `interp_kernel` — evaluate the interpolation stencils locally;
 //! 5. `interp_comm` — return interpolated values to the requesting ranks.
+//!
+//! The interpolator keeps no clock of its own: the local phases 1 and 4 run
+//! inside the `interp` kernel slot and phase 3 inside the `ghost` slot
+//! (`claire_par::timing`), and the three exchanges are booked on the
+//! `Scatter`, `Ghost` and `InterpValues` categories of the rank's
+//! `CommStats` — the ledgers every RunReport carries.
 //!
 //! Two kernels are provided, mirroring the paper's production choices:
 //! trilinear (`GPU-TXTLIN`, cost ~30 flop/query) and cubic Lagrange
@@ -30,6 +36,6 @@ pub mod dist;
 pub mod kernel;
 pub mod plan;
 
-pub use dist::{Interpolator, PhaseTimes};
+pub use dist::Interpolator;
 pub use kernel::IpOrder;
 pub use plan::InterpPlan;

@@ -9,8 +9,6 @@
 //! What depends on the *field* (ghost exchange, stencil kernel, value
 //! return) is [`Interpolator::evaluate`].
 
-use std::time::Instant;
-
 use claire_grid::workspace::{PoolVec, WsCat, R3_POOL};
 use claire_grid::{Layout, Real};
 use claire_mpi::{AlltoallMethod, Comm, CommCat};
@@ -88,7 +86,7 @@ impl Interpolator {
     /// Plan the evaluation of fields on `layout` at `queries`.
     ///
     /// Collective: every rank passes its own queries.
-    pub fn plan(&mut self, layout: Layout, queries: &[[Real; 3]], comm: &mut Comm) -> InterpPlan {
+    pub fn plan(&self, layout: Layout, queries: &[[Real; 3]], comm: &mut Comm) -> InterpPlan {
         let mut points = R3_POOL.checkout(queries.len(), WsCat::Sl);
         points.extend_from_slice(queries);
         self.plan_owned(layout, points, comm)
@@ -100,7 +98,7 @@ impl Interpolator {
     ///
     /// Collective: every rank passes its own queries.
     pub fn plan_owned(
-        &mut self,
+        &self,
         layout: Layout,
         mut points: PoolVec<[Real; 3]>,
         comm: &mut Comm,
@@ -110,29 +108,29 @@ impl Interpolator {
         assert_eq!(p, layout.nranks, "plan layout belongs to another communicator");
 
         // ---- phase: scatter_mpi_buffer (sites, partitioned by owner) ----
-        let t0 = Instant::now();
-        timing::time(Kernel::Interp, || points_to_sites(&mut points, layout.grid.n));
-        if p == 1 {
-            self.stats.scatter_mpi_buffer += t0.elapsed().as_secs_f64();
+        let buckets = timing::time(Kernel::Interp, || {
+            points_to_sites(&mut points, layout.grid.n);
+            (p > 1).then(|| {
+                // bucketing is serial to keep per-owner query order stable
+                let n1 = layout.grid.n[0];
+                let mut dest_sites: Vec<Vec<[Real; 3]>> = (0..p).map(|_| Vec::new()).collect();
+                let mut origins: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
+                for (qi, site) in points.iter().enumerate() {
+                    let plane = (site[0] as usize).min(n1 - 1);
+                    let owner = layout.owner_of_plane(plane);
+                    dest_sites[owner].push(*site);
+                    origins[owner].push(qi as u32);
+                }
+                (dest_sites, origins)
+            })
+        });
+        let Some((dest_sites, origins)) = buckets else {
             return InterpPlan { layout, nq, sites: Sites::Local(points) };
-        }
-        // bucketing is serial to keep per-owner query order stable
-        let n1 = layout.grid.n[0];
-        let mut dest_sites: Vec<Vec<[Real; 3]>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origins: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-        for (qi, site) in points.iter().enumerate() {
-            let plane = (site[0] as usize).min(n1 - 1);
-            let owner = layout.owner_of_plane(plane);
-            dest_sites[owner].push(*site);
-            origins[owner].push(qi as u32);
-        }
+        };
         drop(points);
-        self.stats.scatter_mpi_buffer += t0.elapsed().as_secs_f64();
 
         // ---- phase: scatter_comm (ship sites to their owners) ----
-        let t0 = Instant::now();
         let serve = comm.alltoallv_owned(dest_sites, CommCat::Scatter, AlltoallMethod::Auto);
-        self.stats.scatter_comm += t0.elapsed().as_secs_f64();
         InterpPlan { layout, nq, sites: Sites::Routed { serve, origins } }
     }
 }

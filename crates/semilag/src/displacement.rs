@@ -23,7 +23,7 @@ use crate::traj::{grid_points_pooled, Trajectory};
 pub fn displacement(
     traj: &Trajectory,
     nt: usize,
-    interp: &mut Interpolator,
+    interp: &Interpolator,
     comm: &mut Comm,
 ) -> VectorField {
     let layout = *traj.layout();
@@ -92,10 +92,10 @@ mod tests {
     fn zero_velocity_zero_displacement() {
         let layout = Layout::serial(Grid::cube(8));
         let mut comm = Comm::solo();
-        let mut ip = Interpolator::new(IpOrder::Cubic);
+        let ip = Interpolator::new(IpOrder::Cubic);
         let v = VectorField::zeros(layout);
-        let traj = Trajectory::compute(&v, 4, &mut ip, &mut comm);
-        let u = displacement(&traj, 4, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, 4, &ip, &mut comm);
+        let u = displacement(&traj, 4, &ip, &mut comm);
         assert!(u.max_abs(&mut comm) < 1e-12);
         let det = jacobian_det(&u, &mut comm);
         let (lo, hi) = det_bounds(&det, &mut comm);
@@ -106,11 +106,11 @@ mod tests {
     fn constant_translation_displacement() {
         let layout = Layout::serial(Grid::cube(16));
         let mut comm = Comm::solo();
-        let mut ip = Interpolator::new(IpOrder::Cubic);
+        let ip = Interpolator::new(IpOrder::Cubic);
         let c = 0.4 as Real;
         let v = VectorField::from_fns(layout, move |_, _, _| c, |_, _, _| 0.0, |_, _, _| 0.0);
-        let traj = Trajectory::compute(&v, 8, &mut ip, &mut comm);
-        let u = displacement(&traj, 8, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, 8, &ip, &mut comm);
+        let u = displacement(&traj, 8, &ip, &mut comm);
         // y = x − c  ⇒  u1 = −c everywhere
         let err = u.c[0].data().iter().map(|&x| (x + c).abs()).fold(0.0, f64::max);
         assert!(err < 1e-6, "u1 should be −c: err {err}");
@@ -127,15 +127,15 @@ mod tests {
     fn smooth_velocity_is_diffeomorphic() {
         let layout = Layout::serial(Grid::cube(16));
         let mut comm = Comm::solo();
-        let mut ip = Interpolator::new(IpOrder::Cubic);
+        let ip = Interpolator::new(IpOrder::Cubic);
         let v = VectorField::from_fns(
             layout,
             |_, y, _| 0.3 * y.sin(),
             |x, _, _| 0.3 * x.cos(),
             |_, _, z| 0.2 * z.sin(),
         );
-        let traj = Trajectory::compute(&v, 8, &mut ip, &mut comm);
-        let u = displacement(&traj, 8, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, 8, &ip, &mut comm);
+        let u = displacement(&traj, 8, &ip, &mut comm);
         let det = jacobian_det(&u, &mut comm);
         let (lo, hi) = det_bounds(&det, &mut comm);
         assert!(lo > 0.3, "Jacobian determinant must stay positive: {lo}");

@@ -42,9 +42,6 @@ pub struct Trajectory {
     back: InterpPlan,
     /// The `−v` family; absent from a [`Trajectory::backward`].
     adjoint: Option<AdjointFamily>,
-    /// Estimated maximum displacement in grid cells (the CFL number used to
-    /// size scatter buffers, paper §3.1).
-    pub cfl: f64,
 }
 
 /// What the continuity (adjoint) equations need: the characteristics of
@@ -67,7 +64,7 @@ impl AdjointFamily {
         pts: &[[Real; 3]],
         v: &VectorField,
         dt: Real,
-        interp: &mut Interpolator,
+        interp: &Interpolator,
         comm: &mut Comm,
     ) -> AdjointFamily {
         let foot_fwd = rk2_feet(pts, v, dt, interp, comm);
@@ -137,13 +134,12 @@ impl Trajectory {
     /// Compute both characteristic families for `v` with `nt` time steps —
     /// what a gradient or Hessian matvec at `v` needs.
     ///
-    /// Collective. `interp` is used (and its phase stats accumulate) for
-    /// the RK2 midpoint evaluations, the plan builds and the `∇·v` foot
-    /// values.
+    /// Collective. `interp` evaluates the RK2 midpoints and the `∇·v` foot
+    /// values and builds the plans.
     pub fn compute(
         v: &VectorField,
         nt: usize,
-        interp: &mut Interpolator,
+        interp: &Interpolator,
         comm: &mut Comm,
     ) -> Trajectory {
         let _s = span("semilag.trajectory");
@@ -161,7 +157,7 @@ impl Trajectory {
     /// Add the `−v` family to a [`Trajectory::backward`] of the same `v`:
     /// the result is bit for bit a [`Trajectory::compute`], at the cost of
     /// the half the backward-only trajectory skipped. Collective.
-    pub fn add_adjoint(&mut self, v: &VectorField, interp: &mut Interpolator, comm: &mut Comm) {
+    pub fn add_adjoint(&mut self, v: &VectorField, interp: &Interpolator, comm: &mut Comm) {
         let _s = span("semilag.trajectory");
         let pts = grid_points_pooled(v.layout());
         self.adjoint = Some(AdjointFamily::new(&pts, v, self.dt, interp, comm));
@@ -177,7 +173,7 @@ impl Trajectory {
     pub fn backward(
         v: &VectorField,
         nt: usize,
-        interp: &mut Interpolator,
+        interp: &Interpolator,
         comm: &mut Comm,
     ) -> Trajectory {
         let _s = span("semilag.trajectory");
@@ -191,19 +187,14 @@ impl Trajectory {
         pts: PoolVec<[Real; 3]>,
         v: &VectorField,
         dt: Real,
-        interp: &mut Interpolator,
+        interp: &Interpolator,
         comm: &mut Comm,
     ) -> Trajectory {
         let layout = *v.layout();
         let foot_back = rk2_feet(&pts, v, -dt, interp, comm);
         drop(pts);
         let back = interp.plan(layout, &foot_back, comm);
-
-        // CFL estimate for buffer sizing (max displacement / h)
-        let vmax = v.max_abs(comm);
-        let hmin = layout.grid.spacing().iter().cloned().fold(Real::MAX, Real::min);
-        let cfl = vmax * dt / hmin;
-        Trajectory { dt, foot_back, back, adjoint: None, cfl }
+        Trajectory { dt, foot_back, back, adjoint: None }
     }
 
     /// The layout the characteristics were computed on.
@@ -235,7 +226,7 @@ fn rk2_feet(
     pts: &[[Real; 3]],
     v: &VectorField,
     s: Real,
-    interp: &mut Interpolator,
+    interp: &Interpolator,
     comm: &mut Comm,
 ) -> PoolVec<[Real; 3]> {
     let n = pts.len();
@@ -291,8 +282,8 @@ mod tests {
         let mut comm = Comm::solo();
         let c = 0.3 as Real;
         let v = VectorField::from_fns(layout, move |_, _, _| c, |_, _, _| 0.0, |_, _, _| 0.0);
-        let mut ip = Interpolator::new(IpOrder::Cubic);
-        let traj = Trajectory::compute(&v, 4, &mut ip, &mut comm);
+        let ip = Interpolator::new(IpOrder::Cubic);
+        let traj = Trajectory::compute(&v, 4, &ip, &mut comm);
         let pts = grid_points(&layout);
         for (p, f) in pts.iter().zip(&traj.foot_back) {
             assert!((f[0] - (p[0] - c * traj.dt)).abs() < 1e-9);
@@ -308,7 +299,6 @@ mod tests {
             assert!((val - (p[0] + c * traj.dt).sin()).abs() < 1e-3, "−v feet sit at x + c·δt");
         }
         assert!(family.growth.iter().all(|g| (g - 1.0).abs() < 1e-10), "∇·v = 0: nothing grows");
-        assert!(traj.cfl > 0.0);
     }
 
     #[test]
@@ -321,22 +311,22 @@ mod tests {
             |x, _, _| 0.2 * x.cos(),
             |_, _, z| 0.1 * (2.0 * z).sin(),
         );
-        let mut ip = Interpolator::new(IpOrder::Cubic);
-        let full = Trajectory::compute(&v, 4, &mut ip, &mut comm);
-        let mut back = Trajectory::backward(&v, 4, &mut ip, &mut comm);
+        let ip = Interpolator::new(IpOrder::Cubic);
+        let full = Trajectory::compute(&v, 4, &ip, &mut comm);
+        let mut back = Trajectory::backward(&v, 4, &ip, &mut comm);
         assert_eq!(full.foot_back, back.foot_back, "same departure points, bit for bit");
-        assert_eq!((full.dt, full.cfl), (back.dt, back.cfl));
+        assert_eq!(full.dt, back.dt);
         assert!(back.adjoint.is_none());
         // and the −v family added afterwards is the one `compute` builds
-        back.add_adjoint(&v, &mut ip, &mut comm);
+        back.add_adjoint(&v, &ip, &mut comm);
         assert_eq!(full.adjoint().growth, back.adjoint().growth);
         let probe = ScalarField::from_fn(layout, |x, y, z| x.sin() + (y - z).cos());
-        let at_feet = |t: &Trajectory, ip: &mut Interpolator, comm: &mut Comm| {
+        let at_feet = |t: &Trajectory, comm: &mut Comm| {
             let mut out = vec![0.0 as Real; layout.local_len()];
             ip.evaluate(&t.adjoint().plan, &[&probe], comm, &mut [&mut out]);
             out
         };
-        assert_eq!(at_feet(&full, &mut ip, &mut comm), at_feet(&back, &mut ip, &mut comm));
+        assert_eq!(at_feet(&full, &mut comm), at_feet(&back, &mut comm));
     }
 
     #[test]
@@ -349,8 +339,8 @@ mod tests {
             |_, y, _| 0.2 * y.cos(),
             |_, _, z| 0.1 * (2.0 * z).sin(),
         );
-        let mut ip = Interpolator::new(IpOrder::Cubic);
-        let traj = Trajectory::compute(&v, 4, &mut ip, &mut comm);
+        let ip = Interpolator::new(IpOrder::Cubic);
+        let traj = Trajectory::compute(&v, 4, &ip, &mut comm);
         let family = traj.adjoint();
         let div = claire_diff::fd::divergence_scaled(&v, &mut comm, 0.5 * traj.dt);
         let mut at_foot = vec![0.0 as Real; layout.local_len()];
@@ -373,8 +363,8 @@ mod tests {
         let v = VectorField::from_fns(layout, |x, _, _| x.sin(), |_, _, _| 0.0, |_, _, _| 0.0);
         let mut errs = Vec::new();
         for &nt in &[4usize, 8] {
-            let mut ip = Interpolator::new(IpOrder::Cubic);
-            let traj = Trajectory::compute(&v, nt, &mut ip, &mut comm);
+            let ip = Interpolator::new(IpOrder::Cubic);
+            let traj = Trajectory::compute(&v, nt, &ip, &mut comm);
             let pts = grid_points(&layout);
             // check at an interior point
             let idx = layout.local_idx(20, 0, 0);

@@ -79,7 +79,8 @@ impl StateSolution {
 pub struct Transport {
     /// Number of time steps (paper: 4/8/16 for 256³/512³/1024³).
     pub nt: usize,
-    /// Interpolation kernel.
+    /// Interpolation kernel; every solve asserts that its `interp` argument
+    /// has this order.
     pub order: IpOrder,
 }
 
@@ -87,6 +88,11 @@ impl Transport {
     /// New driver.
     pub fn new(nt: usize, order: IpOrder) -> Transport {
         Transport { nt, order }
+    }
+
+    /// A solve interpolates with `interp`: it must be of this transport's order.
+    fn check_order(&self, interp: &Interpolator) {
+        assert_eq!(interp.order, self.order, "interpolator order differs from the transport's");
     }
 
     /// Solve the state equation (1b) forward: `∂t m + v·∇m = 0`,
@@ -97,9 +103,10 @@ impl Transport {
         traj: &Trajectory,
         m0: &ScalarField,
         store_grad: bool,
-        interp: &mut Interpolator,
+        interp: &Interpolator,
         comm: &mut Comm,
     ) -> StateSolution {
+        self.check_order(interp);
         let _s = span("semilag.state");
         let mut m = SCALAR_FIELDS.checkout(self.nt + 1, WsCat::Pde);
         m.push(m0.clone());
@@ -130,10 +137,11 @@ impl Transport {
         &self,
         traj: &Trajectory,
         final_cond: ScalarField,
-        interp: &mut Interpolator,
+        interp: &Interpolator,
         comm: &mut Comm,
         mut each: impl FnMut(usize, &ScalarField, &mut Comm),
     ) {
+        self.check_order(interp);
         let _s = span("semilag.adjoint");
         let layout = *final_cond.layout();
         let n = layout.local_len();
@@ -164,7 +172,7 @@ impl Transport {
         &self,
         traj: &Trajectory,
         final_cond: &ScalarField,
-        interp: &mut Interpolator,
+        interp: &Interpolator,
         comm: &mut Comm,
     ) -> PoolVec<ScalarField> {
         let mut lambda = SCALAR_FIELDS.checkout(self.nt + 1, WsCat::Pde);
@@ -186,9 +194,10 @@ impl Transport {
         traj: &Trajectory,
         vt: &VectorField,
         state: &StateSolution,
-        interp: &mut Interpolator,
+        interp: &Interpolator,
         comm: &mut Comm,
     ) -> ScalarField {
+        self.check_order(interp);
         let _s = span("semilag.inc_state");
         let layout = *state.m[0].layout();
         // trapezoid: m̃_{j+1}(x) = [m̃_j − ½δt·b_j](X) − ½δt·b_{j+1}(x) with
@@ -248,12 +257,12 @@ mod tests {
 
     #[test]
     fn translation_transports_exactly() {
-        let (layout, tr, mut ip, mut comm) = solo_setup(32, 8);
+        let (layout, tr, ip, mut comm) = solo_setup(32, 8);
         let c = 0.5 as Real;
         let v = VectorField::from_fns(layout, move |_, _, _| c, |_, _, _| 0.0, |_, _, _| 0.0);
         let m0 = ScalarField::from_fn(layout, |x, _, _| x.sin());
-        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
-        let sol = tr.solve_state(&traj, &m0, false, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, tr.nt, &ip, &mut comm);
+        let sol = tr.solve_state(&traj, &m0, false, &ip, &mut comm);
         let expect = ScalarField::from_fn(layout, move |x, _, _| (x - c).sin());
         let err = sol
             .final_state()
@@ -267,11 +276,11 @@ mod tests {
 
     #[test]
     fn zero_velocity_is_identity() {
-        let (layout, tr, mut ip, mut comm) = solo_setup(8, 4);
+        let (layout, tr, ip, mut comm) = solo_setup(8, 4);
         let v = VectorField::zeros(layout);
         let m0 = ScalarField::from_fn(layout, |x, y, z| (x * y).sin() + z);
-        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
-        let sol = tr.solve_state(&traj, &m0, false, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, tr.nt, &ip, &mut comm);
+        let sol = tr.solve_state(&traj, &m0, false, &ip, &mut comm);
         let err = sol
             .final_state()
             .data()
@@ -282,7 +291,7 @@ mod tests {
         assert!(err < 1e-12, "v=0 must be exact identity: {err}");
         // adjoint with v=0 is also the identity
         let lam1 = ScalarField::from_fn(layout, |x, _, _| x.cos());
-        let lam = tr.solve_adjoint(&traj, &lam1, &mut ip, &mut comm);
+        let lam = tr.solve_adjoint(&traj, &lam1, &ip, &mut comm);
         assert_eq!(lam.len(), tr.nt + 1);
         let err =
             lam[0].data().iter().zip(lam1.data()).map(|(&a, &b)| (a - b).abs()).fold(0.0, f64::max);
@@ -297,7 +306,7 @@ mod tests {
         let f = move |comm: &mut Comm| {
             let layout = Layout::distributed(grid, comm);
             let tr = Transport::new(4, IpOrder::Linear);
-            let mut ip = Interpolator::new(IpOrder::Linear);
+            let ip = Interpolator::new(IpOrder::Linear);
             let v = VectorField::from_fns(
                 layout,
                 |_, y, _| 0.3 * y.sin(),
@@ -305,8 +314,8 @@ mod tests {
                 |_, _, z| 0.1 * (2.0 * z).sin(),
             );
             let m0 = ScalarField::from_fn(layout, |x, y, z| x.sin() + (y - z).cos());
-            let traj = Trajectory::compute(&v, tr.nt, &mut ip, comm);
-            let sol = tr.solve_state(&traj, &m0, false, &mut ip, comm);
+            let traj = Trajectory::compute(&v, tr.nt, &ip, comm);
+            let sol = tr.solve_state(&traj, &m0, false, &ip, comm);
             sol.final_state().data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         };
         let chan = run_cluster(Topology::new(2, 4), f);
@@ -325,7 +334,7 @@ mod tests {
         let res = run_cluster(Topology::new(2, 4), move |comm| {
             let layout = Layout::distributed(grid, comm);
             let tr = Transport::new(4, IpOrder::Cubic);
-            let mut ip = Interpolator::new(IpOrder::Cubic);
+            let ip = Interpolator::new(IpOrder::Cubic);
             let v = VectorField::from_fns(
                 layout,
                 |_, y, _| 0.9 * y.sin(),
@@ -333,7 +342,7 @@ mod tests {
                 |_, _, z| 0.1 * (2.0 * z).sin(),
             );
             let m0 = ScalarField::from_fn(layout, |x, y, z| x.sin() + (y - z).cos());
-            let traj = Trajectory::backward(&v, tr.nt, &mut ip, comm);
+            let traj = Trajectory::backward(&v, tr.nt, &ip, comm);
             let sent = |comm: &Comm, cat| comm.stats().cat(cat).bytes_sent;
 
             let (s0, v0) = (sent(comm, CommCat::Scatter), sent(comm, CommCat::InterpValues));
@@ -341,7 +350,7 @@ mod tests {
             let plan_bytes = sent(comm, CommCat::Scatter) - s0;
 
             let s1 = sent(comm, CommCat::Scatter);
-            let _ = tr.solve_state(&traj, &m0, false, &mut ip, comm);
+            let _ = tr.solve_state(&traj, &m0, false, &ip, comm);
             let solve_bytes = sent(comm, CommCat::Scatter) - s1;
             let value_bytes = sent(comm, CommCat::InterpValues) - v0;
 
@@ -367,14 +376,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "backward-only trajectory")]
     fn adjoint_solve_needs_the_full_trajectory() {
-        let (layout, tr, mut ip, mut comm) = solo_setup(8, 2);
-        let traj = Trajectory::backward(&VectorField::zeros(layout), tr.nt, &mut ip, &mut comm);
-        tr.solve_adjoint(&traj, &ScalarField::zeros(layout), &mut ip, &mut comm);
+        let (layout, tr, ip, mut comm) = solo_setup(8, 2);
+        let traj = Trajectory::backward(&VectorField::zeros(layout), tr.nt, &ip, &mut comm);
+        tr.solve_adjoint(&traj, &ScalarField::zeros(layout), &ip, &mut comm);
+    }
+
+    #[test]
+    #[should_panic(expected = "interpolator order differs from the transport's")]
+    fn a_solve_refuses_an_interpolator_of_another_order() {
+        let (layout, _, ip, mut comm) = solo_setup(8, 2);
+        let linear = Transport::new(2, IpOrder::Linear);
+        let traj = Trajectory::backward(&VectorField::zeros(layout), linear.nt, &ip, &mut comm);
+        linear.solve_state(&traj, &ScalarField::zeros(layout), false, &ip, &mut comm);
     }
 
     #[test]
     fn collected_adjoint_is_the_streamed_loop() {
-        let (layout, tr, mut ip, mut comm) = solo_setup(12, 4);
+        let (layout, tr, ip, mut comm) = solo_setup(12, 4);
         let v = VectorField::from_fns(
             layout,
             |_, y, _| 0.3 * y.sin(),
@@ -382,11 +400,11 @@ mod tests {
             |_, _, z| 0.1 * (2.0 * z).sin(),
         );
         let lam1 = ScalarField::from_fn(layout, |x, y, z| x.cos() + (y - z).sin());
-        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, tr.nt, &ip, &mut comm);
         let bits = |f: &ScalarField| f.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let collected = tr.solve_adjoint(&traj, &lam1, &mut ip, &mut comm);
+        let collected = tr.solve_adjoint(&traj, &lam1, &ip, &mut comm);
         let mut streamed = Vec::new();
-        tr.adjoint_steps(&traj, lam1.clone(), &mut ip, &mut comm, |j, lam, _| {
+        tr.adjoint_steps(&traj, lam1.clone(), &ip, &mut comm, |j, lam, _| {
             streamed.push((j, bits(lam)))
         });
         let order: Vec<usize> = streamed.iter().map(|(j, _)| *j).collect();
@@ -401,7 +419,7 @@ mod tests {
     #[test]
     fn adjoint_conserves_mass() {
         // the continuity equation conserves ∫λ dx exactly in the continuum
-        let (layout, tr, mut ip, mut comm) = solo_setup(24, 8);
+        let (layout, tr, ip, mut comm) = solo_setup(24, 8);
         let v = VectorField::from_fns(
             layout,
             |_, y, _| 0.3 * y.sin(),
@@ -409,8 +427,8 @@ mod tests {
             |_, _, z| 0.1 * (2.0 * z).sin(),
         );
         let lam1 = ScalarField::from_fn(layout, |x, y, _| 1.0 + 0.5 * (x + y).sin());
-        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
-        let lam = tr.solve_adjoint(&traj, &lam1, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, tr.nt, &ip, &mut comm);
+        let lam = tr.solve_adjoint(&traj, &lam1, &ip, &mut comm);
         let mass1 = lam1.sum(&mut comm);
         let mass0 = lam[0].sum(&mut comm);
         let rel = ((mass1 - mass0) / mass1).abs();
@@ -419,7 +437,7 @@ mod tests {
 
     #[test]
     fn incremental_state_is_directional_derivative() {
-        let (layout, tr, mut ip, mut comm) = solo_setup(16, 4);
+        let (layout, tr, ip, mut comm) = solo_setup(16, 4);
         let v = VectorField::from_fns(
             layout,
             |_, y, _| 0.2 * y.sin(),
@@ -434,16 +452,16 @@ mod tests {
         );
         let m0 = ScalarField::from_fn(layout, |x, y, z| x.sin() + (y - z).cos());
 
-        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
-        let state = tr.solve_state(&traj, &m0, true, &mut ip, &mut comm);
-        let mt = tr.solve_inc_state(&traj, &vt, &state, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, tr.nt, &ip, &mut comm);
+        let state = tr.solve_state(&traj, &m0, true, &ip, &mut comm);
+        let mt = tr.solve_inc_state(&traj, &vt, &state, &ip, &mut comm);
 
         // finite-difference directional derivative
         let eps = 1e-4 as Real;
         let mut v_pert = v.clone();
         v_pert.axpy(eps, &vt);
-        let traj_p = Trajectory::compute(&v_pert, tr.nt, &mut ip, &mut comm);
-        let m_pert = tr.solve_state(&traj_p, &m0, false, &mut ip, &mut comm);
+        let traj_p = Trajectory::compute(&v_pert, tr.nt, &ip, &mut comm);
+        let m_pert = tr.solve_state(&traj_p, &m0, false, &ip, &mut comm);
         let mut fd = m_pert.final_state().clone();
         fd.axpy(-1.0, state.final_state());
         fd.scale(1.0 / eps);
@@ -462,7 +480,7 @@ mod tests {
         // m̃_{j+1}(x) = m̃_j(X) − ½δt·(b_j(X) + b_{j+1}(x)), interpolating m̃_j
         // and b_j as two fields: what `solve_inc_state` computes from the
         // one field m̃_j − ½δt·b_j, by linearity of the interpolant
-        let (layout, tr, mut ip, mut comm) = solo_setup(12, 4);
+        let (layout, tr, ip, mut comm) = solo_setup(12, 4);
         let v = VectorField::from_fns(
             layout,
             |_, y, _| 0.3 * y.sin(),
@@ -476,9 +494,9 @@ mod tests {
             |_, y, _| 0.2 * y.cos(),
         );
         let m0 = ScalarField::from_fn(layout, |x, y, z| x.sin() + (y - z).cos());
-        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
-        let state = tr.solve_state(&traj, &m0, true, &mut ip, &mut comm);
-        let got = tr.solve_inc_state(&traj, &vt, &state, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, tr.nt, &ip, &mut comm);
+        let state = tr.solve_state(&traj, &m0, true, &ip, &mut comm);
+        let got = tr.solve_inc_state(&traj, &vt, &state, &ip, &mut comm);
 
         let n = layout.local_len();
         let source = |j: usize| -> Vec<Real> {
@@ -503,7 +521,7 @@ mod tests {
 
     #[test]
     fn store_grad_matches_recompute() {
-        let (layout, tr, mut ip, mut comm) = solo_setup(12, 4);
+        let (layout, tr, ip, mut comm) = solo_setup(12, 4);
         let v = VectorField::from_fns(
             layout,
             |_, y, _| 0.2 * y.sin(),
@@ -512,11 +530,11 @@ mod tests {
         );
         let vt = VectorField::from_fns(layout, |x, _, _| x.cos(), |_, _, _| 0.1, |_, _, _| 0.0);
         let m0 = ScalarField::from_fn(layout, |x, y, _| (x + y).sin());
-        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
-        let with = tr.solve_state(&traj, &m0, true, &mut ip, &mut comm);
-        let without = tr.solve_state(&traj, &m0, false, &mut ip, &mut comm);
-        let a = tr.solve_inc_state(&traj, &vt, &with, &mut ip, &mut comm);
-        let b = tr.solve_inc_state(&traj, &vt, &without, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, tr.nt, &ip, &mut comm);
+        let with = tr.solve_state(&traj, &m0, true, &ip, &mut comm);
+        let without = tr.solve_state(&traj, &m0, false, &ip, &mut comm);
+        let a = tr.solve_inc_state(&traj, &vt, &with, &ip, &mut comm);
+        let b = tr.solve_inc_state(&traj, &vt, &without, &ip, &mut comm);
         // the stored and the swept tiles hold the same values
         assert_eq!(a.data(), b.data(), "store_grad must not change results");
     }
@@ -527,7 +545,7 @@ mod tests {
         // serial reference
         let layout = Layout::serial(grid);
         let mut comm = Comm::solo();
-        let mut ip = Interpolator::new(IpOrder::Linear);
+        let ip = Interpolator::new(IpOrder::Linear);
         let tr = Transport::new(4, IpOrder::Linear);
         let v = VectorField::from_fns(
             layout,
@@ -536,9 +554,9 @@ mod tests {
             |_, _, _| 0.1,
         );
         let m0 = ScalarField::from_fn(layout, |x, y, z| x.sin() + (y * 2.0).cos() + z * 0.1);
-        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, tr.nt, &ip, &mut comm);
         let expect =
-            tr.solve_state(&traj, &m0, false, &mut ip, &mut comm).final_state().data().to_vec();
+            tr.solve_state(&traj, &m0, false, &ip, &mut comm).final_state().data().to_vec();
 
         for p in [2usize, 4] {
             let expect = expect.clone();
@@ -552,10 +570,10 @@ mod tests {
                 );
                 let m0 =
                     ScalarField::from_fn(layout, |x, y, z| x.sin() + (y * 2.0).cos() + z * 0.1);
-                let mut ip = Interpolator::new(IpOrder::Linear);
+                let ip = Interpolator::new(IpOrder::Linear);
                 let tr = Transport::new(4, IpOrder::Linear);
-                let traj = Trajectory::compute(&v, tr.nt, &mut ip, comm);
-                let sol = tr.solve_state(&traj, &m0, false, &mut ip, comm);
+                let traj = Trajectory::compute(&v, tr.nt, &ip, comm);
+                let sol = tr.solve_state(&traj, &m0, false, &ip, comm);
                 claire_grid::redist::gather(sol.final_state(), comm).map(|g| g.into_data())
             });
             let got = res.outputs[0].as_ref().unwrap();

@@ -48,10 +48,10 @@ fn main() {
     let atlas_mask = ventricle_mask(layout);
     let subject_mask = {
         let v_subj = brain::random_smooth_velocity(layout, 1005, 0.35, 2);
-        let mut ip = Interpolator::new(IpOrder::Cubic);
+        let ip = Interpolator::new(IpOrder::Cubic);
         let tr = Transport::new(4, IpOrder::Cubic);
-        let traj = Trajectory::compute(&v_subj, 4, &mut ip, &mut comm);
-        let mut sol = tr.solve_state(&traj, &atlas_mask, false, &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v_subj, 4, &ip, &mut comm);
+        let mut sol = tr.solve_state(&traj, &atlas_mask, false, &ip, &mut comm);
         sol.m.pop().unwrap()
     };
 
@@ -76,11 +76,11 @@ fn main() {
     );
 
     // transfer the annotation: transport the atlas mask with the computed v
-    let mut ip = Interpolator::new(IpOrder::Cubic);
+    let ip = Interpolator::new(IpOrder::Cubic);
     let tr = Transport::new(4, IpOrder::Cubic);
-    let traj = Trajectory::compute(&v, 4, &mut ip, &mut comm);
+    let traj = Trajectory::compute(&v, 4, &ip, &mut comm);
     let transferred = {
-        let mut sol = tr.solve_state(&traj, &atlas_mask, false, &mut ip, &mut comm);
+        let mut sol = tr.solve_state(&traj, &atlas_mask, false, &ip, &mut comm);
         sol.m.pop().unwrap()
     };
 

@@ -220,6 +220,9 @@ stage_paper_tables() {
     # The bins behind EXPERIMENTS.md, at the smallest size they run at. A
     # functional (part-A) line prints what this host measured: the word
     # "modeled" belongs to the part-B rows, which come from claire-perf.
+    # table2's part A reads every rank count's phases off the RunReport
+    # ledgers; a column wired to the wrong one prints 0.000e0, and every
+    # rank count runs the stencil kernel and the (x2/x3-padding) ghost fill.
     local dir run out bins="$PWD/target/release"; dir="$(mktemp -d)"
     for run in table2 table3 table5 table7 fig4 ablation "table7 --proc"; do
         out="$dir/${run// /}.out"
@@ -228,6 +231,14 @@ stage_paper_tables() {
         (cd "$dir" && CLAIRE_BENCH_N=16 "$bins"/$run) > "$out"
         if sed '/^Table [0-9]*B /,$d' "$out" | grep -n "modeled"; then
             echo "paper tables: $run prints a modeled number in a functional row"; exit 1
+        fi
+        if [ "$run" = table2 ] && ! sed '/^Table 2B /,$d' "$out" | awk '
+            $3 == "|" && $2 ~ /^[0-9]+$/ {
+                rows++
+                if ($4 + 0 == 0 || $7 + 0 == 0) { print "zero phase: " $0; bad = 1 }
+            }
+            END { exit bad || rows != 3 }'; then
+            echo "paper tables: a table2 part-A row lacks interp_kernel or ghost_comm"; exit 1
         fi
     done
     rm -rf "$dir"

@@ -354,9 +354,9 @@ fn single_main(opts: Options) {
         write_nifti(&opts.out.join(format!("velocity_{}.nii", d + 1)), comp);
     }
     // Jacobian determinant map
-    let mut ip = Interpolator::new(cfg.ip_order);
-    let traj = Trajectory::backward(&v, cfg.nt, &mut ip, &mut comm);
-    let u = displacement::displacement(&traj, cfg.nt, &mut ip, &mut comm);
+    let ip = Interpolator::new(cfg.ip_order);
+    let traj = Trajectory::backward(&v, cfg.nt, &ip, &mut comm);
+    let u = displacement::displacement(&traj, cfg.nt, &ip, &mut comm);
     let det = displacement::jacobian_det(&u, &mut comm);
     write_nifti(&opts.out.join("jacobian_det.nii"), &det);
     if let Some(report) = row {

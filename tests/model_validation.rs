@@ -59,32 +59,36 @@ fn scatter_volume_bounded_by_cfl() {
     // paper §3.1: the query scatter volume is O(umax·N2·N3) — only the
     // CFL-deep boundary layer of points leaves the rank.
     let grid = Grid::new([16, 8, 8]);
+    let (umax, nt) = (0.3, 4);
+    // max displacement umax·δt in cells of the finest spacing
+    let cfl = umax / nt as Real / grid.spacing().into_iter().fold(Real::MAX, Real::min);
+    assert!(cfl < 1.0, "test velocity should be sub-CFL");
     let res = run_cluster(Topology::new(4, 4), move |comm| {
         let layout = Layout::distributed(grid, comm);
         let m0 = ScalarField::from_fn(layout, |x, y, _| (x + y).sin());
         let v = claire::grid::VectorField::from_fns(
             layout,
-            |_, y, _| 0.3 * y.sin(), // max displacement 0.3·dt << h·1
+            move |_, y, _| umax * y.sin(),
             |_, _, _| 0.0,
             |_, _, _| 0.0,
         );
-        let mut ip = claire::interp::Interpolator::new(claire::interp::IpOrder::Linear);
-        let tr = claire::semilag::Transport::new(4, claire::interp::IpOrder::Linear);
+        let ip = claire::interp::Interpolator::new(claire::interp::IpOrder::Linear);
+        let tr = claire::semilag::Transport::new(nt, claire::interp::IpOrder::Linear);
         // the query scatter happens when the trajectory plans its departure
         // points — once per velocity, not once per time step
         let s0 = comm.stats().cat(CommCat::Scatter).bytes_sent;
-        let traj = claire::semilag::Trajectory::backward(&v, 4, &mut ip, comm);
+        let traj = claire::semilag::Trajectory::backward(&v, nt, &ip, comm);
         let planned = comm.stats().cat(CommCat::Scatter).bytes_sent - s0;
-        let _ = tr.solve_state(&traj, &m0, false, &mut ip, comm);
+        let _ = tr.solve_state(&traj, &m0, false, &ip, comm);
         let total = comm.stats().cat(CommCat::Scatter).bytes_sent - s0;
-        (planned, total, traj.cfl)
+        (planned, total)
     });
-    for (rank, &(planned, total, cfl)) in res.outputs.iter().enumerate() {
-        assert!(cfl < 1.0, "test velocity should be sub-CFL");
+    for (rank, &(planned, total)) in res.outputs.iter().enumerate() {
         assert_eq!(total, planned, "rank {rank}: the time steps must not re-scatter");
         // bound: 2 plans (RK2 midpoints, feet) × ceil(cfl+1) boundary planes
         // × plane points × 24 B
-        let bound = 2 * 2 * 8 * 8 * std::mem::size_of::<[Real; 3]>() as u64;
+        let planes = (cfl + 1.0).ceil() as u64;
+        let bound = 2 * planes * 8 * 8 * std::mem::size_of::<[Real; 3]>() as u64;
         assert!(planned <= bound, "rank {rank}: scatter {planned} exceeds CFL bound {bound}");
     }
 }

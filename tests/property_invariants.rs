@@ -168,11 +168,11 @@ fn transport_adjoint_pairing_conserved() {
     );
     let m0 = ScalarField::from_fn(layout, |x, y, _| (x + y).sin());
     let lam1 = ScalarField::from_fn(layout, |_, y, z| (y - z).cos());
-    let mut ip = Interpolator::new(IpOrder::Cubic);
+    let ip = Interpolator::new(IpOrder::Cubic);
     let tr = Transport::new(8, IpOrder::Cubic);
-    let traj = Trajectory::compute(&v, 8, &mut ip, &mut comm);
-    let m = tr.solve_state(&traj, &m0, false, &mut ip, &mut comm);
-    let lam = tr.solve_adjoint(&traj, &lam1, &mut ip, &mut comm);
+    let traj = Trajectory::compute(&v, 8, &ip, &mut comm);
+    let m = tr.solve_state(&traj, &m0, false, &ip, &mut comm);
+    let lam = tr.solve_adjoint(&traj, &lam1, &ip, &mut comm);
     let pair_end = m.final_state().inner(&lam1, &mut comm);
     let pair_start = m0.inner(&lam[0], &mut comm);
     let rel = ((pair_end - pair_start) / pair_end.abs().max(1e-12)).abs();

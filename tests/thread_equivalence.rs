@@ -139,7 +139,7 @@ fn interpolation_identical_across_thread_counts() {
     for order in [IpOrder::Linear, IpOrder::Cubic] {
         let results = at_thread_counts(&COUNTS, || {
             let mut comm = Comm::solo();
-            let mut ip = Interpolator::new(order);
+            let ip = Interpolator::new(order);
             ip.interp(&f, &queries, &mut comm)
         });
         for r in &results[1..] {
@@ -182,11 +182,11 @@ fn semilag_transport_identical_across_thread_counts() {
     let m0 = ScalarField::from_fn(layout, |x, y, z| x.sin() + (y * 2.0).cos() + z * 0.1);
     let results = at_thread_counts(&COUNTS, || {
         let mut comm = Comm::solo();
-        let mut ip = Interpolator::new(IpOrder::Cubic);
+        let ip = Interpolator::new(IpOrder::Cubic);
         let tr = Transport::new(4, IpOrder::Cubic);
-        let traj = Trajectory::compute(&v, tr.nt, &mut ip, &mut comm);
-        let state = tr.solve_state(&traj, &m0, true, &mut ip, &mut comm);
-        let lam = tr.solve_adjoint(&traj, state.final_state(), &mut ip, &mut comm);
+        let traj = Trajectory::compute(&v, tr.nt, &ip, &mut comm);
+        let state = tr.solve_state(&traj, &m0, true, &ip, &mut comm);
+        let lam = tr.solve_adjoint(&traj, state.final_state(), &ip, &mut comm);
         (state.final_state().clone(), lam[0].clone())
     });
     for (m1, lam0) in &results[1..] {
