@@ -54,7 +54,7 @@ fn main() {
             let _ = prob.hess_vec(&g, &mut comm);
         }
         let matvec_wall = t0.elapsed().as_secs_f64();
-        let peak = workspace::total_stats().peak_bytes;
+        let peak = workspace::peak_bytes();
         println!(
             "store_grad = {store:5}: 5 Hessian matvecs wall {matvec_wall:.3}s (gradient wall \
              {grad_wall:.3}s), pool high-water {:.1} MiB = {:.1} words/point",

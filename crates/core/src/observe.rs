@@ -138,7 +138,7 @@ pub fn collect_job_report(report: RegistrationReport, comm: &Comm, mem: &MemStat
     run.memory = MemoryInfo {
         pool_checkouts: mem.cat_checkouts.iter().sum(),
         pool_misses: mem.cat_misses.iter().sum(),
-        pool_peak_bytes: levels.iter().map(|s| s.peak_bytes).sum(),
+        pool_peak_bytes: workspace::peak_bytes(),
         pool_in_use_bytes: levels.iter().map(|s| s.in_use_bytes).sum(),
         categories: WsCat::ALL
             .iter()
@@ -214,6 +214,8 @@ mod tests {
         assert!(!run.gn_trace.is_empty(), "per-iteration records expected");
         assert!(run.memory.pool_checkouts > 0, "workspace pool should be in use");
         assert!(run.memory.pool_peak_bytes > 0);
+        let sum: u64 = run.memory.categories.iter().map(|c| c.peak_bytes).sum();
+        assert!(run.memory.pool_peak_bytes <= sum, "at once is at most the category peaks' sum");
         assert!(run.summary.memory_bytes_per_rank > 0, "analytic model should be attached");
         assert!(
             run.memory.categories.iter().any(|c| c.cat == "pde"),

@@ -19,6 +19,15 @@ struct Solved {
     state: StateSolution,
 }
 
+/// A trajectory [`RegProblem`] keeps: its departure points are planned,
+/// and nothing in a solve reads their coordinates again (the report's
+/// deformation map builds a trajectory of its own), so their buffer goes
+/// back to the pool.
+fn kept(mut traj: Trajectory) -> Trajectory {
+    traj.foot_back.release();
+    traj
+}
+
 /// Equality of bit patterns, not of values: `-0.0` is not `0.0`.
 fn same_bits(a: &VectorField, b: &VectorField) -> bool {
     let same = |x: &ScalarField, y: &ScalarField| {
@@ -156,7 +165,7 @@ impl RegProblem {
         // likewise the linearization point, before the trial is solved
         self.cur = None;
         if self.eval.is_none() {
-            let traj = Trajectory::backward(v, self.cfg.nt, &self.interp, comm);
+            let traj = kept(Trajectory::backward(v, self.cfg.nt, &self.interp, comm));
             let state = self.transport.solve_state(&traj, &self.m0, false, &self.interp, comm);
             self.eval = Some(Solved { v: v.clone(), traj, state });
         }
@@ -255,7 +264,7 @@ impl GnProblem for RegProblem {
                     eval
                 }
                 None => {
-                    let traj = Trajectory::compute(v, self.cfg.nt, &self.interp, comm);
+                    let traj = kept(Trajectory::compute(v, self.cfg.nt, &self.interp, comm));
                     let state = self.transport.solve_state(
                         &traj,
                         &self.m0,

@@ -100,11 +100,7 @@ impl GhostField {
     /// Returns a typed error when the halo width exceeds the grid extent.
     pub fn try_alloc(layout: Layout, width: usize) -> ClaireResult<GhostField> {
         Self::validate(&layout, width)?;
-        let w = width as isize;
-        let dims = HaloDims {
-            stored: layout.local_dims().map(|n| n + 2 * width),
-            origin: [w - layout.slab.i0 as isize, w, w],
-        };
+        let dims = halo_dims(&layout, width);
         let data = HALO_POOL.checkout_written(dims.points(), Real::NAN, WsCat::Fd);
         Ok(GhostField { layout, width, dims, data })
     }
@@ -112,6 +108,16 @@ impl GhostField {
     /// Panicking convenience wrapper around [`GhostField::try_alloc`].
     pub fn alloc(layout: Layout, width: usize) -> GhostField {
         Self::try_alloc(layout, width).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// The storage shape of a [`GhostField`] of `layout` and `width`: what an
+/// interpolation plan indexes its sites against before any field exists.
+pub fn halo_dims(layout: &Layout, width: usize) -> HaloDims {
+    let w = width as isize;
+    HaloDims {
+        stored: layout.local_dims().map(|n| n + 2 * width),
+        origin: [w - layout.slab.i0 as isize, w, w],
     }
 }
 

@@ -106,6 +106,8 @@ impl CatCounters {
 #[allow(clippy::declare_interior_mutable_const)]
 const CAT_COUNTERS_INIT: CatCounters = CatCounters::new();
 static STATS: [CatCounters; 6] = [CAT_COUNTERS_INIT; 6];
+/// Every category at once: bytes checked out and their high-water mark.
+static ALL: CatCounters = CatCounters::new();
 
 /// Snapshot of one category's accounting.
 #[derive(Clone, Copy, Debug, Default)]
@@ -133,7 +135,9 @@ pub fn stats() -> [CatStats; 6] {
     })
 }
 
-/// Sum of [`stats`] over all categories.
+/// Sum of [`stats`] over all categories. Its `peak_bytes` is the sum of
+/// the category high-water marks, which need not be reached at the same
+/// moment: it bounds [`peak_bytes`] from above.
 pub fn total_stats() -> CatStats {
     let mut t = CatStats::default();
     for s in stats() {
@@ -145,12 +149,18 @@ pub fn total_stats() -> CatStats {
     t
 }
 
-/// Reset checkout/miss counters and the high-water mark (to the current
+/// High-water mark of the bytes checked out in all categories at once
+/// since the last [`reset_stats`]: the pooled working set a run held.
+pub fn peak_bytes() -> u64 {
+    ALL.peak.load(Ordering::Relaxed)
+}
+
+/// Reset checkout/miss counters and the high-water marks (to the current
 /// in-use level) — called by `observe::begin` so each run reports its own
 /// numbers. Buffers already on shelves stay there (warm pools are the
 /// point).
 pub fn reset_stats() {
-    for c in &STATS {
+    for c in STATS.iter().chain([&ALL]) {
         c.checkouts.store(0, Ordering::Relaxed);
         c.misses.store(0, Ordering::Relaxed);
         c.peak.store(c.in_use.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -160,12 +170,18 @@ pub fn reset_stats() {
 fn charge(cat: WsCat, bytes: usize) {
     let c = &STATS[cat.idx()];
     c.checkouts.fetch_add(1, Ordering::Relaxed);
-    let now = c.in_use.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    c.peak.fetch_max(now, Ordering::Relaxed);
+    for c in [c, &ALL] {
+        let now = c.in_use.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+        c.peak.fetch_max(now, Ordering::Relaxed);
+    }
 }
 
+// `ALL` rises after its category and falls before it, so it never reads
+// above the categories' sum, even between two updates
 fn uncharge(cat: WsCat, bytes: usize) {
-    STATS[cat.idx()].in_use.fetch_sub(bytes as u64, Ordering::Relaxed);
+    for c in [&ALL, &STATS[cat.idx()]] {
+        c.in_use.fetch_sub(bytes as u64, Ordering::Relaxed);
+    }
 }
 
 /// Per-capacity shelf depth cap: bounds pool growth if a workload churns
@@ -318,6 +334,15 @@ impl<T: Send + 'static> PoolVec<T> {
     pub fn into_vec(mut self) -> Vec<T> {
         std::mem::take(&mut self.buf) // drop checks in the empty husk (no-op)
     }
+
+    /// Check the buffer back in now and keep an empty husk in its place,
+    /// for a holder that must keep the field but no longer its contents.
+    /// The husk charges nothing and checks nothing in when dropped.
+    pub fn release(&mut self) {
+        let husk =
+            PoolVec { buf: Vec::new(), cat: self.cat, written: 0, charged: 0, pool: self.pool };
+        drop(std::mem::replace(self, husk));
+    }
 }
 
 impl<T: Send + 'static> Drop for PoolVec<T> {
@@ -397,6 +422,8 @@ pub static HALO_POOL: Pool<Real> = Pool::new();
 pub static REAL32_POOL: Pool<f32> = Pool::new();
 /// Points/displacements `[x1, x2, x3]`: characteristic feet, RK2 stages.
 pub static R3_POOL: Pool<[Real; 3]> = Pool::new();
+/// Storage indices: an interpolation plan's site nodes.
+pub static INDEX_POOL: Pool<u32> = Pool::new();
 /// Time-series containers of scalar fields (state/adjoint trajectories).
 pub static SCALAR_FIELDS: Pool<ScalarField> = Pool::new();
 /// Time-series containers of vector fields (stored state gradients).
@@ -507,6 +534,32 @@ mod tests {
         let after = stats()[WsCat::GnCg.idx()];
         assert!(after.in_use_bytes <= during.in_use_bytes - 1000 * 8 + 8);
         assert!(after.peak_bytes >= during.in_use_bytes, "peak keeps the high-water mark");
+    }
+
+    #[test]
+    fn the_peak_at_once_is_at_most_the_category_peaks_sum() {
+        let _serial = STATS_LOCK.lock().unwrap();
+        reset_stats();
+        let base = peak_bytes();
+        // two categories that peak at different moments
+        drop(REAL_POOL.checkout_filled(1000, 0.0, WsCat::GnCg));
+        drop(REAL_POOL.checkout_filled(1000, 0.0, WsCat::Other));
+        assert!(peak_bytes() >= base + 1000 * 8, "one buffer was out at a time");
+        assert!(peak_bytes() <= total_stats().peak_bytes, "at once ≤ the sum of the peaks");
+        let _held = REAL_POOL.checkout_filled(1000, 0.0, WsCat::GnCg);
+        reset_stats();
+        assert!(peak_bytes() >= 1000 * 8, "a reset starts from what is checked out");
+    }
+
+    #[test]
+    fn a_released_buffer_goes_back_and_leaves_an_empty_husk() {
+        static RELEASE: Pool<u64> = Pool::new();
+        let mut v = RELEASE.checkout_filled(32, 7u64, WsCat::Other);
+        v.release();
+        assert!(v.is_empty() && v.capacity() == 0, "the holder keeps an empty husk");
+        assert_eq!(RELEASE.idle_buffers(), 1, "the buffer is back on its shelf");
+        drop(v);
+        assert_eq!(RELEASE.idle_buffers(), 1, "the husk checks nothing in");
     }
 
     #[test]

@@ -28,10 +28,17 @@ pub struct Interpolator {
 }
 
 /// Where one evaluation's values land, indexed by query: a slice per field
-/// or one packed `[Real; NF]` per query. Workers write disjoint indices
+/// or one packed `[Real; NF]` per query, each value times the query's
+/// factor in `scale` when there is one. Workers write disjoint indices
 /// through the shared views.
 #[derive(Clone, Copy)]
-enum Dest<'a, const NF: usize> {
+struct Dest<'a, const NF: usize> {
+    out: Out<'a, NF>,
+    scale: Option<&'a [Real]>,
+}
+
+#[derive(Clone, Copy)]
+enum Out<'a, const NF: usize> {
     PerField([SharedSlice<'a, Real>; NF]),
     Packed(SharedSlice<'a, [Real; NF]>),
 }
@@ -40,17 +47,19 @@ impl<'a, const NF: usize> Dest<'a, NF> {
     fn per_field<'b: 'a>(outs: &'a mut [&'b mut [Real]]) -> Dest<'a, NF> {
         assert_eq!(outs.len(), NF, "one output buffer per field");
         let mut it = outs.iter_mut();
-        Dest::PerField(std::array::from_fn(|_| {
+        let out = Out::PerField(std::array::from_fn(|_| {
             SharedSlice::new(it.next().expect("length checked above"))
-        }))
+        }));
+        Dest { out, scale: None }
     }
 
     /// Queries the destination has room for.
     fn len(&self) -> usize {
-        match self {
-            Dest::PerField(s) => s.iter().map(SharedSlice::len).min().unwrap_or(0),
-            Dest::Packed(s) => s.len(),
-        }
+        let room = match &self.out {
+            Out::PerField(s) => s.iter().map(SharedSlice::len).min().unwrap_or(0),
+            Out::Packed(s) => s.len(),
+        };
+        self.scale.map_or(room, |s| room.min(s.len()))
     }
 
     /// Store query `i`'s values.
@@ -58,16 +67,21 @@ impl<'a, const NF: usize> Dest<'a, NF> {
     /// # Safety
     /// `i < self.len()`, and no other thread reads or writes query `i`.
     #[inline(always)]
-    unsafe fn put(&self, i: usize, v: [Real; NF]) {
-        match self {
-            Dest::PerField(s) => {
+    unsafe fn put(&self, i: usize, mut v: [Real; NF]) {
+        if let Some(scale) = self.scale {
+            for x in &mut v {
+                *x *= scale[i];
+            }
+        }
+        match &self.out {
+            Out::PerField(s) => {
                 for (s, v) in s.iter().zip(v) {
                     // SAFETY: forwarded from the caller.
                     unsafe { s.write(i, v) };
                 }
             }
             // SAFETY: forwarded from the caller.
-            Dest::Packed(s) => unsafe { s.write(i, v) },
+            Out::Packed(s) => unsafe { s.write(i, v) },
         }
     }
 }
@@ -80,8 +94,8 @@ impl Interpolator {
 
     /// Evaluate several fields (sharing the plan's layout) at the plan's
     /// query points, one output buffer of `plan.len()` values per field.
-    /// Fields evaluated together share each site's index split and basis
-    /// weights; a field's values do not depend on what it is grouped with.
+    /// Fields evaluated together share each site's basis weights; a
+    /// field's values do not depend on what it is grouped with.
     ///
     /// Collective: every rank passes its own plan.
     pub fn evaluate(
@@ -115,7 +129,26 @@ impl Interpolator {
         comm: &mut Comm,
         out: &mut [[Real; 3]],
     ) {
-        self.run(plan, [&v.c[0], &v.c[1], &v.c[2]], comm, Dest::Packed(SharedSlice::new(out)));
+        let dest = Dest { out: Out::Packed(SharedSlice::new(out)), scale: None };
+        self.run(plan, [&v.c[0], &v.c[1], &v.c[2]], comm, dest);
+    }
+
+    /// Evaluate one field at the plan's query points and multiply each value
+    /// by its query's factor as it is stored: `out[i] = f(x_i) · scale[i]`,
+    /// one rounding, the bits of an evaluation followed by a multiply.
+    ///
+    /// Collective: every rank passes its own plan.
+    pub fn evaluate_scaled(
+        &self,
+        plan: &InterpPlan,
+        field: &ScalarField,
+        scale: &[Real],
+        comm: &mut Comm,
+        out: &mut [Real],
+    ) {
+        assert_eq!(scale.len(), plan.len(), "one factor per query");
+        let dest = Dest { out: Out::PerField([SharedSlice::new(out)]), scale: Some(scale) };
+        self.run(plan, [field], comm, dest);
     }
 
     /// One evaluation of `NF` fields: ghost exchange → kernel → value return.
@@ -136,7 +169,8 @@ impl Interpolator {
         let ghosts: [GhostField; NF] =
             std::array::from_fn(|f| ghost::exchange(fields[f], IpOrder::GHOST_WIDTH, comm));
 
-        let halo = ghosts[0].dims();
+        let halo = plan.halo();
+        assert_eq!(ghosts[0].dims(), *halo, "the plan's sites index another halo");
         let data: [&[Real]; NF] = std::array::from_fn(|f| ghosts[f].data());
 
         // ---- phase: interp_kernel (local stencil evaluation) ----
@@ -145,18 +179,20 @@ impl Interpolator {
         // shipped back
         let value_bufs: Vec<Vec<Real>> = timing::time(Kernel::Interp, || match plan.sites() {
             Sites::Local(sites) => {
-                self.kernel(&halo, &data, sites, dest);
+                self.kernel(halo, &data, &sites.nodes, &sites.frac, dest);
                 Vec::new()
             }
             Sites::Routed { serve, .. } => serve
                 .iter()
                 .map(|sites| {
-                    let mut buf = vec![0.0 as Real; NF * sites.len()];
-                    let mut per_field = buf.chunks_mut(sites.len().max(1));
-                    let to_wire = Dest::PerField(std::array::from_fn(|_| {
+                    let n = sites.nodes.len();
+                    let mut buf = vec![0.0 as Real; NF * n];
+                    let mut per_field = buf.chunks_mut(n.max(1));
+                    let out = Out::PerField(std::array::from_fn(|_| {
                         SharedSlice::new(per_field.next().unwrap_or_default())
                     }));
-                    self.kernel(&halo, &data, sites, to_wire);
+                    let to_wire = Dest { out, scale: None };
+                    self.kernel(halo, &data, &sites.nodes, &sites.frac, to_wire);
                     buf
                 })
                 .collect(),
@@ -181,22 +217,25 @@ impl Interpolator {
         }
     }
 
-    /// Run the batched stencil kernel over `sites`, split across workers,
-    /// storing site `i`'s values at `dest` index `i`.
+    /// Run the batched stencil kernel over the split sites `nodes`,
+    /// `frac`, split across workers, storing site `i`'s values at `dest`
+    /// index `i`.
     fn kernel<const NF: usize>(
         &self,
         halo: &HaloDims,
         data: &[&[Real]; NF],
-        sites: &[[Real; 3]],
+        nodes: &[u32],
+        frac: &[[Real; 3]],
         dest: Dest<'_, NF>,
     ) {
-        assert!(dest.len() >= sites.len(), "destination shorter than the site batch");
+        let n = nodes.len();
+        assert!(dest.len() >= n, "destination shorter than the site batch");
         let stencil = self.order.stencil();
         // weight ≈ stencil flops relative to a ~8-op element-wise point
         let weight = (self.order.flops_per_query() / 8).max(1);
-        par_parts(sites.len(), sites.len() * NF * weight, |range| {
+        par_parts(n, n * NF * weight, |range| {
             let lo = range.start;
-            interp_sites(stencil, halo, data, &sites[range], |i, v| {
+            interp_sites(stencil, halo, data, &nodes[range.clone()], &frac[range], |i, v| {
                 // SAFETY: `lo + i` indexes this worker's range of `sites`,
                 // which is in bounds of `dest` (asserted above), and worker
                 // ranges are disjoint.
@@ -466,6 +505,32 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A scaled evaluation stores each value times its query's factor: the
+    /// bits of an evaluation followed by a multiply, on one rank (the
+    /// kernel's write) and on p > 1 (the value-return reassembly).
+    #[test]
+    fn scaled_evaluation_is_evaluate_then_multiply() {
+        let grid = Grid::new([12, 6, 8]);
+        for p in [1usize, 2, 3] {
+            let res = run_cluster(Topology::new(p, 4), move |comm| {
+                let layout = Layout::distributed(grid, comm);
+                let f = ScalarField::from_fn(layout, test_fn);
+                let ip = Interpolator::new(IpOrder::Cubic);
+                let queries = stress_queries(grid, 24, comm.rank() as u64);
+                let scale: Vec<Real> =
+                    (0..queries.len()).map(|i| (0.37 * i as Real - 2.0).exp()).collect();
+                let plan = ip.plan(layout, &queries, comm);
+                let mut plain = vec![0.0 as Real; queries.len()];
+                ip.evaluate(&plan, &[&f], comm, &mut [&mut plain]);
+                let mut scaled = vec![Real::NAN; queries.len()];
+                ip.evaluate_scaled(&plan, &f, &scale, comm, &mut scaled);
+                let want: Vec<Real> = plain.iter().zip(&scale).map(|(v, s)| v * s).collect();
+                bits(&scaled) == bits(&want)
+            });
+            assert!(res.outputs.iter().all(|&same| same), "p={p}: scaled bits differ");
         }
     }
 

@@ -140,9 +140,10 @@ pub fn to_index(x: Real, n: usize) -> Real {
 
 /// The interpolation *site* of a physical query point on grid `n`: its
 /// wrapped continuous grid index per dimension. Everything a stencil needs
-/// (integer base, fraction, weights) follows from the site by cheap
-/// arithmetic, so an [`crate::InterpPlan`] stores sites — 24 bytes per
-/// query, the size of the point itself — rather than weight tables.
+/// (floor node, fraction, weights) follows from the site by cheap
+/// arithmetic, so an [`crate::InterpPlan`] stores each site split into its
+/// floor node and fractions (`claire_simd::split_sites`) — 28 bytes per
+/// query — rather than weight tables.
 #[inline]
 pub fn to_site(x: [Real; 3], n: [usize; 3]) -> [Real; 3] {
     [to_index(x[0], n[0]), to_index(x[1], n[1]), to_index(x[2], n[2])]

@@ -248,7 +248,9 @@ pub struct MemoryInfo {
     /// (process-wide delta).
     pub pool_misses: u64,
     /// Peak bytes simultaneously checked out of the shared pool family
-    /// (not per-job).
+    /// (not per-job): one high-water mark across all categories, at most
+    /// the sum of the categories' `peak_bytes`, which peak at different
+    /// moments.
     pub pool_peak_bytes: u64,
     /// Bytes still checked out of the shared pool family when the report
     /// was collected (not per-job).

@@ -15,11 +15,12 @@ use claire_grid::{Real, ScalarField, VectorField};
 use claire_interp::Interpolator;
 use claire_mpi::Comm;
 
-use crate::traj::{grid_points_pooled, Trajectory};
+use crate::traj::Trajectory;
 
 /// Integrate the displacement field `u = y − x` of the full-interval
-/// backward flow. Its buffers come from the µSL pool, like the
-/// trajectory's. Collective.
+/// backward flow. Its buffer comes from the µSL pool, like the
+/// trajectory's; the grid points `x` are formed as they are read
+/// (`grid_points`' expressions), not held. Collective.
 pub fn displacement(
     traj: &Trajectory,
     nt: usize,
@@ -27,18 +28,29 @@ pub fn displacement(
     comm: &mut Comm,
 ) -> VectorField {
     let layout = *traj.layout();
-    let pts = grid_points_pooled(&layout);
-    let n = pts.len();
+    let h = layout.grid.spacing();
+    let [n1, n2, n3] = layout.local_dims();
+    let i0 = layout.slab.i0;
     let mut u = VectorField::zeros(layout);
-    let mut u_at_foot = R3_POOL.checkout_written(n, [Real::NAN; 3], WsCat::Sl);
+    let mut u_at_foot = R3_POOL.checkout_written(layout.local_len(), [Real::NAN; 3], WsCat::Sl);
     for _ in 0..nt {
         // u_{j+1}(x) = (φ(x) − x) + u_j(φ(x)), the step displacement
         // φ(x) − x small and CFL-bounded (no wrap issues)
         interp.evaluate_vector(traj.back(), &u, comm, &mut u_at_foot);
-        for d in 0..3 {
-            let data = u.c[d].data_mut();
-            for i in 0..n {
-                data[i] = (traj.foot_back[i][d] - pts[i][d]) + u_at_foot[i][d];
+        let [u1, u2, u3] = u.c.each_mut().map(|c| c.data_mut());
+        let mut i = 0;
+        for il in 0..n1 {
+            let x1 = (i0 + il) as Real * h[0];
+            for j in 0..n2 {
+                let x2 = j as Real * h[1];
+                for k in 0..n3 {
+                    let x = [x1, x2, k as Real * h[2]];
+                    let (foot, at_foot) = (traj.foot_back[i], u_at_foot[i]);
+                    u1[i] = (foot[0] - x[0]) + at_foot[0];
+                    u2[i] = (foot[1] - x[1]) + at_foot[1];
+                    u3[i] = (foot[2] - x[2]) + at_foot[2];
+                    i += 1;
+                }
             }
         }
     }

@@ -36,7 +36,9 @@ pub struct Trajectory {
     pub dt: Real,
     /// Foot points of the backward characteristics of `+v` (one per owned
     /// grid point, physical coordinates) — the departure points of the
-    /// state and incremental state equations.
+    /// state and incremental state equations. The solves read only their
+    /// plan, so a holder that keeps the trajectory for its solves alone may
+    /// `release` this buffer (`claire_core`'s problem does).
     pub foot_back: PoolVec<[Real; 3]>,
     /// [`Trajectory::foot_back`], planned.
     back: InterpPlan,
@@ -53,7 +55,8 @@ pub(crate) struct AdjointFamily {
     /// The trapezoidal source factor of the continuity update,
     /// `exp(½·δt·(∇·v|_foot + ∇·v|_x))`, per grid point: `v` is stationary,
     /// so it is the same at every step of every solve on this trajectory
-    /// and a step is interpolate-and-multiply.
+    /// and a step is one evaluation that stores each value times its
+    /// factor.
     pub(crate) growth: PoolVec<Real>,
 }
 

@@ -143,24 +143,14 @@ impl Transport {
     ) {
         self.check_order(interp);
         let _s = span("semilag.adjoint");
-        let layout = *final_cond.layout();
-        let n = layout.local_len();
         let family = traj.adjoint();
         let mut lam = final_cond;
-        let mut next = ScalarField::for_overwrite(layout);
+        let mut next = ScalarField::for_overwrite(*lam.layout());
         each(self.nt, &lam, comm);
         for j in (0..self.nt).rev() {
-            interp.evaluate(&family.plan, &[&lam], comm, &mut [next.data_mut()]);
-            timing::time(Kernel::SemiLag, || {
-                let shared = SharedSlice::new(next.data_mut());
-                par_parts(n, n, |range| {
-                    // SAFETY: worker ranges are disjoint.
-                    let dst = unsafe { shared.slice_mut(range.clone()) };
-                    for (o, g) in dst.iter_mut().zip(&family.growth[range]) {
-                        *o *= g;
-                    }
-                });
-            });
+            // λ_j = λ_{j+1}(X) · growth, the factor applied as each value is
+            // stored
+            interp.evaluate_scaled(&family.plan, &lam, &family.growth, comm, next.data_mut());
             std::mem::swap(&mut lam, &mut next);
             each(j, &lam, comm);
         }

@@ -188,9 +188,9 @@ pub mod f32k {
 
 /// The f64 kernels where a hand-written intrinsic measured ≥ 1.2× faster
 /// than the generic body under the same feature gate (DESIGN.md §13 has
-/// the table); for interpolation that is [`f64k::interp_sites`], a site
-/// loop of its own that walks a batch four sites per step instead of the
-/// scalar one.
+/// the table); for interpolation that is [`f64k::split_sites`] and
+/// [`f64k::interp_sites`], site loops of their own that walk a batch four
+/// sites per step instead of the scalar ones.
 /// These carry the FFT, FD and interpolation time of an f64 solve.
 ///
 /// # Safety
@@ -198,7 +198,7 @@ pub mod f32k {
 /// loads and stores stay inside the argument slices: the dispatching
 /// function has already asserted the length/bounds contract each
 /// kernel documents, every loop bounds its index by a slice length, and
-/// the site kernel checks each site's support against the halo before any
+/// the site kernel checks each site's taps against the halo before any
 /// load.
 pub mod f64k {
     use core::arch::x86_64::*;
@@ -356,50 +356,131 @@ pub mod f64k {
     /// Sites per block: one per f64 lane.
     const BLOCK: usize = 4;
 
-    /// The f64 site kernel: a batch walks [`BLOCK`] sites per step, each
-    /// block one vector prologue with one site per lane, then each site's
-    /// taps. A tail of 1–3 sites is padded with copies of its first site
-    /// and takes the same code, and no lane reads another's values, so a
-    /// site's bits depend neither on its batch nor on its position in it.
-    ///
-    /// The prologue ([`split`]) floors, bounds-checks and indexes the four
-    /// sites at once; [`lagrange`] / [`bspline`] (and `1 − t, t`) give the
-    /// weights. A cubic site ([`cubic_block`]) forms `w2[b]·w3` once as four
-    /// vectors; each field sums every x1 plane `a` into its own partial
-    /// (four FMAs, one per 4-wide row), folds the partials with `w1` as the
-    /// tree `(p0·w1[0] + p1·w1[1]) + (p2·w1[2] + p3·w1[3])` and reduces it
-    /// as `(l0 + l2) + (l1 + l3)`. A trilinear site ([`linear_block`]) does
-    /// the same with 2-wide rows, two sites per register, and `l0 + l1`.
-    /// Against the specification `w1[a]` is factored out of each plane
-    /// partial and `a·b + c` rounds once: a different association of the
-    /// same sum, inside the ≤ 1e-12 contract. A field's sum reads only its
-    /// own taps, so its bits do not depend on how many fields travel with
-    /// it.
+    /// The split of a batch ([`crate::split_sites`]), [`BLOCK`] sites per
+    /// step: one vector prologue per block floors, bounds-checks and
+    /// indexes four sites at once, one per lane. A tail of 1–3 sites is
+    /// padded with copies of its first site. `⌊u⌋` and `u − ⌊u⌋` are
+    /// `xk::split_index`'s, a NaN coordinate included (node 0, fraction
+    /// NaN), and the node index is `xk::support`'s; when a lane's support
+    /// leaves the halo, [`xk::support`] runs on each site of the block and
+    /// panics with its message.
     ///
     /// # Safety
-    /// The host must support AVX2 and FMA, and every field must hold
-    /// `dims.points()` values (`crate::interp_sites` asserts it).
+    /// The host must support AVX2 and FMA, `nodes` must be as long as
+    /// `sites` and `d.points()` at most `u32::MAX` (`crate::split_sites`
+    /// asserts both).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn split_sites(d: &HaloDims, sites: &mut [[f64; 3]], nodes: &mut [u32]) {
+        let [_, s2, s3] = d.stored;
+        // node coordinates are converted to i32 and multiplied by the
+        // strides as 32-bit unsigned
+        assert!(
+            d.stored.iter().all(|&s| s <= i32::MAX as usize) && s2 * s3 <= u32::MAX as usize,
+            "split_sites: halo {:?} too large for the f64 site kernel",
+            d.stored
+        );
+        let (lo, taps) = xk::SPLIT_REACH;
+        // per axis, the storage index of grid index 0 and the last floor
+        // node whose support fits; the first is `−lo` on every axis
+        let mut bounds = [(_mm256_setzero_pd(), _mm256_setzero_pd()); 3];
+        for (a, b) in bounds.iter_mut().enumerate() {
+            let last = d.stored[a] as isize - taps as isize - lo;
+            *b = (_mm256_set1_pd(d.origin[a] as f64), _mm256_set1_pd(last as f64));
+        }
+        let first = _mm256_set1_pd(-lo as f64);
+        let (ps, rs) = (_mm256_set1_epi64x((s2 * s3) as i64), _mm256_set1_epi64x(s3 as i64));
+        let mut pad = [[0.0; 3]; BLOCK];
+        for (quad, quad_nodes) in sites.chunks_mut(BLOCK).zip(nodes.chunks_mut(BLOCK)) {
+            let full = quad.len() == BLOCK;
+            if !full {
+                pad = [quad[0]; BLOCK];
+                pad[..quad.len()].copy_from_slice(quad);
+            }
+            let u = load_quad(if full { (&*quad).try_into().expect("a full block") } else { &pad });
+            let mut t = [_mm256_setzero_pd(); 3];
+            let mut node = [_mm256_setzero_si256(); 3];
+            let mut inside = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+            for a in 0..3 {
+                let f = _mm256_floor_pd(u[a]);
+                t[a] = _mm256_sub_pd(u[a], f);
+                let f = _mm256_and_pd(f, _mm256_cmp_pd::<_CMP_ORD_Q>(f, f));
+                // the floor node's storage index along axis `a`, exact as
+                // f64, inside [first, last] when its support fits
+                let n = _mm256_add_pd(f, bounds[a].0);
+                let ok = _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_GE_OQ>(n, first),
+                    _mm256_cmp_pd::<_CMP_LE_OQ>(n, bounds[a].1),
+                );
+                inside = _mm256_and_pd(inside, ok);
+                node[a] = _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(n));
+            }
+            if _mm256_movemask_pd(inside) != 0b1111 {
+                for s in if full { &*quad } else { &pad[..] } {
+                    xk::support(d, s);
+                }
+                unreachable!("the block support check rejected sites that `support` accepts");
+            }
+            let index = _mm256_add_epi64(
+                _mm256_add_epi64(_mm256_mul_epu32(node[0], ps), _mm256_mul_epu32(node[1], rs)),
+                node[2],
+            );
+            // below `d.points()`, which fits a u32: the low half of each lane
+            let index =
+                _mm256_permutevar8x32_epi32(index, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
+            let index = _mm256_castsi256_si128(index);
+            if full {
+                // SAFETY: four u32 lanes into four nodes, twelve f64 lanes
+                // into four sites
+                _mm_storeu_si128(quad_nodes.as_mut_ptr() as *mut __m128i, index);
+                store_quad(quad.as_mut_ptr() as *mut f64, t);
+            } else {
+                let mut four = [0u32; BLOCK];
+                // SAFETY: as above, into locals
+                _mm_storeu_si128(four.as_mut_ptr() as *mut __m128i, index);
+                store_quad(pad.as_mut_ptr() as *mut f64, t);
+                quad_nodes.copy_from_slice(&four[..quad.len()]);
+                quad.copy_from_slice(&pad[..quad.len()]);
+            }
+        }
+    }
+
+    /// The f64 site kernel: a batch of split sites walks [`BLOCK`] sites
+    /// per step, each block loading four sites' fractions into one vector
+    /// per axis, one site per lane, then each site's taps. A tail of 1–3
+    /// sites is padded with copies of its first site and takes the same
+    /// code, and no lane reads another's values, so a site's bits depend
+    /// neither on its batch nor on its position in it.
+    ///
+    /// [`xk::Taps`] places each site's first tap (its floor node offset by
+    /// the stencil's reach); [`lagrange`] / [`bspline`] (and `1 − t, t`)
+    /// give the weights. A cubic site ([`cubic_block`]) forms `w2[b]·w3`
+    /// once as four vectors; each field sums every x1 plane `a` into its own
+    /// partial (four FMAs, one per 4-wide row), folds the partials with `w1`
+    /// as the tree `(p0·w1[0] + p1·w1[1]) + (p2·w1[2] + p3·w1[3])` and
+    /// reduces it as `(l0 + l2) + (l1 + l3)`. A trilinear site
+    /// ([`linear_block`]) does the same with 2-wide rows, two sites per
+    /// register, and `l0 + l1`. Against the specification `w1[a]` is
+    /// factored out of each plane partial and `a·b + c` rounds once: a
+    /// different association of the same sum, inside the ≤ 1e-12 contract.
+    /// A field's sum reads only its own taps, so its bits do not depend on
+    /// how many fields travel with it.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA, every field must hold
+    /// `dims.points()` values and `nodes` be as long as `frac`
+    /// (`crate::interp_sites` asserts both).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn interp_sites<const NF: usize, S: FnMut(usize, [f64; NF])>(
         stencil: Stencil,
         dims: &HaloDims,
         fields: &[&[f64]; NF],
-        sites: &[[f64; 3]],
+        nodes: &[u32],
+        frac: &[[f64; 3]],
         mut sink: S,
     ) {
-        let [_, s2, s3] = dims.stored;
-        let (ps, rs) = (s2 * s3, s3);
-        // `split` converts first-tap indices to i32 and multiplies them by
-        // `ps`, `rs` as 32-bit unsigned; every load relies on the index it
-        // computes and its support check
-        assert!(
-            dims.stored.iter().all(|&s| s <= i32::MAX as usize) && ps <= u32::MAX as usize,
-            "interp_sites: halo {:?} too large for the f64 site kernel",
-            dims.stored
-        );
-        let (lo, taps) = stencil.reach();
+        let tap = xk::Taps::new(stencil, dims);
         let mut pad: [[f64; 3]; BLOCK];
-        for (k, chunk) in sites.chunks(BLOCK).enumerate() {
+        for (k, (quad_nodes, chunk)) in nodes.chunks(BLOCK).zip(frac.chunks(BLOCK)).enumerate() {
             let quad: &[[f64; 3]; BLOCK] = match chunk.try_into() {
                 Ok(quad) => quad,
                 Err(_) => {
@@ -408,16 +489,18 @@ pub mod f64k {
                     &pad
                 }
             };
-            let (base, t) = split(dims, lo, taps, quad);
+            let base: [usize; BLOCK] =
+                std::array::from_fn(|l| tap.first(*quad_nodes.get(l).unwrap_or(&quad_nodes[0])));
+            let t = load_quad(quad);
             let values = match stencil {
-                Stencil::Linear => linear_block(fields, ps, rs, &base, t),
+                Stencil::Linear => linear_block(fields, tap.ps, tap.rs, &base, t),
                 Stencil::CubicLagrange => {
                     let w = [lagrange(t[0]), lagrange(t[1]), lagrange(t[2])];
-                    cubic_block(fields, ps, rs, &base, w)
+                    cubic_block(fields, tap.ps, tap.rs, &base, w)
                 }
                 Stencil::CubicBspline => {
                     let w = [bspline(t[0]), bspline(t[1]), bspline(t[2])];
-                    cubic_block(fields, ps, rs, &base, w)
+                    cubic_block(fields, tap.ps, tap.rs, &base, w)
                 }
             };
             for (l, v) in values.into_iter().take(chunk.len()).enumerate() {
@@ -426,25 +509,31 @@ pub mod f64k {
         }
     }
 
-    /// The block prologue, one site per lane: the storage index of each
-    /// site's first tap (support of `taps` nodes from node offset `lo` per
-    /// axis) and its fraction per axis. `⌊u⌋` and `u − ⌊u⌋` are
-    /// `split_index`'s, a NaN coordinate included (base 0, fraction NaN).
-    /// When a lane's support leaves the halo, [`xk::support`] runs on each
-    /// site and panics with its message.
+    /// Store one vector per axis, one site per lane, as four interleaved
+    /// sites at `p`: the inverse of [`load_quad`].
     ///
     /// # Safety
-    /// The host must support AVX2 and FMA, every `d.stored[a]` must be at
-    /// most `i32::MAX` and `d.stored[1]·d.stored[2]` at most `u32::MAX`
-    /// (`interp_sites` asserts both).
+    /// The host must support AVX2 and FMA, and `p` must be valid for
+    /// writing twelve values.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn split(
-        d: &HaloDims,
-        lo: isize,
-        taps: usize,
-        quad: &[[f64; 3]; BLOCK],
-    ) -> ([usize; BLOCK], [__m256d; 3]) {
+    unsafe fn store_quad(p: *mut f64, [x, y, z]: [__m256d; 3]) {
+        let xy = _mm256_unpacklo_pd(x, y); // x0 y0 x2 y2
+        let xy_hi = _mm256_unpackhi_pd(x, y); // x1 y1 x3 y3
+        let zx = _mm256_unpacklo_pd(z, xy_hi); // z0 x1 z2 x3
+        let yz = _mm256_unpackhi_pd(xy_hi, z); // y1 z1 y3 z3
+        _mm256_storeu_pd(p, _mm256_permute2f128_pd::<0x20>(xy, zx));
+        _mm256_storeu_pd(p.add(4), _mm256_permute2f128_pd::<0x30>(yz, xy));
+        _mm256_storeu_pd(p.add(8), _mm256_permute2f128_pd::<0x31>(zx, yz));
+    }
+
+    /// Four sites' coordinates, one vector per axis with one site per lane.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn load_quad(quad: &[[f64; 3]; BLOCK]) -> [__m256d; 3] {
         // SAFETY: `quad` is 12 contiguous values; the loads read 0..4, 4..8
         // and 8..12 of them
         let p = quad.as_ptr() as *const f64;
@@ -455,46 +544,11 @@ pub mod f64k {
         let m2 = _mm256_blend_pd::<0b1100>(r1, r2); // y1 z1 y3 z3
         let m3 = _mm256_blend_pd::<0b0011>(r0, r2); // z2 x3 z0 x1
         let m3 = _mm256_permute2f128_pd::<0x01>(m3, m3); // z0 x1 z2 x3
-        let u = [
+        [
             _mm256_blend_pd::<0b1010>(m1, m3),
             _mm256_shuffle_pd::<0b0101>(m1, m2),
             _mm256_blend_pd::<0b1010>(m3, m2),
-        ];
-        let mut t = [_mm256_setzero_pd(); 3];
-        let mut first = [_mm256_setzero_si256(); 3];
-        let mut inside = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-        for a in 0..3 {
-            let f = _mm256_floor_pd(u[a]);
-            t[a] = _mm256_sub_pd(u[a], f);
-            let f = _mm256_and_pd(f, _mm256_cmp_pd::<_CMP_ORD_Q>(f, f));
-            // the first tap's index along axis `a`, exact as f64
-            let q = _mm256_add_pd(f, _mm256_set1_pd((d.origin[a] + lo) as f64));
-            let last = _mm256_set1_pd((d.stored[a] as isize - taps as isize) as f64);
-            let ok = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_GE_OQ>(q, _mm256_setzero_pd()),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(q, last),
-            );
-            inside = _mm256_and_pd(inside, ok);
-            first[a] = _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(q));
-        }
-        if _mm256_movemask_pd(inside) != 0b1111 {
-            for s in quad {
-                xk::support(d, s, lo, taps);
-            }
-            unreachable!("the block support check rejected sites that `support` accepts");
-        }
-        let [_, s2, s3] = d.stored;
-        let index = _mm256_add_epi64(
-            _mm256_add_epi64(
-                _mm256_mul_epu32(first[0], _mm256_set1_epi64x((s2 * s3) as i64)),
-                _mm256_mul_epu32(first[1], _mm256_set1_epi64x(s3 as i64)),
-            ),
-            first[2],
-        );
-        let mut base = [0usize; BLOCK];
-        // SAFETY: four 64-bit lanes into four `usize`s
-        _mm256_storeu_si256(base.as_mut_ptr() as *mut __m256i, index);
-        (base, t)
+        ]
     }
 
     /// Cubic Lagrange weights of four fractions, `[k]` = weight of node
@@ -548,9 +602,10 @@ pub mod f64k {
     /// weight of tap `k` for every site, one site per lane.
     ///
     /// # Safety
-    /// The host must support AVX2 and FMA; `base` must come from [`split`]
-    /// with the cubic reach, for a halo whose plane and row strides are
-    /// `ps`, `rs` and whose `points()` values every field holds.
+    /// The host must support AVX2 and FMA; `base` must come from
+    /// [`xk::Taps::first`] for a cubic stencil, on a halo whose plane and
+    /// row strides are `ps`, `rs` and whose `points()` values every field
+    /// holds.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn cubic_block<const NF: usize>(
@@ -589,9 +644,9 @@ pub mod f64k {
             for (sum, f) in sums.iter_mut().zip(fields) {
                 let mut plane = [_mm256_setzero_pd(); 4];
                 for (a, p) in plane.iter_mut().enumerate() {
-                    // SAFETY: `split` placed the support inside the halo,
-                    // so `base + a·ps + b·rs + 4` (a, b ≤ 3) is at most
-                    // `dims.points()`, every field's length
+                    // SAFETY: `Taps::first` checked that the support lies
+                    // inside the halo, so `base + a·ps + b·rs + 4` (a, b ≤
+                    // 3) is at most `dims.points()`, every field's length
                     let at = f.as_ptr().add(base[l] + a * ps);
                     for (b, &wv) in w23.iter().enumerate() {
                         *p = _mm256_fmadd_pd(_mm256_loadu_pd(at.add(b * rs)), wv, *p);
@@ -622,8 +677,8 @@ pub mod f64k {
     /// two sites per register: sites 0 and 2 share one, 1 and 3 the other.
     ///
     /// # Safety
-    /// As [`cubic_block`]'s, with `base` from [`split`] with the linear
-    /// reach.
+    /// As [`cubic_block`]'s, with `base` from [`xk::Taps::first`] for the
+    /// linear stencil.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn linear_block<const NF: usize>(

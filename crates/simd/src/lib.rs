@@ -13,8 +13,8 @@
 //!   per call from a cached process-wide choice;
 //! * interpolation and FD run at f64 on every path, `Precision::Mixed`
 //!   included (it demotes only the Krylov/FFT lane), so their kernels are
-//!   the f64-only functions [`interp_sites`] and [`fd8_combine_scale`],
-//!   dispatched the same way;
+//!   the f64-only functions [`split_sites`], [`interp_sites`] and
+//!   [`fd8_combine_scale`], dispatched the same way;
 //! * each kernel body is written once (the `xk` module): a `scalar_*`
 //!   reference loop — the specification, with the pre-SIMD solver's exact
 //!   operation order — and, for reductions, a `wide_*` 8-lane body with a
@@ -111,30 +111,55 @@ pub fn fd8_combine_scale(
     )
 }
 
-/// Batched scattered interpolation: evaluate `NF` halo-extended fields (all
-/// of shape `dims`) at every site of `sites` and pass each site's `NF`
-/// values to `sink(i, values)`, `i` being the site's position in the batch.
+/// Split a batch of interpolation sites for [`interp_sites`], in place.
 ///
-/// A site is a *global* continuous grid index `[u1, u2, u3]` whose stencil
-/// support lies inside the stored halo on every axis; a site outside it
-/// panics. The kernel never wraps: the halo is the periodic extension. The
-/// backend is resolved once per batch; per site the index split and the
-/// basis weights are computed once and every field accumulates against
-/// them. A field's value does not depend on `NF` or on its position in
-/// `fields`.
+/// A site comes in as a *global* continuous grid index `[u1, u2, u3]` and
+/// leaves as its fractions `u − ⌊u⌋ ∈ [0, 1)`, while `nodes[i]` receives
+/// the storage index in `dims` of its floor node `⌊u⌋`. This is everything
+/// about a site the kernel needs that does not depend on the field, so a
+/// plan splits its sites once and every evaluation only weighs and sums.
+///
+/// The split serves every [`Stencil`]: it checks the widest (cubic) support
+/// `⌊u⌋ − 1 … ⌊u⌋ + 2` against the stored halo on every axis, and a site
+/// outside it panics (the halo is the periodic extension; nothing wraps).
+/// A NaN coordinate is not outside: it splits as node 0 with a NaN
+/// fraction, and its values evaluate to NaN.
+pub fn split_sites(dims: &HaloDims, sites: &mut [[f64; 3]], nodes: &mut [u32]) {
+    assert_eq!(sites.len(), nodes.len(), "split_sites: one node per site");
+    assert!(
+        dims.points() <= u32::MAX as usize,
+        "split_sites: halo {:?} too large for a u32 node index",
+        dims.stored
+    );
+    dispatch!(avx2::f64k::split_sites(dims, sites, nodes), xk::split_sites(dims, sites, nodes))
+}
+
+/// Batched scattered interpolation: evaluate `NF` halo-extended fields (all
+/// of shape `dims`) at every site of a batch split by [`split_sites`] —
+/// floor node `nodes[i]`, fractions `frac[i]` — and pass each site's `NF`
+/// values to `sink(i, values)`.
+///
+/// The kernel offsets the floor node by the stencil's reach, so one split
+/// serves every stencil. A node whose taps would leave the halo panics
+/// (only a node made by something other than [`split_sites`] for these
+/// `dims` can). The backend is resolved once per batch; per site the basis
+/// weights are computed once and every field accumulates against them. A
+/// field's value does not depend on `NF` or on its position in `fields`.
 pub fn interp_sites<const NF: usize, S: FnMut(usize, [f64; NF])>(
     stencil: Stencil,
     dims: &HaloDims,
     fields: &[&[f64]; NF],
-    sites: &[[f64; 3]],
+    nodes: &[u32],
+    frac: &[[f64; 3]],
     sink: S,
 ) {
+    assert_eq!(nodes.len(), frac.len(), "interp_sites: one node per site");
     for f in fields {
         assert_eq!(f.len(), dims.points(), "interp_sites field/halo shape mismatch");
     }
     dispatch!(
-        avx2::f64k::interp_sites(stencil, dims, fields, sites, sink),
-        xk::interp_sites(stencil, dims, fields, sites, sink)
+        avx2::f64k::interp_sites(stencil, dims, fields, nodes, frac, sink),
+        xk::interp_sites(stencil, dims, fields, nodes, frac, sink)
     )
 }
 

@@ -14,11 +14,13 @@
 //!   Every width keeps the determinism contract: results depend only on
 //!   input values and the selected backend, never on thread count or
 //!   allocation state;
-//! * the batched interpolation kernel ([`interp_sites`]) is the scalar
-//!   backend's site loop, the specification. The AVX2 arm is not this
-//!   body: `avx2::f64k::interp_sites` walks a batch four sites per step in
-//!   intrinsics, sharing only [`support`] (its out-of-halo panic) with the
-//!   loop here.
+//! * the batched interpolation kernel ([`interp_sites`]) and the split
+//!   that prepares its sites ([`split_sites`]) are the scalar backend's
+//!   site loops, the specification. The AVX2 arms are not these bodies:
+//!   `avx2::f64k::{split_sites, interp_sites}` walk a batch four sites per
+//!   step in intrinsics, sharing [`support`] (the out-of-halo panic) and
+//!   [`Taps`] (where a stencil's taps sit, and their bounds check) with the
+//!   loops here.
 //!
 //! The bodies are `#[inline(always)]`: the AVX2 arm is a body inlined into
 //! a `#[target_feature(enable = "avx2,fma")]` wrapper (see `avx2`), where
@@ -263,7 +265,7 @@ impl Stencil {
 /// `claire_grid` `GhostField` hands it out): each field holds
 /// `stored[0] × stored[1] × stored[2]` values, x3 fastest, and global grid
 /// index `u` along axis `a` sits at storage index `u + origin[a]`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HaloDims {
     /// Stored points per axis: the owned extent plus a halo on both sides.
     pub stored: [usize; 3],
@@ -367,15 +369,21 @@ fn split_index(u: f64) -> (isize, f64) {
     (f as isize, u - f)
 }
 
-/// A site's support of `taps` nodes from node offset `lo` per axis: the
-/// storage index of its first tap and the fraction per axis. The support
+/// The support every split is checked for: the widest stencil's, so that a
+/// split site serves every [`Stencil`] (the trilinear taps `{0, 1}` lie
+/// inside the cubic `{−1, 0, 1, 2}`).
+pub(crate) const SPLIT_REACH: (isize, usize) = (-1, 4);
+
+/// A site's split: the storage index of its floor node `⌊u⌋` and its
+/// fraction per axis. The [`SPLIT_REACH`] support around the floor node
 /// must lie inside the stored halo — the planner routes each site to the
 /// rank that owns its base plane, and the halo covers the stencil from
 /// there — so a site outside it is a routing bug, reported here instead of
-/// read out of bounds.
+/// read out of bounds later.
 #[inline(always)]
-pub(crate) fn support(d: &HaloDims, s: &[f64; 3], lo: isize, taps: usize) -> (usize, [f64; 3]) {
-    let (mut base, mut t) = (0, [0.0; 3]);
+pub(crate) fn support(d: &HaloDims, s: &[f64; 3]) -> (usize, [f64; 3]) {
+    let (lo, taps) = SPLIT_REACH;
+    let (mut node, mut t) = (0, [0.0; 3]);
     for (a, (&u, ta)) in s.iter().zip(&mut t).enumerate() {
         let b;
         (b, *ta) = split_index(u);
@@ -387,57 +395,92 @@ pub(crate) fn support(d: &HaloDims, s: &[f64; 3], lo: isize, taps: usize) -> (us
             p + taps as isize,
             d.stored[a]
         );
-        base = base * d.stored[a] + p as usize;
+        node = node * d.stored[a] + (p - lo) as usize;
     }
-    (base, t)
+    (node, t)
 }
 
+/// The split of a batch, the specification: each site becomes its
+/// fractions in place and its floor node's storage index goes to `nodes`.
 #[inline(always)]
-fn linear_site<const NF: usize>(d: &HaloDims, fields: &[&[f64]; NF], s: &[f64; 3]) -> [f64; NF] {
-    let (lo, taps) = Stencil::Linear.reach();
-    let (base, [t1, t2, t3]) = support(d, s, lo, taps);
-    let w = [[1.0 - t1, t1], [1.0 - t2, t2], [1.0 - t3, t3]];
-    linear_sum(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
+pub(crate) fn split_sites(d: &HaloDims, sites: &mut [[f64; 3]], nodes: &mut [u32]) {
+    for (s, n) in sites.iter_mut().zip(nodes) {
+        let node;
+        (node, *s) = support(d, s);
+        *n = node as u32;
+    }
 }
 
-#[inline(always)]
-fn cubic_site<const NF: usize>(
-    d: &HaloDims,
-    fields: &[&[f64]; NF],
-    s: &[f64; 3],
-    weights: impl Fn(f64) -> [f64; 4],
-) -> [f64; NF] {
-    let (lo, taps) = Stencil::CubicLagrange.reach();
-    let (base, [t1, t2, t3]) = support(d, s, lo, taps);
-    let w = [weights(t1), weights(t2), weights(t3)];
-    cubic_sum(fields, base, d.stored[1] * d.stored[2], d.stored[2], &w)
+/// Where a stencil's taps sit relative to a site's floor node in a halo:
+/// the first tap is `back` values before the node, and a first tap at most
+/// `limit` keeps every tap inside a field of `d.points()` values.
+#[derive(Clone, Copy)]
+pub(crate) struct Taps {
+    /// Plane stride.
+    pub(crate) ps: usize,
+    /// Row stride.
+    pub(crate) rs: usize,
+    back: usize,
+    limit: usize,
 }
 
-/// Evaluate `NF` fields at every site of a batch and hand each site's
-/// values to `sink(i, values)`. Per site the index split and the basis
-/// weights are computed once and shared by all fields.
+impl Taps {
+    #[inline(always)]
+    pub(crate) fn new(stencil: Stencil, d: &HaloDims) -> Taps {
+        let [_, s2, s3] = d.stored;
+        let (ps, rs) = (s2 * s3, s3);
+        let (lo, taps) = stencil.reach();
+        // one step along every axis at once
+        let diagonal = ps + rs + 1;
+        let span = (taps - 1) * diagonal + 1;
+        let limit =
+            d.points().checked_sub(span).expect("interp_sites: halo smaller than a stencil");
+        Taps { ps, rs, back: lo.unsigned_abs() * diagonal, limit }
+    }
+
+    /// Storage index of the first tap of the site whose floor node is at
+    /// `node`. A node whose taps would leave the halo panics: a split keeps
+    /// nodes inside, so this guards only against indices made elsewhere.
+    #[inline(always)]
+    pub(crate) fn first(&self, node: u32) -> usize {
+        let at = (node as usize).wrapping_sub(self.back);
+        assert!(at <= self.limit, "interp_sites: node {node} has taps outside the halo");
+        at
+    }
+}
+
+/// Evaluate `NF` fields at every split site of a batch — floor node
+/// `nodes[i]`, fractions `frac[i]` — and hand each site's values to
+/// `sink(i, values)`. Per site the basis weights are computed once and
+/// shared by all fields.
 #[inline(always)]
 pub(crate) fn interp_sites<const NF: usize>(
     stencil: Stencil,
     d: &HaloDims,
     fields: &[&[f64]; NF],
-    sites: &[[f64; 3]],
+    nodes: &[u32],
+    frac: &[[f64; 3]],
     mut sink: impl FnMut(usize, [f64; NF]),
 ) {
+    let tap = Taps::new(stencil, d);
+    let sites = nodes.iter().zip(frac).enumerate();
     match stencil {
         Stencil::Linear => {
-            for (i, s) in sites.iter().enumerate() {
-                sink(i, linear_site(d, fields, s));
+            for (i, (&n, &[t1, t2, t3])) in sites {
+                let w = [[1.0 - t1, t1], [1.0 - t2, t2], [1.0 - t3, t3]];
+                sink(i, linear_sum(fields, tap.first(n), tap.ps, tap.rs, &w));
             }
         }
         Stencil::CubicLagrange => {
-            for (i, s) in sites.iter().enumerate() {
-                sink(i, cubic_site(d, fields, s, lagrange_weights));
+            for (i, (&n, t)) in sites {
+                let w = t.map(lagrange_weights);
+                sink(i, cubic_sum(fields, tap.first(n), tap.ps, tap.rs, &w));
             }
         }
         Stencil::CubicBspline => {
-            for (i, s) in sites.iter().enumerate() {
-                sink(i, cubic_site(d, fields, s, bspline_weights));
+            for (i, (&n, t)) in sites {
+                let w = t.map(bspline_weights);
+                sink(i, cubic_sum(fields, tap.first(n), tap.ps, tap.rs, &w));
             }
         }
     }

@@ -396,6 +396,15 @@ stage_proc_smoke() {
     local sm; sm="$(grep '"rel_mismatch"' "$dir/single.json")"
     [ -n "$sm" ] && [ "$pm" = "$sm" ] || {
         echo "proc smoke: 4-process mismatch differs from one process: '$pm' vs '$sm'"; exit 1; }
+    # the report's pool peak is the bytes held at one moment: above zero and
+    # at most the sum of the category peaks, which fall at different moments
+    local peak sum=0 b
+    peak="$(grep -o '"pool_peak_bytes": [0-9]*' "$dir/single.json" | grep -o '[0-9]*$')"
+    for b in $(grep -o '"peak_bytes": [0-9]*' "$dir/single.json" | grep -o '[0-9]*$'); do
+        sum=$((sum + b))
+    done
+    [ -n "$peak" ] && [ "$peak" -gt 0 ] && [ "$peak" -le "$sum" ] || {
+        echo "proc smoke: memory.pool_peak_bytes '$peak' not in (0, $sum]"; exit 1; }
 
     # the launcher hands the workers its whole config: a field `launch` has
     # no hand-written arm for must reach rank 0

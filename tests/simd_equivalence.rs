@@ -28,7 +28,9 @@ use std::sync::Mutex;
 
 use claire::grid::ghost;
 use claire::prelude::*;
-use claire_simd::{fd8_combine_scale, interp_sites, Choice, Elem, HaloDims, Stencil, Stockham};
+use claire_simd::{
+    fd8_combine_scale, interp_sites, split_sites, Choice, Elem, HaloDims, Stencil, Stockham,
+};
 use proptest::prelude::*;
 
 /// Serializes backend flips across this binary's tests.
@@ -185,16 +187,36 @@ fn halo_dims(n: [usize; 3]) -> HaloDims {
 
 const STENCILS: [Stencil; 3] = [Stencil::Linear, Stencil::CubicLagrange, Stencil::CubicBspline];
 
-/// Every site's values of `NF` fields through the batched kernel.
+/// A batch of sites split for the kernel: floor nodes and fractions.
+type Split = (Vec<u32>, Vec<[f64; 3]>);
+
+/// `sites` split by the active backend.
+fn split(dims: &HaloDims, sites: &[[f64; 3]]) -> Split {
+    let (mut nodes, mut frac) = (vec![0; sites.len()], sites.to_vec());
+    split_sites(dims, &mut frac, &mut nodes);
+    (nodes, frac)
+}
+
+/// Every split site's values of `NF` fields through the batched kernel.
+fn eval_split<const NF: usize>(
+    stencil: Stencil,
+    dims: &HaloDims,
+    fields: &[&[f64]; NF],
+    (nodes, frac): &Split,
+) -> Vec<[f64; NF]> {
+    let mut out = vec![[0.0; NF]; nodes.len()];
+    interp_sites(stencil, dims, fields, nodes, frac, |i, v| out[i] = v);
+    out
+}
+
+/// Every site's values of `NF` fields: split, then the batched kernel.
 fn eval_sites<const NF: usize>(
     stencil: Stencil,
     dims: &HaloDims,
     fields: &[&[f64]; NF],
     sites: &[[f64; 3]],
 ) -> Vec<[f64; NF]> {
-    let mut out = vec![[0.0; NF]; sites.len()];
-    interp_sites(stencil, dims, fields, sites, |i, v| out[i] = v);
-    out
+    eval_split(stencil, dims, fields, &split(dims, sites))
 }
 
 /// `count` random sites inside the owned extent `[3, n2, n3]`.
@@ -204,9 +226,12 @@ fn random_sites(n2: usize, n3: usize, seed: u64, count: usize) -> Vec<[f64; 3]> 
     frac.chunks_exact(3).map(|c| std::array::from_fn(|d| c[d] * ext[d])).collect()
 }
 
-/// The batched site kernel on a 3-plane slab with width-2 halos: the vector
-/// arm agrees with the scalar one for every stencil, and within a backend a
-/// field's values do not depend on which fields it is evaluated with.
+/// The split and the batched site kernel on a 3-plane slab with width-2
+/// halos. The split is exact arithmetic, so its vector arm gives the scalar
+/// one's nodes and fractions bit for bit. From one split, the vector kernel
+/// agrees with the scalar specification for every stencil and NF 1–3, and
+/// within a backend a field's values do not depend on which fields it is
+/// evaluated with.
 fn check_interp(n2: usize, n3: usize, seed: u64) {
     let dims = halo_dims([3, n2, n3]);
     let fields: [Vec<f64>; 3] =
@@ -219,14 +244,26 @@ fn check_interp(n2: usize, n3: usize, seed: u64) {
             sites.push([1.25, u2, u3]);
         }
     }
+    let (pre, vector_split) = both(|| {
+        let (nodes, frac) = split(&dims, &sites);
+        (nodes, bits(&frac))
+    });
+    assert_eq!(pre, vector_split, "split_sites: the arms split a site differently");
+    let pre: Split = (pre.0, pre.1.iter().map(|t| t.map(f64::from_bits)).collect());
     for stencil in STENCILS {
         let what = format!("interp_sites {stencil:?}");
-        let (s3, v3) = both(|| eval_sites(stencil, &dims, &data, &sites));
+        let (s3, v3) = both(|| eval_split(stencil, &dims, &data, &pre));
         assert_slices_close(v3.as_flattened(), s3.as_flattened(), &what);
-        let (s1, v1) = both(|| eval_sites(stencil, &dims, &[data[1]], &sites));
+        let (s2, v2) = both(|| eval_split(stencil, &dims, &[data[0], data[2]], &pre));
+        assert_slices_close(v2.as_flattened(), s2.as_flattened(), &what);
+        let (s1, v1) = both(|| eval_split(stencil, &dims, &[data[1]], &pre));
+        assert_slices_close(v1.as_flattened(), s1.as_flattened(), &what);
         let middle = |vals: &[[f64; 3]]| vals.iter().map(|v| [v[1]]).collect::<Vec<[f64; 1]>>();
+        let outer = |vals: &[[f64; 3]]| vals.iter().map(|v| [v[0], v[2]]).collect::<Vec<_>>();
         assert_eq!(s1, middle(&s3), "{what} [scalar]: grouping changed a field's bits");
         assert_eq!(v1, middle(&v3), "{what} [avx2]: grouping changed a field's bits");
+        assert_eq!(s2, outer(&s3), "{what} [scalar]: grouping changed a field's bits");
+        assert_eq!(v2, outer(&v3), "{what} [avx2]: grouping changed a field's bits");
     }
 }
 
@@ -569,9 +606,8 @@ fn scalar_site_kernel_equals_the_reference_evaluator() {
     let sites: Vec<[Real; 3]> = points.iter().map(|&x| to_site(x, grid.n)).collect();
     for order in [IpOrder::Linear, IpOrder::Cubic, IpOrder::CubicSpline] {
         let (scalar, simd) = both(|| {
-            let mut out = vec![0.0; sites.len()];
-            interp_sites(order.stencil(), &dims, &[gf.data()], &sites, |i, [v]| out[i] = v);
-            out
+            let vals = eval_sites(order.stencil(), &dims, &[gf.data()], &sites);
+            vals.into_iter().map(|[v]| v).collect::<Vec<_>>()
         });
         let reference: Vec<Real> = points.iter().map(|&x| interp_ghost(&gf, order, x)).collect();
         assert_eq!(scalar, reference, "{order:?}: scalar arm must equal the reference bitwise");
@@ -580,9 +616,10 @@ fn scalar_site_kernel_equals_the_reference_evaluator() {
 }
 
 /// A site whose support leaves the stored halo on any axis is caught by the
-/// kernel's support check on every arm, never an out-of-bounds load — alone, and at every position of a batch of good
-/// sites (each lane of a 4-site block and a tail); a site whose support
-/// reaches exactly the halo edge evaluates.
+/// split's support check on every arm, never an out-of-bounds load — alone,
+/// and at every position of a batch of good sites (each lane of a 4-site
+/// block and a tail); a site whose support reaches exactly the halo edge
+/// evaluates.
 #[test]
 fn out_of_slab_site_panics_on_every_backend() {
     fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -595,9 +632,9 @@ fn out_of_slab_site_panics_on_every_backend() {
         let dims = halo_dims([2, 4, 4]); // owns planes 0, 1
         let field = vec![1.0; dims.points()];
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            interp_sites(stencil, &dims, &[&field], sites, |_, [v]| {
+            for [v] in eval_sites(stencil, &dims, &[&field], sites) {
                 assert!((v - 1.0).abs() < 1e-12, "weights are a partition of unity: {v}")
-            })
+            }
         }))
     }
     // the cubic support of the owned planes reaches exactly the halo edge
@@ -632,6 +669,35 @@ fn out_of_slab_site_panics_on_every_backend() {
                         "{choice:?} {stencil:?} {sites:?}: wrong panic {msg:?}"
                     );
                 }
+            }
+        }
+    }
+    claire_simd::force_backend(None);
+}
+
+/// The kernel trusts no node it is handed: a node whose taps would leave
+/// the halo — below the first tap's reach or past the last value — panics
+/// on every arm, alone and in a batch of split sites, before any load.
+#[test]
+fn a_node_whose_taps_leave_the_halo_panics_on_every_backend() {
+    let dims = halo_dims([2, 4, 4]);
+    let field = vec![1.0; dims.points()];
+    let good = split(&dims, &[[0.5, 1.0, 1.0], [1.0, 2.5, 3.0]]);
+    let last = dims.points() as u32 - 1;
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    for choice in ALL_BACKENDS {
+        claire_simd::force_backend(Some(choice));
+        for stencil in STENCILS {
+            // the linear stencil's first tap is the node itself: only a node
+            // past the end fails it; the cubic one's reaches a node back
+            let bad = if stencil == Stencil::Linear { vec![last] } else { vec![0, last] };
+            for node in bad {
+                let mut sites = good.clone();
+                sites.0[1] = node;
+                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    eval_split(stencil, &dims, &[&field], &sites)
+                }));
+                assert!(got.is_err(), "{choice:?} {stencil:?}: node {node} evaluated");
             }
         }
     }
