@@ -10,17 +10,18 @@ use claire_par::{par_parts, SharedSlice};
 use claire_simd::{interp_sites, HaloDims};
 
 use crate::kernel::IpOrder;
-use crate::plan::{InterpPlan, Sites};
+use crate::plan::InterpPlan;
 
 /// Distributed scattered interpolator.
 ///
 /// Evaluates fields at the sites of an [`InterpPlan`] — built once per
-/// query set by [`Interpolator::plan`], which routes each query to the rank
-/// owning its x1 plane — using ghost layers for slab-boundary support, and
-/// returns values to the requester: the workflow of paper §3.1. Holds no
-/// state but the order: each phase is timed on the ledger the RunReport
-/// carries (the `interp` and `ghost` kernel slots, the `Scatter`,
-/// `InterpValues` and `Ghost` communication categories).
+/// query set by [`Interpolator::plan`], which keeps the queries this rank
+/// owns in place and routes each other one to the rank owning its x1 plane
+/// — using ghost layers for slab-boundary support, and returns values to
+/// the requester: the workflow of paper §3.1. Holds no state but the
+/// order: each phase is timed on the ledger the RunReport carries (the
+/// `interp` and `ghost` kernel slots, the `Scatter`, `InterpValues` and
+/// `Ghost` communication categories).
 #[derive(Clone, Copy, Debug)]
 pub struct Interpolator {
     /// Stencil order (GPU-TXTLIN / GPU-TXTLAG).
@@ -174,15 +175,15 @@ impl Interpolator {
         let data: [&[Real]; NF] = std::array::from_fn(|f| ghosts[f].data());
 
         // ---- phase: interp_kernel (local stencil evaluation) ----
-        // on one rank the values go straight to `dest`; on p > 1 ranks the
-        // values for peer r go to `value_bufs[r]`, field-major, to be
-        // shipped back
-        let value_bufs: Vec<Vec<Real>> = timing::time(Kernel::Interp, || match plan.sites() {
-            Sites::Local(sites) => {
-                self.kernel(halo, &data, &sites.nodes, &sites.frac, dest);
-                Vec::new()
-            }
-            Sites::Routed { serve, .. } => serve
+        // this rank's sites go straight to `dest` (a stand-in's value is
+        // overwritten below); on p > 1 ranks the values for peer r go to
+        // `value_bufs[r]`, field-major, to be shipped back
+        let sites = plan.sites();
+        let value_bufs: Vec<Vec<Real>> = timing::time(Kernel::Interp, || {
+            self.kernel(halo, &data, &sites.nodes, &sites.frac, dest);
+            let Some(route) = plan.remote() else { return Vec::new() };
+            route
+                .serve
                 .iter()
                 .map(|sites| {
                     let n = sites.nodes.len();
@@ -195,23 +196,24 @@ impl Interpolator {
                     self.kernel(halo, &data, &sites.nodes, &sites.frac, to_wire);
                     buf
                 })
-                .collect(),
+                .collect()
         });
-        let Sites::Routed { origins, .. } = plan.sites() else { return };
+        let Some(route) = plan.remote() else { return };
 
         // ---- phase: interp_comm (return values) ----
         let returned =
             comm.alltoallv_owned(value_bufs, CommCat::InterpValues, AlltoallMethod::Auto);
 
-        // reassemble into query order
-        for (vals, origin) in returned.iter().zip(origins) {
+        // overwrite the stand-ins with their owners' values
+        for (vals, origin) in returned.iter().zip(&route.origins) {
             let nq = origin.len();
             assert_eq!(vals.len(), nq * NF, "returned value count mismatch");
             for (q, &oi) in origin.iter().enumerate() {
-                // SAFETY: the plan's origins are a permutation of
-                // `0..plan.len()` (each query was sent to exactly one
+                // SAFETY: the origins are distinct positions in
+                // `0..plan.len()` (each remote query was sent to exactly one
                 // owner) and `dest.len() == plan.len()` was asserted above;
-                // this loop is the only writer.
+                // the kernel's writes are done and this loop is the only
+                // writer.
                 unsafe { dest.put(oi as usize, std::array::from_fn(|f| vals[f * nq + q])) };
             }
         }
@@ -531,6 +533,97 @@ mod tests {
                 bits(&scaled) == bits(&want)
             });
             assert!(res.outputs.iter().all(|&same| same), "p={p}: scaled bits differ");
+        }
+    }
+
+    /// Every evaluation entry point's bits at a plan: three fields grouped,
+    /// the packed vector, and the first field scaled by `scale`.
+    fn entry_point_bits(
+        ip: &Interpolator,
+        plan: &InterpPlan,
+        f: &[ScalarField; 3],
+        scale: &[Real],
+        comm: &mut Comm,
+    ) -> [Vec<u64>; 5] {
+        let nq = plan.len();
+        let mut out = vec![vec![Real::NAN; nq]; 3];
+        let mut outs: Vec<&mut [Real]> = out.iter_mut().map(|o| o.as_mut_slice()).collect();
+        ip.evaluate(plan, &[&f[0], &f[1], &f[2]], comm, &mut outs);
+        let mut packed = vec![[Real::NAN; 3]; nq];
+        ip.evaluate_vector(plan, &VectorField { c: f.clone() }, comm, &mut packed);
+        let mut scaled = vec![Real::NAN; nq];
+        ip.evaluate_scaled(plan, &f[0], scale, comm, &mut scaled);
+        let packed: Vec<Real> = packed.into_iter().flatten().collect();
+        [bits(&out[0]), bits(&out[1]), bits(&out[2]), bits(&packed), bits(&scaled)]
+    }
+
+    /// On p > 1 ranks a query another rank owns leaves a stand-in in its
+    /// slot, which the value return overwrites; an owned query is evaluated
+    /// in place. Every query away from home and every query at home both
+    /// give one rank's bits through each evaluation entry point, and a plan
+    /// whose queries all stay home sends no site and no value.
+    #[test]
+    fn remote_and_home_queries_give_one_ranks_bits() {
+        let grid = Grid::new([12, 6, 8]);
+        let h = grid.spacing();
+        let fns: [fn(Real, Real, Real) -> Real; 3] = [
+            test_fn,
+            |x, y, z| (2.0 * x).cos() + y.sin() * z.cos(),
+            |x, y, z| (x + 0.3 * y).sin() - 0.1 * z,
+        ];
+        for (p, order) in
+            [2usize, 3].into_iter().flat_map(|p| [(p, IpOrder::Linear), (p, IpOrder::Cubic)])
+        {
+            let res = run_cluster(Topology::new(p, 4), move |comm| {
+                let layout = Layout::distributed(grid, comm);
+                let rank = comm.rank();
+                let ip = Interpolator::new(order);
+                let f = fns.map(|g| ScalarField::from_fn(layout, g));
+                let f1 = fns.map(|g| ScalarField::from_fn(Layout::serial(grid), g));
+                // x1 anywhere in `slab`'s planes, x2/x3 anywhere
+                let in_slab = |slab: claire_grid::Slab, seed: u64| -> Vec<[Real; 3]> {
+                    let span = slab.ni as Real * h[0];
+                    let x1 = |x: Real| slab.i0 as Real * h[0] + x / TWO_PI * span;
+                    make_queries(40, seed).into_iter().map(|[x, y, z]| [x1(x), y, z]).collect()
+                };
+                let away = in_slab(layout.slab_of((rank + 1) % p), 5 + rank as u64);
+                let mut home = in_slab(layout.slab, 9 + rank as u64);
+                home.push([home[0][0], Real::NAN, home[0][2]]);
+                if rank == 0 {
+                    // a NaN x1 converts to plane 0, which rank 0 owns
+                    home.push([Real::NAN; 3]);
+                }
+                let mut wire = Vec::new();
+                for (set, queries) in [("away", away), ("home", home)] {
+                    let scale: Vec<Real> =
+                        (0..queries.len()).map(|i| 0.5 + 0.01 * i as Real).collect();
+                    let mut solo = Comm::solo();
+                    let plan = ip.plan(Layout::serial(grid), &queries, &mut solo);
+                    let want = entry_point_bits(&ip, &plan, &f1, &scale, &mut solo);
+
+                    let sent = |comm: &Comm| {
+                        [CommCat::Scatter, CommCat::InterpValues]
+                            .map(|c| comm.stats().cat(c).bytes_sent)
+                    };
+                    let before = sent(comm);
+                    let plan = ip.plan(layout, &queries, comm);
+                    let got = entry_point_bits(&ip, &plan, &f, &scale, comm);
+                    let after = sent(comm);
+                    assert_eq!(got, want, "{order:?} p={p} rank {rank}: {set} bits");
+                    let nan = got[0].iter().filter(|&&b| Real::from_bits(b).is_nan()).count();
+                    assert_eq!(nan, queries.len() - 40, "rank {rank} {set}: NaN queries");
+                    wire.push((set, [after[0] - before[0], after[1] - before[1]]));
+                }
+                wire
+            });
+            for (rank, wire) in res.outputs.iter().enumerate() {
+                for &(set, bytes) in wire {
+                    let shipped = bytes.iter().all(|&b| b > 0);
+                    let none = bytes == [0, 0];
+                    let ok = if set == "home" { none } else { shipped };
+                    assert!(ok, "{order:?} p={p} rank {rank} {set}: sites/values sent {bytes:?}");
+                }
+            }
         }
     }
 

@@ -23,12 +23,14 @@ use crate::kernel::{to_site, IpOrder};
 
 /// A query set prepared for repeated evaluation on one layout.
 ///
-/// Holds the sites this rank evaluates, already split for the site kernel
-/// (`claire_simd::split_sites`): per site the fractions `u − ⌊u⌋` of its
-/// wrapped continuous grid index, `[Real; 3]` in the buffer the point came
-/// in, and the `u32` storage index of its floor node in the
-/// [`IpOrder::GHOST_WIDTH`] halo — 28 bytes per site. On p > 1 ranks it
-/// also holds the routing that ties the sites to the ranks that asked.
+/// Holds one site per query, in query order, already split for the site
+/// kernel (`claire_simd::split_sites`): per site the fractions `u − ⌊u⌋` of
+/// its wrapped continuous grid index, `[Real; 3]` in the buffer the point
+/// came in, and the `u32` storage index of its floor node in the
+/// [`IpOrder::GHOST_WIDTH`] halo — 28 bytes per query, on every rank count.
+/// On p > 1 ranks a query another rank owns holds a stand-in site (this
+/// rank's first plane) in its slot, and the plan also holds the routing:
+/// the sites this rank serves to its peers and where their values go.
 /// Independent of the interpolation order and of the fields: the kernel
 /// offsets the floor node by its stencil's reach, so any [`Interpolator`]
 /// can evaluate any field of the plan's layout.
@@ -36,9 +38,10 @@ pub struct InterpPlan {
     layout: Layout,
     /// The halo the site nodes index.
     halo: HaloDims,
-    /// Query points this rank asked for (the length of every output).
-    nq: usize,
-    sites: Sites,
+    /// Site `i` is query `i` (or a stand-in when a peer owns it).
+    sites: Split<PoolVec<u32>, PoolVec<[Real; 3]>>,
+    /// p > 1 ranks: the queries that travel.
+    remote: Option<Routing>,
 }
 
 /// The split sites of one batch: floor nodes and fractions, site for site.
@@ -47,33 +50,26 @@ pub(crate) struct Split<N, F> {
     pub(crate) frac: F,
 }
 
-/// The sites a rank evaluates, and for whom.
-pub(crate) enum Sites {
-    /// One rank: site `i` is query `i`; its fractions are in the
-    /// (µSL-pooled) buffer the points arrived in.
-    Local(Split<PoolVec<u32>, PoolVec<[Real; 3]>>),
-    /// p > 1 ranks: each query went to the rank owning its x1 plane.
-    Routed {
-        /// Owner side: `serve[r]` are the sites rank `r` routed here, in
-        /// the order it sent them (the `alltoallv` receive buffers, split
-        /// in place).
-        serve: Vec<Split<Vec<u32>, Vec<[Real; 3]>>>,
-        /// Requester side: `origins[r][k]` is the position in this rank's
-        /// query list of the `k`-th query sent to owner `r`. Together a
-        /// permutation of `0..nq`.
-        origins: Vec<Vec<u32>>,
-    },
+/// The queries that leave their rank: each goes to the rank owning its x1
+/// plane. This rank's own slot is empty on both sides.
+pub(crate) struct Routing {
+    /// Owner side: `serve[r]` are the sites rank `r` routed here, in the
+    /// order it sent them (the `alltoallv` receive buffers, split in place).
+    pub(crate) serve: Vec<Split<Vec<u32>, Vec<[Real; 3]>>>,
+    /// Requester side: `origins[r][k]` is the position in this rank's query
+    /// list of the `k`-th query sent to owner `r`.
+    pub(crate) origins: Vec<Vec<u32>>,
 }
 
 impl InterpPlan {
     /// Number of query points this rank asked for.
     pub fn len(&self) -> usize {
-        self.nq
+        self.sites.nodes.len()
     }
 
     /// Whether this rank asked for no points.
     pub fn is_empty(&self) -> bool {
-        self.nq == 0
+        self.len() == 0
     }
 
     /// The layout the plan was built for.
@@ -85,8 +81,12 @@ impl InterpPlan {
         &self.halo
     }
 
-    pub(crate) fn sites(&self) -> &Sites {
+    pub(crate) fn sites(&self) -> &Split<PoolVec<u32>, PoolVec<[Real; 3]>> {
         &self.sites
+    }
+
+    pub(crate) fn remote(&self) -> Option<&Routing> {
+        self.remote.as_ref()
     }
 }
 
@@ -94,32 +94,69 @@ impl InterpPlan {
 /// are split while they are still in L1.
 const SPLIT_CHUNK: usize = 256;
 
-/// Convert physical points to sites in place and, when `nodes` is given,
-/// split them for the kernel on `halo` (one node per point) in the same
-/// sweep.
-fn points_to_sites(
-    points: &mut [[Real; 3]],
-    n: [usize; 3],
-    split: Option<(&HaloDims, &mut [u32])>,
-) {
+/// Convert physical points to sites in place and split them for the kernel
+/// on `halo` (one node per point) in the same sweep, 256 sites at a time.
+fn points_to_sites(points: &mut [[Real; 3]], n: [usize; 3], halo: &HaloDims, nodes: &mut [u32]) {
     let len = points.len();
+    assert_eq!(nodes.len(), len, "one node per point");
     let shared = SharedSlice::new(points);
-    let nodes = split.map(|(halo, nodes)| (halo, SharedSlice::new(nodes)));
+    let nodes = SharedSlice::new(nodes);
     par_parts(len, len, |range| {
         let end = range.end;
         for at in range.step_by(SPLIT_CHUNK) {
             let chunk = at..(at + SPLIT_CHUNK).min(end);
-            // SAFETY: worker ranges, and so their chunks, are disjoint.
-            let sites = unsafe { shared.slice_mut(chunk.clone()) };
+            // SAFETY: worker ranges, and so their chunks, are disjoint, and
+            // `nodes` is as long as `points` (asserted above).
+            let (sites, nodes) =
+                unsafe { (shared.slice_mut(chunk.clone()), nodes.slice_mut(chunk)) };
             for p in sites.iter_mut() {
                 *p = to_site(*p, n);
             }
-            if let Some((halo, nodes)) = &nodes {
-                // SAFETY: as above; `nodes` is as long as `points`.
-                split_sites(halo, sites, unsafe { nodes.slice_mut(chunk) });
-            }
+            split_sites(halo, sites, nodes);
         }
     });
+}
+
+/// [`points_to_sites`] on p > 1 ranks: a site whose x1 plane another rank
+/// owns is taken out before its chunk is split — it joins its owner's
+/// bucket, its position joins the owner's origins, and its slot gets the
+/// stand-in site `[i0, 0, 0]`. The sweep is serial so that each owner's
+/// bucket is in query order; a first pass counts the buckets so each is
+/// allocated once, at its size.
+fn take_out_remote(
+    layout: &Layout,
+    points: &mut [[Real; 3]],
+    halo: &HaloDims,
+    nodes: &mut [u32],
+) -> (Vec<Vec<[Real; 3]>>, Vec<Vec<u32>>) {
+    let n1 = layout.grid.n[0];
+    let away = |site: &[Real; 3]| {
+        // a NaN x1 converts to plane 0
+        let plane = (site[0] as usize).min(n1 - 1);
+        (!layout.slab.owns(plane)).then(|| layout.owner_of_plane(plane))
+    };
+    let mut counts = vec![0; layout.nranks];
+    for p in points.iter_mut() {
+        *p = to_site(*p, layout.grid.n);
+        if let Some(owner) = away(p) {
+            counts[owner] += 1;
+        }
+    }
+    let mut buckets: Vec<Vec<[Real; 3]>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+    let mut origins: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+    let stand_in = [layout.slab.i0 as Real, 0.0, 0.0];
+    let chunks = points.chunks_mut(SPLIT_CHUNK).zip(nodes.chunks_mut(SPLIT_CHUNK));
+    for (at, (sites, nodes)) in (0..).step_by(SPLIT_CHUNK).zip(chunks) {
+        for (qi, site) in (at..).zip(sites.iter_mut()) {
+            if let Some(owner) = away(site) {
+                buckets[owner].push(*site);
+                origins[owner].push(qi as u32);
+                *site = stand_in;
+            }
+        }
+        split_sites(halo, sites, nodes);
+    }
+    (buckets, origins)
 }
 
 impl Interpolator {
@@ -132,9 +169,10 @@ impl Interpolator {
         self.plan_owned(layout, points, comm)
     }
 
-    /// [`Interpolator::plan`] consuming the point buffer: on one rank the
-    /// points become the plan's site fractions in place, so planning costs
-    /// no second point-sized buffer, only the 4-byte node per site.
+    /// [`Interpolator::plan`] consuming the point buffer: the points become
+    /// the plan's site fractions in place, so planning costs no second
+    /// point-sized buffer, only the 4-byte node per query (and on p > 1
+    /// ranks the sites that travel).
     ///
     /// Collective: every rank passes its own queries.
     pub fn plan_owned(
@@ -148,35 +186,24 @@ impl Interpolator {
         assert_eq!(p, layout.nranks, "plan layout belongs to another communicator");
         let halo = halo_dims(&layout, IpOrder::GHOST_WIDTH);
 
-        if p == 1 {
-            // ---- phase: scatter_mpi_buffer (sites, split) ----
-            let mut nodes = INDEX_POOL.checkout_written(nq, u32::MAX, WsCat::Sl);
-            timing::time(Kernel::Interp, || {
-                points_to_sites(&mut points, layout.grid.n, Some((&halo, &mut nodes)))
-            });
-            let sites = Sites::Local(Split { nodes, frac: points });
-            return InterpPlan { layout, halo, nq, sites };
-        }
-
-        // ---- phase: scatter_mpi_buffer (sites, partitioned by owner) ----
-        let (dest_sites, origins) = timing::time(Kernel::Interp, || {
-            points_to_sites(&mut points, layout.grid.n, None);
-            // bucketing is serial to keep per-owner query order stable
-            let n1 = layout.grid.n[0];
-            let mut dest_sites: Vec<Vec<[Real; 3]>> = (0..p).map(|_| Vec::new()).collect();
-            let mut origins: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-            for (qi, site) in points.iter().enumerate() {
-                let plane = (site[0] as usize).min(n1 - 1);
-                let owner = layout.owner_of_plane(plane);
-                dest_sites[owner].push(*site);
-                origins[owner].push(qi as u32);
+        // ---- phase: scatter_mpi_buffer (sites split; on p > 1 the ones
+        //      another rank owns taken out, by owner) ----
+        let mut nodes = INDEX_POOL.checkout_written(nq, u32::MAX, WsCat::Sl);
+        let routed = timing::time(Kernel::Interp, || {
+            if p == 1 {
+                points_to_sites(&mut points, layout.grid.n, &halo, &mut nodes);
+                None
+            } else {
+                Some(take_out_remote(&layout, &mut points, &halo, &mut nodes))
             }
-            (dest_sites, origins)
         });
-        drop(points);
+        let sites = Split { nodes, frac: points };
+        let Some((buckets, origins)) = routed else {
+            return InterpPlan { layout, halo, sites, remote: None };
+        };
 
         // ---- phase: scatter_comm (ship sites to their owners) ----
-        let received = comm.alltoallv_owned(dest_sites, CommCat::Scatter, AlltoallMethod::Auto);
+        let received = comm.alltoallv_owned(buckets, CommCat::Scatter, AlltoallMethod::Auto);
 
         // the owner splits what it was sent, against its own halo
         let serve = timing::time(Kernel::Interp, || {
@@ -189,6 +216,6 @@ impl Interpolator {
                 })
                 .collect()
         });
-        InterpPlan { layout, halo, nq, sites: Sites::Routed { serve, origins } }
+        InterpPlan { layout, halo, sites, remote: Some(Routing { serve, origins }) }
     }
 }

@@ -229,4 +229,64 @@ mod tests {
             Err(FrameError::Truncated { expected: 4, got: 2 })
         ));
     }
+
+    /// `len` bytes drawn from `seed` (SplitMix64).
+    fn bytes_of(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E3779B97F4A7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+                ((z ^ (z >> 27)) >> 56) as u8
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Whatever bytes arrive, a frame read gives a payload of at most
+        /// `max` bytes or a typed error — never a panic — and a written
+        /// payload reads back. Half the cases announce a short length, so
+        /// whole frames, truncations and oversize headers all occur.
+        #[test]
+        fn any_bytes_read_as_a_bounded_payload_or_a_typed_error(
+            seed in 0u64..u64::MAX,
+            len in 0usize..48,
+            max in 0usize..40,
+        ) {
+            let mut bytes = bytes_of(seed, len);
+            if seed % 2 == 0 && len >= 4 {
+                let announced = (seed >> 8) as u32 % 48;
+                bytes[..4].copy_from_slice(&announced.to_be_bytes());
+            }
+            let mut r = &bytes[..];
+            loop {
+                match read_frame(&mut r, max) {
+                    Ok(payload) => proptest::prop_assert!(payload.len() <= max),
+                    Err(FrameError::Closed) => break,
+                    Err(FrameError::TooLarge { len, max: cap }) => {
+                        proptest::prop_assert!(cap == max && len > max);
+                        break;
+                    }
+                    Err(FrameError::Truncated { expected, got }) => {
+                        proptest::prop_assert!(got < expected);
+                        break;
+                    }
+                    Err(e) => proptest::prop_assert!(false, "untyped failure on a byte slice: {e}"),
+                }
+            }
+
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &bytes).unwrap();
+            let mut r = &framed[..];
+            match read_frame(&mut r, max) {
+                Ok(back) => proptest::prop_assert!(back == bytes && len <= max),
+                Err(FrameError::TooLarge { len: got, .. }) => {
+                    proptest::prop_assert!(got == len && len > max)
+                }
+                Err(e) => proptest::prop_assert!(false, "a written frame failed to read: {e}"),
+            }
+        }
+    }
 }

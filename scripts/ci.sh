@@ -396,6 +396,17 @@ stage_proc_smoke() {
     local sm; sm="$(grep '"rel_mismatch"' "$dir/single.json")"
     [ -n "$sm" ] && [ "$pm" = "$sm" ] || {
         echo "proc smoke: 4-process mismatch differs from one process: '$pm' vs '$sm'"; exit 1; }
+    # the trilinear stencil on 3 ranks of 5-6 planes, where many departure
+    # points leave their rank's slab: the single run's bits again
+    ./target/release/claire-cli launch --in-process --ranks 3 --syn 16 --order linear \
+        --report "$dir/lin3.json" -q
+    ./target/release/claire-cli --syn 16 --order linear --report "$dir/lin1.json" -q
+    local l3 l1
+    l3="$(grep '"rel_mismatch"' "$dir/lin3.json")"
+    l1="$(grep '"rel_mismatch"' "$dir/lin1.json")"
+    [ -n "$l1" ] && [ "$l3" = "$l1" ] || {
+        echo "proc smoke: 3-rank linear mismatch differs from one process: '$l3' vs '$l1'"
+        exit 1; }
     # the report's pool peak is the bytes held at one moment: above zero and
     # at most the sum of the category peaks, which fall at different moments
     local peak sum=0 b

@@ -117,3 +117,47 @@ fn a_matvec_working_set_does_not_grow_with_nt() {
          scalar field ({field} B) apart"
     );
 }
+
+/// An interpolation plan holds 28 bytes of µSL per query on every rank
+/// count — a site's fractions in the buffer its point came in and its floor
+/// node — so on two ranks an owned site is converted, split and stored once,
+/// in place, and only the sites another rank owns travel (outside the
+/// pools, as messages). The two ranks' plans together hold what one rank's
+/// plan holds for the same queries. The sizes exceed every buffer the other
+/// tests here shelve, so each checkout is charged at its request.
+#[test]
+fn a_distributed_plan_holds_each_query_once() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let sl = WsCat::ALL.iter().position(|&c| c == WsCat::Sl).expect("µSL is a category");
+    let in_use = || workspace::stats()[sl].in_use_bytes;
+    let grid = Grid::new([16, 8, 8]);
+    let ip = claire::interp::Interpolator::new(IpOrder::Cubic);
+    let queries = |n: usize, seed: usize| -> Vec<[Real; 3]> {
+        let s = claire::grid::TWO_PI / n as Real;
+        (0..n).map(|i| [((i + seed) % n) as Real * s, (7 * i % n) as Real * s, 0.5]).collect()
+    };
+    let sizes = [5000, 5007];
+    let idle = in_use();
+    let held = run_cluster(Topology::new(2, 1), move |comm| {
+        let layout = Layout::distributed(grid, comm);
+        let plan = ip.plan(layout, &queries(sizes[comm.rank()], comm.rank()), comm);
+        comm.barrier();
+        let held = in_use() - idle;
+        comm.barrier();
+        drop(plan);
+        held
+    });
+    let total = sizes[0] + sizes[1];
+    let mut solo = Comm::solo();
+    let all: Vec<[Real; 3]> = (0..2).flat_map(|r| queries(sizes[r], r)).collect();
+    let before = in_use();
+    let plan = ip.plan(Layout::serial(grid), &all, &mut solo);
+    let one_rank = in_use() - before;
+    drop(plan);
+    assert_eq!(one_rank, 28 * total as u64, "a one-rank plan holds 28 B per query");
+    assert_eq!(
+        held.outputs,
+        vec![one_rank; 2],
+        "two ranks' plans of {total} queries hold other µSL bytes than one rank's"
+    );
+}

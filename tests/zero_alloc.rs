@@ -162,3 +162,58 @@ fn steady_state_mixed_gn_iteration_is_allocation_free() {
     }
     claire_simd::force_backend(None);
 }
+
+/// On p > 1 ranks a plan build and an evaluation allocate per message, never
+/// per site: the queries another rank owns go into buckets sized by a count
+/// first, and every other buffer is pooled or one per peer. So a warm build
+/// plus evaluation allocates as often for a query set as for one four times
+/// larger. The counter is process-wide and both ranks run in this process;
+/// a channel may allocate a block now and then, on either side of a window,
+/// so each size takes the fewest allocations over several rounds.
+#[test]
+fn distributed_plan_allocates_per_message_not_per_site() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    claire::par::set_threads(1);
+    claire::obs::set_enabled(false);
+    let grid = Grid::new([16, 8, 8]);
+    let res = run_cluster(Topology::new(2, 1), move |comm| {
+        let layout = Layout::distributed(grid, comm);
+        let f = ScalarField::from_fn(layout, |x, y, z| x.sin() * y.cos() + z);
+        let ip = claire::interp::Interpolator::new(IpOrder::Cubic);
+        // spread over every plane: about half of each rank's queries travel
+        let queries = |n: usize| -> Vec<[Real; 3]> {
+            let s = claire::grid::TWO_PI / n as Real;
+            (0..n)
+                .map(|i| [i as Real * s, (7 * i % n) as Real * s, (3 * i % n) as Real * s])
+                .collect()
+        };
+        let (small, large) = (queries(300 + 17 * comm.rank()), queries(1200 + 68 * comm.rank()));
+        let mut out = vec![0.0 as Real; large.len()];
+        let mut round = |q: &[[Real; 3]], comm: &mut Comm| {
+            let before = allocation_count();
+            comm.barrier();
+            let plan = ip.plan(layout, q, comm);
+            ip.evaluate(&plan, &[&f], comm, &mut [&mut out[..q.len()]]);
+            drop(plan);
+            comm.barrier();
+            allocation_count() - before
+        };
+        for _ in 0..3 {
+            round(&small, comm);
+            round(&large, comm);
+        }
+        let mut fewest = [u64::MAX; 2];
+        for _ in 0..8 {
+            fewest[0] = fewest[0].min(round(&small, comm));
+            fewest[1] = fewest[1].min(round(&large, comm));
+        }
+        fewest
+    });
+    for (rank, [small, large]) in res.outputs.iter().enumerate() {
+        assert_eq!(
+            small, large,
+            "rank {rank}: a warm 2-rank plan build and evaluation allocate {small} times for a \
+             query set and {large} times for one 4x larger"
+        );
+    }
+}
