@@ -8,32 +8,28 @@
 //! decomposition only splits x1): their halo is padded without
 //! communication.
 //!
-//! There is one sweep: every derivative reads a [`GhostField`] padded by
-//! [`FD8_WIDTH`] on every axis, so the grid's periodicity lives in the halo
-//! and never in the stencil. Each output row is one contiguous
-//! `claire_simd::fd8_combine_scale` over the eight neighbour rows, which sit a
-//! padded plane (x1), a padded row (x2) or one value (x3) apart. Like the GPU
-//! implementation (one thread per output element), the sweep splits the
-//! output into `x1`-planes and hands contiguous blocks of them to worker
-//! threads via `claire-par`. The ghost exchange stays a serial collective —
-//! it is the `ghost_comm` phase, not kernel compute; [`gradient_into`] does
-//! one exchange per field for all three components. The halo comes from
-//! the `fd` workspace pool and goes back when its [`FdScratch`] drops: the
-//! convenience wrappers (`deriv`, `gradient`, `divergence`) and
+//! There is one walk: [`row_tiles`] hands out the owned points as x3-row
+//! tiles of at most [`TILE`] points, contiguous blocks of x1 planes to each
+//! worker thread (the GPU's one thread per output element). Every
+//! derivative reads a [`GhostField`] padded by [`FD8_WIDTH`] on every axis,
+//! so the grid's periodicity lives in the halo and never in the stencil, and
+//! a tile of a derivative is one `claire_simd::fd8_combine_scale` over the
+//! eight neighbour rows, a padded plane (x1), a padded row (x2) or one value
+//! (x3) apart. The ghost exchange stays a serial collective (the
+//! `ghost_comm` phase); a gradient does one for all three components. The
+//! halo comes from the `fd` workspace pool and goes back when its
+//! [`FdScratch`] drops: [`gradient`], [`divergence_scaled`] and
 //! [`gradient_tiles`] hold one for the call only, and a loop that applies
-//! the stencil many times in a row holds its own and calls
-//! [`deriv_into`]/[`gradient_into`].
-//!
-//! A consumer that reads `∇f` once, point by point, need not hold it at all:
-//! [`gradient_tiles`] runs the same sweep one x3-row tile at a time into
-//! stack buffers and hands each tile to the consumer (the transport solves'
-//! `ṽ·∇m` source and the `∫ λ ∇m dt` quadrature), so no `∇f` field is built.
+//! the stencil many times holds its own and calls [`gradient_into`] or
+//! [`divergence_into`]. A consumer that reads `∇f` once, point by point,
+//! takes it from [`gradient_tiles`] a tile at a time (the transport solves'
+//! `ṽ·∇m` source, the `∫ λ ∇m dt` quadrature), so no `∇f` field is built.
 
 use claire_grid::ghost::{self, GhostField};
 use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::Comm;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_chunks_mut, par_parts};
+use claire_par::{par_parts, SharedSlice};
 use claire_simd::fd8_combine_scale;
 
 /// Stencil coefficients `c_m` of the 8th-order central first derivative:
@@ -43,18 +39,22 @@ pub const FD8: [Real; 4] = [4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0];
 /// Halo width of the stencil (points per side, on every axis).
 pub const FD8_WIDTH: usize = 4;
 
-/// Reusable buffers for repeated derivative applications: the ghost halo
-/// every sweep reads and a temporary field for [`divergence_into`]. One scratch
-/// per layout; buffers are checked out of the workspace pools lazily on
-/// first use or layout change, and back in when the scratch drops.
+/// Points per tile of [`row_tiles`] (a row of up to 1 KiB per component).
+/// A point's value does not depend on its tile: the stencil kernel never
+/// mixes lanes.
+pub const TILE: usize = 128;
+
+/// The ghost halo every derivative reads, for repeated derivative
+/// applications. One scratch per layout; the halo is checked out of the
+/// workspace pool lazily on first use or layout change, and back in when
+/// the scratch drops.
 #[derive(Debug, Default)]
 pub struct FdScratch {
     ghost: Option<GhostField>,
-    tmp: Option<ScalarField>,
 }
 
 impl FdScratch {
-    /// Empty scratch; buffers are allocated on first use.
+    /// Empty scratch; the halo is allocated on first use.
     pub fn new() -> FdScratch {
         FdScratch::default()
     }
@@ -65,78 +65,93 @@ impl FdScratch {
         if !fits {
             self.ghost = Some(GhostField::alloc(*f.layout(), FD8_WIDTH));
         }
-        self.ghost.as_mut().unwrap()
+        self.ghost.as_mut().expect("just filled")
     }
 }
 
-/// Partial derivative `∂f/∂x_dim` (dim ∈ {0,1,2}); collective over `comm`
-/// when `dim == 0` (ghost exchange), local otherwise. Allocates the output;
-/// the halo is pooled and held for this call only.
-pub fn deriv(f: &ScalarField, dim: usize, comm: &mut Comm) -> ScalarField {
-    let mut out = ScalarField::for_overwrite(*f.layout());
-    deriv_into(f, dim, comm, &mut out, &mut FdScratch::new());
-    out
+/// One tile of [`row_tiles`]: `len ≤ TILE` consecutive points of one x3
+/// row, the first at slab-relative `pos = [il, j, k0]` and local index `at`.
+#[derive(Clone, Copy, Debug)]
+pub struct Tile {
+    pub pos: [usize; 3],
+    pub at: usize,
+    pub len: usize,
 }
 
-/// Allocation-free partial derivative: writes `∂f/∂x_dim` into `out`, reusing
-/// the halo buffer in `scratch`. Collective when `dim == 0`.
-pub fn deriv_into(
-    f: &ScalarField,
-    dim: usize,
-    comm: &mut Comm,
-    out: &mut ScalarField,
-    scratch: &mut FdScratch,
-) {
-    // `inv_h · 1.0 == inv_h` exactly, so delegating to the scaled kernel
-    // with `s = 1` is bit-identical to the historical unscaled sweep.
-    deriv_scaled_into(f, dim, comm, out, scratch, 1.0 as Real);
-}
-
-/// Allocation-free *scaled* partial derivative: writes `s · ∂f/∂x_dim` into
-/// `out` in the same stencil sweep (the scale folds into the `1/h` factor
-/// already applied per point, so it costs nothing). Lets consumers that
-/// immediately rescale a derivative — e.g. the `½·dt·(∇·v)` term of the
-/// semi-Lagrangian adjoint — drop a whole extra pass over memory.
-/// Collective when `dim == 0`; along x2/x3 the halo is padded locally.
-pub fn deriv_scaled_into(
-    f: &ScalarField,
-    dim: usize,
-    comm: &mut Comm,
-    out: &mut ScalarField,
-    scratch: &mut FdScratch,
-    s: Real,
-) {
-    assert!(dim < 3);
-    let gf = scratch.ghost_for(f);
-    if dim == 0 {
-        ghost::exchange_into(f, comm, gf);
-    } else {
-        ghost::pad_into(f, gf);
+impl Tile {
+    /// The local indices of the tile's points.
+    pub fn range(&self) -> std::ops::Range<usize> {
+        self.at..self.at + self.len
     }
-    sweep(gf, dim, out, s);
 }
 
-/// `s · ∂/∂x_dim` of a filled halo into `out`: one `fd8_combine_scale`
-/// per output row, its eight neighbour rows a plane, a row or one value
-/// apart in the padded storage.
-fn sweep(gf: &GhostField, dim: usize, out: &mut ScalarField, s: Real) {
-    let layout = *gf.layout();
-    assert_eq!(out.layout(), &layout, "output layout mismatch");
-    let inv_h = 1.0 as Real / layout.grid.spacing()[dim];
-    let [_, n2, n3] = layout.local_dims();
-    let [_, rows, cols] = gf.dims().stored;
-    let stride = [rows * cols, cols, 1][dim];
-    let gd = gf.data();
-    timing::time(Kernel::Fd, || {
-        par_chunks_mut(out.data_mut(), n2 * n3, |il, o| {
-            for (j, o) in o.chunks_exact_mut(n3).enumerate() {
-                let at = gf.offset(il as isize, j as isize, 0);
-                let plus = std::array::from_fn(|m| &gd[at + (m + 1) * stride..][..n3]);
-                let minus = std::array::from_fn(|m| &gd[at - (m + 1) * stride..][..n3]);
-                fd8_combine_scale(o, &plus, &minus, &FD8, inv_h, s);
+/// Walk the owned points of a `[n1, n2, n3]` slab in x3-row tiles of at most
+/// [`TILE`] points, calling `each(tile, rows)`. Every owned point is in
+/// exactly one tile, and worker threads take contiguous blocks of x1 planes,
+/// so `each` may write the points of its tile through a [`SharedSlice`];
+/// `rows` are three stack rows of the calling worker, kept across its tiles.
+/// Within a plane the walk takes one x3 offset at a time and every row at
+/// it, so the tile length is fixed over a whole row loop: inlined into its
+/// caller with the stencil, the walk then costs a short row (24 points)
+/// no more than a plain loop over whole rows.
+#[inline(always)]
+pub fn row_tiles<F>(dims: [usize; 3], each: F)
+where
+    F: Fn(Tile, &mut [[Real; TILE]; 3]) + Sync,
+{
+    let [n1, n2, n3] = dims;
+    par_parts(n1, n1 * n2 * n3, |planes| {
+        let mut rows = [[0.0 as Real; TILE]; 3];
+        for il in planes {
+            for k0 in (0..n3).step_by(TILE) {
+                let len = TILE.min(n3 - k0);
+                for j in 0..n2 {
+                    let at = (il * n2 + j) * n3 + k0;
+                    each(Tile { pos: [il, j, k0], at, len }, &mut rows);
+                }
             }
-        });
+        }
     });
+}
+
+/// `s · ∂/∂x_dim` of a filled halo, a tile at a time.
+struct Deriv<'a> {
+    gd: &'a [Real],
+    // the storage index of the owned point [0, 0, 0], and the storage
+    // distances of one x1 plane, one x2 row and one step along x_dim
+    origin: usize,
+    plane: usize,
+    row: usize,
+    step: usize,
+    inv_h: Real,
+    s: Real,
+}
+
+impl<'a> Deriv<'a> {
+    fn new(gf: &'a GhostField, dim: usize, s: Real) -> Deriv<'a> {
+        let [_, rows, cols] = gf.dims().stored;
+        Deriv {
+            gd: gf.data(),
+            origin: gf.offset(0, 0, 0),
+            plane: rows * cols,
+            row: cols,
+            step: [rows * cols, cols, 1][dim],
+            inv_h: 1.0 / gf.layout().grid.spacing()[dim],
+            s,
+        }
+    }
+
+    /// The derivative at the points of `t` into `out` (`t.len` values): one
+    /// `fd8_combine_scale` over the eight neighbour rows.
+    #[inline(always)]
+    fn tile(&self, t: Tile, out: &mut [Real]) {
+        let [il, j, k0] = t.pos;
+        let at = self.origin + il * self.plane + j * self.row + k0;
+        let (gd, step, n) = (self.gd, self.step, t.len);
+        let plus = std::array::from_fn(|m| &gd[at + (m + 1) * step..][..n]);
+        let minus = std::array::from_fn(|m| &gd[at - (m + 1) * step..][..n]);
+        fd8_combine_scale(out, &plus, &minus, &FD8, self.inv_h, self.s);
+    }
 }
 
 /// Gradient `∇f` via three 8th-order derivatives. Collective. Wrapper over
@@ -155,113 +170,104 @@ pub fn gradient_into(
     out: &mut VectorField,
     scratch: &mut FdScratch,
 ) {
+    assert_eq!(out.layout(), f.layout(), "output layout mismatch");
     let gf = scratch.ghost_for(f);
     ghost::exchange_into(f, comm, gf);
-    for (dim, o) in out.c.iter_mut().enumerate() {
-        sweep(gf, dim, o, 1.0 as Real);
-    }
-}
-
-/// Points per tile of [`gradient_tiles`] (a row of up to 1 KiB per
-/// component). A point's value does not depend on its tile: the stencil
-/// kernel never mixes lanes.
-pub const TILE: usize = 128;
-
-/// `∇f` one x3-row tile at a time, never as a field: one halo exchange, then
-/// per row the three components of up to [`TILE`] consecutive points are
-/// swept into stack buffers by the `fd8_combine_scale` of
-/// [`gradient_into`] (the same values, bit for bit) and handed to
-/// `each(at, [g1, g2, g3])`, `at` being the local index of the tile's first
-/// point. Every owned point is in exactly one tile, and worker threads take
-/// contiguous blocks of x1 planes, so `each` may write the points of its
-/// tile through a [`claire_par::SharedSlice`]. Its halo is pooled and held
-/// for this call only; the sweep and `each` run on the FD clock.
-/// Collective.
-pub fn gradient_tiles<F>(f: &ScalarField, comm: &mut Comm, each: F)
-where
-    F: Fn(usize, [&[Real]; 3]) + Sync,
-{
-    let mut gf = GhostField::alloc(*f.layout(), FD8_WIDTH);
-    ghost::exchange_into(f, comm, &mut gf);
-    let h = gf.layout().grid.spacing();
-    let inv_h: [Real; 3] = std::array::from_fn(|d| 1.0 as Real / h[d]);
-    let [n1, n2, n3] = gf.layout().local_dims();
-    let [_, rows, cols] = gf.dims().stored;
-    let stride = [rows * cols, cols, 1];
-    let gd = gf.data();
+    let d: [Deriv; 3] = std::array::from_fn(|dim| Deriv::new(gf, dim, 1.0));
+    let out = out.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
     timing::time(Kernel::Fd, || {
-        par_parts(n1, n1 * n2 * n3, |planes| {
-            let mut tile = [[0.0 as Real; TILE]; 3];
-            for il in planes {
-                for j in 0..n2 {
-                    for k0 in (0..n3).step_by(TILE) {
-                        let len = TILE.min(n3 - k0);
-                        let at = gf.offset(il as isize, j as isize, k0 as isize);
-                        for (d, t) in tile.iter_mut().enumerate() {
-                            let s = stride[d];
-                            let plus = std::array::from_fn(|m| &gd[at + (m + 1) * s..][..len]);
-                            let minus = std::array::from_fn(|m| &gd[at - (m + 1) * s..][..len]);
-                            let out = &mut t[..len];
-                            fd8_combine_scale(out, &plus, &minus, &FD8, inv_h[d], 1.0);
-                        }
-                        let [t1, t2, t3] = &tile;
-                        each((il * n2 + j) * n3 + k0, [&t1[..len], &t2[..len], &t3[..len]]);
-                    }
-                }
+        row_tiles(f.layout().local_dims(), |t, _| {
+            for (d, o) in d.iter().zip(&out) {
+                // SAFETY: every point is in exactly one tile.
+                d.tile(t, unsafe { o.slice_mut(t.range()) });
             }
         });
     });
 }
 
-/// Divergence `∇·v` via three 8th-order derivatives. Collective. Wrapper
-/// over [`divergence_into`] with a call-local scratch.
-pub fn divergence(v: &VectorField, comm: &mut Comm) -> ScalarField {
-    let mut out = ScalarField::for_overwrite(*v.layout());
-    divergence_into(v, comm, &mut out, &mut FdScratch::new());
-    out
+/// `∇f` one [`row_tiles`] tile at a time, never as a field: one halo
+/// exchange, then per tile the three components are made in the walker's
+/// stack rows by the stencil of [`gradient_into`] (the same values, bit for
+/// bit) and handed to `each(at, [g1, g2, g3])`, `at` being the local index
+/// of the tile's first point; `each` may write the points of its tile
+/// through a [`SharedSlice`]. Its halo is pooled and held for this call
+/// only; the stencil and `each` run on the FD clock. Collective.
+pub fn gradient_tiles<F>(f: &ScalarField, comm: &mut Comm, each: F)
+where
+    F: Fn(usize, [&[Real]; 3]) + Sync,
+{
+    let mut scratch = FdScratch::new();
+    let gf = scratch.ghost_for(f);
+    ghost::exchange_into(f, comm, gf);
+    let d: [Deriv; 3] = std::array::from_fn(|dim| Deriv::new(gf, dim, 1.0));
+    timing::time(Kernel::Fd, || {
+        row_tiles(f.layout().local_dims(), |t, rows| {
+            for (d, r) in d.iter().zip(rows.iter_mut()) {
+                d.tile(t, &mut r[..t.len]);
+            }
+            let [g1, g2, g3] = &*rows;
+            each(t.at, [&g1[..t.len], &g2[..t.len], &g3[..t.len]]);
+        });
+    });
 }
 
-/// Allocation-free divergence: writes `∇·v` into `out`, reusing the halo and
-/// temporary field in `scratch`. Collective.
+/// Allocation-free divergence: writes `∇·v` into `out`, reusing the halo in
+/// `scratch`. Collective.
 pub fn divergence_into(
     v: &VectorField,
     comm: &mut Comm,
     out: &mut ScalarField,
     scratch: &mut FdScratch,
 ) {
-    divergence_scaled_into(v, comm, out, scratch, 1.0 as Real);
+    divergence_scaled_into(v, comm, out, scratch, 1.0);
 }
 
-/// Scaled divergence `s·(∇·v)`, allocation-free: the scale folds into each
-/// component's stencil sweep (see [`deriv_scaled_into`]), so a consumer that
-/// needs `s·∇·v` pays zero extra memory passes compared to `∇·v`. Collective.
-pub fn divergence_scaled_into(
+/// Scaled divergence `s·(∇·v)`. The scale folds into the stencil's `1/h`
+/// factor, so a consumer that needs `s·∇·v` (the `½·δt·(∇·v)` of the
+/// semi-Lagrangian adjoint) pays no extra pass over memory. Collective.
+pub fn divergence_scaled(v: &VectorField, comm: &mut Comm, s: Real) -> ScalarField {
+    let mut out = ScalarField::for_overwrite(*v.layout());
+    divergence_scaled_into(v, comm, &mut out, &mut FdScratch::new(), s);
+    out
+}
+
+/// `s·(∇·v)` into `out`, `(s∂₁v₁ + s∂₂v₂) + s∂₃v₃` per point: one halo
+/// serves the three components in turn (exchanged for `v₁`, padded locally
+/// for `v₂`, `v₃`), and each x2/x3 derivative tile is added into `out` as it
+/// is made.
+fn divergence_scaled_into(
     v: &VectorField,
     comm: &mut Comm,
     out: &mut ScalarField,
     scratch: &mut FdScratch,
     s: Real,
 ) {
-    deriv_scaled_into(&v.c[0], 0, comm, out, scratch, s);
-    // one temporary serves both tangential derivatives
-    let mut tmp = scratch
-        .tmp
-        .take()
-        .filter(|t| t.layout() == v.layout())
-        .unwrap_or_else(|| ScalarField::for_overwrite(*v.layout()));
-    for dim in 1..3 {
-        deriv_scaled_into(&v.c[dim], dim, comm, &mut tmp, scratch, s);
-        out.axpy(1.0, &tmp);
+    assert_eq!(out.layout(), v.layout(), "output layout mismatch");
+    let out = SharedSlice::new(out.data_mut());
+    for (dim, c) in v.c.iter().enumerate() {
+        let gf = scratch.ghost_for(c);
+        if dim == 0 {
+            ghost::exchange_into(c, comm, gf);
+        } else {
+            ghost::pad_into(c, gf);
+        }
+        let d = Deriv::new(gf, dim, s);
+        timing::time(Kernel::Fd, || {
+            row_tiles(v.layout().local_dims(), |t, [row, ..]| {
+                // SAFETY: every point is in exactly one tile.
+                let o = unsafe { out.slice_mut(t.range()) };
+                if dim == 0 {
+                    d.tile(t, o);
+                } else {
+                    let row = &mut row[..t.len];
+                    d.tile(t, row);
+                    for (o, r) in o.iter_mut().zip(&*row) {
+                        *o += r;
+                    }
+                }
+            });
+        });
     }
-    scratch.tmp = Some(tmp);
-}
-
-/// Scaled divergence wrapper over [`divergence_scaled_into`] with a
-/// call-local scratch. Collective.
-pub fn divergence_scaled(v: &VectorField, comm: &mut Comm, s: Real) -> ScalarField {
-    let mut out = ScalarField::for_overwrite(*v.layout());
-    divergence_scaled_into(v, comm, &mut out, &mut FdScratch::new(), s);
-    out
 }
 
 #[cfg(test)]
@@ -281,9 +287,9 @@ mod tests {
         let mut comm = Comm::solo();
         for dim in 0..3 {
             let f = ScalarField::from_fn(layout, |x, y, z| [x, y, z][dim].sin());
-            let df = deriv(&f, dim, &mut comm);
+            let df = &gradient(&f, &mut comm).c[dim];
             let expect = ScalarField::from_fn(layout, |x, y, z| [x, y, z][dim].cos());
-            let e = max_err(&df, &expect);
+            let e = max_err(df, &expect);
             assert!(e < 1e-7, "dim {dim}: err {e}");
         }
     }
@@ -298,9 +304,9 @@ mod tests {
             .map(|&n| {
                 let layout = Layout::serial(Grid::cube(n));
                 let f = ScalarField::from_fn(layout, |x, _, _| (3.0 * x).sin());
-                let df = deriv(&f, 0, &mut comm);
+                let df = &gradient(&f, &mut comm).c[0];
                 let expect = ScalarField::from_fn(layout, |x, _, _| 3.0 * (3.0 * x).cos());
-                max_err(&df, &expect)
+                max_err(df, &expect)
             })
             .collect();
         let order = (errs[0] / errs[1]).log2();
@@ -308,23 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn deriv_into_matches_deriv_and_reuses_scratch() {
-        let layout = Layout::serial(Grid::cube(16));
-        let mut comm = Comm::solo();
-        let f = ScalarField::from_fn(layout, |x, y, z| x.sin() * y.cos() + z.sin());
-        let mut out = ScalarField::zeros(layout);
-        let mut scratch = FdScratch::new();
-        for dim in 0..3 {
-            let expect = deriv(&f, dim, &mut comm);
-            // twice through the same scratch: second call must reuse buffers
-            deriv_into(&f, dim, &mut comm, &mut out, &mut scratch);
-            deriv_into(&f, dim, &mut comm, &mut out, &mut scratch);
-            assert_eq!(out.data(), expect.data(), "dim {dim}");
-        }
-    }
-
-    #[test]
-    fn divergence_into_matches_divergence() {
+    fn divergence_into_is_the_unit_scaled_divergence() {
         let layout = Layout::serial(Grid::cube(16));
         let mut comm = Comm::solo();
         let v = VectorField::from_fns(
@@ -333,51 +323,16 @@ mod tests {
             |_, y, z| (y * 0.5).cos() + z.sin(),
             |x, _, z| (x + z).cos(),
         );
-        let expect = divergence(&v, &mut comm);
         let mut out = ScalarField::zeros(layout);
         let mut scratch = FdScratch::new();
+        // twice through the same scratch: the second call reuses its halo
         divergence_into(&v, &mut comm, &mut out, &mut scratch);
-        assert_eq!(out.data(), expect.data());
-    }
-
-    #[test]
-    fn scaled_deriv_matches_deriv_then_scale() {
-        let layout = Layout::serial(Grid::cube(16));
-        let mut comm = Comm::solo();
-        let f = ScalarField::from_fn(layout, |x, y, z| (x + 2.0 * y).sin() + (z * 0.5).cos());
-        let s = 0.37 as Real;
-        let mut scratch = FdScratch::new();
-        for dim in 0..3 {
-            let mut expect = deriv(&f, dim, &mut comm);
-            expect.scale(s);
-            let mut out = ScalarField::zeros(layout);
-            deriv_scaled_into(&f, dim, &mut comm, &mut out, &mut scratch, s);
-            let e = max_err(&out, &expect);
-            assert!(e < 1e-11, "dim {dim}: err {e}");
-        }
-        // s == 1 is bit-identical to the unscaled path
-        let unscaled = deriv(&f, 0, &mut comm);
-        let mut out = ScalarField::zeros(layout);
-        deriv_scaled_into(&f, 0, &mut comm, &mut out, &mut scratch, 1.0);
-        assert_eq!(out.data(), unscaled.data());
-    }
-
-    #[test]
-    fn scaled_divergence_matches_divergence_then_scale() {
-        let layout = Layout::serial(Grid::cube(16));
-        let mut comm = Comm::solo();
-        let v = VectorField::from_fns(
-            layout,
-            |x, y, _| (x + y).sin(),
-            |_, y, z| (y * 0.5).cos() + z.sin(),
-            |x, _, z| (x + z).cos(),
-        );
+        divergence_into(&v, &mut comm, &mut out, &mut scratch);
+        assert_eq!(out.data(), divergence_scaled(&v, &mut comm, 1.0).data());
         let s = -1.75 as Real;
-        let mut expect = divergence(&v, &mut comm);
-        expect.scale(s);
-        let got = divergence_scaled(&v, &mut comm, s);
-        let e = max_err(&got, &expect);
-        assert!(e < 1e-11, "err {e}");
+        out.scale(s);
+        let e = max_err(&divergence_scaled(&v, &mut comm, s), &out);
+        assert!(e < 1e-11, "s·∇·v: err {e}");
     }
 
     #[test]
@@ -424,7 +379,7 @@ mod tests {
         let mut comm = Comm::solo();
         let v =
             VectorField::from_fns(layout, |_, y, _| y.sin(), |_, _, z| z.sin(), |x, _, _| x.sin());
-        let div = divergence(&v, &mut comm);
+        let div = divergence_scaled(&v, &mut comm, 1.0);
         let m = div.max_abs(&mut comm);
         assert!(m < 1e-10, "divergence should vanish: {m}");
     }

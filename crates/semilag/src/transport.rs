@@ -1,13 +1,13 @@
 //! The four transport solves of the optimality system.
 
-use claire_diff::fd::{FdScratch, TILE};
+use claire_diff::fd::{self, FdScratch};
 use claire_grid::workspace::{PoolVec, WsCat, SCALAR_FIELDS, VECTOR_FIELDS};
 use claire_grid::{Real, ScalarField, VectorField};
 use claire_interp::{Interpolator, IpOrder};
 use claire_mpi::Comm;
 use claire_obs::span::span;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_parts, SharedSlice};
+use claire_par::SharedSlice;
 
 use crate::traj::Trajectory;
 
@@ -35,41 +35,33 @@ impl StateSolution {
     /// Fill [`StateSolution::grad_m`] from the stored series (8th-order FD)
     /// — what solving with `store_grad` does. Collective.
     pub fn store_gradients(&mut self, comm: &mut Comm) {
-        // one scratch (halo + temps) shared across all Nt+1 gradients
+        // one halo shared across all Nt+1 gradients
         let mut scratch = FdScratch::new();
         let mut gs = VECTOR_FIELDS.checkout(self.m.len(), WsCat::Pde);
         for mj in self.m.iter() {
             let mut g = VectorField::for_overwrite(*mj.layout());
-            claire_diff::fd::gradient_into(mj, comm, &mut g, &mut scratch);
+            fd::gradient_into(mj, comm, &mut g, &mut scratch);
             gs.push(g);
         }
         self.grad_m = Some(gs);
     }
 
-    /// `∇m(·, t_j)` one x3-row tile at a time, as
-    /// [`claire_diff::fd::gradient_tiles`] hands it out: sliced from
-    /// [`StateSolution::grad_m`] when the series was solved with
-    /// `store_grad`, swept by 8th-order FD from `m[j]` otherwise. Either way
-    /// the tiles and their values are the same, so a consumer has one code
-    /// path. Collective.
+    /// `∇m(·, t_j)` one x3-row tile at a time, as [`fd::gradient_tiles`]
+    /// hands it out: sliced from [`StateSolution::grad_m`] when the series
+    /// was solved with `store_grad`, made by 8th-order FD from `m[j]`
+    /// otherwise. Both walk the tiles of [`fd::row_tiles`] and hold the same
+    /// values, so a consumer has one code path. Collective.
     pub fn grad_tiles<F>(&self, j: usize, comm: &mut Comm, each: F)
     where
         F: Fn(usize, [&[Real]; 3]) + Sync,
     {
         let Some(stored) = &self.grad_m else {
-            return claire_diff::fd::gradient_tiles(&self.m[j], comm, each);
+            return fd::gradient_tiles(&self.m[j], comm, each);
         };
-        let [g1, g2, g3] = stored[j].c.each_ref().map(|c| c.data());
-        let [n1, n2, n3] = stored[j].c[0].layout().local_dims();
+        let g = stored[j].c.each_ref().map(|c| c.data());
         timing::time(Kernel::FieldOps, || {
-            par_parts(n1, n1 * n2 * n3, |planes| {
-                for row in planes.start * n2..planes.end * n2 {
-                    for k0 in (0..n3).step_by(TILE) {
-                        let at = row * n3 + k0;
-                        let tile = at..at + TILE.min(n3 - k0);
-                        each(at, [&g1[tile.clone()], &g2[tile.clone()], &g3[tile]]);
-                    }
-                }
+            fd::row_tiles(stored[j].layout().local_dims(), |t, _| {
+                each(t.at, g.map(|c| &c[t.range()]));
             });
         });
     }
@@ -511,22 +503,35 @@ mod tests {
 
     #[test]
     fn store_grad_matches_recompute() {
-        let (layout, tr, ip, mut comm) = solo_setup(12, 4);
-        let v = VectorField::from_fns(
-            layout,
-            |_, y, _| 0.2 * y.sin(),
-            |x, _, _| 0.1 * x.sin(),
-            |_, _, _| 0.0,
-        );
-        let vt = VectorField::from_fns(layout, |x, _, _| x.cos(), |_, _, _| 0.1, |_, _, _| 0.0);
-        let m0 = ScalarField::from_fn(layout, |x, y, _| (x + y).sin());
-        let traj = Trajectory::compute(&v, tr.nt, &ip, &mut comm);
-        let with = tr.solve_state(&traj, &m0, true, &ip, &mut comm);
-        let without = tr.solve_state(&traj, &m0, false, &ip, &mut comm);
-        let a = tr.solve_inc_state(&traj, &vt, &with, &ip, &mut comm);
-        let b = tr.solve_inc_state(&traj, &vt, &without, &ip, &mut comm);
-        // the stored and the swept tiles hold the same values
-        assert_eq!(a.data(), b.data(), "store_grad must not change results");
+        // a cube, and rows that end in a ragged tile, on one and two ranks
+        let grids = [[12; 3], [8, 4, 2 * fd::TILE + 6]];
+        for (n, p) in grids.into_iter().flat_map(|n| [(n, 1), (n, 2)]) {
+            let grid = Grid::new(n);
+            let res = run_cluster(Topology::new(p, 4), move |comm| {
+                let layout = Layout::distributed(grid, comm);
+                let (tr, ip) =
+                    (Transport::new(4, IpOrder::Cubic), Interpolator::new(IpOrder::Cubic));
+                let v = VectorField::from_fns(
+                    layout,
+                    |_, y, _| 0.2 * y.sin(),
+                    |x, _, _| 0.1 * x.sin(),
+                    |_, _, _| 0.0,
+                );
+                let vt =
+                    VectorField::from_fns(layout, |x, _, _| x.cos(), |_, _, _| 0.1, |_, _, _| 0.0);
+                let m0 = ScalarField::from_fn(layout, |x, y, _| (x + y).sin());
+                let traj = Trajectory::compute(&v, tr.nt, &ip, comm);
+                let with = tr.solve_state(&traj, &m0, true, &ip, comm);
+                let without = tr.solve_state(&traj, &m0, false, &ip, comm);
+                let a = tr.solve_inc_state(&traj, &vt, &with, &ip, comm);
+                let b = tr.solve_inc_state(&traj, &vt, &without, &ip, comm);
+                (a.into_data(), b.into_data())
+            });
+            for (rank, (a, b)) in res.outputs.iter().enumerate() {
+                // the stored and the swept tiles hold the same values
+                assert_eq!(a, b, "{n:?} p={p} rank {rank}: store_grad must not change results");
+            }
+        }
     }
 
     #[test]

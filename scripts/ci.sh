@@ -6,7 +6,8 @@
 #                             16³, RunReport smoke-run (the key order is
 #                             a tier-1 test), batch smoke-run,
 #                             multi-process launch smoke-run
-#   scripts/ci.sh --quick     inner-loop gate: build + tier-1 tests + full
+#   scripts/ci.sh --quick     inner-loop gate: unused dev-dependencies +
+#                             build + tier-1 tests + full
 #                             workspace tests + debug tests of the solver
 #                             crates + benchmark-package tests + clippy
 #                             (skips benches AND the launch smoke stage)
@@ -96,6 +97,22 @@ retry_stage() {
     done
     echo "$fn failed after $tries attempt(s) (last exit $rc)" >&2
     return "$rc"
+}
+
+stage_dev_deps() {
+    # a dev-dependency that no source file of its package names is an edge
+    # in the build graph and the lock file that no test uses
+    local manifest dir pkg dep bad=0 srcs
+    for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
+        dir="$(dirname "$manifest")"
+        pkg="$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)"
+        # the root package's sources are its own directories, not the members'
+        if [ "$dir" = . ]; then srcs=(src tests examples); else srcs=("$dir"); fi
+        for dep in $(sed -n '/^\[dev-dependencies\]/,/^\[/s/^\([A-Za-z0-9_-]*\)[. =].*/\1/p' "$manifest"); do
+            grep -rqw --include='*.rs' "${dep//-/_}" "${srcs[@]}" || { echo "$pkg: $dep"; bad=1; }
+        done
+    done
+    [ "$bad" -eq 0 ] || { echo "the dev-dependencies above are named by no source of their package"; exit 1; }
 }
 
 stage_build() {
@@ -460,6 +477,7 @@ fi
 
 trap write_stage_timings EXIT
 
+stage "unused dev-dependencies" stage_dev_deps
 stage build stage_build
 stage "tier-1 tests (root package)" stage_tier1_tests
 # every crate's own tests, in --quick too: a red crate-level test must not

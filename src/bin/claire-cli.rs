@@ -78,11 +78,11 @@
 use claire::core::config::ConfigField;
 use claire::core::{observe, Claire, ClaireError, RegistrationConfig, SolverHooks};
 use claire::data::nifti;
-use claire::grid::Grid;
+use claire::grid::{Grid, ScalarField, VectorField};
 use claire::interp::Interpolator;
 use claire::ipc::{LaunchSpec, SocketTransport};
 use claire::mpi::{Comm, Topology, TransportError};
-use claire::semilag::{displacement, Trajectory};
+use claire::semilag::{displacement, Trajectory, Transport};
 use serde::field;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -238,11 +238,11 @@ fn parse_args(args: Vec<String>) -> Options {
     let get = |i: usize| positional.get(i).map(PathBuf::from).unwrap_or_default();
     Options { template: get(0), reference: get(1), out, report, syn, cfg }
 }
-fn load(path: &Path) -> claire::grid::ScalarField {
+fn load(path: &Path) -> ScalarField {
     nifti::read(path).unwrap_or_else(|e| fail(&io_error("nifti::read", path, &e)))
 }
 
-fn write_nifti(path: &Path, field: &claire::grid::ScalarField) {
+fn write_nifti(path: &Path, field: &ScalarField) {
     nifti::write(path, field).unwrap_or_else(|e| fail(&io_error("nifti::write", path, &e)));
 }
 
@@ -344,20 +344,11 @@ fn single_main(opts: Options) {
     };
 
     create_dir(&opts.out);
-    // deformed template
-    let mut problem = claire::core::RegProblem::new(m0.clone(), m1.clone(), cfg, &mut comm)
-        .unwrap_or_else(|e| fail(&e));
-    let deformed = problem.deformed_template(&v, &mut comm);
+    let (deformed, det) = deformed_and_jacobian(&m0, &v, &cfg, &mut comm);
     write_nifti(&opts.out.join("deformed_template.nii"), &deformed);
-    // velocity components
     for (d, comp) in v.c.iter().enumerate() {
         write_nifti(&opts.out.join(format!("velocity_{}.nii", d + 1)), comp);
     }
-    // Jacobian determinant map
-    let ip = Interpolator::new(cfg.ip_order);
-    let traj = Trajectory::backward(&v, cfg.nt, &ip, &mut comm);
-    let u = displacement::displacement(&traj, cfg.nt, &ip, &mut comm);
-    let det = displacement::jacobian_det(&u, &mut comm);
     write_nifti(&opts.out.join("jacobian_det.nii"), &det);
     if let Some(report) = row {
         let json = serde_json::to_string_pretty(&report).unwrap_or_else(|e| {
@@ -366,6 +357,22 @@ fn single_main(opts: Options) {
         write_text(&opts.out.join("report.json"), &json);
     }
     eprintln!("wrote results to {}", opts.out.display());
+}
+
+/// The deformed template `m(·, 1)` and the Jacobian determinant map of the
+/// deformation `v` generates, both from one backward trajectory of `v`.
+fn deformed_and_jacobian(
+    m0: &ScalarField,
+    v: &VectorField,
+    cfg: &RegistrationConfig,
+    comm: &mut Comm,
+) -> (ScalarField, ScalarField) {
+    let ip = Interpolator::new(cfg.ip_order);
+    let traj = Trajectory::backward(v, cfg.nt, &ip, comm);
+    let transport = Transport::new(cfg.nt, cfg.ip_order);
+    let deformed = transport.solve_state(&traj, m0, false, &ip, comm).final_state().clone();
+    let u = displacement::displacement(&traj, cfg.nt, &ip, comm);
+    (deformed, displacement::jacobian_det(&u, comm))
 }
 
 // ---------------------------------------------------------------------------
@@ -659,7 +666,7 @@ fn worker_rank_main(args: Vec<String>) {
 mod tests {
     use super::*;
     use batch::{parse_job, parse_jobs, parse_manifest, Job};
-    use claire::core::{Precision, PrecondKind};
+    use claire::core::{Precision, PrecondKind, RegProblem};
     use claire::interp::IpOrder;
 
     fn job(json: &str) -> Result<Job, ClaireError> {
@@ -673,6 +680,33 @@ mod tests {
             assert!(config_flag(&mut base, &arg, &mut args), "{arg} is not a solver flag");
         }
         base
+    }
+
+    #[test]
+    fn one_trajectory_writes_the_problems_deformed_template_and_jacobian() {
+        let mut comm = Comm::solo();
+        let syn = claire::data::syn::syn_problem([8; 3], &mut comm);
+        let (m0, v) = (&syn.template, &syn.true_velocity);
+        let bits = |f: &ScalarField| f.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for ip_order in [IpOrder::Linear, IpOrder::Cubic] {
+            let cfg = RegistrationConfig { ip_order, ..base_config() };
+            let (deformed, det) = deformed_and_jacobian(m0, v, &cfg, &mut comm);
+            let mut problem =
+                RegProblem::new(m0.clone(), syn.reference.clone(), cfg, &mut comm).unwrap();
+            assert_eq!(
+                bits(&deformed),
+                bits(&problem.deformed_template(v, &mut comm)),
+                "{ip_order:?}"
+            );
+            let ip = Interpolator::new(ip_order);
+            let traj = Trajectory::backward(v, cfg.nt, &ip, &mut comm);
+            let u = displacement::displacement(&traj, cfg.nt, &ip, &mut comm);
+            assert_eq!(
+                bits(&det),
+                bits(&displacement::jacobian_det(&u, &mut comm)),
+                "{ip_order:?}"
+            );
+        }
     }
 
     #[test]

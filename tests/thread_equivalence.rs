@@ -54,7 +54,7 @@ fn fd_derivatives_identical_across_thread_counts() {
     for dim in 0..3 {
         let results = at_thread_counts(&COUNTS, || {
             let mut comm = Comm::solo();
-            fd::deriv(&f, dim, &mut comm)
+            fd::gradient(&f, &mut comm).c[dim].clone()
         });
         for r in &results[1..] {
             assert_bits_eq(results[0].data(), r.data(), &format!("fd deriv dim {dim}"));
@@ -82,7 +82,7 @@ fn fd_gradient_and_divergence_identical_across_thread_counts() {
     );
     let divs = at_thread_counts(&COUNTS, || {
         let mut comm = Comm::solo();
-        fd::divergence(&v, &mut comm)
+        fd::divergence_scaled(&v, &mut comm, 1.0)
     });
     for d in &divs[1..] {
         assert_bits_eq(divs[0].data(), d.data(), "divergence");
@@ -216,7 +216,7 @@ proptest! {
                 (kr * [x, y, z][dim]).sin()
             });
             let mut comm = Comm::solo();
-            let d = with_threads(nthreads, || fd::deriv(&f, dim, &mut comm));
+            let d = with_threads(nthreads, || fd::gradient(&f, &mut comm).c[dim].clone());
             let exact = ScalarField::from_fn(layout, move |x, y, z| {
                 kr * (kr * [x, y, z][dim]).cos()
             });
