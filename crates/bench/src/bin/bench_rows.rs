@@ -10,6 +10,7 @@
 //! | `fft_dist_roundtrip_p2` | the FFT probes run on the workload's ranks; only `reg_2r` has two, at 40×32×24 |
 //! | `ghost_sock_p{2,4}`, `alltoallv_sock_p{2,4}` | no workload runs the socket transport |
 //! | `alltoallv_chan_p{2,4}` | `mpi.alltoallv_ms` times one volume on two ranks; this is the in-process carrier beside the socket rows, same volume, 2 and 4 ranks, borrowing form |
+//! | `fd_gradient`, `fd_divergence` | `diff.fd_*_ns_per_point` time 24-point rows, 4 calls each; these are rows of `2·n` points (one tile and a tile and a half at the default size), the median of 21 calls |
 //! | `pcg_h0`, `pcg_h0_mixed` | `core.precond_s` is a whole solve's total; this is per point per inner iteration, and its growth between the two sizes is what ROADMAP item 4 is judged on |
 //!
 //! The rows say which layer moved; nothing is gated on them. A performance
@@ -19,6 +20,7 @@ use std::time::Instant;
 
 use claire_bench::bench_n;
 use claire_core::precond::inv_h0;
+use claire_diff::fd::{divergence_into, gradient_into, FdScratch};
 use claire_diff::SpectralT;
 use claire_fft::{cache, pass, CpxT, DistFft, FftElem};
 use claire_grid::{ghost, Grid, Layout, Real, ScalarField, VectorField, VectorFieldT, WsCat};
@@ -47,6 +49,22 @@ fn measure(per: usize, mut f: impl FnMut()) -> f64 {
         t0.elapsed()
     });
     batch.min().unwrap().as_nanos() as f64 / (REPS * per) as f64
+}
+
+/// Nanoseconds per unit of work of the median call of `f`, over `per`
+/// units per call: one warm call, then 21 timed ones.
+fn median(per: usize, mut f: impl FnMut()) -> f64 {
+    const CALLS: usize = 21;
+    f();
+    let mut t: Vec<f64> = (0..CALLS)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos() as f64
+        })
+        .collect();
+    t.sort_by(f64::total_cmp);
+    t[CALLS / 2] / per as f64
 }
 
 /// The three passes of the 3-D transform, each forward + inverse on its own
@@ -102,6 +120,25 @@ fn interp(n: usize) -> Rows {
         ("interp_planned".into(), "ns/query", cubic),
         ("interp_planned_linear".into(), "ns/query", linear),
     ]
+}
+
+/// The 8th-order FD gradient and divergence on an `[n, n/2, 2n]` grid: `n³`
+/// points in x3 rows of `2n`, which at the default size are one [`TILE`]
+/// (`n = 64`) and a tile and a half (`n = 96`), lengths the benchmark's
+/// 24-point rows never reach.
+///
+/// [`TILE`]: claire_diff::fd::TILE
+fn fd(n: usize) -> Rows {
+    let layout = Layout::serial(Grid::new([n, n / 2, 2 * n]));
+    let f = test_field(layout);
+    let v = VectorField { c: [f.clone(), f.clone(), f.clone()] };
+    let mut comm = Comm::solo();
+    let mut scratch = FdScratch::new();
+    let (mut grad, mut div) = (VectorField::zeros(layout), ScalarField::zeros(layout));
+    let points = layout.local_len();
+    let g = median(points, || gradient_into(&f, &mut comm, &mut grad, &mut scratch));
+    let d = median(points, || divergence_into(&v, &mut comm, &mut div, &mut scratch));
+    vec![("fd_gradient".into(), "ns/point", g), ("fd_divergence".into(), "ns/point", d)]
 }
 
 /// Distributed FFT round trip on two in-process ranks: slab decomposition
@@ -208,8 +245,8 @@ fn pcg_h0(n: usize) -> Rows {
 fn main() {
     let sizes = [2 * bench_n(), 3 * bench_n()];
     let (backend, threads) = (claire_simd::active_backend().label(), claire_par::num_threads());
-    let families: [fn(usize) -> Rows; 7] =
-        [fft_passes::<Real>, fft_passes::<f32>, interp, fft_dist, sockets, channels, pcg_h0];
+    let families: [fn(usize) -> Rows; 8] =
+        [fft_passes::<Real>, fft_passes::<f32>, interp, fd, fft_dist, sockets, channels, pcg_h0];
     for family in families {
         let [small, large] = sizes.map(family);
         for ((row, unit, a), (_, _, b)) in small.into_iter().zip(large) {

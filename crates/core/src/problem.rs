@@ -212,16 +212,27 @@ fn add_lambda_grad(
     // one pass over λ for the three components
     let [a1, a2, a3] = acc.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
     state.grad_tiles(j, comm, |at, [g1, g2, g3]| {
-        let tile = at..at + g1.len();
+        let n = g1.len();
+        let tile = at..at + n;
         // SAFETY: every point is in exactly one tile.
-        let (o1, o2, o3) =
-            unsafe { (a1.slice_mut(tile.clone()), a2.slice_mut(tile.clone()), a3.slice_mut(tile)) };
-        for k in 0..g1.len() {
-            let wl = w * lam[at + k];
-            let [s1, s2, s3] = if first { [0.0; 3] } else { [o1[k], o2[k], o3[k]] };
-            o1[k] = s1 + wl * g1[k];
-            o2[k] = s2 + wl * g2[k];
-            o3[k] = s3 + wl * g3[k];
+        let (o1, o2, o3) = unsafe {
+            (a1.slice_mut(tile.clone()), a2.slice_mut(tile.clone()), a3.slice_mut(tile.clone()))
+        };
+        let (lam, g2, g3) = (&lam[tile], &g2[..n], &g3[..n]);
+        if first {
+            for k in 0..n {
+                let wl = w * lam[k];
+                o1[k] = 0.0 + wl * g1[k];
+                o2[k] = 0.0 + wl * g2[k];
+                o3[k] = 0.0 + wl * g3[k];
+            }
+        } else {
+            for k in 0..n {
+                let wl = w * lam[k];
+                o1[k] += wl * g1[k];
+                o2[k] += wl * g2[k];
+                o3[k] += wl * g3[k];
+            }
         }
     });
 }

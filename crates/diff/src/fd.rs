@@ -8,14 +8,15 @@
 //! decomposition only splits x1): their halo is padded without
 //! communication.
 //!
-//! There is one walk: [`row_tiles`] hands out the owned points as x3-row
-//! tiles of at most [`TILE`] points, contiguous blocks of x1 planes to each
-//! worker thread (the GPU's one thread per output element). Every
+//! There is one walk: [`row_tiles`] hands out the owned points as tiles of
+//! at most [`TILE`] points — whole x3 rows of one x1 plane when a row fits
+//! a tile, pieces of one row otherwise — contiguous blocks of x1 planes to
+//! each worker thread (the GPU's one thread per output element). Every
 //! derivative reads a [`GhostField`] padded by [`FD8_WIDTH`] on every axis,
 //! so the grid's periodicity lives in the halo and never in the stencil, and
-//! a tile of a derivative is one `claire_simd::fd8_combine_scale` over the
-//! eight neighbour rows, a padded plane (x1), a padded row (x2) or one value
-//! (x3) apart. The ghost exchange stays a serial collective (the
+//! a tile of a derivative is one `claire_simd::fd8_rows` call over the
+//! tile's rows, its neighbours a padded plane (x1), a padded row (x2) or
+//! one value (x3) apart. The ghost exchange stays a serial collective (the
 //! `ghost_comm` phase); a gradient does one for all three components. The
 //! halo comes from the `fd` workspace pool and goes back when its
 //! [`FdScratch`] drops: [`gradient`], [`divergence_scaled`] and
@@ -30,7 +31,7 @@ use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::Comm;
 use claire_par::timing::{self, Kernel};
 use claire_par::{par_parts, SharedSlice};
-use claire_simd::fd8_combine_scale;
+use claire_simd::{fd8_rows, RowBlock};
 
 /// Stencil coefficients `c_m` of the 8th-order central first derivative:
 /// `f'(x) ≈ (1/h) Σ_{m=1..4} c_m (f(x+mh) − f(x−mh))`.
@@ -39,7 +40,7 @@ pub const FD8: [Real; 4] = [4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0];
 /// Halo width of the stencil (points per side, on every axis).
 pub const FD8_WIDTH: usize = 4;
 
-/// Points per tile of [`row_tiles`] (a row of up to 1 KiB per component).
+/// Points per tile of [`row_tiles`] (up to 1 KiB per component).
 /// A point's value does not depend on its tile: the stencil kernel never
 /// mixes lanes.
 pub const TILE: usize = 128;
@@ -69,45 +70,58 @@ impl FdScratch {
     }
 }
 
-/// One tile of [`row_tiles`]: `len ≤ TILE` consecutive points of one x3
-/// row, the first at slab-relative `pos = [il, j, k0]` and local index `at`.
+/// One tile of [`row_tiles`]: `rows` x3 rows of `len` points each, the
+/// first point at slab-relative `pos = [il, j, k0]` and local index `at`.
+/// Its points are contiguous in an unpadded field: either whole rows
+/// (`k0 = 0`, `len = n3`) or one piece of a row (`rows = 1`).
 #[derive(Clone, Copy, Debug)]
 pub struct Tile {
     pub pos: [usize; 3],
     pub at: usize,
+    pub rows: usize,
     pub len: usize,
 }
 
 impl Tile {
+    /// The tile's points.
+    pub fn points(&self) -> usize {
+        self.rows * self.len
+    }
+
     /// The local indices of the tile's points.
     pub fn range(&self) -> std::ops::Range<usize> {
-        self.at..self.at + self.len
+        self.at..self.at + self.points()
     }
 }
 
-/// Walk the owned points of a `[n1, n2, n3]` slab in x3-row tiles of at most
-/// [`TILE`] points, calling `each(tile, rows)`. Every owned point is in
+/// Walk the owned points of a `[n1, n2, n3]` slab in tiles of at most
+/// [`TILE`] points, calling `each(tile, stack)`. Every owned point is in
 /// exactly one tile, and worker threads take contiguous blocks of x1 planes,
 /// so `each` may write the points of its tile through a [`SharedSlice`];
-/// `rows` are three stack rows of the calling worker, kept across its tiles.
-/// Within a plane the walk takes one x3 offset at a time and every row at
-/// it, so the tile length is fixed over a whole row loop: inlined into its
-/// caller with the stencil, the walk then costs a short row (24 points)
-/// no more than a plain loop over whole rows.
+/// `stack` is three tile-sized rows on the calling worker's stack, kept
+/// across its tiles.
+/// When a row fits a tile (`n3 ≤ TILE`), a tile is `⌊TILE/n3⌋` whole rows
+/// of one plane (the last of a plane may have fewer), so a short row costs
+/// no call of its own. A longer row is cut into tiles of `TILE` points and
+/// a shorter last one, and the walk takes all of one row's tiles before
+/// the next row's.
 #[inline(always)]
 pub fn row_tiles<F>(dims: [usize; 3], each: F)
 where
     F: Fn(Tile, &mut [[Real; TILE]; 3]) + Sync,
 {
     let [n1, n2, n3] = dims;
+    // rows per tile and points per row piece
+    let (per, width) = if n3 <= TILE { (TILE / n3.max(1), n3) } else { (1, TILE) };
     par_parts(n1, n1 * n2 * n3, |planes| {
-        let mut rows = [[0.0 as Real; TILE]; 3];
+        let mut stack = [[0.0 as Real; TILE]; 3];
         for il in planes {
-            for k0 in (0..n3).step_by(TILE) {
-                let len = TILE.min(n3 - k0);
-                for j in 0..n2 {
+            for j in (0..n2).step_by(per) {
+                let rows = per.min(n2 - j);
+                for k0 in (0..n3).step_by(width) {
+                    let len = width.min(n3 - k0);
                     let at = (il * n2 + j) * n3 + k0;
-                    each(Tile { pos: [il, j, k0], at, len }, &mut rows);
+                    each(Tile { pos: [il, j, k0], at, rows, len }, &mut stack);
                 }
             }
         }
@@ -123,8 +137,8 @@ struct Deriv<'a> {
     plane: usize,
     row: usize,
     step: usize,
-    inv_h: Real,
-    s: Real,
+    // `s/h`, as `(1/h)·s`
+    scale: Real,
 }
 
 impl<'a> Deriv<'a> {
@@ -136,21 +150,19 @@ impl<'a> Deriv<'a> {
             plane: rows * cols,
             row: cols,
             step: [rows * cols, cols, 1][dim],
-            inv_h: 1.0 / gf.layout().grid.spacing()[dim],
-            s,
+            scale: 1.0 / gf.layout().grid.spacing()[dim] * s,
         }
     }
 
-    /// The derivative at the points of `t` into `out` (`t.len` values): one
-    /// `fd8_combine_scale` over the eight neighbour rows.
+    /// The derivative at the points of `t` into `out` (`t.points()`
+    /// values), or with `add` added to them: one [`fd8_rows`] call over the
+    /// tile's rows.
     #[inline(always)]
-    fn tile(&self, t: Tile, out: &mut [Real]) {
+    fn tile(&self, t: Tile, out: &mut [Real], add: bool) {
         let [il, j, k0] = t.pos;
         let at = self.origin + il * self.plane + j * self.row + k0;
-        let (gd, step, n) = (self.gd, self.step, t.len);
-        let plus = std::array::from_fn(|m| &gd[at + (m + 1) * step..][..n]);
-        let minus = std::array::from_fn(|m| &gd[at - (m + 1) * step..][..n]);
-        fd8_combine_scale(out, &plus, &minus, &FD8, self.inv_h, self.s);
+        let block = RowBlock { at, stride: self.row, rows: t.rows, len: t.len };
+        fd8_rows(out, self.gd, block, self.step, &FD8, self.scale, add);
     }
 }
 
@@ -179,7 +191,7 @@ pub fn gradient_into(
         row_tiles(f.layout().local_dims(), |t, _| {
             for (d, o) in d.iter().zip(&out) {
                 // SAFETY: every point is in exactly one tile.
-                d.tile(t, unsafe { o.slice_mut(t.range()) });
+                d.tile(t, unsafe { o.slice_mut(t.range()) }, false);
             }
         });
     });
@@ -201,12 +213,13 @@ where
     ghost::exchange_into(f, comm, gf);
     let d: [Deriv; 3] = std::array::from_fn(|dim| Deriv::new(gf, dim, 1.0));
     timing::time(Kernel::Fd, || {
-        row_tiles(f.layout().local_dims(), |t, rows| {
-            for (d, r) in d.iter().zip(rows.iter_mut()) {
-                d.tile(t, &mut r[..t.len]);
+        row_tiles(f.layout().local_dims(), |t, stack| {
+            let n = t.points();
+            for (d, r) in d.iter().zip(stack.iter_mut()) {
+                d.tile(t, &mut r[..n], false);
             }
-            let [g1, g2, g3] = &*rows;
-            each(t.at, [&g1[..t.len], &g2[..t.len], &g3[..t.len]]);
+            let [g1, g2, g3] = &*stack;
+            each(t.at, [&g1[..n], &g2[..n], &g3[..n]]);
         });
     });
 }
@@ -233,8 +246,8 @@ pub fn divergence_scaled(v: &VectorField, comm: &mut Comm, s: Real) -> ScalarFie
 
 /// `s·(∇·v)` into `out`, `(s∂₁v₁ + s∂₂v₂) + s∂₃v₃` per point: one halo
 /// serves the three components in turn (exchanged for `v₁`, padded locally
-/// for `v₂`, `v₃`), and each x2/x3 derivative tile is added into `out` as it
-/// is made.
+/// for `v₂`, `v₃`); the x1 derivative is stored and each x2/x3 derivative
+/// tile is added into `out` by the stencil kernel as it is made.
 fn divergence_scaled_into(
     v: &VectorField,
     comm: &mut Comm,
@@ -253,18 +266,9 @@ fn divergence_scaled_into(
         }
         let d = Deriv::new(gf, dim, s);
         timing::time(Kernel::Fd, || {
-            row_tiles(v.layout().local_dims(), |t, [row, ..]| {
+            row_tiles(v.layout().local_dims(), |t, _| {
                 // SAFETY: every point is in exactly one tile.
-                let o = unsafe { out.slice_mut(t.range()) };
-                if dim == 0 {
-                    d.tile(t, o);
-                } else {
-                    let row = &mut row[..t.len];
-                    d.tile(t, row);
-                    for (o, r) in o.iter_mut().zip(&*row) {
-                        *o += r;
-                    }
-                }
+                d.tile(t, unsafe { out.slice_mut(t.range()) }, dim > 0);
             });
         });
     }

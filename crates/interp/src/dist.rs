@@ -2,12 +2,14 @@
 //! evaluating an [`InterpPlan`] is ghost exchange → batched stencil kernel →
 //! value return; the two scatter phases belong to the plan build.
 
+use std::ops::Range;
+
 use claire_grid::ghost::{self, GhostField};
 use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::{AlltoallMethod, Comm, CommCat};
 use claire_par::timing::{self, Kernel};
 use claire_par::{par_parts, SharedSlice};
-use claire_simd::{interp_sites, HaloDims};
+use claire_simd::{interp_sites, HaloDims, SiteOut};
 
 use crate::kernel::IpOrder;
 use crate::plan::InterpPlan;
@@ -29,18 +31,12 @@ pub struct Interpolator {
 }
 
 /// Where one evaluation's values land, indexed by query: a slice per field
-/// or one packed `[Real; NF]` per query, each value times the query's
-/// factor in `scale` when there is one. Workers write disjoint indices
-/// through the shared views.
+/// (each value times the query's factor in the optional scale) or one
+/// packed `[Real; NF]` per query. Workers write disjoint ranges through the
+/// shared views.
 #[derive(Clone, Copy)]
-struct Dest<'a, const NF: usize> {
-    out: Out<'a, NF>,
-    scale: Option<&'a [Real]>,
-}
-
-#[derive(Clone, Copy)]
-enum Out<'a, const NF: usize> {
-    PerField([SharedSlice<'a, Real>; NF]),
+enum Dest<'a, const NF: usize> {
+    PerField([SharedSlice<'a, Real>; NF], Option<&'a [Real]>),
     Packed(SharedSlice<'a, [Real; NF]>),
 }
 
@@ -48,41 +44,54 @@ impl<'a, const NF: usize> Dest<'a, NF> {
     fn per_field<'b: 'a>(outs: &'a mut [&'b mut [Real]]) -> Dest<'a, NF> {
         assert_eq!(outs.len(), NF, "one output buffer per field");
         let mut it = outs.iter_mut();
-        let out = Out::PerField(std::array::from_fn(|_| {
-            SharedSlice::new(it.next().expect("length checked above"))
-        }));
-        Dest { out, scale: None }
+        let out =
+            std::array::from_fn(|_| SharedSlice::new(it.next().expect("length checked above")));
+        Dest::PerField(out, None)
     }
 
     /// Queries the destination has room for.
     fn len(&self) -> usize {
-        let room = match &self.out {
-            Out::PerField(s) => s.iter().map(SharedSlice::len).min().unwrap_or(0),
-            Out::Packed(s) => s.len(),
-        };
-        self.scale.map_or(room, |s| room.min(s.len()))
+        match self {
+            Dest::PerField(s, scale) => {
+                let room = s.iter().map(SharedSlice::len).min().unwrap_or(0);
+                scale.map_or(room, |s| room.min(s.len()))
+            }
+            Dest::Packed(s) => s.len(),
+        }
     }
 
-    /// Store query `i`'s values.
+    /// The queries `range` of the destination, as the site kernel stores
+    /// them.
+    ///
+    /// # Safety
+    /// `range` lies in `0..self.len()`, and no other thread reads or writes
+    /// it while the returned view lives.
+    unsafe fn part(&self, range: Range<usize>) -> SiteOut<'a, NF> {
+        match self {
+            Dest::PerField(s, scale) => SiteOut::PerField {
+                // SAFETY: forwarded from the caller.
+                out: s.map(|s| unsafe { s.slice_mut(range.clone()) }),
+                scale: scale.map(|s| &s[range.clone()]),
+            },
+            // SAFETY: forwarded from the caller.
+            Dest::Packed(s) => SiteOut::Packed(unsafe { s.slice_mut(range) }),
+        }
+    }
+
+    /// Store query `i`'s values: a returned remote value.
     ///
     /// # Safety
     /// `i < self.len()`, and no other thread reads or writes query `i`.
-    #[inline(always)]
-    unsafe fn put(&self, i: usize, mut v: [Real; NF]) {
-        if let Some(scale) = self.scale {
-            for x in &mut v {
-                *x *= scale[i];
-            }
-        }
-        match &self.out {
-            Out::PerField(s) => {
-                for (s, v) in s.iter().zip(v) {
+    unsafe fn put(&self, i: usize, v: [Real; NF]) {
+        match self {
+            Dest::PerField(s, scale) => {
+                for (s, x) in s.iter().zip(v) {
                     // SAFETY: forwarded from the caller.
-                    unsafe { s.write(i, v) };
+                    unsafe { s.write(i, scale.map_or(x, |scale| x * scale[i])) };
                 }
             }
             // SAFETY: forwarded from the caller.
-            Out::Packed(s) => unsafe { s.write(i, v) },
+            Dest::Packed(s) => unsafe { s.write(i, v) },
         }
     }
 }
@@ -130,7 +139,7 @@ impl Interpolator {
         comm: &mut Comm,
         out: &mut [[Real; 3]],
     ) {
-        let dest = Dest { out: Out::Packed(SharedSlice::new(out)), scale: None };
+        let dest = Dest::Packed(SharedSlice::new(out));
         self.run(plan, [&v.c[0], &v.c[1], &v.c[2]], comm, dest);
     }
 
@@ -148,7 +157,7 @@ impl Interpolator {
         out: &mut [Real],
     ) {
         assert_eq!(scale.len(), plan.len(), "one factor per query");
-        let dest = Dest { out: Out::PerField([SharedSlice::new(out)]), scale: Some(scale) };
+        let dest = Dest::PerField([SharedSlice::new(out)], Some(scale));
         self.run(plan, [field], comm, dest);
     }
 
@@ -189,10 +198,10 @@ impl Interpolator {
                     let n = sites.nodes.len();
                     let mut buf = vec![0.0 as Real; NF * n];
                     let mut per_field = buf.chunks_mut(n.max(1));
-                    let out = Out::PerField(std::array::from_fn(|_| {
+                    let out = std::array::from_fn(|_| {
                         SharedSlice::new(per_field.next().unwrap_or_default())
-                    }));
-                    let to_wire = Dest { out, scale: None };
+                    });
+                    let to_wire = Dest::PerField(out, None);
                     self.kernel(halo, &data, &sites.nodes, &sites.frac, to_wire);
                     buf
                 })
@@ -220,8 +229,8 @@ impl Interpolator {
     }
 
     /// Run the batched stencil kernel over the split sites `nodes`,
-    /// `frac`, split across workers, storing site `i`'s values at `dest`
-    /// index `i`.
+    /// `frac`, split across workers, each storing its range of sites' values
+    /// in its range of `dest`.
     fn kernel<const NF: usize>(
         &self,
         halo: &HaloDims,
@@ -236,13 +245,10 @@ impl Interpolator {
         // weight ≈ stencil flops relative to a ~8-op element-wise point
         let weight = (self.order.flops_per_query() / 8).max(1);
         par_parts(n, n * NF * weight, |range| {
-            let lo = range.start;
-            interp_sites(stencil, halo, data, &nodes[range.clone()], &frac[range], |i, v| {
-                // SAFETY: `lo + i` indexes this worker's range of `sites`,
-                // which is in bounds of `dest` (asserted above), and worker
-                // ranges are disjoint.
-                unsafe { dest.put(lo + i, v) }
-            });
+            // SAFETY: this worker's range of the sites is in bounds of
+            // `dest` (asserted above), and worker ranges are disjoint.
+            let out = unsafe { dest.part(range.clone()) };
+            interp_sites(stencil, halo, data, &nodes[range.clone()], &frac[range], out);
         });
     }
 
@@ -536,25 +542,92 @@ mod tests {
         }
     }
 
-    /// Every evaluation entry point's bits at a plan: three fields grouped,
-    /// the packed vector, and the first field scaled by `scale`.
+    /// Every evaluation entry point's bits at a plan, one value per query:
+    /// three fields grouped (asserting that the first alone and the first
+    /// two grouped give the same bits), the packed vector's three
+    /// components, and the first field scaled by `scale`.
     fn entry_point_bits(
         ip: &Interpolator,
         plan: &InterpPlan,
         f: &[ScalarField; 3],
         scale: &[Real],
         comm: &mut Comm,
-    ) -> [Vec<u64>; 5] {
+    ) -> [Vec<u64>; 7] {
         let nq = plan.len();
         let mut out = vec![vec![Real::NAN; nq]; 3];
         let mut outs: Vec<&mut [Real]> = out.iter_mut().map(|o| o.as_mut_slice()).collect();
         ip.evaluate(plan, &[&f[0], &f[1], &f[2]], comm, &mut outs);
+        let mut pair = vec![vec![Real::NAN; nq]; 2];
+        let mut outs: Vec<&mut [Real]> = pair.iter_mut().map(|o| o.as_mut_slice()).collect();
+        ip.evaluate(plan, &[&f[0], &f[1]], comm, &mut outs);
+        let mut alone = vec![Real::NAN; nq];
+        ip.evaluate(plan, &[&f[0]], comm, &mut [&mut alone]);
+        assert_eq!(bits(&pair[0]), bits(&out[0]), "the first field grouped by two");
+        assert_eq!(bits(&pair[1]), bits(&out[1]), "the second field grouped by two");
+        assert_eq!(bits(&alone), bits(&out[0]), "the first field alone");
         let mut packed = vec![[Real::NAN; 3]; nq];
         ip.evaluate_vector(plan, &VectorField { c: f.clone() }, comm, &mut packed);
         let mut scaled = vec![Real::NAN; nq];
         ip.evaluate_scaled(plan, &f[0], scale, comm, &mut scaled);
-        let packed: Vec<Real> = packed.into_iter().flatten().collect();
-        [bits(&out[0]), bits(&out[1]), bits(&out[2]), bits(&packed), bits(&scaled)]
+        let [p0, p1, p2] = std::array::from_fn(|c| packed.iter().map(|v| v[c]).collect::<Vec<_>>());
+        [&out[0], &out[1], &out[2], &p0, &p1, &p2, &scaled].map(|v| bits(v))
+    }
+
+    /// The kernel stores four sites per write, each worker from the start of
+    /// its own range: on 1–3 ranks and 1–3 threads (cubic plans of ~150
+    /// queries engage the workers), plans of every length mod 4 give each
+    /// query the bits of a plan of that query alone, through every entry
+    /// point — 1, 2 and 3 fields, the packed vector and the scaled field.
+    #[test]
+    fn block_stores_give_each_query_its_single_query_bits() {
+        let grid = Grid::new([12, 6, 8]);
+        let fns: [fn(Real, Real, Real) -> Real; 3] = [
+            test_fn,
+            |x, y, z| (2.0 * x).cos() + y.sin() * z.cos(),
+            |x, y, z| (x + 0.3 * y).sin() - 0.1 * z,
+        ];
+        let f1 = fns.map(|g| ScalarField::from_fn(Layout::serial(grid), g));
+        for order in [IpOrder::Linear, IpOrder::Cubic] {
+            let ip = Interpolator::new(order);
+            for len in 148..152 {
+                let queries = stress_queries(grid, 3 * len, len as u64);
+                let factor = |i: usize| 0.5 + 0.01 * i as Real;
+                // per query, its single-query plan's bits through each entry point
+                let mut solo = Comm::solo();
+                let alone: Vec<[Vec<u64>; 7]> = (0..queries.len())
+                    .map(|i| {
+                        let plan = ip.plan(Layout::serial(grid), &queries[i..=i], &mut solo);
+                        entry_point_bits(&ip, &plan, &f1, &[factor(i)], &mut solo)
+                    })
+                    .collect();
+                for (p, threads) in
+                    [1usize, 2, 3].into_iter().flat_map(|p| [1, 2, 3].map(|t| (p, t)))
+                {
+                    let queries = queries.clone();
+                    let res = claire_par::with_threads(threads, || {
+                        run_cluster(Topology::new(p, 4), move |comm| {
+                            let layout = Layout::distributed(grid, comm);
+                            let f = fns.map(|g| ScalarField::from_fn(layout, g));
+                            let mine = len * comm.rank()..len * (comm.rank() + 1);
+                            let scale: Vec<Real> = mine.clone().map(factor).collect();
+                            let plan = ip.plan(layout, &queries[mine.clone()], comm);
+                            (mine, entry_point_bits(&ip, &plan, &f, &scale, comm))
+                        })
+                    });
+                    for (rank, (mine, got)) in res.outputs.into_iter().enumerate() {
+                        for (q, i) in mine.enumerate() {
+                            for (e, want) in alone[i].iter().enumerate() {
+                                assert_eq!(
+                                    got[e][q], want[0],
+                                    "{order:?} {len} queries p={p} threads={threads} rank {rank}: \
+                                     entry point {e} at query {i}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// On p > 1 ranks a query another rank owns leaves a stand-in in its

@@ -212,11 +212,14 @@ fn sub_source(
     let [v1, v2, v3] = vt.c.each_ref().map(|c| c.data());
     let out = SharedSlice::new(f.data_mut());
     state.grad_tiles(j, comm, |at, [g1, g2, g3]| {
+        let n = g1.len();
+        let tile = at..at + n;
         // SAFETY: every point is in exactly one tile.
-        let dst = unsafe { out.slice_mut(at..at + g1.len()) };
-        for (k, o) in dst.iter_mut().enumerate() {
-            let i = at + k;
-            *o -= c * (v1[i] * g1[k] + v2[i] * g2[k] + v3[i] * g3[k]);
+        let dst = unsafe { out.slice_mut(tile.clone()) };
+        let (v1, v2, v3) = (&v1[tile.clone()], &v2[tile.clone()], &v3[tile]);
+        let (g2, g3) = (&g2[..n], &g3[..n]);
+        for k in 0..n {
+            dst[k] -= c * (v1[k] * g1[k] + v2[k] * g2[k] + v3[k] * g3[k]);
         }
     });
 }

@@ -205,6 +205,7 @@ pub mod f64k {
 
     use crate::fft::{self, Lanes, Line, Stockham};
     use crate::xk::{self, HaloDims, Stencil};
+    use crate::{RowBlock, SiteOut};
 
     fft_arm!(f64, __m256d);
 
@@ -270,6 +271,7 @@ pub mod f64k {
     }
 
     #[target_feature(enable = "avx2,fma")]
+    #[inline]
     unsafe fn tail_mask(rem: usize) -> __m256i {
         let on = -1i64;
         match rem {
@@ -281,74 +283,87 @@ pub mod f64k {
 
     // ----- 8th-order FD stencil ----------------------------------------------
 
-    /// `inv_h·s` is broadcast once, so the folded scale is free.
+    /// One call per block: the rows are walked here, each as four-wide
+    /// steps and a masked tail of 1–3 points, so a point's value does not
+    /// depend on its block. `scale` is broadcast once, so the folded scale
+    /// is free; `add` is a branch that goes the same way for the whole
+    /// call (as one walk it measured faster than two instantiations).
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA, `out` must hold `b.rows·b.len`
+    /// values and every point the block's stencil reads must lie inside
+    /// `src` (`crate::fd8_rows` asserts both).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fd8_combine_scale(
+    pub unsafe fn fd8_rows(
         out: &mut [f64],
-        plus: &[&[f64]; 4],
-        minus: &[&[f64]; 4],
+        src: &[f64],
+        b: RowBlock,
+        step: usize,
         c: &[f64; 4],
-        inv_h: f64,
-        s: f64,
+        scale: f64,
+        add: bool,
     ) {
-        let n = out.len();
-        let po = out.as_mut_ptr();
-        let pp: [*const f64; 4] =
-            [plus[0].as_ptr(), plus[1].as_ptr(), plus[2].as_ptr(), plus[3].as_ptr()];
-        let pm: [*const f64; 4] =
-            [minus[0].as_ptr(), minus[1].as_ptr(), minus[2].as_ptr(), minus[3].as_ptr()];
-        let cv: [__m256d; 4] = [
+        let cv = [
             _mm256_set1_pd(c[0]),
             _mm256_set1_pd(c[1]),
             _mm256_set1_pd(c[2]),
             _mm256_set1_pd(c[3]),
         ];
-        let ih = _mm256_set1_pd(inv_h * s);
-        let mut i = 0;
-        while i + 4 <= n {
-            let mut acc = _mm256_mul_pd(
-                cv[0],
-                _mm256_sub_pd(_mm256_loadu_pd(pp[0].add(i)), _mm256_loadu_pd(pm[0].add(i))),
-            );
-            acc = _mm256_fmadd_pd(
-                cv[1],
-                _mm256_sub_pd(_mm256_loadu_pd(pp[1].add(i)), _mm256_loadu_pd(pm[1].add(i))),
-                acc,
-            );
-            acc = _mm256_fmadd_pd(
-                cv[2],
-                _mm256_sub_pd(_mm256_loadu_pd(pp[2].add(i)), _mm256_loadu_pd(pm[2].add(i))),
-                acc,
-            );
-            acc = _mm256_fmadd_pd(
-                cv[3],
-                _mm256_sub_pd(_mm256_loadu_pd(pp[3].add(i)), _mm256_loadu_pd(pm[3].add(i))),
-                acc,
-            );
-            _mm256_storeu_pd(po.add(i), _mm256_mul_pd(acc, ih));
-            i += 4;
-        }
-        if i < n {
-            let m = tail_mask(n - i);
-            let mut acc = _mm256_mul_pd(
-                cv[0],
-                _mm256_sub_pd(
-                    _mm256_maskload_pd(pp[0].add(i), m),
-                    _mm256_maskload_pd(pm[0].add(i), m),
-                ),
-            );
-            for j in 1..4 {
-                acc = _mm256_fmadd_pd(
-                    cv[j],
-                    _mm256_sub_pd(
-                        _mm256_maskload_pd(pp[j].add(i), m),
-                        _mm256_maskload_pd(pm[j].add(i), m),
-                    ),
-                    acc,
-                );
+        let (ih, no_mask) = (_mm256_set1_pd(scale), _mm256_setzero_si256());
+        let n = b.len;
+        for r in 0..b.rows {
+            // SAFETY: the block's rows, their stencil reach included, lie
+            // inside `src` and `out` holds `rows·len` values
+            let ps = src.as_ptr().add(b.at + r * b.stride);
+            let po = out.as_mut_ptr().add(r * n);
+            let mut i = 0;
+            while i + 4 <= n {
+                let mut v = fd8_lanes::<false>(ps.add(i), step, &cv, ih, no_mask);
+                if add {
+                    v = _mm256_add_pd(_mm256_loadu_pd(po.add(i)), v);
+                }
+                _mm256_storeu_pd(po.add(i), v);
+                i += 4;
             }
-            _mm256_maskstore_pd(po.add(i), m, _mm256_mul_pd(acc, ih));
+            if i < n {
+                let m = tail_mask(n - i);
+                let mut v = fd8_lanes::<true>(ps.add(i), step, &cv, ih, m);
+                if add {
+                    v = _mm256_add_pd(_mm256_maskload_pd(po.add(i), m), v);
+                }
+                _mm256_maskstore_pd(po.add(i), m, v);
+            }
         }
+    }
+
+    /// Four points of [`fd8_rows`] centred at `p`: `(((c0·d0 + c1·d1) +
+    /// c2·d2) + c3·d3)·ih`, `d_m` the difference of the tap pair `m + 1`
+    /// steps apart, one FMA rounding per term. `MASKED` loads only the
+    /// lanes of `mask`.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA, and every (unmasked) lane `4·step`
+    /// values either side of `p` must be readable.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn fd8_lanes<const MASKED: bool>(
+        p: *const f64,
+        step: usize,
+        cv: &[__m256d; 4],
+        ih: __m256d,
+        mask: __m256i,
+    ) -> __m256d {
+        let mut acc = _mm256_setzero_pd();
+        for (m, &cm) in cv.iter().enumerate() {
+            let (ahead, behind) = (p.add((m + 1) * step), p.sub((m + 1) * step));
+            let d = if MASKED {
+                _mm256_sub_pd(_mm256_maskload_pd(ahead, mask), _mm256_maskload_pd(behind, mask))
+            } else {
+                _mm256_sub_pd(_mm256_loadu_pd(ahead), _mm256_loadu_pd(behind))
+            };
+            acc = if m == 0 { _mm256_mul_pd(cm, d) } else { _mm256_fmadd_pd(cm, d, acc) };
+        }
+        _mm256_mul_pd(acc, ih)
     }
 
     // ----- scattered interpolation -------------------------------------------
@@ -446,7 +461,8 @@ pub mod f64k {
 
     /// The f64 site kernel: a batch of split sites walks [`BLOCK`] sites
     /// per step, each block loading four sites' fractions into one vector
-    /// per axis, one site per lane, then each site's taps. A tail of 1–3
+    /// per axis, one site per lane, then each site's taps, and handing the
+    /// block's values to `out` whole ([`store_block`]). A tail of 1–3
     /// sites is padded with copies of its first site and takes the same
     /// code, and no lane reads another's values, so a site's bits depend
     /// neither on its batch nor on its position in it.
@@ -467,16 +483,16 @@ pub mod f64k {
     ///
     /// # Safety
     /// The host must support AVX2 and FMA, every field must hold
-    /// `dims.points()` values and `nodes` be as long as `frac`
-    /// (`crate::interp_sites` asserts both).
+    /// `dims.points()` values and `nodes` and every slice of `out` be as
+    /// long as `frac` (`crate::interp_sites` asserts all three).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn interp_sites<const NF: usize, S: FnMut(usize, [f64; NF])>(
+    pub unsafe fn interp_sites<const NF: usize>(
         stencil: Stencil,
         dims: &HaloDims,
         fields: &[&[f64]; NF],
         nodes: &[u32],
         frac: &[[f64; 3]],
-        mut sink: S,
+        out: &mut SiteOut<'_, NF>,
     ) {
         let tap = xk::Taps::new(stencil, dims);
         let mut pad: [[f64; 3]; BLOCK];
@@ -492,19 +508,73 @@ pub mod f64k {
             let base: [usize; BLOCK] =
                 std::array::from_fn(|l| tap.first(*quad_nodes.get(l).unwrap_or(&quad_nodes[0])));
             let t = load_quad(quad);
-            let values = match stencil {
-                Stencil::Linear => linear_block(fields, tap.ps, tap.rs, &base, t),
-                Stencil::CubicLagrange => {
-                    let w = [lagrange(t[0]), lagrange(t[1]), lagrange(t[2])];
-                    cubic_block(fields, tap.ps, tap.rs, &base, w)
-                }
-                Stencil::CubicBspline => {
-                    let w = [bspline(t[0]), bspline(t[1]), bspline(t[2])];
-                    cubic_block(fields, tap.ps, tap.rs, &base, w)
-                }
+            // one call site per block function, so each is inlined here
+            // (a `cubic_block` call per cubic arm was not, and cost ≈ 6 %
+            // per site)
+            let values = if stencil == Stencil::Linear {
+                linear_block(fields, tap.ps, tap.rs, &base, t)
+            } else {
+                let w = if stencil == Stencil::CubicLagrange {
+                    [lagrange(t[0]), lagrange(t[1]), lagrange(t[2])]
+                } else {
+                    [bspline(t[0]), bspline(t[1]), bspline(t[2])]
+                };
+                cubic_block(fields, tap.ps, tap.rs, &base, w)
             };
-            for (l, v) in values.into_iter().take(chunk.len()).enumerate() {
-                sink(k * BLOCK + l, v);
+            store_block(out, k * BLOCK, chunk.len(), values);
+        }
+    }
+
+    /// Store a block's values — `v[f]` holds field `f` of the block's
+    /// sites, one per lane — at sites `at..at + count` of `out`. A full
+    /// per-field block is one vector store per field, after one multiply by
+    /// the four sites' factors when `out` scales; a tail stores its lanes
+    /// under a mask. A packed block of three fields is interleaved in
+    /// registers ([`store_quad`]); other packed blocks go lane by lane.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA, `count ≤ BLOCK` and `at + count`
+    /// at most the length of every slice of `out`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn store_block<const NF: usize>(
+        out: &mut SiteOut<'_, NF>,
+        at: usize,
+        count: usize,
+        v: [__m256d; NF],
+    ) {
+        match out {
+            // SAFETY (both arms): sites `at..at + count` are in every slice
+            SiteOut::PerField { out, scale } if count == BLOCK => {
+                for (o, mut x) in out.iter_mut().zip(v) {
+                    if let Some(s) = scale {
+                        x = _mm256_mul_pd(x, _mm256_loadu_pd(s.as_ptr().add(at)));
+                    }
+                    _mm256_storeu_pd(o.as_mut_ptr().add(at), x);
+                }
+            }
+            SiteOut::PerField { out, scale } => {
+                let mask = tail_mask(count);
+                for (o, mut x) in out.iter_mut().zip(v) {
+                    if let Some(s) = scale {
+                        x = _mm256_mul_pd(x, _mm256_maskload_pd(s.as_ptr().add(at), mask));
+                    }
+                    _mm256_maskstore_pd(o.as_mut_ptr().add(at), mask, x);
+                }
+            }
+            SiteOut::Packed(p) if NF == 3 && count == BLOCK => {
+                // SAFETY: four sites of three values, `at + 4 ≤ p.len()`
+                store_quad(p.as_mut_ptr().add(at) as *mut f64, [v[0], v[1], v[2]]);
+            }
+            SiteOut::Packed(p) => {
+                for (f, x) in v.into_iter().enumerate() {
+                    let mut lanes = [0.0f64; BLOCK];
+                    // SAFETY: four lanes into four values
+                    _mm256_storeu_pd(lanes.as_mut_ptr(), x);
+                    for (site, x) in p[at..at + count].iter_mut().zip(lanes) {
+                        site[f] = x;
+                    }
+                }
             }
         }
     }
@@ -614,7 +684,7 @@ pub mod f64k {
         rs: usize,
         base: &[usize; BLOCK],
         w: [[__m256d; 4]; 3],
-    ) -> [[f64; NF]; BLOCK] {
+    ) -> [__m256d; NF] {
         // x1 and x2 weights are broadcast per site from memory, the x3
         // weights transposed into one register per site
         let mut w12 = [[[0.0f64; BLOCK]; 4]; 2];
@@ -657,9 +727,9 @@ pub mod f64k {
                 sum[l] = _mm256_add_pd(lo, hi);
             }
         }
-        let mut out = [[0.0f64; NF]; BLOCK];
-        for (f, [s0, s1, s2, s3]) in sums.into_iter().enumerate() {
-            // (l0 + l2) + (l1 + l3) of sites 0, 1, 2, 3 at once
+        let mut out = [_mm256_setzero_pd(); NF];
+        for (o, [s0, s1, s2, s3]) in out.iter_mut().zip(sums) {
+            // (l0 + l2) + (l1 + l3) of sites 0, 1, 2, 3 at once, site l in lane l
             let s02 = _mm256_add_pd(
                 _mm256_permute2f128_pd::<0x20>(s0, s2),
                 _mm256_permute2f128_pd::<0x31>(s0, s2),
@@ -668,7 +738,7 @@ pub mod f64k {
                 _mm256_permute2f128_pd::<0x20>(s1, s3),
                 _mm256_permute2f128_pd::<0x31>(s1, s3),
             );
-            store_column(&mut out, f, _mm256_hadd_pd(s02, s13));
+            *o = _mm256_hadd_pd(s02, s13);
         }
         out
     }
@@ -687,7 +757,7 @@ pub mod f64k {
         rs: usize,
         base: &[usize; BLOCK],
         t: [__m256d; 3],
-    ) -> [[f64; NF]; BLOCK] {
+    ) -> [__m256d; NF] {
         let one = _mm256_set1_pd(1.0);
         let om = [_mm256_sub_pd(one, t[0]), _mm256_sub_pd(one, t[1]), _mm256_sub_pd(one, t[2])];
         // pair h holds sites h and h + 2: (1 − t, t) of either in its half
@@ -718,26 +788,11 @@ pub mod f64k {
                 sum[h] = _mm256_fmadd_pd(plane[1], w1[h][1], _mm256_mul_pd(plane[0], w1[h][0]));
             }
         }
-        let mut out = [[0.0f64; NF]; BLOCK];
-        for (f, [s02, s13]) in sums.into_iter().enumerate() {
-            // l0 + l1 of sites 0, 1, 2, 3 at once
-            store_column(&mut out, f, _mm256_hadd_pd(s02, s13));
+        let mut out = [_mm256_setzero_pd(); NF];
+        for (o, [s02, s13]) in out.iter_mut().zip(sums) {
+            // l0 + l1 of sites 0, 1, 2, 3 at once, site l in lane l
+            *o = _mm256_hadd_pd(s02, s13);
         }
         out
-    }
-
-    /// Scatter field `f`'s value of each site (one per lane) into `out`.
-    ///
-    /// # Safety
-    /// The host must support AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    unsafe fn store_column<const NF: usize>(out: &mut [[f64; NF]; BLOCK], f: usize, v: __m256d) {
-        let mut lanes = [0.0f64; BLOCK];
-        // SAFETY: four lanes into four values
-        _mm256_storeu_pd(lanes.as_mut_ptr(), v);
-        for (o, x) in out.iter_mut().zip(lanes) {
-            o[f] = x;
-        }
     }
 }

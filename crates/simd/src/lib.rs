@@ -14,7 +14,7 @@
 //! * interpolation and FD run at f64 on every path, `Precision::Mixed`
 //!   included (it demotes only the Krylov/FFT lane), so their kernels are
 //!   the f64-only functions [`split_sites`], [`interp_sites`] and
-//!   [`fd8_combine_scale`], dispatched the same way;
+//!   [`fd8_rows`], dispatched the same way;
 //! * each kernel body is written once (the `xk` module): a `scalar_*`
 //!   reference loop — the specification, with the pre-SIMD solver's exact
 //!   operation order — and, for reductions, a `wide_*` 8-lane body with a
@@ -32,13 +32,13 @@
 //!   `__m256d`/`__m256` on AVX2; [`Stockham`] is the per-length stage table
 //!   they execute;
 //! * **fused single-pass kernels** (`kaxpy_dot`, `kscale_add_norm`,
-//!   [`fd8_combine_scale`]) combine a BLAS-1 update with
+//!   [`fd8_rows`]) combine a BLAS-1 update with
 //!   the reduction (or scale) the solver takes immediately after, halving
 //!   DRAM traffic for the memory-bound PCG chains (paper §3's cost model
 //!   counts passes over memory, not flops).
 //!
-//! Dispatch granularity is a kernel call (a row sweep, a reduction block,
-//! a batch of interpolation sites), never a single vector op — a per-op branch would
+//! Dispatch granularity is a kernel call (a block of FD rows, a reduction
+//! block, a batch of interpolation sites), never a single vector op — a per-op branch would
 //! cost more than the op itself. The backend is resolved once from the
 //! `CLAIRE_SIMD` environment variable (`auto` | `scalar`, default `auto`:
 //! AVX2 wherever the host has it) and cached; tests and benches can
@@ -81,33 +81,64 @@ pub use elem::Elem;
 pub use fft::Stockham;
 pub use xk::{HaloDims, Stencil};
 
-/// One contiguous row of the 8th-order central-difference combine with a
-/// folded output scale:
-/// `out[k] = s · inv_h · Σ_m c[m] · (plus[m][k] − minus[m][k])`.
+/// A block of output rows of the 8th-order FD stencil and where it reads:
+/// row `r` of the block is centred on `src[at + r·stride ..][..len]`.
+/// A tile of whole x3 rows of one x1 plane is one block (`stride` the
+/// padded row), a piece of a longer row a block of one row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowBlock {
+    /// Source index of the block's first centre point.
+    pub at: usize,
+    /// Source distance from one row's first centre point to the next's.
+    pub stride: usize,
+    /// Rows in the block.
+    pub rows: usize,
+    /// Points per row.
+    pub len: usize,
+}
+
+/// The 8th-order central-difference combine over a [`RowBlock`], its rows
+/// one after another in `out`: with `i = at + r·stride + k`, the point's
+/// value is `d = scale · Σ_m c[m] · (src[i + (m+1)·step] −
+/// src[i − (m+1)·step])`, and `out[r·len + k]` becomes `d`, or
+/// `out[r·len + k] + d` with `add`.
 ///
-/// `plus[m]`/`minus[m]` are the rows at offsets `±(m+1)` along the
-/// differentiated dimension; all slices must be at least `out.len()` long.
-/// Serves all three dimensions of the FD8 sweep over a halo-padded slab:
-/// the neighbour rows sit a plane, a row or one value apart, so every
-/// output row is one call. The scale costs nothing extra — `inv_h·s` is
-/// folded into the single per-point multiply — so a derivative-then-scale
-/// chain is one memory pass, and `s == 1` is the plain derivative bit for
+/// `step` is the source distance of one point along the differentiated
+/// dimension: over a halo-padded slab a plane (x1), a row (x2) or one
+/// value (x3), so every tile of an FD sweep is one call whatever its
+/// direction. `scale` is `1/h` times any output factor, folded into the
+/// one per-point multiply, so a derivative-then-scale chain is one memory
+/// pass; `add` builds a sum of derivatives (a divergence) in `out` with no
+/// pass of its own. A point's value does not depend on the block it is
+/// made in: a block of `rows` rows equals `rows` one-row calls, bit for
 /// bit.
-pub fn fd8_combine_scale(
+pub fn fd8_rows(
     out: &mut [f64],
-    plus: &[&[f64]; 4],
-    minus: &[&[f64]; 4],
+    src: &[f64],
+    b: RowBlock,
+    step: usize,
     c: &[f64; 4],
-    inv_h: f64,
-    s: f64,
+    scale: f64,
+    add: bool,
 ) {
-    for m in 0..4 {
-        assert!(plus[m].len() >= out.len(), "fd8_combine_scale plus[{m}] too short");
-        assert!(minus[m].len() >= out.len(), "fd8_combine_scale minus[{m}] too short");
+    assert_eq!(out.len(), b.rows * b.len, "fd8_rows: one output per block point");
+    if out.is_empty() {
+        return;
     }
+    // the first and one past the last source index the stencil reads
+    let reach = 4 * step;
+    let first = b.at.checked_sub(reach);
+    let end = (b.rows - 1)
+        .checked_mul(b.stride)
+        .and_then(|r| r.checked_add(b.at)?.checked_add(b.len)?.checked_add(reach));
+    assert!(
+        first.is_some() && end.is_some_and(|e| e <= src.len()),
+        "fd8_rows: block {b:?} with step {step} reads outside the {} source values",
+        src.len()
+    );
     dispatch!(
-        avx2::f64k::fd8_combine_scale(out, plus, minus, c, inv_h, s),
-        xk::scalar_fd8_combine_scale(out, plus, minus, c, inv_h, s)
+        avx2::f64k::fd8_rows(out, src, b, step, c, scale, add),
+        xk::scalar_fd8_rows(out, src, b, step, c, scale, add)
     )
 }
 
@@ -134,32 +165,62 @@ pub fn split_sites(dims: &HaloDims, sites: &mut [[f64; 3]], nodes: &mut [u32]) {
     dispatch!(avx2::f64k::split_sites(dims, sites, nodes), xk::split_sites(dims, sites, nodes))
 }
 
+/// Where [`interp_sites`] stores a batch's values: site `i`'s go to index
+/// `i`, and every slice is as long as the batch.
+#[derive(Debug)]
+pub enum SiteOut<'a, const NF: usize> {
+    /// One slice per field; with `scale`, each value times its site's
+    /// factor (one rounding: the bits of an evaluation, then a multiply).
+    PerField {
+        /// Field `f`'s values.
+        out: [&'a mut [f64]; NF],
+        /// One factor per site.
+        scale: Option<&'a [f64]>,
+    },
+    /// One `[f64; NF]` per site.
+    Packed(&'a mut [[f64; NF]]),
+}
+
+impl<const NF: usize> SiteOut<'_, NF> {
+    /// Whether every slice holds exactly `n` sites.
+    fn holds(&self, n: usize) -> bool {
+        match self {
+            SiteOut::PerField { out, scale } => {
+                out.iter().all(|o| o.len() == n) && scale.is_none_or(|s| s.len() == n)
+            }
+            SiteOut::Packed(p) => p.len() == n,
+        }
+    }
+}
+
 /// Batched scattered interpolation: evaluate `NF` halo-extended fields (all
 /// of shape `dims`) at every site of a batch split by [`split_sites`] —
-/// floor node `nodes[i]`, fractions `frac[i]` — and pass each site's `NF`
-/// values to `sink(i, values)`.
+/// floor node `nodes[i]`, fractions `frac[i]` — and store each site's `NF`
+/// values in `out`.
 ///
 /// The kernel offsets the floor node by the stencil's reach, so one split
 /// serves every stencil. A node whose taps would leave the halo panics
 /// (only a node made by something other than [`split_sites`] for these
 /// `dims` can). The backend is resolved once per batch; per site the basis
 /// weights are computed once and every field accumulates against them. A
-/// field's value does not depend on `NF` or on its position in `fields`.
-pub fn interp_sites<const NF: usize, S: FnMut(usize, [f64; NF])>(
+/// field's value does not depend on `NF`, on its position in `fields`, on
+/// the site's position in the batch or on the form of `out`.
+pub fn interp_sites<const NF: usize>(
     stencil: Stencil,
     dims: &HaloDims,
     fields: &[&[f64]; NF],
     nodes: &[u32],
     frac: &[[f64; 3]],
-    sink: S,
+    mut out: SiteOut<'_, NF>,
 ) {
     assert_eq!(nodes.len(), frac.len(), "interp_sites: one node per site");
+    assert!(out.holds(nodes.len()), "interp_sites: one output per site");
     for f in fields {
         assert_eq!(f.len(), dims.points(), "interp_sites field/halo shape mismatch");
     }
     dispatch!(
-        avx2::f64k::interp_sites(stencil, dims, fields, nodes, frac, sink),
-        xk::interp_sites(stencil, dims, fields, nodes, frac, sink)
+        avx2::f64k::interp_sites(stencil, dims, fields, nodes, frac, &mut out),
+        xk::interp_sites(stencil, dims, fields, nodes, frac, &mut out)
     )
 }
 

@@ -30,7 +30,7 @@
 //! instruction set; element-wise kernels therefore need no second body
 //! (a chunked copy measured no faster, and up to 3× slower at f32).
 
-use crate::Elem;
+use crate::{Elem, RowBlock, SiteOut};
 
 // ----- scalar reference loops ---------------------------------------------
 
@@ -101,23 +101,25 @@ fn max_nan(a: f64, b: f64) -> f64 {
 }
 
 #[inline(always)]
-pub(crate) fn scalar_fd8_combine_scale(
+pub(crate) fn scalar_fd8_rows(
     out: &mut [f64],
-    plus: &[&[f64]; 4],
-    minus: &[&[f64]; 4],
+    src: &[f64],
+    b: RowBlock,
+    step: usize,
     c: &[f64; 4],
-    inv_h: f64,
-    s: f64,
+    scale: f64,
+    add: bool,
 ) {
-    // `inv_h·s` folds once up front; with `s == 1` the product is exactly
-    // `inv_h`, so the unscaled derivative is the `s = 1` case bit for bit.
-    let ihs = inv_h * s;
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (m, &cm) in c.iter().enumerate() {
-            acc += cm * (plus[m][k] - minus[m][k]);
+    for (r, row) in out.chunks_exact_mut(b.len).enumerate() {
+        let at = b.at + r * b.stride;
+        for (k, o) in row.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (m, &cm) in c.iter().enumerate() {
+                let d = (m + 1) * step;
+                acc += cm * (src[at + k + d] - src[at + k - d]);
+            }
+            *o = if add { *o + acc * scale } else { acc * scale };
         }
-        *o = acc * ihs;
     }
 }
 
@@ -449,9 +451,27 @@ impl Taps {
     }
 }
 
+impl<const NF: usize> SiteOut<'_, NF> {
+    /// Store site `i`'s values.
+    #[inline(always)]
+    fn put(&mut self, i: usize, v: [f64; NF]) {
+        match self {
+            SiteOut::PerField { out, scale } => {
+                for (o, x) in out.iter_mut().zip(v) {
+                    o[i] = match scale {
+                        Some(s) => x * s[i],
+                        None => x,
+                    };
+                }
+            }
+            SiteOut::Packed(p) => p[i] = v,
+        }
+    }
+}
+
 /// Evaluate `NF` fields at every split site of a batch — floor node
-/// `nodes[i]`, fractions `frac[i]` — and hand each site's values to
-/// `sink(i, values)`. Per site the basis weights are computed once and
+/// `nodes[i]`, fractions `frac[i]` — and store each site's values in `out`,
+/// one site at a time. Per site the basis weights are computed once and
 /// shared by all fields.
 #[inline(always)]
 pub(crate) fn interp_sites<const NF: usize>(
@@ -460,7 +480,7 @@ pub(crate) fn interp_sites<const NF: usize>(
     fields: &[&[f64]; NF],
     nodes: &[u32],
     frac: &[[f64; 3]],
-    mut sink: impl FnMut(usize, [f64; NF]),
+    out: &mut SiteOut<'_, NF>,
 ) {
     let tap = Taps::new(stencil, d);
     let sites = nodes.iter().zip(frac).enumerate();
@@ -468,19 +488,19 @@ pub(crate) fn interp_sites<const NF: usize>(
         Stencil::Linear => {
             for (i, (&n, &[t1, t2, t3])) in sites {
                 let w = [[1.0 - t1, t1], [1.0 - t2, t2], [1.0 - t3, t3]];
-                sink(i, linear_sum(fields, tap.first(n), tap.ps, tap.rs, &w));
+                out.put(i, linear_sum(fields, tap.first(n), tap.ps, tap.rs, &w));
             }
         }
         Stencil::CubicLagrange => {
             for (i, (&n, t)) in sites {
                 let w = t.map(lagrange_weights);
-                sink(i, cubic_sum(fields, tap.first(n), tap.ps, tap.rs, &w));
+                out.put(i, cubic_sum(fields, tap.first(n), tap.ps, tap.rs, &w));
             }
         }
         Stencil::CubicBspline => {
             for (i, (&n, t)) in sites {
                 let w = t.map(bspline_weights);
-                sink(i, cubic_sum(fields, tap.first(n), tap.ps, tap.rs, &w));
+                out.put(i, cubic_sum(fields, tap.first(n), tap.ps, tap.rs, &w));
             }
         }
     }

@@ -29,7 +29,8 @@ use std::sync::Mutex;
 use claire::grid::ghost;
 use claire::prelude::*;
 use claire_simd::{
-    fd8_combine_scale, interp_sites, split_sites, Choice, Elem, HaloDims, Stencil, Stockham,
+    fd8_rows, interp_sites, split_sites, Choice, Elem, HaloDims, RowBlock, SiteOut, Stencil,
+    Stockham,
 };
 use proptest::prelude::*;
 
@@ -157,27 +158,54 @@ fn check_reductions<T: Elem>(n: usize, seed: u64) {
     assert_close::<T>(r_simd.2, r_scalar.2, "max_abs");
 }
 
-/// The scaled fd8 combine (`inv_h·s` folded into one sweep) must match
-/// combine-then-scale on every backend.
-fn check_fd8(n: usize, seed: u64, inv_h: f64, s: f64) {
-    let rows: Vec<Vec<f64>> = (0..8).map(|r| fill(seed + r, n, -100.0, 100.0)).collect();
-    let cv = fill::<f64>(seed + 8, 4, -1.0, 1.0);
+/// The FD block kernel over a block of `rows` rows of `len` points, centred
+/// in a source padded by the stencil's 4 points on every axis, for the
+/// x1, x2 and x3 steps (a padded plane, a padded row, one value), storing
+/// and adding. On each backend the block equals one call per row, bit for
+/// bit; on the scalar backend it is the specification's per-point sum bit
+/// for bit, and the vector arm tracks it.
+fn check_fd8(rows: usize, len: usize, seed: u64, scale: f64) {
+    const W: usize = 4;
+    let [s1, s2, s3] = [1 + 2 * W, rows + 2 * W, len + 2 * W];
+    let src = fill::<f64>(seed, s1 * s2 * s3, -100.0, 100.0);
+    let base = fill::<f64>(seed + 1, rows * len, -100.0, 100.0);
+    let cv = fill::<f64>(seed + 2, 4, -1.0, 1.0);
     let c = [cv[0], cv[1], cv[2], cv[3]];
-    let plus: [&[f64]; 4] = [&rows[0], &rows[1], &rows[2], &rows[3]];
-    let minus: [&[f64]; 4] = [&rows[4], &rows[5], &rows[6], &rows[7]];
-    let (reference, _) = both(|| {
-        let mut out = vec![0.0; n];
-        fd8_combine_scale(&mut out, &plus, &minus, &c, inv_h, 1.0);
-        f64::kscale(s, &mut out);
-        out
-    });
-    let (f_scalar, f_simd) = both(|| {
-        let mut out = vec![0.0; n];
-        fd8_combine_scale(&mut out, &plus, &minus, &c, inv_h, s);
-        out
-    });
-    assert_slices_close(&f_scalar, &reference, "fd8_combine_scale [scalar]");
-    assert_slices_close(&f_simd, &reference, "fd8_combine_scale [avx2]");
+    let at = (W * s2 + W) * s3 + W;
+    let block = RowBlock { at, stride: s3, rows, len };
+    for (step, add) in [s2 * s3, s3, 1].into_iter().flat_map(|step| [(step, false), (step, true)]) {
+        let what = format!("fd8_rows {rows}×{len} step {step} add {add}");
+        let (scalar, simd) = both(|| {
+            let mut whole = base.clone();
+            fd8_rows(&mut whole, &src, block, step, &c, scale, add);
+            let mut by_row = base.clone();
+            for (r, o) in by_row.chunks_exact_mut(len).enumerate() {
+                let one = RowBlock { at: at + r * s3, rows: 1, ..block };
+                fd8_rows(o, &src, one, step, &c, scale, add);
+            }
+            (whole, by_row)
+        });
+        for (backend, (whole, by_row)) in [("scalar", &scalar), ("avx2", &simd)] {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(whole), bits(by_row), "{what} [{backend}]: block ≠ one call per row");
+        }
+        let spec: Vec<f64> = (0..rows * len)
+            .map(|i| {
+                let p = at + i / len * s3 + i % len;
+                let mut acc = 0.0;
+                for (m, &cm) in c.iter().enumerate() {
+                    acc += cm * (src[p + (m + 1) * step] - src[p - (m + 1) * step]);
+                }
+                if add {
+                    base[i] + acc * scale
+                } else {
+                    acc * scale
+                }
+            })
+            .collect();
+        assert_eq!(scalar.0, spec, "{what} [scalar]: not the specification");
+        assert_slices_close(&simd.0, &spec, &format!("{what} [avx2]"));
+    }
 }
 
 /// The shape of the interpolation halo of a serial slab of `n` points.
@@ -205,7 +233,7 @@ fn eval_split<const NF: usize>(
     (nodes, frac): &Split,
 ) -> Vec<[f64; NF]> {
     let mut out = vec![[0.0; NF]; nodes.len()];
-    interp_sites(stencil, dims, fields, nodes, frac, |i, v| out[i] = v);
+    interp_sites(stencil, dims, fields, nodes, frac, SiteOut::Packed(&mut out));
     out
 }
 
@@ -512,7 +540,7 @@ proptest! {
 
     // n in 0..131 sweeps full 8-lane chunks, ragged tails, and sub-vector
     // lengths for every kernel below, at both element widths for the `Elem`
-    // kernels and at f64 for FD and interpolation.
+    // kernels and at f64 for interpolation.
 
     #[test]
     fn fused_kernels_match_unfused(n in 0usize..131, seed in 0u64..1_000_000, a in -3.0f64..3.0) {
@@ -530,16 +558,6 @@ proptest! {
     fn reductions_match(n in 0usize..131, seed in 0u64..1_000_000) {
         check_reductions::<f64>(n, seed);
         check_reductions::<f32>(n, seed);
-    }
-
-    #[test]
-    fn fd8_combine_scale_matches(
-        n in 0usize..131,
-        seed in 0u64..1_000_000,
-        inv_h in 0.1f64..10.0,
-        s in -4.0f64..4.0,
-    ) {
-        check_fd8(n, seed, inv_h, s);
     }
 
     #[test]
@@ -587,6 +605,19 @@ proptest! {
         let n = [1usize, 2, 3, 4, 5, 6, 8, 12, 15, 16, 20, 32, 45, 64][pick];
         check_fft_lanes::<f64>(n, lines, pad, seed);
         check_fft_lanes::<f32>(n, lines, pad, seed);
+    }
+}
+
+/// The FD block kernel on 1–6 rows of 1–40 points (every tail of the
+/// four-wide steps), each block with its own source, stencil coefficients
+/// and scale.
+#[test]
+fn fd8_rows_match_one_call_per_row() {
+    for rows in 1..=6 {
+        for len in 1..=40 {
+            let case = (rows * 100 + len) as u64;
+            check_fd8(rows, len, case, -40.0 + (case % 89) as f64 / 1.1);
+        }
     }
 }
 
@@ -782,10 +813,11 @@ fn one_nan_voxel_makes_every_max_nan() {
 }
 
 /// FD on grids thinner than the stencil — `n2, n3 ∈ {2, 4, 6}`, below
-/// `2·FD8_WIDTH`, so the x2/x3 halos wrap more than once — on 1 and 2 ranks:
-/// gradient and divergence equal a direct `rem_euclid` stencil on the
-/// periodic grid, bitwise on the scalar backend, to tolerance on the vector
-/// arm.
+/// `2·FD8_WIDTH`, so the x2/x3 halos wrap more than once — and on
+/// `[8, 7, 24]`, whose planes split into tiles of 5 and 2 whole rows, on 1
+/// and 2 ranks: gradient and divergence equal a direct `rem_euclid` stencil
+/// on the periodic grid, bitwise on the scalar backend, to tolerance on the
+/// vector arm.
 #[test]
 fn fd_on_thin_grids_matches_the_direct_stencil() {
     use claire::diff::fd::{self, FD8};
@@ -795,6 +827,7 @@ fn fd_on_thin_grids_matches_the_direct_stencil() {
     for (n2, n3, p) in [2, 4, 6]
         .into_iter()
         .flat_map(|a| [2, 4, 6].map(|b| (a, b)))
+        .chain([(7, 24)])
         .flat_map(|(a, b)| [(a, b, 1), (a, b, 2)])
     {
         let grid = Grid::new([8, n2, n3]);
@@ -882,10 +915,13 @@ fn tiled_and_full_gradient(grid: Grid, p: usize) -> Vec<(Vec<u64>, Vec<u64>, boo
 
 /// The row-tile gradient is `gradient_into`, bit for bit, on every backend,
 /// thread count and rank count: on an anisotropic grid, on one that engages
-/// the worker threads, and on one whose rows split into a ragged last tile.
+/// the worker threads, on one whose rows split into a ragged last tile, and
+/// on two whose tiles hold several whole rows (5 and then 2 rows of 24 per
+/// plane; 4 rows of 32).
 #[test]
 fn gradient_tiles_match_gradient_into_bitwise() {
-    for n in [[12, 10, 8], [34, 22, 24], [8, 4, 2 * claire::diff::fd::TILE + 6]] {
+    let long = 2 * claire::diff::fd::TILE + 6;
+    for n in [[12, 10, 8], [34, 22, 24], [8, 4, long], [6, 7, 24], [4, 9, 32]] {
         let grid = Grid::new(n);
         both(|| {
             for (p, threads) in [1, 2].into_iter().flat_map(|p| [1, 2, 3].map(|t| (p, t))) {
