@@ -25,6 +25,8 @@
 //! numbers come from the calibrated model (`claire-perf`) and are printed
 //! next to the published values.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 
 /// Base grid extent for functional runs (default 32; override with the

@@ -26,6 +26,8 @@
 //! paper's Table 6 (the type lives in claire-obs: it is the `summary` of
 //! every [`RunReport`](claire_obs::report::RunReport)).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod memory;
 pub mod metrics;

@@ -28,8 +28,8 @@ use claire_fft::{FftElem, SpectralVecT};
 use claire_grid::{Grid, Real, ScalarField, VectorField, VectorFieldT, WsCat};
 use claire_mpi::Comm;
 use claire_opt::{pcg, PcgConfig, PcgOperator, PcgResult};
+use claire_par::par_split;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_parts, SharedSlice};
 
 use crate::config::{Precision, PrecondKind, RegistrationConfig};
 
@@ -49,16 +49,8 @@ fn rank_one_in_place<T: FftElem>(grad_mbar: &VectorFieldT<T>, p: &mut VectorFiel
     let n = p.layout().local_len();
     let [g1, g2, g3] = grad_mbar.c.each_ref().map(|c| c.data());
     timing::time(Kernel::FieldOps, || {
-        let [p1, p2, p3] = p.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
-        par_parts(n, n, |range| {
-            // SAFETY: worker ranges are disjoint.
-            let (o1, o2, o3) = unsafe {
-                (
-                    p1.slice_mut(range.clone()),
-                    p2.slice_mut(range.clone()),
-                    p3.slice_mut(range.clone()),
-                )
-            };
+        let p = p.c.each_mut().map(|c| c.data_mut());
+        par_split(n, n, p, |range, [o1, o2, o3]| {
             for (k, i) in range.enumerate() {
                 let w = g1[i] * o1[k] + g2[i] * o2[k] + g3[i] * o3[k];
                 o1[k] = g1[i] * w;

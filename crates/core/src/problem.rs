@@ -5,7 +5,6 @@ use claire_grid::{ClaireError, ClaireResult, Layout, Real, ScalarField, VectorFi
 use claire_interp::Interpolator;
 use claire_mpi::Comm;
 use claire_opt::GnProblem;
-use claire_par::SharedSlice;
 use claire_semilag::{StateSolution, Trajectory, Transport};
 
 use crate::config::RegistrationConfig;
@@ -210,15 +209,10 @@ fn add_lambda_grad(
     let first = j == nt;
     let lam = lam.data();
     // one pass over λ for the three components
-    let [a1, a2, a3] = acc.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
-    state.grad_tiles(j, comm, |at, [g1, g2, g3]| {
+    let acc = acc.c.each_mut().map(|c| c.data_mut());
+    state.grad_tiles(j, comm, acc, |at, [g1, g2, g3], [o1, o2, o3]| {
         let n = g1.len();
-        let tile = at..at + n;
-        // SAFETY: every point is in exactly one tile.
-        let (o1, o2, o3) = unsafe {
-            (a1.slice_mut(tile.clone()), a2.slice_mut(tile.clone()), a3.slice_mut(tile.clone()))
-        };
-        let (lam, g2, g3) = (&lam[tile], &g2[..n], &g3[..n]);
+        let (lam, g2, g3) = (&lam[at..at + n], &g2[..n], &g3[..n]);
         if first {
             for k in 0..n {
                 let wl = w * lam[k];

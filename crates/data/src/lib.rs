@@ -22,6 +22,8 @@
 //! * [`nifti`] — minimal NIfTI-1 (.nii) reader/writer, replacing the
 //!   paper's niftilib dependency.
 
+#![forbid(unsafe_code)]
+
 pub mod brain;
 pub mod clarity;
 pub mod nifti;

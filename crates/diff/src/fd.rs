@@ -30,7 +30,7 @@ use claire_grid::ghost::{self, GhostField};
 use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::Comm;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_parts, SharedSlice};
+use claire_par::{par_split, Rows, Split};
 use claire_simd::{fd8_rows, RowBlock};
 
 /// Stencil coefficients `c_m` of the 8th-order central first derivative:
@@ -95,9 +95,11 @@ impl Tile {
 }
 
 /// Walk the owned points of a `[n1, n2, n3]` slab in tiles of at most
-/// [`TILE`] points, calling `each(tile, stack)`. Every owned point is in
-/// exactly one tile, and worker threads take contiguous blocks of x1 planes,
-/// so `each` may write the points of its tile through a [`SharedSlice`];
+/// [`TILE`] points, calling `each(tile, stack, part)`. Every owned point is
+/// in exactly one tile, and worker threads take contiguous blocks of x1
+/// planes; `out` holds one item per owned point (`()` when nothing is
+/// written), and `part` is the tile's own items of it — a worker's tiles
+/// are consecutive, so it peels them off its part one split at a time.
 /// `stack` is three tile-sized rows on the calling worker's stack, kept
 /// across its tiles.
 /// When a row fits a tile (`n3 ≤ TILE`), a tile is `⌊TILE/n3⌋` whole rows
@@ -106,14 +108,15 @@ impl Tile {
 /// a shorter last one, and the walk takes all of one row's tiles before
 /// the next row's.
 #[inline(always)]
-pub fn row_tiles<F>(dims: [usize; 3], each: F)
+pub fn row_tiles<P, F>(dims: [usize; 3], out: P, each: F)
 where
-    F: Fn(Tile, &mut [[Real; TILE]; 3]) + Sync,
+    P: Split,
+    F: Fn(Tile, &mut [[Real; TILE]; 3], P) + Sync,
 {
     let [n1, n2, n3] = dims;
     // rows per tile and points per row piece
     let (per, width) = if n3 <= TILE { (TILE / n3.max(1), n3) } else { (1, TILE) };
-    par_parts(n1, n1 * n2 * n3, |planes| {
+    par_split(n1, n1 * n2 * n3, Rows(out, n2 * n3), |planes, Rows(mut rest, _)| {
         let mut stack = [[0.0 as Real; TILE]; 3];
         for il in planes {
             for j in (0..n2).step_by(per) {
@@ -121,7 +124,9 @@ where
                 for k0 in (0..n3).step_by(width) {
                     let len = width.min(n3 - k0);
                     let at = (il * n2 + j) * n3 + k0;
-                    each(Tile { pos: [il, j, k0], at, rows, len }, &mut stack);
+                    let (part, tail) = rest.cut_at(rows * len);
+                    rest = tail;
+                    each(Tile { pos: [il, j, k0], at, rows, len }, &mut stack, part);
                 }
             }
         }
@@ -186,12 +191,11 @@ pub fn gradient_into(
     let gf = scratch.ghost_for(f);
     ghost::exchange_into(f, comm, gf);
     let d: [Deriv; 3] = std::array::from_fn(|dim| Deriv::new(gf, dim, 1.0));
-    let out = out.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
+    let out = out.c.each_mut().map(|c| c.data_mut());
     timing::time(Kernel::Fd, || {
-        row_tiles(f.layout().local_dims(), |t, _| {
-            for (d, o) in d.iter().zip(&out) {
-                // SAFETY: every point is in exactly one tile.
-                d.tile(t, unsafe { o.slice_mut(t.range()) }, false);
+        row_tiles(f.layout().local_dims(), out, |t, _, out| {
+            for (d, o) in d.iter().zip(out) {
+                d.tile(t, o, false);
             }
         });
     });
@@ -200,26 +204,28 @@ pub fn gradient_into(
 /// `∇f` one [`row_tiles`] tile at a time, never as a field: one halo
 /// exchange, then per tile the three components are made in the walker's
 /// stack rows by the stencil of [`gradient_into`] (the same values, bit for
-/// bit) and handed to `each(at, [g1, g2, g3])`, `at` being the local index
-/// of the tile's first point; `each` may write the points of its tile
-/// through a [`SharedSlice`]. Its halo is pooled and held for this call
-/// only; the stencil and `each` run on the FD clock. Collective.
-pub fn gradient_tiles<F>(f: &ScalarField, comm: &mut Comm, each: F)
+/// bit) and handed to `each(at, [g1, g2, g3], part)`, `at` being the local
+/// index of the tile's first point and `part` the tile's own items of
+/// `out` (one item per owned point, as in [`row_tiles`]). Its halo is
+/// pooled and held for this call only; the stencil and `each` run on the
+/// FD clock. Collective.
+pub fn gradient_tiles<P, F>(f: &ScalarField, comm: &mut Comm, out: P, each: F)
 where
-    F: Fn(usize, [&[Real]; 3]) + Sync,
+    P: Split,
+    F: Fn(usize, [&[Real]; 3], P) + Sync,
 {
     let mut scratch = FdScratch::new();
     let gf = scratch.ghost_for(f);
     ghost::exchange_into(f, comm, gf);
     let d: [Deriv; 3] = std::array::from_fn(|dim| Deriv::new(gf, dim, 1.0));
     timing::time(Kernel::Fd, || {
-        row_tiles(f.layout().local_dims(), |t, stack| {
+        row_tiles(f.layout().local_dims(), out, |t, stack, part| {
             let n = t.points();
             for (d, r) in d.iter().zip(stack.iter_mut()) {
                 d.tile(t, &mut r[..n], false);
             }
             let [g1, g2, g3] = &*stack;
-            each(t.at, [&g1[..n], &g2[..n], &g3[..n]]);
+            each(t.at, [&g1[..n], &g2[..n], &g3[..n]], part);
         });
     });
 }
@@ -256,7 +262,6 @@ fn divergence_scaled_into(
     s: Real,
 ) {
     assert_eq!(out.layout(), v.layout(), "output layout mismatch");
-    let out = SharedSlice::new(out.data_mut());
     for (dim, c) in v.c.iter().enumerate() {
         let gf = scratch.ghost_for(c);
         if dim == 0 {
@@ -266,9 +271,8 @@ fn divergence_scaled_into(
         }
         let d = Deriv::new(gf, dim, s);
         timing::time(Kernel::Fd, || {
-            row_tiles(v.layout().local_dims(), |t, _| {
-                // SAFETY: every point is in exactly one tile.
-                d.tile(t, unsafe { out.slice_mut(t.range()) }, dim > 0);
+            row_tiles(v.layout().local_dims(), out.data_mut(), |t, _, o| {
+                d.tile(t, o, dim > 0);
             });
         });
     }

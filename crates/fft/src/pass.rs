@@ -17,7 +17,7 @@
 use std::mem::MaybeUninit;
 
 use claire_grid::{PoolVec, WsCat};
-use claire_par::{par_parts, SharedSlice};
+use claire_par::{par_split, Rows, SharedSlice};
 
 use crate::complex::{as_real, as_real_mut, CpxT};
 use crate::plan::{kernel_scratch, Fft1dT};
@@ -53,7 +53,7 @@ pub fn cols<T: FftElem>(plan: &Fft1dT<T>, inverse: bool, data: &mut [CpxT<T>], s
     let runs = stride.div_ceil(COL_RUN);
     let total = data.len();
     let shared = SharedSlice::new(as_real_mut(data));
-    par_parts(total / block * runs, total, |items| {
+    par_split(total / block * runs, total, (), |items, ()| {
         // columns `c0 .. c0 + width` of block `item / runs`, starting at
         // complex index `at`; runs partition every block's columns, so no
         // two workers touch the same one
@@ -122,13 +122,12 @@ fn row_scratch<T: FftElem>(plan: &RealFft1dT<T>) -> PoolVec<CpxT<T>> {
 pub fn rows_forward<T: FftElem>(plan: &RealFft1dT<T>, real: &[T], spec: &mut [CpxT<T>]) {
     let (n, nc) = (plan.len(), plan.spectral_len());
     let count = row_count(plan, real.len(), spec.len());
-    let shared = SharedSlice::new(spec);
-    par_parts(count.div_ceil(ROW_RUN), real.len(), |runs| {
+    let out = Rows(spec, ROW_RUN * nc);
+    par_split(count.div_ceil(ROW_RUN), real.len(), out, |runs, Rows(spec, _)| {
         let mut buf = row_scratch(plan);
-        for run in runs {
+        for (run, dst) in runs.zip(spec.chunks_mut(ROW_RUN * nc)) {
             let (r0, r1) = (run * ROW_RUN, count.min((run + 1) * ROW_RUN));
-            // SAFETY: row runs are disjoint across workers.
-            let (src, dst) = (&real[r0 * n..r1 * n], unsafe { shared.slice_mut(r0 * nc..r1 * nc) });
+            let src = &real[r0 * n..r1 * n];
             match plan.lanes() {
                 Some((half, w)) => {
                     let scratch = line_scratch(&mut buf);
@@ -149,13 +148,11 @@ pub fn rows_inverse<T: FftElem>(plan: &RealFft1dT<T>, spec: &[CpxT<T>], real: &m
     let (n, nc) = (plan.len(), plan.spectral_len());
     let count = row_count(plan, real.len(), spec.len());
     let total = real.len();
-    let shared = SharedSlice::new(real);
-    par_parts(count.div_ceil(ROW_RUN), total, |runs| {
+    par_split(count.div_ceil(ROW_RUN), total, Rows(real, ROW_RUN * n), |runs, Rows(real, _)| {
         let mut buf = row_scratch(plan);
-        for run in runs {
+        for (run, dst) in runs.zip(real.chunks_mut(ROW_RUN * n)) {
             let (r0, r1) = (run * ROW_RUN, count.min((run + 1) * ROW_RUN));
-            // SAFETY: row runs are disjoint across workers.
-            let (src, dst) = (&spec[r0 * nc..r1 * nc], unsafe { shared.slice_mut(r0 * n..r1 * n) });
+            let src = &spec[r0 * nc..r1 * nc];
             match plan.lanes() {
                 Some((half, w)) => {
                     let scratch = line_scratch(&mut buf);

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use claire_mpi::Comm;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_chunks_mut, par_parts, ELEM_CHUNK};
+use claire_par::{par_chunks_mut, par_split, ELEM_CHUNK};
 
 use crate::real::Real;
 use crate::reduce::PlaneSums;
@@ -29,7 +29,7 @@ use crate::workspace::{FieldElem, PoolVec, WsCat};
 /// split, as max needs no order: non-negative doubles order as their bits,
 /// and `|NaN|` lies above `+∞`.
 fn par_max_abs<T: FieldElem>(d: &[T], max: &AtomicU64) {
-    par_parts(d.len(), d.len(), |r| {
+    par_split(d.len(), d.len(), (), |r, ()| {
         max.fetch_max(T::kmax_abs(&d[r]).to_bits(), Ordering::Relaxed);
     });
 }

@@ -24,7 +24,7 @@ use std::cell::Cell;
 use std::ops::Range;
 
 use claire_mpi::Comm;
-use claire_par::{par_parts, SharedSlice};
+use claire_par::{par_split, SharedSlice};
 
 use crate::slab::{Layout, Slab};
 
@@ -79,13 +79,11 @@ impl PlaneSums {
     /// every owned plane, in row order; threads split the planes.
     fn each_row(&mut self, term: impl Fn(usize, usize) -> f64 + Sync) {
         let Planes { owned, rows, row_len } = self.planes;
-        let shared = SharedSlice::new(&mut self.partials[owned.i0..owned.i_end()]);
-        par_parts(owned.ni, owned.ni * rows * row_len, |planes| {
+        let mine = &mut self.partials[owned.i0..owned.i_end()];
+        par_split(owned.ni, owned.ni * rows * row_len, mine, |planes, partials| {
             for r in 0..rows {
-                for l in planes.clone() {
-                    // SAFETY: par_parts hands out disjoint plane ranges, so
-                    // each partial is read and written by one worker.
-                    unsafe { shared.write(l, shared.read(l) + term(r, l)) };
+                for (l, p) in planes.clone().zip(partials.iter_mut()) {
+                    *p += term(r, l);
                 }
             }
         });
@@ -111,7 +109,8 @@ impl PlaneSums {
         let shared = SharedSlice::new(data);
         self.each_row(|r, l| {
             let row = planes.row(r, l);
-            // SAFETY: rows are disjoint, and a plane's rows are one worker's.
+            // SAFETY: rows are disjoint, and a plane's rows are one worker's
+            // (`each_row` splits the planes, never a plane).
             term(row.clone(), unsafe { shared.slice_mut(row) })
         });
     }

@@ -2,13 +2,11 @@
 //! evaluating an [`InterpPlan`] is ghost exchange → batched stencil kernel →
 //! value return; the two scatter phases belong to the plan build.
 
-use std::ops::Range;
-
 use claire_grid::ghost::{self, GhostField};
 use claire_grid::{Real, ScalarField, VectorField};
 use claire_mpi::{AlltoallMethod, Comm, CommCat};
+use claire_par::par_split;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_parts, SharedSlice};
 use claire_simd::{interp_sites, HaloDims, SiteOut};
 
 use crate::kernel::IpOrder;
@@ -30,70 +28,13 @@ pub struct Interpolator {
     pub order: IpOrder,
 }
 
-/// Where one evaluation's values land, indexed by query: a slice per field
-/// (each value times the query's factor in the optional scale) or one
-/// packed `[Real; NF]` per query. Workers write disjoint ranges through the
-/// shared views.
-#[derive(Clone, Copy)]
-enum Dest<'a, const NF: usize> {
-    PerField([SharedSlice<'a, Real>; NF], Option<&'a [Real]>),
-    Packed(SharedSlice<'a, [Real; NF]>),
-}
-
-impl<'a, const NF: usize> Dest<'a, NF> {
-    fn per_field<'b: 'a>(outs: &'a mut [&'b mut [Real]]) -> Dest<'a, NF> {
-        assert_eq!(outs.len(), NF, "one output buffer per field");
-        let mut it = outs.iter_mut();
-        let out =
-            std::array::from_fn(|_| SharedSlice::new(it.next().expect("length checked above")));
-        Dest::PerField(out, None)
-    }
-
-    /// Queries the destination has room for.
-    fn len(&self) -> usize {
-        match self {
-            Dest::PerField(s, scale) => {
-                let room = s.iter().map(SharedSlice::len).min().unwrap_or(0);
-                scale.map_or(room, |s| room.min(s.len()))
-            }
-            Dest::Packed(s) => s.len(),
-        }
-    }
-
-    /// The queries `range` of the destination, as the site kernel stores
-    /// them.
-    ///
-    /// # Safety
-    /// `range` lies in `0..self.len()`, and no other thread reads or writes
-    /// it while the returned view lives.
-    unsafe fn part(&self, range: Range<usize>) -> SiteOut<'a, NF> {
-        match self {
-            Dest::PerField(s, scale) => SiteOut::PerField {
-                // SAFETY: forwarded from the caller.
-                out: s.map(|s| unsafe { s.slice_mut(range.clone()) }),
-                scale: scale.map(|s| &s[range.clone()]),
-            },
-            // SAFETY: forwarded from the caller.
-            Dest::Packed(s) => SiteOut::Packed(unsafe { s.slice_mut(range) }),
-        }
-    }
-
-    /// Store query `i`'s values: a returned remote value.
-    ///
-    /// # Safety
-    /// `i < self.len()`, and no other thread reads or writes query `i`.
-    unsafe fn put(&self, i: usize, v: [Real; NF]) {
-        match self {
-            Dest::PerField(s, scale) => {
-                for (s, x) in s.iter().zip(v) {
-                    // SAFETY: forwarded from the caller.
-                    unsafe { s.write(i, scale.map_or(x, |scale| x * scale[i])) };
-                }
-            }
-            // SAFETY: forwarded from the caller.
-            Dest::Packed(s) => unsafe { s.write(i, v) },
-        }
-    }
+/// Per-field outputs `outs` (exactly `NF` of them) as the site kernel
+/// stores them.
+fn per_field<'a, const NF: usize>(outs: &'a mut [&mut [Real]]) -> SiteOut<'a, NF> {
+    assert_eq!(outs.len(), NF, "one output buffer per field");
+    let mut it = outs.iter_mut();
+    let out = std::array::from_fn(|_| &mut **it.next().expect("length checked above"));
+    SiteOut::PerField { out, scale: None }
 }
 
 impl Interpolator {
@@ -120,9 +61,9 @@ impl Interpolator {
         // the kernel shares taps across up to three fields (a vector)
         for (fs, os) in fields.chunks(3).zip(outs.chunks_mut(3)) {
             match *fs {
-                [a] => self.run(plan, [a], comm, Dest::per_field(os)),
-                [a, b] => self.run(plan, [a, b], comm, Dest::per_field(os)),
-                [a, b, c] => self.run(plan, [a, b, c], comm, Dest::per_field(os)),
+                [a] => self.run(plan, [a], comm, per_field(os)),
+                [a, b] => self.run(plan, [a, b], comm, per_field(os)),
+                [a, b, c] => self.run(plan, [a, b, c], comm, per_field(os)),
                 _ => unreachable!("chunks(3) yields 1..=3 fields"),
             }
         }
@@ -139,8 +80,7 @@ impl Interpolator {
         comm: &mut Comm,
         out: &mut [[Real; 3]],
     ) {
-        let dest = Dest::Packed(SharedSlice::new(out));
-        self.run(plan, [&v.c[0], &v.c[1], &v.c[2]], comm, dest);
+        self.run(plan, [&v.c[0], &v.c[1], &v.c[2]], comm, SiteOut::Packed(out));
     }
 
     /// Evaluate one field at the plan's query points and multiply each value
@@ -157,7 +97,7 @@ impl Interpolator {
         out: &mut [Real],
     ) {
         assert_eq!(scale.len(), plan.len(), "one factor per query");
-        let dest = Dest::PerField([SharedSlice::new(out)], Some(scale));
+        let dest = SiteOut::PerField { out: [out], scale: Some(scale) };
         self.run(plan, [field], comm, dest);
     }
 
@@ -167,13 +107,13 @@ impl Interpolator {
         plan: &InterpPlan,
         fields: [&ScalarField; NF],
         comm: &mut Comm,
-        dest: Dest<'_, NF>,
+        mut dest: SiteOut<'_, NF>,
     ) {
         let layout = *plan.layout();
         for f in fields {
             assert_eq!(*f.layout(), layout, "field layout differs from the plan's");
         }
-        assert_eq!(dest.len(), plan.len(), "output buffer/query size mismatch");
+        assert!(dest.holds(plan.len()), "output buffer/query size mismatch");
 
         // ---- phase: ghost_comm (halo exchange of the fields) ----
         let ghosts: [GhostField; NF] =
@@ -189,7 +129,7 @@ impl Interpolator {
         // `value_bufs[r]`, field-major, to be shipped back
         let sites = plan.sites();
         let value_bufs: Vec<Vec<Real>> = timing::time(Kernel::Interp, || {
-            self.kernel(halo, &data, &sites.nodes, &sites.frac, dest);
+            self.kernel(halo, &data, &sites.nodes, &sites.frac, &mut dest);
             let Some(route) = plan.remote() else { return Vec::new() };
             route
                 .serve
@@ -198,11 +138,9 @@ impl Interpolator {
                     let n = sites.nodes.len();
                     let mut buf = vec![0.0 as Real; NF * n];
                     let mut per_field = buf.chunks_mut(n.max(1));
-                    let out = std::array::from_fn(|_| {
-                        SharedSlice::new(per_field.next().unwrap_or_default())
-                    });
-                    let to_wire = Dest::PerField(out, None);
-                    self.kernel(halo, &data, &sites.nodes, &sites.frac, to_wire);
+                    let out = std::array::from_fn(|_| per_field.next().unwrap_or_default());
+                    let mut to_wire = SiteOut::PerField { out, scale: None };
+                    self.kernel(halo, &data, &sites.nodes, &sites.frac, &mut to_wire);
                     buf
                 })
                 .collect()
@@ -218,38 +156,41 @@ impl Interpolator {
             let nq = origin.len();
             assert_eq!(vals.len(), nq * NF, "returned value count mismatch");
             for (q, &oi) in origin.iter().enumerate() {
-                // SAFETY: the origins are distinct positions in
-                // `0..plan.len()` (each remote query was sent to exactly one
-                // owner) and `dest.len() == plan.len()` was asserted above;
-                // the kernel's writes are done and this loop is the only
-                // writer.
-                unsafe { dest.put(oi as usize, std::array::from_fn(|f| vals[f * nq + q])) };
+                dest.put(oi as usize, std::array::from_fn(|f| vals[f * nq + q]));
             }
         }
     }
 
     /// Run the batched stencil kernel over the split sites `nodes`,
-    /// `frac`, split across workers, each storing its range of sites' values
-    /// in its range of `dest`.
+    /// `frac` (as many as `dest` holds), split across workers, each storing
+    /// its range of sites' values in its own part of `dest`.
     fn kernel<const NF: usize>(
         &self,
         halo: &HaloDims,
         data: &[&[Real]; NF],
         nodes: &[u32],
         frac: &[[Real; 3]],
-        dest: Dest<'_, NF>,
+        dest: &mut SiteOut<'_, NF>,
     ) {
         let n = nodes.len();
-        assert!(dest.len() >= n, "destination shorter than the site batch");
         let stencil = self.order.stencil();
         // weight ≈ stencil flops relative to a ~8-op element-wise point
-        let weight = (self.order.flops_per_query() / 8).max(1);
-        par_parts(n, n * NF * weight, |range| {
-            // SAFETY: this worker's range of the sites is in bounds of
-            // `dest` (asserted above), and worker ranges are disjoint.
-            let out = unsafe { dest.part(range.clone()) };
-            interp_sites(stencil, halo, data, &nodes[range.clone()], &frac[range], out);
-        });
+        let work = n * NF * (self.order.flops_per_query() / 8).max(1);
+        let sites = |range: std::ops::Range<usize>, out| {
+            interp_sites(stencil, halo, data, &nodes[range.clone()], &frac[range], out)
+        };
+        match dest {
+            SiteOut::PerField { out, scale } => {
+                let (out, scale) = (out.each_mut().map(|o| &mut **o), *scale);
+                par_split(n, work, out, |range, out| {
+                    let scale = scale.map(|s| &s[range.clone()]);
+                    sites(range, SiteOut::PerField { out, scale })
+                })
+            }
+            SiteOut::Packed(out) => {
+                par_split(n, work, &mut **out, |range, out| sites(range, SiteOut::Packed(out)))
+            }
+        }
     }
 
     /// Interpolate several fields (sharing one layout) at the same query

@@ -32,6 +32,8 @@
 //! 3–5 evaluate fields at it, and the one-shot `interp_*` entry points are
 //! literally a plan build followed by one evaluation.
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod kernel;
 pub mod plan;

@@ -14,8 +14,8 @@ use claire_grid::ghost::halo_dims;
 use claire_grid::workspace::{PoolVec, WsCat, INDEX_POOL, R3_POOL};
 use claire_grid::{Layout, Real};
 use claire_mpi::{AlltoallMethod, Comm, CommCat};
+use claire_par::par_split;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_parts, SharedSlice};
 use claire_simd::{split_sites, HaloDims};
 
 use crate::dist::Interpolator;
@@ -99,16 +99,9 @@ const SPLIT_CHUNK: usize = 256;
 fn points_to_sites(points: &mut [[Real; 3]], n: [usize; 3], halo: &HaloDims, nodes: &mut [u32]) {
     let len = points.len();
     assert_eq!(nodes.len(), len, "one node per point");
-    let shared = SharedSlice::new(points);
-    let nodes = SharedSlice::new(nodes);
-    par_parts(len, len, |range| {
-        let end = range.end;
-        for at in range.step_by(SPLIT_CHUNK) {
-            let chunk = at..(at + SPLIT_CHUNK).min(end);
-            // SAFETY: worker ranges, and so their chunks, are disjoint, and
-            // `nodes` is as long as `points` (asserted above).
-            let (sites, nodes) =
-                unsafe { (shared.slice_mut(chunk.clone()), nodes.slice_mut(chunk)) };
+    par_split(len, len, (points, nodes), |_, (points, nodes)| {
+        let chunks = points.chunks_mut(SPLIT_CHUNK).zip(nodes.chunks_mut(SPLIT_CHUNK));
+        for (sites, nodes) in chunks {
             for p in sites.iter_mut() {
                 *p = to_site(*p, n);
             }

@@ -29,6 +29,8 @@
 //! threads-as-ranks solve bit for bit. `tests/ipc_equivalence.rs` at the
 //! workspace root holds that property down.
 
+#![forbid(unsafe_code)]
+
 pub mod frame;
 pub mod launch;
 pub mod socket;

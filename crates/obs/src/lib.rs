@@ -22,6 +22,8 @@
 //! in a virtual cluster owns its own and drains them (`span::take_spans`,
 //! `records::take_gn`) on that thread, so a report holds one rank's work.
 
+#![forbid(unsafe_code)]
+
 pub mod records;
 pub mod report;
 pub mod span;

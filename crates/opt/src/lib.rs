@@ -21,8 +21,10 @@
 //!
 //! [`VectorField`]: claire_grid::VectorField
 
+#![forbid(unsafe_code)]
+
 pub mod gn;
 pub mod pcg;
 
 pub use gn::{gauss_newton, GnConfig, GnProblem, GnState, GnStats};
-pub use pcg::{pcg, FnOps, PcgConfig, PcgOperator, PcgResult};
+pub use pcg::{pcg, PcgConfig, PcgOperator, PcgResult};

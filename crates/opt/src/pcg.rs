@@ -58,26 +58,6 @@ pub trait PcgOperator<V: KrylovVec = VectorField> {
     }
 }
 
-/// Adapter building a [`PcgOperator`] from two closures (testing and simple
-/// operators with disjoint captures).
-pub struct FnOps<A, M>(pub A, pub M)
-where
-    A: FnMut(&VectorField, &mut Comm) -> VectorField,
-    M: FnMut(&VectorField, &mut Comm) -> VectorField;
-
-impl<A, M> PcgOperator for FnOps<A, M>
-where
-    A: FnMut(&VectorField, &mut Comm) -> VectorField,
-    M: FnMut(&VectorField, &mut Comm) -> VectorField,
-{
-    fn apply(&mut self, p: &VectorField, comm: &mut Comm) -> VectorField {
-        (self.0)(p, comm)
-    }
-    fn prec(&mut self, r: &VectorField, comm: &mut Comm) -> VectorField {
-        (self.1)(r, comm)
-    }
-}
-
 /// Solve `A x = b` for SPD `A` with preconditioner `M ≈ A⁻¹`.
 ///
 /// `b` is consumed — it becomes the residual — and `x0` seeds the iteration
@@ -162,6 +142,25 @@ mod tests {
     use super::*;
     use claire_grid::{Grid, Layout, Real, ScalarField, ScalarFieldT, VectorFieldT, WsCat};
     use proptest::prelude::*;
+
+    /// Adapter building a [`PcgOperator`] from two closures.
+    struct FnOps<A, M>(A, M)
+    where
+        A: FnMut(&VectorField, &mut Comm) -> VectorField,
+        M: FnMut(&VectorField, &mut Comm) -> VectorField;
+
+    impl<A, M> PcgOperator for FnOps<A, M>
+    where
+        A: FnMut(&VectorField, &mut Comm) -> VectorField,
+        M: FnMut(&VectorField, &mut Comm) -> VectorField,
+    {
+        fn apply(&mut self, p: &VectorField, comm: &mut Comm) -> VectorField {
+            (self.0)(p, comm)
+        }
+        fn prec(&mut self, r: &VectorField, comm: &mut Comm) -> VectorField {
+            (self.1)(r, comm)
+        }
+    }
 
     /// Diagonal SPD test operator: componentwise scaling by (2 + sin²(x)).
     fn diag_coeff(layout: Layout) -> ScalarField {

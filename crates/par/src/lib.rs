@@ -3,13 +3,19 @@
 //! The GPU implementation of CLAIRE (Brunn et al., SC 2020) launches each
 //! kernel over a grid of thread blocks; every output element is computed by
 //! exactly one thread. This crate reproduces that execution model on a
-//! multicore CPU: each kernel splits its *output* index space into contiguous
-//! chunks and hands one chunk per worker thread, so every output element is
-//! written by exactly one thread and no synchronization is needed inside a
-//! kernel. Workers are plain `std::thread::scope` scoped threads — the crate
-//! has no dependencies and no global pool, which keeps the virtual-MPI
-//! ranks-as-threads substrate (each rank may itself fan out) free of
-//! pool-reentrancy hazards.
+//! multicore CPU with one primitive, [`par_split`]: it cuts a kernel's
+//! *output* into one contiguous part per worker thread with `split_at_mut`
+//! and hands each worker its part as `&mut`, so every output element has
+//! exactly one writer by construction and no synchronization is needed
+//! inside a kernel. What can be cut is a [`Split`]: a slice, an array or a
+//! pair of parts, [`Rows`] of several elements per item, or `()` for a
+//! region that only reads. [`par_chunks_mut`] is a loop on top of it.
+//! Workers are plain `std::thread::scope` scoped threads, started in
+//! [`par_split`] alone — the crate has no dependencies and no global pool,
+//! which keeps the virtual-MPI ranks-as-threads substrate (each rank may
+//! itself fan out) free of pool-reentrancy hazards. A kernel whose output
+//! decomposition is strided (a column pass) writes through a
+//! [`SharedSlice`] instead and owns the disjointness argument itself.
 //!
 //! Determinism: every parallel construct here produces *bitwise identical*
 //! results for every thread count, including the serial fallback, because
@@ -123,36 +129,88 @@ fn split_range(n: usize, parts: usize, part: usize) -> std::ops::Range<usize> {
     lo..hi
 }
 
-/// Execute `f(range)` over a partition of `0..n` items into contiguous
-/// per-thread ranges, with the serial-vs-parallel decision made on
-/// `total_work` (e.g. items × elements-per-item) rather than the item count —
-/// a batch of 4096 FFT pencils is worth threading even though 4096 alone is
-/// below [`MIN_PAR_LEN`]. `f` runs once per worker (serially: once with
-/// `0..n`); it may read shared state freely but must own its writes (e.g.
-/// through [`SharedSlice`] with disjoint indices).
-pub fn par_parts<F>(n: usize, total_work: usize, f: F)
+/// An output that cuts into disjoint parts by item: a slice (one item per
+/// element), an array of parts or a pair of parts cut at the same item,
+/// [`Rows`] (items of several elements), or `()` for a region that only
+/// reads.
+pub trait Split: Send + Sized {
+    /// Items `..at` and `at..`.
+    fn cut_at(self, at: usize) -> (Self, Self);
+}
+
+impl<T: Send> Split for &mut [T] {
+    fn cut_at(self, at: usize) -> (Self, Self) {
+        self.split_at_mut(at)
+    }
+}
+
+impl<P: Split, const N: usize> Split for [P; N] {
+    fn cut_at(self, at: usize) -> (Self, Self) {
+        let mut halves = self.map(|p| {
+            let (a, b) = p.cut_at(at);
+            (Some(a), Some(b))
+        });
+        let front = std::array::from_fn(|i| halves[i].0.take().expect("each half taken once"));
+        let back = std::array::from_fn(|i| halves[i].1.take().expect("each half taken once"));
+        (front, back)
+    }
+}
+
+impl<A: Split, B: Split> Split for (A, B) {
+    fn cut_at(self, at: usize) -> (Self, Self) {
+        let ((a0, a1), (b0, b1)) = (self.0.cut_at(at), self.1.cut_at(at));
+        ((a0, b0), (a1, b1))
+    }
+}
+
+impl Split for () {
+    fn cut_at(self, _: usize) -> (Self, Self) {
+        ((), ())
+    }
+}
+
+/// `P` with items of `.1` elements: item `i` is elements `i·len ..
+/// (i+1)·len` of every slice in it (a plane, a row, a run of rows; the
+/// last item may be short).
+pub struct Rows<P>(pub P, pub usize);
+
+impl<P: Split> Split for Rows<P> {
+    fn cut_at(self, at: usize) -> (Self, Self) {
+        let (a, b) = self.0.cut_at(at * self.1);
+        (Rows(a, self.1), Rows(b, self.1))
+    }
+}
+
+/// Cut `out`, an output of `n` items, into one part per worker — contiguous
+/// item ranges differing in length by at most one — and run `f(range,
+/// part)` once per worker, `part` being items `range` of `out`. Every
+/// output element thus has exactly one writer, by construction. The
+/// serial-vs-parallel decision is made on `total_work` (e.g. items ×
+/// elements-per-item) rather than the item count — a batch of 4096 FFT
+/// pencils is worth threading even though 4096 alone is below
+/// [`MIN_PAR_LEN`]; serially `f` runs once, with `0..n` and all of `out`.
+/// A worker's panic reaches the caller once every worker has finished.
+/// The only place in the crate that starts threads.
+pub fn par_split<P, F>(n: usize, total_work: usize, out: P, f: F)
 where
-    F: Fn(std::ops::Range<usize>) + Sync,
+    P: Split,
+    F: Fn(std::ops::Range<usize>, P) + Sync,
 {
     let nt = if par_enabled(total_work) { num_threads().min(n.max(1)) } else { 1 };
     if nt <= 1 {
-        f(0..n);
-        return;
+        return f(0..n, out);
     }
     std::thread::scope(|s| {
-        for t in 1..nt {
-            let f = &f;
-            s.spawn(move || f(split_range(n, nt, t)));
+        let f = &f;
+        let mut rest = out;
+        for t in 0..nt - 1 {
+            let r = split_range(n, nt, t);
+            let (part, tail) = rest.cut_at(r.len());
+            rest = tail;
+            s.spawn(move || f(r, part));
         }
-        f(split_range(n, nt, 0));
+        f(split_range(n, nt, nt - 1), rest);
     });
-}
-
-fn effective_threads(n: usize) -> usize {
-    if !par_enabled(n) {
-        return 1;
-    }
-    num_threads().min(n.max(1))
 }
 
 /// Split `data` into chunks of exactly `chunk` elements (last may be short)
@@ -166,44 +224,18 @@ where
 {
     assert!(chunk > 0, "chunk length must be positive");
     let len = data.len();
-    let nchunks = len.div_ceil(chunk);
-    let nt = effective_threads(len).min(nchunks.max(1));
-    if nt <= 1 {
-        for (ci, c) in data.chunks_mut(chunk).enumerate() {
+    par_split(len.div_ceil(chunk), len, Rows(data, chunk), |range, Rows(part, _)| {
+        for (ci, c) in range.zip(part.chunks_mut(chunk)) {
             f(ci, c);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut rest = data;
-        let mut chunk_base = 0usize;
-        for t in 0..nt {
-            let r = split_range(nchunks, nt, t);
-            let elems = ((r.end - r.start) * chunk).min(rest.len());
-            let (mine, tail) = rest.split_at_mut(elems);
-            rest = tail;
-            let base = chunk_base;
-            chunk_base += r.end - r.start;
-            let f = &f;
-            if t + 1 == nt {
-                for (ci, c) in mine.chunks_mut(chunk).enumerate() {
-                    f(base + ci, c);
-                }
-            } else {
-                s.spawn(move || {
-                    for (ci, c) in mine.chunks_mut(chunk).enumerate() {
-                        f(base + ci, c);
-                    }
-                });
-            }
         }
     });
 }
 
 /// A raw view of a mutable slice that many threads may write through, for
-/// kernels whose natural output decomposition is *strided* rather than
-/// contiguous (e.g. the x2/x3 FFT pencil stages, ghost-plane unpack). The
-/// caller is responsible for index disjointness across threads.
+/// the kernels whose output decomposition is *strided* rather than
+/// contiguous, so [`par_split`] cannot cut it (the FFT column pass, the
+/// rows of a sum's multi-row spectral planes). The caller is responsible
+/// for index disjointness across threads.
 #[derive(Clone, Copy)]
 pub struct SharedSlice<'a, T> {
     ptr: *mut T,
@@ -211,23 +243,17 @@ pub struct SharedSlice<'a, T> {
     _life: std::marker::PhantomData<&'a mut [T]>,
 }
 
+// SAFETY: the view stands for the `&'a mut [T]` it was made from, which is
+// `Send` for `T: Send`; sharing it lets threads write `T`s into it, which the
+// `unsafe` accessors leave to the caller to keep disjoint.
 unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
+// SAFETY: as for `Send`.
 unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
 
 impl<'a, T> SharedSlice<'a, T> {
     /// Wrap `data` for disjoint multi-threaded writes.
     pub fn new(data: &'a mut [T]) -> SharedSlice<'a, T> {
         SharedSlice { ptr: data.as_mut_ptr(), len: data.len(), _life: std::marker::PhantomData }
-    }
-
-    /// Element count of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The underlying pointer, for kernels that take a strided block whole.
@@ -312,13 +338,99 @@ mod tests {
         let mut data = vec![0.0f64; n];
         let shared = SharedSlice::new(&mut data);
         with_threads(4, || {
-            par_parts(n, n, |r| {
+            par_split(n, n, (), |r, ()| {
                 for i in r {
                     unsafe { shared.write(i, i as f64) };
                 }
             });
         });
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as f64));
+    }
+
+    /// Run `par_split` over `n` items on `threads` threads, with every
+    /// kind of part at once, and check what each worker was handed: its
+    /// parts cover exactly its items, the parts tile the output once, and
+    /// `f` ran once per worker.
+    fn split_hands_out_own_parts(n: usize, threads: usize) {
+        let mut flat = vec![usize::MAX; n];
+        let mut arr = [vec![usize::MAX; n], vec![usize::MAX; n]];
+        let mut rows = vec![usize::MAX; 3 * n];
+        let calls = AtomicUsize::new(0);
+        let seen = std::sync::Mutex::new(Vec::new());
+        // a per-thread budget, so tests that move the global override
+        // concurrently cannot change the worker count
+        set_local_threads(threads);
+        {
+            let [a0, a1] = arr.each_mut().map(|a| a.as_mut_slice());
+            let out = ((flat.as_mut_slice(), [a0, a1]), (Rows(rows.as_mut_slice(), 3), ()));
+            par_split(n, MIN_PAR_LEN, out, |r, ((f, [a0, a1]), (Rows(rw, len), ()))| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(len, 3);
+                assert_eq!(
+                    (f.len(), a0.len(), a1.len(), rw.len()),
+                    (r.len(), r.len(), r.len(), 3 * r.len())
+                );
+                for (k, i) in r.clone().enumerate() {
+                    f[k] = i;
+                    a0[k] = i;
+                    a1[k] = i;
+                    rw[3 * k..3 * k + 3].fill(i);
+                }
+                seen.lock().unwrap().push(r);
+            });
+        }
+        set_local_threads(0);
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|r| r.start);
+        let workers = if n >= 1 { threads.min(n) } else { 1 };
+        assert_eq!(calls.into_inner(), workers, "n={n} threads={threads}: one call per worker");
+        assert_eq!(seen.len(), workers);
+        assert_eq!(seen.first().map(|r| r.start), Some(0));
+        assert_eq!(seen.last().map(|r| r.end), Some(n));
+        assert!(seen.windows(2).all(|w| w[0].end == w[1].start), "ranges tile 0..{n}: {seen:?}");
+        let want: Vec<usize> = (0..n).collect();
+        assert_eq!(flat, want);
+        assert_eq!(arr, [want.clone(), want.clone()]);
+        assert!(rows.iter().enumerate().all(|(e, &v)| v == e / 3));
+    }
+
+    #[test]
+    fn split_tiles_the_output_once_per_worker() {
+        for n in [0, 1, 7, MIN_PAR_LEN + 3] {
+            for threads in 1..=4 {
+                split_hands_out_own_parts(n, threads);
+            }
+        }
+    }
+
+    #[test]
+    fn split_stays_serial_below_the_work_floor() {
+        let calls = AtomicUsize::new(0);
+        let mut data = vec![0u8; 64];
+        set_local_threads(4);
+        par_split(64, MIN_PAR_LEN - 1, data.as_mut_slice(), |r, part| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            assert_eq!((r, part.len()), (0..64, 64));
+        });
+        set_local_threads(0);
+        assert_eq!(calls.into_inner(), 1);
+    }
+
+    #[test]
+    fn a_workers_panic_reaches_the_caller() {
+        let n = MIN_PAR_LEN + 3;
+        let mut data = vec![0u8; n];
+        set_local_threads(4);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_split(n, n, data.as_mut_slice(), |r, _| {
+                // a spawned worker's range: the caller runs the last one
+                if r.start == 0 {
+                    panic!("worker 0 fails");
+                }
+            });
+        }));
+        set_local_threads(0);
+        assert!(caught.is_err(), "the panic of a spawned worker must propagate");
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! [`paper`] embeds the published numbers of Tables 2–7 so the bench
 //! harness can print *paper vs reproduced* side by side.
 
+#![forbid(unsafe_code)]
+
 pub mod kernels;
 pub mod machine;
 pub mod paper;

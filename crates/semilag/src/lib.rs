@@ -23,6 +23,8 @@
 //! [`displacement`] additionally integrates the deformation map
 //! `y = x + u` and its Jacobian determinant for diffeomorphism checks.
 
+#![forbid(unsafe_code)]
+
 pub mod displacement;
 pub mod traj;
 pub mod transport;

@@ -20,8 +20,8 @@ use claire_grid::{Layout, Real, VectorField};
 use claire_interp::{InterpPlan, Interpolator};
 use claire_mpi::Comm;
 use claire_obs::span::span;
+use claire_par::par_split;
 use claire_par::timing::{self, Kernel};
-use claire_par::{par_parts, SharedSlice};
 
 /// Pre-computed characteristic data for one stationary velocity field.
 ///
@@ -78,10 +78,7 @@ impl AdjointFamily {
         interp.evaluate(&plan, &[&div_v], comm, &mut [&mut growth]);
         timing::time(Kernel::SemiLag, || {
             let (n, div_v) = (growth.len(), div_v.data());
-            let shared = SharedSlice::new(&mut growth);
-            par_parts(n, n, |range| {
-                // SAFETY: worker ranges are disjoint.
-                let dst = unsafe { shared.slice_mut(range.clone()) };
+            par_split(n, n, &mut growth[..], |range, dst| {
                 for (o, d) in dst.iter_mut().zip(&div_v[range]) {
                     *o = (*o + d).exp();
                 }
@@ -107,10 +104,7 @@ pub fn grid_points_into(layout: &claire_grid::Layout, out: &mut [[Real; 3]]) {
     let i0 = layout.slab.i0;
     assert_eq!(out.len(), layout.local_len());
     let n = out.len();
-    let shared = SharedSlice::new(out);
-    par_parts(n, n, |range| {
-        // SAFETY: worker ranges are disjoint.
-        let dst = unsafe { shared.slice_mut(range.clone()) };
+    par_split(n, n, out, |range, dst| {
         for (o, idx) in dst.iter_mut().zip(range) {
             let k = idx % n3;
             let j = (idx / n3) % n2;
@@ -238,10 +232,7 @@ fn rk2_feet(
     // Euler predictor — one independent update per grid point
     let mut mid = R3_POOL.checkout_written(n, [Real::NAN; 3], WsCat::Sl);
     timing::time(Kernel::SemiLag, || {
-        let shared = SharedSlice::new(&mut mid);
-        par_parts(n, n, |range| {
-            // SAFETY: worker ranges are disjoint.
-            let dst = unsafe { shared.slice_mut(range.clone()) };
+        par_split(n, n, &mut mid[..], |range, dst| {
             for (o, i) in dst.iter_mut().zip(range) {
                 let p = &pts[i];
                 *o = [p[0] + s * v1[i], p[1] + s * v2[i], p[2] + s * v3[i]];
@@ -255,10 +246,7 @@ fn rk2_feet(
     drop(mid);
     // Heun corrector, over the midpoint velocities
     timing::time(Kernel::SemiLag, || {
-        let shared = SharedSlice::new(&mut foot);
-        par_parts(n, n, |range| {
-            // SAFETY: worker ranges are disjoint.
-            let dst = unsafe { shared.slice_mut(range.clone()) };
+        par_split(n, n, &mut foot[..], |range, dst| {
             for (o, i) in dst.iter_mut().zip(range) {
                 let (p, vm) = (&pts[i], *o);
                 *o = [

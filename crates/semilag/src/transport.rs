@@ -7,7 +7,7 @@ use claire_interp::{Interpolator, IpOrder};
 use claire_mpi::Comm;
 use claire_obs::span::span;
 use claire_par::timing::{self, Kernel};
-use claire_par::SharedSlice;
+use claire_par::Split;
 
 use crate::traj::Trajectory;
 
@@ -49,19 +49,21 @@ impl StateSolution {
     /// `∇m(·, t_j)` one x3-row tile at a time, as [`fd::gradient_tiles`]
     /// hands it out: sliced from [`StateSolution::grad_m`] when the series
     /// was solved with `store_grad`, made by 8th-order FD from `m[j]`
-    /// otherwise. Both walk the tiles of [`fd::row_tiles`] and hold the same
-    /// values, so a consumer has one code path. Collective.
-    pub fn grad_tiles<F>(&self, j: usize, comm: &mut Comm, each: F)
+    /// otherwise. Both walk the tiles of [`fd::row_tiles`], hand each its
+    /// own part of `out` and hold the same values, so a consumer has one
+    /// code path. Collective.
+    pub fn grad_tiles<P, F>(&self, j: usize, comm: &mut Comm, out: P, each: F)
     where
-        F: Fn(usize, [&[Real]; 3]) + Sync,
+        P: Split,
+        F: Fn(usize, [&[Real]; 3], P) + Sync,
     {
         let Some(stored) = &self.grad_m else {
-            return fd::gradient_tiles(&self.m[j], comm, each);
+            return fd::gradient_tiles(&self.m[j], comm, out, each);
         };
         let g = stored[j].c.each_ref().map(|c| c.data());
         timing::time(Kernel::FieldOps, || {
-            fd::row_tiles(stored[j].layout().local_dims(), |t, _| {
-                each(t.at, g.map(|c| &c[t.range()]));
+            fd::row_tiles(stored[j].layout().local_dims(), out, |t, _, part| {
+                each(t.at, g.map(|c| &c[t.range()]), part);
             });
         });
     }
@@ -210,12 +212,9 @@ fn sub_source(
     comm: &mut Comm,
 ) {
     let [v1, v2, v3] = vt.c.each_ref().map(|c| c.data());
-    let out = SharedSlice::new(f.data_mut());
-    state.grad_tiles(j, comm, |at, [g1, g2, g3]| {
+    state.grad_tiles(j, comm, f.data_mut(), |at, [g1, g2, g3], dst| {
         let n = g1.len();
         let tile = at..at + n;
-        // SAFETY: every point is in exactly one tile.
-        let dst = unsafe { out.slice_mut(tile.clone()) };
         let (v1, v2, v3) = (&v1[tile.clone()], &v2[tile.clone()], &v3[tile]);
         let (g2, g3) = (&g2[..n], &g3[..n]);
         for k in 0..n {

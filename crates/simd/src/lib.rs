@@ -183,12 +183,28 @@ pub enum SiteOut<'a, const NF: usize> {
 
 impl<const NF: usize> SiteOut<'_, NF> {
     /// Whether every slice holds exactly `n` sites.
-    fn holds(&self, n: usize) -> bool {
+    pub fn holds(&self, n: usize) -> bool {
         match self {
             SiteOut::PerField { out, scale } => {
                 out.iter().all(|o| o.len() == n) && scale.is_none_or(|s| s.len() == n)
             }
             SiteOut::Packed(p) => p.len() == n,
+        }
+    }
+
+    /// Store site `i`'s values.
+    #[inline(always)]
+    pub fn put(&mut self, i: usize, v: [f64; NF]) {
+        match self {
+            SiteOut::PerField { out, scale } => {
+                for (o, x) in out.iter_mut().zip(v) {
+                    o[i] = match scale {
+                        Some(s) => x * s[i],
+                        None => x,
+                    };
+                }
+            }
+            SiteOut::Packed(p) => p[i] = v,
         }
     }
 }

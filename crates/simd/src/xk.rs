@@ -451,24 +451,6 @@ impl Taps {
     }
 }
 
-impl<const NF: usize> SiteOut<'_, NF> {
-    /// Store site `i`'s values.
-    #[inline(always)]
-    fn put(&mut self, i: usize, v: [f64; NF]) {
-        match self {
-            SiteOut::PerField { out, scale } => {
-                for (o, x) in out.iter_mut().zip(v) {
-                    o[i] = match scale {
-                        Some(s) => x * s[i],
-                        None => x,
-                    };
-                }
-            }
-            SiteOut::Packed(p) => p[i] = v,
-        }
-    }
-}
-
 /// Evaluate `NF` fields at every split site of a batch — floor node
 /// `nodes[i]`, fractions `frac[i]` — and store each site's values in `out`,
 /// one site at a time. Per site the basis weights are computed once and

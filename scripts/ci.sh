@@ -157,9 +157,11 @@ stage_poison_tests() {
     # every other test stage builds --release, where a write-only pool
     # checkout (`Pool::checkout_written`) hands out its buffer's old
     # contents; under debug_assertions it is all NaN, so a kernel that reads
-    # an element before writing it turns these crates' results into NaN
-    cargo test -q -p claire-grid -p claire-fft -p claire-diff -p claire-semilag \
-        -p claire-interp -p claire-opt -p claire-core
+    # an element before writing it turns these crates' results into NaN;
+    # claire-par rides along so its split arithmetic also runs with debug
+    # assertions and overflow checks
+    cargo test -q -p claire-par -p claire-grid -p claire-fft -p claire-diff \
+        -p claire-semilag -p claire-interp -p claire-opt -p claire-core
 }
 
 stage_benchmark_package() {

@@ -886,7 +886,6 @@ fn fd_on_thin_grids_matches_the_direct_stencil() {
 /// field, and whether the tiles covered as many points as the rank owns.
 fn tiled_and_full_gradient(grid: Grid, p: usize) -> Vec<(Vec<u64>, Vec<u64>, bool)> {
     use claire::diff::fd;
-    use claire::par::SharedSlice;
     use std::sync::atomic::{AtomicUsize, Ordering};
     let bits = |v: &VectorField| -> Vec<u64> {
         v.c.iter().flat_map(|c| c.data().iter().map(|x| x.to_bits())).collect()
@@ -900,12 +899,11 @@ fn tiled_and_full_gradient(grid: Grid, p: usize) -> Vec<(Vec<u64>, Vec<u64>, boo
         fd::gradient_into(&f, comm, &mut full, &mut fd::FdScratch::new());
         let mut tiled = VectorField::zeros(layout);
         let seen = AtomicUsize::new(0);
-        let out = tiled.c.each_mut().map(|c| SharedSlice::new(c.data_mut()));
-        fd::gradient_tiles(&f, comm, |at, g| {
+        let out = tiled.c.each_mut().map(|c| c.data_mut());
+        fd::gradient_tiles(&f, comm, out, |_, g, part| {
             seen.fetch_add(g[0].len(), Ordering::Relaxed);
-            for (o, g) in out.iter().zip(g) {
-                // SAFETY: every point is in exactly one tile.
-                unsafe { o.slice_mut(at..at + g.len()) }.copy_from_slice(g);
+            for (o, g) in part.into_iter().zip(g) {
+                o.copy_from_slice(g);
             }
         });
         (bits(&tiled), bits(&full), seen.into_inner() == layout.local_len())
